@@ -26,13 +26,13 @@ import (
 	"score/internal/wavefield"
 )
 
-// benchScale trims the Small scale a little further so every figure
-// benchmark iteration stays under a few seconds.
-func benchScale() experiments.Scale {
+// benchRun is a bare run at the Small scale trimmed a little further so
+// every figure benchmark iteration stays under a few seconds.
+func benchRun() experiments.Run {
 	s := experiments.Small()
 	s.Snapshots = 64
 	s.Aggregate = 2 * fabric.GB
-	return s
+	return experiments.Run{Scale: s}
 }
 
 const mb = 1 << 20
@@ -80,7 +80,7 @@ func BenchmarkTable1Approaches(b *testing.B) {
 				cfg := experiments.ShotConfig{
 					Uniform: true, WaitForFlush: true, Order: rtm.Reverse, Combo: combo,
 				}
-				benchScale().Apply(&cfg)
+				benchRun().Apply(&cfg)
 				res, err := experiments.RunShot(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -95,7 +95,7 @@ func BenchmarkTable1Approaches(b *testing.B) {
 // BenchmarkFig4TraceGen regenerates the snapshot-size distribution.
 func BenchmarkFig4TraceGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		stats, err := experiments.Fig4(benchScale(), 32)
+		stats, err := experiments.Fig4(benchRun().Scale, 32)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,35 +107,35 @@ func BenchmarkFig4TraceGen(b *testing.B) {
 
 func BenchmarkFig5aUniformWait(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig5(benchScale(), true)
+		fig, err := experiments.Fig5(benchRun(), true)
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig5bVariableWait(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig5(benchScale(), false)
+		fig, err := experiments.Fig5(benchRun(), false)
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig6aUniformNoWait(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig6(benchScale(), true)
+		fig, err := experiments.Fig6(benchRun(), true)
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig6bVariableNoWait(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig6(benchScale(), false)
+		fig, err := experiments.Fig6(benchRun(), false)
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig7PrefetchDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig7(benchScale())
+		fig, err := experiments.Fig7(benchRun())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,13 +154,13 @@ func BenchmarkFig7PrefetchDistance(b *testing.B) {
 func BenchmarkFig8aComputeInterval(b *testing.B) {
 	intervals := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig8a(benchScale(), intervals)
+		fig, err := experiments.Fig8a(benchRun(), intervals)
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig8bGPUCache(b *testing.B) {
-	s := benchScale()
+	s := benchRun()
 	caches := []int64{s.GPUCache / 2, s.GPUCache, s.GPUCache * 2}
 	for i := 0; i < b.N; i++ {
 		fig, err := experiments.Fig8b(s, caches)
@@ -170,14 +170,14 @@ func BenchmarkFig8bGPUCache(b *testing.B) {
 
 func BenchmarkFig9aTightlyCoupled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig9(benchScale(), true, []int{8, 16})
+		fig, err := experiments.Fig9(benchRun(), true, []int{8, 16})
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig9bEmbarrassinglyParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig9(benchScale(), false, []int{8, 16})
+		fig, err := experiments.Fig9(benchRun(), false, []int{8, 16})
 		reportRows(b, fig, err)
 	}
 }
@@ -193,7 +193,7 @@ func ablationShot(b *testing.B, mutate func(*experiments.ShotConfig)) {
 			Uniform: false, WaitForFlush: false, Order: rtm.Irregular,
 			Combo: experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 		}
-		benchScale().Apply(&cfg)
+		benchRun().Apply(&cfg)
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -316,7 +316,10 @@ func BenchmarkFabricTransfer(b *testing.B) {
 		l := fabric.NewLink(clk, "bench", 25*fabric.GB, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l.Transfer(128 << 20)
+			if _, err := l.TryTransfer(128 << 20); err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 	<-done
@@ -371,7 +374,7 @@ func BenchmarkExtensionSharedHostCache(b *testing.B) {
 				Combo:             experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 				SharedHostPerNode: shared,
 			}
-			benchScale().Apply(&cfg)
+			benchRun().Apply(&cfg)
 			// Widen the cross-rank shot-size disparity well past the
 			// private per-client capacity: this is the imbalance the
 			// shared pool exists to absorb.
@@ -401,7 +404,7 @@ func BenchmarkExtensionGPUDirect(b *testing.B) {
 				Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 				GPUDirect: direct,
 			}
-			benchScale().Apply(&cfg)
+			benchRun().Apply(&cfg)
 			res, err := experiments.RunShot(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -427,7 +430,7 @@ func BenchmarkAblationChunkedPipeline(b *testing.B) {
 				Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 				GPUDirect: true,
 			}
-			benchScale().Apply(&cfg)
+			benchRun().Apply(&cfg)
 			cfg.ChunkSize = chunk
 			res, err := experiments.RunShot(cfg)
 			if err != nil {
@@ -439,5 +442,5 @@ func BenchmarkAblationChunkedPipeline(b *testing.B) {
 		}
 	}
 	b.Run("monolithic", func(b *testing.B) { run(b, 0) })
-	b.Run("chunked", func(b *testing.B) { run(b, benchScale().UniformSize/8) })
+	b.Run("chunked", func(b *testing.B) { run(b, benchRun().UniformSize/8) })
 }

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
@@ -32,32 +34,72 @@ import (
 	"score/internal/trace"
 )
 
-var experimentNames = []string{
-	"table1", "fig4", "fig5a", "fig5b", "fig6a", "fig6b",
-	"fig7", "fig8a", "fig8b", "fig9a", "fig9b", "ablations", "evict",
-	"rankfail", "pipeline", "preempt", "migrate", "elastic", "straggler",
+// scenario is one -exp value: a name and the function that runs it under
+// the invocation's Run and prints its rows.
+type scenario struct {
+	name string
+	run  func(experiments.Run, io.Writer) error
 }
 
-func main() {
-	exp := flag.String("exp", "", "experiment to run: "+strings.Join(experimentNames, ", ")+", or 'all'")
-	scaleName := flag.String("scale", "full", "workload scale: full (paper) or small (1/16)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	metricsOut := flag.String("metrics-out", "", "write the aggregated metrics registry (histograms, counters, sampled series) as JSON to this file")
-	promListen := flag.String("prom-listen", "", "serve the metrics registry in Prometheus text format on this address (e.g. :9464); blocks after the experiments finish")
-	sample := flag.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -metrics-out")
-	chunk := flag.Int64("chunk", 0, "stream multi-hop transfers in chunks of this many bytes, overlapping consecutive hops (0 = monolithic transfers)")
-	traceOut := flag.String("trace-out", "", "write each shot's timeline in Chrome trace-event format; the shot label is appended to the name (trace.json -> trace-<label>.json), open in chrome://tracing or ui.perfetto.dev")
-	critpathOut := flag.String("critpath-out", "", "write every shot's critical-path attribution records (score-critpath/v1 JSON) to this file")
-	failUnattributed := flag.Bool("fail-on-unattributed", false, "exit non-zero if any attribution record carries an unattributed latency gap (instrumentation missed a blocking point)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the experiment run(s) to this file (inspect with go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish")
-	benchTime := flag.Duration("benchtime", 0, "repeat the selected experiment(s) until this much wall time has elapsed — stabilizes -cpuprofile samples on fast configs (0 = run once)")
-	parallelSim := flag.Bool("parallel-sim", false, "wake same-instant rank cohorts in parallel on the real scheduler for wall-clock speed; results may differ slightly from the (byte-deterministic) serial default")
-	sloFlag := flag.Bool("slo", false, "evaluate each scenario's checked-in SLO objectives on the virtual clock (burn-rate alerting with critical-path attribution) and print the compliance table")
-	sloOut := flag.String("slo-out", "", "write the per-run SLO compliance reports (score-slo/v1 JSON) to this file; implies -slo")
-	failSLO := flag.Bool("fail-on-slo", false, "exit non-zero if any objective fired an alert or missed its goal; implies -slo")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `Usage: ckptbench -exp <name> [flags]
+// scenarios is the one ordered table that -exp, -exp all, -list, the flag
+// help and the unknown-name error are derived from.
+var scenarios = []scenario{
+	{"table1", runTable1},
+	{"fig4", runFig4},
+	{"fig5a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, true))(w) }},
+	{"fig5b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, false))(w) }},
+	{"fig6a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
+	{"fig6b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
+	{"fig7", runFig7},
+	{"fig8a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r, nil))(w) }},
+	{"fig8b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r, nil))(w) }},
+	{"fig9a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true, nil))(w) }},
+	{"fig9b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false, nil))(w) }},
+	{"ablations", func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
+	{"evict", func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
+	{"rankfail", runRankFail},
+	{"pipeline", func(r experiments.Run, w io.Writer) error { return render(experiments.Pipeline(r))(w) }},
+	{"preempt", runPreempt},
+	{"migrate", runMigrate},
+	{"elastic", runElastic},
+	{"straggler", runStraggler},
+}
+
+// scenarioNames lists the table's names in order.
+func scenarioNames() []string {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.name
+	}
+	return names
+}
+
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is the whole command: it parses args, runs the selected scenarios
+// and returns the process exit status (2 for a usage error, 1 for a
+// failed run).
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ckptbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment to run: "+strings.Join(scenarioNames(), ", ")+", or 'all'")
+	scaleName := fs.String("scale", "full", "workload scale: full (paper) or small (1/16)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	metricsOut := fs.String("metrics-out", "", "write the aggregated metrics registry (histograms, counters, sampled series) as JSON to this file")
+	promListen := fs.String("prom-listen", "", "serve the metrics registry in Prometheus text format on this address (e.g. :9464); blocks after the experiments finish")
+	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -metrics-out")
+	chunk := fs.Int64("chunk", 0, "stream multi-hop transfers in chunks of this many bytes, overlapping consecutive hops (0 = monolithic transfers)")
+	traceOut := fs.String("trace-out", "", "write each shot's timeline in Chrome trace-event format; the shot label is appended to the name (trace.json -> trace-<label>.json), open in chrome://tracing or ui.perfetto.dev")
+	critpathOut := fs.String("critpath-out", "", "write every shot's critical-path attribution records (score-critpath/v1 JSON) to this file")
+	failUnattributed := fs.Bool("fail-on-unattributed", false, "exit non-zero if any attribution record carries an unattributed latency gap (instrumentation missed a blocking point)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the experiment run(s) to this file (inspect with go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish")
+	benchTime := fs.Duration("benchtime", 0, "repeat the selected experiment(s) until this much wall time has elapsed — stabilizes -cpuprofile samples on fast configs (0 = run once)")
+	sloFlag := fs.Bool("slo", false, "evaluate each scenario's checked-in SLO objectives on the virtual clock (burn-rate alerting with critical-path attribution) and print the compliance table")
+	sloOut := fs.String("slo-out", "", "write the per-run SLO compliance reports (score-slo/v1 JSON) to this file; implies -slo")
+	failSLO := fs.Bool("fail-on-slo", false, "exit non-zero if any objective fired an alert or missed its goal; implies -slo")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, `Usage: ckptbench -exp <name> [flags]
 
 Examples:
   ckptbench -exp fig5a                                        # one figure at paper scale
@@ -71,53 +113,63 @@ Examples:
 
 Flags:
 `)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		for _, n := range experimentNames {
-			fmt.Println(n)
+		for _, name := range scenarioNames() {
+			fmt.Fprintln(stdout, name)
 		}
-		return
+		return 0
 	}
 
 	// Validate the flag set up front: a bad combination exits with a
 	// usage error before any (potentially long) experiment runs.
-	usageErr := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "ckptbench: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "ckptbench: "+format+"\n", args...)
+		return 1
 	}
-	if *exp == "" {
-		usageErr("-exp required (use -list to enumerate)")
+	usageErr := func(format string, args ...any) int {
+		fail(format, args...)
+		fs.Usage()
+		return 2
 	}
-	if *exp != "all" {
-		known := false
-		for _, n := range experimentNames {
-			if *exp == n {
-				known = true
-				break
+	var selected []scenario
+	switch *exp {
+	case "":
+		return usageErr("-exp required (use -list to enumerate)")
+	case "all":
+		selected = scenarios
+	default:
+		for _, sc := range scenarios {
+			if sc.name == *exp {
+				selected = []scenario{sc}
 			}
 		}
-		if !known {
-			usageErr("unknown experiment %q (registered: %s, all)", *exp, strings.Join(experimentNames, ", "))
+		if selected == nil {
+			return usageErr("unknown experiment %q (registered: %s, all)", *exp, strings.Join(scenarioNames(), ", "))
 		}
 	}
 	if *sample < 0 {
-		usageErr("-sample must be non-negative (got %v)", *sample)
+		return usageErr("-sample must be non-negative (got %v)", *sample)
 	}
 	if *sample > 0 && *metricsOut == "" && *promListen == "" {
-		usageErr("-sample records series only with -metrics-out or -prom-listen; add one or drop -sample")
+		return usageErr("-sample records series only with -metrics-out or -prom-listen; add one or drop -sample")
 	}
 	if *chunk < 0 {
-		usageErr("-chunk must be non-negative (got %d)", *chunk)
+		return usageErr("-chunk must be non-negative (got %d)", *chunk)
+	}
+	if *benchTime < 0 {
+		return usageErr("-benchtime must be non-negative (got %v)", *benchTime)
 	}
 	// Output paths are validated before any experiment runs: discovering
 	// an unwritable directory after a long sweep would discard its data.
-	if *benchTime < 0 {
-		usageErr("-benchtime must be non-negative (got %v)", *benchTime)
-	}
 	for _, out := range []struct{ flag, path string }{
 		{"-metrics-out", *metricsOut},
 		{"-trace-out", *traceOut},
@@ -131,18 +183,19 @@ Flags:
 		}
 		dir := filepath.Dir(out.path)
 		if info, err := os.Stat(dir); err != nil || !info.IsDir() {
-			usageErr("%s %q: directory %q does not exist", out.flag, out.path, dir)
+			return usageErr("%s %q: directory %q does not exist", out.flag, out.path, dir)
 		}
 	}
 
-	var scale experiments.Scale
+	sloOn := *sloFlag || *sloOut != "" || *failSLO
+	run := experiments.Run{SampleInterval: *sample, ChunkSize: *chunk, SLO: sloOn}
 	switch *scaleName {
 	case "full":
-		scale = experiments.Full()
+		run.Scale = experiments.Full()
 	case "small":
-		scale = experiments.Small()
+		run.Scale = experiments.Small()
 	default:
-		usageErr("unknown scale %q", *scaleName)
+		return usageErr("unknown scale %q", *scaleName)
 	}
 
 	registry := metrics.NewRegistry()
@@ -150,7 +203,7 @@ Flags:
 	recordMetrics := *metricsOut != "" || *promListen != ""
 	collectCritPaths := *critpathOut != "" || *failUnattributed
 	if recordMetrics || collectCritPaths {
-		experiments.SetShotObserver(func(res experiments.ShotResult) {
+		run.OnShot = func(res experiments.ShotResult) {
 			merged := res.MergedSummary()
 			if recordMetrics {
 				registry.Record(res.Label(), merged)
@@ -163,62 +216,62 @@ Flags:
 					Label: res.Label(), Records: merged.CritPaths,
 				})
 			}
-		})
+		}
 	}
-	experiments.SetDefaultSampleInterval(*sample)
-	experiments.SetDefaultChunkSize(*chunk)
-	experiments.SetDefaultParallelSim(*parallelSim)
-	sloOn := *sloFlag || *sloOut != "" || *failSLO
 	var sloRuns []report.SLORun
 	if sloOn {
-		experiments.SetSLO(true)
-		experiments.SetSLOObserver(func(label string, rep slo.Report) {
+		run.OnSLO = func(label string, rep slo.Report) {
 			sloRuns = append(sloRuns, report.SLORun{Label: label, Report: rep})
-		})
+		}
 	}
+	// A trace that cannot be written fails the run once the scenario that
+	// produced it returns.
+	var traceErr error
 	if *traceOut != "" {
-		experiments.SetDefaultTraceSink(func(label string, tr *trace.Tracer) {
+		run.OnTrace = func(label string, tr *trace.Tracer) {
 			path := tracePath(*traceOut, label)
 			if err := writeTrace(path, tr); err != nil {
-				fmt.Fprintf(os.Stderr, "ckptbench: writing %s: %v\n", path, err)
-				os.Exit(1)
+				if traceErr == nil {
+					traceErr = fmt.Errorf("writing %s: %w", path, err)
+				}
+				return
 			}
 			if ev, cnt := tr.Dropped(); ev > 0 || cnt > 0 {
-				fmt.Fprintf(os.Stderr, "ckptbench: warning: %s is incomplete (%d spans, %d counter samples dropped at the retention cap)\n", path, ev, cnt)
+				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans, %d counter samples dropped at the retention cap)\n", path, ev, cnt)
 			}
-			fmt.Printf("wrote trace %s\n", path)
-		})
+			fmt.Fprintf(stdout, "wrote trace %s\n", path)
+		}
 	}
 	if *promListen != "" {
 		go servePrometheus(*promListen, registry)
 	}
 
-	names := []string{*exp}
-	if *exp == "all" {
-		names = experimentNames
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: starting CPU profile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail("starting CPU profile: %v", err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Printf("wrote CPU profile %s\n", *cpuProfile)
+			fmt.Fprintf(stdout, "wrote CPU profile %s\n", *cpuProfile)
 		}()
 	}
 	start := time.Now()
 	for {
-		for _, name := range names {
-			if err := run(name, scale); err != nil {
-				fmt.Fprintf(os.Stderr, "ckptbench: %s: %v\n", name, err)
-				os.Exit(1)
+		for _, sc := range selected {
+			scStart := time.Now()
+			err := sc.run(run, stdout)
+			fmt.Fprintf(stdout, "(%s completed in %v wall time)\n\n", sc.name, time.Since(scStart).Round(time.Millisecond))
+			if err == nil {
+				err = traceErr
+			}
+			if err != nil {
+				return fail("%s: %v", sc.name, err)
 			}
 		}
 		if *benchTime <= 0 || time.Since(start) >= *benchTime {
@@ -228,62 +281,57 @@ Flags:
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		runtime.GC() // settle live-heap numbers before the snapshot
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: writing heap profile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail("writing heap profile: %v", err)
 		}
-		f.Close()
-		fmt.Printf("wrote allocation profile %s\n", *memProfile)
+		if err := f.Close(); err != nil {
+			return fail("writing heap profile: %v", err)
+		}
+		fmt.Fprintf(stdout, "wrote allocation profile %s\n", *memProfile)
 	}
 
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, registry); err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: writing %s: %v\n", *metricsOut, err)
-			os.Exit(1)
+			return fail("writing %s: %v", *metricsOut, err)
 		}
-		fmt.Printf("wrote metrics for %d run(s) to %s\n", registry.Len(), *metricsOut)
+		fmt.Fprintf(stdout, "wrote metrics for %d run(s) to %s\n", registry.Len(), *metricsOut)
 	}
 	if *critpathOut != "" {
 		if err := report.WriteCritPathFile(*critpathOut, critRuns); err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: writing %s: %v\n", *critpathOut, err)
-			os.Exit(1)
+			return fail("writing %s: %v", *critpathOut, err)
 		}
-		fmt.Printf("wrote critical-path attribution for %d run(s) to %s\n", len(critRuns), *critpathOut)
+		fmt.Fprintf(stdout, "wrote critical-path attribution for %d run(s) to %s\n", len(critRuns), *critpathOut)
 	}
 	if sloOn {
-		if err := report.SLOTable(sloRuns).Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ckptbench: rendering slo table: %v\n", err)
-			os.Exit(1)
+		if err := report.SLOTable(sloRuns).Render(stdout); err != nil {
+			return fail("rendering slo table: %v", err)
 		}
-		for _, run := range sloRuns {
-			for _, w := range run.Report.Warnings {
-				fmt.Fprintf(os.Stderr, "ckptbench: warning: %s: %s\n", run.Label, w)
+		for _, sr := range sloRuns {
+			for _, w := range sr.Report.Warnings {
+				fmt.Fprintf(stderr, "ckptbench: warning: %s: %s\n", sr.Label, w)
 			}
 		}
 		if *sloOut != "" {
 			if err := report.WriteSLOFile(*sloOut, sloRuns); err != nil {
-				fmt.Fprintf(os.Stderr, "ckptbench: writing %s: %v\n", *sloOut, err)
-				os.Exit(1)
+				return fail("writing %s: %v", *sloOut, err)
 			}
-			fmt.Printf("wrote slo compliance for %d run(s) to %s\n", len(sloRuns), *sloOut)
+			fmt.Fprintf(stdout, "wrote slo compliance for %d run(s) to %s\n", len(sloRuns), *sloOut)
 		}
 		if *failSLO {
 			var breached []string
-			for _, run := range sloRuns {
-				if run.Report.Breached() {
-					breached = append(breached, run.Label)
+			for _, sr := range sloRuns {
+				if sr.Report.Breached() {
+					breached = append(breached, sr.Label)
 				}
 			}
 			if len(breached) > 0 {
-				fmt.Fprintf(os.Stderr, "ckptbench: slo breached in %d run(s): %s\n",
-					len(breached), strings.Join(breached, ", "))
-				os.Exit(1)
+				return fail("slo breached in %d run(s): %s", len(breached), strings.Join(breached, ", "))
 			}
-			fmt.Printf("slo compliance: %d run(s), no alerts fired, no goals missed\n", len(sloRuns))
+			fmt.Fprintf(stdout, "slo compliance: %d run(s), no alerts fired, no goals missed\n", len(sloRuns))
 		}
 	}
 	if *failUnattributed {
@@ -292,20 +340,20 @@ Flags:
 		// so the artifact itself is the proof.
 		var gap time.Duration
 		var records int
-		for _, run := range critRuns {
-			records += len(run.Records)
-			gap += metrics.Summary{CritPaths: run.Records}.CritPathUnattributed()
+		for _, cr := range critRuns {
+			records += len(cr.Records)
+			gap += metrics.Summary{CritPaths: cr.Records}.CritPathUnattributed()
 		}
 		if gap > 0 {
-			fmt.Fprintf(os.Stderr, "ckptbench: unattributed latency gap %v across %d attribution records\n", gap, records)
-			os.Exit(1)
+			return fail("unattributed latency gap %v across %d attribution records", gap, records)
 		}
-		fmt.Printf("attribution complete: 0 unattributed across %d records\n", records)
+		fmt.Fprintf(stdout, "attribution complete: 0 unattributed across %d records\n", records)
 	}
 	if *promListen != "" {
-		fmt.Printf("serving Prometheus metrics on %s/metrics (interrupt to exit)\n", *promListen)
+		fmt.Fprintf(stdout, "serving Prometheus metrics on %s/metrics (interrupt to exit)\n", *promListen)
 		waitForInterrupt()
 	}
+	return 0
 }
 
 // tracePath derives the per-shot trace filename: base "trace.json" and
@@ -385,109 +433,100 @@ func waitForInterrupt() {
 	<-ch
 }
 
-func run(name string, scale experiments.Scale) error {
-	start := time.Now()
-	defer func() {
-		fmt.Printf("(%s completed in %v wall time)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}()
-	switch name {
-	case "table1":
-		tab := report.NewTable("Table 1 — Compared approaches", "notation", "prefetch hints")
-		for _, c := range experiments.Table1() {
-			hints := map[experiments.HintMode]string{
-				experiments.NoHints: "0", experiments.SingleHint: "1", experiments.AllHints: "All",
-			}[c.Hints]
-			tab.AddRow(c.Label(), hints)
-		}
-		return tab.Render(os.Stdout)
-	case "fig4":
-		stats, err := experiments.Fig4(scale, 32)
+// render prints a driver's result, or passes the driver's error through.
+// It returns a function of the writer so that a driver call can be spread
+// into its arguments: render(experiments.Fig5(r, true))(w).
+func render[T interface{ Render(io.Writer) error }](res T, err error) func(io.Writer) error {
+	return func(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tab := report.NewTable("Fig. 4 — Size distribution of 32 RTM snapshots",
-			"snapshot", "min", "avg", "max")
-		step := len(stats) / 24
+		return res.Render(w)
+	}
+}
+
+func runTable1(_ experiments.Run, w io.Writer) error {
+	tab := report.NewTable("Table 1 — Compared approaches", "notation", "prefetch hints")
+	for _, c := range experiments.Table1() {
+		hints := map[experiments.HintMode]string{
+			experiments.NoHints: "0", experiments.SingleHint: "1", experiments.AllHints: "All",
+		}[c.Hints]
+		tab.AddRow(c.Label(), hints)
+	}
+	return tab.Render(w)
+}
+
+func runFig4(run experiments.Run, w io.Writer) error {
+	stats, err := experiments.Fig4(run.Scale, 32)
+	if err != nil {
+		return err
+	}
+	tab := report.NewTable("Fig. 4 — Size distribution of 32 RTM snapshots",
+		"snapshot", "min", "avg", "max")
+	step := len(stats) / 24
+	if step == 0 {
+		step = 1
+	}
+	var avgs []float64
+	for i, st := range stats {
+		avgs = append(avgs, float64(st.Avg))
+		if i%step == 0 {
+			tab.AddRow(st.Snapshot, sizeMB(st.Min), sizeMB(st.Avg), sizeMB(st.Max))
+		}
+	}
+	if err := tab.Render(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "avg-size curve: %s\n", report.Sparkline(avgs))
+	return nil
+}
+
+// runFig7 prints the figure's rows, then the per-timestep restore rate
+// and prefetch distance curves (downsampled) for each hint budget.
+func runFig7(run experiments.Run, w io.Writer) error {
+	fig, err := experiments.Fig7(run)
+	if err != nil {
+		return err
+	}
+	if err := fig.Render(w); err != nil {
+		return err
+	}
+	for _, hints := range []string{"No hints", "Single hint", "All hints"} {
+		series := fig.Series[hints]
+		if len(series) == 0 {
+			continue
+		}
+		tab := report.NewTable(fmt.Sprintf("Fig. 7 series — %s (Score)", hints),
+			"iteration", "restore rate", "next prefetches completed")
+		step := len(series) / 16
 		if step == 0 {
 			step = 1
 		}
-		var avgs []float64
-		for i, st := range stats {
-			avgs = append(avgs, float64(st.Avg))
+		var rates, dists []float64
+		for i, p := range series {
+			rate := float64(p.Bytes) / maxSeconds(p.Blocked)
+			rates = append(rates, rate)
+			dists = append(dists, float64(p.PrefetchDistance))
 			if i%step == 0 {
-				tab.AddRow(st.Snapshot, sizeMB(st.Min), sizeMB(st.Avg), sizeMB(st.Max))
+				tab.AddRow(p.Iteration, metrics.FormatBytesPerSec(rate), p.PrefetchDistance)
 			}
 		}
-		if err := tab.Render(os.Stdout); err != nil {
+		if err := tab.Render(w); err != nil {
 			return err
 		}
-		fmt.Printf("avg-size curve: %s\n", report.Sparkline(avgs))
-		return nil
-	case "fig5a":
-		return renderFig(experiments.Fig5(scale, true))
-	case "fig5b":
-		return renderFig(experiments.Fig5(scale, false))
-	case "fig6a":
-		return renderFig(experiments.Fig6(scale, true))
-	case "fig6b":
-		return renderFig(experiments.Fig6(scale, false))
-	case "fig7":
-		fig, err := experiments.Fig7(scale)
-		if err != nil {
-			return err
-		}
-		if err := fig.Render(os.Stdout); err != nil {
-			return err
-		}
-		return renderFig7Series(fig)
-	case "fig8a":
-		return renderFig(experiments.Fig8a(scale, nil))
-	case "fig8b":
-		return renderFig(experiments.Fig8b(scale, nil))
-	case "fig9a":
-		return renderFig(experiments.Fig9(scale, true, nil))
-	case "fig9b":
-		return renderFig(experiments.Fig9(scale, false, nil))
-	case "ablations":
-		abl, err := experiments.Ablations(scale)
-		if err != nil {
-			return err
-		}
-		return abl.Render(os.Stdout)
-	case "evict":
-		res, err := experiments.EvictionMatrix(scale)
-		if err != nil {
-			return err
-		}
-		return res.Render(os.Stdout)
-	case "rankfail":
-		return runRankFail()
-	case "pipeline":
-		res, err := experiments.Pipeline(scale)
-		if err != nil {
-			return err
-		}
-		return res.Render(os.Stdout)
-	case "preempt":
-		return runPreempt(scale)
-	case "migrate":
-		return runMigrate()
-	case "elastic":
-		return runElastic()
-	case "straggler":
-		return runStraggler()
-	default:
-		return fmt.Errorf("unknown experiment %q (registered: %s)", name, strings.Join(experimentNames, ", "))
+		fmt.Fprintf(w, "restore-rate curve:     %s\n", report.Sparkline(rates))
+		fmt.Fprintf(w, "prefetch-distance curve: %s\n\n", report.Sparkline(dists))
 	}
+	return nil
 }
 
 // runPreempt sweeps the preemption grace window and answers the paper's
 // operational question — can the ladder drain the backlog (48 GB at full
 // scale) before the reclaim lands? — with the deadline-hit rate and
 // drain throughput per window, plus one complete drain manifest.
-func runPreempt(scale experiments.Scale) error {
+func runPreempt(run experiments.Run, w io.Writer) error {
 	cfg := experiments.PreemptConfig{}
-	if scale.Bandwidth != 1 {
+	if run.Bandwidth != 1 {
 		// 1/16-scale backlog with windows shrunk to match, preserving the
 		// full sweep's miss-to-hit gradient.
 		cfg.Size = 256 << 20
@@ -495,7 +534,7 @@ func runPreempt(scale experiments.Scale) error {
 			125 * time.Millisecond, 312 * time.Millisecond, 1 * time.Second, 2 * time.Second,
 		}
 	}
-	res, err := experiments.Preemption(cfg)
+	res, err := experiments.Preemption(run, cfg)
 	if err != nil {
 		return err
 	}
@@ -514,17 +553,17 @@ func runPreempt(scale experiments.Scale) error {
 			fmt.Sprintf("%.2f", cell.DrainThroughput()),
 		)
 	}
-	if err := tab.Render(os.Stdout); err != nil {
+	if err := tab.Render(w); err != nil {
 		return err
 	}
 	m := res.SampleManifest
-	fmt.Printf("sample drain manifest (window %v): %s\n", m.Grace, m)
+	fmt.Fprintf(w, "sample drain manifest (window %v): %s\n", m.Grace, m)
 	for _, e := range m.Entries {
 		detail := e.Tier
 		if e.Outcome == score.DrainAbandoned {
 			detail = e.Reason
 		}
-		fmt.Printf("  v%-3d %-10s %-16s %-24s t=%v\n", e.Version, sizeMB(e.Size), e.Outcome, detail, e.At)
+		fmt.Fprintf(w, "  v%-3d %-10s %-16s %-24s t=%v\n", e.Version, sizeMB(e.Size), e.Outcome, detail, e.At)
 	}
 	return nil
 }
@@ -534,8 +573,8 @@ func runPreempt(scale experiments.Scale) error {
 // machinery's value is the gap between the two P99 columns at high
 // severity (hedge wins racing the PFS replica, or a health quarantine
 // routing around the straggler entirely).
-func runStraggler() error {
-	res, err := experiments.Straggler(experiments.StragglerConfig{})
+func runStraggler(run experiments.Run, w io.Writer) error {
+	res, err := experiments.Straggler(run, experiments.StragglerConfig{})
 	if err != nil {
 		return err
 	}
@@ -557,12 +596,12 @@ func runStraggler() error {
 			c.HealthQuarantines,
 		)
 	}
-	return tab.Render(os.Stdout)
+	return tab.Render(w)
 }
 
 // runMigrate runs the live-migration scenario twice — clean and with an
 // injected copy fault — and prints the cutover outcomes side by side.
-func runMigrate() error {
+func runMigrate(_ experiments.Run, w io.Writer) error {
 	tab := report.NewTable("Live migration — SSD tier to successor node, racing foreground traffic",
 		"copy fault", "versions", "live rounds", "final validated", "migrated", "faults fired", "restored", "bit-exact")
 	for _, inject := range []bool{false, true} {
@@ -589,12 +628,12 @@ func runMigrate() error {
 			map[bool]string{false: "NO", true: "yes"}[res.Recoverable],
 		)
 	}
-	return tab.Render(os.Stdout)
+	return tab.Render(w)
 }
 
 // runElastic re-shards checkpoint state across membership changes in both
 // directions and prints the recomputed frontier and restore outcomes.
-func runElastic() error {
+func runElastic(_ experiments.Run, w io.Writer) error {
 	tab := report.NewTable("Elastic restart — re-shard N ranks onto M at a new membership epoch",
 		"transition", "epoch", "committed", "frontier", "tracker consistent", "shards restored", "recoverable")
 	for _, tr := range []struct{ from, to int }{{4, 2}, {2, 3}} {
@@ -621,52 +660,13 @@ func runElastic() error {
 			map[bool]string{false: "NO", true: "yes"}[res.Recoverable],
 		)
 	}
-	return tab.Render(os.Stdout)
-}
-
-func renderFig(fig experiments.FigureResult, err error) error {
-	if err != nil {
-		return err
-	}
-	return fig.Render(os.Stdout)
-}
-
-// renderFig7Series prints the per-timestep restore rate and prefetch
-// distance curves (downsampled) for each hint budget.
-func renderFig7Series(fig experiments.FigureResult) error {
-	for _, hints := range []string{"No hints", "Single hint", "All hints"} {
-		series := fig.Series[hints]
-		if len(series) == 0 {
-			continue
-		}
-		tab := report.NewTable(fmt.Sprintf("Fig. 7 series — %s (Score)", hints),
-			"iteration", "restore rate", "next prefetches completed")
-		step := len(series) / 16
-		if step == 0 {
-			step = 1
-		}
-		var rates, dists []float64
-		for i, p := range series {
-			rate := float64(p.Bytes) / maxSeconds(p.Blocked)
-			rates = append(rates, rate)
-			dists = append(dists, float64(p.PrefetchDistance))
-			if i%step == 0 {
-				tab.AddRow(p.Iteration, metrics.FormatBytesPerSec(rate), p.PrefetchDistance)
-			}
-		}
-		if err := tab.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("restore-rate curve:     %s\n", report.Sparkline(rates))
-		fmt.Printf("prefetch-distance curve: %s\n\n", report.Sparkline(dists))
-	}
-	return nil
+	return tab.Render(w)
 }
 
 // runRankFail runs the cluster failure scenario twice — with and without
 // partner-copy replication — and prints the recovery outcomes side by
 // side: a full-node kill mid-flush is survivable only with replication.
-func runRankFail() error {
+func runRankFail(_ experiments.Run, w io.Writer) error {
 	tab := report.NewTable("Rank failure — node kill mid-flush, restart from LatestConsistent()",
 		"partner copy", "ranks killed", "commit lag", "partner bytes", "recoverable", "restored version", "ranks restored")
 	for _, partner := range []bool{false, true} {
@@ -695,7 +695,7 @@ func runRankFail() error {
 			fmt.Sprintf("%d/%d", res.RestoredRanks, res.Ranks),
 		)
 	}
-	return tab.Render(os.Stdout)
+	return tab.Render(w)
 }
 
 func maxSeconds(d time.Duration) float64 {

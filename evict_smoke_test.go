@@ -23,7 +23,7 @@ var evictOut = flag.String("evict.out", "", "write eviction-ablation bench recor
 //     must beat LRU on the KV-cache reuse workload — the scan bursts
 //     that pollute pure recency are exactly what those policies filter.
 func TestEvictionMatrixSmoke(t *testing.T) {
-	res, err := experiments.EvictionMatrix(benchScale())
+	res, err := experiments.EvictionMatrix(benchRun())
 	if err != nil {
 		t.Fatal(err)
 	}

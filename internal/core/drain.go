@@ -451,13 +451,15 @@ func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcome
 	c.rec.ObserveDuration(metrics.HistDrainFlush, elapsed)
 	c.rec.DrainFlushed(ck.size)
 	tier := TierSSD.String()
+	// The lock also covers the manifest write: the round's parallel
+	// workers share the outcomes map.
 	c.mu.Lock()
 	if !ck.dataOn(TierSSD) && ck.dataOn(TierPFS) {
 		tier = TierPFS.String()
 	}
-	c.mu.Unlock()
 	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 		Outcome: DrainFlushed, Tier: tier, At: c.clk.Now()}
+	c.mu.Unlock()
 }
 
 // drainAbandon fails one version open to ErrLost: the manifest carries
@@ -474,8 +476,10 @@ func (c *Client) drainAbandon(ck *checkpoint, reason string, outcomes map[ID]Dra
 	c.abortFlush(ck, src, fmt.Errorf("%w: drain: %s", ErrLost, reason))
 	c.rec.DrainAbandoned(ck.size)
 	c.lifecycle(ck.id, trace.LDrainAbandoned, "", reason)
+	c.mu.Lock() // drainFlush's parallel workers reach here on error
 	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 		Outcome: DrainAbandoned, Reason: reason, At: c.clk.Now()}
+	c.mu.Unlock()
 }
 
 // buildManifest classifies every live version: triage outcomes are taken

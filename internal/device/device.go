@@ -218,26 +218,12 @@ func (g *GPU) CopyD2D(size int64) time.Duration {
 	return d
 }
 
-// CopyD2H moves size bytes from device to host over PCIe.
-//
-// Deprecated: use TryCopyD2H so injected PCIe faults surface.
-func (g *GPU) CopyD2H(size int64) time.Duration {
-	d, _ := g.TryCopyD2H(size)
-	return d
-}
-
-// CopyH2D moves size bytes from host to device over PCIe.
-//
-// Deprecated: use TryCopyH2D so injected PCIe faults surface.
-func (g *GPU) CopyH2D(size int64) time.Duration {
-	d, _ := g.TryCopyH2D(size)
-	return d
-}
-
-// TryCopyD2H is CopyD2H with injected PCIe faults surfaced.
+// TryCopyD2H moves size bytes from device to host over PCIe, surfacing
+// injected PCIe faults.
 func (g *GPU) TryCopyD2H(size int64) (time.Duration, error) { return g.pcie.TryTransfer(size) }
 
-// TryCopyH2D is CopyH2D with injected PCIe faults surfaced.
+// TryCopyH2D moves size bytes from host to device over PCIe, surfacing
+// injected PCIe faults.
 func (g *GPU) TryCopyH2D(size int64) (time.Duration, error) { return g.pcie.TryTransfer(size) }
 
 // TryStreamD2H moves size bytes device→host over PCIe and onward across

@@ -62,7 +62,10 @@ func TestPinnedHostAllocationIsExpensive(t *testing.T) {
 			t.Errorf("pinned alloc of 32GB took %v, want ~%v", allocTime, want)
 		}
 		start = clk.Now()
-		g.CopyD2H(32 * fabric.GB)
+		if _, err := g.TryCopyD2H(32 * fabric.GB); err != nil {
+			t.Error(err)
+			return
+		}
 		xferTime := clk.Now() - start
 		if xferTime >= allocTime {
 			t.Errorf("transfer (%v) should be faster than pinned allocation (%v)", xferTime, allocTime)
@@ -77,11 +80,11 @@ func TestCopiesUseRespectiveLinks(t *testing.T) {
 		if d := g.CopyD2D(fabric.GB); absDur(d-time.Millisecond) > 100*time.Microsecond {
 			t.Errorf("D2D 1GB took %v, want ~1ms at 1TB/s", d)
 		}
-		if d := g.CopyD2H(25 * fabric.GB); absDur(d-time.Second) > 10*time.Millisecond {
-			t.Errorf("D2H 25GB took %v, want ~1s at 25GB/s", d)
+		if d, err := g.TryCopyD2H(25 * fabric.GB); err != nil || absDur(d-time.Second) > 10*time.Millisecond {
+			t.Errorf("D2H 25GB took %v (err %v), want ~1s at 25GB/s", d, err)
 		}
-		if d := g.CopyH2D(25 * fabric.GB); absDur(d-time.Second) > 10*time.Millisecond {
-			t.Errorf("H2D 25GB took %v, want ~1s at 25GB/s", d)
+		if d, err := g.TryCopyH2D(25 * fabric.GB); err != nil || absDur(d-time.Second) > 10*time.Millisecond {
+			t.Errorf("H2D 25GB took %v (err %v), want ~1s at 25GB/s", d, err)
 		}
 	})
 }

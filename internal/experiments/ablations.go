@@ -46,7 +46,7 @@ func (a AblationResult) Render(w io.Writer) error {
 //     irregular variable-size no-wait shot (the paper's hardest case);
 //   - the multi-tier concurrent prefetcher: the uniform WAIT+reverse
 //     shot, whose backward pass ends on an SSD-resident tail.
-func Ablations(scale Scale) (AblationResult, error) {
+func Ablations(run Run) (AblationResult, error) {
 	var out AblationResult
 
 	irregular := func(mutate func(*ShotConfig)) (ShotResult, error) {
@@ -54,7 +54,7 @@ func Ablations(scale Scale) (AblationResult, error) {
 			Uniform: false, WaitForFlush: false, Order: rtm.Irregular,
 			Combo: Combo{Score, AllHints},
 		}
-		scale.Apply(&cfg)
+		run.Apply(&cfg)
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -110,7 +110,7 @@ func Ablations(scale Scale) (AblationResult, error) {
 			Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 			Combo: Combo{Score, AllHints},
 		}
-		scale.Apply(&cfg)
+		run.Apply(&cfg)
 		cfg.NoHostStager = noStager
 		return RunShot(cfg)
 	}
@@ -131,7 +131,7 @@ func Ablations(scale Scale) (AblationResult, error) {
 			Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 			Combo: Combo{Score, AllHints},
 		}
-		scale.Apply(&cfg)
+		run.Apply(&cfg)
 		cfg.GPUDirect = true
 		cfg.ChunkSize = chunk
 		return RunShot(cfg)
@@ -140,7 +140,7 @@ func Ablations(scale Scale) (AblationResult, error) {
 	if err := add("transfer pipelining (§4.3)", "monolithic", res, err); err != nil {
 		return out, err
 	}
-	res, err = pipelined(scale.UniformSize / 8)
+	res, err = pipelined(run.UniformSize / 8)
 	if err := add("transfer pipelining (§4.3)", "chunked", res, err); err != nil {
 		return out, err
 	}

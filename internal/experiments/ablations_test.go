@@ -10,9 +10,9 @@ import (
 func TestAblationsSmokeAndShapes(t *testing.T) {
 	// tiny() with a roomier GPU cache: the split-cache variant halves
 	// it, and each half must still hold the largest variable checkpoint.
-	scale := tiny()
-	scale.GPUCache *= 4
-	abl, err := Ablations(scale)
+	run := tiny()
+	run.GPUCache *= 4
+	abl, err := Ablations(run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func (o *evictOracle) Evicted(cachebuf.ID) {}
 // replayTrace runs one (trace, policy) cell on a fresh buffer and
 // virtual clock. Uniform 1 MiB blocks; a miss stalls for the block's
 // transfer time at the (scaled) host-link bandwidth before it lands.
-func replayTrace(tr evictTrace, pol cachebuf.Policy, bw float64, objs []slo.Objective) (EvictCell, error) {
+func replayTrace(run Run, tr evictTrace, pol cachebuf.Policy) (EvictCell, error) {
 	const blockSize = 1 << 20
 	cell := EvictCell{Workload: tr.name, Policy: pol.String()}
 
@@ -250,11 +250,14 @@ func replayTrace(tr evictTrace, pol cachebuf.Policy, bw float64, objs []slo.Obje
 		// (same-instant batch), each miss advances time by its stall and
 		// charges the lower-tier transfer as the bad event's component.
 		var eng *slo.Engine
-		if len(objs) > 0 {
-			if eng, replayErr = slo.NewEngine(clk.Now, objs...); replayErr != nil {
+		if run.SLO {
+			if eng, replayErr = slo.NewEngine(clk.Now, slo.EvictObjectives()...); replayErr != nil {
 				return
 			}
 		}
+		// The host link is 2 GB/s at full scale and follows the scale's
+		// link scaling.
+		bw := 2e9 * run.Bandwidth
 		missCost := time.Duration(float64(blockSize) / bw * float64(time.Second))
 		for i, a := range tr.accesses {
 			o.pos = i
@@ -299,29 +302,23 @@ func replayTrace(tr evictTrace, pol cachebuf.Policy, bw float64, objs []slo.Obje
 			}
 			rep.Warnings = append(rep.Warnings, warns...)
 			cell.SLO = &rep
-			emitSLO(fmt.Sprintf("evict/%s/%s", cell.Workload, cell.Policy), rep)
+			run.reportSLO(fmt.Sprintf("evict/%s/%s", cell.Workload, cell.Policy), rep)
 		}
 	})
 	return cell, replayErr
 }
 
 // EvictionMatrix runs every registered policy against both workloads.
-func EvictionMatrix(scale Scale) (EvictResult, error) {
-	// Trace sizes follow the scale's snapshot count; bandwidth follows
-	// its link scaling (2 GB/s host link at full scale).
-	rtmN := scale.Snapshots * 2
-	kvTurns := scale.Snapshots * 6
-	bw := 2e9 * scale.Bandwidth
+func EvictionMatrix(run Run) (EvictResult, error) {
+	// Trace sizes follow the scale's snapshot count.
+	rtmN := run.Snapshots * 2
+	kvTurns := run.Snapshots * 6
 
 	traces := []evictTrace{rtmTrace(rtmN), kvTrace(kvTurns, 1)}
-	var objs []slo.Objective
-	if sloEnabled() {
-		objs = slo.EvictObjectives()
-	}
 	var out EvictResult
 	for _, tr := range traces {
 		for _, pol := range cachebuf.Policies() {
-			cell, err := replayTrace(tr, pol, bw, objs)
+			cell, err := replayTrace(run, tr, pol)
 			if err != nil {
 				return out, fmt.Errorf("%s/%s: %w", tr.name, pol, err)
 			}

@@ -50,18 +50,14 @@ func Small() Scale {
 	}
 }
 
-// Apply maps the scale onto a ShotConfig.
-func (s Scale) Apply(cfg *ShotConfig) {
+// traceConfig is the variable-size RTM trace generator at this scale.
+func (s Scale) traceConfig() rtm.TraceConfig {
+	cfg := rtm.DefaultTraceConfig()
 	cfg.Snapshots = s.Snapshots
-	cfg.UniformSize = s.UniformSize
-	cfg.GPUCache = s.GPUCache
-	cfg.HostCache = s.HostCache
-	cfg.BWScale = s.Bandwidth
-	cfg.Trace = rtm.DefaultTraceConfig()
-	cfg.Trace.Snapshots = s.Snapshots
-	cfg.Trace.MeanSize = s.Aggregate / int64(s.Snapshots)
-	cfg.Trace.MinAggregate = s.Aggregate * 38 / 48
-	cfg.Trace.MaxAggregate = s.Aggregate * 50 / 48
+	cfg.MeanSize = s.Aggregate / int64(s.Snapshots)
+	cfg.MinAggregate = s.Aggregate * 38 / 48
+	cfg.MaxAggregate = s.Aggregate * 50 / 48
+	return cfg
 }
 
 // Row is one figure bar/point: a configuration and its two throughputs.
@@ -124,11 +120,7 @@ func runCombos(base ShotConfig, combos []Combo, orders []rtm.Order) ([]Row, erro
 // Fig4 regenerates the snapshot-size distribution of Figure 4: min, avg,
 // and max sizes per snapshot across shots ranks.
 func Fig4(scale Scale, shots int) ([]rtm.SnapshotStats, error) {
-	cfg := rtm.DefaultTraceConfig()
-	cfg.Snapshots = scale.Snapshots
-	cfg.MeanSize = scale.Aggregate / int64(scale.Snapshots)
-	cfg.MinAggregate = scale.Aggregate * 38 / 48
-	cfg.MaxAggregate = scale.Aggregate * 50 / 48
+	cfg := scale.traceConfig()
 	var all []rtm.Shot
 	for rank := 0; rank < shots; rank++ {
 		s, err := rtm.GenerateShot(cfg, rank)
@@ -143,9 +135,9 @@ func Fig4(scale Scale, shots int) ([]rtm.SnapshotStats, error) {
 // Fig5 regenerates Figure 5 (a: uniform, b: variable): average
 // checkpoint+restore throughput across 8 GPUs when the restore phase
 // WAITS for all flushes.
-func Fig5(scale Scale, uniform bool) (FigureResult, error) {
+func Fig5(run Run, uniform bool) (FigureResult, error) {
 	base := ShotConfig{Uniform: uniform, WaitForFlush: true}
-	scale.Apply(&base)
+	run.Apply(&base)
 	rows, err := runCombos(base, Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	variant := map[bool]string{true: "5a (uniform)", false: "5b (variable)"}[uniform]
 	return FigureResult{
@@ -157,9 +149,9 @@ func Fig5(scale Scale, uniform bool) (FigureResult, error) {
 
 // Fig6 regenerates Figure 6: the restore phase starts immediately after
 // the checkpoint phase (no flush drain; consumed checkpoints discardable).
-func Fig6(scale Scale, uniform bool) (FigureResult, error) {
+func Fig6(run Run, uniform bool) (FigureResult, error) {
 	base := ShotConfig{Uniform: uniform, WaitForFlush: false}
-	scale.Apply(&base)
+	run.Apply(&base)
 	rows, err := runCombos(base, Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	variant := map[bool]string{true: "6a (uniform)", false: "6b (variable)"}[uniform]
 	return FigureResult{
@@ -172,7 +164,7 @@ func Fig6(scale Scale, uniform bool) (FigureResult, error) {
 // Fig7 regenerates Figure 7: per-iteration restore rate and prefetch
 // distance for the Score approach with sequential order and uniform
 // sizes, for each hint budget.
-func Fig7(scale Scale) (FigureResult, error) {
+func Fig7(run Run) (FigureResult, error) {
 	out := FigureResult{
 		ID:     "Fig. 7",
 		Title:  "restore rate and prefetch distance per timestep (Score, sequential, uniform)",
@@ -181,7 +173,7 @@ func Fig7(scale Scale) (FigureResult, error) {
 	for _, hints := range []HintMode{NoHints, SingleHint, AllHints} {
 		cfg := ShotConfig{Uniform: true, WaitForFlush: true,
 			Order: rtm.Sequential, Combo: Combo{Score, hints}}
-		scale.Apply(&cfg)
+		run.Apply(&cfg)
 		res, err := RunShot(cfg)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", hints, err)
@@ -201,7 +193,7 @@ func Fig7(scale Scale) (FigureResult, error) {
 
 // Fig8a regenerates Figure 8a: I/O throughput versus compute interval
 // (irregular order, variable sizes).
-func Fig8a(scale Scale, intervals []time.Duration) (FigureResult, error) {
+func Fig8a(run Run, intervals []time.Duration) (FigureResult, error) {
 	if len(intervals) == 0 {
 		intervals = []time.Duration{10 * time.Millisecond, 15 * time.Millisecond,
 			20 * time.Millisecond, 25 * time.Millisecond, 30 * time.Millisecond}
@@ -210,7 +202,7 @@ func Fig8a(scale Scale, intervals []time.Duration) (FigureResult, error) {
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
 	for _, iv := range intervals {
 		base := ShotConfig{Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
-		scale.Apply(&base)
+		run.Apply(&base)
 		rows, err := runCombos(base, combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
@@ -224,15 +216,15 @@ func Fig8a(scale Scale, intervals []time.Duration) (FigureResult, error) {
 }
 
 // Fig8b regenerates Figure 8b: I/O throughput versus GPU cache size.
-func Fig8b(scale Scale, caches []int64) (FigureResult, error) {
+func Fig8b(run Run, caches []int64) (FigureResult, error) {
 	if len(caches) == 0 {
-		caches = []int64{scale.GPUCache / 2, scale.GPUCache, scale.GPUCache * 2, scale.GPUCache * 4}
+		caches = []int64{run.GPUCache / 2, run.GPUCache, run.GPUCache * 2, run.GPUCache * 4}
 	}
 	out := FigureResult{ID: "Fig. 8b", Title: "throughput vs GPU cache size (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
 	for _, cache := range caches {
 		base := ShotConfig{Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
-		scale.Apply(&base)
+		run.Apply(&base)
 		base.GPUCache = cache
 		rows, err := runCombos(base, combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
@@ -248,7 +240,7 @@ func Fig8b(scale Scale, caches []int64) (FigureResult, error) {
 
 // Fig9 regenerates Figure 9: scalability over GPU counts, tightly coupled
 // (barrier every iteration) or embarrassingly parallel.
-func Fig9(scale Scale, coupled bool, gpuCounts []int) (FigureResult, error) {
+func Fig9(run Run, coupled bool, gpuCounts []int) (FigureResult, error) {
 	if len(gpuCounts) == 0 {
 		gpuCounts = []int{8, 16, 24, 32}
 	}
@@ -263,7 +255,7 @@ func Fig9(scale Scale, coupled bool, gpuCounts []int) (FigureResult, error) {
 			Uniform: false, WaitForFlush: false, Order: rtm.Reverse,
 			Nodes: nodes, GPUsPerNode: perNode, TightlyCoupled: coupled,
 		}
-		scale.Apply(&base)
+		run.Apply(&base)
 		rows, err := runCombos(base, combos, []rtm.Order{rtm.Reverse})
 		if err != nil {
 			return out, err

@@ -47,7 +47,7 @@ type PipelineResult struct {
 // snapshots) monolithic and chunked and returns both cases with their
 // critical-path attributions. The chunk size is 1/16 of the snapshot
 // size, matching the bench-smoke pipelining configuration.
-func Pipeline(scale Scale) (PipelineResult, error) {
+func Pipeline(run Run) (PipelineResult, error) {
 	base := ShotConfig{
 		GPUsPerNode:  4,
 		Uniform:      true,
@@ -55,11 +55,11 @@ func Pipeline(scale Scale) (PipelineResult, error) {
 		WaitForFlush: true,
 		Combo:        Combo{Score, AllHints},
 	}
-	scale.Apply(&base)
+	run.Apply(&base)
 
 	cases := []PipelineCase{
-		{Name: "pipeline/mono", ChunkSize: -1}, // negative: force monolithic
-		{Name: "pipeline/chunked", ChunkSize: scale.UniformSize / 16},
+		{Name: "pipeline/mono"}, // ChunkSize 0: monolithic
+		{Name: "pipeline/chunked", ChunkSize: run.UniformSize / 16},
 	}
 	for i := range cases {
 		cfg := base

@@ -13,10 +13,10 @@ import (
 // pipelineScale shrinks the pipeline experiment further than Small()
 // so the unit test stays fast while both cases still flush through
 // every tier.
-func pipelineScale() Scale {
+func pipelineScale() Run {
 	s := Small()
 	s.Snapshots = 24
-	return s
+	return Run{Scale: s}
 }
 
 func TestPipelineAttributesEveryDurableAndRestore(t *testing.T) {

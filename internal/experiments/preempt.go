@@ -49,8 +49,9 @@ type PreemptConfig struct {
 	// Objectives, when non-empty, attaches a sweep-level SLO engine: each
 	// run contributes one DeadlineMet observation on a synthetic
 	// one-second-per-run timeline (the runs live on separate virtual
-	// clocks, so the sweep index is the only shared time axis). Left nil,
-	// the SetSLO default (the drain-hit-ratio objective) applies.
+	// clocks, so the sweep index is the only shared time axis). Left nil
+	// under a Run with SLO set, the checked-in drain-hit-ratio objective
+	// applies.
 	Objectives []slo.Objective
 }
 
@@ -84,9 +85,6 @@ func (c PreemptConfig) withDefaults() PreemptConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2023
-	}
-	if c.Objectives == nil && sloEnabled() {
-		c.Objectives = slo.PreemptObjectives()
 	}
 	return c
 }
@@ -140,8 +138,11 @@ type PreemptResult struct {
 
 // Preemption runs the sweep. Deterministic: the same config reproduces
 // identical cells and manifests.
-func Preemption(cfg PreemptConfig) (PreemptResult, error) {
+func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Objectives == nil && run.SLO {
+		cfg.Objectives = slo.PreemptObjectives()
+	}
 	res := PreemptResult{Config: cfg}
 	// The sweep-level drain objective watches the DeadlineMet stream
 	// across every (window, run) pair on a synthetic timeline advancing
@@ -209,7 +210,7 @@ func Preemption(cfg PreemptConfig) (PreemptResult, error) {
 		}
 		rep.Warnings = append(rep.Warnings, warns...)
 		res.SLO = &rep
-		emitSLO("preempt", rep)
+		run.reportSLO("preempt", rep)
 	}
 	return res, nil
 }

@@ -26,7 +26,7 @@ func smallPreempt() PreemptConfig {
 // with a complete manifest — each live version either durable, discarded,
 // or explicitly abandoned, with abandonments carrying a reason.
 func TestPreemptionManifestContract(t *testing.T) {
-	res, err := Preemption(smallPreempt())
+	res, err := Preemption(Run{}, smallPreempt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPreemptionManifestContract(t *testing.T) {
 // generous one drains — the deadline budget is real, and fail-open means
 // the abandoned bytes are explicit, not stuck.
 func TestPreemptionWindowLadder(t *testing.T) {
-	res, err := Preemption(smallPreempt())
+	res, err := Preemption(Run{}, smallPreempt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestPreemptionWindowLadder(t *testing.T) {
 // TestPreemptionDeterministic: the same config replays the identical
 // sweep, manifest entries included.
 func TestPreemptionDeterministic(t *testing.T) {
-	a, err := Preemption(smallPreempt())
+	a, err := Preemption(Run{}, smallPreempt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Preemption(smallPreempt())
+	b, err := Preemption(Run{}, smallPreempt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPreemptionDeterministic(t *testing.T) {
 // TestPreemptionThroughputReported: the headline metric (GB drained per
 // grace second) is populated for a window that drained anything.
 func TestPreemptionThroughputReported(t *testing.T) {
-	res, err := Preemption(smallPreempt())
+	res, err := Preemption(Run{}, smallPreempt())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,6 @@ type ShotConfig struct {
 	Nodes, GPUsPerNode int
 	// Node is the interconnect model (defaults to DGXA100).
 	Node fabric.NodeConfig
-	// HBMPerGPU is the device memory size (A100: 40 GiB).
-	HBMPerGPU int64
 
 	// Snapshots per shot and their sizes: Uniform uses UniformSize for
 	// every snapshot; otherwise Trace generates variable sizes.
@@ -176,10 +174,8 @@ type ShotConfig struct {
 	SharedHostPerNode bool
 	GPUDirect         bool
 	// ChunkSize enables chunked multi-hop transfer pipelining (§4.3);
-	// 0 keeps monolithic transfers (or the SetDefaultChunkSize default
-	// when one is installed; pass a negative value to force monolithic
-	// transfers regardless). FlushStreams sizes the flusher worker
-	// pools (0 = automatic). Score only.
+	// 0 keeps monolithic transfers. FlushStreams sizes the flusher
+	// worker pools (0 = automatic). Score only.
 	ChunkSize    int64
 	FlushStreams int
 
@@ -198,111 +194,83 @@ type ShotConfig struct {
 	// count and cumulative busy time per fabric link, every interval.
 	// The series land in ShotResult.Series.
 	SampleInterval time.Duration
-	// SeriesCapacity bounds each sampled series ring buffer (0 takes
-	// metrics.DefaultSeriesCapacity).
-	SeriesCapacity int
 	// Tracer, when set, receives span events from Score ranks and — with
 	// sampling enabled — every sample as a Chrome-trace counter event.
 	Tracer *trace.Tracer
 
 	// Objectives, when non-empty, attaches an SLO engine evaluating them
 	// over the shot on its virtual clock (Score combos only — the
-	// baselines have no critical-path cursor to attribute from). Left
-	// nil, the SetSLO default set applies.
+	// baselines have no critical-path cursor to attribute from).
 	Objectives []slo.Objective
 	// slo is the engine runShot builds from Objectives, carried in the
 	// config so buildRuntime can hand it to each rank's runtime.
 	slo *slo.Engine
 
-	// ParallelSim runs independent ranks' same-instant wakeups (compute
-	// phases ending on the same virtual instant) concurrently on the real
-	// scheduler instead of one at a time. Off by default: the serial
-	// one-at-a-time ordering is the byte-determinism contract the goldens
-	// pin. Engine-level observables are provably order-independent
-	// (commutative atomic accounting, deterministically re-sorted
-	// ledgers — see TestSimDeterminismSerialVsParallel), but the full
-	// runtime makes order-dependent decisions at same-instant races
-	// (eviction picks, admission order), so shot results may differ
-	// slightly from the serial run. Use it for wall-clock speed on big
-	// sweeps, never for golden comparisons. See simclock.WithParallelWake
-	// for the mechanism.
-	ParallelSim bool
+	// Observers are the callbacks the shot reports through (see Run).
+	Observers
 }
 
-// defaultSampleInterval is applied to every ShotConfig that does not
-// set its own SampleInterval — the knob ckptbench's -sample flag turns
-// without threading a value through each figure driver.
-var defaultSampleInterval time.Duration
+// Observers are the callbacks through which whoever owns a run collects
+// what its scenarios produce. Each is optional and is called on the
+// goroutine of the scenario that produced the value, so scenarios run
+// concurrently need observers that tolerate that (or one set each).
+type Observers struct {
+	// OnShot receives every completed shot.
+	OnShot func(ShotResult)
+	// OnSLO receives every scenario's end-of-run SLO report, labeled.
+	OnSLO func(label string, rep slo.Report)
+	// OnTrace enables per-shot tracing. A tracer timestamps from one
+	// clock and every shot runs on a fresh virtual clock, so one tracer
+	// cannot span shots: a shot whose Tracer is nil records spans,
+	// lifecycle-ledger events and sampled counters into a fresh bounded
+	// tracer on its own clock, handed to OnTrace with the shot's label
+	// when the shot completes.
+	OnTrace func(label string, t *trace.Tracer)
+}
 
-// SetDefaultSampleInterval makes every subsequent shot whose config
-// leaves SampleInterval zero sample its gauges at d (0 disables). Not
-// safe to change while shots are running.
-func SetDefaultSampleInterval(d time.Duration) { defaultSampleInterval = d }
-
-// defaultChunkSize mirrors defaultSampleInterval for the chunked-transfer
-// knob: ckptbench's -chunk flag sets it once instead of threading a value
-// through each figure driver.
-var defaultChunkSize int64
-
-// SetDefaultChunkSize makes every subsequent shot whose config leaves
-// ChunkSize zero stream transfers in chunks of n bytes (0 keeps the
-// monolithic transfers). Not safe to change while shots are running.
-func SetDefaultChunkSize(n int64) { defaultChunkSize = n }
-
-// defaultTraceSink mirrors defaultSampleInterval for the tracing knob.
-// A tracer timestamps from one clock, and every shot runs on a fresh
-// virtual clock, so a single process-wide tracer cannot span shots;
-// instead the runner builds one tracer per shot on that shot's clock
-// and hands it to the sink when the shot completes.
-var defaultTraceSink func(label string, t *trace.Tracer)
-
-// SetDefaultTraceSink enables per-shot tracing: every subsequent shot
-// whose config leaves Tracer nil records spans, lifecycle-ledger
-// events, and sampled counters into a fresh bounded tracer, delivered
-// to fn (with the shot's label) after the shot completes — the hook
-// ckptbench's -trace-out flag uses to export Chrome traces without
-// threading a tracer through each figure driver. nil disables. Not
-// safe to change while shots are running.
-func SetDefaultTraceSink(fn func(label string, t *trace.Tracer)) { defaultTraceSink = fn }
-
-// defaultParallelSim mirrors defaultSampleInterval for the parallel
-// simulation knob: ckptbench's -parallel-sim flag sets it once instead
-// of threading it through each figure driver.
-var defaultParallelSim bool
-
-// SetDefaultParallelSim makes every subsequent shot whose config leaves
-// ParallelSim false wake same-instant cohorts in parallel (see
-// ShotConfig.ParallelSim). Not safe to change while shots are running.
-func SetDefaultParallelSim(on bool) { defaultParallelSim = on }
-
-// defaultSLO mirrors defaultSampleInterval for the SLO knob: ckptbench's
-// -slo flag sets it once, and every scenario that leaves Objectives nil
-// evaluates its checked-in default objective set (internal/slo
-// defaults.go).
-var defaultSLO bool
-
-// SetSLO makes every subsequent scenario that does not carry explicit
-// objectives evaluate its checked-in default set (false disables). Not
-// safe to change while scenarios are running.
-func SetSLO(on bool) { defaultSLO = on }
-
-// sloEnabled reports the SetSLO knob to the non-shot scenario drivers.
-func sloEnabled() bool { return defaultSLO }
-
-// sloObserver, when set, receives every scenario's end-of-run SLO
-// report — the hook ckptbench's -slo flag uses to collect the
-// compliance table without threading a collector through each driver.
-var sloObserver func(label string, rep slo.Report)
-
-// SetSLOObserver installs fn as the SLO report hook (nil removes it).
-// Not safe to change while scenarios are running.
-func SetSLOObserver(fn func(label string, rep slo.Report)) { sloObserver = fn }
-
-// emitSLO hands a labeled report to the observer, if any.
-func emitSLO(label string, rep slo.Report) {
-	if sloObserver != nil {
-		sloObserver(label, rep)
+// reportSLO hands a labeled report to OnSLO, if set.
+func (o Observers) reportSLO(label string, rep slo.Report) {
+	if o.OnSLO != nil {
+		o.OnSLO(label, rep)
 	}
+}
+
+// Run is everything one invocation (a ckptbench command line, a test, a
+// benchmark) asks of the scenarios it runs: the workload scale plus the
+// options that apply to every shot alike. It is a plain value — drivers
+// take it as a parameter and Apply copies it into each ShotConfig — so
+// runs with different options can execute at the same time.
+type Run struct {
+	Scale
+	// SampleInterval, when positive, samples every shot's gauges at this
+	// simulated interval (ShotConfig.SampleInterval).
+	SampleInterval time.Duration
+	// ChunkSize, when positive, streams every shot's multi-hop transfers
+	// in chunks of this many bytes (ShotConfig.ChunkSize); drivers that
+	// compare chunk sizes override it per shot.
+	ChunkSize int64
+	// SLO makes every scenario evaluate its checked-in default objective
+	// set (internal/slo defaults.go).
+	SLO bool
+	Observers
+}
+
+// Apply maps the run onto a ShotConfig: the scale's sizes, caches and
+// bandwidths, then the per-run options. Fields a driver sets afterwards
+// override it.
+func (r Run) Apply(cfg *ShotConfig) {
+	cfg.Snapshots = r.Snapshots
+	cfg.UniformSize = r.UniformSize
+	cfg.GPUCache = r.GPUCache
+	cfg.HostCache = r.HostCache
+	cfg.BWScale = r.Bandwidth
+	cfg.Trace = r.traceConfig()
+	cfg.SampleInterval = r.SampleInterval
+	cfg.ChunkSize = r.ChunkSize
+	if r.SLO {
+		cfg.Objectives = slo.ShotObjectives()
+	}
+	cfg.Observers = r.Observers
 }
 
 // SLOLedgerRank is the flight-recorder rank SLO alert transitions are
@@ -321,9 +289,6 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	if c.Node.GPUs == 0 {
 		c.Node = fabric.DGXA100()
 		c.Node.GPUs = c.GPUsPerNode
-	}
-	if c.HBMPerGPU == 0 {
-		c.HBMPerGPU = 40 * fabric.GB
 	}
 	if c.Snapshots == 0 {
 		c.Snapshots = 384
@@ -346,21 +311,6 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2023
-	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = defaultSampleInterval
-	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = defaultChunkSize
-	}
-	if !c.ParallelSim {
-		c.ParallelSim = defaultParallelSim
-	}
-	if c.Objectives == nil && defaultSLO {
-		c.Objectives = slo.ShotObjectives()
-	}
-	if c.ChunkSize < 0 {
-		c.ChunkSize = 0 // explicit "force monolithic" marker
 	}
 	if c.BWScale > 0 && c.BWScale != 1 {
 		c.Node.D2DBandwidth *= c.BWScale
@@ -416,15 +366,6 @@ func (r ShotResult) MergedSummary() metrics.Summary {
 	return metrics.Merge(parts...)
 }
 
-// shotObserver, when set, receives every completed shot — the hook the
-// ckptbench exporter uses to aggregate metrics across the experiment
-// drivers without threading a registry through each of them.
-var shotObserver func(ShotResult)
-
-// SetShotObserver installs fn as the completed-shot hook (nil removes
-// it). Not safe to change while shots are running.
-func SetShotObserver(fn func(ShotResult)) { shotObserver = fn }
-
 // MeanCheckpointThroughput is the per-GPU application-observed write
 // throughput, computed as the aggregate ratio (total bytes over total
 // blocking time across ranks — the harmonic mean of per-rank rates).
@@ -475,11 +416,7 @@ func (r ShotResult) TotalIOWait() time.Duration {
 // RunShot executes one full shot benchmark on a fresh virtual clock.
 func RunShot(cfg ShotConfig) (ShotResult, error) {
 	cfg = cfg.withDefaults()
-	var opts []simclock.VirtualOption
-	if cfg.ParallelSim {
-		opts = append(opts, simclock.WithParallelWake())
-	}
-	clk := simclock.NewVirtual(opts...)
+	clk := simclock.NewVirtual()
 	var res ShotResult
 	var err error
 	clk.Run(func() { res, err = runShot(clk, cfg) })
@@ -488,7 +425,7 @@ func RunShot(cfg ShotConfig) (ShotResult, error) {
 
 func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	var sinkTracer *trace.Tracer
-	if cfg.Tracer == nil && defaultTraceSink != nil {
+	if cfg.Tracer == nil && cfg.OnTrace != nil {
 		sinkTracer = trace.New(clk.Now)
 		cfg.Tracer = sinkTracer
 	}
@@ -551,7 +488,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		node := cluster.Nodes[rank/cfg.GPUsPerNode]
 		local := rank % cfg.GPUsPerNode
 		d2d, pcie := node.GPULinks(local)
-		gpu := device.NewGPU(clk, local, cfg.HBMPerGPU, d2d, pcie, costs)
+		gpu := device.NewGPU(clk, local, 40*fabric.GB, d2d, pcie, costs) // A100 HBM
 
 		var pool *core.SharedHostCache
 		if sharedPools != nil {
@@ -602,7 +539,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 
 	var sampler *metrics.Sampler
 	if cfg.SampleInterval > 0 {
-		sampler = metrics.NewSampler(clk, cfg.SampleInterval, cfg.SeriesCapacity)
+		sampler = metrics.NewSampler(clk, cfg.SampleInterval, 0)
 		for rank, rt := range rts {
 			if sc, ok := rt.(scoreRuntime); ok {
 				sc.Client.RegisterProbes(sampler, fmt.Sprintf("rank%d", rank))
@@ -704,13 +641,13 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 			return res, fmt.Errorf("%s: %w", res.Label(), err)
 		}
 		res.SLO = &rep
-		emitSLO(res.Label(), rep)
+		cfg.reportSLO(res.Label(), rep)
 	}
-	if shotObserver != nil {
-		shotObserver(res)
+	if cfg.OnShot != nil {
+		cfg.OnShot(res)
 	}
 	if sinkTracer != nil {
-		defaultTraceSink(res.Label(), sinkTracer)
+		cfg.OnTrace(res.Label(), sinkTracer)
 	}
 	return res, nil
 }

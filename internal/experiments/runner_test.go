@@ -1,24 +1,29 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"score/internal/metrics"
 	"score/internal/rtm"
+	"score/internal/slo"
+	"score/internal/trace"
 )
 
 // tiny returns a fast test scale that still triggers evictions: the GPU
 // cache holds ~4 checkpoints and the host cache ~16 of 48.
-func tiny() Scale {
-	return Scale{
+func tiny() Run {
+	return Run{Scale: Scale{
 		Snapshots:   48,
 		UniformSize: 8 << 20,
 		GPUCache:    32 << 20,
 		HostCache:   128 << 20,
 		Aggregate:   384 << 20,
 		Bandwidth:   1.0 / 128, // keep bandwidth-to-data ratios paper-like
-	}
+	}}
 }
 
 func tinyShot(combo Combo, order rtm.Order, wait bool, uniform bool) ShotConfig {
@@ -157,5 +162,103 @@ func TestFigureRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered figure missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// watched collects the labels a run's observers are handed.
+type watched struct{ shots, slos, traces []string }
+
+// watch points run's observers at w; traced also turns per-shot tracing on.
+func (w *watched) watch(run Run, traced bool) Run {
+	run.OnShot = func(r ShotResult) { w.shots = append(w.shots, r.Label()) }
+	run.OnSLO = func(l string, _ slo.Report) { w.slos = append(w.slos, l) }
+	if traced {
+		run.OnTrace = func(l string, tr *trace.Tracer) {
+			if tr.Len() > 0 {
+				w.traces = append(w.traces, l)
+			}
+		}
+	}
+	return run
+}
+
+// stableRanks copies a result's per-rank summaries without the one
+// observable outside the engine's determinism guarantee: a reservation
+// racing a same-instant release may or may not record a zero-duration
+// eviction_wait entry, so that histogram keeps only its duration sum
+// (canonicalSummary in the root package's gray_determinism_test.go makes
+// the same cut).
+func stableRanks(res ShotResult) []RankResult {
+	out := append([]RankResult(nil), res.PerRank...)
+	for i := range out {
+		hists := map[string]metrics.HistogramSnapshot{}
+		for name, h := range out[i].Summary.Histograms {
+			hists[name] = h
+		}
+		hists[metrics.HistEvictionWait] = metrics.HistogramSnapshot{Sum: hists[metrics.HistEvictionWait].Sum}
+		out[i].Summary.Histograms = hists
+	}
+	return out
+}
+
+// TestConcurrentShotsKeepTheirRun: a Run is a value, so two shots with
+// different options can execute at once. Each observer must see only its
+// own shot, and each result must equal the same shot run alone.
+func TestConcurrentShotsKeepTheirRun(t *testing.T) {
+	full := tiny() // sampled + traced + SLO
+	full.SampleInterval = time.Millisecond
+	full.SLO = true
+	bare := tiny()
+
+	// The no-hints Score combo: its numbers repeat exactly between runs.
+	shot := func(run Run, label string) (ShotResult, error) {
+		cfg := ShotConfig{
+			GPUsPerNode: 2, Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
+			Combo: Combo{Score, NoHints}, Interval: 2 * time.Millisecond, Label: label,
+		}
+		run.Apply(&cfg)
+		return RunShot(cfg)
+	}
+	var sawAlone, sawFull, sawBare watched
+	aloneFull, err := shot(sawAlone.watch(full, true), "full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aloneBare, err := shot(sawAlone.watch(bare, false), "bare")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var concFull, concBare ShotResult
+	var errFull, errBare error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); concFull, errFull = shot(sawFull.watch(full, true), "full") }()
+	go func() { defer wg.Done(); concBare, errBare = shot(sawBare.watch(bare, false), "bare") }()
+	wg.Wait()
+	if errFull != nil || errBare != nil {
+		t.Fatalf("concurrent shots: full %v, bare %v", errFull, errBare)
+	}
+
+	if want := (watched{shots: []string{"full"}, slos: []string{"full"}, traces: []string{"full"}}); !reflect.DeepEqual(sawFull, want) {
+		t.Errorf("full run's observers saw %+v, want %+v", sawFull, want)
+	}
+	if want := (watched{shots: []string{"bare"}}); !reflect.DeepEqual(sawBare, want) {
+		t.Errorf("bare run's observers saw %+v, want %+v", sawBare, want)
+	}
+	for _, c := range []struct {
+		name        string
+		alone, conc ShotResult
+	}{{"full", aloneFull, concFull}, {"bare", aloneBare, concBare}} {
+		if c.alone.Duration != c.conc.Duration || !reflect.DeepEqual(stableRanks(c.alone), stableRanks(c.conc)) ||
+			!reflect.DeepEqual(c.alone.Series, c.conc.Series) || !reflect.DeepEqual(c.alone.SLO, c.conc.SLO) {
+			t.Errorf("%s: concurrent result differs from the same shot run alone", c.name)
+		}
+	}
+	if concFull.SLO == nil || len(concFull.Series) == 0 {
+		t.Error("full shot lost its SLO report or sampled series")
+	}
+	if concBare.SLO != nil || concBare.Series != nil {
+		t.Error("bare shot picked up the other run's SLO or sampling")
 	}
 }

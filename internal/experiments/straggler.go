@@ -44,8 +44,8 @@ type StragglerConfig struct {
 	// Seed drives the injector schedule.
 	Seed int64
 	// Objectives, when non-empty, attaches an SLO engine per cell. Left
-	// nil, the SetSLO default (the straggler restore-tail objective set)
-	// applies.
+	// nil under a Run with SLO set, the checked-in straggler restore-tail
+	// objective set applies.
 	Objectives []slo.Objective
 }
 
@@ -73,9 +73,6 @@ func (c StragglerConfig) withDefaults() StragglerConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2023
-	}
-	if c.Objectives == nil && sloEnabled() {
-		c.Objectives = slo.StragglerObjectives()
 	}
 	return c
 }
@@ -134,14 +131,20 @@ func (r StragglerResult) Cell(severity float64, hedged bool) (StragglerCell, boo
 
 // Straggler runs the sweep. Deterministic: the same config reproduces
 // identical cells.
-func Straggler(cfg StragglerConfig) (StragglerResult, error) {
+func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Objectives == nil && run.SLO {
+		cfg.Objectives = slo.StragglerObjectives()
+	}
 	res := StragglerResult{Config: cfg}
 	for _, sev := range cfg.Severities {
 		for _, hedged := range []bool{false, true} {
 			cell, err := stragglerRun(cfg, sev, hedged)
 			if err != nil {
 				return res, fmt.Errorf("experiments: straggler %s: %w", cell.Label(), err)
+			}
+			if cell.SLO != nil {
+				run.reportSLO("straggler/"+cell.Label(), *cell.SLO)
 			}
 			res.Cells = append(res.Cells, cell)
 		}
@@ -255,7 +258,6 @@ func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (Straggler
 				return
 			}
 			cell.SLO = &rep
-			emitSLO("straggler/"+cell.Label(), rep)
 		}
 
 		if err := cl.CheckMetricsInvariants(false); err != nil {

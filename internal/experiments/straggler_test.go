@@ -23,7 +23,7 @@ func smallStraggler() StragglerConfig {
 // pair, in order, with every restore accounted.
 func TestStragglerCellsShape(t *testing.T) {
 	cfg := smallStraggler()
-	res, err := Straggler(cfg)
+	res, err := Straggler(Run{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestStragglerCellsShape(t *testing.T) {
 // nothing — the first leg always wins before any deadline could engage,
 // so both modes measure identical restore tails.
 func TestStragglerHealthyControl(t *testing.T) {
-	res, err := Straggler(smallStraggler())
+	res, err := Straggler(Run{}, smallStraggler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestStragglerHealthyControl(t *testing.T) {
 // most half the unhedged P99, and the improvement came from hedge wins
 // (or an outright quarantine routing around the straggler).
 func TestStragglerHedgeBoundsTail(t *testing.T) {
-	res, err := Straggler(smallStraggler())
+	res, err := Straggler(Run{}, smallStraggler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestStragglerHedgeBoundsTail(t *testing.T) {
 // TestStragglerDeterministic: the same config replays the identical
 // sweep, counters and quantiles included.
 func TestStragglerDeterministic(t *testing.T) {
-	a, err := Straggler(smallStraggler())
+	a, err := Straggler(Run{}, smallStraggler())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Straggler(smallStraggler())
+	b, err := Straggler(Run{}, smallStraggler())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,25 +127,12 @@ func (l *Link) SetInterceptor(f TransferInterceptor) {
 	l.interceptor.Store(&f)
 }
 
-// Transfer moves size bytes across the link, blocking the calling task for
-// the simulated duration, which depends on concurrent load. It returns the
-// simulated time the transfer took (including latency). Transfers of
-// non-positive size complete immediately.
-//
-// An installed interceptor can fail the transfer; Transfer discards that
-// error for callers predating fault injection — fault-aware paths use
-// TryTransfer.
-//
-// Deprecated: use TryTransfer so injected faults surface. Transfer is
-// retained only for tests documenting the legacy behavior.
-func (l *Link) Transfer(size int64) time.Duration {
-	d, _ := l.TryTransfer(size)
-	return d
-}
-
-// TryTransfer is Transfer with the interceptor's verdict surfaced: on an
-// injected failure it returns the simulated time consumed (latency plus
-// any injected delay) and a non-nil error, and no bytes move.
+// TryTransfer moves size bytes across the link, blocking the calling task
+// for the simulated duration, which depends on concurrent load. It returns
+// the simulated time the transfer took (including latency). Transfers of
+// non-positive size complete immediately. An installed interceptor can
+// fail the transfer: TryTransfer then returns the simulated time consumed
+// (latency plus any injected delay) and a non-nil error, and no bytes move.
 func (l *Link) TryTransfer(size int64) (time.Duration, error) {
 	if size <= 0 {
 		return 0, nil
@@ -437,15 +424,6 @@ func durationFor(bytes, rate float64) time.Duration {
 // the DGX topology are single-link; multi-hop paths (e.g. host→SSD→PFS)
 // are modeled conservatively as sequential hops.
 type Path []*Link
-
-// Transfer moves size bytes across every hop in order and returns the
-// total simulated duration.
-//
-// Deprecated: use TryTransfer so injected faults surface.
-func (p Path) Transfer(size int64) time.Duration {
-	d, _ := p.TryTransfer(size)
-	return d
-}
 
 // TryTransfer moves size bytes hop by hop, stopping at the first hop that
 // fails. It returns the simulated time consumed either way.

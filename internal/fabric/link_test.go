@@ -14,7 +14,7 @@ func TestSingleTransferTakesSizeOverBandwidth(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
 		l := NewLink(clk, "test", 1*GB, 0)
-		d := l.Transfer(1 * GB)
+		d := mustTransfer(t, l, 1*GB)
 		if got, want := d, time.Second; absDur(got-want) > time.Millisecond {
 			t.Errorf("1GB over 1GB/s took %v, want ~%v", got, want)
 		}
@@ -25,7 +25,7 @@ func TestTransferLatencyAdds(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
 		l := NewLink(clk, "lat", 1*GB, 100*time.Millisecond)
-		d := l.Transfer(1 * GB)
+		d := mustTransfer(t, l, 1*GB)
 		want := time.Second + 100*time.Millisecond
 		if absDur(d-want) > time.Millisecond {
 			t.Errorf("transfer took %v, want ~%v", d, want)
@@ -37,10 +37,10 @@ func TestZeroSizeTransferIsInstant(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
 		l := NewLink(clk, "z", 1*GB, time.Hour)
-		if d := l.Transfer(0); d != 0 {
+		if d := mustTransfer(t, l, 0); d != 0 {
 			t.Errorf("zero-size transfer took %v, want 0", d)
 		}
-		if d := l.Transfer(-5); d != 0 {
+		if d := mustTransfer(t, l, -5); d != 0 {
 			t.Errorf("negative-size transfer took %v, want 0", d)
 		}
 	})
@@ -59,7 +59,7 @@ func TestTwoConcurrentTransfersShareBandwidth(t *testing.T) {
 			wg.Add(1)
 			clk.Go(func() {
 				defer wg.Done()
-				durs[i] = l.Transfer(1 * GB)
+				durs[i] = mustTransfer(t, l, 1*GB)
 			})
 		}
 		wg.Wait()
@@ -85,13 +85,13 @@ func TestLateArrivalFairShare(t *testing.T) {
 		wg.Add(2)
 		clk.Go(func() {
 			defer wg.Done()
-			l.Transfer(2 * GB)
+			mustTransfer(t, l, 2*GB)
 			endA = clk.Now()
 		})
 		clk.Go(func() {
 			defer wg.Done()
 			clk.Sleep(time.Second)
-			l.Transfer(1 * GB)
+			mustTransfer(t, l, 1*GB)
 			endB = clk.Now()
 		})
 		wg.Wait()
@@ -116,12 +116,12 @@ func TestShortTransferFinishesFirstAndSpeedsUpLongOne(t *testing.T) {
 		wg.Add(2)
 		clk.Go(func() {
 			defer wg.Done()
-			l.Transfer(4 * GB)
+			mustTransfer(t, l, 4*GB)
 			endLong = clk.Now()
 		})
 		clk.Go(func() {
 			defer wg.Done()
-			l.Transfer(1 * GB)
+			mustTransfer(t, l, 1*GB)
 			endShort = clk.Now()
 		})
 		wg.Wait()
@@ -158,7 +158,7 @@ func TestLinkConservesBandwidthProperty(t *testing.T) {
 				wg.Add(1)
 				clk.Go(func() {
 					defer wg.Done()
-					l.Transfer(size)
+					mustTransfer(t, l, size)
 				})
 			}
 			wg.Wait()
@@ -201,7 +201,7 @@ func TestEstimateAccountsForLoad(t *testing.T) {
 		wg.Add(1)
 		clk.Go(func() {
 			defer wg.Done()
-			l.Transfer(20 * GB)
+			mustTransfer(t, l, 20*GB)
 		})
 		clk.Sleep(10 * time.Millisecond) // let it start
 		// One transfer active: a new one would get half the bandwidth.
@@ -222,7 +222,7 @@ func TestLinkStats(t *testing.T) {
 			wg.Add(1)
 			clk.Go(func() {
 				defer wg.Done()
-				l.Transfer(GB / 4)
+				mustTransfer(t, l, GB/4)
 			})
 		}
 		wg.Wait()
@@ -245,7 +245,7 @@ func TestPathSequentialHops(t *testing.T) {
 		a := NewLink(clk, "a", 1*GB, 0)
 		b := NewLink(clk, "b", 2*GB, 0)
 		p := Path{a, b}
-		d := p.Transfer(2 * GB)
+		d := mustTransfer(t, p, 2*GB)
 		want := 2*time.Second + time.Second
 		if absDur(d-want) > 10*time.Millisecond {
 			t.Errorf("path transfer took %v, want ~%v", d, want)
@@ -272,6 +272,19 @@ func TestDurationForRoundsUp(t *testing.T) {
 	if d := durationFor(1, 1e12); d < time.Nanosecond {
 		t.Errorf("sub-ns durations must round up to 1ns, got %v", d)
 	}
+}
+
+// mustTransfer is TryTransfer on a link or path for tests that inject no
+// fault: an error fails the test, the simulated duration is returned.
+func mustTransfer(t *testing.T, x interface {
+	TryTransfer(int64) (time.Duration, error)
+}, size int64) time.Duration {
+	t.Helper()
+	d, err := x.TryTransfer(size)
+	if err != nil {
+		t.Errorf("TryTransfer(%d): %v", size, err)
+	}
+	return d
 }
 
 func absDur(d time.Duration) time.Duration {
@@ -310,10 +323,6 @@ func TestInterceptorFailsTransfer(t *testing.T) {
 		}
 		if calls != 1 {
 			t.Errorf("interceptor called %d times", calls)
-		}
-		// Legacy Transfer swallows the error but still charges only latency.
-		if d := l.Transfer(1 * GB); absDur(d-10*time.Millisecond) > time.Millisecond {
-			t.Errorf("legacy Transfer under fault took %v", d)
 		}
 		l.SetInterceptor(nil)
 		if _, err := l.TryTransfer(1 * GB); err != nil {

@@ -129,15 +129,6 @@ func putPipeline(ps *pipeline) {
 	pipelinePool.Put(ps)
 }
 
-// PipelinedTransfer is TryPipelinedTransfer with the error discarded,
-// mirroring Path.Transfer for callers that predate fault injection.
-//
-// Deprecated: use TryPipelinedTransfer so injected faults surface.
-func (p Path) PipelinedTransfer(size, chunkSize int64) time.Duration {
-	d, _ := p.TryPipelinedTransfer(size, chunkSize)
-	return d
-}
-
 // TryPipelinedTransfer moves size bytes across the path in chunkSize
 // pieces with consecutive hops overlapped, returning the end-to-end
 // simulated duration and the first hop error, if any.

@@ -9,7 +9,7 @@ import (
 )
 
 // TestPipelinedDegeneratesToMonolithic: chunkSize <= 0 (and chunkSize >=
-// size) must reproduce the store-and-forward Path.Transfer timing exactly.
+// size) must reproduce the store-and-forward Path.TryTransfer timing exactly.
 func TestPipelinedDegeneratesToMonolithic(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
@@ -17,7 +17,7 @@ func TestPipelinedDegeneratesToMonolithic(t *testing.T) {
 			NewLink(clk, "a", 1*GB, 5*time.Millisecond),
 			NewLink(clk, "b", 2*GB, 3*time.Millisecond),
 		}
-		mono := p.Transfer(1 * GB)
+		mono := mustTransfer(t, p, 1*GB)
 		for _, cs := range []int64{0, -1, 1 * GB, 2 * GB} {
 			d, err := p.TryPipelinedTransfer(1*GB, cs)
 			if err != nil {
@@ -82,10 +82,10 @@ func TestPipelinedAcceptance(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
 		const size, chunk = 2 * GB, 128 << 20
-		mono := Path{
+		mono := mustTransfer(t, Path{
 			NewLink(clk, "pcie-m", 25*GB, 10*time.Microsecond),
 			NewLink(clk, "nvme-m", 16*GB, 10*time.Microsecond),
-		}.Transfer(size)
+		}, size)
 		pipe, err := Path{
 			NewLink(clk, "pcie-p", 25*GB, 10*time.Microsecond),
 			NewLink(clk, "nvme-p", 16*GB, 10*time.Microsecond),

@@ -82,7 +82,7 @@ func TestPCIeContentionBetweenPairedGPUs(t *testing.T) {
 			wg.Add(1)
 			clk.Go(func() {
 				defer wg.Done()
-				durs[i] = links[i].Transfer(25 * GB)
+				durs[i] = mustTransfer(t, links[i], 25*GB)
 			})
 		}
 		wg.Wait()

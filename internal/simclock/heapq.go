@@ -80,12 +80,3 @@ func (q *timerHeapQ) pop() (*waiter, time.Duration, bool) {
 	q.live--
 	return w, deadline, true
 }
-
-// peekReady on the heap is a plain peek: the head is always resolved.
-func (q *timerHeapQ) peekReady() (*waiter, time.Duration, bool) {
-	q.dropStaleTop()
-	if len(q.h) == 0 {
-		return nil, 0, false
-	}
-	return q.h[0].w, q.h[0].deadline, true
-}

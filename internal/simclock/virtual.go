@@ -36,16 +36,6 @@ type Virtual struct {
 	timers      timerQueue
 	seq         uint64 // tie-break for deterministic wake order; doubles as waiter generation
 	dead        bool   // deadlock detected; clock no longer advances
-	parallel    bool   // batch-wake same-deadline sleepers (WithParallelWake)
-
-	// wake1/pendingWakes stage timer wakeups chosen under the mutex for
-	// delivery after it is released (see advanceAndMaybePanicLocked).
-	// Serial advances wake exactly one task, so the common case is a single
-	// pointer field; parallel cohorts overflow into a pooled slice.
-	wake1         *waiter
-	pendingWakes  []*waiter
-	pendingHolder *[]*waiter // heap home for pendingWakes while pooled
-	overflowPool  sync.Pool  // of *[]*waiter, for pendingWakes buffers
 
 	// wpool recycles waiter records (and their wake channels) so Sleep and
 	// Cond waits are allocation-free in steady state. It is per-clock on
@@ -73,21 +63,6 @@ type VirtualOption func(*Virtual)
 // benchmarks; behavior is identical, only the data structure differs.
 func WithHeapTimers() VirtualOption {
 	return func(c *Virtual) { c.timers = newTimerHeapQ() }
-}
-
-// WithParallelWake lets the clock wake every plain sleeper that shares the
-// next deadline in one batch, so their wake-side work (the real CPU cost
-// between clock interactions) runs concurrently instead of strictly one
-// at a time. Timed or untimed Cond waiters are never batched, and the
-// default remains strictly serial wakeups.
-//
-// Determinism is preserved exactly when the batched tasks' same-instant
-// effects commute — the discipline the runtime already requires of
-// Broadcast, which has always handed all woken waiters to the scheduler
-// at once. DESIGN.md §14 states the argument; the serial-vs-parallel
-// differential tests enforce it for the shipped scenarios.
-func WithParallelWake() VirtualOption {
-	return func(c *Virtual) { c.parallel = true }
 }
 
 // NewVirtual returns a virtual clock positioned at time zero with no
@@ -185,35 +160,14 @@ func (c *Virtual) NewCond(l sync.Locker) Cond { return &vcond{clk: c, l: l} }
 // lock, so a recover() in the caller leaves the clock unlocked (though
 // permanently dead).
 func (c *Virtual) advanceAndMaybePanicLocked() {
-	deadlocked := c.maybeAdvanceLocked()
+	woken, deadlocked := c.maybeAdvanceLocked()
 	waiters, now := c.condWaiters, c.now
-	w1 := c.wake1
-	c.wake1 = nil
-	var restp *[]*waiter
-	if len(c.pendingWakes) > 0 {
-		restp = c.pendingHolder
-		*restp = c.pendingWakes
-		c.pendingWakes, c.pendingHolder = nil, nil
-	}
 	c.mu.Unlock()
-	// Deliver the wakes outside the mutex: the woken task's first clock
+	// Deliver the wake outside the mutex: the woken task's first clock
 	// call would otherwise contend with the lock we still hold. The fired
-	// flag was set under the mutex, so no competing waker exists, and
-	// delivery order (= staging order) is preserved. The overflow buffer
-	// travels through the pool inside its original heap holder: taking the
-	// address of a local here would heap-allocate a fresh slice header per
-	// advance, the one thing this path exists to avoid.
-	if w1 != nil {
-		w1.ch <- true
-	}
-	if restp != nil {
-		rest := *restp
-		for i, w := range rest {
-			rest[i] = nil
-			w.ch <- true
-		}
-		*restp = rest[:0]
-		c.overflowPool.Put(restp)
+	// flag was set under the mutex, so no competing waker exists.
+	if woken != nil {
+		woken.ch <- true
 	}
 	if deadlocked {
 		panic(fmt.Sprintf(
@@ -223,19 +177,21 @@ func (c *Virtual) advanceAndMaybePanicLocked() {
 }
 
 // maybeAdvanceLocked advances simulated time to the next timer deadline if
-// no task is runnable. It reports whether a deadlock was detected (first
+// no task is runnable, and returns the one task that deadline wakes (nil
+// when time did not advance) for the caller to deliver once the mutex is
+// released. It also reports whether a deadlock was detected (first
 // detection only). Must be called with c.mu held.
-func (c *Virtual) maybeAdvanceLocked() (deadlocked bool) {
+func (c *Virtual) maybeAdvanceLocked() (woken *waiter, deadlocked bool) {
 	if c.runnable > 0 || c.dead {
-		return false
+		return nil, false
 	}
 	w, deadline, ok := c.timers.pop()
 	if !ok {
 		if c.condWaiters > 0 {
 			c.dead = true
-			return true
+			return nil, true
 		}
-		return false // clean quiescence: every task has exited
+		return nil, false // clean quiescence: every task has exited
 	}
 	if deadline > c.now {
 		c.now = deadline
@@ -246,43 +202,13 @@ func (c *Virtual) maybeAdvanceLocked() (deadlocked bool) {
 	// blocking point before the next wakes. Waking them all at once
 	// would hand several runnable goroutines to the real scheduler,
 	// whose interleaving is not reproducible.
-	c.wakeTimerLocked(w)
-	if !c.parallel || w.inCond {
-		return false
-	}
-	// Parallel mode: plain sleepers sharing this deadline wake as one
-	// cohort (see WithParallelWake for the determinism contract). The
-	// batch stops at the first Cond waiter — timed waits carry
-	// share-recomputation semantics (fabric pacers) that stay serial.
-	for {
-		w2, d2, ok2 := c.timers.peekReady()
-		if !ok2 || d2 != deadline || w2.inCond {
-			return false
-		}
-		c.timers.pop()
-		c.wakeTimerLocked(w2)
-	}
-}
-
-func (c *Virtual) wakeTimerLocked(w *waiter) {
 	w.fired = true
 	if w.inCond {
 		c.condWaiters--
 	}
 	c.runnable++
 	eventCount.Add(1)
-	if c.wake1 == nil {
-		c.wake1 = w
-		return
-	}
-	if c.pendingHolder == nil {
-		if p, _ := c.overflowPool.Get().(*[]*waiter); p != nil {
-			c.pendingWakes, c.pendingHolder = *p, p
-		} else {
-			c.pendingHolder = new([]*waiter)
-		}
-	}
-	c.pendingWakes = append(c.pendingWakes, w)
+	return w, false
 }
 
 // vcond is the Virtual implementation of Cond.

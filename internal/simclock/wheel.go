@@ -70,12 +70,6 @@ type timerQueue interface {
 	push(w *waiter, deadline time.Duration, seq uint64)
 	// pop removes and returns the earliest live timer, if any.
 	pop() (w *waiter, deadline time.Duration, ok bool)
-	// peekReady returns, without removing it, the next live timer only if
-	// it is already resolved to an exact deadline (same-instant follower
-	// of the last pop). It never advances the wheel base, so it is safe
-	// to call between wakeups; a false return says nothing about whether
-	// later timers exist.
-	peekReady() (w *waiter, deadline time.Duration, ok bool)
 	// markStale records that a live filed timer was invalidated out of
 	// band (its waiter was signaled before the timeout).
 	markStale()
@@ -179,14 +173,6 @@ func (tw *timerWheel) skipStaleReady() bool {
 	tw.ready = tw.ready[:0]
 	tw.readyPos = 0
 	return false
-}
-
-func (tw *timerWheel) peekReady() (*waiter, time.Duration, bool) {
-	if !tw.skipStaleReady() {
-		return nil, 0, false
-	}
-	e := tw.ready[tw.readyPos]
-	return e.w, e.deadline, true
 }
 
 func (tw *timerWheel) pop() (*waiter, time.Duration, bool) {

@@ -27,7 +27,7 @@ func TestChunkedPipelineSmoke(t *testing.T) {
 			Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 			GPUDirect: true,
 		}
-		benchScale().Apply(&cfg)
+		benchRun().Apply(&cfg)
 		cfg.ChunkSize = chunk
 		start := time.Now()
 		res, err := experiments.RunShot(cfg)
@@ -38,7 +38,7 @@ func TestChunkedPipelineSmoke(t *testing.T) {
 		return res
 	}
 	mono := shot(0)
-	chunked := shot(benchScale().UniformSize / 8)
+	chunked := shot(benchRun().UniformSize / 8)
 
 	if c, m := chunked.MeanCheckpointThroughput(), mono.MeanCheckpointThroughput(); c < m {
 		t.Errorf("chunked checkpoint throughput %.1f MB/s regressed below monolithic %.1f MB/s",
@@ -59,7 +59,7 @@ func TestChunkedPipelineSmoke(t *testing.T) {
 			monoRec.WallNsPerOp = float64(wall[0].Nanoseconds()) / float64(ops)
 		}
 		if ops := chunked.MergedSummary().CheckpointOps; ops > 0 {
-			chunkedRec.WallNsPerOp = float64(wall[benchScale().UniformSize/8].Nanoseconds()) / float64(ops)
+			chunkedRec.WallNsPerOp = float64(wall[benchRun().UniformSize/8].Nanoseconds()) / float64(ops)
 		}
 		records := []report.BenchRecord{monoRec, chunkedRec}
 		if err := report.WriteBenchFile(*benchOut, records); err != nil {

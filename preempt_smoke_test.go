@@ -29,7 +29,7 @@ func TestPreemptDrainSmoke(t *testing.T) {
 		Windows:     []time.Duration{125 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second},
 		Runs:        2,
 	}
-	res, err := experiments.Preemption(cfg)
+	res, err := experiments.Preemption(experiments.Run{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ func reportSimSpeed(b *testing.B, modelEvents, wakeups uint64) {
 // membership churn (transfers), and cond handoff (waitgroup join).
 // Compute times are quantized to a handful of values, so ranks form
 // bulk-synchronous same-instant cohorts — the dominant pattern when 10k
-// ranks checkpoint at iteration boundaries, and the case parallel wake
-// (WithParallelWake) exists for.
+// ranks checkpoint at iteration boundaries.
 func runRankSweep(tb testing.TB, ranks, linkCount, rounds int, opts ...simclock.VirtualOption) {
 	clk := simclock.NewVirtual(opts...)
 	links := make([]*fabric.Link, linkCount)
@@ -90,29 +89,13 @@ func runRankSweep(tb testing.TB, ranks, linkCount, rounds int, opts ...simclock.
 }
 
 // BenchmarkSimSpeed10kRankSweep is the headline simulator-speed number:
-// a 10k-rank compute/flush sweep over 128 shared links, serial (default)
-// configuration. allocs/op is the allocation bill for one whole sweep.
+// a 10k-rank compute/flush sweep over 128 shared links. allocs/op is the allocation bill for one whole sweep.
 func BenchmarkSimSpeed10kRankSweep(b *testing.B) {
 	b.ReportAllocs()
 	startWake := simclock.EventCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runRankSweep(b, sweepRanks, sweepLinks, sweepRounds)
-	}
-	b.StopTimer()
-	reportSimSpeed(b, uint64(b.N)*sweepModelEvents, simclock.EventCount()-startWake)
-}
-
-// BenchmarkSimSpeed10kRankSweepParallel is the same sweep under
-// WithParallelWake: ranks whose compute phases land on the same instant
-// (bulk-synchronous cohorts — the dominant pattern at 10k ranks) wake as
-// one batch and burn their wake-side work on all cores.
-func BenchmarkSimSpeed10kRankSweepParallel(b *testing.B) {
-	b.ReportAllocs()
-	startWake := simclock.EventCount()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runRankSweep(b, sweepRanks, sweepLinks, sweepRounds, simclock.WithParallelWake())
 	}
 	b.StopTimer()
 	reportSimSpeed(b, uint64(b.N)*sweepModelEvents, simclock.EventCount()-startWake)
@@ -134,8 +117,8 @@ func BenchmarkSimSpeedPipelineShot(b *testing.B) {
 			Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 			GPUDirect: true,
 		}
-		benchScale().Apply(&cfg)
-		cfg.ChunkSize = benchScale().UniformSize / 8
+		benchRun().Apply(&cfg)
+		cfg.ChunkSize = benchRun().UniformSize / 8
 		if _, err := experiments.RunShot(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -51,8 +51,8 @@ func measureSweep(t *testing.T, iters int, opts ...simclock.VirtualOption) repor
 // TestSimSpeedSmoke is the `make bench-smoke` gate on the simulator
 // engine itself: the 10k-rank sweep must stay within 20% of the
 // committed events/sec baseline and must not allocate more per sweep
-// than the baseline allows. The measurements (serial, parallel-wake,
-// and heap-timer reference) are exported as BENCH_simspeed.json when
+// than the baseline allows. The measurements (the default wheel and the
+// heap-timer reference) are exported as BENCH_simspeed.json when
 // -simspeed.out is set.
 func TestSimSpeedSmoke(t *testing.T) {
 	if raceEnabled {
@@ -60,14 +60,11 @@ func TestSimSpeedSmoke(t *testing.T) {
 	}
 	serial := measureSweep(t, 2)
 	serial.Name = "sweep/10k-serial"
-	parallel := measureSweep(t, 1, simclock.WithParallelWake())
-	parallel.Name = "sweep/10k-parallel"
 	heap := measureSweep(t, 1, simclock.WithHeapTimers())
 	heap.Name = "sweep/10k-heap-reference"
 
 	t.Logf("serial: %.0f events/sec, %.0f wakeups/sec, %d allocs/op",
 		serial.EventsPerSec, serial.WakeupsPerSec, serial.AllocsPerOp)
-	t.Logf("parallel: %.0f events/sec, %d allocs/op", parallel.EventsPerSec, parallel.AllocsPerOp)
 	t.Logf("heap reference: %.0f events/sec, %d allocs/op", heap.EventsPerSec, heap.AllocsPerOp)
 
 	baselines, err := report.LoadSimSpeedFile(simspeedBaselinePath)
@@ -89,7 +86,7 @@ func TestSimSpeedSmoke(t *testing.T) {
 	}
 
 	if *simspeedOut != "" {
-		records := []report.SimSpeedRecord{serial, parallel, heap}
+		records := []report.SimSpeedRecord{serial, heap}
 		if err := report.WriteSimSpeedFile(*simspeedOut, records); err != nil {
 			t.Fatalf("writing %s: %v", *simspeedOut, err)
 		}

@@ -31,7 +31,7 @@ func TestSLOSmoke(t *testing.T) {
 		Severities:  []float64{1, 20},
 		Objectives:  slo.StragglerObjectives(),
 	}
-	res, err := experiments.Straggler(cfg)
+	res, err := experiments.Straggler(experiments.Run{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

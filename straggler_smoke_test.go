@@ -28,7 +28,7 @@ func TestStragglerSmoke(t *testing.T) {
 		Interval:    2 * time.Millisecond,
 		Severities:  []float64{1, 5, 20},
 	}
-	res, err := experiments.Straggler(cfg)
+	res, err := experiments.Straggler(experiments.Run{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
