@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results transcript-drift clean
 
-# verify is the pre-merge gate: static checks, a full build, and the
-# race-enabled test suite (which includes a short chaos soak).
-verify: vet staticcheck build race
+# verify is the pre-merge gate: static checks, a full build, the
+# race-enabled test suite (which includes a short chaos soak), and the
+# benchmark harness's own vet and tests.
+verify: vet staticcheck build race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -26,6 +27,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-check vets and tests the benchmark harness. bench/ is a module of
+# its own, so ./... above never reaches it, yet it compiles against
+# internal interfaces (cachebuf.Oracle among them) and defines the
+# repository's benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # chaos replays a longer campaign of seeded fault schedules against the
 # checkpoint pipeline (see chaos_test.go and DESIGN.md §8).

@@ -67,6 +67,43 @@ type Oracle interface {
 	Evicted(id ID)
 }
 
+// Score is one checkpoint's eviction inputs: TimeToEvictable's two results
+// (Pinned = !ok; the duration is ignored when pinned) and PrefetchDistance.
+type Score struct {
+	TimeToEvictable time.Duration
+	Pinned          bool
+	Distance        int
+}
+
+// BatchOracle is an Oracle that answers a whole window scan in one call.
+// The buffer asks once per scan, under its own lock, for every unclaimed
+// resident checkpoint in offset order; an implementation backed by a lock
+// takes it once per call (lock order: buffer, then oracle) and must not
+// call back into the buffer. New wraps an Oracle without this method in a
+// per-id adapter, so the buffer has a single scan path.
+type BatchOracle interface {
+	Oracle
+	// ScoreFragments sets out[i] to ids[i]'s scores; len(out) == len(ids).
+	ScoreFragments(ids []ID, out []Score)
+}
+
+// ScoreOne asks o about a single id.
+func ScoreOne(o BatchOracle, id ID) Score {
+	var out [1]Score
+	o.ScoreFragments([]ID{id}, out[:])
+	return out[0]
+}
+
+// perIDOracle answers the batch call of a four-method Oracle id by id.
+type perIDOracle struct{ Oracle }
+
+func (o perIDOracle) ScoreFragments(ids []ID, out []Score) {
+	for i, id := range ids {
+		d, ok := o.TimeToEvictable(id)
+		out[i] = Score{TimeToEvictable: d, Pinned: !ok, Distance: o.PrefetchDistance(id)}
+	}
+}
+
 // Errors returned by Reserve and TryReserve.
 var (
 	// ErrTooLarge: the request exceeds the buffer capacity outright.
@@ -106,6 +143,9 @@ type Stats struct {
 	Reservations int64
 	// WindowScans counts sliding-window scans performed.
 	WindowScans int64
+	// FragmentsScored counts the resident checkpoints those scans asked
+	// the oracle about: at most one ask per fragment per scan.
+	FragmentsScored int64
 }
 
 // Buffer is one tier's pre-allocated contiguous cache region.
@@ -113,7 +153,7 @@ type Buffer struct {
 	clk      simclock.Clock
 	name     string
 	capacity int64
-	oracle   Oracle
+	oracle   BatchOracle
 
 	mu        sync.Mutex
 	cond      simclock.Cond
@@ -125,6 +165,12 @@ type Buffer struct {
 	ep        EvictionPolicy
 	stats     Stats
 	waitObs   func(time.Duration) // per-wait eviction-stall observer
+
+	// The scan snapshot, reused across scans, valid under mu until the
+	// next one: every fragment's scores; the ids asked and the answers.
+	view   []viewFrag
+	askIDs []ID
+	askOut []Score
 }
 
 // New creates a buffer of the given capacity. The oracle must be non-nil.
@@ -135,11 +181,15 @@ func New(clk simclock.Clock, name string, capacity int64, oracle Oracle) *Buffer
 	if oracle == nil {
 		panic("cachebuf: nil oracle")
 	}
+	batch, ok := oracle.(BatchOracle)
+	if !ok {
+		batch = perIDOracle{oracle}
+	}
 	b := &Buffer{
 		clk:      clk,
 		name:     name,
 		capacity: capacity,
-		oracle:   oracle,
+		oracle:   batch,
 		frags:    []frag{{id: gapID, off: 0, size: capacity}},
 		resident: make(map[ID]struct{}),
 	}
@@ -357,19 +407,29 @@ func (b *Buffer) placeInGapLocked(id ID, size int64) (int64, bool) {
 		return 0, false
 	}
 	g := b.frags[best]
-	nf := frag{id: id, off: g.off, size: size}
-	if g.size == size {
-		b.frags[best] = nf
-	} else {
-		rest := frag{id: gapID, off: g.off + size, size: g.size - size}
-		b.frags[best] = nf
-		b.frags = append(b.frags, frag{})
-		copy(b.frags[best+2:], b.frags[best+1:])
-		b.frags[best+1] = rest
-	}
+	b.spliceLocked(best, best+1, frag{id: id, off: g.off, size: size}, g.size-size)
 	b.resident[id] = struct{}{}
 	b.ep.OnInsert(id, size)
-	return nf.off, true
+	return g.off, true
+}
+
+// spliceLocked replaces frags[first:last] in place with nf followed, when
+// rest > 0, by a gap of rest bytes.
+func (b *Buffer) spliceLocked(first, last int, nf frag, rest int64) {
+	n := 1
+	if rest > 0 {
+		n = 2
+	}
+	if first+n > last { // one fragment becomes two
+		b.frags = append(b.frags, frag{})
+		copy(b.frags[last+1:], b.frags[last:])
+	} else {
+		b.frags = append(b.frags[:first+n], b.frags[last:]...)
+	}
+	b.frags[first] = nf
+	if rest > 0 {
+		b.frags[first+1] = frag{id: gapID, off: nf.off + nf.size, size: rest}
+	}
 }
 
 // windowEvictableLocked reports whether every checkpoint in frags[start:end]
@@ -394,25 +454,8 @@ func (b *Buffer) windowEvictableLocked(start, end int) bool {
 func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (int64, bool) {
 	// Wait for evictability (Algorithm 1 line 24: "wait until A[i]
 	// evictable"). Release(id) and Notify() broadcast the cond.
-	for {
-		i, ok := b.fragAtLocked(startOff)
-		if !ok {
-			panic(fmt.Sprintf("cachebuf: %s: claimed window at %d vanished", b.name, startOff))
-		}
-		allEvictable := true
-		for ; i < len(b.frags) && b.frags[i].off < endOff; i++ {
-			f := b.frags[i]
-			if f.isGap() {
-				continue
-			}
-			if !b.oracle.Evictable(f.id) {
-				allEvictable = false
-				break
-			}
-		}
-		if allEvictable {
-			break
-		}
+	first, last := b.claimedSpanLocked(startOff, endOff)
+	for !b.windowEvictableLocked(first, last) {
 		if b.closed {
 			b.unclaimLocked(startOff, endOff)
 			return 0, false
@@ -420,13 +463,10 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 		waitStart := b.clk.Now()
 		b.cond.Wait()
 		b.observeWaitLocked(b.clk.Now() - waitStart)
+		first, last = b.claimedSpanLocked(startOff, endOff)
 	}
 
-	// Erase every fragment overlapping [startOff, endOff).
-	first, _ := b.fragAtLocked(startOff)
-	last := first
-	for last < len(b.frags) && b.frags[last].off < endOff {
-		f := b.frags[last]
+	for _, f := range b.frags[first:last] {
 		if !f.isGap() {
 			delete(b.resident, f.id)
 			b.stats.Evictions++
@@ -434,7 +474,6 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 			b.ep.OnEvict(f.id)
 			b.oracle.Evicted(f.id)
 		}
-		last++
 	}
 	windowBytes := b.frags[last-1].off + b.frags[last-1].size - startOff
 	if windowBytes < size {
@@ -443,12 +482,7 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 			b.name, windowBytes, size))
 	}
 
-	newFrags := []frag{{id: id, off: startOff, size: size}}
-	if rest := windowBytes - size; rest > 0 {
-		newFrags = append(newFrags, frag{id: gapID, off: startOff + size, size: rest})
-	}
-	tail := append([]frag{}, b.frags[last:]...)
-	b.frags = append(b.frags[:first], append(newFrags, tail...)...)
+	b.spliceLocked(first, last, frag{id: id, off: startOff, size: size}, windowBytes-size)
 	b.coalesceLocked()
 	b.resident[id] = struct{}{}
 	b.ep.OnInsert(id, size)
@@ -468,41 +502,59 @@ func (b *Buffer) unclaimLocked(startOff, endOff int64) {
 	b.cond.Broadcast()
 }
 
-// fragAtLocked returns the index of the fragment starting at off.
-func (b *Buffer) fragAtLocked(off int64) (int, bool) {
+// claimedSpanLocked returns the index range of the fragments that tile the
+// claimed window [startOff, endOff) right now.
+func (b *Buffer) claimedSpanLocked(startOff, endOff int64) (first, last int) {
+	for first < len(b.frags) && b.frags[first].off < startOff {
+		first++
+	}
+	if first == len(b.frags) || b.frags[first].off != startOff {
+		panic(fmt.Sprintf("cachebuf: %s: claimed window at %d vanished", b.name, startOff))
+	}
+	for last = first; last < len(b.frags) && b.frags[last].off < endOff; last++ {
+	}
+	return first, last
+}
+
+// viewFrag is one fragment of a scan snapshot.
+type viewFrag struct {
+	id     ID // gapID for gaps
+	size   int64
+	p, s   float64
+	pinned bool
+}
+
+// snapshotLocked reads every fragment's scores once into the buffer-owned
+// snapshot. Gaps score (0, GapDistance); a claimed fragment is pinned
+// without asking (another reservation owns its window); one batched oracle
+// call answers for every other resident, so what a policy adds when a
+// fragment enters its window is what it subtracts when the fragment leaves.
+func (b *Buffer) snapshotLocked() WindowView {
+	b.view, b.askIDs, b.askOut = b.view[:0], b.askIDs[:0], b.askOut[:0]
+	for _, f := range b.frags {
+		vf := viewFrag{id: f.id, size: f.size, pinned: f.claimed}
+		if f.isGap() {
+			vf.s = float64(GapDistance)
+		} else if !f.claimed {
+			b.askIDs = append(b.askIDs, f.id)
+			b.askOut = append(b.askOut, Score{})
+		}
+		b.view = append(b.view, vf)
+	}
+	b.oracle.ScoreFragments(b.askIDs, b.askOut)
+	answers := b.askOut
 	for i, f := range b.frags {
-		if f.off == off {
-			return i, true
+		if f.isGap() || f.claimed {
+			continue
 		}
-		if f.off > off {
-			break
+		sc, vf := answers[0], &b.view[i]
+		answers = answers[1:]
+		vf.s, vf.pinned = float64(sc.Distance), sc.Pinned
+		if !sc.Pinned {
+			vf.p = sc.TimeToEvictable.Seconds()
 		}
 	}
-	return 0, false
-}
-
-// bufferView adapts the locked fragment list to the read-only WindowView
-// the policy layer scans. Valid only while the buffer lock is held.
-type bufferView struct{ b *Buffer }
-
-func (v bufferView) Len() int { return len(v.b.frags) }
-
-func (v bufferView) Frag(i int) (ID, bool) {
-	f := v.b.frags[i]
-	if f.isGap() {
-		return 0, false
-	}
-	return f.id, true
-}
-
-func (v bufferView) Size(i int) int64 { return v.b.frags[i].size }
-
-func (v bufferView) PScore(i int) (float64, bool) {
-	return v.b.fragPScoreLocked(v.b.frags[i])
-}
-
-func (v bufferView) SScore(i int) float64 {
-	return v.b.fragSScoreLocked(v.b.frags[i])
+	return WindowView{b.view}
 }
 
 // bestWindowLocked delegates window selection to the active eviction
@@ -512,50 +564,24 @@ func (v bufferView) SScore(i int) float64 {
 // a buggy policy may stall a reservation but can never evict pinned
 // data.
 func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool) {
+	v := b.snapshotLocked()
 	b.stats.WindowScans++
-	start, end, feasible = b.ep.SelectWindow(bufferView{b}, sizeNew)
-	if !feasible {
-		return 0, 0, false
-	}
-	if start < 0 || end > len(b.frags) || start >= end {
+	b.stats.FragmentsScored += int64(len(b.askIDs))
+	start, end, feasible = b.ep.SelectWindow(v, sizeNew)
+	if !feasible || start < 0 || end > len(v.frags) || start >= end {
 		return 0, 0, false
 	}
 	var window int64
-	for i := start; i < end; i++ {
-		if _, pinned := b.fragPScoreLocked(b.frags[i]); pinned {
+	for _, f := range v.frags[start:end] {
+		if f.pinned {
 			return 0, 0, false
 		}
-		window += b.frags[i].size
+		window += f.size
 	}
 	if window < sizeNew {
 		return 0, 0, false
 	}
 	return start, end, true
-}
-
-// fragPScoreLocked returns the estimated seconds until the fragment
-// becomes evictable plus whether it is pinned (never evictable); gaps
-// score 0, unpinned.
-func (b *Buffer) fragPScoreLocked(f frag) (score float64, pinned bool) {
-	if f.claimed {
-		return 0, true // another reservation owns this window
-	}
-	if f.isGap() {
-		return 0, false
-	}
-	d, ok := b.oracle.TimeToEvictable(f.id)
-	if !ok {
-		return 0, true
-	}
-	return d.Seconds(), false
-}
-
-// fragSScoreLocked is the fragment's prefetch distance (gaps farthest).
-func (b *Buffer) fragSScoreLocked(f frag) float64 {
-	if f.isGap() {
-		return float64(GapDistance)
-	}
-	return float64(b.oracle.PrefetchDistance(f.id))
 }
 
 // Release removes id from the buffer (after consumption and discard, or
@@ -655,16 +681,12 @@ func (b *Buffer) ScoreSummary() (meanP, meanS float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var n int
-	for _, f := range b.frags {
-		if f.isGap() {
+	for _, f := range b.snapshotLocked().frags {
+		if f.id == gapID || f.pinned {
 			continue
 		}
-		p, pinned := b.fragPScoreLocked(f)
-		if pinned {
-			continue
-		}
-		meanP += p
-		meanS += b.fragSScoreLocked(f)
+		meanP += f.p
+		meanS += f.s
 		n++
 	}
 	if n == 0 {

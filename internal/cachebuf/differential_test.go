@@ -63,6 +63,63 @@ func (o *diffOracle) Evicted(id ID) {
 	o.victims = append(o.victims, id)
 }
 
+// batchDiffOracle answers the batch call straight from the tables; the
+// plain diffOracle goes through the buffer's per-id adapter. Pinned ids
+// keep their recorded estimate here, which the buffer must ignore.
+type batchDiffOracle struct{ *diffOracle }
+
+func (o batchDiffOracle) ScoreFragments(ids []ID, out []Score) {
+	for i, id := range ids {
+		out[i] = Score{TimeToEvictable: o.timeTo[id], Pinned: o.pinned[id], Distance: o.PrefetchDistance(id)}
+	}
+}
+
+// fickleOracle gives the table's answer the first time a scan asks for an
+// id's estimate or distance and a different one on every repeat: the live
+// link estimate and lock-free life-cycle state of the real runtime, made
+// adversarial. reset starts a new scan.
+type fickleOracle struct {
+	*diffOracle
+	estimates, distances map[ID]int // asks since reset
+}
+
+func newFickleOracle(o *diffOracle) *fickleOracle {
+	return &fickleOracle{diffOracle: o, estimates: map[ID]int{}, distances: map[ID]int{}}
+}
+
+func (o *fickleOracle) reset() { clear(o.estimates); clear(o.distances) }
+
+func (o *fickleOracle) TimeToEvictable(id ID) (time.Duration, bool) {
+	d, ok := o.diffOracle.TimeToEvictable(id)
+	if o.estimates[id]++; o.estimates[id] > 1 {
+		return d + 7*time.Second, !ok
+	}
+	return d, ok
+}
+
+func (o *fickleOracle) PrefetchDistance(id ID) int {
+	o.distances[id]++
+	return o.diffOracle.PrefetchDistance(id) + 1000*(o.distances[id]-1)
+}
+
+// fickleBatchOracle is the fickle oracle with the batch method.
+type fickleBatchOracle struct{ *fickleOracle }
+
+func (o fickleBatchOracle) ScoreFragments(ids []ID, out []Score) {
+	perIDOracle{o.fickleOracle}.ScoreFragments(ids, out)
+}
+
+// oracleKinds are the two ways a buffer can be handed the shared tables:
+// as a four-method Oracle (the buffer wraps it per id) and as a
+// BatchOracle. Every differential stream runs through both.
+var oracleKinds = []struct {
+	name string
+	wrap func(*diffOracle) Oracle
+}{
+	{"plain", func(o *diffOracle) Oracle { return o }},
+	{"batch", func(o *diffOracle) Oracle { return batchDiffOracle{o} }},
+}
+
 // lockstep drives one production buffer and one model through the same
 // event stream, checking full-state agreement after every event.
 type lockstep struct {
@@ -78,9 +135,11 @@ type lockstep struct {
 	misses   int
 }
 
-func newLockstep(t *testing.T, clk *simclock.Virtual, pol Policy, capacity int64, idSpace int) *lockstep {
+// newLockstep builds the pair; the production buffer sees the shared
+// tables through wrap, the model reads them directly.
+func newLockstep(t *testing.T, clk *simclock.Virtual, pol Policy, capacity int64, idSpace int, wrap func(*diffOracle) Oracle) *lockstep {
 	o := newDiffOracle(t)
-	b := New(clk, "diff-"+pol.String(), capacity, o)
+	b := New(clk, "diff-"+pol.String(), capacity, wrap(o))
 	if err := b.SetPolicy(pol); err != nil {
 		t.Fatalf("SetPolicy(%v): %v", pol, err)
 	}
@@ -176,52 +235,106 @@ func (ls *lockstep) check() {
 	ls.step++
 }
 
+// randomEvent applies one event of the seeded differential stream.
+func (ls *lockstep) randomEvent(rng *rand.Rand) {
+	id := ID(rng.Intn(ls.idSpace))
+	switch r := rng.Intn(100); {
+	case r < 35:
+		ls.reserve(id, int64(1+rng.Intn(300)))
+	case r < 50:
+		ls.release(id)
+	case r < 62:
+		ls.touch(id)
+	case r < 74: // becomes evictable now
+		ls.o.pinned[id] = false
+		ls.o.evictable[id] = true
+		ls.o.timeTo[id] = 0
+	case r < 82: // evictable in a whole number of seconds
+		ls.o.pinned[id] = false
+		ls.o.evictable[id] = false
+		ls.o.timeTo[id] = time.Duration(1+rng.Intn(4)) * time.Second
+	case r < 88: // pin
+		ls.o.pinned[id] = true
+	case r < 94: // prefetch-order hint
+		ls.o.distance[id] = rng.Intn(64)
+	default:
+		ls.lookup(id)
+	}
+}
+
+const (
+	diffCapacity = 1024
+	diffIDSpace  = 12
+	diffSteps    = 500
+)
+
 // TestDifferentialAllPolicies is the lockstep harness over seeded
-// streams: every registered policy, several seeds, hundreds of events
-// each. It runs in the ordinary test suite and therefore also under
-// -race via `make verify` / `make race` in CI.
+// streams: every registered policy, both oracle kinds, several seeds,
+// hundreds of events each. It runs in the ordinary test suite and
+// therefore also under -race via `make verify` / `make race` in CI.
 func TestDifferentialAllPolicies(t *testing.T) {
-	const (
-		capacity = 1024
-		idSpace  = 12
-		steps    = 500
-	)
 	for _, pol := range Policies() {
 		pol := pol
-		for seed := int64(1); seed <= 5; seed++ {
-			seed := seed
-			t.Run(fmt.Sprintf("%s/seed%d", pol, seed), func(t *testing.T) {
+		for _, kind := range oracleKinds {
+			kind := kind
+			for seed := int64(1); seed <= 5; seed++ {
+				seed := seed
+				t.Run(fmt.Sprintf("%s/%s/seed%d", pol, kind.name, seed), func(t *testing.T) {
+					t.Parallel()
+					runSim(t, func(clk *simclock.Virtual) {
+						ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace, kind.wrap)
+						rng := rand.New(rand.NewSource(seed))
+						for i := 0; i < diffSteps; i++ {
+							ls.randomEvent(rng)
+						}
+						if ls.b.Snapshot().Evictions == 0 {
+							t.Error("stream produced no evictions; harness not exercising the policy")
+						}
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestScanAsksEachFragmentOnce runs the differential stream against an
+// oracle whose answers change on every repeated ask. A policy that adds
+// one answer when a fragment enters its window and subtracts another when
+// it leaves drifts away from the model, which scores each window from the
+// first answers; the buffer's one snapshot per scan makes every policy
+// agree with it, and no fragment is asked twice in one scan (an event
+// performs at most one).
+func TestScanAsksEachFragmentOnce(t *testing.T) {
+	for _, pol := range Policies() {
+		pol := pol
+		for _, batch := range []bool{false, true} {
+			batch := batch
+			t.Run(fmt.Sprintf("%s/batch=%v", pol, batch), func(t *testing.T) {
 				t.Parallel()
 				runSim(t, func(clk *simclock.Virtual) {
-					ls := newLockstep(t, clk, pol, capacity, idSpace)
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < steps; i++ {
-						id := ID(rng.Intn(idSpace))
-						switch r := rng.Intn(100); {
-						case r < 35:
-							ls.reserve(id, int64(1+rng.Intn(300)))
-						case r < 50:
-							ls.release(id)
-						case r < 62:
-							ls.touch(id)
-						case r < 74: // becomes evictable now
-							ls.o.pinned[id] = false
-							ls.o.evictable[id] = true
-							ls.o.timeTo[id] = 0
-						case r < 82: // evictable in a whole number of seconds
-							ls.o.pinned[id] = false
-							ls.o.evictable[id] = false
-							ls.o.timeTo[id] = time.Duration(1+rng.Intn(4)) * time.Second
-						case r < 88: // pin
-							ls.o.pinned[id] = true
-						case r < 94: // prefetch-order hint
-							ls.o.distance[id] = rng.Intn(64)
-						default:
-							ls.lookup(id)
+					var fickle *fickleOracle
+					ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace, func(o *diffOracle) Oracle {
+						fickle = newFickleOracle(o)
+						if batch {
+							return fickleBatchOracle{fickle}
+						}
+						return fickle
+					})
+					rng := rand.New(rand.NewSource(1))
+					var asked int
+					for i := 0; i < diffSteps; i++ {
+						fickle.reset()
+						ls.randomEvent(rng)
+						for id, n := range fickle.estimates {
+							asked += n
+							if n > 1 || fickle.distances[id] > 1 {
+								ls.fatalf("one scan asked about id %d %d and %d times", id, n, fickle.distances[id])
+							}
 						}
 					}
-					if ls.b.Snapshot().Evictions == 0 {
-						t.Error("stream produced no evictions; harness not exercising the policy")
+					st := ls.b.Snapshot()
+					if st.Evictions == 0 || int64(asked) != st.FragmentsScored {
+						t.Errorf("%d evictions; oracle saw %d asks, Stats.FragmentsScored = %d", st.Evictions, asked, st.FragmentsScored)
 					}
 				})
 			})

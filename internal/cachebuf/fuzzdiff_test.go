@@ -2,7 +2,8 @@ package cachebuf
 
 // FuzzEvictionPolicy: the differential lockstep driven by an arbitrary
 // byte-encoded event stream instead of a seeded generator, replayed
-// against every registered policy and its reference model. One byte is
+// against every registered policy and its reference model, through both
+// oracle kinds. One byte is
 // one event: the high nibble selects the operation, the low nibble the
 // checkpoint id.
 
@@ -31,39 +32,41 @@ func FuzzEvictionPolicy(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, pol := range Policies() {
-			pol := pol
-			clk := simclock.NewVirtual()
-			clk.Run(func() {
-				ls := newLockstep(t, clk, pol, 1024, 16)
-				for i, op := range data {
-					if t.Failed() {
-						return
+			for _, kind := range oracleKinds {
+				pol, kind := pol, kind
+				clk := simclock.NewVirtual()
+				clk.Run(func() {
+					ls := newLockstep(t, clk, pol, 1024, 16, kind.wrap)
+					for i, op := range data {
+						if t.Failed() {
+							return
+						}
+						id := ID(op & 0x0F)
+						switch op >> 4 {
+						case 0, 1, 2, 3, 4, 5: // reserve, size from stream position
+							ls.reserve(id, int64(1+(i*131)%300))
+						case 6, 7: // release
+							ls.release(id)
+						case 8, 9: // touch
+							ls.touch(id)
+						case 0xa: // mark evictable now
+							ls.o.pinned[id] = false
+							ls.o.evictable[id] = true
+							ls.o.timeTo[id] = 0
+						case 0xb: // evictable in a whole number of seconds
+							ls.o.pinned[id] = false
+							ls.o.evictable[id] = false
+							ls.o.timeTo[id] = time.Duration(1+int(id)%4) * time.Second
+						case 0xc: // pin
+							ls.o.pinned[id] = true
+						case 0xd: // prefetch-order hint
+							ls.o.distance[id] = int(op)
+						default: // lookup (hit/miss compare)
+							ls.lookup(id)
+						}
 					}
-					id := ID(op & 0x0F)
-					switch op >> 4 {
-					case 0, 1, 2, 3, 4, 5: // reserve, size from stream position
-						ls.reserve(id, int64(1+(i*131)%300))
-					case 6, 7: // release
-						ls.release(id)
-					case 8, 9: // touch
-						ls.touch(id)
-					case 0xa: // mark evictable now
-						ls.o.pinned[id] = false
-						ls.o.evictable[id] = true
-						ls.o.timeTo[id] = 0
-					case 0xb: // evictable in a whole number of seconds
-						ls.o.pinned[id] = false
-						ls.o.evictable[id] = false
-						ls.o.timeTo[id] = time.Duration(1+int(id)%4) * time.Second
-					case 0xc: // pin
-						ls.o.pinned[id] = true
-					case 0xd: // prefetch-order hint
-						ls.o.distance[id] = int(op)
-					default: // lookup (hit/miss compare)
-						ls.lookup(id)
-					}
-				}
-			})
+				})
+			}
 		}
 	})
 }

@@ -57,26 +57,38 @@ type EvictionPolicy interface {
 	OnRelease(id ID)
 }
 
-// WindowView is the read-only fragment snapshot SelectWindow scans. The
-// indices are fragment positions (checkpoints and gaps interleaved,
-// sorted by offset, tiling the capacity). Views are only valid for the
-// duration of the SelectWindow call.
-type WindowView interface {
-	// Len returns the fragment count.
-	Len() int
-	// Frag returns fragment i's checkpoint id; ok=false for gaps.
-	Frag(i int) (id ID, ok bool)
-	// Size returns fragment i's size in bytes.
-	Size(i int) int64
-	// PScore returns the estimated seconds until fragment i becomes
-	// evictable and whether it is pinned (never evictable right now:
-	// an Oracle pin, or a claim by a concurrent reservation). Gaps are
-	// (0, unpinned).
-	PScore(i int) (score float64, pinned bool)
-	// SScore returns fragment i's prefetch distance (gaps score
-	// GapDistance, farther than any real hint).
-	SScore(i int) float64
+// WindowView is the read-only fragment snapshot SelectWindow scans: the
+// buffer reads every fragment's scores once before the call, so a policy
+// may ask about a fragment any number of times and always gets the same
+// answer. The indices are fragment positions (checkpoints and gaps
+// interleaved, sorted by offset, tiling the capacity). Views are only
+// valid for the duration of the SelectWindow call.
+type WindowView struct{ frags []viewFrag }
+
+// Len returns the fragment count.
+func (v WindowView) Len() int { return len(v.frags) }
+
+// Frag returns fragment i's checkpoint id; ok=false for gaps.
+func (v WindowView) Frag(i int) (id ID, ok bool) {
+	if id = v.frags[i].id; id == gapID {
+		return 0, false
+	}
+	return id, true
 }
+
+// Size returns fragment i's size in bytes.
+func (v WindowView) Size(i int) int64 { return v.frags[i].size }
+
+// PScore returns the estimated seconds until fragment i becomes evictable
+// and whether it is pinned (never evictable right now: an Oracle pin, or a
+// claim by a concurrent reservation). Gaps are (0, unpinned).
+func (v WindowView) PScore(i int) (score float64, pinned bool) {
+	return v.frags[i].p, v.frags[i].pinned
+}
+
+// SScore returns fragment i's prefetch distance (gaps score GapDistance,
+// farther than any real hint).
+func (v WindowView) SScore(i int) float64 { return v.frags[i].s }
 
 // Policy selects a built-in eviction policy by name. PolicyScore is the
 // paper's Algorithm 1; the rest are baselines and DBMS-inspired

@@ -41,10 +41,10 @@ type Client struct {
 	killed  bool  // the rank died (fault injection); implies closed soon
 	err     error // first asynchronous failure
 
-	d2hQ, h2fQ idFIFO      // flush queues
-	d2hBusy    int         // D2H workers with a job in flight
-	h2fBusy    int         // H2F workers with a job in flight
-	inFlight   map[ID]bool // versions currently owned by a flush worker
+	d2hQ, h2fQ idFIFO     // flush queues
+	d2hBusy    int        // D2H workers with a job in flight
+	h2fBusy    int        // H2F workers with a job in flight
+	inFlight   map[ID]int // flush workers that currently own each version
 
 	writersBusy int  // Checkpoint calls past the admission gate
 	draining    bool // a preemption drain began; no new checkpoints (sticky)
@@ -89,7 +89,7 @@ func New(p Params) (*Client, error) {
 		clk:      p.Clock,
 		rec:      metrics.NewRecorder(),
 		ckpts:    make(map[ID]*checkpoint),
-		inFlight: make(map[ID]bool),
+		inFlight: make(map[ID]int),
 	}
 	c.cond = c.clk.NewCond(&c.mu)
 	c.daemons = simclock.NewWaitGroup(c.clk)
@@ -242,7 +242,7 @@ func (c *Client) recoverFromStore() {
 		return fsm
 	}
 	for id, d := range found {
-		replicas := map[Tier]*replica{}
+		var replicas [TierPFS + 1]*replica
 		if d.onSSD {
 			replicas[TierSSD] = &replica{tier: TierSSD, fsm: flushed()}
 		}
@@ -428,7 +428,6 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		id:        id,
 		size:      pay.Size(),
 		pay:       pay,
-		replicas:  map[Tier]*replica{},
 		writtenAt: start,
 		att:       newAttrib(metrics.CritDurable, int64(id), start),
 	}
@@ -500,7 +499,7 @@ func (c *Client) syncFlush(ck *checkpoint, start time.Duration) error {
 	// before reporting too-large; absorb that into the admit component.
 	c.mark(ck.att, metrics.CompGPUAdmit)
 	c.mu.Lock()
-	delete(ck.replicas, TierGPU)
+	ck.replicas[TierGPU] = nil
 	c.mu.Unlock()
 
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) && ck.size <= c.p.HostCacheSize {
@@ -538,7 +537,7 @@ func (c *Client) syncFlush(ck *checkpoint, start time.Duration) error {
 			}
 		case cachebuf.ErrClosed:
 			c.mu.Lock()
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 			delete(c.ckpts, ck.id)
 			c.mu.Unlock()
 			c.rec.CheckpointRejected(ck.size)
@@ -547,7 +546,7 @@ func (c *Client) syncFlush(ck *checkpoint, start time.Duration) error {
 			// Too large for the host cache too: go deeper.
 			c.mu.Lock()
 			if ck.replicas[TierHost] == hostRep {
-				delete(ck.replicas, TierHost)
+				ck.replicas[TierHost] = nil
 			}
 			c.mu.Unlock()
 		}

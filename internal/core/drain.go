@@ -272,7 +272,7 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 		// A worker-owned version is off limits — unless the worker is
 		// parked on host registration, in which case the triage claims
 		// the job (the park can outlast the whole grace window).
-		if ck.fateAccounted || ck.drainClaimed || (c.inFlight[ck.id] && !ck.hostWait) {
+		if ck.fateAccounted || ck.drainClaimed || (c.inFlight[ck.id] > 0 && !ck.hostWait) {
 			continue
 		}
 		if _, recovered := ck.pay.(*storePayload); recovered {

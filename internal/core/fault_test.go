@@ -49,9 +49,12 @@ func TestPCIeOutageLeavesNoInflightReplica(t *testing.T) {
 			t.Error("flush not marked aborted after every route failed")
 		}
 		for tier, rep := range ck.replicas {
+			if rep == nil {
+				continue
+			}
 			switch st := rep.fsm.State(); st {
 			case lifecycle.WriteInProgress, lifecycle.ReadInProgress:
-				t.Errorf("tier %v replica stuck in-flight (%v)", tier, st)
+				t.Errorf("tier %v replica stuck in-flight (%v)", Tier(tier), st)
 			}
 		}
 		r.client.mu.Unlock()

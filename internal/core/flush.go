@@ -63,14 +63,18 @@ func (c *Client) popFlushJob(q *idFIFO, busy *int) (ID, bool) {
 	}
 	id, _ := q.pop()
 	*busy++
-	c.inFlight[id] = true
+	c.inFlight[id]++
 	return id, true
 }
 
 func (c *Client) finishFlushJob(id ID, busy *int) {
 	c.mu.Lock()
 	*busy--
-	delete(c.inFlight, id)
+	// T_D2H queues a version for T_H2F before finishing its own job, so
+	// both stages can own it at once.
+	if c.inFlight[id]--; c.inFlight[id] == 0 {
+		delete(c.inFlight, id)
+	}
 	c.bumpLocked()
 	c.mu.Unlock()
 	// Flush completions change evictability estimates on both tiers.
@@ -154,7 +158,7 @@ func (c *Client) runD2H(id ID) {
 
 	if _, err := c.hstC.Reserve(c.hostKey(id), ck.size); err != nil {
 		c.mu.Lock()
-		delete(ck.replicas, TierHost)
+		ck.replicas[TierHost] = nil
 		c.mu.Unlock()
 		switch err {
 		case cachebuf.ErrClosed:
@@ -308,7 +312,7 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 		if err != nil {
 			c.mu.Lock()
 			if ck.replicas[TierSSD] == ssdRep {
-				delete(ck.replicas, TierSSD)
+				ck.replicas[TierSSD] = nil
 			}
 			c.mu.Unlock()
 			if isShutdownErr(err) {
@@ -402,7 +406,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 		if werr != nil {
 			c.mu.Lock()
 			if ck.replicas[TierSSD] == ssdRep {
-				delete(ck.replicas, TierSSD)
+				ck.replicas[TierSSD] = nil
 			}
 			c.mu.Unlock()
 			if !isShutdownErr(werr) {
@@ -543,7 +547,7 @@ func (c *Client) routeToPFS(ck *checkpoint, fromGPU bool, att *attrib) error {
 	if err != nil {
 		c.mu.Lock()
 		if ck.replicas[TierPFS] == pfsRep {
-			delete(ck.replicas, TierPFS)
+			ck.replicas[TierPFS] = nil
 		}
 		c.mu.Unlock()
 		return err
@@ -608,7 +612,7 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 	if err != nil {
 		c.mu.Lock()
 		if ck.replicas[TierPartner] == rep {
-			delete(ck.replicas, TierPartner)
+			ck.replicas[TierPartner] = nil
 		}
 		c.mu.Unlock()
 		c.rec.PartnerCopyFailure()
@@ -654,7 +658,7 @@ func (c *Client) abortFlush(ck *checkpoint, srcTier Tier, err error) {
 // reservation (if any), waking blocked reservations.
 func (c *Client) dropReplica(ck *checkpoint, tier Tier) {
 	c.mu.Lock()
-	delete(ck.replicas, tier)
+	ck.replicas[tier] = nil
 	if tier == TierHost {
 		c.releaseStagedLocked(ck)
 	}

@@ -188,9 +188,12 @@ func TestFlushPoolAbortWithMultipleWorkers(t *testing.T) {
 				t.Errorf("checkpoint %d not marked flush-aborted", i)
 			}
 			for tier, rep := range ck.replicas {
+				if rep == nil {
+					continue
+				}
 				switch st := rep.fsm.State(); st {
 				case lifecycle.WriteInProgress, lifecycle.ReadInProgress:
-					t.Errorf("checkpoint %d tier %v replica stuck in-flight (%v)", i, tier, st)
+					t.Errorf("checkpoint %d tier %v replica stuck in-flight (%v)", i, Tier(tier), st)
 				}
 			}
 		}
@@ -249,4 +252,38 @@ func TestChunkedFlushBeatsMonolithic(t *testing.T) {
 	if chunked >= mono {
 		t.Errorf("chunked GPUDirect flush took %v, monolithic %v; want chunked faster", chunked, mono)
 	}
+}
+
+// TestStageHandoffKeepsVersionWorkerOwned: T_D2H pushes a version to the
+// H2F queue before finishing its own job, so a T_H2F worker can own the
+// version by the time T_D2H lets go. The drain triage reads ownership to
+// decide which versions it may flush itself; losing it here sent two
+// writers into directToSSD for one version.
+func TestStageHandoffKeepsVersionWorkerOwned(t *testing.T) {
+	run(t, func(clk *simclock.Virtual) {
+		c := newRig(t, clk, nil).client
+		c.Close() // the pool's own workers exit; this test is the only popper
+		c.mu.Lock()
+		c.closed = false
+		c.ckpts[7] = &checkpoint{id: 7, size: MB}
+		c.d2hQ.push(7)
+		c.h2fQ.push(7)
+		c.mu.Unlock()
+		for _, stage := range []struct {
+			q    *idFIFO
+			busy *int
+		}{{&c.d2hQ, &c.d2hBusy}, {&c.h2fQ, &c.h2fBusy}} {
+			if id, ok := c.popFlushJob(stage.q, stage.busy); !ok || id != 7 {
+				t.Fatalf("popFlushJob = %d, %v", id, ok)
+			}
+		}
+		c.finishFlushJob(7, &c.d2hBusy)
+		if cands, busy := c.drainSnapshot(); len(cands) != 0 || !busy {
+			t.Errorf("after T_D2H finished, the triage sees %d candidates, busy=%v; T_H2F still owns the version", len(cands), busy)
+		}
+		c.finishFlushJob(7, &c.h2fBusy)
+		if cands, busy := c.drainSnapshot(); len(cands) != 1 || busy {
+			t.Errorf("after both stages finished, the triage sees %d candidates, busy=%v", len(cands), busy)
+		}
+	})
 }

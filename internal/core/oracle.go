@@ -45,51 +45,72 @@ func (o *tierOracle) Evictable(id cachebuf.ID) bool {
 	return st.Evictable() && safe
 }
 
-// TimeToEvictable implements the paper's state_ts estimate: 0 when already
-// evictable; the predicted flush completion time when a flush is pending
-// ("we prefer the checkpoint whose estimated flush completion time is the
-// smallest based on its size and the bandwidth between the cache tiers");
-// pinned (ok=false) when a read or prefetch holds the replica.
-func (o *tierOracle) TimeToEvictable(id cachebuf.ID) (time.Duration, bool) {
+// ScoreFragments implements cachebuf.BatchOracle: one Client.mu acquisition
+// and one ckpts lookup per id answer a whole window scan.
+func (o *tierOracle) ScoreFragments(ids []cachebuf.ID, out []cachebuf.Score) {
+	o.scoreNamespace(-1, ids, out)
+}
+
+// scoreNamespace answers, of the keys of a shared host cache, those in
+// namespace ns; ns < 0 takes every key as a plain checkpoint id.
+func (o *tierOracle) scoreNamespace(ns int64, keys []cachebuf.ID, out []cachebuf.Score) {
 	o.c.mu.Lock()
-	ck := o.c.ckpts[ID(id)]
-	if ck == nil {
-		o.c.mu.Unlock()
-		return 0, true
+	defer o.c.mu.Unlock()
+	for i, k := range keys {
+		if ns < 0 {
+			out[i] = o.scoreLocked(ID(k))
+		} else if int64(k)>>nsShift == ns {
+			out[i] = o.scoreLocked(ID(int64(k) & nsMask))
+		}
 	}
-	rep := ck.replicas[o.tier]
-	if rep == nil {
-		o.c.mu.Unlock()
-		return 0, true
+}
+
+// scoreLocked is the scoring rule. Distance is the s_score input: how far
+// id's hint is from the head of the restore-order queue. TimeToEvictable
+// is the paper's state_ts estimate: 0 when already evictable; the
+// predicted flush completion time when a flush is pending ("we prefer the
+// checkpoint whose estimated flush completion time is the smallest based
+// on its size and the bandwidth between the cache tiers"); Pinned when a
+// read or prefetch holds the replica. Caller holds Client.mu.
+func (o *tierOracle) scoreLocked(id ID) cachebuf.Score {
+	sc := cachebuf.Score{Distance: o.c.q.distance(id)}
+	ck := o.c.ckpts[id]
+	if ck == nil || ck.replicas[o.tier] == nil {
+		return sc // no record: stale fragment, free to reclaim
 	}
 	discardable := (ck.consumed && o.c.p.DiscardAfterRestore) || ck.flushAborted
-	durable := ck.durableBelow(o.tier)
-	size := ck.size
-	o.c.mu.Unlock()
-
-	switch rep.fsm.State() {
+	switch ck.replicas[o.tier].fsm.State() {
 	case lifecycle.Flushed, lifecycle.Consumed:
-		if durable || discardable {
-			return 0, true
+		// Evictable by life cycle; if the slower copy is not ready yet,
+		// estimate the remaining flush time.
+		if !discardable && !ck.durableBelow(o.tier) {
+			sc.TimeToEvictable = o.flushEstimate(ck.size)
 		}
-		// Evictable by life cycle but the slower copy is not ready
-		// yet: estimate the remaining flush time.
-		return o.flushEstimate(size), true
 	case lifecycle.WriteComplete:
-		if discardable {
-			return 0, true
+		if !discardable {
+			sc.TimeToEvictable = o.flushEstimate(ck.size)
 		}
-		return o.flushEstimate(size), true
 	case lifecycle.ReadComplete:
-		if o.c.p.NoPinning && (durable || discardable) {
-			return 0, true // §4.1.3 ablation: thrashing allowed
-		}
-		return 0, false // pinned until consumed (§2 condition 4)
+		// Pinned until consumed (§2 condition 4), unless the §4.1.3
+		// ablation allows thrashing.
+		sc.Pinned = !(o.c.p.NoPinning && (discardable || ck.durableBelow(o.tier)))
 	default:
 		// INIT, WRITE_IN_PROGRESS, READ_IN_PROGRESS: pinned — a
 		// transfer is in flight.
-		return 0, false
+		sc.Pinned = true
 	}
+	return sc
+}
+
+// TimeToEvictable implements cachebuf.Oracle as a one-element batch.
+func (o *tierOracle) TimeToEvictable(id cachebuf.ID) (time.Duration, bool) {
+	sc := cachebuf.ScoreOne(o, id)
+	return sc.TimeToEvictable, !sc.Pinned
+}
+
+// PrefetchDistance implements cachebuf.Oracle as a one-element batch.
+func (o *tierOracle) PrefetchDistance(id cachebuf.ID) int {
+	return cachebuf.ScoreOne(o, id).Distance
 }
 
 // flushEstimate predicts how long moving size bytes to the next tier will
@@ -105,20 +126,12 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 	}
 }
 
-// PrefetchDistance implements the s_score input: distance of id's hint
-// from the head of the restore-order queue.
-func (o *tierOracle) PrefetchDistance(id cachebuf.ID) int {
-	o.c.mu.Lock()
-	defer o.c.mu.Unlock()
-	return o.c.q.distance(ID(id))
-}
-
 // Evicted removes the replica record when the buffer discards it.
 func (o *tierOracle) Evicted(id cachebuf.ID) {
 	o.c.mu.Lock()
 	defer o.c.mu.Unlock()
 	if ck := o.c.ckpts[ID(id)]; ck != nil {
-		delete(ck.replicas, o.tier)
+		ck.replicas[o.tier] = nil
 		if o.tier == TierHost {
 			o.c.releaseStagedLocked(ck)
 		}

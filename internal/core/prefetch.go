@@ -268,7 +268,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted
 	if _, err := c.prefetchBuf().TryReserve(cachebuf.ID(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if fresh {
-			delete(ck.replicas, TierGPU)
+			ck.replicas[TierGPU] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -333,7 +333,7 @@ func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err 
 	if _, err := c.prefetchBuf().TryReserve(cachebuf.ID(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if fresh {
-			delete(ck.replicas, TierGPU)
+			ck.replicas[TierGPU] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -386,7 +386,7 @@ func (c *Client) promoteSSDToHost(ck *checkpoint, att *attrib) (ok bool, err err
 	if _, err := c.hstC.TryReserve(c.hostKey(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if fresh {
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -402,7 +402,7 @@ func (c *Client) promoteSSDToHost(ck *checkpoint, att *attrib) (ok bool, err err
 	if err := c.readDeep(ck, att); err != nil {  // SSD → host staging read (PFS fallback)
 		c.mu.Lock()
 		if ck.replicas[TierHost] == hostRep {
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 		}
 		c.mu.Unlock()
 		c.hstC.Release(c.hostKey(ck.id))

@@ -12,6 +12,7 @@ import (
 // nsShift positions the client namespace above the checkpoint version in
 // a shared cache key; versions must stay below 2^40.
 const nsShift = 40
+const nsMask = 1<<nsShift - 1 // the version bits of a key
 
 // SharedHostCache implements the paper's first future-work item ("share
 // the host cache across different processes and nodes to load balance
@@ -43,7 +44,7 @@ func NewSharedHostCachePinnedBy(clk simclock.Clock, name string, capacity int64,
 	if pinners < 1 {
 		pinners = 1
 	}
-	r := &routerOracle{clients: map[int64]*tierOracle{}}
+	r := &routerOracle{}
 	s := &SharedHostCache{router: r, createdAt: clk.Now()}
 	s.buf = cachebuf.New(clk, name, capacity, r)
 	s.pinChunk = (capacity + int64(pinners) - 1) / int64(pinners)
@@ -69,26 +70,29 @@ func (s *SharedHostCache) register(c *Client) int64 {
 // client's host-tier oracle by namespace.
 type routerOracle struct {
 	mu      sync.Mutex
-	nextNS  int64
-	clients map[int64]*tierOracle
+	clients []*tierOracle // indexed by namespace; append-only
 }
 
 func (r *routerOracle) register(o *tierOracle) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ns := r.nextNS
-	r.nextNS++
-	r.clients[ns] = o
-	return ns
+	r.clients = append(r.clients, o)
+	return int64(len(r.clients) - 1)
+}
+
+func (r *routerOracle) registered() []*tierOracle {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.clients
 }
 
 func (r *routerOracle) route(id cachebuf.ID) (*tierOracle, cachebuf.ID) {
+	clients := r.registered()
 	ns := int64(id) >> nsShift
-	local := cachebuf.ID(int64(id) & ((1 << nsShift) - 1))
-	r.mu.Lock()
-	o := r.clients[ns]
-	r.mu.Unlock()
-	return o, local
+	if ns >= int64(len(clients)) {
+		return nil, 0
+	}
+	return clients[ns], cachebuf.ID(int64(id) & nsMask)
 }
 
 // Evictable implements cachebuf.Oracle.
@@ -100,22 +104,27 @@ func (r *routerOracle) Evictable(id cachebuf.ID) bool {
 	return o.Evictable(local)
 }
 
-// TimeToEvictable implements cachebuf.Oracle.
-func (r *routerOracle) TimeToEvictable(id cachebuf.ID) (d time.Duration, ok bool) {
-	o, local := r.route(id)
-	if o == nil {
-		return 0, true
+// ScoreFragments implements cachebuf.BatchOracle: each registered client
+// answers its own namespace's keys under one acquisition of its lock; a
+// key of no registered namespace is a stale fragment, free to reclaim.
+func (r *routerOracle) ScoreFragments(ids []cachebuf.ID, out []cachebuf.Score) {
+	for i := range out {
+		out[i] = cachebuf.Score{Distance: cachebuf.GapDistance - 1}
 	}
-	return o.TimeToEvictable(local)
+	for ns, o := range r.registered() {
+		o.scoreNamespace(int64(ns), ids, out)
+	}
 }
 
-// PrefetchDistance implements cachebuf.Oracle.
+// TimeToEvictable implements cachebuf.Oracle as a one-element batch.
+func (r *routerOracle) TimeToEvictable(id cachebuf.ID) (time.Duration, bool) {
+	sc := cachebuf.ScoreOne(r, id)
+	return sc.TimeToEvictable, !sc.Pinned
+}
+
+// PrefetchDistance implements cachebuf.Oracle as a one-element batch.
 func (r *routerOracle) PrefetchDistance(id cachebuf.ID) int {
-	o, local := r.route(id)
-	if o == nil {
-		return cachebuf.GapDistance - 1
-	}
-	return o.PrefetchDistance(local)
+	return cachebuf.ScoreOne(r, id).Distance
 }
 
 // Evicted implements cachebuf.Oracle.

@@ -174,7 +174,7 @@ func (c *Client) stageToHost(ck *checkpoint) (staged bool, err error) {
 	if _, err := c.hstC.TryReserve(c.hostKey(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if ck.replicas[TierHost] == hostRep {
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -193,7 +193,7 @@ func (c *Client) stageToHost(ck *checkpoint) (staged bool, err error) {
 		// (with its own fallback) owns this checkpoint from here.
 		c.mu.Lock()
 		if ck.replicas[TierHost] == hostRep {
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 		}
 		c.mu.Unlock()
 		c.hstC.Release(c.hostKey(ck.id))

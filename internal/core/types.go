@@ -317,7 +317,7 @@ type checkpoint struct {
 	id       ID
 	size     int64
 	pay      payload.Payload
-	replicas map[Tier]*replica
+	replicas [TierPFS + 1]*replica // indexed by Tier; nil = no replica there
 
 	consumed    bool // restored at least once
 	promoting   bool // a promotion toward the GPU tier is in flight
