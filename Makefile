@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race bench-check chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check loc chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results transcript-drift clean
 
 # verify is the pre-merge gate: static checks, a full build, the
 # race-enabled test suite (which includes a short chaos soak), and the
@@ -9,6 +9,7 @@ verify: vet staticcheck build race bench-check
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 # staticcheck runs when the binary is available (CI installs it; local
 # environments without it skip with a note rather than failing verify).
@@ -34,6 +35,20 @@ race:
 # repository's benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the design inventory every CHANGES.md entry quotes (ROADMAP
+# aim 2): non-test Go lines per package and in total outside bench/, and
+# the counts of public With* options, ckptbench flags and registered
+# eviction policies.
+NONTEST = -name '*.go' -not -name '*_test.go'
+loc:
+	@for d in $$(find . $(NONTEST) -not -path './bench/*' -exec dirname {} \; | sort -u); do \
+		printf '%7d  %s\n' $$(find $$d -maxdepth 1 $(NONTEST) | xargs cat | wc -l) $$d; \
+	done
+	@printf '%7d  non-test lines outside bench/\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs cat | wc -l)
+	@printf '%7d  With* options\n' $$(cat *.go | grep -c '^func With')
+	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
+	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 
 # chaos replays a longer campaign of seeded fault schedules against the
 # checkpoint pipeline (see chaos_test.go and DESIGN.md §8).
@@ -125,11 +140,18 @@ results:
 # counts the lines that differ, wall-time lines excluded. The count is
 # non-zero while same-instant wake order is left to the Go scheduler
 # (ROADMAP Direction 1); CI reports it so the gap cannot silently widen.
+# Exit 1 is drift (with its count); exit 2 is a run that crashed, named
+# with its exit status and panic line — the two are different problems.
 transcript-drift:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/ckptbench" ./cmd/ckptbench && \
 	for i in 1 2; do \
-		"$$dir/ckptbench" -exp all -scale small > "$$dir/raw.txt" || exit 1; \
+		"$$dir/ckptbench" -exp all -scale small > "$$dir/raw.txt" 2> "$$dir/err.txt"; x=$$?; \
+		if [ $$x -ne 0 ]; then \
+			echo "transcript drift: run $$i crashed (exit $$x)"; \
+			grep -m1 -E '^(panic|fatal error):' "$$dir/err.txt" || tail -n 1 "$$dir/err.txt"; \
+			exit 2; \
+		fi; \
 		grep -v 'wall time)$$' "$$dir/raw.txt" > "$$dir/run$$i.txt"; \
 	done && \
 	n=$$(diff "$$dir/run1.txt" "$$dir/run2.txt" | grep -c '^<'); \

@@ -42,8 +42,8 @@ func permutations(ids []ID) [][]ID {
 // were inserted in, the score policy must evict the same window: the
 // far group's region, at the same offset.
 func TestMetamorphicScoreInsertOrderInvariance(t *testing.T) {
-	near := []ID{0, 1, 2}  // distance 3: restore imminent, keep
-	far := []ID{3, 4, 5}   // distance 50: restore far away, sacrifice
+	near := []ID{0, 1, 2} // distance 3: restore imminent, keep
+	far := []ID{3, 4, 5}  // distance 50: restore far away, sacrifice
 	const fragSize = 100
 	wantVictims := map[ID]bool{3: true, 4: true, 5: true}
 

@@ -61,10 +61,10 @@ func (g *ghostList) len() int       { return len(g.order) }
 // defining trait of LRU-K), bounded like a ghost list.
 
 type lrukPolicy struct {
-	k       int
-	seq     int64
-	hist    map[ID][]int64 // most recent K access seqs, newest last
-	order   []ID           // FIFO of ids with history, for bounding
+	k        int
+	seq      int64
+	hist     map[ID][]int64 // most recent K access seqs, newest last
+	order    []ID           // FIFO of ids with history, for bounding
 	resident map[ID]bool
 }
 

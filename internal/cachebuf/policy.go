@@ -212,11 +212,11 @@ func (p Policy) NewPolicy() (EvictionPolicy, error) {
 
 type scorePolicy struct{}
 
-func (*scorePolicy) Name() string            { return "score" }
-func (*scorePolicy) OnInsert(ID, int64)      {}
-func (*scorePolicy) OnTouch(ID)              {}
-func (*scorePolicy) OnEvict(ID)              {}
-func (*scorePolicy) OnRelease(ID)            {}
+func (*scorePolicy) Name() string       { return "score" }
+func (*scorePolicy) OnInsert(ID, int64) {}
+func (*scorePolicy) OnTouch(ID)         {}
+func (*scorePolicy) OnEvict(ID)         {}
+func (*scorePolicy) OnRelease(ID)       {}
 
 func (*scorePolicy) SelectWindow(v WindowView, sizeNew int64) (start, end int, feasible bool) {
 	n := v.Len()

@@ -285,11 +285,11 @@ func heatBetter(m *modelBuffer, aStart, aEnd, bStart, bEnd int, heat func(ID) in
 
 type modelScore struct{}
 
-func (*modelScore) name() string   { return "score" }
-func (*modelScore) insert(ID)      {}
-func (*modelScore) touch(ID)       {}
-func (*modelScore) evict(ID)       {}
-func (*modelScore) release(ID)     {}
+func (*modelScore) name() string { return "score" }
+func (*modelScore) insert(ID)    {}
+func (*modelScore) touch(ID)     {}
+func (*modelScore) evict(ID)     {}
+func (*modelScore) release(ID)   {}
 
 func (*modelScore) better(m *modelBuffer, aStart, aEnd, bStart, bEnd int) bool {
 	score := func(start, end int) (p, s float64) {
@@ -315,10 +315,10 @@ func (*modelScore) better(m *modelBuffer, aStart, aEnd, bStart, bEnd int) bool {
 
 type modelLRU struct{ order []ID }
 
-func (*modelLRU) name() string { return "lru" }
-func (p *modelLRU) insert(id ID) { p.order = append(listRemove(p.order, id), id) }
-func (p *modelLRU) touch(id ID)  { p.order = append(listRemove(p.order, id), id) }
-func (p *modelLRU) evict(id ID)  { p.order = listRemove(p.order, id) }
+func (*modelLRU) name() string    { return "lru" }
+func (p *modelLRU) insert(id ID)  { p.order = append(listRemove(p.order, id), id) }
+func (p *modelLRU) touch(id ID)   { p.order = append(listRemove(p.order, id), id) }
+func (p *modelLRU) evict(id ID)   { p.order = listRemove(p.order, id) }
 func (p *modelLRU) release(id ID) { p.order = listRemove(p.order, id) }
 func (p *modelLRU) better(m *modelBuffer, a, b, c, d int) bool {
 	return heatBetter(m, a, b, c, d, func(id ID) int64 { return int64(listIndex(p.order, id)) })
@@ -329,10 +329,10 @@ func (p *modelLRU) better(m *modelBuffer, a, b, c, d int) bool {
 
 type modelFIFO struct{ order []ID }
 
-func (*modelFIFO) name() string { return "fifo" }
-func (p *modelFIFO) insert(id ID) { p.order = append(listRemove(p.order, id), id) }
-func (p *modelFIFO) touch(ID)     {}
-func (p *modelFIFO) evict(id ID)  { p.order = listRemove(p.order, id) }
+func (*modelFIFO) name() string    { return "fifo" }
+func (p *modelFIFO) insert(id ID)  { p.order = append(listRemove(p.order, id), id) }
+func (p *modelFIFO) touch(ID)      {}
+func (p *modelFIFO) evict(id ID)   { p.order = listRemove(p.order, id) }
 func (p *modelFIFO) release(id ID) { p.order = listRemove(p.order, id) }
 func (p *modelFIFO) better(m *modelBuffer, a, b, c, d int) bool {
 	return heatBetter(m, a, b, c, d, func(id ID) int64 { return int64(listIndex(p.order, id)) })
@@ -353,9 +353,9 @@ func (p *modelLRUK) access(id ID) {
 	p.seq++
 	p.hist[id] = append(p.hist[id], p.seq)
 }
-func (p *modelLRUK) insert(id ID) { p.access(id) }
-func (p *modelLRUK) touch(id ID)  { p.access(id) }
-func (p *modelLRUK) evict(ID)     {} // history survives eviction
+func (p *modelLRUK) insert(id ID)  { p.access(id) }
+func (p *modelLRUK) touch(id ID)   { p.access(id) }
+func (p *modelLRUK) evict(ID)      {} // history survives eviction
 func (p *modelLRUK) release(id ID) { delete(p.hist, id) }
 func (p *modelLRUK) heat(id ID) int64 {
 	h := p.hist[id]

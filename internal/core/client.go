@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 // method may call into a Buffer while holding Client.mu.
 type Client struct {
 	p    Params
+	deep []deepTier // the tiers below the host cache, fastest first (deep.go)
 	clk  simclock.Clock
 	rec  *metrics.Recorder
 	gpuC *cachebuf.Buffer // device cache (write side when SplitCache)
@@ -86,6 +88,7 @@ func New(p Params) (*Client, error) {
 	}
 	c := &Client{
 		p:        p,
+		deep:     deepTiers(p),
 		clk:      p.Clock,
 		rec:      metrics.NewRecorder(),
 		ckpts:    make(map[ID]*checkpoint),
@@ -162,9 +165,7 @@ func New(p Params) (*Client, error) {
 		c.hostReadyAt = c.clk.Now()
 	}
 
-	if p.Store != nil || p.PFSStore != nil || p.PartnerStore != nil {
-		c.recoverFromStore()
-	}
+	c.recoverFromStore()
 
 	c.started = p.AutoStartPrefetch
 
@@ -196,72 +197,28 @@ func New(p Params) (*Client, error) {
 // combination), restorable through the normal promotion path with tier
 // fallback.
 func (c *Client) recoverFromStore() {
-	type durable struct {
-		size                    int64
-		onSSD, onPartner, onPFS bool
-	}
-	found := map[int64]*durable{}
-	if c.p.Store != nil {
-		for _, id := range c.p.Store.IDs() {
-			if size, err := c.p.Store.Size(id); err == nil {
-				found[id] = &durable{size: size, onSSD: true}
-			}
+	for i := range c.deep {
+		d := &c.deep[i]
+		if d.store == nil {
+			continue
 		}
-	}
-	if c.p.PartnerStore != nil {
-		for _, id := range c.p.PartnerStore.IDs() {
-			size, err := c.p.PartnerStore.Size(id)
+		for _, id := range d.store.IDs() {
+			size, err := d.store.Size(id)
 			if err != nil {
 				continue
 			}
-			if d := found[id]; d != nil {
-				d.onPartner = true
-			} else {
-				found[id] = &durable{size: size, onPartner: true}
+			ck := c.ckpts[ID(id)]
+			if ck == nil {
+				ck = &checkpoint{id: ID(id), size: size,
+					pay: &storePayload{deep: c.deep, rec: c.rec, id: id, size: size}}
+				c.ckpts[ck.id] = ck
 			}
+			fsm := lifecycle.NewMachine(c.clk)
+			fsm.MustTo(lifecycle.WriteInProgress)
+			fsm.MustTo(lifecycle.WriteComplete)
+			fsm.MustTo(lifecycle.Flushed)
+			ck.replicas[d.tier] = &replica{tier: d.tier, fsm: fsm}
 		}
-	}
-	if c.p.PFSStore != nil {
-		for _, id := range c.p.PFSStore.IDs() {
-			size, err := c.p.PFSStore.Size(id)
-			if err != nil {
-				continue
-			}
-			if d := found[id]; d != nil {
-				d.onPFS = true
-			} else {
-				found[id] = &durable{size: size, onPFS: true}
-			}
-		}
-	}
-	flushed := func() *lifecycle.Machine {
-		fsm := lifecycle.NewMachine(c.clk)
-		fsm.MustTo(lifecycle.WriteInProgress)
-		fsm.MustTo(lifecycle.WriteComplete)
-		fsm.MustTo(lifecycle.Flushed)
-		return fsm
-	}
-	for id, d := range found {
-		var replicas [TierPFS + 1]*replica
-		if d.onSSD {
-			replicas[TierSSD] = &replica{tier: TierSSD, fsm: flushed()}
-		}
-		if d.onPartner {
-			replicas[TierPartner] = &replica{tier: TierPartner, fsm: flushed()}
-		}
-		if d.onPFS {
-			replicas[TierPFS] = &replica{tier: TierPFS, fsm: flushed()}
-		}
-		ck := &checkpoint{
-			id:   ID(id),
-			size: d.size,
-			pay: &storePayload{
-				ssd: c.p.Store, partner: c.p.PartnerStore, pfs: c.p.PFSStore,
-				rec: c.rec, id: id, size: d.size,
-			},
-			replicas: replicas,
-		}
-		c.ckpts[ck.id] = ck
 	}
 }
 
@@ -276,16 +233,8 @@ func (c *Client) Recovered() []ID {
 			out = append(out, id)
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortIDs(ids []ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // bumpLocked records real progress (a flush completed, a checkpoint was
@@ -450,7 +399,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		if err == cachebuf.ErrTooLarge {
 			// §2 condition 4: the checkpoint cannot use the GPU cache —
 			// fall back to a synchronous flush down the tier chain.
-			return c.syncFlush(ck, start)
+			return c.syncFlush(ck, rep, start)
 		}
 		c.mu.Lock()
 		delete(c.ckpts, id)
@@ -493,14 +442,12 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 // straight down the tier chain. It prefers the host cache (so the
 // normal async H2F chain finishes the job) and otherwise flushes
 // GPU→SSD (or GPU→PFS under SSD degradation) synchronously.
-func (c *Client) syncFlush(ck *checkpoint, start time.Duration) error {
+func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration) error {
 	c.rec.SyncFlush()
 	// The failed GPU reservation above may have blocked on evictions
 	// before reporting too-large; absorb that into the admit component.
 	c.mark(ck.att, metrics.CompGPUAdmit)
-	c.mu.Lock()
-	ck.replicas[TierGPU] = nil
-	c.mu.Unlock()
+	c.unlinkReplica(ck, TierGPU, gpuRep)
 
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) && ck.size <= c.p.HostCacheSize {
 		c.waitHostReady()
@@ -531,24 +478,19 @@ func (c *Client) syncFlush(ck *checkpoint, start time.Duration) error {
 			// try the deeper route (which will fail too if PCIe itself is
 			// the problem — surfaced below). A dying client skips the
 			// degradation — that is a shutdown, not a tier fault.
-			c.dropReplica(ck, TierHost)
+			c.dropReplica(ck, TierHost, hostRep)
 			if !isShutdownErr(cpErr) {
 				c.degradeTier(TierHost)
 			}
 		case cachebuf.ErrClosed:
 			c.mu.Lock()
-			ck.replicas[TierHost] = nil
 			delete(c.ckpts, ck.id)
 			c.mu.Unlock()
 			c.rec.CheckpointRejected(ck.size)
 			return ErrClosed
 		default:
 			// Too large for the host cache too: go deeper.
-			c.mu.Lock()
-			if ck.replicas[TierHost] == hostRep {
-				ck.replicas[TierHost] = nil
-			}
-			c.mu.Unlock()
+			c.unlinkReplica(ck, TierHost, hostRep)
 		}
 	}
 
@@ -702,6 +644,11 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 		rep.fsm.WaitFor(lifecycle.ReadComplete, lifecycle.Consumed)
 	}
 	c.mark(att, metrics.CompGPUWait)
+	if !rep.hasData() {
+		// The write or promotion backed out and unlinked the record
+		// (unlinkReplica released the wait): promote instead.
+		return false, nil
+	}
 
 	claim := func() {
 		// WRITE_COMPLETE/FLUSHED/CONSUMED → READ_COMPLETE pins the

@@ -99,11 +99,3 @@ func (c *Client) flowID(id ID) int64 {
 func (c *Client) lifecycle(id ID, kind trace.LifecycleKind, tier, detail string) {
 	c.p.Tracer.Lifecycle(c.p.GPU.ID(), int64(id), kind, tier, detail)
 }
-
-// hopComp maps a flush destination label to its transfer component.
-func hopComp(destLabel string) string {
-	if destLabel == "pfs" {
-		return metrics.CompXferPFS
-	}
-	return metrics.CompXferSSD
-}

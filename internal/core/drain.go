@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"score/internal/fabric"
@@ -295,11 +297,12 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 		}
 		cands = append(cands, cand)
 	}
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && drainOlder(cands[j].ck, cands[j-1].ck); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
+	// Oldest-durability-first: the version written earliest flushes first
+	// (ties break on version number so the order is deterministic under
+	// same-instant writes).
+	slices.SortFunc(cands, func(a, b drainCandidate) int {
+		return cmp.Or(cmp.Compare(a.ck.writtenAt, b.ck.writtenAt), cmp.Compare(a.ck.id, b.ck.id))
+	})
 	// Busy counts only workers whose decision still matters: one sleeping
 	// on a claimed (or otherwise decided) version holds nothing up.
 	busy := c.writersBusy > 0
@@ -312,16 +315,6 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 		}
 	}
 	return cands, busy
-}
-
-// drainOlder orders the triage oldest-durability-first: the version
-// written earliest flushes first (ties break on version number so the
-// order is deterministic under same-instant writes).
-func drainOlder(a, b *checkpoint) bool {
-	if a.writtenAt != b.writtenAt {
-		return a.writtenAt < b.writtenAt
-	}
-	return a.id < b.id
 }
 
 // drainRoute returns the links a candidate's demoted (fastest-durable)
@@ -450,15 +443,11 @@ func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcome
 	elapsed := c.clk.Now() - start
 	c.rec.ObserveDuration(metrics.HistDrainFlush, elapsed)
 	c.rec.DrainFlushed(ck.size)
-	tier := TierSSD.String()
 	// The lock also covers the manifest write: the round's parallel
 	// workers share the outcomes map.
 	c.mu.Lock()
-	if !ck.dataOn(TierSSD) && ck.dataOn(TierPFS) {
-		tier = TierPFS.String()
-	}
 	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
-		Outcome: DrainFlushed, Tier: tier, At: c.clk.Now()}
+		Outcome: DrainFlushed, Tier: c.firstHolderLocked(ck).label, At: c.clk.Now()}
 	c.mu.Unlock()
 }
 
@@ -498,13 +487,9 @@ func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
 			continue
 		}
 		e := DrainEntry{Version: int64(id), Size: ck.size, At: m.Finished}
-		switch {
-		case ck.dataOn(TierSSD):
-			e.Outcome, e.Tier = DrainAlreadyDurable, TierSSD.String()
-		case ck.dataOn(TierPFS):
-			e.Outcome, e.Tier = DrainAlreadyDurable, TierPFS.String()
-		case ck.dataOn(TierPartner):
-			e.Outcome, e.Tier = DrainAlreadyDurable, TierPartner.String()
+		switch d := c.firstHolderLocked(ck); {
+		case d != nil:
+			e.Outcome, e.Tier = DrainAlreadyDurable, d.label
 		case ck.flushAborted:
 			e.Outcome = DrainAbandoned
 			e.Reason = "flush aborted"
@@ -517,11 +502,7 @@ func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
 		entries = append(entries, e)
 	}
 	c.mu.Unlock()
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j].Version < entries[j-1].Version; j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
+	slices.SortFunc(entries, func(a, b DrainEntry) int { return cmp.Compare(a.Version, b.Version) })
 	for _, e := range entries {
 		switch e.Outcome {
 		case DrainAlreadyDurable, DrainFlushed:
@@ -533,11 +514,4 @@ func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
 		}
 	}
 	m.Entries = entries
-}
-
-func max(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"score/internal/cachebuf"
-	"score/internal/ckptstore"
 	"score/internal/lifecycle"
 	"score/internal/metrics"
 	"score/internal/simclock"
@@ -157,9 +156,7 @@ func (c *Client) runD2H(id ID) {
 	c.mu.Unlock()
 
 	if _, err := c.hstC.Reserve(c.hostKey(id), ck.size); err != nil {
-		c.mu.Lock()
-		ck.replicas[TierHost] = nil
-		c.mu.Unlock()
+		c.unlinkReplica(ck, TierHost, hostRep)
 		switch err {
 		case cachebuf.ErrClosed:
 			return
@@ -187,7 +184,7 @@ func (c *Client) runD2H(id ID) {
 		c.mark(att, metrics.CompAlloc)
 	}
 	if err := c.copyD2HHost(ck, att); err != nil {
-		c.dropReplica(ck, TierHost)
+		c.dropReplica(ck, TierHost, hostRep)
 		if isShutdownErr(err) {
 			// The rank died (or closed) mid-copy: the chain resolves as
 			// lost, not as a tier fault.
@@ -286,14 +283,8 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 	if c.tierDegraded(TierSSD) {
 		return c.routeToPFS(ck, fromGPU, att)
 	}
-	c.mu.Lock()
-	ssdRep := ck.replicas[TierSSD]
-	if ssdRep == nil {
-		ssdRep = &replica{tier: TierSSD, fsm: lifecycle.NewMachine(c.clk)}
-		ck.replicas[TierSSD] = ssdRep
-	}
-	c.mu.Unlock()
-	if !ssdRep.hasData() {
+	ssdRep, hasData := c.deepReplica(ck, TierSSD)
+	if !hasData {
 		ssdRep.fsm.MustTo(lifecycle.WriteInProgress)
 		c.lifecycle(ck.id, trace.LHopStart, "ssd", "")
 		err, rerouted := c.writeSSDGuarded(ck, fromGPU, att, ssdRep)
@@ -303,47 +294,28 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 			// itself in the background when (if) it completes.
 			return nil
 		}
-		if err == nil {
-			// The write landed, but only a live process gets credit for a
-			// durable transition — a kill racing the flush must resolve
-			// the chain as lost, not durable.
-			err = c.killGate()
-		}
-		if err != nil {
-			c.mu.Lock()
-			if ck.replicas[TierSSD] == ssdRep {
-				ck.replicas[TierSSD] = nil
-			}
-			c.mu.Unlock()
+		if err = c.settleSSD(ck, ssdRep, err, ""); err != nil {
 			if isShutdownErr(err) {
 				return err
 			}
-			// The SSD route is dead for this checkpoint: drop the
-			// half-written replica, mark the tier degraded so later
-			// flushes skip it, and reroute to the PFS.
-			c.degradeTier(TierSSD)
+			// The SSD route is dead for this checkpoint (settleSSD dropped
+			// the half-written replica and degraded the tier so later
+			// flushes skip it): reroute to the PFS.
 			return c.routeToPFS(ck, fromGPU, att)
 		}
-		c.healTier(TierSSD)
-		ssdRep.fsm.MustTo(lifecycle.WriteComplete)
-		c.lifecycle(ck.id, trace.LHopEnd, "ssd", "")
-		c.accountFate(ck, fateDurable)
 	}
 
-	if draining := c.Draining(); !draining {
+	if !c.Draining() {
 		// Best-effort breadth legs run only outside a drain: a preemption
 		// deadline buys one durable copy per version, not replication (the
-		// demotion half of the drain's cancel-or-demote contract).
-		if c.p.PartnerStore != nil && !ck.dataOn(TierPartner) {
-			// Partner-copy replication (SCR/VELOC): stage a replica on the
-			// partner node's SSD so a whole-node loss keeps the version
-			// restorable. Best effort — the local SSD already holds the data.
-			c.routeToPartner(ck)
-		}
-		if c.p.PersistToPFS && !ck.dataOn(TierPFS) {
-			// Best effort: the SSD already holds the data, so a PFS failure
-			// here loses persistence breadth, not the checkpoint. The durable
-			// attribution is already finished; pass no attrib.
+		// demotion half of the drain's cancel-or-demote contract). Both
+		// are no-ops when the tier already holds the version. Partner-copy
+		// replication (SCR/VELOC) keeps the version restorable through a
+		// whole-node loss; a PFS failure here loses persistence breadth,
+		// not the checkpoint — the SSD already holds the data. The durable
+		// attribution is already finished; pass no attrib.
+		c.routeToPartner(ck)
+		if c.p.PersistToPFS {
 			_ = c.routeToPFS(ck, false, nil)
 		}
 	}
@@ -355,7 +327,32 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 	return nil
 }
 
-// writeSSDGuarded runs writeSSD under a stall watchdog when gray-failure
+// settleSSD applies the completion rules of an SSD write that returned
+// werr, for the foreground flush and for the background finalizer of a
+// write that was rerouted around. Only a live process gets credit for a
+// durable transition — a kill racing the flush must resolve the chain as
+// lost, not durable. On failure the half-written replica is dropped and,
+// unless the client is shutting down, the tier degraded; on success the
+// tier heals, the replica is WRITE_COMPLETE and the version durable.
+func (c *Client) settleSSD(ck *checkpoint, ssdRep *replica, werr error, detail string) error {
+	if werr == nil {
+		werr = c.killGate()
+	}
+	if werr != nil {
+		c.unlinkReplica(ck, TierSSD, ssdRep)
+		if !isShutdownErr(werr) {
+			c.degradeTier(TierSSD)
+		}
+		return werr
+	}
+	c.healTier(TierSSD)
+	ssdRep.fsm.MustTo(lifecycle.WriteComplete)
+	c.lifecycle(ck.id, trace.LHopEnd, "ssd", detail)
+	c.accountFate(ck, fateDurable)
+	return nil
+}
+
+// writeSSDGuarded runs the SSD write under a stall watchdog when gray-failure
 // handling is enabled (Params.Hedge with a PFS configured): the write
 // runs in a background task and the caller waits with an adaptive
 // deadline (the health estimator's median-with-headroom estimate for
@@ -365,13 +362,14 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 // abandoned to finish on its own (first durable copy decides the fate —
 // accountFate keeps it single) and rerouted=true tells the caller to
 // skip the normal SSD completion path. Without hedging this reduces to
-// a plain writeSSD call, byte-identical to the seed.
+// a plain writeDeep call, byte-identical to the seed.
 func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdRep *replica) (err error, rerouted bool) {
+	ssd := c.deepOf(TierSSD)
 	if !c.p.Hedge || c.p.PFS == nil {
 		start := c.clk.Now()
-		err := c.writeSSD(ck, fromGPU, att)
+		err := c.writeDeep(ck, fromGPU, ssd, att)
 		if err == nil {
-			c.observeHealth(TierSSD, ck.size, c.clk.Now()-start)
+			c.observeHealth(ssd, ck.size, c.clk.Now()-start)
 		}
 		return err, false
 	}
@@ -389,7 +387,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 	c.hedgeWG.Add(1)
 	c.clk.Go(func() {
 		defer c.hedgeWG.Done()
-		werr := c.writeSSD(ck, fromGPU, nil)
+		werr := c.writeDeep(ck, fromGPU, ssd, nil)
 		ws.mu.Lock()
 		ws.done, ws.err = true, werr
 		abandoned := ws.abandoned
@@ -399,27 +397,13 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 			return // the waiter owns the completion path
 		}
 		// The waiter re-routed and moved on; finalize the SSD leg here
-		// with the same rules the foreground path would have applied.
+		// with the rules the foreground path would have applied (the fate
+		// accounting inside is a no-op: the reroute already decided it).
 		if werr == nil {
-			werr = c.killGate()
+			c.observeHealth(ssd, ck.size, c.clk.Now()-start)
 		}
-		if werr != nil {
-			c.mu.Lock()
-			if ck.replicas[TierSSD] == ssdRep {
-				ck.replicas[TierSSD] = nil
-			}
-			c.mu.Unlock()
-			if !isShutdownErr(werr) {
-				c.degradeTier(TierSSD)
-			}
-		} else {
-			c.observeHealth(TierSSD, ck.size, c.clk.Now()-start)
-			c.healTier(TierSSD)
-			ssdRep.fsm.MustTo(lifecycle.WriteComplete)
+		if c.settleSSD(ck, ssdRep, werr, "late completion after stall reroute") == nil {
 			ssdRep.fsm.MustTo(lifecycle.Flushed)
-			c.lifecycle(ck.id, trace.LHopEnd, "ssd", "late completion after stall reroute")
-			// No-op: the reroute already decided the fate as durable.
-			c.accountFate(ck, fateDurable)
 		}
 		c.notifyGPU()
 		c.hstC.Notify()
@@ -471,7 +455,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 	err = ws.err
 	ws.mu.Unlock()
 	if err == nil {
-		c.observeHealth(TierSSD, ck.size, c.clk.Now()-start)
+		c.observeHealth(ssd, ck.size, c.clk.Now()-start)
 		// The background writer carries no attribution; charge the whole
 		// guarded window to the SSD transfer component.
 		c.mark(att, metrics.CompXferSSD)
@@ -479,80 +463,31 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 	return err, false
 }
 
-// writeSSD charges the transfers and durable write of the SSD flush,
-// with per-hop retries (or a whole-stream retry when chunked). fromGPU
-// adds the PCIe hop.
-func (c *Client) writeSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
-	if err := c.transferDown(ck, fromGPU, c.p.NVMe, "ssd", "NVMe write", att); err != nil {
-		return err
-	}
-	if c.p.Store != nil {
-		if data := ck.pay.Bytes(); data != nil {
-			if err := c.retryIOAttr(ck, att, metrics.CompStorePut, "ssd", "store put", func() error {
-				if err := c.p.Store.Put(int64(ck.id), data); err != nil && err != ckptstore.ErrExists {
-					return err
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // routeToPFS flushes ck straight to the PFS tier, bypassing a degraded
 // (or bypassed) SSD. fromGPU additionally charges the PCIe hop.
 func (c *Client) routeToPFS(ck *checkpoint, fromGPU bool, att *attrib) error {
-	if c.p.PFS == nil {
+	pfs := c.deepOf(TierPFS)
+	if pfs == nil {
 		return fmt.Errorf("%w: ssd tier unavailable and no PFS configured", ErrTierIO)
 	}
-	c.mu.Lock()
-	pfsRep := ck.replicas[TierPFS]
-	if pfsRep == nil {
-		pfsRep = &replica{tier: TierPFS, fsm: lifecycle.NewMachine(c.clk)}
-		ck.replicas[TierPFS] = pfsRep
-	}
-	hasData := pfsRep.hasData()
-	c.mu.Unlock()
+	pfsRep, hasData := c.deepReplica(ck, TierPFS)
 	if hasData {
 		return nil
 	}
 	pfsRep.fsm.MustTo(lifecycle.WriteInProgress)
 	c.lifecycle(ck.id, trace.LHopStart, "pfs", "")
 	xferStart := c.clk.Now()
-	err := func() error {
-		if err := c.transferDown(ck, fromGPU, c.p.PFS, "pfs", "PFS write", att); err != nil {
-			return err
-		}
-		if c.p.PFSStore != nil {
-			if data := ck.pay.Bytes(); data != nil {
-				if err := c.retryIOAttr(ck, att, metrics.CompStorePut, "pfs", "store put", func() error {
-					if err := c.p.PFSStore.Put(int64(ck.id), data); err != nil && err != ckptstore.ErrExists {
-						return err
-					}
-					return nil
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}()
+	err := c.writeDeep(ck, fromGPU, pfs, att)
 	if err == nil {
 		// Same rule as the SSD route: no durable credit for a process
 		// that died mid-flush.
 		err = c.killGate()
 	}
 	if err != nil {
-		c.mu.Lock()
-		if ck.replicas[TierPFS] == pfsRep {
-			ck.replicas[TierPFS] = nil
-		}
-		c.mu.Unlock()
+		c.unlinkReplica(ck, TierPFS, pfsRep)
 		return err
 	}
-	c.observeHealth(TierPFS, ck.size, c.clk.Now()-xferStart)
+	c.observeHealth(pfs, ck.size, c.clk.Now()-xferStart)
 	pfsRep.fsm.MustTo(lifecycle.WriteComplete)
 	pfsRep.fsm.MustTo(lifecycle.Flushed) // terminal durable tier
 	c.lifecycle(ck.id, trace.LHopEnd, "pfs", "")
@@ -568,19 +503,13 @@ func (c *Client) routeToPFS(ck *checkpoint, fromGPU bool, att *attrib) error {
 // flush — the local SSD already holds the data, so a partner failure
 // costs redundancy (and the ability to survive a node loss), not the
 // checkpoint. Persistent failures degrade the partner tier; a later
-// probe heals it.
+// probe heals it. A no-op without partner-copy configured.
 func (c *Client) routeToPartner(ck *checkpoint) {
-	if c.p.PartnerStore == nil || c.tierDegraded(TierPartner) || c.killGate() != nil {
+	partner := c.deepOf(TierPartner)
+	if partner == nil || c.tierDegraded(TierPartner) || c.killGate() != nil {
 		return
 	}
-	c.mu.Lock()
-	rep := ck.replicas[TierPartner]
-	if rep == nil {
-		rep = &replica{tier: TierPartner, fsm: lifecycle.NewMachine(c.clk)}
-		ck.replicas[TierPartner] = rep
-	}
-	hasData := rep.hasData()
-	c.mu.Unlock()
+	rep, hasData := c.deepReplica(ck, TierPartner)
 	if hasData {
 		return
 	}
@@ -590,38 +519,19 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 	}
 	rep.fsm.MustTo(lifecycle.WriteInProgress)
 	xferStart := c.clk.Now()
-	err := func() error {
-		if err := c.retryIOAttr(ck, nil, "", "partner", "partner copy", func() error {
-			return c.partnerHop(ck.size, true)
-		}); err != nil {
-			return err
-		}
-		if data := ck.pay.Bytes(); data != nil {
-			return c.retryIOAttr(ck, nil, "", "partner", "store put", func() error {
-				if err := c.p.PartnerStore.Put(int64(ck.id), data); err != nil && err != ckptstore.ErrExists {
-					return err
-				}
-				return nil
-			})
-		}
-		return nil
-	}()
+	err := c.writeDeep(ck, false, partner, nil)
 	if err == nil {
 		err = c.killGate()
 	}
 	if err != nil {
-		c.mu.Lock()
-		if ck.replicas[TierPartner] == rep {
-			ck.replicas[TierPartner] = nil
-		}
-		c.mu.Unlock()
+		c.unlinkReplica(ck, TierPartner, rep)
 		c.rec.PartnerCopyFailure()
 		if !isShutdownErr(err) {
 			c.degradeTier(TierPartner)
 		}
 		return
 	}
-	c.observeHealth(TierPartner, ck.size, c.clk.Now()-xferStart)
+	c.observeHealth(partner, ck.size, c.clk.Now()-xferStart)
 	rep.fsm.MustTo(lifecycle.WriteComplete)
 	rep.fsm.MustTo(lifecycle.Flushed) // durable the moment the put lands
 	c.healTier(TierPartner)
@@ -654,11 +564,11 @@ func (c *Client) abortFlush(ck *checkpoint, srcTier Tier, err error) {
 	c.hstC.Notify()
 }
 
-// dropReplica deletes ck's replica record on tier and releases its cache
-// reservation (if any), waking blocked reservations.
-func (c *Client) dropReplica(ck *checkpoint, tier Tier) {
+// dropReplica unlinks ck's record rep on a cache tier and releases its
+// reservation, waking blocked reservations.
+func (c *Client) dropReplica(ck *checkpoint, tier Tier, rep *replica) {
+	c.unlinkReplica(ck, tier, rep)
 	c.mu.Lock()
-	ck.replicas[tier] = nil
 	if tier == TierHost {
 		c.releaseStagedLocked(ck)
 	}

@@ -138,32 +138,19 @@ func (h *tierHealth) breached(class string) bool {
 	return ch != nil && ch.n >= healthMinSamples && ch.ewma >= healthBreach
 }
 
-// healthClass maps a deep tier to its estimator class; "" for tiers the
-// estimator does not track (GPU/host transfers are not hedged).
-func healthClass(t Tier) string {
-	switch t {
-	case TierSSD, TierPartner, TierPFS:
-		return t.String()
-	}
-	return ""
-}
-
-// observeHealth feeds a successful transfer into the estimator and, when
-// gray-failure handling is enabled, quarantines the tier if its health
-// score breached: the operation succeeded, but so slowly that the class
-// is effectively failed. The quarantine rides the existing degradation
-// machinery, so probe-based reinstatement (tierDegraded probation +
-// healTier) applies unchanged. Pure observation when hedging is off.
-func (c *Client) observeHealth(t Tier, size int64, d time.Duration) {
-	class := healthClass(t)
-	if class == "" {
+// observeHealth feeds a successful transfer on deep tier d into the
+// estimator and, when gray-failure handling is enabled, quarantines the
+// tier if its health score breached: the operation succeeded, but so
+// slowly that the class is effectively failed. The quarantine rides the
+// existing degradation machinery, so probe-based reinstatement
+// (tierDegraded probation + healTier) applies unchanged. Pure observation
+// when hedging is off.
+func (c *Client) observeHealth(d *deepTier, size int64, dur time.Duration) {
+	c.health.observe(d.label, size, dur)
+	if !c.p.Hedge || !c.health.breached(d.label) {
 		return
 	}
-	c.health.observe(class, size, d)
-	if !c.p.Hedge || !c.health.breached(class) {
-		return
-	}
-	if c.degradeTier(t) {
+	if c.degradeTier(d.tier) {
 		// degradeTier already ledgered the transition; the counter marks
 		// it as health-triggered rather than error-triggered.
 		c.rec.HealthQuarantine()

@@ -5,15 +5,14 @@ import (
 	"sync"
 	"time"
 
-	"score/internal/fabric"
 	"score/internal/metrics"
 	"score/internal/simclock"
 	"score/internal/trace"
 )
 
 // This file implements hedged deep reads, the restore half of the
-// gray-failure machinery (Params.Hedge): the sequential fallback ladder
-// (SSD → partner SSD → PFS) becomes a race. The fastest replica's leg
+// gray-failure machinery (Params.Hedge): readDeep's sequential walk over
+// the deep-tier table becomes a race. The fastest replica's leg
 // starts alone; if it runs past its adaptive deadline — the health
 // estimator's median-with-headroom cost model for its link class —
 // without failing, the next-deeper
@@ -27,91 +26,6 @@ import (
 // replica state is mutated by the caller only after the race returns, so
 // a losing leg has nothing it could corrupt.
 
-// hedgeLeg is one replica source in a hedged deep read.
-type hedgeLeg struct {
-	tier  Tier
-	label string // estimator class / retry label
-	comp  string // critical-path component the winning leg charges
-	run   func() error
-}
-
-// deepLegs builds the hedged ladder for a monolithic deep read: one leg
-// per below-host tier holding readable data, fastest first, with the
-// sequential ladder's degraded-tier gating.
-func (c *Client) deepLegs(ck *checkpoint) []hedgeLeg {
-	c.mu.Lock()
-	onSSD := ck.dataOn(TierSSD)
-	onPartner := ck.dataOn(TierPartner)
-	onPFS := ck.dataOn(TierPFS)
-	c.mu.Unlock()
-
-	var legs []hedgeLeg
-	if onSSD && (!c.tierDegraded(TierSSD) || !(onPartner || onPFS)) {
-		legs = append(legs, hedgeLeg{tier: TierSSD, label: "ssd", comp: metrics.CompXferSSD,
-			run: func() error {
-				return c.retryIOAttr(ck, nil, "", "ssd", "NVMe read", func() error {
-					return c.deepHop(c.p.NVMe, ck.size)
-				})
-			}})
-	}
-	if onPartner && (!c.tierDegraded(TierPartner) || !onPFS) {
-		legs = append(legs, hedgeLeg{tier: TierPartner, label: "partner", comp: metrics.CompXferPartner,
-			run: func() error {
-				return c.retryIOAttr(ck, nil, "", "partner", "partner SSD read", func() error {
-					return c.partnerHop(ck.size, false)
-				})
-			}})
-	}
-	if onPFS {
-		legs = append(legs, hedgeLeg{tier: TierPFS, label: "pfs", comp: metrics.CompXferPFS,
-			run: func() error {
-				return c.retryIOAttr(ck, nil, "", "pfs", "PFS read", func() error {
-					return c.deepHop(c.p.PFS, ck.size)
-				})
-			}})
-	}
-	return legs
-}
-
-// deepLegsGPU is deepLegs for the chunked deep-read + H2D streams of
-// readDeepToGPU: each leg races a whole engine-held stream.
-func (c *Client) deepLegsGPU(ck *checkpoint) []hedgeLeg {
-	c.mu.Lock()
-	onSSD := ck.dataOn(TierSSD)
-	onPartner := ck.dataOn(TierPartner)
-	onPFS := ck.dataOn(TierPFS)
-	c.mu.Unlock()
-
-	mk := func(label, srcName string, inward fabric.Path) func() error {
-		return func() error {
-			return c.retryIOAttr(ck, nil, "", label, "chunked deep read + H2D", func() error {
-				st, err := c.p.GPU.TryStreamH2D(inward, ck.size, c.p.ChunkSize)
-				c.observePipeline(trace.TrackPF, "prefetch",
-					fmt.Sprintf("promote %d %s→gpu", ck.id, srcName), c.flowID(ck.id), st, err)
-				return err
-			})
-		}
-	}
-	var legs []hedgeLeg
-	if onSSD && (!c.tierDegraded(TierSSD) || !(onPartner || onPFS)) {
-		legs = append(legs, hedgeLeg{tier: TierSSD, label: "ssd", comp: metrics.CompXferSSD,
-			run: mk("ssd+pcie", "ssd", fabric.Path{c.p.NVMe})})
-	}
-	if onPartner && (!c.tierDegraded(TierPartner) || !onPFS) {
-		rev := make(fabric.Path, len(c.p.PartnerPath))
-		for i, l := range c.p.PartnerPath {
-			rev[len(rev)-1-i] = l
-		}
-		legs = append(legs, hedgeLeg{tier: TierPartner, label: "partner", comp: metrics.CompXferPartner,
-			run: mk("partner+pcie", "partner", rev)})
-	}
-	if onPFS {
-		legs = append(legs, hedgeLeg{tier: TierPFS, label: "pfs", comp: metrics.CompXferPFS,
-			run: mk("pfs+pcie", "pfs", fabric.Path{c.p.PFS})})
-	}
-	return legs
-}
-
 // hedgeRace runs legs (fastest first) as a hedged race and returns the
 // first success, or the deepest leg's error once every leg has failed.
 // The winner's transfer window is charged to its component on att; the
@@ -120,7 +34,7 @@ func (c *Client) deepLegsGPU(ck *checkpoint) []hedgeLeg {
 // accounting). Legs still in flight when the race is decided keep
 // running in the background under hedgeWG and count their bytes as
 // wasted on completion — they can no longer affect the result.
-func (c *Client) hedgeRace(ck *checkpoint, att *attrib, legs []hedgeLeg) error {
+func (c *Client) hedgeRace(ck *checkpoint, att *attrib, legs []*deepTier, fused bool) error {
 	type raceState struct {
 		mu      sync.Mutex
 		cond    simclock.Cond
@@ -149,9 +63,11 @@ func (c *Client) hedgeRace(ck *checkpoint, att *attrib, legs []hedgeLeg) error {
 		c.hedgeWG.Add(1)
 		c.clk.Go(func() {
 			defer c.hedgeWG.Done()
-			err := legs[i].run()
+			// No attribution inside the leg: only the winner's window is
+			// charged, once the race is decided.
+			err := c.readLeg(ck, nil, legs[i], fused)
 			if err == nil {
-				c.observeHealth(legs[i].tier, ck.size, c.clk.Now()-legStart[i])
+				c.observeHealth(legs[i], ck.size, c.clk.Now()-legStart[i])
 			}
 			hs.mu.Lock()
 			hs.done[i], hs.errs[i] = true, err

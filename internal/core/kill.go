@@ -1,6 +1,11 @@
 package core
 
-import "score/internal/trace"
+import (
+	"cmp"
+	"slices"
+
+	"score/internal/trace"
+)
 
 // Rank-kill support: the fault-injection model for a process (or node)
 // dying abruptly at a virtual time. A kill differs from Close in three
@@ -93,11 +98,7 @@ func (c *Client) finishKill() {
 	}
 	c.mu.Unlock()
 	// Deterministic sweep order (the map iteration above is not).
-	for i := 1; i < len(undecided); i++ {
-		for j := i; j > 0 && undecided[j].id < undecided[j-1].id; j-- {
-			undecided[j], undecided[j-1] = undecided[j-1], undecided[j]
-		}
-	}
+	slices.SortFunc(undecided, func(a, b *checkpoint) int { return cmp.Compare(a.id, b.id) })
 	for _, ck := range undecided {
 		c.mu.Lock()
 		ck.flushAborted = true
@@ -127,7 +128,7 @@ func (c *Client) releaseSharedHost() {
 		}
 	}
 	c.mu.Unlock()
-	sortIDs(ids)
+	slices.Sort(ids)
 	released := false
 	for _, id := range ids {
 		if c.hstC.Release(c.hostKey(id)) {

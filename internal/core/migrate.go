@@ -185,11 +185,7 @@ func (c *Client) migrateCopy(p MigrationParams, id, size int64) error {
 				return err
 			}
 		}
-		if cs := c.p.ChunkSize; cs > 0 {
-			if _, err := p.Path.TryPipelinedTransfer(size, cs); err != nil {
-				return err
-			}
-		} else if _, err := p.Path.TryTransfer(size); err != nil {
+		if err := c.cross(p.Path, size); err != nil {
 			return err
 		}
 		data, err := c.p.Store.Get(id)

@@ -145,8 +145,8 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 	// Per-link-class gray-failure health: the EWMA slowdown ratio of each
 	// deep link class (1.0 = nominal, 0 = no samples yet). Sampled so
 	// dashboards see the degradation building before a quarantine trips.
-	for _, class := range []string{"ssd", "partner", "pfs"} {
-		class := class
+	for i := range c.deep {
+		class := c.deep[i].label
 		s.Register(name("health."+class), func() float64 {
 			return c.health.score(class)
 		})

@@ -61,7 +61,7 @@ func (c *Client) prefetcher() {
 
 		// The prefetcher's own time is hidden from the application by
 		// design — no attribution target.
-		promoted, err := c.promoteToGPU(ck, false, nil)
+		promoted, err := c.promoteToGPU(ck, nil)
 
 		c.mu.Lock()
 		ck.promoting = false
@@ -132,7 +132,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 		c.mu.Unlock()
 	}()
 
-	promoted, err := c.promoteToGPU(ck, true, att)
+	promoted, err := c.promoteToGPU(ck, att)
 	if err != nil {
 		return false, err
 	}
@@ -144,7 +144,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 	// tier that has the data directly into the application buffer.
 	c.mu.Lock()
 	onHost := ck.dataOn(TierHost)
-	onDeep := ck.dataOn(TierSSD) || ck.dataOn(TierPartner) || ck.dataOn(TierPFS)
+	onDeep := ck.durableBelow(TierHost)
 	c.mu.Unlock()
 	switch {
 	case onHost:
@@ -154,7 +154,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 	case onDeep:
 		// Two hops (deep read + PCIe): fused into one chunked stream
 		// when ChunkSize is set.
-		if err := c.readDeepToGPU(ck, att); err != nil {
+		if err := c.readDeep(ck, att, true); err != nil {
 			return false, err
 		}
 	default:
@@ -193,12 +193,11 @@ func (c *Client) lostDetail(ck *checkpoint) string {
 }
 
 // promoteToGPU moves ck's data to the GPU cache, staging through the host
-// cache when the source is the SSD/PFS. When block is false it only uses
-// immediately evictable windows (TryReserve); when block is true it still
-// uses TryReserve (blocking here could deadlock a deviating read behind
-// pinned prefetches) but reports wouldBlock via promoted=false.
-func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted bool, err error) {
-	_ = block // both paths use TryReserve; see doc comment
+// cache when the source is a deep tier. It never blocks inside a cache
+// reservation — blocking could deadlock a deviating read behind pinned
+// prefetches — and reports "no immediately evictable window" as
+// promoted=false.
+func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err error) {
 	start := c.clk.Now()
 	defer func() {
 		// Only completed promotions that actually moved data feed the
@@ -217,7 +216,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted
 	// Stage 1: ensure the data is on the host tier.
 	c.mu.Lock()
 	onHost := ck.dataOn(TierHost)
-	onLower := ck.dataOn(TierSSD) || ck.dataOn(TierPartner) || ck.dataOn(TierPFS)
+	onLower := ck.durableBelow(TierHost)
 	c.mu.Unlock()
 
 	if !onHost && c.p.GPUDirectStorage && onLower {
@@ -243,42 +242,21 @@ func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted
 			return false, fmt.Errorf("%w: checkpoint %d: no replica holds data%s",
 				ErrLost, ck.id, c.lostDetail(ck))
 		}
-		ok, err := c.promoteSSDToHost(ck, att)
+		ok, err := c.stageDeepToHost(ck, att)
 		if err != nil || !ok {
 			return false, err
 		}
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
 	}
 
 	// Stage 2: host → GPU.
 	c.waitHostReady()
 	c.mark(att, metrics.CompHostReady)
-	c.mu.Lock()
-	gpuRep := ck.replicas[TierGPU]
-	if gpuRep != nil && gpuRep.hasData() {
-		c.mu.Unlock()
-		return true, nil
-	}
-	fresh := gpuRep == nil
-	if fresh {
-		gpuRep = &replica{tier: TierGPU, fsm: lifecycle.NewMachine(c.clk)}
-		ck.replicas[TierGPU] = gpuRep
-	}
-	c.mu.Unlock()
-
-	if _, err := c.prefetchBuf().TryReserve(cachebuf.ID(ck.id), ck.size); err != nil {
-		c.mu.Lock()
-		if fresh {
-			ck.replicas[TierGPU] = nil
-		}
-		c.mu.Unlock()
-		switch err {
-		case cachebuf.ErrWouldBlock, cachebuf.ErrTooLarge, cachebuf.ErrDuplicate:
-			return false, nil
-		case cachebuf.ErrClosed:
-			return false, ErrClosed
-		default:
-			return false, err
-		}
+	gpuRep, reserved, err := c.reserveForRead(ck, TierGPU)
+	if !reserved {
+		return gpuRep != nil, err
 	}
 
 	// Pin the host source replica (READ_COMPLETE) while copying up, then
@@ -293,7 +271,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted
 		// The upward copy kept failing: release the GPU reservation.
 		// The pinned host source keeps the data (Consumed is readable
 		// and, being durable below, evictable), so nothing is lost.
-		c.dropReplica(ck, TierGPU)
+		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
 		gpuRep.fsm.MustTo(lifecycle.ReadComplete)
 		c.notifyGPU()
@@ -307,113 +285,94 @@ func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if cpErr != nil {
-		return false, cpErr
-	}
-	return true, nil
+	return cpErr == nil, cpErr
 }
 
 // promoteDirect is the GPUDirect promotion path: SSD → GPU without a
-// host replica. ok=false means the GPU cache had no immediately
+// host replica. promoted=false means the GPU cache had no immediately
 // evictable window.
 func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err error) {
-	c.mu.Lock()
-	gpuRep := ck.replicas[TierGPU]
-	if gpuRep != nil && gpuRep.hasData() {
-		c.mu.Unlock()
-		return true, nil
-	}
-	fresh := gpuRep == nil
-	if fresh {
-		gpuRep = &replica{tier: TierGPU, fsm: lifecycle.NewMachine(c.clk)}
-		ck.replicas[TierGPU] = gpuRep
-	}
-	c.mu.Unlock()
-
-	if _, err := c.prefetchBuf().TryReserve(cachebuf.ID(ck.id), ck.size); err != nil {
-		c.mu.Lock()
-		if fresh {
-			ck.replicas[TierGPU] = nil
-		}
-		c.mu.Unlock()
-		switch err {
-		case cachebuf.ErrWouldBlock, cachebuf.ErrTooLarge, cachebuf.ErrDuplicate:
-			return false, nil
-		case cachebuf.ErrClosed:
-			return false, ErrClosed
-		default:
-			return false, err
-		}
+	gpuRep, reserved, err := c.reserveForRead(ck, TierGPU)
+	if !reserved {
+		return gpuRep != nil, err
 	}
 	gpuRep.fsm.MustTo(lifecycle.ReadInProgress)
 	// Deep read + PCIe hop of the direct path; one chunked stream when
 	// ChunkSize is set.
-	err = c.readDeepToGPU(ck, att)
+	err = c.readDeep(ck, att, true)
 	if err != nil {
-		c.dropReplica(ck, TierGPU)
+		c.dropReplica(ck, TierGPU, gpuRep)
+	} else {
+		gpuRep.fsm.MustTo(lifecycle.ReadComplete)
+		c.notifyGPU()
 		c.mu.Lock()
 		c.bumpLocked()
 		c.mu.Unlock()
-		return false, err
 	}
-	gpuRep.fsm.MustTo(lifecycle.ReadComplete)
-	c.notifyGPU()
-	c.mu.Lock()
-	c.bumpLocked()
-	c.mu.Unlock()
-	return true, nil
+	return err == nil, err
 }
 
-// promoteSSDToHost stages a checkpoint from the SSD/PFS into the host
-// cache. ok=false means the host cache had no immediately evictable
-// window.
-func (c *Client) promoteSSDToHost(ck *checkpoint, att *attrib) (ok bool, err error) {
-	c.waitHostReady()
-	c.mark(att, metrics.CompHostReady)
+// reserveForRead claims room on a cache tier (GPU or host) for a copy of
+// ck about to be read up from below, without ever blocking. The INIT
+// record is published before the reservation, as it must be: the
+// eviction oracle treats a reserved fragment with no record as stale and
+// free to reclaim. reserved=true hands the caller a fresh record and its
+// reservation; it must land the data or unlink the record. Otherwise rep
+// is non-nil exactly when the tier already holds a readable copy, and
+// nil when there is no immediately evictable window (or another task is
+// materializing the replica) — or the cache closed, which is ErrClosed.
+func (c *Client) reserveForRead(ck *checkpoint, tier Tier) (rep *replica, reserved bool, err error) {
+	buf, key := c.prefetchBuf(), cachebuf.ID(ck.id)
+	if tier == TierHost {
+		buf, key = c.hstC, c.hostKey(ck.id)
+	}
 	c.mu.Lock()
-	hostRep := ck.replicas[TierHost]
-	if hostRep != nil && hostRep.hasData() {
+	if rep = ck.replicas[tier]; rep != nil {
 		c.mu.Unlock()
-		return true, nil
+		if rep.hasData() {
+			return rep, false, nil
+		}
+		return nil, false, nil
 	}
-	fresh := hostRep == nil
-	if fresh {
-		hostRep = &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
-		ck.replicas[TierHost] = hostRep
-	}
+	rep = &replica{tier: tier, fsm: lifecycle.NewMachine(c.clk)}
+	ck.replicas[tier] = rep
 	c.mu.Unlock()
 
-	if _, err := c.hstC.TryReserve(c.hostKey(ck.id), ck.size); err != nil {
-		c.mu.Lock()
-		if fresh {
-			ck.replicas[TierHost] = nil
-		}
-		c.mu.Unlock()
-		switch err {
-		case cachebuf.ErrWouldBlock, cachebuf.ErrTooLarge, cachebuf.ErrDuplicate:
-			return false, nil
-		case cachebuf.ErrClosed:
-			return false, ErrClosed
-		default:
-			return false, err
-		}
+	if _, err = buf.TryReserve(key, ck.size); err == nil {
+		return rep, true, nil
 	}
-	hostRep.fsm.MustTo(lifecycle.ReadInProgress) // legal from Init and Consumed
-	if err := c.readDeep(ck, att); err != nil {  // SSD → host staging read (PFS fallback)
-		c.mu.Lock()
-		if ck.replicas[TierHost] == hostRep {
-			ck.replicas[TierHost] = nil
-		}
-		c.mu.Unlock()
+	c.unlinkReplica(ck, tier, rep)
+	switch err {
+	case cachebuf.ErrWouldBlock, cachebuf.ErrTooLarge, cachebuf.ErrDuplicate:
+		err = nil
+	case cachebuf.ErrClosed:
+		err = ErrClosed
+	}
+	return nil, false, err
+}
+
+// stageDeepToHost copies ck from the fastest deep tier that serves it
+// into the host cache (non-blocking reservation) — the SSD→host hop of
+// both the on-demand promotion and the host stager. ok=false means the
+// host cache had no immediately evictable window.
+func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err error) {
+	c.waitHostReady()
+	c.mark(att, metrics.CompHostReady)
+	hostRep, reserved, err := c.reserveForRead(ck, TierHost)
+	if !reserved {
+		return hostRep != nil, err
+	}
+	hostRep.fsm.MustTo(lifecycle.ReadInProgress)
+	if err := c.readDeep(ck, att, false); err != nil {
+		// Tier I/O trouble: undo the reservation; the caller (or the
+		// on-demand path, with its own fallback) owns ck from here.
+		c.unlinkReplica(ck, TierHost, hostRep)
 		c.hstC.Release(c.hostKey(ck.id))
 		c.hstC.Notify()
 		return false, err
 	}
 	hostRep.fsm.MustTo(lifecycle.ReadComplete)
 	c.hstC.Notify()
-	c.mu.Lock()
-	c.cond.Broadcast()
-	c.mu.Unlock()
 	return true, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"score/internal/fabric"
 	"score/internal/metrics"
 	"score/internal/trace"
 )
@@ -119,12 +118,6 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
 // liveErr reports why the client can no longer perform I/O: ErrKilled
 // after a rank kill, ErrClosed after an orderly Close, nil while alive.
 func (c *Client) liveErr() error {
@@ -196,7 +189,7 @@ func (c *Client) tierDegraded(t Tier) bool {
 // recovers — succeeding is necessary but not sufficient to rejoin.
 func (c *Client) healTier(t Tier) {
 	if c.p.Hedge {
-		if class := healthClass(t); class != "" && c.health.breached(class) {
+		if d := c.deepOf(t); d != nil && c.health.breached(d.label) {
 			return
 		}
 	}
@@ -230,107 +223,4 @@ func (c *Client) DegradedTiers() []Tier {
 		}
 	}
 	return out
-}
-
-// readDeep charges a verified read of ck's bytes from the fastest
-// below-host tier holding data, falling down the ladder — local SSD,
-// partner SSD, PFS — when a tier keeps failing (degrading it as it
-// goes). A checkpoint with no readable deep replica is definitively
-// lost.
-func (c *Client) readDeep(ck *checkpoint, att *attrib) error {
-	if c.p.Hedge {
-		// Hedged form: race the ladder's legs instead of walking them.
-		// A single candidate degenerates to the sequential walk below.
-		if legs := c.deepLegs(ck); len(legs) >= 2 {
-			return c.hedgeRace(ck, att, legs)
-		}
-	}
-
-	c.mu.Lock()
-	onSSD := ck.dataOn(TierSSD)
-	onPartner := ck.dataOn(TierPartner)
-	onPFS := ck.dataOn(TierPFS)
-	c.mu.Unlock()
-
-	if onSSD && (!c.tierDegraded(TierSSD) || !(onPartner || onPFS)) {
-		legStart := c.clk.Now()
-		err := c.retryIOAttr(ck, att, metrics.CompXferSSD, "ssd", "NVMe read", func() error {
-			return c.deepHop(c.p.NVMe, ck.size)
-		})
-		if err == nil {
-			c.observeHealth(TierSSD, ck.size, c.clk.Now()-legStart)
-			c.healTier(TierSSD)
-			return nil
-		}
-		if isShutdownErr(err) || !(onPartner || onPFS) {
-			return err
-		}
-		c.degradeTier(TierSSD)
-	}
-	if onPartner && (!c.tierDegraded(TierPartner) || !onPFS) {
-		if onSSD {
-			c.rec.FallbackRead()
-		}
-		legStart := c.clk.Now()
-		err := c.retryIOAttr(ck, att, metrics.CompXferPartner, "partner", "partner SSD read", func() error {
-			return c.partnerHop(ck.size, false)
-		})
-		if err == nil {
-			c.observeHealth(TierPartner, ck.size, c.clk.Now()-legStart)
-			c.healTier(TierPartner)
-			return nil
-		}
-		if isShutdownErr(err) || !onPFS {
-			return err
-		}
-		c.degradeTier(TierPartner)
-	}
-	if onPFS {
-		if onSSD || onPartner {
-			c.rec.FallbackRead()
-		}
-		legStart := c.clk.Now()
-		err := c.retryIOAttr(ck, att, metrics.CompXferPFS, "pfs", "PFS read", func() error {
-			return c.deepHop(c.p.PFS, ck.size)
-		})
-		if err == nil {
-			c.observeHealth(TierPFS, ck.size, c.clk.Now()-legStart)
-		}
-		return err
-	}
-	return fmt.Errorf("%w: checkpoint %d has no readable replica below the host tier", ErrLost, ck.id)
-}
-
-// deepHop charges one deep-tier link crossing. Chunked configurations
-// route through the pipelined form for uniformity; a single hop
-// degenerates to monolithic timing either way, so staging reads
-// (stageToHost, promoteSSDToHost) cost the same in both modes.
-func (c *Client) deepHop(l *fabric.Link, size int64) error {
-	if cs := c.p.ChunkSize; cs > 0 {
-		_, err := fabric.Path{l}.TryPipelinedTransfer(size, cs)
-		return err
-	}
-	_, err := l.TryTransfer(size)
-	return err
-}
-
-// partnerHop charges a crossing of the inter-node partner path: the
-// write direction (local NIC → partner NIC → partner NVMe) for
-// replication, the reverse for reads. Chunked configurations pipeline
-// the hops.
-func (c *Client) partnerHop(size int64, write bool) error {
-	path := c.p.PartnerPath
-	if !write {
-		rev := make(fabric.Path, len(path))
-		for i, l := range path {
-			rev[len(path)-1-i] = l
-		}
-		path = rev
-	}
-	if cs := c.p.ChunkSize; cs > 0 {
-		_, err := path.TryPipelinedTransfer(size, cs)
-		return err
-	}
-	_, err := path.TryTransfer(size)
-	return err
 }

@@ -24,31 +24,32 @@ func (c *Client) hostStager() {
 	if c.p.NoHostStager || c.p.GPUDirectStorage {
 		return
 	}
-	c.mu.Lock()
 	for {
+		// Free-space lookup must happen outside c.mu (buffer lock
+		// precedes client lock); the value is advisory only. Taking it
+		// before the lock keeps the closed check and the park below in
+		// one critical section, so Close's broadcast cannot fall between
+		// them and leave the stager asleep.
+		free := c.hstC.FreeBytes()
+		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return
 		}
-		if !c.started {
-			c.cond.Wait()
-			continue
+		var ck *checkpoint
+		if c.started {
+			ck = c.nextStageTargetLocked(free)
 		}
-		// Free-space lookup must happen outside c.mu (buffer lock
-		// precedes client lock); the value is advisory only.
-		c.mu.Unlock()
-		free := c.hstC.FreeBytes()
-		c.mu.Lock()
-		ck := c.nextStageTargetLocked(free)
 		if ck == nil {
 			c.cond.Wait()
+			c.mu.Unlock()
 			continue
 		}
 		ck.stagingHost = true
 		seen := c.events
 		c.mu.Unlock()
 
-		staged, err := c.stageToHost(ck)
+		staged, err := c.stageHinted(ck)
 
 		c.mu.Lock()
 		ck.stagingHost = false
@@ -62,7 +63,6 @@ func (c *Client) hostStager() {
 		if err != nil && !errors.Is(err, ErrTierIO) && !errors.Is(err, ErrLost) {
 			c.mu.Unlock()
 			c.fail(err)
-			c.mu.Lock()
 			continue
 		}
 		if !staged {
@@ -72,6 +72,7 @@ func (c *Client) hostStager() {
 				c.cond.Wait()
 			}
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -112,7 +113,7 @@ func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 		if rep := ck.replicas[TierHost]; rep != nil {
 			continue // a flush or another promotion is materializing it
 		}
-		if !ck.dataOn(TierSSD) && !ck.dataOn(TierPartner) && !ck.dataOn(TierPFS) {
+		if !ck.durableBelow(TierHost) {
 			continue // still being flushed down; the flusher will land it
 		}
 		if freeHostBytes < ck.size && i >= maxResidentDist {
@@ -154,54 +155,29 @@ func (c *Client) maxHostResidentDistanceLocked() int {
 	return max
 }
 
-// stageToHost copies ck from the SSD into the host cache (non-blocking
-// reservation). staged=false means no immediately evictable host window.
-func (c *Client) stageToHost(ck *checkpoint) (staged bool, err error) {
+// stageHinted is the stager's use of stageDeepToHost: what is its own is
+// the span, the LStaged ledger entry, leaving alone a checkpoint some
+// other task already gave a host record, and not treating a closing
+// cache as a failure. Background staging is hidden from the application,
+// so it carries no attribution.
+func (c *Client) stageHinted(ck *checkpoint) (staged bool, err error) {
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackStage, "prefetch",
 			fmt.Sprintf("stage %d ssd→host", ck.id), c.flowID(ck.id))()
 	}
 	c.waitHostReady()
 	c.mu.Lock()
-	if ck.dataOn(TierHost) || ck.replicas[TierHost] != nil {
-		c.mu.Unlock()
+	taken := ck.replicas[TierHost] != nil
+	c.mu.Unlock()
+	if taken {
 		return false, nil
 	}
-	hostRep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
-	ck.replicas[TierHost] = hostRep
-	c.mu.Unlock()
-
-	if _, err := c.hstC.TryReserve(c.hostKey(ck.id), ck.size); err != nil {
-		c.mu.Lock()
-		if ck.replicas[TierHost] == hostRep {
-			ck.replicas[TierHost] = nil
-		}
-		c.mu.Unlock()
-		switch err {
-		case cachebuf.ErrWouldBlock, cachebuf.ErrTooLarge, cachebuf.ErrDuplicate:
-			return false, nil
-		case cachebuf.ErrClosed:
-			return false, nil
-		default:
-			return false, err
-		}
+	staged, err = c.stageDeepToHost(ck, nil)
+	if staged {
+		c.lifecycle(ck.id, trace.LStaged, "host", "ssd→host")
 	}
-	hostRep.fsm.MustTo(lifecycle.ReadInProgress)
-	// Background staging is hidden from the application — no attribution.
-	if err := c.readDeep(ck, nil); err != nil {
-		// Tier I/O trouble: undo the reservation; the on-demand path
-		// (with its own fallback) owns this checkpoint from here.
-		c.mu.Lock()
-		if ck.replicas[TierHost] == hostRep {
-			ck.replicas[TierHost] = nil
-		}
-		c.mu.Unlock()
-		c.hstC.Release(c.hostKey(ck.id))
-		c.hstC.Notify()
-		return false, err
+	if errors.Is(err, ErrClosed) {
+		err = nil
 	}
-	hostRep.fsm.MustTo(lifecycle.ReadComplete)
-	c.hstC.Notify()
-	c.lifecycle(ck.id, trace.LStaged, "host", "ssd→host")
-	return true, nil
+	return staged, err
 }

@@ -67,21 +67,20 @@ func (c *Client) copyD2HHost(ck *checkpoint, att *attrib) error {
 	return err
 }
 
-// transferDown charges the movement of ck's bytes onto the durable link
-// dest ("ssd" or "pfs"); fromGPU prepends the PCIe hop. With ChunkSize
-// set and a GPU source, both hops run as one chunked engine-held stream
-// — the NVMe/PFS write of chunk i overlaps the PCIe copy of chunk i+1 —
-// retried whole under the combined label. Otherwise the hops run
-// store-and-forward with the seed's independent per-hop retries.
-// Attribution: a combined stream is charged whole to the destination's
-// transfer component; store-and-forward charges each hop separately.
-func (c *Client) transferDown(ck *checkpoint, fromGPU bool, dest *fabric.Link, destLabel, destWhat string, att *attrib) error {
-	cs := c.p.ChunkSize
-	if fromGPU && cs > 0 {
-		return c.retryIOAttr(ck, att, hopComp(destLabel), "pcie+"+destLabel, "chunked "+destWhat, func() error {
-			st, err := c.p.GPU.TryStreamD2H(fabric.Path{dest}, ck.size, cs)
+// transferDown charges the movement of ck's bytes onto the deep tier d;
+// fromGPU prepends the PCIe hop. With ChunkSize set and a GPU source, all
+// hops run as one chunked engine-held stream — the NVMe/PFS write of
+// chunk i overlaps the PCIe copy of chunk i+1 — retried whole under the
+// combined label. Otherwise the hops run store-and-forward with the
+// seed's independent per-hop retries. Attribution: a combined stream is
+// charged whole to the destination's transfer component;
+// store-and-forward charges each hop separately.
+func (c *Client) transferDown(ck *checkpoint, fromGPU bool, d *deepTier, att *attrib) error {
+	if cs := c.p.ChunkSize; fromGPU && cs > 0 {
+		return c.retryIOAttr(ck, att, d.comp, "pcie+"+d.label, "chunked "+d.wrWhat, func() error {
+			st, err := c.p.GPU.TryStreamD2H(d.write, ck.size, cs)
 			c.observePipeline(trace.TrackD2H, "flush",
-				fmt.Sprintf("flush %d gpu→%s", ck.id, destLabel), c.flowID(ck.id), st, err)
+				fmt.Sprintf("flush %d gpu→%s", ck.id, d.label), c.flowID(ck.id), st, err)
 			return err
 		})
 	}
@@ -93,98 +92,7 @@ func (c *Client) transferDown(ck *checkpoint, fromGPU bool, dest *fabric.Link, d
 			return err
 		}
 	}
-	return c.retryIOAttr(ck, att, hopComp(destLabel), destLabel, destWhat, func() error {
-		if cs > 0 {
-			// Single hop: the pipelined form degenerates to the same
-			// monolithic timing; routed through it for uniformity.
-			_, err := fabric.Path{dest}.TryPipelinedTransfer(ck.size, cs)
-			return err
-		}
-		_, err := dest.TryTransfer(ck.size)
-		return err
+	return c.retryIOAttr(ck, att, d.comp, d.label, d.wrWhat, func() error {
+		return c.cross(d.write, ck.size)
 	})
-}
-
-// readDeepToGPU charges a deep read (SSD preferred, PFS fallback —
-// readDeep's degradation ladder) fused with the PCIe hop toward the GPU.
-// With ChunkSize set the two hops run as one chunked engine-held stream,
-// overlapping the NVMe/PFS read of chunk i+1 with the H2D copy of chunk
-// i; otherwise it is the seed's sequential readDeep + copyH2D.
-func (c *Client) readDeepToGPU(ck *checkpoint, att *attrib) error {
-	cs := c.p.ChunkSize
-	if cs <= 0 {
-		if err := c.readDeep(ck, att); err != nil {
-			return err
-		}
-		return c.copyH2D(ck, att)
-	}
-	if c.p.Hedge {
-		// Hedged form: race whole chunked streams (each leg holds its
-		// own copy engine). One candidate falls through to the ladder.
-		if legs := c.deepLegsGPU(ck); len(legs) >= 2 {
-			return c.hedgeRace(ck, att, legs)
-		}
-	}
-
-	c.mu.Lock()
-	onSSD := ck.dataOn(TierSSD)
-	onPartner := ck.dataOn(TierPartner)
-	onPFS := ck.dataOn(TierPFS)
-	c.mu.Unlock()
-
-	stream := func(label, srcName, comp string, inward fabric.Path) error {
-		return c.retryIOAttr(ck, att, comp, label, "chunked deep read + H2D", func() error {
-			st, err := c.p.GPU.TryStreamH2D(inward, ck.size, cs)
-			c.observePipeline(trace.TrackPF, "prefetch",
-				fmt.Sprintf("promote %d %s→gpu", ck.id, srcName), c.flowID(ck.id), st, err)
-			return err
-		})
-	}
-	if onSSD && (!c.tierDegraded(TierSSD) || !(onPartner || onPFS)) {
-		legStart := c.clk.Now()
-		err := stream("ssd+pcie", "ssd", metrics.CompXferSSD, fabric.Path{c.p.NVMe})
-		if err == nil {
-			c.observeHealth(TierSSD, ck.size, c.clk.Now()-legStart)
-			c.healTier(TierSSD)
-			return nil
-		}
-		if isShutdownErr(err) || !(onPartner || onPFS) {
-			return err
-		}
-		c.degradeTier(TierSSD)
-	}
-	if onPartner && (!c.tierDegraded(TierPartner) || !onPFS) {
-		if onSSD {
-			c.rec.FallbackRead()
-		}
-		// Read direction reverses the replication path: partner NVMe →
-		// partner NIC → local NIC, then the PCIe hop onto the GPU.
-		rev := make(fabric.Path, len(c.p.PartnerPath))
-		for i, l := range c.p.PartnerPath {
-			rev[len(rev)-1-i] = l
-		}
-		legStart := c.clk.Now()
-		err := stream("partner+pcie", "partner", metrics.CompXferPartner, rev)
-		if err == nil {
-			c.observeHealth(TierPartner, ck.size, c.clk.Now()-legStart)
-			c.healTier(TierPartner)
-			return nil
-		}
-		if isShutdownErr(err) || !onPFS {
-			return err
-		}
-		c.degradeTier(TierPartner)
-	}
-	if onPFS {
-		if onSSD || onPartner {
-			c.rec.FallbackRead()
-		}
-		legStart := c.clk.Now()
-		err := stream("pfs+pcie", "pfs", metrics.CompXferPFS, fabric.Path{c.p.PFS})
-		if err == nil {
-			c.observeHealth(TierPFS, ck.size, c.clk.Now()-legStart)
-		}
-		return err
-	}
-	return fmt.Errorf("%w: checkpoint %d has no readable replica below the host tier", ErrLost, ck.id)
 }

@@ -390,15 +390,14 @@ func (ck *checkpoint) durableBelow(t Tier) bool {
 // storePayload is a lazily loaded payload backed by the durable stores,
 // used for checkpoints recovered after a restart. The load is verified
 // (the store's CRC layer) and tier-aware: the local SSD store is
-// preferred, and a failed or corrupt read falls back down the ladder —
-// partner SSD, then PFS — re-populating the local SSD copy on success.
+// preferred, and a failed or corrupt read falls back down the deep-tier
+// table — partner SSD, then PFS — re-populating the local SSD copy on
+// success.
 type storePayload struct {
-	ssd     *ckptstore.Store // may be nil
-	partner *ckptstore.Store // may be nil (no partner-copy)
-	pfs     *ckptstore.Store // may be nil
-	rec     *metrics.Recorder
-	id      int64
-	size    int64
+	deep []deepTier // the client's table; rows without a store are skipped
+	rec  *metrics.Recorder
+	id   int64
+	size int64
 
 	once sync.Once
 	data []byte
@@ -411,7 +410,9 @@ func (p *storePayload) load() {
 		// kept: it names the tier that *should* have served the read.
 		missErr := error(ckptstore.ErrNotFound)
 		firstErr := false
-		for i, st := range []*ckptstore.Store{p.ssd, p.partner, p.pfs} {
+		ssd := p.deep[0].store // may be nil: only deeper tiers durable
+		for i := range p.deep {
+			st := p.deep[i].store
 			if st == nil || !st.Has(p.id) {
 				continue
 			}
@@ -422,16 +423,14 @@ func (p *storePayload) load() {
 				}
 				continue
 			}
-			if i > 0 && p.ssd != nil && p.rec != nil {
-				// The faster durable tier failed (or never had the
-				// bytes); the read is served from a deeper copy.
-				p.rec.FallbackRead()
-			}
 			p.data = data
-			if i > 0 && p.ssd != nil {
-				// Repair the faster tier so later reads and future
-				// restarts find the checkpoint locally again.
-				if rerr := p.ssd.Restage(p.id, data); rerr == nil && p.rec != nil {
+			if i > 0 && ssd != nil {
+				// The faster durable tier failed (or never had the
+				// bytes); the read is served from a deeper copy. Repair
+				// the faster tier so later reads and future restarts find
+				// the checkpoint locally again.
+				p.rec.FallbackRead()
+				if rerr := ssd.Restage(p.id, data); rerr == nil {
 					p.rec.Repopulation()
 				}
 			}

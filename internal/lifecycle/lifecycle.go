@@ -15,6 +15,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,9 +96,10 @@ func Legal(from, to State) bool {
 // State reads are lock-free (atomic): the eviction oracle queries replica
 // states at very high rates during window scans.
 type Machine struct {
-	mu    sync.Mutex
-	cond  simclock.Cond
-	state atomic.Int32
+	mu        sync.Mutex
+	cond      simclock.Cond
+	state     atomic.Int32
+	abandoned bool // no transition will ever come; WaitFor returns at once
 
 	// observers are notified (outside the machine's lock ordering
 	// concerns; called after the transition commits) on every change.
@@ -144,19 +146,28 @@ func (m *Machine) MustTo(to State) {
 }
 
 // WaitFor blocks until the machine is in one of the given states and
-// returns that state.
+// returns that state — or until the machine is abandoned, returning the
+// state it stopped in, which is then none of those asked for.
 func (m *Machine) WaitFor(states ...State) State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		cur := State(m.state.Load())
-		for _, s := range states {
-			if cur == s {
-				return s
-			}
+		if m.abandoned || slices.Contains(states, cur) {
+			return cur
 		}
 		m.cond.Wait()
 	}
+}
+
+// Abandon declares that the machine will never move again — its replica
+// record was dropped mid-flight — and releases every current and future
+// WaitFor, so no task stays parked on a machine nobody owns.
+func (m *Machine) Abandon() {
+	m.mu.Lock()
+	m.abandoned = true
+	m.cond.Broadcast()
+	m.mu.Unlock()
 }
 
 // Observe registers f to be called after every successful transition.

@@ -14,10 +14,10 @@ const (
 	HistPrefetch     = "prefetch"
 	HistEvictionWait = "eviction_wait"
 	HistRetryBackoff = "retry_backoff"
-	HistDrainFlush   = "drain_flush"  // per-version triage flush latency during a drain
-	HistDrainSlack   = "drain_slack"  // grace window left when a drain finished (deadline-hit margin)
-	HistMigrateCopy  = "migrate_copy" // per-version copy latency during a live migration
-	HistHedgeWait    = "hedge_wait"   // hedged deep read: time from first leg start to winning completion
+	HistDrainFlush   = "drain_flush"   // per-version triage flush latency during a drain
+	HistDrainSlack   = "drain_slack"   // grace window left when a drain finished (deadline-hit margin)
+	HistMigrateCopy  = "migrate_copy"  // per-version copy latency during a live migration
+	HistHedgeWait    = "hedge_wait"    // hedged deep read: time from first leg start to winning completion
 	HistStallReroute = "stall_reroute" // alternate-tier write latency after a stalled flush leg
 )
 
