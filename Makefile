@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race bench-check loc chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check loc chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results transcript-drift clean
 
 # verify is the pre-merge gate: static checks, a full build, the
 # race-enabled test suite (which includes a short chaos soak), and the
@@ -107,10 +107,19 @@ bench-evict:
 # makes the run exit non-zero if any durable or restore attribution
 # record carries an unattributed latency gap (DESIGN.md §12); the
 # emitted trace-pipeline-*.json and critpath.json are the CI artifacts.
-trace-smoke:
+# It runs observer-tax first, so the job that guards the trace goldens
+# also prints what the observers cost.
+trace-smoke: observer-tax
 	$(GO) test -run 'TestTraceExportDeterministic|TestFlowArrowsMatchGolden' -v .
 	$(GO) run ./cmd/ckptbench -exp pipeline -scale small \
 		-trace-out trace.json -critpath-out critpath.json -fail-on-unattributed
+
+# observer-tax prints and gates the observers' host cost as allocation
+# ratios (DESIGN.md §10): one small shot plain against the same shot with
+# tracing, 10 ms sampling, SLOs and a trace export, and the nil-observer
+# calls at zero allocations.
+observer-tax:
+	$(GO) test -count=1 -run 'TestObserverTaxBudget|TestNilObserversAllocateNothing' -v .
 
 # slo-smoke exercises the SLO engine end to end (DESIGN.md §17): the
 # alert-ledger determinism goldens and the straggler alert story
@@ -165,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIDFIFO -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCacheEviction -fuzztime $(FUZZTIME) ./internal/cachebuf
 	$(GO) test -run '^$$' -fuzz FuzzEvictionPolicy -fuzztime $(FUZZTIME) ./internal/cachebuf
+	$(GO) test -run '^$$' -fuzz FuzzChromeString -fuzztime $(FUZZTIME) ./internal/trace
 
 clean:
 	$(GO) clean ./...

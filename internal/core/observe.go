@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"score/internal/metrics"
 	"score/internal/trace"
@@ -106,12 +108,32 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 		}
 		return float64(n)
 	})
+	// One ScoreSummary scan — an oracle pass over the whole GPU cache —
+	// serves both score series of a tick: whichever probe is polled first
+	// at a simulated instant scans, the other reads what it found. Keyed
+	// by the instant and locked, because a tick and the sampler's final
+	// sample can poll concurrently.
+	var scores struct {
+		sync.Mutex
+		at   time.Duration // instant of the scan held in p and s
+		p, s float64
+	}
+	scores.at = -1
+	scoreMeans := func() (p, sc float64) {
+		scores.Lock()
+		defer scores.Unlock()
+		if now := c.clk.Now(); scores.at != now {
+			scores.p, scores.s = c.gpuC.ScoreSummary()
+			scores.at = now
+		}
+		return scores.p, scores.s
+	}
 	s.Register(name("cache.gpu.score_p_mean"), func() float64 {
-		p, _ := c.gpuC.ScoreSummary()
+		p, _ := scoreMeans()
 		return p
 	})
 	s.Register(name("cache.gpu.score_s_mean"), func() float64 {
-		_, sc := c.gpuC.ScoreSummary()
+		_, sc := scoreMeans()
 		return sc
 	})
 	s.Register(name("cache.host.used_bytes"), func() float64 {

@@ -5,7 +5,9 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,6 +71,7 @@ type Sampler struct {
 	mu      sync.Mutex
 	cond    simclock.Cond
 	probes  []probe
+	sorted  bool // probes is in name order
 	series  map[string]*Series
 	sink    func(name string, at time.Duration, v float64)
 	running bool
@@ -76,8 +79,9 @@ type Sampler struct {
 }
 
 type probe struct {
-	name string
-	fn   func() float64
+	name   string
+	fn     func() float64
+	series *Series
 }
 
 // NewSampler returns a sampler on clk. Non-positive interval or capacity
@@ -99,10 +103,11 @@ func NewSampler(clk simclock.Clock, interval time.Duration, capacity int) *Sampl
 func (s *Sampler) Register(name string, fn func() float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.probes = append(s.probes, probe{name: name, fn: fn})
 	if s.series[name] == nil {
 		s.series[name] = newSeries(s.capacity)
 	}
+	s.probes = append(s.probes, probe{name: name, fn: fn, series: s.series[name]})
+	s.sorted = false
 }
 
 // SetCounterSink forwards every sample to fn as well (used to mirror the
@@ -129,6 +134,9 @@ func (s *Sampler) Start() {
 func (s *Sampler) loop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The tick's value scratch belongs to this task alone: Stop's final
+	// sample can overlap a tick while s.mu is released for polling.
+	var vals []float64
 	for !s.stopped {
 		// WaitTimeout rather than Sleep: Stop can interrupt the wait, so a
 		// stopped sampler never holds a pending timer that would keep the
@@ -137,27 +145,35 @@ func (s *Sampler) loop() {
 		if s.stopped {
 			return
 		}
-		s.sampleLocked()
+		vals = s.sampleLocked(vals)
 	}
 }
 
-func (s *Sampler) sampleLocked() {
+// sampleLocked polls every probe once into vals (grown as needed and
+// returned for the caller's next sample) and records the values.
+func (s *Sampler) sampleLocked(vals []float64) []float64 {
 	at := s.clk.Now()
+	if !s.sorted {
+		// Poll in name order, so that a tick's samples reach the sink in
+		// the order a trace export sorts them into. Sorted into a copy: an
+		// overlapping sample may still be walking the old slice.
+		s.probes = slices.Clone(s.probes)
+		slices.SortStableFunc(s.probes, func(a, b probe) int { return strings.Compare(a.name, b.name) })
+		s.sorted = true
+	}
 	probes := s.probes
 	sink := s.sink
 	// Probes may take component locks; release ours while polling so a
 	// probe reading a structure that also records into this sampler's
 	// recorder cannot deadlock.
 	s.mu.Unlock()
-	vals := make([]float64, len(probes))
+	vals = slices.Grow(vals[:0], len(probes))[:len(probes)]
 	for i, p := range probes {
 		vals[i] = p.fn()
 	}
 	s.mu.Lock()
 	for i, p := range probes {
-		if ser := s.series[p.name]; ser != nil {
-			ser.add(Sample{At: at, Value: vals[i]})
-		}
+		p.series.add(Sample{At: at, Value: vals[i]})
 	}
 	if sink != nil {
 		s.mu.Unlock()
@@ -166,6 +182,7 @@ func (s *Sampler) sampleLocked() {
 		}
 		s.mu.Lock()
 	}
+	return vals
 }
 
 // Stop halts the sampling task after taking one final sample, so the
@@ -177,7 +194,7 @@ func (s *Sampler) Stop() {
 		return
 	}
 	if s.running {
-		s.sampleLocked()
+		s.sampleLocked(nil)
 	}
 	s.stopped = true
 	s.cond.Broadcast()

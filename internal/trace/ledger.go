@@ -145,8 +145,6 @@ type rankRing struct {
 	mu      sync.Mutex // guards everything below
 	events  []LifecycleEvent
 	next    int
-	seq     []uint64 // arrival order, parallel to events
-	nextSeq uint64
 	dropped int64
 }
 
@@ -196,22 +194,19 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 	ev := LifecycleEvent{Rank: rank, Version: version, Kind: kind, Tier: tier, Detail: detail, At: at}
 	if len(r.events) < f.capPerRank {
 		r.events = append(r.events, ev)
-		r.seq = append(r.seq, r.nextSeq)
 	} else {
 		r.events[r.next] = ev
-		r.seq[r.next] = r.nextSeq
 		r.next = (r.next + 1) % f.capPerRank
 		r.dropped++
 	}
-	r.nextSeq++
 	r.mu.Unlock()
 }
 
 // Ledger returns rank's retained events in a deterministic order:
-// primarily by simulated time, then by (version, kind, tier, detail),
-// falling back to arrival order only for fully identical entries. The
-// tie-breaks matter because same-instant tasks run in real-scheduler
-// order under the virtual clock. Nil-safe.
+// primarily by simulated time, then by (version, kind, tier, detail);
+// entries equal in every field are indistinguishable and keep storage
+// order. The tie-breaks matter because same-instant tasks run in
+// real-scheduler order under the virtual clock. Nil-safe.
 func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	if f == nil {
 		return nil
@@ -220,11 +215,9 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	r := f.ranks[rank]
 	f.mu.Unlock()
 	var out []LifecycleEvent
-	var seq []uint64
 	if r != nil {
 		r.mu.Lock()
 		out = append(out, r.events...)
-		seq = append(seq, r.seq...)
 		r.mu.Unlock()
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -241,10 +234,7 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 		if a.Tier != b.Tier {
 			return a.Tier < b.Tier
 		}
-		if a.Detail != b.Detail {
-			return a.Detail < b.Detail
-		}
-		return seq[i] < seq[j]
+		return a.Detail < b.Detail
 	})
 	return out
 }

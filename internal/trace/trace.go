@@ -7,10 +7,10 @@
 package trace
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,6 +84,56 @@ const (
 	DefaultCounterCap = 1 << 20 // counter samples retained per tracer
 )
 
+// blockLen is the number of entries in one storage block.
+const blockLen = 4096
+
+// blockRing is a bounded store of T. Entries live in fixed-size blocks,
+// so an append never copies what is already stored; once limit entries
+// are held the oldest is overwritten and counted in dropped.
+type blockRing[T any] struct {
+	blocks  [][]T // blockLen entries each, the last cut short at limit
+	n       int   // entries held, ≤ limit
+	next    int   // once n == limit: the oldest entry, overwritten next
+	limit   int
+	dropped int64
+}
+
+func (r *blockRing[T]) at(i int) *T { return &r.blocks[i/blockLen][i%blockLen] }
+
+func (r *blockRing[T]) push(v T) {
+	if r.n == r.limit {
+		*r.at(r.next) = v
+		r.next = (r.next + 1) % r.limit
+		r.dropped++
+		return
+	}
+	if r.n == len(r.blocks)*blockLen {
+		r.blocks = append(r.blocks, make([]T, min(blockLen, r.limit-r.n)))
+	}
+	*r.at(r.n) = v
+	r.n++
+}
+
+// snapshot copies the held entries out, oldest first.
+func (r *blockRing[T]) snapshot() []T {
+	out := make([]T, 0, r.n)
+	for _, b := range r.blocks {
+		out = append(out, b[:min(len(b), r.n-len(out))]...)
+	}
+	// Storage order is arrival order rotated by next.
+	return append(out[r.next:], out[:r.next]...)
+}
+
+// setLimit rebounds the ring, dropping the oldest entries beyond limit.
+func (r *blockRing[T]) setLimit(limit int) {
+	held := r.snapshot()
+	excess := max(len(held)-limit, 0)
+	*r = blockRing[T]{limit: limit, dropped: r.dropped + int64(excess)}
+	for _, v := range held[excess:] {
+		r.push(v)
+	}
+}
+
 // Tracer collects events; safe for concurrent use. A nil *Tracer is a
 // valid no-op sink, so instrumented code needs no nil checks beyond the
 // method receivers. Retention is bounded: once a cap is reached the
@@ -91,15 +141,9 @@ const (
 type Tracer struct {
 	now func() time.Duration
 
-	mu         sync.Mutex
-	eventCap   int
-	counterCap int
-	events     []Event // ring once len == eventCap; evNext is the oldest slot
-	evNext     int
-	counters   []CounterEvent
-	ctrNext    int
-	evDropped  int64
-	ctrDropped int64
+	mu       sync.Mutex
+	events   blockRing[Event]
+	counters blockRing[CounterEvent]
 
 	flight atomic.Pointer[FlightRecorder] // created on first use; t.mu guards creation only
 }
@@ -110,7 +154,9 @@ func New(now func() time.Duration) *Tracer {
 	if now == nil {
 		panic("trace: nil clock function")
 	}
-	return &Tracer{now: now, eventCap: DefaultEventCap, counterCap: DefaultCounterCap}
+	t := &Tracer{now: now}
+	t.events.limit, t.counters.limit = DefaultEventCap, DefaultCounterCap
+	return t
 }
 
 // SetCapacity rebounds retention: at most events spans and counters
@@ -126,21 +172,8 @@ func (t *Tracer) SetCapacity(events, counters int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events, t.evNext, t.evDropped = rebound(t.events, t.evNext, t.evDropped, events)
-	t.eventCap = events
-	t.counters, t.ctrNext, t.ctrDropped = rebound(t.counters, t.ctrNext, t.ctrDropped, counters)
-	t.counterCap = counters
-}
-
-// rebound unrolls a ring into append order and trims the oldest entries
-// down to cap, charging them to the drop counter.
-func rebound[T any](ring []T, next int, dropped int64, cap int) ([]T, int, int64) {
-	ordered := append(append([]T(nil), ring[next:]...), ring[:next]...)
-	if excess := len(ordered) - cap; excess > 0 {
-		dropped += int64(excess)
-		ordered = append([]T(nil), ordered[excess:]...)
-	}
-	return ordered, 0, dropped
+	t.events.setLimit(events)
+	t.counters.setLimit(counters)
 }
 
 // Dropped reports how many spans and counter samples were evicted to
@@ -151,17 +184,7 @@ func (t *Tracer) Dropped() (events, counters int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.evDropped, t.ctrDropped
-}
-
-func (t *Tracer) appendLocked(e Event) {
-	if len(t.events) < t.eventCap {
-		t.events = append(t.events, e)
-		return
-	}
-	t.events[t.evNext] = e
-	t.evNext = (t.evNext + 1) % t.eventCap
-	t.evDropped++
+	return t.events.dropped, t.counters.dropped
 }
 
 // Span opens a span and returns its closer; call the closer when the
@@ -180,7 +203,7 @@ func (t *Tracer) SpanFlow(gpu int, track Track, category, name string, flow int6
 	return func() {
 		end := t.now()
 		t.mu.Lock()
-		t.appendLocked(Event{
+		t.events.push(Event{
 			Name: name, Category: category, GPU: gpu, Track: track,
 			Start: start, Duration: end - start, Flow: flow,
 		})
@@ -201,7 +224,7 @@ func (t *Tracer) RecordFlow(gpu int, track Track, category, name string, start, 
 		return
 	}
 	t.mu.Lock()
-	t.appendLocked(Event{
+	t.events.push(Event{
 		Name: name, Category: category, GPU: gpu, Track: track,
 		Start: start, Duration: duration, Flow: flow,
 	})
@@ -215,13 +238,7 @@ func (t *Tracer) Counter(gpu int, name string, at time.Duration, value float64) 
 		return
 	}
 	t.mu.Lock()
-	if len(t.counters) < t.counterCap {
-		t.counters = append(t.counters, CounterEvent{Name: name, GPU: gpu, At: at, Value: value})
-	} else {
-		t.counters[t.ctrNext] = CounterEvent{Name: name, GPU: gpu, At: at, Value: value}
-		t.ctrNext = (t.ctrNext + 1) % t.counterCap
-		t.ctrDropped++
-	}
+	t.counters.push(CounterEvent{Name: name, GPU: gpu, At: at, Value: value})
 	t.mu.Unlock()
 }
 
@@ -234,21 +251,27 @@ func (t *Tracer) Counters() []CounterEvent {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]CounterEvent, len(t.counters))
-	copy(out, t.counters)
+	out := t.counters.snapshot()
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.At != b.At {
-			return a.At < b.At
+	slices.SortFunc(out, func(a, b CounterEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if a.GPU != b.GPU {
-			return a.GPU < b.GPU
+		if c := cmp.Compare(a.GPU, b.GPU); c != 0 {
+			return c
 		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return a.Value < b.Value
+		// Plain <, under which a NaN ties with everything; cmp.Compare
+		// would sort it first.
+		switch {
+		case a.Value < b.Value:
+			return -1
+		case b.Value < a.Value:
+			return +1
+		}
+		return 0
 	})
 	return out
 }
@@ -260,7 +283,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.events.n
 }
 
 // Events returns a copy of the recorded events sorted by start time.
@@ -272,143 +295,20 @@ func (t *Tracer) Events() []Event {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := t.events.snapshot()
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortFunc(out, func(a, b Event) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if a.GPU != b.GPU {
-			return a.GPU < b.GPU
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Category != b.Category {
-			return a.Category < b.Category
-		}
-		if a.Duration != b.Duration {
-			return a.Duration < b.Duration
-		}
-		return a.Flow < b.Flow
-	})
-	return out
-}
-
-// chromeEvent is the trace-event JSON schema ("X" complete events, "C"
-// counter samples, "s"/"t"/"f" flow arrows, plus "M" metadata rows).
-type chromeEvent struct {
-	Name string                 `json:"name"`
-	Cat  string                 `json:"cat,omitempty"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"`            // microseconds
-	Dur  float64                `json:"dur,omitempty"` // microseconds
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	ID   string                 `json:"id,omitempty"` // flow chain ID
-	BP   string                 `json:"bp,omitempty"` // flow binding point
-	Args map[string]interface{} `json:"args,omitempty"`
-}
-
-// WriteJSON exports the timeline as a Chrome trace-event array, loadable
-// in chrome://tracing or ui.perfetto.dev. Counter events render as area
-// tracks above each GPU's span rows.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	events := t.Events()
-	counters := t.Counters()
-	out := make([]chromeEvent, 0, len(events)+len(counters)+16)
-
-	// Metadata: name each GPU (process) and task (thread) row.
-	seen := map[[2]int]bool{}
-	for _, e := range events {
-		key := [2]int{e.GPU, int(e.Track)}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: e.GPU, Tid: int(e.Track),
-				Args: map[string]interface{}{"name": fmt.Sprintf("GPU %d", e.GPU)}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: e.GPU, Tid: int(e.Track),
-				Args: map[string]interface{}{"name": e.Track.String()}},
+		return cmp.Or(
+			cmp.Compare(a.GPU, b.GPU),
+			cmp.Compare(a.Track, b.Track),
+			strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Category, b.Category),
+			cmp.Compare(a.Duration, b.Duration),
+			cmp.Compare(a.Flow, b.Flow),
 		)
-	}
-	for _, e := range events {
-		var args map[string]interface{}
-		if e.Flow != 0 {
-			args = map[string]interface{}{"flow": e.Flow}
-		}
-		out = append(out, chromeEvent{
-			Name: e.Name, Cat: e.Category, Ph: "X",
-			Ts:  float64(e.Start) / float64(time.Microsecond),
-			Dur: float64(e.Duration) / float64(time.Microsecond),
-			Pid: e.GPU, Tid: int(e.Track), Args: args,
-		})
-	}
-	out = append(out, flowEvents(events)...)
-	for _, c := range counters {
-		out = append(out, chromeEvent{
-			Name: c.Name, Ph: "C",
-			Ts:   float64(c.At) / float64(time.Microsecond),
-			Pid:  c.GPU,
-			Args: map[string]interface{}{"value": c.Value},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]interface{}{"traceEvents": out})
-}
-
-// flowEvents turns each flow-linked span chain into Chrome flow-arrow
-// events: "s" opens the chain at the first span, "t" steps through the
-// middle, "f" (binding point "e", the enclosing slice) terminates it.
-// Perfetto renders these as arrows joining one checkpoint version's
-// spans across tracks and GPUs. Events arrive pre-sorted by Events(),
-// and flow IDs are iterated in ascending order, so the emission is as
-// byte-deterministic as the span list itself.
-func flowEvents(events []Event) []chromeEvent {
-	chains := map[int64][]Event{}
-	var ids []int64
-	for _, e := range events {
-		if e.Flow == 0 {
-			continue
-		}
-		if _, ok := chains[e.Flow]; !ok {
-			ids = append(ids, e.Flow)
-		}
-		chains[e.Flow] = append(chains[e.Flow], e)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	var out []chromeEvent
-	for _, id := range ids {
-		chain := chains[id]
-		if len(chain) < 2 {
-			continue // an arrow needs two endpoints
-		}
-		// All events in one chain must share name, cat, and id for the
-		// viewer to join them; the chain borrows its first span's name.
-		name, idStr := chain[0].Name, fmt.Sprintf("%d", id)
-		for i, e := range chain {
-			ev := chromeEvent{
-				Name: name, Cat: "flow", Ts: float64(e.Start) / float64(time.Microsecond),
-				Pid: e.GPU, Tid: int(e.Track), ID: idStr,
-			}
-			switch {
-			case i == 0:
-				ev.Ph = "s"
-			case i == len(chain)-1:
-				ev.Ph = "f"
-				ev.BP = "e"
-			default:
-				ev.Ph = "t"
-			}
-			out = append(out, ev)
-		}
-	}
+	})
 	return out
 }
