@@ -82,9 +82,10 @@ bench:
 # bench-smoke runs the chunked-vs-monolithic transfer-pipelining ablation
 # once, fails if chunked regresses below the monolithic baseline
 # (DESIGN.md §9), and emits the measurements as BENCH_pipeline.json.
-# It also gates the simulator engine itself (DESIGN.md §14): the 10k-rank
-# sweep must stay within 20% of the committed events/sec baseline
-# (testdata/simspeed_baseline.json) with no allocs/op increase, emitting
+# It also gates the simulator engine itself (DESIGN.md §14): measured in
+# a process of its own, the 10k-rank sweep must retire at least 0.9x the
+# heap reference's events/sec on the default wheel and allocate no more
+# than the committed ceiling (testdata/simspeed_baseline.json), emitting
 # BENCH_simspeed.json.
 bench-smoke:
 	$(GO) test -run TestChunkedPipelineSmoke -v . -args -bench.out=BENCH_pipeline.json

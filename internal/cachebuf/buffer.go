@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"score/internal/simclock"
@@ -48,59 +49,119 @@ const gapID ID = -1
 // "the highest eviction priority", §4.1.6).
 const GapDistance = int(1) << 40
 
-// Oracle supplies the dynamic checkpoint state the eviction policy needs.
-// It is implemented by the runtime from the life-cycle FSM, the restore
-// order queue, and the fabric's bandwidth estimators.
+// Oracle is the pull form of the eviction inputs. A buffer built from one
+// (New) polls it: every unclaimed resident once per window scan, into
+// entries it owns, and every member of a window per evictability check.
+// The runtime writes its entries itself (EntrySource).
 type Oracle interface {
-	// Evictable reports whether id may be evicted right now (replica is
-	// FLUSHED or CONSUMED).
+	// Evictable reports whether id may be evicted right now.
 	Evictable(id ID) bool
 	// TimeToEvictable estimates how long until id becomes evictable.
 	// ok=false means the replica is pinned indefinitely (prefetched but
 	// not yet consumed, or mid-read) and must never be evicted.
 	TimeToEvictable(id ID) (d time.Duration, ok bool)
-	// PrefetchDistance returns the number of queue positions between
-	// the head of the restore-order queue and id's hint; ids without a
-	// hint return a value >= GapDistance-1.
+	// PrefetchDistance returns the queue positions between the head of the
+	// restore-order queue and id's hint; >= GapDistance-1 without a hint.
 	PrefetchDistance(id ID) int
 	// Evicted notifies the runtime that id's replica left this buffer.
 	Evicted(id ID)
 }
 
-// Score is one checkpoint's eviction inputs: TimeToEvictable's two results
-// (Pinned = !ok; the duration is ignored when pinned) and PrefetchDistance.
-type Score struct {
-	TimeToEvictable time.Duration
-	Pinned          bool
-	Distance        int
+// Entry is one checkpoint's eviction inputs on one cache tier. Whoever
+// knows when an input changes writes it then; the buffer keeps a pointer
+// per fragment and reads it in place: one load per fragment per scan, no
+// lock, no lookup. Writers run outside the buffer lock, so every field is
+// an atomic; they serialize among themselves (the runtime: Client.mu). The
+// zero Entry reads as a checkpoint without a record — unpinned, evictable
+// now, unhinted: a stale fragment, free to reclaim.
+type Entry struct {
+	word atomic.Uint64 // Flags | (hint position + 1) << hintShift
+	wait atomic.Int64  // ns until evictable; unread when Pinned or Estimate
 }
 
-// BatchOracle is an Oracle that answers a whole window scan in one call.
-// The buffer asks once per scan, under its own lock, for every unclaimed
-// resident checkpoint in offset order; an implementation backed by a lock
-// takes it once per call (lock order: buffer, then oracle) and must not
-// call back into the buffer. New wraps an Oracle without this method in a
-// per-id adapter, so the buffer has a single scan path.
-type BatchOracle interface {
+// Flags are an entry's state bits.
+type Flags uint64
+
+const (
+	Pinned    Flags = 1 << iota // p_score +Inf: a transfer in flight, a prefetch unconsumed
+	Kept                        // may not be erased yet
+	Estimate                    // p_score is Source.Estimate(size) at the instant of the scan
+	hintShift = 3
+)
+
+// NoHint is the hint position of a checkpoint with no pending hint: it
+// scores GapDistance-1, farthest of all checkpoints (§4.1.6).
+const NoHint = -1
+
+// SetFlags replaces the state bits and leaves the hint alone.
+func (e *Entry) SetFlags(f Flags) {
+	if old := e.word.Load(); Flags(old)&(1<<hintShift-1) != f {
+		e.word.Store(old&^(1<<hintShift-1) | uint64(f))
+	}
+}
+
+// Flags returns the state bits.
+func (e *Entry) Flags() Flags { return Flags(e.word.Load()) & (1<<hintShift - 1) }
+
+// SetHint writes the queue position (>= 0) of the checkpoint's first
+// pending hint, or NoHint. A scan scores the position minus Source.Head,
+// so advancing the head rewrites no entry.
+func (e *Entry) SetHint(pos int) {
+	e.word.Store(e.word.Load()&(1<<hintShift-1) | uint64(pos+1)<<hintShift)
+}
+
+// Hint returns what SetHint wrote.
+func (e *Entry) Hint() int { return int(e.word.Load()>>hintShift) - 1 }
+
+// Source is what the entries of one writer share at scan time.
+type Source struct {
+	// Head is the position of the head of the writer's restore-order queue.
+	Head atomic.Int64
+	// Estimate predicts how long a flush of size bytes to the next tier
+	// takes under the link load of this instant, for entries that flag it.
+	Estimate func(size int64) time.Duration
+}
+
+// EntrySource hands a buffer the entries its writer maintains.
+type EntrySource interface {
+	// Entry returns id's entry and source. The buffer asks once, under
+	// its lock (lock order: buffer, then the writer's), when it places id,
+	// and holds both while the fragment lives. nil means id has no record.
+	Entry(id ID) (*Entry, *Source)
+	// Evicted notifies the writer that id's replica left this buffer.
+	Evicted(id ID)
+}
+
+// polled adapts an Oracle to the entry feed: it owns the entries (cut from
+// slabs, so a placement does not allocate) and refreshes one right before
+// the buffer reads it.
+type polled struct {
 	Oracle
-	// ScoreFragments sets out[i] to ids[i]'s scores; len(out) == len(ids).
-	ScoreFragments(ids []ID, out []Score)
+	src  Source
+	slab []Entry
 }
 
-// ScoreOne asks o about a single id.
-func ScoreOne(o BatchOracle, id ID) Score {
-	var out [1]Score
-	o.ScoreFragments([]ID{id}, out[:])
-	return out[0]
+func (p *polled) Entry(ID) (*Entry, *Source) {
+	if len(p.slab) == 0 {
+		p.slab = make([]Entry, 64)
+	}
+	e := &p.slab[0]
+	p.slab = p.slab[1:]
+	return e, &p.src
 }
 
-// perIDOracle answers the batch call of a four-method Oracle id by id.
-type perIDOracle struct{ Oracle }
-
-func (o perIDOracle) ScoreFragments(ids []ID, out []Score) {
-	for i, id := range ids {
-		d, ok := o.TimeToEvictable(id)
-		out[i] = Score{TimeToEvictable: d, Pinned: !ok, Distance: o.PrefetchDistance(id)}
+// scores refreshes what a window scan reads of f's entry.
+func (p *polled) scores(f *frag) {
+	d, ok := p.TimeToEvictable(f.id)
+	w := uint64(p.PrefetchDistance(f.id)+1) << hintShift
+	if !ok {
+		w |= uint64(Pinned)
+	}
+	if f.e.word.Load() != w {
+		f.e.word.Store(w)
+	}
+	if f.e.wait.Load() != int64(d) {
+		f.e.wait.Store(int64(d))
 	}
 }
 
@@ -122,6 +183,10 @@ type frag struct {
 	off  int64
 	size int64
 
+	// The checkpoint's eviction inputs, asked for at placement; nil for gaps.
+	e   *Entry
+	src *Source
+
 	// claimed marks the fragment as part of an eviction window another
 	// reservation has selected and is waiting on: no other reservation
 	// may place into, select, or coalesce across it.
@@ -141,10 +206,10 @@ type Stats struct {
 	EvictionWait time.Duration
 	// Reservations counts successful reservations.
 	Reservations int64
-	// WindowScans counts sliding-window scans performed.
+	// WindowScans counts scans: window selections and score summaries.
 	WindowScans int64
-	// FragmentsScored counts the resident checkpoints those scans asked
-	// the oracle about: at most one ask per fragment per scan.
+	// FragmentsScored counts the entries those scans read: one per
+	// unclaimed resident checkpoint per scan.
 	FragmentsScored int64
 }
 
@@ -153,11 +218,15 @@ type Buffer struct {
 	clk      simclock.Clock
 	name     string
 	capacity int64
-	oracle   BatchOracle
+	src      EntrySource
+	poll     *polled // src when built from an Oracle, else nil
+	stale    Entry   // zero: the entry of a fragment without a record
+	staleSrc Source
 
 	mu        sync.Mutex
 	cond      simclock.Cond
 	frags     []frag
+	free      int64 // total gap bytes
 	resident  map[ID]struct{}
 	reserving bool // serializes window selection + eviction
 	closed    bool
@@ -167,30 +236,35 @@ type Buffer struct {
 	waitObs   func(time.Duration) // per-wait eviction-stall observer
 
 	// The scan snapshot, reused across scans, valid under mu until the
-	// next one: every fragment's scores; the ids asked and the answers.
-	view   []viewFrag
-	askIDs []ID
-	askOut []Score
+	// next one: every fragment's scores.
+	view []viewFrag
 }
 
-// New creates a buffer of the given capacity. The oracle must be non-nil.
+// New creates a buffer of the given capacity that polls oracle (non-nil)
+// for its checkpoints' eviction inputs.
 func New(clk simclock.Clock, name string, capacity int64, oracle Oracle) *Buffer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cachebuf: %s: capacity must be positive, got %d", name, capacity))
-	}
 	if oracle == nil {
 		panic("cachebuf: nil oracle")
 	}
-	batch, ok := oracle.(BatchOracle)
-	if !ok {
-		batch = perIDOracle{oracle}
+	p := &polled{Oracle: oracle}
+	b := NewFromEntries(clk, name, capacity, p)
+	b.poll = p
+	return b
+}
+
+// NewFromEntries creates a buffer of the given capacity whose checkpoints'
+// eviction inputs src keeps written; the buffer only reads them.
+func NewFromEntries(clk simclock.Clock, name string, capacity int64, src EntrySource) *Buffer {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("cachebuf: %s: capacity must be positive, got %d", name, capacity))
 	}
 	b := &Buffer{
 		clk:      clk,
 		name:     name,
 		capacity: capacity,
-		oracle:   batch,
+		src:      src,
 		frags:    []frag{{id: gapID, off: 0, size: capacity}},
+		free:     capacity,
 		resident: make(map[ID]struct{}),
 	}
 	b.cond = clk.NewCond(&b.mu)
@@ -407,10 +481,20 @@ func (b *Buffer) placeInGapLocked(id ID, size int64) (int64, bool) {
 		return 0, false
 	}
 	g := b.frags[best]
-	b.spliceLocked(best, best+1, frag{id: id, off: g.off, size: size}, g.size-size)
+	b.spliceLocked(best, best+1, b.newFragLocked(id, g.off, size), g.size-size)
+	b.free -= size
 	b.resident[id] = struct{}{}
 	b.ep.OnInsert(id, size)
 	return g.off, true
+}
+
+// newFragLocked builds id's fragment, asking the source for its entry.
+func (b *Buffer) newFragLocked(id ID, off, size int64) frag {
+	f := frag{id: id, off: off, size: size}
+	if f.e, f.src = b.src.Entry(id); f.e == nil {
+		f.e, f.src = &b.stale, &b.staleSrc
+	}
+	return f
 }
 
 // spliceLocked replaces frags[first:last] in place with nf followed, when
@@ -436,8 +520,15 @@ func (b *Buffer) spliceLocked(first, last int, nf frag, rest int64) {
 // is evictable right now.
 func (b *Buffer) windowEvictableLocked(start, end int) bool {
 	for i := start; i < end; i++ {
-		f := b.frags[i]
-		if !f.isGap() && !b.oracle.Evictable(f.id) {
+		f := &b.frags[i]
+		if f.isGap() {
+			continue
+		}
+		kept := f.e.Flags()&Kept != 0
+		if b.poll != nil {
+			kept = !b.poll.Evictable(f.id)
+		}
+		if kept {
 			return false
 		}
 	}
@@ -471,8 +562,9 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 			delete(b.resident, f.id)
 			b.stats.Evictions++
 			b.stats.BytesEvicted += f.size
+			b.free += f.size
 			b.ep.OnEvict(f.id)
-			b.oracle.Evicted(f.id)
+			b.src.Evicted(f.id)
 		}
 	}
 	windowBytes := b.frags[last-1].off + b.frags[last-1].size - startOff
@@ -482,7 +574,8 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 			b.name, windowBytes, size))
 	}
 
-	b.spliceLocked(first, last, frag{id: id, off: startOff, size: size}, windowBytes-size)
+	b.spliceLocked(first, last, b.newFragLocked(id, startOff, size), windowBytes-size)
+	b.free -= size
 	b.coalesceLocked()
 	b.resident[id] = struct{}{}
 	b.ep.OnInsert(id, size)
@@ -525,34 +618,43 @@ type viewFrag struct {
 }
 
 // snapshotLocked reads every fragment's scores once into the buffer-owned
-// snapshot. Gaps score (0, GapDistance); a claimed fragment is pinned
-// without asking (another reservation owns its window); one batched oracle
-// call answers for every other resident, so what a policy adds when a
-// fragment enters its window is what it subtracts when the fragment leaves.
+// snapshot, so what a policy adds when a fragment enters its window is what
+// it subtracts when the fragment leaves. Gaps score (0, GapDistance); a
+// claimed fragment is pinned unread (another reservation owns its window);
+// any other costs one load of its entry and one of its source's queue
+// head, plus the source's live estimate when it waits on a flush.
 func (b *Buffer) snapshotLocked() WindowView {
-	b.view, b.askIDs, b.askOut = b.view[:0], b.askIDs[:0], b.askOut[:0]
-	for _, f := range b.frags {
+	b.view = b.view[:0]
+	b.stats.WindowScans++
+	for i := range b.frags {
+		f := &b.frags[i]
 		vf := viewFrag{id: f.id, size: f.size, pinned: f.claimed}
-		if f.isGap() {
+		switch {
+		case f.isGap():
 			vf.s = float64(GapDistance)
-		} else if !f.claimed {
-			b.askIDs = append(b.askIDs, f.id)
-			b.askOut = append(b.askOut, Score{})
+		case !f.claimed:
+			b.stats.FragmentsScored++
+			if b.poll != nil {
+				b.poll.scores(f)
+			}
+			// Head before the entry: a consumed hint's writer moves the
+			// entry off the head position before it advances the head.
+			head := f.src.Head.Load()
+			w := f.e.word.Load()
+			vf.s = float64(GapDistance - 1)
+			if pos := int64(w >> hintShift); pos > 0 {
+				vf.s = float64(pos - 1 - head)
+			}
+			switch {
+			case Flags(w)&Pinned != 0:
+				vf.pinned = true
+			case Flags(w)&Estimate != 0:
+				vf.p = f.src.Estimate(f.size).Seconds()
+			default:
+				vf.p = time.Duration(f.e.wait.Load()).Seconds()
+			}
 		}
 		b.view = append(b.view, vf)
-	}
-	b.oracle.ScoreFragments(b.askIDs, b.askOut)
-	answers := b.askOut
-	for i, f := range b.frags {
-		if f.isGap() || f.claimed {
-			continue
-		}
-		sc, vf := answers[0], &b.view[i]
-		answers = answers[1:]
-		vf.s, vf.pinned = float64(sc.Distance), sc.Pinned
-		if !sc.Pinned {
-			vf.p = sc.TimeToEvictable.Seconds()
-		}
 	}
 	return WindowView{b.view}
 }
@@ -565,8 +667,6 @@ func (b *Buffer) snapshotLocked() WindowView {
 // data.
 func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool) {
 	v := b.snapshotLocked()
-	b.stats.WindowScans++
-	b.stats.FragmentsScored += int64(len(b.askIDs))
 	start, end, feasible = b.ep.SelectWindow(v, sizeNew)
 	if !feasible || start < 0 || end > len(v.frags) || start >= end {
 		return 0, 0, false
@@ -586,8 +686,8 @@ func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool)
 
 // Release removes id from the buffer (after consumption and discard, or
 // when invalidating), turning its fragment into a gap. It reports whether
-// the id was resident. Unlike eviction, Release does not consult the
-// oracle.
+// the id was resident. Unlike eviction, Release does not read the entry
+// and sends no Evicted notice.
 func (b *Buffer) Release(id ID) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -595,8 +695,9 @@ func (b *Buffer) Release(id ID) bool {
 		return false
 	}
 	for i := range b.frags {
-		if b.frags[i].id == id {
-			b.frags[i].id = gapID
+		if f := &b.frags[i]; f.id == id {
+			*f = frag{id: gapID, off: f.off, size: f.size, claimed: f.claimed}
+			b.free += f.size
 			break
 		}
 	}
@@ -650,13 +751,7 @@ func (b *Buffer) Resident() int {
 func (b *Buffer) FreeBytes() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var free int64
-	for _, f := range b.frags {
-		if f.isGap() {
-			free += f.size
-		}
-	}
-	return free
+	return b.free
 }
 
 // UsedBytes returns the bytes occupied by resident checkpoints
@@ -664,13 +759,7 @@ func (b *Buffer) FreeBytes() int64 {
 func (b *Buffer) UsedBytes() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	used := b.capacity
-	for _, f := range b.frags {
-		if f.isGap() {
-			used -= f.size
-		}
-	}
-	return used
+	return b.capacity - b.free
 }
 
 // ScoreSummary condenses the resident checkpoints' eviction-score
@@ -758,7 +847,7 @@ func (b *Buffer) coalesceLocked() {
 func (b *Buffer) CheckInvariants() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var off int64
+	var off, free int64
 	seen := make(map[ID]struct{})
 	for i, f := range b.frags {
 		if f.off != off {
@@ -779,8 +868,13 @@ func (b *Buffer) CheckInvariants() error {
 			if _, ok := b.resident[f.id]; !ok {
 				return fmt.Errorf("fragment id %d not in resident set", f.id)
 			}
+		} else {
+			free += f.size
 		}
 		off += f.size
+	}
+	if free != b.free {
+		return fmt.Errorf("free-byte counter reads %d, the gaps add up to %d", b.free, free)
 	}
 	if off != b.capacity {
 		return fmt.Errorf("fragments cover %d bytes, want %d", off, b.capacity)

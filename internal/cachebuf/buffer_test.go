@@ -2,6 +2,7 @@ package cachebuf
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -589,3 +590,117 @@ func TestStatsAccounting(t *testing.T) {
 		}
 	})
 }
+
+// tableEntries is an EntrySource over entries the test writes by hand; ids
+// beyond the table have no record.
+type tableEntries struct {
+	src     Source
+	entries []Entry
+	evicted []ID
+}
+
+func (s *tableEntries) Entry(id ID) (*Entry, *Source) {
+	if int(id) >= len(s.entries) {
+		return nil, nil
+	}
+	return &s.entries[id], &s.src
+}
+
+func (s *tableEntries) Evicted(id ID) { s.evicted = append(s.evicted, id) }
+
+// TestEntriesAreReadInPlace: a buffer built from entries asks for each once,
+// at placement, and every later scan reads what the writer last stored —
+// the state flags, the hint position against the source's queue head, the
+// source's estimate at the instant of the scan — with no call back. A
+// fragment the source has no record of is stale: free to reclaim.
+func TestEntriesAreReadInPlace(t *testing.T) {
+	runSim(t, func(clk *simclock.Virtual) {
+		var estimated []int64
+		src := &tableEntries{entries: make([]Entry, 4)}
+		src.src.Estimate = func(size int64) time.Duration {
+			estimated = append(estimated, size)
+			return time.Duration(size) * time.Second
+		}
+		src.src.Head.Store(40)
+		b := NewFromEntries(clk, "gpu", 400, src)
+		src.entries[0].SetFlags(Kept | Estimate) // waiting on a flush: estimated
+		src.entries[1].SetFlags(Pinned | Kept)   // pinned
+		src.entries[2].SetFlags(0)               // evictable, hinted near
+		src.entries[2].SetHint(41)
+		src.entries[3].SetFlags(0) // evictable, hinted far
+		src.entries[3].SetHint(45)
+		for id, size := range []int64{60, 40, 150, 150} {
+			if _, err := b.Reserve(ID(id), size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		evict := func(id ID, size int64, want ...ID) {
+			t.Helper()
+			src.evicted = nil
+			if _, err := b.TryReserve(id, size); err != nil {
+				t.Fatalf("TryReserve(%d, %d): %v", id, size, err)
+			}
+			if fmt.Sprint(src.evicted) != fmt.Sprint(want) {
+				t.Errorf("TryReserve(%d, %d) evicted %v, want %v", id, size, src.evicted, want)
+			}
+		}
+		// Both evictable windows score p = 0; the farther hint (45-40 > 41-40)
+		// breaks the tie. Id 9 has no record.
+		evict(9, 150, 3)
+		if fmt.Sprint(estimated) != "[60]" {
+			t.Errorf("the scan estimated sizes %v, want the one flagged fragment's [60]", estimated)
+		}
+		// The queue head advances, no entry rewritten: id 2's hint is now
+		// the head, and the recordless fragment farther than any hint.
+		src.src.Head.Store(41)
+		evict(10, 150, 9)
+		// Written in place, read at the next scan: a pin lands on id 2 and
+		// every window large enough crosses it or id 1; then it lifts.
+		src.entries[2].SetFlags(Pinned | Kept)
+		if _, err := b.TryReserve(11, 200); err != ErrWouldBlock {
+			t.Fatalf("every 200-byte window crosses a pinned fragment: err = %v, want ErrWouldBlock", err)
+		}
+		src.entries[2].SetFlags(0)
+		evict(11, 200, 2, 10)
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestEvictingReserveAllocatesNothing: in steady state — every reservation
+// evicts one checkpoint to make its room — a scored Reserve is free of
+// allocations: the scan reuses its snapshot and reads entries that exist.
+func TestEvictingReserveAllocatesNothing(t *testing.T) {
+	runSim(t, func(clk *simclock.Virtual) {
+		const slots, size = 8, 100
+		src := &steadyEntries{}
+		b := NewFromEntries(clk, "steady", slots*size, src)
+		next := ID(0)
+		reserve := func() {
+			if _, err := b.Reserve(next, size); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for next < slots {
+			reserve()
+		}
+		if n := testing.AllocsPerRun(200, reserve); n != 0 {
+			t.Errorf("an evicting Reserve allocates %v times, want 0", n)
+		}
+		if st := b.Snapshot(); st.Evictions < 200 || st.Evictions != int64(src.evicted) {
+			t.Errorf("%d evictions, %d notices; every measured Reserve must evict", st.Evictions, src.evicted)
+		}
+	})
+}
+
+// steadyEntries hands out one always-evictable entry per cache slot.
+type steadyEntries struct {
+	src     Source
+	entries [8]Entry
+	evicted int
+}
+
+func (s *steadyEntries) Entry(id ID) (*Entry, *Source) { return &s.entries[id%8], &s.src }
+func (s *steadyEntries) Evicted(ID)                    { s.evicted++ }

@@ -28,6 +28,16 @@ type diffOracle struct {
 	timeTo    map[ID]time.Duration
 	distance  map[ID]int
 	victims   []ID // production evictions since last reset
+	// published, when the buffer reads entries the harness writes, copies
+	// the tables into them; the harness calls sync after editing a table.
+	published func()
+}
+
+// sync makes the tables' current contents what the buffer will read.
+func (o *diffOracle) sync() {
+	if o.published != nil {
+		o.published()
+	}
 }
 
 func newDiffOracle(t testing.TB) *diffOracle {
@@ -63,15 +73,53 @@ func (o *diffOracle) Evicted(id ID) {
 	o.victims = append(o.victims, id)
 }
 
-// batchDiffOracle answers the batch call straight from the tables; the
-// plain diffOracle goes through the buffer's per-id adapter. Pinned ids
-// keep their recorded estimate here, which the buffer must ignore.
-type batchDiffOracle struct{ *diffOracle }
+// diffEntries is the push feed: the shared tables written into entries the
+// way the runtime writes them — when they change, not when a scan asks.
+// Pinned ids keep their recorded estimate, which the buffer must ignore,
+// and the queue head sits at a non-zero position the buffer must subtract.
+type diffEntries struct {
+	*diffOracle
+	src     Source
+	entries map[ID]*Entry
+}
 
-func (o batchDiffOracle) ScoreFragments(ids []ID, out []Score) {
-	for i, id := range ids {
-		out[i] = Score{TimeToEvictable: o.timeTo[id], Pinned: o.pinned[id], Distance: o.PrefetchDistance(id)}
+const diffHead = 7
+
+func newDiffEntries(o *diffOracle) *diffEntries {
+	d := &diffEntries{diffOracle: o, entries: map[ID]*Entry{}}
+	d.src.Head.Store(diffHead)
+	o.published = func() {
+		for id, e := range d.entries {
+			d.write(id, e)
+		}
 	}
+	return d
+}
+
+func (d *diffEntries) write(id ID, e *Entry) {
+	var flags Flags
+	if d.pinned[id] {
+		flags |= Pinned
+	}
+	if !d.Evictable(id) {
+		flags |= Kept
+	}
+	e.SetFlags(flags)
+	e.wait.Store(int64(d.timeTo[id]))
+	e.SetHint(NoHint)
+	if dist, ok := d.distance[id]; ok {
+		e.SetHint(diffHead + dist)
+	}
+}
+
+func (d *diffEntries) Entry(id ID) (*Entry, *Source) {
+	e := d.entries[id]
+	if e == nil {
+		e = new(Entry)
+		d.entries[id] = e
+	}
+	d.write(id, e)
+	return e, &d.src
 }
 
 // fickleOracle gives the table's answer the first time a scan asks for an
@@ -102,22 +150,21 @@ func (o *fickleOracle) PrefetchDistance(id ID) int {
 	return o.diffOracle.PrefetchDistance(id) + 1000*(o.distances[id]-1)
 }
 
-// fickleBatchOracle is the fickle oracle with the batch method.
-type fickleBatchOracle struct{ *fickleOracle }
-
-func (o fickleBatchOracle) ScoreFragments(ids []ID, out []Score) {
-	perIDOracle{o.fickleOracle}.ScoreFragments(ids, out)
+// oracleKinds are the two feeds a buffer can read the shared tables
+// through: a four-method Oracle it polls, and entries written directly.
+// Every differential stream runs through both.
+var oracleKinds = []struct {
+	name  string
+	build func(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer
+}{
+	{"polled", polledBuffer},
+	{"entries", func(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer {
+		return NewFromEntries(clk, name, capacity, newDiffEntries(o))
+	}},
 }
 
-// oracleKinds are the two ways a buffer can be handed the shared tables:
-// as a four-method Oracle (the buffer wraps it per id) and as a
-// BatchOracle. Every differential stream runs through both.
-var oracleKinds = []struct {
-	name string
-	wrap func(*diffOracle) Oracle
-}{
-	{"plain", func(o *diffOracle) Oracle { return o }},
-	{"batch", func(o *diffOracle) Oracle { return batchDiffOracle{o} }},
+func polledBuffer(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer {
+	return New(clk, name, capacity, o)
 }
 
 // lockstep drives one production buffer and one model through the same
@@ -136,10 +183,11 @@ type lockstep struct {
 }
 
 // newLockstep builds the pair; the production buffer sees the shared
-// tables through wrap, the model reads them directly.
-func newLockstep(t *testing.T, clk *simclock.Virtual, pol Policy, capacity int64, idSpace int, wrap func(*diffOracle) Oracle) *lockstep {
+// tables through the feed build wires, the model reads them directly.
+func newLockstep(t *testing.T, clk *simclock.Virtual, pol Policy, capacity int64, idSpace int,
+	build func(simclock.Clock, string, int64, *diffOracle) *Buffer) *lockstep {
 	o := newDiffOracle(t)
-	b := New(clk, "diff-"+pol.String(), capacity, wrap(o))
+	b := build(clk, "diff-"+pol.String(), capacity, o)
 	if err := b.SetPolicy(pol); err != nil {
 		t.Fatalf("SetPolicy(%v): %v", pol, err)
 	}
@@ -160,6 +208,7 @@ func (ls *lockstep) fatalf(format string, args ...any) {
 
 func (ls *lockstep) reserve(id ID, size int64) {
 	ls.o.victims = nil
+	ls.o.sync()
 	off, err := ls.b.TryReserve(id, size)
 	moff, merr := ls.m.tryReserve(id, size)
 	if err != merr {
@@ -269,7 +318,7 @@ const (
 )
 
 // TestDifferentialAllPolicies is the lockstep harness over seeded
-// streams: every registered policy, both oracle kinds, several seeds,
+// streams: every registered policy, both feeds, several seeds,
 // hundreds of events each. It runs in the ordinary test suite and
 // therefore also under -race via `make verify` / `make race` in CI.
 func TestDifferentialAllPolicies(t *testing.T) {
@@ -282,7 +331,7 @@ func TestDifferentialAllPolicies(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", pol, kind.name, seed), func(t *testing.T) {
 					t.Parallel()
 					runSim(t, func(clk *simclock.Virtual) {
-						ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace, kind.wrap)
+						ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace, kind.build)
 						rng := rand.New(rand.NewSource(seed))
 						for i := 0; i < diffSteps; i++ {
 							ls.randomEvent(rng)
@@ -302,42 +351,37 @@ func TestDifferentialAllPolicies(t *testing.T) {
 // one answer when a fragment enters its window and subtracts another when
 // it leaves drifts away from the model, which scores each window from the
 // first answers; the buffer's one snapshot per scan makes every policy
-// agree with it, and no fragment is asked twice in one scan (an event
-// performs at most one).
+// agree with it, and polling asks about no fragment twice in one scan (an
+// event performs at most one).
 func TestScanAsksEachFragmentOnce(t *testing.T) {
 	for _, pol := range Policies() {
 		pol := pol
-		for _, batch := range []bool{false, true} {
-			batch := batch
-			t.Run(fmt.Sprintf("%s/batch=%v", pol, batch), func(t *testing.T) {
-				t.Parallel()
-				runSim(t, func(clk *simclock.Virtual) {
-					var fickle *fickleOracle
-					ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace, func(o *diffOracle) Oracle {
+		t.Run(pol.String(), func(t *testing.T) {
+			t.Parallel()
+			runSim(t, func(clk *simclock.Virtual) {
+				var fickle *fickleOracle
+				ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace,
+					func(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer {
 						fickle = newFickleOracle(o)
-						if batch {
-							return fickleBatchOracle{fickle}
-						}
-						return fickle
+						return New(clk, name, capacity, fickle)
 					})
-					rng := rand.New(rand.NewSource(1))
-					var asked int
-					for i := 0; i < diffSteps; i++ {
-						fickle.reset()
-						ls.randomEvent(rng)
-						for id, n := range fickle.estimates {
-							asked += n
-							if n > 1 || fickle.distances[id] > 1 {
-								ls.fatalf("one scan asked about id %d %d and %d times", id, n, fickle.distances[id])
-							}
+				rng := rand.New(rand.NewSource(1))
+				var asked int
+				for i := 0; i < diffSteps; i++ {
+					fickle.reset()
+					ls.randomEvent(rng)
+					for id, n := range fickle.estimates {
+						asked += n
+						if n > 1 || fickle.distances[id] > 1 {
+							ls.fatalf("one scan asked about id %d %d and %d times", id, n, fickle.distances[id])
 						}
 					}
-					st := ls.b.Snapshot()
-					if st.Evictions == 0 || int64(asked) != st.FragmentsScored {
-						t.Errorf("%d evictions; oracle saw %d asks, Stats.FragmentsScored = %d", st.Evictions, asked, st.FragmentsScored)
-					}
-				})
+				}
+				st := ls.b.Snapshot()
+				if st.Evictions == 0 || int64(asked) != st.FragmentsScored {
+					t.Errorf("%d evictions; oracle saw %d asks, Stats.FragmentsScored = %d", st.Evictions, asked, st.FragmentsScored)
+				}
 			})
-		}
+		})
 	}
 }

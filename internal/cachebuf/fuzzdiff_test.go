@@ -3,7 +3,7 @@ package cachebuf
 // FuzzEvictionPolicy: the differential lockstep driven by an arbitrary
 // byte-encoded event stream instead of a seeded generator, replayed
 // against every registered policy and its reference model, through both
-// oracle kinds. One byte is
+// feeds. One byte is
 // one event: the high nibble selects the operation, the low nibble the
 // checkpoint id.
 
@@ -36,7 +36,7 @@ func FuzzEvictionPolicy(f *testing.F) {
 				pol, kind := pol, kind
 				clk := simclock.NewVirtual()
 				clk.Run(func() {
-					ls := newLockstep(t, clk, pol, 1024, 16, kind.wrap)
+					ls := newLockstep(t, clk, pol, 1024, 16, kind.build)
 					for i, op := range data {
 						if t.Failed() {
 							return

@@ -39,8 +39,9 @@ func permutations(ids []ID) [][]ID {
 // groups of same-scored checkpoints (near group: low prefetch distance,
 // soon to be restored; far group: high distance) at the same virtual
 // instant, then forces an eviction. Whatever order the group members
-// were inserted in, the score policy must evict the same window: the
-// far group's region, at the same offset.
+// were inserted in, and whichever feed the buffer reads its scores
+// through, the score policy must evict the same window: the far group's
+// region, at the same offset.
 func TestMetamorphicScoreInsertOrderInvariance(t *testing.T) {
 	near := []ID{0, 1, 2} // distance 3: restore imminent, keep
 	far := []ID{3, 4, 5}  // distance 50: restore far away, sacrifice
@@ -52,56 +53,60 @@ func TestMetamorphicScoreInsertOrderInvariance(t *testing.T) {
 		victims map[ID]bool
 	}
 	var first *outcome
-	for _, np := range permutations(near) {
-		for _, fp := range permutations(far) {
-			np, fp := np, fp
-			runSim(t, func(clk *simclock.Virtual) {
-				o := newDiffOracle(t)
-				b := New(clk, "meta", 600, o)
-				for _, id := range append(append([]ID(nil), np...), fp...) {
-					o.evictable[id] = true
-					if listHas(np, id) {
-						o.distance[id] = 3
-					} else {
-						o.distance[id] = 50
-					}
-					if _, err := b.Reserve(id, fragSize); err != nil {
-						t.Fatalf("insert %d: %v", id, err)
-					}
-				}
-				o.victims = nil
-				off, err := b.Reserve(10, 3*fragSize)
-				if err != nil {
-					t.Fatalf("eviction reserve: %v", err)
-				}
-				got := outcome{off: off, victims: map[ID]bool{}}
-				for _, v := range o.victims {
-					got.victims[v] = true
-				}
-				if first == nil {
-					first = &got
-					for id := range got.victims {
-						if !wantVictims[id] {
-							t.Fatalf("order %v/%v: evicted near-group id %d", np, fp, id)
+	for _, kind := range oracleKinds {
+		for _, np := range permutations(near) {
+			for _, fp := range permutations(far) {
+				kind, np, fp := kind, np, fp
+				runSim(t, func(clk *simclock.Virtual) {
+					o := newDiffOracle(t)
+					b := kind.build(clk, "meta", 600, o)
+					for _, id := range append(append([]ID(nil), np...), fp...) {
+						o.evictable[id] = true
+						if listHas(np, id) {
+							o.distance[id] = 3
+						} else {
+							o.distance[id] = 50
+						}
+						o.sync()
+						if _, err := b.Reserve(id, fragSize); err != nil {
+							t.Fatalf("insert %d: %v", id, err)
 						}
 					}
-					return
-				}
-				if got.off != first.off {
-					t.Errorf("order %v/%v: window offset %d, first order chose %d", np, fp, got.off, first.off)
-				}
-				if fmt.Sprint(got.victims) != fmt.Sprint(first.victims) {
-					t.Errorf("order %v/%v: victim set %v, first order chose %v", np, fp, got.victims, first.victims)
-				}
-			})
+					o.victims = nil
+					off, err := b.Reserve(10, 3*fragSize)
+					if err != nil {
+						t.Fatalf("eviction reserve: %v", err)
+					}
+					got := outcome{off: off, victims: map[ID]bool{}}
+					for _, v := range o.victims {
+						got.victims[v] = true
+					}
+					if first == nil {
+						first = &got
+						for id := range got.victims {
+							if !wantVictims[id] {
+								t.Fatalf("order %v/%v: evicted near-group id %d", np, fp, id)
+							}
+						}
+						return
+					}
+					if got.off != first.off {
+						t.Errorf("%s, order %v/%v: window offset %d, first order chose %d", kind.name, np, fp, got.off, first.off)
+					}
+					if fmt.Sprint(got.victims) != fmt.Sprint(first.victims) {
+						t.Errorf("%s, order %v/%v: victim set %v, first order chose %v", kind.name, np, fp, got.victims, first.victims)
+					}
+				})
+			}
 		}
 	}
 }
 
 // hitCount replays a fixed access trace (uniform fragment sizes, all
 // checkpoints always evictable, no pins) against a buffer of the given
-// capacity and returns the number of hits.
-func hitCount(t *testing.T, pol Policy, capacity int64, seed int64) int {
+// capacity, read through feed, and returns the number of hits.
+func hitCount(t *testing.T, pol Policy, capacity int64, seed int64,
+	feed func(simclock.Clock, string, int64, *diffOracle) *Buffer) int {
 	t.Helper()
 	const (
 		fragSize = 10
@@ -111,7 +116,7 @@ func hitCount(t *testing.T, pol Policy, capacity int64, seed int64) int {
 	hits := 0
 	runSim(t, func(clk *simclock.Virtual) {
 		o := newDiffOracle(t)
-		b := New(clk, "hits", capacity, o)
+		b := feed(clk, "hits", capacity, o)
 		if err := b.SetPolicy(pol); err != nil {
 			t.Fatal(err)
 		}
@@ -130,6 +135,7 @@ func hitCount(t *testing.T, pol Policy, capacity int64, seed int64) int {
 				continue
 			}
 			o.evictable[id] = true
+			o.sync()
 			if _, err := b.TryReserve(id, fragSize); err != nil {
 				t.Fatalf("access %d: reserve %d: %v", i, id, err)
 			}
@@ -143,17 +149,20 @@ func hitCount(t *testing.T, pol Policy, capacity int64, seed int64) int {
 func TestMetamorphicCapacityMonotonicity(t *testing.T) {
 	for _, pol := range []Policy{PolicyLRU, PolicyLRUK} {
 		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			for seed := int64(1); seed <= 8; seed++ {
-				small := hitCount(t, pol, 50, seed)
-				big := hitCount(t, pol, 100, seed)
-				if big < small {
-					t.Errorf("seed %d: doubling capacity lowered hits: %d -> %d", seed, small, big)
+		for _, kind := range oracleKinds {
+			kind := kind
+			t.Run(pol.String()+"/"+kind.name, func(t *testing.T) {
+				for seed := int64(1); seed <= 8; seed++ {
+					small := hitCount(t, pol, 50, seed, kind.build)
+					big := hitCount(t, pol, 100, seed, kind.build)
+					if big < small {
+						t.Errorf("seed %d: doubling capacity lowered hits: %d -> %d", seed, small, big)
+					}
+					if small == 0 {
+						t.Errorf("seed %d: trace produced no hits at the small capacity", seed)
+					}
 				}
-				if small == 0 {
-					t.Errorf("seed %d: trace produced no hits at the small capacity", seed)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -10,13 +10,13 @@ package cachebuf
 //
 //   - a WindowView handed to SelectWindow: a read-only, index-addressed
 //     snapshot of the fragment list, including each fragment's pinned
-//     state (per the Oracle and claim bookkeeping) and the paper's
+//     state (per its entry and claim bookkeeping) and the paper's
 //     p/s-scores;
 //   - event callbacks (OnInsert/OnTouch/OnEvict/OnRelease) fired under
 //     the buffer lock, in the buffer's serialization order, so recency-
 //     and frequency-based policies can maintain their own per-id state.
 //
-// The pinning/Oracle contract is non-negotiable and enforced by the
+// The pinning contract is non-negotiable and enforced by the
 // Buffer, not trusted to the policy: a returned window containing a
 // pinned fragment is rejected (the buffer re-checks evictability before
 // erasing anything), so a buggy policy can stall a reservation but can
@@ -80,8 +80,8 @@ func (v WindowView) Frag(i int) (id ID, ok bool) {
 func (v WindowView) Size(i int) int64 { return v.frags[i].size }
 
 // PScore returns the estimated seconds until fragment i becomes evictable
-// and whether it is pinned (never evictable right now: an Oracle pin, or a
-// claim by a concurrent reservation). Gaps are (0, unpinned).
+// and whether it is pinned (never evictable right now: its entry says so,
+// or a concurrent reservation has claimed it). Gaps are (0, unpinned).
 func (v WindowView) PScore(i int) (score float64, pinned bool) {
 	return v.frags[i].p, v.frags[i].pinned
 }
@@ -208,7 +208,7 @@ func (p Policy) NewPolicy() (EvictionPolicy, error) {
 // ---------------------------------------------------------------------------
 // Score: the paper's Algorithm 1 (gap-aware sliding window, incremental
 // p/s-score maintenance, O(N) per scan). Stateless: every input comes
-// from the Oracle through the view.
+// from the fragments' entries through the view.
 
 type scorePolicy struct{}
 

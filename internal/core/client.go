@@ -22,8 +22,9 @@ import (
 // asynchronous flush chain.
 //
 // Lock ordering: cachebuf.Buffer's internal lock may be taken before
-// Client.mu (the eviction oracle runs under it); therefore no Client
-// method may call into a Buffer while holding Client.mu.
+// Client.mu (entry lookups, eviction notices and the IfResident claims run
+// under it); therefore no Client method may call into a Buffer while
+// holding Client.mu. A replica's life-cycle machine locks last.
 type Client struct {
 	p    Params
 	deep []deepTier // the tiers below the host cache, fastest first (deep.go)
@@ -38,7 +39,8 @@ type Client struct {
 
 	ckpts   map[ID]*checkpoint
 	q       restoreQueue
-	started bool // prefetcher activated
+	oracles [TierHost + 1]tierOracle // the cache tiers' eviction-entry sources
+	started bool                     // prefetcher activated
 	closed  bool
 	killed  bool  // the rank died (fault injection); implies closed soon
 	err     error // first asynchronous failure
@@ -105,15 +107,18 @@ func New(p Params) (*Client, error) {
 	if err := p.GPU.AllocDevice(p.GPUCacheSize); err != nil {
 		return nil, fmt.Errorf("core: allocating GPU cache: %w", err)
 	}
-	gpuOracle := &tierOracle{c: c, tier: TierGPU}
-	if p.SplitCache {
+	for tier := range c.oracles {
+		o := &c.oracles[tier]
+		o.c, o.tier, o.src.Estimate = c, Tier(tier), o.flushEstimate
+	}
+	if gpuOracle := &c.oracles[TierGPU]; p.SplitCache {
 		// Ablation of §4.1.2: separate half-size regions for flushing
 		// and prefetching instead of one shared cache.
 		half := p.GPUCacheSize / 2
-		c.gpuC = cachebuf.New(c.clk, fmt.Sprintf("gpu%d-writecache", p.GPU.ID()), half, gpuOracle)
-		c.gpuP = cachebuf.New(c.clk, fmt.Sprintf("gpu%d-readcache", p.GPU.ID()), half, gpuOracle)
+		c.gpuC = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-writecache", p.GPU.ID()), half, gpuOracle)
+		c.gpuP = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-readcache", p.GPU.ID()), half, gpuOracle)
 	} else {
-		c.gpuC = cachebuf.New(c.clk, fmt.Sprintf("gpu%d-cache", p.GPU.ID()),
+		c.gpuC = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-cache", p.GPU.ID()),
 			p.GPUCacheSize, gpuOracle)
 	}
 	// validate() already rejected unknown policies, so these cannot fail;
@@ -140,9 +145,12 @@ func New(p Params) (*Client, error) {
 		p.HostCacheSize = p.SharedHost.Capacity()
 		c.p.HostCacheSize = p.HostCacheSize
 	} else {
-		c.hstC = cachebuf.New(c.clk, fmt.Sprintf("gpu%d-hostcache", p.GPU.ID()),
-			p.HostCacheSize, &tierOracle{c: c, tier: TierHost})
+		c.hstC = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-hostcache", p.GPU.ID()),
+			p.HostCacheSize, &c.oracles[TierHost])
 		c.hstC.SetWaitObserver(c.rec.EvictionWait)
+	}
+	if newClientHook != nil {
+		newClientHook(c)
 	}
 
 	// Pinned host cache registration is slow (~4 GB/s, §4.1.4): either
@@ -221,6 +229,10 @@ func (c *Client) recoverFromStore() {
 		}
 	}
 }
+
+// newClientHook, when a _test.go sets it, sees every client New builds
+// before its tasks start; production code never sets it.
+var newClientHook func(c *Client)
 
 // Recovered returns the versions restored from the durable store at
 // construction, in ascending order.
@@ -367,23 +379,27 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		return ErrDuplicateCheckpoint
 	}
 	c.writersBusy++
-	defer func() {
-		c.mu.Lock()
-		c.writersBusy--
-		c.bumpLocked()
-		c.mu.Unlock()
-	}()
 	ck := &checkpoint{
 		id:        id,
 		size:      pay.Size(),
 		pay:       pay,
+		writing:   true,
 		writtenAt: start,
 		att:       newAttrib(metrics.CritDurable, int64(id), start),
 	}
 	rep := &replica{tier: TierGPU, fsm: lifecycle.NewMachine(c.clk)}
-	ck.replicas[TierGPU] = rep
+	// Hints may precede the write (Listing 1): pick up one already pending.
+	ck.setHintLocked(c.q.firstPending(id))
+	c.setReplicaLocked(ck, TierGPU, rep)
 	c.ckpts[id] = ck
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.writersBusy--
+		ck.writing = false
+		c.bumpLocked()
+		c.mu.Unlock()
+	}()
 	c.rec.CheckpointAccepted(ck.size)
 	c.lifecycle(id, trace.LCreated, "", "")
 
@@ -412,7 +428,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	}
 	c.mark(ck.att, metrics.CompGPUAdmit)
 
-	rep.fsm.MustTo(lifecycle.WriteInProgress)
+	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	if c.p.OnDemandAlloc {
 		// §4.1.4 ablation: a fresh device region is allocated for each
 		// checkpoint instead of reusing the pre-allocated buffer.
@@ -421,7 +437,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	}
 	c.p.GPU.CopyD2D(ck.size) // application buffer → GPU cache
 	c.mark(ck.att, metrics.CompCopyD2D)
-	rep.fsm.MustTo(lifecycle.WriteComplete)
+	c.mustTransition(ck, rep, lifecycle.WriteComplete)
 	c.lifecycle(id, trace.LCached, "gpu", "")
 
 	// Hand off to T_D2H and return control to the application.
@@ -447,6 +463,8 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 	// The failed GPU reservation above may have blocked on evictions
 	// before reporting too-large; absorb that into the admit component.
 	c.mark(ck.att, metrics.CompGPUAdmit)
+	// A Restore racing this write parks on gpuRep or finds no record: no
+	// tier holds the bytes until they land, and ck.writing makes it wait.
 	c.unlinkReplica(ck, TierGPU, gpuRep)
 
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) && ck.size <= c.p.HostCacheSize {
@@ -454,13 +472,13 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 		c.mark(ck.att, metrics.CompHostReady)
 		hostRep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
 		c.mu.Lock()
-		ck.replicas[TierHost] = hostRep
+		c.setReplicaLocked(ck, TierHost, hostRep)
 		c.mu.Unlock()
 		_, err := c.hstC.Reserve(c.hostKey(ck.id), ck.size)
 		switch err {
 		case nil:
 			c.mark(ck.att, metrics.CompHostAdmit)
-			hostRep.fsm.MustTo(lifecycle.WriteInProgress)
+			c.mustTransition(ck, hostRep, lifecycle.WriteInProgress)
 			if c.p.OnDemandAlloc {
 				c.p.GPU.AllocPinnedHost(ck.size)
 				c.mark(ck.att, metrics.CompAlloc)
@@ -468,7 +486,7 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 			cpErr := c.copyD2HHost(ck, ck.att)
 			if cpErr == nil {
 				c.healTier(TierHost)
-				hostRep.fsm.MustTo(lifecycle.WriteComplete)
+				c.mustTransition(ck, hostRep, lifecycle.WriteComplete)
 				c.hstC.Notify()
 				c.enqueueH2F(ck)
 				c.rec.Checkpoint(ck.size, c.clk.Now()-start)
@@ -523,7 +541,10 @@ func (c *Client) RestoreSize(id ID) (int64, error) {
 // interleaved with checkpoints and restores, and cannot be revoked.
 func (c *Client) PrefetchEnqueue(id ID) {
 	c.mu.Lock()
-	c.q.enqueue(id)
+	pos := c.q.enqueue(id)
+	if ck := c.ckpts[id]; ck != nil && ck.hintLocked() == cachebuf.NoHint {
+		ck.setHintLocked(pos)
+	}
 	c.bumpLocked()
 	c.mu.Unlock()
 }
@@ -597,8 +618,9 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 
 	// Consumption: pop the hint, record deviation, mark consumed.
 	c.mu.Lock()
-	deviated := c.q.consume(id)
+	deviated := c.consumeHintLocked(ck)
 	ck.consumed = true
+	c.rescoreLocked(ck)
 	c.releaseStagedLocked(ck)
 	c.bumpLocked()
 	c.mu.Unlock()
@@ -654,7 +676,7 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 		// WRITE_COMPLETE/FLUSHED/CONSUMED → READ_COMPLETE pins the
 		// replica for the duration of the copy-out (Fig. 1).
 		if rep.fsm.State() != lifecycle.ReadComplete {
-			rep.fsm.MustTo(lifecycle.ReadComplete)
+			c.mustTransition(ck, rep, lifecycle.ReadComplete)
 		}
 	}
 	claimed := c.gpuC.IfResident(cachebuf.ID(ck.id), claim)
@@ -669,7 +691,7 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 	}
 	c.p.GPU.CopyD2D(ck.size) // GPU cache → application buffer
 	c.mark(att, metrics.CompCopyD2D)
-	rep.fsm.MustTo(lifecycle.Consumed)
+	c.mustTransition(ck, rep, lifecycle.Consumed)
 	return true, nil
 }
 

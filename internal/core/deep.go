@@ -196,6 +196,8 @@ func (c *Client) deepReplica(ck *checkpoint, tier Tier) (rep *replica, hasData b
 	defer c.mu.Unlock()
 	rep = ck.replicas[tier]
 	if rep == nil {
+		// No rescore: the rule asks a deep record only whether it holds
+		// data, and an INIT one does not until its writer moves it.
 		rep = &replica{tier: tier, fsm: lifecycle.NewMachine(c.clk)}
 		ck.replicas[tier] = rep
 	}
@@ -231,7 +233,7 @@ func (c *Client) writeDeep(ck *checkpoint, fromGPU bool, d *deepTier, att *attri
 func (c *Client) unlinkReplica(ck *checkpoint, tier Tier, rep *replica) {
 	c.mu.Lock()
 	if ck.replicas[tier] == rep {
-		ck.replicas[tier] = nil
+		c.setReplicaLocked(ck, tier, nil)
 	}
 	c.mu.Unlock()
 	rep.fsm.Abandon()

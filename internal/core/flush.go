@@ -152,7 +152,7 @@ func (c *Client) runD2H(id ID) {
 		return
 	}
 	hostRep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
-	ck.replicas[TierHost] = hostRep
+	c.setReplicaLocked(ck, TierHost, hostRep)
 	c.mu.Unlock()
 
 	if _, err := c.hstC.Reserve(c.hostKey(id), ck.size); err != nil {
@@ -176,7 +176,7 @@ func (c *Client) runD2H(id ID) {
 	}
 	c.mark(att, metrics.CompHostAdmit)
 
-	hostRep.fsm.MustTo(lifecycle.WriteInProgress)
+	c.mustTransition(ck, hostRep, lifecycle.WriteInProgress)
 	if c.p.OnDemandAlloc {
 		// §4.1.4 ablation: allocate+register pinned host memory for this
 		// checkpoint at ~4 GB/s instead of reusing the pre-pinned cache.
@@ -203,7 +203,7 @@ func (c *Client) runD2H(id ID) {
 		return
 	}
 	c.healTier(TierHost)
-	hostRep.fsm.MustTo(lifecycle.WriteComplete)
+	c.mustTransition(ck, hostRep, lifecycle.WriteComplete)
 	c.hstC.Notify()
 
 	// Host copy landed: the GPU replica is now redundant → FLUSHED.
@@ -255,7 +255,7 @@ func (c *Client) runH2F(id ID) {
 	if hostRep == nil || !hostRep.hasData() {
 		// The host replica vanished (evicted after consumption, or
 		// sacrificed after an aborted flush); if the checkpoint has no
-		// fate yet the eviction oracle guaranteed it was discardable.
+		// fate yet the eviction rule guaranteed it was discardable.
 		// Nothing to flush from here.
 		c.accountFate(ck, fateDiscarded)
 		return
@@ -285,7 +285,7 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 	}
 	ssdRep, hasData := c.deepReplica(ck, TierSSD)
 	if !hasData {
-		ssdRep.fsm.MustTo(lifecycle.WriteInProgress)
+		c.mustTransition(ck, ssdRep, lifecycle.WriteInProgress)
 		c.lifecycle(ck.id, trace.LHopStart, "ssd", "")
 		err, rerouted := c.writeSSDGuarded(ck, fromGPU, att, ssdRep)
 		if rerouted {
@@ -321,7 +321,7 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 	}
 	// The SSD tier is durable for this scenario (it holds a full
 	// node's checkpoints, §2): its replica is immediately FLUSHED.
-	ssdRep.fsm.MustTo(lifecycle.Flushed)
+	c.mustTransition(ck, ssdRep, lifecycle.Flushed)
 	c.notifyGPU()
 	c.hstC.Notify()
 	return nil
@@ -346,7 +346,7 @@ func (c *Client) settleSSD(ck *checkpoint, ssdRep *replica, werr error, detail s
 		return werr
 	}
 	c.healTier(TierSSD)
-	ssdRep.fsm.MustTo(lifecycle.WriteComplete)
+	c.mustTransition(ck, ssdRep, lifecycle.WriteComplete)
 	c.lifecycle(ck.id, trace.LHopEnd, "ssd", detail)
 	c.accountFate(ck, fateDurable)
 	return nil
@@ -403,7 +403,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 			c.observeHealth(ssd, ck.size, c.clk.Now()-start)
 		}
 		if c.settleSSD(ck, ssdRep, werr, "late completion after stall reroute") == nil {
-			ssdRep.fsm.MustTo(lifecycle.Flushed)
+			c.mustTransition(ck, ssdRep, lifecycle.Flushed)
 		}
 		c.notifyGPU()
 		c.hstC.Notify()
@@ -474,7 +474,7 @@ func (c *Client) routeToPFS(ck *checkpoint, fromGPU bool, att *attrib) error {
 	if hasData {
 		return nil
 	}
-	pfsRep.fsm.MustTo(lifecycle.WriteInProgress)
+	c.mustTransition(ck, pfsRep, lifecycle.WriteInProgress)
 	c.lifecycle(ck.id, trace.LHopStart, "pfs", "")
 	xferStart := c.clk.Now()
 	err := c.writeDeep(ck, fromGPU, pfs, att)
@@ -488,8 +488,8 @@ func (c *Client) routeToPFS(ck *checkpoint, fromGPU bool, att *attrib) error {
 		return err
 	}
 	c.observeHealth(pfs, ck.size, c.clk.Now()-xferStart)
-	pfsRep.fsm.MustTo(lifecycle.WriteComplete)
-	pfsRep.fsm.MustTo(lifecycle.Flushed) // terminal durable tier
+	c.mustTransition(ck, pfsRep, lifecycle.WriteComplete)
+	c.mustTransition(ck, pfsRep, lifecycle.Flushed) // terminal durable tier
 	c.lifecycle(ck.id, trace.LHopEnd, "pfs", "")
 	c.accountFate(ck, fateDurable)
 	c.notifyGPU()
@@ -517,7 +517,7 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "partner-copy",
 			fmt.Sprintf("replicate %d → partner ssd", ck.id), c.flowID(ck.id))()
 	}
-	rep.fsm.MustTo(lifecycle.WriteInProgress)
+	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	xferStart := c.clk.Now()
 	err := c.writeDeep(ck, false, partner, nil)
 	if err == nil {
@@ -532,8 +532,8 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 		return
 	}
 	c.observeHealth(partner, ck.size, c.clk.Now()-xferStart)
-	rep.fsm.MustTo(lifecycle.WriteComplete)
-	rep.fsm.MustTo(lifecycle.Flushed) // durable the moment the put lands
+	c.mustTransition(ck, rep, lifecycle.WriteComplete)
+	c.mustTransition(ck, rep, lifecycle.Flushed) // durable the moment the put lands
 	c.healTier(TierPartner)
 	c.rec.PartnerCopy(ck.size)
 	c.lifecycle(ck.id, trace.LPartnerCopy, "partner", "")
@@ -555,6 +555,7 @@ func (c *Client) abortFlush(ck *checkpoint, srcTier Tier, err error) {
 	if ck.flushErr == nil {
 		ck.flushErr = err
 	}
+	c.rescoreLocked(ck)
 	c.bumpLocked()
 	c.mu.Unlock()
 	c.rec.FlushAbort()
@@ -596,7 +597,7 @@ func (c *Client) markFlushed(ck *checkpoint, tier Tier) {
 	if rep == nil {
 		return
 	}
-	if err := rep.fsm.To(lifecycle.Flushed); err == nil {
+	if err := c.transition(ck, rep, lifecycle.Flushed); err == nil {
 		switch tier {
 		case TierGPU:
 			c.notifyGPU()

@@ -105,6 +105,7 @@ func (c *Client) finishKill() {
 		if ck.flushErr == nil {
 			ck.flushErr = ErrKilled
 		}
+		c.rescoreLocked(ck)
 		c.mu.Unlock()
 		c.accountFate(ck, fateLost)
 	}

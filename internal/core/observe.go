@@ -108,7 +108,7 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 		}
 		return float64(n)
 	})
-	// One ScoreSummary scan — an oracle pass over the whole GPU cache —
+	// One ScoreSummary scan — a pass over the whole GPU cache's entries —
 	// serves both score series of a tick: whichever probe is polled first
 	// at a simulated instant scans, the other reads what it found. Keyed
 	// by the instant and locked, because a tick and the sampler's final

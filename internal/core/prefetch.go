@@ -50,8 +50,9 @@ func (c *Client) prefetcher() {
 			c.cond.Wait()
 			continue
 		}
-		if ck.promoting {
-			// A restore is already promoting it on demand.
+		if ck.promoting || ck.writing {
+			// A restore is promoting it on demand, or its writer is
+			// still streaming it down the chain (§2 condition 4).
 			c.cond.Wait()
 			continue
 		}
@@ -105,11 +106,12 @@ func (c *Client) prefetcher() {
 // path). Returns done=true when the read was fully served by the bypass.
 func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err error) {
 	c.mu.Lock()
-	for ck.promoting || ck.stagingHost {
+	for ck.promoting || ck.stagingHost || ck.writing {
 		// An in-flight promotion or SSD→host stage of this checkpoint
 		// will land its data shortly; duplicating the transfer (or
 		// bypassing to a direct NVMe read) would waste the bandwidth
-		// it is already consuming.
+		// it is already consuming; a write still in progress has
+		// unlinked its GPU record to flush synchronously.
 		if c.closed {
 			c.mu.Unlock()
 			return false, ErrClosed
@@ -265,7 +267,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 	// marked Read Consumed", §4.3.2).
 	hostRep := c.claimSource(ck, TierHost)
 
-	gpuRep.fsm.MustTo(lifecycle.ReadInProgress)
+	c.mustTransition(ck, gpuRep, lifecycle.ReadInProgress)
 	cpErr := c.copyH2D(ck, att)
 	if cpErr != nil {
 		// The upward copy kept failing: release the GPU reservation.
@@ -273,12 +275,12 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 		// and, being durable below, evictable), so nothing is lost.
 		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
-		gpuRep.fsm.MustTo(lifecycle.ReadComplete)
+		c.mustTransition(ck, gpuRep, lifecycle.ReadComplete)
 		c.notifyGPU()
 	}
 
 	if hostRep != nil {
-		if err := hostRep.fsm.To(lifecycle.Consumed); err == nil {
+		if err := c.transition(ck, hostRep, lifecycle.Consumed); err == nil {
 			c.hstC.Notify()
 		}
 	}
@@ -296,14 +298,14 @@ func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err 
 	if !reserved {
 		return gpuRep != nil, err
 	}
-	gpuRep.fsm.MustTo(lifecycle.ReadInProgress)
+	c.mustTransition(ck, gpuRep, lifecycle.ReadInProgress)
 	// Deep read + PCIe hop of the direct path; one chunked stream when
 	// ChunkSize is set.
 	err = c.readDeep(ck, att, true)
 	if err != nil {
 		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
-		gpuRep.fsm.MustTo(lifecycle.ReadComplete)
+		c.mustTransition(ck, gpuRep, lifecycle.ReadComplete)
 		c.notifyGPU()
 		c.mu.Lock()
 		c.bumpLocked()
@@ -314,9 +316,9 @@ func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err 
 
 // reserveForRead claims room on a cache tier (GPU or host) for a copy of
 // ck about to be read up from below, without ever blocking. The INIT
-// record is published before the reservation, as it must be: the
-// eviction oracle treats a reserved fragment with no record as stale and
-// free to reclaim. reserved=true hands the caller a fresh record and its
+// record is published before the reservation, as it must be: the entry the
+// buffer picks up as it places the fragment must already read pinned, not
+// stale. reserved=true hands the caller a fresh record and its
 // reservation; it must land the data or unlink the record. Otherwise rep
 // is non-nil exactly when the tier already holds a readable copy, and
 // nil when there is no immediately evictable window (or another task is
@@ -335,7 +337,7 @@ func (c *Client) reserveForRead(ck *checkpoint, tier Tier) (rep *replica, reserv
 		return nil, false, nil
 	}
 	rep = &replica{tier: tier, fsm: lifecycle.NewMachine(c.clk)}
-	ck.replicas[tier] = rep
+	c.setReplicaLocked(ck, tier, rep)
 	c.mu.Unlock()
 
 	if _, err = buf.TryReserve(key, ck.size); err == nil {
@@ -362,7 +364,7 @@ func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err erro
 	if !reserved {
 		return hostRep != nil, err
 	}
-	hostRep.fsm.MustTo(lifecycle.ReadInProgress)
+	c.mustTransition(ck, hostRep, lifecycle.ReadInProgress)
 	if err := c.readDeep(ck, att, false); err != nil {
 		// Tier I/O trouble: undo the reservation; the caller (or the
 		// on-demand path, with its own fallback) owns ck from here.
@@ -371,7 +373,7 @@ func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err erro
 		c.hstC.Notify()
 		return false, err
 	}
-	hostRep.fsm.MustTo(lifecycle.ReadComplete)
+	c.mustTransition(ck, hostRep, lifecycle.ReadComplete)
 	c.hstC.Notify()
 	return true, nil
 }
@@ -402,7 +404,7 @@ func (c *Client) claimSource(ck *checkpoint, tier Tier) *replica {
 	}
 	claim := func() {
 		if rep.fsm.State() != lifecycle.ReadComplete {
-			if err := rep.fsm.To(lifecycle.ReadComplete); err != nil {
+			if err := c.transition(ck, rep, lifecycle.ReadComplete); err != nil {
 				rep = nil // not claimable (mid-write); treat as absent
 			}
 		}

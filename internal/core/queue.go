@@ -7,39 +7,26 @@ import "score/internal/cachebuf"
 // restores; hints cannot be revoked; reads may deviate from the hints at a
 // performance penalty.
 //
+// Positions are indexes into hints: consuming at the head moves the head,
+// not the hints, so a pending hint's position changes only when a deviating
+// restore cuts out a hint in front of it. The eviction entries store these
+// positions (Client.consumeHintLocked keeps them true).
+//
 // All methods require external synchronization (the Client's mutex).
 type restoreQueue struct {
 	hints []ID
-	head  int // hints[:head] have been consumed or removed
+	head  int // hints[:head] have been consumed
 	pf    int // next index the prefetcher should work on (>= head)
-
-	// pos caches each id's first pending absolute index (-1 = known
-	// absent); nil means invalid (rebuilt lazily). The eviction oracle
-	// calls distance for every fragment of every window scan, so the
-	// naive O(pending) scan per call is a real hot spot.
-	pos map[ID]int
 }
 
-// enqueue appends a hint.
-func (q *restoreQueue) enqueue(id ID) {
-	if q.pos != nil {
-		if p, ok := q.pos[id]; !ok || p == -1 {
-			q.pos[id] = len(q.hints)
-		}
-	}
+// enqueue appends a hint and returns its position.
+func (q *restoreQueue) enqueue(id ID) int {
 	q.hints = append(q.hints, id)
+	return len(q.hints) - 1
 }
 
 // pending returns the number of unconsumed hints.
 func (q *restoreQueue) pending() int { return len(q.hints) - q.head }
-
-// headID returns the next hinted restore, if any.
-func (q *restoreQueue) headID() (ID, bool) {
-	if q.head < len(q.hints) {
-		return q.hints[q.head], true
-	}
-	return 0, false
-}
 
 // at returns the hint at queue position i (0 = head).
 func (q *restoreQueue) at(i int) (ID, bool) {
@@ -50,69 +37,39 @@ func (q *restoreQueue) at(i int) (ID, bool) {
 	return 0, false
 }
 
-// consume removes id's first pending occurrence. It reports whether the
-// restore deviated from the hint order (id was hinted but not at the
-// head). Unhinted ids leave the queue untouched and do not count as
-// deviations of the queue itself.
-func (q *restoreQueue) consume(id ID) (deviated bool) {
-	if q.head < len(q.hints) && q.hints[q.head] == id {
+// firstPending returns the position of id's first pending hint, or
+// cachebuf.NoHint: a linear scan, once per Checkpoint and per Restore.
+func (q *restoreQueue) firstPending(id ID) int {
+	for i := q.head; i < len(q.hints); i++ {
+		if q.hints[i] == id {
+			return i
+		}
+	}
+	return cachebuf.NoHint
+}
+
+// consume removes id's first pending occurrence and returns the position
+// it held. It reports whether the restore deviated from the hint order (id
+// was hinted but not at the head): the hint is then cut out and every hint
+// behind it moves down one. Unhinted ids (at < 0) leave the queue untouched
+// and do not count as deviations of the queue itself.
+func (q *restoreQueue) consume(id ID) (at int, deviated bool) {
+	at = q.firstPending(id)
+	switch {
+	case at < 0:
+		return at, false
+	case at == q.head:
 		q.head++
 		if q.pf < q.head {
 			q.pf = q.head
 		}
-		// A later duplicate hint (re-reads) may exist: drop the cache
-		// entry so the next distance() rescans for it.
-		delete(q.pos, id)
-		return false
+		return at, false
 	}
-	for i := q.head; i < len(q.hints); i++ {
-		if q.hints[i] == id {
-			copy(q.hints[i:], q.hints[i+1:])
-			q.hints = q.hints[:len(q.hints)-1]
-			if q.pf > i {
-				q.pf--
-			}
-			q.pos = nil // mid-queue removal shifts every index
-			return true
-		}
+	q.hints = append(q.hints[:at], q.hints[at+1:]...)
+	if q.pf > at {
+		q.pf--
 	}
-	return false
-}
-
-// distance returns the number of queue positions between the head and id's
-// first pending hint; ids without a pending hint return
-// cachebuf.GapDistance-1 ("no prefetching hint available" scores as
-// farthest, §4.1.6).
-func (q *restoreQueue) distance(id ID) int {
-	if q.pos == nil {
-		q.rebuildPos()
-	}
-	if p, ok := q.pos[id]; ok {
-		if p == -1 {
-			return cachebuf.GapDistance - 1
-		}
-		if p >= q.head && p < len(q.hints) && q.hints[p] == id {
-			return p - q.head
-		}
-	}
-	// Miss or stale entry: rescan once and cache the answer.
-	for i := q.head; i < len(q.hints); i++ {
-		if q.hints[i] == id {
-			q.pos[id] = i
-			return i - q.head
-		}
-	}
-	q.pos[id] = -1
-	return cachebuf.GapDistance - 1
-}
-
-// rebuildPos re-derives the position cache. Iterating backward leaves the
-// FIRST pending occurrence of each id in the map.
-func (q *restoreQueue) rebuildPos() {
-	q.pos = make(map[ID]int, len(q.hints)-q.head)
-	for i := len(q.hints) - 1; i >= q.head; i-- {
-		q.pos[q.hints[i]] = i
-	}
+	return at, true
 }
 
 // nextPrefetch returns the hint the prefetcher should promote next.

@@ -7,6 +7,15 @@ import (
 	"score/internal/cachebuf"
 )
 
+// distance restates the prefetch distance from the hints alone: queue
+// positions between the head and id's first pending hint.
+func (q *restoreQueue) distance(id ID) int {
+	if pos := q.firstPending(id); pos != cachebuf.NoHint {
+		return pos - q.head
+	}
+	return cachebuf.GapDistance - 1
+}
+
 func TestQueueFIFOConsumption(t *testing.T) {
 	var q restoreQueue
 	for i := ID(0); i < 5; i++ {
@@ -15,14 +24,14 @@ func TestQueueFIFOConsumption(t *testing.T) {
 	if q.pending() != 5 {
 		t.Fatalf("pending = %d", q.pending())
 	}
-	head, ok := q.headID()
+	head, ok := q.at(0)
 	if !ok || head != 0 {
 		t.Fatalf("head = %d, %v", head, ok)
 	}
-	if dev := q.consume(0); dev {
-		t.Error("in-order consume flagged as deviation")
+	if at, dev := q.consume(0); dev || at != 0 {
+		t.Errorf("in-order consume = position %d, deviation %v", at, dev)
 	}
-	if head, _ := q.headID(); head != 1 {
+	if head, _ := q.at(0); head != 1 {
 		t.Errorf("head after consume = %d", head)
 	}
 }
@@ -32,13 +41,13 @@ func TestQueueDeviationRemovesMidEntry(t *testing.T) {
 	for i := ID(0); i < 5; i++ {
 		q.enqueue(i)
 	}
-	if dev := q.consume(3); !dev {
-		t.Error("out-of-order consume not flagged as deviation")
+	if at, dev := q.consume(3); !dev || at != 3 {
+		t.Errorf("out-of-order consume = position %d, deviation %v", at, dev)
 	}
 	// 3 must be gone; 0,1,2,4 remain in order.
 	want := []ID{0, 1, 2, 4}
 	for _, w := range want {
-		if got, ok := q.headID(); !ok || got != w {
+		if got, ok := q.at(0); !ok || got != w {
 			t.Fatalf("head = %d, want %d", got, w)
 		}
 		q.consume(w)
@@ -51,8 +60,8 @@ func TestQueueDeviationRemovesMidEntry(t *testing.T) {
 func TestQueueConsumeUnhinted(t *testing.T) {
 	var q restoreQueue
 	q.enqueue(1)
-	if dev := q.consume(99); dev {
-		t.Error("consuming an unhinted id should not count as deviation")
+	if at, dev := q.consume(99); dev || at != cachebuf.NoHint {
+		t.Errorf("consuming an unhinted id = position %d, deviation %v", at, dev)
 	}
 	if q.pending() != 1 {
 		t.Error("unhinted consume must not change the queue")
@@ -110,14 +119,14 @@ func TestQueueRepeatedHints(t *testing.T) {
 	q.enqueue(7)
 	q.enqueue(8)
 	q.enqueue(7)
-	if dev := q.consume(7); dev {
+	if _, dev := q.consume(7); dev {
 		t.Error("first 7 is at head")
 	}
 	if d := q.distance(7); d != 1 {
 		t.Errorf("distance(second 7) = %d, want 1", d)
 	}
 	q.consume(8)
-	if got, ok := q.headID(); !ok || got != 7 {
+	if got, ok := q.at(0); !ok || got != 7 {
 		t.Errorf("head = %d, want second 7", got)
 	}
 }

@@ -46,7 +46,7 @@ func NewSharedHostCachePinnedBy(clk simclock.Clock, name string, capacity int64,
 	}
 	r := &routerOracle{}
 	s := &SharedHostCache{router: r, createdAt: clk.Now()}
-	s.buf = cachebuf.New(clk, name, capacity, r)
+	s.buf = cachebuf.NewFromEntries(clk, name, capacity, r)
 	s.pinChunk = (capacity + int64(pinners) - 1) / int64(pinners)
 	return s
 }
@@ -63,11 +63,12 @@ func (s *SharedHostCache) Close() { s.buf.Close() }
 
 // register adds a client and returns its namespace.
 func (s *SharedHostCache) register(c *Client) int64 {
-	return s.router.register(&tierOracle{c: c, tier: TierHost})
+	return s.router.register(&c.oracles[TierHost])
 }
 
-// routerOracle demultiplexes shared-buffer oracle queries to the owning
-// client's host-tier oracle by namespace.
+// routerOracle demultiplexes the shared buffer's entry lookups and eviction
+// notices to the owning client's host-tier oracle by namespace. A key is
+// resolved once, at placement: a scan of the pool takes no client's lock.
 type routerOracle struct {
 	mu      sync.Mutex
 	clients []*tierOracle // indexed by namespace; append-only
@@ -95,39 +96,17 @@ func (r *routerOracle) route(id cachebuf.ID) (*tierOracle, cachebuf.ID) {
 	return clients[ns], cachebuf.ID(int64(id) & nsMask)
 }
 
-// Evictable implements cachebuf.Oracle.
-func (r *routerOracle) Evictable(id cachebuf.ID) bool {
+// Entry implements cachebuf.EntrySource; a key of no registered namespace
+// has no record.
+func (r *routerOracle) Entry(id cachebuf.ID) (*cachebuf.Entry, *cachebuf.Source) {
 	o, local := r.route(id)
 	if o == nil {
-		return true
+		return nil, nil
 	}
-	return o.Evictable(local)
+	return o.Entry(local)
 }
 
-// ScoreFragments implements cachebuf.BatchOracle: each registered client
-// answers its own namespace's keys under one acquisition of its lock; a
-// key of no registered namespace is a stale fragment, free to reclaim.
-func (r *routerOracle) ScoreFragments(ids []cachebuf.ID, out []cachebuf.Score) {
-	for i := range out {
-		out[i] = cachebuf.Score{Distance: cachebuf.GapDistance - 1}
-	}
-	for ns, o := range r.registered() {
-		o.scoreNamespace(int64(ns), ids, out)
-	}
-}
-
-// TimeToEvictable implements cachebuf.Oracle as a one-element batch.
-func (r *routerOracle) TimeToEvictable(id cachebuf.ID) (time.Duration, bool) {
-	sc := cachebuf.ScoreOne(r, id)
-	return sc.TimeToEvictable, !sc.Pinned
-}
-
-// PrefetchDistance implements cachebuf.Oracle as a one-element batch.
-func (r *routerOracle) PrefetchDistance(id cachebuf.ID) int {
-	return cachebuf.ScoreOne(r, id).Distance
-}
-
-// Evicted implements cachebuf.Oracle.
+// Evicted implements cachebuf.EntrySource.
 func (r *routerOracle) Evicted(id cachebuf.ID) {
 	o, local := r.route(id)
 	if o == nil {

@@ -14,19 +14,36 @@ import (
 func sharedRig(t *testing.T, clk *simclock.Virtual, poolSize int64) (*testRig, *Client, *SharedHostCache) {
 	t.Helper()
 	shared := NewSharedHostCache(clk, "node0-sharedhost", poolSize)
-	r := newRig(t, clk, func(p *Params) { p.SharedHost = shared })
+	r, c2 := sharedRigOn(t, clk, shared, nil)
+	return r, c2, shared
+}
+
+// sharedRigOn puts the two clients of sharedRig on an existing pool, with
+// mutate applied to both clients' parameters.
+func sharedRigOn(t *testing.T, clk *simclock.Virtual, shared *SharedHostCache, mutate func(*Params)) (*testRig, *Client) {
+	t.Helper()
+	r := newRig(t, clk, func(p *Params) {
+		p.SharedHost = shared
+		if mutate != nil {
+			mutate(p)
+		}
+	})
 	d2d2, pcie2 := r.cluster.Nodes[0].GPULinks(1)
 	dev2 := device.NewGPU(clk, 1, 64*MB, d2d2, pcie2, device.AllocCosts{
 		DeviceBytesPerSec: 1000 * MB, PinnedHostBytesPerSec: 400 * MB,
 	})
-	c2, err := New(Params{
+	p2 := Params{
 		Clock: clk, GPU: dev2, NVMe: r.cluster.Nodes[0].NVMe, PFS: r.cluster.PFS,
 		GPUCacheSize: 4 * MB, SharedHost: shared,
-	})
+	}
+	if mutate != nil {
+		mutate(&p2)
+	}
+	c2, err := New(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, c2, shared
+	return r, c2
 }
 
 func TestSharedHostCacheNamespacesClients(t *testing.T) {

@@ -129,8 +129,8 @@ func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 // any unpinned host-resident checkpoint (consumed checkpoints and
 // checkpoints without hints count as farthest).
 func (c *Client) maxHostResidentDistanceLocked() int {
-	max := -1
-	for id, ck := range c.ckpts {
+	far := -1
+	for _, ck := range c.ckpts {
 		rep := ck.replicas[TierHost]
 		if rep == nil {
 			continue
@@ -141,18 +141,15 @@ func (c *Client) maxHostResidentDistanceLocked() int {
 		default:
 			continue // no data, or pinned by a read: not a victim
 		}
-		if ck.consumed {
-			// Consumed residents are free wins for staging.
+		pos := ck.hintLocked()
+		if ck.consumed || pos == cachebuf.NoHint {
+			// Consumed residents are free wins for staging, and "no
+			// prefetching hint available" scores as farthest (§4.1.6).
 			return cachebuf.GapDistance - 1
 		}
-		if d := c.q.distance(id); d > max {
-			max = d
-			if max >= cachebuf.GapDistance-1 {
-				return max
-			}
-		}
+		far = max(far, pos-c.q.head)
 	}
-	return max
+	return far
 }
 
 // stageHinted is the stager's use of stageDeepToHost: what is its own is

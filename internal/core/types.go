@@ -319,8 +319,13 @@ type checkpoint struct {
 	pay      payload.Payload
 	replicas [TierPFS + 1]*replica // indexed by Tier; nil = no replica there
 
+	// entries are the eviction inputs the cache tiers' buffers read in place
+	// (oracle.go), rewritten under Client.mu whenever the rule's answer changes.
+	entries [TierHost + 1]cachebuf.Entry
+
 	consumed    bool // restored at least once
 	promoting   bool // a promotion toward the GPU tier is in flight
+	writing     bool // its Checkpoint call has not returned; no tier need hold the bytes yet
 	stagingHost bool // the host stager is copying SSD → host right now
 	stagedHost  bool // counted against the stager's byte budget
 	enqueuedD2H,

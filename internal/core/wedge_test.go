@@ -2,15 +2,19 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"score/internal/lifecycle"
+	"score/internal/payload"
 	"score/internal/simclock"
 )
 
-// The two reproducers below pin the wedges ROADMAP filed under "Fix
+// The first two reproducers below pin the wedges ROADMAP filed under "Fix
 // first". Both were lost wakeups, and both kill the run the same way: the
 // virtual clock finds every task parked in a Cond wait and panics with
-// "simclock: deadlock".
+// "simclock: deadlock". The third pins the race filed beside them, which
+// broke the other half of the contract: a restore that is neither bit-exact
+// nor a definitive error about what the run will hold.
 
 // TestCloseRacingTheStagerDoesNotWedge is the cold-restore wedge. The host
 // stager used to check c.closed, drop c.mu to read the host cache's free
@@ -112,4 +116,72 @@ func TestUnlinkedRecordReleasesItsWaiter(t *testing.T) {
 			t.Errorf("RestoreOps = %d, want 1", got)
 		}
 	})
+}
+
+// TestRestoreRacingSyncFlushWaits: a version too large for the GPU cache is
+// streamed down the tier chain inside Checkpoint (§2 condition 4), and
+// until that lands no tier holds its bytes — the GPU record a racing
+// Restore parks on is unlinked, not filled. The Restore used to wake from
+// the unlink (or arrive just after it), find no holder and report ErrLost
+// for bytes about to be durable; it must wait for the flush and restore
+// them bit-exact, whether they land in the host cache or go straight to
+// the SSD.
+func TestRestoreRacingSyncFlushWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		hostCache int64
+		landsOn   Tier
+	}{
+		{"through the host cache", 16 * MB, TierHost},
+		{"straight to the SSD", 4 * MB, TierSSD},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, func(clk *simclock.Virtual) {
+				r := newRig(t, clk, func(p *Params) { p.HostCacheSize = tc.hostCache })
+				defer r.client.Close()
+				c := r.client
+				data := make([]byte, 6*MB) // GPU cache: 4 MB
+				for i := range data {
+					data[i] = byte(i * 31)
+				}
+				in := payload.NewReal(data)
+
+				written := simclock.NewWaitGroup(clk)
+				written.Add(1)
+				var ckptErr error
+				clk.Go(func() {
+					defer written.Done()
+					ckptErr = c.Checkpoint(0, in)
+				})
+				// The writer has published the version and is moving its
+				// bytes; no replica is readable yet.
+				clk.Sleep(time.Millisecond)
+				c.mu.Lock()
+				ck := c.ckpts[0]
+				racing := ck != nil && !ck.dataOn(TierGPU) && !ck.durableBelow(TierGPU)
+				c.mu.Unlock()
+				if !racing {
+					t.Fatal("setup: the synchronous flush is not in flight 1 ms into the Checkpoint")
+				}
+
+				out, err := c.Restore(0)
+				if err != nil {
+					t.Fatalf("restore racing the synchronous flush: %v", err)
+				}
+				if err := payload.Verify(in, out.Bytes()); err != nil {
+					t.Errorf("restored payload: %v", err)
+				}
+				written.Wait()
+				if ckptErr != nil {
+					t.Fatalf("checkpoint: %v", ckptErr)
+				}
+				c.mu.Lock()
+				landed := ck.dataOn(tc.landsOn)
+				c.mu.Unlock()
+				if !landed || c.Metrics().Snapshot().SyncFlushes != 1 {
+					t.Errorf("the version did not take the synchronous route onto the %v tier", tc.landsOn)
+				}
+			})
+		})
+	}
 }

@@ -93,17 +93,12 @@ func Legal(from, to State) bool {
 // Machine is one replica's life-cycle state with clock-aware waiting.
 // The zero value is not usable; create with NewMachine.
 //
-// State reads are lock-free (atomic): the eviction oracle queries replica
-// states at very high rates during window scans.
+// State reads are lock-free (atomic): the eviction rule re-reads them all.
 type Machine struct {
 	mu        sync.Mutex
 	cond      simclock.Cond
 	state     atomic.Int32
 	abandoned bool // no transition will ever come; WaitFor returns at once
-
-	// observers are notified (outside the machine's lock ordering
-	// concerns; called after the transition commits) on every change.
-	observers []func(State)
 }
 
 // NewMachine returns a Machine in the Init state.
@@ -117,8 +112,7 @@ func NewMachine(clk simclock.Clock) *Machine {
 func (m *Machine) State() State { return State(m.state.Load()) }
 
 // To performs the transition to state to, returning an error if the
-// transition is not an edge of Figure 1. Waiters and observers are
-// notified on success.
+// transition is not an edge of Figure 1. Waiters are notified on success.
 func (m *Machine) To(to State) error {
 	m.mu.Lock()
 	from := State(m.state.Load())
@@ -127,13 +121,8 @@ func (m *Machine) To(to State) error {
 		return fmt.Errorf("lifecycle: illegal transition %v → %v", from, to)
 	}
 	m.state.Store(int32(to))
-	obs := make([]func(State), len(m.observers))
-	copy(obs, m.observers)
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	for _, f := range obs {
-		f(to)
-	}
 	return nil
 }
 
@@ -169,13 +158,3 @@ func (m *Machine) Abandon() {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 }
-
-// Observe registers f to be called after every successful transition.
-func (m *Machine) Observe(f func(State)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.observers = append(m.observers, f)
-}
-
-// Evictable reports whether the replica is currently evictable.
-func (m *Machine) Evictable() bool { return m.State().Evictable() }

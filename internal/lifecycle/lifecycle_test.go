@@ -16,7 +16,7 @@ func TestCheckpointingPath(t *testing.T) {
 			t.Fatalf("transition to %v: %v", s, err)
 		}
 	}
-	if !m.Evictable() {
+	if !m.State().Evictable() {
 		t.Error("Flushed replica must be evictable")
 	}
 }
@@ -29,7 +29,7 @@ func TestPrefetchingPath(t *testing.T) {
 			t.Fatalf("transition to %v: %v", s, err)
 		}
 	}
-	if !m.Evictable() {
+	if !m.State().Evictable() {
 		t.Error("Consumed replica must be evictable")
 	}
 }
@@ -157,22 +157,18 @@ func TestWaitForBlocksUntilState(t *testing.T) {
 	})
 }
 
-func TestObserverCalledOnEveryTransition(t *testing.T) {
-	clk := simclock.NewVirtual()
-	m := NewMachine(clk)
-	var seen []State
-	m.Observe(func(s State) { seen = append(seen, s) })
-	m.MustTo(WriteInProgress)
-	m.MustTo(WriteComplete)
-	m.MustTo(Flushed)
-	want := []State{WriteInProgress, WriteComplete, Flushed}
-	if len(seen) != len(want) {
-		t.Fatalf("observer saw %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("observer event %d = %v, want %v", i, seen[i], want[i])
-		}
+// TestTransitionAllocatesNothing: the runtime makes some twenty
+// transitions per checkpoint version, so one allocation in To is tens of
+// thousands per shot.
+func TestTransitionAllocatesNothing(t *testing.T) {
+	m := NewMachine(simclock.NewVirtual())
+	m.MustTo(ReadInProgress)
+	m.MustTo(ReadComplete)
+	if n := testing.AllocsPerRun(100, func() {
+		m.MustTo(Consumed)
+		m.MustTo(ReadComplete)
+	}); n != 0 {
+		t.Errorf("two transitions allocate %v times, want 0", n)
 	}
 }
 
