@@ -147,9 +147,7 @@ results:
 	@echo "regenerated results_full.txt"
 
 # transcript-drift regenerates the small-scale transcript twice and
-# counts the lines that differ, wall-time lines excluded. The count is
-# non-zero while same-instant wake order is left to the Go scheduler
-# (ROADMAP Direction 1); CI reports it so the gap cannot silently widen.
+# counts the lines that differ, wall-time lines excluded; CI gates on 0.
 # Exit 1 is drift (with its count); exit 2 is a run that crashed, named
 # with its exit status and panic line — the two are different problems.
 transcript-drift:

@@ -76,7 +76,7 @@ func grayRunDigest(t *testing.T, attach func(*score.Sim) []score.ClientOption) s
 			fmt.Fprintf(&sb, "restore %d sha=%x\n", v, sha256.Sum256(got))
 			c.Compute(time.Millisecond)
 		}
-		sb.WriteString(canonicalSummary(t, c.MetricsSummary()))
+		sb.WriteString(rawSummary(t, c.MetricsSummary()))
 		sb.WriteByte('\n')
 	})
 	fmt.Fprintf(&sb, "final=%v\n", sim.Clock().Now())
@@ -191,47 +191,20 @@ func grayCoreFingerprint(t *testing.T, hedge bool, opts ...simclock.VirtualOptio
 		sum = c.Metrics().Snapshot()
 	})
 
-	return fmt.Sprintf("final=%v\n%s\n", clk.Now(), canonicalSummary(t, sum))
+	return fmt.Sprintf("final=%v\n%s\n", clk.Now(), rawSummary(t, sum))
 }
 
-// canonicalSummary marshals a metrics summary with two same-instant tie
-// artifacts normalized — both predate the gray machinery and are outside
-// the engine's determinism guarantee (virtual-time observables are
-// byte-stable; goroutine wake order within one instant is not):
-// critical-path records completing in the same window append in wake
-// order, so they are sorted by (op, version); and a reservation racing a
-// same-instant release may or may not record a zero-duration
-// eviction_wait entry, so histograms keep only their duration sums
-// (counters like HedgesLaunched already pin the event counts strictly).
-func canonicalSummary(t *testing.T, sum metrics.Summary) string {
+// rawSummary is the metrics summary as the bytes json.Marshal gives it. One
+// task runs at a time in a fixed order (DESIGN.md §14), so same-instant
+// record order and zero-duration histogram entries repeat too and nothing
+// is normalized away.
+func rawSummary(t *testing.T, sum metrics.Summary) string {
 	t.Helper()
 	j, err := json.Marshal(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(j, &m); err != nil {
-		t.Fatal(err)
-	}
-	if cps, ok := m["CritPaths"].([]any); ok {
-		sort.Slice(cps, func(a, b int) bool {
-			ma, mb := cps[a].(map[string]any), cps[b].(map[string]any)
-			if ma["Op"] != mb["Op"] {
-				return ma["Op"].(string) < mb["Op"].(string)
-			}
-			return ma["Version"].(float64) < mb["Version"].(float64)
-		})
-	}
-	if hists, ok := m["Histograms"].(map[string]any); ok {
-		for name, h := range hists {
-			hists[name] = map[string]any{"sum": h.(map[string]any)["sum"]}
-		}
-	}
-	out, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return string(j)
 }
 
 // TestGrayHedgeWheelVsHeap: the hedge race's deadline timers must be

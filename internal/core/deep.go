@@ -47,7 +47,8 @@ type deepTier struct {
 // deepTiers builds a client's table in deepKinds order. The local SSD
 // always exists; the partner SSD only with a PartnerPath (read in
 // reverse: partner NVMe → partner NIC → local NIC) and the PFS only with
-// a PFS link.
+// a PFS link that can keep what the SSD keeps: beside an SSD store, a
+// storeless PFS is no tier — a restarted process could not read it back.
 func deepTiers(p Params) []deepTier {
 	single := []*fabric.Link{p.NVMe, p.PFS} // one backing array for both one-link paths
 	ssd, pfs := fabric.Path(single[:1]), fabric.Path(single[1:])
@@ -57,7 +58,7 @@ func deepTiers(p Params) []deepTier {
 		slices.Reverse(rev)
 		deep = append(deep, deepTier{&deepKinds[1], rev, p.PartnerPath, p.PartnerStore})
 	}
-	if p.PFS != nil {
+	if p.PFS != nil && (p.PFSStore != nil || p.Store == nil) {
 		deep = append(deep, deepTier{&deepKinds[2], pfs, pfs, p.PFSStore})
 	}
 	return deep

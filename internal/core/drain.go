@@ -327,7 +327,7 @@ func (c *Client) drainRoute(cand drainCandidate) ([]*fabric.Link, error) {
 	if !c.tierDegraded(TierSSD) {
 		return append(route, c.p.NVMe), nil
 	}
-	if c.p.PFS != nil {
+	if c.deepOf(TierPFS) != nil {
 		return append(route, c.p.PFS), nil
 	}
 	return nil, fmt.Errorf("%w: ssd tier degraded and no PFS configured", ErrTierIO)

@@ -365,7 +365,7 @@ func (c *Client) settleSSD(ck *checkpoint, ssdRep *replica, werr error, detail s
 // a plain writeDeep call, byte-identical to the seed.
 func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdRep *replica) (err error, rerouted bool) {
 	ssd := c.deepOf(TierSSD)
-	if !c.p.Hedge || c.p.PFS == nil {
+	if !c.p.Hedge || c.deepOf(TierPFS) == nil {
 		start := c.clk.Now()
 		err := c.writeDeep(ck, fromGPU, ssd, att)
 		if err == nil {

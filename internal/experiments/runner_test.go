@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"score/internal/metrics"
 	"score/internal/rtm"
 	"score/internal/slo"
 	"score/internal/trace"
@@ -182,25 +181,6 @@ func (w *watched) watch(run Run, traced bool) Run {
 	return run
 }
 
-// stableRanks copies a result's per-rank summaries without the one
-// observable outside the engine's determinism guarantee: a reservation
-// racing a same-instant release may or may not record a zero-duration
-// eviction_wait entry, so that histogram keeps only its duration sum
-// (canonicalSummary in the root package's gray_determinism_test.go makes
-// the same cut).
-func stableRanks(res ShotResult) []RankResult {
-	out := append([]RankResult(nil), res.PerRank...)
-	for i := range out {
-		hists := map[string]metrics.HistogramSnapshot{}
-		for name, h := range out[i].Summary.Histograms {
-			hists[name] = h
-		}
-		hists[metrics.HistEvictionWait] = metrics.HistogramSnapshot{Sum: hists[metrics.HistEvictionWait].Sum}
-		out[i].Summary.Histograms = hists
-	}
-	return out
-}
-
 // TestConcurrentShotsKeepTheirRun: a Run is a value, so two shots with
 // different options can execute at once. Each observer must see only its
 // own shot, and each result must equal the same shot run alone.
@@ -250,7 +230,7 @@ func TestConcurrentShotsKeepTheirRun(t *testing.T) {
 		name        string
 		alone, conc ShotResult
 	}{{"full", aloneFull, concFull}, {"bare", aloneBare, concBare}} {
-		if c.alone.Duration != c.conc.Duration || !reflect.DeepEqual(stableRanks(c.alone), stableRanks(c.conc)) ||
+		if c.alone.Duration != c.conc.Duration || !reflect.DeepEqual(c.alone.PerRank, c.conc.PerRank) ||
 			!reflect.DeepEqual(c.alone.Series, c.conc.Series) || !reflect.DeepEqual(c.alone.SLO, c.conc.SLO) {
 			t.Errorf("%s: concurrent result differs from the same shot run alone", c.name)
 		}

@@ -4,7 +4,8 @@
 // Every component that sleeps, waits, or measures time does so through the
 // Clock interface. Two implementations are provided:
 //
-//   - Virtual: a deterministic discrete-event clock. Simulated time advances
+//   - Virtual: a deterministic discrete-event clock. Exactly one task runs
+//     at a time, in the order tasks became ready, and simulated time advances
 //     instantly to the next pending timer whenever every registered task is
 //     blocked. A full paper-scale experiment (hundreds of gigabytes of
 //     simulated transfers) completes in milliseconds of wall time.
@@ -18,6 +19,9 @@
 // wait that can only be resolved by the progress of simulated time must go
 // through a Cond obtained from Clock.NewCond. Plain mutexes may still be
 // used for short critical sections that never block across simulated time.
+// On a Virtual clock this is strict: a task that blocks on a raw channel, a
+// sync.WaitGroup, or a mutex another task holds across a simulated wait keeps
+// the one running slot from the task that would release it, and the run stops.
 package simclock
 
 import (
@@ -37,7 +41,9 @@ type Clock interface {
 	// Sleep blocks the calling task for d of simulated time.
 	// Non-positive durations yield without advancing time.
 	Sleep(d time.Duration)
-	// Go starts fn as a clock-managed task.
+	// Go starts fn as a clock-managed task. On a Virtual clock fn does not
+	// run alongside its parent: it starts when the parent first blocks or
+	// returns, after the tasks made ready before it.
 	Go(fn func())
 	// NewCond returns a condition variable bound to locker l whose Wait
 	// correctly suspends the calling task in simulated time.
@@ -45,7 +51,8 @@ type Clock interface {
 }
 
 // Cond is a clock-aware condition variable. It mirrors sync.Cond with an
-// additional timed wait.
+// additional timed wait. On a Virtual clock Signal and Broadcast only make
+// waiters ready: they resume, in wait order, once the caller blocks.
 type Cond interface {
 	// Wait atomically unlocks the underlying locker and suspends the task
 	// until Signal or Broadcast wakes it. The locker is re-acquired before

@@ -1,58 +1,56 @@
+//go:build go1.23
+
 package simclock
 
 import (
+	"bytes"
 	"fmt"
+	"iter"
+	"regexp"
+	"runtime/debug"
+	"runtime/pprof"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // eventCount tallies task wakeups (timer fires, signals, broadcast wakes)
-// across every Virtual clock in the process. The simulator-speed
-// benchmarks difference it to report events/sec; one uncontended atomic
-// add per wakeup is noise next to the channel handoff that follows it.
+// across every Virtual clock in the process.
 var eventCount atomic.Uint64
 
 // EventCount returns the process-wide number of discrete-event wakeups
 // performed by all Virtual clocks so far.
 func EventCount() uint64 { return eventCount.Load() }
 
-// Virtual is a deterministic discrete-event clock. Simulated time stands
-// still while any registered task is runnable and jumps to the next pending
-// timer when every task is blocked (in Sleep or in a Cond wait).
+// Virtual is a deterministic discrete-event clock. Every task is a
+// coroutine and exactly one runs at a time: a driver resumes the head of a
+// FIFO ready queue and gets control back when that task blocks (Sleep, a
+// Cond wait) or returns. Go, Signal, Broadcast and timer expiry append to
+// the queue in the order they happen; simulated time stands still while
+// the queue is non-empty and jumps to the next pending timer when it is
+// empty, so equal inputs give equal schedules (DESIGN.md §14).
 //
 // A Virtual clock detects true deadlock: if every task is blocked in a
 // Cond wait with no pending timer, no event can ever wake the simulation,
 // and the clock panics with a diagnostic rather than hanging.
 type Virtual struct {
-	mu  sync.Mutex
+	mu  sync.Mutex // guards everything below; tasks never contend, callers outside any task may
 	now time.Duration
 	// nowAtomic mirrors now for lock-free reads. Time only advances while
 	// every task is blocked, so no task can observe it mid-change: Now()
 	// from a running task is exact without the mutex.
 	nowAtomic   atomic.Int64
-	runnable    int // tasks currently executing (or woken and about to run)
-	condWaiters int // tasks suspended in a Cond wait
+	ready       []*waiter // FIFO from readyHead: tasks that run before time moves
+	readyHead   int
+	cur         *waiter   // the task the driver resumed last
+	idle        []*waiter // finished coroutines, reused by Go, stopped at quiescence
+	driving     bool      // a driver goroutine exists
+	condWaiters int       // tasks suspended in a Cond wait
 	timers      timerQueue
 	seq         uint64 // tie-break for deterministic wake order; doubles as waiter generation
-	dead        bool   // deadlock detected; clock no longer advances
-
-	// wpool recycles waiter records (and their wake channels) so Sleep and
-	// Cond waits are allocation-free in steady state. It is per-clock on
-	// purpose: a recycled waiter may still be referenced by stale timer or
-	// cond entries from a previous incarnation, whose liveness checks read
-	// its seq/fired fields under THIS clock's mutex — all waiter field
-	// mutation happens under the same mutex, so those stale readers never
-	// race (DESIGN.md §14 has the ownership rules). A process-wide pool
-	// would let a waiter migrate to a clock with a different mutex.
-	wpool sync.Pool
-}
-
-func (c *Virtual) getWaiter() *waiter {
-	if w, _ := c.wpool.Get().(*waiter); w != nil {
-		return w
-	}
-	return &waiter{ch: make(chan bool, 1)}
+	dead        bool   // deadlock reported; it is reported once
 }
 
 // A VirtualOption configures a Virtual clock at construction.
@@ -78,28 +76,43 @@ func NewVirtual(opts ...VirtualOption) *Virtual {
 	return c
 }
 
-// waiter is a suspended task. It may be woken by a timer (timeout/sleep)
-// or by a Cond signal, whichever comes first; fired guards double wake,
-// and seq (reassigned on every acquisition) identifies the incarnation
-// that stale queue entries were filed against.
+// waiter is one task: its coroutine and the record of its current suspension.
+// It may be woken by a timer (timeout/sleep) or by a Cond signal, whichever
+// comes first; fired guards double wake, and seq (reassigned on every
+// suspension) identifies the one that stale timer and cond entries belong to.
 type waiter struct {
-	ch     chan bool // receives true when woken by timer expiry
-	seq    uint64
-	fired  bool
-	inCond bool // counted in condWaiters
-	timed  bool // has a filed timer (markStale bookkeeping on signal)
+	next     func() (struct{}, bool) // resume; only the driver calls it
+	stop     func()
+	yield    func(struct{}) bool // give the baton back; only the task itself calls it
+	fn       func()
+	seq      uint64
+	fired    bool
+	inCond   bool   // counted in condWaiters
+	timed    bool   // has a filed timer (markStale bookkeeping on signal)
+	timedOut bool   // woken by the timer
+	deadlock string // set when resumed to report a deadlock
 }
 
-// acquireWaiterLocked readies w for a new suspension. Must be called with
-// c.mu held: stale queue entries for w's previous incarnation may be
-// examined concurrently under the same mutex.
-func (c *Virtual) acquireWaiterLocked(w *waiter, inCond, timed bool) {
+// suspendLocked files the running task as blocked and returns it; the
+// caller unlocks and yields. Only a task may block.
+func (c *Virtual) suspendLocked(inCond, timed bool) *waiter {
+	w := c.cur
 	w.seq = c.seq
 	c.seq++
-	w.fired = false
-	w.inCond = inCond
-	w.timed = timed
+	w.fired, w.timedOut, w.inCond, w.timed = false, false, inCond, timed
+	return w
 }
+
+// readyLocked queues t; a caller that is not a task may have to start the driver.
+func (c *Virtual) readyLocked(t *waiter) {
+	c.ready = append(c.ready, t)
+	if !c.driving {
+		c.driving = true
+		c.startDriver()
+	}
+}
+
+func (c *Virtual) startDriver() { go c.drive() }
 
 // Now returns the current simulated time.
 func (c *Virtual) Now() time.Duration {
@@ -112,29 +125,48 @@ func (c *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	w := c.getWaiter()
 	c.mu.Lock()
-	c.acquireWaiterLocked(w, false, true)
+	w := c.suspendLocked(false, true)
 	c.timers.push(w, c.now+d, w.seq)
-	c.runnable--
-	c.advanceAndMaybePanicLocked()
-	<-w.ch
-	c.wpool.Put(w)
+	c.mu.Unlock()
+	w.yield(struct{}{})
 }
 
-// Go starts fn as a clock-managed task.
+// Go starts fn as a clock-managed task, behind every task readied before it.
 func (c *Virtual) Go(fn func()) {
 	c.mu.Lock()
-	c.runnable++
+	var t *waiter
+	if n := len(c.idle); n > 0 {
+		t, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		t = &waiter{}
+		t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+			t.yield = yield
+			for ok := true; ok; ok = yield(struct{}{}) {
+				t.run()
+				c.mu.Lock()
+				c.idle = append(c.idle, t)
+				c.mu.Unlock()
+			}
+		})
+	}
+	t.fn = fn
+	c.readyLocked(t)
 	c.mu.Unlock()
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.runnable--
-			c.advanceAndMaybePanicLocked()
-		}()
-		fn()
+}
+
+// run executes the task's function. iter.Pull re-raises its panic or
+// runtime.Goexit (t.Fatal) in the driver: the driver's stack says nothing
+// about the task, so the task's own travels in the panic value.
+func (t *waiter) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("%v\n\ntask stack:\n%s", r, debug.Stack()))
+		}
 	}()
+	fn := t.fn
+	t.fn = nil
+	fn()
 }
 
 // Run registers fn as the root task, executes it, and returns when it
@@ -154,61 +186,105 @@ func (c *Virtual) Run(fn func()) {
 // NewCond returns a virtual-time condition variable bound to l.
 func (c *Virtual) NewCond(l sync.Locker) Cond { return &vcond{clk: c, l: l} }
 
-// advanceAndMaybePanicLocked advances time if possible and UNLOCKS c.mu.
-// If advancing is impossible because every task is parked in a Cond wait
-// with no pending timer — a true deadlock — it panics after releasing the
-// lock, so a recover() in the caller leaves the clock unlocked (though
-// permanently dead).
-func (c *Virtual) advanceAndMaybePanicLocked() {
-	woken, deadlocked := c.maybeAdvanceLocked()
-	waiters, now := c.condWaiters, c.now
-	c.mu.Unlock()
-	// Deliver the wake outside the mutex: the woken task's first clock
-	// call would otherwise contend with the lock we still hold. The fired
-	// flag was set under the mutex, so no competing waker exists.
-	if woken != nil {
-		woken.ch <- true
+// drive is the scheduler: it resumes one task at a time until the clock
+// quiesces (nothing ready, no timer), then stops the idle coroutines and
+// exits, so a finished simulation leaves no goroutine behind.
+func (c *Virtual) drive() {
+	quiesced := false
+	defer func() {
+		if !quiesced { // unwound by a task's runtime.Goexit (or by its panic, which ends the process)
+			c.startDriver()
+		}
+	}()
+	c.mu.Lock()
+	for c.cur = c.nextLocked(); c.cur != nil; c.cur = c.nextLocked() {
+		c.mu.Unlock()
+		c.cur.next()
+		c.mu.Lock()
 	}
-	if deadlocked {
-		panic(fmt.Sprintf(
-			"simclock: deadlock: %d task(s) blocked in Cond waits with no pending timers at t=%v",
-			waiters, now))
+	c.driving = false
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	quiesced = true
+	for _, t := range idle {
+		t.stop()
 	}
 }
 
-// maybeAdvanceLocked advances simulated time to the next timer deadline if
-// no task is runnable, and returns the one task that deadline wakes (nil
-// when time did not advance) for the caller to deliver once the mutex is
-// released. It also reports whether a deadlock was detected (first
-// detection only). Must be called with c.mu held.
-func (c *Virtual) maybeAdvanceLocked() (woken *waiter, deadlocked bool) {
-	if c.runnable > 0 || c.dead {
-		return nil, false
+// nextLocked picks the task to resume: the ready head, else the one task
+// the earliest timer wakes (same-deadline timers one at a time, in
+// registration order), else nil: quiescence. In a deadlock the task whose
+// wait completed it is resumed to panic there, so its recover() works.
+func (c *Virtual) nextLocked() *waiter {
+	if c.readyHead < len(c.ready) {
+		c.readyHead++
+		return c.ready[c.readyHead-1]
 	}
-	w, deadline, ok := c.timers.pop()
-	if !ok {
-		if c.condWaiters > 0 {
-			c.dead = true
-			return nil, true
+	c.ready, c.readyHead = c.ready[:0], 0
+	if w, deadline, ok := c.timers.pop(); ok {
+		if deadline > c.now {
+			c.now = deadline
+			c.nowAtomic.Store(int64(deadline))
 		}
-		return nil, false // clean quiescence: every task has exited
+		w.fired, w.timedOut = true, true
+		if w.inCond {
+			c.condWaiters--
+		}
+		eventCount.Add(1)
+		return w
 	}
-	if deadline > c.now {
-		c.now = deadline
-		c.nowAtomic.Store(int64(deadline))
+	if c.condWaiters == 0 || c.dead {
+		return nil // clean quiescence, or the tasks a reported deadlock left parked
 	}
-	// Wake exactly one timer per advance: same-deadline waiters resume
-	// one at a time in registration order, each running to its next
-	// blocking point before the next wakes. Waking them all at once
-	// would hand several runnable goroutines to the real scheduler,
-	// whose interleaving is not reproducible.
-	w.fired = true
-	if w.inCond {
-		c.condWaiters--
+	c.dead = true
+	msg := fmt.Sprintf(
+		"simclock: deadlock: %d task(s) blocked in Cond waits with no pending timers at t=%v%s",
+		c.condWaiters, c.now, waitSites())
+	if !c.cur.inCond || c.cur.fired { // the task resumed last completed the deadlock by returning
+		c.mu.Unlock()
+		panic(msg)
 	}
-	c.runnable++
-	eventCount.Add(1)
-	return w, false
+	c.cur.fired, c.cur.deadlock = true, msg
+	c.condWaiters--
+	return c.cur
+}
+
+// profFrame matches one "#  pc  func+off  dir/file:line" line of a debug=1 goroutine profile.
+var profFrame = regexp.MustCompile(`(?m)^#\s+\S+\s+(\S+)\+0x\S+\s+.*/(\S+)$`)
+
+// waitSites renders one line per distinct place tasks are parked in a Cond
+// wait: count × the innermost two frames outside this package. A parked
+// task is a coroutine whose stack ends in (*vcond).wait, so the goroutine
+// profile has them grouped already and the wait path records nothing. It
+// is process-wide: tasks other clocks have parked at the time show too.
+func waitSites() string {
+	var prof bytes.Buffer
+	pprof.Lookup("goroutine").WriteTo(&prof, 1)
+	_, records, _ := strings.Cut(prof.String(), "\n") // the "goroutine profile: total N" line
+	counts := map[string]int{}
+	for _, rec := range strings.Split(records, "\n\n") { // "N @ pcs…", then the frames
+		_, stack, parked := strings.Cut(rec, "simclock.(*vcond).wait+")
+		if !parked {
+			continue
+		}
+		var n int
+		fmt.Sscan(rec, &n)
+		stack, _, _ = strings.Cut(stack, "simclock.(*waiter).run+") // what is left is the task's own frames
+		var site []string
+		for _, m := range profFrame.FindAllStringSubmatch(stack, -1) {
+			if len(site) < 2 && !strings.Contains(m[1], "simclock.(*") { // Wait, WaitGroup.Wait, Barrier.Await
+				site = append(site, m[1]+" "+m[2])
+			}
+		}
+		counts[strings.Join(site, " < ")] += n
+	}
+	var lines []string
+	for site, n := range counts {
+		lines = append(lines, fmt.Sprintf("\n%6d × %s", n, site))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }
 
 // vcond is the Virtual implementation of Cond.
@@ -220,7 +296,7 @@ type vcond struct {
 }
 
 // condEntry pins the incarnation of a queued waiter, exactly as
-// timerEntry does for timers: a pooled waiter recycled after a timeout
+// timerEntry does for timers: a task that timed out and waits again
 // leaves its cond entry behind, detectable by the seq mismatch.
 type condEntry struct {
 	w   *waiter
@@ -242,96 +318,52 @@ func (cd *vcond) WaitTimeout(d time.Duration) bool {
 // Precondition: caller holds cd.l.
 func (cd *vcond) wait(d time.Duration) bool {
 	c := cd.clk
-	w := c.getWaiter()
 	c.mu.Lock()
-	c.acquireWaiterLocked(w, true, d >= 0)
-	cd.enqueue(condEntry{w, w.seq})
+	w := c.suspendLocked(true, d >= 0)
+	if cd.head > 0 && cd.head == len(cd.waiters) {
+		cd.waiters, cd.head = cd.waiters[:0], 0
+	}
+	cd.waiters = append(cd.waiters, condEntry{w, w.seq})
 	if d >= 0 {
 		c.timers.push(w, c.now+d, w.seq)
 	}
 	c.condWaiters++
-	c.runnable--
 	cd.l.Unlock()
-	c.advanceAndMaybePanicLocked()
-	timedOut := <-w.ch
-	c.wpool.Put(w)
+	c.mu.Unlock()
+	w.yield(struct{}{})
 	cd.l.Lock()
-	return timedOut
-}
-
-func (cd *vcond) enqueue(e condEntry) {
-	if cd.head > 0 && cd.head == len(cd.waiters) {
-		cd.waiters = cd.waiters[:0]
-		cd.head = 0
+	if msg := w.deadlock; msg != "" {
+		w.deadlock = ""
+		panic(msg) // with cd.l held, so the caller's deferred Unlock works
 	}
-	cd.waiters = append(cd.waiters, e)
+	return w.timedOut
 }
 
-// wakeCondLocked fires a queued waiter: its pending timer (if any) is now
-// stale, which the timer store tracks as a live-count decrement. The
-// channel send happens after the clock mutex is released (fired, set here,
-// already excludes competing wakers).
-func (c *Virtual) wakeCondLocked(w *waiter) {
-	w.fired = true
-	if w.timed {
-		c.timers.markStale()
-	}
-	c.condWaiters--
-	c.runnable++
-	eventCount.Add(1)
-}
-
-func (cd *vcond) Signal() {
+// wake readies the first live waiter, or all of them, in wait order. A
+// woken waiter's pending timer (if any) is now stale: the store counts it.
+func (cd *vcond) wake(all bool) {
 	c := cd.clk
-	var woken *waiter
 	c.mu.Lock()
 	for cd.head < len(cd.waiters) {
 		e := cd.waiters[cd.head]
 		cd.waiters[cd.head] = condEntry{}
 		cd.head++
 		if !e.live() {
-			continue // already timed out or recycled
+			continue // already timed out, or waiting again elsewhere
 		}
-		c.wakeCondLocked(e.w)
-		woken = e.w
-		break
+		e.w.fired = true
+		if e.w.timed {
+			c.timers.markStale()
+		}
+		c.condWaiters--
+		eventCount.Add(1)
+		c.readyLocked(e.w)
+		if !all {
+			break
+		}
 	}
 	c.mu.Unlock()
-	if woken != nil {
-		woken.ch <- false
-	}
 }
 
-func (cd *vcond) Broadcast() {
-	c := cd.clk
-	var single *waiter
-	var woken []*waiter
-	c.mu.Lock()
-	for cd.head < len(cd.waiters) {
-		e := cd.waiters[cd.head]
-		cd.waiters[cd.head] = condEntry{}
-		cd.head++
-		if !e.live() {
-			continue
-		}
-		c.wakeCondLocked(e.w)
-		if single == nil && woken == nil {
-			single = e.w
-		} else {
-			if woken == nil {
-				woken = append(woken, single)
-				single = nil
-			}
-			woken = append(woken, e.w)
-		}
-	}
-	cd.waiters = cd.waiters[:0]
-	cd.head = 0
-	c.mu.Unlock()
-	if single != nil {
-		single.ch <- false
-	}
-	for _, w := range woken {
-		w.ch <- false
-	}
-}
+func (cd *vcond) Signal()    { cd.wake(false) }
+func (cd *vcond) Broadcast() { cd.wake(true) }

@@ -205,8 +205,8 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 // Ledger returns rank's retained events in a deterministic order:
 // primarily by simulated time, then by (version, kind, tier, detail);
 // entries equal in every field are indistinguishable and keep storage
-// order. The tie-breaks matter because same-instant tasks run in
-// real-scheduler order under the virtual clock. Nil-safe.
+// order. The tie-breaks keep it independent of how same-instant tasks were
+// scheduled (fixed under the virtual clock, not under the real one). Nil-safe.
 func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	if f == nil {
 		return nil

@@ -43,6 +43,15 @@ func TestPreemptChaosSoak(t *testing.T) {
 	}
 }
 
+// TestDrainNeverCallsAStorelessPFSDurable pins schedule 4064 of the soak in
+// the default run: no PFS store, the SSD dead through the window, and the
+// notice landing at the instant the first checkpoint begins. The flush
+// chain used to fail over to the PFS link and the manifest called version 0
+// durable on a tier that keeps no bytes; it must be abandoned with a reason.
+// Before one task ran at a time this was a coin flip on which of the two
+// same-instant tasks took the client's lock first.
+func TestDrainNeverCallsAStorelessPFSDurable(t *testing.T) { runPreemptChaosSchedule(t, 4064) }
+
 // drainWindowRules derives fault rules aimed at the drain window itself:
 // the SSD link or store dying exactly while the triage is trying to use
 // it. The PFS tier, when present, is never faulted so abandonments stay

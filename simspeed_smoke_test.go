@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -24,18 +25,21 @@ var simspeedChild = flag.Bool("simspeed.child", false, "measure the sweep in thi
 
 // simspeedBaselinePath is the committed regression ceiling the smoke test
 // gates against. Allocations do not depend on the machine, so the ceiling
-// ratchets: it is the measured count (91,6xx per sweep in a process that
-// runs nothing else) plus 5 %, and a PR that lowers the count commits the
-// lower ceiling. Speed does depend on the machine, so it is gated as a
+// ratchets: it is the measured count (181,4xx–181,7xx per sweep in a process
+// that runs nothing else) plus 2 %, and a PR that lowers the count commits
+// the lower ceiling. It went up once, from 96,195, when tasks became
+// coroutines: the sweep starts 10,000 at once, none to reuse, and each costs
+// iter.Pull's 11 allocations (DESIGN.md §14 says what that bought).
+// Speed does depend on the machine, so it is gated as a
 // ratio inside one run (wheelVsHeapFloor), not against a committed number.
 const simspeedBaselinePath = "testdata/simspeed_baseline.json"
 
 // wheelVsHeapFloor is the least the default timer wheel may retire, in
 // model events per second, relative to the binary-heap reference it
-// replaced, both measured back to back in one process. The wheel reads
-// 1.1–1.4x the heap whether the host is quiet or loaded; a change that
-// makes the default engine slower than its own reference fails here on any
-// machine.
+// replaced, both measured back to back in one process. The median of
+// seven alternating rounds reads 1.1–1.3x on a quiet host and 1.0–1.6x
+// beside the rest of `go test ./...`; a change that makes the default
+// engine slower than its own reference fails here on any machine.
 const wheelVsHeapFloor = 0.9
 
 // measureSweep runs the 10k-rank sweep iters times and returns the
@@ -78,11 +82,22 @@ func TestSimSpeedSmoke(t *testing.T) {
 		t.Skip("simulator-speed gate is meaningless under the race detector (~50× slowdown, shadow allocations)")
 	}
 	if *simspeedChild {
-		records := []report.SimSpeedRecord{
-			measureSweep(t, "sweep/10k-serial", 2),
-			measureSweep(t, "sweep/10k-heap-reference", 2, simclock.WithHeapTimers()),
+		// One unmeasured sweep first: growing the heap and 10,000 task stacks
+		// from nothing is the process's cost, not the first backend's.
+		runRankSweep(t, sweepRanks, sweepLinks, sweepRounds)
+		// The backends alternate, sweep by sweep, and the round whose
+		// wheel ÷ heap ratio is the median is the one reported: beside the
+		// other packages of `go test ./...` a neighbour's burst lands on one
+		// sweep, and single rounds read anywhere from 0.7x to 2.1x.
+		rounds := make([][2]report.SimSpeedRecord, 7)
+		for i := range rounds {
+			rounds[i][0] = measureSweep(t, "sweep/10k-serial", 1)
+			rounds[i][1] = measureSweep(t, "sweep/10k-heap-reference", 1, simclock.WithHeapTimers())
 		}
-		if err := report.WriteSimSpeedFile(*simspeedOut, records); err != nil {
+		sort.Slice(rounds, func(a, b int) bool {
+			return rounds[a][0].EventsPerSec/rounds[a][1].EventsPerSec < rounds[b][0].EventsPerSec/rounds[b][1].EventsPerSec
+		})
+		if err := report.WriteSimSpeedFile(*simspeedOut, rounds[len(rounds)/2][:]); err != nil {
 			t.Fatalf("writing %s: %v", *simspeedOut, err)
 		}
 		return
