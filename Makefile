@@ -7,9 +7,12 @@ GO ?= go
 # benchmark harness's own vet and tests.
 verify: vet staticcheck build race bench-check
 
+# vet also gates the baton contract (DESIGN.md §14): no go statement,
+# channel or sync.WaitGroup in non-test model code outside internal/simclock.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
+	$(GO) test -count=1 -run '^TestModelCodeKeepsTheBatonContract$$' ./internal/simclock
 
 # staticcheck runs when the binary is available (CI installs it; local
 # environments without it skip with a note rather than failing verify).
@@ -38,8 +41,8 @@ bench-check:
 
 # loc prints the design inventory every CHANGES.md entry quotes (ROADMAP
 # aim 2): non-test Go lines per package and in total outside bench/, and
-# the counts of public With* options, ckptbench flags and registered
-# eviction policies.
+# the counts of public With* options, core.Params fields, ckptbench flags
+# and registered eviction policies.
 NONTEST = -name '*.go' -not -name '*_test.go'
 loc:
 	@for d in $$(find . $(NONTEST) -not -path './bench/*' -exec dirname {} \; | sort -u); do \
@@ -47,6 +50,7 @@ loc:
 	done
 	@printf '%7d  non-test lines outside bench/\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs cat | wc -l)
 	@printf '%7d  With* options\n' $$(cat *.go | grep -c '^func With')
+	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 

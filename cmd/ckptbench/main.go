@@ -212,8 +212,10 @@ Flags:
 				}
 			}
 			if collectCritPaths {
+				// Merge has sorted the records; a run without any (a
+				// baseline approach) is written as [], not null.
 				critRuns = append(critRuns, report.CritPathRun{
-					Label: res.Label(), Records: merged.CritPaths,
+					Label: res.Label(), Records: append([]metrics.CritPathRecord{}, merged.CritPaths...),
 				})
 			}
 		}
@@ -301,7 +303,7 @@ Flags:
 		fmt.Fprintf(stdout, "wrote metrics for %d run(s) to %s\n", registry.Len(), *metricsOut)
 	}
 	if *critpathOut != "" {
-		if err := report.WriteCritPathFile(*critpathOut, critRuns); err != nil {
+		if err := report.CritPathFile.WriteFile(*critpathOut, critRuns); err != nil {
 			return fail("writing %s: %v", *critpathOut, err)
 		}
 		fmt.Fprintf(stdout, "wrote critical-path attribution for %d run(s) to %s\n", len(critRuns), *critpathOut)
@@ -316,7 +318,7 @@ Flags:
 			}
 		}
 		if *sloOut != "" {
-			if err := report.WriteSLOFile(*sloOut, sloRuns); err != nil {
+			if err := report.SLOFile.WriteFile(*sloOut, sloRuns); err != nil {
 				return fail("writing %s: %v", *sloOut, err)
 			}
 			fmt.Fprintf(stdout, "wrote slo compliance for %d run(s) to %s\n", len(sloRuns), *sloOut)

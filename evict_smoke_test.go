@@ -64,7 +64,7 @@ func TestEvictionMatrixSmoke(t *testing.T) {
 
 	if *evictOut != "" {
 		records := res.BenchRecords()
-		if err := report.WriteBenchFile(*evictOut, records); err != nil {
+		if err := report.BenchFile.WriteFile(*evictOut, records); err != nil {
 			t.Fatalf("writing %s: %v", *evictOut, err)
 		}
 		t.Logf("wrote %d bench records to %s", len(records), *evictOut)

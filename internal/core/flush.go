@@ -409,7 +409,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 		c.hstC.Notify()
 	})
 
-	deadline := c.health.deadline("ssd", ck.size, c.p.HedgeDelayFloor)
+	deadline := c.health.deadline("ssd", ck.size)
 	ws.mu.Lock()
 	for deadline == 0 && !ws.done {
 		// The SSD class has no observations yet, so there is nothing to

@@ -28,6 +28,10 @@ const (
 	// hedgeHeadroom multiplies the quantile estimate when deriving a
 	// deadline, so ordinary tail noise does not trigger hedges.
 	hedgeHeadroom = 2.0
+	// hedgeDelayFloor bounds the adaptive hedge/stall deadlines from
+	// below, guarding against hair-trigger hedging on a calibration from
+	// a few fast samples.
+	hedgeDelayFloor = time.Millisecond
 )
 
 // classHealth tracks one link class ("ssd", "partner", "pfs").
@@ -80,7 +84,7 @@ func (h *tierHealth) observe(class string, size int64, d time.Duration) {
 // deadline returns the adaptive transfer deadline for moving size bytes
 // over class: the windowed median slowdown ratio times the nominal
 // per-byte latency times the size, with headroom, clamped from below by
-// floor (Params.HedgeDelayFloor). With no samples yet it returns 0 —
+// hedgeDelayFloor. With no samples yet it returns 0 —
 // "no deadline": the estimator has to earn the right to call a transfer
 // slow, so uncalibrated operations are never hedged or flagged as
 // stalled on a guess.
@@ -94,7 +98,7 @@ func (h *tierHealth) observe(class string, size int64, d time.Duration) {
 // stays honest until more than half the window is sick, by which point
 // the EWMA has long since breached and quarantined the tier. The cap at
 // healthBreach bounds the damage even then.
-func (h *tierHealth) deadline(class string, size int64, floor time.Duration) time.Duration {
+func (h *tierHealth) deadline(class string, size int64) time.Duration {
 	h.mu.Lock()
 	var d time.Duration
 	if ch := h.classes[class]; ch != nil && ch.n > 0 {
@@ -111,10 +115,7 @@ func (h *tierHealth) deadline(class string, size int64, floor time.Duration) tim
 	if d == 0 {
 		return 0
 	}
-	if d < floor {
-		d = floor
-	}
-	return d
+	return max(d, hedgeDelayFloor)
 }
 
 // score returns the class's EWMA slowdown ratio (1.0 = nominal); 0 when

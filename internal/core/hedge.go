@@ -156,7 +156,7 @@ func (c *Client) hedgeRace(ck *checkpoint, att *attrib, legs []*deepTier, fused 
 			// out the deepest launched leg's adaptive deadline, then
 			// hedge.
 			deep := launched - 1
-			d := c.health.deadline(legs[deep].label, ck.size, c.p.HedgeDelayFloor)
+			d := c.health.deadline(legs[deep].label, ck.size)
 			if d == 0 {
 				// No calibration for this link class yet — no deadline to
 				// arm. Wait for the leg to resolve; a failure still falls

@@ -227,10 +227,6 @@ type Params struct {
 	// gets exactly one fate. Off (the default) the runtime is
 	// byte-identical to the sequential ladder.
 	Hedge bool
-	// HedgeDelayFloor bounds the adaptive hedge/stall deadlines from
-	// below, guarding against hair-trigger hedging before the latency
-	// estimators have samples. 0 takes the default (1ms simulated).
-	HedgeDelayFloor time.Duration
 	// FaultSeed seeds the retry jitter (and any other client-local
 	// randomness) so fault-injection runs replay deterministically.
 	FaultSeed int64
@@ -260,9 +256,6 @@ func (p Params) withDefaults() Params {
 		p.HostCacheSize = 32 * fabric.GB
 	}
 	p.Retry = p.Retry.withDefaults()
-	if p.HedgeDelayFloor == 0 {
-		p.HedgeDelayFloor = time.Millisecond
-	}
 	return p
 }
 
@@ -284,8 +277,6 @@ func (p Params) validate() error {
 		return errors.New("core: Params.ChunkSize must be non-negative")
 	case p.FlushStreams < 0:
 		return errors.New("core: Params.FlushStreams must be non-negative")
-	case p.HedgeDelayFloor < 0:
-		return errors.New("core: Params.HedgeDelayFloor must be non-negative")
 	case (p.PartnerStore == nil) != (len(p.PartnerPath) == 0):
 		return errors.New("core: PartnerStore and PartnerPath must be set together")
 	case !p.GPUEvictionPolicy.Known():

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -78,11 +79,11 @@ func TestPipelineAttributesEveryDurableAndRestore(t *testing.T) {
 			t.Errorf("rendered pipeline result missing %q:\n%s", want, out)
 		}
 	}
-	var file bytes.Buffer
-	if err := report.WriteCritPaths(&file, res.CritPathRuns()); err != nil {
+	path := filepath.Join(t.TempDir(), "critpath.json")
+	if err := report.CritPathFile.WriteFile(path, res.CritPathRuns()); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := report.LoadCritPaths(bytes.NewReader(file.Bytes()))
+	runs, err := report.CritPathFile.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@
 // overlap on a shared link slow each other down exactly as they would on
 // real hardware.
 //
-// All timing flows through a simclock.Clock, so the same fabric runs
-// deterministically under a virtual clock or proportionally under a scaled
-// real clock.
+// All timing flows through a simclock.Clock, so the fabric runs
+// deterministically under the virtual clock.
 package fabric
 
 import (
@@ -77,16 +76,16 @@ type Link struct {
 
 	interceptor atomic.Pointer[TransferInterceptor]
 
-	// Statistics. Written under mu, read lock-free (StatsSnapshot): the
-	// busy/lastSettle pair is torn-read-proof behind statsSeq (a seqlock),
-	// the independent counters are plain atomics.
-	statsSeq       atomic.Uint64
-	totalBytes     atomic.Int64
-	totalTransfers atomic.Int64
-	peakConcurrent atomic.Int64
-	inFlight       atomic.Int64
-	busyNS         atomic.Int64 // simulated ns with >=1 active transfer
-	lastSettleNS   atomic.Int64
+	// inFlight mirrors len(active), written under mu. Estimate reads it
+	// once per fragment on every eviction scan and score-summary tick,
+	// where taking mu instead cost observed_rtm 5-12 % of its wall time.
+	inFlight atomic.Int64
+
+	// Statistics, under mu.
+	totalBytes     int64
+	totalTransfers int64
+	peakConcurrent int
+	busy           time.Duration // simulated time with >=1 active transfer, up to lastSettle
 }
 
 // transfer is one in-flight payload. Records are pooled per link; cond is
@@ -166,11 +165,9 @@ func (l *Link) TryTransfer(size int64) (time.Duration, error) {
 	t := l.getTransferLocked(effective)
 	l.heapPush(t)
 	l.inFlight.Store(int64(len(l.active)))
-	if n := int64(len(l.active)); n > l.peakConcurrent.Load() {
-		l.peakConcurrent.Store(n)
-	}
-	l.totalBytes.Add(size)
-	l.totalTransfers.Add(1)
+	l.peakConcurrent = max(l.peakConcurrent, len(l.active))
+	l.totalBytes += size
+	l.totalTransfers++
 	// The settle above may have finished transfers due exactly now; they
 	// leave (and the share they stop consuming is released) before the
 	// new fair share is computed, as the broadcast chain used to arrange.
@@ -265,7 +262,6 @@ func (l *Link) heapPopTop() {
 // self (the caller, if it is a member) needs no signal: it is already
 // running and rechecks done on its next loop.
 func (l *Link) reapLocked(self *transfer) {
-	reaped := false
 	for len(l.active) > 0 && l.active[0].remaining <= 0.5 { // sub-byte residue counts as done
 		t := l.active[0]
 		l.heapPopTop()
@@ -273,11 +269,8 @@ func (l *Link) reapLocked(self *transfer) {
 		if t != self {
 			t.cond.Signal()
 		}
-		reaped = true
 	}
-	if reaped {
-		l.inFlight.Store(int64(len(l.active)))
-	}
+	l.inFlight.Store(int64(len(l.active)))
 }
 
 // electLocked re-reads the pacer — the completion-heap top — after a
@@ -302,14 +295,12 @@ func (l *Link) electLocked(self *transfer) {
 
 // Estimate predicts how long transferring size bytes would take if it
 // started now, given the current load (assuming load stays constant). It
-// is used by the eviction policy's predict_evictable estimator and never
-// blocks or contends with in-flight settles.
+// is used by the eviction policy's predict_evictable estimator.
 func (l *Link) Estimate(size int64) time.Duration {
 	if size <= 0 {
 		return 0
 	}
-	n := l.inFlight.Load() + 1
-	return l.latency + durationFor(float64(size), l.bw/float64(n))
+	return l.latency + durationFor(float64(size), l.bw/float64(l.InFlight()+1))
 }
 
 // InFlight returns the number of transfers currently using the link.
@@ -330,7 +321,7 @@ func (l *Link) BusyTime() time.Duration {
 	return l.StatsSnapshot().Busy
 }
 
-// LinkStats is a coherent, lock-free view of a link's counters.
+// LinkStats is a coherent view of a link's counters.
 type LinkStats struct {
 	Bytes          int64
 	Transfers      int64
@@ -339,34 +330,21 @@ type LinkStats struct {
 	Busy           time.Duration // includes the in-progress busy interval
 }
 
-// StatsSnapshot reads the link's statistics without taking the transfer
-// mutex, so probes (the metrics gauge sampler, utilization reports) never
-// contend with in-flight settles. The busy figure extends through now when
-// the link is active, exactly what the settle-on-read path used to return.
+// StatsSnapshot reads the link's statistics under its lock. The busy
+// figure extends through now when the link is active.
 func (l *Link) StatsSnapshot() LinkStats {
-	var busy, last, act int64
-	for {
-		s1 := l.statsSeq.Load()
-		if s1&1 == 0 {
-			busy = l.busyNS.Load()
-			last = l.lastSettleNS.Load()
-			act = l.inFlight.Load()
-			if l.statsSeq.Load() == s1 {
-				break
-			}
-		}
-	}
-	if act > 0 {
-		if partial := int64(l.clk.Now()) - last; partial > 0 {
-			busy += partial
-		}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	busy := l.busy
+	if len(l.active) > 0 {
+		busy += max(l.clk.Now()-l.lastSettle, 0)
 	}
 	return LinkStats{
-		Bytes:          l.totalBytes.Load(),
-		Transfers:      l.totalTransfers.Load(),
-		PeakConcurrent: int(l.peakConcurrent.Load()),
-		InFlight:       int(act),
-		Busy:           time.Duration(busy),
+		Bytes:          l.totalBytes,
+		Transfers:      l.totalTransfers,
+		PeakConcurrent: l.peakConcurrent,
+		InFlight:       len(l.active),
+		Busy:           busy,
 	}
 }
 
@@ -378,21 +356,13 @@ func (l *Link) settleLocked() {
 	now := l.clk.Now()
 	elapsed := now - l.lastSettle
 	if elapsed <= 0 {
-		// Same-instant settle: nothing moved and no snapshot field changes,
-		// so skip the seqlock write entirely. Frequent — every membership
-		// change after the first at a given instant lands here.
-		return
+		return // same-instant settle: nothing moved
 	}
 	l.lastSettle = now
-	l.statsSeq.Add(1)
-	l.lastSettleNS.Store(int64(now))
-	if len(l.active) > 0 {
-		l.busyNS.Add(int64(elapsed))
-	}
-	l.statsSeq.Add(1)
 	if len(l.active) == 0 {
 		return
 	}
+	l.busy += elapsed
 	share := l.bw / float64(len(l.active))
 	credit := share * elapsed.Seconds()
 	for _, t := range l.active {

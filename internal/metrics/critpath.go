@@ -58,7 +58,7 @@ type CritPathRecord struct {
 func (r *Recorder) CritPath(rec CritPathRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.critPaths = append(r.critPaths, rec)
+	r.s.CritPaths = append(r.s.CritPaths, rec)
 }
 
 // CritPathBreakdown aggregates the records for one operation kind:

@@ -8,127 +8,50 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Recorder accumulates measurements for one process (one GPU).
 // All methods are safe for concurrent use.
 //
-// The hot counters are plain atomics and the histograms have atomic
-// buckets (sharded.go), so the many tasks of one rank — application,
-// flush workers, prefetcher, stager — never serialize on a registry
-// mutex. Every hot update is a commutative integer add, which keeps
-// totals independent of same-instant task interleaving (the determinism
-// contract). The mutex guards only the cold structured state: series
-// appends, per-tier maps, and critical-path records.
+// One mutex guards everything. The virtual clock runs one task at a time,
+// so the application, flush workers, prefetcher and stager of a rank never
+// contend for it; the lock only has to be correct, not fast.
 type Recorder struct {
-	ckptBytes   atomic.Int64
-	ckptBlocked atomic.Int64 // ns
-	ckptOps     atomic.Int64
-
-	restBytes   atomic.Int64
-	restBlocked atomic.Int64 // ns
-	restOps     atomic.Int64
-
-	evictionWait   atomic.Int64 // ns
-	deviationReads atomic.Int64 // restores that deviated from the hint order
-
-	// Robustness counters (fault injection / degradation).
-	fallbackReads atomic.Int64 // reads served from a deeper tier after a faster one failed
-	repopulations atomic.Int64 // lost/corrupt replicas re-staged into a faster tier
-	flushAborts   atomic.Int64 // flush chains abandoned after exhausting every route
-	syncFlushes   atomic.Int64 // checkpoints that fell back to synchronous flush (§2 cond. 4)
-
-	// Cluster failure model: partner-copy replication and rank deaths.
-	partnerCopies       atomic.Int64 // replicas staged on the partner node's SSD
-	partnerCopyBytes    atomic.Int64
-	partnerCopyFailures atomic.Int64 // replication attempts that failed
-	rankDeaths          atomic.Int64 // injected kills of this rank (0 or 1)
-
-	// Scheduling events: deadline-bounded drain and live migration.
-	drains                 atomic.Int64 // preemption drains initiated (0 or 1 per client)
-	drainDeadlineHits      atomic.Int64 // drains whose last triage flush landed inside the grace window
-	drainedVersions        atomic.Int64 // versions a drain made durable
-	drainedBytes           atomic.Int64
-	drainAbandonedVersions atomic.Int64 // versions a drain failed open to ErrLost
-	drainAbandonedBytes    atomic.Int64
-	migrations             atomic.Int64 // live migrations attempted
-	migratedVersions       atomic.Int64 // store versions copied to the successor node
-	migratedBytes          atomic.Int64
-	migrationFailures      atomic.Int64 // per-version migration copies that failed
-
-	// Chunked transfer pipelining (§4.3): per-stream overlap accounting.
-	pipelinedStreams atomic.Int64
-	pipelinedBytes   atomic.Int64
-	pipelinedElapsed atomic.Int64 // ns; end-to-end stream durations
-	pipelinedHopBusy atomic.Int64 // ns; summed per-hop occupancy
-
-	// Per-hop byte conservation for complete pipelined streams: every hop
-	// of an error-free stream must carry exactly the payload size.
-	pipelinedHopBytes     atomic.Int64 // observed per-hop bytes, summed
-	pipelinedHopBytesWant atomic.Int64 // payload size × hop count
-
-	// Conservation (fate) accounting: every byte accepted into the
-	// checkpoint pipeline must end up exactly one of durable, discarded
-	// (consumed before flush, §2 cond. 5) or lost (flush chain aborted).
-	// CheckInvariants enforces the balance.
-	acceptedBytes  atomic.Int64
-	durableBytes   atomic.Int64
-	discardedBytes atomic.Int64
-	lostBytes      atomic.Int64
-
-	// Retry bouts: one bout = one retried I/O sequence (>=1 retries). A
-	// bout either recovers (the operation eventually succeeds) or exhausts
-	// its attempts; CheckInvariants ties bouts to the per-retry counters.
-	retryBoutsRecovered atomic.Int64
-	retryBoutsExhausted atomic.Int64
-
-	// Gray-failure tolerance: hedged restores and stalled-flush reroutes
-	// (DESIGN.md §16). A hedge is a concurrent read of the next-deeper
-	// replica launched when the preferred tier exceeds its adaptive
-	// deadline; a stall is a background flush leg that exceeded its
-	// deadline and was re-routed to an alternate durable tier.
-	hedgesLaunched    atomic.Int64 // hedge legs launched after a deadline breach
-	hedgeWins         atomic.Int64 // reads won by a hedge leg (not the preferred tier)
-	hedgeWastedBytes  atomic.Int64 // bytes moved by legs that lost the race
-	stallsDetected    atomic.Int64 // flush legs that exceeded their adaptive deadline
-	stallsRerouted    atomic.Int64 // stalled flushes successfully re-routed to an alternate tier
-	healthQuarantines atomic.Int64 // tiers quarantined by an EWMA health-score breach
-
-	// SLO burn-rate alert transitions (internal/slo, DESIGN.md §17) and
-	// telemetry-drop gauges mirrored from the bounded tracer and
-	// flight-recorder rings so lost observability is itself observable.
-	sloAlertsFired       atomic.Int64
-	sloAlertsResolved    atomic.Int64
-	traceEventsDropped   atomic.Int64
-	traceCountersDropped atomic.Int64
-	ledgerEventsDropped  atomic.Int64
-
-	// durableOps counts ConserveDurable calls so CheckInvariants can tie
-	// the critical-path record count to the fate accounting.
-	durableOps atomic.Int64
-
-	// Fixed-boundary latency histograms, keyed by the Hist* constants.
-	// Lock-free observes, copy-on-write name registry (sharded.go).
-	hists histRegistry
-
-	// Cold structured state: series appends, per-tier maps, and
-	// critical-path attribution records (see critpath.go).
-	mu             sync.Mutex
-	restoreSeries  []SeriesPoint // per-operation series, in issue order
-	prefetchDist   []int
-	retries        map[string]int64 // tier name -> retried I/O attempts
-	degradations   map[string]int64 // tier name -> times marked degraded
-	tierRecoveries map[string]int64 // tier name -> degradations healed by a probe
-	critPaths      []CritPathRecord
+	mu sync.Mutex
+	// s holds every counter, series, per-tier map and critical-path record
+	// in its exported shape; its Histograms stay nil (see hists).
+	s Summary
+	// hists are the fixed-boundary latency histograms, keyed by the Hist*
+	// constants.
+	hists map[string]*Histogram
 }
 
 // ObserveDuration records one duration sample into the named
-// fixed-boundary histogram (see the Hist* constants). Lock-free after
-// the name's first observation.
+// fixed-boundary histogram (see the Hist* constants).
 func (r *Recorder) ObserveDuration(name string, d time.Duration) {
-	r.hists.get(name).Observe(d)
+	r.mu.Lock()
+	r.observeLocked(name, d)
+	r.mu.Unlock()
+}
+
+func (r *Recorder) observeLocked(name string, d time.Duration) {
+	h := r.hists[name]
+	if h == nil {
+		if r.hists == nil {
+			r.hists = map[string]*Histogram{}
+		}
+		h = NewHistogram()
+		r.hists[name] = h
+	}
+	h.Observe(d)
+}
+
+// add adds v to the counter field points at, under the lock.
+func (r *Recorder) add(field *int64, v int64) {
+	r.mu.Lock()
+	*field += v
+	r.mu.Unlock()
 }
 
 // SeriesPoint is one restore operation's measurement.
@@ -150,113 +73,97 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Checkpoint records one checkpoint operation that moved bytes and blocked
 // the application for blocked.
 func (r *Recorder) Checkpoint(bytes int64, blocked time.Duration) {
-	r.ckptBytes.Add(bytes)
-	r.ckptBlocked.Add(int64(blocked))
-	r.ckptOps.Add(1)
-	r.ObserveDuration(HistCheckpoint, blocked)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.CheckpointBytes += bytes
+	r.s.CheckpointBlocked += blocked
+	r.s.CheckpointOps++
+	r.observeLocked(HistCheckpoint, blocked)
 }
 
 // CheckpointAccepted records bytes entering the flush pipeline. Paired
 // with exactly one of ConserveDurable, ConserveDiscarded, ConserveLost or
 // CheckpointRejected per checkpoint.
-func (r *Recorder) CheckpointAccepted(bytes int64) {
-	r.acceptedBytes.Add(bytes)
-}
+func (r *Recorder) CheckpointAccepted(bytes int64) { r.add(&r.s.AcceptedBytes, bytes) }
 
 // CheckpointRejected un-accounts a previously accepted checkpoint whose
 // admission ultimately failed (e.g. the synchronous-flush fallback could
 // not land it anywhere).
-func (r *Recorder) CheckpointRejected(bytes int64) {
-	r.acceptedBytes.Add(-bytes)
-}
+func (r *Recorder) CheckpointRejected(bytes int64) { r.add(&r.s.AcceptedBytes, -bytes) }
 
 // ConserveDurable records bytes whose flush chain reached a durable tier.
 // Called exactly once per durable checkpoint version, which is what lets
 // CheckInvariants demand one critical-path record per durable version.
 func (r *Recorder) ConserveDurable(bytes int64) {
-	r.durableBytes.Add(bytes)
-	r.durableOps.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.DurableBytes += bytes
+	r.s.DurableOps++
 }
 
 // ConserveDiscarded records bytes whose flush was skipped because the
 // checkpoint was consumed first (§2 cond. 5) or its cached replica was
 // released before the chain ran.
-func (r *Recorder) ConserveDiscarded(bytes int64) {
-	r.discardedBytes.Add(bytes)
-}
+func (r *Recorder) ConserveDiscarded(bytes int64) { r.add(&r.s.DiscardedBytes, bytes) }
 
 // ConserveLost records bytes whose flush chain was abandoned after
 // exhausting every durable route.
-func (r *Recorder) ConserveLost(bytes int64) {
-	r.lostBytes.Add(bytes)
-}
+func (r *Recorder) ConserveLost(bytes int64) { r.add(&r.s.LostBytes, bytes) }
 
 // RetryBout records the outcome of one retried I/O sequence.
 func (r *Recorder) RetryBout(recovered bool) {
 	if recovered {
-		r.retryBoutsRecovered.Add(1)
+		r.add(&r.s.RetryBoutsRecovered, 1)
 	} else {
-		r.retryBoutsExhausted.Add(1)
+		r.add(&r.s.RetryBoutsExhausted, 1)
 	}
 }
 
 // Restore records one restore operation.
 func (r *Recorder) Restore(iter int, bytes int64, blocked time.Duration, prefetchDistance int) {
-	r.restBytes.Add(bytes)
-	r.restBlocked.Add(int64(blocked))
-	r.restOps.Add(1)
 	r.mu.Lock()
-	r.restoreSeries = append(r.restoreSeries, SeriesPoint{
+	defer r.mu.Unlock()
+	r.s.RestoreBytes += bytes
+	r.s.RestoreBlocked += blocked
+	r.s.RestoreOps++
+	r.s.RestoreSeries = append(r.s.RestoreSeries, SeriesPoint{
 		Iteration:        iter,
 		Bytes:            bytes,
 		Blocked:          blocked,
 		PrefetchDistance: prefetchDistance,
 	})
-	r.prefetchDist = append(r.prefetchDist, prefetchDistance)
-	r.mu.Unlock()
-	r.ObserveDuration(HistRestore, blocked)
+	r.observeLocked(HistRestore, blocked)
 }
 
 // EvictionWait accumulates time spent blocked on evictions.
 func (r *Recorder) EvictionWait(d time.Duration) {
-	r.evictionWait.Add(int64(d))
-	r.ObserveDuration(HistEvictionWait, d)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.EvictionWait += d
+	r.observeLocked(HistEvictionWait, d)
 }
 
 // Deviation records a restore that was not the next hinted checkpoint.
-func (r *Recorder) Deviation() {
-	r.deviationReads.Add(1)
-}
+func (r *Recorder) Deviation() { r.add(&r.s.DeviationReads, 1) }
 
 // Retry records one retried I/O attempt against the named tier.
-func (r *Recorder) Retry(tier string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.retries == nil {
-		r.retries = map[string]int64{}
-	}
-	r.retries[tier]++
-}
+func (r *Recorder) Retry(tier string) { r.countTier(&r.s.Retries, tier) }
 
 // Degradation records the named tier being marked degraded.
-func (r *Recorder) Degradation(tier string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.degradations == nil {
-		r.degradations = map[string]int64{}
-	}
-	r.degradations[tier]++
-}
+func (r *Recorder) Degradation(tier string) { r.countTier(&r.s.Degradations, tier) }
 
 // TierRecovery records the named tier healing: a recovery probe
 // succeeded after the tier had been marked degraded.
-func (r *Recorder) TierRecovery(tier string) {
+func (r *Recorder) TierRecovery(tier string) { r.countTier(&r.s.TierRecoveries, tier) }
+
+// countTier adds one to tier's entry of the per-tier map m points at.
+func (r *Recorder) countTier(m *map[string]int64, tier string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.tierRecoveries == nil {
-		r.tierRecoveries = map[string]int64{}
+	if *m == nil {
+		*m = map[string]int64{}
 	}
-	r.tierRecoveries[tier]++
+	(*m)[tier]++
 }
 
 // TierRecoveryCount returns the total healed degradations across tiers —
@@ -264,152 +171,124 @@ func (r *Recorder) TierRecovery(tier string) {
 func (r *Recorder) TierRecoveryCount() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var t int64
-	for _, n := range r.tierRecoveries {
-		t += n
-	}
-	return t
+	return r.s.TotalTierRecoveries()
 }
 
 // PartnerCopy records one replica staged on the partner node's SSD.
 func (r *Recorder) PartnerCopy(bytes int64) {
-	r.partnerCopies.Add(1)
-	r.partnerCopyBytes.Add(bytes)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.PartnerCopies++
+	r.s.PartnerCopyBytes += bytes
 }
 
 // PartnerCopyFailure records a partner replication attempt that failed.
-func (r *Recorder) PartnerCopyFailure() {
-	r.partnerCopyFailures.Add(1)
-}
+func (r *Recorder) PartnerCopyFailure() { r.add(&r.s.PartnerCopyFailures, 1) }
 
 // RankDeath records this rank being killed by fault injection.
-func (r *Recorder) RankDeath() {
-	r.rankDeaths.Add(1)
-}
+func (r *Recorder) RankDeath() { r.add(&r.s.RankDeaths, 1) }
 
 // DrainStart records a preemption notice initiating a deadline-bounded
 // drain.
-func (r *Recorder) DrainStart() {
-	r.drains.Add(1)
-}
+func (r *Recorder) DrainStart() { r.add(&r.s.Drains, 1) }
 
 // DrainDeadline records whether the drain's triage finished inside its
 // grace window. Called exactly once per drain.
 func (r *Recorder) DrainDeadline(met bool) {
 	if met {
-		r.drainDeadlineHits.Add(1)
+		r.add(&r.s.DrainDeadlineHits, 1)
 	}
 }
 
 // DrainFlushed records one version the drain triage made durable.
 func (r *Recorder) DrainFlushed(bytes int64) {
-	r.drainedVersions.Add(1)
-	r.drainedBytes.Add(bytes)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.DrainedVersions++
+	r.s.DrainedBytes += bytes
 }
 
 // DrainAbandoned records one version the drain failed open to ErrLost
 // because it could not land inside the deadline budget.
 func (r *Recorder) DrainAbandoned(bytes int64) {
-	r.drainAbandonedVersions.Add(1)
-	r.drainAbandonedBytes.Add(bytes)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.DrainAbandonedVersions++
+	r.s.DrainAbandonedBytes += bytes
 }
 
 // MigrationStart records a live migration attempt to a successor node.
-func (r *Recorder) MigrationStart() {
-	r.migrations.Add(1)
-}
+func (r *Recorder) MigrationStart() { r.add(&r.s.Migrations, 1) }
 
 // MigrationCopy records one store version copied to the successor.
 func (r *Recorder) MigrationCopy(bytes int64) {
-	r.migratedVersions.Add(1)
-	r.migratedBytes.Add(bytes)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.MigratedVersions++
+	r.s.MigratedBytes += bytes
 }
 
 // MigrationFailure records a per-version migration copy that failed.
-func (r *Recorder) MigrationFailure() {
-	r.migrationFailures.Add(1)
-}
+func (r *Recorder) MigrationFailure() { r.add(&r.s.MigrationFailures, 1) }
 
 // HedgeLaunched records a hedge leg launched because the preferred
 // tier's read exceeded its adaptive deadline.
-func (r *Recorder) HedgeLaunched() {
-	r.hedgesLaunched.Add(1)
-}
+func (r *Recorder) HedgeLaunched() { r.add(&r.s.HedgesLaunched, 1) }
 
 // HedgeWin records a read won by a hedge leg: the data was served from
 // the hedged (deeper) replica while the preferred tier was still busy.
-func (r *Recorder) HedgeWin() {
-	r.hedgeWins.Add(1)
-}
+func (r *Recorder) HedgeWin() { r.add(&r.s.HedgeWins, 1) }
 
 // HedgeWasted records bytes moved by a race leg that lost: the transfer
 // completed but its result was discarded.
-func (r *Recorder) HedgeWasted(bytes int64) {
-	r.hedgeWastedBytes.Add(bytes)
-}
+func (r *Recorder) HedgeWasted(bytes int64) { r.add(&r.s.HedgeWastedBytes, bytes) }
 
 // SLOAlertFired records one SLO objective window pair crossing its
 // burn-rate threshold.
-func (r *Recorder) SLOAlertFired() {
-	r.sloAlertsFired.Add(1)
-}
+func (r *Recorder) SLOAlertFired() { r.add(&r.s.SLOAlertsFired, 1) }
 
 // SLOAlertResolved records one firing SLO window pair dropping back
 // below its burn-rate threshold.
-func (r *Recorder) SLOAlertResolved() {
-	r.sloAlertsResolved.Add(1)
-}
+func (r *Recorder) SLOAlertResolved() { r.add(&r.s.SLOAlertsResolved, 1) }
 
 // TelemetryDrops mirrors the bounded telemetry rings' drop counts
 // (Tracer.Dropped and FlightRecorder.TotalDropped) into the metrics
 // books. The values are totals, not deltas — the latest call wins.
 func (r *Recorder) TelemetryDrops(traceEvents, traceCounters, ledgerEvents int64) {
-	r.traceEventsDropped.Store(traceEvents)
-	r.traceCountersDropped.Store(traceCounters)
-	r.ledgerEventsDropped.Store(ledgerEvents)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.TraceEventsDropped = traceEvents
+	r.s.TraceCountersDropped = traceCounters
+	r.s.LedgerEventsDropped = ledgerEvents
 }
 
 // StallDetected records a background flush leg exceeding its adaptive
 // deadline without failing — the gray-stall signal.
-func (r *Recorder) StallDetected() {
-	r.stallsDetected.Add(1)
-}
+func (r *Recorder) StallDetected() { r.add(&r.s.StallsDetected, 1) }
 
 // StallRerouted records a stalled flush successfully re-routed to an
 // alternate durable tier.
-func (r *Recorder) StallRerouted() {
-	r.stallsRerouted.Add(1)
-}
+func (r *Recorder) StallRerouted() { r.add(&r.s.StallsRerouted, 1) }
 
 // HealthQuarantine records a tier quarantined because its EWMA latency
 // health score breached the gray-failure threshold.
-func (r *Recorder) HealthQuarantine() {
-	r.healthQuarantines.Add(1)
-}
+func (r *Recorder) HealthQuarantine() { r.add(&r.s.HealthQuarantines, 1) }
 
 // FallbackRead records a read served from a deeper tier after a faster
 // tier's replica failed or was missing.
-func (r *Recorder) FallbackRead() {
-	r.fallbackReads.Add(1)
-}
+func (r *Recorder) FallbackRead() { r.add(&r.s.FallbackReads, 1) }
 
 // Repopulation records a replica re-staged into a faster tier after a
 // fallback read recovered the bytes.
-func (r *Recorder) Repopulation() {
-	r.repopulations.Add(1)
-}
+func (r *Recorder) Repopulation() { r.add(&r.s.Repopulations, 1) }
 
 // FlushAbort records a flush chain abandoned after exhausting every
 // durable route.
-func (r *Recorder) FlushAbort() {
-	r.flushAborts.Add(1)
-}
+func (r *Recorder) FlushAbort() { r.add(&r.s.FlushAborts, 1) }
 
 // SyncFlush records a checkpoint that bypassed the GPU cache via the
 // synchronous-flush fallback.
-func (r *Recorder) SyncFlush() {
-	r.syncFlushes.Add(1)
-}
+func (r *Recorder) SyncFlush() { r.add(&r.s.SyncFlushes, 1) }
 
 // Pipelined records one chunked multi-hop transfer stream: the bytes it
 // moved, its end-to-end elapsed time, and the summed busy time of its
@@ -418,17 +297,17 @@ func (r *Recorder) SyncFlush() {
 // streams every hop must have moved exactly bytes, which CheckInvariants
 // verifies against the accumulated totals.
 func (r *Recorder) Pipelined(bytes int64, elapsed, hopBusy time.Duration, hopBytes []int64, complete bool) {
-	r.pipelinedStreams.Add(1)
-	r.pipelinedBytes.Add(bytes)
-	r.pipelinedElapsed.Add(int64(elapsed))
-	r.pipelinedHopBusy.Add(int64(hopBusy))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.PipelinedStreams++
+	r.s.PipelinedBytes += bytes
+	r.s.PipelinedElapsed += elapsed
+	r.s.PipelinedHopBusy += hopBusy
 	if complete {
-		var sum int64
 		for _, hb := range hopBytes {
-			sum += hb
+			r.s.PipelinedHopBytes += hb
 		}
-		r.pipelinedHopBytes.Add(sum)
-		r.pipelinedHopBytesWant.Add(bytes * int64(len(hopBytes)))
+		r.s.PipelinedHopBytesWant += bytes * int64(len(hopBytes))
 	}
 }
 
@@ -565,87 +444,26 @@ func (s Summary) TotalTierRecoveries() int64 {
 	return t
 }
 
-// Snapshot returns the current totals. Atomic counters are read
-// individually (merge-on-read); at quiescence the result is exact, and
-// mid-run it is the same per-field-consistent view concurrent updates
-// always produced.
+// Snapshot returns the current totals as a Summary that shares no
+// memory with the recorder: later records do not change it, and writes
+// to it do not reach the recorder.
 func (r *Recorder) Snapshot() Summary {
 	r.mu.Lock()
-	series := make([]SeriesPoint, len(r.restoreSeries))
-	copy(series, r.restoreSeries)
-	retries := copyCounts(r.retries)
-	degradations := copyCounts(r.degradations)
-	tierRecoveries := copyCounts(r.tierRecoveries)
-	critPaths := copyCritPaths(r.critPaths)
-	r.mu.Unlock()
-	return Summary{
-		CheckpointBytes:   r.ckptBytes.Load(),
-		CheckpointBlocked: time.Duration(r.ckptBlocked.Load()),
-		CheckpointOps:     r.ckptOps.Load(),
-		RestoreBytes:      r.restBytes.Load(),
-		RestoreBlocked:    time.Duration(r.restBlocked.Load()),
-		RestoreOps:        r.restOps.Load(),
-		RestoreSeries:     series,
-		EvictionWait:      time.Duration(r.evictionWait.Load()),
-		DeviationReads:    r.deviationReads.Load(),
-		Retries:           retries,
-		Degradations:      degradations,
-		TierRecoveries:    tierRecoveries,
-		FallbackReads:     r.fallbackReads.Load(),
-		Repopulations:     r.repopulations.Load(),
-		FlushAborts:       r.flushAborts.Load(),
-		SyncFlushes:       r.syncFlushes.Load(),
-
-		PartnerCopies:       r.partnerCopies.Load(),
-		PartnerCopyBytes:    r.partnerCopyBytes.Load(),
-		PartnerCopyFailures: r.partnerCopyFailures.Load(),
-		RankDeaths:          r.rankDeaths.Load(),
-
-		Drains:                 r.drains.Load(),
-		DrainDeadlineHits:      r.drainDeadlineHits.Load(),
-		DrainedVersions:        r.drainedVersions.Load(),
-		DrainedBytes:           r.drainedBytes.Load(),
-		DrainAbandonedVersions: r.drainAbandonedVersions.Load(),
-		DrainAbandonedBytes:    r.drainAbandonedBytes.Load(),
-		Migrations:             r.migrations.Load(),
-		MigratedVersions:       r.migratedVersions.Load(),
-		MigratedBytes:          r.migratedBytes.Load(),
-		MigrationFailures:      r.migrationFailures.Load(),
-
-		PipelinedStreams: r.pipelinedStreams.Load(),
-		PipelinedBytes:   r.pipelinedBytes.Load(),
-		PipelinedElapsed: time.Duration(r.pipelinedElapsed.Load()),
-		PipelinedHopBusy: time.Duration(r.pipelinedHopBusy.Load()),
-
-		PipelinedHopBytes:     r.pipelinedHopBytes.Load(),
-		PipelinedHopBytesWant: r.pipelinedHopBytesWant.Load(),
-
-		AcceptedBytes:  r.acceptedBytes.Load(),
-		DurableBytes:   r.durableBytes.Load(),
-		DiscardedBytes: r.discardedBytes.Load(),
-		LostBytes:      r.lostBytes.Load(),
-
-		RetryBoutsRecovered: r.retryBoutsRecovered.Load(),
-		RetryBoutsExhausted: r.retryBoutsExhausted.Load(),
-
-		HedgesLaunched:    r.hedgesLaunched.Load(),
-		HedgeWins:         r.hedgeWins.Load(),
-		HedgeWastedBytes:  r.hedgeWastedBytes.Load(),
-		StallsDetected:    r.stallsDetected.Load(),
-		StallsRerouted:    r.stallsRerouted.Load(),
-		HealthQuarantines: r.healthQuarantines.Load(),
-
-		SLOAlertsFired:       r.sloAlertsFired.Load(),
-		SLOAlertsResolved:    r.sloAlertsResolved.Load(),
-		TraceEventsDropped:   r.traceEventsDropped.Load(),
-		TraceCountersDropped: r.traceCountersDropped.Load(),
-		LedgerEventsDropped:  r.ledgerEventsDropped.Load(),
-
-		CritPaths:  critPaths,
-		DurableOps: r.durableOps.Load(),
-
-		Histograms: r.hists.snapshot(),
+	defer r.mu.Unlock()
+	s := r.s
+	s.RestoreSeries = make([]SeriesPoint, len(r.s.RestoreSeries))
+	copy(s.RestoreSeries, r.s.RestoreSeries)
+	s.Retries = copyCounts(r.s.Retries)
+	s.Degradations = copyCounts(r.s.Degradations)
+	s.TierRecoveries = copyCounts(r.s.TierRecoveries)
+	s.CritPaths = copyCritPaths(r.s.CritPaths)
+	if len(r.hists) > 0 {
+		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
+		for name, h := range r.hists {
+			s.Histograms[name] = h.Snapshot()
+		}
 	}
+	return s
 }
 
 func copyCounts(m map[string]int64) map[string]int64 {

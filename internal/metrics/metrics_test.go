@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -168,5 +171,109 @@ func TestMergeRobustnessCounters(t *testing.T) {
 	}
 	if m.FallbackReads != 3 || m.Repopulations != 1 || m.FlushAborts != 1 || m.SyncFlushes != 2 {
 		t.Errorf("merged counters = %+v", m)
+	}
+}
+
+// TestMergeAddsEveryField fills every field of two Summaries with
+// distinct values and requires Merge to sum each counter, map entry and
+// histogram and to concatenate each slice. A Summary field Merge forgets
+// fails here; a field of a kind the test cannot fill fails too, so the
+// test grows with Summary.
+func TestMergeAddsEveryField(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(time.Millisecond)
+	var a, b Summary
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	typ := va.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		fa, fb := va.Field(i), vb.Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Int64: // int64 and time.Duration
+			fa.SetInt(int64(i + 1))
+			fb.SetInt(int64(1000 * (i + 1)))
+		case f.Type == reflect.TypeOf(map[string]int64(nil)):
+			fa.Set(reflect.ValueOf(map[string]int64{"ssd": int64(i + 1)}))
+			fb.Set(reflect.ValueOf(map[string]int64{"ssd": int64(1000 * (i + 1)), "pfs": 1}))
+		case f.Type == reflect.TypeOf(map[string]HistogramSnapshot(nil)):
+			fa.Set(reflect.ValueOf(map[string]HistogramSnapshot{HistRestore: h.Snapshot()}))
+			fb.Set(reflect.ValueOf(map[string]HistogramSnapshot{HistRestore: h.Snapshot(), HistCheckpoint: h.Snapshot()}))
+		case f.Type.Kind() == reflect.Slice:
+			fa.Set(reflect.MakeSlice(f.Type, 1, 1))
+			fb.Set(reflect.MakeSlice(f.Type, 2, 2))
+		default:
+			t.Fatalf("Summary.%s has type %s, which this test does not fill: teach it and Merge", f.Name, f.Type)
+		}
+	}
+	m := reflect.ValueOf(Merge(a, b))
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fa, fb, fm := va.Field(i), vb.Field(i), m.Field(i)
+		switch fm.Kind() {
+		case reflect.Int64:
+			if want := fa.Int() + fb.Int(); fm.Int() != want {
+				t.Errorf("Merge: %s = %d, want %d", name, fm.Int(), want)
+			}
+		case reflect.Slice:
+			if want := fa.Len() + fb.Len(); fm.Len() != want {
+				t.Errorf("Merge: %s has %d elements, want %d", name, fm.Len(), want)
+			}
+		case reflect.Map: // b's keys include a's
+			for _, k := range fb.MapKeys() {
+				if got, want := mergeCount(fm.MapIndex(k)), mergeCount(fa.MapIndex(k))+mergeCount(fb.MapIndex(k)); got != want {
+					t.Errorf("Merge: %s[%v] = %d, want %d", name, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// mergeCount reads a map entry as the number Merge must add: the value
+// of a counter, the sample count of a histogram, 0 for a missing key.
+func mergeCount(v reflect.Value) int64 {
+	switch {
+	case !v.IsValid():
+		return 0
+	case v.Kind() == reflect.Int64:
+		return v.Int()
+	}
+	return v.Interface().(HistogramSnapshot).Count
+}
+
+// TestSnapshotSharesNothing: a Snapshot is unaffected by later records,
+// and writes to it do not reach the recorder — series, maps, critical
+// paths and histograms are all copied.
+func TestSnapshotSharesNothing(t *testing.T) {
+	r := NewRecorder()
+	record := func() {
+		r.Checkpoint(10, time.Millisecond)
+		r.Restore(0, 10, time.Millisecond, 1)
+		r.Retry("ssd")
+		r.Degradation("ssd")
+		r.TierRecovery("ssd")
+		r.CritPath(CritPathRecord{Op: CritDurable, Total: time.Millisecond,
+			Components: map[string]time.Duration{CompXferSSD: time.Millisecond}})
+	}
+	record()
+	s := r.Snapshot()
+	before, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record()
+	if after, _ := json.Marshal(s); !bytes.Equal(before, after) {
+		t.Errorf("later records changed an earlier Snapshot:\nbefore %s\nafter  %s", before, after)
+	}
+
+	want, _ := json.Marshal(r.Snapshot())
+	s = r.Snapshot()
+	s.RestoreSeries[0].Bytes = -1
+	s.Retries["ssd"] = -1
+	s.Degradations["ssd"] = -1
+	s.TierRecoveries["ssd"] = -1
+	s.CritPaths[0].Components[CompXferSSD] = -1
+	s.Histograms[HistRestore].Counts[0] = -1
+	if got, _ := json.Marshal(r.Snapshot()); !bytes.Equal(got, want) {
+		t.Errorf("writes to a Snapshot reached the recorder:\nwant %s\ngot  %s", want, got)
 	}
 }

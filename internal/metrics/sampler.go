@@ -59,10 +59,11 @@ const DefaultSampleInterval = 100 * time.Microsecond
 // DefaultSeriesCapacity bounds each series' ring buffer.
 const DefaultSeriesCapacity = 4096
 
-// Sampler polls registered probes on a simulated-time cadence. It must be
-// started from inside a running clock (Start launches a clock-managed
-// task) and stopped before the root task finishes, otherwise the virtual
-// clock would keep advancing on the sampler's timer alone.
+// Sampler polls registered probes on a simulated-time cadence. Start and
+// Stop must be called from tasks of its clock (Start launches a
+// clock-managed task), and Stop before the root task finishes, otherwise
+// the virtual clock would keep advancing on the sampler's timer alone.
+// One task runs at a time, so Stop's final sample never overlaps a tick.
 type Sampler struct {
 	clk      simclock.Clock
 	interval time.Duration
@@ -71,7 +72,8 @@ type Sampler struct {
 	mu      sync.Mutex
 	cond    simclock.Cond
 	probes  []probe
-	sorted  bool // probes is in name order
+	sorted  bool      // probes is in name order
+	vals    []float64 // one sample's polled values, in probe order
 	series  map[string]*Series
 	sink    func(name string, at time.Duration, v float64)
 	running bool
@@ -134,9 +136,6 @@ func (s *Sampler) Start() {
 func (s *Sampler) loop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The tick's value scratch belongs to this task alone: Stop's final
-	// sample can overlap a tick while s.mu is released for polling.
-	var vals []float64
 	for !s.stopped {
 		// WaitTimeout rather than Sleep: Stop can interrupt the wait, so a
 		// stopped sampler never holds a pending timer that would keep the
@@ -145,29 +144,27 @@ func (s *Sampler) loop() {
 		if s.stopped {
 			return
 		}
-		vals = s.sampleLocked(vals)
+		s.sampleLocked()
 	}
 }
 
-// sampleLocked polls every probe once into vals (grown as needed and
-// returned for the caller's next sample) and records the values.
-func (s *Sampler) sampleLocked(vals []float64) []float64 {
+// sampleLocked polls every probe once, then records the values, then
+// hands them to the sink. Probes and the sink are caller code, so s.mu is
+// released around them. The tick and Stop's final sample both run on
+// tasks, and one task runs at a time, so no two samples overlap and
+// s.vals needs no more protection than that.
+func (s *Sampler) sampleLocked() {
 	at := s.clk.Now()
 	if !s.sorted {
 		// Poll in name order, so that a tick's samples reach the sink in
-		// the order a trace export sorts them into. Sorted into a copy: an
-		// overlapping sample may still be walking the old slice.
-		s.probes = slices.Clone(s.probes)
+		// the order a trace export sorts them into.
 		slices.SortStableFunc(s.probes, func(a, b probe) int { return strings.Compare(a.name, b.name) })
 		s.sorted = true
 	}
-	probes := s.probes
-	sink := s.sink
-	// Probes may take component locks; release ours while polling so a
-	// probe reading a structure that also records into this sampler's
-	// recorder cannot deadlock.
+	probes, sink := s.probes, s.sink
+	s.vals = slices.Grow(s.vals[:0], len(probes))[:len(probes)]
+	vals := s.vals
 	s.mu.Unlock()
-	vals = slices.Grow(vals[:0], len(probes))[:len(probes)]
 	for i, p := range probes {
 		vals[i] = p.fn()
 	}
@@ -182,7 +179,6 @@ func (s *Sampler) sampleLocked(vals []float64) []float64 {
 		}
 		s.mu.Lock()
 	}
-	return vals
 }
 
 // Stop halts the sampling task after taking one final sample, so the
@@ -194,7 +190,7 @@ func (s *Sampler) Stop() {
 		return
 	}
 	if s.running {
-		s.sampleLocked(nil)
+		s.sampleLocked()
 	}
 	s.stopped = true
 	s.cond.Broadcast()
@@ -209,11 +205,7 @@ func (s *Sampler) Series() map[string][]Sample {
 	defer s.mu.Unlock()
 	out := make(map[string][]Sample, len(s.series))
 	for name, ser := range s.series {
-		pts := ser.Samples()
-		// A final Stop-time sample can race a concurrent tick; keep the
-		// exported series strictly chronological regardless.
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].At < pts[j].At })
-		out[name] = pts
+		out[name] = ser.Samples()
 	}
 	return out
 }

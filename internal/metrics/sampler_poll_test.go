@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,54 +54,4 @@ func TestSamplerPollsInNameOrder(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestSamplerStopOverlappingATick holds a tick mid-poll — the sampler's
-// lock released — until Stop's final sample is polling too, on the real
-// clock where the two can overlap. Run under -race this is the check
-// that the two samples share no scratch; in any mode, every value must
-// still land under its own name, twice.
-func TestSamplerStopOverlappingATick(t *testing.T) {
-	clk := simclock.NewReal(1)
-	s := NewSampler(clk, time.Millisecond, 0)
-	tickPolling, stopPolling := make(chan struct{}), make(chan struct{})
-	var stopping atomic.Bool
-	const probes = 64
-	for i := 0; i < probes; i++ {
-		i := i
-		s.Register(fmt.Sprintf("p%02d", i), func() float64 {
-			switch {
-			case i > 0:
-			case stopping.Load():
-				close(stopPolling)
-			default:
-				close(tickPolling)
-				<-stopPolling
-			}
-			return float64(i)
-		})
-	}
-	var delivered sync.WaitGroup // Stop does not wait for the tick it overlapped
-	delivered.Add(2 * probes)
-	s.SetCounterSink(func(name string, at time.Duration, v float64) {
-		defer delivered.Done()
-		if want := fmt.Sprintf("p%02.0f", v); name != want {
-			t.Errorf("sink got %s = %v, want it under %s", name, v, want)
-		}
-	})
-	s.Start()
-	<-tickPolling
-	stopping.Store(true)
-	s.Stop()
-	delivered.Wait()
-	for name, pts := range s.Series() {
-		if len(pts) != 2 {
-			t.Errorf("series %s holds %d samples, want the tick's and Stop's", name, len(pts))
-		}
-		for _, p := range pts {
-			if want := fmt.Sprintf("p%02.0f", p.Value); name != want {
-				t.Errorf("series %s holds %v, want it under %s", name, p.Value, want)
-			}
-		}
-	}
 }

@@ -1,11 +1,9 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"score/internal/metrics"
@@ -20,9 +18,6 @@ import (
 // "unattributed" row means the instrumentation missed a blocking
 // point, not that the table rounded something away.
 
-// CritPathSchema tags the critical-path attribution file format.
-const CritPathSchema = "score-critpath/v1"
-
 // CritPathRun is one run's worth of attribution records.
 type CritPathRun struct {
 	// Label names the run (same labels as the metrics export).
@@ -31,80 +26,11 @@ type CritPathRun struct {
 	Records []metrics.CritPathRecord `json:"records"`
 }
 
-// critPathFile is the on-disk envelope.
-type critPathFile struct {
-	Schema string        `json:"schema"`
-	Runs   []CritPathRun `json:"runs"`
-}
-
-// WriteCritPaths writes runs as an indented JSON file. Runs are sorted
-// by label and records by (op, version, start, total) for stable diffs.
-func WriteCritPaths(w io.Writer, runs []CritPathRun) error {
-	sorted := make([]CritPathRun, len(runs))
-	copy(sorted, runs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Label < sorted[j].Label })
-	for i := range sorted {
-		recs := make([]metrics.CritPathRecord, len(sorted[i].Records))
-		copy(recs, sorted[i].Records)
-		sort.SliceStable(recs, func(a, b int) bool {
-			x, y := recs[a], recs[b]
-			if x.Op != y.Op {
-				return x.Op < y.Op
-			}
-			if x.Version != y.Version {
-				return x.Version < y.Version
-			}
-			if x.Start != y.Start {
-				return x.Start < y.Start
-			}
-			return x.Total < y.Total
-		})
-		sorted[i].Records = recs
-	}
-	data, err := json.MarshalIndent(critPathFile{Schema: CritPathSchema, Runs: sorted}, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// WriteCritPathFile writes runs to path via WriteCritPaths.
-func WriteCritPathFile(path string, runs []CritPathRun) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteCritPaths(f, runs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCritPaths parses a critical-path attribution file, validating its
-// schema tag.
-func LoadCritPaths(r io.Reader) ([]CritPathRun, error) {
-	var f critPathFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("report: parsing critpath records: %w", err)
-	}
-	if f.Schema != CritPathSchema {
-		return nil, fmt.Errorf("report: critpath schema %q, want %q", f.Schema, CritPathSchema)
-	}
-	return f.Runs, nil
-}
-
-// LoadCritPathFile reads a critical-path attribution file from disk.
-func LoadCritPathFile(path string) ([]CritPathRun, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadCritPaths(f)
-}
+// CritPathFile is the score-critpath/v1 format ckptbench -critpath-out
+// writes. Runs are written in label order; records keep the (op,
+// version, start, total) order metrics.Merge gives them.
+var CritPathFile = Schema[CritPathRun]{Tag: "score-critpath/v1", Key: "runs",
+	Order: func(a, b CritPathRun) int { return strings.Compare(a.Label, b.Label) }}
 
 // CritPathTable renders the per-component breakdown of the runs' two
 // operation kinds: for each (run, op), one row per component with its

@@ -44,40 +44,19 @@ func sampleCritPathRuns() []CritPathRun {
 	}
 }
 
+// TestCritPathRoundTrip: records come back field for field in the order
+// they were written (the file does not re-sort what metrics.Merge
+// ordered), and every component breakdown still telescopes.
 func TestCritPathRoundTrip(t *testing.T) {
 	runs := sampleCritPathRuns()
-	var buf bytes.Buffer
-	if err := WriteCritPaths(&buf, runs); err != nil {
-		t.Fatal(err)
+	got, data := writeLoad(t, CritPathFile, runs)
+	if !strings.Contains(string(data), `"schema": "score-critpath/v1"`) {
+		t.Fatalf("schema tag missing from output:\n%s", data)
 	}
-	if !strings.Contains(buf.String(), CritPathSchema) {
-		t.Fatalf("schema tag missing from output:\n%s", buf.String())
+	if !reflect.DeepEqual(got, runs) {
+		t.Fatalf("round trip:\ngot  %+v\nwant %+v", got, runs)
 	}
-	got, err := LoadCritPaths(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Label != "pipeline/mono" {
-		t.Fatalf("round-trip runs = %+v", got)
-	}
-	recs := got[0].Records
-	if len(recs) != 3 {
-		t.Fatalf("round-trip kept %d records, want 3", len(recs))
-	}
-	// Writer sorts records by (op, version, start): durable v0, durable
-	// v1, restore v0.
-	if recs[0].Op != metrics.CritDurable || recs[0].Version != 0 ||
-		recs[1].Op != metrics.CritDurable || recs[1].Version != 1 ||
-		recs[2].Op != metrics.CritRestore {
-		t.Fatalf("records not sorted: %+v", recs)
-	}
-	want := runs[0].Records[1] // durable v0 in the fixture
-	if !reflect.DeepEqual(recs[0], want) {
-		t.Errorf("durable v0 did not round-trip:\ngot  %+v\nwant %+v", recs[0], want)
-	}
-
-	// The components of every round-tripped record still telescope.
-	for _, rec := range recs {
+	for _, rec := range got[0].Records {
 		var sum time.Duration
 		for _, d := range rec.Components {
 			sum += d
@@ -89,26 +68,38 @@ func TestCritPathRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCritPathFileDiskRoundTrip: for records in metrics.Merge's (op,
+// version, start, total) order, as ckptbench hands them over, the file
+// is byte for byte what the format's own writer produced before the
+// shared codec, runs sorted by label.
 func TestCritPathFileDiskRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/critpath.json"
-	runs := sampleCritPathRuns()
-	if err := WriteCritPathFile(path, runs); err != nil {
-		t.Fatal(err)
+	recs := sampleCritPathRuns()[0].Records
+	merged := []metrics.CritPathRecord{recs[1], recs[0], recs[2]}
+	runs := []CritPathRun{
+		{Label: "pipeline/mono", Records: merged},
+		{Label: "pipeline/chunked", Records: merged[2:]},
 	}
-	got, err := LoadCritPathFile(path)
-	if err != nil {
-		t.Fatal(err)
+	got, data := writeLoad(t, CritPathFile, runs)
+	if want := envelopeBytes(t, "score-critpath/v1", "runs", []CritPathRun{runs[1], runs[0]}); !bytes.Equal(data, want) {
+		t.Errorf("critpath file bytes:\ngot  %s\nwant %s", data, want)
 	}
-	if len(got) != 1 || len(got[0].Records) != 3 {
+	if len(got) != 2 || got[0].Label != "pipeline/chunked" || len(got[1].Records) != 3 {
 		t.Fatalf("disk round-trip = %+v", got)
 	}
 }
 
+// TestLoadCritPathsRejectsWrongSchema: an SLO file also keeps its items
+// under "runs" and is refused as a critpath file by its tag, as are a
+// foreign tag and non-JSON.
 func TestLoadCritPathsRejectsWrongSchema(t *testing.T) {
-	if _, err := LoadCritPaths(strings.NewReader(`{"schema":"bogus/v0","runs":[]}`)); err == nil {
+	_, sloData := writeLoad(t, SLOFile, sampleSLORuns())
+	if err := loadBytes(t, CritPathFile, sloData); err == nil {
+		t.Error("SLO file accepted as a critpath file")
+	}
+	if err := loadBytes(t, CritPathFile, []byte(`{"schema":"bogus/v0","runs":[]}`)); err == nil {
 		t.Error("wrong schema accepted")
 	}
-	if _, err := LoadCritPaths(strings.NewReader(`not json`)); err == nil {
+	if err := loadBytes(t, CritPathFile, []byte(`not json`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 }

@@ -1,59 +1,32 @@
 package report
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sort"
+	"strings"
 
 	"score/internal/metrics"
 )
 
-// This file reads back the machine-readable artifacts the benchmarks
-// emit: the metrics registry's JSON export (ckptbench -metrics-out) and
-// the pipeline bench records (make bench-smoke), so downstream tooling
-// and tests can round-trip them.
+// This file declares the machine-readable artifacts the benchmarks
+// emit besides critical paths and SLO reports: the metrics registry's
+// JSON export (ckptbench -metrics-out), the bench records (make
+// bench-smoke) and the simulator-speed records.
 
-// LoadMetricsExport parses a metrics registry JSON export, validating
-// its schema tag.
-func LoadMetricsExport(r io.Reader) (*metrics.ExportFile, error) {
-	var f metrics.ExportFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("report: parsing metrics export: %w", err)
-	}
-	if f.Schema != metrics.ExportSchema {
-		return nil, fmt.Errorf("report: metrics export schema %q, want %q", f.Schema, metrics.ExportSchema)
-	}
-	return &f, nil
-}
-
-// LoadMetricsFile reads a metrics registry JSON export from disk.
-func LoadMetricsFile(path string) (*metrics.ExportFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadMetricsExport(f)
-}
+// MetricsFile is the score-metrics/v1 format metrics.Registry.WriteJSON
+// writes; it is read here so tools and tests can round-trip it.
+var MetricsFile = Schema[metrics.Export]{Tag: metrics.ExportSchema, Key: "runs"}
 
 // MetricsTable renders one summary row per run of an export — a quick
 // human-readable view of a -metrics-out file.
-func MetricsTable(f *metrics.ExportFile) *Table {
+func MetricsTable(runs []metrics.Export) *Table {
 	tab := NewTable("Metrics export — per-run summaries",
 		"run", "ckpt bytes", "restore bytes", "retries", "degradations", "pending")
-	for _, run := range f.Runs {
+	for _, run := range runs {
 		s := run.Summary
 		tab.AddRow(run.Label, s.CheckpointBytes, s.RestoreBytes,
 			s.TotalRetries(), s.TotalDegradations(), s.PendingFlushBytes())
 	}
 	return tab
 }
-
-// BenchSchema tags the pipeline bench-record file format.
-const BenchSchema = "score-bench/v1"
 
 // BenchRecord is one benchmark measurement from the bench-smoke run.
 type BenchRecord struct {
@@ -77,66 +50,9 @@ type BenchRecord struct {
 	HitRate float64 `json:"hit_rate,omitempty"`
 }
 
-// benchFile is the on-disk envelope of a bench-record set.
-type benchFile struct {
-	Schema  string        `json:"schema"`
-	Records []BenchRecord `json:"records"`
-}
-
-// WriteBenchRecords writes records as an indented JSON file, sorted by
-// name for stable diffs.
-func WriteBenchRecords(w io.Writer, records []BenchRecord) error {
-	sorted := make([]BenchRecord, len(records))
-	copy(sorted, records)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	data, err := json.MarshalIndent(benchFile{Schema: BenchSchema, Records: sorted}, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// WriteBenchFile writes records to path via WriteBenchRecords.
-func WriteBenchFile(path string, records []BenchRecord) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBenchRecords(f, records); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBenchRecords parses a bench-record file, validating its schema
-// tag.
-func LoadBenchRecords(r io.Reader) ([]BenchRecord, error) {
-	var f benchFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("report: parsing bench records: %w", err)
-	}
-	if f.Schema != BenchSchema {
-		return nil, fmt.Errorf("report: bench records schema %q, want %q", f.Schema, BenchSchema)
-	}
-	return f.Records, nil
-}
-
-// LoadBenchFile reads a bench-record file from disk.
-func LoadBenchFile(path string) ([]BenchRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadBenchRecords(f)
-}
-
-// SimSpeedSchema tags the simulator-speed record file format
-// (BENCH_simspeed.json and its committed baseline).
-const SimSpeedSchema = "score-simspeed/v1"
+// BenchFile is the score-bench/v1 format, written in name order.
+var BenchFile = Schema[BenchRecord]{Tag: "score-bench/v1", Key: "records",
+	Order: func(a, b BenchRecord) int { return strings.Compare(a.Name, b.Name) }}
 
 // SimSpeedRecord is one simulator-speed measurement: how fast the
 // discrete-event engine itself retires model events, and what one
@@ -156,48 +72,7 @@ type SimSpeedRecord struct {
 	WallNsPerOp float64 `json:"wall_ns_per_op,omitempty"`
 }
 
-// simSpeedFile is the on-disk envelope of a simulator-speed record set.
-type simSpeedFile struct {
-	Schema  string           `json:"schema"`
-	Records []SimSpeedRecord `json:"records"`
-}
-
-// WriteSimSpeedFile writes records to path as an indented JSON file,
-// sorted by name for stable diffs.
-func WriteSimSpeedFile(path string, records []SimSpeedRecord) error {
-	sorted := make([]SimSpeedRecord, len(records))
-	copy(sorted, records)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	data, err := json.MarshalIndent(simSpeedFile{Schema: SimSpeedSchema, Records: sorted}, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadSimSpeedFile reads a simulator-speed record file from disk,
-// validating its schema tag.
-func LoadSimSpeedFile(path string) ([]SimSpeedRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var sf simSpeedFile
-	if err := json.NewDecoder(f).Decode(&sf); err != nil {
-		return nil, fmt.Errorf("report: parsing simspeed records: %w", err)
-	}
-	if sf.Schema != SimSpeedSchema {
-		return nil, fmt.Errorf("report: simspeed records schema %q, want %q", sf.Schema, SimSpeedSchema)
-	}
-	return sf.Records, nil
-}
+// SimSpeedFile is the score-simspeed/v1 format (BENCH_simspeed.json
+// and its committed baseline), written in name order.
+var SimSpeedFile = Schema[SimSpeedRecord]{Tag: "score-simspeed/v1", Key: "records",
+	Order: func(a, b SimSpeedRecord) int { return strings.Compare(a.Name, b.Name) }}

@@ -1,11 +1,9 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"score/internal/slo"
@@ -17,9 +15,6 @@ import (
 // alert fire/resolve history — plus the human-readable compliance table
 // rendered from it.
 
-// SLOSchema tags the SLO compliance file format.
-const SLOSchema = "score-slo/v1"
-
 // SLORun is one run's (scenario's) SLO report.
 type SLORun struct {
 	// Label names the run (same labels as the metrics export).
@@ -28,62 +23,12 @@ type SLORun struct {
 	Report slo.Report `json:"report"`
 }
 
-// sloFile is the on-disk envelope.
-type sloFile struct {
-	Schema string   `json:"schema"`
-	Runs   []SLORun `json:"runs"`
-}
+// SLOFile is the score-slo/v1 format ckptbench -slo-out writes, in label
+// order (objectives and alerts already carry the engine's deterministic
+// evaluation order).
+var SLOFile = Schema[SLORun]{Tag: "score-slo/v1", Key: "runs", Order: bySLOLabel}
 
-// WriteSLO writes runs as an indented JSON file, sorted by label for
-// stable diffs (objectives and alerts already carry the engine's
-// deterministic evaluation order).
-func WriteSLO(w io.Writer, runs []SLORun) error {
-	sorted := make([]SLORun, len(runs))
-	copy(sorted, runs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Label < sorted[j].Label })
-	data, err := json.MarshalIndent(sloFile{Schema: SLOSchema, Runs: sorted}, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// WriteSLOFile writes runs to path via WriteSLO.
-func WriteSLOFile(path string, runs []SLORun) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSLO(f, runs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadSLO parses an SLO compliance file, validating its schema tag.
-func LoadSLO(r io.Reader) ([]SLORun, error) {
-	var f sloFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("report: parsing slo report: %w", err)
-	}
-	if f.Schema != SLOSchema {
-		return nil, fmt.Errorf("report: slo schema %q, want %q", f.Schema, SLOSchema)
-	}
-	return f.Runs, nil
-}
-
-// LoadSLOFile reads an SLO compliance file from disk.
-func LoadSLOFile(path string) ([]SLORun, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSLO(f)
-}
+func bySLOLabel(a, b SLORun) int { return strings.Compare(a.Label, b.Label) }
 
 // SLOTable renders the per-run compliance table: one row per objective
 // with its class, goal, compliance, budget remaining, peak burn, alert
@@ -91,9 +36,8 @@ func LoadSLOFile(path string) ([]SLORun, error) {
 func SLOTable(runs []SLORun) *Table {
 	tab := NewTable("SLO compliance — objectives, burn, and attribution",
 		"run", "objective", "class", "kind", "goal", "events", "compliance", "budget left", "peak burn", "alerts", "status", "driven by")
-	sorted := make([]SLORun, len(runs))
-	copy(sorted, runs)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Label < sorted[j].Label })
+	sorted := slices.Clone(runs)
+	slices.SortStableFunc(sorted, bySLOLabel)
 	for _, run := range sorted {
 		first := true
 		for _, o := range run.Report.Objectives {

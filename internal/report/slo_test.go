@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -46,17 +45,11 @@ func sampleSLORuns() []SLORun {
 }
 
 // TestSLORoundTrip: score-slo/v1 survives write → load byte-for-byte in
-// structure, with runs sorted by label on write.
+// structure, with runs sorted by label on write and the file in the
+// encoding ckptbench -slo-out has always written.
 func TestSLORoundTrip(t *testing.T) {
 	runs := sampleSLORuns()
-	path := filepath.Join(t.TempDir(), "slo.json")
-	if err := WriteSLOFile(path, runs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSLOFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, data := writeLoad(t, SLOFile, runs)
 	if len(back) != 2 {
 		t.Fatalf("loaded %d runs, want 2", len(back))
 	}
@@ -70,18 +63,27 @@ func TestSLORoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back[0].Report, runs[1].Report) {
 		t.Errorf("sev-1 report did not round-trip:\ngot  %+v\nwant %+v", back[0].Report, runs[1].Report)
 	}
+	if want := envelopeBytes(t, "score-slo/v1", "runs", []SLORun{runs[1], runs[0]}); !bytes.Equal(data, want) {
+		t.Errorf("SLO file bytes:\ngot  %s\nwant %s", data, want)
+	}
 }
 
-// TestSLOSchemaValidation: a wrong or missing schema tag is rejected.
+// TestSLOSchemaValidation: an older version of the tag, a missing tag,
+// non-JSON and a metrics export (whose runs share the "runs" key) are
+// all rejected.
 func TestSLOSchemaValidation(t *testing.T) {
-	if _, err := LoadSLO(strings.NewReader(`{"schema":"score-slo/v0","runs":[]}`)); err == nil {
+	if err := loadBytes(t, SLOFile, []byte(`{"schema":"score-slo/v0","runs":[]}`)); err == nil {
 		t.Error("wrong schema accepted")
 	}
-	if _, err := LoadSLO(strings.NewReader(`{"runs":[]}`)); err == nil {
+	if err := loadBytes(t, SLOFile, []byte(`{"runs":[]}`)); err == nil {
 		t.Error("missing schema accepted")
 	}
-	if _, err := LoadSLO(strings.NewReader(`not json`)); err == nil {
+	if err := loadBytes(t, SLOFile, []byte(`not json`)); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	_, export := writeLoad(t, MetricsFile, sampleRegistry().Export().Runs)
+	if err := loadBytes(t, SLOFile, export); err == nil {
+		t.Error("metrics export accepted as an SLO file")
 	}
 }
 

@@ -2,26 +2,22 @@
 // its hardware simulators.
 //
 // Every component that sleeps, waits, or measures time does so through the
-// Clock interface. Two implementations are provided:
-//
-//   - Virtual: a deterministic discrete-event clock. Exactly one task runs
-//     at a time, in the order tasks became ready, and simulated time advances
-//     instantly to the next pending timer whenever every registered task is
-//     blocked. A full paper-scale experiment (hundreds of gigabytes of
-//     simulated transfers) completes in milliseconds of wall time.
-//   - Real: a wall-clock implementation with an optional time-scale factor,
-//     useful for interactive demos where transfers should take visible,
-//     proportional time.
+// Clock interface, implemented by Virtual: a deterministic discrete-event
+// clock. Exactly one task runs at a time, in the order tasks became ready,
+// and simulated time advances instantly to the next pending timer whenever
+// every task is blocked. A full paper-scale experiment (hundreds of
+// gigabytes of simulated transfers) completes in milliseconds of wall time.
 //
 // The discipline required of clients is the one that makes discrete-event
 // simulation sound: any goroutine that participates in simulated time must
-// be started with Clock.Go (or registered via Add/Done), and any blocking
-// wait that can only be resolved by the progress of simulated time must go
-// through a Cond obtained from Clock.NewCond. Plain mutexes may still be
-// used for short critical sections that never block across simulated time.
-// On a Virtual clock this is strict: a task that blocks on a raw channel, a
-// sync.WaitGroup, or a mutex another task holds across a simulated wait keeps
-// the one running slot from the task that would release it, and the run stops.
+// be started with Clock.Go, and any blocking wait that can only be resolved
+// by the progress of simulated time must go through a Cond obtained from
+// Clock.NewCond. Plain mutexes may still be used for short critical
+// sections that never block across simulated time; since one task runs at
+// a time they are never contended. A task that blocks on a raw channel, a
+// sync.WaitGroup, or a mutex another task holds across a simulated wait
+// keeps the one running slot from the task that would release it, and the
+// run stops.
 package simclock
 
 import (

@@ -348,55 +348,6 @@ func TestVirtualNowMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestRealClockBasics(t *testing.T) {
-	clk := NewReal(1000) // 1 simulated second per wall millisecond
-	start := clk.Now()
-	clk.Sleep(100 * time.Millisecond) // 100µs wall
-	if elapsed := clk.Now() - start; elapsed < 100*time.Millisecond {
-		t.Errorf("Real.Sleep(100ms sim) advanced only %v", elapsed)
-	}
-}
-
-func TestRealCondSignalAndTimeout(t *testing.T) {
-	clk := NewReal(1000)
-	var mu sync.Mutex
-	cond := clk.NewCond(&mu)
-
-	mu.Lock()
-	if !cond.WaitTimeout(10 * time.Millisecond) {
-		t.Error("expected timeout with no signal")
-	}
-	mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		mu.Lock()
-		if cond.WaitTimeout(time.Hour) {
-			t.Error("expected signal before timeout")
-		}
-		mu.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter park
-	mu.Lock()
-	cond.Signal()
-	mu.Unlock()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("signaled waiter never woke")
-	}
-}
-
-func TestNewRealRejectsNonPositiveSpeedup(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewReal(0) did not panic")
-		}
-	}()
-	NewReal(0)
-}
-
 func TestNewBarrierRejectsZeroParties(t *testing.T) {
 	defer func() {
 		if recover() == nil {

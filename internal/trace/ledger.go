@@ -130,19 +130,17 @@ const DefaultFlightCap = 8192
 // FlightRecorder keeps a bounded per-rank ring of lifecycle events — a
 // flight recorder for the checkpoint pipeline. When a rank's ring
 // fills, the oldest entries are overwritten and counted as dropped.
-// Safe for concurrent use; the lock is sharded per rank (the recorder
-// mutex covers only map membership), so 10k ranks recording lifecycle
-// events do not serialize on one mutex.
+// Safe for concurrent use: one mutex guards every ring, and it is never
+// contended, because the virtual clock runs one task at a time.
 type FlightRecorder struct {
 	now        func() time.Duration
 	capPerRank int
 
-	mu    sync.Mutex // guards ranks map membership only
+	mu    sync.Mutex
 	ranks map[int]*rankRing
 }
 
 type rankRing struct {
-	mu      sync.Mutex // guards everything below
 	events  []LifecycleEvent
 	next    int
 	dropped int64
@@ -158,18 +156,6 @@ func NewFlightRecorder(now func() time.Duration, capPerRank int) *FlightRecorder
 		panic("trace: flight recorder capacity must be >= 1")
 	}
 	return &FlightRecorder{now: now, capPerRank: capPerRank, ranks: map[int]*rankRing{}}
-}
-
-// ring returns rank's ring, creating it on first use.
-func (f *FlightRecorder) ring(rank int) *rankRing {
-	f.mu.Lock()
-	r := f.ranks[rank]
-	if r == nil {
-		r = &rankRing{}
-		f.ranks[rank] = r
-	}
-	f.mu.Unlock()
-	return r
 }
 
 // Record appends one lifecycle event for (rank, version), stamped at
@@ -189,8 +175,13 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 	if f == nil {
 		return
 	}
-	r := f.ring(rank)
-	r.mu.Lock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r := f.ranks[rank]
+	if r == nil {
+		r = &rankRing{}
+		f.ranks[rank] = r
+	}
 	ev := LifecycleEvent{Rank: rank, Version: version, Kind: kind, Tier: tier, Detail: detail, At: at}
 	if len(r.events) < f.capPerRank {
 		r.events = append(r.events, ev)
@@ -199,27 +190,23 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 		r.next = (r.next + 1) % f.capPerRank
 		r.dropped++
 	}
-	r.mu.Unlock()
 }
 
 // Ledger returns rank's retained events in a deterministic order:
 // primarily by simulated time, then by (version, kind, tier, detail);
 // entries equal in every field are indistinguishable and keep storage
-// order. The tie-breaks keep it independent of how same-instant tasks were
-// scheduled (fixed under the virtual clock, not under the real one). Nil-safe.
+// order. The tie-breaks make the order a function of the events, not of
+// the order same-instant tasks recorded them in. Nil-safe.
 func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	r := f.ranks[rank]
-	f.mu.Unlock()
 	var out []LifecycleEvent
-	if r != nil {
-		r.mu.Lock()
+	f.mu.Lock()
+	if r := f.ranks[rank]; r != nil {
 		out = append(out, r.events...)
-		r.mu.Unlock()
 	}
+	f.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.At != b.At {
@@ -274,11 +261,8 @@ func (f *FlightRecorder) Dropped(rank int) int64 {
 		return 0
 	}
 	f.mu.Lock()
-	r := f.ranks[rank]
-	f.mu.Unlock()
-	if r != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
+	defer f.mu.Unlock()
+	if r := f.ranks[rank]; r != nil {
 		return r.dropped
 	}
 	return 0
@@ -295,23 +279,17 @@ func (f *FlightRecorder) TotalDropped() int64 {
 
 // Flight returns the tracer's flight recorder, creating it at the
 // default capacity on first use. Nil-safe (returns nil on nil tracer,
-// and a nil *FlightRecorder is itself a no-op sink). The common path is
-// one atomic load: Lifecycle calls this per ledger event.
+// and a nil *FlightRecorder is itself a no-op sink).
 func (t *Tracer) Flight() *FlightRecorder {
 	if t == nil {
 		return nil
 	}
-	if f := t.flight.Load(); f != nil {
-		return f
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if f := t.flight.Load(); f != nil {
-		return f
+	if t.flight == nil {
+		t.flight = NewFlightRecorder(t.now, DefaultFlightCap)
 	}
-	f := NewFlightRecorder(t.now, DefaultFlightCap)
-	t.flight.Store(f)
-	return f
+	return t.flight
 }
 
 // EnableFlightRecorder (re)creates the tracer's flight recorder with an
@@ -321,7 +299,9 @@ func (t *Tracer) EnableFlightRecorder(capPerRank int) *FlightRecorder {
 		return nil
 	}
 	f := NewFlightRecorder(t.now, capPerRank)
-	t.flight.Store(f)
+	t.mu.Lock()
+	t.flight = f
+	t.mu.Unlock()
 	return f
 }
 

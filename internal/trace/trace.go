@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -145,7 +144,7 @@ type Tracer struct {
 	events   blockRing[Event]
 	counters blockRing[CounterEvent]
 
-	flight atomic.Pointer[FlightRecorder] // created on first use; t.mu guards creation only
+	flight *FlightRecorder // created on first use
 }
 
 // New creates a tracer reading timestamps from now (typically the
@@ -243,9 +242,8 @@ func (t *Tracer) Counter(gpu int, name string, at time.Duration, value float64) 
 }
 
 // Counters returns a copy of the recorded counter events sorted by time.
-// Ties are broken on every remaining field: tasks woken at the same
-// simulated instant run in real-scheduler order, so append order is not
-// reproducible — the full ordering keeps exports byte-identical anyway.
+// Ties are broken on every remaining field, so the export does not depend
+// on the order same-instant tasks appended in.
 func (t *Tracer) Counters() []CounterEvent {
 	if t == nil {
 		return nil
@@ -287,9 +285,7 @@ func (t *Tracer) Len() int {
 }
 
 // Events returns a copy of the recorded events sorted by start time.
-// Ties are broken on every remaining field (see Counters) so the export
-// does not depend on the real-scheduler interleaving of same-instant
-// tasks.
+// Ties are broken on every remaining field (see Counters).
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil

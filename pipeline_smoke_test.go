@@ -62,7 +62,7 @@ func TestChunkedPipelineSmoke(t *testing.T) {
 			chunkedRec.WallNsPerOp = float64(wall[benchRun().UniformSize/8].Nanoseconds()) / float64(ops)
 		}
 		records := []report.BenchRecord{monoRec, chunkedRec}
-		if err := report.WriteBenchFile(*benchOut, records); err != nil {
+		if err := report.BenchFile.WriteFile(*benchOut, records); err != nil {
 			t.Fatalf("writing %s: %v", *benchOut, err)
 		}
 		t.Logf("wrote %d bench records to %s", len(records), *benchOut)

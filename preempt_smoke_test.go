@@ -79,7 +79,7 @@ func TestPreemptDrainSmoke(t *testing.T) {
 			}
 			records = append(records, rec)
 		}
-		if err := report.WriteBenchFile(*preemptOut, records); err != nil {
+		if err := report.BenchFile.WriteFile(*preemptOut, records); err != nil {
 			t.Fatalf("writing %s: %v", *preemptOut, err)
 		}
 		t.Logf("wrote %d bench records to %s", len(records), *preemptOut)

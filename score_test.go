@@ -154,30 +154,6 @@ func TestSimOptionsValidation(t *testing.T) {
 	})
 }
 
-func TestRealTimeClock(t *testing.T) {
-	sim, err := score.NewSim(
-		score.WithRealTime(1e6), // one simulated second per wall µs
-		score.WithGPUsPerNode(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(func() {
-		c, err := sim.NewClient(0, 0,
-			score.WithGPUCache(16<<20), score.WithHostCache(64<<20))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.CheckpointVirtual(0, 4<<20); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Restart(0); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestCustomBandwidths(t *testing.T) {
 	sim, err := score.NewSim(
 		score.WithGPUsPerNode(1),

@@ -55,7 +55,6 @@ func (w *WaitGroup) Wait() { w.inner.Wait() }
 // links exactly as co-located processes would.
 type Sim struct {
 	clk     *simclock.Virtual
-	real    *simclock.Real
 	cluster *fabric.Cluster
 	cfg     simConfig
 	tracer  *trace.Tracer
@@ -67,7 +66,6 @@ type simConfig struct {
 	nodes      int
 	node       fabric.NodeConfig
 	hbm        int64
-	realTime   float64 // 0 = virtual clock
 	tracing    bool
 	sample     time.Duration // gauge sampling cadence; 0 = off
 	sharedHost int64         // per-node shared host cache pool size; 0 = private
@@ -114,13 +112,6 @@ func WithTracing() Option {
 	return func(c *simConfig) { c.tracing = true }
 }
 
-// WithRealTime runs the simulation against the wall clock, scaled by
-// speedup (e.g. 1000 makes one simulated second pass in a millisecond).
-// The default is a deterministic virtual clock that advances instantly.
-func WithRealTime(speedup float64) Option {
-	return func(c *simConfig) { c.realTime = speedup }
-}
-
 // WithSampling polls every client's cache/engine/queue gauges at the
 // given simulated interval for the duration of Run. The timelines are
 // available from Sim.SampledSeries afterwards, and — combined with
@@ -141,15 +132,8 @@ func NewSim(opts ...Option) (*Sim, error) {
 	if cfg.hbm <= 0 {
 		return nil, errors.New("score: HBM size must be positive")
 	}
-	s := &Sim{cfg: cfg}
-	var clk simclock.Clock
-	if cfg.realTime > 0 {
-		s.real = simclock.NewReal(cfg.realTime)
-		clk = s.real
-	} else {
-		s.clk = simclock.NewVirtual()
-		clk = s.clk
-	}
+	clk := simclock.NewVirtual()
+	s := &Sim{cfg: cfg, clk: clk}
 	cluster, err := fabric.NewCluster(clk, cfg.nodes, cfg.node)
 	if err != nil {
 		return nil, err
@@ -202,11 +186,7 @@ func (s *Sim) Run(fn func()) {
 			inner()
 		}
 	}
-	if s.clk != nil {
-		s.clk.Run(fn)
-		return
-	}
-	s.real.Run(fn)
+	s.clk.Run(fn)
 }
 
 // SampledSeries returns the gauge timelines recorded under WithSampling,
@@ -219,24 +199,12 @@ func (s *Sim) SampledSeries() map[string][]metrics.Sample {
 }
 
 // Clock returns the simulation's time source.
-func (s *Sim) Clock() Clock {
-	if s.clk != nil {
-		return s.clk
-	}
-	return s.real
-}
-
-func (s *Sim) clock() simclock.Clock {
-	if s.clk != nil {
-		return s.clk
-	}
-	return s.real
-}
+func (s *Sim) Clock() Clock { return s.clk }
 
 // NewWaitGroup returns a clock-aware WaitGroup for joining tasks started
 // with Clock.Go.
 func (s *Sim) NewWaitGroup() *WaitGroup {
-	return &WaitGroup{inner: simclock.NewWaitGroup(s.clock())}
+	return &WaitGroup{inner: simclock.NewWaitGroup(s.clk)}
 }
 
 // Nodes returns the node count.
@@ -250,7 +218,7 @@ func (s *Sim) GPUsPerNode() int { return s.cfg.node.GPUs }
 // same seed and rules replay the identical fault schedule under the
 // virtual clock.
 func (s *Sim) NewFaultInjector(seed int64, rules ...faultinject.Rule) *faultinject.Injector {
-	return faultinject.New(s.clock(), seed, rules...)
+	return faultinject.New(s.clk, seed, rules...)
 }
 
 // linkInterceptor adapts the injector's verdicts to a fabric link (or the
@@ -336,12 +304,12 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	}
 	n := s.cluster.Nodes[node]
 	d2d, pcie := n.GPULinks(gpu)
-	dev := device.NewGPU(s.clock(), gpu, s.cfg.hbm, d2d, pcie, device.DefaultAllocCosts())
+	dev := device.NewGPU(s.clk, gpu, s.cfg.hbm, d2d, pcie, device.DefaultAllocCosts())
 	var sharedPool *core.SharedHostCache
 	if s.cfg.sharedHost > 0 {
 		sharedPool = s.shared[node]
 		if sharedPool == nil {
-			sharedPool = core.NewSharedHostCache(s.clock(),
+			sharedPool = core.NewSharedHostCache(s.clk,
 				fmt.Sprintf("node%d-sharedhost", node), s.cfg.sharedHost)
 			s.shared[node] = sharedPool
 		}
@@ -390,13 +358,13 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		n.NIC.SetInterceptor(linkInterceptor(inj, faultinject.SitePartner))
 		dev.SetAllocInterceptor(linkInterceptor(inj, faultinject.SiteHostAlloc))
 		if store != nil {
-			store.SetFaultHook(storeFaults{inj, s.clock(), faultinject.SiteStoreWrite, faultinject.SiteStoreRead})
+			store.SetFaultHook(storeFaults{inj, s.clk, faultinject.SiteStoreWrite, faultinject.SiteStoreRead})
 		}
 		if pfsStore != nil {
-			pfsStore.SetFaultHook(storeFaults{inj, s.clock(), faultinject.SitePFSStoreWrite, faultinject.SitePFSStoreRead})
+			pfsStore.SetFaultHook(storeFaults{inj, s.clk, faultinject.SitePFSStoreWrite, faultinject.SitePFSStoreRead})
 		}
 		if partnerStore != nil {
-			partnerStore.SetFaultHook(storeFaults{inj, s.clock(), faultinject.SitePartnerStoreWrite, faultinject.SitePartnerStoreRead})
+			partnerStore.SetFaultHook(storeFaults{inj, s.clk, faultinject.SitePartnerStoreWrite, faultinject.SitePartnerStoreRead})
 		}
 	}
 	var commit core.CommitHook
@@ -412,7 +380,7 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		evictPolicy = p
 	}
 	params := core.Params{
-		Clock:               s.clock(),
+		Clock:               s.clk,
 		GPU:                 dev,
 		NVMe:                n.NVMe,
 		PFS:                 n.PFS,
@@ -452,9 +420,9 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 			// scheduled virtual time and unwinds the client. Killing an
 			// already closed client is a no-op, so a timer outliving a
 			// normally-closed run is harmless.
-			s.clock().Go(func() {
-				if d := at - s.clock().Now(); d > 0 {
-					s.clock().Sleep(d)
+			s.clk.Go(func() {
+				if d := at - s.clk.Now(); d > 0 {
+					s.clk.Sleep(d)
 				}
 				client.Kill()
 			})
@@ -463,7 +431,7 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	if s.sampler != nil {
 		client.RegisterProbes(s.sampler, fmt.Sprintf("node%d.gpu%d", node, gpu))
 	}
-	out := &Client{inner: client, dev: dev, clk: s.clock(), quarantined: quarantined,
+	out := &Client{inner: client, dev: dev, clk: s.clk, quarantined: quarantined,
 		node: node, inj: cc.injector}
 	if inj := cc.injector; inj != nil {
 		if at, grace, ok := inj.PreemptAt(node, gpu); ok {
@@ -473,9 +441,9 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 			// notice+grace regardless of how the drain fared — that is the
 			// contract the drain's fail-open design exists for. Killing an
 			// already closed client is a no-op.
-			s.clock().Go(func() {
-				if d := at - s.clock().Now(); d > 0 {
-					s.clock().Sleep(d)
+			s.clk.Go(func() {
+				if d := at - s.clk.Now(); d > 0 {
+					s.clk.Sleep(d)
 				}
 				// Keep the manifest even when the reclaim overran the
 				// drain (it still reports every version's outcome); only a
@@ -483,8 +451,8 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 				if m, err := client.Drain(grace); err == nil || len(m.Entries) > 0 {
 					out.setDrainManifest(m)
 				}
-				if d := at + grace - s.clock().Now(); d > 0 {
-					s.clock().Sleep(d)
+				if d := at + grace - s.clk.Now(); d > 0 {
+					s.clk.Sleep(d)
 				}
 				client.Kill()
 			})

@@ -97,7 +97,7 @@ func TestSimSpeedSmoke(t *testing.T) {
 		sort.Slice(rounds, func(a, b int) bool {
 			return rounds[a][0].EventsPerSec/rounds[a][1].EventsPerSec < rounds[b][0].EventsPerSec/rounds[b][1].EventsPerSec
 		})
-		if err := report.WriteSimSpeedFile(*simspeedOut, rounds[len(rounds)/2][:]); err != nil {
+		if err := report.SimSpeedFile.WriteFile(*simspeedOut, rounds[len(rounds)/2][:]); err != nil {
 			t.Fatalf("writing %s: %v", *simspeedOut, err)
 		}
 		return
@@ -110,7 +110,7 @@ func TestSimSpeedSmoke(t *testing.T) {
 	if msg, err := child.CombinedOutput(); err != nil {
 		t.Fatalf("measuring in a child process: %v\n%s", err, msg)
 	}
-	records, err := report.LoadSimSpeedFile(out)
+	records, err := report.SimSpeedFile.LoadFile(out)
 	if err != nil || len(records) != 2 {
 		t.Fatalf("reading the child's %d records: %v", len(records), err)
 	}
@@ -123,7 +123,7 @@ func TestSimSpeedSmoke(t *testing.T) {
 		t.Errorf("events/sec regressed: the wheel retires %.2fx the heap reference's %.0f, floor %.2fx",
 			ratio, heap.EventsPerSec, wheelVsHeapFloor)
 	}
-	baselines, err := report.LoadSimSpeedFile(simspeedBaselinePath)
+	baselines, err := report.SimSpeedFile.LoadFile(simspeedBaselinePath)
 	if err != nil {
 		t.Fatalf("loading committed baseline: %v", err)
 	}

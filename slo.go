@@ -37,5 +37,5 @@ type (
 // Attach it to clients with WithSLO; after the run, call Finalize then
 // Report on the engine for compliance and alert history.
 func (s *Sim) NewSLOEngine(objs ...SLOObjective) (*slo.Engine, error) {
-	return slo.NewEngine(s.clock().Now, objs...)
+	return slo.NewEngine(s.clk.Now, objs...)
 }

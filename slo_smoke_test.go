@@ -98,7 +98,7 @@ func TestSLOSmoke(t *testing.T) {
 	}
 
 	if *sloOut != "" {
-		if err := report.WriteSLOFile(*sloOut, runs); err != nil {
+		if err := report.SLOFile.WriteFile(*sloOut, runs); err != nil {
 			t.Fatalf("writing %s: %v", *sloOut, err)
 		}
 		t.Logf("wrote %d compliance reports to %s", len(runs), *sloOut)

@@ -79,7 +79,7 @@ func TestStragglerSmoke(t *testing.T) {
 				OverlapRatio: winRate(c),
 			})
 		}
-		if err := report.WriteBenchFile(*stragglerOut, records); err != nil {
+		if err := report.BenchFile.WriteFile(*stragglerOut, records); err != nil {
 			t.Fatalf("writing %s: %v", *stragglerOut, err)
 		}
 		t.Logf("wrote %d bench records to %s", len(records), *stragglerOut)
