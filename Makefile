@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race bench-check loc chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check loc chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
 
 # verify is the pre-merge gate: static checks, a full build, the
 # race-enabled test suite (which includes a short chaos soak), and the
@@ -99,10 +99,10 @@ bench-smoke:
 	$(GO) test -bench BenchmarkAblationChunkedPipeline -benchtime 1x -run '^$$' .
 	$(GO) test -bench BenchmarkSimSpeed -benchmem -benchtime 1x -run '^$$' .
 
-# bench-evict runs the eviction policy × workload ablation matrix once,
-# gates the hit-rate sanity invariants (score ≥ LRU on the RTM scan; at
-# least one DBMS-inspired policy beats LRU on the KV-cache workload —
-# DESIGN.md §15), and emits the matrix as BENCH_evict.json.
+# bench-evict runs the eviction matrix (every registered policy on the
+# KV-cache trace) once, gates the hit-rate order that justifies each
+# registered policy (score ≥ arc > lru > fifo — DESIGN.md §15), and
+# emits the matrix as BENCH_evict.json.
 bench-evict:
 	$(GO) test -run TestEvictionMatrixSmoke -v . -args -evict.out=BENCH_evict.json
 
@@ -149,6 +149,24 @@ slo-smoke:
 results:
 	$(GO) run ./cmd/ckptbench -exp all -scale full > results_full.txt
 	@echo "regenerated results_full.txt"
+
+# results-check regenerates the full-scale transcript into a temporary
+# directory and diffs it against the committed results_full.txt, wall-time
+# lines excluded. It prints the count of differing lines (removed plus
+# added) and fails on any difference: a change that moves a simulated
+# number must also commit the regenerated transcript (make results).
+# Exit 1 is a difference; exit 2 is a run that failed.
+results-check:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/ckptbench" ./cmd/ckptbench && \
+	"$$dir/ckptbench" -exp all -scale full > "$$dir/raw.txt" || \
+		{ echo "results check: ckptbench -exp all -scale full failed"; exit 2; }; \
+	grep -v 'wall time)$$' "$$dir/raw.txt" > "$$dir/fresh.txt"; \
+	grep -v 'wall time)$$' results_full.txt > "$$dir/committed.txt"; \
+	diff "$$dir/committed.txt" "$$dir/fresh.txt" > "$$dir/diff.txt"; \
+	n=$$(grep -c '^[<>]' "$$dir/diff.txt"); \
+	echo "results check: $$n lines differ between results_full.txt and ckptbench -exp all -scale full"; \
+	test "$$n" -eq 0 || { head -n 40 "$$dir/diff.txt"; exit 1; }
 
 # transcript-drift regenerates the small-scale transcript twice and
 # counts the lines that differ, wall-time lines excluded; CI gates on 0.

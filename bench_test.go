@@ -209,7 +209,7 @@ func ablationShot(b *testing.B, mutate func(*experiments.ShotConfig)) {
 
 // BenchmarkAblationEvictionPolicy compares the paper's gap-aware scored
 // policy (§4.2) against every other registered eviction policy (the
-// classic baselines plus the DBMS-inspired suite).
+// LRU and FIFO baselines and ARC).
 func BenchmarkAblationEvictionPolicy(b *testing.B) {
 	for _, pol := range cachebuf.Policies() {
 		pol := pol

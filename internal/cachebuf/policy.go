@@ -91,8 +91,8 @@ func (v WindowView) PScore(i int) (score float64, pinned bool) {
 func (v WindowView) SScore(i int) float64 { return v.frags[i].s }
 
 // Policy selects a built-in eviction policy by name. PolicyScore is the
-// paper's Algorithm 1; the rest are baselines and DBMS-inspired
-// replacement policies used by the ablation benchmarks (they all honor
+// paper's Algorithm 1; LRU and FIFO are the classic baselines and ARC the
+// DBMS-inspired contender used by the ablation benchmarks (they all honor
 // pinning — eviction of a pinned replica would lose data — but ignore
 // flush estimates and, except PolicyScore, prefetch distances).
 type Policy int
@@ -106,39 +106,19 @@ const (
 	// PolicyFIFO evicts the window whose most recently inserted
 	// fragment is oldest.
 	PolicyFIFO
-	// PolicyLRUK evicts by backward K-distance (K=2): the window whose
-	// hottest member's K-th most recent access is oldest. Checkpoints
-	// with fewer than K recorded accesses are colder than any with K,
-	// LRU-ordered among themselves; access history survives eviction.
-	PolicyLRUK
-	// Policy2Q is the simplified 2Q policy: first-time insertions enter
-	// a FIFO probation queue (A1in) and are evicted from it into a
-	// ghost list (A1out); re-insertion of a ghost promotes to the
-	// LRU-managed main queue (Am). Probation members are always colder
-	// than main-queue members.
-	Policy2Q
 	// PolicyARC is the adaptive replacement cache: recency (T1) and
 	// frequency (T2) lists with ghost lists (B1/B2) steering an
 	// adaptation parameter that decides which list eviction prefers.
 	PolicyARC
-	// PolicyClockPro is a simplified CLOCK-Pro: resident checkpoints sit
-	// on a clock ring with a reference bit and a hot/cold class; the
-	// hand sweep evicts cold unreferenced pages first, promotes
-	// referenced cold pages, demotes unreferenced hot pages, and a
-	// ghost test list turns quickly-reinserted cold evictees hot.
-	PolicyClockPro
 )
 
 // policyNames orders the registered built-in policies; Policies and the
 // parser derive from it so a new policy registers in exactly one place.
 var policyNames = map[Policy]string{
-	PolicyScore:    "score",
-	PolicyLRU:      "lru",
-	PolicyFIFO:     "fifo",
-	PolicyLRUK:     "lru-k",
-	Policy2Q:       "2q",
-	PolicyARC:      "arc",
-	PolicyClockPro: "clock-pro",
+	PolicyScore: "score",
+	PolicyLRU:   "lru",
+	PolicyFIFO:  "fifo",
+	PolicyARC:   "arc",
 }
 
 // String names the policy.
@@ -158,7 +138,7 @@ func (p Policy) Known() bool {
 // Policies enumerates the registered built-in policies in declaration
 // order (the ablation matrix iterates this).
 func Policies() []Policy {
-	return []Policy{PolicyScore, PolicyLRU, PolicyFIFO, PolicyLRUK, Policy2Q, PolicyARC, PolicyClockPro}
+	return []Policy{PolicyScore, PolicyLRU, PolicyFIFO, PolicyARC}
 }
 
 // ParsePolicy resolves a policy by its String name.
@@ -193,14 +173,8 @@ func (p Policy) NewPolicy() (EvictionPolicy, error) {
 		return newLRUPolicy(), nil
 	case PolicyFIFO:
 		return newFIFOPolicy(), nil
-	case PolicyLRUK:
-		return newLRUKPolicy(2), nil
-	case Policy2Q:
-		return new2QPolicy(), nil
 	case PolicyARC:
 		return newARCPolicy(), nil
-	case PolicyClockPro:
-		return newClockProPolicy(), nil
 	}
 	return nil, fmt.Errorf("cachebuf: unknown eviction policy %d (registered: %s)", int(p), policyList())
 }
@@ -266,8 +240,8 @@ func (*scorePolicy) SelectWindow(v WindowView, sizeNew int64) (start, end int, f
 }
 
 // ---------------------------------------------------------------------------
-// The coldest-window scan shared by every recency/frequency policy: the
-// candidate window minimizing the maximum heat of its members wins
+// The coldest-window scan shared by LRU, FIFO and ARC: the candidate
+// window minimizing the maximum heat of its members wins
 // (heat: higher = keep; gaps contribute nothing, so gap-only windows are
 // coldest of all). Pinned (or claimed) fragments exclude a window.
 // O(N²) over the fragment list, which is small. First minimal window in
@@ -368,4 +342,149 @@ func (p *fifoPolicy) SelectWindow(v WindowView, sizeNew int64) (int, int, bool) 
 		}
 		return coldestUnknown
 	})
+}
+
+// ---------------------------------------------------------------------------
+// ARC: resident checkpoints live in T1 (seen once recently) or T2 (seen
+// at least twice); ghosts of T1/T2 evictions live in B1/B2. A ghost hit
+// on insert adapts the target size p of T1 (B1 hit: grow p, favor
+// recency; B2 hit: shrink p, favor frequency) and installs the entry in
+// T2. SelectWindow computes once which list eviction should prefer
+// (T1 if |T1| > p, else T2) and biases the other list one class hotter;
+// within a list, LRU order.
+
+const (
+	// classBias lifts the non-preferred list above every member of the
+	// preferred one regardless of sequence numbers. Sequence counters
+	// are per-policy event counts, far below this bias in any realistic
+	// run.
+	classBias = int64(1) << 40
+	// ghostLimit bounds ghost list length.
+	ghostLimit = 4096
+)
+
+// ghostList is a bounded FIFO set of recently evicted ids; past
+// ghostLimit entries it forgets its oldest.
+type ghostList struct {
+	order []ID
+	seen  map[ID]bool
+}
+
+func newGhostList() *ghostList { return &ghostList{seen: map[ID]bool{}} }
+
+func (g *ghostList) add(id ID) {
+	if g.seen[id] {
+		return
+	}
+	g.seen[id] = true
+	g.order = append(g.order, id)
+	if len(g.order) > ghostLimit {
+		delete(g.seen, g.order[0])
+		g.order = g.order[1:]
+	}
+}
+
+func (g *ghostList) remove(id ID) {
+	if !g.seen[id] {
+		return
+	}
+	delete(g.seen, id)
+	for i, v := range g.order {
+		if v == id {
+			g.order = append(g.order[:i], g.order[i+1:]...)
+			break
+		}
+	}
+}
+
+func (g *ghostList) has(id ID) bool { return g.seen[id] }
+func (g *ghostList) len() int       { return len(g.order) }
+
+type arcPolicy struct {
+	seq    int64
+	t1, t2 map[ID]int64 // last access seq
+	b1, b2 *ghostList
+	p      int // target T1 size, in entries
+}
+
+func newARCPolicy() *arcPolicy {
+	return &arcPolicy{t1: map[ID]int64{}, t2: map[ID]int64{}, b1: newGhostList(), b2: newGhostList()}
+}
+
+func (*arcPolicy) Name() string { return "arc" }
+
+func (p *arcPolicy) OnInsert(id ID, _ int64) {
+	p.seq++
+	switch {
+	case p.b1.has(id):
+		// Recency ghost hit: recency list was too small.
+		d := p.b2.len() / max(p.b1.len(), 1)
+		if d < 1 {
+			d = 1
+		}
+		p.p = min(p.p+d, len(p.t1)+len(p.t2)+1)
+		p.b1.remove(id)
+		p.t2[id] = p.seq
+	case p.b2.has(id):
+		d := p.b1.len() / max(p.b2.len(), 1)
+		if d < 1 {
+			d = 1
+		}
+		p.p = max(p.p-d, 0)
+		p.b2.remove(id)
+		p.t2[id] = p.seq
+	default:
+		p.t1[id] = p.seq
+	}
+}
+
+func (p *arcPolicy) OnTouch(id ID) {
+	p.seq++
+	if _, ok := p.t1[id]; ok {
+		delete(p.t1, id)
+		p.t2[id] = p.seq
+		return
+	}
+	if _, ok := p.t2[id]; ok {
+		p.t2[id] = p.seq
+	}
+}
+
+func (p *arcPolicy) OnEvict(id ID) {
+	if _, ok := p.t1[id]; ok {
+		delete(p.t1, id)
+		p.b1.add(id)
+		return
+	}
+	if _, ok := p.t2[id]; ok {
+		delete(p.t2, id)
+		p.b2.add(id)
+	}
+}
+
+func (p *arcPolicy) OnRelease(id ID) {
+	delete(p.t1, id)
+	delete(p.t2, id)
+}
+
+func (p *arcPolicy) SelectWindow(v WindowView, sizeNew int64) (int, int, bool) {
+	// Decide the preferred victim list once per scan so the ranking is
+	// a consistent total order for the whole window search.
+	preferT1 := len(p.t1) > 0 && (len(p.t1) > p.p || len(p.t2) == 0)
+	heat := func(id ID) int64 {
+		if s, ok := p.t1[id]; ok {
+			if preferT1 {
+				return s
+			}
+			return s + classBias
+		}
+		if s, ok := p.t2[id]; ok {
+			if preferT1 {
+				return s + classBias
+			}
+			return s
+		}
+		return coldestUnknown
+	}
+	return coldestWindow(v, sizeNew, heat)
 }

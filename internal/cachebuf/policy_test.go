@@ -1,6 +1,7 @@
 package cachebuf
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -9,8 +10,7 @@ import (
 
 func TestPolicyStrings(t *testing.T) {
 	want := map[Policy]string{
-		PolicyScore: "score", PolicyLRU: "lru", PolicyFIFO: "fifo",
-		PolicyLRUK: "lru-k", Policy2Q: "2q", PolicyARC: "arc", PolicyClockPro: "clock-pro",
+		PolicyScore: "score", PolicyLRU: "lru", PolicyFIFO: "fifo", PolicyARC: "arc",
 	}
 	for p, name := range want {
 		if p.String() != name {
@@ -36,8 +36,13 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 			t.Errorf("policy %v names itself %q", p, ep.Name())
 		}
 	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Error("ParsePolicy of unregistered name should fail")
+	// Never registered, or registered once and deleted: both fail with
+	// the registered-names list.
+	for _, name := range []string{"mru", "lru-k", "2q", "clock-pro"} {
+		_, err := ParsePolicy(name)
+		if err == nil || !strings.Contains(err.Error(), "(registered: "+policyList()+")") {
+			t.Errorf("ParsePolicy(%q) error = %v, want the registered-names error", name, err)
+		}
 	}
 }
 

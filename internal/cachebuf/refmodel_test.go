@@ -229,14 +229,8 @@ func newModelPolicy(p Policy) modelPolicy {
 		return &modelLRU{}
 	case PolicyFIFO:
 		return &modelFIFO{}
-	case PolicyLRUK:
-		return &modelLRUK{k: 2, hist: map[ID][]int64{}}
-	case Policy2Q:
-		return &model2Q{}
 	case PolicyARC:
 		return &modelARC{}
-	case PolicyClockPro:
-		return &modelClockPro{}
 	}
 	return nil
 }
@@ -339,90 +333,6 @@ func (p *modelFIFO) better(m *modelBuffer, a, b, c, d int) bool {
 }
 
 // ---------------------------------------------------------------------------
-// LRU-K: full (untrimmed) access history; backward K-distance ranking
-// with the <K-accesses class colder and LRU-ordered among itself.
-
-type modelLRUK struct {
-	k    int
-	seq  int64
-	hist map[ID][]int64
-}
-
-func (*modelLRUK) name() string { return "lru-k" }
-func (p *modelLRUK) access(id ID) {
-	p.seq++
-	p.hist[id] = append(p.hist[id], p.seq)
-}
-func (p *modelLRUK) insert(id ID)  { p.access(id) }
-func (p *modelLRUK) touch(id ID)   { p.access(id) }
-func (p *modelLRUK) evict(ID)      {} // history survives eviction
-func (p *modelLRUK) release(id ID) { delete(p.hist, id) }
-func (p *modelLRUK) heat(id ID) int64 {
-	h := p.hist[id]
-	if len(h) == 0 {
-		return coldestUnknown
-	}
-	if len(h) < p.k {
-		return h[len(h)-1] - classBias
-	}
-	return h[len(h)-p.k]
-}
-func (p *modelLRUK) better(m *modelBuffer, a, b, c, d int) bool {
-	return heatBetter(m, a, b, c, d, p.heat)
-}
-
-// ---------------------------------------------------------------------------
-// 2Q: probation FIFO (a1in) + main LRU (am) + ghost (a1out), as lists.
-
-type model2Q struct {
-	a1in  []ID
-	am    []ID
-	a1out []ID
-}
-
-func (*model2Q) name() string { return "2q" }
-func (p *model2Q) insert(id ID) {
-	if listHas(p.a1out, id) {
-		p.a1out = listRemove(p.a1out, id)
-		p.am = append(p.am, id)
-		return
-	}
-	p.a1in = append(p.a1in, id)
-}
-func (p *model2Q) touch(id ID) {
-	if listHas(p.am, id) {
-		p.am = append(listRemove(p.am, id), id)
-	}
-	// touches inside a1in deliberately do nothing
-}
-func (p *model2Q) evict(id ID) {
-	if listHas(p.a1in, id) {
-		p.a1in = listRemove(p.a1in, id)
-		if !listHas(p.a1out, id) {
-			p.a1out = append(p.a1out, id)
-		}
-		return
-	}
-	p.am = listRemove(p.am, id)
-}
-func (p *model2Q) release(id ID) {
-	p.a1in = listRemove(p.a1in, id)
-	p.am = listRemove(p.am, id)
-}
-func (p *model2Q) heat(id ID) int64 {
-	if i := listIndex(p.am, id); i >= 0 {
-		return int64(i)
-	}
-	if i := listIndex(p.a1in, id); i >= 0 {
-		return int64(i) - classBias
-	}
-	return coldestUnknown
-}
-func (p *model2Q) better(m *modelBuffer, a, b, c, d int) bool {
-	return heatBetter(m, a, b, c, d, p.heat)
-}
-
-// ---------------------------------------------------------------------------
 // ARC: T1/T2 LRU lists, B1/B2 ghost lists, adaptive target p.
 
 type modelARC struct {
@@ -497,135 +407,6 @@ func (p *modelARC) better(m *modelBuffer, a, b, c, d int) bool {
 				return int64(i) + classBias
 			}
 			return int64(i)
-		}
-		return coldestUnknown
-	}
-	return heatBetter(m, a, b, c, d, heat)
-}
-
-// ---------------------------------------------------------------------------
-// CLOCK-Pro: explicit ring of entries (a different representation from
-// the production policy's parallel maps), same transition rules.
-
-type mcpEntry struct {
-	id       ID
-	hot, ref bool
-}
-
-type modelClockPro struct {
-	ring  []mcpEntry
-	hand  int
-	ghost []ID
-}
-
-func (*modelClockPro) name() string { return "clock-pro" }
-
-func (p *modelClockPro) entryIndex(id ID) int {
-	for i, e := range p.ring {
-		if e.id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func (p *modelClockPro) insert(id ID) {
-	hot := false
-	if listHas(p.ghost, id) {
-		p.ghost = listRemove(p.ghost, id)
-		hot = true
-	}
-	e := mcpEntry{id: id, hot: hot}
-	if p.hand == 0 || len(p.ring) == 0 {
-		p.ring = append(p.ring, e)
-	} else {
-		p.ring = append(p.ring[:p.hand:p.hand], append([]mcpEntry{e}, p.ring[p.hand:]...)...)
-		p.hand++
-	}
-}
-
-func (p *modelClockPro) touch(id ID) {
-	if i := p.entryIndex(id); i >= 0 {
-		p.ring[i].ref = true
-	}
-}
-
-func (p *modelClockPro) removeEntry(i int) {
-	p.ring = append(p.ring[:i:i], p.ring[i+1:]...)
-	if p.hand > i {
-		p.hand--
-	}
-	if len(p.ring) == 0 {
-		p.hand = 0
-	} else {
-		p.hand %= len(p.ring)
-	}
-}
-
-func (p *modelClockPro) evict(id ID) {
-	for n := 0; len(p.ring) > 0 && n < 2*len(p.ring)+2; n++ {
-		cur := &p.ring[p.hand]
-		if cur.id == id {
-			break
-		}
-		if cur.ref {
-			cur.ref = false
-			if !cur.hot {
-				cur.hot = true
-			}
-		} else if cur.hot {
-			cur.hot = false
-		}
-		p.hand = (p.hand + 1) % len(p.ring)
-	}
-	if i := p.entryIndex(id); i >= 0 {
-		if !p.ring[i].hot && !listHas(p.ghost, id) {
-			p.ghost = append(p.ghost, id)
-		}
-		p.removeEntry(i)
-	}
-}
-
-func (p *modelClockPro) release(id ID) {
-	if i := p.entryIndex(id); i >= 0 {
-		p.removeEntry(i)
-	}
-}
-
-func (p *modelClockPro) sweepRanks() map[ID]int {
-	ranks := make(map[ID]int, len(p.ring))
-	ring := append([]mcpEntry(nil), p.ring...)
-	pos := p.hand
-	rank := 0
-	for len(ring) > 0 {
-		pos %= len(ring)
-		e := &ring[pos]
-		switch {
-		case !e.hot && !e.ref:
-			ranks[e.id] = rank
-			rank++
-			ring = append(ring[:pos], ring[pos+1:]...)
-		case !e.hot && e.ref:
-			e.ref = false
-			e.hot = true
-			pos++
-		case e.hot && e.ref:
-			e.ref = false
-			pos++
-		default:
-			e.hot = false
-			pos++
-		}
-	}
-	return ranks
-}
-
-func (p *modelClockPro) better(m *modelBuffer, a, b, c, d int) bool {
-	ranks := p.sweepRanks()
-	n := len(ranks)
-	heat := func(id ID) int64 {
-		if r, ok := ranks[id]; ok {
-			return int64(n - r)
 		}
 		return coldestUnknown
 	}

@@ -53,8 +53,8 @@ func TestCloseRacingTheStagerDoesNotWedge(t *testing.T) {
 	})
 }
 
-// TestUnlinkedRecordReleasesItsWaiter is the wedge the roadmap pinned on
-// clock-pro; it is any policy's. A non-blocking promotion publishes a
+// TestUnlinkedRecordReleasesItsWaiter pins a wedge that any eviction
+// policy can reach. A non-blocking promotion publishes a
 // fresh INIT GPU record before it tries to reserve cache space (the
 // eviction oracle reclaims a reserved fragment that has no record) and
 // unlinks it again when the reservation fails. A Restore that read the

@@ -1,25 +1,25 @@
 package experiments
 
 // Eviction-policy ablation matrix: every registered cachebuf policy
-// replayed against two access patterns with very different reuse
-// structure, on the virtual clock, measuring cache hit rate and the
-// restore-blocking latency a miss costs.
+// replayed against the "kv" trace on the virtual clock, measuring cache
+// hit rate and the restore-blocking latency a miss costs. The trace is
+// an LLM-inference KV-cache reuse pattern ("Saving GPU Hours in LLM
+// Inference", PAPERS.md): many small sessions with Zipf-skewed
+// popularity, each turn re-reading the session's prefix blocks before
+// appending a new one, interleaved with one-shot scan bursts (batch/RAG
+// traffic) that pollute recency-only policies.
 //
-//   - "rtm": the paper's adjoint workload — forward checkpoint writes
-//     fill the cache, then a reverse-order restore scan reads them
-//     back. Reuse distance equals the full shot length; only the warm
-//     tail can hit.
-//   - "kv": an LLM-inference KV-cache reuse pattern ("Saving GPU Hours
-//     in LLM Inference", PAPERS.md): many small sessions with
-//     Zipf-skewed popularity, each turn re-reading the session's prefix
-//     blocks before appending a new one, interleaved with one-shot scan
-//     bursts (batch/RAG traffic) that pollute recency-only policies.
+// The paper's own adjoint pattern (forward writes, reverse restore scan)
+// is not replayed here: on uniform always-evictable blocks its reuse
+// distance is the whole shot, so every policy hits the same warm tail.
+// The ablation's "eviction policy (§4.2)" rows measure it on the full
+// client instead, where pinning and flush state separate the policies.
 //
 // The replay drives cachebuf.Buffer directly rather than the full
 // client: every block is durable (always evictable, never pinned), so
 // the policies differ only in what they keep. The oracle feeds the
 // score policy next-use distances (the restore-order-queue analog), so
-// it plays a Bélády-like hand; the DBMS policies see only the
+// it plays a Bélády-like hand; LRU, FIFO and ARC see only the
 // insert/touch event stream.
 
 import (
@@ -124,19 +124,6 @@ type evictTrace struct {
 	accesses []evictAccess
 	// capacityBlocks sizes the cache relative to the working set.
 	capacityBlocks int
-}
-
-// rtmTrace is the adjoint pattern: n forward writes, then a reverse
-// restore scan.
-func rtmTrace(n int) evictTrace {
-	tr := evictTrace{name: "rtm", capacityBlocks: n / 4}
-	for i := 0; i < n; i++ {
-		tr.accesses = append(tr.accesses, evictAccess{id: cachebuf.ID(i), insert: true})
-	}
-	for i := n - 1; i >= 0; i-- {
-		tr.accesses = append(tr.accesses, evictAccess{id: cachebuf.ID(i)})
-	}
-	return tr
 }
 
 // kvTrace generates the KV-cache session workload: sessions are chosen
@@ -308,22 +295,17 @@ func replayTrace(run Run, tr evictTrace, pol cachebuf.Policy) (EvictCell, error)
 	return cell, replayErr
 }
 
-// EvictionMatrix runs every registered policy against both workloads.
+// EvictionMatrix runs every registered policy against the kv trace.
 func EvictionMatrix(run Run) (EvictResult, error) {
-	// Trace sizes follow the scale's snapshot count.
-	rtmN := run.Snapshots * 2
-	kvTurns := run.Snapshots * 6
-
-	traces := []evictTrace{rtmTrace(rtmN), kvTrace(kvTurns, 1)}
+	// The trace size follows the scale's snapshot count.
+	tr := kvTrace(run.Snapshots*6, 1)
 	var out EvictResult
-	for _, tr := range traces {
-		for _, pol := range cachebuf.Policies() {
-			cell, err := replayTrace(run, tr, pol)
-			if err != nil {
-				return out, fmt.Errorf("%s/%s: %w", tr.name, pol, err)
-			}
-			out.Cells = append(out.Cells, cell)
+	for _, pol := range cachebuf.Policies() {
+		cell, err := replayTrace(run, tr, pol)
+		if err != nil {
+			return out, fmt.Errorf("%s/%s: %w", tr.name, pol, err)
 		}
+		out.Cells = append(out.Cells, cell)
 	}
 	return out, nil
 }

@@ -189,7 +189,7 @@ func TestWithEvictionPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(func() {
-		c, err := sim.NewClient(0, 0, score.WithEvictionPolicy("lru-k"))
+		c, err := sim.NewClient(0, 0, score.WithEvictionPolicy("arc"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestWithEvictionPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, data) {
-			t.Fatal("round trip under lru-k policy lost data")
+			t.Fatal("round trip under arc policy lost data")
 		}
 	})
 	sim2, err := score.NewSim()
@@ -215,4 +215,94 @@ func TestWithEvictionPolicy(t *testing.T) {
 			t.Error("unknown eviction policy name accepted")
 		}
 	})
+}
+
+// TestWithSharedHostCache runs two clients of one node over a shared host
+// pool smaller than their two private host caches would be. Each writes
+// more than the pool's half, so the pool evicts across clients, and both
+// must still restore every version bit-exact. The pool is observable in
+// the sampled gauges: both clients report the same host-cache occupancy,
+// and its peak exceeds everything either client wrote on its own.
+func TestWithSharedHostCache(t *testing.T) {
+	if _, err := score.NewSim(score.WithSharedHostCache(-1)); err == nil {
+		t.Error("negative shared host cache size accepted")
+	}
+
+	const (
+		clients  = 2
+		versions = 8
+		size     = 1 << 20
+		private  = 16 << 20 // each client's WithHostCache, ignored under the pool
+		pool     = 12 << 20 // < clients*private, < clients*versions*size
+	)
+	sim, err := score.NewSim(score.WithGPUsPerNode(clients),
+		score.WithSharedHostCache(pool), score.WithSampling(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(g int, v int64) []byte {
+		return bytes.Repeat([]byte{byte(16*g) + byte(v) + 1}, size)
+	}
+	errs := make([]error, clients)
+	sim.Run(func() {
+		clk := sim.Clock()
+		wg := sim.NewWaitGroup()
+		for g := 0; g < clients; g++ {
+			g := g
+			wg.Add(1)
+			clk.Go(func() {
+				defer wg.Done()
+				c, err := sim.NewClient(0, g, score.WithGPUCache(2*size), score.WithHostCache(private))
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				defer c.Close()
+				for v := int64(0); v < versions; v++ {
+					if err := c.Checkpoint(v, payload(g, v)); err != nil {
+						errs[g] = err
+						return
+					}
+					c.Compute(time.Millisecond)
+				}
+				if err := c.WaitFlush(); err != nil {
+					errs[g] = err
+					return
+				}
+				for v := int64(versions - 1); v >= 0; v-- {
+					got, err := c.Restart(v)
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					if !bytes.Equal(got, payload(g, v)) {
+						t.Errorf("gpu %d version %d: restored bytes differ", g, v)
+					}
+				}
+			})
+		}
+		wg.Wait()
+	})
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("gpu %d: %v", g, err)
+		}
+	}
+
+	series := sim.SampledSeries()
+	gpu0, gpu1 := series["node0.gpu0.cache.host.used_bytes"], series["node0.gpu1.cache.host.used_bytes"]
+	if len(gpu0) == 0 || len(gpu0) != len(gpu1) {
+		t.Fatalf("host occupancy series lengths %d and %d", len(gpu0), len(gpu1))
+	}
+	var peak float64
+	for i := range gpu0 {
+		if gpu0[i] != gpu1[i] {
+			t.Fatalf("sample %d: clients see host occupancy %v and %v; want one pool", i, gpu0[i], gpu1[i])
+		}
+		peak = max(peak, gpu0[i].Value)
+	}
+	if peak <= versions*size || peak > pool {
+		t.Errorf("shared host occupancy peaked at %.0f bytes; want above one client's %d and at most the pool's %d",
+			peak, versions*size, pool)
+	}
 }
