@@ -45,10 +45,8 @@ type Client struct {
 	killed  bool  // the rank died (fault injection); implies closed soon
 	err     error // first asynchronous failure
 
-	d2hQ, h2fQ idFIFO     // flush queues
-	d2hBusy    int        // D2H workers with a job in flight
-	h2fBusy    int        // H2F workers with a job in flight
-	inFlight   map[ID]int // flush workers that currently own each version
+	d2h, h2f flushPool  // the T_D2H and T_H2F stages
+	inFlight map[ID]int // flush workers that currently own each version
 
 	writersBusy int  // Checkpoint calls past the admission gate
 	draining    bool // a preemption drain began; no new checkpoints (sticky)
@@ -97,6 +95,8 @@ func New(p Params) (*Client, error) {
 		inFlight: make(map[ID]int),
 	}
 	c.cond = c.clk.NewCond(&c.mu)
+	c.d2h.cond = c.clk.NewCond(&c.mu)
+	c.h2f.cond = c.clk.NewCond(&c.mu)
 	c.daemons = simclock.NewWaitGroup(c.clk)
 	c.hedgeWG = simclock.NewWaitGroup(c.clk)
 	c.health = newTierHealth()
@@ -250,8 +250,9 @@ func (c *Client) Recovered() []ID {
 }
 
 // bumpLocked records real progress (a flush completed, a checkpoint was
-// consumed, a hint arrived, a promotion landed) and wakes every parked
-// task. Retry loops key off the generation counter, so spurious wakeups
+// consumed, a hint arrived, a promotion landed) and wakes every task parked
+// on c.cond; idle flush workers park on their pool's own cond instead
+// (flushPool). Retry loops key off the generation counter, so spurious wakeups
 // (e.g. a peer clearing its in-flight flag after a failed attempt) do not
 // trigger fruitless re-attempts — the discipline that prevents broadcast
 // ping-pong livelock under the virtual clock. Caller holds c.mu.
@@ -290,6 +291,7 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	c.cond.Broadcast()
+	c.releaseFlushersLocked()
 	c.mu.Unlock()
 	c.gpuC.Close()
 	if c.gpuP != nil {
@@ -443,7 +445,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	// Hand off to T_D2H and return control to the application.
 	c.mu.Lock()
 	ck.enqueuedD2H = true
-	c.d2hQ.push(id)
+	c.d2h.push(id)
 	c.bumpLocked()
 	c.mu.Unlock()
 	c.notifyGPU()
@@ -722,7 +724,7 @@ func (c *Client) prefetchDistanceLocked(current ID) int {
 func (c *Client) WaitFlush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.d2hQ.len() > 0 || c.h2fQ.len() > 0 || c.d2hBusy > 0 || c.h2fBusy > 0 || c.drainActive {
+	for c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drainActive {
 		if c.killed {
 			return ErrKilled
 		}

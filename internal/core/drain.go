@@ -221,7 +221,7 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 			// that a just-finished triage flush is about to free); wait
 			// for it to land and re-snapshot.
 			c.mu.Lock()
-			if c.writersBusy == 0 && c.d2hBusy == 0 && c.h2fBusy == 0 {
+			if c.writersBusy == 0 && c.d2h.busy == 0 && c.h2f.busy == 0 {
 				c.mu.Unlock()
 				continue
 			}
@@ -236,11 +236,11 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 	// WaitFlush observes quiescence. The workers stay parked (frozen is
 	// sticky — a preempted rank accepts no further flush work).
 	c.mu.Lock()
-	for c.d2hQ.len() > 0 {
-		c.d2hQ.pop()
+	for c.d2h.q.len() > 0 {
+		c.d2h.q.pop()
 	}
-	for c.h2fQ.len() > 0 {
-		c.h2fQ.pop()
+	for c.h2f.q.len() > 0 {
+		c.h2f.q.pop()
 	}
 	finish := c.clk.Now()
 	c.drainActive = false

@@ -19,12 +19,12 @@ import (
 // checkpoint's D2H stage still strictly precedes its own H2F handoff.
 func (c *Client) flusherD2H() {
 	for {
-		id, ok := c.popFlushJob(&c.d2hQ, &c.d2hBusy)
+		id, ok := c.popFlushJob(&c.d2h)
 		if !ok {
 			return // closed
 		}
 		c.runD2H(id)
-		c.finishFlushJob(id, &c.d2hBusy)
+		c.finishFlushJob(id, &c.d2h)
 	}
 }
 
@@ -32,43 +32,66 @@ func (c *Client) flusherD2H() {
 // persistence is requested).
 func (c *Client) flusherH2F() {
 	for {
-		id, ok := c.popFlushJob(&c.h2fQ, &c.h2fBusy)
+		id, ok := c.popFlushJob(&c.h2f)
 		if !ok {
 			return
 		}
 		c.runH2F(id)
-		c.finishFlushJob(id, &c.h2fBusy)
+		c.finishFlushJob(id, &c.h2f)
 	}
 }
 
-// popFlushJob blocks for the next queued id; ok=false on close. busy
-// counts the pool's in-flight jobs so WaitFlush can tell an empty queue
-// from a drained one.
-func (c *Client) popFlushJob(q *idFIFO, busy *int) (ID, bool) {
+// flushPool is one flusher stage: its FIFO, its in-flight job count (so
+// WaitFlush can tell an empty queue from a drained one) and the cond its
+// idle workers park on. Fields are guarded by Client.mu. An idle worker's
+// predicate changes only when its queue grows (push signals one worker)
+// or when the client closes or dies (releaseFlushersLocked wakes all):
+// drainFrozen only ever turns true, and a drain only empties the queues.
+type flushPool struct {
+	q    idFIFO
+	busy int
+	cond simclock.Cond
+}
+
+// push queues id and wakes one idle worker. Caller holds c.mu.
+func (p *flushPool) push(id ID) {
+	p.q.push(id)
+	p.cond.Signal()
+}
+
+// releaseFlushersLocked wakes every idle flush worker of both pools so it
+// observes closed or killed. Caller holds c.mu.
+func (c *Client) releaseFlushersLocked() {
+	c.d2h.cond.Broadcast()
+	c.h2f.cond.Broadcast()
+}
+
+// popFlushJob blocks for the next id queued on p; ok=false on close.
+func (c *Client) popFlushJob(p *flushPool) (ID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for q.len() == 0 || c.drainFrozen {
+	for p.q.len() == 0 || c.drainFrozen {
 		// A preemption drain freezes the queues: the triage owns the
 		// backlog, so workers park here (and exit at close/kill).
 		if c.closed || c.killed {
 			return 0, false
 		}
-		c.cond.Wait()
+		p.cond.Wait()
 	}
 	if c.killed {
 		// The rank died with jobs still queued; finishKill sweeps their
 		// fates. Don't start work for a dead process.
 		return 0, false
 	}
-	id, _ := q.pop()
-	*busy++
+	id, _ := p.q.pop()
+	p.busy++
 	c.inFlight[id]++
 	return id, true
 }
 
-func (c *Client) finishFlushJob(id ID, busy *int) {
+func (c *Client) finishFlushJob(id ID, p *flushPool) {
 	c.mu.Lock()
-	*busy--
+	p.busy--
 	// T_D2H queues a version for T_H2F before finishing its own job, so
 	// both stages can own it at once.
 	if c.inFlight[id]--; c.inFlight[id] == 0 {
@@ -218,7 +241,7 @@ func (c *Client) enqueueH2F(ck *checkpoint) {
 	enq := !ck.enqueuedH2F && !c.drainFrozen
 	if enq {
 		ck.enqueuedH2F = true
-		c.h2fQ.push(ck.id)
+		c.h2f.push(ck.id)
 		c.bumpLocked()
 	}
 	c.mu.Unlock()

@@ -224,6 +224,87 @@ func TestFlushPoolCloseJoinsWorkers(t *testing.T) {
 	})
 }
 
+// wakeCountingCond counts the waits on a flush pool's cond that returned.
+type wakeCountingCond struct {
+	simclock.Cond
+	woke int
+}
+
+func (w *wakeCountingCond) Wait() { w.Cond.Wait(); w.woke++ }
+
+// withParkedFlushers builds a client with two workers per flush pool, lets
+// all four park, and hands fn the client and its pools' counting conds.
+func withParkedFlushers(t *testing.T, fn func(clk *simclock.Virtual, c *Client, d2h, h2f *wakeCountingCond)) {
+	t.Helper()
+	prev := newClientHook
+	defer func() { newClientHook = prev }()
+	var d2h, h2f *wakeCountingCond
+	newClientHook = func(c *Client) {
+		if prev != nil {
+			prev(c)
+		}
+		d2h, h2f = &wakeCountingCond{Cond: c.d2h.cond}, &wakeCountingCond{Cond: c.h2f.cond}
+		c.d2h.cond, c.h2f.cond = d2h, h2f
+	}
+	run(t, func(clk *simclock.Virtual) {
+		c := newRig(t, clk, func(p *Params) { p.FlushStreams = 2 }).client
+		newClientHook = prev
+		clk.Sleep(time.Millisecond)
+		if d2h.woke != 0 || h2f.woke != 0 {
+			t.Fatalf("idle workers woke: d2h %d, h2f %d", d2h.woke, h2f.woke)
+		}
+		fn(clk, c, d2h, h2f)
+	})
+}
+
+// TestFlushPushWakesOneWorkerOfItsPool: a queued job wakes exactly one
+// idle worker, and only in its own pool; the client's other state changes
+// (the job's completion bumps the client cond) wake none.
+func TestFlushPushWakesOneWorkerOfItsPool(t *testing.T) {
+	withParkedFlushers(t, func(clk *simclock.Virtual, c *Client, d2h, h2f *wakeCountingCond) {
+		defer c.Close()
+		for i, pool := range []*flushPool{&c.d2h, &c.h2f} {
+			c.mu.Lock()
+			pool.push(ID(100 + i)) // no such version: the worker pops it and finishes at once
+			c.mu.Unlock()
+			clk.Sleep(time.Millisecond)
+			if want := []int{1, i}; d2h.woke != want[0] || h2f.woke != want[1] {
+				t.Errorf("after push %d: woke d2h %d, h2f %d; want %v", i, d2h.woke, h2f.woke, want)
+			}
+		}
+	})
+}
+
+// TestCloseAndKillReleaseParkedFlushWorkers: both pools' idle workers
+// observe the client closing or dying, each woken once.
+func TestCloseAndKillReleaseParkedFlushWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(clk *simclock.Virtual, c *Client)
+		finish  func(c *Client)
+	}{
+		{"close", func(_ *simclock.Virtual, c *Client) { c.Close() }, func(*Client) {}},
+		// markKilled is Kill without the Close inside finishKill, so the
+		// wakes counted are the kill's own.
+		{"kill", func(clk *simclock.Virtual, c *Client) {
+			if !c.markKilled() {
+				t.Fatal("markKilled on a live client returned false")
+			}
+			clk.Sleep(time.Millisecond)
+		}, (*Client).finishKill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withParkedFlushers(t, func(clk *simclock.Virtual, c *Client, d2h, h2f *wakeCountingCond) {
+				tc.release(clk, c)
+				if d2h.woke != 2 || h2f.woke != 2 {
+					t.Errorf("woke d2h %d, h2f %d; want both workers of each pool", d2h.woke, h2f.woke)
+				}
+				tc.finish(c)
+			})
+		})
+	}
+}
+
 // TestChunkedFlushBeatsMonolithic: end-to-end through the client, chunked
 // pipelining must shorten a GPUDirect flush (PCIe + NVMe, both hops
 // overlapped) compared to the monolithic seed path.
@@ -266,22 +347,19 @@ func TestStageHandoffKeepsVersionWorkerOwned(t *testing.T) {
 		c.mu.Lock()
 		c.closed = false
 		c.ckpts[7] = &checkpoint{id: 7, size: MB}
-		c.d2hQ.push(7)
-		c.h2fQ.push(7)
+		c.d2h.push(7)
+		c.h2f.push(7)
 		c.mu.Unlock()
-		for _, stage := range []struct {
-			q    *idFIFO
-			busy *int
-		}{{&c.d2hQ, &c.d2hBusy}, {&c.h2fQ, &c.h2fBusy}} {
-			if id, ok := c.popFlushJob(stage.q, stage.busy); !ok || id != 7 {
+		for _, pool := range []*flushPool{&c.d2h, &c.h2f} {
+			if id, ok := c.popFlushJob(pool); !ok || id != 7 {
 				t.Fatalf("popFlushJob = %d, %v", id, ok)
 			}
 		}
-		c.finishFlushJob(7, &c.d2hBusy)
+		c.finishFlushJob(7, &c.d2h)
 		if cands, busy := c.drainSnapshot(); len(cands) != 0 || !busy {
 			t.Errorf("after T_D2H finished, the triage sees %d candidates, busy=%v; T_H2F still owns the version", len(cands), busy)
 		}
-		c.finishFlushJob(7, &c.h2fBusy)
+		c.finishFlushJob(7, &c.h2f)
 		if cands, busy := c.drainSnapshot(); len(cands) != 1 || busy {
 			t.Errorf("after both stages finished, the triage sees %d candidates, busy=%v", len(cands), busy)
 		}

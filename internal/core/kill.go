@@ -57,6 +57,7 @@ func (c *Client) markKilled() bool {
 	}
 	c.killed = true
 	c.bumpLocked()
+	c.releaseFlushersLocked()
 	c.mu.Unlock()
 	c.notifyGPU()
 	c.hstC.Notify()

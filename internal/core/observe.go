@@ -148,12 +148,12 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 	s.Register(name("queue.d2h"), func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return float64(c.d2hQ.len() + c.d2hBusy)
+		return float64(c.d2h.q.len() + c.d2h.busy)
 	})
 	s.Register(name("queue.h2f"), func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return float64(c.h2fQ.len() + c.h2fBusy)
+		return float64(c.h2f.q.len() + c.h2f.busy)
 	})
 	// Tier health: how many tiers are currently out of rotation, and how
 	// many degradations a probe has healed — sampled so dashboards see

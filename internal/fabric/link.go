@@ -54,9 +54,11 @@ type TransferInterceptor func(link string, size int64) FaultDecision
 // changes, so the link settles (credits elapsed time to every active
 // transfer) exactly at joins, completions, and pacer timer fires — the
 // same instants the original rescan-on-every-wake implementation
-// effectively settled at, which keeps simulated timings bit-identical —
-// but wakes only the single transfer whose completion is next (the
-// "pacer") instead of broadcasting to every waiter on every change.
+// effectively settled at, which keeps simulated timings bit-identical.
+// Only the transfer whose completion is next (the "pacer") holds a timer,
+// and a membership change moves that timer in place (Cond.Retime) rather
+// than waking anyone: a transfer wakes when its latency ends and when it
+// completes, and at no other time.
 type Link struct {
 	clk     simclock.Clock
 	name    string
@@ -89,8 +91,8 @@ type Link struct {
 }
 
 // transfer is one in-flight payload. Records are pooled per link; cond is
-// the transfer's private wakeup so membership changes signal exactly the
-// transfers that must react (the pacer, the completed) instead of all.
+// the transfer's private wait: elections move the pacer's completion
+// timer on it, and the member that reaps a finished transfer signals it.
 type transfer struct {
 	remaining float64 // bytes left to move
 	seq       uint64
@@ -172,21 +174,22 @@ func (l *Link) TryTransfer(size int64) (time.Duration, error) {
 	// leave (and the share they stop consuming is released) before the
 	// new fair share is computed, as the broadcast chain used to arrange.
 	l.reapLocked(t)
-	l.electLocked(t)
+	wait := l.electLocked(t)
 
+	// Park until another member reaps us (done) or our own timer fires.
+	// We hold that timer only while we are the pacer, and later elections
+	// move or clear it without waking us; when it fires, our completion is
+	// the event.
 	for !t.done {
-		if l.pacer == t {
-			// We complete next: hold the link's only timer. Anyone who
-			// changes membership settles and re-elects, signalling us to
-			// recompute; if the timer fires, our completion is the event.
-			share := l.bw / float64(len(l.active))
-			if t.cond.WaitTimeout(durationFor(t.remaining, share)) {
-				l.settleLocked()
-				l.reapLocked(t)
-				l.electLocked(t)
-			}
-		} else {
+		if wait < 0 {
 			t.cond.Wait()
+		} else {
+			t.cond.WaitTimeout(wait)
+		}
+		if !t.done {
+			l.settleLocked()
+			l.reapLocked(t)
+			wait = l.electLocked(t)
 		}
 	}
 	l.putTransferLocked(t)
@@ -274,11 +277,13 @@ func (l *Link) reapLocked(self *transfer) {
 }
 
 // electLocked re-reads the pacer — the completion-heap top — after a
-// membership change. A demoted pacer must be signalled so its stale timer
-// never fires a settle at a wrong instant; the elected pacer must be
-// signalled so it re-arms at the new share. The caller itself
-// re-evaluates on its own loop and is never signalled.
-func (l *Link) electLocked(self *transfer) {
+// membership change, which also changes the share. The pacer's timer is
+// due at its completion at the new share; a demoted pacer's timer is
+// cleared so it never fires a settle at a wrong instant. Both are parked,
+// and Retime moves their timers without waking them. The caller is
+// running, not parked: electLocked returns how long it waits for its own
+// completion when it is the pacer, and -1 when it is not.
+func (l *Link) electLocked(self *transfer) time.Duration {
 	var best *transfer
 	if len(l.active) > 0 {
 		best = l.active[0]
@@ -286,11 +291,17 @@ func (l *Link) electLocked(self *transfer) {
 	old := l.pacer
 	l.pacer = best
 	if old != nil && old != best && old != self && !old.done {
-		old.cond.Signal()
+		old.cond.Retime(-1)
 	}
-	if best != nil && best != self {
-		best.cond.Signal()
+	if best == nil {
+		return -1
 	}
+	d := durationFor(best.remaining, l.bw/float64(len(l.active)))
+	if best == self {
+		return d
+	}
+	best.cond.Retime(d)
+	return -1
 }
 
 // Estimate predicts how long transferring size bytes would take if it

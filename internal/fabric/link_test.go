@@ -134,6 +134,74 @@ func TestShortTransferFinishesFirstAndSpeedsUpLongOne(t *testing.T) {
 	})
 }
 
+// TestTransfersWakeOnlyForLatencyAndCompletion pins the link's wake
+// count: every join and completion changes the share, yet each transfer
+// wakes exactly twice — when its latency ends and when it completes —
+// because elections move the pacer's timer without waking anyone. The
+// finish instants are the fair-share expectations of the tests above,
+// shifted by the latency.
+func TestTransfersWakeOnlyForLatencyAndCompletion(t *testing.T) {
+	const lat = time.Millisecond
+	type xfer struct {
+		start time.Duration
+		size  int64
+		end   time.Duration // without latency
+	}
+	for _, tc := range []struct {
+		name string
+		bw   float64
+		xfs  []xfer
+	}{
+		// TestLateArrivalFairShare.
+		{"late arrival", 1 * GB, []xfer{{0, 2 * GB, 3 * time.Second}, {time.Second, 1 * GB, 3 * time.Second}}},
+		// TestShortTransferFinishesFirstAndSpeedsUpLongOne.
+		{"short first", 2 * GB, []xfer{{0, 4 * GB, 2500 * time.Millisecond}, {0, 1 * GB, time.Second}}},
+		// t=0..1 A alone; 1..2 A,B at 1/2 (B has 0.5GB left at 2);
+		// 2..3.5 A,B,C at 1/3 (B done); 3.5..4.5 A,C at 1/2 (C done); A alone to 5.
+		{"three staggered", 1 * GB, []xfer{
+			{0, 3 * GB, 5 * time.Second},
+			{time.Second, 1 * GB, 3500 * time.Millisecond},
+			{2 * time.Second, 1 * GB, 4500 * time.Millisecond},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := simclock.NewVirtual()
+			ends := make([]time.Duration, len(tc.xfs))
+			staggered := 0
+			before := simclock.EventCount()
+			clk.Run(func() {
+				l := NewLink(clk, "wakes", tc.bw, lat)
+				wg := simclock.NewWaitGroup(clk)
+				for i, x := range tc.xfs {
+					if x.start > 0 {
+						staggered++
+					}
+					wg.Add(1)
+					clk.Go(func() {
+						defer wg.Done()
+						clk.Sleep(x.start)
+						mustTransfer(t, l, x.size)
+						ends[i] = clk.Now()
+					})
+				}
+				wg.Wait()
+			})
+			// Besides the transfers' own wakes: one per staggered start
+			// and one for the root leaving wg.Wait.
+			n := len(tc.xfs)
+			if got, want := simclock.EventCount()-before, uint64(2*n+staggered+1); got != want {
+				t.Errorf("%d transfers cost %d wakes, want %d: %d latency + %d completion + %d staggered starts + 1 join",
+					n, got, want, n, n, staggered)
+			}
+			for i, x := range tc.xfs {
+				if want := x.end + lat; absDur(ends[i]-want) > time.Microsecond {
+					t.Errorf("transfer %d finished at %v, want %v", i, ends[i], want)
+				}
+			}
+		})
+	}
+}
+
 func TestLinkConservesBandwidthProperty(t *testing.T) {
 	// Property: for any set of concurrent transfers, total bytes moved
 	// divided by the makespan never exceeds the link bandwidth, and the

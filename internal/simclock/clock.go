@@ -63,6 +63,17 @@ type Cond interface {
 	Signal()
 	// Broadcast wakes all waiters.
 	Broadcast()
+	// Retime moves the deadline of the one task parked on the cond to d
+	// of simulated time from now, or removes it when d < 0, without waking
+	// the task: an untimed Wait gains a timeout, a WaitTimeout's is moved
+	// or dropped. When the new deadline passes, the wait returns as if it
+	// had timed out; ties with other timers due at the same instant fire
+	// in the order their deadlines were last set. It is the one way to
+	// move a parked task's deadline without a wakeup. Retime on a cond
+	// with no parked task does nothing; with more than one it panics,
+	// since whose deadline to move would be ambiguous. The caller holds
+	// the locker.
+	Retime(d time.Duration)
 }
 
 // A WaitGroup is a clock-aware analogue of sync.WaitGroup: Wait suspends

@@ -79,7 +79,8 @@ func NewVirtual(opts ...VirtualOption) *Virtual {
 // waiter is one task: its coroutine and the record of its current suspension.
 // It may be woken by a timer (timeout/sleep) or by a Cond signal, whichever
 // comes first; fired guards double wake, and seq (reassigned on every
-// suspension) identifies the one that stale timer and cond entries belong to.
+// suspension and every Retime) identifies the one that stale timer and cond
+// entries belong to.
 type waiter struct {
 	next     func() (struct{}, bool) // resume; only the driver calls it
 	stop     func()
@@ -88,7 +89,7 @@ type waiter struct {
 	seq      uint64
 	fired    bool
 	inCond   bool   // counted in condWaiters
-	timed    bool   // has a filed timer (markStale bookkeeping on signal)
+	timed    bool   // has a filed timer (markStale bookkeeping on signal and retime)
 	timedOut bool   // woken by the timer
 	deadlock string // set when resumed to report a deadlock
 }
@@ -320,9 +321,7 @@ func (cd *vcond) wait(d time.Duration) bool {
 	c := cd.clk
 	c.mu.Lock()
 	w := c.suspendLocked(true, d >= 0)
-	if cd.head > 0 && cd.head == len(cd.waiters) {
-		cd.waiters, cd.head = cd.waiters[:0], 0
-	}
+	cd.dropDeadLocked()
 	cd.waiters = append(cd.waiters, condEntry{w, w.seq})
 	if d >= 0 {
 		c.timers.push(w, c.now+d, w.seq)
@@ -367,3 +366,49 @@ func (cd *vcond) wake(all bool) {
 
 func (cd *vcond) Signal()    { cd.wake(false) }
 func (cd *vcond) Broadcast() { cd.wake(true) }
+
+// Retime re-files the one parked waiter's timer under a fresh seq, the
+// bookkeeping a wake followed by a re-wait would do, but readies nothing
+// and counts no event.
+func (cd *vcond) Retime(d time.Duration) {
+	c := cd.clk
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cd.dropDeadLocked()
+	var e *condEntry
+	for i := cd.head; i < len(cd.waiters); i++ {
+		if cd.waiters[i].live() {
+			if e != nil {
+				panic("simclock: Retime on a cond with more than one parked task")
+			}
+			e = &cd.waiters[i]
+		}
+	}
+	if e == nil {
+		return
+	}
+	w := e.w
+	if w.timed {
+		c.timers.markStale()
+	}
+	w.seq, e.seq = c.seq, c.seq
+	c.seq++
+	w.timed = d >= 0
+	if w.timed {
+		c.timers.push(w, c.now+d, w.seq)
+	}
+}
+
+// dropDeadLocked discards the entries at the head of the queue that can
+// no longer be woken (timed out, or waiting again): only wake consumes
+// entries, so a cond whose waiters time out instead would otherwise grow
+// by one entry per wait. Caller holds the clock mutex.
+func (cd *vcond) dropDeadLocked() {
+	for cd.head < len(cd.waiters) && !cd.waiters[cd.head].live() {
+		cd.waiters[cd.head] = condEntry{}
+		cd.head++
+	}
+	if cd.head == len(cd.waiters) {
+		cd.waiters, cd.head = cd.waiters[:0], 0
+	}
+}

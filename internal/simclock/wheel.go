@@ -33,8 +33,8 @@ import (
 //
 // Entries are filed with a copy of the waiter's (deadline, seq) key. A
 // pooled waiter may be recycled while stale entries for its previous
-// incarnations are still filed (a signaled WaitTimeout leaves its timer
-// behind, exactly as the old heap left fired entries); liveness is
+// incarnations are still filed (a signaled or retimed WaitTimeout leaves
+// its timer behind, exactly as the old heap left fired entries); liveness is
 // therefore "e.w.seq == e.seq && !e.w.fired", checked under the clock
 // mutex. Stale entries are dropped whenever a drain or scan touches them;
 // stale-only slots skipped by base (their bit lingers below the base
@@ -71,7 +71,7 @@ type timerQueue interface {
 	// pop removes and returns the earliest live timer, if any.
 	pop() (w *waiter, deadline time.Duration, ok bool)
 	// markStale records that a live filed timer was invalidated out of
-	// band (its waiter was signaled before the timeout).
+	// band (its waiter was signaled before the timeout, or retimed).
 	markStale()
 	// hasLive reports whether any live timer is filed.
 	hasLive() bool

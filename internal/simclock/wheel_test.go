@@ -79,15 +79,17 @@ func driveTimerQueue(t *testing.T, data []byte) {
 		i++
 		return b
 	}
+	// delta reads a deadline offset: two bytes of magnitude shifted by up
+	// to 40 bits crosses many wheel levels, exercising cascades; delta 0
+	// lands on the ready queue (same-deadline push).
+	delta := func() time.Duration {
+		lo, hi, sh := next(), next(), next()
+		return (time.Duration(hi)<<8 | time.Duration(lo)) << (sh % 40)
+	}
 	for i < len(data) {
-		switch op := next(); op % 4 {
-		case 0, 1: // push (weighted: half the stream)
-			// Two bytes of magnitude shifted by up to 40 bits crosses
-			// many wheel levels, exercising cascades; delta 0 lands on
-			// the ready queue (same-deadline push).
-			lo, hi, sh := next(), next(), next()
-			delta := (time.Duration(hi)<<8 | time.Duration(lo)) << (sh % 40)
-			d := floor + delta
+		switch op := next(); op % 5 {
+		case 0, 1: // push (weighted: two fifths of the stream)
+			d := floor + delta()
 			w := &waiter{seq: seq, timed: true}
 			tw.push(w, d, seq)
 			model = append(model, naiveEntry{w: w, deadline: d, seq: seq})
@@ -101,6 +103,22 @@ func driveTimerQueue(t *testing.T, data []byte) {
 				tw.markStale()
 				model = append(model[:k], model[k+1:]...)
 			}
+		case 4: // retime a live timer, as vcond.Retime does: fresh seq, re-filed or cleared
+			if len(model) > 0 {
+				k := int(next()) % len(model)
+				drop := next()%4 == 0
+				d := floor + delta()
+				w := model[k].w
+				w.seq = seq
+				seq++
+				tw.markStale()
+				if drop {
+					model = append(model[:k], model[k+1:]...)
+					continue
+				}
+				tw.push(w, d, w.seq)
+				model[k] = naiveEntry{w: w, deadline: d, seq: w.seq}
+			}
 		}
 	}
 	for popBoth(t, tw, &model, &floor) {
@@ -110,13 +128,15 @@ func driveTimerQueue(t *testing.T, data []byte) {
 	}
 }
 
-// FuzzTimerWheelVsNaiveModel fuzzes arbitrary push/pop/invalidate
+// FuzzTimerWheelVsNaiveModel fuzzes arbitrary push/pop/invalidate/retime
 // interleavings through driveTimerQueue.
 func FuzzTimerWheelVsNaiveModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 3, 0, 255, 255, 30, 2, 2, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 2, 2})                     // same-deadline pile-up
 	f.Add([]byte{0, 10, 0, 39, 0, 10, 0, 0, 3, 0, 2, 2})            // far deadline then invalidate
 	f.Add([]byte{1, 1, 0, 20, 1, 1, 0, 10, 1, 1, 0, 0, 2, 2, 2, 2}) // descending level pushes
+	f.Add([]byte{0, 0, 1, 30, 0, 5, 0, 0, 4, 0, 1, 0, 0, 0, 2, 2})  // far deadline retimed to a tie
+	f.Add([]byte{0, 7, 0, 0, 0, 9, 0, 0, 4, 1, 0, 0, 0, 0, 2, 2})   // a retime that clears
 	f.Fuzz(func(t *testing.T, data []byte) {
 		driveTimerQueue(t, data)
 	})

@@ -25,7 +25,7 @@ var simspeedChild = flag.Bool("simspeed.child", false, "measure the sweep in thi
 
 // simspeedBaselinePath is the committed regression ceiling the smoke test
 // gates against. Allocations do not depend on the machine, so the ceiling
-// ratchets: it is the measured count (181,4xx–181,7xx per sweep in a process
+// ratchets: it is the measured count (181,22x–181,28x per sweep in a process
 // that runs nothing else) plus 2 %, and a PR that lowers the count commits
 // the lower ceiling. It went up once, from 96,195, when tasks became
 // coroutines: the sweep starts 10,000 at once, none to reuse, and each costs
@@ -41,6 +41,14 @@ const simspeedBaselinePath = "testdata/simspeed_baseline.json"
 // beside the rest of `go test ./...`; a change that makes the default
 // engine slower than its own reference fails here on any machine.
 const wheelVsHeapFloor = 0.9
+
+// wakeupsPerEventCeiling is the most engine wakeups (simclock.EventCount)
+// the 10k-rank sweep may spend per model event. Both are counts, so the
+// ratio is the same on every machine, and the ceiling ratchets down. It
+// reads 1.5000125: each rank-round is two model events and three wakeups
+// (the compute sleep, the link latency, the completion), plus the root
+// leaving its WaitGroup once.
+const wakeupsPerEventCeiling = 1.50002
 
 // measureSweep runs the 10k-rank sweep iters times and returns the
 // model-events rate, the engine-wakeup rate, and the per-sweep
@@ -115,13 +123,17 @@ func TestSimSpeedSmoke(t *testing.T) {
 		t.Fatalf("reading the child's %d records: %v", len(records), err)
 	}
 	heap, serial := records[0], records[1] // sorted by name
-	t.Logf("serial: %.0f events/sec, %.0f wakeups/sec, %d allocs/op",
-		serial.EventsPerSec, serial.WakeupsPerSec, serial.AllocsPerOp)
+	wakesPerEvent := serial.WakeupsPerSec / serial.EventsPerSec
+	t.Logf("serial: %.0f events/sec, %.0f wakeups/sec (%.7f per event), %d allocs/op",
+		serial.EventsPerSec, serial.WakeupsPerSec, wakesPerEvent, serial.AllocsPerOp)
 	t.Logf("heap reference: %.0f events/sec, %d allocs/op", heap.EventsPerSec, heap.AllocsPerOp)
 
 	if ratio := serial.EventsPerSec / heap.EventsPerSec; ratio < wheelVsHeapFloor {
 		t.Errorf("events/sec regressed: the wheel retires %.2fx the heap reference's %.0f, floor %.2fx",
 			ratio, heap.EventsPerSec, wheelVsHeapFloor)
+	}
+	if wakesPerEvent > wakeupsPerEventCeiling {
+		t.Errorf("engine wakeups per model event regressed: %.7f > ceiling %.5f", wakesPerEvent, wakeupsPerEventCeiling)
 	}
 	baselines, err := report.SimSpeedFile.LoadFile(simspeedBaselinePath)
 	if err != nil {
