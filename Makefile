@@ -196,6 +196,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCacheEviction -fuzztime $(FUZZTIME) ./internal/cachebuf
 	$(GO) test -run '^$$' -fuzz FuzzEvictionPolicy -fuzztime $(FUZZTIME) ./internal/cachebuf
 	$(GO) test -run '^$$' -fuzz FuzzChromeString -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzWaitForMatchesTheWaitLoop -fuzztime $(FUZZTIME) ./internal/simclock
 
 clean:
 	$(GO) clean ./...

@@ -60,6 +60,17 @@ type Client struct {
 	restoreIter int
 	stagedBytes int64  // host-stager budget accounting
 	events      uint64 // progress generation: bumped on real state changes
+	pfSeen      uint64 // events when the prefetcher last found its hint blocked
+	stSeen      uint64 // events when the host stager last failed to stage
+
+	// The predicates the prefetcher, the host stager and WaitFlush park on
+	// with c.cond.WaitFor, built once in New so a wait allocates nothing.
+	startedOrClosed func() bool
+	hintPastCursor  func() bool // a hint the prefetcher has not reached yet
+	hintPending     func() bool // an unconsumed hint
+	pfProgressed    func() bool
+	stProgressed    func() bool
+	flushSettled    func() bool // WaitFlush has an answer
 
 	degraded   [TierPFS + 1]bool          // tiers marked persistently failed
 	degradedAt [TierPFS + 1]time.Duration // when each mark was (last) set
@@ -95,6 +106,14 @@ func New(p Params) (*Client, error) {
 		inFlight: make(map[ID]int),
 	}
 	c.cond = c.clk.NewCond(&c.mu)
+	c.startedOrClosed = func() bool { return c.started || c.closed }
+	c.hintPastCursor = func() bool { return c.closed || c.q.prefetchPending() }
+	c.hintPending = func() bool { return c.closed || c.q.pending() > 0 }
+	c.pfProgressed = func() bool { return c.closed || c.events != c.pfSeen }
+	c.stProgressed = func() bool { return c.closed || c.events != c.stSeen }
+	c.flushSettled = func() bool {
+		return !c.flushBusyLocked() || c.killed || c.closed || c.err != nil
+	}
 	c.d2h.cond = c.clk.NewCond(&c.mu)
 	c.h2f.cond = c.clk.NewCond(&c.mu)
 	c.daemons = simclock.NewWaitGroup(c.clk)
@@ -252,10 +271,13 @@ func (c *Client) Recovered() []ID {
 // bumpLocked records real progress (a flush completed, a checkpoint was
 // consumed, a hint arrived, a promotion landed) and wakes every task parked
 // on c.cond; idle flush workers park on their pool's own cond instead
-// (flushPool). Retry loops key off the generation counter, so spurious wakeups
-// (e.g. a peer clearing its in-flight flag after a failed attempt) do not
-// trigger fruitless re-attempts — the discipline that prevents broadcast
-// ping-pong livelock under the virtual clock. Caller holds c.mu.
+// (flushPool). The prefetcher, the host stager and WaitFlush park with
+// WaitFor, so a bump that leaves their predicate false readies them but
+// the clock files them back without resuming them. Retry loops key off the
+// generation counter, so spurious wakeups (e.g. a peer clearing its
+// in-flight flag after a failed attempt) do not trigger fruitless
+// re-attempts — the discipline that prevents broadcast ping-pong livelock
+// under the virtual clock. Caller holds c.mu.
 func (c *Client) bumpLocked() {
 	c.events++
 	c.cond.Broadcast()
@@ -724,19 +746,22 @@ func (c *Client) prefetchDistanceLocked(current ID) int {
 func (c *Client) WaitFlush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drainActive {
-		if c.killed {
+	c.cond.WaitFor(c.flushSettled)
+	if c.flushBusyLocked() {
+		switch {
+		case c.killed:
 			return ErrKilled
-		}
-		if c.closed {
+		case c.closed:
 			return ErrClosed
 		}
-		if c.err != nil {
-			return c.err
-		}
-		c.cond.Wait()
 	}
 	return c.err
+}
+
+// flushBusyLocked reports whether the flush chain still holds work: a
+// queued or running flush job, or a preemption drain's triage.
+func (c *Client) flushBusyLocked() bool {
+	return c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drainActive
 }
 
 // Resident reports how many checkpoints are currently cached on each tier

@@ -16,7 +16,10 @@ import (
 // TryReserve and parks on the client condition variable instead — so a
 // cache saturated with pinned (prefetched-but-unconsumed) checkpoints
 // throttles prefetching exactly as §2 condition 4 requires, without ever
-// deadlocking deviating readers.
+// deadlocking deviating readers. Idle — not started, past the last hint,
+// or waiting for progress after a failed promotion — it parks with
+// WaitFor, so the clock resumes it only once it has work; its waits on a
+// hinted checkpoint's flags stay plain Waits.
 func (c *Client) prefetcher() {
 	c.mu.Lock()
 	for {
@@ -25,12 +28,12 @@ func (c *Client) prefetcher() {
 			return
 		}
 		if !c.started {
-			c.cond.Wait()
+			c.cond.WaitFor(c.startedOrClosed)
 			continue
 		}
 		id, ok := c.q.nextPrefetch()
 		if !ok {
-			c.cond.Wait()
+			c.cond.WaitFor(c.hintPastCursor)
 			continue
 		}
 		ck := c.ckpts[id]
@@ -57,7 +60,7 @@ func (c *Client) prefetcher() {
 			continue
 		}
 		ck.promoting = true
-		seen := c.events
+		c.pfSeen = c.events
 		c.mu.Unlock()
 
 		// The prefetcher's own time is hidden from the application by
@@ -92,9 +95,7 @@ func (c *Client) prefetcher() {
 		// order to respect the pinning discipline. Waiting on the
 		// generation counter (not just any broadcast) prevents
 		// broadcast ping-pong with the host stager.
-		for c.events == seen && !c.closed {
-			c.cond.Wait()
-		}
+		c.cond.WaitFor(c.pfProgressed)
 	}
 }
 

@@ -83,6 +83,10 @@ func (q *restoreQueue) nextPrefetch() (ID, bool) {
 	return 0, false
 }
 
+// prefetchPending reports whether nextPrefetch would return a hint,
+// without moving the cursor.
+func (q *restoreQueue) prefetchPending() bool { return max(q.pf, q.head) < len(q.hints) }
+
 // advancePrefetch moves past the current prefetch target.
 func (q *restoreQueue) advancePrefetch() { q.pf++ }
 

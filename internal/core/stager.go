@@ -20,6 +20,12 @@ import (
 // cache. A byte budget of half the host cache bounds how far ahead it
 // runs, so it cannot evict the near-future host-resident checkpoints the
 // backward pass is about to read.
+//
+// Not started, or with no hint pending, or waiting for progress after a
+// failed stage, it parks with WaitFor, so the clock resumes it only once
+// that changes. With hints pending but no target it parks with a plain
+// Wait: whether a target appears depends on the host cache's free bytes,
+// which only a Buffer call reads.
 func (c *Client) hostStager() {
 	if c.p.NoHostStager || c.p.GPUDirectStorage {
 		return
@@ -41,12 +47,19 @@ func (c *Client) hostStager() {
 			ck = c.nextStageTargetLocked(free)
 		}
 		if ck == nil {
-			c.cond.Wait()
+			switch {
+			case !c.started:
+				c.cond.WaitFor(c.startedOrClosed)
+			case c.q.pending() == 0:
+				c.cond.WaitFor(c.hintPending)
+			default:
+				c.cond.Wait()
+			}
 			c.mu.Unlock()
 			continue
 		}
 		ck.stagingHost = true
-		seen := c.events
+		c.stSeen = c.events
 		c.mu.Unlock()
 
 		staged, err := c.stageHinted(ck)
@@ -68,9 +81,7 @@ func (c *Client) hostStager() {
 		if !staged {
 			// Host cache saturated (or a racing flush materialized the
 			// data): wait for real progress before retrying.
-			for c.events == seen && !c.closed {
-				c.cond.Wait()
-			}
+			c.cond.WaitFor(c.stProgressed)
 		}
 		c.mu.Unlock()
 	}

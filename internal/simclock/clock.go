@@ -55,6 +55,16 @@ type Cond interface {
 	// Wait returns. As with sync.Cond, callers must re-check their
 	// condition in a loop.
 	Wait()
+	// WaitFor means exactly `for !pred() { Wait() }`: the same wake order,
+	// the same timestamps. It differs only in who runs the re-check. A
+	// woken WaitFor waiter keeps its place in the ready queue, and when it
+	// reaches the head the clock evaluates pred under the locker. While
+	// pred is false the task goes back to the tail of the cond's waiters
+	// without running, so it costs no coroutine switch and no EventCount.
+	// pred reads only state guarded by the locker, has no side effects, and
+	// calls no cachebuf.Buffer method: it runs on the clock's driver, not
+	// in the task. Build it once, not per wait. The caller holds the locker.
+	WaitFor(pred func() bool)
 	// WaitTimeout behaves like Wait but gives up after d of simulated
 	// time. It reports true if the wait timed out (as opposed to being
 	// woken by Signal/Broadcast).

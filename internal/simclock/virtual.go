@@ -16,13 +16,21 @@ import (
 	"time"
 )
 
-// eventCount tallies task wakeups (timer fires, signals, broadcast wakes)
-// across every Virtual clock in the process.
+// eventCount tallies resumptions of parked tasks across every Virtual clock
+// in the process.
 var eventCount atomic.Uint64
 
-// EventCount returns the process-wide number of discrete-event wakeups
-// performed by all Virtual clocks so far.
+// EventCount returns the process-wide number of times a Virtual clock has
+// resumed a parked task: one per Sleep or WaitTimeout that expired and per
+// Signal or Broadcast wake that ran. Starting a task with Go is not counted,
+// nor is a WaitFor waiter the driver filed again because its predicate was
+// still false, since that task never ran.
 func EventCount() uint64 { return eventCount.Load() }
+
+// livelockBound is how many resumptions and re-checks one virtual instant
+// may take before the driver reports a livelock: tasks waking each other
+// forever without letting time advance.
+const livelockBound = 1 << 24
 
 // Virtual is a deterministic discrete-event clock. Every task is a
 // coroutine and exactly one runs at a time: a driver resumes the head of a
@@ -30,11 +38,15 @@ func EventCount() uint64 { return eventCount.Load() }
 // Cond wait) or returns. Go, Signal, Broadcast and timer expiry append to
 // the queue in the order they happen; simulated time stands still while
 // the queue is non-empty and jumps to the next pending timer when it is
-// empty, so equal inputs give equal schedules (DESIGN.md §14).
+// empty, so equal inputs give equal schedules (DESIGN.md §14). When the
+// head is a WaitFor waiter, the driver checks its predicate first and files
+// it back on its cond, unresumed, while the predicate is false.
 //
 // A Virtual clock detects true deadlock: if every task is blocked in a
 // Cond wait with no pending timer, no event can ever wake the simulation,
-// and the clock panics with a diagnostic rather than hanging.
+// and the clock panics with a diagnostic rather than hanging. It also
+// reports a livelock: livelockBound resumptions and re-checks at one
+// instant without time advancing.
 type Virtual struct {
 	mu  sync.Mutex // guards everything below; tasks never contend, callers outside any task may
 	now time.Duration
@@ -51,6 +63,7 @@ type Virtual struct {
 	timers      timerQueue
 	seq         uint64 // tie-break for deterministic wake order; doubles as waiter generation
 	dead        bool   // deadlock reported; it is reported once
+	spins       int    // resumptions and WaitFor re-checks since time last advanced
 }
 
 // A VirtualOption configures a Virtual clock at construction.
@@ -88,10 +101,12 @@ type waiter struct {
 	fn       func()
 	seq      uint64
 	fired    bool
-	inCond   bool   // counted in condWaiters
-	timed    bool   // has a filed timer (markStale bookkeeping on signal and retime)
-	timedOut bool   // woken by the timer
-	deadlock string // set when resumed to report a deadlock
+	inCond   bool        // counted in condWaiters
+	timed    bool        // has a filed timer (markStale bookkeeping on signal and retime)
+	timedOut bool        // woken by the timer
+	pred     func() bool // a WaitFor waiter's predicate, which the driver re-checks before resuming it
+	on       *vcond      // the cond a WaitFor waiter is parked on
+	abort    string      // set when resumed only to report a deadlock or livelock
 }
 
 // suspendLocked files the running task as blocked and returns it; the
@@ -199,6 +214,9 @@ func (c *Virtual) drive() {
 	}()
 	c.mu.Lock()
 	for c.cur = c.nextLocked(); c.cur != nil; c.cur = c.nextLocked() {
+		if !c.admitLocked(c.cur) {
+			continue
+		}
 		c.mu.Unlock()
 		c.cur.next()
 		c.mu.Lock()
@@ -227,12 +245,12 @@ func (c *Virtual) nextLocked() *waiter {
 		if deadline > c.now {
 			c.now = deadline
 			c.nowAtomic.Store(int64(deadline))
+			c.spins = 0
 		}
 		w.fired, w.timedOut = true, true
 		if w.inCond {
 			c.condWaiters--
 		}
-		eventCount.Add(1)
 		return w
 	}
 	if c.condWaiters == 0 || c.dead {
@@ -246,9 +264,56 @@ func (c *Virtual) nextLocked() *waiter {
 		c.mu.Unlock()
 		panic(msg)
 	}
-	c.cur.fired, c.cur.deadlock = true, msg
+	c.cur.fired, c.cur.abort = true, msg
 	c.condWaiters--
 	return c.cur
+}
+
+// admitLocked decides whether the driver resumes w, the task it just
+// popped, and counts the resumption. A WaitFor waiter whose predicate is
+// still false is filed again instead (recheckLocked). Every resumption and
+// re-file counts toward livelockBound; past it, the next Cond waiter popped
+// is resumed only to panic with the wait-site table, and the count starts
+// over.
+func (c *Virtual) admitLocked(w *waiter) bool {
+	if w.abort == "" { // else a deadlock report
+		c.spins++
+		parked := w.fn == nil // not a task Go has just started
+		switch {
+		case c.spins > livelockBound && parked && w.inCond:
+			w.abort = fmt.Sprintf(
+				"simclock: livelock: %d resumptions and re-checks at t=%v without time advancing%s",
+				c.spins, c.now, waitSites())
+			c.spins = 0
+		case w.pred != nil && !c.recheckLocked(w):
+			return false
+		case parked:
+			eventCount.Add(1)
+		}
+	}
+	// Only a parked WaitFor waiter needs these; an idle coroutine holding
+	// them would keep its last cond's owner reachable.
+	w.pred, w.on = nil, nil
+	return true
+}
+
+// recheckLocked evaluates the predicate of w, a WaitFor waiter the driver
+// popped, under its cond's locker; the lock order is locker before clock,
+// as in wait. When the predicate is false, w is filed at the cond's tail
+// exactly as the next Wait of a `for !pred() { Wait() }` loop would file
+// it, and is not resumed. w is c.cur, so a deadlock this completes is
+// reported inside w.
+func (c *Virtual) recheckLocked(w *waiter) bool {
+	cd := w.on
+	c.mu.Unlock()
+	cd.l.Lock()
+	ok := w.pred()
+	c.mu.Lock()
+	if !ok {
+		cd.fileLocked(-1, w.pred)
+	}
+	cd.l.Unlock()
+	return ok
 }
 
 // profFrame matches one "#  pc  func+off  dir/file:line" line of a debug=1 goroutine profile.
@@ -306,40 +371,63 @@ type condEntry struct {
 
 func (e condEntry) live() bool { return e.w.seq == e.seq && !e.w.fired }
 
-func (cd *vcond) Wait() { cd.wait(-1) }
+func (cd *vcond) Wait() { cd.wait(-1, nil) }
 
 func (cd *vcond) WaitTimeout(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	return cd.wait(d)
+	return cd.wait(d, nil)
 }
 
-// wait suspends the task; d < 0 means no timeout. Returns true on timeout.
-// Precondition: caller holds cd.l.
-func (cd *vcond) wait(d time.Duration) bool {
+// WaitFor parks through wait, so a deadlock among WaitFor waiters is
+// reported inside one of them and waitSites finds their stacks. The driver
+// resumes the task only once pred holds; the loop re-checks anyway, for a
+// caller outside any task that changed the state in between.
+func (cd *vcond) WaitFor(pred func() bool) {
+	for !pred() {
+		cd.wait(-1, pred)
+	}
+}
+
+// wait suspends the task; d < 0 means no timeout, and a non-nil pred makes
+// it a WaitFor wait. Returns true on timeout. Precondition: caller holds cd.l.
+func (cd *vcond) wait(d time.Duration, pred func() bool) bool {
 	c := cd.clk
 	c.mu.Lock()
+	w := cd.fileLocked(d, pred)
+	cd.l.Unlock()
+	c.mu.Unlock()
+	w.yield(struct{}{})
+	cd.l.Lock()
+	if msg := w.abort; msg != "" {
+		w.abort = ""
+		panic(msg) // with cd.l held, so the caller's deferred Unlock works
+	}
+	return w.timedOut
+}
+
+// fileLocked suspends the running task on cd and returns it. Caller holds
+// cd.l and the clock mutex.
+func (cd *vcond) fileLocked(d time.Duration, pred func() bool) *waiter {
+	c := cd.clk
 	w := c.suspendLocked(true, d >= 0)
+	if pred != nil {
+		w.pred, w.on = pred, cd
+	}
 	cd.dropDeadLocked()
 	cd.waiters = append(cd.waiters, condEntry{w, w.seq})
 	if d >= 0 {
 		c.timers.push(w, c.now+d, w.seq)
 	}
 	c.condWaiters++
-	cd.l.Unlock()
-	c.mu.Unlock()
-	w.yield(struct{}{})
-	cd.l.Lock()
-	if msg := w.deadlock; msg != "" {
-		w.deadlock = ""
-		panic(msg) // with cd.l held, so the caller's deferred Unlock works
-	}
-	return w.timedOut
+	return w
 }
 
 // wake readies the first live waiter, or all of them, in wait order. A
 // woken waiter's pending timer (if any) is now stale: the store counts it.
+// A WaitFor waiter is readied like any other; the driver re-checks its
+// predicate when it reaches the head of the ready queue.
 func (cd *vcond) wake(all bool) {
 	c := cd.clk
 	c.mu.Lock()
@@ -355,7 +443,6 @@ func (cd *vcond) wake(all bool) {
 			c.timers.markStale()
 		}
 		c.condWaiters--
-		eventCount.Add(1)
 		c.readyLocked(e.w)
 		if !all {
 			break
