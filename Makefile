@@ -41,8 +41,9 @@ bench-check:
 
 # loc prints the design inventory every CHANGES.md entry quotes (ROADMAP
 # aim 2): non-test Go lines per package and in total outside bench/, and
-# the counts of public With* options, core.Params fields, ckptbench flags
-# and registered eviction policies.
+# the counts of public With* options, core.Params fields, ckptbench flags,
+# registered eviction policies and cond-wake call sites (Broadcast and
+# Signal in non-test internal/ code outside internal/simclock).
 NONTEST = -name '*.go' -not -name '*_test.go'
 loc:
 	@for d in $$(find . $(NONTEST) -not -path './bench/*' -exec dirname {} \; | sort -u); do \
@@ -53,6 +54,7 @@ loc:
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
+	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
 
 # chaos replays a longer campaign of seeded fault schedules against the
 # checkpoint pipeline (see chaos_test.go and DESIGN.md §8).

@@ -210,8 +210,8 @@ func New(p Params) (*Client, error) {
 	}
 	c.daemons.Add(2*c.flushStreams + 2)
 	for i := 0; i < c.flushStreams; i++ {
-		c.clk.Go(func() { defer c.daemons.Done(); c.flusherD2H() })
-		c.clk.Go(func() { defer c.daemons.Done(); c.flusherH2F() })
+		c.clk.Go(func() { defer c.daemons.Done(); c.flusher(&c.d2h, c.runD2H) })
+		c.clk.Go(func() { defer c.daemons.Done(); c.flusher(&c.h2f, c.runH2F) })
 	}
 	c.clk.Go(func() { defer c.daemons.Done(); c.prefetcher() })
 	c.clk.Go(func() { defer c.daemons.Done(); c.hostStager() })
@@ -494,49 +494,23 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) && ck.size <= c.p.HostCacheSize {
 		c.waitHostReady()
 		c.mark(ck.att, metrics.CompHostReady)
-		hostRep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
-		c.mu.Lock()
-		c.setReplicaLocked(ck, TierHost, hostRep)
-		c.mu.Unlock()
-		_, err := c.hstC.Reserve(c.hostKey(ck.id), ck.size)
-		switch err {
-		case nil:
-			c.mark(ck.att, metrics.CompHostAdmit)
-			c.mustTransition(ck, hostRep, lifecycle.WriteInProgress)
-			if c.p.OnDemandAlloc {
-				c.p.GPU.AllocPinnedHost(ck.size)
-				c.mark(ck.att, metrics.CompAlloc)
-			}
-			cpErr := c.copyD2HHost(ck, ck.att)
-			if cpErr == nil {
-				c.healTier(TierHost)
-				c.mustTransition(ck, hostRep, lifecycle.WriteComplete)
-				c.hstC.Notify()
-				c.enqueueH2F(ck)
-				c.rec.Checkpoint(ck.size, c.clk.Now()-start)
-				return nil
-			}
-			// PCIe toward the host is dead: release the reservation and
-			// try the deeper route (which will fail too if PCIe itself is
-			// the problem — surfaced below). A dying client skips the
-			// degradation — that is a shutdown, not a tier fault.
-			c.dropReplica(ck, TierHost, hostRep)
-			if !isShutdownErr(cpErr) {
-				c.degradeTier(TierHost)
-			}
-		case cachebuf.ErrClosed:
+		switch landing, _ := c.landOnHost(ck, ck.att); landing {
+		case hostLanded:
+			c.enqueueH2F(ck)
+			c.rec.Checkpoint(ck.size, c.clk.Now()-start)
+			return nil
+		case hostClosed:
 			c.mu.Lock()
 			delete(c.ckpts, ck.id)
 			c.mu.Unlock()
 			c.rec.CheckpointRejected(ck.size)
 			return ErrClosed
-		default:
-			// Too large for the host cache too: go deeper.
-			c.unlinkReplica(ck, TierHost, hostRep)
 		}
+		// Bypassed, or the rank died mid-copy: the deeper route decides
+		// (it fails too if PCIe itself is the problem, or on shutdown).
 	}
 
-	if err := c.directToSSD(ck, true, ck.att); err != nil {
+	if err := c.flushDeep(ck, true, ck.att); err != nil {
 		c.mu.Lock()
 		delete(c.ckpts, ck.id)
 		c.bumpLocked()

@@ -15,7 +15,8 @@ import (
 // cache, in what order reads fall through them and what each costs: the
 // client's table of deep tiers, the single read ladder that walks it
 // (sequentially, or as a hedged race over the same legs), and the
-// write-side helpers the three flush routes share.
+// write-side helpers of the one durable landing (landDurable, flush.go)
+// and of the partner copy.
 
 // deepKind is what every client knows about one kind of tier below the
 // host cache.

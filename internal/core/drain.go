@@ -288,9 +288,11 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 			cand.fromGPU = false
 		case ck.dataOn(TierGPU):
 			cand.fromGPU = true
-		case ck.writeInProgress():
-			// The writer is still landing this version (the busy flag keeps
-			// the round loop alive); the next round sees it with data.
+		case ck.writing:
+			// The writer is still landing this version: in the GPU cache, or
+			// straight down the chain in a synchronous flush, whose bytes no
+			// tier holds until they land. The busy flag keeps the round loop
+			// alive; a later round sees the version with data, or decided.
 			continue
 		default:
 			cand.unservable = true
@@ -433,7 +435,7 @@ func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcome
 	// segment) is the drain-wait component of its durable critical path.
 	c.mark(ck.att, metrics.CompDrainWait)
 	start := c.clk.Now()
-	err := c.directToSSD(ck, cand.fromGPU, ck.att)
+	err := c.flushDeep(ck, cand.fromGPU, ck.att)
 	if err != nil {
 		c.drainAbandon(ck, err.Error(), outcomes)
 		return

@@ -11,33 +11,20 @@ import (
 	"score/internal/trace"
 )
 
-// flusherD2H is one T_D2H worker (§4.3.1): it drains the GPU→host flush
-// queue in FIFO order, reserving host cache space (evicting under the
-// score policy), copying over PCIe, and promoting the GPU replica to
-// FLUSHED so it becomes evictable. Params.FlushStreams workers run this
-// loop concurrently; jobs are claimed in FIFO order, and each
+// flusher is one worker of a flusher stage pool (§4.3.1): T_D2H runs
+// runD2H (GPU → host cache, promoting the GPU replica to FLUSHED so it
+// becomes evictable), T_H2F runs runH2F (host → node-local SSD, → PFS
+// when persistence is requested). Params.FlushStreams workers run each
+// pool's loop concurrently; jobs are claimed in FIFO order, and each
 // checkpoint's D2H stage still strictly precedes its own H2F handoff.
-func (c *Client) flusherD2H() {
+func (c *Client) flusher(p *flushPool, run func(ID)) {
 	for {
-		id, ok := c.popFlushJob(&c.d2h)
+		id, ok := c.popFlushJob(p)
 		if !ok {
 			return // closed
 		}
-		c.runD2H(id)
-		c.finishFlushJob(id, &c.d2h)
-	}
-}
-
-// flusherH2F is one T_H2F worker: host → node-local SSD (→ PFS when
-// persistence is requested).
-func (c *Client) flusherH2F() {
-	for {
-		id, ok := c.popFlushJob(&c.h2f)
-		if !ok {
-			return
-		}
-		c.runH2F(id)
-		c.finishFlushJob(id, &c.h2f)
+		run(id)
+		c.finishFlushJob(id, p)
 	}
 }
 
@@ -135,67 +122,89 @@ func (c *Client) runD2H(id ID) {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackD2H, "flush",
 			fmt.Sprintf("flush %d gpu→host", id), c.flowID(id))()
 	}
-	if c.p.GPUDirectStorage || c.tierDegraded(TierHost) {
-		// GPUDirect mode — or a dead host tier: flush GPU → SSD directly
-		// (PCIe + NVMe), bypassing the host cache.
-		if err := c.directToSSD(ck, true, att); err != nil {
-			c.abortFlush(ck, TierGPU, err)
+	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) {
+		// The host tier only becomes usable once pinned registration
+		// completes (§4.1.4). Publish the park: a preemption triage with a
+		// deadline shorter than the registration claims the job instead of
+		// waiting it out.
+		c.mu.Lock()
+		ck.hostWait = true
+		c.bumpLocked()
+		c.mu.Unlock()
+		c.waitHostReady()
+		c.mu.Lock()
+		ck.hostWait = false
+		claimed := ck.drainClaimed
+		c.mu.Unlock()
+		if claimed {
+			// The drain triage flushed or failed this version open while the
+			// worker slept; the decision is made.
 			return
 		}
-		c.markFlushed(ck, TierGPU)
+		c.mark(att, metrics.CompHostReady)
+		landing, err := c.landOnHost(ck, att)
+		switch {
+		case landing == hostLanded:
+			// The GPU replica is now redundant → FLUSHED.
+			c.markFlushed(ck, TierGPU)
+			c.enqueueH2F(ck)
+			return
+		case landing == hostClosed:
+			return
+		case landing == hostDied:
+			// The chain resolves as lost, not as a tier fault.
+			c.abortFlush(ck, TierGPU, err)
+			return
+		case err != nil:
+			c.fail(fmt.Errorf("core: D2H flush of %d: %w", id, err))
+			return
+		}
+	}
+	// GPUDirect mode, a dead host tier or a bypassed host cache: flush
+	// GPU → durable directly (PCIe + NVMe), which surfaces its own failure
+	// if PCIe itself is dead.
+	if err := c.flushDeep(ck, true, att); err != nil {
+		c.abortFlush(ck, TierGPU, err)
 		return
 	}
-	// The host tier only becomes usable once pinned registration
-	// completes (§4.1.4). Publish the park: a preemption triage with a
-	// deadline shorter than the registration claims the job instead of
-	// waiting it out.
-	c.mu.Lock()
-	ck.hostWait = true
-	c.bumpLocked()
-	c.mu.Unlock()
-	c.waitHostReady()
-	c.mu.Lock()
-	ck.hostWait = false
-	claimed := ck.drainClaimed
-	c.mu.Unlock()
-	if claimed {
-		// The drain triage flushed or failed this version open while the
-		// worker slept; the decision is made.
-		return
-	}
-	c.mark(att, metrics.CompHostReady)
+	c.markFlushed(ck, TierGPU)
+}
 
+// hostLanding is how landOnHost's GPU→host step ended.
+type hostLanding int
+
+const (
+	hostLanded   hostLanding = iota // the copy landed, or the host or SSD already held the version
+	hostBypassed                    // too large, or the copy kept failing (host degraded): go deep
+	hostClosed                      // the host cache closed under the reservation
+	hostDied                        // the rank died (or closed) mid-copy
+)
+
+// landOnHost is the one GPU→host step of the flush chain, shared by T_D2H
+// and the synchronous flush: it publishes ck's host record, makes the
+// blocking host-cache reservation (evicting under the score policy),
+// copies over PCIe and sets the record WRITE_COMPLETE. The error is the
+// copy's on hostDied, and a reservation error other than too-large or
+// closed on hostBypassed; nil otherwise.
+func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 	c.mu.Lock()
 	if ck.dataOn(TierHost) || ck.dataOn(TierSSD) {
-		// Already flushed (e.g. by an earlier bypass); just promote
-		// the GPU replica.
 		c.mu.Unlock()
-		c.markFlushed(ck, TierGPU)
-		c.enqueueH2F(ck)
-		return
+		return hostLanded, nil
 	}
 	hostRep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
 	c.setReplicaLocked(ck, TierHost, hostRep)
 	c.mu.Unlock()
 
-	if _, err := c.hstC.Reserve(c.hostKey(id), ck.size); err != nil {
+	if _, err := c.hstC.Reserve(c.hostKey(ck.id), ck.size); err != nil {
 		c.unlinkReplica(ck, TierHost, hostRep)
 		switch err {
 		case cachebuf.ErrClosed:
-			return
+			return hostClosed, nil
 		case cachebuf.ErrTooLarge:
-			// Checkpoint larger than the host cache: flush GPU → SSD
-			// directly (still via PCIe + NVMe).
-			if err := c.directToSSD(ck, true, att); err != nil {
-				c.abortFlush(ck, TierGPU, err)
-				return
-			}
-			c.markFlushed(ck, TierGPU)
-			return
-		default:
-			c.fail(fmt.Errorf("core: D2H flush of %d: %w", id, err))
-			return
+			return hostBypassed, nil
 		}
+		return hostBypassed, err
 	}
 	c.mark(att, metrics.CompHostAdmit)
 
@@ -207,31 +216,19 @@ func (c *Client) runD2H(id ID) {
 		c.mark(att, metrics.CompAlloc)
 	}
 	if err := c.copyD2HHost(ck, att); err != nil {
+		// Release the reservation. A dying client skips the degradation:
+		// that is a shutdown, not a tier fault.
 		c.dropReplica(ck, TierHost, hostRep)
 		if isShutdownErr(err) {
-			// The rank died (or closed) mid-copy: the chain resolves as
-			// lost, not as a tier fault.
-			c.abortFlush(ck, TierGPU, err)
-			return
+			return hostDied, err
 		}
-		// The PCIe hop toward the host cache kept failing: release the
-		// reservation, mark the host tier degraded, and try the direct
-		// route (which surfaces its own failure if PCIe itself is dead).
 		c.degradeTier(TierHost)
-		if err := c.directToSSD(ck, true, att); err != nil {
-			c.abortFlush(ck, TierGPU, err)
-			return
-		}
-		c.markFlushed(ck, TierGPU)
-		return
+		return hostBypassed, nil
 	}
 	c.healTier(TierHost)
 	c.mustTransition(ck, hostRep, lifecycle.WriteComplete)
 	c.hstC.Notify()
-
-	// Host copy landed: the GPU replica is now redundant → FLUSHED.
-	c.markFlushed(ck, TierGPU)
-	c.enqueueH2F(ck)
+	return hostLanded, nil
 }
 
 func (c *Client) enqueueH2F(ck *checkpoint) {
@@ -290,45 +287,64 @@ func (c *Client) runH2F(id ID) {
 	defer func() {
 		c.rec.ObserveDuration(metrics.HistFlushPrefix+TierHost.String(), c.clk.Now()-start)
 	}()
-	if err := c.directToSSD(ck, false, att); err != nil {
+	if err := c.flushDeep(ck, false, att); err != nil {
 		c.abortFlush(ck, TierHost, err)
 		return
 	}
 	c.markFlushed(ck, TierHost)
 }
 
-// directToSSD writes the checkpoint to the node-local SSD tier (and PFS
-// if persistence is enabled). fromGPU additionally charges the PCIe hop.
-// On persistent SSD failure the tier is degraded and the flush reroutes
-// to the PFS; the returned error is non-nil only when no durable route
-// succeeded.
-func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
-	if c.tierDegraded(TierSSD) {
-		return c.routeToPFS(ck, fromGPU, att)
-	}
-	ssdRep, hasData := c.deepReplica(ck, TierSSD)
-	if !hasData {
-		c.mustTransition(ck, ssdRep, lifecycle.WriteInProgress)
-		c.lifecycle(ck.id, trace.LHopStart, "ssd", "")
-		err, rerouted := c.writeSSDGuarded(ck, fromGPU, att, ssdRep)
-		if rerouted {
-			// The write stalled past its adaptive deadline and the flush
-			// went durable on the PFS instead; the SSD leg finalizes
-			// itself in the background when (if) it completes.
-			return nil
-		}
-		if err = c.settleSSD(ck, ssdRep, err, ""); err != nil {
-			if isShutdownErr(err) {
-				return err
-			}
-			// The SSD route is dead for this checkpoint (settleSSD dropped
-			// the half-written replica and degraded the tier so later
-			// flushes skip it): reroute to the PFS.
-			return c.routeToPFS(ck, fromGPU, att)
+// flushDeep lands ck on its first durable tier: the node-local SSD, or
+// the PFS when the SSD is degraded or its write fails for a reason other
+// than shutdown (the failure degrades the SSD, so later flushes skip it).
+// fromGPU additionally charges the PCIe hop. The error is non-nil only
+// when no durable route succeeded.
+func (c *Client) flushDeep(ck *checkpoint, fromGPU bool, att *attrib) error {
+	if !c.tierDegraded(TierSSD) {
+		err := c.landDurable(ck, c.deepOf(TierSSD), fromGPU, att)
+		if err == nil || isShutdownErr(err) {
+			return err
 		}
 	}
+	pfs := c.deepOf(TierPFS)
+	if pfs == nil {
+		return fmt.Errorf("%w: ssd tier unavailable and no PFS configured", ErrTierIO)
+	}
+	return c.landDurable(ck, pfs, fromGPU, att)
+}
 
-	if !c.Draining() {
+// landDurable writes ck onto the durable tier d — the SSD or the PFS row —
+// and makes its replica FLUSHED. On the SSD it then runs the best-effort
+// breadth legs; a PFS that already holds the version is left as it is.
+func (c *Client) landDurable(ck *checkpoint, d *deepTier, fromGPU bool, att *attrib) error {
+	ssd := d.tier == TierSSD
+	rep, hasData := c.deepReplica(ck, d.tier)
+	if hasData && !ssd {
+		return nil
+	}
+	if !hasData {
+		c.mustTransition(ck, rep, lifecycle.WriteInProgress)
+		c.lifecycle(ck.id, trace.LHopStart, d.label, "")
+		var err error
+		if ssd && c.p.Hedge && c.deepOf(TierPFS) != nil {
+			var rerouted bool
+			if err, rerouted = c.writeSSDGuarded(ck, fromGPU, att, rep); rerouted {
+				// The write stalled past its adaptive deadline and the flush
+				// went durable on the PFS instead; the SSD leg finalizes
+				// itself in the background when (if) it completes.
+				return nil
+			}
+		} else {
+			start := c.clk.Now()
+			if err = c.writeDeep(ck, fromGPU, d, att); err == nil {
+				c.observeHealth(d, ck.size, c.clk.Now()-start)
+			}
+		}
+		if err = c.settleDeep(ck, d, rep, err, ""); err != nil {
+			return err
+		}
+	}
+	if ssd && !c.Draining() {
 		// Best-effort breadth legs run only outside a drain: a preemption
 		// deadline buys one durable copy per version, not replication (the
 		// demotion half of the drain's cancel-or-demote contract). Both
@@ -338,65 +354,60 @@ func (c *Client) directToSSD(ck *checkpoint, fromGPU bool, att *attrib) error {
 		// not the checkpoint — the SSD already holds the data. The durable
 		// attribution is already finished; pass no attrib.
 		c.routeToPartner(ck)
-		if c.p.PersistToPFS {
-			_ = c.routeToPFS(ck, false, nil)
+		if pfs := c.deepOf(TierPFS); pfs != nil && c.p.PersistToPFS {
+			_ = c.landDurable(ck, pfs, false, nil)
 		}
 	}
-	// The SSD tier is durable for this scenario (it holds a full
-	// node's checkpoints, §2): its replica is immediately FLUSHED.
-	c.mustTransition(ck, ssdRep, lifecycle.Flushed)
+	// Both tiers are durable for this scenario (the SSD holds a full
+	// node's checkpoints, §2): the replica is immediately FLUSHED.
+	c.mustTransition(ck, rep, lifecycle.Flushed)
 	c.notifyGPU()
 	c.hstC.Notify()
 	return nil
 }
 
-// settleSSD applies the completion rules of an SSD write that returned
-// werr, for the foreground flush and for the background finalizer of a
-// write that was rerouted around. Only a live process gets credit for a
-// durable transition — a kill racing the flush must resolve the chain as
-// lost, not durable. On failure the half-written replica is dropped and,
-// unless the client is shutting down, the tier degraded; on success the
-// tier heals, the replica is WRITE_COMPLETE and the version durable.
-func (c *Client) settleSSD(ck *checkpoint, ssdRep *replica, werr error, detail string) error {
+// settleDeep applies the completion rules of a write onto d that returned
+// werr, for the foreground flush and for the background finalizer of an
+// SSD write that was rerouted around. Only a live process gets credit for
+// a durable transition — a kill racing the flush must resolve the chain
+// as lost, not durable. On failure the half-written replica is dropped;
+// on success the replica is WRITE_COMPLETE and the version durable. Only
+// the SSD's health moves here: a failure that is not a shutdown degrades
+// it and a success heals it. The PFS has no deeper tier to fall to, so
+// its failure is the flush's error (only a health quarantine degrades it).
+func (c *Client) settleDeep(ck *checkpoint, d *deepTier, rep *replica, werr error, detail string) error {
+	ssd := d.tier == TierSSD
 	if werr == nil {
 		werr = c.killGate()
 	}
 	if werr != nil {
-		c.unlinkReplica(ck, TierSSD, ssdRep)
-		if !isShutdownErr(werr) {
+		c.unlinkReplica(ck, d.tier, rep)
+		if ssd && !isShutdownErr(werr) {
 			c.degradeTier(TierSSD)
 		}
 		return werr
 	}
-	c.healTier(TierSSD)
-	c.mustTransition(ck, ssdRep, lifecycle.WriteComplete)
-	c.lifecycle(ck.id, trace.LHopEnd, "ssd", detail)
+	if ssd {
+		c.healTier(TierSSD)
+	}
+	c.mustTransition(ck, rep, lifecycle.WriteComplete)
+	c.lifecycle(ck.id, trace.LHopEnd, d.label, detail)
 	c.accountFate(ck, fateDurable)
 	return nil
 }
 
-// writeSSDGuarded runs the SSD write under a stall watchdog when gray-failure
-// handling is enabled (Params.Hedge with a PFS configured): the write
-// runs in a background task and the caller waits with an adaptive
-// deadline (the health estimator's median-with-headroom estimate for
-// the SSD class). A write that
-// runs past the deadline without failing — a gray stall — is detected
-// and the flush re-routes to the PFS; on reroute success the SSD leg is
-// abandoned to finish on its own (first durable copy decides the fate —
-// accountFate keeps it single) and rerouted=true tells the caller to
-// skip the normal SSD completion path. Without hedging this reduces to
-// a plain writeDeep call, byte-identical to the seed.
+// writeSSDGuarded runs the SSD write under a stall watchdog, which
+// landDurable uses when gray-failure handling is enabled (Params.Hedge
+// with a PFS configured): the write runs in a background task and the
+// caller waits with an adaptive deadline (the health estimator's
+// median-with-headroom estimate for the SSD class). A write that runs
+// past the deadline without failing — a gray stall — is detected and the
+// flush re-routes to the PFS row through landDurable; on reroute success
+// the SSD leg is abandoned to finish on its own (first durable copy
+// decides the fate — accountFate keeps it single) and rerouted=true tells
+// the caller to skip the normal SSD completion path.
 func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdRep *replica) (err error, rerouted bool) {
 	ssd := c.deepOf(TierSSD)
-	if !c.p.Hedge || c.deepOf(TierPFS) == nil {
-		start := c.clk.Now()
-		err := c.writeDeep(ck, fromGPU, ssd, att)
-		if err == nil {
-			c.observeHealth(ssd, ck.size, c.clk.Now()-start)
-		}
-		return err, false
-	}
-
 	type waitState struct {
 		mu        sync.Mutex
 		cond      simclock.Cond
@@ -425,7 +436,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 		if werr == nil {
 			c.observeHealth(ssd, ck.size, c.clk.Now()-start)
 		}
-		if c.settleSSD(ck, ssdRep, werr, "late completion after stall reroute") == nil {
+		if c.settleDeep(ck, ssd, ssdRep, werr, "late completion after stall reroute") == nil {
 			c.mustTransition(ck, ssdRep, lifecycle.Flushed)
 		}
 		c.notifyGPU()
@@ -451,7 +462,7 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 		c.rec.StallDetected()
 		c.lifecycle(ck.id, trace.LStalled, "ssd", fmt.Sprintf("write past its %v deadline", deadline))
 		rrStart := c.clk.Now()
-		rerr := c.routeToPFS(ck, fromGPU, att)
+		rerr := c.landDurable(ck, c.deepOf(TierPFS), fromGPU, att)
 		ws.mu.Lock()
 		if rerr == nil && !ws.done {
 			ws.abandoned = true
@@ -484,40 +495,6 @@ func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdR
 		c.mark(att, metrics.CompXferSSD)
 	}
 	return err, false
-}
-
-// routeToPFS flushes ck straight to the PFS tier, bypassing a degraded
-// (or bypassed) SSD. fromGPU additionally charges the PCIe hop.
-func (c *Client) routeToPFS(ck *checkpoint, fromGPU bool, att *attrib) error {
-	pfs := c.deepOf(TierPFS)
-	if pfs == nil {
-		return fmt.Errorf("%w: ssd tier unavailable and no PFS configured", ErrTierIO)
-	}
-	pfsRep, hasData := c.deepReplica(ck, TierPFS)
-	if hasData {
-		return nil
-	}
-	c.mustTransition(ck, pfsRep, lifecycle.WriteInProgress)
-	c.lifecycle(ck.id, trace.LHopStart, "pfs", "")
-	xferStart := c.clk.Now()
-	err := c.writeDeep(ck, fromGPU, pfs, att)
-	if err == nil {
-		// Same rule as the SSD route: no durable credit for a process
-		// that died mid-flush.
-		err = c.killGate()
-	}
-	if err != nil {
-		c.unlinkReplica(ck, TierPFS, pfsRep)
-		return err
-	}
-	c.observeHealth(pfs, ck.size, c.clk.Now()-xferStart)
-	c.mustTransition(ck, pfsRep, lifecycle.WriteComplete)
-	c.mustTransition(ck, pfsRep, lifecycle.Flushed) // terminal durable tier
-	c.lifecycle(ck.id, trace.LHopEnd, "pfs", "")
-	c.accountFate(ck, fateDurable)
-	c.notifyGPU()
-	c.hstC.Notify()
-	return nil
 }
 
 // routeToPartner stages a replica of ck on the partner node's SSD over

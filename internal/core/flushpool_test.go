@@ -339,7 +339,7 @@ func TestChunkedFlushBeatsMonolithic(t *testing.T) {
 // H2F queue before finishing its own job, so a T_H2F worker can own the
 // version by the time T_D2H lets go. The drain triage reads ownership to
 // decide which versions it may flush itself; losing it here sent two
-// writers into directToSSD for one version.
+// writers into flushDeep for one version.
 func TestStageHandoffKeepsVersionWorkerOwned(t *testing.T) {
 	run(t, func(clk *simclock.Virtual) {
 		c := newRig(t, clk, nil).client

@@ -14,18 +14,19 @@ import (
 	"score/internal/simclock"
 )
 
-// legOutcome is what the first leg the ladder attempts does; every later
-// leg succeeds.
+// legOutcome is what the first leg the ladder (or the first write a flush
+// route) attempts does; every later leg succeeds.
 type legOutcome int
 
 const (
-	legSucceeds legOutcome = iota
-	legFails               // through every retry
-	legShutdown            // the rank dies under it
+	legSucceeds  legOutcome = iota
+	legFails                // through every retry
+	legShutdown             // the rank dies under it
+	legLandsDead            // the rank dies as its bytes land (flush routes only)
 )
 
 func (o legOutcome) String() string {
-	return [...]string{"succeeds", "fails", "shutdown"}[o]
+	return [...]string{"succeeds", "fails", "shutdown", "lands-dead"}[o]
 }
 
 // ladderWant is what one deep read must do.

@@ -154,10 +154,10 @@ func init() {
 // The smaller pools evict, and are sized so that two ranks' blocking
 // reservations always find a window.
 //
-// Each of these fifteen mutations, tried one at a time, fails it: no
+// Each of these fourteen mutations, tried one at a time, fails it: no
 // rescore in transition; none in setReplicaLocked; a plain assignment in
-// place of setReplicaLocked in Checkpoint, syncFlush, runD2H, reserveForRead
-// or unlinkReplica; no rescore after `consumed = true`, in abortFlush or in
+// place of setReplicaLocked in Checkpoint, landOnHost, reserveForRead or
+// unlinkReplica; no rescore after `consumed = true`, in abortFlush or in
 // finishKill; no hint pick-up in Checkpoint or in PrefetchEnqueue; and in
 // consumeHintLocked no head store, no shift behind a mid-queue cut, no move
 // to the duplicate hint. The three links that do assign plainly —

@@ -47,20 +47,17 @@ func (c *Client) observePipeline(track trace.Track, category, name string, flow 
 // overlap, so the timing matches the monolithic copy.
 func (c *Client) copyD2HHost(ck *checkpoint, att *attrib) error {
 	c.lifecycle(ck.id, trace.LD2HStart, "host", "")
-	var err error
-	if cs := c.p.ChunkSize; cs > 0 {
-		err = c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "D2H copy", func() error {
-			st, serr := c.p.GPU.TryStreamD2H(nil, ck.size, cs)
-			c.observePipeline(trace.TrackD2H, "flush",
-				fmt.Sprintf("flush %d gpu→host", ck.id), c.flowID(ck.id), st, serr)
-			return serr
-		})
-	} else {
-		err = c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "D2H copy", func() error {
-			_, cerr := c.p.GPU.TryCopyD2H(ck.size)
-			return cerr
-		})
-	}
+	err := c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "D2H copy", func() error {
+		cs := c.p.ChunkSize
+		if cs == 0 {
+			_, err := c.p.GPU.TryCopyD2H(ck.size)
+			return err
+		}
+		st, err := c.p.GPU.TryStreamD2H(nil, ck.size, cs)
+		c.observePipeline(trace.TrackD2H, "flush",
+			fmt.Sprintf("flush %d gpu→host", ck.id), c.flowID(ck.id), st, err)
+		return err
+	})
 	if err == nil {
 		c.lifecycle(ck.id, trace.LD2HEnd, "host", "")
 	}

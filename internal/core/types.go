@@ -349,22 +349,6 @@ type checkpoint struct {
 	fateAccounted bool
 }
 
-// writeInProgress reports whether the writer is still landing the
-// initial GPU copy: the replica record exists but holds no data yet —
-// Init while blocked on cache admission, WriteInProgress during the D2D
-// copy.
-func (ck *checkpoint) writeInProgress() bool {
-	r := ck.replicas[TierGPU]
-	if r == nil {
-		return false
-	}
-	switch r.fsm.State() {
-	case lifecycle.Init, lifecycle.WriteInProgress:
-		return true
-	}
-	return false
-}
-
 // dataOn reports whether the checkpoint has a readable replica on tier.
 func (ck *checkpoint) dataOn(tier Tier) bool {
 	r := ck.replicas[tier]
