@@ -79,10 +79,9 @@ type Client struct {
 	rnd   *rand.Rand // retry jitter; seeded for deterministic replays
 
 	daemons *simclock.WaitGroup
-	// hedgeWG tracks the gray-failure background legs (hedge reads still
-	// in flight after their race was decided, stalled SSD writers that
-	// were re-routed around); Close joins it so no leg outlives the
-	// client.
+	// hedgeWG tracks every leg of a deadline race (hedge.go), in either
+	// direction, including legs still in flight after their race was
+	// decided; Close joins it so no leg outlives the client.
 	hedgeWG *simclock.WaitGroup
 	// health estimates per-link-class latency quantiles and EWMA
 	// slowdown scores, driving adaptive hedge/stall deadlines and
@@ -327,9 +326,10 @@ func (c *Client) Close() {
 		c.hstC.Notify()
 	}
 	c.daemons.Wait()
-	// Gray-failure background legs (hedge losers, re-routed stalled
-	// writers) finish on their own in bounded virtual time; join them so
-	// nothing references the client after Close returns.
+	// Race legs still running after their decision (a restore's losing
+	// read, a stalled SSD write or a reroute that lands second) finish on
+	// their own in bounded virtual time; join them so nothing references
+	// the client after Close returns.
 	c.hedgeWG.Wait()
 }
 

@@ -147,7 +147,23 @@ func (c *Client) walkDeep(ck *checkpoint, att *attrib, held []*deepTier, fused b
 		}
 		// A single candidate degenerates to the sequential walk below.
 		if len(cands) >= 2 {
-			return c.hedgeRace(ck, att, cands, fused)
+			_, err := c.hedgeRace(ck, att, cands, raceDir{restore: true,
+				// Each leg applies the walk's rule below to its own outcome.
+				run: func(l *raceLeg) error {
+					err := c.readLeg(ck, nil, l.deepTier, fused)
+					switch {
+					case err == nil:
+						c.observeHealth(l.deepTier, ck.size, c.clk.Now()-l.start)
+					case !isShutdownErr(err) && l.deepTier != cands[len(cands)-1]:
+						c.degradeTier(l.tier)
+					}
+					return err
+				},
+				// A loser that lands after the decision moved its bytes for
+				// nothing.
+				late: func(*raceLeg) { c.rec.HedgeWasted(ck.size) },
+			})
+			return err
 		}
 	}
 	for i, d := range held {

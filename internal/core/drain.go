@@ -9,6 +9,7 @@ import (
 
 	"score/internal/fabric"
 	"score/internal/metrics"
+	"score/internal/simclock"
 	"score/internal/trace"
 )
 
@@ -390,36 +391,27 @@ func (c *Client) drainRound(cands []drainCandidate, deadline time.Duration, outc
 	// Execute with the flusher pool's width. The shared cursor hands out
 	// work in plan order, so the oldest versions flush first even when a
 	// late flush overshoots its estimate.
-	workers := c.flushStreams
-	if workers > len(admitted) {
-		workers = len(admitted)
-	}
-	next := 0
-	var wmu = &c.mu // reuse the client lock for the tiny cursor section
-	done := c.clk.NewCond(wmu)
-	running := workers
+	workers := min(c.flushStreams, len(admitted))
+	next := 0 // guarded by c.mu
+	wg := simclock.NewWaitGroup(c.clk)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		c.clk.Go(func() {
+			defer wg.Done()
 			for {
-				wmu.Lock()
+				c.mu.Lock()
 				if next >= len(admitted) {
-					running--
-					done.Broadcast()
-					wmu.Unlock()
+					c.mu.Unlock()
 					return
 				}
 				cand := admitted[next]
 				next++
-				wmu.Unlock()
+				c.mu.Unlock()
 				c.drainFlush(cand, deadline, outcomes)
 			}
 		})
 	}
-	wmu.Lock()
-	for running > 0 {
-		done.Wait()
-	}
-	wmu.Unlock()
+	wg.Wait()
 }
 
 // drainFlush lands one admitted candidate on its fastest durable tier,

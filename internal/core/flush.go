@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"score/internal/cachebuf"
 	"score/internal/lifecycle"
@@ -297,16 +296,21 @@ func (c *Client) runH2F(id ID) {
 // flushDeep lands ck on its first durable tier: the node-local SSD, or
 // the PFS when the SSD is degraded or its write fails for a reason other
 // than shutdown (the failure degrades the SSD, so later flushes skip it).
+// With gray-failure handling (Params.Hedge) and a PFS configured, the SSD
+// write and its fall-through are one deadline race (raceDurable).
 // fromGPU additionally charges the PCIe hop. The error is non-nil only
 // when no durable route succeeded.
 func (c *Client) flushDeep(ck *checkpoint, fromGPU bool, att *attrib) error {
+	pfs := c.deepOf(TierPFS)
 	if !c.tierDegraded(TierSSD) {
+		if c.p.Hedge && pfs != nil {
+			return c.raceDurable(ck, []*deepTier{c.deepOf(TierSSD), pfs}, fromGPU, att)
+		}
 		err := c.landDurable(ck, c.deepOf(TierSSD), fromGPU, att)
 		if err == nil || isShutdownErr(err) {
 			return err
 		}
 	}
-	pfs := c.deepOf(TierPFS)
 	if pfs == nil {
 		return fmt.Errorf("%w: ssd tier unavailable and no PFS configured", ErrTierIO)
 	}
@@ -314,37 +318,82 @@ func (c *Client) flushDeep(ck *checkpoint, fromGPU bool, att *attrib) error {
 }
 
 // landDurable writes ck onto the durable tier d — the SSD or the PFS row —
-// and makes its replica FLUSHED. On the SSD it then runs the best-effort
-// breadth legs; a PFS that already holds the version is left as it is.
+// and makes its replica FLUSHED. A PFS that already holds the version, or
+// that a stalled flush's reroute is still writing, is left as it is.
 func (c *Client) landDurable(ck *checkpoint, d *deepTier, fromGPU bool, att *attrib) error {
-	ssd := d.tier == TierSSD
 	rep, hasData := c.deepReplica(ck, d.tier)
-	if hasData && !ssd {
+	if d.tier != TierSSD && rep.fsm.State() != lifecycle.Init {
 		return nil
 	}
 	if !hasData {
 		c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 		c.lifecycle(ck.id, trace.LHopStart, d.label, "")
-		var err error
-		if ssd && c.p.Hedge && c.deepOf(TierPFS) != nil {
-			var rerouted bool
-			if err, rerouted = c.writeSSDGuarded(ck, fromGPU, att, rep); rerouted {
-				// The write stalled past its adaptive deadline and the flush
-				// went durable on the PFS instead; the SSD leg finalizes
-				// itself in the background when (if) it completes.
-				return nil
-			}
-		} else {
-			start := c.clk.Now()
-			if err = c.writeDeep(ck, fromGPU, d, att); err == nil {
-				c.observeHealth(d, ck.size, c.clk.Now()-start)
-			}
+		start := c.clk.Now()
+		err := c.writeDeep(ck, fromGPU, d, att)
+		if err == nil {
+			c.observeHealth(d, ck.size, c.clk.Now()-start)
 		}
 		if err = c.settleDeep(ck, d, rep, err, ""); err != nil {
 			return err
 		}
 	}
-	if ssd && !c.Draining() {
+	c.flushedDeep(ck, d, rep)
+	return nil
+}
+
+// raceDurable is flushDeep's route under gray-failure handling: a deadline
+// race over the SSD and PFS rows. The PFS leg launches when the SSD write
+// fails, or stalls past its deadline without failing. The first row to
+// land is settled here as landDurable settles it; a leg that fails backs
+// out its record where it fails, and one that lands after the decision
+// settles itself in the background (its fate credit is then a no-op).
+func (c *Client) raceDurable(ck *checkpoint, rows []*deepTier, fromGPU bool, att *attrib) error {
+	var reps [TierPFS + 1]*replica
+	// land settles leg l's landed write. A reroute that lands counts
+	// whether or not it won: the version is durable on the PFS either way.
+	land := func(l *raceLeg, detail string) error {
+		c.observeHealth(l.deepTier, ck.size, c.clk.Now()-l.start)
+		err := c.settleDeep(ck, l.deepTier, reps[l.tier], nil, detail)
+		if err == nil && l.hedged {
+			c.rec.StallRerouted()
+			c.rec.ObserveDuration(metrics.HistStallReroute, c.clk.Now()-l.start)
+		}
+		return err
+	}
+	w, err := c.hedgeRace(ck, att, rows, raceDir{
+		open: func(l *raceLeg) {
+			reps[l.tier], _ = c.deepReplica(ck, l.tier)
+			c.mustTransition(ck, reps[l.tier], lifecycle.WriteInProgress)
+			c.lifecycle(ck.id, trace.LHopStart, l.label, "")
+		},
+		run: func(l *raceLeg) error {
+			err := c.writeDeep(ck, fromGPU, l.deepTier, nil)
+			if err != nil {
+				c.settleDeep(ck, l.deepTier, reps[l.tier], err, "")
+			}
+			return err
+		},
+		late: func(l *raceLeg) {
+			if land(l, "late completion after stall reroute") == nil {
+				c.mustTransition(ck, reps[l.tier], lifecycle.Flushed)
+				c.notifyGPU()
+				c.hstC.Notify()
+			}
+		},
+	})
+	if err != nil {
+		return err
+	}
+	if err = land(w, ""); err == nil {
+		c.flushedDeep(ck, w.deepTier, reps[w.tier])
+	}
+	return err
+}
+
+// flushedDeep makes ck's landed record rep on d FLUSHED. After an SSD
+// landing it first runs the best-effort breadth legs.
+func (c *Client) flushedDeep(ck *checkpoint, d *deepTier, rep *replica) {
+	if d.tier == TierSSD && !c.Draining() {
 		// Best-effort breadth legs run only outside a drain: a preemption
 		// deadline buys one durable copy per version, not replication (the
 		// demotion half of the drain's cancel-or-demote contract). Both
@@ -363,18 +412,17 @@ func (c *Client) landDurable(ck *checkpoint, d *deepTier, fromGPU bool, att *att
 	c.mustTransition(ck, rep, lifecycle.Flushed)
 	c.notifyGPU()
 	c.hstC.Notify()
-	return nil
 }
 
 // settleDeep applies the completion rules of a write onto d that returned
-// werr, for the foreground flush and for the background finalizer of an
-// SSD write that was rerouted around. Only a live process gets credit for
-// a durable transition — a kill racing the flush must resolve the chain
-// as lost, not durable. On failure the half-written replica is dropped;
-// on success the replica is WRITE_COMPLETE and the version durable. Only
-// the SSD's health moves here: a failure that is not a shutdown degrades
-// it and a success heals it. The PFS has no deeper tier to fall to, so
-// its failure is the flush's error (only a health quarantine degrades it).
+// werr, for landDurable and for each leg of raceDurable. Only a live
+// process gets credit for a durable transition — a kill racing the flush
+// must resolve the chain as lost, not durable. On failure the
+// half-written replica is dropped; on success the replica is
+// WRITE_COMPLETE and the version durable. Only the SSD's health moves
+// here: a failure that is not a shutdown degrades it and a success heals
+// it. The PFS has no deeper tier to fall to, so its failure is the
+// flush's error (only a health quarantine degrades it).
 func (c *Client) settleDeep(ck *checkpoint, d *deepTier, rep *replica, werr error, detail string) error {
 	ssd := d.tier == TierSSD
 	if werr == nil {
@@ -394,107 +442,6 @@ func (c *Client) settleDeep(ck *checkpoint, d *deepTier, rep *replica, werr erro
 	c.lifecycle(ck.id, trace.LHopEnd, d.label, detail)
 	c.accountFate(ck, fateDurable)
 	return nil
-}
-
-// writeSSDGuarded runs the SSD write under a stall watchdog, which
-// landDurable uses when gray-failure handling is enabled (Params.Hedge
-// with a PFS configured): the write runs in a background task and the
-// caller waits with an adaptive deadline (the health estimator's
-// median-with-headroom estimate for the SSD class). A write that runs
-// past the deadline without failing — a gray stall — is detected and the
-// flush re-routes to the PFS row through landDurable; on reroute success
-// the SSD leg is abandoned to finish on its own (first durable copy
-// decides the fate — accountFate keeps it single) and rerouted=true tells
-// the caller to skip the normal SSD completion path.
-func (c *Client) writeSSDGuarded(ck *checkpoint, fromGPU bool, att *attrib, ssdRep *replica) (err error, rerouted bool) {
-	ssd := c.deepOf(TierSSD)
-	type waitState struct {
-		mu        sync.Mutex
-		cond      simclock.Cond
-		done      bool
-		err       error
-		abandoned bool
-	}
-	ws := &waitState{}
-	ws.cond = c.clk.NewCond(&ws.mu)
-	start := c.clk.Now()
-	c.hedgeWG.Add(1)
-	c.clk.Go(func() {
-		defer c.hedgeWG.Done()
-		werr := c.writeDeep(ck, fromGPU, ssd, nil)
-		ws.mu.Lock()
-		ws.done, ws.err = true, werr
-		abandoned := ws.abandoned
-		ws.cond.Broadcast()
-		ws.mu.Unlock()
-		if !abandoned {
-			return // the waiter owns the completion path
-		}
-		// The waiter re-routed and moved on; finalize the SSD leg here
-		// with the rules the foreground path would have applied (the fate
-		// accounting inside is a no-op: the reroute already decided it).
-		if werr == nil {
-			c.observeHealth(ssd, ck.size, c.clk.Now()-start)
-		}
-		if c.settleDeep(ck, ssd, ssdRep, werr, "late completion after stall reroute") == nil {
-			c.mustTransition(ck, ssdRep, lifecycle.Flushed)
-		}
-		c.notifyGPU()
-		c.hstC.Notify()
-	})
-
-	deadline := c.health.deadline("ssd", ck.size)
-	ws.mu.Lock()
-	for deadline == 0 && !ws.done {
-		// The SSD class has no observations yet, so there is nothing to
-		// judge a stall against — the estimator has to earn the right to
-		// call a write slow. Wait it out undeadlined (cold-start writes
-		// would otherwise misfire the guard on the configured floor).
-		ws.cond.Wait()
-	}
-	for !ws.done {
-		if wait := start + deadline - c.clk.Now(); wait > 0 {
-			ws.cond.WaitTimeout(wait)
-			continue
-		}
-		// Gray stall: the write is past its deadline and still running.
-		ws.mu.Unlock()
-		c.rec.StallDetected()
-		c.lifecycle(ck.id, trace.LStalled, "ssd", fmt.Sprintf("write past its %v deadline", deadline))
-		rrStart := c.clk.Now()
-		rerr := c.landDurable(ck, c.deepOf(TierPFS), fromGPU, att)
-		ws.mu.Lock()
-		if rerr == nil && !ws.done {
-			ws.abandoned = true
-			c.rec.StallRerouted()
-			c.rec.ObserveDuration(metrics.HistStallReroute, c.clk.Now()-rrStart)
-			ws.mu.Unlock()
-			return nil, true
-		}
-		if rerr == nil {
-			// The write finished while we were re-routing: take the
-			// normal completion path after all (the reroute already
-			// decided the fate; the foreground accounting is a no-op).
-			c.rec.StallRerouted()
-			c.rec.ObserveDuration(metrics.HistStallReroute, c.clk.Now()-rrStart)
-			break
-		}
-		// The alternate route failed too: nothing left but to wait the
-		// SSD write out and let the normal path decide.
-		for !ws.done {
-			ws.cond.Wait()
-		}
-		break
-	}
-	err = ws.err
-	ws.mu.Unlock()
-	if err == nil {
-		c.observeHealth(ssd, ck.size, c.clk.Now()-start)
-		// The background writer carries no attribution; charge the whole
-		// guarded window to the SSD transfer component.
-		c.mark(att, metrics.CompXferSSD)
-	}
-	return err, false
 }
 
 // routeToPartner stages a replica of ck on the partner node's SSD over

@@ -190,13 +190,16 @@ func flushRule(fc flushCase) flushWant {
 // source × GPUDirect × degraded set (quarantined or in probation) × PFS
 // setup × partner copy × outcome of the first write, and checks the tiers
 // written, the degradations and recoveries per tier, the flush aborts, the
-// fate and the error against flushRule.
+// fate and the error against flushRule; then repeats the flush hedged,
+// with no latency samples so no deadline ever fires, and requires the
+// same of the deadline race the SSD write runs on.
 //
 // Each of these mutations, tried one at a time, fails it: flushDeep not
 // falling through from a failed SSD write to the PFS; settleDeep degrading
 // the SSD on a shutdown error; landOnHost not degrading the host before it
 // returns hostBypassed; settleDeep crediting the durable fate before its
-// kill gate; landDurable running the breadth legs for the PFS row.
+// kill gate; flushedDeep running the breadth legs for the PFS row;
+// raceDurable leaving a failed write leg's record in place.
 func TestFlushRouteAgainstTheRule(t *testing.T) {
 	partnerStore, _, err := ckptstore.Open(t.TempDir())
 	if err != nil {
@@ -216,7 +219,12 @@ func TestFlushRouteAgainstTheRule(t *testing.T) {
 								fc := flushCase{src, direct, degraded, probation, pfs, partner, first}
 								name := fmt.Sprintf("%v/direct=%v/degraded=%v/probation=%v/pfs=%v/partner=%v/first-%v",
 									src, direct, degraded, probation, pfs, partner, first)
-								t.Run(name, func(t *testing.T) { checkFlush(t, fc, flushRule(fc), partnerStore) })
+								t.Run(name, func(t *testing.T) {
+									want := flushRule(fc)
+									for _, hedge := range []bool{false, true} {
+										checkFlush(t, fc, hedge, want, partnerStore)
+									}
+								})
 							}
 						}
 					}
@@ -226,7 +234,8 @@ func TestFlushRouteAgainstTheRule(t *testing.T) {
 	}
 }
 
-func checkFlush(t *testing.T, fc flushCase, want flushWant, partnerStore *ckptstore.Store) {
+func checkFlush(t *testing.T, fc flushCase, hedge bool, want flushWant, partnerStore *ckptstore.Store) {
+	t.Helper()
 	run(t, func(clk *simclock.Virtual) {
 		var partnerPath fabric.Path
 		if fc.partner {
@@ -238,6 +247,7 @@ func checkFlush(t *testing.T, fc flushCase, want flushWant, partnerStore *ckptst
 		}
 		r := newRig(t, clk, func(p *Params) {
 			p.GPUDirectStorage = fc.direct
+			p.Hedge = hedge
 			// Two quick attempts per write. A mark stays until a write heals
 			// it, or lapses into probation before the flush starts.
 			p.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond,
@@ -320,27 +330,27 @@ func checkFlush(t *testing.T, fc flushCase, want flushWant, partnerStore *ckptst
 
 		switch {
 		case want.err == nil && err != nil:
-			t.Errorf("error %v, want none", err)
+			t.Errorf("hedge=%v: error %v, want none", hedge, err)
 		case want.err != nil && !errors.Is(err, want.err):
-			t.Errorf("error %v, want %v", err, want.err)
+			t.Errorf("hedge=%v: error %v, want %v", hedge, err, want.err)
 		}
 		if !slices.Equal(written, want.written) {
-			t.Errorf("tiers written %v, want %v", written, want.written)
+			t.Errorf("hedge=%v: tiers written %v, want %v", hedge, written, want.written)
 		}
 		if got := c.DegradedTiers(); !slices.Equal(got, want.degraded) {
-			t.Errorf("degraded afterwards %v, want %v", got, want.degraded)
+			t.Errorf("hedge=%v: degraded afterwards %v, want %v", hedge, got, want.degraded)
 		}
 		for tier := TierGPU; tier <= TierPFS; tier++ {
 			n := tier.String()
 			if got := after.Degradations[n] - before.Degradations[n]; got != want.degradations[n] {
-				t.Errorf("Degradations[%s] = %d, want %d", n, got, want.degradations[n])
+				t.Errorf("hedge=%v: Degradations[%s] = %d, want %d", hedge, n, got, want.degradations[n])
 			}
 			if got := after.TierRecoveries[n] - before.TierRecoveries[n]; got != want.recoveries[n] {
-				t.Errorf("TierRecoveries[%s] = %d, want %d", n, got, want.recoveries[n])
+				t.Errorf("hedge=%v: TierRecoveries[%s] = %d, want %d", hedge, n, got, want.recoveries[n])
 			}
 		}
 		if got := after.FlushAborts - before.FlushAborts; got != want.aborts {
-			t.Errorf("FlushAborts = %d, want %d", got, want.aborts)
+			t.Errorf("hedge=%v: FlushAborts = %d, want %d", hedge, got, want.aborts)
 		}
 		fate := fateUndecided
 		switch {
@@ -350,7 +360,7 @@ func checkFlush(t *testing.T, fc flushCase, want flushWant, partnerStore *ckptst
 			fate = fateLost
 		}
 		if fate != want.fate {
-			t.Errorf("fate %d, want %d (durable %d, lost %d, undecided %d)", fate, want.fate,
+			t.Errorf("hedge=%v: fate %d, want %d (durable %d, lost %d, undecided %d)", hedge, fate, want.fate,
 				fateDurable, fateLost, fateUndecided)
 		}
 	})

@@ -216,16 +216,16 @@ type Params struct {
 	// Retry tunes the exponential-backoff retry applied to transient
 	// tier-I/O failures; zero fields take the defaults.
 	Retry RetryPolicy
-	// Hedge enables gray-failure tolerance: deep restores race a hedge
-	// leg against the next-deeper replica once the current leg exceeds
-	// its adaptive deadline (the online healthy-cost estimate for its link
-	// class),
-	// background flush legs that stall past their deadline re-route to an
-	// alternate durable tier, and link classes whose EWMA health score
-	// breaches the quarantine threshold are taken out of rotation until a
-	// probe reinstates them. First success wins and every checkpoint still
-	// gets exactly one fate. Off (the default) the runtime is
-	// byte-identical to the sequential ladder.
+	// Hedge enables gray-failure tolerance. Deep restores and the flush's
+	// SSD write run as one deadline race (hedge.go): once a leg exceeds its
+	// adaptive deadline (the online healthy-cost estimate for its link
+	// class) the next-deeper row's leg launches concurrently — a restore
+	// hedges against the next replica, a stalled SSD write reroutes to the
+	// PFS. Link classes whose EWMA health score breaches the quarantine
+	// threshold are taken out of rotation until a probe reinstates them.
+	// First success wins and every checkpoint still gets exactly one fate.
+	// Off (the default) the runtime is byte-identical to the sequential
+	// ladders.
 	Hedge bool
 	// FaultSeed seeds the retry jitter (and any other client-local
 	// randomness) so fault-injection runs replay deterministically.

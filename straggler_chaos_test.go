@@ -28,11 +28,22 @@ var stragglerSchedules = flag.Int("straggler.schedules", 25, "seeded gray schedu
 func TestStragglerChaosSoak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const n = 8
+	var rerouted, hedged int64
 	for i := 0; i < *stragglerSchedules; i++ {
 		seed := int64(9000 + i)
 		t.Run(fmt.Sprintf("schedule-%d", seed), func(t *testing.T) {
-			runStragglerSchedule(t, seed, n)
+			r, h := runStragglerSchedule(t, seed, n)
+			rerouted += r
+			hedged += h
 		})
+	}
+	// Both directions of the deadline race must have run: a soak whose
+	// schedules never reroute a flush or hedge a restore checks nothing of
+	// the race.
+	t.Logf("%d schedules: %d stalled flushes rerouted, %d restore hedges launched",
+		*stragglerSchedules, rerouted, hedged)
+	if rerouted == 0 || hedged == 0 {
+		t.Errorf("the soak must exercise both races: %d reroutes, %d hedges", rerouted, hedged)
 	}
 	// Hedge losers and abandoned stall legs run under background
 	// waitgroups; give them time to unwind, then check for leaks.
@@ -82,7 +93,12 @@ func randomGrayRules(r *rand.Rand) []score.FaultRule {
 	return rules
 }
 
-func runStragglerSchedule(t *testing.T, seed int64, n int) {
+// runStragglerSchedule writes n versions under one seeded gray schedule,
+// restores them from the cache tiers, then restarts from a fresh client
+// over the same stores and restores them again from the deep tiers, where
+// each restore races the SSD replica against the PFS one. It returns the
+// stalled flushes rerouted and the restore hedges launched.
+func runStragglerSchedule(t *testing.T, seed int64, n int) (rerouted, hedged int64) {
 	ssdDir, pfsDir := t.TempDir(), t.TempDir()
 	r := rand.New(rand.NewSource(seed))
 	payloads := make([][]byte, n)
@@ -98,16 +114,44 @@ func runStragglerSchedule(t *testing.T, seed int64, n int) {
 		t.Fatal(err)
 	}
 	inj := sim.NewFaultInjector(seed, rules...)
-	sim.Run(func() {
+	open := func() *score.Client {
 		c, err := sim.NewClient(0, 0,
 			score.WithGPUCache(256<<10), score.WithHostCache(1<<20),
-			score.WithStore(ssdDir), score.WithPFSStore(pfsDir),
+			score.WithStore(ssdDir), score.WithPFSStore(pfsDir), score.WithPersistToPFS(),
 			score.WithHedgedRestores(),
 			score.WithFaultInjector(inj))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
+		return c
+	}
+	// restoreAll restores every version newest-first and checks the bytes.
+	restoreAll := func(c *score.Client, phase string) {
+		for v := n - 1; v >= 0; v-- {
+			got, err := c.Restart(int64(v))
+			if err != nil {
+				t.Errorf("%s restart %d failed — gray faults lose no data: %v", phase, v, err)
+				continue
+			}
+			if !bytes.Equal(got, payloads[v]) {
+				t.Errorf("%s restart %d: hedge race returned wrong bytes", phase, v)
+			}
+		}
+		if err := c.CheckMetricsInvariants(false); err != nil {
+			t.Errorf("metrics invariants after %s restores: %v", phase, err)
+		}
+		st := c.Stats()
+		if st.HedgeWins > st.HedgesLaunched {
+			t.Errorf("%s: HedgeWins %d > HedgesLaunched %d", phase, st.HedgeWins, st.HedgesLaunched)
+		}
+		if st.StallsRerouted > st.StallsDetected {
+			t.Errorf("%s: StallsRerouted %d > StallsDetected %d", phase, st.StallsRerouted, st.StallsDetected)
+		}
+		rerouted += st.StallsRerouted
+		hedged += st.HedgesLaunched
+	}
+	sim.Run(func() {
+		c := open()
 		for v := 0; v < n; v++ {
 			if err := c.Checkpoint(int64(v), payloads[v]); err != nil {
 				t.Fatalf("checkpoint %d failed under a latency-only schedule: %v", v, err)
@@ -120,25 +164,15 @@ func runStragglerSchedule(t *testing.T, seed int64, n int) {
 		if err := c.CheckMetricsInvariants(true); err != nil {
 			t.Errorf("metrics invariants after drain: %v", err)
 		}
-		for v := n - 1; v >= 0; v-- {
-			got, err := c.Restart(int64(v))
-			if err != nil {
-				t.Errorf("restart %d failed — gray faults lose no data: %v", v, err)
-				continue
-			}
-			if !bytes.Equal(got, payloads[v]) {
-				t.Errorf("restart %d: hedge race returned wrong bytes", v)
-			}
+		restoreAll(c, "cached")
+		c.Close()
+
+		c = open()
+		defer c.Close()
+		if got := len(c.RecoveredVersions()); got != n {
+			t.Fatalf("restarted client recovered %d versions, want %d", got, n)
 		}
-		if err := c.CheckMetricsInvariants(false); err != nil {
-			t.Errorf("metrics invariants after hedged restores: %v", err)
-		}
-		st := c.Stats()
-		if st.HedgeWins > st.HedgesLaunched {
-			t.Errorf("HedgeWins %d > HedgesLaunched %d", st.HedgeWins, st.HedgesLaunched)
-		}
-		if st.StallsRerouted > st.StallsDetected {
-			t.Errorf("StallsRerouted %d > StallsDetected %d", st.StallsRerouted, st.StallsDetected)
-		}
+		restoreAll(c, "restarted")
 	})
+	return rerouted, hedged
 }
