@@ -375,8 +375,13 @@ func (c *Client) RecoveredVersions() []int64 {
 }
 
 // Stats returns the client's measurements so far.
-func (c *Client) Stats() Stats {
-	s := c.inner.Metrics().Snapshot()
+func (c *Client) Stats() (st Stats) {
+	c.inner.Metrics().Read(func(s *metrics.Summary) { st = statsOf(s) })
+	return st
+}
+
+// statsOf derives the compact view from a summary's books.
+func statsOf(s *metrics.Summary) Stats {
 	return Stats{
 		CheckpointBytes:        s.CheckpointBytes,
 		RestoreBytes:           s.RestoreBytes,

@@ -450,17 +450,17 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		}
 		return fmt.Errorf("core: checkpoint %d: GPU cache reservation: %w", id, err)
 	}
-	c.mark(ck.att, metrics.CompGPUAdmit)
+	c.mark(ck.att, compGPUAdmit)
 
 	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	if c.p.OnDemandAlloc {
 		// §4.1.4 ablation: a fresh device region is allocated for each
 		// checkpoint instead of reusing the pre-allocated buffer.
 		c.p.GPU.ChargeDeviceAlloc(ck.size)
-		c.mark(ck.att, metrics.CompAlloc)
+		c.mark(ck.att, compAlloc)
 	}
 	c.p.GPU.CopyD2D(ck.size) // application buffer → GPU cache
-	c.mark(ck.att, metrics.CompCopyD2D)
+	c.mark(ck.att, compCopyD2D)
 	c.mustTransition(ck, rep, lifecycle.WriteComplete)
 	c.lifecycle(id, trace.LCached, "gpu", "")
 
@@ -486,14 +486,14 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 	c.rec.SyncFlush()
 	// The failed GPU reservation above may have blocked on evictions
 	// before reporting too-large; absorb that into the admit component.
-	c.mark(ck.att, metrics.CompGPUAdmit)
+	c.mark(ck.att, compGPUAdmit)
 	// A Restore racing this write parks on gpuRep or finds no record: no
 	// tier holds the bytes until they land, and ck.writing makes it wait.
 	c.unlinkReplica(ck, TierGPU, gpuRep)
 
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) && ck.size <= c.p.HostCacheSize {
 		c.waitHostReady()
-		c.mark(ck.att, metrics.CompHostReady)
+		c.mark(ck.att, compHostReady)
 		switch landing, _ := c.landOnHost(ck, ck.att); landing {
 		case hostLanded:
 			c.enqueueH2F(ck)
@@ -663,7 +663,7 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 		// A promotion is in flight; wait for the data.
 		rep.fsm.WaitFor(lifecycle.ReadComplete, lifecycle.Consumed)
 	}
-	c.mark(att, metrics.CompGPUWait)
+	c.mark(att, compGPUWait)
 	if !rep.hasData() {
 		// The write or promotion backed out and unlinked the record
 		// (unlinkReplica released the wait): promote instead.
@@ -688,7 +688,7 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 		return false, nil // evicted underneath us; promote instead
 	}
 	c.p.GPU.CopyD2D(ck.size) // GPU cache → application buffer
-	c.mark(att, metrics.CompCopyD2D)
+	c.mark(att, compCopyD2D)
 	c.mustTransition(ck, rep, lifecycle.Consumed)
 	return true, nil
 }

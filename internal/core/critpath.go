@@ -18,17 +18,61 @@ import (
 // residue at finish means an instrumentation gap (surfaced as
 // Unattributed, which the metrics invariant requires to be zero).
 
-// attrib accumulates the telescoping decomposition of one interval.
-// The durable chain hands it from the application thread to the T_D2H
-// and T_H2F workers sequentially; the mutex covers the rare overlap of
-// a late best-effort mark with finish.
+// critComp indexes the critical-path components an attrib charges.
+type critComp uint8
+
+const (
+	compGPUAdmit critComp = iota
+	compHostAdmit
+	compHostReady
+	compAlloc
+	compCopyD2D
+	compQueueD2H
+	compQueueH2F
+	compXferPCIe
+	compXferSSD
+	compXferPFS
+	compXferPartner
+	compRetryBackoff
+	compDrainWait
+	compStorePut
+	compGPUWait
+	compPromoteWait
+	numComps
+)
+
+// compNames are the exported names of the components, by index.
+var compNames = [numComps]string{
+	compGPUAdmit:     metrics.CompGPUAdmit,
+	compHostAdmit:    metrics.CompHostAdmit,
+	compHostReady:    metrics.CompHostReady,
+	compAlloc:        metrics.CompAlloc,
+	compCopyD2D:      metrics.CompCopyD2D,
+	compQueueD2H:     metrics.CompQueueD2H,
+	compQueueH2F:     metrics.CompQueueH2F,
+	compXferPCIe:     metrics.CompXferPCIe,
+	compXferSSD:      metrics.CompXferSSD,
+	compXferPFS:      metrics.CompXferPFS,
+	compXferPartner:  metrics.CompXferPartner,
+	compRetryBackoff: metrics.CompRetryBackoff,
+	compDrainWait:    metrics.CompDrainWait,
+	compStorePut:     metrics.CompStorePut,
+	compGPUWait:      metrics.CompGPUWait,
+	compPromoteWait:  metrics.CompPromoteWait,
+}
+
+// attrib accumulates the telescoping decomposition of one interval in a
+// fixed array, so marking allocates nothing; finish builds the record's
+// one map. The durable chain hands it from the application thread to the
+// T_D2H and T_H2F workers sequentially; the mutex covers the rare overlap
+// of a late best-effort mark with finish.
 type attrib struct {
 	mu      sync.Mutex
 	op      string // metrics.CritDurable or metrics.CritRestore
 	version int64
 	start   time.Duration
 	last    time.Duration // cursor: end of the last attributed segment
-	comps   map[string]time.Duration
+	comps   [numComps]time.Duration
 	done    bool
 }
 
@@ -39,7 +83,7 @@ func newAttrib(op string, version int64, start time.Duration) *attrib {
 // mark charges [a.last, now) to comp and advances the cursor. Nil-safe
 // and a no-op after finish, so best-effort legs running past the
 // durable point cannot distort the record.
-func (a *attrib) mark(now time.Duration, comp string) {
+func (a *attrib) mark(now time.Duration, comp critComp) {
 	if a == nil {
 		return
 	}
@@ -49,24 +93,30 @@ func (a *attrib) mark(now time.Duration, comp string) {
 		return
 	}
 	if d := now - a.last; d > 0 {
-		if a.comps == nil {
-			a.comps = map[string]time.Duration{}
-		}
 		a.comps[comp] += d
 	}
 	a.last = now
 }
 
-// finish closes the interval at now and returns the attribution record.
-// Time between the last mark and now is the unattributed residue — zero
-// on a correctly instrumented path.
+// finish closes the interval at now and returns the attribution record,
+// whose Components map — never nil — holds exactly the charged
+// components. Time between the last mark and now is the unattributed
+// residue — zero on a correctly instrumented path.
 func (a *attrib) finish(now time.Duration) metrics.CritPathRecord {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.done = true
-	comps := make(map[string]time.Duration, len(a.comps))
-	for k, v := range a.comps {
-		comps[k] = v
+	n := 0
+	for _, d := range a.comps {
+		if d > 0 {
+			n++
+		}
+	}
+	comps := make(map[string]time.Duration, n)
+	for i, d := range a.comps {
+		if d > 0 {
+			comps[compNames[i]] = d
+		}
 	}
 	return metrics.CritPathRecord{
 		Op:           a.op,
@@ -80,7 +130,7 @@ func (a *attrib) finish(now time.Duration) metrics.CritPathRecord {
 
 // mark charges the time since att's cursor to comp at the current
 // virtual time.
-func (c *Client) mark(att *attrib, comp string) {
+func (c *Client) mark(att *attrib, comp critComp) {
 	att.mark(c.clk.Now(), comp)
 }
 

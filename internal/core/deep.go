@@ -7,7 +7,6 @@ import (
 	"score/internal/ckptstore"
 	"score/internal/fabric"
 	"score/internal/lifecycle"
-	"score/internal/metrics"
 	"score/internal/trace"
 )
 
@@ -22,18 +21,18 @@ import (
 // host cache.
 type deepKind struct {
 	tier   Tier
-	label  string // retry label and health-estimator class
-	fused  string // retry label of its chunked read + H2D stream
-	rdWhat string // ledger text of a plain read
-	wrWhat string // ledger text of a plain write
-	comp   string // critical-path component its transfers charge
+	label  string   // retry label and health-estimator class
+	fused  string   // retry label of its chunked read + H2D stream
+	rdWhat string   // ledger text of a plain read
+	wrWhat string   // ledger text of a plain write
+	comp   critComp // critical-path component its transfers charge
 }
 
 // deepKinds lists them fastest first — the order reads fall through.
 var deepKinds = [...]deepKind{
-	{TierSSD, "ssd", "ssd+pcie", "NVMe read", "NVMe write", metrics.CompXferSSD},
-	{TierPartner, "partner", "partner+pcie", "partner SSD read", "partner copy", metrics.CompXferPartner},
-	{TierPFS, "pfs", "pfs+pcie", "PFS read", "PFS write", metrics.CompXferPFS},
+	{TierSSD, "ssd", "ssd+pcie", "NVMe read", "NVMe write", compXferSSD},
+	{TierPartner, "partner", "partner+pcie", "partner SSD read", "partner copy", compXferPartner},
+	{TierPFS, "pfs", "pfs+pcie", "PFS read", "PFS write", compXferPFS},
 }
 
 // deepTier is one row of a client's table: a kind it has configured, the
@@ -235,7 +234,7 @@ func (c *Client) writeDeep(ck *checkpoint, fromGPU bool, d *deepTier, att *attri
 	if data == nil {
 		return nil // virtual (size-only) payload: simulated as before
 	}
-	return c.retryIOAttr(ck, att, metrics.CompStorePut, d.label, "store put", func() error {
+	return c.retryIOAttr(ck, att, compStorePut, d.label, "store put", func() error {
 		if err := d.store.Put(int64(ck.id), data); err != nil && err != ckptstore.ErrExists {
 			return err
 		}

@@ -425,7 +425,7 @@ func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcome
 	}
 	// Time parked in the frozen queue (since the version's last attributed
 	// segment) is the drain-wait component of its durable critical path.
-	c.mark(ck.att, metrics.CompDrainWait)
+	c.mark(ck.att, compDrainWait)
 	start := c.clk.Now()
 	err := c.flushDeep(ck, cand.fromGPU, ck.att)
 	if err != nil {

@@ -112,7 +112,7 @@ func (c *Client) runD2H(id ID) {
 	}
 	att := ck.att
 	// The interval since the last mark is the wait for a T_D2H worker.
-	c.mark(att, metrics.CompQueueD2H)
+	c.mark(att, compQueueD2H)
 	start := c.clk.Now()
 	defer func() {
 		c.rec.ObserveDuration(metrics.HistFlushPrefix+TierGPU.String(), c.clk.Now()-start)
@@ -140,7 +140,7 @@ func (c *Client) runD2H(id ID) {
 			// worker slept; the decision is made.
 			return
 		}
-		c.mark(att, metrics.CompHostReady)
+		c.mark(att, compHostReady)
 		landing, err := c.landOnHost(ck, att)
 		switch {
 		case landing == hostLanded:
@@ -205,14 +205,14 @@ func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 		}
 		return hostBypassed, err
 	}
-	c.mark(att, metrics.CompHostAdmit)
+	c.mark(att, compHostAdmit)
 
 	c.mustTransition(ck, hostRep, lifecycle.WriteInProgress)
 	if c.p.OnDemandAlloc {
 		// §4.1.4 ablation: allocate+register pinned host memory for this
 		// checkpoint at ~4 GB/s instead of reusing the pre-pinned cache.
 		c.p.GPU.AllocPinnedHost(ck.size)
-		c.mark(att, metrics.CompAlloc)
+		c.mark(att, compAlloc)
 	}
 	if err := c.copyD2HHost(ck, att); err != nil {
 		// Release the reservation. A dying client skips the degradation:
@@ -281,7 +281,7 @@ func (c *Client) runH2F(id ID) {
 	}
 	att := ck.att
 	// Time since the host copy landed is the wait for a T_H2F worker.
-	c.mark(att, metrics.CompQueueH2F)
+	c.mark(att, compQueueH2F)
 	start := c.clk.Now()
 	defer func() {
 		c.rec.ObserveDuration(metrics.HistFlushPrefix+TierHost.String(), c.clk.Now()-start)

@@ -184,15 +184,15 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 }
 
 // CheckInvariants verifies the recorder's structural invariants (byte
-// conservation bounds, retry-bout bounds, histogram consistency) against
-// the client's current metrics snapshot.
+// conservation bounds, retry-bout bounds, histogram consistency) on the
+// client's books in place.
 func (c *Client) CheckInvariants() error {
-	return metrics.CheckInvariants(c.rec.Snapshot())
+	return c.rec.CheckInvariants()
 }
 
 // CheckInvariantsQuiescent additionally asserts the flush pipeline is
 // fully drained (no pending bytes). Valid only after WaitFlush and
 // before Close.
 func (c *Client) CheckInvariantsQuiescent() error {
-	return metrics.CheckInvariantsQuiescent(c.rec.Snapshot())
+	return c.rec.CheckInvariantsQuiescent()
 }

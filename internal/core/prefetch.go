@@ -120,7 +120,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
-	c.mark(att, metrics.CompPromoteWait)
+	c.mark(att, compPromoteWait)
 	c.mu.Lock()
 	if ck.dataOn(TierGPU) {
 		c.mu.Unlock()
@@ -172,14 +172,14 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 // is unchanged — only engine contention is added).
 func (c *Client) copyH2D(ck *checkpoint, att *attrib) error {
 	if cs := c.p.ChunkSize; cs > 0 {
-		return c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "H2D copy", func() error {
+		return c.retryIOAttr(ck, att, compXferPCIe, "pcie", "H2D copy", func() error {
 			st, err := c.p.GPU.TryStreamH2D(nil, ck.size, cs)
 			c.observePipeline(trace.TrackPF, "prefetch",
 				fmt.Sprintf("promote %d host→gpu", ck.id), c.flowID(ck.id), st, err)
 			return err
 		})
 	}
-	return c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "H2D copy", func() error {
+	return c.retryIOAttr(ck, att, compXferPCIe, "pcie", "H2D copy", func() error {
 		_, err := c.p.GPU.TryCopyH2D(ck.size)
 		return err
 	})
@@ -256,7 +256,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 
 	// Stage 2: host → GPU.
 	c.waitHostReady()
-	c.mark(att, metrics.CompHostReady)
+	c.mark(att, compHostReady)
 	gpuRep, reserved, err := c.reserveForRead(ck, TierGPU)
 	if !reserved {
 		return gpuRep != nil, err
@@ -360,7 +360,7 @@ func (c *Client) reserveForRead(ck *checkpoint, tier Tier) (rep *replica, reserv
 // host cache had no immediately evictable window.
 func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err error) {
 	c.waitHostReady()
-	c.mark(att, metrics.CompHostReady)
+	c.mark(att, compHostReady)
 	hostRep, reserved, err := c.reserveForRead(ck, TierHost)
 	if !reserved {
 		return hostRep != nil, err

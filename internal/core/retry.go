@@ -62,7 +62,7 @@ var (
 // exponential backoff on the simulated clock, and tries again, up to
 // MaxAttempts. The final error wraps both ErrTierIO and op's error.
 func (c *Client) retryIO(label, what string, op func() error) error {
-	return c.retryIOAttr(nil, nil, "", label, what, op)
+	return c.retryIOAttr(nil, nil, 0, label, what, op)
 }
 
 // retryIOAttr is retryIO with critical-path attribution and lifecycle
@@ -70,7 +70,8 @@ func (c *Client) retryIO(label, what string, op func() error) error {
 // attempt's elapsed time (including failed attempts — faulted transfers
 // consume real time before erroring) to comp when att is non-nil, and
 // each retry is ledgered against ck's version when ck is non-nil.
-func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp string, label, what string, op func() error) error {
+// Without att, comp is ignored.
+func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp critComp, label, what string, op func() error) error {
 	policy := c.p.Retry
 	backoff := policy.BaseBackoff
 	var err error
@@ -83,7 +84,7 @@ func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp string, label, wh
 			sleep := c.jitter(backoff)
 			c.rec.ObserveDuration(metrics.HistRetryBackoff, sleep)
 			c.clk.Sleep(sleep)
-			c.mark(att, metrics.CompRetryBackoff)
+			c.mark(att, compRetryBackoff)
 			backoff *= 2
 			if backoff > policy.MaxBackoff {
 				backoff = policy.MaxBackoff
@@ -96,9 +97,7 @@ func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp string, label, wh
 			return lerr
 		}
 		err = op()
-		if comp != "" {
-			c.mark(att, comp)
-		}
+		c.mark(att, comp)
 		if err == nil {
 			if attempt > 0 {
 				c.rec.RetryBout(true)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"score/internal/fabric"
-	"score/internal/metrics"
 	"score/internal/trace"
 )
 
@@ -47,7 +46,7 @@ func (c *Client) observePipeline(track trace.Track, category, name string, flow 
 // overlap, so the timing matches the monolithic copy.
 func (c *Client) copyD2HHost(ck *checkpoint, att *attrib) error {
 	c.lifecycle(ck.id, trace.LD2HStart, "host", "")
-	err := c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "D2H copy", func() error {
+	err := c.retryIOAttr(ck, att, compXferPCIe, "pcie", "D2H copy", func() error {
 		cs := c.p.ChunkSize
 		if cs == 0 {
 			_, err := c.p.GPU.TryCopyD2H(ck.size)
@@ -82,7 +81,7 @@ func (c *Client) transferDown(ck *checkpoint, fromGPU bool, d *deepTier, att *at
 		})
 	}
 	if fromGPU {
-		if err := c.retryIOAttr(ck, att, metrics.CompXferPCIe, "pcie", "D2H copy", func() error {
+		if err := c.retryIOAttr(ck, att, compXferPCIe, "pcie", "D2H copy", func() error {
 			_, err := c.p.GPU.TryCopyD2H(ck.size)
 			return err
 		}); err != nil {

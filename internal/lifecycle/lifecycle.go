@@ -94,18 +94,19 @@ func Legal(from, to State) bool {
 // The zero value is not usable; create with NewMachine.
 //
 // State reads are lock-free (atomic): the eviction rule re-reads them all.
+// Most replicas are never waited on, so the cond is made by the first
+// WaitFor that has to park, and To and Abandon wake only if it exists.
 type Machine struct {
 	mu        sync.Mutex
-	cond      simclock.Cond
+	clk       simclock.Clock
+	cond      simclock.Cond // nil until a WaitFor parks
 	state     atomic.Int32
 	abandoned bool // no transition will ever come; WaitFor returns at once
 }
 
 // NewMachine returns a Machine in the Init state.
 func NewMachine(clk simclock.Clock) *Machine {
-	m := &Machine{}
-	m.cond = clk.NewCond(&m.mu)
-	return m
+	return &Machine{clk: clk}
 }
 
 // State returns the current state (lock-free).
@@ -121,7 +122,7 @@ func (m *Machine) To(to State) error {
 		return fmt.Errorf("lifecycle: illegal transition %v → %v", from, to)
 	}
 	m.state.Store(int32(to))
-	m.cond.Broadcast()
+	m.wakeLocked()
 	m.mu.Unlock()
 	return nil
 }
@@ -145,6 +146,9 @@ func (m *Machine) WaitFor(states ...State) State {
 		if m.abandoned || slices.Contains(states, cur) {
 			return cur
 		}
+		if m.cond == nil {
+			m.cond = m.clk.NewCond(&m.mu)
+		}
 		m.cond.Wait()
 	}
 }
@@ -155,6 +159,14 @@ func (m *Machine) WaitFor(states ...State) State {
 func (m *Machine) Abandon() {
 	m.mu.Lock()
 	m.abandoned = true
-	m.cond.Broadcast()
+	m.wakeLocked()
 	m.mu.Unlock()
+}
+
+// wakeLocked releases the parked waiters, if any ever parked. Caller
+// holds m.mu.
+func (m *Machine) wakeLocked() {
+	if m.cond != nil {
+		m.cond.Broadcast()
+	}
 }

@@ -214,3 +214,68 @@ func TestTransitionClosureProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMachineMakesItsCondOnlyToPark: most replicas are never waited on,
+// so a Machine makes its cond on the first WaitFor that has to park.
+// Transitions and waits that need not park make none, a parked wait is
+// released by To and by Abandon on either timer structure, and a wait
+// after Abandon returns at once.
+func TestMachineMakesItsCondOnlyToPark(t *testing.T) {
+	hasCond := func(m *Machine) bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.cond != nil
+	}
+
+	m := NewMachine(simclock.NewVirtual())
+	for _, s := range routeTo(Consumed) {
+		m.MustTo(s)
+	}
+	if got := m.WaitFor(Consumed); got != Consumed || hasCond(m) {
+		t.Errorf("unparked life cycle: WaitFor = %v, cond made = %v; want CONSUMED, false", got, hasCond(m))
+	}
+
+	m = NewMachine(simclock.NewVirtual())
+	m.Abandon()
+	if got := m.WaitFor(Flushed); got != Init || hasCond(m) {
+		t.Errorf("WaitFor after Abandon = %v, cond made = %v; want INIT at once, false", got, hasCond(m))
+	}
+
+	for _, clock := range []struct {
+		name string
+		opts []simclock.VirtualOption
+	}{{"wheel", nil}, {"heap", []simclock.VirtualOption{simclock.WithHeapTimers()}}} {
+		for _, release := range []struct {
+			name string
+			fn   func(*Machine)
+			want State
+		}{
+			{"To", func(m *Machine) { m.MustTo(WriteComplete) }, WriteComplete},
+			{"Abandon", (*Machine).Abandon, WriteInProgress},
+		} {
+			clk := simclock.NewVirtual(clock.opts...)
+			clk.Run(func() {
+				m := NewMachine(clk)
+				m.MustTo(WriteInProgress)
+				var got State
+				var at time.Duration
+				wg := simclock.NewWaitGroup(clk)
+				wg.Add(1)
+				clk.Go(func() {
+					defer wg.Done()
+					got = m.WaitFor(WriteComplete)
+					at = clk.Now()
+				})
+				clk.Sleep(time.Second)
+				if !hasCond(m) {
+					t.Errorf("%s/%s: a parked WaitFor made no cond", clock.name, release.name)
+				}
+				release.fn(m)
+				wg.Wait()
+				if got != release.want || at != time.Second {
+					t.Errorf("%s/%s: WaitFor = %v at %v, want %v at 1s", clock.name, release.name, got, at, release.want)
+				}
+			})
+		}
+	}
+}

@@ -84,6 +84,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return HistogramSnapshot{Bounds: h.bounds, Counts: counts, Count: h.count, Sum: h.sum}
 }
 
+// view is h in the shape of a snapshot that shares h's counts: valid
+// only while the recorder's lock is held.
+func (h *Histogram) view() HistogramSnapshot {
+	return HistogramSnapshot{Bounds: h.bounds, Counts: h.counts, Count: h.count, Sum: h.sum}
+}
+
 // HistogramSnapshot is the exported, JSON-serialisable form of a Histogram.
 type HistogramSnapshot struct {
 	Bounds []time.Duration `json:"bounds"`

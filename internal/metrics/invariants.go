@@ -22,8 +22,41 @@ import (
 //
 // A nil error means every invariant holds.
 func CheckInvariants(s Summary) error {
+	return checkRunning(&s, s.Histograms)
+}
+
+// CheckInvariants runs the package's CheckInvariants on r's books in
+// place, under r's lock: it copies nothing, so a caller that only checks
+// does not pay for a Snapshot.
+func (r *Recorder) CheckInvariants() (err error) {
+	r.Read(func(s *Summary) { err = checkRunning(s, r.hists) })
+	return err
+}
+
+// CheckInvariantsQuiescent runs the package's CheckInvariantsQuiescent
+// on r's books in place, like CheckInvariants.
+func (r *Recorder) CheckInvariantsQuiescent() (err error) {
+	r.Read(func(s *Summary) { err = checkQuiescent(s, r.hists) })
+	return err
+}
+
+// histView is a histogram as the invariants read it: a snapshot, or the
+// recorder's live histogram seen through a view that copies nothing.
+type histView interface{ view() HistogramSnapshot }
+
+func (s HistogramSnapshot) view() HistogramSnapshot { return s }
+
+// checkRunning is CheckInvariants over s and its histograms hists.
+func checkRunning[H histView](s *Summary, hists map[string]H) error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	samples := func(name string) (int64, bool) {
+		h, ok := hists[name]
+		if !ok {
+			return 0, false
+		}
+		return h.view().Count, true
+	}
 
 	// Fate accounting.
 	for _, c := range []struct {
@@ -85,8 +118,8 @@ func CheckInvariants(s Summary) error {
 	if s.HealthQuarantines > s.TotalDegradations() {
 		fail("health: %d quarantines but only %d degradations", s.HealthQuarantines, s.TotalDegradations())
 	}
-	if h, ok := s.Histograms[HistHedgeWait]; ok && s.HedgesLaunched == 0 && h.Count != 0 {
-		fail("hedge: %d hedge_wait samples with no hedge launched", h.Count)
+	if n, ok := samples(HistHedgeWait); ok && s.HedgesLaunched == 0 && n != 0 {
+		fail("hedge: %d hedge_wait samples with no hedge launched", n)
 	}
 
 	// SLO alerting: every resolve follows a fire, and the telemetry-drop
@@ -133,7 +166,8 @@ func CheckInvariants(s Summary) error {
 	}
 
 	// Histogram internal consistency.
-	for name, h := range s.Histograms {
+	for name, hv := range hists {
+		h := hv.view()
 		var sum int64
 		for _, c := range h.Counts {
 			if c < 0 {
@@ -145,11 +179,11 @@ func CheckInvariants(s Summary) error {
 			fail("histogram %s: bucket counts sum to %d, total says %d", name, sum, h.Count)
 		}
 	}
-	if h, ok := s.Histograms[HistCheckpoint]; ok && h.Count != s.CheckpointOps {
-		fail("histogram %s: %d samples vs %d checkpoint ops", HistCheckpoint, h.Count, s.CheckpointOps)
+	if n, ok := samples(HistCheckpoint); ok && n != s.CheckpointOps {
+		fail("histogram %s: %d samples vs %d checkpoint ops", HistCheckpoint, n, s.CheckpointOps)
 	}
-	if h, ok := s.Histograms[HistRestore]; ok && h.Count != s.RestoreOps {
-		fail("histogram %s: %d samples vs %d restore ops", HistRestore, h.Count, s.RestoreOps)
+	if n, ok := samples(HistRestore); ok && n != s.RestoreOps {
+		fail("histogram %s: %d samples vs %d restore ops", HistRestore, n, s.RestoreOps)
 	}
 
 	// Series consistency.
@@ -203,8 +237,14 @@ func CheckInvariants(s Summary) error {
 // (after WaitFlush): every accepted byte has a decided fate, and accepted
 // bytes equal the checkpoint bytes the application observed.
 func CheckInvariantsQuiescent(s Summary) error {
+	return checkQuiescent(&s, s.Histograms)
+}
+
+// checkQuiescent is CheckInvariantsQuiescent over s and its histograms
+// hists.
+func checkQuiescent[H histView](s *Summary, hists map[string]H) error {
 	var errs []error
-	if err := CheckInvariants(s); err != nil {
+	if err := checkRunning(s, hists); err != nil {
 		errs = append(errs, err)
 	}
 	if s.ConservationTracked() {

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// healthySummary builds a summary that satisfies every invariant, for the
-// violation tests to perturb one field at a time.
-func healthySummary() Summary {
+// healthyRecorder builds a recorder whose books satisfy every invariant,
+// for the violation tests to corrupt one field at a time.
+func healthyRecorder() *Recorder {
 	r := NewRecorder()
 	r.Checkpoint(1000, time.Millisecond)
 	r.CheckpointAccepted(1000)
@@ -24,7 +24,47 @@ func healthySummary() Summary {
 			CompXferSSD:  time.Millisecond,
 		},
 	})
-	return r.Snapshot()
+	return r
+}
+
+// healthySummary is a snapshot of healthyRecorder.
+func healthySummary() Summary { return healthyRecorder().Snapshot() }
+
+// corruption damages a healthy recorder's books in one place; the check
+// that catches it must say wantSub.
+type corruption struct {
+	name    string
+	corrupt func(*Recorder)
+	wantSub string
+}
+
+// violations are caught by the running invariants.
+var violations = []corruption{
+	{"fates over-credited", func(r *Recorder) { r.s.DurableBytes += 500 }, "over-credited"},
+	{"negative accepted", func(r *Recorder) { r.s.AcceptedBytes = -1 }, "negative"},
+	{"recovered bouts exceed retries", func(r *Recorder) { r.s.RetryBoutsRecovered = 99 }, "recovered bouts"},
+	{"degradations exceed exhausted bouts", func(r *Recorder) { r.s.Degradations = map[string]int64{"ssd": 1} }, "exhausted bouts"},
+	{"repopulations without fallback reads", func(r *Recorder) { r.s.Repopulations = 3 }, "fallback reads"},
+	{"pipelined hop bytes diverge", func(r *Recorder) { r.s.PipelinedHopBytes += 7 }, "per-hop bytes"},
+	{"histogram sum mismatch", func(r *Recorder) { r.hists[HistCheckpoint].count += 5 }, "bucket counts sum"},
+	{"restore series length mismatch", func(r *Recorder) { r.s.RestoreOps = 4 }, "restore series"},
+	{"critpath unattributed gap", func(r *Recorder) {
+		r.s.CritPaths[0].Unattributed = time.Millisecond
+		r.s.CritPaths[0].Total += time.Millisecond
+	}, "unattributed latency gap"},
+	{"critpath components diverge from total", func(r *Recorder) { r.s.CritPaths[0].Total += time.Millisecond }, "!= total"},
+	{"critpath records outnumber durable checkpoints", func(r *Recorder) { r.s.DurableOps = 0 }, "durable records"},
+}
+
+// quiescentViolations are legal while the pipeline runs and caught only
+// once it has drained.
+var quiescentViolations = []corruption{
+	// A durable version with no attribution ledger.
+	{"missing critpath", func(r *Recorder) { r.s.CritPaths = nil }, "durable records"},
+	// 100 bytes left with undecided fate.
+	{"pending bytes", func(r *Recorder) { r.s.DiscardedBytes -= 100 }, "pending"},
+	// A checkpoint the application saw but the pipeline never accepted.
+	{"accept gap", func(r *Recorder) { r.s.CheckpointBytes += 512 }, "checkpointed"},
 }
 
 func TestCheckInvariantsHealthy(t *testing.T) {
@@ -38,79 +78,11 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 }
 
 func TestCheckInvariantsViolations(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*Summary)
-		wantSub string
-	}{
-		{
-			"fates over-credited",
-			func(s *Summary) { s.DurableBytes += 500 },
-			"over-credited",
-		},
-		{
-			"negative accepted",
-			func(s *Summary) { s.AcceptedBytes = -1 },
-			"negative",
-		},
-		{
-			"recovered bouts exceed retries",
-			func(s *Summary) { s.RetryBoutsRecovered = 99 },
-			"recovered bouts",
-		},
-		{
-			"degradations exceed exhausted bouts",
-			func(s *Summary) { s.Degradations = map[string]int64{"ssd": 1} },
-			"exhausted bouts",
-		},
-		{
-			"repopulations without fallback reads",
-			func(s *Summary) { s.Repopulations = 3 },
-			"fallback reads",
-		},
-		{
-			"pipelined hop bytes diverge",
-			func(s *Summary) { s.PipelinedHopBytes += 7 },
-			"per-hop bytes",
-		},
-		{
-			"histogram sum mismatch",
-			func(s *Summary) {
-				h := s.Histograms[HistCheckpoint]
-				h.Count += 5
-				s.Histograms[HistCheckpoint] = h
-			},
-			"bucket counts sum",
-		},
-		{
-			"restore series length mismatch",
-			func(s *Summary) { s.RestoreOps = 4 },
-			"restore series",
-		},
-		{
-			"critpath unattributed gap",
-			func(s *Summary) {
-				s.CritPaths[0].Unattributed = time.Millisecond
-				s.CritPaths[0].Total += time.Millisecond
-			},
-			"unattributed latency gap",
-		},
-		{
-			"critpath components diverge from total",
-			func(s *Summary) { s.CritPaths[0].Total += time.Millisecond },
-			"!= total",
-		},
-		{
-			"critpath records outnumber durable checkpoints",
-			func(s *Summary) { s.DurableOps = 0 },
-			"durable records",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range violations {
 		t.Run(tc.name, func(t *testing.T) {
-			s := healthySummary()
-			tc.mutate(&s)
-			err := CheckInvariants(s)
+			r := healthyRecorder()
+			tc.corrupt(r)
+			err := CheckInvariants(r.Snapshot())
 			if err == nil {
 				t.Fatal("mutated summary passed invariants")
 			}
@@ -121,46 +93,59 @@ func TestCheckInvariantsViolations(t *testing.T) {
 	}
 }
 
-func TestCheckInvariantsQuiescentCatchesMissingCritPath(t *testing.T) {
-	s := healthySummary()
-	s.CritPaths = nil // a durable version with no attribution ledger
+// quiescentOnly asserts that c passes the running invariants and fails
+// the quiescent ones.
+func quiescentOnly(t *testing.T, c corruption) {
+	t.Helper()
+	r := healthyRecorder()
+	c.corrupt(r)
+	s := r.Snapshot()
 	if err := CheckInvariants(s); err != nil {
-		t.Errorf("missing records must be legal while running: %v", err)
+		t.Errorf("%s must be legal while running: %v", c.name, err)
 	}
 	err := CheckInvariantsQuiescent(s)
 	if err == nil {
-		t.Fatal("quiescent check passed with a durable version missing its critpath record")
+		t.Fatalf("quiescent check passed with %s", c.name)
 	}
-	if !strings.Contains(err.Error(), "durable records") {
-		t.Errorf("error %q does not mention durable records", err)
+	if !strings.Contains(err.Error(), c.wantSub) {
+		t.Errorf("error %q does not mention %q", err, c.wantSub)
 	}
+}
+
+func TestCheckInvariantsQuiescentCatchesMissingCritPath(t *testing.T) {
+	quiescentOnly(t, quiescentViolations[0])
 }
 
 func TestCheckInvariantsQuiescentCatchesPending(t *testing.T) {
-	s := healthySummary()
-	s.DiscardedBytes -= 100 // 100 bytes left with undecided fate
-	if err := CheckInvariants(s); err != nil {
-		t.Errorf("pending bytes must be legal while running: %v", err)
-	}
-	err := CheckInvariantsQuiescent(s)
-	if err == nil {
-		t.Fatal("quiescent check passed with pending bytes")
-	}
-	if !strings.Contains(err.Error(), "pending") {
-		t.Errorf("error %q does not mention pending bytes", err)
-	}
+	quiescentOnly(t, quiescentViolations[1])
 }
 
 func TestCheckInvariantsQuiescentCatchesAcceptGap(t *testing.T) {
-	s := healthySummary()
-	// A checkpoint the application saw but the pipeline never accepted.
-	s.CheckpointBytes += 512
-	err := CheckInvariantsQuiescent(s)
-	if err == nil {
-		t.Fatal("quiescent check passed with accepted != checkpointed")
+	quiescentOnly(t, quiescentViolations[2])
+}
+
+// TestRecorderChecksAgreeWithSnapshotChecks: the recorder's own checks
+// read its books in place, and must say exactly what the package checks
+// say of a Snapshot — on a clean recorder and on every corruption above.
+func TestRecorderChecksAgreeWithSnapshotChecks(t *testing.T) {
+	cases := append([]corruption{{name: "clean", corrupt: func(*Recorder) {}}}, violations...)
+	cases = append(cases, quiescentViolations...)
+	text := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
 	}
-	if !strings.Contains(err.Error(), "checkpointed") {
-		t.Errorf("error %q does not mention the checkpoint gap", err)
+	for _, tc := range cases {
+		r := healthyRecorder()
+		tc.corrupt(r)
+		s := r.Snapshot()
+		if got, want := text(r.CheckInvariants()), text(CheckInvariants(s)); got != want {
+			t.Errorf("%s: running check in place says %q, on a snapshot %q", tc.name, got, want)
+		}
+		if got, want := text(r.CheckInvariantsQuiescent()), text(CheckInvariantsQuiescent(s)); got != want {
+			t.Errorf("%s: quiescent check in place says %q, on a snapshot %q", tc.name, got, want)
+		}
 	}
 }
 

@@ -444,9 +444,21 @@ func (s Summary) TotalTierRecoveries() int64 {
 	return t
 }
 
+// Read calls fn with the recorder's own books under its lock: every
+// counter, series, per-tier map and critical-path record in place, with
+// Histograms nil. Nothing is copied, so fn must not keep s or anything it
+// reaches, must not write through it, and must not call back into r.
+// Snapshot is the read for callers that keep what they read.
+func (r *Recorder) Read(fn func(s *Summary)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn(&r.s)
+}
+
 // Snapshot returns the current totals as a Summary that shares no
 // memory with the recorder: later records do not change it, and writes
-// to it do not reach the recorder.
+// to it do not reach the recorder. It is the read for exporters and
+// Merge; a caller that only derives values from the books uses Read.
 func (r *Recorder) Snapshot() Summary {
 	r.mu.Lock()
 	defer r.mu.Unlock()

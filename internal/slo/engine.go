@@ -153,13 +153,7 @@ func (e *Engine) ObserveCritPath(rec metrics.CritPathRecord) {
 			}
 		case KindHitRate:
 			if rec.Op == metrics.CritRestore {
-				deep := map[string]time.Duration{}
-				for _, c := range deepComps {
-					if d := rec.Components[c]; d > 0 {
-						deep[c] = d
-					}
-				}
-				st.stage(len(deep) == 0, deep)
+				st.stageHit(rec.Components)
 			}
 		}
 	}
@@ -253,6 +247,32 @@ func (st *objState) stage(good bool, comps map[string]time.Duration) {
 			st.pendComps = map[string]time.Duration{}
 		}
 		for c, d := range comps {
+			st.pendComps[c] += d
+		}
+	}
+}
+
+// stageHit stages one restore for a hit-rate objective straight from its
+// record's components: a hit when no deep component was charged, else a
+// miss costed by the deep components alone.
+func (st *objState) stageHit(comps map[string]time.Duration) {
+	hit := true
+	for _, c := range deepComps {
+		if comps[c] > 0 {
+			hit = false
+			break
+		}
+	}
+	if hit {
+		st.pendGood++
+		return
+	}
+	st.pendBad++
+	if st.pendComps == nil {
+		st.pendComps = map[string]time.Duration{}
+	}
+	for _, c := range deepComps {
+		if d := comps[c]; d > 0 {
 			st.pendComps[c] += d
 		}
 	}

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -285,5 +286,40 @@ func TestCheckConservation(t *testing.T) {
 	}
 	if len(warns) != 2 {
 		t.Errorf("degraded reconciliation produced %d warnings, want 2: %v", len(warns), warns)
+	}
+}
+
+// TestHitRateStagesFromTheRecord: a hit-rate objective stages a restore
+// straight from its record. A GPU-served restore is a hit and allocates
+// nothing; a miss stages exactly the deep components it charged, none of
+// the cache-side ones.
+func TestHitRateStagesFromTheRecord(t *testing.T) {
+	obj := Objective{
+		Name: "hit", Class: "test", Kind: KindHitRate, Goal: 0.5,
+		Windows: []Window{{Long: 100 * time.Millisecond, Short: 20 * time.Millisecond, Rate: 1.5}},
+	}
+	eng, err := NewEngine(func() time.Duration { return 0 }, obj, restoreObjective())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := restoreRec(0, time.Millisecond, map[string]time.Duration{
+		metrics.CompGPUWait: 400 * time.Microsecond, metrics.CompCopyD2D: 600 * time.Microsecond})
+	if n := testing.AllocsPerRun(100, func() { eng.ObserveCritPath(gpu) }); n != 0 {
+		t.Errorf("a GPU-served restore record allocates %v times, want 0", n)
+	}
+
+	eng.ObserveCritPath(restoreRec(0, 9*time.Millisecond, map[string]time.Duration{
+		metrics.CompXferSSD: 2 * time.Millisecond, metrics.CompXferPFS: 3 * time.Millisecond,
+		metrics.CompXferPCIe: time.Millisecond, metrics.CompRetryBackoff: 3 * time.Millisecond}))
+	eng.ObserveCritPath(restoreRec(0, 4*time.Millisecond, map[string]time.Duration{
+		metrics.CompXferPartner: 4 * time.Millisecond, metrics.CompXferSSD: 0}))
+	// The first miss completed past the hits' instant and folded them;
+	// the second, earlier one joined its batch.
+	st := eng.objs[0]
+	want := map[string]time.Duration{
+		metrics.CompXferSSD: 2 * time.Millisecond, metrics.CompXferPFS: 3 * time.Millisecond,
+		metrics.CompXferPartner: 4 * time.Millisecond}
+	if st.pendBad != 2 || st.pendGood != 0 || !reflect.DeepEqual(st.pendComps, want) {
+		t.Errorf("staged %d good, %d bad, comps %v; want 0, 2, %v", st.pendGood, st.pendBad, st.pendComps, want)
 	}
 }
