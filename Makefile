@@ -156,19 +156,31 @@ results:
 # directory and diffs it against the committed results_full.txt, wall-time
 # lines excluded. It prints the count of differing lines (removed plus
 # added) and fails on any difference: a change that moves a simulated
-# number must also commit the regenerated transcript (make results).
+# number must also commit the regenerated transcript (make results). On a
+# difference it names the sections that moved, with their counts, before
+# the head of the raw diff; a line's section is the experiment whose
+# "(… completed in … wall time)" footer follows it.
 # Exit 1 is a difference; exit 2 is a run that failed.
+SECTION_LABEL = / wall time\)$$/ { s = substr($$1, 2); for (i = 1; i <= n; i++) print s "\t" b[i]; n = 0; next } \
+	{ b[++n] = $$0 } END { for (i = 1; i <= n; i++) print "(after the last section)\t" b[i] }
+SECTION_COUNT = /^[<>]/ { s = substr($$1, 3); if (!(s in c)) o[++k] = s; c[s]++ } \
+	END { for (i = 1; i <= k; i++) printf "  %s: %d\n", o[i], c[o[i]] }
 results-check:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/ckptbench" ./cmd/ckptbench && \
 	"$$dir/ckptbench" -exp all -scale full > "$$dir/raw.txt" || \
 		{ echo "results check: ckptbench -exp all -scale full failed"; exit 2; }; \
-	grep -v 'wall time)$$' "$$dir/raw.txt" > "$$dir/fresh.txt"; \
-	grep -v 'wall time)$$' results_full.txt > "$$dir/committed.txt"; \
+	awk '$(SECTION_LABEL)' "$$dir/raw.txt" > "$$dir/fresh.lab"; \
+	awk '$(SECTION_LABEL)' results_full.txt > "$$dir/committed.lab"; \
+	cut -f2- "$$dir/fresh.lab" > "$$dir/fresh.txt"; \
+	cut -f2- "$$dir/committed.lab" > "$$dir/committed.txt"; \
 	diff "$$dir/committed.txt" "$$dir/fresh.txt" > "$$dir/diff.txt"; \
 	n=$$(grep -c '^[<>]' "$$dir/diff.txt"); \
 	echo "results check: $$n lines differ between results_full.txt and ckptbench -exp all -scale full"; \
-	test "$$n" -eq 0 || { head -n 40 "$$dir/diff.txt"; exit 1; }
+	test "$$n" -eq 0 || { \
+		echo "differing lines per section (removed plus added):"; \
+		diff "$$dir/committed.lab" "$$dir/fresh.lab" | awk -F'\t' '$(SECTION_COUNT)'; \
+		head -n 40 "$$dir/diff.txt"; exit 1; }
 
 # transcript-drift regenerates the small-scale transcript twice and
 # counts the lines that differ, wall-time lines excluded; CI gates on 0.

@@ -92,7 +92,10 @@ func (c *Client) finishFlushJob(id ID, p *flushPool) {
 
 // skipFlush implements §2 condition 5: "if a checkpoint was consumed and
 // can be discarded, any of its pending flushes ... are not required to
-// complete".
+// complete". A skipped T_H2F still ends its host copy FLUSHED, as a
+// finished one would: WRITE_COMPLETE is kept by the eviction rule, and
+// nothing else would ever move the copy on, so the host cache would hold
+// its room for the rest of the run.
 func (c *Client) skipFlush(ck *checkpoint) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,6 +257,7 @@ func (c *Client) runH2F(id ID) {
 		return
 	}
 	if c.skipFlush(ck) {
+		c.markFlushed(ck, TierHost)
 		c.accountFate(ck, fateDiscarded)
 		return
 	}

@@ -64,7 +64,11 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 // evicting loses the checkpoint, Restore reports ErrLost, the cache stays
 // live). Until then the p_score input is the paper's state_ts: 0 when
 // nothing is pending, the flush estimate when a flush is, pinned when a
-// transfer or an unconsumed prefetch holds the replica. Every event that
+// transfer or an unconsumed prefetch holds the replica. WRITE_COMPLETE is
+// kept even when discardable: the copy waits for its flush to move it on,
+// so a flush skipped under §2 condition 5 ends FLUSHED too (skipFlush),
+// and a READ_COMPLETE source is pinned until the read that claimed it
+// consumes it (copyFromHost). Every event that
 // changes an input calls this in the critical section that makes the change
 // — a transition on any tier, a cache record linked or unlinked, consumption,
 // an aborted flush — so under c.mu the entries always equal the rule.

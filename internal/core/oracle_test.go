@@ -144,15 +144,14 @@ func init() {
 // A sequence is a forward pass, a drain, then a backward pass with the
 // prefetcher running and no more writes: a rank that keeps writing into
 // caches its own unconsumed prefetches have pinned full waits forever, as
-// designed (§2 condition 4). One trial in three gives the pool room for
-// everything, so no write ever waits on it, and only those restore during
-// the forward pass and kill a rank — each can leave the pool something no
-// later event makes evictable
-// (a staged copy pinned by a restore that bypassed the GPU cache, a host
-// copy whose flush was skipped after a discarding restore, the windows a
-// dead rank's flushers claimed), and a blocking write then waits forever.
-// The smaller pools evict, and are sized so that two ranks' blocking
-// reservations always find a window.
+// designed (§2 condition 4). Restores run during the forward pass in every
+// trial. Two known hangs still shape the pools. A kill can leave the pool
+// windows that the dead rank's flushers claimed and that no later event
+// makes evictable, so a blocking write would wait forever: only the one
+// trial in three whose pool has room for everything, where no write ever
+// waits on it, kills a rank. Two blocking reservations that find no
+// feasible window wake each other forever: the smaller pools evict, and
+// are sized so that two ranks' blocking reservations always find one.
 //
 // Each of these fourteen mutations, tried one at a time, fails it: no
 // rescore in transition; none in setReplicaLocked; a plain assignment in
@@ -253,7 +252,7 @@ func entriesTrial(t *testing.T, seed int64) {
 				id := ID(rng.Intn(ids)) // written or not yet, hinted already or not
 				what = fmt.Sprintf("client %d hint %d", k, id)
 				c.PrefetchEnqueue(id)
-			case x < 88 && next[k] > 0 && (ev >= turn || roomy):
+			case x < 88 && next[k] > 0:
 				id := ID(rng.Intn(int(next[k])))
 				c.mu.Lock()
 				if head, ok := c.q.at(0); ok && head < next[k] && rng.Intn(2) == 0 {

@@ -102,9 +102,13 @@ func (c *Client) prefetcher() {
 // promoteOrBypass is the on-demand path taken by Restore when the
 // checkpoint is not on the GPU. It first waits out any in-flight
 // promotion of the same checkpoint; then attempts a promotion itself; if
-// the caches are saturated with pinned fragments it serves the read by
-// streaming straight to the application buffer (the deviation penalty
-// path). Returns done=true when the read was fully served by the bypass.
+// the GPU cache has no window for it (saturated with pinned fragments, or
+// too small) it serves the read by streaming straight to the application
+// buffer (the deviation penalty path). A bypass from the host cache —
+// often from the copy the promotion just staged there — goes through
+// copyFromHost like the promotion's own stage 2, so it pins its source
+// only for the copy and then consumes it. Returns done=true when the read
+// was fully served by the bypass.
 func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err error) {
 	c.mu.Lock()
 	for ck.promoting || ck.stagingHost || ck.writing {
@@ -151,7 +155,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 	c.mu.Unlock()
 	switch {
 	case onHost:
-		if err := c.copyH2D(ck, att); err != nil {
+		if err := c.copyFromHost(ck, att); err != nil {
 			return false, err
 		}
 	case onDeep:
@@ -261,34 +265,39 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 	if !reserved {
 		return gpuRep != nil, err
 	}
-
-	// Pin the host source replica (READ_COMPLETE) while copying up, then
-	// consume it ("the checkpoint is copied to the reserved space on the
-	// faster tier and marked Read Completed, while the original is
-	// marked Read Consumed", §4.3.2).
-	hostRep := c.claimSource(ck, TierHost)
-
 	c.mustTransition(ck, gpuRep, lifecycle.ReadInProgress)
-	cpErr := c.copyH2D(ck, att)
+	cpErr := c.copyFromHost(ck, att)
 	if cpErr != nil {
-		// The upward copy kept failing: release the GPU reservation.
-		// The pinned host source keeps the data (Consumed is readable
-		// and, being durable below, evictable), so nothing is lost.
+		// The upward copy kept failing: release the GPU reservation. The
+		// consumed host source keeps the data, so nothing is lost.
 		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
 		c.mustTransition(ck, gpuRep, lifecycle.ReadComplete)
 		c.notifyGPU()
 	}
-
-	if hostRep != nil {
-		if err := c.transition(ck, hostRep, lifecycle.Consumed); err == nil {
-			c.hstC.Notify()
-		}
-	}
 	c.mu.Lock()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	return cpErr == nil, cpErr
+}
+
+// copyFromHost is the claim → copy → consume step of every read served
+// from ck's host copy, the promotion's stage 2 and the bypass alike: it
+// pins the host replica (READ_COMPLETE) for the PCIe copy toward the GPU,
+// then consumes it whether the copy succeeded or failed ("the checkpoint
+// is copied to the reserved space on the faster tier and marked Read
+// Completed, while the original is marked Read Consumed", §4.3.2). A
+// consumed copy stays readable and is evictable once it is durable below
+// or discardable, so no read leaves its source pinned.
+func (c *Client) copyFromHost(ck *checkpoint, att *attrib) error {
+	hostRep := c.claimHostSource(ck)
+	err := c.copyH2D(ck, att)
+	if hostRep != nil {
+		if c.transition(ck, hostRep, lifecycle.Consumed) == nil {
+			c.hstC.Notify()
+		}
+	}
+	return err
 }
 
 // promoteDirect is the GPUDirect promotion path: SSD → GPU without a
@@ -379,26 +388,15 @@ func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err erro
 	return true, nil
 }
 
-// claimSource pins tier's replica in READ_COMPLETE under the buffer lock
-// so eviction cannot take it while we copy from it. Returns nil when the
-// replica is not resident (e.g. the data also lives on the SSD and the
-// host copy was evicted mid-flight — the copy then proceeds from DRAM
-// semantics-wise; timing is unaffected since the transfer was already
-// charged).
-func (c *Client) claimSource(ck *checkpoint, tier Tier) *replica {
-	type target struct {
-		buf *cachebuf.Buffer
-		key cachebuf.ID
-	}
-	targets := []target{{c.hstC, c.hostKey(ck.id)}}
-	if tier == TierGPU {
-		targets = []target{{c.gpuC, cachebuf.ID(ck.id)}}
-		if c.gpuP != nil {
-			targets = append(targets, target{c.gpuP, cachebuf.ID(ck.id)})
-		}
-	}
+// claimHostSource pins ck's host replica in READ_COMPLETE under the host
+// buffer's lock so eviction cannot take it while we copy from it. Returns
+// nil when the replica is not resident (e.g. the data also lives on the
+// SSD and the host copy was evicted mid-flight — the copy then proceeds
+// from DRAM semantics-wise; timing is unaffected since the transfer was
+// already charged).
+func (c *Client) claimHostSource(ck *checkpoint) *replica {
 	c.mu.Lock()
-	rep := ck.replicas[tier]
+	rep := ck.replicas[TierHost]
 	c.mu.Unlock()
 	if rep == nil {
 		return nil
@@ -410,10 +408,8 @@ func (c *Client) claimSource(ck *checkpoint, tier Tier) *replica {
 			}
 		}
 	}
-	for _, tg := range targets {
-		if tg.buf.IfResident(tg.key, claim) {
-			return rep
-		}
+	if c.hstC.IfResident(c.hostKey(ck.id), claim) {
+		return rep
 	}
 	return nil
 }

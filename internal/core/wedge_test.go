@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"score/internal/cachebuf"
 	"score/internal/lifecycle"
 	"score/internal/payload"
 	"score/internal/simclock"
@@ -14,7 +15,10 @@ import (
 // virtual clock finds every task parked in a Cond wait and panics with
 // "simclock: deadlock". The third pins the race filed beside them, which
 // broke the other half of the contract: a restore that is neither bit-exact
-// nor a definitive error about what the run will hold.
+// nor a definitive error about what the run will hold. The last two pin
+// host copies the run was done with but the eviction rule still kept or
+// pinned; both deadlocked the clock the same way, on the next blocking
+// reservation that needed their room.
 
 // TestCloseRacingTheStagerDoesNotWedge is the cold-restore wedge. The host
 // stager used to check c.closed, drop c.mu to read the host cache's free
@@ -184,4 +188,131 @@ func TestRestoreRacingSyncFlushWaits(t *testing.T) {
 			})
 		})
 	}
+}
+
+// requireReclaimable fails t if any consumed version's GPU or host entry
+// still reads Kept or Pinned: once the run is done with a version and its
+// flushes have drained, neither cache may hold its space back.
+func requireReclaimable(t *testing.T, c *Client) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, ck := range c.ckpts {
+		if !ck.consumed {
+			continue
+		}
+		for tier := TierGPU; tier <= TierHost; tier++ {
+			if f := ck.entries[tier].Flags(); f&(cachebuf.Kept|cachebuf.Pinned) != 0 {
+				state := "no record"
+				if rep := ck.replicas[tier]; rep != nil {
+					state = rep.fsm.State().String()
+				}
+				t.Errorf("consumed version %d, %v tier (%s): entry flags %03b, want neither Kept nor Pinned", id, tier, state, f)
+			}
+		}
+	}
+}
+
+// TestSkippedFlushReleasesItsHostCopy: under DiscardAfterRestore a version
+// consumed while its host copy awaits T_H2F skips that flush (§2 condition
+// 5). The skip used to return before the host record left WRITE_COMPLETE,
+// which the eviction rule keeps: the host cache lost that version's room
+// for the rest of the run, and the next writes that needed it waited
+// forever. One T_H2F worker and a host cache of exactly n versions: n
+// writes, all restored while the first one's flush still holds the worker,
+// then n more writes.
+func TestSkippedFlushReleasesItsHostCopy(t *testing.T) {
+	const n = 4
+	run(t, func(clk *simclock.Virtual) {
+		r := newRig(t, clk, func(p *Params) {
+			p.DiscardAfterRestore, p.FlushStreams = true, 1
+			p.HostCacheSize = n * MB
+		})
+		defer r.client.Close()
+		c := r.client
+		for v := ID(0); v < n; v++ {
+			if err := c.Checkpoint(v, pay(MB)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// T_D2H lands one copy every 10 ms; T_H2F needs 40 ms for each.
+		for landed := false; !landed; {
+			clk.Sleep(time.Millisecond)
+			c.mu.Lock()
+			landed = c.ckpts[n-1].dataOn(TierHost)
+			c.mu.Unlock()
+		}
+		c.mu.Lock()
+		queued := c.h2f.q.len()
+		c.mu.Unlock()
+		if queued != n-1 {
+			t.Fatalf("setup: %d host copies await T_H2F, want %d", queued, n-1)
+		}
+		for v := ID(0); v < n; v++ {
+			if _, err := c.Restore(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+		for v := ID(n); v < 2*n; v++ {
+			if err := c.Checkpoint(v, pay(MB)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+		requireReclaimable(t, c)
+	})
+}
+
+// TestHostBypassConsumesItsSource: a version larger than the GPU cache is
+// restored by staging it from the SSD into the host cache and bypassing
+// the GPU from there. The bypass used to copy from the staged host copy
+// without claiming or consuming it, so the copy stayed READ_COMPLETE —
+// pinned for good — and a later blocking host reservation that needed its
+// room waited forever.
+func TestHostBypassConsumesItsSource(t *testing.T) {
+	run(t, func(clk *simclock.Virtual) {
+		r := newRig(t, clk, func(p *Params) { p.HostCacheSize = 8 * MB })
+		defer r.client.Close()
+		c := r.client
+		// Two 6 MB versions (GPU cache: 4 MB) through an 8 MB host cache:
+		// the second one's landing evicts the first, which then lives on
+		// the SSD only.
+		for v := ID(0); v < 2; v++ {
+			if err := c.Checkpoint(v, pay(6*MB)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WaitFlush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.mu.Lock()
+		evicted := c.ckpts[0].replicas[TierHost] == nil
+		c.mu.Unlock()
+		if !evicted {
+			t.Fatal("setup: version 0 is still in the host cache")
+		}
+		if _, err := c.Restore(0); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		bypassed := c.ckpts[0].replicas[TierGPU] == nil && c.ckpts[0].dataOn(TierHost)
+		c.mu.Unlock()
+		if !bypassed {
+			t.Fatal("setup: the restore of version 0 was not served by the bypass from a staged host copy")
+		}
+		// A third 6 MB version lands through the host cache with a
+		// blocking reservation; only version 0's staged copy can make room.
+		if err := c.Checkpoint(2, pay(6*MB)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+		requireReclaimable(t, c)
+	})
 }
