@@ -42,8 +42,10 @@ bench-check:
 # loc prints the design inventory every CHANGES.md entry quotes (ROADMAP
 # aim 2): non-test Go lines per package and in total outside bench/, and
 # the counts of public With* options, core.Params fields, ckptbench flags,
-# registered eviction policies and cond-wake call sites (Broadcast and
-# Signal in non-test internal/ code outside internal/simclock).
+# registered eviction policies, cond-wake call sites (Broadcast and
+# Signal in non-test internal/ code outside internal/simclock) and task
+# spawns (.Go( call sites in non-test code outside bench/ and
+# internal/simclock), so a change that turns tasks into events shows.
 NONTEST = -name '*.go' -not -name '*_test.go'
 loc:
 	@for d in $$(find . $(NONTEST) -not -path './bench/*' -exec dirname {} \; | sort -u); do \
@@ -55,6 +57,7 @@ loc:
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
+	@printf '%7d  task spawns (.Go call sites)\n' $$(find . $(NONTEST) -not -path './bench/*' -not -path './internal/simclock/*' | xargs grep -h '\.Go(' | wc -l)
 
 # chaos replays a longer campaign of seeded fault schedules against the
 # checkpoint pipeline (see chaos_test.go and DESIGN.md §8).

@@ -11,7 +11,11 @@
 // real hardware.
 //
 // All timing flows through a simclock.Clock, so the fabric runs
-// deterministically under the virtual clock.
+// deterministically under the virtual clock. The fabric starts no task of
+// its own: a transfer's latency, its completion timer and its reaping are
+// the transfer record's simclock.Event, and a pipelined stream's
+// downstream hops are events too, so the caller's task is resumed only
+// when its transfer, or its stream's chunk on the first hop, is done.
 package fabric
 
 import (
@@ -56,9 +60,10 @@ type TransferInterceptor func(link string, size int64) FaultDecision
 // same instants the original rescan-on-every-wake implementation
 // effectively settled at, which keeps simulated timings bit-identical.
 // Only the transfer whose completion is next (the "pacer") holds a timer,
-// and a membership change moves that timer in place (Cond.Retime) rather
-// than waking anyone: a transfer wakes when its latency ends and when it
-// completes, and at no other time.
+// and a membership change moves that timer in place (Event.Retime) rather
+// than running anyone. Each transfer is an event: its latency, its
+// completion timer and the reaper's signal all run it, and its owner is
+// resumed once, when the transfer completes or fails.
 type Link struct {
 	clk     simclock.Clock
 	name    string
@@ -74,7 +79,7 @@ type Link struct {
 	pacer      *transfer // heap top at last election: holds the only timer
 	lastSettle time.Duration
 	seq        uint64    // join tie-break for pacer election
-	free       *transfer // pooled transfer records with their conds
+	free       *transfer // pooled transfer records with their events
 
 	interceptor atomic.Pointer[TransferInterceptor]
 
@@ -90,15 +95,29 @@ type Link struct {
 	busy           time.Duration // simulated time with >=1 active transfer, up to lastSettle
 }
 
-// transfer is one in-flight payload. Records are pooled per link; cond is
-// the transfer's private wait: elections move the pacer's completion
-// timer on it, and the member that reaps a finished transfer signals it.
+// transfer is one payload from the moment its owner asks for it until the
+// owner collects the result. Records are pooled per link.
+//
+// The record is its own event, and everything that used to resume the
+// owner runs it instead, in the same slot: the end of the latency (the
+// join: settle, push, reap, elect), the end of an injected delay, the
+// pacer's completion timer, and the signal of the member that reaps it.
+// When the transfer is done the event hands over to the owner: a task
+// parked in ev.Await is resumed right there, and a pipeline hop carries on
+// from the event itself.
 type transfer struct {
-	remaining float64 // bytes left to move
+	remaining float64 // bytes left to move; before the join, the bytes to move
 	seq       uint64
-	cond      simclock.Cond
+	joined    bool // past the latency and delay
 	done      bool
+	failed    bool      // done without joining: the interceptor failed it
 	next      *transfer // freelist
+
+	link  *Link
+	ev    simclock.Event
+	size  int64
+	delay time.Duration // injected delay still to charge after the latency
+	hop   *hop          // the owner when a pipeline hop; nil for a task
 }
 
 // NewLink creates a link named name with the given bandwidth in bytes per
@@ -134,88 +153,148 @@ func (l *Link) SetInterceptor(f TransferInterceptor) {
 // non-positive size complete immediately. An installed interceptor can
 // fail the transfer: TryTransfer then returns the simulated time consumed
 // (latency plus any injected delay) and a non-nil error, and no bytes move.
+//
+// The task is resumed once, when the transfer completes or fails: until
+// then the transfer's event runs in its place.
 func (l *Link) TryTransfer(size int64) (time.Duration, error) {
 	if size <= 0 {
 		return 0, nil
 	}
 	start := l.clk.Now()
+	t, ferr := l.begin(size, nil)
+	if !t.done {
+		t.ev.Await()
+	}
+	l.mu.Lock()
+	err := l.finishLocked(t, ferr)
+	l.mu.Unlock()
+	return l.clk.Now() - start, err
+}
 
+// begin starts a transfer of size bytes for an owner that is running: hp,
+// or the calling task when hp is nil. It consults the interceptor, then
+// arms the transfer's event for the end of the latency (or of the injected
+// delay, on a link without latency) or, when neither applies, joins at
+// once and arms it for the transfer's completion if it is the pacer. The
+// owner waits for the event to hand over unless t.done: a failure with
+// nothing to charge is immediate. The interceptor's error is returned for
+// finishLocked, which reports it if the transfer failed.
+func (l *Link) begin(size int64, hp *hop) (*transfer, error) {
 	var fd FaultDecision
 	if p := l.interceptor.Load(); p != nil && *p != nil {
 		fd = (*p)(l.name, size)
 	}
-
-	if l.latency > 0 {
-		l.clk.Sleep(l.latency)
-	}
-	if fd.Delay > 0 {
-		l.clk.Sleep(fd.Delay)
-	}
-	if fd.Err != nil {
-		return l.clk.Now() - start, fmt.Errorf("fabric: link %q: %w", l.name, fd.Err)
-	}
-	effective := float64(size)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	t := l.getTransferLocked()
+	t.size, t.delay, t.failed, t.hop = size, fd.Delay, fd.Err != nil, hp
+	t.remaining = float64(size)
 	if fd.BandwidthScale > 0 && fd.BandwidthScale < 1 {
 		// Degraded bandwidth: moving the bytes takes 1/scale as long, and
 		// the extra occupancy slows sharers exactly as real contention
 		// would.
-		effective /= fd.BandwidthScale
+		t.remaining /= fd.BandwidthScale
 	}
+	switch {
+	case l.latency > 0:
+		t.ev.Arm(l.latency)
+	case t.delay > 0:
+		t.ev.Arm(t.delay)
+		t.delay = 0
+	default:
+		if wait := l.joinLocked(t); !t.done {
+			t.ev.Arm(wait)
+		}
+	}
+	return t, fd.Err
+}
 
+// Run is the transfer's event. It charges the injected delay when the
+// latency has passed, then joins; once a member, it paces the transfer
+// when its own completion timer fired. While the transfer is not done it
+// waits again; when it is, the owner takes over in this slot.
+func (t *transfer) Run() {
+	l := t.link
 	l.mu.Lock()
+	var wait time.Duration
+	switch {
+	case !t.joined && t.delay > 0:
+		wait, t.delay = t.delay, 0
+	case !t.joined:
+		wait = l.joinLocked(t)
+	case !t.done:
+		wait = l.paceLocked(t) // our own timer fired: our completion is the event
+	}
+	if !t.done {
+		t.ev.Arm(wait)
+		l.mu.Unlock()
+		return
+	}
+	l.mu.Unlock()
+	if t.hop != nil {
+		t.hop.collect(t)
+	} else {
+		t.ev.Resume()
+	}
+}
+
+// joinLocked makes t a member of the link, or fails it, for an owner or an
+// event that is running on its behalf; see electLocked, whose result it
+// returns.
+func (l *Link) joinLocked(t *transfer) time.Duration {
+	t.joined = true
+	if t.failed {
+		t.done = true
+		return -1
+	}
 	l.settleLocked()
-	t := l.getTransferLocked(effective)
+	t.seq = l.seq
+	l.seq++
 	l.heapPush(t)
 	l.inFlight.Store(int64(len(l.active)))
 	l.peakConcurrent = max(l.peakConcurrent, len(l.active))
-	l.totalBytes += size
+	l.totalBytes += t.size
 	l.totalTransfers++
 	// The settle above may have finished transfers due exactly now; they
 	// leave (and the share they stop consuming is released) before the
 	// new fair share is computed, as the broadcast chain used to arrange.
 	l.reapLocked(t)
-	wait := l.electLocked(t)
-
-	// Park until another member reaps us (done) or our own timer fires.
-	// We hold that timer only while we are the pacer, and later elections
-	// move or clear it without waking us; when it fires, our completion is
-	// the event.
-	for !t.done {
-		if wait < 0 {
-			t.cond.Wait()
-		} else {
-			t.cond.WaitTimeout(wait)
-		}
-		if !t.done {
-			l.settleLocked()
-			l.reapLocked(t)
-			wait = l.electLocked(t)
-		}
-	}
-	l.putTransferLocked(t)
-	l.mu.Unlock()
-
-	return l.clk.Now() - start, nil
+	return l.electLocked(t)
 }
 
-func (l *Link) getTransferLocked(effective float64) *transfer {
+// paceLocked is the step of a member whose own completion timer fired: it
+// settles, reaps (itself, normally) and elects the next pacer. It returns
+// how long t still waits when it is not yet done and is still the pacer.
+func (l *Link) paceLocked(t *transfer) time.Duration {
+	l.settleLocked()
+	l.reapLocked(t)
+	return l.electLocked(t)
+}
+
+// finishLocked recycles a finished transfer's record and returns its
+// error: ferr, begin's interceptor error, when the transfer failed.
+func (l *Link) finishLocked(t *transfer, ferr error) error {
+	var err error
+	if t.failed {
+		err = fmt.Errorf("fabric: link %q: %w", l.name, ferr)
+	}
+	t.hop = nil
+	t.next = l.free
+	l.free = t
+	return err
+}
+
+func (l *Link) getTransferLocked() *transfer {
 	t := l.free
 	if t != nil {
 		l.free = t.next
 		t.next = nil
 	} else {
-		t = &transfer{cond: l.clk.NewCond(&l.mu)}
+		t = &transfer{link: l}
+		l.clk.InitEvent(&t.ev, t)
 	}
-	t.remaining = effective
-	t.seq = l.seq
-	l.seq++
-	t.done = false
+	t.joined, t.done = false, false
 	return t
-}
-
-func (l *Link) putTransferLocked(t *transfer) {
-	t.next = l.free
-	l.free = t
 }
 
 // transferLess orders the completion heap: least remaining first, ties to
@@ -261,16 +340,16 @@ func (l *Link) heapPopTop() {
 }
 
 // reapLocked removes every transfer whose payload is spent — necessarily a
-// prefix of the completion heap — and signals each goroutine to return.
-// self (the caller, if it is a member) needs no signal: it is already
-// running and rechecks done on its next loop.
+// prefix of the completion heap — and signals each one's event, which
+// hands over to its owner. self, whose event or owner is running, needs no
+// signal: it rechecks done next.
 func (l *Link) reapLocked(self *transfer) {
 	for len(l.active) > 0 && l.active[0].remaining <= 0.5 { // sub-byte residue counts as done
 		t := l.active[0]
 		l.heapPopTop()
 		t.done = true
 		if t != self {
-			t.cond.Signal()
+			t.ev.Signal()
 		}
 	}
 	l.inFlight.Store(int64(len(l.active)))
@@ -279,10 +358,10 @@ func (l *Link) reapLocked(self *transfer) {
 // electLocked re-reads the pacer — the completion-heap top — after a
 // membership change, which also changes the share. The pacer's timer is
 // due at its completion at the new share; a demoted pacer's timer is
-// cleared so it never fires a settle at a wrong instant. Both are parked,
-// and Retime moves their timers without waking them. The caller is
-// running, not parked: electLocked returns how long it waits for its own
-// completion when it is the pacer, and -1 when it is not.
+// cleared so it never fires a settle at a wrong instant. Both events are
+// parked, and Retime moves their timers without running them. self's event
+// (or owner) is running, not parked: electLocked returns how long self
+// waits for its own completion when it is the pacer, and -1 otherwise.
 func (l *Link) electLocked(self *transfer) time.Duration {
 	var best *transfer
 	if len(l.active) > 0 {
@@ -291,7 +370,7 @@ func (l *Link) electLocked(self *transfer) time.Duration {
 	old := l.pacer
 	l.pacer = best
 	if old != nil && old != best && old != self && !old.done {
-		old.cond.Retime(-1)
+		old.ev.Retime(-1)
 	}
 	if best == nil {
 		return -1
@@ -300,7 +379,7 @@ func (l *Link) electLocked(self *transfer) time.Duration {
 	if best == self {
 		return d
 	}
-	best.cond.Retime(d)
+	best.ev.Retime(d)
 	return -1
 }
 

@@ -134,13 +134,13 @@ func TestShortTransferFinishesFirstAndSpeedsUpLongOne(t *testing.T) {
 	})
 }
 
-// TestTransfersWakeOnlyForLatencyAndCompletion pins the link's wake
-// count: every join and completion changes the share, yet each transfer
-// wakes exactly twice — when its latency ends and when it completes —
-// because elections move the pacer's timer without waking anyone. The
-// finish instants are the fair-share expectations of the tests above,
-// shifted by the latency.
-func TestTransfersWakeOnlyForLatencyAndCompletion(t *testing.T) {
+// TestTransfersWakeOnlyAtCompletion pins the link's wake count: every
+// join and completion changes the share, yet each transfer's task wakes
+// exactly once — when its transfer completes — because the end of the
+// latency is the transfer's join event, not a wake, and elections move the
+// pacer's timer without waking anyone. The finish instants are the
+// fair-share expectations of the tests above, shifted by the latency.
+func TestTransfersWakeOnlyAtCompletion(t *testing.T) {
 	const lat = time.Millisecond
 	type xfer struct {
 		start time.Duration
@@ -189,9 +189,9 @@ func TestTransfersWakeOnlyForLatencyAndCompletion(t *testing.T) {
 			// Besides the transfers' own wakes: one per staggered start
 			// and one for the root leaving wg.Wait.
 			n := len(tc.xfs)
-			if got, want := simclock.EventCount()-before, uint64(2*n+staggered+1); got != want {
-				t.Errorf("%d transfers cost %d wakes, want %d: %d latency + %d completion + %d staggered starts + 1 join",
-					n, got, want, n, n, staggered)
+			if got, want := simclock.EventCount()-before, uint64(n+staggered+1); got != want {
+				t.Errorf("%d transfers cost %d wakes, want %d: %d completion + %d staggered starts + 1 join",
+					n, got, want, n, staggered)
 			}
 			for i, x := range tc.xfs {
 				if want := x.end + lat; absDur(ends[i]-want) > time.Microsecond {

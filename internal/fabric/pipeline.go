@@ -46,11 +46,12 @@ func (s PipelineStats) Overlap() time.Duration {
 	return 0
 }
 
-// pipeline is the shared state of one chunked multi-hop transfer. One
-// clock task per downstream hop drains its queue; the caller's task
-// feeds hop 0. All handoff between hops goes through the cond-guarded
-// queues — native channels would hide the blocking from the virtual
-// clock and deadlock the simulation.
+// pipeline is the shared state of one chunked multi-hop transfer. The
+// caller's task feeds hop 0; every downstream hop is an event (hop) that
+// drains its queue. All handoff between hops goes through the
+// cond-guarded queues: an idle hop parks its event among cond's waiters
+// and the caller waits there for the last hop to exit, so one Broadcast
+// readies them in the order they parked.
 type pipeline struct {
 	path Path
 
@@ -73,20 +74,41 @@ type pipeline struct {
 	// err is the first hop failure; once set, every stage aborts
 	// without charging further transfers.
 	err error
-	// running counts live downstream hop tasks.
+	// running counts downstream hops that have not exited.
 	running int
+	// hops[h] is downstream hop h's event state; hops[0] is unused.
+	hops []*hop
+	// drained is the caller's WaitFor predicate, built once per record.
+	drained func() bool
 
-	// condClk remembers which clock cond was built for, so a pooled
-	// pipeline reused under the same clock keeps its cond (the mutex it
-	// wraps lives in this struct and is stable across reuses).
+	// condClk remembers which clock cond and the hop events were built
+	// for, so a pooled pipeline reused under the same clock keeps them
+	// (the mutex cond wraps lives in this struct and is stable across
+	// reuses).
 	condClk simclock.Clock
+}
+
+// hop is downstream hop h of a pipeline. Its work runs where the hop's
+// task used to be resumed: its own event runs when the hop starts and when
+// a Broadcast readies it idle, and the event of the transfer carrying its
+// chunk hands over to it (collect) when the chunk completes or fails.
+type hop struct {
+	ps   *pipeline
+	h    int
+	ev   simclock.Event
+	t0   time.Duration // when the chunk in flight was asked for
+	ferr error         // the interceptor's error for it
 }
 
 // pipelinePool recycles pipeline records between streams. A chunked
 // multi-rank run creates one pipeline per flush/stage/restore stream;
-// reuse keeps the queue backing arrays and the cond allocation out of
-// the per-stream bill.
-var pipelinePool = sync.Pool{New: func() any { return new(pipeline) }}
+// reuse keeps the queue backing arrays, the cond and the hop events out
+// of the per-stream bill.
+var pipelinePool = sync.Pool{New: func() any {
+	ps := new(pipeline)
+	ps.drained = func() bool { return ps.running == 0 }
+	return ps
+}}
 
 // getPipeline returns a reset pipeline for path whose busy/bytes
 // accumulators alias the caller's stats arrays.
@@ -113,15 +135,21 @@ func getPipeline(clk simclock.Clock, path Path, busy []time.Duration, bytes []in
 	ps.running = 0
 	if ps.condClk != clk {
 		ps.cond = clk.NewCond(&ps.mu)
+		ps.hops = ps.hops[:0]
 		ps.condClk = clk
+	}
+	for h := len(ps.hops); h < nHops; h++ {
+		hp := &hop{ps: ps, h: h}
+		clk.InitEvent(&hp.ev, hp)
+		ps.hops = append(ps.hops, hp)
 	}
 	return ps
 }
 
 // putPipeline returns ps to the pool. Callers must only do this after
-// every hop task has exited (running == 0): the hop tasks hold the only
-// other references. The caller-owned stats arrays are dropped so the
-// pool never retains them.
+// every hop has exited (running == 0): an exited hop's event is parked
+// nowhere. The caller-owned stats arrays are dropped so the pool never
+// retains them.
 func putPipeline(ps *pipeline) {
 	ps.path = nil
 	ps.busy, ps.bytes = nil, nil
@@ -155,6 +183,12 @@ func (p Path) TryPipelinedTransfer(size, chunkSize int64) (time.Duration, error)
 // transfer whose intermediate tier has room for the full payload, which
 // is how every caller in this runtime uses it (the destination
 // reservation is made before the stream starts).
+//
+// Hop 0 runs in the caller's task, so after an aborted stream the caller
+// carries on in the slot where its last chunk ended. Every downstream hop
+// is an event the clock runs in the slot its task would have been resumed
+// in, so a K-chunk stream resumes its caller K+1 times — once per chunk
+// and once when the last hop exits — and resumes no other task.
 func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 	st := PipelineStats{
 		Bytes:    size,
@@ -185,10 +219,13 @@ func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 	nHops := len(p)
 	ps := getPipeline(clk, p, st.HopBusy, st.HopBytes)
 
+	// Each hop starts where its task would have: readied now, behind
+	// everything readied before it.
 	for h := 1; h < nHops; h++ {
-		h := h
 		ps.running++
-		clk.Go(func() { ps.runHop(h) })
+		ev := &ps.hops[h].ev
+		ev.Arm(-1)
+		ev.Signal()
 	}
 
 	// Hop 0 runs in the caller's task.
@@ -206,28 +243,15 @@ func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 		}
 		d, err := p[0].TryTransfer(n)
 		chunks++
-		ps.mu.Lock()
-		ps.busy[0] += d
-		if err != nil {
-			if ps.err == nil {
-				ps.err = err
-			}
-			ps.cond.Broadcast()
-			ps.mu.Unlock()
+		if !ps.landed(0, n, d, err) {
 			break
 		}
-		ps.bytes[0] += n
-		ps.queues[1] = append(ps.queues[1], n)
-		ps.cond.Broadcast()
-		ps.mu.Unlock()
 	}
 
 	ps.mu.Lock()
 	ps.closed[1] = true
 	ps.cond.Broadcast()
-	for ps.running > 0 {
-		ps.cond.Wait()
-	}
+	ps.cond.WaitFor(ps.drained)
 	err := ps.err
 	ps.mu.Unlock()
 	putPipeline(ps)
@@ -237,51 +261,84 @@ func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 	return st, err
 }
 
-// runHop drains queues[h] until the upstream closes and the queue is
-// empty, forwarding each completed chunk downstream. On any pipeline
-// error it exits without charging further transfers; its own failure
-// becomes the pipeline error. Either way it closes its downstream queue
-// so the whole pipeline winds down.
-func (ps *pipeline) runHop(h int) {
-	defer func() {
-		ps.mu.Lock()
-		if h+1 < len(ps.path) {
-			ps.closed[h+1] = true
+// landed books a chunk of n bytes that hop h finished in d with err,
+// forwards it downstream, and wakes the stages waiting on it. It reports
+// whether the hop carries on: false once the chunk failed.
+func (ps *pipeline) landed(h int, n int64, d time.Duration, err error) bool {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.busy[h] += d
+	if err != nil {
+		if ps.err == nil {
+			ps.err = err
 		}
-		ps.running--
 		ps.cond.Broadcast()
-		ps.mu.Unlock()
-	}()
-	for {
-		ps.mu.Lock()
-		for ps.heads[h] >= len(ps.queues[h]) && !ps.closed[h] && ps.err == nil {
-			ps.cond.Wait()
-		}
-		if ps.err != nil || ps.heads[h] >= len(ps.queues[h]) {
-			ps.mu.Unlock()
-			return
-		}
-		n := ps.queues[h][ps.heads[h]]
-		ps.heads[h]++
-		ps.mu.Unlock()
-
-		d, err := ps.path[h].TryTransfer(n)
-
-		ps.mu.Lock()
-		ps.busy[h] += d
-		if err != nil {
-			if ps.err == nil {
-				ps.err = err
-			}
-			ps.cond.Broadcast()
-			ps.mu.Unlock()
-			return
-		}
-		ps.bytes[h] += n
-		if h+1 < len(ps.path) {
-			ps.queues[h+1] = append(ps.queues[h+1], n)
-			ps.cond.Broadcast()
-		}
-		ps.mu.Unlock()
+		return false
 	}
+	ps.bytes[h] += n
+	if h+1 < len(ps.path) {
+		ps.queues[h+1] = append(ps.queues[h+1], n)
+		ps.cond.Broadcast()
+	}
+	return true
+}
+
+// Run takes the hop's next chunk: it parks the hop's event on the cond
+// while the queue is empty and open, exits the hop when it is done, and
+// otherwise starts the chunk's transfer, whose event collects it. On any
+// pipeline error the hop exits without charging further transfers.
+func (hp *hop) Run() {
+	ps := hp.ps
+	ps.mu.Lock()
+	q := ps.queues[hp.h]
+	if ps.heads[hp.h] >= len(q) && !ps.closed[hp.h] && ps.err == nil {
+		hp.ev.ArmOn(ps.cond)
+		ps.mu.Unlock()
+		return
+	}
+	if ps.err != nil || ps.heads[hp.h] >= len(q) {
+		ps.mu.Unlock()
+		hp.exit()
+		return
+	}
+	n := q[ps.heads[hp.h]]
+	ps.heads[hp.h]++
+	ps.mu.Unlock()
+
+	l := ps.path[hp.h]
+	hp.t0 = l.clk.Now()
+	t, ferr := l.begin(n, hp)
+	hp.ferr = ferr
+	if t.done {
+		hp.collect(t)
+	}
+}
+
+// collect books t, the hop's finished chunk, downstream and goes on to the
+// next one. A failed chunk becomes the pipeline error and exits the hop.
+func (hp *hop) collect(t *transfer) {
+	l := hp.ps.path[hp.h]
+	n := t.size
+	l.mu.Lock()
+	err := l.finishLocked(t, hp.ferr)
+	l.mu.Unlock()
+	hp.ferr = nil
+	if !hp.ps.landed(hp.h, n, l.clk.Now()-hp.t0, err) {
+		hp.exit()
+		return
+	}
+	hp.Run()
+}
+
+// exit closes the hop's downstream queue and wakes the stages waiting on
+// it; the last hop to exit releases the caller.
+func (hp *hop) exit() {
+	ps := hp.ps
+	ps.mu.Lock()
+	if hp.h+1 < len(ps.path) {
+		ps.closed[hp.h+1] = true
+	}
+	ps.running--
+	ps.cond.Broadcast()
+	ps.mu.Unlock()
 }

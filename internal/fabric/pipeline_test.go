@@ -178,3 +178,43 @@ func TestPipelinedFaultAborts(t *testing.T) {
 		}
 	})
 }
+
+// TestStreamWakesOnlyItsCaller pins a stream's wake count: a K-chunk
+// stream resumes its caller K+1 times — once per chunk it feeds into hop
+// 0 and once when the last downstream hop exits — and resumes no other
+// task, however many hops it crosses and whatever their latency. The
+// downstream hops, the link latencies and the pacer timers are events.
+func TestStreamWakesOnlyItsCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lat  time.Duration
+		hops int
+	}{
+		{"2 hops", 0, 2},
+		{"2 hops with latency", time.Microsecond, 2},
+		{"3 hops", 0, 3},
+		{"3 hops with latency", 2 * time.Microsecond, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const size, chunk = 10*GB/10 + 7, GB / 10 // K = 11: 10 full chunks and a tail
+			clk := simclock.NewVirtual()
+			var wakes uint64
+			var st PipelineStats
+			clk.Run(func() {
+				p := make(Path, tc.hops)
+				for h := range p {
+					p[h] = NewLink(clk, "hop", float64(1+h%2)*GB, tc.lat)
+				}
+				before := simclock.EventCount()
+				var err error
+				if st, err = p.TryPipelined(size, chunk); err != nil {
+					t.Fatal(err)
+				}
+				wakes = simclock.EventCount() - before
+			})
+			if got, want := wakes, uint64(st.Chunks+1); st.Chunks != 11 || got != want {
+				t.Errorf("a %d-chunk stream cost %d wakes, want %d", st.Chunks, got, want)
+			}
+		})
+	}
+}

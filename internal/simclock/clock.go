@@ -30,7 +30,10 @@ import (
 // Now reports the current simulated time as an offset from the start of the
 // simulation. Sleep blocks the calling task for the given simulated
 // duration. Go starts fn as a task whose blocking is accounted for by the
-// clock; the returned function must not be retained after fn returns.
+// clock. Work that only reacts to a timer or a signal and never blocks in
+// between can be an Event instead of a task: it is parked and readied like
+// a task, and the clock calls it where it would have resumed one, without a
+// coroutine switch.
 type Clock interface {
 	// Now returns the current simulated time.
 	Now() time.Duration
@@ -44,6 +47,9 @@ type Clock interface {
 	// NewCond returns a condition variable bound to locker l whose Wait
 	// correctly suspends the calling task in simulated time.
 	NewCond(l sync.Locker) Cond
+	// InitEvent binds e, an Event the caller embeds in its own record, to
+	// the clock and to r. The event starts unparked.
+	InitEvent(e *Event, r Runner)
 }
 
 // Cond is a clock-aware condition variable. It mirrors sync.Cond with an
@@ -73,9 +79,9 @@ type Cond interface {
 	Signal()
 	// Broadcast wakes all waiters.
 	Broadcast()
-	// Retime moves the deadline of the one task parked on the cond to d
-	// of simulated time from now, or removes it when d < 0, without waking
-	// the task: an untimed Wait gains a timeout, a WaitTimeout's is moved
+	// Retime moves the deadline of the one task (or ArmOn event) parked
+	// on the cond to d of simulated time from now, or removes it when
+	// d < 0, without waking the task: an untimed Wait gains a timeout, a WaitTimeout's is moved
 	// or dropped. When the new deadline passes, the wait returns as if it
 	// had timed out; ties with other timers due at the same instant fire
 	// in the order their deadlines were last set. It is the one way to

@@ -25,11 +25,13 @@ var simspeedChild = flag.Bool("simspeed.child", false, "measure the sweep in thi
 
 // simspeedBaselinePath is the committed regression ceiling the smoke test
 // gates against. Allocations do not depend on the machine, so the ceiling
-// ratchets: it is the measured count (181,22x–181,28x per sweep in a process
-// that runs nothing else) plus 2 %, and a PR that lowers the count commits
-// the lower ceiling. It went up once, from 96,195, when tasks became
+// ratchets: it is the measured count (161,22x per sweep in a process that
+// runs nothing else) plus 2 %, and a PR that lowers the count commits the
+// lower ceiling. It went up once, from 96,195, when tasks became
 // coroutines: the sweep starts 10,000 at once, none to reuse, and each costs
-// iter.Pull's 11 allocations (DESIGN.md §14 says what that bought).
+// iter.Pull's 11 allocations (DESIGN.md §14 says what that bought). It came
+// down from 184,912 when a transfer's owner stopped needing a cond of its
+// own: the transfer record's event carries its wake.
 // Speed does depend on the machine, so it is gated as a
 // ratio inside one run (wheelVsHeapFloor), not against a committed number.
 const simspeedBaselinePath = "testdata/simspeed_baseline.json"
@@ -45,10 +47,10 @@ const wheelVsHeapFloor = 0.9
 // wakeupsPerEventCeiling is the most engine wakeups (simclock.EventCount)
 // the 10k-rank sweep may spend per model event. Both are counts, so the
 // ratio is the same on every machine, and the ceiling ratchets down. It
-// reads 1.5000125: each rank-round is two model events and three wakeups
-// (the compute sleep, the link latency, the completion), plus the root
-// leaving its WaitGroup once.
-const wakeupsPerEventCeiling = 1.50002
+// reads 1.0000125: each rank-round is two model events and two wakeups
+// (the compute sleep and the completion; the link latency is the
+// transfer's event, not a wake), plus the root leaving its WaitGroup once.
+const wakeupsPerEventCeiling = 1.00002
 
 // measureSweep runs the 10k-rank sweep iters times and returns the
 // model-events rate, the engine-wakeup rate, and the per-sweep
