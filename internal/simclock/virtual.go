@@ -111,7 +111,7 @@ type waiter struct {
 	timed    bool   // has a filed timer (markStale bookkeeping on signal and retime)
 	timedOut bool   // woken by the timer
 	event    bool   // an Event's record, counted in armed while parked
-	run      Runner // what the driver runs: the task (*task) or the event's callback
+	run      Runner // called when this record leaves the ready queue: the task (*task) or the event's callback
 }
 
 // task is one coroutine and, embedded, the record of its current suspension.
