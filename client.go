@@ -151,7 +151,8 @@ func WithEvictionPolicy(name string) ClientOption {
 // WithFlushStreams sets the worker count of each flusher stage pool
 // (T_D2H and T_H2F). The default (0) uses one worker per stage without
 // chunked streaming — the paper's single flusher thread per stage — and
-// the GPU's copy-engine count when WithChunkSize is enabled.
+// the GPU's copy-engine count when WithChunkSize is enabled. A
+// preemption drain's flushes run on the T_H2F pool and share its width.
 func WithFlushStreams(n int) ClientOption {
 	return func(c *clientConfig) { c.flushStreams = n }
 }

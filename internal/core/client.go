@@ -48,10 +48,8 @@ type Client struct {
 	d2h, h2f flushPool  // the T_D2H and T_H2F stages
 	inFlight map[ID]int // flush workers that currently own each version
 
-	writersBusy int  // Checkpoint calls past the admission gate
-	draining    bool // a preemption drain began; no new checkpoints (sticky)
-	drainActive bool // the drain triage is still running (WaitFlush waits)
-	drainFrozen bool // flush workers pop no new jobs (sticky once draining)
+	writersBusy int       // Checkpoint calls past the admission gate
+	drain       *drainRun // set once, at a preemption notice; no new checkpoints after
 
 	flushStreams int // workers per flusher stage pool
 
@@ -71,6 +69,7 @@ type Client struct {
 	pfProgressed    func() bool
 	stProgressed    func() bool
 	flushSettled    func() bool // WaitFlush has an answer
+	h2fIdle         func() bool // a drain round's flushes are done
 
 	degraded   [TierPFS + 1]bool          // tiers marked persistently failed
 	degradedAt [TierPFS + 1]time.Duration // when each mark was (last) set
@@ -113,6 +112,7 @@ func New(p Params) (*Client, error) {
 	c.flushSettled = func() bool {
 		return !c.flushBusyLocked() || c.killed || c.closed || c.err != nil
 	}
+	c.h2fIdle = func() bool { return c.h2f.q.len() == 0 && c.h2f.busy == 0 }
 	c.d2h.cond = c.clk.NewCond(&c.mu)
 	c.h2f.cond = c.clk.NewCond(&c.mu)
 	c.daemons = simclock.NewWaitGroup(c.clk)
@@ -392,7 +392,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	if c.draining {
+	if c.drain != nil {
 		// A preemption drain began: the rank is being reclaimed and
 		// accepts no new state (the notice is never revoked).
 		c.mu.Unlock()
@@ -464,14 +464,19 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	c.mustTransition(ck, rep, lifecycle.WriteComplete)
 	c.lifecycle(id, trace.LCached, "gpu", "")
 
-	// Hand off to T_D2H and return control to the application.
+	// Hand off to T_D2H and return control to the application. After a
+	// drain's notice the triage owns the version instead.
 	c.mu.Lock()
-	ck.enqueuedD2H = true
-	c.d2h.push(id)
+	enq := c.drain == nil
+	if enq {
+		c.d2h.push(id)
+	}
 	c.bumpLocked()
 	c.mu.Unlock()
 	c.notifyGPU()
-	c.lifecycle(id, trace.LFlushEnqueued, "", "d2h")
+	if enq {
+		c.lifecycle(id, trace.LFlushEnqueued, "", "d2h")
+	}
 
 	c.rec.Checkpoint(ck.size, c.clk.Now()-start)
 	return nil
@@ -735,7 +740,7 @@ func (c *Client) WaitFlush() error {
 // flushBusyLocked reports whether the flush chain still holds work: a
 // queued or running flush job, or a preemption drain's triage.
 func (c *Client) flushBusyLocked() bool {
-	return c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drainActive
+	return c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drain != nil && c.drain.active
 }
 
 // Resident reports how many checkpoints are currently cached on each tier

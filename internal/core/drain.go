@@ -135,7 +135,27 @@ func (m DrainManifest) String() string {
 func (c *Client) Draining() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.draining
+	return c.drain != nil
+}
+
+// drainRun is a preemption drain's record, set on the client at the notice
+// and kept for its life (a notice is not revoked). While it is recorded,
+// nothing but the triage queues flush work, so every job a T_H2F worker
+// pops is one of the triage's admitted flushes (runH2F).
+type drainRun struct {
+	c        *Client
+	deadline time.Duration
+	active   bool              // the triage is still running (WaitFlush waits); guarded by c.mu
+	outcomes map[ID]DrainEntry // the triage's decisions; guarded by c.mu
+	waker    simclock.Event    // armed at the notice to run at the deadline
+}
+
+// Run is the deadline waker: it bumps the client, so a round loop parked
+// on c.cond re-triages then even if no flush lands near it.
+func (d *drainRun) Run() {
+	d.c.mu.Lock()
+	d.c.bumpLocked()
+	d.c.mu.Unlock()
 }
 
 // drainCandidate is one undecided version the triage planner considers.
@@ -153,9 +173,7 @@ type drainCandidate struct {
 // they serve from whatever tiers survive. Safe to call concurrently
 // with foreground traffic; a second call returns ErrDraining.
 func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
-	if grace < 0 {
-		grace = 0
-	}
+	grace = max(grace, 0)
 	c.mu.Lock()
 	switch {
 	case c.killed:
@@ -164,54 +182,37 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 	case c.closed:
 		c.mu.Unlock()
 		return DrainManifest{}, ErrClosed
-	case c.draining:
+	case c.drain != nil:
 		c.mu.Unlock()
 		return DrainManifest{}, ErrDraining
 	}
-	c.draining = true
-	c.drainActive = true
 	start := c.clk.Now()
-	deadline := start + grace
+	d := &drainRun{c: c, deadline: start + grace, active: true, outcomes: map[ID]DrainEntry{}}
+	c.clk.InitEvent(&d.waker, d)
+	d.waker.Arm(grace)
+	c.drain = d
+	// The notice empties both flush queues: the triage owns every version
+	// no worker holds yet, and from here Checkpoint and enqueueH2F queue
+	// nothing. Workers finish their in-flight job. There is deliberately
+	// no "wait for writers" phase — a writer blocked on cache admission may
+	// be waiting on an eviction only the triage's own flushing can unlock
+	// (e.g. every flush worker parked behind host registration), so waiting
+	// first can burn the whole window. Writers already past the admission
+	// gate land mid-drain instead: the round loop's busy flag covers them,
+	// and their versions are triaged (and charged against whatever budget
+	// remains) once they appear.
+	c.d2h.q, c.h2f.q = idFIFO{}, idFIFO{}
 	c.bumpLocked()
 	c.mu.Unlock()
 
 	c.rec.DrainStart()
 	c.lifecycle(-1, trace.LDrainStart, "", fmt.Sprintf("grace %v", grace))
 
-	m := DrainManifest{Grace: grace, Started: start, Deadline: deadline}
-	outcomes := map[ID]DrainEntry{}
-
-	// Deadline waker: the triage's waits must resume at the deadline even
-	// if no flush lands near it, so stragglers are failed open on time
-	// instead of wedging the drain behind a parked worker.
-	c.clk.Go(func() {
-		if d := deadline - c.clk.Now(); d > 0 {
-			c.clk.Sleep(d)
-		}
-		c.mu.Lock()
-		c.bumpLocked()
-		c.mu.Unlock()
-	})
-
-	// Freeze the flush queues immediately: workers finish their in-flight
-	// job but pop nothing new. The triage owns the backlog from here.
-	// There is deliberately no "wait for writers" phase — a writer blocked
-	// on cache admission may be waiting on an eviction only the triage's
-	// own flushing can unlock (e.g. every flush worker parked behind host
-	// registration), so waiting first can burn the whole window. Writers
-	// already past the admission gate land mid-drain instead: the round
-	// loop's busy flag covers them, and their versions are triaged (and
-	// charged against whatever budget remains) once they appear.
-	c.mu.Lock()
-	c.drainFrozen = true
-	c.bumpLocked()
-	c.mu.Unlock()
-
 	// Triage rounds. Each round snapshots the undecided versions not
 	// owned by an in-flight worker, plans them against the remaining
 	// per-link budget, and flushes the admitted ones. Workers finishing
-	// mid-round hand their stragglers to the next round; the frozen
-	// queues guarantee the undecided set only shrinks.
+	// mid-round hand their stragglers to the next round; with nothing
+	// queued outside the triage, the undecided set only shrinks.
 	for {
 		cands, busy := c.drainSnapshot()
 		if len(cands) == 0 {
@@ -222,43 +223,30 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 			// that a just-finished triage flush is about to free); wait
 			// for it to land and re-snapshot.
 			c.mu.Lock()
-			if c.writersBusy == 0 && c.d2h.busy == 0 && c.h2f.busy == 0 {
-				c.mu.Unlock()
-				continue
-			}
 			c.cond.Wait()
 			c.mu.Unlock()
 			continue
 		}
-		c.drainRound(cands, deadline, outcomes)
+		c.drainRound(cands)
 	}
 
-	// Phase 4 — the queues hold only decided versions now; clear them so
-	// WaitFlush observes quiescence. The workers stay parked (frozen is
-	// sticky — a preempted rank accepts no further flush work).
 	c.mu.Lock()
-	for c.d2h.q.len() > 0 {
-		c.d2h.q.pop()
-	}
-	for c.h2f.q.len() > 0 {
-		c.h2f.q.pop()
-	}
 	finish := c.clk.Now()
-	c.drainActive = false
+	d.active = false
 	c.bumpLocked()
 	c.mu.Unlock()
 	c.notifyGPU()
 	c.hstC.Notify()
 
-	m.Finished = finish
-	c.buildManifest(&m, outcomes)
-	m.DeadlineMet = finish <= deadline && m.Count(DrainAbandoned) == 0
+	m := DrainManifest{Grace: grace, Started: start, Deadline: d.deadline, Finished: finish}
+	c.buildManifest(&m, d.outcomes)
+	m.DeadlineMet = finish <= d.deadline && m.Count(DrainAbandoned) == 0
 	c.rec.DrainDeadline(m.DeadlineMet)
 	if c.p.SLO != nil {
 		c.p.SLO.ObserveDrain(m.DeadlineMet)
 	}
 	if m.DeadlineMet {
-		c.rec.ObserveDuration(metrics.HistDrainSlack, deadline-finish)
+		c.rec.ObserveDuration(metrics.HistDrainSlack, d.deadline-finish)
 	}
 	c.lifecycle(-1, trace.LDrainEnd, "", m.String())
 	return m, c.liveErr()
@@ -308,16 +296,12 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 	})
 	// Busy counts only workers whose decision still matters: one sleeping
 	// on a claimed (or otherwise decided) version holds nothing up.
-	busy := c.writersBusy > 0
-	if !busy {
-		for id := range c.inFlight {
-			if ck := c.ckpts[id]; ck != nil && !ck.drainClaimed && !ck.fateAccounted {
-				busy = true
-				break
-			}
+	for id := range c.inFlight {
+		if ck := c.ckpts[id]; ck != nil && !ck.drainClaimed && !ck.fateAccounted {
+			return cands, true
 		}
 	}
-	return cands, busy
+	return cands, c.writersBusy > 0
 }
 
 // drainRoute returns the links a candidate's demoted (fastest-durable)
@@ -336,11 +320,12 @@ func (c *Client) drainRoute(cand drainCandidate) ([]*fabric.Link, error) {
 	return nil, fmt.Errorf("%w: ssd tier degraded and no PFS configured", ErrTierIO)
 }
 
-// drainRound plans one snapshot against the remaining per-link budget
-// and executes the admitted flushes with the flusher pool's parallelism.
-// Versions that do not fit the budget are failed open immediately.
-func (c *Client) drainRound(cands []drainCandidate, deadline time.Duration, outcomes map[ID]DrainEntry) {
-	remaining := deadline - c.clk.Now()
+// drainRound plans one snapshot against the remaining per-link budget,
+// fails open at once the versions that do not fit, and runs the admitted
+// flushes on the T_H2F pool, returning once the pool is idle.
+func (c *Client) drainRound(cands []drainCandidate) {
+	d := c.drain
+	remaining := d.deadline - c.clk.Now()
 	budget := map[*fabric.Link]time.Duration{}
 	var admitted []drainCandidate
 	for _, cand := range cands {
@@ -353,16 +338,18 @@ func (c *Client) drainRound(cands []drainCandidate, deadline time.Duration, outc
 		switch {
 		case cand.discard:
 			c.accountFate(ck, fateDiscarded)
-			outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
+			c.mu.Lock()
+			d.outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 				Outcome: DrainDiscarded, At: c.clk.Now()}
+			c.mu.Unlock()
 			continue
 		case cand.unservable:
-			c.drainAbandon(ck, "no readable replica to flush", outcomes)
+			c.drainAbandon(ck, "no readable replica to flush")
 			continue
 		}
 		route, err := c.drainRoute(cand)
 		if err != nil {
-			c.drainAbandon(ck, err.Error(), outcomes)
+			c.drainAbandon(ck, err.Error())
 			continue
 		}
 		// Per-link deadline budget: admit the version only if every hop's
@@ -376,7 +363,7 @@ func (c *Client) drainRound(cands []drainCandidate, deadline time.Duration, outc
 		}
 		if !fits {
 			c.drainAbandon(ck, fmt.Sprintf("deadline budget exhausted (%v left in %v window)",
-				max(remaining, 0), deadline), outcomes)
+				max(remaining, 0), d.deadline))
 			continue
 		}
 		for _, l := range route {
@@ -388,59 +375,56 @@ func (c *Client) drainRound(cands []drainCandidate, deadline time.Duration, outc
 		return
 	}
 
-	// Execute with the flusher pool's width. The shared cursor hands out
-	// work in plan order, so the oldest versions flush first even when a
-	// late flush overshoots its estimate.
-	workers := min(c.flushStreams, len(admitted))
-	next := 0 // guarded by c.mu
-	wg := simclock.NewWaitGroup(c.clk)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		c.clk.Go(func() {
-			defer wg.Done()
-			for {
-				c.mu.Lock()
-				if next >= len(admitted) {
-					c.mu.Unlock()
-					return
-				}
-				cand := admitted[next]
-				next++
-				c.mu.Unlock()
-				c.drainFlush(cand, deadline, outcomes)
-			}
-		})
-	}
-	wg.Wait()
-}
-
-// drainFlush lands one admitted candidate on its fastest durable tier,
-// re-checking the deadline at start (fail-open if the window is already
-// blown — estimates are optimistic under foreground contention).
-func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcomes map[ID]DrainEntry) {
-	ck := cand.ck
-	if c.clk.Now() >= deadline {
-		c.drainAbandon(ck, "deadline passed before flush could start", outcomes)
+	// Queue the admitted flushes in plan order, so the oldest versions
+	// flush first even when a late flush overshoots its estimate. A killed
+	// or closed client's workers exit once their queue is empty, so a
+	// round that finds the rank gone has no one to run its flushes and
+	// fails them open itself.
+	c.mu.Lock()
+	if c.killed || c.closed {
+		c.mu.Unlock()
+		reason := c.liveErr().Error()
+		for _, cand := range admitted {
+			c.drainAbandon(cand.ck, reason)
+		}
 		return
 	}
-	// Time parked in the frozen queue (since the version's last attributed
+	for _, cand := range admitted {
+		cand.ck.drainFromGPU = cand.fromGPU
+		c.h2f.push(cand.ck.id)
+	}
+	c.cond.WaitFor(c.h2fIdle)
+	c.mu.Unlock()
+}
+
+// drainFlush runs one admitted version on a T_H2F worker, landing it on
+// its fastest durable tier. Its gates fail the version open when the
+// window has already passed (estimates are optimistic under foreground
+// contention) or the rank is gone: a killed or closed client's workers
+// still pop the queued drain flushes, so the round waiting on them ends.
+func (c *Client) drainFlush(ck *checkpoint) {
+	if c.clk.Now() >= c.drain.deadline {
+		c.drainAbandon(ck, "deadline passed before flush could start")
+		return
+	}
+	if err := c.liveErr(); err != nil {
+		c.drainAbandon(ck, err.Error())
+		return
+	}
+	// Time queued for a worker (since the version's last attributed
 	// segment) is the drain-wait component of its durable critical path.
 	c.mark(ck.att, compDrainWait)
 	start := c.clk.Now()
-	err := c.flushDeep(ck, cand.fromGPU, ck.att)
-	if err != nil {
-		c.drainAbandon(ck, err.Error(), outcomes)
+	if err := c.flushDeep(ck, ck.drainFromGPU, ck.att); err != nil {
+		c.drainAbandon(ck, err.Error())
 		return
 	}
 	c.markFlushed(ck, TierGPU)
 	c.markFlushed(ck, TierHost)
-	elapsed := c.clk.Now() - start
-	c.rec.ObserveDuration(metrics.HistDrainFlush, elapsed)
+	c.rec.ObserveDuration(metrics.HistDrainFlush, c.clk.Now()-start)
 	c.rec.DrainFlushed(ck.size)
-	// The lock also covers the manifest write: the round's parallel
-	// workers share the outcomes map.
 	c.mu.Lock()
-	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
+	c.drain.outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 		Outcome: DrainFlushed, Tier: c.firstHolderLocked(ck).label, At: c.clk.Now()}
 	c.mu.Unlock()
 }
@@ -449,7 +433,7 @@ func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcome
 // the explicit reason, Restore answers definitively (from a surviving
 // cache replica while it lasts, ErrLost after), and the cache never
 // wedges on it.
-func (c *Client) drainAbandon(ck *checkpoint, reason string, outcomes map[ID]DrainEntry) {
+func (c *Client) drainAbandon(ck *checkpoint, reason string) {
 	src := TierGPU
 	c.mu.Lock()
 	if ck.dataOn(TierHost) {
@@ -459,8 +443,8 @@ func (c *Client) drainAbandon(ck *checkpoint, reason string, outcomes map[ID]Dra
 	c.abortFlush(ck, src, fmt.Errorf("%w: drain: %s", ErrLost, reason))
 	c.rec.DrainAbandoned(ck.size)
 	c.lifecycle(ck.id, trace.LDrainAbandoned, "", reason)
-	c.mu.Lock() // drainFlush's parallel workers reach here on error
-	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
+	c.mu.Lock()
+	c.drain.outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 		Outcome: DrainAbandoned, Reason: reason, At: c.clk.Now()}
 	c.mu.Unlock()
 }

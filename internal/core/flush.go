@@ -16,6 +16,7 @@ import (
 // when persistence is requested). Params.FlushStreams workers run each
 // pool's loop concurrently; jobs are claimed in FIFO order, and each
 // checkpoint's D2H stage still strictly precedes its own H2F handoff.
+// A preemption drain's flushes are T_H2F jobs too (runH2F).
 func (c *Client) flusher(p *flushPool, run func(ID)) {
 	for {
 		id, ok := c.popFlushJob(p)
@@ -31,8 +32,9 @@ func (c *Client) flusher(p *flushPool, run func(ID)) {
 // WaitFlush can tell an empty queue from a drained one) and the cond its
 // idle workers park on. Fields are guarded by Client.mu. An idle worker's
 // predicate changes only when its queue grows (push signals one worker)
-// or when the client closes or dies (releaseFlushersLocked wakes all):
-// drainFrozen only ever turns true, and a drain only empties the queues.
+// or when the client closes or dies (releaseFlushersLocked wakes all); a
+// drain's notice only empties the queues, and its triage then pushes its
+// admitted flushes onto the T_H2F queue like any other job.
 type flushPool struct {
 	q    idFIFO
 	busy int
@@ -56,17 +58,16 @@ func (c *Client) releaseFlushersLocked() {
 func (c *Client) popFlushJob(p *flushPool) (ID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for p.q.len() == 0 || c.drainFrozen {
-		// A preemption drain freezes the queues: the triage owns the
-		// backlog, so workers park here (and exit at close/kill).
+	for p.q.len() == 0 {
 		if c.closed || c.killed {
 			return 0, false
 		}
 		p.cond.Wait()
 	}
-	if c.killed {
+	if c.killed && c.drain == nil {
 		// The rank died with jobs still queued; finishKill sweeps their
-		// fates. Don't start work for a dead process.
+		// fates. A drain's queued flushes still run, to fail at their
+		// first gate: the triage's round waits for them.
 		return 0, false
 	}
 	id, _ := p.q.pop()
@@ -235,9 +236,9 @@ func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 
 func (c *Client) enqueueH2F(ck *checkpoint) {
 	c.mu.Lock()
-	// A frozen queue belongs to the drain triage; a late D2H landing must
-	// not park work the sweep has already passed over.
-	enq := !ck.enqueuedH2F && !c.drainFrozen
+	// After a drain's notice the triage owns the version: a late D2H
+	// landing queues nothing, and the next round takes the host copy.
+	enq := !ck.enqueuedH2F && c.drain == nil
 	if enq {
 		ck.enqueuedH2F = true
 		c.h2f.push(ck.id)
@@ -252,8 +253,13 @@ func (c *Client) enqueueH2F(ck *checkpoint) {
 func (c *Client) runH2F(id ID) {
 	c.mu.Lock()
 	ck := c.ckpts[id]
+	draining := c.drain != nil
 	c.mu.Unlock()
 	if ck == nil {
+		return
+	}
+	if draining { // only the triage queues jobs after a drain's notice
+		c.drainFlush(ck)
 		return
 	}
 	if c.skipFlush(ck) {

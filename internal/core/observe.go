@@ -176,7 +176,7 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 	s.Register(name("drain.active"), func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if c.drainActive {
+		if c.drain != nil && c.drain.active {
 			return 1
 		}
 		return 0

@@ -210,7 +210,8 @@ type Params struct {
 	// FlushStreams sets the worker count of each flusher stage pool
 	// (T_D2H and T_H2F). 0 resolves to one worker per stage when
 	// ChunkSize is 0 (the seed behavior) and to the GPU's copy-engine
-	// count when chunked streaming is enabled.
+	// count when chunked streaming is enabled. A preemption drain's
+	// flushes run on the T_H2F pool, so they share its width.
 	FlushStreams int
 
 	// Retry tunes the exponential-backoff retry applied to transient
@@ -319,9 +320,8 @@ type checkpoint struct {
 	writing     bool // its Checkpoint call has not returned; no tier need hold the bytes yet
 	stagingHost bool // the host stager is copying SSD → host right now
 	stagedHost  bool // counted against the stager's byte budget
-	enqueuedD2H,
 	enqueuedH2F bool
-	writtenAt time.Duration
+	writtenAt   time.Duration
 
 	// att attributes the version's time-to-durable to critical-path
 	// components; nil for checkpoints recovered from a store. Finished
@@ -332,9 +332,11 @@ type checkpoint struct {
 	// for pinned host registration to complete. A preemption triage may
 	// claim the job out from under the parked worker (drainClaimed) and
 	// decide the version itself — the worker checks the flag on wake and
-	// walks away. Both guarded by Client.mu.
+	// walks away. Both guarded by Client.mu. drainFromGPU: the triage
+	// admitted the version with no host copy, so its flush charges PCIe.
 	hostWait     bool
 	drainClaimed bool
+	drainFromGPU bool
 
 	// flushAborted: every durable route failed; the cache replica was
 	// released from pinning (fail-open) and the checkpoint may be lost

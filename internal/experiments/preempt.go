@@ -36,8 +36,8 @@ type PreemptConfig struct {
 	// Runs is the number of seeded runs per window; each run varies when
 	// in the write phase the notice lands (default 3).
 	Runs int
-	// FlushStreams sizes the flusher pool — also the drain triage's
-	// parallelism (default 4).
+	// FlushStreams sizes each flusher pool (default 4). The drain
+	// triage's flushes run on the T_H2F pool, so they share its width.
 	FlushStreams int
 	// GPUCache and HostCache size the two cache tiers. Defaults hold the
 	// whole backlog plus slack, except the GPU tier is capped at 36 GiB —
