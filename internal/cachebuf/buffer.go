@@ -383,25 +383,15 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 	if _, dup := b.resident[id]; dup {
 		return 0, ErrDuplicate
 	}
-	if b.closed {
-		return 0, ErrClosed
-	}
-
-	// Fast path before any serialization: if a single gap already fits,
-	// place there immediately. This keeps concurrent reservations (e.g.
-	// the co-located clients of a shared host pool) from convoying
-	// behind one client's eviction wait.
-	if off, ok := b.placeInGapLocked(id, size); ok {
-		b.stats.Reservations++
-		return off, nil
-	}
-
 	for {
 		if b.closed {
 			return 0, ErrClosed
 		}
 		// Fast path: a single unclaimed gap fits (best-fit to limit
-		// fragmentation of large gaps).
+		// fragmentation of large gaps). It comes before any
+		// serialization, so concurrent reservations (e.g. the co-located
+		// clients of a shared host pool) that fit a gap never convoy
+		// behind one client's eviction wait.
 		if off, ok := b.placeInGapLocked(id, size); ok {
 			b.stats.Reservations++
 			return off, nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"score/internal/cachebuf"
+	"score/internal/fabric"
 	"score/internal/lifecycle"
 	"score/internal/metrics"
 	"score/internal/payload"
@@ -27,7 +28,8 @@ import (
 // holding Client.mu. A replica's life-cycle machine locks last.
 type Client struct {
 	p    Params
-	deep []deepTier // the tiers below the host cache, fastest first (deep.go)
+	deep []deepTier  // the tiers below the host cache, fastest first (deep.go)
+	pcie fabric.Path // the GPU's PCIe link alone: a stream to or from the host cache
 	clk  simclock.Clock
 	rec  *metrics.Recorder
 	gpuC *cachebuf.Buffer // device cache (write side when SplitCache)
@@ -98,6 +100,7 @@ func New(p Params) (*Client, error) {
 	c := &Client{
 		p:        p,
 		deep:     deepTiers(p),
+		pcie:     fabric.Path{p.GPU.PCIeLink()},
 		clk:      p.Clock,
 		rec:      metrics.NewRecorder(),
 		ckpts:    make(map[ID]*checkpoint),
@@ -239,11 +242,11 @@ func (c *Client) recoverFromStore() {
 					pay: &storePayload{deep: c.deep, rec: c.rec, id: id, size: size}}
 				c.ckpts[ck.id] = ck
 			}
-			fsm := lifecycle.NewMachine(c.clk)
-			fsm.MustTo(lifecycle.WriteInProgress)
-			fsm.MustTo(lifecycle.WriteComplete)
-			fsm.MustTo(lifecycle.Flushed)
-			ck.replicas[d.tier] = &replica{tier: d.tier, fsm: fsm}
+			rep := c.newReplica(d.tier)
+			rep.fsm.MustTo(lifecycle.WriteInProgress)
+			rep.fsm.MustTo(lifecycle.WriteComplete)
+			rep.fsm.MustTo(lifecycle.Flushed)
+			ck.replicas[d.tier] = rep
 		}
 	}
 }
@@ -409,9 +412,10 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		pay:       pay,
 		writing:   true,
 		writtenAt: start,
-		att:       newAttrib(metrics.CritDurable, int64(id), start),
+		durable:   attrib{op: metrics.CritDurable, version: int64(id), start: start, last: start},
 	}
-	rep := &replica{tier: TierGPU, fsm: lifecycle.NewMachine(c.clk)}
+	ck.att = &ck.durable
+	rep := c.newReplica(TierGPU)
 	// Hints may precede the write (Listing 1): pick up one already pending.
 	ck.setHintLocked(c.q.firstPending(id))
 	c.setReplicaLocked(ck, TierGPU, rep)
@@ -429,7 +433,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackApp, "checkpoint",
-			fmt.Sprintf("checkpoint %d", id), c.flowID(id))()
+			spanName("checkpoint", id, ""), c.flowID(id))()
 	}
 
 	// Reserve GPU cache space; Algorithm 1 picks and evicts the best
@@ -596,7 +600,7 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	att := newAttrib(metrics.CritRestore, int64(id), start)
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackApp, "restore",
-			fmt.Sprintf("restore %d", id), c.flowID(id))()
+			spanName("restore", id, ""), c.flowID(id))()
 	}
 
 	for {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -106,25 +107,56 @@ func TestAttribAllocatesOnlyTheRecordMap(t *testing.T) {
 }
 
 // versionAllocCeiling is the committed budget of TestVersionBookkeepingAllocs:
-// the measured 17.7 mallocs per version (go1.24, linux/amd64) plus 10%.
-// The map cursor and a cond per machine cost 24.7.
-const versionAllocCeiling = 19.5
+// the measured 11.6 mallocs per version (go1.24, linux/amd64) plus 8%.
+// A machine allocated apart from its record, an attribution allocated
+// apart from its checkpoint and refused transitions that format errors
+// cost 17.6; the map cursor and a cond per machine cost 24.7 on top of
+// a separate machine.
+const versionAllocCeiling = 12.5
+
+// chunkedVersionAllocCeiling is the same budget with ChunkSize set: the
+// measured 15.8 plus 8%. A stream path composed per stream and span names
+// formatted with no tracer to read them cost 23.8.
+const chunkedVersionAllocCeiling = 17.0
 
 // TestVersionBookkeepingAllocs budgets what one checkpoint version costs
 // the heap: one rank writes 64 virtual versions, waits for the flush
 // chain and restores them all, and the mallocs from the first checkpoint
 // to the last restore, per version, must stay under the ceiling. A map
-// per attribution mark or a cond per life-cycle machine breaks it.
+// per attribution mark or a cond per life-cycle machine breaks it, and
+// so does any string or path built per transfer in the chunked variant.
 func TestVersionBookkeepingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
+	for _, tc := range []struct {
+		name    string
+		chunk   int64
+		ceiling float64
+	}{
+		{"monolithic", 0, versionAllocCeiling},
+		{"chunked", MB / 16, chunkedVersionAllocCeiling},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perVersion := versionMallocs(t, func(p *Params) { p.ChunkSize = tc.chunk })
+			t.Logf("%.1f mallocs per version", perVersion)
+			if perVersion > tc.ceiling {
+				t.Errorf("%.1f mallocs per version, ceiling %.1f", perVersion, tc.ceiling)
+			}
+		})
+	}
+}
+
+// versionMallocs is TestVersionBookkeepingAllocs's measurement on a rig
+// that mutate configures further.
+func versionMallocs(t *testing.T, mutate func(*Params)) float64 {
 	const n = 64
 	var perVersion float64
 	run(t, func(clk *simclock.Virtual) {
 		c := newRig(t, clk, func(p *Params) {
 			p.GPUCacheSize = 64 * MB
 			p.HostCacheSize = 64 * MB
+			mutate(p)
 		}).client
 		defer c.Close()
 		var before, after runtime.MemStats
@@ -145,8 +177,17 @@ func TestVersionBookkeepingAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perVersion = float64(after.Mallocs-before.Mallocs) / n
 	})
-	t.Logf("%.1f mallocs per version", perVersion)
-	if perVersion > versionAllocCeiling {
-		t.Errorf("%.1f mallocs per version, ceiling %.1f", perVersion, versionAllocCeiling)
+	return perVersion
+}
+
+// TestSpanNameMatchesSprintf: spanName builds the text fmt.Sprintf did.
+func TestSpanNameMatchesSprintf(t *testing.T) {
+	for _, id := range []ID{0, 7, 255, 256, 1 << 40, -3} {
+		if got, want := spanName("replicate", id, " → partner ssd"), fmt.Sprintf("replicate %d → partner ssd", id); got != want {
+			t.Errorf("spanName = %q, fmt.Sprintf %q", got, want)
+		}
+		if got, want := spanName("checkpoint", id, ""), fmt.Sprintf("checkpoint %d", id); got != want {
+			t.Errorf("spanName = %q, fmt.Sprintf %q", got, want)
+		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"score/internal/ckptstore"
 	"score/internal/fabric"
-	"score/internal/lifecycle"
-	"score/internal/trace"
 )
 
 // This file is the one place that knows which tiers lie below the host
@@ -20,27 +18,31 @@ import (
 // deepKind is what every client knows about one kind of tier below the
 // host cache.
 type deepKind struct {
-	tier   Tier
-	label  string   // retry label and health-estimator class
-	fused  string   // retry label of its chunked read + H2D stream
-	rdWhat string   // ledger text of a plain read
-	wrWhat string   // ledger text of a plain write
-	comp   critComp // critical-path component its transfers charge
+	tier        Tier
+	label       string   // retry label and health-estimator class
+	fused       string   // retry label of its chunked read + H2D stream
+	fusedWr     string   // retry label of its chunked D2H + write stream
+	rdWhat      string   // ledger text of a plain read
+	wrWhat      string   // ledger text of a plain write
+	fusedWrWhat string   // ledger text of its chunked D2H + write stream
+	comp        critComp // critical-path component its transfers charge
 }
 
 // deepKinds lists them fastest first — the order reads fall through.
 var deepKinds = [...]deepKind{
-	{TierSSD, "ssd", "ssd+pcie", "NVMe read", "NVMe write", compXferSSD},
-	{TierPartner, "partner", "partner+pcie", "partner SSD read", "partner copy", compXferPartner},
-	{TierPFS, "pfs", "pfs+pcie", "PFS read", "PFS write", compXferPFS},
+	{TierSSD, "ssd", "ssd+pcie", "pcie+ssd", "NVMe read", "NVMe write", "chunked NVMe write", compXferSSD},
+	{TierPartner, "partner", "partner+pcie", "pcie+partner", "partner SSD read", "partner copy", "chunked partner copy", compXferPartner},
+	{TierPFS, "pfs", "pfs+pcie", "pcie+pfs", "PFS read", "PFS write", "chunked PFS write", compXferPFS},
 }
 
 // deepTier is one row of a client's table: a kind it has configured, the
-// paths that reach it and its durable store.
+// paths that reach it, composed once, and its durable store.
 type deepTier struct {
 	*deepKind
 	read  fabric.Path      // read direction, source first
 	write fabric.Path      // write direction, destination last
+	up    fabric.Path      // read, then PCIe onto the GPU: a fused read's stream
+	down  fabric.Path      // PCIe off the GPU, then write: a fused write's stream
 	store *ckptstore.Store // durable bytes; nil when the tier is simulated only
 }
 
@@ -50,16 +52,21 @@ type deepTier struct {
 // a PFS link that can keep what the SSD keeps: beside an SSD store, a
 // storeless PFS is no tier — a restarted process could not read it back.
 func deepTiers(p Params) []deepTier {
+	pcie := p.GPU.PCIeLink()
+	row := func(k int, read, write fabric.Path, store *ckptstore.Store) deepTier {
+		return deepTier{&deepKinds[k], read, write,
+			append(slices.Clip(read), pcie), append(fabric.Path{pcie}, write...), store}
+	}
 	single := []*fabric.Link{p.NVMe, p.PFS} // one backing array for both one-link paths
 	ssd, pfs := fabric.Path(single[:1]), fabric.Path(single[1:])
-	deep := append(make([]deepTier, 0, len(deepKinds)), deepTier{&deepKinds[0], ssd, ssd, p.Store})
+	deep := append(make([]deepTier, 0, len(deepKinds)), row(0, ssd, ssd, p.Store))
 	if len(p.PartnerPath) > 0 {
 		rev := slices.Clone(p.PartnerPath)
 		slices.Reverse(rev)
-		deep = append(deep, deepTier{&deepKinds[1], rev, p.PartnerPath, p.PartnerStore})
+		deep = append(deep, row(1, rev, p.PartnerPath, p.PartnerStore))
 	}
 	if p.PFS != nil && (p.PFSStore != nil || p.Store == nil) {
-		deep = append(deep, deepTier{&deepKinds[2], pfs, pfs, p.PFSStore})
+		deep = append(deep, row(2, pfs, pfs, p.PFSStore))
 	}
 	return deep
 }
@@ -199,10 +206,7 @@ func (c *Client) readLeg(ck *checkpoint, att *attrib, d *deepTier, fused bool) e
 		})
 	}
 	return c.retryIOAttr(ck, att, d.comp, d.fused, "chunked deep read + H2D", func() error {
-		st, err := c.p.GPU.TryStreamH2D(d.read, ck.size, c.p.ChunkSize)
-		c.observePipeline(trace.TrackPF, "prefetch",
-			fmt.Sprintf("promote %d %s→gpu", ck.id, d.label), c.flowID(ck.id), st, err)
-		return err
+		return c.stream(ck, d.up, true, d.label)
 	})
 }
 
@@ -215,7 +219,7 @@ func (c *Client) deepReplica(ck *checkpoint, tier Tier) (rep *replica, hasData b
 	if rep == nil {
 		// No rescore: the rule asks a deep record only whether it holds
 		// data, and an INIT one does not until its writer moves it.
-		rep = &replica{tier: tier, fsm: lifecycle.NewMachine(c.clk)}
+		rep = c.newReplica(tier)
 		ck.replicas[tier] = rep
 	}
 	return rep, rep.hasData()

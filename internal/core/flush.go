@@ -28,6 +28,12 @@ func (c *Client) flusher(p *flushPool, run func(ID)) {
 	}
 }
 
+// The flush-latency histograms of the T_D2H and T_H2F stages, by source tier.
+var (
+	histFlushGPU  = metrics.HistFlushPrefix + TierGPU.String()
+	histFlushHost = metrics.HistFlushPrefix + TierHost.String()
+)
+
 // flushPool is one flusher stage: its FIFO, its in-flight job count (so
 // WaitFlush can tell an empty queue from a drained one) and the cond its
 // idle workers park on. Fields are guarded by Client.mu. An idle worker's
@@ -119,11 +125,11 @@ func (c *Client) runD2H(id ID) {
 	c.mark(att, compQueueD2H)
 	start := c.clk.Now()
 	defer func() {
-		c.rec.ObserveDuration(metrics.HistFlushPrefix+TierGPU.String(), c.clk.Now()-start)
+		c.rec.ObserveDuration(histFlushGPU, c.clk.Now()-start)
 	}()
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackD2H, "flush",
-			fmt.Sprintf("flush %d gpu→host", id), c.flowID(id))()
+			spanName("flush", id, " gpu→host"), c.flowID(id))()
 	}
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) {
 		// The host tier only becomes usable once pinned registration
@@ -195,7 +201,7 @@ func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 		c.mu.Unlock()
 		return hostLanded, nil
 	}
-	hostRep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
+	hostRep := c.newReplica(TierHost)
 	c.setReplicaLocked(ck, TierHost, hostRep)
 	c.mu.Unlock()
 
@@ -269,7 +275,7 @@ func (c *Client) runH2F(id ID) {
 	}
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "flush",
-			fmt.Sprintf("flush %d host→ssd", id), c.flowID(id))()
+			spanName("flush", id, " host→ssd"), c.flowID(id))()
 	}
 	c.mu.Lock()
 	hostRep := ck.replicas[TierHost]
@@ -294,7 +300,7 @@ func (c *Client) runH2F(id ID) {
 	c.mark(att, compQueueH2F)
 	start := c.clk.Now()
 	defer func() {
-		c.rec.ObserveDuration(metrics.HistFlushPrefix+TierHost.String(), c.clk.Now()-start)
+		c.rec.ObserveDuration(histFlushHost, c.clk.Now()-start)
 	}()
 	if err := c.flushDeep(ck, false, att); err != nil {
 		c.abortFlush(ck, TierHost, err)
@@ -472,7 +478,7 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 	}
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "partner-copy",
-			fmt.Sprintf("replicate %d → partner ssd", ck.id), c.flowID(ck.id))()
+			spanName("replicate", ck.id, " → partner ssd"), c.flowID(ck.id))()
 	}
 	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	xferStart := c.clk.Now()
@@ -554,7 +560,7 @@ func (c *Client) markFlushed(ck *checkpoint, tier Tier) {
 	if rep == nil {
 		return
 	}
-	if err := c.transition(ck, rep, lifecycle.Flushed); err == nil {
+	if c.tryTransition(ck, rep, lifecycle.Flushed) {
 		switch tier {
 		case TierGPU:
 			c.notifyGPU()

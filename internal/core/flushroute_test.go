@@ -385,7 +385,7 @@ func writingTier(t *testing.T, c *Client) Tier {
 // would, without a GPU stage of its own.
 func queueH2F(t *testing.T, c *Client, size int64) {
 	ck := &checkpoint{id: 0, size: size, pay: pay(size)}
-	rep := &replica{tier: TierHost, fsm: lifecycle.NewMachine(c.clk)}
+	rep := c.newReplica(TierHost)
 	c.mu.Lock()
 	c.ckpts[ck.id] = ck
 	c.setReplicaLocked(ck, TierHost, rep)

@@ -146,11 +146,11 @@ func (lr *ladderRig) arm(tier Tier, outcome legOutcome) {
 func (lr *ladderRig) holding(held []Tier) *checkpoint {
 	ck := &checkpoint{id: 7, size: MB, pay: pay(MB)}
 	for _, t := range held {
-		fsm := lifecycle.NewMachine(lr.clk)
+		rep := lr.client.newReplica(t)
 		for _, s := range []lifecycle.State{lifecycle.WriteInProgress, lifecycle.WriteComplete, lifecycle.Flushed} {
-			fsm.MustTo(s)
+			rep.fsm.MustTo(s)
 		}
-		ck.replicas[t] = &replica{tier: t, fsm: fsm}
+		ck.replicas[t] = rep
 	}
 	lr.client.mu.Lock()
 	lr.client.ckpts[ck.id] = ck

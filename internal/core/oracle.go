@@ -101,26 +101,29 @@ func (c *Client) rescoreLocked(ck *checkpoint) {
 	}
 }
 
-// transition moves rep, ck's record on some tier, along an edge of Fig. 1
-// and rescores ck in the same critical section; every life-cycle change
-// goes through here. The caller may hold a buffer's lock (the IfResident
+// tryTransition moves rep, ck's record on some tier, along an edge of
+// Fig. 1 and rescores ck in the same critical section, reporting whether
+// the edge was legal; every life-cycle change goes through here or
+// mustTransition. The caller may hold a buffer's lock (the IfResident
 // claims do: their pin is in the entry before the eviction re-check that
 // follows can read it) but not c.mu.
-func (c *Client) transition(ck *checkpoint, rep *replica, to lifecycle.State) error {
+func (c *Client) tryTransition(ck *checkpoint, rep *replica, to lifecycle.State) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := rep.fsm.To(to)
-	if err == nil {
+	ok := rep.fsm.TryTo(to)
+	if ok {
 		c.rescoreLocked(ck)
 	}
-	return err
+	return ok
 }
 
-// mustTransition is transition where legality holds by construction.
+// mustTransition is tryTransition where legality holds by construction:
+// an illegal edge panics.
 func (c *Client) mustTransition(ck *checkpoint, rep *replica, to lifecycle.State) {
-	if err := c.transition(ck, rep, to); err != nil {
-		panic(err)
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rep.fsm.MustTo(to)
+	c.rescoreLocked(ck)
 }
 
 // setReplicaLocked links rep as ck's record on tier (nil unlinks), rescored.

@@ -175,12 +175,9 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 // ChunkSize set the copy holds a copy engine (timing of the single hop
 // is unchanged — only engine contention is added).
 func (c *Client) copyH2D(ck *checkpoint, att *attrib) error {
-	if cs := c.p.ChunkSize; cs > 0 {
+	if c.p.ChunkSize > 0 {
 		return c.retryIOAttr(ck, att, compXferPCIe, "pcie", "H2D copy", func() error {
-			st, err := c.p.GPU.TryStreamH2D(nil, ck.size, cs)
-			c.observePipeline(trace.TrackPF, "prefetch",
-				fmt.Sprintf("promote %d host→gpu", ck.id), c.flowID(ck.id), st, err)
-			return err
+			return c.stream(ck, c.pcie, true, "host")
 		})
 	}
 	return c.retryIOAttr(ck, att, compXferPCIe, "pcie", "H2D copy", func() error {
@@ -218,7 +215,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 	}()
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackPF, "prefetch",
-			fmt.Sprintf("promote %d →gpu", ck.id), c.flowID(ck.id))()
+			spanName("promote", ck.id, " →gpu"), c.flowID(ck.id))()
 	}
 	// Stage 1: ensure the data is on the host tier.
 	c.mu.Lock()
@@ -293,7 +290,7 @@ func (c *Client) copyFromHost(ck *checkpoint, att *attrib) error {
 	hostRep := c.claimHostSource(ck)
 	err := c.copyH2D(ck, att)
 	if hostRep != nil {
-		if c.transition(ck, hostRep, lifecycle.Consumed) == nil {
+		if c.tryTransition(ck, hostRep, lifecycle.Consumed) {
 			c.hstC.Notify()
 		}
 	}
@@ -346,7 +343,7 @@ func (c *Client) reserveForRead(ck *checkpoint, tier Tier) (rep *replica, reserv
 		}
 		return nil, false, nil
 	}
-	rep = &replica{tier: tier, fsm: lifecycle.NewMachine(c.clk)}
+	rep = c.newReplica(tier)
 	c.setReplicaLocked(ck, tier, rep)
 	c.mu.Unlock()
 
@@ -403,7 +400,7 @@ func (c *Client) claimHostSource(ck *checkpoint) *replica {
 	}
 	claim := func() {
 		if rep.fsm.State() != lifecycle.ReadComplete {
-			if err := c.transition(ck, rep, lifecycle.ReadComplete); err != nil {
+			if !c.tryTransition(ck, rep, lifecycle.ReadComplete) {
 				rep = nil // not claimable (mid-write); treat as absent
 			}
 		}

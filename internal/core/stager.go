@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"score/internal/cachebuf"
 	"score/internal/lifecycle"
@@ -15,11 +14,12 @@ import (
 // host→GPU promotions keeps the SSD link busy during the compute windows
 // instead of serializing both hops inside each promotion.
 //
-// The stager walks the restore-order queue with its own cursor, staging
-// hinted checkpoints whose data is only on the SSD/PFS into the host
-// cache. A byte budget of half the host cache bounds how far ahead it
-// runs, so it cannot evict the near-future host-resident checkpoints the
-// backward pass is about to read.
+// Each time it looks for work the stager walks the pending hints from
+// the queue head, staging hinted checkpoints whose data is only on the
+// SSD/PFS into the host cache. A byte budget of half the host cache
+// bounds how far down the queue it looks, so it cannot evict the
+// near-future host-resident checkpoints the backward pass is about to
+// read.
 //
 // Not started, or with no hint pending, or waiting for progress after a
 // failed stage, it parks with WaitFor, so the clock resumes it only once
@@ -100,7 +100,6 @@ func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 	if c.stagedBytes >= budget {
 		return nil
 	}
-	maxResidentDist := c.maxHostResidentDistanceLocked()
 	var scanned int64
 	for i := 0; ; i++ {
 		id, ok := c.q.at(i)
@@ -127,9 +126,10 @@ func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 		if !ck.durableBelow(TierHost) {
 			continue // still being flushed down; the flusher will land it
 		}
-		if freeHostBytes < ck.size && i >= maxResidentDist {
+		if freeHostBytes < ck.size && i >= c.maxHostResidentDistanceLocked() {
 			// No free room and every host resident is needed sooner
-			// than this candidate: staging would only hurt.
+			// than this candidate: staging would only hurt. Only this
+			// case scans the residents, at most once per call.
 			return nil
 		}
 		return ck
@@ -171,7 +171,7 @@ func (c *Client) maxHostResidentDistanceLocked() int {
 func (c *Client) stageHinted(ck *checkpoint) (staged bool, err error) {
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackStage, "prefetch",
-			fmt.Sprintf("stage %d ssd→host", ck.id), c.flowID(ck.id))()
+			spanName("stage", ck.id, " ssd→host"), c.flowID(ck.id))()
 	}
 	c.waitHostReady()
 	c.mu.Lock()

@@ -20,23 +20,37 @@ import (
 // stream. Fault-injection campaigns that assert per-hop retry counts run
 // with ChunkSize=0.
 
-// observePipeline records a completed chunked stream in the metrics and,
-// when tracing, as a post-hoc span (the chunk count and hidden time are
-// only known at completion) linked into the checkpoint's causal flow.
+// stream moves ck's bytes along path, which runs between the GPU and
+// the tier named label (up: onto the GPU), as one engine-held chunked
+// stream, and observes it.
+func (c *Client) stream(ck *checkpoint, path fabric.Path, up bool, label string) error {
+	st, err := c.p.GPU.TryStream(path, ck.size, c.p.ChunkSize)
+	c.observePipeline(ck.id, up, label, st, err)
+	return err
+}
+
+// observePipeline records a completed chunked stream of version id in
+// the metrics and, when tracing, as a post-hoc span (the chunk count and
+// hidden time are only known at completion) linked into the checkpoint's
+// causal flow: a promotion from label when up, else a flush to it.
 // Monolithic transfers (Chunks <= 1) record nothing — their spans and
 // counters are unchanged from the seed. Streams that finished without
 // error feed the per-hop byte-conservation invariant; aborted streams
 // carry partial hops and are excluded.
-func (c *Client) observePipeline(track trace.Track, category, name string, flow int64, st fabric.PipelineStats, streamErr error) {
+func (c *Client) observePipeline(id ID, up bool, label string, st fabric.PipelineStats, streamErr error) {
 	if st.Chunks <= 1 {
 		return
 	}
 	c.rec.Pipelined(st.Bytes, st.Duration, st.HopBusySum(), st.HopBytes, streamErr == nil)
 	if c.p.Tracer != nil {
+		track, category, format := trace.TrackD2H, "flush", "flush %d gpu→%s [%d chunks, %v overlapped]"
+		if up {
+			track, category, format = trace.TrackPF, "prefetch", "promote %d %s→gpu [%d chunks, %v overlapped]"
+		}
 		end := c.clk.Now()
 		c.p.Tracer.RecordFlow(c.p.GPU.ID(), track, category,
-			fmt.Sprintf("%s [%d chunks, %v overlapped]", name, st.Chunks, st.Overlap()),
-			end-st.Duration, st.Duration, flow)
+			fmt.Sprintf(format, id, label, st.Chunks, st.Overlap()),
+			end-st.Duration, st.Duration, c.flowID(id))
 	}
 }
 
@@ -47,15 +61,11 @@ func (c *Client) observePipeline(track trace.Track, category, name string, flow 
 func (c *Client) copyD2HHost(ck *checkpoint, att *attrib) error {
 	c.lifecycle(ck.id, trace.LD2HStart, "host", "")
 	err := c.retryIOAttr(ck, att, compXferPCIe, "pcie", "D2H copy", func() error {
-		cs := c.p.ChunkSize
-		if cs == 0 {
+		if c.p.ChunkSize == 0 {
 			_, err := c.p.GPU.TryCopyD2H(ck.size)
 			return err
 		}
-		st, err := c.p.GPU.TryStreamD2H(nil, ck.size, cs)
-		c.observePipeline(trace.TrackD2H, "flush",
-			fmt.Sprintf("flush %d gpu→host", ck.id), c.flowID(ck.id), st, err)
-		return err
+		return c.stream(ck, c.pcie, false, "host")
 	})
 	if err == nil {
 		c.lifecycle(ck.id, trace.LD2HEnd, "host", "")
@@ -72,12 +82,9 @@ func (c *Client) copyD2HHost(ck *checkpoint, att *attrib) error {
 // charged whole to the destination's transfer component;
 // store-and-forward charges each hop separately.
 func (c *Client) transferDown(ck *checkpoint, fromGPU bool, d *deepTier, att *attrib) error {
-	if cs := c.p.ChunkSize; fromGPU && cs > 0 {
-		return c.retryIOAttr(ck, att, d.comp, "pcie+"+d.label, "chunked "+d.wrWhat, func() error {
-			st, err := c.p.GPU.TryStreamD2H(d.write, ck.size, cs)
-			c.observePipeline(trace.TrackD2H, "flush",
-				fmt.Sprintf("flush %d gpu→%s", ck.id, d.label), c.flowID(ck.id), st, err)
-			return err
+	if fromGPU && c.p.ChunkSize > 0 {
+		return c.retryIOAttr(ck, att, d.comp, d.fusedWr, d.fusedWrWhat, func() error {
+			return c.stream(ck, d.down, false, d.label)
 		})
 	}
 	if fromGPU {

@@ -288,10 +288,18 @@ func (p Params) validate() error {
 
 // replica is one copy of a checkpoint on one tier, with its own life-cycle
 // machine (Fig. 1: "a life cycle for every checkpoint instance on all
-// cache tiers").
+// cache tiers"), held in the record so a copy costs one allocation. Make
+// one with Client.newReplica.
 type replica struct {
 	tier Tier
-	fsm  *lifecycle.Machine
+	fsm  lifecycle.Machine
+}
+
+// newReplica returns a fresh INIT record for tier.
+func (c *Client) newReplica(tier Tier) *replica {
+	rep := &replica{tier: tier}
+	rep.fsm.Init(c.clk)
+	return rep
 }
 
 // hasData reports whether the replica currently holds a readable copy.
@@ -324,9 +332,11 @@ type checkpoint struct {
 	writtenAt   time.Duration
 
 	// att attributes the version's time-to-durable to critical-path
-	// components; nil for checkpoints recovered from a store. Finished
-	// exactly once, in accountFate, when the fate is durable.
-	att *attrib
+	// components: it points at durable, or is nil for checkpoints
+	// recovered from a store. Finished exactly once, in accountFate, when
+	// the fate is durable.
+	att     *attrib
+	durable attrib
 
 	// hostWait: a T_D2H worker owns this version but is parked waiting
 	// for pinned host registration to complete. A preemption triage may

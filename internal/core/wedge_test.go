@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"score/internal/cachebuf"
-	"score/internal/lifecycle"
 	"score/internal/payload"
 	"score/internal/simclock"
 )
@@ -90,7 +89,7 @@ func TestUnlinkedRecordReleasesItsWaiter(t *testing.T) {
 		}
 		// What a promotion does first: publish an INIT record, holding
 		// the promoting flag as the prefetcher would.
-		rep := &replica{tier: TierGPU, fsm: lifecycle.NewMachine(clk)}
+		rep := c.newReplica(TierGPU)
 		ck.replicas[TierGPU] = rep
 		ck.promoting = true
 		c.mu.Unlock()

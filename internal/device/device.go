@@ -55,9 +55,9 @@ type GPU struct {
 	used      int64
 	allocIcpt fabric.TransferInterceptor
 
-	// Copy-engine accounting: chunked streams (TryStreamD2H/TryStreamH2D)
-	// each hold one engine end to end, so at most engines streams make
-	// DMA progress concurrently; excess streams queue on engCond.
+	// Copy-engine accounting: chunked streams (TryStream) each hold one
+	// engine end to end, so at most engines streams make DMA progress
+	// concurrently; excess streams queue on engCond.
 	engCond simclock.Cond
 	engines int
 	engBusy int
@@ -226,31 +226,18 @@ func (g *GPU) TryCopyD2H(size int64) (time.Duration, error) { return g.pcie.TryT
 // injected PCIe faults.
 func (g *GPU) TryCopyH2D(size int64) (time.Duration, error) { return g.pcie.TryTransfer(size) }
 
-// TryStreamD2H moves size bytes device→host over PCIe and onward across
-// the extra hops (e.g. the node NVMe for a GPU→SSD flush) as one chunked
+// TryStream moves size bytes along path — which holds the GPU's PCIe link
+// (PCIeLink) first for a stream off the device, or last for one onto it,
+// e.g. PCIe then the node NVMe for a GPU→SSD flush — as one chunked
 // pipelined stream, holding one of the GPU's copy engines for the
-// stream's duration. With chunkSize <= 0 the transfer is monolithic
-// store-and-forward, timed identically to TryCopyD2H plus sequential
-// hops. The first hop failure aborts the stream and is returned.
-func (g *GPU) TryStreamD2H(onward fabric.Path, size, chunkSize int64) (fabric.PipelineStats, error) {
+// stream's duration. The caller composes the path once and reuses it.
+// With chunkSize <= 0, or a one-hop path, the transfer is monolithic
+// store-and-forward, timed identically to TryCopyD2H or TryCopyH2D plus
+// sequential hops. The first hop failure aborts the stream and is
+// returned.
+func (g *GPU) TryStream(path fabric.Path, size, chunkSize int64) (fabric.PipelineStats, error) {
 	g.acquireEngine()
 	defer g.releaseEngine()
-	path := make(fabric.Path, 0, len(onward)+1)
-	path = append(path, g.pcie)
-	path = append(path, onward...)
-	return path.TryPipelined(size, chunkSize)
-}
-
-// TryStreamH2D moves size bytes across the inward hops (e.g. the node
-// NVMe for an SSD→GPU promotion) and then host→device over PCIe as one
-// chunked pipelined stream, holding one of the GPU's copy engines for
-// the stream's duration.
-func (g *GPU) TryStreamH2D(inward fabric.Path, size, chunkSize int64) (fabric.PipelineStats, error) {
-	g.acquireEngine()
-	defer g.releaseEngine()
-	path := make(fabric.Path, 0, len(inward)+1)
-	path = append(path, inward...)
-	path = append(path, g.pcie)
 	return path.TryPipelined(size, chunkSize)
 }
 

@@ -130,13 +130,14 @@ func TestCopyEngineCap(t *testing.T) {
 			t.Fatalf("CopyEngines = %d, want default %d", g.CopyEngines(), DefaultCopyEngines)
 		}
 		ssd := fabric.NewLink(clk, "nvme", 16*fabric.GB, 0)
+		path := fabric.Path{g.PCIeLink(), ssd}
 		wg := simclock.NewWaitGroup(clk)
 		for i := 0; i < 3; i++ {
 			wg.Add(1)
 			clk.Go(func() {
 				defer wg.Done()
-				if _, err := g.TryStreamD2H(fabric.Path{ssd}, 2*fabric.GB, fabric.GB/8); err != nil {
-					t.Errorf("TryStreamD2H: %v", err)
+				if _, err := g.TryStream(path, 2*fabric.GB, fabric.GB/8); err != nil {
+					t.Errorf("TryStream: %v", err)
 				}
 			})
 		}
@@ -161,12 +162,13 @@ func TestSetCopyEngines(t *testing.T) {
 		if g.CopyEngines() != 4 {
 			t.Fatalf("CopyEngines = %d, want 4", g.CopyEngines())
 		}
+		pcie := fabric.Path{g.PCIeLink()}
 		wg := simclock.NewWaitGroup(clk)
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
 			clk.Go(func() {
 				defer wg.Done()
-				g.TryStreamD2H(nil, fabric.GB, fabric.GB/4)
+				g.TryStream(pcie, fabric.GB, fabric.GB/4)
 			})
 		}
 		wg.Wait()

@@ -91,7 +91,8 @@ func Legal(from, to State) bool {
 }
 
 // Machine is one replica's life-cycle state with clock-aware waiting.
-// The zero value is not usable; create with NewMachine.
+// The zero value is usable once Init gives it a clock, so a machine can
+// live inside the record that owns it; NewMachine allocates one apart.
 //
 // State reads are lock-free (atomic): the eviction rule re-reads them all.
 // Most replicas are never waited on, so the cond is made by the first
@@ -106,8 +107,14 @@ type Machine struct {
 
 // NewMachine returns a Machine in the Init state.
 func NewMachine(clk simclock.Clock) *Machine {
-	return &Machine{clk: clk}
+	m := new(Machine)
+	m.Init(clk)
+	return m
 }
+
+// Init readies a zero Machine in the Init state, waiting on clk. Call it
+// once, before the machine is shared.
+func (m *Machine) Init(clk simclock.Clock) { m.clk = clk }
 
 // State returns the current state (lock-free).
 func (m *Machine) State() State { return State(m.state.Load()) }
@@ -125,6 +132,20 @@ func (m *Machine) To(to State) error {
 	m.wakeLocked()
 	m.mu.Unlock()
 	return nil
+}
+
+// TryTo is To for callers that expect some refusals: it reports whether
+// the transition happened, and a refusal leaves the state and the waiters
+// alone and allocates nothing.
+func (m *Machine) TryTo(to State) bool {
+	m.mu.Lock()
+	ok := Legal(State(m.state.Load()), to)
+	if ok {
+		m.state.Store(int32(to))
+		m.wakeLocked()
+	}
+	m.mu.Unlock()
+	return ok
 }
 
 // MustTo is To but panics on an illegal transition; used where the runtime

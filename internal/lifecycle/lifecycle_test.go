@@ -279,3 +279,106 @@ func TestMachineMakesItsCondOnlyToPark(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedTryToIsInert: a refused TryTo allocates nothing, leaves the
+// state where it was and resumes no parked waiter; an allowed one moves
+// the machine like To.
+func TestRefusedTryToIsInert(t *testing.T) {
+	m := NewMachine(simclock.NewVirtual())
+	m.MustTo(WriteInProgress)
+	if n := testing.AllocsPerRun(100, func() {
+		if m.TryTo(Flushed) {
+			t.Fatal("TryTo(FLUSHED) from WRITE_IN_PROGRESS succeeded")
+		}
+	}); n != 0 {
+		t.Errorf("a refused TryTo allocates %v times, want 0", n)
+	}
+	if got := m.State(); got != WriteInProgress {
+		t.Errorf("refused TryTo moved the state to %v", got)
+	}
+
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		m := NewMachine(clk)
+		m.MustTo(WriteInProgress)
+		var at time.Duration
+		wg := simclock.NewWaitGroup(clk)
+		wg.Add(1)
+		clk.Go(func() {
+			defer wg.Done()
+			m.WaitFor(WriteComplete)
+			at = clk.Now()
+		})
+		clk.Sleep(time.Second)
+		before := simclock.EventCount()
+		if m.TryTo(Consumed) {
+			t.Error("TryTo(CONSUMED) from WRITE_IN_PROGRESS succeeded")
+		}
+		clk.Sleep(time.Second)
+		// Only this task's own Sleep resumed anything.
+		if got := simclock.EventCount() - before; got != 1 {
+			t.Errorf("a refused TryTo and a sleep resumed %d tasks, want 1", got)
+		}
+		if !m.TryTo(WriteComplete) {
+			t.Error("TryTo(WRITE_COMPLETE) from WRITE_IN_PROGRESS refused")
+		}
+		wg.Wait()
+		if at != 2*time.Second || m.State() != WriteComplete {
+			t.Errorf("waiter released at %v in %v, want 2s in WRITE_COMPLETE", at, m.State())
+		}
+	})
+}
+
+// TestInitMachineMatchesNewMachine: a zero Machine made ready with Init
+// parks a waiter and releases it on To and on Abandon exactly as one
+// from NewMachine does — same state, same instant, same resumptions.
+func TestInitMachineMatchesNewMachine(t *testing.T) {
+	type outcome struct {
+		state   State
+		at      time.Duration
+		resumed uint64
+	}
+	park := func(newM func(simclock.Clock) *Machine, release func(*Machine)) outcome {
+		var o outcome
+		clk := simclock.NewVirtual()
+		clk.Run(func() {
+			m := newM(clk)
+			m.MustTo(WriteInProgress)
+			wg := simclock.NewWaitGroup(clk)
+			wg.Add(1)
+			before := simclock.EventCount()
+			clk.Go(func() {
+				defer wg.Done()
+				o.state = m.WaitFor(WriteComplete)
+				o.at = clk.Now()
+			})
+			clk.Sleep(time.Second)
+			release(m)
+			wg.Wait()
+			o.resumed = simclock.EventCount() - before
+		})
+		return o
+	}
+	embedded := func(clk simclock.Clock) *Machine {
+		var rec struct {
+			tag int
+			fsm Machine
+		}
+		rec.fsm.Init(clk)
+		return &rec.fsm
+	}
+	for _, release := range []struct {
+		name string
+		fn   func(*Machine)
+		want State
+	}{
+		{"To", func(m *Machine) { m.MustTo(WriteComplete) }, WriteComplete},
+		{"Abandon", (*Machine).Abandon, WriteInProgress},
+	} {
+		got, want := park(embedded, release.fn), park(NewMachine, release.fn)
+		if got != want || want.state != release.want || want.at != time.Second {
+			t.Errorf("%s: Init-ed machine %+v, NewMachine %+v; want %v at 1s for both",
+				release.name, got, want, release.want)
+		}
+	}
+}
