@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race bench-check loc chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check loc loc-check chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
 
 # verify is the pre-merge gate: static checks, a full build, the
-# race-enabled test suite (which includes a short chaos soak), and the
-# benchmark harness's own vet and tests.
-verify: vet staticcheck build race bench-check
+# race-enabled test suite (which includes a short chaos soak), the
+# benchmark harness's own vet and tests, and the inventory ratchet.
+verify: vet staticcheck build race bench-check loc-check
 
 # vet also gates the baton contract (DESIGN.md §14): no go statement,
 # channel or sync.WaitGroup in non-test model code outside internal/simclock.
@@ -45,7 +45,8 @@ bench-check:
 # registered eviction policies, cond-wake call sites (Broadcast and
 # Signal in non-test internal/ code outside internal/simclock) and task
 # spawns (.Go( call sites in non-test code outside bench/ and
-# internal/simclock), so a change that turns tasks into events shows.
+# internal/simclock), so a change that turns tasks into events shows,
+# and DESIGN.md's line count.
 NONTEST = -name '*.go' -not -name '*_test.go'
 loc:
 	@for d in $$(find . $(NONTEST) -not -path './bench/*' -exec dirname {} \; | sort -u); do \
@@ -58,6 +59,21 @@ loc:
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
 	@printf '%7d  task spawns (.Go call sites)\n' $$(find . $(NONTEST) -not -path './bench/*' -not -path './internal/simclock/*' | xargs grep -h '\.Go(' | wc -l)
+	@printf '%7d  DESIGN.md lines\n' $$(wc -l < DESIGN.md)
+
+# loc-check ratchets that inventory (ROADMAP Direction 12):
+# testdata/inventory.txt is make loc's output at the last change that
+# moved it. The check fails when a count is above its committed value or
+# when make loc prints a label the file lacks. A change that shrinks a
+# count lowers it there (make loc > testdata/inventory.txt); one that
+# must grow it raises it and says why in CHANGES.md.
+loc-check:
+	@$(MAKE) -s --no-print-directory loc | awk ' \
+		NR == FNR { n = $$1 + 0; $$1 = ""; want[$$0] = n; next } \
+		{ n = $$1 + 0; $$1 = "" } \
+		!($$0 in want) { print "loc-check: testdata/inventory.txt has no count for" $$0; bad = 1; next } \
+		n > want[$$0] { print "loc-check:" $$0 ": " n ", above the committed " want[$$0]; bad = 1 } \
+		END { if (bad) exit 1; print "loc-check: no count above testdata/inventory.txt" }' testdata/inventory.txt -
 
 # chaos replays a longer campaign of seeded fault schedules against the
 # checkpoint pipeline (see chaos_test.go and DESIGN.md §8).

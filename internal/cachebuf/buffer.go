@@ -223,17 +223,16 @@ type Buffer struct {
 	stale    Entry   // zero: the entry of a fragment without a record
 	staleSrc Source
 
-	mu        sync.Mutex
-	cond      simclock.Cond
-	frags     []frag
-	free      int64 // total gap bytes
-	resident  map[ID]struct{}
-	reserving bool // serializes window selection + eviction
-	closed    bool
-	policy    Policy
-	ep        EvictionPolicy
-	stats     Stats
-	waitObs   func(time.Duration) // per-wait eviction-stall observer
+	mu       sync.Mutex
+	cond     simclock.Cond
+	frags    []frag
+	free     int64 // total gap bytes
+	resident map[ID]struct{}
+	closed   bool
+	policy   Policy
+	ep       EvictionPolicy
+	stats    Stats
+	waitObs  func(time.Duration) // per-wait eviction-stall observer
 
 	// The scan snapshot, reused across scans, valid under mu until the
 	// next one: every fragment's scores.
@@ -388,64 +387,45 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 			return 0, ErrClosed
 		}
 		// Fast path: a single unclaimed gap fits (best-fit to limit
-		// fragmentation of large gaps). It comes before any
-		// serialization, so concurrent reservations (e.g. the co-located
-		// clients of a shared host pool) that fit a gap never convoy
-		// behind one client's eviction wait.
+		// fragmentation of large gaps).
 		if off, ok := b.placeInGapLocked(id, size); ok {
 			b.stats.Reservations++
 			return off, nil
 		}
 
-		// Window selection is serialized: two overlapping scans could
-		// otherwise pick each other's fragments. The serialization covers
-		// only the scan and the claim — NOT the wait for evictability —
-		// so concurrent reservations (e.g. the co-located clients of a
-		// shared host pool) do not convoy behind one client's flush.
-		if b.reserving {
-			if !wait {
-				return 0, ErrWouldBlock
-			}
-			b.cond.Wait()
-			continue
-		}
-		b.reserving = true
-
 		// Slow path: Algorithm 1 — find the best eviction window among
-		// unclaimed, unpinned fragments.
+		// unclaimed, unpinned fragments. The scan and the claim run in
+		// one critical section, so no other reservation can pick the same
+		// fragments. Only the waits release the lock — for a feasible
+		// window, and for a claimed window to become evictable — so
+		// concurrent reservations (e.g. the co-located clients of a
+		// shared host pool) do not convoy behind one client's flush.
 		start, end, feasible := b.bestWindowLocked(size)
 		if !feasible {
-			b.reserving = false
-			b.cond.Broadcast()
 			// Every candidate window crosses a pinned or claimed
 			// fragment.
 			if !wait {
 				return 0, ErrWouldBlock
 			}
-			if b.closed {
-				return 0, ErrClosed
-			}
-			// Wait for a state change (consume/flush) and rescan.
+			// Wait for a state change (consume/flush) and rescan. A
+			// failed scan or a claim wakes nobody: it cannot make
+			// another reservation's scan feasible.
 			waitStart := b.clk.Now()
 			b.cond.Wait()
 			b.observeWaitLocked(b.clk.Now() - waitStart)
 			continue
 		}
 		if !wait && !b.windowEvictableLocked(start, end) {
-			b.reserving = false
-			b.cond.Broadcast()
 			return 0, ErrWouldBlock
 		}
 
-		// Claim the window, then release the scan serialization before
-		// waiting for the claimed fragments to become evictable.
+		// Claim the window, then wait for the claimed fragments to become
+		// evictable.
 		startOff := b.frags[start].off
 		endOff := b.frags[end-1].off + b.frags[end-1].size
 		for i := start; i < end; i++ {
 			b.frags[i].claimed = true
 		}
-		b.reserving = false
-		b.cond.Broadcast()
 
 		off, ok := b.evictClaimedLocked(id, size, startOff, endOff)
 		if ok {
@@ -574,7 +554,8 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 }
 
 // unclaimLocked clears the claim on every fragment in [startOff, endOff)
-// and re-merges any gap seams the claim boundaries held apart.
+// and re-merges any gap seams the claim boundaries held apart. It wakes
+// nobody: it runs only after Close, whose broadcast readied every waiter.
 func (b *Buffer) unclaimLocked(startOff, endOff int64) {
 	for i := range b.frags {
 		if b.frags[i].off >= startOff && b.frags[i].off < endOff {
@@ -582,7 +563,6 @@ func (b *Buffer) unclaimLocked(startOff, endOff int64) {
 		}
 	}
 	b.coalesceLocked()
-	b.cond.Broadcast()
 }
 
 // claimedSpanLocked returns the index range of the fragments that tile the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -488,26 +489,104 @@ func TestBestFitGapSelection(t *testing.T) {
 	})
 }
 
+// A buffer held by one pinned fragment makes every blocking reservation
+// wait until the fragment is unpinned. With two waiters, a waiter's failed
+// scan must not wake the other: that woke each other forever at t=0. Each
+// waiter scans once before it waits; after the unpin the first scans once
+// more and evicts, the second fits the gap left over without a scan.
 func TestReserveWaitsWhenAllPinnedThenProceeds(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		wantOffs  []int64 // one per waiter
+		wantScans int64
+	}{
+		{"one waiter", []int64{0}, 2},
+		{"two waiters", []int64{0, 500}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runSim(t, func(clk *simclock.Virtual) {
+				o := newFakeOracle()
+				b := New(clk, "gpu", 1000, o)
+				if _, err := b.Reserve(0, 1000); err != nil {
+					t.Fatal(err)
+				}
+				o.pinned[0] = true
+				clk.Go(func() {
+					clk.Sleep(4 * time.Second) // consumption happens later
+					o.pinned[0] = false
+					o.mark(0)
+					b.Notify()
+				})
+				wg := simclock.NewWaitGroup(clk)
+				var offs []int64
+				for w := 1; w <= len(tc.wantOffs); w++ {
+					wg.Add(1)
+					clk.Go(func() {
+						defer wg.Done()
+						off, err := b.Reserve(ID(w), 500)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						offs = append(offs, off)
+						if now := clk.Now(); now != 4*time.Second {
+							t.Errorf("waiter %d returned at %v, want 4s (until unpin)", w, now)
+						}
+					})
+				}
+				wg.Wait()
+				if slices.Sort(offs); !slices.Equal(offs, tc.wantOffs) {
+					t.Errorf("offsets %v, want %v", offs, tc.wantOffs)
+				}
+				if got := b.Snapshot().WindowScans; got != tc.wantScans {
+					t.Errorf("%d window scans, want %d", got, tc.wantScans)
+				}
+				if err := b.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+	}
+}
+
+// A parked reservation wakes only for a change that can make its scan
+// feasible. A TryReserve that finds its window not yet evictable, and a
+// claim, can only make it less feasible: neither may wake it to rescan.
+func TestFailedTriesAndClaimsWakeNobody(t *testing.T) {
 	runSim(t, func(clk *simclock.Virtual) {
 		o := newFakeOracle()
-		b := New(clk, "gpu", 100, o)
-		if _, err := b.Reserve(0, 100); err != nil {
-			t.Fatal(err)
+		b := New(clk, "gpu", 1000, o)
+		for id := ID(0); id < 2; id++ {
+			if _, err := b.Reserve(id, 500); err != nil {
+				t.Fatal(err)
+			}
 		}
-		o.pinned[0] = true
-		clk.Go(func() {
-			clk.Sleep(4 * time.Second) // consumption happens later
-			o.pinned[0] = false
-			o.mark(0)
-			b.Notify()
-		})
-		start := clk.Now()
-		if _, err := b.Reserve(1, 100); err != nil {
-			t.Fatal(err)
+		o.timeTo[0] = time.Second // unpinned, not yet evictable
+		o.pinned[1] = true
+		wg := simclock.NewWaitGroup(clk)
+		waiter := func(id ID, size int64) {
+			wg.Add(1)
+			clk.Go(func() {
+				defer wg.Done()
+				if _, err := b.Reserve(id, size); !errors.Is(err, ErrClosed) {
+					t.Errorf("Reserve(%d) = %v, want ErrClosed", id, err)
+				}
+			})
 		}
-		if waited := clk.Now() - start; waited != 4*time.Second {
-			t.Errorf("waited %v, want 4s (until unpin)", waited)
+		waiter(2, 1000) // scan 1: crosses the pinned fragment, parks
+		clk.Sleep(time.Second)
+		if _, err := b.TryReserve(3, 500); !errors.Is(err, ErrWouldBlock) { // scan 2
+			t.Fatalf("TryReserve = %v, want ErrWouldBlock", err)
+		}
+		waiter(4, 500) // scan 3: claims fragment 0, waits for it
+		clk.Sleep(time.Second)
+		if got := b.Snapshot().WindowScans; got != 3 {
+			t.Errorf("%d window scans, want 3: the parked reservation rescanned", got)
+		}
+		b.Close()
+		wg.Wait()
+		if err := b.CheckInvariants(); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -145,13 +145,13 @@ func init() {
 // prefetcher running and no more writes: a rank that keeps writing into
 // caches its own unconsumed prefetches have pinned full waits forever, as
 // designed (§2 condition 4). Restores run during the forward pass in every
-// trial. Two known hangs still shape the pools. A kill can leave the pool
-// windows that the dead rank's flushers claimed and that no later event
-// makes evictable, so a blocking write would wait forever: only the one
-// trial in three whose pool has room for everything, where no write ever
-// waits on it, kills a rank. Two blocking reservations that find no
-// feasible window wake each other forever: the smaller pools evict, and
-// are sized so that two ranks' blocking reservations always find one.
+// trial. Two pools in three run from 3 to 18 MiB, small enough that both
+// ranks' blocking reservations can find no feasible window and wait. One
+// known hang still shapes the trials: a kill can leave the pool windows
+// that the dead rank's flushers claimed and that no later event makes
+// evictable, so a blocking write would wait forever. Only the one trial in
+// three whose pool has room for everything, where no write ever waits on
+// it, kills a rank.
 //
 // Each of these fourteen mutations, tried one at a time, fails it: no
 // rescore in transition; none in setReplicaLocked; a plain assignment in
@@ -177,7 +177,7 @@ func entriesTrial(t *testing.T, seed int64) {
 	run(t, func(clk *simclock.Virtual) {
 		rng := rand.New(rand.NewSource(seed))
 		discard, thrash, roomy := rng.Intn(2) == 0, rng.Intn(4) == 0, rng.Intn(3) == 0
-		pool := int64(14+rng.Intn(5)) * MB
+		pool := int64(3+rng.Intn(16)) * MB
 		if roomy {
 			pool = 64 * MB // nothing ever waits for host room
 		}

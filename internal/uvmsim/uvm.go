@@ -156,7 +156,6 @@ type Client struct {
 	hints     []int64
 	hintHead  int
 	pfStarted bool
-	pfBusy    bool
 	closed    bool
 	err       error
 
@@ -228,13 +227,13 @@ func (c *Client) migrate(size int64, pressured bool) error {
 	return err
 }
 
-// fail records the first asynchronous failure and wakes waiters.
+// fail records the first asynchronous failure. It wakes nobody: no wait
+// loop reads c.err.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
@@ -305,16 +304,16 @@ func (c *Client) reserveDevice(need int64, exclude *ckpt) (evicted bool, err err
 		// migration (no thrash penalty); the cost is the extra PCIe
 		// traffic and the blocking it causes.
 		c.waitHostReady()
-		if merr := c.migrate(bytes, false); merr != nil {
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-			return evicted, merr
+		err = c.migrate(bytes, false)
+		if err == nil {
+			c.spillHostIfNeeded()
 		}
-		c.spillHostIfNeeded()
 		c.mu.Lock()
 		c.cond.Broadcast()
 		c.mu.Unlock()
+		if err != nil {
+			return evicted, err
+		}
 	}
 }
 
@@ -464,9 +463,6 @@ func (c *Client) flusher() {
 				c.fail(err)
 			}
 		}
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
 	}
 }
 
@@ -502,7 +498,6 @@ func (c *Client) prefetcher() {
 			continue
 		}
 		var target *ckpt
-		idx := -1
 		var pinnedBytes int64
 		for _, k := range c.ckpts {
 			if (k.prefetched || k.inflight) && !k.consumed {
@@ -524,27 +519,20 @@ func (c *Client) prefetcher() {
 			if pinnedBytes+k.size > c.cfg.DeviceCacheSize {
 				break // window full: wait for consumption
 			}
-			target, idx = k, i
+			target = k
 			break
 		}
 		if target == nil {
-			if c.pfBusy {
-				c.pfBusy = false
-				c.cond.Broadcast()
-			}
 			c.cond.Wait()
 			continue
 		}
-		_ = idx
-		c.pfBusy = true
 		target.prefetched = true
 		target.inflight = true
 		target.lru = c.clk.Now()
 		need := target.size - target.deviceBytes
 		c.mu.Unlock()
 
-		evicted, err := c.reserveDevice(need, target)
-		_ = evicted // cudaMemPrefetchAsync moves pages in bulk: no thrash
+		_, err := c.reserveDevice(need, target) // cudaMemPrefetchAsync moves pages in bulk: no thrash
 		if err == nil {
 			err = c.ensureHost(target)
 		}

@@ -191,3 +191,30 @@ func TestUVMConfigValidation(t *testing.T) {
 		t.Error("MigrationEfficiency > 1 accepted")
 	}
 }
+
+func TestUVMNVMeOutageSurfaces(t *testing.T) {
+	// Every SSD write fails: the writebacks reach the host, the flush
+	// chain's SSD leg fails, and the first failure must surface from
+	// WaitFlush and Err without stranding any waiter.
+	outage := errors.New("nvme outage")
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		c := newUVM(t, clk, func(cfg *Config) {
+			cfg.NVMe.SetInterceptor(func(string, int64) fabric.FaultDecision {
+				return fabric.FaultDecision{Err: outage}
+			})
+		})
+		for i := int64(0); i < 6; i++ { // 12MB through a 4MB device cache
+			if err := c.Checkpoint(i, payload.NewVirtual(2*MB)); err != nil {
+				t.Fatalf("checkpoint %d: %v", i, err)
+			}
+		}
+		if err := c.WaitFlush(); !errors.Is(err, outage) {
+			t.Errorf("WaitFlush = %v, want the outage", err)
+		}
+		if err := c.Err(); !errors.Is(err, outage) {
+			t.Errorf("Err = %v, want the outage", err)
+		}
+		c.Close()
+	})
+}
