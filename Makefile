@@ -43,8 +43,10 @@ bench-check:
 # aim 2): non-test Go lines per package and in total outside bench/, and
 # the counts of public With* options, core.Params fields, ckptbench flags,
 # registered eviction policies, cond-wake call sites (Broadcast and
-# Signal in non-test internal/ code outside internal/simclock) and task
-# spawns (.Go( call sites in non-test code outside bench/ and
+# Signal in non-test internal/ code outside internal/simclock), cache-wake
+# call sites (.Notify() in non-test internal/ code outside internal/cachebuf
+# and internal/simclock: the runtime's wakes of parked cache reservations)
+# and task spawns (.Go( call sites in non-test code outside bench/ and
 # internal/simclock), so a change that turns tasks into events shows,
 # and DESIGN.md's line count.
 NONTEST = -name '*.go' -not -name '*_test.go'
@@ -58,6 +60,7 @@ loc:
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
+	@printf '%7d  cache-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/cachebuf/*' -not -path 'internal/simclock/*' | xargs grep -h '\.Notify()' | wc -l)
 	@printf '%7d  task spawns (.Go call sites)\n' $$(find . $(NONTEST) -not -path './bench/*' -not -path './internal/simclock/*' | xargs grep -h '\.Go(' | wc -l)
 	@printf '%7d  DESIGN.md lines\n' $$(wc -l < DESIGN.md)
 

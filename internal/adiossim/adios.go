@@ -85,7 +85,6 @@ type step struct {
 	size     int64
 	pay      payload.Payload
 	buffered bool // still in the host buffer
-	onNVMe   bool
 }
 
 // Client is one process's ADIOS2-style engine.
@@ -98,7 +97,6 @@ type Client struct {
 	cond simclock.Cond
 
 	steps    map[int64]*step
-	order    []int64
 	hostUsed int64
 	drainQ   []int64
 	draining bool
@@ -162,7 +160,6 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	}
 	s := &step{id: id, size: pay.Size(), pay: pay}
 	c.steps[id] = s
-	c.order = append(c.order, id)
 	// Wait for host buffer space (drain backpressure).
 	for c.hostUsed+s.size > c.cfg.HostBufferSize {
 		if c.closed {
@@ -224,18 +221,16 @@ func (c *Client) drainer() {
 		c.mu.Lock()
 		if err != nil {
 			// The drain failed: the step stays in the host buffer and
-			// the failure is reported through Err/WaitFlush.
+			// the failure is reported through Err/WaitFlush, once the
+			// drainer goes idle. It frees no room, so it wakes nobody.
 			if c.err == nil {
 				c.err = err
 			}
-		} else {
-			s.onNVMe = true
-			if s.buffered {
-				s.buffered = false
-				c.hostUsed -= s.size
-			}
+		} else if s.buffered {
+			s.buffered = false
+			c.hostUsed -= s.size
+			c.cond.Broadcast() // room for a Checkpoint parked on backpressure
 		}
-		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
 }

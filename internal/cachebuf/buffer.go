@@ -93,11 +93,17 @@ const (
 // scores GapDistance-1, farthest of all checkpoints (§4.1.6).
 const NoHint = -1
 
-// SetFlags replaces the state bits and leaves the hint alone.
-func (e *Entry) SetFlags(f Flags) {
-	if old := e.word.Load(); Flags(old)&(1<<hintShift-1) != f {
+// SetFlags replaces the state bits and leaves the hint alone. It reports
+// whether it cleared Pinned or Kept, the only bits a parked reservation
+// waits on (Pinned for a feasible scan, Kept for its claimed window): then,
+// and only then, the writer owes the buffer a Notify once it has unlocked.
+func (e *Entry) SetFlags(f Flags) (unblocked bool) {
+	old := e.word.Load()
+	was := Flags(old) & (1<<hintShift - 1)
+	if was != f {
 		e.word.Store(old&^(1<<hintShift-1) | uint64(f))
 	}
+	return was&^f&(Pinned|Kept) != 0
 }
 
 // Flags returns the state bits.
@@ -514,7 +520,8 @@ func (b *Buffer) windowEvictableLocked(start, end int) bool {
 // buffer closes while waiting.
 func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (int64, bool) {
 	// Wait for evictability (Algorithm 1 line 24: "wait until A[i]
-	// evictable"). Release(id) and Notify() broadcast the cond.
+	// evictable"): a Release inside the window, or a Notify from the
+	// writer whose entry write cleared Kept, broadcasts the cond.
 	first, last := b.claimedSpanLocked(startOff, endOff)
 	for !b.windowEvictableLocked(first, last) {
 		if b.closed {
@@ -774,8 +781,9 @@ func (b *Buffer) FragmentCount() int {
 	return len(b.frags)
 }
 
-// Notify wakes any reservation waiting for evictability; the runtime calls
-// it whenever a checkpoint's life-cycle state changes.
+// Notify wakes any reservation waiting for evictability: an entry writer
+// calls it after a SetFlags that cleared Pinned or Kept (gaps and claims
+// wake their own waiters), the runtime behind an Oracle at every change.
 func (b *Buffer) Notify() {
 	b.mu.Lock()
 	b.cond.Broadcast()

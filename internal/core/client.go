@@ -42,6 +42,7 @@ type Client struct {
 	ckpts   map[ID]*checkpoint
 	q       restoreQueue
 	oracles [TierHost + 1]tierOracle // the cache tiers' eviction-entry sources
+	wake    [TierHost + 1]bool       // cache tiers a rescore unblocked; unlockWake sends them
 	started bool                     // prefetcher activated
 	closed  bool
 	killed  bool  // the rank died (fault injection); implies closed soon
@@ -322,11 +323,7 @@ func (c *Client) Close() {
 		c.gpuP.Close()
 	}
 	if c.hostNS < 0 {
-		c.hstC.Close()
-	} else {
-		// Shared pool: stay open for the other clients, but wake this
-		// client's parked daemons so they can observe closed.
-		c.hstC.Notify()
+		c.hstC.Close() // a shared pool stays open for the other clients
 	}
 	c.daemons.Wait()
 	// Race legs still running after their decision (a restore's losing
@@ -334,14 +331,6 @@ func (c *Client) Close() {
 	// their own in bounded virtual time; join them so nothing references
 	// the client after Close returns.
 	c.hedgeWG.Wait()
-}
-
-// notifyGPU wakes reservations on every GPU-side buffer.
-func (c *Client) notifyGPU() {
-	c.gpuC.Notify()
-	if c.gpuP != nil {
-		c.gpuP.Notify()
-	}
 }
 
 // prefetchBuf returns the buffer promotions land in.
@@ -477,7 +466,6 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	}
 	c.bumpLocked()
 	c.mu.Unlock()
-	c.notifyGPU()
 	if enq {
 		c.lifecycle(id, trace.LFlushEnqueued, "", "d2h")
 	}
@@ -630,13 +618,10 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	c.rescoreLocked(ck)
 	c.releaseStagedLocked(ck)
 	c.bumpLocked()
-	c.mu.Unlock()
+	c.unlockWake() // a consumed, discardable replica is no longer kept
 	if deviated {
 		c.rec.Deviation()
 	}
-	// Consumed replicas become evictable; wake blocked reservations.
-	c.notifyGPU()
-	c.hstC.Notify()
 
 	// Restore then CritPath: the record count must never lead the op
 	// count, so the running invariant holds at every instant.
@@ -679,24 +664,18 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 		return false, nil
 	}
 
-	claim := func() {
-		// WRITE_COMPLETE/FLUSHED/CONSUMED → READ_COMPLETE pins the
-		// replica for the duration of the copy-out (Fig. 1).
-		if rep.fsm.State() != lifecycle.ReadComplete {
-			c.mustTransition(ck, rep, lifecycle.ReadComplete)
-		}
-	}
-	claimed := c.gpuC.IfResident(cachebuf.ID(ck.id), claim)
-	if !claimed && c.gpuP != nil {
-		claimed = c.gpuP.IfResident(cachebuf.ID(ck.id), claim)
-	}
-	if claimed {
-		c.gpuC.Touch(cachebuf.ID(ck.id)) // recency signal for LRU ablation
+	// WRITE_COMPLETE/FLUSHED/CONSUMED → READ_COMPLETE pins the replica
+	// for the duration of the copy-out (Fig. 1).
+	claimed := false
+	claim := func() { claimed = c.claimForRead(ck, rep) }
+	if !c.gpuC.IfResident(cachebuf.ID(ck.id), claim) && c.gpuP != nil {
+		c.gpuP.IfResident(cachebuf.ID(ck.id), claim)
 	}
 	if !claimed {
 		return false, nil // evicted underneath us; promote instead
 	}
-	c.p.GPU.CopyD2D(ck.size) // GPU cache → application buffer
+	c.gpuC.Touch(cachebuf.ID(ck.id)) // recency signal for LRU ablation
+	c.p.GPU.CopyD2D(ck.size)         // GPU cache → application buffer
 	c.mark(att, compCopyD2D)
 	c.mustTransition(ck, rep, lifecycle.Consumed)
 	return true, nil

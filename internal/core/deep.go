@@ -256,6 +256,6 @@ func (c *Client) unlinkReplica(ck *checkpoint, tier Tier, rep *replica) {
 	if ck.replicas[tier] == rep {
 		c.setReplicaLocked(ck, tier, nil)
 	}
-	c.mu.Unlock()
+	c.unlockWake()
 	rep.fsm.Abandon()
 }

@@ -9,7 +9,6 @@ import (
 
 	"score/internal/fabric"
 	"score/internal/metrics"
-	"score/internal/simclock"
 	"score/internal/trace"
 )
 
@@ -143,19 +142,9 @@ func (c *Client) Draining() bool {
 // nothing but the triage queues flush work, so every job a T_H2F worker
 // pops is one of the triage's admitted flushes (runH2F).
 type drainRun struct {
-	c        *Client
 	deadline time.Duration
 	active   bool              // the triage is still running (WaitFlush waits); guarded by c.mu
 	outcomes map[ID]DrainEntry // the triage's decisions; guarded by c.mu
-	waker    simclock.Event    // armed at the notice to run at the deadline
-}
-
-// Run is the deadline waker: it bumps the client, so a round loop parked
-// on c.cond re-triages then even if no flush lands near it.
-func (d *drainRun) Run() {
-	d.c.mu.Lock()
-	d.c.bumpLocked()
-	d.c.mu.Unlock()
 }
 
 // drainCandidate is one undecided version the triage planner considers.
@@ -187,9 +176,7 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 		return DrainManifest{}, ErrDraining
 	}
 	start := c.clk.Now()
-	d := &drainRun{c: c, deadline: start + grace, active: true, outcomes: map[ID]DrainEntry{}}
-	c.clk.InitEvent(&d.waker, d)
-	d.waker.Arm(grace)
+	d := &drainRun{deadline: start + grace, active: true, outcomes: map[ID]DrainEntry{}}
 	c.drain = d
 	// The notice empties both flush queues: the triage owns every version
 	// no worker holds yet, and from here Checkpoint and enqueueH2F queue
@@ -235,8 +222,6 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 	d.active = false
 	c.bumpLocked()
 	c.mu.Unlock()
-	c.notifyGPU()
-	c.hstC.Notify()
 
 	m := DrainManifest{Grace: grace, Started: start, Deadline: d.deadline, Finished: finish}
 	c.buildManifest(&m, d.outcomes)

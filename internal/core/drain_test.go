@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,4 +186,47 @@ func TestDrainClosedMidway(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDrainDecidesWithoutFlushing covers the two triage decisions that
+// queue no flush: a consumed, discardable version is dropped (§2 condition
+// 5), and a version with no durable route — the SSD degraded and no PFS
+// configured — is failed open at once, with the route's error as reason.
+func TestDrainDecidesWithoutFlushing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Params)
+		prepare func(*Client) error
+		want    DrainOutcome
+		reason  string
+	}{
+		{"discard", func(p *Params) { p.DiscardAfterRestore = true },
+			func(c *Client) error { _, err := c.Restore(0); return err }, DrainDiscarded, ""},
+		{"no durable route", func(p *Params) { p.PFS = nil },
+			func(c *Client) error { c.degradeTier(TierSSD); return nil }, DrainAbandoned,
+			"ssd tier degraded and no PFS configured"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, func(clk *simclock.Virtual) {
+				c := newRig(t, clk, tc.mutate).client
+				defer c.Close()
+				if err := c.Checkpoint(0, pay(MB)); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+				if err := tc.prepare(c); err != nil {
+					t.Fatal(err)
+				}
+				m, err := c.Drain(10 * time.Second)
+				if err != nil {
+					t.Fatalf("Drain: %v", err)
+				}
+				if len(m.Entries) != 1 {
+					t.Fatalf("manifest has %d entries, want 1: %+v", len(m.Entries), m.Entries)
+				}
+				if e := m.Entries[0]; e.Outcome != tc.want || !strings.HasSuffix(e.Reason, tc.reason) {
+					t.Errorf("entry %v (reason %q), want %v (reason ending %q)", e.Outcome, e.Reason, tc.want, tc.reason)
+				}
+			})
+		})
+	}
 }

@@ -92,9 +92,6 @@ func (c *Client) finishFlushJob(id ID, p *flushPool) {
 	}
 	c.bumpLocked()
 	c.mu.Unlock()
-	// Flush completions change evictability estimates on both tiers.
-	c.notifyGPU()
-	c.hstC.Notify()
 }
 
 // skipFlush implements §2 condition 5: "if a checkpoint was consumed and
@@ -236,7 +233,6 @@ func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 	}
 	c.healTier(TierHost)
 	c.mustTransition(ck, hostRep, lifecycle.WriteComplete)
-	c.hstC.Notify()
 	return hostLanded, nil
 }
 
@@ -392,8 +388,6 @@ func (c *Client) raceDurable(ck *checkpoint, rows []*deepTier, fromGPU bool, att
 		late: func(l *raceLeg) {
 			if land(l, "late completion after stall reroute") == nil {
 				c.mustTransition(ck, reps[l.tier], lifecycle.Flushed)
-				c.notifyGPU()
-				c.hstC.Notify()
 			}
 		},
 	})
@@ -426,8 +420,6 @@ func (c *Client) flushedDeep(ck *checkpoint, d *deepTier, rep *replica) {
 	// Both tiers are durable for this scenario (the SSD holds a full
 	// node's checkpoints, §2): the replica is immediately FLUSHED.
 	c.mustTransition(ck, rep, lifecycle.Flushed)
-	c.notifyGPU()
-	c.hstC.Notify()
 }
 
 // settleDeep applies the completion rules of a write onto d that returned
@@ -500,8 +492,6 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 	c.healTier(TierPartner)
 	c.rec.PartnerCopy(ck.size)
 	c.lifecycle(ck.id, trace.LPartnerCopy, "partner", "")
-	c.notifyGPU()
-	c.hstC.Notify()
 }
 
 // abortFlush gives up on making ck durable: every route below srcTier
@@ -520,16 +510,14 @@ func (c *Client) abortFlush(ck *checkpoint, srcTier Tier, err error) {
 	}
 	c.rescoreLocked(ck)
 	c.bumpLocked()
-	c.mu.Unlock()
+	c.unlockWake()
 	c.rec.FlushAbort()
 	c.accountFate(ck, fateLost)
 	c.markFlushed(ck, srcTier)
-	c.notifyGPU()
-	c.hstC.Notify()
 }
 
 // dropReplica unlinks ck's record rep on a cache tier and releases its
-// reservation, waking blocked reservations.
+// reservation, whose gap wakes blocked reservations.
 func (c *Client) dropReplica(ck *checkpoint, tier Tier, rep *replica) {
 	c.unlinkReplica(ck, tier, rep)
 	c.mu.Lock()
@@ -541,12 +529,10 @@ func (c *Client) dropReplica(ck *checkpoint, tier Tier, rep *replica) {
 	switch tier {
 	case TierHost:
 		c.hstC.Release(c.hostKey(ck.id))
-		c.hstC.Notify()
 	case TierGPU:
 		if !c.gpuC.Release(cachebuf.ID(ck.id)) && c.gpuP != nil {
 			c.gpuP.Release(cachebuf.ID(ck.id))
 		}
-		c.notifyGPU()
 	}
 }
 
@@ -560,12 +546,5 @@ func (c *Client) markFlushed(ck *checkpoint, tier Tier) {
 	if rep == nil {
 		return
 	}
-	if c.tryTransition(ck, rep, lifecycle.Flushed) {
-		switch tier {
-		case TierGPU:
-			c.notifyGPU()
-		case TierHost:
-			c.hstC.Notify()
-		}
-	}
+	c.tryTransition(ck, rep, lifecycle.Flushed)
 }

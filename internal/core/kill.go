@@ -47,8 +47,8 @@ func (c *Client) Killed() bool {
 	return c.killed
 }
 
-// markKilled flips the killed flag and wakes every parked task so the
-// death is observed at the next gate.
+// markKilled flips the killed flag and wakes every task parked on the
+// client's conds so the death is observed at the next gate.
 func (c *Client) markKilled() bool {
 	c.mu.Lock()
 	if c.killed || c.closed {
@@ -59,8 +59,6 @@ func (c *Client) markKilled() bool {
 	c.bumpLocked()
 	c.releaseFlushersLocked()
 	c.mu.Unlock()
-	c.notifyGPU()
-	c.hstC.Notify()
 	c.lifecycle(-1, trace.LKilled, "", "rank killed")
 	return true
 }
@@ -107,7 +105,7 @@ func (c *Client) finishKill() {
 			ck.flushErr = ErrKilled
 		}
 		c.rescoreLocked(ck)
-		c.mu.Unlock()
+		c.unlockWake()
 		c.accountFate(ck, fateLost)
 	}
 	c.rec.RankDeath()
@@ -131,13 +129,7 @@ func (c *Client) releaseSharedHost() {
 	}
 	c.mu.Unlock()
 	slices.Sort(ids)
-	released := false
 	for _, id := range ids {
-		if c.hstC.Release(c.hostKey(id)) {
-			released = true
-		}
-	}
-	if released {
-		c.hstC.Notify()
+		c.hstC.Release(c.hostKey(id))
 	}
 }

@@ -71,7 +71,10 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 // consumes it (copyFromHost). Every event that
 // changes an input calls this in the critical section that makes the change
 // — a transition on any tier, a cache record linked or unlinked, consumption,
-// an aborted flush — so under c.mu the entries always equal the rule.
+// an aborted flush — so under c.mu the entries always equal the rule. It is
+// also the one place that decides a parked reservation may proceed: a
+// write that clears Pinned or Kept marks its tier in c.wake, and the
+// critical section's unlockWake sends it.
 func (c *Client) rescoreLocked(ck *checkpoint) {
 	discardable := (ck.consumed && c.p.DiscardAfterRestore) || ck.flushAborted
 	for tier := TierGPU; tier <= TierHost; tier++ {
@@ -97,19 +100,39 @@ func (c *Client) rescoreLocked(ck *checkpoint) {
 				flags = cachebuf.Pinned | cachebuf.Kept
 			}
 		}
-		ck.entries[tier].SetFlags(flags)
+		if ck.entries[tier].SetFlags(flags) {
+			c.wake[tier] = true
+		}
+	}
+}
+
+// unlockWake releases c.mu, then wakes the reservations parked on each
+// cache tier a rescore under it unblocked. Every critical section that may
+// rescore ends here, except an IfResident claim's (claimForRead), which
+// runs under a buffer's lock.
+func (c *Client) unlockWake() {
+	w := c.wake
+	c.wake = [TierHost + 1]bool{}
+	c.mu.Unlock()
+	if w[TierGPU] {
+		c.gpuC.Notify()
+		if c.gpuP != nil {
+			c.gpuP.Notify()
+		}
+	}
+	if w[TierHost] {
+		c.hstC.Notify()
 	}
 }
 
 // tryTransition moves rep, ck's record on some tier, along an edge of
 // Fig. 1 and rescores ck in the same critical section, reporting whether
-// the edge was legal; every life-cycle change goes through here or
-// mustTransition. The caller may hold a buffer's lock (the IfResident
-// claims do: their pin is in the entry before the eviction re-check that
-// follows can read it) but not c.mu.
+// the edge was legal; every life-cycle change goes through here,
+// mustTransition or claimForRead. The caller holds neither c.mu nor a
+// buffer's lock.
 func (c *Client) tryTransition(ck *checkpoint, rep *replica, to lifecycle.State) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockWake()
 	ok := rep.fsm.TryTo(to)
 	if ok {
 		c.rescoreLocked(ck)
@@ -121,12 +144,33 @@ func (c *Client) tryTransition(ck *checkpoint, rep *replica, to lifecycle.State)
 // an illegal edge panics.
 func (c *Client) mustTransition(ck *checkpoint, rep *replica, to lifecycle.State) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlockWake()
 	rep.fsm.MustTo(to)
 	c.rescoreLocked(ck)
 }
 
+// claimForRead pins rep READ_COMPLETE (unless it is there already) inside
+// an IfResident claim, so the pin is in the entry before the eviction
+// re-check that follows can read it, and reports whether rep is pinned (a
+// record mid-write is not claimable). The claim holds the buffer's lock,
+// so this sends no wake: only the NoPinning ablation can record one here,
+// and the claimer's own CONSUMED transition sends it.
+func (c *Client) claimForRead(ck *checkpoint, rep *replica) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rep.fsm.State() == lifecycle.ReadComplete {
+		return true
+	}
+	ok := rep.fsm.TryTo(lifecycle.ReadComplete)
+	if ok {
+		c.rescoreLocked(ck)
+	}
+	return ok
+}
+
 // setReplicaLocked links rep as ck's record on tier (nil unlinks), rescored.
+// A fresh record only pins; an unlink can unblock, so it runs under
+// unlinkReplica's unlockWake.
 func (c *Client) setReplicaLocked(ck *checkpoint, tier Tier, rep *replica) {
 	ck.replicas[tier] = rep
 	c.rescoreLocked(ck)

@@ -250,9 +250,6 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 		if err != nil || !ok {
 			return false, err
 		}
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
 	}
 
 	// Stage 2: host → GPU.
@@ -270,11 +267,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
 		c.mustTransition(ck, gpuRep, lifecycle.ReadComplete)
-		c.notifyGPU()
 	}
-	c.mu.Lock()
-	c.cond.Broadcast()
-	c.mu.Unlock()
 	return cpErr == nil, cpErr
 }
 
@@ -290,9 +283,7 @@ func (c *Client) copyFromHost(ck *checkpoint, att *attrib) error {
 	hostRep := c.claimHostSource(ck)
 	err := c.copyH2D(ck, att)
 	if hostRep != nil {
-		if c.tryTransition(ck, hostRep, lifecycle.Consumed) {
-			c.hstC.Notify()
-		}
+		c.tryTransition(ck, hostRep, lifecycle.Consumed)
 	}
 	return err
 }
@@ -313,7 +304,6 @@ func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err 
 		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
 		c.mustTransition(ck, gpuRep, lifecycle.ReadComplete)
-		c.notifyGPU()
 		c.mu.Lock()
 		c.bumpLocked()
 		c.mu.Unlock()
@@ -377,11 +367,9 @@ func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err erro
 		// on-demand path, with its own fallback) owns ck from here.
 		c.unlinkReplica(ck, TierHost, hostRep)
 		c.hstC.Release(c.hostKey(ck.id))
-		c.hstC.Notify()
 		return false, err
 	}
 	c.mustTransition(ck, hostRep, lifecycle.ReadComplete)
-	c.hstC.Notify()
 	return true, nil
 }
 
@@ -399,10 +387,8 @@ func (c *Client) claimHostSource(ck *checkpoint) *replica {
 		return nil
 	}
 	claim := func() {
-		if rep.fsm.State() != lifecycle.ReadComplete {
-			if !c.tryTransition(ck, rep, lifecycle.ReadComplete) {
-				rep = nil // not claimable (mid-write); treat as absent
-			}
+		if !c.claimForRead(ck, rep) {
+			rep = nil // not claimable (mid-write); treat as absent
 		}
 	}
 	if c.hstC.IfResident(c.hostKey(ck.id), claim) {

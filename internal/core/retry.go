@@ -159,8 +159,6 @@ func (c *Client) degradeTier(t Tier) bool {
 	}
 	c.rec.Degradation(t.String())
 	c.lifecycle(-1, trace.LDegraded, t.String(), "")
-	c.notifyGPU()
-	c.hstC.Notify()
 	return true
 }
 
@@ -206,8 +204,6 @@ func (c *Client) healTier(t Tier) {
 	// Mirror degradeTier's ledger entry so the heal is visible in Chrome
 	// traces and version ledgers, not just the TierRecoveries counter.
 	c.lifecycle(-1, trace.LHealed, t.String(), "probe succeeded")
-	c.notifyGPU()
-	c.hstC.Notify()
 }
 
 // DegradedTiers is the client's health view: the tiers marked
