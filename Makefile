@@ -40,8 +40,10 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # loc prints the design inventory every CHANGES.md entry quotes (ROADMAP
-# aim 2): non-test Go lines per package and in total outside bench/, and
-# the counts of public With* options, core.Params fields, ckptbench flags,
+# aim 2): non-test Go lines per package and in total outside bench/, the
+# programs (package main directories outside bench/), so a new program
+# fails loc-check until the inventory declares it, and the counts of
+# public With* options, core.Params fields, ckptbench flags,
 # registered eviction policies, cond-wake call sites (Broadcast and
 # Signal in non-test internal/ code outside internal/simclock), cache-wake
 # call sites (.Notify() in non-test internal/ code outside internal/cachebuf
@@ -55,6 +57,7 @@ loc:
 		printf '%7d  %s\n' $$(find $$d -maxdepth 1 $(NONTEST) | xargs cat | wc -l) $$d; \
 	done
 	@printf '%7d  non-test lines outside bench/\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs cat | wc -l)
+	@printf '%7d  programs (package main outside bench/)\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs grep -l '^package main$$' | xargs -r -n1 dirname | sort -u | wc -l)
 	@printf '%7d  With* options\n' $$(cat *.go | grep -c '^func With')
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)

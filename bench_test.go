@@ -20,10 +20,8 @@ import (
 	"score/internal/cachebuf"
 	"score/internal/experiments"
 	"score/internal/fabric"
-	"score/internal/revolve"
 	"score/internal/rtm"
 	"score/internal/simclock"
-	"score/internal/wavefield"
 )
 
 // benchRun is a bare run at the Small scale trimmed a little further so
@@ -323,41 +321,6 @@ func BenchmarkFabricTransfer(b *testing.B) {
 		}
 	})
 	<-done
-}
-
-// BenchmarkRevolveSchedule measures schedule generation for the paper's
-// 384-snapshot shots under a tight slot budget.
-func BenchmarkRevolveSchedule(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		actions, err := revolve.Schedule(384, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(actions) == 0 {
-			b.Fatal("empty schedule")
-		}
-	}
-}
-
-// BenchmarkWavefieldCompress measures snapshot compression of a live
-// wavefield.
-func BenchmarkWavefieldCompress(b *testing.B) {
-	p, err := wavefield.NewPropagator(wavefield.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		p.Step()
-	}
-	snap := p.Snapshot()
-	b.SetBytes(int64(len(snap)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		comp := wavefield.Compress(snap)
-		if len(comp) == 0 {
-			b.Fatal("empty compression")
-		}
-	}
 }
 
 // --- Extensions: the paper's future-work items (§6) ---

@@ -4,8 +4,8 @@
 // VELOC's node-local checkpoint files.
 //
 // The simulated fabric accounts for the *time* of SSD writes; this
-// package provides the *bytes*, so examples and recovery tests can kill a
-// client and restart from what actually reached storage. Each checkpoint
+// package provides the *bytes*, so the rank-failure scenario and recovery
+// tests can kill a client and restart from what actually reached storage. Each checkpoint
 // is one file:
 //
 //	header:  magic "SCOR" | version u16 | flags u16

@@ -553,13 +553,6 @@ func (c *Client) PrefetchStart() {
 	c.mu.Unlock()
 }
 
-// Hinted returns the number of pending (unconsumed) hints.
-func (c *Client) Hinted() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.q.pending()
-}
-
 // Restore reads back checkpoint id into the application's device buffer,
 // blocking until the data is available on the GPU. The returned payload
 // is the one passed to Checkpoint.

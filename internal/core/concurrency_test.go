@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,62 +16,95 @@ import (
 
 // TestConcurrentProducerConsumer exercises the full interleaving the
 // unified life cycle exists for (§4.1.3): one task streams checkpoints
-// while another concurrently consumes them with hints, so flushes and
-// prefetches overlap on the same cache tiers throughout.
+// while another concurrently consumes them in the order it hinted up
+// front, so flushes and prefetches overlap on the same cache tiers
+// throughout. Reads follow the hinted order exactly, so none deviates.
 func TestConcurrentProducerConsumer(t *testing.T) {
-	run(t, func(clk *simclock.Virtual) {
-		r := newRig(t, clk, func(p *Params) { p.AutoStartPrefetch = true })
-		defer r.client.Close()
-		const n = 24
+	const n = 24
+	sequential := make([]ID, n)
+	for i := range sequential {
+		sequential[i] = ID(i)
+	}
+	priority := make([]ID, n)
+	for i, v := range rand.New(rand.NewSource(7)).Perm(n) {
+		priority[i] = ID(v)
+	}
+	for _, tc := range []struct {
+		name  string
+		order []ID // the consumer's read order, hinted before the first write
+		real  bool // real payloads, read back bit-exact
+	}{
+		{"sequential", sequential, false},
+		{"seeded priority", priority, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, func(clk *simclock.Virtual) {
+				r := newRig(t, clk, func(p *Params) { p.AutoStartPrefetch = true })
+				defer r.client.Close()
+				for _, id := range tc.order {
+					r.client.PrefetchEnqueue(id)
+				}
 
-		// The consumer announces its (sequential) order up front.
-		for i := ID(0); i < n; i++ {
-			r.client.PrefetchEnqueue(i)
-		}
-
-		written := make([]atomic.Bool, n)
-		wg := simclock.NewWaitGroup(clk)
-		wg.Add(2)
-		var prodErr, consErr error
-		clk.Go(func() {
-			defer wg.Done()
-			for i := ID(0); i < n; i++ {
-				if err := r.client.Checkpoint(i, payload.NewVirtual(1*MB)); err != nil {
-					prodErr = err
-					return
+				data := make([][]byte, n)
+				written := make([]atomic.Bool, n)
+				wg := simclock.NewWaitGroup(clk)
+				wg.Add(2)
+				var prodErr, consErr error
+				clk.Go(func() {
+					defer wg.Done()
+					for i := ID(0); i < n; i++ {
+						var p payload.Payload = payload.NewVirtual(1 * MB)
+						if tc.real {
+							data[i] = make([]byte, 1*MB)
+							rand.New(rand.NewSource(int64(i))).Read(data[i])
+							p = payload.NewReal(data[i])
+						}
+						if err := r.client.Checkpoint(i, p); err != nil {
+							prodErr = err
+							return
+						}
+						written[i].Store(true)
+						clk.Sleep(3 * time.Millisecond)
+					}
+				})
+				clk.Go(func() {
+					defer wg.Done()
+					for _, id := range tc.order {
+						for !written[id].Load() {
+							clk.Sleep(time.Millisecond)
+						}
+						got, err := r.client.Restore(id)
+						if err != nil {
+							consErr = err
+							return
+						}
+						if tc.real && !bytes.Equal(got.Bytes(), data[id]) {
+							consErr = fmt.Errorf("version %d restored with different bytes", id)
+							return
+						}
+						clk.Sleep(4 * time.Millisecond)
+					}
+				})
+				wg.Wait()
+				if prodErr != nil {
+					t.Fatalf("producer: %v", prodErr)
 				}
-				written[i].Store(true)
-				clk.Sleep(3 * time.Millisecond)
-			}
+				if consErr != nil {
+					t.Fatalf("consumer: %v", consErr)
+				}
+				if err := r.client.Err(); err != nil {
+					t.Fatal(err)
+				}
+				sum := r.client.Metrics().Snapshot()
+				if sum.CheckpointOps != n || sum.RestoreOps != n {
+					t.Errorf("ops = %d/%d, want %d/%d", sum.CheckpointOps, sum.RestoreOps, n, n)
+				}
+				if sum.DeviationReads != 0 {
+					t.Errorf("%d reads deviated from the hinted order, want 0", sum.DeviationReads)
+				}
+			})
 		})
-		clk.Go(func() {
-			defer wg.Done()
-			for i := ID(0); i < n; i++ {
-				for !written[i].Load() {
-					clk.Sleep(time.Millisecond)
-				}
-				if _, err := r.client.Restore(i); err != nil {
-					consErr = err
-					return
-				}
-				clk.Sleep(4 * time.Millisecond)
-			}
-		})
-		wg.Wait()
-		if prodErr != nil {
-			t.Fatalf("producer: %v", prodErr)
-		}
-		if consErr != nil {
-			t.Fatalf("consumer: %v", consErr)
-		}
-		if err := r.client.Err(); err != nil {
-			t.Fatal(err)
-		}
-		sum := r.client.Metrics().Snapshot()
-		if sum.CheckpointOps != n || sum.RestoreOps != n {
-			t.Errorf("ops = %d/%d, want %d/%d", sum.CheckpointOps, sum.RestoreOps, n, n)
-		}
-	})
+	}
 }
 
 // TestTwoClientsShareNodeLinks runs two clients whose flush chains

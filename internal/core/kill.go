@@ -20,24 +20,13 @@ import (
 // Kill simulates the abrupt death of this rank at the current virtual
 // time. It blocks until the client's background tasks unwind, so it
 // must not be called from one of the client's own daemons or I/O hooks
-// — use KillDetached there. Killing an already killed or closed client
-// is a no-op.
+// — call it from a task of its own there, as a scheduled kill does.
+// Killing an already killed or closed client is a no-op.
 func (c *Client) Kill() {
 	if !c.markKilled() {
 		return
 	}
 	c.finishKill()
-}
-
-// KillDetached marks the rank dead immediately and unwinds its tasks on
-// a separate clock task; safe to call from daemons and interceptors.
-// Returns false if the client was already killed or closed.
-func (c *Client) KillDetached() bool {
-	if !c.markKilled() {
-		return false
-	}
-	c.clk.Go(c.finishKill)
-	return true
 }
 
 // Killed reports whether the rank has been killed.

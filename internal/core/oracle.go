@@ -191,7 +191,7 @@ func (ck *checkpoint) setHintLocked(pos int) {
 // uniformly, which is one store to each tier's queue head; a deviating
 // restore cuts the hint out mid-queue, and every first hint behind the cut
 // moves down one position. ck's own entry then points at a later duplicate
-// hint (revolve schedules re-read), or at none. Caller holds c.mu.
+// hint (re-read schedules), or at none. Caller holds c.mu.
 func (c *Client) consumeHintLocked(ck *checkpoint) (deviated bool) {
 	at, deviated := c.q.consume(ck.id)
 	if at < 0 {

@@ -113,8 +113,8 @@ func TestQueuePrefetchCursor(t *testing.T) {
 }
 
 func TestQueueRepeatedHints(t *testing.T) {
-	// The same version may be hinted multiple times (revolve schedules
-	// re-read stored checkpoints).
+	// The same version may be hinted multiple times (re-read schedules
+	// restore a stored checkpoint more than once).
 	var q restoreQueue
 	q.enqueue(7)
 	q.enqueue(8)

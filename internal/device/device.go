@@ -139,9 +139,6 @@ func (g *GPU) ChargeDeviceAlloc(size int64) {
 	g.clk.Sleep(allocDuration(size, g.costs.DeviceBytesPerSec))
 }
 
-// HBMCapacity returns the total device memory in bytes.
-func (g *GPU) HBMCapacity() int64 { return g.hbm }
-
 // HBMUsed returns the currently allocated device memory in bytes.
 func (g *GPU) HBMUsed() int64 {
 	g.mu.Lock()
@@ -240,10 +237,6 @@ func (g *GPU) TryStream(path fabric.Path, size, chunkSize int64) (fabric.Pipelin
 	defer g.releaseEngine()
 	return path.TryPipelined(size, chunkSize)
 }
-
-// D2DLink returns the device's D2D link (used for eviction-time
-// estimates).
-func (g *GPU) D2DLink() *fabric.Link { return g.d2d }
 
 // PCIeLink returns the device's PCIe link.
 func (g *GPU) PCIeLink() *fabric.Link { return g.pcie }

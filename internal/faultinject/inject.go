@@ -366,15 +366,6 @@ func (in *Injector) AddKills(kills ...KillSpec) {
 	in.kills = append(in.kills, kills...)
 }
 
-// Kills returns a copy of the installed kill schedules.
-func (in *Injector) Kills() []KillSpec {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]KillSpec, len(in.kills))
-	copy(out, in.kills)
-	return out
-}
-
 // KillAt reports the earliest scheduled death of rank (node, gpu),
 // considering both rank kills and whole-node kills.
 func (in *Injector) KillAt(node, gpu int) (at time.Duration, ok bool) {
@@ -400,15 +391,6 @@ func (in *Injector) AddPreempts(preempts ...PreemptSpec) {
 	in.preempts = append(in.preempts, preempts...)
 }
 
-// Preempts returns a copy of the installed preemption schedules.
-func (in *Injector) Preempts() []PreemptSpec {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]PreemptSpec, len(in.preempts))
-	copy(out, in.preempts)
-	return out
-}
-
 // PreemptAt reports the earliest scheduled preemption notice for rank
 // (node, gpu), considering both rank and whole-node notices.
 func (in *Injector) PreemptAt(node, gpu int) (at, grace time.Duration, ok bool) {
@@ -423,18 +405,6 @@ func (in *Injector) PreemptAt(node, gpu int) (at, grace time.Duration, ok bool) 
 		}
 	}
 	return at, grace, ok
-}
-
-// NodeKilled reports whether a whole-node kill is scheduled for node.
-func (in *Injector) NodeKilled(node int) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, k := range in.kills {
-		if k.Node == node && k.GPU == -1 {
-			return true
-		}
-	}
-	return false
 }
 
 // Decide evaluates one operation at site on checkpoint id (pass a

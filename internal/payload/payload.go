@@ -1,7 +1,7 @@
 // Package payload models checkpoint contents. Benchmarks use virtual
 // payloads (size only — the simulated fabric accounts for the time that
-// moving the bytes would take), while examples and integration tests use
-// real byte payloads whose integrity is verified on restore with an
+// moving the bytes would take), while integration tests and the
+// rank-failure scenario use real byte payloads whose integrity is verified on restore with an
 // FNV-1a checksum.
 package payload
 

@@ -79,17 +79,6 @@ type Cond interface {
 	Signal()
 	// Broadcast wakes all waiters.
 	Broadcast()
-	// Retime moves the deadline of the one task (or ArmOn event) parked
-	// on the cond to d of simulated time from now, or removes it when
-	// d < 0, without waking the task: an untimed Wait gains a timeout, a WaitTimeout's is moved
-	// or dropped. When the new deadline passes, the wait returns as if it
-	// had timed out; ties with other timers due at the same instant fire
-	// in the order their deadlines were last set. It is the one way to
-	// move a parked task's deadline without a wakeup. Retime on a cond
-	// with no parked task does nothing; with more than one it panics,
-	// since whose deadline to move would be ambiguous. The caller holds
-	// the locker.
-	Retime(d time.Duration)
 }
 
 // A WaitGroup is a clock-aware analogue of sync.WaitGroup: Wait suspends
@@ -170,6 +159,3 @@ func (b *Barrier) Await() {
 		b.cond.Wait()
 	}
 }
-
-// Parties returns the number of parties the barrier was created with.
-func (b *Barrier) Parties() int { return b.parties }

@@ -104,11 +104,11 @@ func (e *Event) Signal() {
 }
 
 // Retime moves a parked event's timer to d of simulated time from now, or
-// drops it when d < 0, without running the event, exactly as Cond.Retime
-// moves a parked task's: the timer is re-filed under a fresh seq, so ties
-// fire in the order deadlines were last set. On an event that is not parked
-// it does nothing. The fresh seq also takes an ArmOn event off its cond;
-// the cond's own Retime keeps it there.
+// drops it when d < 0, without running the event: the timer is re-filed
+// under a fresh seq, the bookkeeping a run followed by a re-arm would do,
+// so ties fire in the order deadlines were last set. It is the one way to
+// move a deadline without a wakeup. On an event that is not parked it
+// does nothing. The fresh seq also takes an ArmOn event off its cond.
 func (e *Event) Retime(d time.Duration) {
 	c := e.clk
 	c.mu.Lock()

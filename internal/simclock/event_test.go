@@ -21,6 +21,15 @@ func newEvent(clk *Virtual, f func()) *Event {
 	return e
 }
 
+// backends names the two timer stores the timer-order tests run on.
+var backends = []struct {
+	name string
+	opts []VirtualOption
+}{
+	{"wheel", nil},
+	{"heap", []VirtualOption{WithHeapTimers()}},
+}
+
 // TestEventAndTaskTimersFireInSeqOrder: events and task timers due at one
 // instant share the timer store and the seq counter, so they fire in the
 // order they were filed, whichever kind each is.
@@ -92,45 +101,80 @@ func TestEventSignalOrderMatchesACond(t *testing.T) {
 	}
 }
 
+// retimeQuietly calls e.Retime(d) and fails the test if that readied a
+// task or counted an event: a retime moves a deadline and does nothing else.
+func retimeQuietly(t *testing.T, clk *Virtual, e *Event, d time.Duration) {
+	t.Helper()
+	events := EventCount()
+	e.Retime(d)
+	clk.mu.Lock()
+	readied := len(clk.ready) - clk.readyHead
+	clk.mu.Unlock()
+	if got := EventCount() - events; got != 0 || readied != 0 {
+		t.Errorf("Retime(%v) counted %d and readied %d, want 0 and 0", d, got, readied)
+	}
+}
+
 // TestEventRetime: Retime moves a parked event's timer without running it
-// or counting anything, and Retime(-1) drops the timer, leaving the event
-// to a Signal.
+// or counting anything, Retime(-1) drops the timer, leaving the event to a
+// Signal, and deadlines retimed to one instant fire in retime order, after
+// a timer filed for that instant before any of them.
 func TestEventRetime(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, clk *Virtual, log func(name string))
+		want []string
+	}{
+		{"moves and drops", func(t *testing.T, clk *Virtual, log func(string)) {
+			e := newEvent(clk, func() { log("e") })
+			e.Arm(10 * time.Millisecond)
+			clk.Sleep(time.Millisecond)
+			retimeQuietly(t, clk, e, 3*time.Millisecond) // due at 4ms
+			clk.Sleep(5 * time.Millisecond)
+			e.Arm(time.Millisecond)
+			retimeQuietly(t, clk, e, -1)
+			clk.mu.Lock()
+			live := clk.timers.hasLive()
+			clk.mu.Unlock()
+			if live {
+				t.Error("Retime(-1) left the event's timer filed")
+			}
+			clk.Sleep(5 * time.Millisecond)
+			e.Signal() // at 11ms
+			e.Signal() // no longer parked: nothing
+			clk.Sleep(time.Millisecond)
+		}, []string{"e at 4ms", "e at 11ms"}},
+		{"ties fire in retime order", func(t *testing.T, clk *Virtual, log func(string)) {
+			clk.Go(func() {
+				clk.Sleep(2 * time.Second)
+				log("sleeper")
+			})
+			a := newEvent(clk, func() { log("a") })
+			b := newEvent(clk, func() { log("b") })
+			c := newEvent(clk, func() { log("c") })
+			a.Arm(time.Hour)
+			b.Arm(-1)
+			c.Arm(2 * time.Hour)
+			clk.Sleep(time.Second)
+			for _, e := range []*Event{c, a, b} {
+				retimeQuietly(t, clk, e, time.Second)
+			}
+			clk.Sleep(2 * time.Second) // the root outlives the events
+		}, []string{"sleeper at 2s", "c at 2s", "a at 2s", "b at 2s"}},
+	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			clk := NewVirtual(b.opts...)
-			var ran []time.Duration
-			clk.Run(func() {
-				e := newEvent(clk, func() { ran = append(ran, clk.Now()) })
-				quietly := func(d time.Duration) {
-					events := EventCount()
-					e.Retime(d)
-					clk.mu.Lock()
-					readied := len(clk.ready) - clk.readyHead
-					clk.mu.Unlock()
-					if got := EventCount() - events; got != 0 || readied != 0 {
-						t.Errorf("Retime(%v) counted %d and readied %d, want 0 and 0", d, got, readied)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					clk := NewVirtual(b.opts...)
+					var order []string
+					clk.Run(func() {
+						tc.run(t, clk, func(name string) { order = append(order, fmt.Sprintf("%s at %v", name, clk.Now())) })
+					})
+					if !reflect.DeepEqual(order, tc.want) {
+						t.Errorf("run order %q, want %q", order, tc.want)
 					}
-				}
-				e.Arm(10 * time.Millisecond)
-				clk.Sleep(time.Millisecond)
-				quietly(3 * time.Millisecond) // due at 4ms
-				clk.Sleep(5 * time.Millisecond)
-				e.Arm(time.Millisecond)
-				quietly(-1)
-				clk.mu.Lock()
-				live := clk.timers.hasLive()
-				clk.mu.Unlock()
-				if live {
-					t.Error("Retime(-1) left the event's timer filed")
-				}
-				clk.Sleep(5 * time.Millisecond)
-				e.Signal() // at 11ms
-				e.Signal() // no longer parked: nothing
-				clk.Sleep(time.Millisecond)
-			})
-			if want := []time.Duration{4 * time.Millisecond, 11 * time.Millisecond}; !reflect.DeepEqual(ran, want) {
-				t.Errorf("the event ran at %v, want %v", ran, want)
+				})
 			}
 		})
 	}

@@ -102,7 +102,7 @@ func NewVirtual(opts ...VirtualOption) *Virtual {
 // file: the record of one suspension, of a task or of an Event. It may be
 // woken by a timer (timeout/sleep) or by a signal, whichever comes first;
 // fired guards double wake, and seq (reassigned on every suspension and
-// every Retime) identifies the one that stale timer and cond entries
+// every Event.Retime) identifies the one that stale timer and cond entries
 // belong to.
 type waiter struct {
 	seq      uint64
@@ -528,31 +528,6 @@ func (cd *vcond) wake(all bool) {
 
 func (cd *vcond) Signal()    { cd.wake(false) }
 func (cd *vcond) Broadcast() { cd.wake(true) }
-
-// Retime re-files the one parked waiter's timer under a fresh seq, the
-// bookkeeping a wake followed by a re-wait would do, but readies nothing
-// and counts no event. The waiter may be an ArmOn event: it keeps its
-// place among cd's waiters.
-func (cd *vcond) Retime(d time.Duration) {
-	c := cd.clk
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cd.dropDeadLocked()
-	var e *condEntry
-	for i := cd.head; i < len(cd.waiters); i++ {
-		if cd.waiters[i].live() {
-			if e != nil {
-				panic("simclock: Retime on a cond with more than one parked task")
-			}
-			e = &cd.waiters[i]
-		}
-	}
-	if e == nil {
-		return
-	}
-	c.retimeLocked(e.w, d)
-	e.seq = e.w.seq
-}
 
 // dropDeadLocked discards the entries at the head of the queue that can
 // no longer be woken (timed out, or waiting again): only wake consumes

@@ -356,3 +356,22 @@ func TestNewBarrierRejectsZeroParties(t *testing.T) {
 	}()
 	NewBarrier(NewVirtual(), 0)
 }
+
+// TestTimedOutWaitsLeaveNoCondEntries: only a wake consumes a cond entry,
+// so a cond whose waiter only ever times out must drop the dead entries
+// itself instead of growing one per wait.
+func TestTimedOutWaitsLeaveNoCondEntries(t *testing.T) {
+	clk := NewVirtual()
+	var mu sync.Mutex
+	cond := clk.NewCond(&mu)
+	clk.Run(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := 0; i < 10_000; i++ {
+			cond.WaitTimeout(time.Nanosecond)
+		}
+	})
+	if n := len(cond.(*vcond).waiters); n > 1 {
+		t.Errorf("10,000 timed-out waits left %d cond entries, want at most 1", n)
+	}
+}

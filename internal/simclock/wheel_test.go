@@ -103,7 +103,7 @@ func driveTimerQueue(t *testing.T, data []byte) {
 				tw.markStale()
 				model = append(model[:k], model[k+1:]...)
 			}
-		case 4: // retime a live timer, as vcond.Retime does: fresh seq, re-filed or cleared
+		case 4: // retime a live timer, as Event.Retime does: fresh seq, re-filed or cleared
 			if len(model) > 0 {
 				k := int(next()) % len(model)
 				drop := next()%4 == 0

@@ -292,19 +292,6 @@ func (t *Tracer) Flight() *FlightRecorder {
 	return t.flight
 }
 
-// EnableFlightRecorder (re)creates the tracer's flight recorder with an
-// explicit per-rank capacity, replacing any prior recorder. Nil-safe.
-func (t *Tracer) EnableFlightRecorder(capPerRank int) *FlightRecorder {
-	if t == nil {
-		return nil
-	}
-	f := NewFlightRecorder(t.now, capPerRank)
-	t.mu.Lock()
-	t.flight = f
-	t.mu.Unlock()
-	return f
-}
-
 // Lifecycle records one ledger entry on the tracer's flight recorder
 // (created on demand). Nil-safe.
 func (t *Tracer) Lifecycle(rank int, version int64, kind LifecycleKind, tier, detail string) {
