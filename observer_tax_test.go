@@ -16,8 +16,8 @@ import (
 // node × 8 GPUs, every restore hinted, reverse order, a GPU cache a
 // sixth of each rank's snapshots so the run evicts — plain or with every
 // observer on (tracing, 10 ms sampling, the shot SLOs, a trace export),
-// and returns what it allocated.
-func observerShot(t *testing.T, observed bool) (mallocs, bytes uint64) {
+// and returns the simulation and what the shot allocated.
+func observerShot(t *testing.T, observed bool) (sim *score.Sim, mallocs, bytes uint64) {
 	t.Helper()
 	const (
 		ranks    = 8
@@ -90,7 +90,7 @@ func observerShot(t *testing.T, observed bool) (mallocs, bytes uint64) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	return sim, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestObserverTaxBudget gates what the observers cost on top of the run
@@ -103,8 +103,8 @@ func observerShot(t *testing.T, observed bool) (mallocs, bytes uint64) {
 // observed_rtm against rtm_hinted) the same code reads 1.3× and 4.2×.
 func TestObserverTaxBudget(t *testing.T) {
 	const maxMallocRatio, maxByteRatio = 2.1, 12.0
-	plainMallocs, plainBytes := observerShot(t, false)
-	obsMallocs, obsBytes := observerShot(t, true)
+	_, plainMallocs, plainBytes := observerShot(t, false)
+	_, obsMallocs, obsBytes := observerShot(t, true)
 	mallocRatio := float64(obsMallocs) / float64(plainMallocs)
 	byteRatio := float64(obsBytes) / float64(plainBytes)
 	t.Logf("observer tax: %.2f× allocations (%d observed / %d plain), %.2f× bytes (%.1f MB / %.1f MB)",
