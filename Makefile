@@ -146,10 +146,10 @@ trace-smoke: observer-tax
 	$(GO) run ./cmd/ckptbench -exp pipeline -scale small \
 		-trace-out trace.json -critpath-out critpath.json -fail-on-unattributed
 
-# observer-tax prints and gates the observers' host cost as allocation
-# ratios (DESIGN.md §10): one small shot plain against the same shot with
-# tracing, 10 ms sampling, SLOs and a trace export, and the nil-observer
-# calls at zero allocations.
+# observer-tax prints and gates the observers' host cost as the extra
+# allocations and bytes (DESIGN.md §10) of one small shot with tracing,
+# 10 ms sampling, SLOs and a trace export over the same shot plain, and
+# the nil-observer calls at zero allocations.
 observer-tax:
 	$(GO) test -count=1 -run 'TestObserverTaxBudget|TestNilObserversAllocateNothing' -v .
 

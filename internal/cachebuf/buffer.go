@@ -212,7 +212,7 @@ type Stats struct {
 	EvictionWait time.Duration
 	// Reservations counts successful reservations.
 	Reservations int64
-	// WindowScans counts scans: window selections and score summaries.
+	// WindowScans counts window selections' scans.
 	WindowScans int64
 	// FragmentsScored counts the entries those scans read: one per
 	// unclaimed resident checkpoint per scan.
@@ -598,8 +598,7 @@ type viewFrag struct {
 // snapshot, so what a policy adds when a fragment enters its window is what
 // it subtracts when the fragment leaves. Gaps score (0, GapDistance); a
 // claimed fragment is pinned unread (another reservation owns its window);
-// any other costs one load of its entry and one of its source's queue
-// head, plus the source's live estimate when it waits on a flush.
+// any other is read by scoreLocked.
 func (b *Buffer) snapshotLocked() WindowView {
 	b.view = b.view[:0]
 	b.stats.WindowScans++
@@ -611,29 +610,35 @@ func (b *Buffer) snapshotLocked() WindowView {
 			vf.s = float64(GapDistance)
 		case !f.claimed:
 			b.stats.FragmentsScored++
-			if b.poll != nil {
-				b.poll.scores(f)
-			}
-			// Head before the entry: a consumed hint's writer moves the
-			// entry off the head position before it advances the head.
-			head := f.src.Head.Load()
-			w := f.e.word.Load()
-			vf.s = float64(GapDistance - 1)
-			if pos := int64(w >> hintShift); pos > 0 {
-				vf.s = float64(pos - 1 - head)
-			}
-			switch {
-			case Flags(w)&Pinned != 0:
-				vf.pinned = true
-			case Flags(w)&Estimate != 0:
-				vf.p = f.src.Estimate(f.size).Seconds()
-			default:
-				vf.p = time.Duration(f.e.wait.Load()).Seconds()
-			}
+			vf.p, vf.s, vf.pinned = b.scoreLocked(f)
 		}
 		b.view = append(b.view, vf)
 	}
 	return WindowView{b.view}
+}
+
+// scoreLocked reads resident fragment f's eviction scores: one load of
+// its entry and one of its source's queue head, plus the source's live
+// estimate when it waits on a flush (after a pull oracle's refresh).
+func (b *Buffer) scoreLocked(f *frag) (p, s float64, pinned bool) {
+	if b.poll != nil {
+		b.poll.scores(f)
+	}
+	// Head before the entry: a consumed hint's writer moves the entry off
+	// the head position before it advances the head.
+	head := f.src.Head.Load()
+	w := f.e.word.Load()
+	s = float64(GapDistance - 1)
+	if pos := int64(w >> hintShift); pos > 0 {
+		s = float64(pos - 1 - head)
+	}
+	switch {
+	case Flags(w)&Pinned != 0:
+		return 0, s, true
+	case Flags(w)&Estimate != 0:
+		return f.src.Estimate(f.size).Seconds(), s, false
+	}
+	return time.Duration(f.e.wait.Load()).Seconds(), s, false
 }
 
 // bestWindowLocked delegates window selection to the active eviction
@@ -742,18 +747,20 @@ func (b *Buffer) UsedBytes() int64 {
 // ScoreSummary condenses the resident checkpoints' eviction-score
 // distribution for the time-series sampler: mean P-score (seconds until
 // evictable; pinned fragments excluded) and mean S-score (prefetch
-// distance) across resident, unpinned checkpoints.
+// distance) across resident, unpinned checkpoints. It reads the
+// fragments in place: no window scan, so sampling leaves Stats as it is.
 func (b *Buffer) ScoreSummary() (meanP, meanS float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var n int
-	for _, f := range b.snapshotLocked().frags {
-		if f.id == gapID || f.pinned {
-			continue
+	for i := range b.frags {
+		if f := &b.frags[i]; !f.isGap() && !f.claimed {
+			if p, s, pinned := b.scoreLocked(f); !pinned {
+				meanP += p
+				meanS += s
+				n++
+			}
 		}
-		meanP += f.p
-		meanS += f.s
-		n++
 	}
 	if n == 0 {
 		return 0, 0

@@ -422,7 +422,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackApp, "checkpoint",
-			spanName("checkpoint", id, ""), c.flowID(id))()
+			spanName("checkpoint", id, ""), c.flowID(id)).End()
 	}
 
 	// Reserve GPU cache space; Algorithm 1 picks and evicts the best
@@ -581,7 +581,7 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	att := newAttrib(metrics.CritRestore, int64(id), start)
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackApp, "restore",
-			spanName("restore", id, ""), c.flowID(id))()
+			spanName("restore", id, ""), c.flowID(id)).End()
 	}
 
 	for {

@@ -126,7 +126,7 @@ func (c *Client) runD2H(id ID) {
 	}()
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackD2H, "flush",
-			spanName("flush", id, " gpu→host"), c.flowID(id))()
+			spanName("flush", id, " gpu→host"), c.flowID(id)).End()
 	}
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) {
 		// The host tier only becomes usable once pinned registration
@@ -271,7 +271,7 @@ func (c *Client) runH2F(id ID) {
 	}
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "flush",
-			spanName("flush", id, " host→ssd"), c.flowID(id))()
+			spanName("flush", id, " host→ssd"), c.flowID(id)).End()
 	}
 	c.mu.Lock()
 	hostRep := ck.replicas[TierHost]
@@ -470,7 +470,7 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 	}
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "partner-copy",
-			spanName("replicate", ck.id, " → partner ssd"), c.flowID(ck.id))()
+			spanName("replicate", ck.id, " → partner ssd"), c.flowID(ck.id)).End()
 	}
 	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	xferStart := c.clk.Now()

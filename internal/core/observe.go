@@ -108,14 +108,14 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 		}
 		return float64(n)
 	})
-	// One ScoreSummary scan — a pass over the whole GPU cache's entries —
-	// serves both score series of a tick: whichever probe is polled first
-	// at a simulated instant scans, the other reads what it found. Keyed
+	// One ScoreSummary pass over the GPU cache's fragments serves both
+	// score series of a tick: whichever probe is polled first at a
+	// simulated instant reads the cache, the other what it found. Keyed
 	// by the instant and locked, because a tick and the sampler's final
 	// sample can poll concurrently.
 	var scores struct {
 		sync.Mutex
-		at   time.Duration // instant of the scan held in p and s
+		at   time.Duration // instant of the pass held in p and s
 		p, s float64
 	}
 	scores.at = -1

@@ -10,6 +10,7 @@ import (
 	"score/internal/cachebuf"
 	"score/internal/fabric"
 	"score/internal/lifecycle"
+	"score/internal/metrics"
 	"score/internal/rtm"
 	"score/internal/simclock"
 )
@@ -316,12 +317,12 @@ func TestBuffersAreHandedTheCheckpointsOwnEntries(t *testing.T) {
 	})
 }
 
-// TestEvictingShotScoresThroughTheBatchPath runs one rank of a scaled-down
-// RTM shot (variable sizes, reverse hinted restore, several times either
-// cache) and reads the counter the scan path exports: every scan read some
-// fragments' entries, and no more than fit the cache.
-func TestEvictingShotScoresThroughTheBatchPath(t *testing.T) {
-	const gpuCache, hostCache = 8 * MB, 24 * MB
+// evictingShot runs one rank of a scaled-down RTM shot (variable sizes,
+// reverse hinted restore, several times either cache), sampled every
+// millisecond when sampled is set, and returns its caches' stats and its
+// smallest snapshot.
+func evictingShot(t *testing.T, sampled bool) (gpu, host cachebuf.Stats, minSize int64) {
+	t.Helper()
 	cfg := rtm.DefaultTraceConfig()
 	cfg.Snapshots, cfg.MeanSize = 48, 2*MB
 	cfg.MinAggregate, cfg.MaxAggregate = 90*MB, 100*MB
@@ -329,15 +330,21 @@ func TestEvictingShotScoresThroughTheBatchPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minSize := shot.MaxSize()
+	minSize = shot.MaxSize()
 	for _, size := range shot.Sizes {
 		minSize = min(minSize, size)
 	}
 	run(t, func(clk *simclock.Virtual) {
 		r := newRig(t, clk, func(p *Params) {
-			p.GPUCacheSize, p.HostCacheSize, p.DiscardAfterRestore = gpuCache, hostCache, true
+			p.GPUCacheSize, p.HostCacheSize, p.DiscardAfterRestore = evictingGPUCache, evictingHostCache, true
 		})
 		defer r.client.Close()
+		if sampled {
+			s := metrics.NewSampler(clk, time.Millisecond, 0)
+			r.client.RegisterProbes(s, "c")
+			s.Start()
+			defer s.Stop()
+		}
 		n := ID(len(shot.Sizes))
 		for v := n - 1; v >= 0; v-- {
 			r.client.PrefetchEnqueue(v)
@@ -358,20 +365,44 @@ func TestEvictingShotScoresThroughTheBatchPath(t *testing.T) {
 		if err := r.client.Err(); err != nil {
 			t.Fatal(err)
 		}
-		gpu, host := r.client.CacheStats()
-		for _, c := range []struct {
-			name     string
-			st       cachebuf.Stats
-			capacity int64
-		}{{"gpu", gpu, gpuCache}, {"host", host, hostCache}} {
-			if c.st.Evictions == 0 || c.st.WindowScans == 0 {
-				t.Errorf("%s cache: %d evictions in %d scans; the shot does not evict", c.name, c.st.Evictions, c.st.WindowScans)
-			}
-			if most := c.st.WindowScans * (c.capacity / minSize); c.st.FragmentsScored == 0 || c.st.FragmentsScored > most {
-				t.Errorf("%s cache: %d fragments scored in %d scans, want 1..%d", c.name, c.st.FragmentsScored, c.st.WindowScans, most)
-			}
-		}
+		gpu, host = r.client.CacheStats()
 	})
+	return gpu, host, minSize
+}
+
+const evictingGPUCache, evictingHostCache = 8 * MB, 24 * MB
+
+// TestEvictingShotScoresThroughTheBatchPath reads the counter the scan
+// path exports: every scan of an evicting shot read some fragments'
+// entries, and no more than fit the cache.
+func TestEvictingShotScoresThroughTheBatchPath(t *testing.T) {
+	gpu, host, minSize := evictingShot(t, false)
+	for _, c := range []struct {
+		name     string
+		st       cachebuf.Stats
+		capacity int64
+	}{{"gpu", gpu, evictingGPUCache}, {"host", host, evictingHostCache}} {
+		if c.st.Evictions == 0 || c.st.WindowScans == 0 {
+			t.Errorf("%s cache: %d evictions in %d scans; the shot does not evict", c.name, c.st.Evictions, c.st.WindowScans)
+		}
+		if most := c.st.WindowScans * (c.capacity / minSize); c.st.FragmentsScored == 0 || c.st.FragmentsScored > most {
+			t.Errorf("%s cache: %d fragments scored in %d scans, want 1..%d", c.name, c.st.FragmentsScored, c.st.WindowScans, most)
+		}
+	}
+}
+
+// TestSamplingLeavesCacheStatsAlone: the sampler's score probes read the
+// cache in place, so the same shot sampled every millisecond does the
+// same cache work — identical Stats — as the shot unsampled.
+func TestSamplingLeavesCacheStatsAlone(t *testing.T) {
+	plainGPU, plainHost, _ := evictingShot(t, false)
+	sampledGPU, sampledHost, _ := evictingShot(t, true)
+	if sampledGPU != plainGPU {
+		t.Errorf("GPU cache stats: sampled %+v, plain %+v", sampledGPU, plainGPU)
+	}
+	if sampledHost != plainHost {
+		t.Errorf("host cache stats: sampled %+v, plain %+v", sampledHost, plainHost)
+	}
 }
 
 // TestScansTakeNoRuntimeLock fills both caches past capacity and then holds

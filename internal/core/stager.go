@@ -171,7 +171,7 @@ func (c *Client) maxHostResidentDistanceLocked() int {
 func (c *Client) stageHinted(ck *checkpoint) (staged bool, err error) {
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackStage, "prefetch",
-			spanName("stage", ck.id, " ssd→host"), c.flowID(ck.id))()
+			spanName("stage", ck.id, " ssd→host"), c.flowID(ck.id)).End()
 	}
 	c.waitHostReady()
 	c.mu.Lock()

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 )
@@ -67,5 +68,27 @@ func TestNilTracerCounterIsNoop(t *testing.T) {
 	tr.Counter(0, "x", time.Millisecond, 1) // must not panic
 	if got := tr.Counters(); got != nil {
 		t.Errorf("nil tracer Counters() = %v, want nil", got)
+	}
+}
+
+// TestCounterOrderIgnoresArrivalOrder: samples tied on time, GPU and
+// name are ordered by value, -0 before 0 included, so the export does
+// not depend on which of them arrived first.
+func TestCounterOrderIgnoresArrivalOrder(t *testing.T) {
+	exports := map[string]bool{}
+	for _, negativeFirst := range []bool{true, false} {
+		tr := New(func() time.Duration { return 0 })
+		for i := 0; i < 20; i++ {
+			a, b := 0.0, math.Copysign(0, -1)
+			if negativeFirst {
+				a, b = b, a
+			}
+			tr.Counter(0, "x", time.Millisecond, a)
+			tr.Counter(0, "x", time.Millisecond, b)
+		}
+		exports[string(bothExports(t, tr))] = true
+	}
+	if len(exports) != 1 {
+		t.Errorf("two arrival orders of the same samples export %d different documents", len(exports))
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -38,8 +39,9 @@ type chromeStream struct {
 }
 
 // begin opens one event with its leading fields: the separating comma,
-// name, cat (omitted when empty), ph and ts.
-func (s *chromeStream) begin(name, cat string, ph byte, ts time.Duration) {
+// name (written from quoted, its JSON string, when that is not nil), cat
+// (omitted when empty), ph and ts.
+func (s *chromeStream) begin(name string, quoted []byte, cat string, ph byte, ts time.Duration) {
 	if len(s.buf) >= exportFlushAt {
 		s.flush()
 	}
@@ -48,7 +50,11 @@ func (s *chromeStream) begin(name, cat string, ph byte, ts time.Duration) {
 		b = append(b, ',')
 	}
 	s.events++
-	b = appendJSONString(append(b, `{"name":`...), name)
+	if b = append(b, `{"name":`...); quoted != nil {
+		b = append(b, quoted...)
+	} else {
+		b = appendJSONString(b, name)
+	}
 	if cat != "" {
 		b = appendJSONString(append(b, `,"cat":`...), cat)
 	}
@@ -75,18 +81,26 @@ func (s *chromeStream) flush() {
 // in chrome://tracing or ui.perfetto.dev. Counter events render as area
 // tracks above each GPU's span rows. A NaN or infinite counter value is
 // an error and nothing is written; a failed write ends the export with
-// that error.
+// that error. The counter samples are written from where they are
+// stored, so the tracer stays locked until the export returns: w must
+// not call back into it.
 func (t *Tracer) WriteJSON(w io.Writer) error {
+	if t == nil {
+		t = &Tracer{} // an empty timeline
+	}
 	events := t.Events()
-	counters := t.Counters()
-	for _, c := range counters {
-		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
-			return fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(c.Value, 'g', -1, 64))
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	counter, err := t.exportCountersLocked()
+	if err != nil {
+		return err
+	}
+	quoted := make([][]byte, len(t.names)) // each counter name's JSON string, by id
+	for id, name := range t.names {
+		quoted[id] = appendJSONString(nil, name)
 	}
 	s := &chromeStream{w: w, buf: make([]byte, 0, exportBufLen)}
 	s.buf = append(s.buf, `{"traceEvents":[`...)
-
 	// Metadata: name each GPU (process) and task (thread) row.
 	seen := map[[2]int]bool{}
 	for _, e := range events {
@@ -95,11 +109,11 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			continue
 		}
 		seen[key] = true
-		s.begin("process_name", "", 'M', 0)
+		s.begin("process_name", nil, "", 'M', 0)
 		s.row(e.GPU, int(e.Track))
 		s.buf = strconv.AppendInt(append(s.buf, `,"args":{"name":"GPU `...), int64(e.GPU), 10)
 		s.buf = append(s.buf, `"}}`...)
-		s.begin("thread_name", "", 'M', 0)
+		s.begin("thread_name", nil, "", 'M', 0)
 		s.row(e.GPU, int(e.Track))
 		s.buf = appendJSONString(append(s.buf, `,"args":{"name":`...), e.Track.String())
 		s.buf = append(s.buf, `}}`...)
@@ -108,7 +122,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		if s.err != nil {
 			return s.err
 		}
-		s.begin(e.Name, e.Category, 'X', e.Start)
+		s.begin(e.Name, nil, e.Category, 'X', e.Start)
 		if e.Duration != 0 {
 			s.buf = appendMicros(append(s.buf, `,"dur":`...), e.Duration)
 		}
@@ -120,18 +134,40 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		s.buf = append(s.buf, '}')
 	}
 	s.flows(events)
-	for _, c := range counters {
+	for i := range t.counters.n {
 		if s.err != nil {
 			return s.err
 		}
-		s.begin(c.Name, "", 'C', c.At)
-		s.row(c.GPU, 0)
+		c := counter(i)
+		s.begin("", quoted[c.name], "", 'C', c.At)
+		s.row(int(c.GPU), 0)
 		s.buf = appendJSONFloat(append(s.buf, `,"args":{"value":`...), c.Value)
 		s.buf = append(s.buf, `}}`...)
 	}
 	s.buf = append(s.buf, "]}\n"...)
 	s.flush()
 	return s.err
+}
+
+// exportCountersLocked hands out the counter samples in export order,
+// the i-th by counter(i): the ring in place when they are already in
+// that order, as the sampler delivers them, else a sorted copy. A NaN or
+// infinite value is an error.
+func (t *Tracer) exportCountersLocked() (counter func(i int) *counterSample, err error) {
+	inOrder := true
+	for i := range t.counters.n {
+		c := t.counters.nth(i)
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			return nil, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(c.Value, 'g', -1, 64))
+		}
+		inOrder = inOrder && (i == 0 || t.compareCounters(*t.counters.nth(i - 1), *c) <= 0)
+	}
+	if inOrder {
+		return t.counters.nth, nil
+	}
+	sorted := t.counters.snapshot()
+	slices.SortFunc(sorted, t.compareCounters)
+	return func(i int) *counterSample { return &sorted[i] }, nil
 }
 
 // flows turns each flow-linked span chain into Chrome flow-arrow events:
@@ -173,7 +209,7 @@ func (s *chromeStream) flows(events []Event) {
 			case n - 1:
 				ph, bp = 'f', `,"bp":"e"`
 			}
-			s.begin(first.Name, "flow", ph, e.Start)
+			s.begin(first.Name, nil, "flow", ph, e.Start)
 			s.row(e.GPU, int(e.Track))
 			s.buf = strconv.AppendInt(append(s.buf, `,"id":"`...), first.Flow, 10)
 			s.buf = append(append(append(s.buf, '"'), bp...), '}')
@@ -181,9 +217,21 @@ func (s *chromeStream) flows(events []Event) {
 	}
 }
 
-// appendMicros appends d in microseconds, the unit of "ts" and "dur".
+// appendMicros appends d in microseconds, the unit of "ts" and "dur", as
+// appendJSONFloat(b, float64(d)/1e3) would: from 0 to below 10^15 ns (at
+// most 15 significant digits, so the quotient prints exactly) as integer
+// microseconds and up to three trimmed fractional digits, else by that.
 func appendMicros(b []byte, d time.Duration) []byte {
-	return appendJSONFloat(b, float64(d)/float64(time.Microsecond))
+	if d < 0 || d >= 1e15 {
+		return appendJSONFloat(b, float64(d)/float64(time.Microsecond))
+	}
+	b = strconv.AppendInt(b, int64(d/time.Microsecond), 10)
+	if frac := d % time.Microsecond; frac != 0 {
+		b = strconv.AppendInt(b, int64(time.Microsecond+frac), 10) // "1" and three digits
+		b[len(b)-4] = '.'
+		b = bytes.TrimRight(b, "0")
+	}
+	return b
 }
 
 // appendJSONFloat appends a finite f the way encoding/json does: like

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -284,7 +285,9 @@ func TestWriteJSONStopsAtFirstWriteError(t *testing.T) {
 }
 
 // TestWriteJSONAllocationsDoNotGrowWithEvents: the export allocates its
-// two sorted copies, its buffer and the row map — not per event.
+// sorted copy of the spans (and of the counter samples when they are out
+// of order), its buffer, the row map and one quoted string per counter
+// name — not per event.
 func TestWriteJSONAllocationsDoNotGrowWithEvents(t *testing.T) {
 	allocs := func(n int) float64 {
 		tr := New(func() time.Duration { return 0 })
@@ -302,5 +305,74 @@ func TestWriteJSONAllocationsDoNotGrowWithEvents(t *testing.T) {
 	t.Logf("WriteJSON allocations: %.0f at 10k entries, %.0f at 40k", small, large)
 	if large-small >= 16 {
 		t.Errorf("WriteJSON allocations grow with the event count: %.0f at 10k entries, %.0f at 40k", small, large)
+	}
+}
+
+// TestAppendMicrosMatchesFloatPath is the differential for the integer
+// timestamp form: below 10^15 ns it must print what the float path
+// prints, byte for byte, and at and above that bound and for negative
+// values it is the float path.
+func TestAppendMicrosMatchesFloatPath(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		got, want := appendMicros(nil, d), appendJSONFloat(nil, float64(d)/1e3)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendMicros(%d) = %s, the float path %s", int64(d), got, want)
+		}
+	}
+	for _, d := range []time.Duration{0, 1, 10, 100, 999, 1000, 1001, 1010, 1100, 123456789, 1e15 - 1, 1e15, 1e15 + 1, 1<<53 - 1, 1 << 53, math.MaxInt64} {
+		check(d)
+		check(-d)
+	}
+	check(math.MinInt64)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 100000; i++ {
+		check(time.Duration(rng.Int63n(1e15)))
+		check(time.Duration(rng.Int63n(int64(1) << rng.Intn(50)))) // every magnitude
+		check(-time.Duration(rng.Int63n(1e15)))
+	}
+}
+
+// TestCountersStreamInPlace: samples recorded the way the sampler
+// delivers them, tick by tick and each tick in name order, export from
+// where they are stored, with no copy of the counter store; a
+// same-instant final sample out of that order takes the sorted copy.
+// Both match the reference byte for byte, including same-name ties of
+// -0 and 0 that an unstable sort could swap.
+func TestCountersStreamInPlace(t *testing.T) {
+	names := []string{"a.used", "b.resident", "b.resident", "c<score>"}
+	const ticks = 4000
+	record := func(tr *Tracer, tick int) {
+		at := time.Duration(tick) * 10 * time.Millisecond
+		for i, name := range names {
+			v := float64(tick * i)
+			if i == 1 {
+				v = math.Copysign(0, -1) // -0 before its duplicate's 0
+			} else if i == 2 {
+				v = 0
+			}
+			tr.Counter(0, name, at, v)
+		}
+	}
+	for _, final := range []bool{false, true} {
+		tr := New(func() time.Duration { return 0 })
+		tr.SetCapacity(1, 3*blockLen+5) // wraps, across blocks
+		for tick := 0; tick < ticks; tick++ {
+			record(tr, tick)
+		}
+		if final {
+			record(tr, ticks-1)
+		}
+		bothExports(t, tr)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := tr.WriteJSON(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		copied := after.TotalAlloc-before.TotalAlloc >= 3*blockLen*24 // 24 B a sample
+		if copied != final {
+			t.Errorf("final same-instant sample %v: export copied the counter store = %v", final, copied)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -44,69 +46,24 @@ const (
 	LSLOResolved                         // a firing SLO alert dropped back below its burn-rate threshold
 )
 
+var kindNames = [...]string{
+	LCreated: "created", LCached: "cached", LFlushEnqueued: "flush-enqueued",
+	LD2HStart: "d2h-start", LD2HEnd: "d2h-end", LHopStart: "hop-start",
+	LHopEnd: "hop-end", LPartnerCopy: "partner-copy", LDurable: "durable",
+	LGroupCommit: "group-commit", LDegraded: "degraded", LRetried: "retried",
+	LEvicted: "evicted", LStaged: "staged", LPrefetched: "prefetched",
+	LRestored: "restored", LDiscarded: "discarded", LLost: "lost",
+	LKilled: "killed", LHealed: "healed", LDrainStart: "drain-start",
+	LDrainEnd: "drain-end", LDrainAbandoned: "drain-abandoned",
+	LMigrateStart: "migrate-start", LMigrateEnd: "migrate-end",
+	LMigrated: "migrated", LStalled: "stalled", LHedged: "hedged",
+	LSLOFired: "slo-fired", LSLOResolved: "slo-resolved",
+}
+
 // String names the kind as rendered in ledger dumps.
 func (k LifecycleKind) String() string {
-	switch k {
-	case LCreated:
-		return "created"
-	case LCached:
-		return "cached"
-	case LFlushEnqueued:
-		return "flush-enqueued"
-	case LD2HStart:
-		return "d2h-start"
-	case LD2HEnd:
-		return "d2h-end"
-	case LHopStart:
-		return "hop-start"
-	case LHopEnd:
-		return "hop-end"
-	case LPartnerCopy:
-		return "partner-copy"
-	case LDurable:
-		return "durable"
-	case LGroupCommit:
-		return "group-commit"
-	case LDegraded:
-		return "degraded"
-	case LRetried:
-		return "retried"
-	case LEvicted:
-		return "evicted"
-	case LStaged:
-		return "staged"
-	case LPrefetched:
-		return "prefetched"
-	case LRestored:
-		return "restored"
-	case LDiscarded:
-		return "discarded"
-	case LLost:
-		return "lost"
-	case LKilled:
-		return "killed"
-	case LHealed:
-		return "healed"
-	case LDrainStart:
-		return "drain-start"
-	case LDrainEnd:
-		return "drain-end"
-	case LDrainAbandoned:
-		return "drain-abandoned"
-	case LMigrateStart:
-		return "migrate-start"
-	case LMigrateEnd:
-		return "migrate-end"
-	case LMigrated:
-		return "migrated"
-	case LStalled:
-		return "stalled"
-	case LHedged:
-		return "hedged"
-	case LSLOFired:
-		return "slo-fired"
-	case LSLOResolved:
-		return "slo-resolved"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("LifecycleKind(%d)", int(k))
 }
@@ -123,9 +80,10 @@ type LifecycleEvent struct {
 	At      time.Duration
 }
 
-// DefaultFlightCap bounds each rank's ledger ring. At ~20 events per
-// checkpoint version this retains the last few hundred versions.
-const DefaultFlightCap = 8192
+// DefaultFlightCap bounds each rank's ledger ring: two storage blocks.
+// At ~20 events per checkpoint version this retains the last few
+// hundred versions.
+const DefaultFlightCap = 2 * blockLen
 
 // FlightRecorder keeps a bounded per-rank ring of lifecycle events — a
 // flight recorder for the checkpoint pipeline. When a rank's ring
@@ -137,13 +95,7 @@ type FlightRecorder struct {
 	capPerRank int
 
 	mu    sync.Mutex
-	ranks map[int]*rankRing
-}
-
-type rankRing struct {
-	events  []LifecycleEvent
-	next    int
-	dropped int64
+	ranks map[int]*blockRing[LifecycleEvent]
 }
 
 // NewFlightRecorder builds a recorder timestamping from now, retaining
@@ -155,7 +107,7 @@ func NewFlightRecorder(now func() time.Duration, capPerRank int) *FlightRecorder
 	if capPerRank < 1 {
 		panic("trace: flight recorder capacity must be >= 1")
 	}
-	return &FlightRecorder{now: now, capPerRank: capPerRank, ranks: map[int]*rankRing{}}
+	return &FlightRecorder{now: now, capPerRank: capPerRank, ranks: map[int]*blockRing[LifecycleEvent]{}}
 }
 
 // Record appends one lifecycle event for (rank, version), stamped at
@@ -179,24 +131,17 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 	defer f.mu.Unlock()
 	r := f.ranks[rank]
 	if r == nil {
-		r = &rankRing{}
+		r = &blockRing[LifecycleEvent]{limit: f.capPerRank}
 		f.ranks[rank] = r
 	}
-	ev := LifecycleEvent{Rank: rank, Version: version, Kind: kind, Tier: tier, Detail: detail, At: at}
-	if len(r.events) < f.capPerRank {
-		r.events = append(r.events, ev)
-	} else {
-		r.events[r.next] = ev
-		r.next = (r.next + 1) % f.capPerRank
-		r.dropped++
-	}
+	r.push(LifecycleEvent{Rank: rank, Version: version, Kind: kind, Tier: tier, Detail: detail, At: at})
 }
 
 // Ledger returns rank's retained events in a deterministic order:
 // primarily by simulated time, then by (version, kind, tier, detail);
-// entries equal in every field are indistinguishable and keep storage
-// order. The tie-breaks make the order a function of the events, not of
-// the order same-instant tasks recorded them in. Nil-safe.
+// entries equal in every field are indistinguishable. The tie-breaks
+// make the order a function of the events, not of the order same-instant
+// tasks recorded them in. Nil-safe.
 func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	if f == nil {
 		return nil
@@ -204,24 +149,12 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	var out []LifecycleEvent
 	f.mu.Lock()
 	if r := f.ranks[rank]; r != nil {
-		out = append(out, r.events...)
+		out = r.snapshot()
 	}
 	f.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Version != b.Version {
-			return a.Version < b.Version
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Tier != b.Tier {
-			return a.Tier < b.Tier
-		}
-		return a.Detail < b.Detail
+	slices.SortFunc(out, func(a, b LifecycleEvent) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Version, b.Version), cmp.Compare(a.Kind, b.Kind),
+			strings.Compare(a.Tier, b.Tier), strings.Compare(a.Detail, b.Detail))
 	})
 	return out
 }
@@ -229,13 +162,7 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 // VersionLedger returns rank's retained events for one version, in
 // Ledger order. Nil-safe.
 func (f *FlightRecorder) VersionLedger(rank int, version int64) []LifecycleEvent {
-	var out []LifecycleEvent
-	for _, ev := range f.Ledger(rank) {
-		if ev.Version == version {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return slices.DeleteFunc(f.Ledger(rank), func(ev LifecycleEvent) bool { return ev.Version != version })
 }
 
 // Ranks lists the ranks with at least one retained event, ascending.
@@ -250,7 +177,7 @@ func (f *FlightRecorder) Ranks() []int {
 		out = append(out, r)
 	}
 	f.mu.Unlock()
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -270,9 +197,14 @@ func (f *FlightRecorder) Dropped(rank int) int64 {
 
 // TotalDropped sums Dropped across ranks. Nil-safe.
 func (f *FlightRecorder) TotalDropped() int64 {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var total int64
-	for _, r := range f.Ranks() {
-		total += f.Dropped(r)
+	for _, r := range f.ranks {
+		total += r.dropped
 	}
 	return total
 }
@@ -295,8 +227,5 @@ func (t *Tracer) Flight() *FlightRecorder {
 // Lifecycle records one ledger entry on the tracer's flight recorder
 // (created on demand). Nil-safe.
 func (t *Tracer) Lifecycle(rank int, version int64, kind LifecycleKind, tier, detail string) {
-	if t == nil {
-		return
-	}
 	t.Flight().Record(rank, version, kind, tier, detail)
 }

@@ -9,6 +9,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -20,31 +21,22 @@ import (
 type Track int
 
 const (
-	// TrackApp is the application thread (checkpoint/restore blocking).
-	TrackApp Track = iota
-	// TrackD2H is the GPU→host flusher.
-	TrackD2H
-	// TrackH2F is the host→SSD/PFS flusher.
-	TrackH2F
-	// TrackPF is the GPU-side prefetcher.
-	TrackPF
-	// TrackStage is the SSD→host stager.
-	TrackStage
+	TrackApp   Track = iota // the application thread (checkpoint/restore blocking)
+	TrackD2H                // the GPU→host flusher
+	TrackH2F                // the host→SSD/PFS flusher
+	TrackPF                 // the GPU-side prefetcher
+	TrackStage              // the SSD→host stager
 )
+
+var trackNames = [...]string{
+	TrackApp: "application", TrackD2H: "T_D2H flusher", TrackH2F: "T_H2F flusher",
+	TrackPF: "T_PF prefetcher", TrackStage: "T_PF host stager",
+}
 
 // String names the track as shown in the trace viewer.
 func (t Track) String() string {
-	switch t {
-	case TrackApp:
-		return "application"
-	case TrackD2H:
-		return "T_D2H flusher"
-	case TrackH2F:
-		return "T_H2F flusher"
-	case TrackPF:
-		return "T_PF prefetcher"
-	case TrackStage:
-		return "T_PF host stager"
+	if t >= 0 && int(t) < len(trackNames) {
+		return trackNames[t]
 	}
 	return fmt.Sprintf("Track(%d)", int(t))
 }
@@ -73,6 +65,15 @@ type CounterEvent struct {
 	GPU   int // process row
 	At    time.Duration
 	Value float64
+}
+
+// counterSample is how the tracer stores a CounterEvent: 24 bytes, the
+// name interned in Tracer.names.
+type counterSample struct {
+	At    time.Duration
+	Value float64
+	GPU   int32
+	name  uint32
 }
 
 // Default retention bounds. A long chaos soak emits events forever;
@@ -113,14 +114,22 @@ func (r *blockRing[T]) push(v T) {
 	r.n++
 }
 
+// nth returns the i-th oldest held entry. Storage order is arrival
+// order rotated by next.
+func (r *blockRing[T]) nth(i int) *T {
+	if i += r.next; i >= r.n {
+		i -= r.n
+	}
+	return r.at(i)
+}
+
 // snapshot copies the held entries out, oldest first.
 func (r *blockRing[T]) snapshot() []T {
-	out := make([]T, 0, r.n)
-	for _, b := range r.blocks {
-		out = append(out, b[:min(len(b), r.n-len(out))]...)
+	out := make([]T, r.n)
+	for i := range out {
+		out[i] = *r.nth(i)
 	}
-	// Storage order is arrival order rotated by next.
-	return append(out[r.next:], out[:r.next]...)
+	return out
 }
 
 // setLimit rebounds the ring, dropping the oldest entries beyond limit.
@@ -142,7 +151,9 @@ type Tracer struct {
 
 	mu       sync.Mutex
 	events   blockRing[Event]
-	counters blockRing[CounterEvent]
+	counters blockRing[counterSample]
+	names    []string          // counter names by id
+	nameIDs  map[string]uint32 // counter name to id
 
 	flight *FlightRecorder // created on first use
 }
@@ -153,7 +164,7 @@ func New(now func() time.Duration) *Tracer {
 	if now == nil {
 		panic("trace: nil clock function")
 	}
-	t := &Tracer{now: now}
+	t := &Tracer{now: now, nameIDs: map[string]uint32{}}
 	t.events.limit, t.counters.limit = DefaultEventCap, DefaultCounterCap
 	return t
 }
@@ -189,24 +200,33 @@ func (t *Tracer) Dropped() (events, counters int64) {
 // Span opens a span and returns its closer; call the closer when the
 // operation completes. Nil-safe.
 func (t *Tracer) Span(gpu int, track Track, category, name string) func() {
-	return t.SpanFlow(gpu, track, category, name, 0)
-}
-
-// SpanFlow is Span with a causal flow ID: the finished span joins the
-// flow chain identified by flow (0 means unlinked). Nil-safe.
-func (t *Tracer) SpanFlow(gpu int, track Track, category, name string, flow int64) func() {
 	if t == nil {
 		return func() {}
 	}
-	start := t.now()
-	return func() {
-		end := t.now()
-		t.mu.Lock()
-		t.events.push(Event{
-			Name: name, Category: category, GPU: gpu, Track: track,
-			Start: start, Duration: end - start, Flow: flow,
-		})
-		t.mu.Unlock()
+	return t.SpanFlow(gpu, track, category, name, 0).End
+}
+
+// OpenSpan is a span SpanFlow opened and End closes. It is a value, so
+// `defer tr.SpanFlow(...).End()` allocates nothing.
+type OpenSpan struct {
+	t *Tracer
+	e Event // all but Duration
+}
+
+// SpanFlow opens a span with a causal flow ID: once End closes it, the
+// span joins the flow chain identified by flow (0 means unlinked).
+// Nil-safe: a nil tracer's span ends without recording.
+func (t *Tracer) SpanFlow(gpu int, track Track, category, name string, flow int64) OpenSpan {
+	if t == nil {
+		return OpenSpan{}
+	}
+	return OpenSpan{t, Event{Name: name, Category: category, GPU: gpu, Track: track, Start: t.now(), Flow: flow}}
+}
+
+// End records the span, from SpanFlow's instant to now.
+func (s OpenSpan) End() {
+	if s.t != nil {
+		s.t.RecordFlow(s.e.GPU, s.e.Track, s.e.Category, s.e.Name, s.e.Start, s.t.now()-s.e.Start, s.e.Flow)
 	}
 }
 
@@ -223,10 +243,7 @@ func (t *Tracer) RecordFlow(gpu int, track Track, category, name string, start, 
 		return
 	}
 	t.mu.Lock()
-	t.events.push(Event{
-		Name: name, Category: category, GPU: gpu, Track: track,
-		Start: start, Duration: duration, Flow: flow,
-	})
+	t.events.push(Event{Name: name, Category: category, GPU: gpu, Track: track, Start: start, Duration: duration, Flow: flow})
 	t.mu.Unlock()
 }
 
@@ -237,40 +254,52 @@ func (t *Tracer) Counter(gpu int, name string, at time.Duration, value float64) 
 		return
 	}
 	t.mu.Lock()
-	t.counters.push(CounterEvent{Name: name, GPU: gpu, At: at, Value: value})
+	id, ok := t.nameIDs[name]
+	if !ok {
+		id, t.names = uint32(len(t.names)), append(t.names, name)
+		t.nameIDs[name] = id
+	}
+	t.counters.push(counterSample{At: at, Value: value, GPU: int32(gpu), name: id})
 	t.mu.Unlock()
 }
 
-// Counters returns a copy of the recorded counter events sorted by time.
-// Ties are broken on every remaining field, so the export does not depend
-// on the order same-instant tasks appended in.
+// compareCounters orders samples by time, then on every remaining field,
+// so the export does not depend on the order same-instant tasks appended
+// in. Values compare with plain <, under which a NaN ties with everything
+// (cmp.Compare would sort it first). Call with t.mu held.
+func (t *Tracer) compareCounters(a, b counterSample) int {
+	if c := cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.GPU, b.GPU)); c != 0 {
+		return c
+	}
+	if a.name != b.name {
+		return strings.Compare(t.names[a.name], t.names[b.name])
+	}
+	switch {
+	case a.Value < b.Value:
+		return -1
+	case b.Value < a.Value:
+		return +1
+	case a.Value == 0 && b.Value == 0:
+		// -0 first: the one pair of equal values the export prints apart.
+		return cmp.Compare(math.Float64bits(b.Value), math.Float64bits(a.Value))
+	}
+	return 0
+}
+
+// Counters returns a copy of the recorded counter events in export
+// order: sorted by time, ties broken on every remaining field.
 func (t *Tracer) Counters() []CounterEvent {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := t.counters.snapshot()
-	t.mu.Unlock()
-	slices.SortFunc(out, func(a, b CounterEvent) int {
-		if c := cmp.Compare(a.At, b.At); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.GPU, b.GPU); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Name, b.Name); c != 0 {
-			return c
-		}
-		// Plain <, under which a NaN ties with everything; cmp.Compare
-		// would sort it first.
-		switch {
-		case a.Value < b.Value:
-			return -1
-		case b.Value < a.Value:
-			return +1
-		}
-		return 0
-	})
+	defer t.mu.Unlock()
+	sorted := t.counters.snapshot()
+	slices.SortFunc(sorted, t.compareCounters)
+	out := make([]CounterEvent, len(sorted))
+	for i, c := range sorted {
+		out[i] = CounterEvent{Name: t.names[c.name], GPU: int(c.GPU), At: c.At, Value: c.Value}
+	}
 	return out
 }
 
@@ -297,14 +326,8 @@ func (t *Tracer) Events() []Event {
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {
 			return c
 		}
-		return cmp.Or(
-			cmp.Compare(a.GPU, b.GPU),
-			cmp.Compare(a.Track, b.Track),
-			strings.Compare(a.Name, b.Name),
-			strings.Compare(a.Category, b.Category),
-			cmp.Compare(a.Duration, b.Duration),
-			cmp.Compare(a.Flow, b.Flow),
-		)
+		return cmp.Or(cmp.Compare(a.GPU, b.GPU), cmp.Compare(a.Track, b.Track), strings.Compare(a.Name, b.Name),
+			strings.Compare(a.Category, b.Category), cmp.Compare(a.Duration, b.Duration), cmp.Compare(a.Flow, b.Flow))
 	})
 	return out
 }

@@ -123,3 +123,23 @@ func TestNewRejectsNilClock(t *testing.T) {
 	}()
 	New(nil)
 }
+
+// TestDeferredSpanAllocatesNothing: `defer tr.SpanFlow(...).End()` is
+// how the runtime times an operation, once per checkpoint, flush and
+// prefetch; opening and closing a span must not allocate beyond the
+// store's blocks.
+func TestDeferredSpanAllocatesNothing(t *testing.T) {
+	clk := &fakeClock{}
+	tr := New(clk.Now)
+	name := "flush 7 gpu→host"
+	op := func() {
+		defer tr.SpanFlow(2, TrackD2H, "flush", name, 9).End()
+		clk.now += time.Microsecond
+	}
+	if n := testing.AllocsPerRun(1000, op); n != 0 {
+		t.Errorf("a deferred span allocates %.0f times, want 0", n)
+	}
+	if ev := tr.Events(); len(ev) != 1001 || ev[0].Duration != time.Microsecond || ev[0].Flow != 9 {
+		t.Errorf("recorded %d spans, first %+v", len(ev), ev[0])
+	}
+}
