@@ -28,9 +28,11 @@
 package cachebuf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,16 +234,17 @@ type Buffer struct {
 	mu       sync.Mutex
 	cond     simclock.Cond
 	frags    []frag
-	free     int64 // total gap bytes
-	resident map[ID]struct{}
+	free     int64        // total gap bytes
+	gaps     []gapKey     // every unclaimed gap, by size, then offset
+	resident map[ID]int64 // id -> its fragment's offset; a fragment never moves
 	closed   bool
 	policy   Policy
 	ep       EvictionPolicy
 	stats    Stats
 	waitObs  func(time.Duration) // per-wait eviction-stall observer
 
-	// The scan snapshot, reused across scans, valid under mu until the
-	// next one: every fragment's scores.
+	// The scan snapshot, one slot per fragment, reused across scans and
+	// valid under mu until the next one.
 	view []viewFrag
 }
 
@@ -270,7 +273,8 @@ func NewFromEntries(clk simclock.Clock, name string, capacity int64, src EntrySo
 		src:      src,
 		frags:    []frag{{id: gapID, off: 0, size: capacity}},
 		free:     capacity,
-		resident: make(map[ID]struct{}),
+		gaps:     []gapKey{{capacity, 0}},
+		resident: make(map[ID]int64),
 	}
 	b.cond = clk.NewCond(&b.mu)
 	ep, err := PolicyScore.NewPolicy()
@@ -430,6 +434,9 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 		startOff := b.frags[start].off
 		endOff := b.frags[end-1].off + b.frags[end-1].size
 		for i := start; i < end; i++ {
+			if f := &b.frags[i]; f.isGap() {
+				b.unindexGapLocked(*f)
+			}
 			b.frags[i].claimed = true
 		}
 
@@ -443,23 +450,46 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 	}
 }
 
-// placeInGapLocked looks for the tightest single gap that fits size and
-// splits it. Returns the allocated offset.
-func (b *Buffer) placeInGapLocked(id ID, size int64) (int64, bool) {
-	best := -1
-	var bestSize int64 = math.MaxInt64
-	for i, f := range b.frags {
-		if f.isGap() && !f.claimed && f.size >= size && f.size < bestSize {
-			best, bestSize = i, f.size
-		}
+// gapKey is an unclaimed gap's entry in the gap index.
+type gapKey struct{ size, off int64 }
+
+func (k gapKey) cmp(o gapKey) int {
+	return cmp.Or(cmp.Compare(k.size, o.size), cmp.Compare(k.off, o.off))
+}
+
+// indexGapLocked adds unclaimed gap f to the gap index.
+func (b *Buffer) indexGapLocked(f frag) {
+	k := gapKey{f.size, f.off}
+	i, _ := slices.BinarySearchFunc(b.gaps, k, gapKey.cmp)
+	b.gaps = slices.Insert(b.gaps, i, k)
+}
+
+// unindexGapLocked takes unclaimed gap f out of the gap index.
+func (b *Buffer) unindexGapLocked(f frag) {
+	i, ok := slices.BinarySearchFunc(b.gaps, gapKey{f.size, f.off}, gapKey.cmp)
+	if !ok {
+		panic(fmt.Sprintf("cachebuf: %s: gap at %d missing from the gap index", b.name, f.off))
 	}
-	if best < 0 {
+	b.gaps = slices.Delete(b.gaps, i, i+1)
+}
+
+// placeInGapLocked places id in the tightest unclaimed gap that fits size,
+// the first in offset order on ties, and splits it. Returns the allocated
+// offset.
+func (b *Buffer) placeInGapLocked(id ID, size int64) (int64, bool) {
+	k, _ := slices.BinarySearchFunc(b.gaps, gapKey{size, -1}, gapKey.cmp)
+	if k == len(b.gaps) {
 		return 0, false
 	}
-	g := b.frags[best]
-	b.spliceLocked(best, best+1, b.newFragLocked(id, g.off, size), g.size-size)
+	g := b.gaps[k]
+	b.gaps = slices.Delete(b.gaps, k, k+1)
+	i := b.searchLocked(g.off)
+	b.spliceLocked(i, i+1, b.newFragLocked(id, g.off, size), g.size-size)
+	if g.size > size {
+		b.indexGapLocked(b.frags[i+1])
+	}
 	b.free -= size
-	b.resident[id] = struct{}{}
+	b.resident[id] = g.off
 	b.ep.OnInsert(id, size)
 	return g.off, true
 }
@@ -553,8 +583,10 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 
 	b.spliceLocked(first, last, b.newFragLocked(id, startOff, size), windowBytes-size)
 	b.free -= size
-	b.coalesceLocked()
-	b.resident[id] = struct{}{}
+	if windowBytes > size {
+		b.mergeGapLocked(first + 1) // the rest may meet a gap on its right
+	}
+	b.resident[id] = startOff
 	b.ep.OnInsert(id, size)
 	b.cond.Broadcast()
 	return startOff, true
@@ -575,18 +607,30 @@ func (b *Buffer) unclaimLocked(startOff, endOff int64) {
 // claimedSpanLocked returns the index range of the fragments that tile the
 // claimed window [startOff, endOff) right now.
 func (b *Buffer) claimedSpanLocked(startOff, endOff int64) (first, last int) {
-	for first < len(b.frags) && b.frags[first].off < startOff {
-		first++
-	}
+	first = b.searchLocked(startOff)
 	if first == len(b.frags) || b.frags[first].off != startOff {
 		panic(fmt.Sprintf("cachebuf: %s: claimed window at %d vanished", b.name, startOff))
 	}
-	for last = first; last < len(b.frags) && b.frags[last].off < endOff; last++ {
-	}
-	return first, last
+	return first, b.searchLocked(endOff)
 }
 
-// viewFrag is one fragment of a scan snapshot.
+// searchLocked returns the index of the first fragment at or past off.
+func (b *Buffer) searchLocked(off int64) int {
+	return sort.Search(len(b.frags), func(i int) bool { return b.frags[i].off >= off })
+}
+
+// fragLocked returns the index of resident id's fragment, at the offset
+// resident recorded for it.
+func (b *Buffer) fragLocked(id ID) int {
+	i := b.searchLocked(b.resident[id])
+	if i == len(b.frags) || b.frags[i].id != id {
+		panic(fmt.Sprintf("cachebuf: %s: resident id %d missing from fragment list", b.name, id))
+	}
+	return i
+}
+
+// viewFrag is one fragment's slot in the scan snapshot: its id and size
+// and the scores the scan read for it.
 type viewFrag struct {
 	id     ID // gapID for gaps
 	size   int64
@@ -594,25 +638,27 @@ type viewFrag struct {
 	pinned bool
 }
 
-// snapshotLocked reads every fragment's scores once into the buffer-owned
-// snapshot, so what a policy adds when a fragment enters its window is what
-// it subtracts when the fragment leaves. Gaps score (0, GapDistance); a
-// claimed fragment is pinned unread (another reservation owns its window);
-// any other is read by scoreLocked.
+// snapshotLocked fills slot i of the buffer-owned snapshot with fragment
+// i, reading every fragment's scores once, so what a policy adds when a
+// fragment enters its window is what it subtracts when the fragment
+// leaves. The snapshot grows only when the fragment count outgrows it.
+// Gaps score (0, GapDistance); a claimed fragment is pinned unread
+// (another reservation owns its window); any other is read by scoreLocked.
 func (b *Buffer) snapshotLocked() WindowView {
-	b.view = b.view[:0]
 	b.stats.WindowScans++
+	b.view = slices.Grow(b.view[:0], len(b.frags))[:len(b.frags)]
 	for i := range b.frags {
-		f := &b.frags[i]
-		vf := viewFrag{id: f.id, size: f.size, pinned: f.claimed}
+		f, vf := &b.frags[i], &b.view[i]
+		vf.id, vf.size = f.id, f.size
 		switch {
 		case f.isGap():
-			vf.s = float64(GapDistance)
-		case !f.claimed:
+			vf.p, vf.s, vf.pinned = 0, float64(GapDistance), f.claimed
+		case f.claimed:
+			vf.p, vf.s, vf.pinned = 0, 0, true
+		default:
 			b.stats.FragmentsScored++
 			vf.p, vf.s, vf.pinned = b.scoreLocked(f)
 		}
-		b.view = append(b.view, vf)
 	}
 	return WindowView{b.view}
 }
@@ -676,16 +722,13 @@ func (b *Buffer) Release(id ID) bool {
 	if _, ok := b.resident[id]; !ok {
 		return false
 	}
-	for i := range b.frags {
-		if f := &b.frags[i]; f.id == id {
-			*f = frag{id: gapID, off: f.off, size: f.size, claimed: f.claimed}
-			b.free += f.size
-			break
-		}
-	}
+	i := b.fragLocked(id)
+	f := &b.frags[i]
+	*f = frag{id: gapID, off: f.off, size: f.size, claimed: f.claimed}
+	b.free += f.size
 	delete(b.resident, id)
 	b.ep.OnRelease(id)
-	b.coalesceLocked()
+	b.mergeGapLocked(i)
 	b.cond.Broadcast()
 	return true
 }
@@ -697,12 +740,8 @@ func (b *Buffer) Contains(id ID) (off, size int64, ok bool) {
 	if _, res := b.resident[id]; !res {
 		return 0, 0, false
 	}
-	for _, f := range b.frags {
-		if f.id == id {
-			return f.off, f.size, true
-		}
-	}
-	panic(fmt.Sprintf("cachebuf: %s: resident id %d missing from fragment list", b.name, id))
+	f := &b.frags[b.fragLocked(id)]
+	return f.off, f.size, true
 }
 
 // IfResident runs fn under the buffer's lock if id is resident and reports
@@ -812,8 +851,36 @@ func (b *Buffer) Snapshot() Stats {
 	return b.stats
 }
 
-// coalesceLocked merges adjacent gaps with the same claim state,
-// restoring invariant 2 while keeping claimed windows' boundaries intact.
+// mergeGapLocked merges gap i, new, with the neighbouring gaps of its claim
+// state — the only seams a gap appearing at i can open — restoring
+// invariant 2 while keeping claimed windows' boundaries intact, and
+// indexes the merged gap if it is unclaimed.
+func (b *Buffer) mergeGapLocked(i int) {
+	claimed := b.frags[i].claimed
+	joins := func(j int) bool {
+		return j >= 0 && j < len(b.frags) && b.frags[j].isGap() && b.frags[j].claimed == claimed
+	}
+	lo, hi := i, i+1
+	if joins(lo - 1) {
+		lo--
+	}
+	if joins(hi) {
+		hi++
+	}
+	for j := lo; j < hi && !claimed; j++ {
+		if j != i {
+			b.unindexGapLocked(b.frags[j])
+		}
+	}
+	b.frags[lo].size = b.frags[hi-1].off + b.frags[hi-1].size - b.frags[lo].off
+	b.frags = slices.Delete(b.frags, lo+1, hi)
+	if !claimed {
+		b.indexGapLocked(b.frags[lo])
+	}
+}
+
+// coalesceLocked merges every run of adjacent gaps with the same claim
+// state and rebuilds the gap index.
 func (b *Buffer) coalesceLocked() {
 	out := b.frags[:0]
 	for _, f := range b.frags {
@@ -825,10 +892,23 @@ func (b *Buffer) coalesceLocked() {
 		out = append(out, f)
 	}
 	b.frags = out
+	b.gaps = b.unclaimedGapsLocked(b.gaps[:0])
 }
 
-// CheckInvariants validates the geometry invariants; tests call it after
-// random operation sequences.
+// unclaimedGapsLocked appends the unclaimed gaps to keys, in index order.
+func (b *Buffer) unclaimedGapsLocked(keys []gapKey) []gapKey {
+	for _, f := range b.frags {
+		if f.isGap() && !f.claimed {
+			keys = append(keys, gapKey{f.size, f.off})
+		}
+	}
+	slices.SortFunc(keys, gapKey.cmp)
+	return keys
+}
+
+// CheckInvariants validates the geometry invariants, the offsets resident
+// records and the gap index; tests call it after random operation
+// sequences.
 func (b *Buffer) CheckInvariants() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -850,8 +930,10 @@ func (b *Buffer) CheckInvariants() error {
 				return fmt.Errorf("duplicate checkpoint id %d", f.id)
 			}
 			seen[f.id] = struct{}{}
-			if _, ok := b.resident[f.id]; !ok {
+			if at, ok := b.resident[f.id]; !ok {
 				return fmt.Errorf("fragment id %d not in resident set", f.id)
+			} else if at != f.off {
+				return fmt.Errorf("resident id %d recorded at offset %d, its fragment is at %d", f.id, at, f.off)
 			}
 		} else {
 			free += f.size
@@ -866,6 +948,9 @@ func (b *Buffer) CheckInvariants() error {
 	}
 	if len(seen) != len(b.resident) {
 		return fmt.Errorf("resident set has %d ids, fragments have %d", len(b.resident), len(seen))
+	}
+	if want := b.unclaimedGapsLocked(nil); !slices.Equal(b.gaps, want) {
+		return fmt.Errorf("gap index %v, the unclaimed gaps are %v", b.gaps, want)
 	}
 	return nil
 }

@@ -244,9 +244,10 @@ func (*scorePolicy) SelectWindow(v WindowView, sizeNew int64) (start, end int, f
 // window minimizing the maximum heat of its members wins
 // (heat: higher = keep; gaps contribute nothing, so gap-only windows are
 // coldest of all). Pinned (or claimed) fragments exclude a window.
-// O(N²) over the fragment list, which is small. First minimal window in
-// ascending start order wins ties — the determinism contract the
-// reference models mirror.
+// Every start re-walks its window, so a scan is O(N·w), w the fragments a
+// fitting window spans: O(N²) when requests are large against the
+// fragments. First minimal window in ascending start order wins ties — the
+// determinism contract the reference models mirror.
 //
 // Heat values only matter through their ordering: each policy maps its
 // internal state to a total order over resident ids (unknown ids rank
@@ -288,8 +289,7 @@ func coldestWindow(v WindowView, sizeNew int64, heat func(ID) int64) (start, end
 }
 
 // ---------------------------------------------------------------------------
-// LRU and FIFO baselines, now peers of the score policy. Each keeps its
-// own monotone event counter; inserts and touches funnel through the
+// LRU and FIFO baselines. Each keeps its own monotone event counter; inserts and touches funnel through the
 // buffer lock, so counters order identically to the buffer's event
 // serialization.
 

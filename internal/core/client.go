@@ -286,6 +286,12 @@ func (c *Client) bumpLocked() {
 	c.cond.Broadcast()
 }
 
+// forgetLocked drops ck's record, a write that failed, and its hint slots.
+func (c *Client) forgetLocked(ck *checkpoint) {
+	delete(c.ckpts, ck.id)
+	c.q.unlink(ck)
+}
+
 // releaseStagedLocked returns ck's bytes to the stager budget once its
 // staged host copy has served its purpose. Caller holds c.mu.
 func (c *Client) releaseStagedLocked(ck *checkpoint) {
@@ -435,7 +441,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 			return c.syncFlush(ck, rep, start)
 		}
 		c.mu.Lock()
-		delete(c.ckpts, id)
+		c.forgetLocked(ck)
 		c.mu.Unlock()
 		c.rec.CheckpointRejected(ck.size)
 		if err == cachebuf.ErrClosed {
@@ -498,7 +504,7 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 			return nil
 		case hostClosed:
 			c.mu.Lock()
-			delete(c.ckpts, ck.id)
+			c.forgetLocked(ck)
 			c.mu.Unlock()
 			c.rec.CheckpointRejected(ck.size)
 			return ErrClosed
@@ -509,7 +515,7 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 
 	if err := c.flushDeep(ck, true, ck.att); err != nil {
 		c.mu.Lock()
-		delete(c.ckpts, ck.id)
+		c.forgetLocked(ck)
 		c.bumpLocked()
 		c.mu.Unlock()
 		c.rec.CheckpointRejected(ck.size)

@@ -37,6 +37,7 @@ func (o *tierOracle) Evicted(id cachebuf.ID) {
 		// No rescore: the buffer erased the fragment because its entry
 		// read evictable, which is how an unlinked record reads.
 		ck.replicas[o.tier] = nil
+		o.c.reopenStageLocked(ck)
 		if o.tier == TierHost {
 			o.c.releaseStagedLocked(ck)
 		}
@@ -147,6 +148,9 @@ func (c *Client) mustTransition(ck *checkpoint, rep *replica, to lifecycle.State
 	defer c.unlockWake()
 	rep.fsm.MustTo(to)
 	c.rescoreLocked(ck)
+	if to == lifecycle.WriteComplete && rep.tier > TierHost {
+		c.reopenStageLocked(ck) // a flush landed below the host tier
+	}
 }
 
 // claimForRead pins rep READ_COMPLETE (unless it is there already) inside

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -65,8 +66,46 @@ func ruleEntry(c *Client, ck *checkpoint, tier Tier) entryWant {
 	return w
 }
 
+// refStageTarget is the host stager's search without its cursor: a walk of
+// the pending hints from the queue head, each looked up in the checkpoint
+// table. Caller holds c.mu.
+func refStageTarget(c *Client, freeHostBytes int64) *checkpoint {
+	budget := c.p.HostCacheSize / 2
+	if c.stagedBytes >= budget {
+		return nil
+	}
+	var scanned int64
+	for i := 0; ; i++ {
+		id, ok := c.q.at(i)
+		if !ok {
+			return nil
+		}
+		ck := c.ckpts[id]
+		if ck == nil {
+			return nil
+		}
+		scanned += ck.size
+		if scanned > budget {
+			return nil
+		}
+		if ck.consumed || ck.stagingHost || ck.promoting ||
+			ck.dataOn(TierGPU) || ck.dataOn(TierHost) || ck.replicas[TierHost] != nil ||
+			!ck.durableBelow(TierHost) {
+			continue
+		}
+		if freeHostBytes < ck.size && i >= c.maxHostResidentDistanceLocked() {
+			return nil
+		}
+		return ck
+	}
+}
+
 // checkEntries compares every checkpoint's two entries, and both tiers'
-// queue heads, with the restated rule.
+// queue heads, with the restated rule; requires every filled hint slot to
+// hold the hint's live record and the stager's cursor to stand past filled
+// slots only; and compares the stager's target, found from its cursor,
+// with the walk from the queue head, with and without room in the host
+// cache.
 func checkEntries(c *Client) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,7 +122,26 @@ func checkEntries(c *Client) error {
 			}
 		}
 	}
+	for i := c.q.head; i < len(c.q.hints); i++ {
+		if ck := c.q.cks[i]; ck != c.ckpts[c.q.hints[i]] && (ck != nil || i < c.q.st) {
+			return fmt.Errorf("hint slot %d holds %p, the record of version %d is %p (stager cursor at %d)",
+				i, ck, c.q.hints[i], c.ckpts[c.q.hints[i]], c.q.st)
+		}
+	}
+	for _, free := range []int64{0, math.MaxInt64} {
+		if got, want := c.nextStageTargetLocked(free), refStageTarget(c, free); got != want {
+			return fmt.Errorf("stager target %v from the cursor at %d, %v from the queue head (free %d)",
+				stageID(got), c.q.st-c.q.head, stageID(want), free)
+		}
+	}
 	return nil
+}
+
+func stageID(ck *checkpoint) any {
+	if ck == nil {
+		return "none"
+	}
+	return ck.id
 }
 
 // checkedPolicy is a buffer's eviction policy with the comparison re-run,
@@ -163,6 +221,16 @@ func init() {
 // to the duplicate hint. The three links that do assign plainly —
 // deepReplica, recoverFromStore, Evicted — change nothing the rule reads,
 // and say why where they do it.
+//
+// The stager's cursor check fails under each of these ten: no reopen in
+// Evicted, where stagingHost is cleared, or where either promotion clears
+// promoting; no unlink of the slots in forgetLocked; in restoreQueue no cut
+// of a consumed hint, no move-down behind a mid-queue cut, no floor at the
+// head after a head pop; no slot fill in the search. The trials rarely land
+// a flush below a record-less checkpoint, so mustTransition's reopen is
+// TestStagerCursorFollowsASynchronousFlush's. unlinkReplica needs none:
+// every unlink of a GPU or host record that can leave a candidate runs
+// under promoting or stagingHost, whose clearing reopens.
 func TestEntriesEqualTheRule(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -278,6 +346,51 @@ func entriesTrial(t *testing.T, seed int64) {
 			check(ev, what)
 		}
 	})
+}
+
+// TestStagerCursorFollowsASynchronousFlush: a hinted checkpoint written past
+// a degraded host cache has no cache record while its synchronous flush
+// runs, so the stager's search, run every millisecond meanwhile, moves its
+// cursor past it (no copy below yet). When the flush lands on the SSD the
+// checkpoint is a staging candidate, and the cursor must come back; when
+// every route below is dead the write fails, its record is dropped, and
+// the cursor must stand before the unwritten hint again with its slot
+// cleared. The trials of TestEntriesEqualTheRule rarely reach either: it
+// takes a host degradation, then a write too large for the GPU cache that
+// fits the stager's budget.
+func TestStagerCursorFollowsASynchronousFlush(t *testing.T) {
+	for _, dead := range []bool{false, true} {
+		run(t, func(clk *simclock.Virtual) {
+			r := newRig(t, clk, nil)
+			defer r.client.Close()
+			c := r.client
+			if dead {
+				r.cluster.Nodes[0].NVMe.SetInterceptor(deadLink("ssd outage"))
+				r.cluster.PFS.SetInterceptor(deadLink("pfs outage"))
+			}
+			c.PrefetchEnqueue(0)
+			c.degradeTier(TierHost)
+			done := false
+			clk.Go(func() {
+				for ; !done; clk.Sleep(time.Millisecond) {
+					if err := checkEntries(c); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			err := c.Checkpoint(0, pay(5*MB)) // > the 4 MB GPU cache
+			done = true
+			if (err != nil) != dead {
+				t.Fatalf("every route below dead %v: Checkpoint = %v", dead, err)
+			}
+			c.mu.Lock()
+			passed := c.q.st > c.q.head
+			c.mu.Unlock()
+			if err := checkEntries(c); err != nil || passed {
+				t.Errorf("every route below dead %v: %v; the cursor stands past version 0: %v", dead, err, passed)
+			}
+		})
+	}
 }
 
 // TestBuffersAreHandedTheCheckpointsOwnEntries: what a buffer reads in

@@ -69,6 +69,7 @@ func (c *Client) prefetcher() {
 
 		c.mu.Lock()
 		ck.promoting = false
+		c.reopenStageLocked(ck)
 		c.cond.Broadcast() // wake flag-waiters (restores of this ckpt)
 		if err != nil {
 			if errors.Is(err, ErrTierIO) || errors.Is(err, ErrLost) {
@@ -135,6 +136,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 	defer func() {
 		c.mu.Lock()
 		ck.promoting = false
+		c.reopenStageLocked(ck)
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}()

@@ -12,17 +12,69 @@ import "score/internal/cachebuf"
 // restore cuts out a hint in front of it. The eviction entries store these
 // positions (Client.consumeHintLocked keeps them true).
 //
+// The host stager's cursor st marks the end of the pending prefix
+// hints[head:st] in which no hint is a staging candidate
+// (Client.nextStageTargetLocked), and stBytes is what the prefix spans.
+// The search fills each hint's slot in cks with its checkpoint record as it
+// first passes it, so every slot of the prefix is set, until the record is
+// dropped (unlink). Whatever can make a hinted checkpoint a candidate again
+// lowers the cursor to its position (reopen).
+//
 // All methods require external synchronization (the Client's mutex).
 type restoreQueue struct {
 	hints []ID
-	head  int // hints[:head] have been consumed
-	pf    int // next index the prefetcher should work on (>= head)
+	cks   []*checkpoint // parallel to hints: each one's record, nil until the stager passes it
+	head  int           // hints[:head] have been consumed
+	pf    int           // next index the prefetcher should work on (>= head)
+
+	st      int   // head <= st; hints[head:st] hold no staging candidate
+	stBytes int64 // the bytes of hints[head:st]
 }
 
-// enqueue appends a hint and returns its position.
+// enqueue appends a hint, its slot unset, and returns its position.
 func (q *restoreQueue) enqueue(id ID) int {
 	q.hints = append(q.hints, id)
+	q.cks = append(q.cks, nil)
 	return len(q.hints) - 1
+}
+
+// unlink clears the slots of ck's pending hints, lowering the stager cursor
+// below them first: a walk stops at an unwritten slot.
+func (q *restoreQueue) unlink(ck *checkpoint) {
+	for i := q.head; i < len(q.hints); i++ {
+		if q.cks[i] == ck {
+			q.reopen(i)
+			q.cks[i] = nil
+		}
+	}
+}
+
+// reopen lowers the stager cursor to pending position pos, if it is past it:
+// the hint at pos may be a staging candidate again.
+func (q *restoreQueue) reopen(pos int) {
+	if pos < q.head {
+		return // cachebuf.NoHint
+	}
+	for ; q.st > pos; q.st-- {
+		q.stBytes -= q.cks[q.st-1].size
+	}
+}
+
+// cover extends the stager cursor over the hint at st, no candidate.
+func (q *restoreQueue) cover() {
+	q.stBytes += q.cks[q.st].size
+	q.st++
+}
+
+// cut takes position at out of the stager cursor's prefix before the hint
+// there is consumed.
+func (q *restoreQueue) cut(at int) {
+	if at < q.st {
+		q.stBytes -= q.cks[at].size
+		if at > q.head {
+			q.st-- // the hints behind the cut move down one
+		}
+	}
 }
 
 // pending returns the number of unconsumed hints.
@@ -55,17 +107,20 @@ func (q *restoreQueue) firstPending(id ID) int {
 // and do not count as deviations of the queue itself.
 func (q *restoreQueue) consume(id ID) (at int, deviated bool) {
 	at = q.firstPending(id)
-	switch {
-	case at < 0:
+	if at < 0 {
 		return at, false
-	case at == q.head:
+	}
+	q.cut(at)
+	if at == q.head {
 		q.head++
+		q.st = max(q.st, q.head)
 		if q.pf < q.head {
 			q.pf = q.head
 		}
 		return at, false
 	}
 	q.hints = append(q.hints[:at], q.hints[at+1:]...)
+	q.cks = append(q.cks[:at], q.cks[at+1:]...)
 	if q.pf > at {
 		q.pf--
 	}

@@ -14,12 +14,13 @@ import (
 // host→GPU promotions keeps the SSD link busy during the compute windows
 // instead of serializing both hops inside each promotion.
 //
-// Each time it looks for work the stager walks the pending hints from
-// the queue head, staging hinted checkpoints whose data is only on the
-// SSD/PFS into the host cache. A byte budget of half the host cache
-// bounds how far down the queue it looks, so it cannot evict the
-// near-future host-resident checkpoints the backward pass is about to
-// read.
+// It stages hinted checkpoints whose data is only on the SSD/PFS into the
+// host cache, nearest the queue head first. Its search resumes at the
+// queue's stager cursor, past the hints already found not to be
+// candidates, instead of walking from the head each time it looks for
+// work. A byte budget of half the host cache bounds how far down the
+// queue it looks, so it cannot evict the near-future host-resident
+// checkpoints the backward pass is about to read.
 //
 // Not started, or with no hint pending, or waiting for progress after a
 // failed stage, it parks with WaitFor, so the clock resumes it only once
@@ -66,6 +67,7 @@ func (c *Client) hostStager() {
 
 		c.mu.Lock()
 		ck.stagingHost = false
+		c.reopenStageLocked(ck)
 		if staged {
 			ck.stagedHost = true
 			c.stagedBytes += ck.size
@@ -87,52 +89,65 @@ func (c *Client) hostStager() {
 	}
 }
 
-// nextStageTargetLocked scans the pending hints (within the byte budget)
-// for the first checkpoint whose only data is below the host tier AND
-// whose staging would improve the host cache: either free space exists,
-// or some host-resident checkpoint is needed strictly later than the
-// candidate (so the eviction the staging forces trades a farther
-// checkpoint for a nearer one). Without the second condition, staging in
-// reverse-order shots would evict near-future host residents to make room
-// for the always-farther SSD tail — a strict loss.
+// nextStageTargetLocked searches the pending hints (within the byte
+// budget) for the first staging candidate (stageCandidateLocked) whose
+// staging would improve the host cache: either free space exists, or some
+// host-resident checkpoint is needed strictly later than the candidate (so
+// the eviction the staging forces trades a farther checkpoint for a nearer
+// one). Without the second condition, staging in reverse-order shots would
+// evict near-future host residents to make room for the always-farther SSD
+// tail — a strict loss. The search starts at the queue's stager cursor and
+// moves it past every hint it finds no candidate; it looks a hint's record
+// up once, the first time it reaches the hint.
 func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 	budget := c.p.HostCacheSize / 2
 	if c.stagedBytes >= budget {
 		return nil
 	}
-	var scanned int64
-	for i := 0; ; i++ {
-		id, ok := c.q.at(i)
-		if !ok {
-			return nil
-		}
-		ck := c.ckpts[id]
+	q := &c.q
+	for ; q.st < len(q.hints); q.cover() {
+		ck := q.cks[q.st]
 		if ck == nil {
-			return nil // not written yet; later hints cannot help
+			if ck = c.ckpts[q.hints[q.st]]; ck == nil {
+				return nil // not written yet; later hints cannot help
+			}
+			q.cks[q.st] = ck
 		}
-		scanned += ck.size
-		if scanned > budget {
+		if q.stBytes+ck.size > budget {
 			return nil // deep enough; stay near the queue head
 		}
-		if ck.consumed || ck.stagingHost || ck.promoting {
+		if !c.stageCandidateLocked(ck) {
 			continue
 		}
-		if ck.dataOn(TierGPU) || ck.dataOn(TierHost) {
-			continue
-		}
-		if rep := ck.replicas[TierHost]; rep != nil {
-			continue // a flush or another promotion is materializing it
-		}
-		if !ck.durableBelow(TierHost) {
-			continue // still being flushed down; the flusher will land it
-		}
-		if freeHostBytes < ck.size && i >= c.maxHostResidentDistanceLocked() {
+		if freeHostBytes < ck.size && q.st-q.head >= c.maxHostResidentDistanceLocked() {
 			// No free room and every host resident is needed sooner
 			// than this candidate: staging would only hurt. Only this
 			// case scans the residents, at most once per call.
 			return nil
 		}
 		return ck
+	}
+	return nil
+}
+
+// stageCandidateLocked reports whether the stager may stage ck: unconsumed,
+// not being moved, and with its only data below the host tier.
+func (c *Client) stageCandidateLocked(ck *checkpoint) bool {
+	return !ck.consumed && !ck.stagingHost && !ck.promoting && !ck.dataOn(TierGPU) &&
+		ck.replicas[TierHost] == nil && // no copy, and no flush or promotion materializing one
+		ck.durableBelow(TierHost) // not still being flushed down; the flusher will land it
+}
+
+// reopenStageLocked lowers the stager cursor to ck's first pending hint if
+// ck is a staging candidate now. Every change that can make a checkpoint a
+// candidate calls it: a GPU or host record evicted (tierOracle.Evicted), a
+// flush landing below the host tier (mustTransition), stagingHost or
+// promoting cleared. The others need no call: an unlinkReplica that can
+// leave a candidate runs under promoting or stagingHost, consumption is
+// for good, and an unwritten slot stops the search before the cursor.
+func (c *Client) reopenStageLocked(ck *checkpoint) {
+	if c.stageCandidateLocked(ck) {
+		c.q.reopen(ck.hintLocked())
 	}
 }
 

@@ -140,6 +140,19 @@ type ckpt struct {
 	flushQueued bool
 }
 
+// pinned is what k holds of the prefetch window: all of it while a
+// migration toward the device is in flight, its resident bytes once
+// prefetched, nothing once consumed.
+func (k *ckpt) pinned() int64 {
+	switch {
+	case k.consumed || !(k.prefetched || k.inflight):
+		return 0
+	case k.inflight:
+		return k.size
+	}
+	return k.deviceBytes
+}
+
 // Client is one process's UVM-based checkpointing runtime.
 type Client struct {
 	cfg Config
@@ -149,15 +162,16 @@ type Client struct {
 	mu   sync.Mutex
 	cond simclock.Cond
 
-	ckpts     map[int64]*ckpt
-	order     []int64 // creation order (for LRU scans)
-	devUsed   int64
-	hostUsed  int64
-	hints     []int64
-	hintHead  int
-	pfStarted bool
-	closed    bool
-	err       error
+	ckpts       map[int64]*ckpt
+	order       []int64 // creation order (for LRU scans)
+	devUsed     int64
+	hostUsed    int64
+	pinnedBytes int64 // the sum of pinned() over ckpts, kept by update
+	hints       []int64
+	hintHead    int
+	pfStarted   bool
+	closed      bool
+	err         error
 
 	flushQ  []int64
 	flushOn bool
@@ -290,7 +304,7 @@ func (c *Client) reserveDevice(need int64, exclude *ckpt) (evicted bool, err err
 		}
 		evicted = true
 		bytes := victim.deviceBytes
-		victim.deviceBytes = 0
+		c.update(victim, func() { victim.deviceBytes = 0 })
 		c.devUsed -= bytes
 		if victim.hostBytes < victim.size {
 			c.hostUsed += victim.size - victim.hostBytes
@@ -388,7 +402,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 		return err
 	}
 	c.mu.Lock()
-	k.deviceBytes = k.size
+	c.update(k, func() { k.deviceBytes = k.size })
 	c.mu.Unlock()
 
 	c.faultCost(k.size)       // first touch of managed pages
@@ -498,16 +512,6 @@ func (c *Client) prefetcher() {
 			continue
 		}
 		var target *ckpt
-		var pinnedBytes int64
-		for _, k := range c.ckpts {
-			if (k.prefetched || k.inflight) && !k.consumed {
-				if k.inflight {
-					pinnedBytes += k.size
-				} else {
-					pinnedBytes += k.deviceBytes
-				}
-			}
-		}
 		for i := c.hintHead; i < len(c.hints); i++ {
 			k := c.ckpts[c.hints[i]]
 			if k == nil || k.consumed || k.inflight {
@@ -516,7 +520,7 @@ func (c *Client) prefetcher() {
 			if k.deviceBytes >= k.size {
 				continue // already resident
 			}
-			if pinnedBytes+k.size > c.cfg.DeviceCacheSize {
+			if c.pinnedBytes+k.size > c.cfg.DeviceCacheSize {
 				break // window full: wait for consumption
 			}
 			target = k
@@ -526,8 +530,7 @@ func (c *Client) prefetcher() {
 			c.cond.Wait()
 			continue
 		}
-		target.prefetched = true
-		target.inflight = true
+		c.update(target, func() { target.prefetched, target.inflight = true, true })
 		target.lru = c.clk.Now()
 		need := target.size - target.deviceBytes
 		c.mu.Unlock()
@@ -540,10 +543,12 @@ func (c *Client) prefetcher() {
 			err = c.migrate(need, false) // host → device prefetch migration
 		}
 		c.mu.Lock()
-		if err == nil {
-			target.deviceBytes = target.size
-		}
-		target.inflight = false
+		c.update(target, func() {
+			if err == nil {
+				target.deviceBytes = target.size
+			}
+			target.inflight = false
+		})
 		c.cond.Broadcast()
 		if err != nil {
 			c.mu.Unlock()
@@ -610,7 +615,7 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 		c.cond.Wait()
 	}
 	missing := k.size - k.deviceBytes
-	k.inflight = missing > 0
+	c.update(k, func() { k.inflight = missing > 0 })
 	k.lru = c.clk.Now()
 	c.mu.Unlock()
 
@@ -627,22 +632,20 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 		}
 		if err != nil {
 			c.mu.Lock()
-			k.inflight = false
+			c.update(k, func() { k.inflight = false })
 			c.cond.Broadcast()
 			c.mu.Unlock()
 			return nil, err
 		}
 		c.mu.Lock()
-		k.deviceBytes = k.size
-		k.inflight = false
+		c.update(k, func() { k.deviceBytes, k.inflight = k.size, false })
 		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
 	c.cfg.GPU.CopyD2D(k.size) // managed buffer → application buffer
 
 	c.mu.Lock()
-	k.consumed = true
-	k.prefetched = false
+	c.update(k, func() { k.consumed, k.prefetched = true, false })
 	if c.hintHead < len(c.hints) && c.hints[c.hintHead] == id {
 		c.hintHead++
 	}
@@ -651,6 +654,14 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 
 	c.rec.Restore(iter, k.size, c.clk.Now()-start, pfDist)
 	return k.pay, nil
+}
+
+// update applies change to k's residency under c.mu and carries the
+// difference it makes to k's pinned bytes into pinnedBytes.
+func (c *Client) update(k *ckpt, change func()) {
+	before := k.pinned()
+	change()
+	c.pinnedBytes += k.pinned() - before
 }
 
 // prefetchDistanceLocked mirrors the §5.4.4 metric for UVM.

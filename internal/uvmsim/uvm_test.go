@@ -2,6 +2,7 @@ package uvmsim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -216,5 +217,54 @@ func TestUVMNVMeOutageSurfaces(t *testing.T) {
 			t.Errorf("Err = %v, want the outage", err)
 		}
 		c.Close()
+	})
+}
+
+// TestPinnedBytesCounterIsTheSum runs a hinted reverse shot that prefetches,
+// evicts and deviates (an unhinted restore and an out-of-order one), and
+// compares the running pinnedBytes counter with a fresh sum over every
+// checkpoint after each call and every 10 µs of simulated time in between:
+// an update site that skipped the counter leaves it off from then on.
+func TestPinnedBytesCounterIsTheSum(t *testing.T) {
+	const n = 12
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		c := newUVM(t, clk, nil)
+		defer c.Close()
+		check := func(when string) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			var sum int64
+			for _, k := range c.ckpts {
+				sum += k.pinned()
+			}
+			if c.pinnedBytes != sum { // a drifted window can wedge the shot: stop here
+				panic(fmt.Sprintf("%s: pinnedBytes = %d, the checkpoints pin %d", when, c.pinnedBytes, sum))
+			}
+		}
+		done := false
+		clk.Go(func() {
+			for ; !done && clk.Now() < time.Minute; clk.Sleep(10 * time.Microsecond) {
+				check("between calls")
+			}
+		})
+		for i := n - 1; i >= 1; i-- {
+			c.PrefetchEnqueue(int64(i))
+		}
+		for i := int64(0); i < n; i++ {
+			if err := c.Checkpoint(i, payload.NewVirtual(MB)); err != nil {
+				t.Fatal(err)
+			}
+			check("after a checkpoint")
+		}
+		c.PrefetchStart()
+		for _, i := range []int64{11, 10, 8, 9, 0, 7, 6, 5, 4, 3, 2, 1} {
+			if _, err := c.Restore(i); err != nil {
+				t.Fatal(err)
+			}
+			check("after a restore")
+			clk.Sleep(5 * time.Millisecond)
+		}
+		done = true
 	})
 }
