@@ -43,7 +43,8 @@ bench-check:
 # aim 2): non-test Go lines per package and in total outside bench/, the
 # programs (package main directories outside bench/), so a new program
 # fails loc-check until the inventory declares it, and the counts of
-# public With* options, core.Params fields, ckptbench flags,
+# public With* options, core.Params fields, the exported fields of the
+# two baselines' Config structs (uvmsim, adiossim), ckptbench flags,
 # registered eviction policies, cond-wake call sites (Broadcast and
 # Signal in non-test internal/ code outside internal/simclock), cache-wake
 # call sites (.Notify() in non-test internal/ code outside internal/cachebuf
@@ -60,6 +61,7 @@ loc:
 	@printf '%7d  programs (package main outside bench/)\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs grep -l '^package main$$' | xargs -r -n1 dirname | sort -u | wc -l)
 	@printf '%7d  With* options\n' $$(cat *.go | grep -c '^func With')
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
+	@printf '%7d  baseline Config fields\n' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/uvmsim/uvm.go internal/adiossim/adios.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)

@@ -39,19 +39,16 @@ type Config struct {
 	// HostBufferSize bounds the BP5 host buffer; when full, Put blocks
 	// on the drain (the paper grants every approach 32 GiB).
 	HostBufferSize int64
-	// PageableEfficiency scales PCIe bandwidth for BP5's transfers:
-	// the engine marshals into pageable (unpinned) host buffers, which
-	// reach only a fraction of the pinned-copy peak and additionally
-	// pay serialization. Modeled as inflating the transferred volume.
-	PageableEfficiency float64
 }
+
+// pageableEfficiency scales PCIe bandwidth for BP5's transfers: the engine
+// marshals into pageable (unpinned) host buffers, which reach only a
+// fraction of the pinned-copy peak and additionally pay serialization.
+const pageableEfficiency = 0.25
 
 func (c Config) withDefaults() Config {
 	if c.HostBufferSize == 0 {
 		c.HostBufferSize = 32 * fabric.GB
-	}
-	if c.PageableEfficiency == 0 {
-		c.PageableEfficiency = 0.25
 	}
 	return c
 }
@@ -66,8 +63,6 @@ func (c Config) validate() error {
 		return errors.New("adiossim: NVMe required")
 	case c.HostBufferSize <= 0:
 		return errors.New("adiossim: HostBufferSize must be positive")
-	case c.PageableEfficiency <= 0 || c.PageableEfficiency > 1:
-		return errors.New("adiossim: PageableEfficiency must be in (0,1]")
 	}
 	return nil
 }
@@ -76,7 +71,7 @@ func (c Config) validate() error {
 // the link moves the efficiency-inflated volume. An injected PCIe fault
 // surfaces as the returned error.
 func (c *Client) pcieCopy(size int64) error {
-	_, err := c.cfg.GPU.PCIeLink().TryTransfer(int64(float64(size) / c.cfg.PageableEfficiency))
+	_, err := c.cfg.GPU.PCIeLink().TryTransfer(int64(float64(size) / pageableEfficiency))
 	return err
 }
 
@@ -98,7 +93,7 @@ type Client struct {
 
 	steps    map[int64]*step
 	hostUsed int64
-	drainQ   []int64
+	drainQ   []*step
 	draining bool
 	closed   bool
 	err      error // first asynchronous drain failure
@@ -146,7 +141,8 @@ func (c *Client) Metrics() *metrics.Recorder { return c.rec }
 
 // Checkpoint is BP5 Put+EndStep with deferred mode: the GPU data is copied
 // on demand into the host buffer (blocking PCIe transfer — no device
-// cache), then drained to NVMe in the background.
+// cache), then drained to NVMe in the background. A Put that fails leaves
+// no step behind.
 func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	start := c.clk.Now()
 	c.mu.Lock()
@@ -163,6 +159,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	// Wait for host buffer space (drain backpressure).
 	for c.hostUsed+s.size > c.cfg.HostBufferSize {
 		if c.closed {
+			delete(c.steps, id)
 			c.mu.Unlock()
 			return ErrClosed
 		}
@@ -175,7 +172,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	// On-demand pageable D2H: blocks the application.
 	if err := c.pcieCopy(s.size); err != nil {
 		c.mu.Lock()
-		s.buffered = false
+		delete(c.steps, id)
 		c.hostUsed -= s.size
 		c.cond.Broadcast()
 		c.mu.Unlock()
@@ -183,7 +180,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	}
 
 	c.mu.Lock()
-	c.drainQ = append(c.drainQ, id)
+	c.drainQ = append(c.drainQ, s)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
@@ -210,10 +207,9 @@ func (c *Client) drainer() {
 			}
 			c.cond.Wait()
 		}
-		id := c.drainQ[0]
+		s := c.drainQ[0]
 		c.drainQ = c.drainQ[1:]
 		c.draining = true
-		s := c.steps[id]
 		c.mu.Unlock()
 
 		_, err := c.cfg.NVMe.TryTransfer(s.size)

@@ -173,6 +173,33 @@ func TestADIOSErrors(t *testing.T) {
 	})
 }
 
+// TestADIOSFailedPutLeavesNoStep fails a Put's D2H copy on the PCIe link:
+// the step was never written, so a Get of it must not find it, and writing
+// it again must succeed.
+func TestADIOSFailedPutLeavesNoStep(t *testing.T) {
+	link := errors.New("pcie link down")
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		c := newADIOS(t, clk, nil)
+		defer c.Close()
+		pcie := c.cfg.GPU.PCIeLink()
+		pcie.SetInterceptor(func(string, int64) fabric.FaultDecision { return fabric.FaultDecision{Err: link} })
+		if err := c.Checkpoint(0, payload.NewVirtual(MB)); !errors.Is(err, link) {
+			t.Fatalf("checkpoint over a failing link = %v, want the link error", err)
+		}
+		pcie.SetInterceptor(nil)
+		if _, err := c.Restore(0); !errors.Is(err, ErrUnknownCheckpoint) {
+			t.Errorf("restore of the failed put = %v, want ErrUnknownCheckpoint", err)
+		}
+		if err := c.Checkpoint(0, payload.NewVirtual(MB)); err != nil {
+			t.Errorf("retried checkpoint = %v, want success", err)
+		}
+		if _, err := c.Restore(0); err != nil {
+			t.Errorf("restore of the retried put = %v", err)
+		}
+	})
+}
+
 func TestADIOSConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")

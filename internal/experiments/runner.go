@@ -738,7 +738,6 @@ func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fab
 			Clock: clk, GPU: gpu, NVMe: node.NVMe,
 			DeviceCacheSize: cfg.GPUCache, HostCacheSize: cfg.HostCache,
 			DiscardAfterRestore: !cfg.WaitForFlush,
-			AsyncHostInit:       true,
 		})
 	case Score:
 		params := core.Params{

@@ -137,9 +137,8 @@ func (e *Event) Await() {
 	c.mu.Unlock()
 	t.yield(struct{}{})
 	if c.abortTask == t {
-		msg := c.abortMsg
-		c.abortTask, c.abortMsg = nil, ""
-		panic(msg)
+		c.abortTask = nil
+		panic(c.abortMsg)
 	}
 }
 

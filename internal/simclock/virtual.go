@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"fmt"
 	"iter"
+	"os"
 	"regexp"
 	"runtime/debug"
 	"runtime/pprof"
@@ -47,10 +48,10 @@ const livelockBound = 1 << 24
 //
 // A Virtual clock detects true deadlock: if every task is blocked in a
 // Cond wait or an Event's Await with no pending timer, nothing can ever
-// wake the simulation,
-// and the clock panics with a diagnostic rather than hanging. It also
-// reports a livelock: livelockBound resumptions, re-checks and event runs
-// at one instant without time advancing.
+// wake the simulation, and the clock panics with a diagnostic rather than
+// hanging. It also reports a livelock: livelockBound resumptions,
+// re-checks and event runs at one instant without time advancing. Either
+// report reaches stderr before the task it aborts unwinds.
 type Virtual struct {
 	mu  sync.Mutex // guards everything below; tasks never contend, callers outside any task may
 	now time.Duration
@@ -70,7 +71,7 @@ type Virtual struct {
 	timers      timerQueue
 	seq         uint64 // tie-break for deterministic wake order; doubles as waiter generation
 	dead        bool   // deadlock reported; it is reported once
-	abortTask   *task  // resumed only to panic with abortMsg: a deadlock or livelock report
+	abortTask   *task  // resumed only to panic with abortMsg, a deadlock or livelock report already on stderr
 	abortMsg    string
 	spins       int // resumptions, WaitFor re-checks and event runs since time last advanced
 }
@@ -332,6 +333,7 @@ func (c *Virtual) nextLocked() *waiter {
 		panic(msg)
 	}
 	c.abortTask, c.abortMsg = c.cur, msg
+	fmt.Fprintln(os.Stderr, msg)
 	c.unparkLocked(&c.cur.waiter)
 	return &c.cur.waiter
 }
@@ -348,10 +350,10 @@ func (c *Virtual) admitLocked(w *task) bool {
 		parked := w.fn == nil // not a task Go has just started
 		switch {
 		case c.spins > livelockBound && parked && w.inCond:
-			c.abortTask = w
-			c.abortMsg = fmt.Sprintf(
+			c.abortTask, c.abortMsg = w, fmt.Sprintf(
 				"simclock: livelock: %d resumptions and re-checks at t=%v without time advancing%s",
 				c.spins, c.now, waitSites())
+			fmt.Fprintln(os.Stderr, c.abortMsg)
 			c.spins = 0
 		case w.pred != nil && !c.recheckLocked(w):
 			return false
@@ -473,9 +475,8 @@ func (cd *vcond) wait(d time.Duration, pred func() bool) bool {
 	w.yield(struct{}{})
 	cd.l.Lock()
 	if c.abortTask == w {
-		msg := c.abortMsg
-		c.abortTask, c.abortMsg = nil, ""
-		panic(msg) // with cd.l held, so the caller's deferred Unlock works
+		c.abortTask = nil
+		panic(c.abortMsg) // with cd.l held, so the caller's deferred Unlock works
 	}
 	return w.timedOut
 }

@@ -1,6 +1,10 @@
 package simclock
 
 import (
+	"flag"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,6 +246,37 @@ func TestVirtualDeadlockPanics(t *testing.T) {
 	}
 	if s, ok := caught.(string); !ok || !containsStr(s, "deadlock") {
 		t.Errorf("panic value = %v, want a message mentioning deadlock", caught)
+	}
+}
+
+var deadlockChild = flag.Bool("simclock.deadlock-child", false,
+	"run TestDeadlockReportSurvivesCleanup's shot; it hangs after its report")
+
+// TestDeadlockReportSurvivesCleanup deadlocks a task whose deferred cleanup
+// takes the mutex its Wait re-took before the abort panic: the cleanup
+// hangs the process on a real mutex, so the report must reach stderr
+// before the task unwinds. The shot runs in a child process, which only
+// its test timeout ends.
+func TestDeadlockReportSurvivesCleanup(t *testing.T) {
+	if *deadlockChild {
+		clk := NewVirtual()
+		var mu sync.Mutex
+		cond := clk.NewCond(&mu)
+		clk.Run(func() {
+			mu.Lock()
+			defer func() { mu.Lock(); mu.Unlock() }() // a Close that locks again
+			cond.Wait()                               // nothing will ever signal: deadlock
+			mu.Unlock()
+		})
+		return
+	}
+	child := exec.Command(os.Args[0], "-test.run=^TestDeadlockReportSurvivesCleanup$",
+		"-test.timeout=3s", "-simclock.deadlock-child")
+	var stderr strings.Builder
+	child.Stderr = &stderr
+	child.Run() // fails: the test timeout ends the hung child
+	if !strings.Contains(stderr.String(), "simclock: deadlock") {
+		t.Errorf("the child's stderr lacks the deadlock report:\n%s", stderr.String())
 	}
 }
 

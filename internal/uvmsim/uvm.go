@@ -8,14 +8,19 @@
 // The mechanisms that make UVM slower than an explicit cache — and that
 // the paper's evaluation measures — are modeled directly:
 //
-//   - page-fault replay: first-touch access to non-resident pages costs a
-//     per-page-batch fault latency on top of the transfer;
+//   - page-fault replay: first-touch access to non-resident pages costs
+//     faultLatency per faultBatchPages pages of pageSize, on top of the
+//     transfer;
 //   - migrate-before-evict: the driver writes device pages back to the
 //     host before reusing them, so evictions consume PCIe bandwidth and
 //     block the faulting thread (Score instead drops consumed/flushed
 //     replicas for free);
-//   - migration bandwidth: fault-driven migrations achieve only a fraction
-//     of the peak pinned-copy PCIe bandwidth.
+//   - migration bandwidth: fault-driven migrations achieve only
+//     migrationEfficiency of the peak pinned-copy PCIe bandwidth, and
+//     oversubPenalty of that when the fault had to evict.
+//
+// Those driver costs are package constants: every shot uses the same
+// values.
 //
 // The external API mirrors the Score runtime so the benchmark harness can
 // drive all approaches identically.
@@ -24,6 +29,7 @@ package uvmsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,6 +47,24 @@ var (
 	ErrDuplicate         = errors.New("uvmsim: checkpoint version already written")
 )
 
+// The driver's costs, the same for every shot:
+const (
+	// pageSize is the UVM migration granularity (2 MiB huge pages).
+	pageSize = 2 << 20
+	// faultBatchPages is how many pages one fault-replay cycle covers.
+	faultBatchPages = 16
+	// faultLatency is the cost of one fault-replay cycle.
+	faultLatency = 40 * time.Microsecond
+	// migrationEfficiency scales PCIe bandwidth for fault-driven
+	// migrations (measured well below pinned-copy peak).
+	migrationEfficiency = 0.6
+	// oversubPenalty further scales migration bandwidth while the device
+	// is oversubscribed (eviction pressure): page thrashing collapses UVM
+	// throughput by multiples (Allen & Ge [1], Ganguly et al. [10]).
+	// Applied when a fault's migration required evictions.
+	oversubPenalty = 0.35
+)
+
 // Config parameterizes the UVM model.
 type Config struct {
 	// Clock drives timing; required.
@@ -54,28 +78,12 @@ type Config struct {
 	// grants UVM (the paper uses the same 4 GiB as Score's GPU cache).
 	DeviceCacheSize int64
 	// HostCacheSize bounds the host-side backing store (32 GiB in the
-	// paper); overflow spills to the SSD.
+	// paper); overflow spills to the SSD. Its registration (HostCacheSize
+	// at the pinned-host rate) overlaps the run, and writebacks wait until
+	// it completes, as the Score runtime's asynchronous host init does
+	// (§5.4.2: slow host-cache initialization limits every cached
+	// approach's checkpoint throughput).
 	HostCacheSize int64
-	// PageSize is the UVM migration granularity (2 MiB huge pages).
-	PageSize int64
-	// FaultBatchPages is how many pages one fault-replay cycle covers.
-	FaultBatchPages int
-	// FaultLatency is the cost of one fault-replay cycle.
-	FaultLatency time.Duration
-	// MigrationEfficiency scales PCIe bandwidth for fault-driven
-	// migrations (measured well below pinned-copy peak; ~0.6).
-	MigrationEfficiency float64
-	// OversubPenalty further scales migration bandwidth while the
-	// device is oversubscribed (eviction pressure): page thrashing
-	// collapses UVM throughput by multiples (Allen & Ge [1], Ganguly et
-	// al. [10]). Applied when a migration required evictions.
-	OversubPenalty float64
-	// AsyncHostInit charges the host backing-store registration
-	// (HostCacheSize at ~4 GB/s) overlapped with the run; writebacks
-	// wait until it completes, mirroring the Score runtime's setting
-	// and the paper's observation that slow host-cache initialization
-	// limits every cached approach's checkpoint throughput (§5.4.2).
-	AsyncHostInit bool
 	// DiscardAfterRestore mirrors the Score option: consumed
 	// checkpoints need not be flushed to the SSD.
 	DiscardAfterRestore bool
@@ -88,21 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.HostCacheSize == 0 {
 		c.HostCacheSize = 32 * fabric.GB
 	}
-	if c.PageSize == 0 {
-		c.PageSize = 2 << 20
-	}
-	if c.FaultBatchPages == 0 {
-		c.FaultBatchPages = 16
-	}
-	if c.FaultLatency == 0 {
-		c.FaultLatency = 40 * time.Microsecond
-	}
-	if c.MigrationEfficiency == 0 {
-		c.MigrationEfficiency = 0.6
-	}
-	if c.OversubPenalty == 0 {
-		c.OversubPenalty = 0.35
-	}
 	return c
 }
 
@@ -114,12 +107,8 @@ func (c Config) validate() error {
 		return errors.New("uvmsim: GPU required")
 	case c.NVMe == nil:
 		return errors.New("uvmsim: NVMe required")
-	case c.DeviceCacheSize <= 0 || c.HostCacheSize <= 0 || c.PageSize <= 0:
+	case c.DeviceCacheSize <= 0 || c.HostCacheSize <= 0:
 		return errors.New("uvmsim: sizes must be positive")
-	case c.MigrationEfficiency <= 0 || c.MigrationEfficiency > 1:
-		return errors.New("uvmsim: MigrationEfficiency must be in (0,1]")
-	case c.OversubPenalty <= 0 || c.OversubPenalty > 1:
-		return errors.New("uvmsim: OversubPenalty must be in (0,1]")
 	}
 	return nil
 }
@@ -130,27 +119,23 @@ type ckpt struct {
 	size int64
 	pay  payload.Payload
 
-	deviceBytes int64 // bytes resident on the device
-	hostBytes   int64 // bytes resident on the host backing store
-	ssd         bool  // a full copy reached the SSD
-	consumed    bool
-	prefetched  bool // pulled in by cudaMemPrefetchAsync, not yet consumed
-	inflight    bool // a migration toward the device is in progress
-	lru         time.Duration
-	flushQueued bool
+	onDevice   bool // resident on the device
+	onHost     bool // resident on the host backing store
+	ssd        bool // a full copy reached the SSD
+	consumed   bool
+	prefetched bool // pulled in by cudaMemPrefetchAsync, not yet consumed
+	inflight   bool // being written, or migrating toward the device
+	lru        time.Duration
 }
 
-// pinned is what k holds of the prefetch window: all of it while a
-// migration toward the device is in flight, its resident bytes once
-// prefetched, nothing once consumed.
+// pinned is what k holds of the prefetch window: all of it while it is in
+// flight (written or migrated in) and while it is resident after a
+// prefetch, nothing once consumed.
 func (k *ckpt) pinned() int64 {
-	switch {
-	case k.consumed || !(k.prefetched || k.inflight):
+	if k.consumed || !(k.inflight || k.prefetched && k.onDevice) {
 		return 0
-	case k.inflight:
-		return k.size
 	}
-	return k.deviceBytes
+	return k.size
 }
 
 // Client is one process's UVM-based checkpointing runtime.
@@ -163,7 +148,7 @@ type Client struct {
 	cond simclock.Cond
 
 	ckpts       map[int64]*ckpt
-	order       []int64 // creation order (for LRU scans)
+	order       []*ckpt // creation order (for LRU scans)
 	devUsed     int64
 	hostUsed    int64
 	pinnedBytes int64 // the sum of pinned() over ckpts, kept by update
@@ -173,7 +158,7 @@ type Client struct {
 	closed      bool
 	err         error
 
-	flushQ  []int64
+	flushQ  []*ckpt
 	flushOn bool
 
 	restoreIter int
@@ -193,10 +178,8 @@ func New(cfg Config) (*Client, error) {
 	if err := cfg.GPU.AllocDevice(cfg.DeviceCacheSize); err != nil {
 		return nil, fmt.Errorf("uvmsim: reserving managed device space: %w", err)
 	}
-	if cfg.AsyncHostInit {
-		rate := cfg.GPU.Costs().PinnedHostBytesPerSec
-		c.hostReadyAt = c.clk.Now() + time.Duration(float64(cfg.HostCacheSize)/rate*1e9)
-	}
+	rate := cfg.GPU.Costs().PinnedHostBytesPerSec
+	c.hostReadyAt = c.clk.Now() + time.Duration(float64(cfg.HostCacheSize)/rate*1e9)
 	c.daemons.Add(2)
 	c.clk.Go(func() { defer c.daemons.Done(); c.flusher() })
 	c.clk.Go(func() { defer c.daemons.Done(); c.prefetcher() })
@@ -230,12 +213,12 @@ func (c *Client) Metrics() *metrics.Recorder { return c.rec }
 // transfer contends on the real PCIe link but only achieves migration
 // efficiency, modeled as transferring the equivalent inflated volume.
 // Under oversubscription pressure (pressured), page thrashing collapses
-// the effective bandwidth further by OversubPenalty. An injected PCIe
+// the effective bandwidth further by oversubPenalty. An injected PCIe
 // fault surfaces as the returned error.
 func (c *Client) migrate(size int64, pressured bool) error {
-	eff := c.cfg.MigrationEfficiency
+	eff := migrationEfficiency
 	if pressured {
-		eff *= c.cfg.OversubPenalty
+		eff *= oversubPenalty
 	}
 	_, err := c.cfg.GPU.PCIeLink().TryTransfer(int64(float64(size) / eff))
 	return err
@@ -260,17 +243,18 @@ func (c *Client) waitHostReady() {
 
 // faultCost charges page-fault replay for touching size bytes.
 func (c *Client) faultCost(size int64) {
-	pages := (size + c.cfg.PageSize - 1) / c.cfg.PageSize
-	batches := (pages + int64(c.cfg.FaultBatchPages) - 1) / int64(c.cfg.FaultBatchPages)
-	c.clk.Sleep(time.Duration(batches) * c.cfg.FaultLatency)
+	pages := (size + pageSize - 1) / pageSize
+	batches := (pages + faultBatchPages - 1) / faultBatchPages
+	c.clk.Sleep(time.Duration(batches) * faultLatency)
 }
 
 // reserveDevice frees device space for need bytes by migrating LRU
 // checkpoints back to the host (the driver's migrate-before-evict
 // behavior) and atomically reserves the space (devUsed += need) once
-// available. The victim selection skips prefetched-unconsumed checkpoints
-// (the benchmark's thrash-avoidance window) and exclude.
-func (c *Client) reserveDevice(need int64, exclude *ckpt) (evicted bool, err error) {
+// available. The victim selection skips checkpoints in flight (among them
+// the one the room is for) and prefetched-unconsumed ones (the
+// benchmark's thrash-avoidance window).
+func (c *Client) reserveDevice(need int64) (evicted bool, err error) {
 	for {
 		c.mu.Lock()
 		if c.cfg.DeviceCacheSize-c.devUsed >= need {
@@ -284,13 +268,9 @@ func (c *Client) reserveDevice(need int64, exclude *ckpt) (evicted bool, err err
 		}
 		// LRU victim with device residency.
 		var victim *ckpt
-		for _, id := range c.order {
-			k := c.ckpts[id]
-			if k == exclude || k.deviceBytes == 0 || k.inflight {
-				continue
-			}
-			if k.prefetched && !k.consumed {
-				continue // window-pinned
+		for _, k := range c.order {
+			if !k.onDevice || k.inflight || k.prefetched && !k.consumed {
+				continue // in flight or window-pinned
 			}
 			if victim == nil || k.lru < victim.lru {
 				victim = k
@@ -303,12 +283,11 @@ func (c *Client) reserveDevice(need int64, exclude *ckpt) (evicted bool, err err
 			continue
 		}
 		evicted = true
-		bytes := victim.deviceBytes
-		c.update(victim, func() { victim.deviceBytes = 0 })
-		c.devUsed -= bytes
-		if victim.hostBytes < victim.size {
-			c.hostUsed += victim.size - victim.hostBytes
-			victim.hostBytes = victim.size
+		c.update(victim, func() { victim.onDevice = false })
+		c.devUsed -= victim.size
+		if !victim.onHost {
+			c.hostUsed += victim.size
+			victim.onHost = true
 		}
 		c.mu.Unlock()
 
@@ -318,7 +297,7 @@ func (c *Client) reserveDevice(need int64, exclude *ckpt) (evicted bool, err err
 		// migration (no thrash penalty); the cost is the extra PCIe
 		// traffic and the blocking it causes.
 		c.waitHostReady()
-		err = c.migrate(bytes, false)
+		err = c.migrate(victim.size, false)
 		if err == nil {
 			c.spillHostIfNeeded()
 		}
@@ -341,31 +320,25 @@ func (c *Client) spillHostIfNeeded() {
 			return
 		}
 		var victim *ckpt
-		for _, id := range c.order {
-			k := c.ckpts[id]
-			if k.hostBytes == 0 {
-				continue
+		for _, k := range c.order {
+			if k.onHost && !(k.onDevice && k.prefetched && !k.consumed) {
+				victim = k
+				break
 			}
-			if k.deviceBytes > 0 && k.prefetched && !k.consumed {
-				continue
-			}
-			victim = k
-			break
 		}
 		if victim == nil {
 			c.mu.Unlock()
 			return
 		}
 		toSSD := !victim.ssd && !(victim.consumed && c.cfg.DiscardAfterRestore)
-		bytes := victim.hostBytes
-		victim.hostBytes = 0
-		c.hostUsed -= bytes
+		victim.onHost = false
+		c.hostUsed -= victim.size
 		if toSSD {
 			victim.ssd = true
 		}
 		c.mu.Unlock()
 		if toSSD {
-			if _, err := c.cfg.NVMe.TryTransfer(bytes); err != nil {
+			if _, err := c.cfg.NVMe.TryTransfer(victim.size); err != nil {
 				// The spill never landed: un-mark the SSD copy and
 				// surface the failure rather than dropping it silently.
 				c.mu.Lock()
@@ -381,7 +354,9 @@ func (c *Client) spillHostIfNeeded() {
 // Checkpoint writes version id. The writing kernel touches fresh managed
 // pages (fault replay), may stall on migrate-before-evict to make room,
 // and then copies the snapshot in at device bandwidth. The preferred-
-// location hint then queues an asynchronous writeback to the host.
+// location hint then queues an asynchronous writeback to the host. The
+// record is in flight until the copy lands, so no prefetch, restore or
+// eviction takes it before; a write that fails leaves no record.
 func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	start := c.clk.Now()
 	c.mu.Lock()
@@ -394,26 +369,31 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 		return ErrDuplicate
 	}
 	k := &ckpt{id: id, size: pay.Size(), pay: pay, lru: c.clk.Now()}
+	c.update(k, func() { k.inflight = true })
 	c.ckpts[id] = k
-	c.order = append(c.order, id)
+	c.order = append(c.order, k)
 	c.mu.Unlock()
 
-	if _, err := c.reserveDevice(k.size, k); err != nil {
-		return err
+	_, err := c.reserveDevice(k.size)
+	if err == nil {
+		c.faultCost(k.size)       // first touch of managed pages
+		c.cfg.GPU.CopyD2D(k.size) // snapshot into the managed buffer
 	}
-	c.mu.Lock()
-	c.update(k, func() { k.deviceBytes = k.size })
-	c.mu.Unlock()
 
-	c.faultCost(k.size)       // first touch of managed pages
-	c.cfg.GPU.CopyD2D(k.size) // snapshot into the managed buffer
-
-	// cudaMemAdviseSetPreferredLocation(host): async writeback.
 	c.mu.Lock()
-	k.flushQueued = true
-	c.flushQ = append(c.flushQ, id)
+	c.update(k, func() { k.onDevice, k.inflight = err == nil, false })
+	if err == nil {
+		// cudaMemAdviseSetPreferredLocation(host): async writeback.
+		c.flushQ = append(c.flushQ, k)
+	} else {
+		delete(c.ckpts, id)
+		c.order = slices.DeleteFunc(c.order, func(o *ckpt) bool { return o == k })
+	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	c.rec.Checkpoint(k.size, c.clk.Now()-start)
 	return nil
@@ -438,18 +418,13 @@ func (c *Client) flusher() {
 			}
 			c.cond.Wait()
 		}
-		id := c.flushQ[0]
+		k := c.flushQ[0]
 		c.flushQ = c.flushQ[1:]
 		c.flushOn = true
-		k := c.ckpts[id]
-		skip := k == nil || (k.consumed && c.cfg.DiscardAfterRestore)
-		var bytes int64
-		if !skip {
-			bytes = k.size
-			if k.hostBytes == 0 {
-				k.hostBytes = k.size
-				c.hostUsed += k.size
-			}
+		skip := k.consumed && c.cfg.DiscardAfterRestore
+		if !skip && !k.onHost {
+			k.onHost = true
+			c.hostUsed += k.size
 		}
 		c.mu.Unlock()
 		if skip {
@@ -457,7 +432,7 @@ func (c *Client) flusher() {
 		}
 		c.waitHostReady()
 		// Device → host writeback at migration bandwidth.
-		if err := c.migrate(bytes, false); err != nil {
+		if err := c.migrate(k.size, false); err != nil {
 			c.fail(err)
 			continue
 		}
@@ -470,7 +445,7 @@ func (c *Client) flusher() {
 		}
 		c.mu.Unlock()
 		if toSSD {
-			if _, err := c.cfg.NVMe.TryTransfer(bytes); err != nil {
+			if _, err := c.cfg.NVMe.TryTransfer(k.size); err != nil {
 				c.mu.Lock()
 				k.ssd = false
 				c.mu.Unlock()
@@ -507,24 +482,16 @@ func (c *Client) prefetcher() {
 			c.mu.Unlock()
 			return
 		}
-		if !c.pfStarted {
-			c.cond.Wait()
-			continue
-		}
 		var target *ckpt
-		for i := c.hintHead; i < len(c.hints); i++ {
+		for i := c.hintHead; c.pfStarted && i < len(c.hints); i++ {
 			k := c.ckpts[c.hints[i]]
-			if k == nil || k.consumed || k.inflight {
-				continue
+			if k == nil || k.consumed || k.inflight || k.onDevice {
+				continue // unwritten, consumed, in flight or already resident
 			}
-			if k.deviceBytes >= k.size {
-				continue // already resident
+			if c.pinnedBytes+k.size <= c.cfg.DeviceCacheSize {
+				target = k
 			}
-			if c.pinnedBytes+k.size > c.cfg.DeviceCacheSize {
-				break // window full: wait for consumption
-			}
-			target = k
-			break
+			break // else the window is full: wait for consumption
 		}
 		if target == nil {
 			c.cond.Wait()
@@ -532,57 +499,68 @@ func (c *Client) prefetcher() {
 		}
 		c.update(target, func() { target.prefetched, target.inflight = true, true })
 		target.lru = c.clk.Now()
-		need := target.size - target.deviceBytes
 		c.mu.Unlock()
-
-		_, err := c.reserveDevice(need, target) // cudaMemPrefetchAsync moves pages in bulk: no thrash
-		if err == nil {
-			err = c.ensureHost(target)
-		}
-		if err == nil {
-			err = c.migrate(need, false) // host → device prefetch migration
-		}
-		c.mu.Lock()
-		c.update(target, func() {
-			if err == nil {
-				target.deviceBytes = target.size
-			}
-			target.inflight = false
-		})
-		c.cond.Broadcast()
-		if err != nil {
-			c.mu.Unlock()
+		// cudaMemPrefetchAsync moves pages in bulk: no fault, no thrash.
+		if err := c.pullIn(target, false); err != nil {
 			if !errors.Is(err, ErrClosed) {
 				c.fail(err)
 			}
 			return
 		}
+		c.mu.Lock()
 	}
+}
+
+// pullIn brings k, which the caller marked in flight, onto the device:
+// it reserves room (migrate-before-evict), reads k from the SSD into the
+// host backing store if no host copy exists, and migrates it in. A fault
+// (fault) also pays fault replay and, when the room took evictions, the
+// thrash penalty. A failed pull-in gives back the room it reserved.
+func (c *Client) pullIn(k *ckpt, fault bool) error {
+	evicted, err := c.reserveDevice(k.size)
+	reserved := err == nil
+	if err == nil {
+		err = c.ensureHost(k)
+	}
+	if err == nil {
+		if fault {
+			c.faultCost(k.size)
+		}
+		err = c.migrate(k.size, fault && evicted)
+	}
+	c.mu.Lock()
+	c.update(k, func() { k.onDevice, k.inflight = err == nil, false })
+	if err != nil && reserved {
+		c.devUsed -= k.size
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return err
 }
 
 // ensureHost pulls the checkpoint from the SSD into the host backing
 // store if needed.
 func (c *Client) ensureHost(k *ckpt) error {
 	c.mu.Lock()
-	prevHost := k.hostBytes
-	needSSD := k.hostBytes < k.size && k.deviceBytes < k.size
+	needSSD := !k.onHost
 	if needSSD {
-		c.hostUsed += k.size - k.hostBytes
-		k.hostBytes = k.size
+		c.hostUsed += k.size
+		k.onHost = true
 	}
 	c.mu.Unlock()
-	if needSSD {
-		c.waitHostReady()
-		if _, err := c.cfg.NVMe.TryTransfer(k.size); err != nil {
-			// The SSD read never completed: undo the host accounting.
-			c.mu.Lock()
-			c.hostUsed -= k.size - prevHost
-			k.hostBytes = prevHost
-			c.mu.Unlock()
-			return err
-		}
-		c.spillHostIfNeeded()
+	if !needSSD {
+		return nil
 	}
+	c.waitHostReady()
+	if _, err := c.cfg.NVMe.TryTransfer(k.size); err != nil {
+		// The SSD read never completed: undo the host accounting.
+		c.mu.Lock()
+		c.hostUsed -= k.size
+		k.onHost = false
+		c.mu.Unlock()
+		return err
+	}
+	c.spillHostIfNeeded()
 	return nil
 }
 
@@ -605,8 +583,8 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 	iter := c.restoreIter
 	c.restoreIter++
 	pfDist := c.prefetchDistanceLocked(id)
-	// If the prefetcher is migrating this checkpoint in right now, wait
-	// for it rather than double-reserving device space.
+	// If a write or a prefetch is bringing this checkpoint in right now,
+	// wait for it rather than double-reserving device space.
 	for k.inflight {
 		if c.closed {
 			c.mu.Unlock()
@@ -614,33 +592,19 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 		}
 		c.cond.Wait()
 	}
-	missing := k.size - k.deviceBytes
-	c.update(k, func() { k.inflight = missing > 0 })
+	if c.ckpts[id] != k { // its write failed
+		c.mu.Unlock()
+		return nil, ErrUnknownCheckpoint
+	}
+	fault := !k.onDevice
+	c.update(k, func() { k.inflight = fault })
 	k.lru = c.clk.Now()
 	c.mu.Unlock()
 
-	if missing > 0 {
-		// Fault path: make room (migrate-before-evict), pull from
-		// host (via SSD if spilled), pay fault replay.
-		evicted, err := c.reserveDevice(missing, k)
-		if err == nil {
-			err = c.ensureHost(k)
-		}
-		if err == nil {
-			c.faultCost(missing)
-			err = c.migrate(missing, evicted)
-		}
-		if err != nil {
-			c.mu.Lock()
-			c.update(k, func() { k.inflight = false })
-			c.cond.Broadcast()
-			c.mu.Unlock()
+	if fault {
+		if err := c.pullIn(k, true); err != nil {
 			return nil, err
 		}
-		c.mu.Lock()
-		c.update(k, func() { k.deviceBytes, k.inflight = k.size, false })
-		c.cond.Broadcast()
-		c.mu.Unlock()
 	}
 	c.cfg.GPU.CopyD2D(k.size) // managed buffer → application buffer
 
@@ -672,8 +636,7 @@ func (c *Client) prefetchDistanceLocked(current int64) int {
 		if id == current {
 			continue
 		}
-		k := c.ckpts[id]
-		if k == nil || k.deviceBytes < k.size {
+		if k := c.ckpts[id]; k == nil || !k.onDevice {
 			break
 		}
 		dist++

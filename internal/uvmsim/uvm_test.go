@@ -30,7 +30,6 @@ func newUVM(t *testing.T, clk simclock.Clock, mutate func(*Config)) *Client {
 	c := Config{
 		Clock: clk, GPU: gpu, NVMe: cluster.Nodes[0].NVMe,
 		DeviceCacheSize: 4 * MB, HostCacheSize: 16 * MB,
-		PageSize: 256 * 1024, FaultLatency: 40 * time.Microsecond,
 	}
 	if mutate != nil {
 		mutate(&c)
@@ -188,8 +187,8 @@ func TestUVMConfigValidation(t *testing.T) {
 	d2d, pcie := cl.Nodes[0].GPULinks(0)
 	gpu := device.NewGPU(clk, 0, 40*fabric.GB, d2d, pcie, device.DefaultAllocCosts())
 	if _, err := New(Config{Clock: clk, GPU: gpu, NVMe: cl.Nodes[0].NVMe,
-		MigrationEfficiency: 2}); err == nil {
-		t.Error("MigrationEfficiency > 1 accepted")
+		DeviceCacheSize: -1}); err == nil {
+		t.Error("negative DeviceCacheSize accepted")
 	}
 }
 
@@ -220,34 +219,55 @@ func TestUVMNVMeOutageSurfaces(t *testing.T) {
 	})
 }
 
+// checkAccounting compares the running pinnedBytes counter with a fresh
+// sum over every checkpoint and, whenever no record is in flight, devUsed
+// with the sizes of the device-resident records: each resident byte is
+// reserved exactly once. It panics, because a drifted window or a double
+// reservation can wedge the shot: it stops there.
+func checkAccounting(c *Client, when string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var pinned, resident int64
+	inflight := false
+	for _, k := range c.ckpts {
+		pinned += k.pinned()
+		if k.onDevice {
+			resident += k.size
+		}
+		inflight = inflight || k.inflight
+	}
+	if c.pinnedBytes != pinned {
+		panic(fmt.Sprintf("%s: pinnedBytes = %d, the checkpoints pin %d", when, c.pinnedBytes, pinned))
+	}
+	if !inflight && c.devUsed != resident {
+		panic(fmt.Sprintf("%s: devUsed = %d, the resident checkpoints hold %d", when, c.devUsed, resident))
+	}
+}
+
+// watchAccounting runs checkAccounting every 10 µs of simulated time, for
+// up to a simulated minute, until stop is called.
+func watchAccounting(clk simclock.Clock, c *Client) (stop func()) {
+	done := false
+	clk.Go(func() {
+		for ; !done && clk.Now() < time.Minute; clk.Sleep(10 * time.Microsecond) {
+			checkAccounting(c, "between calls")
+		}
+	})
+	return func() { done = true }
+}
+
 // TestPinnedBytesCounterIsTheSum runs a hinted reverse shot that prefetches,
 // evicts and deviates (an unhinted restore and an out-of-order one), and
-// compares the running pinnedBytes counter with a fresh sum over every
-// checkpoint after each call and every 10 µs of simulated time in between:
-// an update site that skipped the counter leaves it off from then on.
+// checks the accounting after each call and every 10 µs of simulated time
+// in between: an update site that skipped the counter leaves it off from
+// then on.
 func TestPinnedBytesCounterIsTheSum(t *testing.T) {
 	const n = 12
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
 		c := newUVM(t, clk, nil)
 		defer c.Close()
-		check := func(when string) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			var sum int64
-			for _, k := range c.ckpts {
-				sum += k.pinned()
-			}
-			if c.pinnedBytes != sum { // a drifted window can wedge the shot: stop here
-				panic(fmt.Sprintf("%s: pinnedBytes = %d, the checkpoints pin %d", when, c.pinnedBytes, sum))
-			}
-		}
-		done := false
-		clk.Go(func() {
-			for ; !done && clk.Now() < time.Minute; clk.Sleep(10 * time.Microsecond) {
-				check("between calls")
-			}
-		})
+		defer watchAccounting(clk, c)()
 		for i := n - 1; i >= 1; i-- {
 			c.PrefetchEnqueue(int64(i))
 		}
@@ -255,16 +275,88 @@ func TestPinnedBytesCounterIsTheSum(t *testing.T) {
 			if err := c.Checkpoint(i, payload.NewVirtual(MB)); err != nil {
 				t.Fatal(err)
 			}
-			check("after a checkpoint")
+			checkAccounting(c, "after a checkpoint")
 		}
 		c.PrefetchStart()
 		for _, i := range []int64{11, 10, 8, 9, 0, 7, 6, 5, 4, 3, 2, 1} {
 			if _, err := c.Restore(i); err != nil {
 				t.Fatal(err)
 			}
-			check("after a restore")
+			checkAccounting(c, "after a restore")
 			clk.Sleep(5 * time.Millisecond)
 		}
-		done = true
+	})
+}
+
+// TestPrefetchStartedBeforeTheWrites starts the prefetcher before the
+// first write. A write still in flight is no prefetch target: were it
+// one, the writer and the prefetcher would both reserve its bytes, and
+// both park in reserveDevice with nothing left to evict.
+func TestPrefetchStartedBeforeTheWrites(t *testing.T) {
+	const n = 12
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		c := newUVM(t, clk, nil)
+		defer c.Close()
+		defer watchAccounting(clk, c)()
+		for i := n - 1; i >= 0; i-- {
+			c.PrefetchEnqueue(int64(i))
+		}
+		c.PrefetchStart()
+		for i := int64(0); i < n; i++ {
+			if err := c.Checkpoint(i, payload.NewVirtual(MB)); err != nil {
+				t.Fatal(err)
+			}
+			checkAccounting(c, "after a checkpoint")
+		}
+		for i := int64(n - 1); i >= 0; i-- {
+			if _, err := c.Restore(i); err != nil {
+				t.Fatal(err)
+			}
+			checkAccounting(c, "after a restore")
+		}
+	})
+}
+
+// TestFailedWriteLeavesNoRecord fails a Checkpoint's migrate-before-evict
+// writeback on the PCIe link: the version was never written, so a restore
+// of it must not find it, and writing it again must succeed. A restore
+// that faults over the failing link gives back the room it reserved.
+func TestFailedWriteLeavesNoRecord(t *testing.T) {
+	link := errors.New("pcie link down")
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		c := newUVM(t, clk, nil)
+		defer c.Close()
+		for i := int64(0); i < 4; i++ { // fill the 4MB device cache
+			if err := c.Checkpoint(i, payload.NewVirtual(MB)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+		pcie := c.cfg.GPU.PCIeLink()
+		pcie.SetInterceptor(func(string, int64) fabric.FaultDecision { return fabric.FaultDecision{Err: link} })
+		if err := c.Checkpoint(4, payload.NewVirtual(MB)); !errors.Is(err, link) {
+			t.Fatalf("checkpoint over a failing link = %v, want the link error", err)
+		}
+		if _, err := c.Restore(0); !errors.Is(err, link) { // evicted by the failed write
+			t.Fatalf("faulting restore over a failing link = %v, want the link error", err)
+		}
+		checkAccounting(c, "after a failed fault")
+		pcie.SetInterceptor(nil)
+		if _, err := c.Restore(4); !errors.Is(err, ErrUnknownCheckpoint) {
+			t.Errorf("restore of the failed write = %v, want ErrUnknownCheckpoint", err)
+		}
+		if err := c.Checkpoint(4, payload.NewVirtual(MB)); err != nil {
+			t.Errorf("retried checkpoint = %v, want success", err)
+		}
+		for _, i := range []int64{4, 0} {
+			if _, err := c.Restore(i); err != nil {
+				t.Errorf("restore %d after the link came back = %v", i, err)
+			}
+		}
+		checkAccounting(c, "after the retry")
 	})
 }
