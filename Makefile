@@ -44,7 +44,9 @@ bench-check:
 # programs (package main directories outside bench/), so a new program
 # fails loc-check until the inventory declares it, and the counts of
 # public With* options, core.Params fields, the exported fields of the
-# two baselines' Config structs (uvmsim, adiossim), ckptbench flags,
+# two baselines' Config structs (uvmsim, adiossim) and of the five
+# scenario configs behind the paper-extension tables (rank failure, live
+# migration, elastic restart, preemption, straggler), ckptbench flags,
 # registered eviction policies, cond-wake call sites (Broadcast and
 # Signal in non-test internal/ code outside internal/simclock), cache-wake
 # call sites (.Notify() in non-test internal/ code outside internal/cachebuf
@@ -62,6 +64,7 @@ loc:
 	@printf '%7d  With* options\n' $$(cat *.go | grep -c '^func With')
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
 	@printf '%7d  baseline Config fields\n' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/uvmsim/uvm.go internal/adiossim/adios.go)
+	@printf '%7d  scenario Config fields\n' $$(awk '/^type (RankFail|Migrate|Elastic|Preempt|Straggler)Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/rankfail.go internal/experiments/migrate.go internal/experiments/elastic.go internal/experiments/preempt.go internal/experiments/straggler.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
@@ -113,27 +116,25 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-smoke runs the chunked-vs-monolithic transfer-pipelining ablation
-# once, fails if chunked regresses below the monolithic baseline
-# (DESIGN.md §9), and emits the measurements as BENCH_pipeline.json.
-# It also gates the simulator engine itself (DESIGN.md §14): measured in
-# a process of its own, the 10k-rank sweep must retire at least 0.9x the
+# once and fails if chunked regresses below the monolithic baseline
+# (DESIGN.md §9), then the preemption-drain and straggler gates. It also
+# gates the simulator engine itself (DESIGN.md §14): measured in a
+# process of its own, the 10k-rank sweep must retire at least 0.9x the
 # heap reference's events/sec on the default wheel and allocate no more
-# than the committed ceiling (testdata/simspeed_baseline.json), emitting
-# BENCH_simspeed.json.
+# than the committed ceiling (testdata/simspeed_baseline.json).
 bench-smoke:
-	$(GO) test -run TestChunkedPipelineSmoke -v . -args -bench.out=BENCH_pipeline.json
-	$(GO) test -run TestPreemptDrainSmoke -v . -args -preempt.out=BENCH_preempt.json
-	$(GO) test -run TestSimSpeedSmoke -v . -args -simspeed.out=BENCH_simspeed.json
-	$(GO) test -run TestStragglerSmoke -v . -args -straggler.out=BENCH_straggler.json
+	$(GO) test -run TestChunkedPipelineSmoke -v .
+	$(GO) test -run TestPreemptDrainSmoke -v .
+	$(GO) test -run TestSimSpeedSmoke -v .
+	$(GO) test -run TestStragglerSmoke -v .
 	$(GO) test -bench BenchmarkAblationChunkedPipeline -benchtime 1x -run '^$$' .
 	$(GO) test -bench BenchmarkSimSpeed -benchmem -benchtime 1x -run '^$$' .
 
 # bench-evict runs the eviction matrix (every registered policy on the
-# KV-cache trace) once, gates the hit-rate order that justifies each
-# registered policy (score ≥ arc > lru > fifo — DESIGN.md §15), and
-# emits the matrix as BENCH_evict.json.
+# KV-cache trace) once and gates the hit-rate order that justifies each
+# registered policy (score ≥ arc > lru > fifo — DESIGN.md §15).
 bench-evict:
-	$(GO) test -run TestEvictionMatrixSmoke -v . -args -evict.out=BENCH_evict.json
+	$(GO) test -run TestEvictionMatrixSmoke -v .
 
 # trace-smoke exercises the observability layer end to end: the trace
 # determinism and flow-arrow golden tests, then the pipeline experiment
@@ -158,13 +159,12 @@ observer-tax:
 # slo-smoke exercises the SLO engine end to end (DESIGN.md §17): the
 # alert-ledger determinism goldens and the straggler alert story
 # (healthy control clean, 20× gray straggler firing with xfer
-# attribution), emitting the compliance reports as BENCH_slo.json; then
-# the pipeline experiment under -fail-on-slo, which must hold its
-# checked-in objectives; then the straggler experiment under
-# -fail-on-slo, which must breach — the alert path proven live in the
-# CLI, not just in tests.
+# attribution); then the pipeline experiment under -fail-on-slo, which
+# must hold its checked-in objectives; then the straggler experiment
+# under -fail-on-slo, which must breach — the alert path proven live in
+# the CLI, not just in tests.
 slo-smoke:
-	$(GO) test -run 'TestSLOSmoke|TestSLODeterminism' -v . -args -slo.out=BENCH_slo.json
+	$(GO) test -run 'TestSLOSmoke|TestSLODeterminism' -v .
 	$(GO) run ./cmd/ckptbench -exp pipeline -scale small -slo -fail-on-slo
 	@if $(GO) run ./cmd/ckptbench -exp straggler -slo -fail-on-slo >/dev/null 2>&1; then \
 		echo "straggler run unexpectedly passed -fail-on-slo (the 20x straggler must breach)"; exit 1; \
@@ -241,4 +241,4 @@ fuzz-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_pipeline.json BENCH_preempt.json BENCH_simspeed.json BENCH_evict.json BENCH_straggler.json BENCH_slo.json critpath.json trace-pipeline-*.json
+	rm -f critpath.json trace-pipeline-*.json

@@ -1,17 +1,11 @@
 package score_test
 
 import (
-	"flag"
 	"testing"
 
 	"score/internal/cachebuf"
 	"score/internal/experiments"
-	"score/internal/report"
 )
-
-// evictOut, when set, makes the smoke test write the ablation matrix as
-// a bench-record JSON file (make bench-evict passes BENCH_evict.json).
-var evictOut = flag.String("evict.out", "", "write eviction-ablation bench records to this JSON file")
 
 // TestEvictionMatrixSmoke is the `make bench-evict` gate: the eviction
 // matrix at bench scale, one cell per registered policy on the KV-cache
@@ -59,13 +53,5 @@ func TestEvictionMatrixSmoke(t *testing.T) {
 	if !(score >= arc && arc > lru && lru > fifo) {
 		t.Errorf("kv hit rates score %.3f, arc %.3f, lru %.3f, fifo %.3f; want score ≥ arc > lru > fifo",
 			score, arc, lru, fifo)
-	}
-
-	if *evictOut != "" {
-		records := res.BenchRecords()
-		if err := report.BenchFile.WriteFile(*evictOut, records); err != nil {
-			t.Fatalf("writing %s: %v", *evictOut, err)
-		}
-		t.Logf("wrote %d bench records to %s", len(records), *evictOut)
 	}
 }

@@ -23,7 +23,8 @@
 //
 // Geometry invariants maintained at every step:
 //  1. fragments are sorted by offset and tile [0, capacity) exactly;
-//  2. no two gaps are adjacent (gaps coalesce eagerly);
+//  2. no two unclaimed gaps are adjacent (they coalesce eagerly; claimed
+//     gaps keep their seams, which may be two claims' boundary);
 //  3. every checkpoint id appears at most once.
 package cachebuf
 
@@ -851,14 +852,17 @@ func (b *Buffer) Snapshot() Stats {
 	return b.stats
 }
 
-// mergeGapLocked merges gap i, new, with the neighbouring gaps of its claim
-// state — the only seams a gap appearing at i can open — restoring
-// invariant 2 while keeping claimed windows' boundaries intact, and
-// indexes the merged gap if it is unclaimed.
+// mergeGapLocked merges gap i, new, with its unclaimed neighbouring gaps —
+// the only seams a gap appearing at i can open — restoring invariant 2, and
+// indexes the merged gap. A claimed gap merges with nothing: it may border
+// another reservation's claimed window, and the seam between the two is
+// the boundary each claim waits on.
 func (b *Buffer) mergeGapLocked(i int) {
-	claimed := b.frags[i].claimed
+	if b.frags[i].claimed {
+		return
+	}
 	joins := func(j int) bool {
-		return j >= 0 && j < len(b.frags) && b.frags[j].isGap() && b.frags[j].claimed == claimed
+		return j >= 0 && j < len(b.frags) && b.frags[j].isGap() && !b.frags[j].claimed
 	}
 	lo, hi := i, i+1
 	if joins(lo - 1) {
@@ -867,25 +871,22 @@ func (b *Buffer) mergeGapLocked(i int) {
 	if joins(hi) {
 		hi++
 	}
-	for j := lo; j < hi && !claimed; j++ {
+	for j := lo; j < hi; j++ {
 		if j != i {
 			b.unindexGapLocked(b.frags[j])
 		}
 	}
 	b.frags[lo].size = b.frags[hi-1].off + b.frags[hi-1].size - b.frags[lo].off
 	b.frags = slices.Delete(b.frags, lo+1, hi)
-	if !claimed {
-		b.indexGapLocked(b.frags[lo])
-	}
+	b.indexGapLocked(b.frags[lo])
 }
 
-// coalesceLocked merges every run of adjacent gaps with the same claim
-// state and rebuilds the gap index.
+// coalesceLocked merges every run of adjacent unclaimed gaps and rebuilds
+// the gap index.
 func (b *Buffer) coalesceLocked() {
 	out := b.frags[:0]
 	for _, f := range b.frags {
-		if n := len(out); n > 0 && out[n-1].isGap() && f.isGap() &&
-			out[n-1].claimed == f.claimed {
+		if n := len(out); n > 0 && out[n-1].isGap() && !out[n-1].claimed && f.isGap() && !f.claimed {
 			out[n-1].size += f.size
 			continue
 		}
@@ -921,9 +922,8 @@ func (b *Buffer) CheckInvariants() error {
 		if f.size <= 0 {
 			return fmt.Errorf("fragment %d has non-positive size %d", i, f.size)
 		}
-		if f.isGap() && i > 0 && b.frags[i-1].isGap() &&
-			f.claimed == b.frags[i-1].claimed {
-			return fmt.Errorf("adjacent gaps at fragments %d-%d", i-1, i)
+		if f.isGap() && !f.claimed && i > 0 && b.frags[i-1].isGap() && !b.frags[i-1].claimed {
+			return fmt.Errorf("adjacent unclaimed gaps at fragments %d-%d", i-1, i)
 		}
 		if !f.isGap() {
 			if _, dup := seen[f.id]; dup {

@@ -591,6 +591,51 @@ func TestFailedTriesAndClaimsWakeNobody(t *testing.T) {
 	})
 }
 
+// Two reservations' claimed windows that meet keep their seam when the
+// checkpoints on both sides of it are released: each waiter must find its
+// window where it claimed it, and the buffer, full after both land, must
+// not place a third reservation on their bytes.
+func TestAdjacentClaimsKeepTheirSeam(t *testing.T) {
+	runSim(t, func(clk *simclock.Virtual) {
+		o := newFakeOracle()
+		b := New(clk, "host", 400, o)
+		for id := ID(1); id <= 4; id++ {
+			if _, err := b.Reserve(id, 100); err != nil {
+				t.Fatal(err)
+			}
+			o.timeTo[id] = time.Duration(1+(id-1)/2) * time.Second // [1,2] scores lower than [3,4]
+		}
+		wg := simclock.NewWaitGroup(clk)
+		offs := map[ID]int64{}
+		for _, id := range []ID{10, 11} { // 10 claims [1,2], then 11 claims [3,4]
+			wg.Add(1)
+			clk.Go(func() {
+				defer wg.Done()
+				off, err := b.Reserve(id, 200)
+				if err != nil {
+					t.Error(err)
+				}
+				offs[id] = off
+			})
+			clk.Sleep(time.Millisecond)
+		}
+		b.Release(3)
+		b.Release(2) // its gap meets 3's across the two claims' seam
+		o.mark(1, 4)
+		b.Notify()
+		wg.Wait()
+		if offs[10] != 0 || offs[11] != 200 {
+			t.Errorf("reservations landed at %v, want 10 at 0 and 11 at 200", offs)
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if off, err := b.TryReserve(12, 100); !errors.Is(err, ErrWouldBlock) {
+			t.Errorf("TryReserve in a full buffer = %d, %v, want ErrWouldBlock", off, err)
+		}
+	})
+}
+
 func TestRandomOpsPreserveInvariantsProperty(t *testing.T) {
 	// Property: any interleaving of reserves (random sizes) and
 	// releases keeps the fragment geometry valid.

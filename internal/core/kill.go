@@ -37,7 +37,10 @@ func (c *Client) Killed() bool {
 }
 
 // markKilled flips the killed flag and wakes every task parked on the
-// client's conds so the death is observed at the next gate.
+// client's conds so the death is observed at the next gate. A dead rank
+// holds nothing: the rescore makes every one of its cache fragments read
+// evictable, so a reservation parked on a window they lie in — its own
+// flusher's, or a co-located survivor's in a shared host pool — proceeds.
 func (c *Client) markKilled() bool {
 	c.mu.Lock()
 	if c.killed || c.closed {
@@ -47,7 +50,10 @@ func (c *Client) markKilled() bool {
 	c.killed = true
 	c.bumpLocked()
 	c.releaseFlushersLocked()
-	c.mu.Unlock()
+	for _, ck := range c.ckpts {
+		c.rescoreLocked(ck)
+	}
+	c.unlockWake()
 	c.lifecycle(-1, trace.LKilled, "", "rank killed")
 	return true
 }
@@ -64,14 +70,11 @@ func (c *Client) killGate() error {
 }
 
 // finishKill unwinds the dead rank: stop the daemons (in-flight work
-// observes killed at its next gate and aborts as lost), release this
-// rank's claims on a shared host pool so co-located survivors do not
-// inherit dead reservations, then sweep every checkpoint whose fate was
-// still undecided to lost — its only copies were on the GPU and host
-// tiers that died with the process.
+// observes killed at its next gate and aborts as lost), then sweep every
+// checkpoint whose fate was still undecided to lost — its only copies
+// were on the GPU and host tiers that died with the process.
 func (c *Client) finishKill() {
 	c.Close()
-	c.releaseSharedHost()
 
 	c.mu.Lock()
 	var undecided []*checkpoint
@@ -100,25 +103,5 @@ func (c *Client) finishKill() {
 	c.rec.RankDeath()
 	if c.p.Commit != nil {
 		c.p.Commit.RankDead(c.p.Rank)
-	}
-}
-
-// releaseSharedHost frees the dead rank's entries in a shared host pool.
-// A private host cache needs no sweep — it died with the client.
-func (c *Client) releaseSharedHost() {
-	if c.hostNS < 0 {
-		return
-	}
-	c.mu.Lock()
-	var ids []ID
-	for id, ck := range c.ckpts {
-		if ck.replicas[TierHost] != nil {
-			ids = append(ids, id)
-		}
-	}
-	c.mu.Unlock()
-	slices.Sort(ids)
-	for _, id := range ids {
-		c.hstC.Release(c.hostKey(id))
 	}
 }

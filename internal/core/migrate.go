@@ -28,6 +28,10 @@ import (
 // successor store must not be cut over to.
 var ErrMigrationIncomplete = errors.New("core: migration did not converge to a validated cutover")
 
+// migrateMaxRounds bounds a migration's catch-up rounds (and validation
+// re-checks).
+const migrateMaxRounds = 8
+
 // MigrationParams configures one live migration.
 type MigrationParams struct {
 	// Dest is the successor node's store; required.
@@ -39,9 +43,6 @@ type MigrationParams struct {
 	// the migration fault site. A non-nil return fails that copy attempt
 	// (retried under the client's retry policy).
 	FaultHook func(id, size int64) error
-	// MaxRounds bounds the catch-up rounds (and validation re-checks);
-	// 0 takes the default of 8.
-	MaxRounds int
 }
 
 // MigrationReport summarizes one migration attempt.
@@ -75,10 +76,6 @@ func (c *Client) Migrate(p MigrationParams) (MigrationReport, error) {
 	if len(p.Path) == 0 {
 		return rep, errors.New("core: migration requires a fabric path")
 	}
-	maxRounds := p.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 8
-	}
 	c.rec.MigrationStart()
 	c.lifecycle(-1, trace.LMigrateStart, "", fmt.Sprintf("%d versions resident", len(c.p.Store.IDs())))
 
@@ -97,7 +94,7 @@ func (c *Client) Migrate(p MigrationParams) (MigrationReport, error) {
 	// Foreground flushes landing mid-round appear in the next round's
 	// listing; convergence is a round that copies nothing.
 	for {
-		if rep.Rounds >= maxRounds {
+		if rep.Rounds >= migrateMaxRounds {
 			return finish(fmt.Errorf("%w: %d catch-up rounds did not converge", ErrMigrationIncomplete, rep.Rounds))
 		}
 		rep.Rounds++
@@ -114,7 +111,7 @@ func (c *Client) Migrate(p MigrationParams) (MigrationReport, error) {
 
 	// Cutover validation: re-read every source version and byte-compare
 	// against the successor. New versions appearing mid-validation send
-	// the migration back to catch-up (bounded by maxRounds).
+	// the migration back to catch-up (bounded by migrateMaxRounds).
 	for {
 		clean, err := c.migrateValidate(p)
 		if err != nil {
@@ -124,7 +121,7 @@ func (c *Client) Migrate(p MigrationParams) (MigrationReport, error) {
 			rep.Validated = true
 			return finish(nil)
 		}
-		if rep.Rounds >= maxRounds {
+		if rep.Rounds >= migrateMaxRounds {
 			return finish(fmt.Errorf("%w: validation kept finding uncopied versions after %d rounds",
 				ErrMigrationIncomplete, rep.Rounds))
 		}

@@ -63,7 +63,8 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 // a slower tier, the checkpoint was consumed and is discardable (§2
 // condition 5), or its flush was aborted (the fail-open escape hatch:
 // evicting loses the checkpoint, Restore reports ErrLost, the cache stays
-// live). Until then the p_score input is the paper's state_ts: 0 when
+// live). A killed rank's replicas all read evictable: nothing it holds
+// outlives it. Until then the p_score input is the paper's state_ts: 0 when
 // nothing is pending, the flush estimate when a flush is, pinned when a
 // transfer or an unconsumed prefetch holds the replica. WRITE_COMPLETE is
 // kept even when discardable: the copy waits for its flush to move it on,
@@ -79,8 +80,8 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 func (c *Client) rescoreLocked(ck *checkpoint) {
 	discardable := (ck.consumed && c.p.DiscardAfterRestore) || ck.flushAborted
 	for tier := TierGPU; tier <= TierHost; tier++ {
-		var flags cachebuf.Flags // no record: stale fragment, free to reclaim
-		if rep := ck.replicas[tier]; rep != nil {
+		var flags cachebuf.Flags // no record, or a dead rank's: free to reclaim
+		if rep := ck.replicas[tier]; rep != nil && !c.killed {
 			switch rep.fsm.State() {
 			case lifecycle.Flushed, lifecycle.Consumed:
 				if !discardable && !ck.durableBelow(tier) {

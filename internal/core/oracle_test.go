@@ -39,8 +39,8 @@ func ruleEntry(c *Client, ck *checkpoint, tier Tier) entryWant {
 			break
 		}
 	}
-	if ck.replicas[tier] == nil {
-		w.evictable = true // unlinked: a stale fragment, unpinned with p = 0
+	if ck.replicas[tier] == nil || c.killed {
+		w.evictable = true // unlinked, or the rank is dead: unpinned with p = 0
 		return w
 	}
 	durable := false
@@ -205,12 +205,9 @@ func init() {
 // caches its own unconsumed prefetches have pinned full waits forever, as
 // designed (§2 condition 4). Restores run during the forward pass in every
 // trial. Two pools in three run from 3 to 18 MiB, small enough that both
-// ranks' blocking reservations can find no feasible window and wait. One
-// known hang still shapes the trials: a kill can leave the pool windows
-// that the dead rank's flushers claimed and that no later event makes
-// evictable, so a blocking write would wait forever. Only the one trial in
-// three whose pool has room for everything, where no write ever waits on
-// it, kills a rank.
+// ranks' blocking reservations can find no feasible window and wait. Any
+// trial may kill client 1, also while a reservation waits on a window of
+// its fragments: the kill rescores them all evictable.
 //
 // Each of these fourteen mutations, tried one at a time, fails it: no
 // rescore in transition; none in setReplicaLocked; a plain assignment in
@@ -337,7 +334,7 @@ func entriesTrial(t *testing.T, seed int64) {
 				i, on := rng.Intn(len(links)), rng.Intn(3) > 0
 				what = fmt.Sprintf("link %d outage = %v", i, on)
 				outage(i, on)
-			case k == 1 && roomy:
+			case k == 1:
 				what = "client 1 killed"
 				c.Kill()
 			default:

@@ -14,28 +14,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"score"
 )
+
+// elasticCheckpoints is the number of versions each old rank writes.
+const elasticCheckpoints = 4
 
 // ElasticConfig parameterizes one elastic-restart scenario.
 type ElasticConfig struct {
 	// FromRanks is the old membership size (default 4); ToRanks the new
 	// one (default 2 — a shrink; set larger than FromRanks to grow).
 	FromRanks, ToRanks int
-	// Checkpoints is the number of versions each old rank writes
-	// (default 4).
-	Checkpoints int
-	// Size is the per-version payload size in bytes (default 1 MiB).
-	Size int64
-	// Interval is the compute time between checkpoints (default 10 ms).
-	Interval time.Duration
 	// StoreRoot backs every shard's durable store (the rankfail layout:
 	// <root>/node<i>/local/rank<r>).
 	StoreRoot string
-	// Seed drives the deterministic payload generator.
-	Seed int64
 }
 
 func (c ElasticConfig) withDefaults() ElasticConfig {
@@ -44,18 +37,6 @@ func (c ElasticConfig) withDefaults() ElasticConfig {
 	}
 	if c.ToRanks == 0 {
 		c.ToRanks = 2
-	}
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 4
-	}
-	if c.Size == 0 {
-		c.Size = 1 << 20
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 2023
 	}
 	return c
 }
@@ -87,8 +68,7 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 	}
 	res := ElasticResult{FromRanks: cfg.FromRanks, ToRanks: cfg.ToRanks, Epoch: 1, Frontier: -1}
 	shardDir := func(shard int) string {
-		rf := RankFailConfig{StoreRoot: cfg.StoreRoot, Nodes: 1, GPUsPerNode: cfg.FromRanks}
-		return rf.localDir(0, shard)
+		return RankFailConfig{StoreRoot: cfg.StoreRoot}.localDir(0, shard)
 	}
 
 	// Phase one: the old membership writes to a group-committed frontier
@@ -106,8 +86,8 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 		clients := make([]*score.Client, cfg.FromRanks)
 		for rank := range clients {
 			cl, err := sim.NewClient(0, rank,
-				score.WithGPUCache(16*cfg.Size),
-				score.WithHostCache(16*cfg.Size),
+				score.WithGPUCache(16*storeSize),
+				score.WithHostCache(16*storeSize),
 				score.WithAsyncHostInit(),
 				score.WithStore(shardDir(rank)),
 				score.WithCommitTracker(tracker, rank))
@@ -123,12 +103,12 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 			wg.Add(1)
 			sim.Clock().Go(func() {
 				defer wg.Done()
-				for v := int64(0); v < int64(cfg.Checkpoints); v++ {
-					if err := cl.Checkpoint(v, rankPayload(cfg.Seed, rank, v, cfg.Size)); err != nil {
+				for v := int64(0); v < elasticCheckpoints; v++ {
+					if err := cl.Checkpoint(v, rankPayload(rank, v)); err != nil {
 						runErr = fmt.Errorf("experiments: rank %d checkpoint %d: %w", rank, v, err)
 						return
 					}
-					cl.Compute(cfg.Interval)
+					cl.Compute(storeInterval)
 				}
 				if err := cl.WaitFlush(); err != nil {
 					runErr = err
@@ -183,8 +163,8 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 		for rank := 0; rank < cfg.ToRanks; rank++ {
 			for _, shard := range reshard.ShardsOf(rank) {
 				cl, err := sim2.NewClient(0, rank,
-					score.WithGPUCache(16*cfg.Size),
-					score.WithHostCache(16*cfg.Size),
+					score.WithGPUCache(16*storeSize),
+					score.WithHostCache(16*storeSize),
 					score.WithStore(shardDir(shard)))
 				if err != nil {
 					runErr = err
@@ -196,7 +176,7 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 					cl.Close()
 					return
 				}
-				if !bytes.Equal(got, rankPayload(cfg.Seed, shard, frontier, cfg.Size)) {
+				if !bytes.Equal(got, rankPayload(shard, frontier)) {
 					runErr = fmt.Errorf("experiments: shard %d restored v%d with wrong bytes", shard, frontier)
 					cl.Close()
 					return

@@ -42,8 +42,6 @@ type EvictCell struct {
 	Accesses  int
 	Hits      int
 	Evictions int64
-	// MissBytes is the payload re-fetched from the lower tier.
-	MissBytes int64
 	// Blocking is total simulated restore-blocking time (miss stalls).
 	Blocking time.Duration
 	// SLO holds the cell's hit-rate compliance report when the matrix
@@ -80,22 +78,6 @@ func (r EvictResult) Cell(workload, policy string) (EvictCell, bool) {
 		}
 	}
 	return EvictCell{}, false
-}
-
-// BenchRecords converts the matrix into score-bench/v1 records
-// (BENCH_evict.json): simulated blocking per access, miss payload, and
-// the hit rate.
-func (r EvictResult) BenchRecords() []report.BenchRecord {
-	var recs []report.BenchRecord
-	for _, c := range r.Cells {
-		recs = append(recs, report.BenchRecord{
-			Name:       fmt.Sprintf("evict/%s/%s", c.Workload, c.Policy),
-			NsPerOp:    float64(c.MeanBlocking().Nanoseconds()),
-			BytesMoved: c.MissBytes,
-			HitRate:    c.HitRate(),
-		})
-	}
-	return recs
 }
 
 // Render prints the matrix.
@@ -260,7 +242,6 @@ func replayTrace(run Run, tr evictTrace, pol cachebuf.Policy) (EvictCell, error)
 			if !a.insert {
 				// Restore miss: blocking re-fetch from the lower tier.
 				cell.Accesses++
-				cell.MissBytes += blockSize
 				start := clk.Now()
 				clk.Sleep(missCost)
 				cell.Blocking += clk.Now() - start

@@ -15,53 +15,27 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"score"
 )
 
+// The migrating rank writes migrateCheckpoints versions before the
+// migration starts and migrateExtra more while the live pass runs.
+const migrateCheckpoints, migrateExtra = 6, 2
+
 // MigrateConfig parameterizes one live-migration scenario.
 type MigrateConfig struct {
-	// Checkpoints is the number of versions the rank writes before the
-	// migration starts (default 6); Extra the versions it keeps writing
-	// while the live migration runs (default 2).
-	Checkpoints, Extra int
-	// Size is the per-version payload size in bytes (default 1 MiB).
-	Size int64
-	// Interval is the compute time between checkpoints (default 10 ms).
-	Interval time.Duration
 	// InjectFault fails an early per-version migration copy through the
 	// migrate fault site, exercising the retry path.
 	InjectFault bool
 	// StoreRoot backs the source and successor stores:
 	// <root>/node0/local/rank0 and <root>/node1/migrated/rank0.
 	StoreRoot string
-	// Seed drives the deterministic payload generator.
-	Seed int64
-}
-
-func (c MigrateConfig) withDefaults() MigrateConfig {
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 6
-	}
-	if c.Extra == 0 {
-		c.Extra = 2
-	}
-	if c.Size == 0 {
-		c.Size = 1 << 20
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 2023
-	}
-	return c
 }
 
 // MigrateResult reports one scenario run.
 type MigrateResult struct {
-	// Versions is the total the rank wrote (Checkpoints + Extra).
+	// Versions is the total the rank wrote: migrateCheckpoints + migrateExtra.
 	Versions int
 	// Live is the report of the migration racing foreground traffic;
 	// Final the incremental sync after the writer quiesced. Final must be
@@ -88,11 +62,10 @@ func (c MigrateConfig) dstDir() string {
 // Migration runs the scenario. Deterministic: the same config (and
 // StoreRoot contents) produces the identical result.
 func Migration(cfg MigrateConfig) (MigrateResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.StoreRoot == "" {
 		return MigrateResult{}, errors.New("experiments: MigrateConfig.StoreRoot required")
 	}
-	total := cfg.Checkpoints + cfg.Extra
+	const total = migrateCheckpoints + migrateExtra
 	res := MigrateResult{Versions: total}
 
 	// Phase one: write the base set, then race the live migration against
@@ -105,13 +78,13 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 	if cfg.InjectFault {
 		rules = append(rules, score.FailNth(score.FaultMigrate, 2))
 	}
-	inj := sim.NewFaultInjector(cfg.Seed, rules...)
+	inj := sim.NewFaultInjector(scenarioSeed, rules...)
 
 	var runErr error
 	sim.Run(func() {
 		cl, err := sim.NewClient(0, 0,
-			score.WithGPUCache(16*cfg.Size),
-			score.WithHostCache(16*cfg.Size),
+			score.WithGPUCache(16*storeSize),
+			score.WithHostCache(16*storeSize),
 			score.WithAsyncHostInit(),
 			score.WithStore(cfg.srcDir()),
 			score.WithFaultInjector(inj))
@@ -121,13 +94,13 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 		}
 		defer cl.Close()
 		write := func(v int64) error {
-			if err := cl.Checkpoint(v, rankPayload(cfg.Seed, 0, v, cfg.Size)); err != nil {
+			if err := cl.Checkpoint(v, rankPayload(0, v)); err != nil {
 				return fmt.Errorf("experiments: checkpoint %d: %w", v, err)
 			}
-			cl.Compute(cfg.Interval)
+			cl.Compute(storeInterval)
 			return nil
 		}
-		for v := int64(0); v < int64(cfg.Checkpoints); v++ {
+		for v := int64(0); v < migrateCheckpoints; v++ {
 			if runErr = write(v); runErr != nil {
 				return
 			}
@@ -144,15 +117,15 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 		wg.Add(1)
 		sim.Clock().Go(func() {
 			defer wg.Done()
-			for v := int64(0); v < int64(cfg.Checkpoints); v++ {
+			for v := int64(0); v < migrateCheckpoints; v++ {
 				if _, err := cl.Restart(v); err != nil {
 					runErr = fmt.Errorf("experiments: foreground restart %d: %w", v, err)
 					return
 				}
-				cl.Compute(cfg.Interval / 2)
+				cl.Compute(storeInterval / 2)
 			}
 		})
-		for v := int64(cfg.Checkpoints); v < int64(total); v++ {
+		for v := int64(migrateCheckpoints); v < total; v++ {
 			if runErr = write(v); runErr != nil {
 				return
 			}
@@ -200,8 +173,8 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 	}
 	sim2.Run(func() {
 		cl, err := sim2.NewClient(1, 0,
-			score.WithGPUCache(16*cfg.Size),
-			score.WithHostCache(16*cfg.Size),
+			score.WithGPUCache(16*storeSize),
+			score.WithHostCache(16*storeSize),
 			score.WithStore(cfg.dstDir()))
 		if err != nil {
 			runErr = err
@@ -212,13 +185,13 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 			runErr = fmt.Errorf("experiments: successor recovered %d versions, want %d", got, total)
 			return
 		}
-		for v := int64(0); v < int64(total); v++ {
+		for v := int64(0); v < total; v++ {
 			got, err := cl.Restart(v)
 			if err != nil {
 				runErr = fmt.Errorf("experiments: successor restart %d: %w", v, err)
 				return
 			}
-			if !bytes.Equal(got, rankPayload(cfg.Seed, 0, v, cfg.Size)) {
+			if !bytes.Equal(got, rankPayload(0, v)) {
 				runErr = fmt.Errorf("experiments: successor restored v%d with wrong bytes", v)
 				return
 			}

@@ -75,9 +75,7 @@ func TestMigrationRequiresStoreRoot(t *testing.T) {
 // migrate site must surface ErrMigrationIncomplete (or the underlying
 // injected failure) — never a silently divergent successor.
 func TestMigrationIncompleteIsDefinitive(t *testing.T) {
-	root := t.TempDir()
-	cfg := MigrateConfig{StoreRoot: root}
-	cfg = cfg.withDefaults()
+	cfg := MigrateConfig{StoreRoot: t.TempDir()}
 	sim, err := score.NewSim(score.WithNodes(2), score.WithGPUsPerNode(1))
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +85,8 @@ func TestMigrationIncompleteIsDefinitive(t *testing.T) {
 	var migErr error
 	sim.Run(func() {
 		cl, err := sim.NewClient(0, 0,
-			score.WithGPUCache(16*cfg.Size),
-			score.WithHostCache(16*cfg.Size),
+			score.WithGPUCache(16*storeSize),
+			score.WithHostCache(16*storeSize),
 			score.WithAsyncHostInit(),
 			score.WithStore(cfg.srcDir()),
 			score.WithFaultInjector(inj))
@@ -98,7 +96,7 @@ func TestMigrationIncompleteIsDefinitive(t *testing.T) {
 		}
 		defer cl.Close()
 		for v := int64(0); v < 3; v++ {
-			if err := cl.Checkpoint(v, rankPayload(cfg.Seed, 0, v, cfg.Size)); err != nil {
+			if err := cl.Checkpoint(v, rankPayload(0, v)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -36,16 +36,6 @@ type PreemptConfig struct {
 	// Runs is the number of seeded runs per window; each run varies when
 	// in the write phase the notice lands (default 3).
 	Runs int
-	// FlushStreams sizes each flusher pool (default 4). The drain
-	// triage's flushes run on the T_H2F pool, so they share its width.
-	FlushStreams int
-	// GPUCache and HostCache size the two cache tiers. Defaults hold the
-	// whole backlog plus slack, except the GPU tier is capped at 36 GiB —
-	// inside the A100's 40 GiB HBM — so the paper-scale 48 GiB backlog
-	// spreads across the ladder the way a real job's would.
-	GPUCache, HostCache int64
-	// Seed drives the per-run schedules.
-	Seed int64
 	// Objectives, when non-empty, attaches a sweep-level SLO engine: each
 	// run contributes one DeadlineMet observation on a synthetic
 	// one-second-per-run timeline (the runs live on separate virtual
@@ -70,21 +60,6 @@ func (c PreemptConfig) withDefaults() PreemptConfig {
 	}
 	if c.Runs == 0 {
 		c.Runs = 3
-	}
-	if c.FlushStreams == 0 {
-		c.FlushStreams = 4
-	}
-	if c.GPUCache == 0 {
-		c.GPUCache = int64(c.Checkpoints+2) * c.Size
-		if cap := int64(36) << 30; c.GPUCache > cap {
-			c.GPUCache = cap
-		}
-	}
-	if c.HostCache == 0 {
-		c.HostCache = int64(c.Checkpoints+2) * c.Size
-	}
-	if c.Seed == 0 {
-		c.Seed = 2023
 	}
 	return c
 }
@@ -223,7 +198,7 @@ func preemptRun(cfg PreemptConfig, grace time.Duration, run int) (score.DrainMan
 	if err != nil {
 		return score.DrainManifest{}, err
 	}
-	inj := sim.NewFaultInjector(cfg.Seed + int64(run))
+	inj := sim.NewFaultInjector(scenarioSeed + int64(run))
 	// Slide the notice across the write phase: early notices drain a
 	// shallow backlog, the last run's the full one. Each write costs the
 	// compute interval plus the D2D snapshot copy, so the phase estimate
@@ -239,12 +214,20 @@ func preemptRun(cfg PreemptConfig, grace time.Duration, run int) (score.DrainMan
 	var m score.DrainManifest
 	var ok bool
 	var runErr error
+	// Both cache tiers hold the whole backlog plus slack, except the GPU
+	// tier is capped at 36 GiB — inside the A100's 40 GiB HBM — so the
+	// paper-scale 48 GiB backlog spreads across the ladder the way a real
+	// job's would.
+	hostCache := int64(cfg.Checkpoints+2) * cfg.Size
+	gpuCache := min(hostCache, 36<<30)
 	sim.Run(func() {
 		cl, err := sim.NewClient(0, 0,
-			score.WithGPUCache(cfg.GPUCache),
-			score.WithHostCache(cfg.HostCache),
+			score.WithGPUCache(gpuCache),
+			score.WithHostCache(hostCache),
 			score.WithAsyncHostInit(),
-			score.WithFlushStreams(cfg.FlushStreams),
+			// Four streams per flusher pool; the drain triage's flushes
+			// run on the T_H2F pool, so they share its width.
+			score.WithFlushStreams(4),
 			score.WithFaultInjector(inj))
 		if err != nil {
 			runErr = err

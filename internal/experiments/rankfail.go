@@ -20,23 +20,31 @@ import (
 	"score"
 )
 
+// The rank-failure job: rankFailNodes nodes of rankFailGPUsPerNode GPUs
+// (rank = node*rankFailGPUsPerNode + gpu), each rank writing
+// rankFailCheckpoints versions. Node killNode's ranks die at killAt, 2.5
+// compute intervals in: mid-flush of an early version.
+const (
+	rankFailNodes       = 2
+	rankFailGPUsPerNode = 2
+	rankFailCheckpoints = 6
+	killNode            = 0
+	killAt              = storeInterval*2 + storeInterval/2
+)
+
+// The store-backed scenarios (rank failure, live migration, elastic
+// restart) write storeSize-byte payloads storeInterval of compute apart.
+// Every scenario draws its payloads and fault schedules from
+// scenarioSeed.
+const (
+	storeSize     = 1 << 20
+	storeInterval = 10 * time.Millisecond
+	scenarioSeed  = 2023
+)
+
 // RankFailConfig parameterizes one rank-failure scenario.
 type RankFailConfig struct {
-	// Nodes and GPUsPerNode shape the cluster (defaults: 2 nodes × 2
-	// GPUs). Ranks are numbered node*GPUsPerNode+gpu.
-	Nodes, GPUsPerNode int
-	// Checkpoints is the number of versions each rank writes (default 6).
-	Checkpoints int
-	// Size is the per-checkpoint payload size in bytes (default 1 MiB).
-	Size int64
-	// Interval is the compute time between checkpoints (default 10 ms).
-	Interval time.Duration
-	// KillNode is the node whose ranks die; KillAt the virtual time of
-	// death (default: node 0 at 2.5 intervals — mid-flush of an early
-	// version).
-	KillNode int
-	KillAt   time.Duration
-	// KillRankOnly kills a single rank (GPU 0 of KillNode) instead of
+	// KillRankOnly kills a single rank (GPU 0 of killNode) instead of
 	// the whole node: a process crash, not a node loss, so the node's
 	// SSD contents survive the failure.
 	KillRankOnly bool
@@ -45,35 +53,8 @@ type RankFailConfig struct {
 	PartnerCopy bool
 	// StoreRoot is the directory backing every rank's durable stores:
 	// <root>/node<i>/local/rank<r> and <root>/node<i>/partner/rank<r>.
-	// Node death is modeled by deleting <root>/node<KillNode>.
+	// Node death is modeled by deleting <root>/node<killNode>.
 	StoreRoot string
-	// Seed drives the deterministic payload generator.
-	Seed int64
-}
-
-func (c RankFailConfig) withDefaults() RankFailConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 2
-	}
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 6
-	}
-	if c.Size == 0 {
-		c.Size = 1 << 20
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if c.KillAt == 0 {
-		c.KillAt = c.Interval*2 + c.Interval/2
-	}
-	if c.Seed == 0 {
-		c.Seed = 2023
-	}
-	return c
 }
 
 // RankFailResult reports one scenario run.
@@ -99,9 +80,10 @@ type RankFailResult struct {
 
 // rankPayload deterministically generates rank/version-unique bytes, so
 // phase two can verify restored data against a regenerated reference.
-func rankPayload(seed int64, rank int, version, size int64) []byte {
-	buf := make([]byte, size)
-	x := uint64(seed)*0x9E3779B97F4A7C15 ^ uint64(rank+1)*0xBF58476D1CE4E5B9 ^
+func rankPayload(rank int, version int64) []byte {
+	buf := make([]byte, storeSize)
+	seed := uint64(scenarioSeed)
+	x := seed*0x9E3779B97F4A7C15 ^ uint64(rank+1)*0xBF58476D1CE4E5B9 ^
 		uint64(version+1)*0x94D049BB133111EB
 	if x == 0 {
 		x = 1
@@ -123,32 +105,28 @@ func (c RankFailConfig) localDir(node, rank int) string {
 // SSD. It lives under the partner's node directory so a kill of that
 // node destroys the replicas it hosts.
 func (c RankFailConfig) partnerDir(node, rank int) string {
-	p := (node + 1) % c.Nodes
+	p := (node + 1) % rankFailNodes
 	return filepath.Join(c.StoreRoot, fmt.Sprintf("node%d", p), "partner", fmt.Sprintf("rank%d", rank))
 }
 
 // RankFailure runs the scenario. Deterministic: the same config (and
 // StoreRoot contents) produces the identical result.
 func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.StoreRoot == "" {
 		return RankFailResult{}, errors.New("experiments: RankFailConfig.StoreRoot required")
 	}
-	if cfg.KillNode < 0 || cfg.KillNode >= cfg.Nodes {
-		return RankFailResult{}, fmt.Errorf("experiments: kill node %d out of range [0,%d)", cfg.KillNode, cfg.Nodes)
-	}
-	ranks := cfg.Nodes * cfg.GPUsPerNode
+	ranks := rankFailNodes * rankFailGPUsPerNode
 	res := RankFailResult{Ranks: ranks, LatestConsistent: -1}
 	if cfg.KillRankOnly {
-		res.Killed = []int{cfg.KillNode * cfg.GPUsPerNode}
+		res.Killed = []int{killNode * rankFailGPUsPerNode}
 	} else {
-		for g := 0; g < cfg.GPUsPerNode; g++ {
-			res.Killed = append(res.Killed, cfg.KillNode*cfg.GPUsPerNode+g)
+		for g := 0; g < rankFailGPUsPerNode; g++ {
+			res.Killed = append(res.Killed, killNode*rankFailGPUsPerNode+g)
 		}
 	}
 
 	// Phase one: run the job under the kill schedule.
-	sim, err := score.NewSim(score.WithNodes(cfg.Nodes), score.WithGPUsPerNode(cfg.GPUsPerNode))
+	sim, err := score.NewSim(score.WithNodes(rankFailNodes), score.WithGPUsPerNode(rankFailGPUsPerNode))
 	if err != nil {
 		return res, err
 	}
@@ -156,26 +134,26 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 	if err != nil {
 		return res, err
 	}
-	inj := sim.NewFaultInjector(cfg.Seed)
+	inj := sim.NewFaultInjector(scenarioSeed)
 	if cfg.KillRankOnly {
-		inj.AddKills(score.KillRank(cfg.KillNode, 0, cfg.KillAt))
+		inj.AddKills(score.KillRank(killNode, 0, killAt))
 	} else {
-		inj.AddKills(score.KillNode(cfg.KillNode, cfg.KillAt))
+		inj.AddKills(score.KillNode(killNode, killAt))
 	}
 
 	var runErr error
 	sim.Run(func() {
 		clients := make([]*score.Client, ranks)
-		for node := 0; node < cfg.Nodes; node++ {
-			for g := 0; g < cfg.GPUsPerNode; g++ {
-				rank := node*cfg.GPUsPerNode + g
+		for node := 0; node < rankFailNodes; node++ {
+			for g := 0; g < rankFailGPUsPerNode; g++ {
+				rank := node*rankFailGPUsPerNode + g
 				opts := []score.ClientOption{
 					// Small caches + async host registration keep setup
-					// near zero virtual time, so KillAt lands mid-job
+					// near zero virtual time, so killAt lands mid-job
 					// rather than during construction (a 32 GiB pinned
 					// registration alone costs seconds of virtual time).
-					score.WithGPUCache(16 * cfg.Size),
-					score.WithHostCache(16 * cfg.Size),
+					score.WithGPUCache(16 * storeSize),
+					score.WithHostCache(16 * storeSize),
 					score.WithAsyncHostInit(),
 					score.WithStore(cfg.localDir(node, rank)),
 					score.WithCommitTracker(tracker, rank),
@@ -198,12 +176,11 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 			wg.Add(1)
 			sim.Clock().Go(func() {
 				defer wg.Done()
-				for v := int64(0); v < int64(cfg.Checkpoints); v++ {
-					data := rankPayload(cfg.Seed, rank, v, cfg.Size)
-					if err := cl.Checkpoint(v, data); err != nil {
+				for v := int64(0); v < rankFailCheckpoints; v++ {
+					if err := cl.Checkpoint(v, rankPayload(rank, v)); err != nil {
 						return // killed mid-run: the sweep owns the rest
 					}
-					cl.Compute(cfg.Interval)
+					cl.Compute(storeInterval)
 				}
 				_ = cl.WaitFlush() // ErrKilled when death raced the drain
 			})
@@ -226,7 +203,7 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 	// and any partner replicas it hosted. A single-rank (process) crash
 	// leaves the disk intact.
 	if !cfg.KillRankOnly {
-		if err := os.RemoveAll(filepath.Join(cfg.StoreRoot, fmt.Sprintf("node%d", cfg.KillNode))); err != nil {
+		if err := os.RemoveAll(filepath.Join(cfg.StoreRoot, fmt.Sprintf("node%d", killNode))); err != nil {
 			return res, err
 		}
 	}
@@ -234,7 +211,7 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 	// Phase two: restart every rank and recompute the consistent frontier
 	// from what each recovered store actually holds — ground truth, not
 	// the running tracker's view.
-	sim2, err := score.NewSim(score.WithNodes(cfg.Nodes), score.WithGPUsPerNode(cfg.GPUsPerNode))
+	sim2, err := score.NewSim(score.WithNodes(rankFailNodes), score.WithGPUsPerNode(rankFailGPUsPerNode))
 	if err != nil {
 		return res, err
 	}
@@ -244,12 +221,12 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 	}
 	sim2.Run(func() {
 		clients := make([]*score.Client, ranks)
-		for node := 0; node < cfg.Nodes; node++ {
-			for g := 0; g < cfg.GPUsPerNode; g++ {
-				rank := node*cfg.GPUsPerNode + g
+		for node := 0; node < rankFailNodes; node++ {
+			for g := 0; g < rankFailGPUsPerNode; g++ {
+				rank := node*rankFailGPUsPerNode + g
 				opts := []score.ClientOption{
-					score.WithGPUCache(16 * cfg.Size),
-					score.WithHostCache(16 * cfg.Size),
+					score.WithGPUCache(16 * storeSize),
+					score.WithHostCache(16 * storeSize),
 					score.WithStore(cfg.localDir(node, rank)),
 				}
 				if cfg.PartnerCopy {
@@ -278,7 +255,7 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 		res.LatestConsistent = latest
 		want := make([][]byte, ranks)
 		for rank := range clients {
-			want[rank] = rankPayload(cfg.Seed, rank, latest, cfg.Size)
+			want[rank] = rankPayload(rank, latest)
 		}
 		for rank, cl := range clients {
 			got, err := cl.Restart(latest)

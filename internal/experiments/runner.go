@@ -127,8 +127,6 @@ type ShotConfig struct {
 	// Nodes and GPUsPerNode give the process count (§5.1: up to 4 nodes
 	// × 8 GPUs).
 	Nodes, GPUsPerNode int
-	// Node is the interconnect model (defaults to DGXA100).
-	Node fabric.NodeConfig
 
 	// Snapshots per shot and their sizes: Uniform uses UniformSize for
 	// every snapshot; otherwise Trace generates variable sizes.
@@ -286,10 +284,6 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	if c.GPUsPerNode == 0 {
 		c.GPUsPerNode = 8
 	}
-	if c.Node.GPUs == 0 {
-		c.Node = fabric.DGXA100()
-		c.Node.GPUs = c.GPUsPerNode
-	}
 	if c.Snapshots == 0 {
 		c.Snapshots = 384
 	}
@@ -311,15 +305,6 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2023
-	}
-	if c.BWScale > 0 && c.BWScale != 1 {
-		c.Node.D2DBandwidth *= c.BWScale
-		c.Node.PCIeBandwidth *= c.BWScale
-		c.Node.NVMePerDrive *= c.BWScale
-		c.Node.PFSBandwidth *= c.BWScale
-		if c.Node.NICBandwidth > 0 {
-			c.Node.NICBandwidth *= c.BWScale
-		}
 	}
 	return c
 }
@@ -442,7 +427,22 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		sloEng = eng
 		cfg.slo = eng
 	}
-	cluster, err := fabric.NewCluster(clk, cfg.Nodes, cfg.Node)
+	// Every node is a DGX A100. Reduced-scale runs scale its links and the
+	// allocation rates alike, so they keep the paper's cost ratios (e.g.
+	// pinned allocation slower than the transfers it enables, §4.1.4).
+	hw := fabric.DGXA100()
+	hw.GPUs = cfg.GPUsPerNode
+	costs := device.DefaultAllocCosts()
+	if s := cfg.BWScale; s > 0 && s != 1 {
+		hw.D2DBandwidth *= s
+		hw.PCIeBandwidth *= s
+		hw.NVMePerDrive *= s
+		hw.PFSBandwidth *= s
+		hw.NICBandwidth *= s
+		costs.DeviceBytesPerSec *= s
+		costs.PinnedHostBytesPerSec *= s
+	}
+	cluster, err := fabric.NewCluster(clk, cfg.Nodes, hw)
 	if err != nil {
 		return ShotResult{}, err
 	}
@@ -476,14 +476,6 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	}()
 	shots := make([]rtm.Shot, ranks)
 	orders := make([][]int, ranks)
-	costs := device.DefaultAllocCosts()
-	if cfg.BWScale > 0 && cfg.BWScale != 1 {
-		// Allocation rates scale with the rest of the hardware so
-		// reduced-scale runs keep the paper's cost ratios (e.g. pinned
-		// allocation slower than the transfers it enables, §4.1.4).
-		costs.DeviceBytesPerSec *= cfg.BWScale
-		costs.PinnedHostBytesPerSec *= cfg.BWScale
-	}
 	for rank := 0; rank < ranks; rank++ {
 		node := cluster.Nodes[rank/cfg.GPUsPerNode]
 		local := rank % cfg.GPUsPerNode

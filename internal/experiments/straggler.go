@@ -35,14 +35,6 @@ type StragglerConfig struct {
 	// restore phase. Severity 1 is the healthy control (default
 	// {1, 5, 20}).
 	Severities []float64
-	// GPUCache and HostCache size the cache tiers. Defaults hold only a
-	// few versions so most restores must read from the durable ladder —
-	// the path the straggler sits on.
-	GPUCache, HostCache int64
-	// FlushStreams sizes the flusher pool (default 2).
-	FlushStreams int
-	// Seed drives the injector schedule.
-	Seed int64
 	// Objectives, when non-empty, attaches an SLO engine per cell. Left
 	// nil under a Run with SLO set, the checked-in straggler restore-tail
 	// objective set applies.
@@ -61,18 +53,6 @@ func (c StragglerConfig) withDefaults() StragglerConfig {
 	}
 	if len(c.Severities) == 0 {
 		c.Severities = []float64{1, 5, 20}
-	}
-	if c.GPUCache == 0 {
-		c.GPUCache = 4 * c.Size
-	}
-	if c.HostCache == 0 {
-		c.HostCache = 4 * c.Size
-	}
-	if c.FlushStreams == 0 {
-		c.FlushStreams = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 2023
 	}
 	return c
 }
@@ -161,7 +141,7 @@ func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (Straggler
 	if err != nil {
 		return cell, err
 	}
-	inj := sim.NewFaultInjector(cfg.Seed)
+	inj := sim.NewFaultInjector(scenarioSeed)
 
 	// The SLO engine rides the cell's own virtual clock, watching the
 	// restore critical paths the client feeds it. Each cell gets a fresh
@@ -176,10 +156,13 @@ func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (Straggler
 	var runErr error
 	sim.Run(func() {
 		opts := []score.ClientOption{
-			score.WithGPUCache(cfg.GPUCache),
-			score.WithHostCache(cfg.HostCache),
+			// Both cache tiers hold only a few versions, so most restores
+			// must read from the durable ladder — the path the straggler
+			// sits on.
+			score.WithGPUCache(4 * cfg.Size),
+			score.WithHostCache(4 * cfg.Size),
 			score.WithAsyncHostInit(),
-			score.WithFlushStreams(cfg.FlushStreams),
+			score.WithFlushStreams(2),
 			// PFS persistence gives every version the deeper replica the
 			// hedge races against (and the quarantine reroutes to).
 			score.WithPersistToPFS(),

@@ -28,32 +28,6 @@ func MetricsTable(runs []metrics.Export) *Table {
 	return tab
 }
 
-// BenchRecord is one benchmark measurement from the bench-smoke run.
-type BenchRecord struct {
-	// Name identifies the benchmark case (e.g. "pipeline/chunked").
-	Name string `json:"name"`
-	// NsPerOp is the simulated nanoseconds per operation.
-	NsPerOp float64 `json:"ns_per_op"`
-	// WallNsPerOp is the real (host) nanoseconds the case took per
-	// operation — the simulator-speed trajectory, distinct from the
-	// simulated time above (which must stay bit-identical across engine
-	// optimizations). Zero in records written before it was tracked.
-	WallNsPerOp float64 `json:"wall_ns_per_op,omitempty"`
-	// BytesMoved is the total payload the case pushed through the
-	// fabric.
-	BytesMoved int64 `json:"bytes_moved"`
-	// OverlapRatio is hidden transfer time over summed hop busy time
-	// (0 = store-and-forward, approaching 1 with deep pipelines).
-	OverlapRatio float64 `json:"overlap_ratio"`
-	// HitRate is the cache hit fraction [0,1] for cache-policy cases
-	// (the eviction ablation matrix); omitted elsewhere.
-	HitRate float64 `json:"hit_rate,omitempty"`
-}
-
-// BenchFile is the score-bench/v1 format, written in name order.
-var BenchFile = Schema[BenchRecord]{Tag: "score-bench/v1", Key: "records",
-	Order: func(a, b BenchRecord) int { return strings.Compare(a.Name, b.Name) }}
-
 // SimSpeedRecord is one simulator-speed measurement: how fast the
 // discrete-event engine itself retires model events, and what one
 // operation costs in allocations. See DESIGN.md §14 for why the gated
@@ -72,7 +46,8 @@ type SimSpeedRecord struct {
 	WallNsPerOp float64 `json:"wall_ns_per_op,omitempty"`
 }
 
-// SimSpeedFile is the score-simspeed/v1 format (BENCH_simspeed.json
-// and its committed baseline), written in name order.
+// SimSpeedFile is the score-simspeed/v1 format (TestSimSpeedSmoke's
+// child-process records and their committed baseline), written in name
+// order.
 var SimSpeedFile = Schema[SimSpeedRecord]{Tag: "score-simspeed/v1", Key: "records",
 	Order: func(a, b SimSpeedRecord) int { return strings.Compare(a.Name, b.Name) }}

@@ -82,11 +82,6 @@ func TestSchemaRoundTrip(t *testing.T) {
 	crit := sampleCritPathRuns()
 	crit = append(crit, CritPathRun{Label: "pipeline/chunked", Records: crit[0].Records[:1]})
 	sloRuns := sampleSLORuns() // sev-20 before sev-1: written the other way round
-	bench := []BenchRecord{
-		{Name: "pipeline/mono", NsPerOp: 2.5e6, BytesMoved: 64 << 20},
-		{Name: "pipeline/chunked", NsPerOp: 1.2e6, WallNsPerOp: 3e5, BytesMoved: 64 << 20, OverlapRatio: 0.55},
-		{Name: "evict/kv/arc", NsPerOp: 3.2e5, BytesMoved: 32 << 20, HitRate: 0.958},
-	}
 	speed := []SimSpeedRecord{
 		{Name: "sweep/10k-serial", EventsPerSec: 2.5e6, WakeupsPerSec: 4e6, AllocsPerOp: 1200, WallNsPerOp: 8e8},
 		{Name: "sweep/10k-coupled", EventsPerSec: 1.5e6, AllocsPerOp: 900},
@@ -94,7 +89,6 @@ func TestSchemaRoundTrip(t *testing.T) {
 	runs := sampleRegistry().Export().Runs
 	t.Run("critpath", roundTrip(CritPathFile, crit, []CritPathRun{crit[1], crit[0]}))
 	t.Run("slo", roundTrip(SLOFile, sloRuns, []SLORun{sloRuns[1], sloRuns[0]}))
-	t.Run("bench", roundTrip(BenchFile, bench, []BenchRecord{bench[2], bench[1], bench[0]}))
 	t.Run("simspeed", roundTrip(SimSpeedFile, speed, []SimSpeedRecord{speed[1], speed[0]}))
 	t.Run("metrics", roundTrip(MetricsFile, runs, runs))
 }
@@ -198,68 +192,15 @@ func TestLoadMetricsExportRejectsWrongSchema(t *testing.T) {
 	}
 }
 
-// TestBenchRecordsRoundTrip: bench records come back sorted by name
-// with every field intact, and an omitted hit rate stays zero.
-func TestBenchRecordsRoundTrip(t *testing.T) {
-	records := []BenchRecord{
-		{Name: "pipeline/mono", NsPerOp: 2.5e6, BytesMoved: 64 << 20, OverlapRatio: 0},
-		{Name: "pipeline/chunked", NsPerOp: 1.2e6, BytesMoved: 64 << 20, OverlapRatio: 0.55},
-		{Name: "evict/kv/arc", NsPerOp: 3.2e5, BytesMoved: 32 << 20, HitRate: 0.958},
-	}
-	got, _ := writeLoad(t, BenchFile, records)
-	if len(got) != 3 {
-		t.Fatalf("round-trip kept %d records, want 3", len(got))
-	}
-	if got[0].Name != "evict/kv/arc" || got[1].Name != "pipeline/chunked" || got[2].Name != "pipeline/mono" {
-		t.Errorf("records not sorted by name: %q, %q, %q", got[0].Name, got[1].Name, got[2].Name)
-	}
-	if got[1].OverlapRatio != 0.55 || got[1].BytesMoved != 64<<20 || got[1].NsPerOp != 1.2e6 {
-		t.Errorf("chunked record did not round-trip: %+v", got[1])
-	}
-	if got[0].HitRate != 0.958 {
-		t.Errorf("hit rate did not round-trip: %+v", got[0])
-	}
-	if got[1].HitRate != 0 {
-		t.Errorf("zero hit rate should stay zero after round-trip: %+v", got[1])
-	}
-	if records[0].Name != "pipeline/mono" {
-		t.Errorf("writing reordered the caller's slice: %+v", records)
-	}
-}
-
-// TestLoadBenchRecordsRejectsWrongSchema: a simulator-speed file keeps
-// its items under "records" too, and is refused as a bench file by its
-// tag, as is any foreign tag.
-func TestLoadBenchRecordsRejectsWrongSchema(t *testing.T) {
-	_, speed := writeLoad(t, SimSpeedFile, []SimSpeedRecord{{Name: "sweep/10k-serial", EventsPerSec: 2.5e6}})
-	if err := loadBytes(t, BenchFile, speed); err == nil {
-		t.Error("simspeed file accepted as a bench file")
-	}
-	if err := loadBytes(t, BenchFile, []byte(`{"schema":"bogus","records":[]}`)); err == nil {
-		t.Error("wrong schema accepted")
-	}
-}
-
-// TestBenchFileDiskRoundTrip: BENCH_*.json files on disk are byte for
-// byte what the bench and simspeed writers produced before the shared
-// codec, so committed baselines do not churn.
-func TestBenchFileDiskRoundTrip(t *testing.T) {
-	bench := []BenchRecord{
-		{Name: "pipeline/chunked", NsPerOp: 1e6, BytesMoved: 1 << 20, OverlapRatio: 0.4},
-		{Name: "evict/kv/arc", NsPerOp: 3.2e5, BytesMoved: 32 << 20, HitRate: 0.958},
-	}
-	got, data := writeLoad(t, BenchFile, bench)
-	if want := envelopeBytes(t, "score-bench/v1", "records", []BenchRecord{bench[1], bench[0]}); !bytes.Equal(data, want) {
-		t.Errorf("bench file bytes:\ngot  %s\nwant %s", data, want)
-	}
-	if len(got) != 2 || got[0] != bench[1] || got[1] != bench[0] {
-		t.Errorf("disk round-trip = %+v, want %+v", got, bench)
-	}
+// TestSimSpeedFileDiskRoundTrip: simulator-speed files on disk are byte
+// for byte what the simspeed writer produced before the shared codec, so
+// the committed baseline does not churn.
+func TestSimSpeedFileDiskRoundTrip(t *testing.T) {
 	speed := []SimSpeedRecord{
 		{Name: "sweep/10k-serial", EventsPerSec: 2.5e6, WakeupsPerSec: 4e6, AllocsPerOp: 1200},
 		{Name: "sweep/10k-coupled", EventsPerSec: 1.5e6, AllocsPerOp: 900, WallNsPerOp: 8e8},
 	}
-	_, data = writeLoad(t, SimSpeedFile, speed)
+	_, data := writeLoad(t, SimSpeedFile, speed)
 	if want := envelopeBytes(t, "score-simspeed/v1", "records", []SimSpeedRecord{speed[1], speed[0]}); !bytes.Equal(data, want) {
 		t.Errorf("simspeed file bytes:\ngot  %s\nwant %s", data, want)
 	}

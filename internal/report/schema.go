@@ -12,7 +12,7 @@ import (
 // LoadFile are the codec for every such file, so a format declares only
 // its tag, its key and the order its items are written in.
 type Schema[T any] struct {
-	// Tag is the file's "schema" value, e.g. "score-bench/v1".
+	// Tag is the file's "schema" value, e.g. "score-slo/v1".
 	Tag string
 	// Key names the array ("runs" or "records").
 	Key string

@@ -1,26 +1,16 @@
 package score_test
 
 import (
-	"flag"
 	"testing"
 	"time"
 
 	"score/internal/experiments"
-	"score/internal/report"
 )
-
-// preemptOut, when set, makes the smoke test write its drain-throughput
-// measurements as a bench-record JSON file (make bench-smoke passes
-// BENCH_preempt.json). Distinct from bench.out: both live in this
-// package, and duplicate flag names panic at init.
-var preemptOut = flag.String("preempt.out", "", "write preemption drain bench records to this JSON file")
 
 // TestPreemptDrainSmoke is the `make bench-smoke` drain gate: a small
 // deadline sweep whose hit-rate ladder must be sane — wider grace
 // windows never drain worse than narrower ones, the widest window
-// always lands everything, and every manifest is complete. The bench
-// records track drain throughput (bytes the triage made durable per
-// simulated drain second) per grace window.
+// always lands everything, and every manifest is complete.
 func TestPreemptDrainSmoke(t *testing.T) {
 	cfg := experiments.PreemptConfig{
 		Checkpoints: 6,
@@ -62,26 +52,5 @@ func TestPreemptDrainSmoke(t *testing.T) {
 	}
 	if widest.AbandonedBytes != 0 {
 		t.Errorf("widest window abandoned %d bytes despite hitting its deadline", widest.AbandonedBytes)
-	}
-
-	if *preemptOut != "" {
-		var records []report.BenchRecord
-		for _, cell := range res.Cells {
-			rec := report.BenchRecord{
-				Name:       "preempt/grace-" + cell.Window.String(),
-				BytesMoved: cell.DrainedBytes,
-				// OverlapRatio carries the deadline-hit rate: same 0..1
-				// shape, tracked per window across commits.
-				OverlapRatio: cell.HitRate(),
-			}
-			if cell.Runs > 0 {
-				rec.NsPerOp = float64(cell.DrainTime.Nanoseconds()) / float64(cell.Runs)
-			}
-			records = append(records, rec)
-		}
-		if err := report.BenchFile.WriteFile(*preemptOut, records); err != nil {
-			t.Fatalf("writing %s: %v", *preemptOut, err)
-		}
-		t.Logf("wrote %d bench records to %s", len(records), *preemptOut)
 	}
 }

@@ -1,6 +1,6 @@
 // Simulator-speed benchmarks: how fast the discrete-event engine itself
 // runs, independent of the simulated hardware numbers. These are the
-// regression gate behind BENCH_simspeed.json (make bench-smoke): raw
+// regression gate behind TestSimSpeedSmoke (make bench-smoke): raw
 // simulator throughput is what bounds the multi-tenant and 100k-rank
 // sweeps, so events/sec and allocs/op are tracked trajectories exactly
 // like the simulated pipeline figures.
@@ -101,10 +101,10 @@ func BenchmarkSimSpeed10kRankSweep(b *testing.B) {
 	reportSimSpeed(b, uint64(b.N)*sweepModelEvents, simclock.EventCount()-startWake)
 }
 
-// BenchmarkSimSpeedPipelineShot measures the full runtime stack on the
-// BENCH_pipeline configuration (chunked GPUDirect shot): wall time for
-// one complete checkpoint/restore shot through core, cachebuf, fabric,
-// and metrics. The shot has no closed-form model-event count, so here
+// BenchmarkSimSpeedPipelineShot measures the full runtime stack on
+// TestChunkedPipelineSmoke's chunked GPUDirect shot: wall time for one
+// complete checkpoint/restore shot through core, cachebuf, fabric, and
+// metrics. The shot has no closed-form model-event count, so here
 // events/sec tracks engine wakeups — comparable across runs of the same
 // configuration, which is all the trajectory needs.
 func BenchmarkSimSpeedPipelineShot(b *testing.B) {

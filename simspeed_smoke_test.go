@@ -14,9 +14,8 @@ import (
 	"score/internal/simclock"
 )
 
-// simspeedOut, when set, makes the smoke test write its measurements as
-// a simspeed-record JSON file (make bench-smoke passes
-// BENCH_simspeed.json).
+// simspeedOut is where the measuring child process writes its
+// simulator-speed records for TestSimSpeedSmoke to gate.
 var simspeedOut = flag.String("simspeed.out", "", "write simulator-speed records to this JSON file")
 
 // simspeedChild marks the re-executed test binary that does the measuring;
@@ -85,8 +84,7 @@ func measureSweep(t *testing.T, name string, iters int, opts ...simclock.Virtual
 // over the heap reference. Both are measured by re-executing the test
 // binary to run this test alone: allocations are counted process-wide, and
 // in `go test ./...` this process also holds whatever the tests before it
-// left running. The measurements are exported as BENCH_simspeed.json when
-// -simspeed.out is set.
+// left running.
 func TestSimSpeedSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("simulator-speed gate is meaningless under the race detector (~50× slowdown, shadow allocations)")
@@ -112,10 +110,7 @@ func TestSimSpeedSmoke(t *testing.T) {
 		}
 		return
 	}
-	out := *simspeedOut
-	if out == "" {
-		out = filepath.Join(t.TempDir(), "simspeed.json")
-	}
+	out := filepath.Join(t.TempDir(), "simspeed.json")
 	child := exec.Command(os.Args[0], "-test.run=^TestSimSpeedSmoke$", "-simspeed.child", "-simspeed.out="+out)
 	if msg, err := child.CombinedOutput(); err != nil {
 		t.Fatalf("measuring in a child process: %v\n%s", err, msg)
@@ -145,8 +140,5 @@ func TestSimSpeedSmoke(t *testing.T) {
 		if base.Name == serial.Name && serial.AllocsPerOp > base.AllocsPerOp {
 			t.Errorf("allocs/op regressed: %d > committed ceiling %d", serial.AllocsPerOp, base.AllocsPerOp)
 		}
-	}
-	if *simspeedOut != "" {
-		t.Logf("wrote %d simspeed records to %s", len(records), *simspeedOut)
 	}
 }

@@ -1,21 +1,13 @@
 package score_test
 
 import (
-	"flag"
 	"strings"
 	"testing"
 	"time"
 
 	"score/internal/experiments"
-	"score/internal/report"
 	"score/internal/slo"
 )
-
-// sloOut, when set, makes the smoke test write the per-cell compliance
-// reports as a score-slo/v1 JSON file (make slo-smoke passes
-// BENCH_slo.json) — budget remaining, peak burn, and the alert history
-// per objective, tracked as a CI artifact across commits.
-var sloOut = flag.String("slo.out", "", "write SLO compliance reports to this JSON file")
 
 // TestSLOSmoke is the `make slo-smoke` observability gate: the straggler
 // sweep run under the checked-in restore-tail objective must produce the
@@ -36,13 +28,11 @@ func TestSLOSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var runs []report.SLORun
 	for _, c := range res.Cells {
 		if c.SLO == nil {
 			t.Fatalf("%s: no SLO report attached", c.Label())
 		}
 		rep := *c.SLO
-		runs = append(runs, report.SLORun{Label: "straggler/" + c.Label(), Report: rep})
 		if len(rep.Objectives) != 1 {
 			t.Fatalf("%s: %d objectives, want 1", c.Label(), len(rep.Objectives))
 		}
@@ -95,12 +85,5 @@ func TestSLOSmoke(t *testing.T) {
 	}
 	for _, a := range un.SLO.Alerts {
 		t.Logf("alert: %s %s", a.Event, a.Detail())
-	}
-
-	if *sloOut != "" {
-		if err := report.SLOFile.WriteFile(*sloOut, runs); err != nil {
-			t.Fatalf("writing %s: %v", *sloOut, err)
-		}
-		t.Logf("wrote %d compliance reports to %s", len(runs), *sloOut)
 	}
 }

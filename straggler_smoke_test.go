@@ -1,26 +1,16 @@
 package score_test
 
 import (
-	"flag"
 	"testing"
 	"time"
 
 	"score/internal/experiments"
-	"score/internal/report"
 )
-
-// stragglerOut, when set, makes the smoke test write its restore-tail
-// measurements as a bench-record JSON file (make bench-smoke passes
-// BENCH_straggler.json). Distinct from bench.out: both live in this
-// package, and duplicate flag names panic at init.
-var stragglerOut = flag.String("straggler.out", "", "write straggler restore-tail bench records to this JSON file")
 
 // TestStragglerSmoke is the `make bench-smoke` gray-failure gate: a
 // small severity sweep whose acceptance bound — at 20× slowdown on the
 // SSD path, hedged P99 restore blocking at most 0.5× the unhedged P99 —
-// must hold, and whose healthy control must show hedging is free. The
-// bench records track the P99 per cell so regressions in the adaptive
-// deadline or the hedge race surface as tail growth across commits.
+// must hold, and whose healthy control must show hedging is free.
 func TestStragglerSmoke(t *testing.T) {
 	cfg := experiments.StragglerConfig{
 		Checkpoints: 12,
@@ -66,29 +56,4 @@ func TestStragglerSmoke(t *testing.T) {
 	if he.P99 > un.P99/2 {
 		t.Errorf("severity-20 hedged p99 %v > 0.5 × unhedged p99 %v — the hedge gate failed", he.P99, un.P99)
 	}
-
-	if *stragglerOut != "" {
-		var records []report.BenchRecord
-		for _, c := range res.Cells {
-			records = append(records, report.BenchRecord{
-				Name:       "straggler/" + c.Label(),
-				NsPerOp:    float64(c.P99.Nanoseconds()),
-				BytesMoved: c.RestoredBytes,
-				// OverlapRatio carries the hedge win rate: same 0..1 shape,
-				// tracked per cell across commits.
-				OverlapRatio: winRate(c),
-			})
-		}
-		if err := report.BenchFile.WriteFile(*stragglerOut, records); err != nil {
-			t.Fatalf("writing %s: %v", *stragglerOut, err)
-		}
-		t.Logf("wrote %d bench records to %s", len(records), *stragglerOut)
-	}
-}
-
-func winRate(c experiments.StragglerCell) float64 {
-	if c.HedgesLaunched == 0 {
-		return 0
-	}
-	return float64(c.HedgeWins) / float64(c.HedgesLaunched)
 }
