@@ -636,6 +636,52 @@ func TestAdjacentClaimsKeepTheirSeam(t *testing.T) {
 	})
 }
 
+// Closing a buffer unclaims each parked reservation's window as its waiter
+// gives up, and the pass that re-merges the freed gaps must leave the
+// claims still parked alone: two claimed gaps that meet at the seam of
+// two later windows are not one gap, or the later waiter finds its window
+// gone.
+func TestCloseUnclaimsOneWindowAtATime(t *testing.T) {
+	runSim(t, func(clk *simclock.Virtual) {
+		o := newFakeOracle()
+		b := New(clk, "host", 600, o)
+		for id := ID(1); id <= 6; id++ {
+			if _, err := b.Reserve(id, 100); err != nil {
+				t.Fatal(err)
+			}
+			o.timeTo[id] = time.Duration(1+(id-1)/2) * time.Second // [1,2] < [3,4] < [5,6]
+		}
+		wg := simclock.NewWaitGroup(clk)
+		errs := map[ID]error{}
+		for _, id := range []ID{10, 11, 12} { // claim [1,2], [3,4], [5,6] in turn
+			wg.Add(1)
+			clk.Go(func() {
+				defer wg.Done()
+				_, errs[id] = b.Reserve(id, 200)
+			})
+			clk.Sleep(time.Millisecond)
+		}
+		b.Release(4)
+		b.Release(5) // two claimed gaps meet across the seam of 11's and 12's windows
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+		wg.Wait()
+		for _, id := range []ID{10, 11, 12} {
+			if !errors.Is(errs[id], ErrClosed) {
+				t.Errorf("reservation %d = %v, want ErrClosed", id, errs[id])
+			}
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.FragmentCount(); got != 5 {
+			t.Errorf("%d fragments after close, want 5: four residents and the one gap 4 and 5 left", got)
+		}
+	})
+}
+
 func TestRandomOpsPreserveInvariantsProperty(t *testing.T) {
 	// Property: any interleaving of reserves (random sizes) and
 	// releases keeps the fragment geometry valid.

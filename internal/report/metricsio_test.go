@@ -206,6 +206,23 @@ func TestSimSpeedFileDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadSimSpeedRejectsWrongSchema: the simulator-speed gate trusts the
+// committed baseline it loads, so a file of another format, a foreign tag
+// under the same "records" key, and a right tag without the records array
+// are all refused.
+func TestLoadSimSpeedRejectsWrongSchema(t *testing.T) {
+	_, crit := writeLoad(t, CritPathFile, sampleCritPathRuns())
+	if err := loadBytes(t, SimSpeedFile, crit); err == nil {
+		t.Error("critpath file accepted as a simspeed file")
+	}
+	if err := loadBytes(t, SimSpeedFile, []byte(`{"schema":"score-bench/v1","records":[]}`)); err == nil {
+		t.Error("wrong schema accepted")
+	}
+	if err := loadBytes(t, SimSpeedFile, []byte(`{"schema":"score-simspeed/v1"}`)); err == nil {
+		t.Error("simspeed file without records accepted")
+	}
+}
+
 // TestMetricsFileMatchesRegistry: the codec writes the bytes the metrics
 // registry's own writer does.
 func TestMetricsFileMatchesRegistry(t *testing.T) {
