@@ -239,7 +239,7 @@ Flags:
 				return
 			}
 			if ev, cnt := tr.Dropped(); ev > 0 || cnt > 0 {
-				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans, %d counter samples dropped at the retention cap)\n", path, ev, cnt)
+				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans dropped at the retention cap, %d sampler counter samples outside its counter window)\n", path, ev, cnt)
 			}
 			fmt.Fprintf(stdout, "wrote trace %s\n", path)
 		}

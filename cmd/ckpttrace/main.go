@@ -76,7 +76,7 @@ func main() {
 		printLedger(tracer.Flight(), *ledger)
 	}
 	if ev, cnt := tracer.Dropped(); ev > 0 || cnt > 0 {
-		fmt.Printf("warning: trace incomplete — %d spans and %d counter samples dropped at the retention cap\n", ev, cnt)
+		fmt.Printf("warning: trace incomplete — %d spans dropped at the retention cap, %d sampler counter samples outside its counter window\n", ev, cnt)
 	}
 	if fl := tracer.Flight(); fl.TotalDropped() > 0 {
 		fmt.Printf("warning: lifecycle ledger incomplete — %d events dropped (per rank:", fl.TotalDropped())

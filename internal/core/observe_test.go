@@ -22,7 +22,7 @@ func TestScoreProbesShareOneScanPerTick(t *testing.T) {
 		s := metrics.NewSampler(clk, time.Millisecond, 0)
 		r.client.RegisterProbes(s, "c")
 		type means struct{ p, s float64 }
-		var mu sync.Mutex // probes and sink run on the sampler task
+		var mu sync.Mutex // probes run on the sampler task
 		direct, sampled := map[time.Duration]means{}, map[time.Duration]means{}
 		s.Register("zz.direct", func() float64 {
 			p, sc := r.client.gpuC.ScoreSummary()
@@ -30,18 +30,6 @@ func TestScoreProbesShareOneScanPerTick(t *testing.T) {
 			direct[clk.Now()] = means{p, sc}
 			mu.Unlock()
 			return 0
-		})
-		s.SetCounterSink(func(name string, at time.Duration, v float64) {
-			mu.Lock()
-			defer mu.Unlock()
-			m := sampled[at]
-			switch name {
-			case "c.cache.gpu.score_p_mean":
-				m.p = v
-			case "c.cache.gpu.score_s_mean":
-				m.s = v
-			}
-			sampled[at] = m
 		})
 		s.Start()
 
@@ -64,6 +52,17 @@ func TestScoreProbesShareOneScanPerTick(t *testing.T) {
 		}
 		s.Stop()
 
+		series := s.Series()
+		for _, p := range series["c.cache.gpu.score_p_mean"] {
+			m := sampled[p.At]
+			m.p = p.Value
+			sampled[p.At] = m
+		}
+		for _, p := range series["c.cache.gpu.score_s_mean"] {
+			m := sampled[p.At]
+			m.s = p.Value
+			sampled[p.At] = m
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if len(direct) < n {

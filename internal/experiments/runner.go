@@ -540,13 +540,12 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		registerLinkProbes(sampler, cluster)
 		if cfg.Tracer != nil {
 			tracer := cfg.Tracer
-			sampler.SetCounterSink(func(name string, at time.Duration, v float64) {
-				tracer.Counter(0, name, at, v)
-			})
+			tracer.SetCounterSource(sampler)
 			// Surface the tracer's bounded-buffer drop counters in the
-			// sampled series: a non-zero value means the rings wrapped
-			// and the exported timeline (or flight-recorder ledger) is
-			// incomplete — raise the capacity rather than trust it.
+			// sampled series: a non-zero value means the span ring or
+			// the sampler's counter window wrapped and the exported
+			// timeline (or flight-recorder ledger) is incomplete — raise
+			// the capacity rather than trust it.
 			sampler.Register("trace.events_dropped", func() float64 {
 				ev, _ := tracer.Dropped()
 				return float64(ev)

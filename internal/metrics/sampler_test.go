@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sync"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,48 +85,85 @@ func TestSamplerRingCapacity(t *testing.T) {
 	})
 }
 
-func TestSamplerCounterSink(t *testing.T) {
+// TestSamplerCounterWindow: no sample is shown as a counter until a
+// window is set; from then on the newest samples are, and the ones
+// that fell out are counted.
+func TestSamplerCounterWindow(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {
 		s := NewSampler(clk, time.Millisecond, 0)
-		s.Register("g", func() float64 { return 7 })
-		type event struct {
-			name string
-			at   time.Duration
-			v    float64
-		}
-		var mu sync.Mutex // sink runs on the sampler task
-		var events []event
-		s.SetCounterSink(func(name string, at time.Duration, v float64) {
-			mu.Lock()
-			events = append(events, event{name, at, v})
-			mu.Unlock()
-		})
+		var n atomic.Int64 // probe runs on the sampler task
+		s.Register("g", func() float64 { return float64(n.Add(1)) })
 		s.Start()
-		clk.Sleep(3 * time.Millisecond)
-		s.Stop()
-		mu.Lock()
-		defer mu.Unlock()
-		if len(events) == 0 {
-			t.Fatal("counter sink saw no events")
+		clk.Sleep(2*time.Millisecond + time.Microsecond)
+		var got []Sample
+		each := func() {
+			got = got[:0]
+			s.EachCounter(func(_ int, name string, at time.Duration, v float64) {
+				if name != "g" {
+					t.Errorf("counter named %q, want g", name)
+				}
+				got = append(got, Sample{At: at, Value: v})
+			})
 		}
-		for _, e := range events {
-			if e.name != "g" || e.v != 7 {
-				t.Errorf("sink event = %+v, want name g value 7", e)
-			}
+		if each(); len(got) != 0 {
+			t.Errorf("counters before a window: %v", got)
+		}
+		s.SetCounterWindow(3) // the two earlier samples stay outside it
+		clk.Sleep(5 * time.Millisecond)
+		s.Stop() // ticks at 3 … 7 ms, the final sample at 7.001 ms
+		want := []Sample{{6 * time.Millisecond, 6}, {7 * time.Millisecond, 7}, {7*time.Millisecond + time.Microsecond, 8}}
+		if each(); !slices.Equal(got, want) {
+			t.Errorf("counter window holds %v, want %v", got, want)
+		}
+		if d := s.CounterDropped(); d != 3 {
+			t.Errorf("CounterDropped = %d, want 3 (samples 3 to 5)", d)
+		}
+		if pts := s.Series()["g"]; len(pts) != 8 {
+			t.Errorf("series holds %d samples, want all 8", len(pts))
 		}
 	})
 }
 
-func TestSamplerSeriesNames(t *testing.T) {
-	clk := simclock.NewVirtual()
-	clk.Run(func() {
-		s := NewSampler(clk, time.Millisecond, 0)
-		s.Register("z", func() float64 { return 0 })
-		s.Register("a", func() float64 { return 0 })
-		got := s.SeriesNames()
-		if len(got) != 2 || got[0] != "a" || got[1] != "z" {
-			t.Errorf("SeriesNames = %v, want [a z]", got)
+// TestSamplerFreesWhatNoWindowReads: a block of ticks is freed once it
+// is older than the series window and, with a counter window set, wholly
+// before it; the windows still read what they show.
+func TestSamplerFreesWhatNoWindowReads(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		capacity   int
+		window     int // 0: no counter window
+		wantBlocks int
+	}{
+		{"series window only", 10, 0, 2},
+		{"counter window wider than the series window", 10, 8 * tickBlockLen, 5},
+		{"series window wider than the counter window", 3 * tickBlockLen, 10, 4},
+	} {
+		clk := simclock.NewVirtual()
+		s := NewSampler(clk, time.Millisecond, tc.capacity)
+		taken := 0.0 // probes run on the sampler task
+		s.Register("a", func() float64 { taken++; return taken })
+		s.Register("b", func() float64 { return -taken })
+		if tc.window > 0 {
+			s.SetCounterWindow(tc.window)
 		}
-	})
+		const ticks = 10 * tickBlockLen
+		clk.Run(func() {
+			s.Start()
+			clk.Sleep(ticks*time.Millisecond + time.Microsecond)
+			s.Stop()
+		})
+		if got := len(s.blocks); got != tc.wantBlocks {
+			t.Errorf("%s: %d blocks held after %d ticks, want %d", tc.name, got, ticks+1, tc.wantBlocks)
+		}
+		a := s.Series()["a"]
+		if len(a) != tc.capacity || a[len(a)-1].Value != ticks+1 || a[0].Value != float64(ticks+2-tc.capacity) {
+			t.Errorf("%s: series a holds %d samples, %v … %v", tc.name, len(a), a[0], a[len(a)-1])
+		}
+		n := 0
+		s.EachCounter(func(int, string, time.Duration, float64) { n++ })
+		if n != tc.window {
+			t.Errorf("%s: counter window shows %d samples, want %d", tc.name, n, tc.window)
+		}
+	}
 }

@@ -6,24 +6,30 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"score/internal/metrics"
+	"score/internal/simclock"
 )
 
 func TestCounterEventsSortedAndExported(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.Now)
-	// Out-of-order recording (two samplers interleaving) must still
-	// export a chronological counter track.
-	tr.Counter(0, "cache.gpu.used_bytes", 2*time.Millisecond, 4096)
-	tr.Counter(0, "cache.gpu.used_bytes", time.Millisecond, 1024)
-	tr.Counter(1, "link.pcie1.inflight", 3*time.Millisecond, 2)
+	tr := New((&fakeClock{}).Now)
+	// Probes registered out of name order, one of them mid-run, must
+	// still export chronological counter tracks, each instant in name
+	// order.
+	runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+		s.Register("link.pcie1.inflight", func() float64 { return 2 })
+		ticks(clk, 2)
+		s.Register("cache.gpu.used_bytes", func() float64 { return float64(clk.Now() / sampleEvery * 1024) })
+		ticks(clk, 1)
+	})
 
-	cs := tr.Counters()
-	if len(cs) != 3 {
-		t.Fatalf("Counters() returned %d events, want 3", len(cs))
+	cs := counterEvents(tr)
+	if len(cs) != 6 { // ticks at 1, 2 and 3 µs, the final sample at 3.5 µs
+		t.Fatalf("%d counter samples, want 6", len(cs))
 	}
 	for i := 1; i < len(cs); i++ {
-		if cs[i].At < cs[i-1].At {
-			t.Errorf("counters out of order: %v after %v", cs[i].At, cs[i-1].At)
+		if cs[i].At < cs[i-1].At || cs[i].At == cs[i-1].At && cs[i].Name <= cs[i-1].Name {
+			t.Errorf("counters out of order: %+v after %+v", cs[i], cs[i-1])
 		}
 	}
 
@@ -52,22 +58,30 @@ func TestCounterEventsSortedAndExported(t *testing.T) {
 		if _, ok := e.Args["value"]; !ok {
 			t.Errorf("counter event %q has no value arg", e.Name)
 		}
-		if e.Name == "cache.gpu.used_bytes" && e.Ts == 1000 {
-			if v := e.Args["value"].(float64); v != 1024 {
-				t.Errorf("counter at 1ms carries value %v, want 1024", v)
+		if e.Name == "cache.gpu.used_bytes" && e.Ts == 3 {
+			if v := e.Args["value"].(float64); v != 3072 {
+				t.Errorf("counter at 3µs carries value %v, want 3072", v)
 			}
 		}
 	}
-	if counterEvents != 3 {
-		t.Errorf("exported %d Chrome counter (ph=C) events, want 3", counterEvents)
+	if counterEvents != 6 {
+		t.Errorf("exported %d Chrome counter (ph=C) events, want 6", counterEvents)
 	}
 }
 
+// TestNilTracerCounterIsNoop: a nil tracer takes a counter source and
+// shows nothing of it.
 func TestNilTracerCounterIsNoop(t *testing.T) {
 	var tr *Tracer
-	tr.Counter(0, "x", time.Millisecond, 1) // must not panic
-	if got := tr.Counters(); got != nil {
-		t.Errorf("nil tracer Counters() = %v, want nil", got)
+	runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+		s.Register("x", func() float64 { return 1 })
+		ticks(clk, 3)
+	})
+	if got := counterEvents(tr); got != nil {
+		t.Errorf("nil tracer shows counters %v, want nil", got)
+	}
+	if ev, cnt := tr.Dropped(); ev != 0 || cnt != 0 {
+		t.Errorf("nil tracer Dropped = %d, %d", ev, cnt)
 	}
 }
 
@@ -78,14 +92,15 @@ func TestCounterOrderIgnoresArrivalOrder(t *testing.T) {
 	exports := map[string]bool{}
 	for _, negativeFirst := range []bool{true, false} {
 		tr := New(func() time.Duration { return 0 })
-		for i := 0; i < 20; i++ {
+		runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
 			a, b := 0.0, math.Copysign(0, -1)
 			if negativeFirst {
 				a, b = b, a
 			}
-			tr.Counter(0, "x", time.Millisecond, a)
-			tr.Counter(0, "x", time.Millisecond, b)
-		}
+			s.Register("x", func() float64 { return a })
+			s.Register("x", func() float64 { return b })
+			ticks(clk, 20)
+		})
 		exports[string(bothExports(t, tr))] = true
 	}
 	if len(exports) != 1 {

@@ -81,29 +81,37 @@ func (s *chromeStream) flush() {
 // in chrome://tracing or ui.perfetto.dev. Counter events render as area
 // tracks above each GPU's span rows. A NaN or infinite counter value is
 // an error and nothing is written; a failed write ends the export with
-// that error. The counter samples are written from where they are
-// stored, so the tracer stays locked until the export returns: w must
-// not call back into it.
+// that error. Spans and counter samples are written from where they are
+// stored, so the tracer and its counter source stay locked until the
+// export returns: w must not call back into either.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		t = &Tracer{} // an empty timeline
 	}
-	events := t.Events()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	counter, err := t.exportCountersLocked()
+	var err error
+	counters := func(fn func(id int, name string, at time.Duration, v float64)) {
+		if t.counters != nil {
+			t.counters.EachCounter(fn)
+		}
+	}
+	counters(func(_ int, _ string, _ time.Duration, v float64) {
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	})
 	if err != nil {
 		return err
 	}
-	quoted := make([][]byte, len(t.names)) // each counter name's JSON string, by id
-	for id, name := range t.names {
-		quoted[id] = appendJSONString(nil, name)
-	}
+	order := t.orderLocked()
+	event := func(i int) *Event { return t.events.at(int(order[i])) }
 	s := &chromeStream{w: w, buf: make([]byte, 0, exportBufLen)}
 	s.buf = append(s.buf, `{"traceEvents":[`...)
 	// Metadata: name each GPU (process) and task (thread) row.
 	seen := map[[2]int]bool{}
-	for _, e := range events {
+	for i := range order {
+		e := event(i)
 		key := [2]int{e.GPU, int(e.Track)}
 		if seen[key] {
 			continue
@@ -118,10 +126,11 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		s.buf = appendJSONString(append(s.buf, `,"args":{"name":`...), e.Track.String())
 		s.buf = append(s.buf, `}}`...)
 	}
-	for _, e := range events {
+	for i := range order {
 		if s.err != nil {
 			return s.err
 		}
+		e := event(i)
 		s.begin(e.Name, nil, e.Category, 'X', e.Start)
 		if e.Duration != 0 {
 			s.buf = appendMicros(append(s.buf, `,"dur":`...), e.Duration)
@@ -133,64 +142,49 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		}
 		s.buf = append(s.buf, '}')
 	}
-	s.flows(events)
-	for i := range t.counters.n {
+	s.flows(len(order), event)
+	var quoted [][]byte // each counter name's JSON string, by id
+	counters(func(id int, name string, at time.Duration, v float64) {
 		if s.err != nil {
-			return s.err
+			return
 		}
-		c := counter(i)
-		s.begin("", quoted[c.name], "", 'C', c.At)
-		s.row(int(c.GPU), 0)
-		s.buf = appendJSONFloat(append(s.buf, `,"args":{"value":`...), c.Value)
+		if id >= len(quoted) {
+			quoted = slices.Grow(quoted, id+1-len(quoted))[:id+1]
+		}
+		if quoted[id] == nil {
+			quoted[id] = appendJSONString(nil, name)
+		}
+		s.begin("", quoted[id], "", 'C', at)
+		s.row(0, 0)
+		s.buf = appendJSONFloat(append(s.buf, `,"args":{"value":`...), v)
 		s.buf = append(s.buf, `}}`...)
-	}
+	})
 	s.buf = append(s.buf, "]}\n"...)
 	s.flush()
 	return s.err
-}
-
-// exportCountersLocked hands out the counter samples in export order,
-// the i-th by counter(i): the ring in place when they are already in
-// that order, as the sampler delivers them, else a sorted copy. A NaN or
-// infinite value is an error.
-func (t *Tracer) exportCountersLocked() (counter func(i int) *counterSample, err error) {
-	inOrder := true
-	for i := range t.counters.n {
-		c := t.counters.nth(i)
-		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
-			return nil, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(c.Value, 'g', -1, 64))
-		}
-		inOrder = inOrder && (i == 0 || t.compareCounters(*t.counters.nth(i - 1), *c) <= 0)
-	}
-	if inOrder {
-		return t.counters.nth, nil
-	}
-	sorted := t.counters.snapshot()
-	slices.SortFunc(sorted, t.compareCounters)
-	return func(i int) *counterSample { return &sorted[i] }, nil
 }
 
 // flows turns each flow-linked span chain into Chrome flow-arrow events:
 // "s" opens the chain at the first span, "t" steps through the middle,
 // "f" (binding point "e", the enclosing slice) terminates it. Perfetto
 // renders these as arrows joining one checkpoint version's spans across
-// tracks and GPUs. Chains are runs of an index over the pre-sorted
-// spans, ordered by flow ID and then by position, so the emission is as
-// byte-deterministic as the span list itself.
-func (s *chromeStream) flows(events []Event) {
-	var linked []int
-	for i, e := range events {
-		if e.Flow != 0 {
-			linked = append(linked, i)
+// tracks and GPUs. Chains are runs of an index over the n sorted spans,
+// event(i) the i-th, ordered by flow ID and then by position, so the
+// emission is as byte-deterministic as the span order itself.
+func (s *chromeStream) flows(n int, event func(i int) *Event) {
+	var linked []int32
+	for i := range n {
+		if event(i).Flow != 0 {
+			linked = append(linked, int32(i))
 		}
 	}
-	slices.SortFunc(linked, func(a, b int) int {
-		return cmp.Or(cmp.Compare(events[a].Flow, events[b].Flow), cmp.Compare(a, b))
+	slices.SortFunc(linked, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(event(int(a)).Flow, event(int(b)).Flow), cmp.Compare(a, b))
 	})
 	for len(linked) > 0 && s.err == nil {
-		first := events[linked[0]]
+		first := event(int(linked[0]))
 		n := 1
-		for n < len(linked) && events[linked[n]].Flow == first.Flow {
+		for n < len(linked) && event(int(linked[n])).Flow == first.Flow {
 			n++
 		}
 		chain := linked[:n]
@@ -201,7 +195,7 @@ func (s *chromeStream) flows(events []Event) {
 		// All events in one chain must share name, cat, and id for the
 		// viewer to join them; the chain borrows its first span's name.
 		for i, at := range chain {
-			e := events[at]
+			e := event(int(at))
 			ph, bp := byte('t'), ""
 			switch i {
 			case 0:

@@ -12,6 +12,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"score/internal/metrics"
+	"score/internal/simclock"
 )
 
 // chromeEvent is the trace-event JSON schema the streaming export
@@ -32,10 +35,10 @@ type chromeEvent struct {
 
 // writeJSONReflect is the export as it was before it streamed: every
 // event materialised as a chromeEvent and the document handed to
-// encoding/json. It is the reference WriteJSON must match byte for byte.
-func writeJSONReflect(t *Tracer, w io.Writer) error {
+// encoding/json, the counter samples given in export order. It is the
+// reference WriteJSON must match byte for byte.
+func writeJSONReflect(t *Tracer, counters []counterEvent, w io.Writer) error {
 	events := t.Events()
-	counters := t.Counters()
 	out := make([]chromeEvent, 0, len(events)+len(counters)+16)
 
 	seen := map[[2]int]bool{}
@@ -69,7 +72,6 @@ func writeJSONReflect(t *Tracer, w io.Writer) error {
 		out = append(out, chromeEvent{
 			Name: c.Name, Ph: "C",
 			Ts:   float64(c.At) / float64(time.Microsecond),
-			Pid:  c.GPU,
 			Args: map[string]interface{}{"value": c.Value},
 		})
 	}
@@ -123,7 +125,7 @@ func flowEventsReflect(events []Event) []chromeEvent {
 func bothExports(t testing.TB, tr *Tracer) []byte {
 	t.Helper()
 	var got, want bytes.Buffer
-	gotErr, wantErr := tr.WriteJSON(&got), writeJSONReflect(tr, &want)
+	gotErr, wantErr := tr.WriteJSON(&got), writeJSONReflect(tr, counterEvents(tr), &want)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("WriteJSON error = %v, reference error = %v", gotErr, wantErr)
 	}
@@ -154,9 +156,10 @@ var trickyValues = []float64{
 	1<<53 - 1, 1 << 53, 1<<53 + 2, -(1 << 62),
 }
 
-// randomTracer fills a tracer with spans and counter samples drawn from
+// randomTracer fills a tracer with spans and sampled counters drawn from
 // the tricky sets: zero and non-zero durations, flows shared by no, one
-// and many spans, duplicate entries, several GPUs and tracks.
+// and many spans, duplicate entries, several GPUs and tracks, probes
+// sharing names and samples sharing instants.
 func randomTracer(rng *rand.Rand) *Tracer {
 	tr := New(func() time.Duration { return 0 })
 	pick := func() string { return trickyStrings[rng.Intn(len(trickyStrings))] }
@@ -172,10 +175,15 @@ func randomTracer(rng *rand.Rand) *Tracer {
 		}
 		tr.RecordFlow(rng.Intn(3), Track(rng.Intn(7)), pick(), pick(), start, dur, flows[rng.Intn(len(flows))])
 	}
-	for n := rng.Intn(40); n > 0; n-- {
-		tr.Counter(rng.Intn(2), pick(), time.Duration(rng.Intn(5))*time.Millisecond,
-			trickyValues[rng.Intn(len(trickyValues))])
-	}
+	runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+		for n := rng.Intn(6); n > 0; n-- {
+			s.Register(pick(), func() float64 { return trickyValues[rng.Intn(len(trickyValues))] })
+		}
+		ticks(clk, rng.Intn(8))
+		if rng.Intn(2) == 0 {
+			clk.Sleep(sampleEvery / 2) // the final sample at a tick's instant
+		}
+	})
 	return tr
 }
 
@@ -199,8 +207,15 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		tr.RecordFlow(i%8, Track(i%5), "flush", name, time.Duration(i)*time.Microsecond+time.Duration(rng.Intn(999)),
 			time.Duration(rng.Intn(1e6)), int64(i%50))
-		tr.Counter(0, name, time.Duration(i)*time.Millisecond, rng.Float64()*float64(rng.Intn(1<<30)))
 	}
+	runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+		value := func() float64 { return rng.Float64() * float64(rng.Intn(1<<30)) }
+		for _, name := range trickyStrings[:6] {
+			s.Register(name, value)
+		}
+		ticks(clk, 1000)
+		s.Register(long, value) // in the final sample only
+	})
 	bothExports(t, tr)
 }
 
@@ -211,12 +226,15 @@ func TestWriteJSONEveryStringAndValue(t *testing.T) {
 		tr := New(func() time.Duration { return 0 })
 		tr.RecordFlow(0, TrackApp, s, s, time.Millisecond, time.Millisecond, 9)
 		tr.RecordFlow(1, TrackD2H, "later", "later", 2*time.Millisecond, 0, 9)
-		tr.Counter(0, s, 0, 1)
+		runSampled(tr, 0, func(sm *metrics.Sampler, _ *simclock.Virtual) { sm.Register(s, func() float64 { return 1 }) })
 		bothExports(t, tr)
 	}
 	for _, v := range trickyValues {
 		tr := New(func() time.Duration { return 0 })
-		tr.Counter(0, "v", time.Duration(int64(v)), v)
+		runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+			s.Register("v", func() float64 { return v })
+			ticks(clk, 1)
+		})
 		bothExports(t, tr)
 	}
 }
@@ -228,6 +246,7 @@ func FuzzChromeString(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		tr := New(func() time.Duration { return 0 })
 		tr.Record(0, TrackApp, s, s, time.Microsecond, time.Nanosecond)
+		runSampled(tr, 0, func(sm *metrics.Sampler, _ *simclock.Virtual) { sm.Register(s, func() float64 { return 1 }) })
 		out := bothExports(t, tr)
 		if !json.Valid(out) {
 			t.Fatalf("export of %q is not valid JSON", s)
@@ -241,8 +260,11 @@ func TestWriteJSONUnsupportedValues(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		tr := New(func() time.Duration { return 0 })
 		tr.Record(0, TrackApp, "c", "span", 0, time.Millisecond)
-		tr.Counter(0, "fine", 0, 1)
-		tr.Counter(0, "broken", time.Millisecond, v)
+		runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+			s.Register("fine", func() float64 { return 1 })
+			ticks(clk, 1)
+			s.Register("broken", func() float64 { return v })
+		})
 		var buf bytes.Buffer
 		err := tr.WriteJSON(&buf)
 		if err == nil {
@@ -273,8 +295,11 @@ func TestWriteJSONStopsAtFirstWriteError(t *testing.T) {
 	tr := New(func() time.Duration { return 0 })
 	for i := 0; i < 20000; i++ { // several buffers' worth
 		tr.Record(i%8, TrackD2H, "flush", "flush 12 gpu→host", time.Duration(i), time.Microsecond)
-		tr.Counter(0, "cache.gpu.used_bytes", time.Duration(i), float64(i))
 	}
+	runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+		s.Register("cache.gpu.used_bytes", func() float64 { return float64(clk.Now()) })
+		ticks(clk, 20000)
+	})
 	w := &failingWriter{err: errors.New("disk full")}
 	if err := tr.WriteJSON(w); !errors.Is(err, w.err) {
 		t.Fatalf("WriteJSON = %v, want the writer's error", err)
@@ -285,16 +310,18 @@ func TestWriteJSONStopsAtFirstWriteError(t *testing.T) {
 }
 
 // TestWriteJSONAllocationsDoNotGrowWithEvents: the export allocates its
-// sorted copy of the spans (and of the counter samples when they are out
-// of order), its buffer, the row map and one quoted string per counter
-// name — not per event.
+// sorted index of the spans, its buffer, the row map and one quoted
+// string per counter name — not per event.
 func TestWriteJSONAllocationsDoNotGrowWithEvents(t *testing.T) {
 	allocs := func(n int) float64 {
 		tr := New(func() time.Duration { return 0 })
 		for i := 0; i < n; i++ {
 			tr.Record(i%8, Track(i%5), "flush", "flush 12 gpu→host", time.Duration(i)*time.Microsecond, time.Microsecond)
-			tr.Counter(0, "node0.gpu3.cache.gpu.score_p_mean", time.Duration(i)*time.Millisecond, float64(i)/3)
 		}
+		runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+			s.Register("node0.gpu3.cache.gpu.score_p_mean", func() float64 { return float64(clk.Now()) / 3 })
+			ticks(clk, n)
+		})
 		return testing.AllocsPerRun(5, func() {
 			if err := tr.WriteJSON(io.Discard); err != nil {
 				t.Fatal(err)
@@ -333,36 +360,34 @@ func TestAppendMicrosMatchesFloatPath(t *testing.T) {
 	}
 }
 
-// TestCountersStreamInPlace: samples recorded the way the sampler
-// delivers them, tick by tick and each tick in name order, export from
-// where they are stored, with no copy of the counter store; a
-// same-instant final sample out of that order takes the sorted copy.
-// Both match the reference byte for byte, including same-name ties of
-// -0 and 0 that an unstable sort could swap.
+// TestCountersStreamInPlace: the counter tracks are written from the
+// sampler's columns, with no copy of the store, whether or not a final
+// sample lands at a tick's instant and has to merge into it; both match
+// the reference byte for byte, including same-name ties of -0 and 0
+// that an unstable sort could swap, and a counter window that wraps.
 func TestCountersStreamInPlace(t *testing.T) {
 	names := []string{"a.used", "b.resident", "b.resident", "c<score>"}
-	const ticks = 4000
-	record := func(tr *Tracer, tick int) {
-		at := time.Duration(tick) * 10 * time.Millisecond
-		for i, name := range names {
-			v := float64(tick * i)
-			if i == 1 {
-				v = math.Copysign(0, -1) // -0 before its duplicate's 0
-			} else if i == 2 {
-				v = 0
-			}
-			tr.Counter(0, name, at, v)
-		}
-	}
+	const ticksTaken = 4000
 	for _, final := range []bool{false, true} {
 		tr := New(func() time.Duration { return 0 })
 		tr.SetCapacity(1, 3*blockLen+5) // wraps, across blocks
-		for tick := 0; tick < ticks; tick++ {
-			record(tr, tick)
-		}
-		if final {
-			record(tr, ticks-1)
-		}
+		runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
+			for i, name := range names {
+				s.Register(name, func() float64 {
+					switch i {
+					case 1:
+						return math.Copysign(0, -1) // -0 before its duplicate's 0
+					case 2:
+						return 0
+					}
+					return float64(clk.Now()) * float64(i)
+				})
+			}
+			ticks(clk, ticksTaken)
+			if final {
+				clk.Sleep(sampleEvery / 2)
+			}
+		})
 		bothExports(t, tr)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -370,9 +395,27 @@ func TestCountersStreamInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		copied := after.TotalAlloc-before.TotalAlloc >= 3*blockLen*24 // 24 B a sample
-		if copied != final {
-			t.Errorf("final same-instant sample %v: export copied the counter store = %v", final, copied)
+		if copied := after.TotalAlloc - before.TotalAlloc; copied >= 3*blockLen*16 {
+			t.Errorf("final same-instant sample %v: export allocated %d bytes, a copy of the counter store", final, copied)
 		}
+	}
+}
+
+// TestWriteJSONCopiesNoSpans: the export orders the spans through an
+// index of 4 bytes a span, not a copy of them.
+func TestWriteJSONCopiesNoSpans(t *testing.T) {
+	const n = 20000
+	tr := New(func() time.Duration { return 0 })
+	for i := 0; i < n; i++ {
+		tr.Record(i%8, Track(i%5), "flush", "flush 12 gpu→host", time.Duration(n-i)*time.Microsecond, time.Microsecond)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := tr.WriteJSON(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(exportBufLen+4*n+16<<10); got > limit {
+		t.Errorf("exporting %d spans allocated %d bytes, above the buffer and the index (%d)", n, got, limit)
 	}
 }

@@ -80,6 +80,17 @@ type LifecycleEvent struct {
 	At      time.Duration
 }
 
+// ledgerEntry is how a rank's ring stores a LifecycleEvent: 40 bytes,
+// the rank implied by the ring and the tier interned in
+// FlightRecorder.tiers.
+type ledgerEntry struct {
+	version int64
+	at      time.Duration
+	detail  string
+	kind    int32
+	tier    uint32
+}
+
 // DefaultFlightCap bounds each rank's ledger ring: two storage blocks.
 // At ~20 events per checkpoint version this retains the last few
 // hundred versions.
@@ -95,7 +106,8 @@ type FlightRecorder struct {
 	capPerRank int
 
 	mu    sync.Mutex
-	ranks map[int]*blockRing[LifecycleEvent]
+	ranks map[int]*blockRing[ledgerEntry]
+	tiers []string // tier labels by id: a handful, so found by scanning
 }
 
 // NewFlightRecorder builds a recorder timestamping from now, retaining
@@ -107,7 +119,7 @@ func NewFlightRecorder(now func() time.Duration, capPerRank int) *FlightRecorder
 	if capPerRank < 1 {
 		panic("trace: flight recorder capacity must be >= 1")
 	}
-	return &FlightRecorder{now: now, capPerRank: capPerRank, ranks: map[int]*blockRing[LifecycleEvent]{}}
+	return &FlightRecorder{now: now, capPerRank: capPerRank, ranks: map[int]*blockRing[ledgerEntry]{}}
 }
 
 // Record appends one lifecycle event for (rank, version), stamped at
@@ -131,10 +143,14 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 	defer f.mu.Unlock()
 	r := f.ranks[rank]
 	if r == nil {
-		r = &blockRing[LifecycleEvent]{limit: f.capPerRank}
+		r = &blockRing[ledgerEntry]{limit: f.capPerRank}
 		f.ranks[rank] = r
 	}
-	r.push(LifecycleEvent{Rank: rank, Version: version, Kind: kind, Tier: tier, Detail: detail, At: at})
+	id := slices.Index(f.tiers, tier)
+	if id < 0 {
+		id, f.tiers = len(f.tiers), append(f.tiers, tier)
+	}
+	r.push(ledgerEntry{version: version, at: at, detail: detail, kind: int32(kind), tier: uint32(id)})
 }
 
 // Ledger returns rank's retained events in a deterministic order:
@@ -149,7 +165,11 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	var out []LifecycleEvent
 	f.mu.Lock()
 	if r := f.ranks[rank]; r != nil {
-		out = r.snapshot()
+		out = make([]LifecycleEvent, r.n)
+		for i := range out {
+			e := r.nth(i)
+			out[i] = LifecycleEvent{Rank: rank, Version: e.version, Kind: LifecycleKind(e.kind), Tier: f.tiers[e.tier], Detail: e.detail, At: e.at}
+		}
 	}
 	f.mu.Unlock()
 	slices.SortFunc(out, func(a, b LifecycleEvent) int {

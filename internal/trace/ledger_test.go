@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestFlightRecorderRingBound fills one rank's ledger ring past its cap:
@@ -80,5 +82,25 @@ func TestLedgerOrdersSameInstantEntries(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("ledger[%d] = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestLedgerEntriesAreSmall: a ring stores an entry without its rank and
+// with its tier interned, in at most 40 bytes, and hands back the full
+// event.
+func TestLedgerEntriesAreSmall(t *testing.T) {
+	if n := unsafe.Sizeof(ledgerEntry{}); n > 40 {
+		t.Errorf("a stored ledger entry takes %d bytes, want at most 40", n)
+	}
+	f := NewFlightRecorder(func() time.Duration { return 5 }, 8)
+	f.Record(3, 7, LHopEnd, "ssd", "12 MiB")
+	f.Record(3, 7, LDurable, "pfs", "")
+	f.Record(4, 9, LDurable, "ssd", "")
+	want := []LifecycleEvent{{Rank: 3, Version: 7, Kind: LHopEnd, Tier: "ssd", Detail: "12 MiB", At: 5}, {Rank: 3, Version: 7, Kind: LDurable, Tier: "pfs", At: 5}}
+	if got := f.Ledger(3); !slices.Equal(got, want) {
+		t.Errorf("Ledger(3) = %+v, want %+v", got, want)
+	}
+	if got := f.Ledger(4); len(got) != 1 || got[0].Rank != 4 || got[0].Tier != "ssd" {
+		t.Errorf("Ledger(4) = %+v", got)
 	}
 }

@@ -3,11 +3,15 @@ package trace
 import (
 	"testing"
 	"time"
+
+	"score/internal/metrics"
+	"score/internal/simclock"
 )
 
-// TestRetentionBounds drives the span and counter stores past their caps:
-// the ring keeps exactly the newest entries and counts the rest, across
-// block boundaries, through SetCapacity shrinks and grows.
+// TestRetentionBounds drives the span ring and the sampler's counter
+// window past their caps: each keeps exactly the newest entries and
+// counts the rest, across block boundaries, through SetCapacity shrinks
+// and grows.
 func TestRetentionBounds(t *testing.T) {
 	type step struct {
 		setCap int // 0: leave the cap alone
@@ -37,17 +41,32 @@ func TestRetentionBounds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := New(func() time.Duration { return 0 })
 			recorded := 0
-			for _, st := range tc.steps {
-				if st.setCap > 0 {
-					tr.SetCapacity(st.setCap, st.setCap)
-				}
-				for i := 0; i < st.record; i++ {
-					at := time.Duration(recorded)
-					tr.Record(0, TrackApp, "c", "span", at, 1)
-					tr.Counter(0, "ctr", at, float64(recorded))
-					recorded++
-				}
+			// A series capacity of one leaves the counter window the only
+			// thing holding samples back. Stop's final sample is the last
+			// one taken, so the ticks take one sample fewer than the
+			// spans recorded: the last step that records any takes its
+			// last one at Stop, after the shrinks that follow it.
+			last := len(tc.steps) - 1
+			for tc.steps[last].record == 0 {
+				last--
 			}
+			runSampled(tr, 1, func(s *metrics.Sampler, clk *simclock.Virtual) {
+				taken := 0
+				s.Register("ctr", func() float64 { taken++; return float64(taken - 1) })
+				for i, st := range tc.steps {
+					if st.setCap > 0 {
+						tr.SetCapacity(st.setCap, st.setCap)
+					}
+					for j := 0; j < st.record; j++ {
+						tr.Record(0, TrackApp, "c", "span", time.Duration(recorded), 1)
+						recorded++
+					}
+					if i == last {
+						st.record--
+					}
+					ticks(clk, st.record)
+				}
+			})
 			if got := tr.Len(); got != tc.wantLen {
 				t.Errorf("Len = %d, want %d", got, tc.wantLen)
 			}
@@ -56,15 +75,15 @@ func TestRetentionBounds(t *testing.T) {
 				t.Errorf("Dropped = %d spans, %d samples; want %d of each", evDropped, ctrDropped, tc.wantDropped)
 			}
 			// Exactly the newest wantLen entries, each once.
-			events, counters := tr.Events(), tr.Counters()
+			events, counters := tr.Events(), counterEvents(tr)
 			if len(events) != tc.wantLen || len(counters) != tc.wantLen {
 				t.Fatalf("retained %d spans, %d samples; want %d of each", len(events), len(counters), tc.wantLen)
 			}
 			oldest := recorded - tc.wantLen
 			for i := range events {
-				if want := time.Duration(oldest + i); events[i].Start != want || counters[i].At != want {
-					t.Fatalf("entry %d: span at %d, sample at %d; want %d (the newest %d of %d)",
-						i, events[i].Start, counters[i].At, want, tc.wantLen, recorded)
+				if want := oldest + i; events[i].Start != time.Duration(want) || counters[i].Value != float64(want) {
+					t.Fatalf("entry %d: span at %d, sample %v; want %d (the newest %d of %d)",
+						i, events[i].Start, counters[i].Value, want, tc.wantLen, recorded)
 				}
 			}
 			bothExports(t, tr)

@@ -9,7 +9,6 @@ package trace
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -58,22 +57,16 @@ type Event struct {
 	Flow     int64
 }
 
-// CounterEvent is one sampled counter value (rendered as a stacked area
-// track in the trace viewer, alongside the span rows).
-type CounterEvent struct {
-	Name  string
-	GPU   int // process row
-	At    time.Duration
-	Value float64
-}
-
-// counterSample is how the tracer stores a CounterEvent: 24 bytes, the
-// name interned in Tracer.names.
-type counterSample struct {
-	At    time.Duration
-	Value float64
-	GPU   int32
-	name  uint32
+// CounterSource is the store the counter tracks are read from — the
+// metrics sampler, the one store of sampled gauges. The tracer sets its
+// window (the newest n samples by arrival, older ones counted dropped);
+// EachCounter hands out the window ordered by time, then name, then
+// value (-0 before +0), equal ids meaning equal names, and fn must not
+// call the source.
+type CounterSource interface {
+	SetCounterWindow(n int)
+	CounterDropped() int64
+	EachCounter(fn func(id int, name string, at time.Duration, v float64))
 }
 
 // Default retention bounds. A long chaos soak emits events forever;
@@ -81,7 +74,7 @@ type counterSample struct {
 // style) and counts what it dropped instead of growing without limit.
 const (
 	DefaultEventCap   = 1 << 20 // spans retained per tracer
-	DefaultCounterCap = 1 << 20 // counter samples retained per tracer
+	DefaultCounterCap = 1 << 20 // counter samples shown per tracer
 )
 
 // blockLen is the number of entries in one storage block.
@@ -123,18 +116,12 @@ func (r *blockRing[T]) nth(i int) *T {
 	return r.at(i)
 }
 
-// snapshot copies the held entries out, oldest first.
-func (r *blockRing[T]) snapshot() []T {
-	out := make([]T, r.n)
-	for i := range out {
-		out[i] = *r.nth(i)
-	}
-	return out
-}
-
 // setLimit rebounds the ring, dropping the oldest entries beyond limit.
 func (r *blockRing[T]) setLimit(limit int) {
-	held := r.snapshot()
+	held := make([]T, r.n)
+	for i := range held {
+		held[i] = *r.nth(i)
+	}
 	excess := max(len(held)-limit, 0)
 	*r = blockRing[T]{limit: limit, dropped: r.dropped + int64(excess)}
 	for _, v := range held[excess:] {
@@ -149,11 +136,10 @@ func (r *blockRing[T]) setLimit(limit int) {
 type Tracer struct {
 	now func() time.Duration
 
-	mu       sync.Mutex
-	events   blockRing[Event]
-	counters blockRing[counterSample]
-	names    []string          // counter names by id
-	nameIDs  map[string]uint32 // counter name to id
+	mu         sync.Mutex
+	events     blockRing[Event]
+	counterCap int
+	counters   CounterSource // nil until SetCounterSource
 
 	flight *FlightRecorder // created on first use
 }
@@ -164,13 +150,25 @@ func New(now func() time.Duration) *Tracer {
 	if now == nil {
 		panic("trace: nil clock function")
 	}
-	t := &Tracer{now: now, nameIDs: map[string]uint32{}}
-	t.events.limit, t.counters.limit = DefaultEventCap, DefaultCounterCap
+	t := &Tracer{now: now, counterCap: DefaultCounterCap}
+	t.events.limit = DefaultEventCap
 	return t
 }
 
-// SetCapacity rebounds retention: at most events spans and counters
-// samples are kept (oldest overwritten first). Values < 1 panic — a
+// SetCounterSource attaches the store the counter tracks are read from,
+// bounded at the counter capacity from then on. Nil-safe.
+func (t *Tracer) SetCounterSource(src CounterSource) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.counters = src
+	src.SetCounterWindow(t.counterCap)
+}
+
+// SetCapacity rebounds retention: at most events spans are kept (oldest
+// overwritten first) and counters samples shown. Values < 1 panic — a
 // tracer is always bounded. Shrinking below the current backlog drops
 // the oldest entries immediately.
 func (t *Tracer) SetCapacity(events, counters int) {
@@ -183,18 +181,24 @@ func (t *Tracer) SetCapacity(events, counters int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events.setLimit(events)
-	t.counters.setLimit(counters)
+	t.counterCap = counters
+	if t.counters != nil {
+		t.counters.SetCounterWindow(counters)
+	}
 }
 
-// Dropped reports how many spans and counter samples were evicted to
-// stay within the retention caps. Nil-safe.
+// Dropped reports how many spans were evicted and counter samples fell
+// out of the source's window to stay within the caps. Nil-safe.
 func (t *Tracer) Dropped() (events, counters int64) {
 	if t == nil {
 		return 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.events.dropped, t.counters.dropped
+	if t.counters != nil {
+		counters = t.counters.CounterDropped()
+	}
+	return t.events.dropped, counters
 }
 
 // Span opens a span and returns its closer; call the closer when the
@@ -247,62 +251,6 @@ func (t *Tracer) RecordFlow(gpu int, track Track, category, name string, start, 
 	t.mu.Unlock()
 }
 
-// Counter appends one sampled counter value (tier occupancy, link
-// utilization, …) at simulated time at. Nil-safe.
-func (t *Tracer) Counter(gpu int, name string, at time.Duration, value float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	id, ok := t.nameIDs[name]
-	if !ok {
-		id, t.names = uint32(len(t.names)), append(t.names, name)
-		t.nameIDs[name] = id
-	}
-	t.counters.push(counterSample{At: at, Value: value, GPU: int32(gpu), name: id})
-	t.mu.Unlock()
-}
-
-// compareCounters orders samples by time, then on every remaining field,
-// so the export does not depend on the order same-instant tasks appended
-// in. Values compare with plain <, under which a NaN ties with everything
-// (cmp.Compare would sort it first). Call with t.mu held.
-func (t *Tracer) compareCounters(a, b counterSample) int {
-	if c := cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.GPU, b.GPU)); c != 0 {
-		return c
-	}
-	if a.name != b.name {
-		return strings.Compare(t.names[a.name], t.names[b.name])
-	}
-	switch {
-	case a.Value < b.Value:
-		return -1
-	case b.Value < a.Value:
-		return +1
-	case a.Value == 0 && b.Value == 0:
-		// -0 first: the one pair of equal values the export prints apart.
-		return cmp.Compare(math.Float64bits(b.Value), math.Float64bits(a.Value))
-	}
-	return 0
-}
-
-// Counters returns a copy of the recorded counter events in export
-// order: sorted by time, ties broken on every remaining field.
-func (t *Tracer) Counters() []CounterEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sorted := t.counters.snapshot()
-	slices.SortFunc(sorted, t.compareCounters)
-	out := make([]CounterEvent, len(sorted))
-	for i, c := range sorted {
-		out[i] = CounterEvent{Name: t.names[c.name], GPU: int(c.GPU), At: c.At, Value: c.Value}
-	}
-	return out
-}
-
 // Len returns the number of recorded events. Nil-safe.
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -314,20 +262,35 @@ func (t *Tracer) Len() int {
 }
 
 // Events returns a copy of the recorded events sorted by start time.
-// Ties are broken on every remaining field (see Counters).
+// Ties are broken on every remaining field, so the order does not depend
+// on the order same-instant tasks recorded in.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := t.events.snapshot()
-	t.mu.Unlock()
-	slices.SortFunc(out, func(a, b Event) int {
+	defer t.mu.Unlock()
+	order := t.orderLocked()
+	out := make([]Event, len(order))
+	for i, at := range order {
+		out[i] = *t.events.at(int(at))
+	}
+	return out
+}
+
+// orderLocked returns the spans' storage positions in Events order.
+func (t *Tracer) orderLocked() []int32 {
+	order := make([]int32, t.events.n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := t.events.at(int(i)), t.events.at(int(j))
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {
 			return c
 		}
 		return cmp.Or(cmp.Compare(a.GPU, b.GPU), cmp.Compare(a.Track, b.Track), strings.Compare(a.Name, b.Name),
 			strings.Compare(a.Category, b.Category), cmp.Compare(a.Duration, b.Duration), cmp.Compare(a.Flow, b.Flow))
 	})
-	return out
+	return order
 }

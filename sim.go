@@ -113,9 +113,10 @@ func WithTracing() Option {
 }
 
 // WithSampling polls every client's cache/engine/queue gauges at the
-// given simulated interval for the duration of Run. The timelines are
-// available from Sim.SampledSeries afterwards, and — combined with
-// WithTracing — appear as counter tracks in the Chrome trace export.
+// given simulated interval for the duration of Run, storing each sample
+// once. Sim.SampledSeries returns each gauge's last 4,096 samples
+// afterwards; combined with WithTracing, the same store supplies the
+// Chrome trace export's counter tracks (its last 2^20 samples).
 func WithSampling(interval time.Duration) Option {
 	return func(c *simConfig) { c.sample = interval }
 }
@@ -144,11 +145,7 @@ func NewSim(opts ...Option) (*Sim, error) {
 	}
 	if cfg.sample > 0 {
 		s.sampler = metrics.NewSampler(clk, cfg.sample, 0)
-		if s.tracer != nil {
-			s.sampler.SetCounterSink(func(name string, at time.Duration, v float64) {
-				s.tracer.Counter(0, name, at, v)
-			})
-		}
+		s.tracer.SetCounterSource(s.sampler)
 	}
 	if cfg.sharedHost < 0 {
 		return nil, errors.New("score: shared host cache size must be positive")
