@@ -1,10 +1,7 @@
 package metrics
 
 import (
-	"cmp"
-	"maps"
-	"slices"
-	"strings"
+	"sort"
 	"time"
 )
 
@@ -98,8 +95,18 @@ func (s Summary) CritPathUnattributed() time.Duration {
 
 // sortCritPaths orders records deterministically for merged summaries.
 func sortCritPaths(recs []CritPathRecord) {
-	slices.SortStableFunc(recs, func(a, b CritPathRecord) int {
-		return cmp.Or(strings.Compare(a.Op, b.Op), cmp.Compare(a.Version, b.Version), cmp.Compare(a.Start, b.Start), cmp.Compare(a.Total, b.Total))
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		if a.Version != b.Version {
+			return a.Version < b.Version
+		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.Total < b.Total
 	})
 }
 
@@ -107,9 +114,16 @@ func copyCritPaths(recs []CritPathRecord) []CritPathRecord {
 	if len(recs) == 0 {
 		return nil
 	}
-	out := slices.Clone(recs)
-	for i := range out {
-		out[i].Components = maps.Clone(out[i].Components)
+	out := make([]CritPathRecord, len(recs))
+	for i, rec := range recs {
+		cp := rec
+		if rec.Components != nil {
+			cp.Components = make(map[string]time.Duration, len(rec.Components))
+			for k, v := range rec.Components {
+				cp.Components[k] = v
+			}
+		}
+		out[i] = cp
 	}
 	return out
 }

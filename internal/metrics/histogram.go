@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -57,16 +56,32 @@ func NewHistogram() *Histogram {
 
 // Observe adds one duration (negative values clamp to zero).
 func (h *Histogram) Observe(d time.Duration) {
-	d = max(d, 0)
-	i, _ := slices.BinarySearch(h.bounds, d) // the first bound >= d
-	h.counts[i]++
+	if d < 0 {
+		d = 0
+	}
+	h.counts[h.bucket(d)]++
 	h.count++
 	h.sum += d
 }
 
+func (h *Histogram) bucket(d time.Duration) int {
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if d <= h.bounds[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Snapshot returns an immutable copy.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{Bounds: h.bounds, Counts: slices.Clone(h.counts), Count: h.count, Sum: h.sum}
+	counts := make([]int64, len(h.counts))
+	copy(counts, h.counts)
+	return HistogramSnapshot{Bounds: h.bounds, Counts: counts, Count: h.count, Sum: h.sum}
 }
 
 // view is h in the shape of a snapshot that shares h's counts: valid
@@ -90,7 +105,15 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 || len(s.Counts) == 0 {
 		return 0
 	}
-	rank := max(int64(min(max(q, 0), 1)*float64(s.Count)), 1)
+	if q < 0 {
+		q = 0
+	} else if q > 1 {
+		q = 1
+	}
+	rank := int64(q * float64(s.Count))
+	if rank < 1 {
+		rank = 1
+	}
 	var cum int64
 	for i, c := range s.Counts {
 		cum += c

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -419,19 +418,30 @@ func (s Summary) PipelineOverlap() time.Duration {
 }
 
 // TotalRetries sums retried I/O attempts across tiers.
-func (s Summary) TotalRetries() int64 { return sumCounts(s.Retries) }
+func (s Summary) TotalRetries() int64 {
+	var t int64
+	for _, n := range s.Retries {
+		t += n
+	}
+	return t
+}
 
 // TotalDegradations sums degradation events across tiers.
-func (s Summary) TotalDegradations() int64 { return sumCounts(s.Degradations) }
+func (s Summary) TotalDegradations() int64 {
+	var t int64
+	for _, n := range s.Degradations {
+		t += n
+	}
+	return t
+}
 
 // TotalTierRecoveries sums healed degradations across tiers.
-func (s Summary) TotalTierRecoveries() int64 { return sumCounts(s.TierRecoveries) }
-
-func sumCounts(m map[string]int64) (total int64) {
-	for _, n := range m {
-		total += n
+func (s Summary) TotalTierRecoveries() int64 {
+	var t int64
+	for _, n := range s.TierRecoveries {
+		t += n
 	}
-	return total
+	return t
 }
 
 // Read calls fn with the recorder's own books under its lock: every
@@ -455,9 +465,9 @@ func (r *Recorder) Snapshot() Summary {
 	s := r.s
 	s.RestoreSeries = make([]SeriesPoint, len(r.s.RestoreSeries))
 	copy(s.RestoreSeries, r.s.RestoreSeries)
-	s.Retries = maps.Clone(r.s.Retries) // countTier makes them non-empty or not at all
-	s.Degradations = maps.Clone(r.s.Degradations)
-	s.TierRecoveries = maps.Clone(r.s.TierRecoveries)
+	s.Retries = copyCounts(r.s.Retries)
+	s.Degradations = copyCounts(r.s.Degradations)
+	s.TierRecoveries = copyCounts(r.s.TierRecoveries)
 	s.CritPaths = copyCritPaths(r.s.CritPaths)
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
@@ -466,6 +476,17 @@ func (r *Recorder) Snapshot() Summary {
 		}
 	}
 	return s
+}
+
+func copyCounts(m map[string]int64) map[string]int64 {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // CheckpointThroughput returns application-observed write throughput in
@@ -567,9 +588,24 @@ func Merge(parts ...Summary) Summary {
 				out.Histograms[name] = merged
 			}
 		}
-		addCounts(&out.Retries, p.Retries)
-		addCounts(&out.Degradations, p.Degradations)
-		addCounts(&out.TierRecoveries, p.TierRecoveries)
+		for k, v := range p.Retries {
+			if out.Retries == nil {
+				out.Retries = map[string]int64{}
+			}
+			out.Retries[k] += v
+		}
+		for k, v := range p.Degradations {
+			if out.Degradations == nil {
+				out.Degradations = map[string]int64{}
+			}
+			out.Degradations[k] += v
+		}
+		for k, v := range p.TierRecoveries {
+			if out.TierRecoveries == nil {
+				out.TierRecoveries = map[string]int64{}
+			}
+			out.TierRecoveries[k] += v
+		}
 	}
 	sort.SliceStable(out.RestoreSeries, func(i, j int) bool {
 		return out.RestoreSeries[i].Iteration < out.RestoreSeries[j].Iteration
@@ -578,25 +614,24 @@ func Merge(parts ...Summary) Summary {
 	return out
 }
 
-// addCounts adds the per-tier counts src into *dst, made on first use.
-func addCounts(dst *map[string]int64, src map[string]int64) {
-	for k, v := range src {
-		if *dst == nil {
-			*dst = map[string]int64{}
-		}
-		(*dst)[k] += v
-	}
-}
-
 // FormatBytesPerSec renders a throughput human-readably (e.g. "25.0 GB/s").
 func FormatBytesPerSec(bps float64) string {
-	for _, u := range []struct {
-		size float64
-		unit string
-	}{{1 << 40, "TB/s"}, {1 << 30, "GB/s"}, {1 << 20, "MB/s"}, {1 << 10, "KB/s"}} {
-		if bps >= u.size {
-			return fmt.Sprintf("%.2f %s", bps/u.size, u.unit)
-		}
+	const (
+		kb = 1 << 10
+		mb = 1 << 20
+		gb = 1 << 30
+		tb = 1 << 40
+	)
+	switch {
+	case bps >= tb:
+		return fmt.Sprintf("%.2f TB/s", bps/tb)
+	case bps >= gb:
+		return fmt.Sprintf("%.2f GB/s", bps/gb)
+	case bps >= mb:
+		return fmt.Sprintf("%.2f MB/s", bps/mb)
+	case bps >= kb:
+		return fmt.Sprintf("%.2f KB/s", bps/kb)
+	default:
+		return fmt.Sprintf("%.0f B/s", bps)
 	}
-	return fmt.Sprintf("%.0f B/s", bps)
 }

@@ -107,8 +107,30 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	ex := r.Export()
 	b := &strings.Builder{}
 
-	head := func(name, help, kind string) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+	counter := func(name, help string) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	}
+	gauge := func(name, help string) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+	}
+
+	emitPerRun := func(name, help, kind string, value func(Export) (float64, bool)) {
+		headed := false
+		for _, run := range ex.Runs {
+			v, ok := value(run)
+			if !ok {
+				continue
+			}
+			if !headed {
+				if kind == "counter" {
+					counter(name, help)
+				} else {
+					gauge(name, help)
+				}
+				headed = true
+			}
+			fmt.Fprintf(b, "%s{run=%q} %v\n", name, run.Label, v)
+		}
 	}
 
 	type scalar struct {
@@ -149,29 +171,29 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		{"score_ledger_events_dropped_total", "flight-recorder ledger events evicted by the per-rank rings", "counter", func(s Summary) float64 { return float64(s.LedgerEventsDropped) }},
 	}
 	for _, sc := range scalars {
-		if len(ex.Runs) > 0 {
-			head(sc.name, sc.help, sc.kind)
-		}
-		for _, run := range ex.Runs {
-			fmt.Fprintf(b, "%s{run=%q} %v\n", sc.name, run.Label, sc.get(run.Summary))
-		}
+		sc := sc
+		emitPerRun(sc.name, sc.help, sc.kind, func(run Export) (float64, bool) {
+			return sc.get(run.Summary), true
+		})
 	}
 
 	// Per-tier counters.
-	for _, pt := range []struct {
-		name, help string
-		get        func(Summary) map[string]int64
-	}{
-		{"score_retries_total", "retried I/O attempts by tier", func(s Summary) map[string]int64 { return s.Retries }},
-		{"score_degradations_total", "tiers marked degraded", func(s Summary) map[string]int64 { return s.Degradations }},
-		{"score_tier_recoveries_total", "degraded tiers healed by recovery probes", func(s Summary) map[string]int64 { return s.TierRecoveries }},
-	} {
-		head(pt.name, pt.help, "counter")
-		for _, run := range ex.Runs {
-			m := pt.get(run.Summary)
-			for _, tier := range sortedKeys(m) {
-				fmt.Fprintf(b, "%s{run=%q,tier=%q} %d\n", pt.name, run.Label, tier, m[tier])
-			}
+	counter("score_retries_total", "retried I/O attempts by tier")
+	for _, run := range ex.Runs {
+		for _, tier := range sortedKeys(run.Summary.Retries) {
+			fmt.Fprintf(b, "score_retries_total{run=%q,tier=%q} %d\n", run.Label, tier, run.Summary.Retries[tier])
+		}
+	}
+	counter("score_degradations_total", "tiers marked degraded")
+	for _, run := range ex.Runs {
+		for _, tier := range sortedKeys(run.Summary.Degradations) {
+			fmt.Fprintf(b, "score_degradations_total{run=%q,tier=%q} %d\n", run.Label, tier, run.Summary.Degradations[tier])
+		}
+	}
+	counter("score_tier_recoveries_total", "degraded tiers healed by recovery probes")
+	for _, run := range ex.Runs {
+		for _, tier := range sortedKeys(run.Summary.TierRecoveries) {
+			fmt.Fprintf(b, "score_tier_recoveries_total{run=%q,tier=%q} %d\n", run.Label, tier, run.Summary.TierRecoveries[tier])
 		}
 	}
 
@@ -182,7 +204,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			histNames[name] = true
 		}
 	}
-	for _, name := range sortedKeys(histNames) {
+	for _, name := range sortedBoolKeys(histNames) {
 		metric := "score_" + name + "_seconds"
 		fmt.Fprintf(b, "# HELP %s %s latency\n# TYPE %s histogram\n", metric, name, metric)
 		for _, run := range ex.Runs {
@@ -212,9 +234,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	if anySeries {
-		head("score_sample", "most recent value of a sampled series", "gauge")
+		gauge("score_sample", "most recent value of a sampled series")
 		for _, run := range ex.Runs {
-			for _, name := range sortedKeys(run.Series) {
+			for _, name := range sortedSeriesKeys(run.Series) {
 				pts := run.Series[name]
 				if len(pts) == 0 {
 					continue
@@ -232,7 +254,25 @@ func formatSeconds(d time.Duration) string {
 	return fmt.Sprintf("%g", d.Seconds())
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func sortedBoolKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func sortedSeriesKeys(m map[string][]Sample) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -34,12 +34,11 @@ const DefaultSeriesCapacity = 4096
 // tickBlockLen is the ticks one storage block holds.
 const tickBlockLen = 1024
 
-// block holds tickBlockLen ticks: their instants, the samples taken
-// before each, and the probes' values (one slab for those polled first).
+// block holds tickBlockLen ticks: their instants and the probes' values
+// (one slab for those polled first).
 type block struct {
-	at    []time.Duration
-	start []int64
-	vals  [][]float64 // by probe id; nil for a probe the block never polled
+	at   []time.Duration
+	vals [][]float64 // by probe id; nil for a probe the block never polled
 }
 
 // Sampler polls registered probes on a simulated-time cadence. Start and
@@ -159,7 +158,7 @@ func (s *Sampler) sampleLocked() {
 	s.mu.Lock()
 	b, i := s.n/tickBlockLen-s.base, s.n%tickBlockLen
 	if b == len(s.blocks) {
-		blk := block{at: make([]time.Duration, tickBlockLen), start: make([]int64, tickBlockLen), vals: make([][]float64, len(vals))}
+		blk := block{at: make([]time.Duration, tickBlockLen), vals: make([][]float64, len(vals))}
 		slab := make([]float64, tickBlockLen*len(vals))
 		for id := range blk.vals {
 			blk.vals[id] = slab[id*tickBlockLen : (id+1)*tickBlockLen]
@@ -178,7 +177,7 @@ func (s *Sampler) sampleLocked() {
 		}
 		blk.vals[p.id][i] = v
 	}
-	blk.at[i], blk.start[i] = at, s.taken
+	blk.at[i] = at
 	s.n++
 	s.taken += int64(len(vals))
 	s.cutLocked()
@@ -192,10 +191,19 @@ func (s *Sampler) cutLocked() {
 		s.dropped += excess
 	}
 	for len(s.blocks) > 1 && (s.base+1)*tickBlockLen <= s.n-s.capacity &&
-		(s.window == 0 || s.blocks[1].start[0] <= s.from) {
+		(s.window == 0 || s.arrivalsLocked((s.base+1)*tickBlockLen) <= s.from) {
 		s.blocks = slices.Delete(s.blocks, 0, 1)
 		s.base++
 	}
+}
+
+// arrivalsLocked returns the samples taken before tick t: every probe is
+// polled at every tick from its first on.
+func (s *Sampler) arrivalsLocked(t int) (n int64) {
+	for _, p := range s.probes {
+		n += int64(max(t-p.from, 0))
+	}
+	return n
 }
 
 // Stop halts the sampling task after taking one final sample, so the
@@ -217,6 +225,9 @@ func (s *Sampler) Stop() {
 func (s *Sampler) tickLocked(t int) (*block, int) {
 	return &s.blocks[t/tickBlockLen-s.base], t % tickBlockLen
 }
+
+// Interval returns the sampling cadence.
+func (s *Sampler) Interval() time.Duration { return s.interval }
 
 // Series returns the sampled timelines, name → chronological samples:
 // each series' last capacity samples, a tick's in registration order.
@@ -241,6 +252,20 @@ func (s *Sampler) Series() map[string][]Sample {
 		out[s.probes[i].name] = pts[max(len(pts)-s.capacity, 0):]
 	}
 	return out
+}
+
+// SeriesNames returns the registered series names, sorted.
+func (s *Sampler) SeriesNames() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sortLocked()
+	names := make([]string, 0, len(s.probes))
+	for _, p := range s.probes {
+		if len(names) == 0 || names[len(names)-1] != p.name {
+			names = append(names, p.name)
+		}
+	}
+	return names
 }
 
 // SetCounterWindow bounds the samples EachCounter shows to the newest n
@@ -287,12 +312,12 @@ func (s *Sampler) EachCounter(fn func(id int, name string, at time.Duration, v f
 	}
 	// Start at the last tick that begins at or before the window.
 	first := s.base * tickBlockLen
-	t := max(first+sort.Search(s.n-first, func(k int) bool { blk, x := s.tickLocked(first + k); return blk.start[x] > s.from })-1, first)
+	t := max(first+sort.Search(s.n-first, func(k int) bool { return s.arrivalsLocked(first+k) > s.from })-1, first)
+	arrival := s.arrivalsLocked(t)
 	for t < s.n {
 		blk, i := s.tickLocked(t)
 		at, buf, ticks := blk.at[i], s.scratch[:0], 0
 		for ; t < s.n && blk.at[i] == at; ticks++ {
-			arrival := blk.start[i]
 			for k, p := range s.probes {
 				if p.from <= t {
 					if arrival >= s.from {

@@ -125,6 +125,19 @@ func TestSamplerCounterWindow(t *testing.T) {
 	})
 }
 
+func TestSamplerSeriesNames(t *testing.T) {
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		s := NewSampler(clk, time.Millisecond, 0)
+		s.Register("z", func() float64 { return 0 })
+		s.Register("a", func() float64 { return 0 })
+		got := s.SeriesNames()
+		if len(got) != 2 || got[0] != "a" || got[1] != "z" {
+			t.Errorf("SeriesNames = %v, want [a z]", got)
+		}
+	})
+}
+
 // TestSamplerFreesWhatNoWindowReads: a block of ticks is freed once it
 // is older than the series window and, with a counter window set, wholly
 // before it; the windows still read what they show.
