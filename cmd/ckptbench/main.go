@@ -15,15 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	httppprof "net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"score"
@@ -85,9 +81,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "", "experiment to run: "+strings.Join(scenarioNames(), ", ")+", or 'all'")
 	scaleName := fs.String("scale", "full", "workload scale: full (paper) or small (1/16)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	metricsOut := fs.String("metrics-out", "", "write the aggregated metrics registry (histograms, counters, sampled series) as JSON to this file")
-	promListen := fs.String("prom-listen", "", "serve the metrics registry in Prometheus text format on this address (e.g. :9464); blocks after the experiments finish")
-	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -metrics-out")
+	metricsOut := fs.String("metrics-out", "", "write the aggregated metrics registry (histograms, counters, sampled series) as score-metrics/v1 JSON to this file")
+	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -metrics-out and as counter tracks in -trace-out")
 	chunk := fs.Int64("chunk", 0, "stream multi-hop transfers in chunks of this many bytes, overlapping consecutive hops (0 = monolithic transfers)")
 	traceOut := fs.String("trace-out", "", "write each shot's timeline in Chrome trace-event format; the shot label is appended to the name (trace.json -> trace-<label>.json), open in chrome://tracing or ui.perfetto.dev")
 	critpathOut := fs.String("critpath-out", "", "write every shot's critical-path attribution records (score-critpath/v1 JSON) to this file")
@@ -159,8 +154,8 @@ Flags:
 	if *sample < 0 {
 		return usageErr("-sample must be non-negative (got %v)", *sample)
 	}
-	if *sample > 0 && *metricsOut == "" && *promListen == "" {
-		return usageErr("-sample records series only with -metrics-out or -prom-listen; add one or drop -sample")
+	if *sample > 0 && *metricsOut == "" && *traceOut == "" {
+		return usageErr("-sample records series only with -metrics-out or -trace-out; add one or drop -sample")
 	}
 	if *chunk < 0 {
 		return usageErr("-chunk must be non-negative (got %d)", *chunk)
@@ -200,7 +195,7 @@ Flags:
 
 	registry := metrics.NewRegistry()
 	var critRuns []report.CritPathRun
-	recordMetrics := *metricsOut != "" || *promListen != ""
+	recordMetrics := *metricsOut != ""
 	collectCritPaths := *critpathOut != "" || *failUnattributed
 	if recordMetrics || collectCritPaths {
 		run.OnShot = func(res experiments.ShotResult) {
@@ -240,14 +235,13 @@ Flags:
 			}
 			if ev, cnt := tr.Dropped(); ev > 0 || cnt > 0 {
 				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans dropped at the retention cap, %d sampler counter samples outside its counter window)\n", path, ev, cnt)
+				if cnt > 0 {
+					fmt.Fprintf(stderr, "ckptbench: warning: -sample %v keeps every counter sample of %s\n", keepAllCadence(*sample, cnt), path)
+				}
 			}
 			fmt.Fprintf(stdout, "wrote trace %s\n", path)
 		}
 	}
-	if *promListen != "" {
-		go servePrometheus(*promListen, registry)
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -297,7 +291,7 @@ Flags:
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, registry); err != nil {
+		if err := report.MetricsFile.WriteFile(*metricsOut, registry.Runs()); err != nil {
 			return fail("writing %s: %v", *metricsOut, err)
 		}
 		fmt.Fprintf(stdout, "wrote metrics for %d run(s) to %s\n", registry.Len(), *metricsOut)
@@ -351,10 +345,6 @@ Flags:
 		}
 		fmt.Fprintf(stdout, "attribution complete: 0 unattributed across %d records\n", records)
 	}
-	if *promListen != "" {
-		fmt.Fprintf(stdout, "serving Prometheus metrics on %s/metrics (interrupt to exit)\n", *promListen)
-		waitForInterrupt()
-	}
 	return 0
 }
 
@@ -390,49 +380,12 @@ func writeTrace(path string, tr *trace.Tracer) error {
 	return f.Close()
 }
 
-// writeMetrics dumps the registry's JSON export to path.
-func writeMetrics(path string, registry *metrics.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := registry.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// servePrometheus exposes the registry in Prometheus text exposition
-// format; scrapes during the run see the experiments completed so far.
-// The mux also serves the net/http/pprof handlers, so a long sweep can
-// be profiled live (go tool pprof http://<addr>/debug/pprof/profile)
-// without restarting it under -cpuprofile. The handlers are registered
-// explicitly: the package's DefaultServeMux side-effect registration
-// does not reach this private mux.
-func servePrometheus(addr string, registry *metrics.Registry) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := registry.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		fmt.Fprintf(os.Stderr, "ckptbench: -prom-listen: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func waitForInterrupt() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
+// keepAllCadence is the -sample interval at which a shot whose trace
+// lost dropped counter samples at interval every would keep them all: the
+// samples taken (dropped plus the window's trace.DefaultCounterCap) shrink
+// by the factor the interval grows.
+func keepAllCadence(every time.Duration, dropped int64) time.Duration {
+	return every * time.Duration((dropped+2*trace.DefaultCounterCap-1)/trace.DefaultCounterCap)
 }
 
 // render prints a driver's result, or passes the driver's error through.

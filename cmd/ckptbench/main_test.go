@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"score/internal/experiments"
+	"score/internal/trace"
 )
 
 func TestScenarioNamesUnique(t *testing.T) {
@@ -56,5 +60,63 @@ func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
 				t.Error("scenario printed nothing")
 			}
 		})
+	}
+}
+
+// TestSampleNeedsAConsumer: -sample alone is a usage error, and with only
+// -trace-out it is accepted and the traces carry the sampled gauges as
+// counter events. The interval is coarse so that the traces stay small.
+func TestSampleNeedsAConsumer(t *testing.T) {
+	var errOut bytes.Buffer
+	if code := cli([]string{"-exp", "pipeline", "-scale", "small", "-sample", "1ms"}, io.Discard, &errOut); code != 2 {
+		t.Errorf("-sample without -metrics-out or -trace-out exited %d, want 2", code)
+	}
+	if want := "-sample records series only with -metrics-out or -trace-out"; !strings.Contains(errOut.String(), want) {
+		t.Errorf("-sample alone printed\n%s\nwant a line containing %q", errOut.String(), want)
+	}
+
+	base := filepath.Join(t.TempDir(), "trace.json")
+	errOut.Reset()
+	if code := cli([]string{"-exp", "pipeline", "-scale", "small", "-sample", "1s", "-trace-out", base}, io.Discard, &errOut); code != 0 {
+		t.Fatalf("-sample with -trace-out exited %d: %s", code, errOut.String())
+	}
+	for _, label := range []string{"pipeline/mono", "pipeline/chunked"} {
+		data, err := os.ReadFile(tracePath(base, label))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(`"ph":"C"`)) {
+			t.Errorf("%s has no counter events", tracePath(base, label))
+		}
+	}
+}
+
+// TestSuggestedCadenceKeepsEveryCounterSample: sampled every 1ms, the
+// small pipeline's traces drop counter samples; re-run at the cadence the
+// incomplete-trace warning names, they drop none.
+func TestSuggestedCadenceKeepsEveryCounterSample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the small pipeline twice with sampling")
+	}
+	dropped := func(every time.Duration) map[string]int64 {
+		got := map[string]int64{}
+		run := experiments.Run{Scale: experiments.Small(), SampleInterval: every}
+		run.OnTrace = func(label string, tr *trace.Tracer) { _, got[label] = tr.Dropped() }
+		if _, err := experiments.Pipeline(run); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	var cadence time.Duration
+	for label, n := range dropped(time.Millisecond) {
+		if n == 0 {
+			t.Fatalf("%s dropped no counter samples at 1ms; the test needs a trace that does", label)
+		}
+		cadence = max(cadence, keepAllCadence(time.Millisecond, n))
+	}
+	for label, n := range dropped(cadence) {
+		if n != 0 {
+			t.Errorf("%s dropped %d counter samples at the suggested -sample %v", label, n, cadence)
+		}
 	}
 }

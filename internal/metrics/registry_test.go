@@ -1,10 +1,7 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -33,35 +30,35 @@ func TestRegistryRecordMerges(t *testing.T) {
 	if reg.Len() != 1 {
 		t.Fatalf("Len = %d, want repeated labels to merge into one run", reg.Len())
 	}
-	ex := reg.Export()
-	if got := ex.Runs[0].Summary.CheckpointBytes; got != 5096 {
+	if got := reg.Runs()[0].Summary.CheckpointBytes; got != 5096 {
 		t.Errorf("merged CheckpointBytes = %d, want 5096", got)
 	}
 	reg.RecordSeries("fig5a small", map[string][]Sample{
 		"link.pcie0.inflight": {{At: 3 * time.Millisecond, Value: 0}},
 	})
-	if got := len(reg.Export().Runs[0].Series["link.pcie0.inflight"]); got != 3 {
+	if got := len(reg.Runs()[0].Series["link.pcie0.inflight"]); got != 3 {
 		t.Errorf("series length after append = %d, want 3", got)
 	}
 }
 
+// TestRegistryJSONExport: the runs a -metrics-out file carries survive a
+// JSON round trip with their label, summary, histograms and series, and
+// Runs is a snapshot later records do not reach.
 func TestRegistryJSONExport(t *testing.T) {
 	reg := registryWithRun(t)
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
+	runs := reg.Runs()
+	data, err := json.Marshal(runs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var f ExportFile
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+	var got []Export
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	if f.Schema != ExportSchema {
-		t.Errorf("schema = %q, want %q", f.Schema, ExportSchema)
+	if len(got) != 1 || got[0].Label != "fig5a small" {
+		t.Fatalf("runs = %+v, want one labeled run", got)
 	}
-	if len(f.Runs) != 1 || f.Runs[0].Label != "fig5a small" {
-		t.Fatalf("runs = %+v, want one labeled run", f.Runs)
-	}
-	s := f.Runs[0].Summary
+	s := got[0].Summary
 	if s.CheckpointBytes != 4096 || s.TotalRetries() != 1 {
 		t.Errorf("summary did not round-trip: bytes %d retries %d", s.CheckpointBytes, s.TotalRetries())
 	}
@@ -69,54 +66,15 @@ func TestRegistryJSONExport(t *testing.T) {
 	if !ok || h.Count != 1 {
 		t.Errorf("checkpoint histogram did not round-trip: %+v", h)
 	}
-	if pts := f.Runs[0].Series["link.pcie0.inflight"]; len(pts) != 2 || pts[1].Value != 3 {
+	if pts := got[0].Series["link.pcie0.inflight"]; len(pts) != 2 || pts[1].Value != 3 {
 		t.Errorf("series did not round-trip: %+v", pts)
 	}
-}
 
-func TestRegistryPrometheusOutput(t *testing.T) {
-	reg := registryWithRun(t)
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE score_checkpoint_bytes_total counter",
-		`score_checkpoint_bytes_total{run="fig5a small"} 4096`,
-		`score_retries_total{run="fig5a small",tier="ssd"} 1`,
-		"# TYPE score_checkpoint_blocked_seconds histogram",
-		`score_checkpoint_blocked_seconds_count{run="fig5a small"} 1`,
-		`score_checkpoint_blocked_seconds_sum{run="fig5a small"} 0.002`,
-		`le="+Inf"`,
-		`score_sample{run="fig5a small",series="link.pcie0.inflight"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Prometheus output missing %q", want)
-		}
-	}
-	// Cumulative le buckets must be non-decreasing and end at the count.
-	var lastCum int64 = -1
-	seenBuckets := false
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, "score_checkpoint_blocked_seconds_bucket{") {
-			continue
-		}
-		seenBuckets = true
-		fields := strings.Fields(line)
-		cum, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
-		if err != nil {
-			t.Fatalf("unparseable bucket line %q: %v", line, err)
-		}
-		if cum < lastCum {
-			t.Errorf("cumulative bucket decreased: %q", line)
-		}
-		lastCum = cum
-	}
-	if !seenBuckets {
-		t.Fatal("no histogram bucket lines emitted")
-	}
-	if lastCum != 1 {
-		t.Errorf("final cumulative bucket = %d, want the histogram count 1", lastCum)
+	rec := NewRecorder()
+	rec.Checkpoint(1000, time.Millisecond)
+	reg.Record("fig5a small", rec.Snapshot())
+	reg.Record("fig6b small", rec.Snapshot())
+	if len(runs) != 1 || runs[0].Summary.CheckpointBytes != 4096 {
+		t.Errorf("later records reached the snapshot: %+v", runs)
 	}
 }

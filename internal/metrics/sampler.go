@@ -254,20 +254,6 @@ func (s *Sampler) Series() map[string][]Sample {
 	return out
 }
 
-// SeriesNames returns the registered series names, sorted.
-func (s *Sampler) SeriesNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sortLocked()
-	names := make([]string, 0, len(s.probes))
-	for _, p := range s.probes {
-		if len(names) == 0 || names[len(names)-1] != p.name {
-			names = append(names, p.name)
-		}
-	}
-	return names
-}
-
 // SetCounterWindow bounds the samples EachCounter shows to the newest n
 // by arrival (n ≥ 1), counting older ones as dropped; it implements
 // trace.CounterSource. The window starts at the first call.

@@ -11,22 +11,10 @@ import (
 // JSON export (ckptbench -metrics-out), the bench records (make
 // bench-smoke) and the simulator-speed records.
 
-// MetricsFile is the score-metrics/v1 format metrics.Registry.WriteJSON
-// writes; it is read here so tools and tests can round-trip it.
-var MetricsFile = Schema[metrics.Export]{Tag: metrics.ExportSchema, Key: "runs"}
-
-// MetricsTable renders one summary row per run of an export — a quick
-// human-readable view of a -metrics-out file.
-func MetricsTable(runs []metrics.Export) *Table {
-	tab := NewTable("Metrics export — per-run summaries",
-		"run", "ckpt bytes", "restore bytes", "retries", "degradations", "pending")
-	for _, run := range runs {
-		s := run.Summary
-		tab.AddRow(run.Label, s.CheckpointBytes, s.RestoreBytes,
-			s.TotalRetries(), s.TotalDegradations(), s.PendingFlushBytes())
-	}
-	return tab
-}
+// MetricsFile is the score-metrics/v1 format: the metrics registry's
+// runs (metrics.Registry.Runs), written by ckptbench -metrics-out and read
+// back by tools and tests.
+var MetricsFile = Schema[metrics.Export]{Tag: "score-metrics/v1", Key: "runs"}
 
 // SimSpeedRecord is one simulator-speed measurement: how fast the
 // discrete-event engine itself retires model events, and what one

@@ -81,7 +81,7 @@ func TestSLOSchemaValidation(t *testing.T) {
 	if err := loadBytes(t, SLOFile, []byte(`not json`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	_, export := writeLoad(t, MetricsFile, sampleRegistry().Export().Runs)
+	_, export := writeLoad(t, MetricsFile, sampleRegistry().Runs())
 	if err := loadBytes(t, SLOFile, export); err == nil {
 		t.Error("metrics export accepted as an SLO file")
 	}
