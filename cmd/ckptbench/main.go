@@ -380,9 +380,9 @@ func writeTrace(path string, tr *trace.Tracer) error {
 	return f.Close()
 }
 
-// keepAllCadence is the -sample interval at which a shot whose trace
-// lost dropped counter samples at interval every would keep them all: the
-// samples taken (dropped plus the window's trace.DefaultCounterCap) shrink
+// keepAllCadence is the -sample interval that keeps every counter sample
+// of a trace which, sampled every every, dropped dropped of them: the
+// samples taken (dropped plus the trace.DefaultCounterCap shown) shrink
 // by the factor the interval grows.
 func keepAllCadence(every time.Duration, dropped int64) time.Duration {
 	return every * time.Duration((dropped+2*trace.DefaultCounterCap-1)/trace.DefaultCounterCap)
