@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,35 +31,47 @@ import (
 	"score/internal/trace"
 )
 
-// scenario is one -exp value: a name and the function that runs it under
-// the invocation's Run and prints its rows.
+// scenario is one -exp value: a name, whether its shots reach the Run's
+// observers, and the function that runs it under the invocation's Run and
+// prints its rows.
 type scenario struct {
-	name string
-	run  func(experiments.Run, io.Writer) error
+	name  string
+	shots reach
+	run   func(experiments.Run, io.Writer) error
 }
+
+// reach says whether a scenario's shots go through the experiment runner,
+// which hands each to Run.OnShot and Run.OnTrace. Only those shots feed
+// -metrics-out, -critpath-out, -trace-out and -sample.
+type reach bool
+
+const (
+	observed   reach = true
+	unobserved reach = false
+)
 
 // scenarios is the one ordered table that -exp, -exp all, -list, the flag
 // help and the unknown-name error are derived from.
 var scenarios = []scenario{
-	{"table1", runTable1},
-	{"fig4", runFig4},
-	{"fig5a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, true))(w) }},
-	{"fig5b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, false))(w) }},
-	{"fig6a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
-	{"fig6b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
-	{"fig7", runFig7},
-	{"fig8a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r, nil))(w) }},
-	{"fig8b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r, nil))(w) }},
-	{"fig9a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true, nil))(w) }},
-	{"fig9b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false, nil))(w) }},
-	{"ablations", func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
-	{"evict", func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
-	{"rankfail", runRankFail},
-	{"pipeline", func(r experiments.Run, w io.Writer) error { return render(experiments.Pipeline(r))(w) }},
-	{"preempt", runPreempt},
-	{"migrate", runMigrate},
-	{"elastic", runElastic},
-	{"straggler", runStraggler},
+	{"table1", unobserved, runTable1},
+	{"fig4", unobserved, runFig4},
+	{"fig5a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, true))(w) }},
+	{"fig5b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, false))(w) }},
+	{"fig6a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
+	{"fig6b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
+	{"fig7", observed, runFig7},
+	{"fig8a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r, nil))(w) }},
+	{"fig8b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r, nil))(w) }},
+	{"fig9a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true, nil))(w) }},
+	{"fig9b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false, nil))(w) }},
+	{"ablations", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
+	{"evict", unobserved, func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
+	{"rankfail", unobserved, runRankFail},
+	{"pipeline", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Pipeline(r))(w) }},
+	{"preempt", unobserved, runPreempt},
+	{"migrate", unobserved, runMigrate},
+	{"elastic", unobserved, runElastic},
+	{"straggler", unobserved, runStraggler},
 }
 
 // scenarioNames lists the table's names in order.
@@ -165,16 +178,27 @@ Flags:
 	}
 	// Output paths are validated before any experiment runs: discovering
 	// an unwritable directory after a long sweep would discard its data.
-	for _, out := range []struct{ flag, path string }{
-		{"-metrics-out", *metricsOut},
-		{"-trace-out", *traceOut},
-		{"-critpath-out", *critpathOut},
-		{"-cpuprofile", *cpuProfile},
-		{"-memprofile", *memProfile},
-		{"-slo-out", *sloOut},
+	// The fromShots files are written from the shots the experiment
+	// runner hands to Run.OnShot and Run.OnTrace, as are -sample's series
+	// (it needs -metrics-out or -trace-out): with no such shot selected
+	// they would be empty.
+	anyObserved := slices.ContainsFunc(selected, func(sc scenario) bool { return bool(sc.shots) })
+	for _, out := range []struct {
+		flag, path string
+		fromShots  bool
+	}{
+		{"-metrics-out", *metricsOut, true},
+		{"-trace-out", *traceOut, true},
+		{"-critpath-out", *critpathOut, true},
+		{"-cpuprofile", *cpuProfile, false},
+		{"-memprofile", *memProfile, false},
+		{"-slo-out", *sloOut, false},
 	} {
 		if out.path == "" {
 			continue
+		}
+		if out.fromShots && !anyObserved {
+			return usageErr("experiment %q runs no shot through the experiment runner, so %s would record nothing; drop it or pick another experiment", *exp, out.flag)
 		}
 		dir := filepath.Dir(out.path)
 		if info, err := os.Stat(dir); err != nil || !info.IsDir() {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,20 +47,56 @@ func TestUnknownExperimentIsAUsageError(t *testing.T) {
 
 // TestEveryScenarioRunsAtSmallScale runs the whole table the way
 // `-exp all -scale small` does, except concurrently: every scenario gets
-// its own Run value and writer, so nothing is shared between them.
+// its own Run value and writer, so nothing is shared between them. A
+// scenario's shots reach Run.OnShot exactly when the table says so.
 func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			var out bytes.Buffer
-			if err := sc.run(experiments.Run{Scale: experiments.Small()}, &out); err != nil {
+			var shots atomic.Int64
+			run := experiments.Run{Scale: experiments.Small()}
+			run.OnShot = func(experiments.ShotResult) { shots.Add(1) }
+			if err := sc.run(run, &out); err != nil {
 				t.Fatal(err)
 			}
 			if out.Len() == 0 {
 				t.Error("scenario printed nothing")
 			}
+			if got := shots.Load() > 0; got != bool(sc.shots) {
+				t.Errorf("%d shots reached Run.OnShot, but the table says observed = %v", shots.Load(), sc.shots)
+			}
 		})
+	}
+}
+
+// TestUnobservedScenariosRefuseRecorders: a scenario whose shots never
+// reach the Run's observers would write empty metrics, critical-path and
+// trace files, so each recording flag with it is a usage error that
+// names the experiment and the flag (-sample by the -metrics-out it
+// needs).
+func TestUnobservedScenariosRefuseRecorders(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.json")
+	for _, sc := range scenarios {
+		if sc.shots {
+			continue
+		}
+		for _, args := range [][]string{
+			{"-metrics-out", out}, {"-critpath-out", out}, {"-trace-out", out}, {"-metrics-out", out, "-sample", "1ms"},
+		} {
+			var errOut bytes.Buffer
+			code := cli(append([]string{"-exp", sc.name, "-scale", "small"}, args...), io.Discard, &errOut)
+			if code != 2 {
+				t.Errorf("-exp %s %v exited %d, want 2", sc.name, args, code)
+			}
+			if want := `experiment "` + sc.name + `" runs no shot`; !strings.Contains(errOut.String(), want) || !strings.Contains(errOut.String(), args[0]) {
+				t.Errorf("-exp %s %v printed\n%s\nwant a line containing %q and %s", sc.name, args, errOut.String(), want, args[0])
+			}
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused run left %s behind (stat: %v)", out, err)
 	}
 }
 

@@ -40,6 +40,7 @@ type Client struct {
 	cond simclock.Cond
 
 	ckpts   map[ID]*checkpoint
+	slab    []replica // newReplica cuts records from it
 	q       restoreQueue
 	oracles [TierHost + 1]tierOracle // the cache tiers' eviction-entry sources
 	wake    [TierHost + 1]bool       // cache tiers a rescore unblocked; unlockWake sends them
@@ -225,7 +226,8 @@ func New(p Params) (*Client, error) {
 // stores: every valid stored checkpoint reappears as a FLUSHED replica
 // on the tier(s) whose store holds it (SSD, partner SSD, PFS, or any
 // combination), restorable through the normal promotion path with tier
-// fallback.
+// fallback. New calls it before the client is published, so it needs no
+// lock.
 func (c *Client) recoverFromStore() {
 	for i := range c.deep {
 		d := &c.deep[i]
@@ -449,17 +451,17 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		}
 		return fmt.Errorf("core: checkpoint %d: GPU cache reservation: %w", id, err)
 	}
-	c.mark(ck.att, compGPUAdmit)
+	c.mark(ck.att, metrics.GPUAdmit)
 
 	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	if c.p.OnDemandAlloc {
 		// §4.1.4 ablation: a fresh device region is allocated for each
 		// checkpoint instead of reusing the pre-allocated buffer.
 		c.p.GPU.ChargeDeviceAlloc(ck.size)
-		c.mark(ck.att, compAlloc)
+		c.mark(ck.att, metrics.Alloc)
 	}
 	c.p.GPU.CopyD2D(ck.size) // application buffer → GPU cache
-	c.mark(ck.att, compCopyD2D)
+	c.mark(ck.att, metrics.CopyD2D)
 	c.mustTransition(ck, rep, lifecycle.WriteComplete)
 	c.lifecycle(id, trace.LCached, "gpu", "")
 
@@ -489,14 +491,14 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 	c.rec.SyncFlush()
 	// The failed GPU reservation above may have blocked on evictions
 	// before reporting too-large; absorb that into the admit component.
-	c.mark(ck.att, compGPUAdmit)
+	c.mark(ck.att, metrics.GPUAdmit)
 	// A Restore racing this write parks on gpuRep or finds no record: no
 	// tier holds the bytes until they land, and ck.writing makes it wait.
 	c.unlinkReplica(ck, TierGPU, gpuRep)
 
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) && ck.size <= c.p.HostCacheSize {
 		c.waitHostReady()
-		c.mark(ck.att, compHostReady)
+		c.mark(ck.att, metrics.HostReady)
 		switch landing, _ := c.landOnHost(ck, ck.att); landing {
 		case hostLanded:
 			c.enqueueH2F(ck)
@@ -627,9 +629,9 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	end := c.clk.Now()
 	c.rec.Restore(iter, ck.size, end-start, pfDist)
 	crit := att.finish(end)
-	c.rec.CritPath(crit)
+	c.rec.Attribute(crit)
 	if c.p.SLO != nil {
-		c.p.SLO.ObserveCritPath(crit)
+		c.p.SLO.ObserveAttribution(crit)
 	}
 	c.lifecycle(id, trace.LRestored, "", "")
 	return ck.pay, nil
@@ -656,7 +658,7 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 		// A promotion is in flight; wait for the data.
 		rep.fsm.WaitFor(lifecycle.ReadComplete, lifecycle.Consumed)
 	}
-	c.mark(att, compGPUWait)
+	c.mark(att, metrics.GPUWait)
 	if !rep.hasData() {
 		// The write or promotion backed out and unlinked the record
 		// (unlinkReplica released the wait): promote instead.
@@ -675,7 +677,7 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 	}
 	c.gpuC.Touch(cachebuf.ID(ck.id)) // recency signal for LRU ablation
 	c.p.GPU.CopyD2D(ck.size)         // GPU cache → application buffer
-	c.mark(att, compCopyD2D)
+	c.mark(att, metrics.CopyD2D)
 	c.mustTransition(ck, rep, lifecycle.Consumed)
 	return true, nil
 }

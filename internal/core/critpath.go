@@ -19,52 +19,9 @@ import (
 // residue at finish means an instrumentation gap (surfaced as
 // Unattributed, which the metrics invariant requires to be zero).
 
-// critComp indexes the critical-path components an attrib charges.
-type critComp uint8
-
-const (
-	compGPUAdmit critComp = iota
-	compHostAdmit
-	compHostReady
-	compAlloc
-	compCopyD2D
-	compQueueD2H
-	compQueueH2F
-	compXferPCIe
-	compXferSSD
-	compXferPFS
-	compXferPartner
-	compRetryBackoff
-	compDrainWait
-	compStorePut
-	compGPUWait
-	compPromoteWait
-	numComps
-)
-
-// compNames are the exported names of the components, by index.
-var compNames = [numComps]string{
-	compGPUAdmit:     metrics.CompGPUAdmit,
-	compHostAdmit:    metrics.CompHostAdmit,
-	compHostReady:    metrics.CompHostReady,
-	compAlloc:        metrics.CompAlloc,
-	compCopyD2D:      metrics.CompCopyD2D,
-	compQueueD2H:     metrics.CompQueueD2H,
-	compQueueH2F:     metrics.CompQueueH2F,
-	compXferPCIe:     metrics.CompXferPCIe,
-	compXferSSD:      metrics.CompXferSSD,
-	compXferPFS:      metrics.CompXferPFS,
-	compXferPartner:  metrics.CompXferPartner,
-	compRetryBackoff: metrics.CompRetryBackoff,
-	compDrainWait:    metrics.CompDrainWait,
-	compStorePut:     metrics.CompStorePut,
-	compGPUWait:      metrics.CompGPUWait,
-	compPromoteWait:  metrics.CompPromoteWait,
-}
-
 // attrib accumulates the telescoping decomposition of one interval in a
-// fixed array, so marking allocates nothing; finish builds the record's
-// one map. The durable chain hands it from the application thread to the
+// fixed array indexed by metrics.Comp, so neither marking nor finishing
+// allocates. The durable chain hands it from the application thread to the
 // T_D2H and T_H2F workers sequentially; the mutex covers the rare overlap
 // of a late best-effort mark with finish.
 type attrib struct {
@@ -73,7 +30,7 @@ type attrib struct {
 	version int64
 	start   time.Duration
 	last    time.Duration // cursor: end of the last attributed segment
-	comps   [numComps]time.Duration
+	comps   [metrics.NumComps]time.Duration
 	done    bool
 }
 
@@ -84,7 +41,7 @@ func newAttrib(op string, version int64, start time.Duration) *attrib {
 // mark charges [a.last, now) to comp and advances the cursor. Nil-safe
 // and a no-op after finish, so best-effort legs running past the
 // durable point cannot distort the record.
-func (a *attrib) mark(now time.Duration, comp critComp) {
+func (a *attrib) mark(now time.Duration, comp metrics.Comp) {
 	if a == nil {
 		return
 	}
@@ -99,39 +56,26 @@ func (a *attrib) mark(now time.Duration, comp critComp) {
 	a.last = now
 }
 
-// finish closes the interval at now and returns the attribution record,
-// whose Components map — never nil — holds exactly the charged
-// components. Time between the last mark and now is the unattributed
-// residue — zero on a correctly instrumented path.
-func (a *attrib) finish(now time.Duration) metrics.CritPathRecord {
+// finish closes the interval at now and returns the attribution. Time
+// between the last mark and now is the unattributed residue — zero on a
+// correctly instrumented path.
+func (a *attrib) finish(now time.Duration) metrics.Attribution {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.done = true
-	n := 0
-	for _, d := range a.comps {
-		if d > 0 {
-			n++
-		}
-	}
-	comps := make(map[string]time.Duration, n)
-	for i, d := range a.comps {
-		if d > 0 {
-			comps[compNames[i]] = d
-		}
-	}
-	return metrics.CritPathRecord{
+	return metrics.Attribution{
 		Op:           a.op,
 		Version:      a.version,
 		Start:        a.start,
 		Total:        now - a.start,
-		Components:   comps,
 		Unattributed: now - a.last,
+		Comps:        a.comps,
 	}
 }
 
 // mark charges the time since att's cursor to comp at the current
 // virtual time.
-func (c *Client) mark(att *attrib, comp critComp) {
+func (c *Client) mark(att *attrib, comp metrics.Comp) {
 	att.mark(c.clk.Now(), comp)
 }
 

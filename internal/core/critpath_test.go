@@ -64,60 +64,68 @@ func TestAttribMatchesTheMapCursor(t *testing.T) {
 				now += time.Duration(rng.Intn(4)) // 0 is a zero-length mark to come
 			case op < 8:
 				// Few components, so most are charged more than once.
-				comp := critComp(rng.Intn(4) * int(numComps) / 4)
+				comp := metrics.Comp(rng.Intn(4) * int(metrics.NumComps) / 4)
 				a.mark(now, comp)
-				m.mark(now, compNames[comp])
+				m.mark(now, metrics.CompNames[comp])
 				nilAtt.mark(now, comp)
 			default:
-				got, want := a.finish(now), m.finish(now)
+				got, want := recorded(a.finish(now)), m.finish(now)
 				if got.Components == nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: attrib finished %+v, map cursor %+v", seed, step, got, want)
 				}
 			}
 		}
-		got, want := a.finish(now), m.finish(now)
+		got, want := recorded(a.finish(now)), m.finish(now)
 		if got.Components == nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: attrib finished %+v, map cursor %+v", seed, got, want)
 		}
 	}
 }
 
-// TestAttribAllocatesOnlyTheRecordMap: mark allocates nothing, and
-// finish allocates what a map of the charged components costs, no more.
-func TestAttribAllocatesOnlyTheRecordMap(t *testing.T) {
+// recorded is the record a Recorder's Snapshot builds from a.
+func recorded(a metrics.Attribution) metrics.CritPathRecord {
+	r := metrics.NewRecorder()
+	r.Attribute(a)
+	return r.Snapshot().CritPaths[0]
+}
+
+// TestAttribAndRecordAllocateNothing: mark allocates nothing, and
+// finishing an attribution and recording it allocates nothing either,
+// amortised over testing.AllocsPerRun's runs: the recorder's store grows
+// in blocks, not per record.
+func TestAttribAndRecordAllocateNothing(t *testing.T) {
 	var now time.Duration
 	a := newAttrib(metrics.CritRestore, 1, 0)
 	if n := testing.AllocsPerRun(100, func() {
 		now += time.Millisecond
-		a.mark(now, compXferSSD)
+		a.mark(now, metrics.XferSSD)
 		now += time.Millisecond
-		a.mark(now, compCopyD2D)
+		a.mark(now, metrics.CopyD2D)
 	}); n != 0 {
 		t.Errorf("mark allocates %v times, want 0", n)
 	}
-	var sink map[string]time.Duration
-	want := testing.AllocsPerRun(100, func() {
-		sink = make(map[string]time.Duration, 2)
-		sink[metrics.CompXferSSD] = now
-		sink[metrics.CompCopyD2D] = now
-	})
-	if got := testing.AllocsPerRun(100, func() { sink = a.finish(now).Components }); got != want {
-		t.Errorf("finish allocates %v times, a two-entry map %v", got, want)
+	r := metrics.NewRecorder()
+	if n := testing.AllocsPerRun(100, func() { r.Attribute(a.finish(now)) }); n != 0 {
+		t.Errorf("finishing and recording an attribution allocates %v times, want 0", n)
 	}
 }
 
 // versionAllocCeiling is the committed budget of TestVersionBookkeepingAllocs:
-// the measured 11.6 mallocs per version (go1.24, linux/amd64) plus 8%.
-// A machine allocated apart from its record, an attribution allocated
-// apart from its checkpoint and refused transitions that format errors
-// cost 17.6; the map cursor and a cond per machine cost 24.7 on top of
-// a separate machine.
-const versionAllocCeiling = 12.5
+// the measured 4.8 mallocs per version (go1.24, linux/amd64) plus 8%.
+// Its three replica records (GPU, host, SSD), one malloc each before
+// they were cut from a per-client slab, and its two critical-path
+// records' Components maps, two mallocs each before finish returned a
+// fixed array, cost 11.6. A machine allocated apart from its record, an
+// attribution allocated apart from its checkpoint and refused
+// transitions that format errors cost 17.6 before that; the map cursor
+// and a cond per machine cost 24.7 on top of a separate machine.
+const versionAllocCeiling = 5.2
 
 // chunkedVersionAllocCeiling is the same budget with ChunkSize set: the
-// measured 15.8 plus 8%. A stream path composed per stream and span names
-// formatted with no tracer to read them cost 23.8.
-const chunkedVersionAllocCeiling = 17.0
+// measured 9.0 plus 8%. The same replica records and record maps cost
+// 15.8; a stream path composed per stream and span names formatted with
+// no tracer to read them cost 23.8 before that.
+const chunkedVersionAllocCeiling = 9.7
 
 // TestVersionBookkeepingAllocs budgets what one checkpoint version costs
 // the heap: one rank writes 64 virtual versions, waits for the flush

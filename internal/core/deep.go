@@ -6,6 +6,7 @@ import (
 
 	"score/internal/ckptstore"
 	"score/internal/fabric"
+	"score/internal/metrics"
 )
 
 // This file is the one place that knows which tiers lie below the host
@@ -19,20 +20,20 @@ import (
 // host cache.
 type deepKind struct {
 	tier        Tier
-	label       string   // retry label and health-estimator class
-	fused       string   // retry label of its chunked read + H2D stream
-	fusedWr     string   // retry label of its chunked D2H + write stream
-	rdWhat      string   // ledger text of a plain read
-	wrWhat      string   // ledger text of a plain write
-	fusedWrWhat string   // ledger text of its chunked D2H + write stream
-	comp        critComp // critical-path component its transfers charge
+	label       string       // retry label and health-estimator class
+	fused       string       // retry label of its chunked read + H2D stream
+	fusedWr     string       // retry label of its chunked D2H + write stream
+	rdWhat      string       // ledger text of a plain read
+	wrWhat      string       // ledger text of a plain write
+	fusedWrWhat string       // ledger text of its chunked D2H + write stream
+	comp        metrics.Comp // critical-path component its transfers charge
 }
 
 // deepKinds lists them fastest first — the order reads fall through.
 var deepKinds = [...]deepKind{
-	{TierSSD, "ssd", "ssd+pcie", "pcie+ssd", "NVMe read", "NVMe write", "chunked NVMe write", compXferSSD},
-	{TierPartner, "partner", "partner+pcie", "pcie+partner", "partner SSD read", "partner copy", "chunked partner copy", compXferPartner},
-	{TierPFS, "pfs", "pfs+pcie", "pcie+pfs", "PFS read", "PFS write", "chunked PFS write", compXferPFS},
+	{TierSSD, "ssd", "ssd+pcie", "pcie+ssd", "NVMe read", "NVMe write", "chunked NVMe write", metrics.XferSSD},
+	{TierPartner, "partner", "partner+pcie", "pcie+partner", "partner SSD read", "partner copy", "chunked partner copy", metrics.XferPartner},
+	{TierPFS, "pfs", "pfs+pcie", "pcie+pfs", "PFS read", "PFS write", "chunked PFS write", metrics.XferPFS},
 }
 
 // deepTier is one row of a client's table: a kind it has configured, the
@@ -238,7 +239,7 @@ func (c *Client) writeDeep(ck *checkpoint, fromGPU bool, d *deepTier, att *attri
 	if data == nil {
 		return nil // virtual (size-only) payload: simulated as before
 	}
-	return c.retryIOAttr(ck, att, compStorePut, d.label, "store put", func() error {
+	return c.retryIOAttr(ck, att, metrics.StorePut, d.label, "store put", func() error {
 		if err := d.store.Put(int64(ck.id), data); err != nil && err != ckptstore.ErrExists {
 			return err
 		}

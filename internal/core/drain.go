@@ -398,7 +398,7 @@ func (c *Client) drainFlush(ck *checkpoint) {
 	}
 	// Time queued for a worker (since the version's last attributed
 	// segment) is the drain-wait component of its durable critical path.
-	c.mark(ck.att, compDrainWait)
+	c.mark(ck.att, metrics.DrainWait)
 	start := c.clk.Now()
 	if err := c.flushDeep(ck, ck.drainFromGPU, ck.att); err != nil {
 		c.drainAbandon(ck, err.Error())

@@ -119,7 +119,7 @@ func (c *Client) runD2H(id ID) {
 	}
 	att := ck.att
 	// The interval since the last mark is the wait for a T_D2H worker.
-	c.mark(att, compQueueD2H)
+	c.mark(att, metrics.QueueD2H)
 	start := c.clk.Now()
 	defer func() {
 		c.rec.ObserveDuration(histFlushGPU, c.clk.Now()-start)
@@ -147,7 +147,7 @@ func (c *Client) runD2H(id ID) {
 			// worker slept; the decision is made.
 			return
 		}
-		c.mark(att, compHostReady)
+		c.mark(att, metrics.HostReady)
 		landing, err := c.landOnHost(ck, att)
 		switch {
 		case landing == hostLanded:
@@ -212,14 +212,14 @@ func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 		}
 		return hostBypassed, err
 	}
-	c.mark(att, compHostAdmit)
+	c.mark(att, metrics.HostAdmit)
 
 	c.mustTransition(ck, hostRep, lifecycle.WriteInProgress)
 	if c.p.OnDemandAlloc {
 		// §4.1.4 ablation: allocate+register pinned host memory for this
 		// checkpoint at ~4 GB/s instead of reusing the pre-pinned cache.
 		c.p.GPU.AllocPinnedHost(ck.size)
-		c.mark(att, compAlloc)
+		c.mark(att, metrics.Alloc)
 	}
 	if err := c.copyD2HHost(ck, att); err != nil {
 		// Release the reservation. A dying client skips the degradation:
@@ -293,7 +293,7 @@ func (c *Client) runH2F(id ID) {
 	}
 	att := ck.att
 	// Time since the host copy landed is the wait for a T_H2F worker.
-	c.mark(att, compQueueH2F)
+	c.mark(att, metrics.QueueH2F)
 	start := c.clk.Now()
 	defer func() {
 		c.rec.ObserveDuration(histFlushHost, c.clk.Now()-start)

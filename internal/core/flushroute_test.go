@@ -385,8 +385,8 @@ func writingTier(t *testing.T, c *Client) Tier {
 // would, without a GPU stage of its own.
 func queueH2F(t *testing.T, c *Client, size int64) {
 	ck := &checkpoint{id: 0, size: size, pay: pay(size)}
-	rep := c.newReplica(TierHost)
 	c.mu.Lock()
+	rep := c.newReplica(TierHost)
 	c.ckpts[ck.id] = ck
 	c.setReplicaLocked(ck, TierHost, rep)
 	c.mu.Unlock()

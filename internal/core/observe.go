@@ -53,9 +53,9 @@ func (c *Client) accountFate(ck *checkpoint, fate ckptFate) {
 		c.rec.ConserveDurable(ck.size)
 		if ck.att != nil {
 			crit := ck.att.finish(c.clk.Now())
-			c.rec.CritPath(crit)
+			c.rec.Attribute(crit)
 			if c.p.SLO != nil {
-				c.p.SLO.ObserveCritPath(crit)
+				c.p.SLO.ObserveAttribution(crit)
 			}
 		}
 		c.lifecycle(ck.id, trace.LDurable, "", "")

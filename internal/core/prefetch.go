@@ -125,7 +125,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
-	c.mark(att, compPromoteWait)
+	c.mark(att, metrics.PromoteWait)
 	c.mu.Lock()
 	if ck.dataOn(TierGPU) {
 		c.mu.Unlock()
@@ -178,11 +178,11 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 // is unchanged — only engine contention is added).
 func (c *Client) copyH2D(ck *checkpoint, att *attrib) error {
 	if c.p.ChunkSize > 0 {
-		return c.retryIOAttr(ck, att, compXferPCIe, "pcie", "H2D copy", func() error {
+		return c.retryIOAttr(ck, att, metrics.XferPCIe, "pcie", "H2D copy", func() error {
 			return c.stream(ck, c.pcie, true, "host")
 		})
 	}
-	return c.retryIOAttr(ck, att, compXferPCIe, "pcie", "H2D copy", func() error {
+	return c.retryIOAttr(ck, att, metrics.XferPCIe, "pcie", "H2D copy", func() error {
 		_, err := c.p.GPU.TryCopyH2D(ck.size)
 		return err
 	})
@@ -256,7 +256,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 
 	// Stage 2: host → GPU.
 	c.waitHostReady()
-	c.mark(att, compHostReady)
+	c.mark(att, metrics.HostReady)
 	gpuRep, reserved, err := c.reserveForRead(ck, TierGPU)
 	if !reserved {
 		return gpuRep != nil, err
@@ -358,7 +358,7 @@ func (c *Client) reserveForRead(ck *checkpoint, tier Tier) (rep *replica, reserv
 // host cache had no immediately evictable window.
 func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err error) {
 	c.waitHostReady()
-	c.mark(att, compHostReady)
+	c.mark(att, metrics.HostReady)
 	hostRep, reserved, err := c.reserveForRead(ck, TierHost)
 	if !reserved {
 		return hostRep != nil, err

@@ -71,7 +71,7 @@ func (c *Client) retryIO(label, what string, op func() error) error {
 // consume real time before erroring) to comp when att is non-nil, and
 // each retry is ledgered against ck's version when ck is non-nil.
 // Without att, comp is ignored.
-func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp critComp, label, what string, op func() error) error {
+func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp metrics.Comp, label, what string, op func() error) error {
 	policy := c.p.Retry
 	backoff := policy.BaseBackoff
 	var err error
@@ -84,7 +84,7 @@ func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp critComp, label, 
 			sleep := c.jitter(backoff)
 			c.rec.ObserveDuration(metrics.HistRetryBackoff, sleep)
 			c.clk.Sleep(sleep)
-			c.mark(att, compRetryBackoff)
+			c.mark(att, metrics.RetryBackoff)
 			backoff *= 2
 			if backoff > policy.MaxBackoff {
 				backoff = policy.MaxBackoff

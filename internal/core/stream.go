@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"score/internal/fabric"
+	"score/internal/metrics"
 	"score/internal/trace"
 )
 
@@ -60,7 +61,7 @@ func (c *Client) observePipeline(id ID, up bool, label string, st fabric.Pipelin
 // overlap, so the timing matches the monolithic copy.
 func (c *Client) copyD2HHost(ck *checkpoint, att *attrib) error {
 	c.lifecycle(ck.id, trace.LD2HStart, "host", "")
-	err := c.retryIOAttr(ck, att, compXferPCIe, "pcie", "D2H copy", func() error {
+	err := c.retryIOAttr(ck, att, metrics.XferPCIe, "pcie", "D2H copy", func() error {
 		if c.p.ChunkSize == 0 {
 			_, err := c.p.GPU.TryCopyD2H(ck.size)
 			return err
@@ -88,7 +89,7 @@ func (c *Client) transferDown(ck *checkpoint, fromGPU bool, d *deepTier, att *at
 		})
 	}
 	if fromGPU {
-		if err := c.retryIOAttr(ck, att, compXferPCIe, "pcie", "D2H copy", func() error {
+		if err := c.retryIOAttr(ck, att, metrics.XferPCIe, "pcie", "D2H copy", func() error {
 			_, err := c.p.GPU.TryCopyD2H(ck.size)
 			return err
 		}); err != nil {

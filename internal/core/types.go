@@ -96,13 +96,13 @@ type CommitHook interface {
 }
 
 // SLOSink receives the observations the SLO engine evaluates: finished
-// critical-path records (restore blocking, time-to-durable) and
+// critical-path attributions (restore blocking, time-to-durable) and
 // preemption-drain outcomes. internal/slo implements it; core only
 // defines the interface so the dependency points outward. Calls happen
 // on the hot paths under the virtual clock, so implementations must be
 // non-blocking and concurrency-safe.
 type SLOSink interface {
-	ObserveCritPath(rec metrics.CritPathRecord)
+	ObserveAttribution(a metrics.Attribution)
 	ObserveDrain(met bool)
 }
 
@@ -288,16 +288,27 @@ func (p Params) validate() error {
 
 // replica is one copy of a checkpoint on one tier, with its own life-cycle
 // machine (Fig. 1: "a life cycle for every checkpoint instance on all
-// cache tiers"), held in the record so a copy costs one allocation. Make
-// one with Client.newReplica.
+// cache tiers"), held in the record. Make one with Client.newReplica.
 type replica struct {
 	tier Tier
 	fsm  lifecycle.Machine
 }
 
-// newReplica returns a fresh INIT record for tier.
+// replicaSlab is how many replica records one allocation holds.
+const replicaSlab = 32
+
+// newReplica returns a fresh INIT record for tier, the next slot of the
+// client's current slab; a full slab is left to the records it holds and
+// a new one cut. A slot is never reused, so a record's pointer identifies
+// it for good: unlinkReplica's "is it still rep" test and a WaitFor parked
+// on an unlinked record's machine cannot mistake a later record for it.
+// Callers hold c.mu, or run in New before the client is published.
 func (c *Client) newReplica(tier Tier) *replica {
-	rep := &replica{tier: tier}
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]replica, 0, replicaSlab)
+	}
+	c.slab = append(c.slab, replica{tier: tier})
+	rep := &c.slab[len(c.slab)-1]
 	rep.fsm.Init(c.clk)
 	return rep
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"score/internal/cachebuf"
+	"score/internal/lifecycle"
 	"score/internal/payload"
 	"score/internal/simclock"
 )
@@ -117,6 +118,57 @@ func TestUnlinkedRecordReleasesItsWaiter(t *testing.T) {
 		}
 		if got := c.Metrics().Snapshot().RestoreOps; got != 1 {
 			t.Errorf("RestoreOps = %d, want 1", got)
+		}
+	})
+}
+
+// TestSlabSlotsAreNeverReused: replica records are cut from a per-client
+// slab, and no slot is handed out twice. A record is unlinked and a new
+// one published for the same tier: the two must be distinct, abandoning
+// the old one must not release a waiter parked on the new one, and an
+// unlink with the stale pointer must leave the new record in place.
+func TestSlabSlotsAreNeverReused(t *testing.T) {
+	run(t, func(clk *simclock.Virtual) {
+		r := newRig(t, clk, nil)
+		defer r.client.Close()
+		c := r.client
+		ck := &checkpoint{id: 9, size: MB, pay: pay(MB)}
+		old, _ := c.deepReplica(ck, TierSSD)
+		c.unlinkReplica(ck, TierSSD, old)
+		rep, _ := c.deepReplica(ck, TierSSD)
+		if rep == old {
+			t.Fatal("the record published after an unlink reuses the unlinked one's slot")
+		}
+
+		var woke bool
+		var state lifecycle.State
+		clk.Go(func() {
+			state = rep.fsm.WaitFor(lifecycle.WriteComplete)
+			woke = true
+		})
+		clk.Sleep(1)
+		old.fsm.Abandon()
+		clk.Sleep(1)
+		if woke {
+			t.Fatalf("abandoning the unlinked record released a waiter on its successor (in %v)", state)
+		}
+		c.unlinkReplica(ck, TierSSD, old)
+		clk.Sleep(1)
+		c.mu.Lock()
+		cur := ck.replicas[TierSSD]
+		c.mu.Unlock()
+		if cur != rep {
+			t.Fatal("unlinkReplica with the stale pointer dropped the new record")
+		}
+		if woke {
+			t.Fatalf("unlinkReplica with the stale pointer released a waiter on the new record (in %v)", state)
+		}
+
+		rep.fsm.MustTo(lifecycle.WriteInProgress)
+		rep.fsm.MustTo(lifecycle.WriteComplete)
+		clk.Sleep(1)
+		if !woke || state != lifecycle.WriteComplete {
+			t.Fatalf("the waiter on the new record did not see it land (woke %v, in %v)", woke, state)
 		}
 	})
 }

@@ -22,21 +22,22 @@ import (
 //
 // A nil error means every invariant holds.
 func CheckInvariants(s Summary) error {
-	return checkRunning(&s, s.Histograms)
+	_, _, err := checkRunning(&s, s.Histograms, nil)
+	return err
 }
 
 // CheckInvariants runs the package's CheckInvariants on r's books in
-// place, under r's lock: it copies nothing, so a caller that only checks
-// does not pay for a Snapshot.
+// place, under r's lock: it copies nothing and reads the critical-path
+// store packed, so a caller that only checks does not pay for a Snapshot.
 func (r *Recorder) CheckInvariants() (err error) {
-	r.Read(func(s *Summary) { err = checkRunning(s, r.hists) })
+	r.Read(func(s *Summary) { _, _, err = checkRunning(s, r.hists, &r.crit) })
 	return err
 }
 
 // CheckInvariantsQuiescent runs the package's CheckInvariantsQuiescent
 // on r's books in place, like CheckInvariants.
 func (r *Recorder) CheckInvariantsQuiescent() (err error) {
-	r.Read(func(s *Summary) { err = checkQuiescent(s, r.hists) })
+	r.Read(func(s *Summary) { err = checkQuiescent(s, r.hists, &r.crit) })
 	return err
 }
 
@@ -46,8 +47,10 @@ type histView interface{ view() HistogramSnapshot }
 
 func (s HistogramSnapshot) view() HistogramSnapshot { return s }
 
-// checkRunning is CheckInvariants over s and its histograms hists.
-func checkRunning[H histView](s *Summary, hists map[string]H) error {
+// checkRunning is CheckInvariants over s, its histograms hists and its
+// critical-path records: crit's when crit is not nil, else s.CritPaths.
+// It also returns how many durable and restore records there are.
+func checkRunning[H histView](s *Summary, hists map[string]H, crit *critStore) (durableRecs, restoreRecs int64, err error) {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
 	samples := func(name string) (int64, bool) {
@@ -194,33 +197,53 @@ func checkRunning[H histView](s *Summary, hists map[string]H) error {
 	// Critical-path attribution: each record's components must telescope
 	// to exactly its measured end-to-end latency with no unattributed
 	// residue, and records never outnumber the operations they decompose.
-	var durableRecs, restoreRecs int64
-	for _, rec := range s.CritPaths {
-		switch rec.Op {
+	head := func(op string, version int64, total time.Duration) {
+		switch op {
 		case CritDurable:
 			durableRecs++
 		case CritRestore:
 			restoreRecs++
 		default:
-			fail("critpath: unknown op %q (version %d)", rec.Op, rec.Version)
+			fail("critpath: unknown op %q (version %d)", op, version)
 		}
-		if rec.Total < 0 {
-			fail("critpath: %s v%d has negative total %v", rec.Op, rec.Version, rec.Total)
+		if total < 0 {
+			fail("critpath: %s v%d has negative total %v", op, version, total)
 		}
-		var sum time.Duration
-		for comp, d := range rec.Components {
-			if d < 0 {
-				fail("critpath: %s v%d component %s negative (%v)", rec.Op, rec.Version, comp, d)
-			}
-			sum += d
+	}
+	charge := func(op string, version int64, comp string, d time.Duration) time.Duration {
+		if d < 0 {
+			fail("critpath: %s v%d component %s negative (%v)", op, version, comp, d)
 		}
-		if sum+rec.Unattributed != rec.Total {
+		return d
+	}
+	tail := func(op string, version int64, total, unattributed, sum time.Duration) {
+		if sum+unattributed != total {
 			fail("critpath: %s v%d components (%v) + unattributed (%v) != total (%v)",
-				rec.Op, rec.Version, sum, rec.Unattributed, rec.Total)
+				op, version, sum, unattributed, total)
 		}
-		if rec.Unattributed != 0 {
-			fail("critpath: %s v%d has unattributed latency gap %v", rec.Op, rec.Version, rec.Unattributed)
+		if unattributed != 0 {
+			fail("critpath: %s v%d has unattributed latency gap %v", op, version, unattributed)
 		}
+	}
+	if crit == nil {
+		for _, rec := range s.CritPaths {
+			head(rec.Op, rec.Version, rec.Total)
+			var sum time.Duration
+			for comp, d := range rec.Components {
+				sum += charge(rec.Op, rec.Version, comp, d)
+			}
+			tail(rec.Op, rec.Version, rec.Total, rec.Unattributed, sum)
+		}
+	} else {
+		crit.each(func(h *critHead, charges []uint64) {
+			head(h.op, h.version, h.total)
+			var sum time.Duration
+			for _, v := range charges {
+				c, d := unpackCharge(v)
+				sum += charge(h.op, h.version, CompNames[c], d)
+			}
+			tail(h.op, h.version, h.total, h.unattributed, sum)
+		})
 	}
 	if durableRecs > s.DurableOps {
 		fail("critpath: %d durable records but only %d durable checkpoints", durableRecs, s.DurableOps)
@@ -229,7 +252,7 @@ func checkRunning[H histView](s *Summary, hists map[string]H) error {
 		fail("critpath: %d restore records but only %d restore ops", restoreRecs, s.RestoreOps)
 	}
 
-	return errors.Join(errs...)
+	return durableRecs, restoreRecs, errors.Join(errs...)
 }
 
 // CheckInvariantsQuiescent verifies the running invariants plus the
@@ -237,14 +260,15 @@ func checkRunning[H histView](s *Summary, hists map[string]H) error {
 // (after WaitFlush): every accepted byte has a decided fate, and accepted
 // bytes equal the checkpoint bytes the application observed.
 func CheckInvariantsQuiescent(s Summary) error {
-	return checkQuiescent(&s, s.Histograms)
+	return checkQuiescent(&s, s.Histograms, nil)
 }
 
-// checkQuiescent is CheckInvariantsQuiescent over s and its histograms
-// hists.
-func checkQuiescent[H histView](s *Summary, hists map[string]H) error {
+// checkQuiescent is CheckInvariantsQuiescent over what checkRunning
+// reads.
+func checkQuiescent[H histView](s *Summary, hists map[string]H, crit *critStore) error {
 	var errs []error
-	if err := checkRunning(s, hists); err != nil {
+	durableRecs, restoreRecs, err := checkRunning(s, hists, crit)
+	if err != nil {
 		errs = append(errs, err)
 	}
 	if s.ConservationTracked() {
@@ -261,15 +285,6 @@ func checkQuiescent[H histView](s *Summary, hists map[string]H) error {
 		// At quiescence the runtime has emitted every attribution record:
 		// exactly one per durable version and one per restore, so every
 		// durable checkpoint has a complete, fully attributed ledger.
-		var durableRecs, restoreRecs int64
-		for _, rec := range s.CritPaths {
-			switch rec.Op {
-			case CritDurable:
-				durableRecs++
-			case CritRestore:
-				restoreRecs++
-			}
-		}
 		if durableRecs != s.DurableOps {
 			errs = append(errs, fmt.Errorf(
 				"critpath: %d durable records at quiescence for %d durable checkpoints",

@@ -49,10 +49,14 @@ var violations = []corruption{
 	{"histogram sum mismatch", func(r *Recorder) { r.hists[HistCheckpoint].count += 5 }, "bucket counts sum"},
 	{"restore series length mismatch", func(r *Recorder) { r.s.RestoreOps = 4 }, "restore series"},
 	{"critpath unattributed gap", func(r *Recorder) {
-		r.s.CritPaths[0].Unattributed = time.Millisecond
-		r.s.CritPaths[0].Total += time.Millisecond
+		r.crit.heads[0][0].unattributed = time.Millisecond
+		r.crit.heads[0][0].total += time.Millisecond
 	}, "unattributed latency gap"},
-	{"critpath components diverge from total", func(r *Recorder) { r.s.CritPaths[0].Total += time.Millisecond }, "!= total"},
+	{"critpath components diverge from total", func(r *Recorder) { r.crit.heads[0][0].total += time.Millisecond }, "!= total"},
+	{"critpath component negative", func(r *Recorder) {
+		r.crit.charges[0][0] = packCharge(CopyD2D, -time.Millisecond)
+		r.crit.heads[0][0].total -= 2 * time.Millisecond
+	}, "component d2d-copy negative"},
 	{"critpath records outnumber durable checkpoints", func(r *Recorder) { r.s.DurableOps = 0 }, "durable records"},
 }
 
@@ -60,7 +64,7 @@ var violations = []corruption{
 // once it has drained.
 var quiescentViolations = []corruption{
 	// A durable version with no attribution ledger.
-	{"missing critpath", func(r *Recorder) { r.s.CritPaths = nil }, "durable records"},
+	{"missing critpath", func(r *Recorder) { r.crit = critStore{} }, "durable records"},
 	// 100 bytes left with undecided fate.
 	{"pending bytes", func(r *Recorder) { r.s.DiscardedBytes -= 100 }, "pending"},
 	// A checkpoint the application saw but the pipeline never accepted.

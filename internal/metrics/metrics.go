@@ -19,9 +19,12 @@ import (
 // contend for it; the lock only has to be correct, not fast.
 type Recorder struct {
 	mu sync.Mutex
-	// s holds every counter, series, per-tier map and critical-path record
-	// in its exported shape; its Histograms stay nil (see hists).
+	// s holds every counter, series and per-tier map in its exported
+	// shape; its CritPaths and Histograms stay nil (see crit and hists).
 	s Summary
+	// crit stores the critical-path attributions; Snapshot builds them as
+	// s.CritPaths.
+	crit critStore
 	// hists are the fixed-boundary latency histograms, keyed by the Hist*
 	// constants.
 	hists map[string]*Histogram
@@ -445,7 +448,7 @@ func (s Summary) TotalTierRecoveries() int64 {
 }
 
 // Read calls fn with the recorder's own books under its lock: every
-// counter, series, per-tier map and critical-path record in place, with
+// counter, series and per-tier map in place, with CritPaths and
 // Histograms nil. Nothing is copied, so fn must not keep s or anything it
 // reaches, must not write through it, and must not call back into r.
 // Snapshot is the read for callers that keep what they read.
@@ -468,7 +471,7 @@ func (r *Recorder) Snapshot() Summary {
 	s.Retries = copyCounts(r.s.Retries)
 	s.Degradations = copyCounts(r.s.Degradations)
 	s.TierRecoveries = copyCounts(r.s.TierRecoveries)
-	s.CritPaths = copyCritPaths(r.s.CritPaths)
+	s.CritPaths = r.crit.records()
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
@@ -523,7 +526,9 @@ func throughput(bytes int64, blocked time.Duration) float64 {
 }
 
 // Merge combines summaries from multiple processes: byte and time totals
-// add; series concatenate sorted by iteration.
+// add; series concatenate sorted by iteration. Critical-path records are
+// copied by value and keep the Components maps of parts' records, so a
+// write to a merged record's map also reaches the part's.
 func Merge(parts ...Summary) Summary {
 	var out Summary
 	for _, p := range parts {
@@ -577,7 +582,7 @@ func Merge(parts ...Summary) Summary {
 		out.TraceEventsDropped += p.TraceEventsDropped
 		out.TraceCountersDropped += p.TraceCountersDropped
 		out.LedgerEventsDropped += p.LedgerEventsDropped
-		out.CritPaths = append(out.CritPaths, copyCritPaths(p.CritPaths)...)
+		out.CritPaths = append(out.CritPaths, p.CritPaths...)
 		out.DurableOps += p.DurableOps
 		for name, h := range p.Histograms {
 			if out.Histograms == nil {

@@ -111,8 +111,8 @@ func TestEachRecordLandsInItsOwnFields(t *testing.T) {
 		{"CritPath", func(r *Recorder, i int64) {
 			r.CritPath(CritPathRecord{Op: CritDurable, Version: i, Total: time.Duration(i) * ms})
 		}, Summary{CritPaths: []CritPathRecord{
-			{Op: CritDurable, Version: 1, Total: ms},
-			{Op: CritDurable, Version: 2, Total: 2 * ms},
+			{Op: CritDurable, Version: 1, Total: ms, Components: map[string]time.Duration{}},
+			{Op: CritDurable, Version: 2, Total: 2 * ms, Components: map[string]time.Duration{}},
 		}}, nil},
 		{"ObserveDuration", func(r *Recorder, i int64) { r.ObserveDuration(HistDrainSlack, time.Duration(i)*ms) },
 			Summary{}, map[string]int64{HistDrainSlack: 2}},

@@ -31,11 +31,14 @@ type Engine struct {
 	sink    func(Alert)
 }
 
+// compDurations are per-component durations, indexed by metrics.Comp.
+type compDurations = [metrics.NumComps]time.Duration
+
 // bucket is one error-budget resolution slot: good/bad counts plus the
 // summed critical-path components of the bad events (for attribution).
 type bucket struct {
 	good, bad int64
-	comps     map[string]time.Duration
+	comps     compDurations
 }
 
 type objState struct {
@@ -49,11 +52,11 @@ type objState struct {
 
 	// Cumulative run totals.
 	good, bad int64
-	comps     map[string]time.Duration
+	comps     compDurations
 
 	// Same-instant staging, folded at flush.
 	pendGood, pendBad int64
-	pendComps         map[string]time.Duration
+	pendComps         compDurations
 
 	firing   []bool // per window pair
 	fired    int64
@@ -103,7 +106,6 @@ func NewEngine(now func() time.Duration, objs ...Objective) (*Engine, error) {
 			res:     res,
 			slots:   make([]bucket, n),
 			slotIdx: make([]int64, n),
-			comps:   map[string]time.Duration{},
 			firing:  make([]bool, len(o.Windows)),
 		}
 		for i := range st.slotIdx {
@@ -127,33 +129,41 @@ func (e *Engine) SetAlertSink(fn func(Alert)) {
 
 // deepComps are the restore components that mean the GPU/host caches
 // missed and a deep tier served the bytes.
-var deepComps = []string{metrics.CompXferSSD, metrics.CompXferPFS, metrics.CompXferPartner}
+var deepComps = [...]metrics.Comp{metrics.XferSSD, metrics.XferPFS, metrics.XferPartner}
 
-// ObserveCritPath routes one critical-path record: restore records feed
-// restore-latency and hit-rate objectives, durable records feed
-// durable-latency objectives. The observation instant is the record's
-// completion time (Start + Total) — no clock read, so records replayed
-// from other clocks stay on their own timeline. Nil-safe.
+// ObserveCritPath is ObserveAttribution on rec's array form; a component
+// name outside metrics.CompNames panics. Nil-safe.
 func (e *Engine) ObserveCritPath(rec metrics.CritPathRecord) {
+	if e != nil {
+		e.ObserveAttribution(metrics.AttributionOf(rec))
+	}
+}
+
+// ObserveAttribution routes one critical-path attribution: restore
+// records feed restore-latency and hit-rate objectives, durable records
+// feed durable-latency objectives. The observation instant is the
+// record's completion time (Start + Total) — no clock read, so records
+// replayed from other clocks stay on their own timeline. Nil-safe.
+func (e *Engine) ObserveAttribution(a metrics.Attribution) {
 	if e == nil || len(e.objs) == 0 {
 		return
 	}
-	at := rec.Start + rec.Total
+	at := a.Start + a.Total
 	e.mu.Lock()
 	fired := e.advanceLocked(at)
 	for _, st := range e.objs {
 		switch st.obj.Kind {
 		case KindRestoreLatency:
-			if rec.Op == metrics.CritRestore {
-				st.stage(rec.Total <= st.obj.Threshold, rec.Components)
+			if a.Op == metrics.CritRestore {
+				st.stage(a.Total <= st.obj.Threshold, &a.Comps)
 			}
 		case KindDurableLatency:
-			if rec.Op == metrics.CritDurable {
-				st.stage(rec.Total <= st.obj.Threshold, rec.Components)
+			if a.Op == metrics.CritDurable {
+				st.stage(a.Total <= st.obj.Threshold, &a.Comps)
 			}
 		case KindHitRate:
-			if rec.Op == metrics.CritRestore {
-				st.stageHit(rec.Components)
+			if a.Op == metrics.CritRestore {
+				st.stageHit(&a.Comps)
 			}
 		}
 	}
@@ -169,17 +179,19 @@ func (e *Engine) ObserveDrain(met bool) {
 
 // Observe feeds one good/bad event to every objective of the given
 // kind, stamped at the engine clock's current instant; comps attributes
-// a bad event's cost to critical-path components. Nil-safe.
+// a bad event's cost to critical-path components, and a name outside
+// metrics.CompNames panics. Nil-safe.
 func (e *Engine) Observe(kind Kind, good bool, comps map[string]time.Duration) {
 	if e == nil || len(e.objs) == 0 {
 		return
 	}
+	arr := metrics.CompsOf(comps)
 	at := e.now()
 	e.mu.Lock()
 	fired := e.advanceLocked(at)
 	for _, st := range e.objs {
 		if st.obj.Kind == kind {
-			st.stage(good, comps)
+			st.stage(good, &arr)
 		}
 	}
 	e.mu.Unlock()
@@ -221,7 +233,7 @@ func (e *Engine) Report() Report {
 			PeakBurn:        st.peakBurn,
 			Fired:           st.fired,
 			Resolved:        st.resolved,
-			Attribution:     dominantComps(st.comps),
+			Attribution:     dominantComps(&st.comps),
 		}
 		if r.Events > 0 {
 			r.Compliance = float64(st.good) / float64(r.Events)
@@ -236,26 +248,21 @@ func (e *Engine) Report() Report {
 }
 
 // stage buffers one observation at the engine's pending instant.
-func (st *objState) stage(good bool, comps map[string]time.Duration) {
+func (st *objState) stage(good bool, comps *compDurations) {
 	if good {
 		st.pendGood++
 		return
 	}
 	st.pendBad++
-	if len(comps) > 0 {
-		if st.pendComps == nil {
-			st.pendComps = map[string]time.Duration{}
-		}
-		for c, d := range comps {
-			st.pendComps[c] += d
-		}
+	for c, d := range comps {
+		st.pendComps[c] += d
 	}
 }
 
 // stageHit stages one restore for a hit-rate objective straight from its
 // record's components: a hit when no deep component was charged, else a
 // miss costed by the deep components alone.
-func (st *objState) stageHit(comps map[string]time.Duration) {
+func (st *objState) stageHit(comps *compDurations) {
 	hit := true
 	for _, c := range deepComps {
 		if comps[c] > 0 {
@@ -268,9 +275,6 @@ func (st *objState) stageHit(comps map[string]time.Duration) {
 		return
 	}
 	st.pendBad++
-	if st.pendComps == nil {
-		st.pendComps = map[string]time.Duration{}
-	}
 	for _, c := range deepComps {
 		if d := comps[c]; d > 0 {
 			st.pendComps[c] += d
@@ -313,18 +317,13 @@ func (e *Engine) flushLocked() []Alert {
 			b := &st.slots[slot]
 			b.good += st.pendGood
 			b.bad += st.pendBad
-			if len(st.pendComps) > 0 {
-				if b.comps == nil {
-					b.comps = map[string]time.Duration{}
-				}
-				for c, d := range st.pendComps {
-					b.comps[c] += d
-					st.comps[c] += d
-				}
+			for c, d := range st.pendComps {
+				b.comps[c] += d
+				st.comps[c] += d
 			}
 			st.good += st.pendGood
 			st.bad += st.pendBad
-			st.pendGood, st.pendBad, st.pendComps = 0, 0, nil
+			st.pendGood, st.pendBad, st.pendComps = 0, 0, compDurations{}
 		}
 		fired = append(fired, e.evaluateLocked(i, at)...)
 	}
@@ -362,7 +361,7 @@ func (e *Engine) evaluateLocked(i int, at time.Duration) []Alert {
 			a.Event = EventFire
 			st.fired++
 			_, _, comps := st.window(at, w.Long, true)
-			a.Attribution = dominantComps(comps)
+			a.Attribution = dominantComps(&comps)
 		} else {
 			a.Event = EventResolve
 			st.resolved++
@@ -375,30 +374,27 @@ func (e *Engine) evaluateLocked(i int, at time.Duration) []Alert {
 
 // window sums the buckets covering (at − span, at]; withComps also
 // merges the bad-event component attribution.
-func (st *objState) window(at, span time.Duration, withComps bool) (good, bad int64, comps map[string]time.Duration) {
+func (st *objState) window(at, span time.Duration, withComps bool) (good, bad int64, sum compDurations) {
 	cur := int64(at / st.res)
 	min := int64(0)
 	if at > span {
 		min = int64((at-span)/st.res) + 1
-	}
-	if withComps {
-		comps = map[string]time.Duration{}
 	}
 	for abs := min; abs <= cur; abs++ {
 		slot := int(abs % int64(len(st.slots)))
 		if st.slotIdx[slot] != abs {
 			continue
 		}
-		b := st.slots[slot]
+		b := &st.slots[slot]
 		good += b.good
 		bad += b.bad
 		if withComps {
 			for c, d := range b.comps {
-				comps[c] += d
+				sum[c] += d
 			}
 		}
 	}
-	return good, bad, comps
+	return good, bad, sum
 }
 
 // burn is the error-budget burn rate: the bad fraction relative to the
@@ -442,10 +438,7 @@ func (e *Engine) emit(alerts []Alert) {
 // cost: largest first (name tie-break), taking components until they
 // cover two thirds of the total, capped at two — "xfer-pfs +
 // retry-backoff"-shaped.
-func dominantComps(comps map[string]time.Duration) string {
-	if len(comps) == 0 {
-		return ""
-	}
+func dominantComps(comps *compDurations) string {
 	type cd struct {
 		name string
 		d    time.Duration
@@ -454,7 +447,7 @@ func dominantComps(comps map[string]time.Duration) string {
 	var total time.Duration
 	for c, d := range comps {
 		if d > 0 {
-			all = append(all, cd{c, d})
+			all = append(all, cd{metrics.CompNames[c], d})
 			total += d
 		}
 	}

@@ -2,7 +2,6 @@ package slo
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 	"time"
 
@@ -253,11 +252,12 @@ func TestDominantComps(t *testing.T) {
 		{map[string]time.Duration{"xfer-pfs": 8 * time.Second, "retry-backoff": time.Second}, "xfer-pfs"},
 		// Split cost names the top two.
 		{map[string]time.Duration{"xfer-pfs": 3 * time.Second, "retry-backoff": 2 * time.Second, "alloc": time.Second}, "xfer-pfs + retry-backoff"},
-		// Ties break alphabetically.
-		{map[string]time.Duration{"b": time.Second, "a": time.Second}, "a + b"},
+		// Ties break alphabetically, not by component index.
+		{map[string]time.Duration{"xfer-ssd": time.Second, "alloc": time.Second}, "alloc + xfer-ssd"},
 	}
 	for i, c := range cases {
-		if got := dominantComps(c.comps); got != c.want {
+		comps := metrics.CompsOf(c.comps)
+		if got := dominantComps(&comps); got != c.want {
 			t.Errorf("case %d: dominantComps = %q, want %q", i, got, c.want)
 		}
 	}
@@ -319,7 +319,7 @@ func TestHitRateStagesFromTheRecord(t *testing.T) {
 	want := map[string]time.Duration{
 		metrics.CompXferSSD: 2 * time.Millisecond, metrics.CompXferPFS: 3 * time.Millisecond,
 		metrics.CompXferPartner: 4 * time.Millisecond}
-	if st.pendBad != 2 || st.pendGood != 0 || !reflect.DeepEqual(st.pendComps, want) {
+	if st.pendBad != 2 || st.pendGood != 0 || st.pendComps != metrics.CompsOf(want) {
 		t.Errorf("staged %d good, %d bad, comps %v; want 0, 2, %v", st.pendGood, st.pendBad, st.pendComps, want)
 	}
 }

@@ -126,15 +126,17 @@ func TestNilObserversAllocateNothing(t *testing.T) {
 	name, category := "checkpoint 7", "checkpoint"
 	rec := metrics.CritPathRecord{Op: metrics.CritRestore, Version: 7, Total: time.Second,
 		Components: map[string]time.Duration{metrics.CompXferSSD: time.Second}}
+	att := metrics.AttributionOf(rec)
 	calls := map[string]func(){
-		"Tracer.Span":              func() { tr.Span(3, trace.TrackApp, category, name)() },
-		"Tracer.SpanFlow":          func() { tr.SpanFlow(3, trace.TrackD2H, category, name, 42).End() },
-		"deferred Tracer.SpanFlow": func() { defer tr.SpanFlow(3, trace.TrackD2H, category, name, 42).End() },
-		"Tracer.Record":            func() { tr.Record(3, trace.TrackH2F, category, name, time.Millisecond, time.Second) },
-		"Tracer.Lifecycle":         func() { tr.Lifecycle(3, 7, trace.LDurable, "ssd", name) },
-		"Engine.ObserveCritPath":   func() { eng.ObserveCritPath(rec) },
-		"Engine.ObserveDrain":      func() { eng.ObserveDrain(true) },
-		"Engine.Observe":           func() { eng.Observe(slo.KindHitRate, false, rec.Components) },
+		"Tracer.Span":               func() { tr.Span(3, trace.TrackApp, category, name)() },
+		"Tracer.SpanFlow":           func() { tr.SpanFlow(3, trace.TrackD2H, category, name, 42).End() },
+		"deferred Tracer.SpanFlow":  func() { defer tr.SpanFlow(3, trace.TrackD2H, category, name, 42).End() },
+		"Tracer.Record":             func() { tr.Record(3, trace.TrackH2F, category, name, time.Millisecond, time.Second) },
+		"Tracer.Lifecycle":          func() { tr.Lifecycle(3, 7, trace.LDurable, "ssd", name) },
+		"Engine.ObserveCritPath":    func() { eng.ObserveCritPath(rec) },
+		"Engine.ObserveAttribution": func() { eng.ObserveAttribution(att) },
+		"Engine.ObserveDrain":       func() { eng.ObserveDrain(true) },
+		"Engine.Observe":            func() { eng.Observe(slo.KindHitRate, false, rec.Components) },
 	}
 	for what, call := range calls {
 		if n := testing.AllocsPerRun(100, call); n != 0 {
