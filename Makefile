@@ -138,16 +138,20 @@ bench-evict:
 
 # trace-smoke exercises the observability layer end to end: the trace
 # determinism and flow-arrow golden tests, then the pipeline experiment
-# with Chrome-trace and score-critpath/v1 exports. -fail-on-unattributed
-# makes the run exit non-zero if any durable or restore attribution
-# record carries an unattributed latency gap (DESIGN.md §12); the
-# emitted trace-pipeline-*.json and critpath.json are the CI artifacts.
+# with Chrome-trace and score-critpath/v1 exports, then the preemption
+# sweep, a fault scenario, with those and the score-metrics/v1 export.
+# -fail-on-unattributed makes each run exit non-zero if any durable or
+# restore attribution record carries an unattributed latency gap
+# (DESIGN.md §12); the emitted trace-pipeline-*.json and critpath.json
+# are the CI artifacts.
 # It runs observer-tax first, so the job that guards the trace goldens
 # also prints what the observers cost.
 trace-smoke: observer-tax
 	$(GO) test -run 'TestTraceExportDeterministic|TestFlowArrowsMatchGolden' -v .
 	$(GO) run ./cmd/ckptbench -exp pipeline -scale small \
 		-trace-out trace.json -critpath-out critpath.json -fail-on-unattributed
+	$(GO) run ./cmd/ckptbench -exp preempt -scale small \
+		-trace-out trace.json -metrics-out metrics-preempt.json -critpath-out critpath-preempt.json -fail-on-unattributed
 
 # observer-tax prints and gates the observers' host cost as the extra
 # allocations and bytes (DESIGN.md §10) of one small shot with tracing,
@@ -164,14 +168,17 @@ observer-tax:
 # attribution); then the pipeline experiment under -fail-on-slo, which
 # must hold its checked-in objectives; then the straggler experiment
 # under -fail-on-slo, which must breach — the alert path proven live in
-# the CLI, not just in tests.
+# the CLI, not just in tests. Only the breach report passes: any other
+# failure (a conservation error, say) fails the target.
 slo-smoke:
 	$(GO) test -run 'TestSLOSmoke|TestSLODeterminism' -v .
 	$(GO) run ./cmd/ckptbench -exp pipeline -scale small -slo -fail-on-slo
-	@if $(GO) run ./cmd/ckptbench -exp straggler -slo -fail-on-slo >/dev/null 2>&1; then \
+	@if out=$$($(GO) run ./cmd/ckptbench -exp straggler -slo -fail-on-slo 2>&1); then \
 		echo "straggler run unexpectedly passed -fail-on-slo (the 20x straggler must breach)"; exit 1; \
-	else \
+	elif echo "$$out" | grep -q 'slo breached in'; then \
 		echo "straggler breach correctly detected by -fail-on-slo"; \
+	else \
+		echo "$$out" | tail -5; echo "straggler run failed without the slo breach report"; exit 1; \
 	fi
 
 # results regenerates the committed full-scale evaluation transcript.
@@ -243,4 +250,4 @@ fuzz-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f critpath.json trace-pipeline-*.json
+	rm -f critpath.json critpath-preempt.json metrics-preempt.json trace-pipeline-*.json trace-preempt-*.json

@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"time"
 
@@ -31,47 +30,35 @@ import (
 	"score/internal/trace"
 )
 
-// scenario is one -exp value: a name, whether its shots reach the Run's
-// observers, and the function that runs it under the invocation's Run and
-// prints its rows.
+// scenario is one -exp value: a name and the function that runs it under
+// the invocation's Run and prints its rows.
 type scenario struct {
-	name  string
-	shots reach
-	run   func(experiments.Run, io.Writer) error
+	name string
+	run  func(experiments.Run, io.Writer) error
 }
-
-// reach says whether a scenario's shots go through the experiment runner,
-// which hands each to Run.OnShot and Run.OnTrace. Only those shots feed
-// -metrics-out, -critpath-out, -trace-out and -sample.
-type reach bool
-
-const (
-	observed   reach = true
-	unobserved reach = false
-)
 
 // scenarios is the one ordered table that -exp, -exp all, -list, the flag
 // help and the unknown-name error are derived from.
 var scenarios = []scenario{
-	{"table1", unobserved, runTable1},
-	{"fig4", unobserved, runFig4},
-	{"fig5a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, true))(w) }},
-	{"fig5b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, false))(w) }},
-	{"fig6a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
-	{"fig6b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
-	{"fig7", observed, runFig7},
-	{"fig8a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r, nil))(w) }},
-	{"fig8b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r, nil))(w) }},
-	{"fig9a", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true, nil))(w) }},
-	{"fig9b", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false, nil))(w) }},
-	{"ablations", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
-	{"evict", unobserved, func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
-	{"rankfail", unobserved, runRankFail},
-	{"pipeline", observed, func(r experiments.Run, w io.Writer) error { return render(experiments.Pipeline(r))(w) }},
-	{"preempt", unobserved, runPreempt},
-	{"migrate", unobserved, runMigrate},
-	{"elastic", unobserved, runElastic},
-	{"straggler", unobserved, runStraggler},
+	{"table1", runTable1},
+	{"fig4", runFig4},
+	{"fig5a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, true))(w) }},
+	{"fig5b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, false))(w) }},
+	{"fig6a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
+	{"fig6b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
+	{"fig7", runFig7},
+	{"fig8a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r, nil))(w) }},
+	{"fig8b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r, nil))(w) }},
+	{"fig9a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true, nil))(w) }},
+	{"fig9b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false, nil))(w) }},
+	{"ablations", func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
+	{"evict", func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
+	{"rankfail", runRankFail},
+	{"pipeline", func(r experiments.Run, w io.Writer) error { return render(experiments.Pipeline(r))(w) }},
+	{"preempt", runPreempt},
+	{"migrate", runMigrate},
+	{"elastic", runElastic},
+	{"straggler", runStraggler},
 }
 
 // scenarioNames lists the table's names in order.
@@ -178,27 +165,16 @@ Flags:
 	}
 	// Output paths are validated before any experiment runs: discovering
 	// an unwritable directory after a long sweep would discard its data.
-	// The fromShots files are written from the shots the experiment
-	// runner hands to Run.OnShot and Run.OnTrace, as are -sample's series
-	// (it needs -metrics-out or -trace-out): with no such shot selected
-	// they would be empty.
-	anyObserved := slices.ContainsFunc(selected, func(sc scenario) bool { return bool(sc.shots) })
-	for _, out := range []struct {
-		flag, path string
-		fromShots  bool
-	}{
-		{"-metrics-out", *metricsOut, true},
-		{"-trace-out", *traceOut, true},
-		{"-critpath-out", *critpathOut, true},
-		{"-cpuprofile", *cpuProfile, false},
-		{"-memprofile", *memProfile, false},
-		{"-slo-out", *sloOut, false},
+	for _, out := range []struct{ flag, path string }{
+		{"-metrics-out", *metricsOut},
+		{"-trace-out", *traceOut},
+		{"-critpath-out", *critpathOut},
+		{"-cpuprofile", *cpuProfile},
+		{"-memprofile", *memProfile},
+		{"-slo-out", *sloOut},
 	} {
 		if out.path == "" {
 			continue
-		}
-		if out.fromShots && !anyObserved {
-			return usageErr("experiment %q runs no shot through the experiment runner, so %s would record nothing; drop it or pick another experiment", *exp, out.flag)
 		}
 		dir := filepath.Dir(out.path)
 		if info, err := os.Stat(dir); err != nil || !info.IsDir() {
@@ -248,6 +224,7 @@ Flags:
 	// A trace that cannot be written fails the run once the scenario that
 	// produced it returns.
 	var traceErr error
+	var traces int
 	if *traceOut != "" {
 		run.OnTrace = func(label string, tr *trace.Tracer) {
 			path := tracePath(*traceOut, label)
@@ -257,6 +234,7 @@ Flags:
 				}
 				return
 			}
+			traces++
 			if ev, cnt := tr.Dropped(); ev > 0 || cnt > 0 {
 				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans dropped at the retention cap, %d sampler counter samples outside its counter window)\n", path, ev, cnt)
 				if cnt > 0 {
@@ -296,6 +274,17 @@ Flags:
 		}
 		if *benchTime <= 0 || time.Since(start) >= *benchTime {
 			break
+		}
+	}
+	// The recorder files hold the shots handed to Run.OnShot and
+	// Run.OnTrace; an experiment that simulates no shot (table1, fig4,
+	// evict) would leave them empty, so none is written.
+	for _, rec := range []struct {
+		flag, path string
+		runs       int
+	}{{"-metrics-out", *metricsOut, registry.Len()}, {"-critpath-out", *critpathOut, len(critRuns)}, {"-trace-out", *traceOut, traces}} {
+		if rec.path != "" && rec.runs == 0 {
+			return fail("experiment %q simulated no shot, so %s has nothing to record; drop it or pick another experiment", *exp, rec.flag)
 		}
 	}
 	if *memProfile != "" {
@@ -442,10 +431,7 @@ func runFig4(run experiments.Run, w io.Writer) error {
 	}
 	tab := report.NewTable("Fig. 4 — Size distribution of 32 RTM snapshots",
 		"snapshot", "min", "avg", "max")
-	step := len(stats) / 24
-	if step == 0 {
-		step = 1
-	}
+	step := max(len(stats)/24, 1)
 	var avgs []float64
 	for i, st := range stats {
 		avgs = append(avgs, float64(st.Avg))
@@ -477,13 +463,10 @@ func runFig7(run experiments.Run, w io.Writer) error {
 		}
 		tab := report.NewTable(fmt.Sprintf("Fig. 7 series — %s (Score)", hints),
 			"iteration", "restore rate", "next prefetches completed")
-		step := len(series) / 16
-		if step == 0 {
-			step = 1
-		}
+		step := max(len(series)/16, 1)
 		var rates, dists []float64
 		for i, p := range series {
-			rate := float64(p.Bytes) / maxSeconds(p.Blocked)
+			rate := float64(p.Bytes) / max(p.Blocked.Seconds(), 1e-9)
 			rates = append(rates, rate)
 			dists = append(dists, float64(p.PrefetchDistance))
 			if i%step == 0 {
@@ -578,21 +561,27 @@ func runStraggler(run experiments.Run, w io.Writer) error {
 	return tab.Render(w)
 }
 
+// inTempStore runs a store-backed scenario on a fresh temporary store
+// root and removes the root afterwards.
+func inTempStore[R any](scenario func(root string) (R, error)) (R, error) {
+	root, err := os.MkdirTemp("", "ckptbench-store-*")
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	defer os.RemoveAll(root)
+	return scenario(root)
+}
+
 // runMigrate runs the live-migration scenario twice — clean and with an
 // injected copy fault — and prints the cutover outcomes side by side.
-func runMigrate(_ experiments.Run, w io.Writer) error {
+func runMigrate(run experiments.Run, w io.Writer) error {
 	tab := report.NewTable("Live migration — SSD tier to successor node, racing foreground traffic",
 		"copy fault", "versions", "live rounds", "final validated", "migrated", "faults fired", "restored", "bit-exact")
 	for _, inject := range []bool{false, true} {
-		root, err := os.MkdirTemp("", "ckptbench-migrate-*")
-		if err != nil {
-			return err
-		}
-		res, err := experiments.Migration(experiments.MigrateConfig{
-			StoreRoot:   root,
-			InjectFault: inject,
+		res, err := inTempStore(func(root string) (experiments.MigrateResult, error) {
+			return experiments.Migration(run, experiments.MigrateConfig{StoreRoot: root, InjectFault: inject})
 		})
-		os.RemoveAll(root)
 		if err != nil {
 			return err
 		}
@@ -612,20 +601,13 @@ func runMigrate(_ experiments.Run, w io.Writer) error {
 
 // runElastic re-shards checkpoint state across membership changes in both
 // directions and prints the recomputed frontier and restore outcomes.
-func runElastic(_ experiments.Run, w io.Writer) error {
+func runElastic(run experiments.Run, w io.Writer) error {
 	tab := report.NewTable("Elastic restart — re-shard N ranks onto M at a new membership epoch",
 		"transition", "epoch", "committed", "frontier", "tracker consistent", "shards restored", "recoverable")
 	for _, tr := range []struct{ from, to int }{{4, 2}, {2, 3}} {
-		root, err := os.MkdirTemp("", "ckptbench-elastic-*")
-		if err != nil {
-			return err
-		}
-		res, err := experiments.Elastic(experiments.ElasticConfig{
-			StoreRoot: root,
-			FromRanks: tr.from,
-			ToRanks:   tr.to,
+		res, err := inTempStore(func(root string) (experiments.ElasticResult, error) {
+			return experiments.Elastic(run, experiments.ElasticConfig{StoreRoot: root, FromRanks: tr.from, ToRanks: tr.to})
 		})
-		os.RemoveAll(root)
 		if err != nil {
 			return err
 		}
@@ -645,19 +627,13 @@ func runElastic(_ experiments.Run, w io.Writer) error {
 // runRankFail runs the cluster failure scenario twice — with and without
 // partner-copy replication — and prints the recovery outcomes side by
 // side: a full-node kill mid-flush is survivable only with replication.
-func runRankFail(_ experiments.Run, w io.Writer) error {
+func runRankFail(run experiments.Run, w io.Writer) error {
 	tab := report.NewTable("Rank failure — node kill mid-flush, restart from LatestConsistent()",
 		"partner copy", "ranks killed", "commit lag", "partner bytes", "recoverable", "restored version", "ranks restored")
 	for _, partner := range []bool{false, true} {
-		root, err := os.MkdirTemp("", "ckptbench-rankfail-*")
-		if err != nil {
-			return err
-		}
-		res, err := experiments.RankFailure(experiments.RankFailConfig{
-			StoreRoot:   root,
-			PartnerCopy: partner,
+		res, err := inTempStore(func(root string) (experiments.RankFailResult, error) {
+			return experiments.RankFailure(run, experiments.RankFailConfig{StoreRoot: root, PartnerCopy: partner})
 		})
-		os.RemoveAll(root)
 		if err != nil {
 			return err
 		}
@@ -675,14 +651,6 @@ func runRankFail(_ experiments.Run, w io.Writer) error {
 		)
 	}
 	return tab.Render(w)
-}
-
-func maxSeconds(d time.Duration) float64 {
-	s := d.Seconds()
-	if s <= 0 {
-		return 1e-9
-	}
-	return s
 }
 
 func sizeMB(b int64) string { return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20)) }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,58 +44,78 @@ func TestUnknownExperimentIsAUsageError(t *testing.T) {
 	}
 }
 
+// shotless names the scenarios that simulate no shot: every other one
+// hands its shots to Run.OnShot and Run.OnTrace.
+var shotless = map[string]bool{"table1": true, "fig4": true, "evict": true}
+
 // TestEveryScenarioRunsAtSmallScale runs the whole table the way
 // `-exp all -scale small` does, except concurrently: every scenario gets
-// its own Run value and writer, so nothing is shared between them. A
-// scenario's shots reach Run.OnShot exactly when the table says so.
+// its own Run value and writer, so nothing is shared between them. Every
+// scenario but the shotless ones hands Run.OnShot at least one shot, each
+// with a result per rank, and Run.OnTrace as many tracers. The shots of
+// the fault scenarios, which run
+// every phase and cell under its own configuration, carry distinct
+// labels, since the metrics registry merges runs that share one.
 func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
+	faults := map[string]bool{"rankfail": true, "preempt": true, "migrate": true, "elastic": true, "straggler": true}
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
 			var out bytes.Buffer
-			var shots atomic.Int64
+			labels := map[string]int{}
+			var traces int
 			run := experiments.Run{Scale: experiments.Small()}
-			run.OnShot = func(experiments.ShotResult) { shots.Add(1) }
+			run.OnTrace = func(string, *trace.Tracer) { traces++ }
+			run.OnShot = func(res experiments.ShotResult) {
+				labels[res.Label()]++
+				if len(res.PerRank) == 0 {
+					t.Errorf("shot %q has no rank results", res.Label())
+				}
+			}
 			if err := sc.run(run, &out); err != nil {
 				t.Fatal(err)
 			}
 			if out.Len() == 0 {
 				t.Error("scenario printed nothing")
 			}
-			if got := shots.Load() > 0; got != bool(sc.shots) {
-				t.Errorf("%d shots reached Run.OnShot, but the table says observed = %v", shots.Load(), sc.shots)
+			var shots int
+			for _, n := range labels {
+				shots += n
+			}
+			if got := shots > 0; got == shotless[sc.name] || traces != shots {
+				t.Errorf("%d shots reached Run.OnShot and %d tracers Run.OnTrace; want shots = %v, one tracer each", shots, traces, !shotless[sc.name])
+			}
+			for label, n := range labels {
+				if faults[sc.name] && n > 1 {
+					t.Errorf("%d shots share the label %q", n, label)
+				}
 			}
 		})
 	}
 }
 
-// TestUnobservedScenariosRefuseRecorders: a scenario whose shots never
-// reach the Run's observers would write empty metrics, critical-path and
-// trace files, so each recording flag with it is a usage error that
-// names the experiment and the flag (-sample by the -metrics-out it
-// needs).
-func TestUnobservedScenariosRefuseRecorders(t *testing.T) {
+// TestShotlessScenariosRefuseRecorders: a scenario that simulates no shot
+// would leave the metrics, critical-path and trace files empty, so each
+// recording flag with it fails the run, names the flag and writes no
+// file.
+func TestShotlessScenariosRefuseRecorders(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.json")
-	for _, sc := range scenarios {
-		if sc.shots {
-			continue
-		}
+	for name := range shotless {
 		for _, args := range [][]string{
 			{"-metrics-out", out}, {"-critpath-out", out}, {"-trace-out", out}, {"-metrics-out", out, "-sample", "1ms"},
 		} {
 			var errOut bytes.Buffer
-			code := cli(append([]string{"-exp", sc.name, "-scale", "small"}, args...), io.Discard, &errOut)
-			if code != 2 {
-				t.Errorf("-exp %s %v exited %d, want 2", sc.name, args, code)
+			if code := cli(append([]string{"-exp", name, "-scale", "small"}, args...), io.Discard, &errOut); code == 0 {
+				t.Errorf("-exp %s %v exited 0", name, args)
 			}
-			if want := `experiment "` + sc.name + `" runs no shot`; !strings.Contains(errOut.String(), want) || !strings.Contains(errOut.String(), args[0]) {
-				t.Errorf("-exp %s %v printed\n%s\nwant a line containing %q and %s", sc.name, args, errOut.String(), want, args[0])
+			if want := `experiment "` + name + `" simulated no shot, so ` + args[0]; !strings.Contains(errOut.String(), want) {
+				t.Errorf("-exp %s %v printed\n%s\nwant a line containing %q", name, args, errOut.String(), want)
 			}
 		}
 	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Errorf("a refused run left %s behind (stat: %v)", out, err)
+	if files, _ := filepath.Glob(filepath.Join(filepath.Dir(out), "*")); len(files) > 0 {
+		t.Errorf("a refused run left %v behind", files)
 	}
 }
 
@@ -155,5 +174,32 @@ func TestSuggestedCadenceKeepsEveryCounterSample(t *testing.T) {
 		if n != 0 {
 			t.Errorf("%s dropped %d counter samples at the suggested -sample %v", label, n, cadence)
 		}
+	}
+}
+
+// TestTracedStragglerReconcilesItsLedger: under -slo with -trace-out, each
+// straggler cell reconciles its SLO report against the alert transitions
+// in its ledger, and the ledger of the 20× unhedged cell, which breaches,
+// holds its fired alert while the healthy control's holds none.
+func TestTracedStragglerReconcilesItsLedger(t *testing.T) {
+	var errOut bytes.Buffer
+	args := []string{"-exp", "straggler", "-scale", "small", "-slo", "-trace-out", filepath.Join(t.TempDir(), "trace.json")}
+	if code := cli(args, io.Discard, &errOut); code != 0 {
+		t.Fatalf("%v exited %d: %s", args, code, errOut.String())
+	}
+	fired := map[string]int{}
+	run := experiments.Run{Scale: experiments.Small(), SLO: true}
+	run.OnTrace = func(label string, tr *trace.Tracer) {
+		for _, ev := range tr.Flight().Ledger(experiments.SLOLedgerRank) {
+			if ev.Kind == trace.LSLOFired {
+				fired[label]++
+			}
+		}
+	}
+	if err := runStraggler(run, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if fired["straggler/sev-20-unhedged"] == 0 || fired["straggler/sev-1-unhedged"] != 0 {
+		t.Errorf("slo-fired ledger events per cell: %v; want some for sev-20-unhedged, none for sev-1-unhedged", fired)
 	}
 }

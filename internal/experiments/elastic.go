@@ -59,9 +59,10 @@ type ElasticResult struct {
 	Recoverable    bool
 }
 
-// Elastic runs the scenario. Deterministic: the same config (and
-// StoreRoot contents) produces the identical result.
-func Elastic(cfg ElasticConfig) (ElasticResult, error) {
+// Elastic runs the scenario, its two memberships as the shots
+// "elastic/<from>-to-<to>/old" and ".../new". Deterministic: the same
+// config (and StoreRoot contents) produces the identical result.
+func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.StoreRoot == "" {
 		return ElasticResult{}, errors.New("experiments: ElasticConfig.StoreRoot required")
@@ -71,9 +72,11 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 		return RankFailConfig{StoreRoot: cfg.StoreRoot}.localDir(0, shard)
 	}
 
+	label := fmt.Sprintf("elastic/%d-to-%d", cfg.FromRanks, cfg.ToRanks)
+
 	// Phase one: the old membership writes to a group-committed frontier
 	// and shuts down cleanly.
-	sim, err := score.NewSim(score.WithNodes(1), score.WithGPUsPerNode(cfg.FromRanks))
+	sim, err := newSimShot(run, label+"/old", nil, score.WithNodes(1), score.WithGPUsPerNode(cfg.FromRanks))
 	if err != nil {
 		return res, err
 	}
@@ -82,20 +85,18 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 		return res, err
 	}
 	var runErr error
-	sim.Run(func() {
-		clients := make([]*score.Client, cfg.FromRanks)
-		for rank := range clients {
-			cl, err := sim.NewClient(0, rank,
-				score.WithGPUCache(16*storeSize),
-				score.WithHostCache(16*storeSize),
+	_, err = sim.run(true, func() error {
+		clients, err := sim.clients(func(_, rank int) []score.ClientOption {
+			return []score.ClientOption{
+				score.WithGPUCache(16 * storeSize),
+				score.WithHostCache(16 * storeSize),
 				score.WithAsyncHostInit(),
 				score.WithStore(shardDir(rank)),
-				score.WithCommitTracker(tracker, rank))
-			if err != nil {
-				runErr = err
-				return
+				score.WithCommitTracker(tracker, rank),
 			}
-			clients[rank] = cl
+		})
+		if err != nil {
+			return err
 		}
 		wg := sim.NewWaitGroup()
 		for rank, cl := range clients {
@@ -116,12 +117,10 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 			})
 		}
 		wg.Wait()
-		for _, cl := range clients {
-			cl.Close()
-		}
+		return runErr
 	})
-	if runErr != nil {
-		return res, runErr
+	if err != nil {
+		return res, err
 	}
 
 	// Phase two: the restart recipe. Scan each shard's store — ground
@@ -148,7 +147,7 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 
 	// The new membership: seed its tracker from the reshard and restore
 	// every adopted shard at the frontier.
-	sim2, err := score.NewSim(score.WithNodes(1), score.WithGPUsPerNode(cfg.ToRanks))
+	sim2, err := newSimShot(run, label+"/new", nil, score.WithNodes(1), score.WithGPUsPerNode(cfg.ToRanks))
 	if err != nil {
 		return res, err
 	}
@@ -159,33 +158,31 @@ func Elastic(cfg ElasticConfig) (ElasticResult, error) {
 	if latest, ok := tracker2.LatestConsistent(); ok && latest == frontier && tracker2.Epoch() == res.Epoch {
 		res.TrackerConsistent = true
 	}
-	sim2.Run(func() {
+	_, err = sim2.run(true, func() error {
 		for rank := 0; rank < cfg.ToRanks; rank++ {
 			for _, shard := range reshard.ShardsOf(rank) {
-				cl, err := sim2.NewClient(0, rank,
+				cl, err := sim2.client(0, rank,
 					score.WithGPUCache(16*storeSize),
 					score.WithHostCache(16*storeSize),
 					score.WithStore(shardDir(shard)))
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				got, err := cl.Restart(frontier)
 				if err != nil {
-					runErr = fmt.Errorf("experiments: rank %d restoring shard %d at v%d: %w", rank, shard, frontier, err)
-					cl.Close()
-					return
+					return fmt.Errorf("experiments: rank %d restoring shard %d at v%d: %w", rank, shard, frontier, err)
 				}
 				if !bytes.Equal(got, rankPayload(shard, frontier)) {
-					runErr = fmt.Errorf("experiments: shard %d restored v%d with wrong bytes", shard, frontier)
-					cl.Close()
-					return
+					return fmt.Errorf("experiments: shard %d restored v%d with wrong bytes", shard, frontier)
 				}
 				res.RestoredShards++
-				cl.Close()
+				if err := sim2.close(cl); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	})
-	res.Recoverable = runErr == nil && res.RestoredShards == cfg.FromRanks
-	return res, runErr
+	res.Recoverable = err == nil && res.RestoredShards == cfg.FromRanks
+	return res, err
 }

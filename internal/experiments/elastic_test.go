@@ -9,7 +9,7 @@ import (
 // 4 ranks' state re-sharded onto 2, every shard restored bit-exactly at
 // the recomputed frontier, tracker seeded consistently at the new epoch.
 func TestElasticShrink(t *testing.T) {
-	res, err := Elastic(ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
+	res, err := Elastic(Run{}, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestElasticShrink(t *testing.T) {
 // TestElasticGrow: the M > N direction — new ranks without a shard stay
 // frontier-consistent, and every old shard still restores.
 func TestElasticGrow(t *testing.T) {
-	res, err := Elastic(ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 2, ToRanks: 3})
+	res, err := Elastic(Run{}, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 2, ToRanks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestElasticGrow(t *testing.T) {
 
 // TestElasticDeterministic: same config, fresh roots, identical result.
 func TestElasticDeterministic(t *testing.T) {
-	a, err := Elastic(ElasticConfig{StoreRoot: t.TempDir()})
+	a, err := Elastic(Run{}, ElasticConfig{StoreRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Elastic(ElasticConfig{StoreRoot: t.TempDir()})
+	b, err := Elastic(Run{}, ElasticConfig{StoreRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestElasticDeterministic(t *testing.T) {
 
 // TestElasticRequiresStoreRoot: the config contract is explicit.
 func TestElasticRequiresStoreRoot(t *testing.T) {
-	if _, err := Elastic(ElasticConfig{}); err == nil {
+	if _, err := Elastic(Run{}, ElasticConfig{}); err == nil {
 		t.Fatal("want error without StoreRoot")
 	}
 }

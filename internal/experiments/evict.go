@@ -257,18 +257,9 @@ func replayTrace(run Run, tr evictTrace, pol cachebuf.Policy) (EvictCell, error)
 		if eng != nil {
 			eng.Finalize()
 			rep := eng.Report()
-			var fired, resolved int64
-			for _, obj := range rep.Objectives {
-				fired += obj.Fired
-				resolved += obj.Resolved
-			}
-			warns, err := slo.CheckConservation(rep,
-				map[slo.Kind]int64{slo.KindHitRate: int64(cell.Accesses)}, fired, resolved, 0)
-			if err != nil {
-				replayErr = fmt.Errorf("slo conservation: %w", err)
+			if replayErr = reconcileSLO(&rep, map[slo.Kind]int64{slo.KindHitRate: int64(cell.Accesses)}, nil); replayErr != nil {
 				return
 			}
-			rep.Warnings = append(rep.Warnings, warns...)
 			cell.SLO = &rep
 			run.reportSLO(fmt.Sprintf("evict/%s/%s", cell.Workload, cell.Policy), rep)
 		}

@@ -105,16 +105,21 @@ func runCombos(base ShotConfig, combos []Combo, orders []rtm.Order) ([]Row, erro
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", combo.Label(), order, err)
 			}
-			rows = append(rows, Row{
-				Combo: combo, Order: order,
-				GPUs:    len(res.PerRank),
-				CkptBps: res.MeanCheckpointThroughput(),
-				RestBps: res.MeanRestoreThroughput(),
-				IOWait:  res.TotalIOWait(),
-			})
+			rows = append(rows, rowOf(res))
 		}
 	}
 	return rows, nil
+}
+
+// rowOf is a shot's figure row: its combo, order and throughputs.
+func rowOf(res ShotResult) Row {
+	return Row{
+		Combo: res.Config.Combo, Order: res.Config.Order,
+		GPUs:    len(res.PerRank),
+		CkptBps: res.MeanCheckpointThroughput(),
+		RestBps: res.MeanRestoreThroughput(),
+		IOWait:  res.TotalIOWait(),
+	}
 }
 
 // Fig4 regenerates the snapshot-size distribution of Figure 4: min, avg,
@@ -136,29 +141,23 @@ func Fig4(scale Scale, shots int) ([]rtm.SnapshotStats, error) {
 // checkpoint+restore throughput across 8 GPUs when the restore phase
 // WAITS for all flushes.
 func Fig5(run Run, uniform bool) (FigureResult, error) {
-	base := ShotConfig{Uniform: uniform, WaitForFlush: true}
-	run.Apply(&base)
-	rows, err := runCombos(base, Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
-	variant := map[bool]string{true: "5a (uniform)", false: "5b (variable)"}[uniform]
-	return FigureResult{
-		ID:    "Fig. " + variant,
-		Title: "ckpt+restore throughput, 8 GPUs, WAIT for flushes",
-		Rows:  rows,
-	}, err
+	return tableOne(run, uniform, true, "5", "ckpt+restore throughput, 8 GPUs, WAIT for flushes")
 }
 
 // Fig6 regenerates Figure 6: the restore phase starts immediately after
 // the checkpoint phase (no flush drain; consumed checkpoints discardable).
 func Fig6(run Run, uniform bool) (FigureResult, error) {
-	base := ShotConfig{Uniform: uniform, WaitForFlush: false}
+	return tableOne(run, uniform, false, "6", "ckpt+restore throughput, 8 GPUs, NO WAIT")
+}
+
+// tableOne runs every Table 1 combo in the three restore orders: figure
+// fig's a (uniform sizes) or b (variable sizes) variant.
+func tableOne(run Run, uniform, wait bool, fig, title string) (FigureResult, error) {
+	base := ShotConfig{Uniform: uniform, WaitForFlush: wait}
 	run.Apply(&base)
 	rows, err := runCombos(base, Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
-	variant := map[bool]string{true: "6a (uniform)", false: "6b (variable)"}[uniform]
-	return FigureResult{
-		ID:    "Fig. " + variant,
-		Title: "ckpt+restore throughput, 8 GPUs, NO WAIT",
-		Rows:  rows,
-	}, err
+	variant := map[bool]string{true: "a (uniform)", false: "b (variable)"}[uniform]
+	return FigureResult{ID: "Fig. " + fig + variant, Title: title, Rows: rows}, err
 }
 
 // Fig7 regenerates Figure 7: per-iteration restore rate and prefetch
@@ -178,15 +177,8 @@ func Fig7(run Run) (FigureResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", hints, err)
 		}
-		merged := mergeRanks(res)
-		out.Series[hints.String()] = merged.RestoreSeries
-		out.Rows = append(out.Rows, Row{
-			Combo: Combo{Score, hints}, Order: rtm.Sequential,
-			GPUs:    len(res.PerRank),
-			CkptBps: res.MeanCheckpointThroughput(),
-			RestBps: res.MeanRestoreThroughput(),
-			IOWait:  res.TotalIOWait(),
-		})
+		out.Series[hints.String()] = res.MergedSummary().RestoreSeries
+		out.Rows = append(out.Rows, rowOf(res))
 	}
 	return out, nil
 }
@@ -267,9 +259,4 @@ func Fig9(run Run, coupled bool, gpuCounts []int) (FigureResult, error) {
 		out.Rows = append(out.Rows, rows...)
 	}
 	return out, nil
-}
-
-// mergeRanks merges all per-rank summaries of a result.
-func mergeRanks(res ShotResult) metrics.Summary {
-	return res.MergedSummary()
 }

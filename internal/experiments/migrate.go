@@ -59,18 +59,21 @@ func (c MigrateConfig) dstDir() string {
 	return filepath.Join(c.StoreRoot, "node1", "migrated", "rank0")
 }
 
-// Migration runs the scenario. Deterministic: the same config (and
-// StoreRoot contents) produces the identical result.
-func Migration(cfg MigrateConfig) (MigrateResult, error) {
+// Migration runs the scenario, its two phases as the shots
+// "migrate/fault-<bool>/live" and ".../successor".
+// Deterministic: the same config (and StoreRoot contents) produces the
+// identical result.
+func Migration(run Run, cfg MigrateConfig) (MigrateResult, error) {
 	if cfg.StoreRoot == "" {
 		return MigrateResult{}, errors.New("experiments: MigrateConfig.StoreRoot required")
 	}
 	const total = migrateCheckpoints + migrateExtra
 	res := MigrateResult{Versions: total}
+	label := fmt.Sprintf("migrate/fault-%t", cfg.InjectFault)
 
 	// Phase one: write the base set, then race the live migration against
 	// the writer's tail and a foreground restore stream.
-	sim, err := score.NewSim(score.WithNodes(2), score.WithGPUsPerNode(1))
+	sim, err := newSimShot(run, label+"/live", nil, score.WithNodes(2), score.WithGPUsPerNode(1))
 	if err != nil {
 		return res, err
 	}
@@ -80,19 +83,16 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 	}
 	inj := sim.NewFaultInjector(scenarioSeed, rules...)
 
-	var runErr error
-	sim.Run(func() {
-		cl, err := sim.NewClient(0, 0,
+	_, err = sim.run(true, func() error {
+		cl, err := sim.client(0, 0,
 			score.WithGPUCache(16*storeSize),
 			score.WithHostCache(16*storeSize),
 			score.WithAsyncHostInit(),
 			score.WithStore(cfg.srcDir()),
 			score.WithFaultInjector(inj))
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		defer cl.Close()
 		write := func(v int64) error {
 			if err := cl.Checkpoint(v, rankPayload(0, v)); err != nil {
 				return fmt.Errorf("experiments: checkpoint %d: %w", v, err)
@@ -101,14 +101,14 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 			return nil
 		}
 		for v := int64(0); v < migrateCheckpoints; v++ {
-			if runErr = write(v); runErr != nil {
-				return
+			if err := write(v); err != nil {
+				return err
 			}
 		}
 		// Live pass: the migration, the writer's tail, and a restore
 		// stream all contend on the same fabric.
 		wg := sim.NewWaitGroup()
-		var liveErr error
+		var liveErr, fgErr error
 		wg.Add(1)
 		sim.Clock().Go(func() {
 			defer wg.Done()
@@ -119,47 +119,44 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 			defer wg.Done()
 			for v := int64(0); v < migrateCheckpoints; v++ {
 				if _, err := cl.Restart(v); err != nil {
-					runErr = fmt.Errorf("experiments: foreground restart %d: %w", v, err)
+					fgErr = fmt.Errorf("experiments: foreground restart %d: %w", v, err)
 					return
 				}
 				cl.Compute(storeInterval / 2)
 			}
 		})
 		for v := int64(migrateCheckpoints); v < total; v++ {
-			if runErr = write(v); runErr != nil {
-				return
+			if err := write(v); err != nil {
+				return err
 			}
 		}
 		if err := cl.WaitFlush(); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		wg.Wait()
-		if liveErr != nil {
-			// A live pass losing its convergence race to the writer is a
-			// definitive, reported outcome — not silent divergence. The
-			// final sync below must then finish the job.
-			if !errors.Is(liveErr, score.ErrMigrationIncomplete) {
-				runErr = liveErr
-				return
-			}
+		if fgErr != nil {
+			return fgErr
+		}
+		// A live pass losing its convergence race to the writer is a
+		// definitive, reported outcome — not silent divergence. The final
+		// sync below must then finish the job.
+		if liveErr != nil && !errors.Is(liveErr, score.ErrMigrationIncomplete) {
+			return liveErr
 		}
 		// Final sync on the quiesced store: incremental (only versions the
 		// live pass missed move) and must validate.
-		res.Final, err = sim.MigrateRank(cl, 1, cfg.dstDir())
-		if err != nil {
-			runErr = err
-			return
+		if res.Final, err = sim.MigrateRank(cl, 1, cfg.dstDir()); err != nil {
+			return err
 		}
 		res.MigratedBytes = res.Live.Bytes + res.Final.Bytes
-		st := cl.Stats()
 		res.InjectedFaults = inj.InjectedAt(score.FaultMigrate)
-		if st.Migrations != 2 {
-			runErr = fmt.Errorf("experiments: expected 2 migration passes in stats, got %d", st.Migrations)
+		if n := cl.Stats().Migrations; n != 2 {
+			return fmt.Errorf("experiments: expected 2 migration passes in stats, got %d", n)
 		}
+		return nil
 	})
-	if runErr != nil {
-		return res, runErr
+	if err != nil {
+		return res, err
 	}
 	if !res.Final.Validated {
 		return res, fmt.Errorf("%w: final sync not validated", score.ErrMigrationIncomplete)
@@ -167,37 +164,33 @@ func Migration(cfg MigrateConfig) (MigrateResult, error) {
 
 	// Phase two: the successor node opens the migrated store and restores
 	// every version against the regenerated reference.
-	sim2, err := score.NewSim(score.WithNodes(2), score.WithGPUsPerNode(1))
+	sim2, err := newSimShot(run, label+"/successor", nil, score.WithNodes(2), score.WithGPUsPerNode(1))
 	if err != nil {
 		return res, err
 	}
-	sim2.Run(func() {
-		cl, err := sim2.NewClient(1, 0,
+	_, err = sim2.run(true, func() error {
+		cl, err := sim2.client(1, 0,
 			score.WithGPUCache(16*storeSize),
 			score.WithHostCache(16*storeSize),
 			score.WithStore(cfg.dstDir()))
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		defer cl.Close()
 		if got := len(cl.RecoveredVersions()); got != total {
-			runErr = fmt.Errorf("experiments: successor recovered %d versions, want %d", got, total)
-			return
+			return fmt.Errorf("experiments: successor recovered %d versions, want %d", got, total)
 		}
 		for v := int64(0); v < total; v++ {
 			got, err := cl.Restart(v)
 			if err != nil {
-				runErr = fmt.Errorf("experiments: successor restart %d: %w", v, err)
-				return
+				return fmt.Errorf("experiments: successor restart %d: %w", v, err)
 			}
 			if !bytes.Equal(got, rankPayload(0, v)) {
-				runErr = fmt.Errorf("experiments: successor restored v%d with wrong bytes", v)
-				return
+				return fmt.Errorf("experiments: successor restored v%d with wrong bytes", v)
 			}
 			res.RestoredVersions++
 		}
 		res.Recoverable = res.RestoredVersions == total
+		return nil
 	})
-	return res, runErr
+	return res, err
 }

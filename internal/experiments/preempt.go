@@ -137,7 +137,7 @@ func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
 	for _, w := range cfg.Windows {
 		cell := PreemptCell{Window: w}
 		for r := 0; r < cfg.Runs; r++ {
-			m, err := preemptRun(cfg, w, r)
+			m, err := preemptRun(run, cfg, w, r)
 			if err != nil {
 				return res, err
 			}
@@ -170,42 +170,34 @@ func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
 	if eng != nil {
 		eng.Finalize()
 		rep := eng.Report()
-		var fired, resolved int64
-		for _, o := range rep.Objectives {
-			fired += o.Fired
-			resolved += o.Resolved
+		// No ledger rides the synthetic timeline, and the event count is
+		// held strictly to the number of runs.
+		if err := reconcileSLO(&rep, map[slo.Kind]int64{slo.KindDrainDeadline: step}, nil); err != nil {
+			return res, fmt.Errorf("experiments: preempt %w", err)
 		}
-		// No ledger rides the synthetic timeline: feed the report's own
-		// tallies so that leg of the check is vacuously true, and hold
-		// the event counts strictly to the number of runs.
-		warns, err := slo.CheckConservation(rep,
-			map[slo.Kind]int64{slo.KindDrainDeadline: step}, fired, resolved, 0)
-		if err != nil {
-			return res, fmt.Errorf("experiments: preempt slo conservation: %w", err)
-		}
-		rep.Warnings = append(rep.Warnings, warns...)
 		res.SLO = &rep
 		run.reportSLO("preempt", rep)
 	}
 	return res, nil
 }
 
-// preemptRun executes one seeded run: build the backlog, let the
-// injector-scheduled notice land mid-phase, and return the manifest the
-// drain timer retained.
-func preemptRun(cfg PreemptConfig, grace time.Duration, run int) (score.DrainManifest, error) {
-	sim, err := score.NewSim(score.WithNodes(1), score.WithGPUsPerNode(1))
+// preemptRun executes one seeded run as the shot "preempt/<grace>/run<r>":
+// build the backlog, let the injector-scheduled notice land mid-phase,
+// and return the manifest the drain timer retained.
+func preemptRun(run Run, cfg PreemptConfig, grace time.Duration, r int) (score.DrainManifest, error) {
+	sim, err := newSimShot(run, fmt.Sprintf("preempt/%v/run%d", grace, r), nil,
+		score.WithNodes(1), score.WithGPUsPerNode(1))
 	if err != nil {
 		return score.DrainManifest{}, err
 	}
-	inj := sim.NewFaultInjector(scenarioSeed + int64(run))
+	inj := sim.NewFaultInjector(scenarioSeed + int64(r))
 	// Slide the notice across the write phase: early notices drain a
 	// shallow backlog, the last run's the full one. Each write costs the
 	// compute interval plus the D2D snapshot copy, so the phase estimate
 	// must include both or late notices land mid-backlog.
 	d2d := time.Duration(float64(cfg.Size) / fabric.DGXA100().D2DBandwidth * float64(time.Second))
 	writePhase := time.Duration(cfg.Checkpoints) * (cfg.Interval + d2d)
-	noticeAt := time.Duration(float64(writePhase) * float64(run+1) / float64(cfg.Runs))
+	noticeAt := time.Duration(float64(writePhase) * float64(r+1) / float64(cfg.Runs))
 	if noticeAt <= 0 {
 		noticeAt = cfg.Interval / 2
 	}
@@ -213,15 +205,14 @@ func preemptRun(cfg PreemptConfig, grace time.Duration, run int) (score.DrainMan
 
 	var m score.DrainManifest
 	var ok bool
-	var runErr error
 	// Both cache tiers hold the whole backlog plus slack, except the GPU
 	// tier is capped at 36 GiB — inside the A100's 40 GiB HBM — so the
 	// paper-scale 48 GiB backlog spreads across the ladder the way a real
 	// job's would.
 	hostCache := int64(cfg.Checkpoints+2) * cfg.Size
 	gpuCache := min(hostCache, 36<<30)
-	sim.Run(func() {
-		cl, err := sim.NewClient(0, 0,
+	_, err = sim.run(false, func() error {
+		cl, err := sim.client(0, 0,
 			score.WithGPUCache(gpuCache),
 			score.WithHostCache(hostCache),
 			score.WithAsyncHostInit(),
@@ -230,8 +221,7 @@ func preemptRun(cfg PreemptConfig, grace time.Duration, run int) (score.DrainMan
 			score.WithFlushStreams(4),
 			score.WithFaultInjector(inj))
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		for v := int64(0); v < int64(cfg.Checkpoints); v++ {
 			if err := cl.CheckpointVirtual(v, cfg.Size); err != nil {
@@ -246,10 +236,10 @@ func preemptRun(cfg PreemptConfig, grace time.Duration, run int) (score.DrainMan
 			sim.Clock().Sleep(d)
 		}
 		m, ok = cl.DrainManifest()
-		cl.Close()
+		return nil
 	})
-	if runErr != nil {
-		return m, runErr
+	if err != nil {
+		return m, err
 	}
 	if !ok {
 		return m, errors.New("experiments: preemption notice produced no drain manifest")

@@ -109,9 +109,25 @@ func (c RankFailConfig) partnerDir(node, rank int) string {
 	return filepath.Join(c.StoreRoot, fmt.Sprintf("node%d", p), "partner", fmt.Sprintf("rank%d", rank))
 }
 
-// RankFailure runs the scenario. Deterministic: the same config (and
-// StoreRoot contents) produces the identical result.
-func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
+// options are rank's client options in either phase, extra included:
+// small caches over its local store, and its partner copy when on.
+func (c RankFailConfig) options(node, rank int, extra ...score.ClientOption) []score.ClientOption {
+	opts := append([]score.ClientOption{
+		score.WithGPUCache(16 * storeSize),
+		score.WithHostCache(16 * storeSize),
+		score.WithStore(c.localDir(node, rank)),
+	}, extra...)
+	if c.PartnerCopy {
+		opts = append(opts, score.WithPartnerCopy(c.partnerDir(node, rank)))
+	}
+	return opts
+}
+
+// RankFailure runs the scenario, its two phases as the shots
+// "rankfail/partner-<bool>/rank-kill-<bool>/run" and ".../restart".
+// Deterministic: the same config (and StoreRoot contents) produces the
+// identical result.
+func RankFailure(run Run, cfg RankFailConfig) (RankFailResult, error) {
 	if cfg.StoreRoot == "" {
 		return RankFailResult{}, errors.New("experiments: RankFailConfig.StoreRoot required")
 	}
@@ -125,8 +141,11 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 		}
 	}
 
+	label := fmt.Sprintf("rankfail/partner-%t/rank-kill-%t", cfg.PartnerCopy, cfg.KillRankOnly)
+
 	// Phase one: run the job under the kill schedule.
-	sim, err := score.NewSim(score.WithNodes(rankFailNodes), score.WithGPUsPerNode(rankFailGPUsPerNode))
+	sim, err := newSimShot(run, label+"/run", nil,
+		score.WithNodes(rankFailNodes), score.WithGPUsPerNode(rankFailGPUsPerNode))
 	if err != nil {
 		return res, err
 	}
@@ -141,34 +160,20 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 		inj.AddKills(score.KillNode(killNode, killAt))
 	}
 
-	var runErr error
-	sim.Run(func() {
-		clients := make([]*score.Client, ranks)
-		for node := 0; node < rankFailNodes; node++ {
-			for g := 0; g < rankFailGPUsPerNode; g++ {
-				rank := node*rankFailGPUsPerNode + g
-				opts := []score.ClientOption{
-					// Small caches + async host registration keep setup
-					// near zero virtual time, so killAt lands mid-job
-					// rather than during construction (a 32 GiB pinned
-					// registration alone costs seconds of virtual time).
-					score.WithGPUCache(16 * storeSize),
-					score.WithHostCache(16 * storeSize),
-					score.WithAsyncHostInit(),
-					score.WithStore(cfg.localDir(node, rank)),
-					score.WithCommitTracker(tracker, rank),
-					score.WithFaultInjector(inj),
-				}
-				if cfg.PartnerCopy {
-					opts = append(opts, score.WithPartnerCopy(cfg.partnerDir(node, rank)))
-				}
-				cl, err := sim.NewClient(node, g, opts...)
-				if err != nil {
-					runErr = err
-					return
-				}
-				clients[rank] = cl
-			}
+	// The killed ranks never drain.
+	_, err = sim.run(false, func() error {
+		clients, err := sim.clients(func(node, rank int) []score.ClientOption {
+			return cfg.options(node, rank,
+				// Async host registration keeps setup near zero virtual
+				// time, so killAt lands mid-job rather than during
+				// construction (a 32 GiB pinned registration alone costs
+				// seconds of virtual time).
+				score.WithAsyncHostInit(),
+				score.WithCommitTracker(tracker, rank),
+				score.WithFaultInjector(inj))
+		})
+		if err != nil {
+			return err
 		}
 		wg := sim.NewWaitGroup()
 		for rank, cl := range clients {
@@ -190,11 +195,11 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 			st := cl.Stats()
 			res.PartnerCopies += st.PartnerCopies
 			res.PartnerCopyBytes += st.PartnerCopyBytes
-			cl.Close()
 		}
+		return nil
 	})
-	if runErr != nil {
-		return res, runErr
+	if err != nil {
+		return res, err
 	}
 	res.RankDeaths = tracker.RankDeaths()
 	res.CommitLag = tracker.CommitLag()
@@ -211,7 +216,8 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 	// Phase two: restart every rank and recompute the consistent frontier
 	// from what each recovered store actually holds — ground truth, not
 	// the running tracker's view.
-	sim2, err := score.NewSim(score.WithNodes(rankFailNodes), score.WithGPUsPerNode(rankFailGPUsPerNode))
+	sim2, err := newSimShot(run, label+"/restart", nil,
+		score.WithNodes(rankFailNodes), score.WithGPUsPerNode(rankFailGPUsPerNode))
 	if err != nil {
 		return res, err
 	}
@@ -219,57 +225,35 @@ func RankFailure(cfg RankFailConfig) (RankFailResult, error) {
 	if err != nil {
 		return res, err
 	}
-	sim2.Run(func() {
-		clients := make([]*score.Client, ranks)
-		for node := 0; node < rankFailNodes; node++ {
-			for g := 0; g < rankFailGPUsPerNode; g++ {
-				rank := node*rankFailGPUsPerNode + g
-				opts := []score.ClientOption{
-					score.WithGPUCache(16 * storeSize),
-					score.WithHostCache(16 * storeSize),
-					score.WithStore(cfg.localDir(node, rank)),
-				}
-				if cfg.PartnerCopy {
-					opts = append(opts, score.WithPartnerCopy(cfg.partnerDir(node, rank)))
-				}
-				cl, err := sim2.NewClient(node, g, opts...)
-				if err != nil {
-					runErr = err
-					return
-				}
-				clients[rank] = cl
-				for _, v := range cl.RecoveredVersions() {
-					restartTracker.MarkDurable(rank, v)
-				}
-			}
-		}
-		defer func() {
-			for _, cl := range clients {
-				cl.Close()
-			}
-		}()
-		latest, ok := restartTracker.LatestConsistent()
-		if !ok {
-			return // unrecoverable: no version is durable on every rank
-		}
-		res.LatestConsistent = latest
-		want := make([][]byte, ranks)
-		for rank := range clients {
-			want[rank] = rankPayload(rank, latest)
+	_, err = sim2.run(true, func() error {
+		clients, err := sim2.clients(func(node, rank int) []score.ClientOption {
+			return cfg.options(node, rank)
+		})
+		if err != nil {
+			return err
 		}
 		for rank, cl := range clients {
-			got, err := cl.Restart(latest)
-			if err != nil {
-				runErr = fmt.Errorf("experiments: rank %d restart of v%d: %w", rank, latest, err)
-				return
+			for _, v := range cl.RecoveredVersions() {
+				restartTracker.MarkDurable(rank, v)
 			}
-			if !bytes.Equal(got, want[rank]) {
-				runErr = fmt.Errorf("experiments: rank %d restored v%d with wrong bytes", rank, latest)
-				return
+		}
+		// Without a version durable on every rank the job is
+		// unrecoverable: nothing is restored.
+		if latest, ok := restartTracker.LatestConsistent(); ok {
+			res.LatestConsistent = latest
+			for rank, cl := range clients {
+				got, err := cl.Restart(latest)
+				if err != nil {
+					return fmt.Errorf("experiments: rank %d restart of v%d: %w", rank, latest, err)
+				}
+				if !bytes.Equal(got, rankPayload(rank, latest)) {
+					return fmt.Errorf("experiments: rank %d restored v%d with wrong bytes", rank, latest)
+				}
+				res.RestoredRanks++
 			}
-			res.RestoredRanks++
 		}
 		res.Recoverable = res.RestoredRanks == ranks
+		return nil
 	})
-	return res, runErr
+	return res, err
 }

@@ -192,17 +192,11 @@ type ShotConfig struct {
 	// count and cumulative busy time per fabric link, every interval.
 	// The series land in ShotResult.Series.
 	SampleInterval time.Duration
-	// Tracer, when set, receives span events from Score ranks and — with
-	// sampling enabled — every sample as a Chrome-trace counter event.
-	Tracer *trace.Tracer
 
 	// Objectives, when non-empty, attaches an SLO engine evaluating them
 	// over the shot on its virtual clock (Score combos only — the
 	// baselines have no critical-path cursor to attribute from).
 	Objectives []slo.Objective
-	// slo is the engine runShot builds from Objectives, carried in the
-	// config so buildRuntime can hand it to each rank's runtime.
-	slo *slo.Engine
 
 	// Observers are the callbacks the shot reports through (see Run).
 	Observers
@@ -219,10 +213,9 @@ type Observers struct {
 	OnSLO func(label string, rep slo.Report)
 	// OnTrace enables per-shot tracing. A tracer timestamps from one
 	// clock and every shot runs on a fresh virtual clock, so one tracer
-	// cannot span shots: a shot whose Tracer is nil records spans,
-	// lifecycle-ledger events and sampled counters into a fresh bounded
-	// tracer on its own clock, handed to OnTrace with the shot's label
-	// when the shot completes.
+	// cannot span shots: each shot records spans, lifecycle-ledger events
+	// and sampled counters into a fresh bounded tracer on its own clock,
+	// handed to OnTrace with the shot's label when the shot completes.
 	OnTrace func(label string, t *trace.Tracer)
 }
 
@@ -241,7 +234,8 @@ func (o Observers) reportSLO(label string, rep slo.Report) {
 type Run struct {
 	Scale
 	// SampleInterval, when positive, samples every shot's gauges at this
-	// simulated interval (ShotConfig.SampleInterval).
+	// simulated interval (ShotConfig.SampleInterval, or a scenario Sim's
+	// WithSampling).
 	SampleInterval time.Duration
 	// ChunkSize, when positive, streams every shot's multi-hop transfers
 	// in chunks of this many bytes (ShotConfig.ChunkSize); drivers that
@@ -315,16 +309,17 @@ type RankResult struct {
 	Summary metrics.Summary
 }
 
-// ShotResult aggregates a run.
+// ShotResult aggregates a run. A scenario phase on a score.Sim sets only
+// its Config's Label, and has one RankResult per client in closing order.
 type ShotResult struct {
 	Config   ShotConfig
 	PerRank  []RankResult
 	Duration time.Duration // simulated makespan
-	// Series holds the sampled time series when Config.SampleInterval
-	// was set (nil otherwise).
+	// Series holds the sampled time series when the shot was sampled
+	// (nil otherwise).
 	Series map[string][]metrics.Sample
-	// SLO holds the engine's end-of-run report when Config.Objectives
-	// was set on a Score combo (nil otherwise).
+	// SLO holds the engine's end-of-run report when the shot evaluated
+	// objectives (nil otherwise).
 	SLO *slo.Report
 }
 
@@ -409,10 +404,9 @@ func RunShot(cfg ShotConfig) (ShotResult, error) {
 }
 
 func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
-	var sinkTracer *trace.Tracer
-	if cfg.Tracer == nil && cfg.OnTrace != nil {
-		sinkTracer = trace.New(clk.Now)
-		cfg.Tracer = sinkTracer
+	var tracer *trace.Tracer
+	if cfg.OnTrace != nil {
+		tracer = trace.New(clk.Now)
 	}
 	// The SLO engine rides the shot clock and only Score runtimes feed it
 	// (the baselines have no critical-path cursor): a baseline combo with
@@ -420,12 +414,11 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	// emit vacuous compliance rows.
 	var sloEng *slo.Engine
 	if len(cfg.Objectives) > 0 && cfg.Combo.Approach == Score {
-		eng, err := slo.NewEngine(clk.Now, cfg.Objectives...)
+		eng, err := newSLOEngine(clk.Now, cfg.Objectives, tracer)
 		if err != nil {
 			return ShotResult{}, err
 		}
 		sloEng = eng
-		cfg.slo = eng
 	}
 	// Every node is a DGX A100. Reduced-scale runs scale its links and the
 	// allocation rates alike, so they keep the paper's cost ratios (e.g.
@@ -486,7 +479,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		if sharedPools != nil {
 			pool = sharedPools[rank/cfg.GPUsPerNode]
 		}
-		rt, err := buildRuntime(clk, cfg, gpu, node, pool)
+		rt, err := buildRuntime(clk, cfg, gpu, node, pool, tracer, sloEng)
 		if err != nil {
 			return ShotResult{}, err
 		}
@@ -503,32 +496,6 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		orders[rank] = cfg.Order.Sequence(cfg.Snapshots, cfg.Seed+int64(rank))
 	}
 
-	if sloEng != nil {
-		// Alert transitions are run-scoped: counters land on rank 0's
-		// recorder, ledger events on the synthetic SLOLedgerRank. The
-		// sink runs outside the engine mutex, and calls are serialized
-		// by the virtual clock (flushes happen when simulated time
-		// advances, which parks the whole cohort), so the transition
-		// counter needs no lock — but keep it atomic so the race
-		// detector never has to reason about clock-edge ordering.
-		rec := rts[0].Metrics()
-		var fl *trace.FlightRecorder
-		if cfg.Tracer != nil {
-			fl = cfg.Tracer.Flight()
-		}
-		var transitions atomic.Int64
-		sloEng.SetAlertSink(func(a slo.Alert) {
-			kind := trace.LSLOFired
-			if a.Fired() {
-				rec.SLOAlertFired()
-			} else {
-				kind = trace.LSLOResolved
-				rec.SLOAlertResolved()
-			}
-			fl.RecordAt(SLOLedgerRank, transitions.Add(1), kind, a.Class, a.Detail(), a.At)
-		})
-	}
-
 	var sampler *metrics.Sampler
 	if cfg.SampleInterval > 0 {
 		sampler = metrics.NewSampler(clk, cfg.SampleInterval, 0)
@@ -538,8 +505,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 			}
 		}
 		registerLinkProbes(sampler, cluster)
-		if cfg.Tracer != nil {
-			tracer := cfg.Tracer
+		if tracer != nil {
 			tracer.SetCounterSource(sampler)
 			// Surface the tracer's bounded-buffer drop counters in the
 			// sampled series: a non-zero value means the span ring or
@@ -581,19 +547,6 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	}
 	wg.Wait()
 
-	// Close out observability state before snapshots so the counters the
-	// per-rank summaries carry already include end-of-run transitions:
-	// Finalize flushes the engine's last staged instant (possibly firing
-	// or resolving alerts through the sink above), and the telemetry-drop
-	// gauges record whether the bounded trace rings wrapped.
-	if sloEng != nil {
-		sloEng.Finalize()
-	}
-	if cfg.Tracer != nil && cfg.Combo.Approach == Score {
-		ev, cnt := cfg.Tracer.Dropped()
-		rts[0].Metrics().TelemetryDrops(ev, cnt, cfg.Tracer.Flight().TotalDropped())
-	}
-
 	res := ShotResult{Config: cfg, Duration: clk.Now()}
 	for rank := 0; rank < ranks; rank++ {
 		if errs[rank] != nil {
@@ -626,31 +579,76 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		sampler.Stop()
 		res.Series = sampler.Series()
 	}
-	if sloEng != nil {
-		rep := sloEng.Report()
-		if err := reconcileSLO(&rep, res.MergedSummary(), cfg.Tracer); err != nil {
-			return res, fmt.Errorf("%s: %w", res.Label(), err)
-		}
-		res.SLO = &rep
-		cfg.reportSLO(res.Label(), rep)
-	}
-	if cfg.OnShot != nil {
-		cfg.OnShot(res)
-	}
-	if sinkTracer != nil {
-		cfg.OnTrace(res.Label(), sinkTracer)
+	if err := cfg.endShot(&res, sloEng, tracer); err != nil {
+		return res, fmt.Errorf("%s: %w", res.Label(), err)
 	}
 	return res, nil
 }
 
-// reconcileSLO runs the SLO conservation check against the run's merged
-// metrics and alert ledger, folding degraded-mode warnings into the
-// report. The engine's per-kind event counts must equal the counts
-// derivable from the critical-path records and drain tallies (which the
-// metrics invariants in turn tie to the operation histograms); its alert
-// transitions must equal the ledger's retained fire/resolve events —
-// strictly when the ledger dropped nothing, as warnings otherwise.
-func reconcileSLO(rep *slo.Report, merged metrics.Summary, tracer *trace.Tracer) error {
+// newSLOEngine builds a shot's SLO engine on its clock. With a tracer,
+// alert transitions land in its ledger on the synthetic SLOLedgerRank:
+// they are run-scoped, not per-rank. The sink runs outside the engine
+// mutex and the virtual clock serializes its calls, so the transition
+// counter needs no lock, but it stays atomic so that the race detector
+// never has to reason about clock-edge ordering.
+func newSLOEngine(now func() time.Duration, objs []slo.Objective, tracer *trace.Tracer) (*slo.Engine, error) {
+	eng, err := slo.NewEngine(now, objs...)
+	if err != nil || tracer == nil {
+		return eng, err
+	}
+	fl := tracer.Flight()
+	var transitions atomic.Int64
+	eng.SetAlertSink(func(a slo.Alert) {
+		kind := trace.LSLOResolved
+		if a.Fired() {
+			kind = trace.LSLOFired
+		}
+		fl.RecordAt(SLOLedgerRank, transitions.Add(1), kind, a.Class, a.Detail(), a.At)
+	})
+	return eng, nil
+}
+
+// endShot is every shot's post-shot sequence, once its ranks' results
+// and sampled series are in and its sampler has stopped: finalize the
+// SLO engine and reconcile its report, then hand the labelled result to
+// OnShot and the tracer to OnTrace. Run-scoped counters, the alert
+// transitions and the trace rings' drop counts, land in the first rank's
+// summary (nowhere, for a shot without ranks).
+func (o Observers) endShot(res *ShotResult, eng *slo.Engine, tracer *trace.Tracer) error {
+	first := &metrics.Summary{}
+	if len(res.PerRank) > 0 {
+		first = &res.PerRank[0].Summary
+	}
+	if eng != nil {
+		eng.Finalize()
+		rep := eng.Report()
+		if err := reconcileSLO(&rep, sloCounts(res.MergedSummary()), tracer); err != nil {
+			return err
+		}
+		for _, ob := range rep.Objectives {
+			first.SLOAlertsFired += ob.Fired
+			first.SLOAlertsResolved += ob.Resolved
+		}
+		res.SLO = &rep
+		o.reportSLO(res.Label(), rep)
+	}
+	if tracer != nil {
+		first.TraceEventsDropped, first.TraceCountersDropped = tracer.Dropped()
+		first.LedgerEventsDropped = tracer.Flight().TotalDropped()
+	}
+	if o.OnShot != nil {
+		o.OnShot(*res)
+	}
+	if o.OnTrace != nil && tracer != nil {
+		o.OnTrace(res.Label(), tracer)
+	}
+	return nil
+}
+
+// sloCounts are the per-kind SLO event counts derivable from a shot's
+// merged critical-path records and drain tallies, which the metrics
+// invariants in turn tie to the operation histograms.
+func sloCounts(merged metrics.Summary) map[slo.Kind]int64 {
 	counts := map[slo.Kind]int64{slo.KindDrainDeadline: merged.Drains}
 	for _, cp := range merged.CritPaths {
 		switch cp.Op {
@@ -661,6 +659,15 @@ func reconcileSLO(rep *slo.Report, merged metrics.Summary, tracer *trace.Tracer)
 			counts[slo.KindDurableLatency]++
 		}
 	}
+	return counts
+}
+
+// reconcileSLO runs the SLO conservation check, folding degraded-mode
+// warnings into the report: the engine's per-kind event counts must
+// equal counts, and its alert transitions the ledger's retained
+// fire/resolve events — strictly when the ledger dropped nothing, as
+// warnings otherwise.
+func reconcileSLO(rep *slo.Report, counts map[slo.Kind]int64, tracer *trace.Tracer) error {
 	// Without a tracer there is no ledger to reconcile against: feed the
 	// report's own tallies so that leg of the check is vacuously true.
 	var ledgerFired, ledgerResolved, ledgerDropped int64
@@ -718,7 +725,8 @@ func registerLinkProbes(s *metrics.Sampler, cluster *fabric.Cluster) {
 	}
 }
 
-func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fabric.Node, pool *core.SharedHostCache) (Runtime, error) {
+func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fabric.Node, pool *core.SharedHostCache,
+	tracer *trace.Tracer, eng *slo.Engine) (Runtime, error) {
 	switch cfg.Combo.Approach {
 	case ADIOS2:
 		return adiossim.New(adiossim.Config{
@@ -745,12 +753,12 @@ func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fab
 			GPUDirectStorage:    cfg.GPUDirect,
 			ChunkSize:           cfg.ChunkSize,
 			FlushStreams:        cfg.FlushStreams,
-			Tracer:              cfg.Tracer,
+			Tracer:              tracer,
 		}
-		if cfg.slo != nil {
+		if eng != nil {
 			// Assigned only when non-nil so the interface stays nil (not
 			// a typed-nil) and core's zero-overhead gate holds.
-			params.SLO = cfg.slo
+			params.SLO = eng
 		}
 		client, err := core.New(params)
 		if err != nil {

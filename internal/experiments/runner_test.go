@@ -64,7 +64,7 @@ func TestRunShotVariableSizesAndOrders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
-		m := mergeRanks(res)
+		m := res.MergedSummary()
 		if m.RestoreOps != 96 {
 			t.Errorf("%v: restore ops = %d, want 96", order, m.RestoreOps)
 		}
@@ -118,7 +118,7 @@ func TestTightlyCoupledRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := mergeRanks(res); m.RestoreOps != 96 {
+	if m := res.MergedSummary(); m.RestoreOps != 96 {
 		t.Errorf("restore ops = %d, want 96", m.RestoreOps)
 	}
 }

@@ -119,12 +119,9 @@ func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
 	res := StragglerResult{Config: cfg}
 	for _, sev := range cfg.Severities {
 		for _, hedged := range []bool{false, true} {
-			cell, err := stragglerRun(cfg, sev, hedged)
+			cell, err := stragglerRun(run, cfg, sev, hedged)
 			if err != nil {
-				return res, fmt.Errorf("experiments: straggler %s: %w", cell.Label(), err)
-			}
-			if cell.SLO != nil {
-				run.reportSLO("straggler/"+cell.Label(), *cell.SLO)
+				return res, err
 			}
 			res.Cells = append(res.Cells, cell)
 		}
@@ -132,29 +129,22 @@ func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
 	return res, nil
 }
 
-// stragglerRun executes one cell: healthy write phase (calibrates the
-// health estimator), degrade the NVMe link, restore newest-first, and
-// report the blocking-time quantiles.
-func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (StragglerCell, error) {
+// stragglerRun executes one cell as the shot "straggler/<cell label>":
+// healthy write phase (calibrates the health estimator), degrade the NVMe
+// link, restore newest-first, and report the blocking-time quantiles.
+// The cell's SLO engine rides its own virtual clock: compliance is per
+// (severity, hedging) run.
+func stragglerRun(run Run, cfg StragglerConfig, severity float64, hedged bool) (StragglerCell, error) {
 	cell := StragglerCell{Severity: severity, Hedged: hedged}
-	sim, err := score.NewSim(score.WithNodes(1), score.WithGPUsPerNode(1))
+	sim, err := newSimShot(run, "straggler/"+cell.Label(), cfg.Objectives,
+		score.WithNodes(1), score.WithGPUsPerNode(1))
 	if err != nil {
 		return cell, err
 	}
 	inj := sim.NewFaultInjector(scenarioSeed)
 
-	// The SLO engine rides the cell's own virtual clock, watching the
-	// restore critical paths the client feeds it. Each cell gets a fresh
-	// engine: compliance is per (severity, hedging) run.
-	var eng *slo.Engine
-	if len(cfg.Objectives) > 0 {
-		if eng, err = sim.NewSLOEngine(cfg.Objectives...); err != nil {
-			return cell, err
-		}
-	}
-
-	var runErr error
-	sim.Run(func() {
+	// The restores only read: the flushes drained before them.
+	res, err := sim.run(true, func() error {
 		opts := []score.ClientOption{
 			// Both cache tiers hold only a few versions, so most restores
 			// must read from the durable ladder — the path the straggler
@@ -171,29 +161,22 @@ func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (Straggler
 		if hedged {
 			opts = append(opts, score.WithHedgedRestores())
 		}
-		if eng != nil {
-			opts = append(opts, score.WithSLO(eng))
-		}
-		cl, err := sim.NewClient(0, 0, opts...)
+		cl, err := sim.client(0, 0, opts...)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		defer cl.Close()
 
 		// Healthy write phase: every version lands on SSD and PFS at
 		// nominal speed, seeding the per-class latency floors the
 		// adaptive hedge deadlines derive from.
 		for v := int64(0); v < int64(cfg.Checkpoints); v++ {
 			if err := cl.CheckpointVirtual(v, cfg.Size); err != nil {
-				runErr = fmt.Errorf("checkpoint %d: %w", v, err)
-				return
+				return fmt.Errorf("checkpoint %d: %w", v, err)
 			}
 			cl.Compute(cfg.Interval)
 		}
 		if err := cl.WaitFlush(); err != nil {
-			runErr = fmt.Errorf("wait flush: %w", err)
-			return
+			return fmt.Errorf("wait flush: %w", err)
 		}
 
 		// The straggler appears: the NVMe link silently drops to 1/s of
@@ -211,8 +194,7 @@ func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (Straggler
 		for v := int64(cfg.Checkpoints) - 1; v >= 0; v-- {
 			t0 := sim.Clock().Now()
 			if _, err := cl.Restart(v); err != nil {
-				runErr = fmt.Errorf("restart %d: %w", v, err)
-				return
+				return fmt.Errorf("restart %d: %w", v, err)
 			}
 			durs = append(durs, sim.Clock().Now()-t0)
 			cell.Restores++
@@ -232,20 +214,8 @@ func stragglerRun(cfg StragglerConfig, severity float64, hedged bool) (Straggler
 		cell.StallsDetected = st.StallsDetected
 		cell.StallsRerouted = st.StallsRerouted
 		cell.HealthQuarantines = st.HealthQuarantines
-
-		if eng != nil {
-			eng.Finalize()
-			rep := eng.Report()
-			if err := reconcileSLO(&rep, cl.MetricsSummary(), nil); err != nil {
-				runErr = fmt.Errorf("slo conservation: %w", err)
-				return
-			}
-			cell.SLO = &rep
-		}
-
-		if err := cl.CheckMetricsInvariants(false); err != nil {
-			runErr = fmt.Errorf("metrics invariants: %w", err)
-		}
+		return nil
 	})
-	return cell, runErr
+	cell.SLO = res.SLO
+	return cell, err
 }

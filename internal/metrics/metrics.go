@@ -246,25 +246,6 @@ func (r *Recorder) HedgeWin() { r.add(&r.s.HedgeWins, 1) }
 // completed but its result was discarded.
 func (r *Recorder) HedgeWasted(bytes int64) { r.add(&r.s.HedgeWastedBytes, bytes) }
 
-// SLOAlertFired records one SLO objective window pair crossing its
-// burn-rate threshold.
-func (r *Recorder) SLOAlertFired() { r.add(&r.s.SLOAlertsFired, 1) }
-
-// SLOAlertResolved records one firing SLO window pair dropping back
-// below its burn-rate threshold.
-func (r *Recorder) SLOAlertResolved() { r.add(&r.s.SLOAlertsResolved, 1) }
-
-// TelemetryDrops mirrors the bounded telemetry rings' drop counts
-// (Tracer.Dropped and FlightRecorder.TotalDropped) into the metrics
-// books. The values are totals, not deltas — the latest call wins.
-func (r *Recorder) TelemetryDrops(traceEvents, traceCounters, ledgerEvents int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.s.TraceEventsDropped = traceEvents
-	r.s.TraceCountersDropped = traceCounters
-	r.s.LedgerEventsDropped = ledgerEvents
-}
-
 // StallDetected records a background flush leg exceeding its adaptive
 // deadline without failing — the gray-stall signal.
 func (r *Recorder) StallDetected() { r.add(&r.s.StallsDetected, 1) }

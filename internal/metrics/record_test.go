@@ -10,8 +10,7 @@ import (
 // i-th call with arguments scaled by i, and requires the snapshot to hold
 // exactly the expected Summary and histogram sample counts: a method that
 // writes a neighbour's field, writes one field too many, or assigns where
-// it should add fails here. TelemetryDrops is the one that assigns (its
-// arguments are totals), so its second call wins.
+// it should add fails here.
 func TestEachRecordLandsInItsOwnFields(t *testing.T) {
 	ms := time.Millisecond
 	for _, tc := range []struct {
@@ -81,12 +80,6 @@ func TestEachRecordLandsInItsOwnFields(t *testing.T) {
 			Summary{HedgeWins: 2}, nil},
 		{"HedgeWasted", func(r *Recorder, i int64) { r.HedgeWasted(10 * i) },
 			Summary{HedgeWastedBytes: 30}, nil},
-		{"SLOAlertFired", func(r *Recorder, i int64) { r.SLOAlertFired() },
-			Summary{SLOAlertsFired: 2}, nil},
-		{"SLOAlertResolved", func(r *Recorder, i int64) { r.SLOAlertResolved() },
-			Summary{SLOAlertsResolved: 2}, nil},
-		{"TelemetryDrops", func(r *Recorder, i int64) { r.TelemetryDrops(i, 2*i, 3*i) },
-			Summary{TraceEventsDropped: 2, TraceCountersDropped: 4, LedgerEventsDropped: 6}, nil},
 		{"StallDetected", func(r *Recorder, i int64) { r.StallDetected() },
 			Summary{StallsDetected: 2}, nil},
 		{"StallRerouted", func(r *Recorder, i int64) { r.StallRerouted() },
