@@ -8,11 +8,12 @@ GO ?= go
 verify: vet staticcheck build race bench-check loc-check
 
 # vet also gates the baton contract (DESIGN.md §14): no go statement,
-# channel or sync.WaitGroup in non-test model code outside internal/simclock.
+# channel or sync.WaitGroup in non-test model code outside internal/simclock,
+# and no sync.Mutex or RWMutex outside the few types real goroutines drive.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
-	$(GO) test -count=1 -run '^TestModelCodeKeepsTheBatonContract$$' ./internal/simclock
+	$(GO) test -count=1 -run '^(TestModelCodeKeepsTheBatonContract|TestModelCodeDeclaresNoMutex)$$' ./internal/simclock
 
 # staticcheck runs when the binary is available (CI installs it; local
 # environments without it skip with a note rather than failing verify).

@@ -2,7 +2,6 @@ package score
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"score/internal/core"
@@ -201,7 +200,6 @@ type Client struct {
 	node        int                // node index, for migration path construction
 	inj         *faultinject.Injector
 
-	drainMu       sync.Mutex
 	drainManifest DrainManifest // last drain's manifest (timer- or call-driven)
 	drainDone     bool
 }

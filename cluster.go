@@ -24,7 +24,8 @@ var ErrKilled = core.ErrKilled
 // holds it on a durable tier. Create one per job with Sim.NewCommitTracker
 // and attach it to each rank's client with WithCommitTracker; restarts
 // then resume from LatestConsistent instead of each rank's private
-// newest version. Safe for concurrent use by all ranks.
+// newest version. All ranks of the job share it; use it from the tasks of
+// the simulation's clock, as every rank's client is used.
 type CommitTracker struct {
 	inner *coord.Tracker
 }

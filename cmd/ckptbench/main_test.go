@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"score/internal/cachebuf"
 	"score/internal/experiments"
+	"score/internal/report"
 	"score/internal/trace"
 )
 
@@ -52,12 +54,10 @@ var shotless = map[string]bool{"table1": true, "fig4": true, "evict": true}
 // `-exp all -scale small` does, except concurrently: every scenario gets
 // its own Run value and writer, so nothing is shared between them. Every
 // scenario but the shotless ones hands Run.OnShot at least one shot, each
-// with a result per rank, and Run.OnTrace as many tracers. The shots of
-// the fault scenarios, which run
-// every phase and cell under its own configuration, carry distinct
-// labels, since the metrics registry merges runs that share one.
+// with a result per rank, and Run.OnTrace as many tracers. Every shot of
+// a scenario carries a label of its own, since the metrics registry
+// merges runs that share one.
 func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
-	faults := map[string]bool{"rankfail": true, "preempt": true, "migrate": true, "elastic": true, "straggler": true}
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -87,7 +87,7 @@ func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
 				t.Errorf("%d shots reached Run.OnShot and %d tracers Run.OnTrace; want shots = %v, one tracer each", shots, traces, !shotless[sc.name])
 			}
 			for label, n := range labels {
-				if faults[sc.name] && n > 1 {
+				if n > 1 {
 					t.Errorf("%d shots share the label %q", n, label)
 				}
 			}
@@ -201,5 +201,38 @@ func TestTracedStragglerReconcilesItsLedger(t *testing.T) {
 	}
 	if fired["straggler/sev-20-unhedged"] == 0 || fired["straggler/sev-1-unhedged"] != 0 {
 		t.Errorf("slo-fired ledger events per cell: %v; want some for sev-20-unhedged, none for sev-1-unhedged", fired)
+	}
+}
+
+// TestEveryShotWritesItsOwnRun: the figure and ablation sweeps label each
+// shot by everything they vary (combo, restore mode, order, swept value;
+// the ablation variant), so -metrics-out writes one run and -trace-out one
+// file per shot instead of merging and overwriting the shots that share a
+// label: fig5a's 21 (seven combos × three orders) and the ablations' one
+// per variant.
+func TestEveryShotWritesItsOwnRun(t *testing.T) {
+	for exp, shots := range map[string]int{"fig5a": 21, "ablations": len(cachebuf.Policies()) + 9} {
+		t.Run(exp, func(t *testing.T) {
+			dir := t.TempDir()
+			metricsPath := filepath.Join(dir, "metrics.json")
+			var out, errOut bytes.Buffer
+			args := []string{"-exp", exp, "-scale", "small", "-metrics-out", metricsPath, "-trace-out", filepath.Join(dir, "trace.json")}
+			if code := cli(args, &out, &errOut); code != 0 {
+				t.Fatalf("%v exited %d: %s", args, code, errOut.String())
+			}
+			if got := strings.Count(out.String(), "wrote trace "); got != shots {
+				t.Errorf("%d traces written, want one per shot: %d", got, shots)
+			}
+			runs, err := report.MetricsFile.LoadFile(metricsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != shots {
+				t.Errorf("%s holds %d runs for %d shots", metricsPath, len(runs), shots)
+			}
+			if traces, _ := filepath.Glob(filepath.Join(dir, "trace-*.json")); len(traces) != shots {
+				t.Errorf("%d trace files for %d shots", len(traces), shots)
+			}
+		})
 	}
 }

@@ -12,7 +12,6 @@ package adiossim
 
 import (
 	"errors"
-	"sync"
 
 	"score/internal/device"
 	"score/internal/fabric"
@@ -88,7 +87,6 @@ type Client struct {
 	clk simclock.Clock
 	rec *metrics.Recorder
 
-	mu   sync.Mutex
 	cond simclock.Cond
 
 	steps    map[int64]*step
@@ -109,7 +107,7 @@ func New(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{cfg: cfg, clk: cfg.Clock, rec: metrics.NewRecorder(), steps: map[int64]*step{}}
-	c.cond = c.clk.NewCond(&c.mu)
+	c.cond = c.clk.NewCond(nil)
 	c.daemons = simclock.NewWaitGroup(c.clk)
 	c.daemons.Add(1)
 	c.clk.Go(func() { defer c.daemons.Done(); c.drainer() })
@@ -118,21 +116,16 @@ func New(cfg Config) (*Client, error) {
 
 // Close stops the drain worker.
 func (c *Client) Close() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
 	c.cond.Broadcast()
-	c.mu.Unlock()
 	c.daemons.Wait()
 }
 
 // Err reports the first asynchronous drain failure, if any.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.err
 }
 
@@ -145,13 +138,10 @@ func (c *Client) Metrics() *metrics.Recorder { return c.rec }
 // no step behind.
 func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	start := c.clk.Now()
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	if _, dup := c.steps[id]; dup {
-		c.mu.Unlock()
 		return ErrDuplicate
 	}
 	s := &step{id: id, size: pay.Size(), pay: pay}
@@ -160,29 +150,23 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	for c.hostUsed+s.size > c.cfg.HostBufferSize {
 		if c.closed {
 			delete(c.steps, id)
-			c.mu.Unlock()
 			return ErrClosed
 		}
 		c.cond.Wait()
 	}
 	c.hostUsed += s.size
 	s.buffered = true
-	c.mu.Unlock()
 
 	// On-demand pageable D2H: blocks the application.
 	if err := c.pcieCopy(s.size); err != nil {
-		c.mu.Lock()
 		delete(c.steps, id)
 		c.hostUsed -= s.size
 		c.cond.Broadcast()
-		c.mu.Unlock()
 		return err
 	}
 
-	c.mu.Lock()
 	c.drainQ = append(c.drainQ, s)
 	c.cond.Broadcast()
-	c.mu.Unlock()
 
 	c.rec.Checkpoint(s.size, c.clk.Now()-start)
 	return nil
@@ -192,10 +176,8 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 // order (BP5 deferred I/O).
 func (c *Client) drainer() {
 	for {
-		c.mu.Lock()
 		for len(c.drainQ) == 0 {
 			if c.closed {
-				c.mu.Unlock()
 				return
 			}
 			if c.draining {
@@ -210,11 +192,9 @@ func (c *Client) drainer() {
 		s := c.drainQ[0]
 		c.drainQ = c.drainQ[1:]
 		c.draining = true
-		c.mu.Unlock()
 
 		_, err := c.cfg.NVMe.TryTransfer(s.size)
 
-		c.mu.Lock()
 		if err != nil {
 			// The drain failed: the step stays in the host buffer and
 			// the failure is reported through Err/WaitFlush, once the
@@ -227,7 +207,6 @@ func (c *Client) drainer() {
 			c.hostUsed -= s.size
 			c.cond.Broadcast() // room for a Checkpoint parked on backpressure
 		}
-		c.mu.Unlock()
 	}
 }
 
@@ -236,20 +215,16 @@ func (c *Client) drainer() {
 // no prefetching.
 func (c *Client) Restore(id int64) (payload.Payload, error) {
 	start := c.clk.Now()
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
 	s, ok := c.steps[id]
 	if !ok {
-		c.mu.Unlock()
 		return nil, ErrUnknownCheckpoint
 	}
 	iter := c.restoreIter
 	c.restoreIter++
 	buffered := s.buffered
-	c.mu.Unlock()
 
 	if !buffered {
 		if _, err := c.cfg.NVMe.TryTransfer(s.size); err != nil { // NVMe → host staging
@@ -266,8 +241,6 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 
 // RestoreSize returns the step's size.
 func (c *Client) RestoreSize(id int64) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	s, ok := c.steps[id]
 	if !ok {
 		return 0, ErrUnknownCheckpoint
@@ -284,8 +257,6 @@ func (c *Client) PrefetchStart() {}
 
 // WaitFlush drains the deferred-I/O queue.
 func (c *Client) WaitFlush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for len(c.drainQ) > 0 || c.draining {
 		if c.closed {
 			return ErrClosed

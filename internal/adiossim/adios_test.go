@@ -93,9 +93,7 @@ func TestADIOSBackpressureWhenBufferFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Drained: all steps on NVMe, buffer empty.
-		c.mu.Lock()
 		used := c.hostUsed
-		c.mu.Unlock()
 		if used != 0 {
 			t.Errorf("host buffer holds %d bytes after WaitFlush, want 0", used)
 		}

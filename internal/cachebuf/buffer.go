@@ -34,8 +34,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"score/internal/simclock"
@@ -73,13 +71,13 @@ type Oracle interface {
 // Entry is one checkpoint's eviction inputs on one cache tier. Whoever
 // knows when an input changes writes it then; the buffer keeps a pointer
 // per fragment and reads it in place: one load per fragment per scan, no
-// lock, no lookup. Writers run outside the buffer lock, so every field is
-// an atomic; they serialize among themselves (the runtime: Client.mu). The
-// zero Entry reads as a checkpoint without a record — unpinned, evictable
-// now, unhinted: a stale fragment, free to reclaim.
+// lookup. Writer and buffer are tasks of one clock, which runs one at a
+// time, so the fields are plain words. The zero Entry reads as a
+// checkpoint without a record — unpinned, evictable now, unhinted: a stale
+// fragment, free to reclaim.
 type Entry struct {
-	word atomic.Uint64 // Flags | (hint position + 1) << hintShift
-	wait atomic.Int64  // ns until evictable; unread when Pinned or Estimate
+	word uint64 // Flags | (hint position + 1) << hintShift
+	wait int64  // ns until evictable; unread when Pinned or Estimate
 }
 
 // Flags are an entry's state bits.
@@ -99,33 +97,30 @@ const NoHint = -1
 // SetFlags replaces the state bits and leaves the hint alone. It reports
 // whether it cleared Pinned or Kept, the only bits a parked reservation
 // waits on (Pinned for a feasible scan, Kept for its claimed window): then,
-// and only then, the writer owes the buffer a Notify once it has unlocked.
+// and only then, the writer owes the buffer a Notify.
 func (e *Entry) SetFlags(f Flags) (unblocked bool) {
-	old := e.word.Load()
-	was := Flags(old) & (1<<hintShift - 1)
-	if was != f {
-		e.word.Store(old&^(1<<hintShift-1) | uint64(f))
-	}
+	was := Flags(e.word) & (1<<hintShift - 1)
+	e.word = e.word&^(1<<hintShift-1) | uint64(f)
 	return was&^f&(Pinned|Kept) != 0
 }
 
 // Flags returns the state bits.
-func (e *Entry) Flags() Flags { return Flags(e.word.Load()) & (1<<hintShift - 1) }
+func (e *Entry) Flags() Flags { return Flags(e.word) & (1<<hintShift - 1) }
 
 // SetHint writes the queue position (>= 0) of the checkpoint's first
 // pending hint, or NoHint. A scan scores the position minus Source.Head,
 // so advancing the head rewrites no entry.
 func (e *Entry) SetHint(pos int) {
-	e.word.Store(e.word.Load()&(1<<hintShift-1) | uint64(pos+1)<<hintShift)
+	e.word = e.word&(1<<hintShift-1) | uint64(pos+1)<<hintShift
 }
 
 // Hint returns what SetHint wrote.
-func (e *Entry) Hint() int { return int(e.word.Load()>>hintShift) - 1 }
+func (e *Entry) Hint() int { return int(e.word>>hintShift) - 1 }
 
 // Source is what the entries of one writer share at scan time.
 type Source struct {
 	// Head is the position of the head of the writer's restore-order queue.
-	Head atomic.Int64
+	Head int64
 	// Estimate predicts how long a flush of size bytes to the next tier
 	// takes under the link load of this instant, for entries that flag it.
 	Estimate func(size int64) time.Duration
@@ -133,9 +128,8 @@ type Source struct {
 
 // EntrySource hands a buffer the entries its writer maintains.
 type EntrySource interface {
-	// Entry returns id's entry and source. The buffer asks once, under
-	// its lock (lock order: buffer, then the writer's), when it places id,
-	// and holds both while the fragment lives. nil means id has no record.
+	// Entry returns id's entry and source. The buffer asks once, when it
+	// places id, and holds both while the fragment lives. nil means id has no record.
 	Entry(id ID) (*Entry, *Source)
 	// Evicted notifies the writer that id's replica left this buffer.
 	Evicted(id ID)
@@ -166,12 +160,7 @@ func (p *polled) scores(f *frag) {
 	if !ok {
 		w |= uint64(Pinned)
 	}
-	if f.e.word.Load() != w {
-		f.e.word.Store(w)
-	}
-	if f.e.wait.Load() != int64(d) {
-		f.e.wait.Store(int64(d))
-	}
+	f.e.word, f.e.wait = w, int64(d)
 }
 
 // Errors returned by Reserve and TryReserve.
@@ -232,7 +221,6 @@ type Buffer struct {
 	stale    Entry   // zero: the entry of a fragment without a record
 	staleSrc Source
 
-	mu       sync.Mutex
 	cond     simclock.Cond
 	frags    []frag
 	free     int64        // total gap bytes
@@ -245,7 +233,7 @@ type Buffer struct {
 	waitObs  func(time.Duration) // per-wait eviction-stall observer
 
 	// The scan snapshot, one slot per fragment, reused across scans and
-	// valid under mu until the next one.
+	// valid until the next one.
 	view []viewFrag
 }
 
@@ -277,7 +265,7 @@ func NewFromEntries(clk simclock.Clock, name string, capacity int64, src EntrySo
 		gaps:     []gapKey{{capacity, 0}},
 		resident: make(map[ID]int64),
 	}
-	b.cond = clk.NewCond(&b.mu)
+	b.cond = clk.NewCond(nil)
 	ep, err := PolicyScore.NewPolicy()
 	if err != nil {
 		panic(err) // unreachable: PolicyScore is registered
@@ -288,18 +276,16 @@ func NewFromEntries(clk simclock.Clock, name string, capacity int64, src EntrySo
 
 // SetPolicy selects a built-in eviction policy (default PolicyScore).
 // Unknown values are an error — there is no silent fallback. Intended
-// for configuration at construction time, before concurrent use; if
-// called mid-life, the new policy is re-seeded by replaying an insert
-// event for every resident checkpoint in offset order.
+// for configuration at construction time; if called mid-life, the new
+// policy is re-seeded by replaying an insert event for every resident
+// checkpoint in offset order.
 func (b *Buffer) SetPolicy(p Policy) error {
 	ep, err := p.NewPolicy()
 	if err != nil {
 		return err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.policy = p
-	b.installPolicyLocked(ep)
+	b.SetEvictionPolicy(ep)
 	return nil
 }
 
@@ -310,14 +296,8 @@ func (b *Buffer) SetEvictionPolicy(ep EvictionPolicy) {
 	if ep == nil {
 		panic("cachebuf: nil eviction policy")
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.installPolicyLocked(ep)
-}
-
-// installPolicyLocked swaps the policy and replays the current resident
-// set into it so recency-class state starts from a defined point.
-func (b *Buffer) installPolicyLocked(ep EvictionPolicy) {
+	// Replay the resident set so recency-class state starts from a
+	// defined point.
 	b.ep = ep
 	for _, f := range b.frags {
 		if !f.isGap() {
@@ -328,20 +308,17 @@ func (b *Buffer) installPolicyLocked(ep EvictionPolicy) {
 
 // PolicyName reports the active eviction policy's name.
 func (b *Buffer) PolicyName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.ep.Name()
 }
 
 // SetWaitObserver installs fn to be called with the duration of every
 // individual eviction wait (the Stats.EvictionWait aggregate, per stall).
-// fn runs under the buffer lock and must not call back into the buffer;
-// intended for the metrics layer's eviction-wait histogram. Configure
-// before concurrent use.
+// fn must not call back into the buffer; intended for the metrics layer's
+// eviction-wait histogram. Configure before the first reservation.
 func (b *Buffer) SetWaitObserver(fn func(time.Duration)) { b.waitObs = fn }
 
-// observeWaitLocked accumulates one eviction stall.
-func (b *Buffer) observeWaitLocked(d time.Duration) {
+// observeWait accumulates one eviction stall.
+func (b *Buffer) observeWait(d time.Duration) {
 	b.stats.EvictionWait += d
 	if b.waitObs != nil {
 		b.waitObs(d)
@@ -351,8 +328,6 @@ func (b *Buffer) observeWaitLocked(d time.Duration) {
 // Touch records an access to id for recency/frequency policies; the
 // runtime calls it when a resident checkpoint serves a read.
 func (b *Buffer) Touch(id ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, ok := b.resident[id]; ok {
 		b.ep.OnTouch(id)
 	}
@@ -388,8 +363,6 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 		return 0, ErrTooLarge
 	}
 
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, dup := b.resident[id]; dup {
 		return 0, ErrDuplicate
 	}
@@ -399,19 +372,19 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 		}
 		// Fast path: a single unclaimed gap fits (best-fit to limit
 		// fragmentation of large gaps).
-		if off, ok := b.placeInGapLocked(id, size); ok {
+		if off, ok := b.placeInGap(id, size); ok {
 			b.stats.Reservations++
 			return off, nil
 		}
 
 		// Slow path: Algorithm 1 — find the best eviction window among
-		// unclaimed, unpinned fragments. The scan and the claim run in
-		// one critical section, so no other reservation can pick the same
-		// fragments. Only the waits release the lock — for a feasible
-		// window, and for a claimed window to become evictable — so
-		// concurrent reservations (e.g. the co-located clients of a
-		// shared host pool) do not convoy behind one client's flush.
-		start, end, feasible := b.bestWindowLocked(size)
+		// unclaimed, unpinned fragments. Nothing blocks between the scan
+		// and the claim, so no other reservation can pick the same
+		// fragments. Only the waits yield — for a feasible window, and for
+		// a claimed window to become evictable — so concurrent
+		// reservations (e.g. the co-located clients of a shared host pool)
+		// do not convoy behind one client's flush.
+		start, end, feasible := b.bestWindow(size)
 		if !feasible {
 			// Every candidate window crosses a pinned or claimed
 			// fragment.
@@ -423,10 +396,10 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 			// another reservation's scan feasible.
 			waitStart := b.clk.Now()
 			b.cond.Wait()
-			b.observeWaitLocked(b.clk.Now() - waitStart)
+			b.observeWait(b.clk.Now() - waitStart)
 			continue
 		}
-		if !wait && !b.windowEvictableLocked(start, end) {
+		if !wait && !b.windowEvictable(start, end) {
 			return 0, ErrWouldBlock
 		}
 
@@ -436,12 +409,12 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 		endOff := b.frags[end-1].off + b.frags[end-1].size
 		for i := start; i < end; i++ {
 			if f := &b.frags[i]; f.isGap() {
-				b.unindexGapLocked(*f)
+				b.unindexGap(*f)
 			}
 			b.frags[i].claimed = true
 		}
 
-		off, ok := b.evictClaimedLocked(id, size, startOff, endOff)
+		off, ok := b.evictClaimed(id, size, startOff, endOff)
 		if ok {
 			b.stats.Reservations++
 			return off, nil
@@ -458,15 +431,15 @@ func (k gapKey) cmp(o gapKey) int {
 	return cmp.Or(cmp.Compare(k.size, o.size), cmp.Compare(k.off, o.off))
 }
 
-// indexGapLocked adds unclaimed gap f to the gap index.
-func (b *Buffer) indexGapLocked(f frag) {
+// indexGap adds unclaimed gap f to the gap index.
+func (b *Buffer) indexGap(f frag) {
 	k := gapKey{f.size, f.off}
 	i, _ := slices.BinarySearchFunc(b.gaps, k, gapKey.cmp)
 	b.gaps = slices.Insert(b.gaps, i, k)
 }
 
-// unindexGapLocked takes unclaimed gap f out of the gap index.
-func (b *Buffer) unindexGapLocked(f frag) {
+// unindexGap takes unclaimed gap f out of the gap index.
+func (b *Buffer) unindexGap(f frag) {
 	i, ok := slices.BinarySearchFunc(b.gaps, gapKey{f.size, f.off}, gapKey.cmp)
 	if !ok {
 		panic(fmt.Sprintf("cachebuf: %s: gap at %d missing from the gap index", b.name, f.off))
@@ -474,20 +447,20 @@ func (b *Buffer) unindexGapLocked(f frag) {
 	b.gaps = slices.Delete(b.gaps, i, i+1)
 }
 
-// placeInGapLocked places id in the tightest unclaimed gap that fits size,
+// placeInGap places id in the tightest unclaimed gap that fits size,
 // the first in offset order on ties, and splits it. Returns the allocated
 // offset.
-func (b *Buffer) placeInGapLocked(id ID, size int64) (int64, bool) {
+func (b *Buffer) placeInGap(id ID, size int64) (int64, bool) {
 	k, _ := slices.BinarySearchFunc(b.gaps, gapKey{size, -1}, gapKey.cmp)
 	if k == len(b.gaps) {
 		return 0, false
 	}
 	g := b.gaps[k]
 	b.gaps = slices.Delete(b.gaps, k, k+1)
-	i := b.searchLocked(g.off)
-	b.spliceLocked(i, i+1, b.newFragLocked(id, g.off, size), g.size-size)
+	i := b.search(g.off)
+	b.splice(i, i+1, b.newFrag(id, g.off, size), g.size-size)
 	if g.size > size {
-		b.indexGapLocked(b.frags[i+1])
+		b.indexGap(b.frags[i+1])
 	}
 	b.free -= size
 	b.resident[id] = g.off
@@ -495,8 +468,8 @@ func (b *Buffer) placeInGapLocked(id ID, size int64) (int64, bool) {
 	return g.off, true
 }
 
-// newFragLocked builds id's fragment, asking the source for its entry.
-func (b *Buffer) newFragLocked(id ID, off, size int64) frag {
+// newFrag builds id's fragment, asking the source for its entry.
+func (b *Buffer) newFrag(id ID, off, size int64) frag {
 	f := frag{id: id, off: off, size: size}
 	if f.e, f.src = b.src.Entry(id); f.e == nil {
 		f.e, f.src = &b.stale, &b.staleSrc
@@ -504,9 +477,9 @@ func (b *Buffer) newFragLocked(id ID, off, size int64) frag {
 	return f
 }
 
-// spliceLocked replaces frags[first:last] in place with nf followed, when
+// splice replaces frags[first:last] in place with nf followed, when
 // rest > 0, by a gap of rest bytes.
-func (b *Buffer) spliceLocked(first, last int, nf frag, rest int64) {
+func (b *Buffer) splice(first, last int, nf frag, rest int64) {
 	n := 1
 	if rest > 0 {
 		n = 2
@@ -523,9 +496,9 @@ func (b *Buffer) spliceLocked(first, last int, nf frag, rest int64) {
 	}
 }
 
-// windowEvictableLocked reports whether every checkpoint in frags[start:end]
+// windowEvictable reports whether every checkpoint in frags[start:end]
 // is evictable right now.
-func (b *Buffer) windowEvictableLocked(start, end int) bool {
+func (b *Buffer) windowEvictable(start, end int) bool {
 	for i := start; i < end; i++ {
 		f := &b.frags[i]
 		if f.isGap() {
@@ -542,27 +515,27 @@ func (b *Buffer) windowEvictableLocked(start, end int) bool {
 	return true
 }
 
-// evictClaimedLocked waits (releasing the lock) for every checkpoint in
+// evictClaimed waits for every checkpoint in
 // the claimed window [startOff, endOff) to become evictable, then erases
 // the window and installs the new fragment. The claim keeps the window's
 // boundaries stable while waiting: no other reservation can place into,
 // select, or coalesce across it (Release inside it only turns checkpoints
 // into claimed gaps). Returns ok=false — with the claim released — if the
 // buffer closes while waiting.
-func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (int64, bool) {
+func (b *Buffer) evictClaimed(id ID, size int64, startOff, endOff int64) (int64, bool) {
 	// Wait for evictability (Algorithm 1 line 24: "wait until A[i]
 	// evictable"): a Release inside the window, or a Notify from the
 	// writer whose entry write cleared Kept, broadcasts the cond.
-	first, last := b.claimedSpanLocked(startOff, endOff)
-	for !b.windowEvictableLocked(first, last) {
+	first, last := b.claimedSpan(startOff, endOff)
+	for !b.windowEvictable(first, last) {
 		if b.closed {
-			b.unclaimLocked(startOff, endOff)
+			b.unclaim(startOff, endOff)
 			return 0, false
 		}
 		waitStart := b.clk.Now()
 		b.cond.Wait()
-		b.observeWaitLocked(b.clk.Now() - waitStart)
-		first, last = b.claimedSpanLocked(startOff, endOff)
+		b.observeWait(b.clk.Now() - waitStart)
+		first, last = b.claimedSpan(startOff, endOff)
 	}
 
 	for _, f := range b.frags[first:last] {
@@ -582,10 +555,10 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 			b.name, windowBytes, size))
 	}
 
-	b.spliceLocked(first, last, b.newFragLocked(id, startOff, size), windowBytes-size)
+	b.splice(first, last, b.newFrag(id, startOff, size), windowBytes-size)
 	b.free -= size
 	if windowBytes > size {
-		b.mergeGapLocked(first + 1) // the rest may meet a gap on its right
+		b.mergeGap(first + 1) // the rest may meet a gap on its right
 	}
 	b.resident[id] = startOff
 	b.ep.OnInsert(id, size)
@@ -593,37 +566,37 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 	return startOff, true
 }
 
-// unclaimLocked clears the claim on every fragment in [startOff, endOff)
+// unclaim clears the claim on every fragment in [startOff, endOff)
 // and re-merges any gap seams the claim boundaries held apart. It wakes
 // nobody: it runs only after Close, whose broadcast readied every waiter.
-func (b *Buffer) unclaimLocked(startOff, endOff int64) {
+func (b *Buffer) unclaim(startOff, endOff int64) {
 	for i := range b.frags {
 		if b.frags[i].off >= startOff && b.frags[i].off < endOff {
 			b.frags[i].claimed = false
 		}
 	}
-	b.coalesceLocked()
+	b.coalesce()
 }
 
-// claimedSpanLocked returns the index range of the fragments that tile the
+// claimedSpan returns the index range of the fragments that tile the
 // claimed window [startOff, endOff) right now.
-func (b *Buffer) claimedSpanLocked(startOff, endOff int64) (first, last int) {
-	first = b.searchLocked(startOff)
+func (b *Buffer) claimedSpan(startOff, endOff int64) (first, last int) {
+	first = b.search(startOff)
 	if first == len(b.frags) || b.frags[first].off != startOff {
 		panic(fmt.Sprintf("cachebuf: %s: claimed window at %d vanished", b.name, startOff))
 	}
-	return first, b.searchLocked(endOff)
+	return first, b.search(endOff)
 }
 
-// searchLocked returns the index of the first fragment at or past off.
-func (b *Buffer) searchLocked(off int64) int {
+// search returns the index of the first fragment at or past off.
+func (b *Buffer) search(off int64) int {
 	return sort.Search(len(b.frags), func(i int) bool { return b.frags[i].off >= off })
 }
 
-// fragLocked returns the index of resident id's fragment, at the offset
+// fragIndex returns the index of resident id's fragment, at the offset
 // resident recorded for it.
-func (b *Buffer) fragLocked(id ID) int {
-	i := b.searchLocked(b.resident[id])
+func (b *Buffer) fragIndex(id ID) int {
+	i := b.search(b.resident[id])
 	if i == len(b.frags) || b.frags[i].id != id {
 		panic(fmt.Sprintf("cachebuf: %s: resident id %d missing from fragment list", b.name, id))
 	}
@@ -639,13 +612,13 @@ type viewFrag struct {
 	pinned bool
 }
 
-// snapshotLocked fills slot i of the buffer-owned snapshot with fragment
+// snapshot fills slot i of the buffer-owned snapshot with fragment
 // i, reading every fragment's scores once, so what a policy adds when a
 // fragment enters its window is what it subtracts when the fragment
 // leaves. The snapshot grows only when the fragment count outgrows it.
 // Gaps score (0, GapDistance); a claimed fragment is pinned unread
-// (another reservation owns its window); any other is read by scoreLocked.
-func (b *Buffer) snapshotLocked() WindowView {
+// (another reservation owns its window); any other is read by score.
+func (b *Buffer) snapshot() WindowView {
 	b.stats.WindowScans++
 	b.view = slices.Grow(b.view[:0], len(b.frags))[:len(b.frags)]
 	for i := range b.frags {
@@ -658,23 +631,23 @@ func (b *Buffer) snapshotLocked() WindowView {
 			vf.p, vf.s, vf.pinned = 0, 0, true
 		default:
 			b.stats.FragmentsScored++
-			vf.p, vf.s, vf.pinned = b.scoreLocked(f)
+			vf.p, vf.s, vf.pinned = b.score(f)
 		}
 	}
 	return WindowView{b.view}
 }
 
-// scoreLocked reads resident fragment f's eviction scores: one load of
+// score reads resident fragment f's eviction scores: one load of
 // its entry and one of its source's queue head, plus the source's live
 // estimate when it waits on a flush (after a pull oracle's refresh).
-func (b *Buffer) scoreLocked(f *frag) (p, s float64, pinned bool) {
+func (b *Buffer) score(f *frag) (p, s float64, pinned bool) {
 	if b.poll != nil {
 		b.poll.scores(f)
 	}
 	// Head before the entry: a consumed hint's writer moves the entry off
 	// the head position before it advances the head.
-	head := f.src.Head.Load()
-	w := f.e.word.Load()
+	head := f.src.Head
+	w := f.e.word
 	s = float64(GapDistance - 1)
 	if pos := int64(w >> hintShift); pos > 0 {
 		s = float64(pos - 1 - head)
@@ -685,17 +658,17 @@ func (b *Buffer) scoreLocked(f *frag) (p, s float64, pinned bool) {
 	case Flags(w)&Estimate != 0:
 		return f.src.Estimate(f.size).Seconds(), s, false
 	}
-	return time.Duration(f.e.wait.Load()).Seconds(), s, false
+	return time.Duration(f.e.wait).Seconds(), s, false
 }
 
-// bestWindowLocked delegates window selection to the active eviction
+// bestWindow delegates window selection to the active eviction
 // policy and enforces the pinning contract on whatever comes back: a
 // window that is out of range, too small, or crosses a pinned/claimed
 // fragment is rejected (treated as infeasible) rather than trusted —
 // a buggy policy may stall a reservation but can never evict pinned
 // data.
-func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool) {
-	v := b.snapshotLocked()
+func (b *Buffer) bestWindow(sizeNew int64) (start, end int, feasible bool) {
+	v := b.snapshot()
 	start, end, feasible = b.ep.SelectWindow(v, sizeNew)
 	if !feasible || start < 0 || end > len(v.frags) || start >= end {
 		return 0, 0, false
@@ -718,69 +691,42 @@ func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool)
 // the id was resident. Unlike eviction, Release does not read the entry
 // and sends no Evicted notice.
 func (b *Buffer) Release(id ID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, ok := b.resident[id]; !ok {
 		return false
 	}
-	i := b.fragLocked(id)
+	i := b.fragIndex(id)
 	f := &b.frags[i]
 	*f = frag{id: gapID, off: f.off, size: f.size, claimed: f.claimed}
 	b.free += f.size
 	delete(b.resident, id)
 	b.ep.OnRelease(id)
-	b.mergeGapLocked(i)
+	b.mergeGap(i)
 	b.cond.Broadcast()
 	return true
 }
 
 // Contains reports id's fragment placement if resident.
 func (b *Buffer) Contains(id ID) (off, size int64, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if _, res := b.resident[id]; !res {
 		return 0, 0, false
 	}
-	f := &b.frags[b.fragLocked(id)]
+	f := &b.frags[b.fragIndex(id)]
 	return f.off, f.size, true
-}
-
-// IfResident runs fn under the buffer's lock if id is resident and reports
-// whether it ran. Eviction holds the same lock from its final
-// evictability check through fragment erasure, so a state change made
-// inside fn (e.g. pinning the replica by moving its FSM to READ_COMPLETE)
-// cannot race an in-flight eviction of the same fragment: either fn runs
-// first and the eviction re-check sees the pin, or the eviction wins and
-// fn never runs. fn must not call back into the buffer.
-func (b *Buffer) IfResident(id ID, fn func()) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.resident[id]; !ok {
-		return false
-	}
-	fn()
-	return true
 }
 
 // Resident returns the number of cached checkpoints.
 func (b *Buffer) Resident() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.resident)
 }
 
 // FreeBytes returns the total gap bytes.
 func (b *Buffer) FreeBytes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.free
 }
 
 // UsedBytes returns the bytes occupied by resident checkpoints
 // (capacity minus gaps) — the sampler's occupancy probe.
 func (b *Buffer) UsedBytes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.capacity - b.free
 }
 
@@ -790,12 +736,10 @@ func (b *Buffer) UsedBytes() int64 {
 // distance) across resident, unpinned checkpoints. It reads the
 // fragments in place: no window scan, so sampling leaves Stats as it is.
 func (b *Buffer) ScoreSummary() (meanP, meanS float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var n int
 	for i := range b.frags {
 		if f := &b.frags[i]; !f.isGap() && !f.claimed {
-			if p, s, pinned := b.scoreLocked(f); !pinned {
+			if p, s, pinned := b.score(f); !pinned {
 				meanP += p
 				meanS += s
 				n++
@@ -810,8 +754,6 @@ func (b *Buffer) ScoreSummary() (meanP, meanS float64) {
 
 // LargestGap returns the size of the largest single gap.
 func (b *Buffer) LargestGap() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var max int64
 	for _, f := range b.frags {
 		if f.isGap() && f.size > max {
@@ -823,8 +765,6 @@ func (b *Buffer) LargestGap() int64 {
 
 // FragmentCount returns the number of fragments (checkpoints + gaps).
 func (b *Buffer) FragmentCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return len(b.frags)
 }
 
@@ -832,32 +772,26 @@ func (b *Buffer) FragmentCount() int {
 // calls it after a SetFlags that cleared Pinned or Kept (gaps and claims
 // wake their own waiters), the runtime behind an Oracle at every change.
 func (b *Buffer) Notify() {
-	b.mu.Lock()
 	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // Close unblocks all waiters with ErrClosed; subsequent reservations fail.
 func (b *Buffer) Close() {
-	b.mu.Lock()
 	b.closed = true
 	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // Snapshot returns a copy of the buffer statistics.
 func (b *Buffer) Snapshot() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.stats
 }
 
-// mergeGapLocked merges gap i, new, with its unclaimed neighbouring gaps —
+// mergeGap merges gap i, new, with its unclaimed neighbouring gaps —
 // the only seams a gap appearing at i can open — restoring invariant 2, and
 // indexes the merged gap. A claimed gap merges with nothing: it may border
 // another reservation's claimed window, and the seam between the two is
 // the boundary each claim waits on.
-func (b *Buffer) mergeGapLocked(i int) {
+func (b *Buffer) mergeGap(i int) {
 	if b.frags[i].claimed {
 		return
 	}
@@ -873,17 +807,17 @@ func (b *Buffer) mergeGapLocked(i int) {
 	}
 	for j := lo; j < hi; j++ {
 		if j != i {
-			b.unindexGapLocked(b.frags[j])
+			b.unindexGap(b.frags[j])
 		}
 	}
 	b.frags[lo].size = b.frags[hi-1].off + b.frags[hi-1].size - b.frags[lo].off
 	b.frags = slices.Delete(b.frags, lo+1, hi)
-	b.indexGapLocked(b.frags[lo])
+	b.indexGap(b.frags[lo])
 }
 
-// coalesceLocked merges every run of adjacent unclaimed gaps and rebuilds
+// coalesce merges every run of adjacent unclaimed gaps and rebuilds
 // the gap index.
-func (b *Buffer) coalesceLocked() {
+func (b *Buffer) coalesce() {
 	out := b.frags[:0]
 	for _, f := range b.frags {
 		if n := len(out); n > 0 && out[n-1].isGap() && !out[n-1].claimed && f.isGap() && !f.claimed {
@@ -893,11 +827,11 @@ func (b *Buffer) coalesceLocked() {
 		out = append(out, f)
 	}
 	b.frags = out
-	b.gaps = b.unclaimedGapsLocked(b.gaps[:0])
+	b.gaps = b.unclaimedGaps(b.gaps[:0])
 }
 
-// unclaimedGapsLocked appends the unclaimed gaps to keys, in index order.
-func (b *Buffer) unclaimedGapsLocked(keys []gapKey) []gapKey {
+// unclaimedGaps appends the unclaimed gaps to keys, in index order.
+func (b *Buffer) unclaimedGaps(keys []gapKey) []gapKey {
 	for _, f := range b.frags {
 		if f.isGap() && !f.claimed {
 			keys = append(keys, gapKey{f.size, f.off})
@@ -911,8 +845,6 @@ func (b *Buffer) unclaimedGapsLocked(keys []gapKey) []gapKey {
 // records and the gap index; tests call it after random operation
 // sequences.
 func (b *Buffer) CheckInvariants() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var off, free int64
 	seen := make(map[ID]struct{})
 	for i, f := range b.frags {
@@ -949,7 +881,7 @@ func (b *Buffer) CheckInvariants() error {
 	if len(seen) != len(b.resident) {
 		return fmt.Errorf("resident set has %d ids, fragments have %d", len(b.resident), len(seen))
 	}
-	if want := b.unclaimedGapsLocked(nil); !slices.Equal(b.gaps, want) {
+	if want := b.unclaimedGaps(nil); !slices.Equal(b.gaps, want) {
 		return fmt.Errorf("gap index %v, the unclaimed gaps are %v", b.gaps, want)
 	}
 	return nil

@@ -791,7 +791,7 @@ func TestEntriesAreReadInPlace(t *testing.T) {
 			estimated = append(estimated, size)
 			return time.Duration(size) * time.Second
 		}
-		src.src.Head.Store(40)
+		src.src.Head = 40
 		b := NewFromEntries(clk, "gpu", 400, src)
 		src.entries[0].SetFlags(Kept | Estimate) // waiting on a flush: estimated
 		src.entries[1].SetFlags(Pinned | Kept)   // pinned
@@ -822,7 +822,7 @@ func TestEntriesAreReadInPlace(t *testing.T) {
 		}
 		// The queue head advances, no entry rewritten: id 2's hint is now
 		// the head, and the recordless fragment farther than any hint.
-		src.src.Head.Store(41)
+		src.src.Head = 41
 		evict(10, 150, 9)
 		// Written in place, read at the next scan: a pin lands on id 2 and
 		// every window large enough crosses it or id 1; then it lifts.

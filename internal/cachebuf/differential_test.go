@@ -87,7 +87,7 @@ const diffHead = 7
 
 func newDiffEntries(o *diffOracle) *diffEntries {
 	d := &diffEntries{diffOracle: o, entries: map[ID]*Entry{}}
-	d.src.Head.Store(diffHead)
+	d.src.Head = diffHead
 	o.published = func() {
 		for id, e := range d.entries {
 			d.write(id, e)
@@ -105,7 +105,7 @@ func (d *diffEntries) write(id ID, e *Entry) {
 		flags |= Kept
 	}
 	e.SetFlags(flags)
-	e.wait.Store(int64(d.timeTo[id]))
+	e.wait = int64(d.timeTo[id])
 	e.SetHint(NoHint)
 	if dist, ok := d.distance[id]; ok {
 		e.SetHint(diffHead + dist)
@@ -124,7 +124,7 @@ func (d *diffEntries) Entry(id ID) (*Entry, *Source) {
 
 // fickleOracle gives the table's answer the first time a scan asks for an
 // id's estimate or distance and a different one on every repeat: the live
-// link estimate and lock-free life-cycle state of the real runtime, made
+// link estimate and life-cycle state of the real runtime, made
 // adversarial. reset starts a new scan.
 type fickleOracle struct {
 	*diffOracle

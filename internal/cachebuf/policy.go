@@ -12,9 +12,9 @@ package cachebuf
 //     snapshot of the fragment list, including each fragment's pinned
 //     state (per its entry and claim bookkeeping) and the paper's
 //     p/s-scores;
-//   - event callbacks (OnInsert/OnTouch/OnEvict/OnRelease) fired under
-//     the buffer lock, in the buffer's serialization order, so recency-
-//     and frequency-based policies can maintain their own per-id state.
+//   - event callbacks (OnInsert/OnTouch/OnEvict/OnRelease) fired in the
+//     buffer's order of events, so recency- and frequency-based policies
+//     can maintain their own per-id state.
 //
 // The pinning contract is non-negotiable and enforced by the
 // Buffer, not trusted to the policy: a returned window containing a
@@ -27,10 +27,10 @@ import (
 	"math"
 )
 
-// EvictionPolicy chooses eviction windows for a Buffer. Implementations
-// are not safe for concurrent use on their own: every method is invoked
-// with the owning buffer's lock held, and must not call back into the
-// Buffer or retain the WindowView beyond the SelectWindow call.
+// EvictionPolicy chooses eviction windows for a Buffer. Only the owning
+// buffer calls its methods, from the tasks of the buffer's clock; they
+// must not block, call back into the Buffer or retain the WindowView
+// beyond the SelectWindow call.
 type EvictionPolicy interface {
 	// Name identifies the policy in diagnostics and benchmark labels.
 	Name() string
@@ -289,9 +289,9 @@ func coldestWindow(v WindowView, sizeNew int64, heat func(ID) int64) (start, end
 }
 
 // ---------------------------------------------------------------------------
-// LRU and FIFO baselines. Each keeps its own monotone event counter; inserts and touches funnel through the
-// buffer lock, so counters order identically to the buffer's event
-// serialization.
+// LRU and FIFO baselines. Each keeps its own monotone event counter;
+// inserts and touches arrive in the buffer's order of events, so counters
+// order identically to it.
 
 type lruPolicy struct {
 	seq  int64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"time"
 
 	"score/internal/cachebuf"
@@ -22,10 +21,10 @@ import (
 // PrefetchStart (the new primitives of §4.3), plus WaitFlush to drain the
 // asynchronous flush chain.
 //
-// Lock ordering: cachebuf.Buffer's internal lock may be taken before
-// Client.mu (entry lookups, eviction notices and the IfResident claims run
-// under it); therefore no Client method may call into a Buffer while
-// holding Client.mu. A replica's life-cycle machine locks last.
+// The application's calls and the client's workers are tasks of one
+// clock, which runs one at a time and switches only where a task blocks,
+// so the client takes no lock: the code between two blocking calls is a
+// critical section already.
 type Client struct {
 	p    Params
 	deep []deepTier  // the tiers below the host cache, fastest first (deep.go)
@@ -36,14 +35,13 @@ type Client struct {
 	gpuP *cachebuf.Buffer // prefetch-side device cache (SplitCache only)
 	hstC *cachebuf.Buffer // pinned host cache
 
-	mu   sync.Mutex
 	cond simclock.Cond
 
 	ckpts   map[ID]*checkpoint
 	slab    []replica // newReplica cuts records from it
 	q       restoreQueue
 	oracles [TierHost + 1]tierOracle // the cache tiers' eviction-entry sources
-	wake    [TierHost + 1]bool       // cache tiers a rescore unblocked; unlockWake sends them
+	wake    [TierHost + 1]bool       // cache tiers a rescore unblocked; sendWakes sends them
 	started bool                     // prefetcher activated
 	closed  bool
 	killed  bool  // the rank died (fault injection); implies closed soon
@@ -78,8 +76,7 @@ type Client struct {
 	degraded   [TierPFS + 1]bool          // tiers marked persistently failed
 	degradedAt [TierPFS + 1]time.Duration // when each mark was (last) set
 
-	rndMu sync.Mutex
-	rnd   *rand.Rand // retry jitter; seeded for deterministic replays
+	rnd *rand.Rand // retry jitter; seeded for deterministic replays
 
 	daemons *simclock.WaitGroup
 	// hedgeWG tracks every leg of a deadline race (hedge.go), in either
@@ -108,18 +105,18 @@ func New(p Params) (*Client, error) {
 		ckpts:    make(map[ID]*checkpoint),
 		inFlight: make(map[ID]int),
 	}
-	c.cond = c.clk.NewCond(&c.mu)
+	c.cond = c.clk.NewCond(nil)
 	c.startedOrClosed = func() bool { return c.started || c.closed }
 	c.hintPastCursor = func() bool { return c.closed || c.q.prefetchPending() }
 	c.hintPending = func() bool { return c.closed || c.q.pending() > 0 }
 	c.pfProgressed = func() bool { return c.closed || c.events != c.pfSeen }
 	c.stProgressed = func() bool { return c.closed || c.events != c.stSeen }
 	c.flushSettled = func() bool {
-		return !c.flushBusyLocked() || c.killed || c.closed || c.err != nil
+		return !c.flushBusy() || c.killed || c.closed || c.err != nil
 	}
 	c.h2fIdle = func() bool { return c.h2f.q.len() == 0 && c.h2f.busy == 0 }
-	c.d2h.cond = c.clk.NewCond(&c.mu)
-	c.h2f.cond = c.clk.NewCond(&c.mu)
+	c.d2h.cond = c.clk.NewCond(nil)
+	c.h2f.cond = c.clk.NewCond(nil)
 	c.daemons = simclock.NewWaitGroup(c.clk)
 	c.hedgeWG = simclock.NewWaitGroup(c.clk)
 	c.health = newTierHealth()
@@ -226,8 +223,7 @@ func New(p Params) (*Client, error) {
 // stores: every valid stored checkpoint reappears as a FLUSHED replica
 // on the tier(s) whose store holds it (SSD, partner SSD, PFS, or any
 // combination), restorable through the normal promotion path with tier
-// fallback. New calls it before the client is published, so it needs no
-// lock.
+// fallback. New calls it before the client is published.
 func (c *Client) recoverFromStore() {
 	for i := range c.deep {
 		d := &c.deep[i]
@@ -261,8 +257,6 @@ var newClientHook func(c *Client)
 // Recovered returns the versions restored from the durable store at
 // construction, in ascending order.
 func (c *Client) Recovered() []ID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []ID
 	for id, ck := range c.ckpts {
 		if _, ok := ck.pay.(*storePayload); ok {
@@ -273,7 +267,7 @@ func (c *Client) Recovered() []ID {
 	return out
 }
 
-// bumpLocked records real progress (a flush completed, a checkpoint was
+// bump records real progress (a flush completed, a checkpoint was
 // consumed, a hint arrived, a promotion landed) and wakes every task parked
 // on c.cond; idle flush workers park on their pool's own cond instead
 // (flushPool). The prefetcher, the host stager and WaitFlush park with
@@ -282,21 +276,21 @@ func (c *Client) Recovered() []ID {
 // generation counter, so spurious wakeups (e.g. a peer clearing its
 // in-flight flag after a failed attempt) do not trigger fruitless
 // re-attempts — the discipline that prevents broadcast ping-pong livelock
-// under the virtual clock. Caller holds c.mu.
-func (c *Client) bumpLocked() {
+// under the virtual clock.
+func (c *Client) bump() {
 	c.events++
 	c.cond.Broadcast()
 }
 
-// forgetLocked drops ck's record, a write that failed, and its hint slots.
-func (c *Client) forgetLocked(ck *checkpoint) {
+// forget drops ck's record, a write that failed, and its hint slots.
+func (c *Client) forget(ck *checkpoint) {
 	delete(c.ckpts, ck.id)
 	c.q.unlink(ck)
 }
 
-// releaseStagedLocked returns ck's bytes to the stager budget once its
-// staged host copy has served its purpose. Caller holds c.mu.
-func (c *Client) releaseStagedLocked(ck *checkpoint) {
+// releaseStaged returns ck's bytes to the stager budget once its
+// staged host copy has served its purpose.
+func (c *Client) releaseStaged(ck *checkpoint) {
 	if ck.stagedHost {
 		ck.stagedHost = false
 		c.stagedBytes -= ck.size
@@ -317,15 +311,12 @@ func (c *Client) waitHostReady() {
 // Close stops the background tasks and unblocks all waiters. It is safe
 // to call once all application requests have returned.
 func (c *Client) Close() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
 	c.cond.Broadcast()
-	c.releaseFlushersLocked()
-	c.mu.Unlock()
+	c.releaseFlushers()
 	c.gpuC.Close()
 	if c.gpuP != nil {
 		c.gpuP.Close()
@@ -351,18 +342,14 @@ func (c *Client) prefetchBuf() *cachebuf.Buffer {
 
 // Err returns the first asynchronous flusher/prefetcher failure, if any.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.err
 }
 
 func (c *Client) fail(err error) {
-	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // Metrics returns the recorder collecting this client's measurements.
@@ -383,23 +370,18 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	}
 	start := c.clk.Now()
 
-	c.mu.Lock()
 	if c.killed {
-		c.mu.Unlock()
 		return ErrKilled
 	}
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	if c.drain != nil {
 		// A preemption drain began: the rank is being reclaimed and
 		// accepts no new state (the notice is never revoked).
-		c.mu.Unlock()
 		return ErrDraining
 	}
 	if _, dup := c.ckpts[id]; dup {
-		c.mu.Unlock()
 		return ErrDuplicateCheckpoint
 	}
 	c.writersBusy++
@@ -414,16 +396,13 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 	ck.att = &ck.durable
 	rep := c.newReplica(TierGPU)
 	// Hints may precede the write (Listing 1): pick up one already pending.
-	ck.setHintLocked(c.q.firstPending(id))
-	c.setReplicaLocked(ck, TierGPU, rep)
+	ck.setHint(c.q.firstPending(id))
+	c.setReplica(ck, TierGPU, rep)
 	c.ckpts[id] = ck
-	c.mu.Unlock()
 	defer func() {
-		c.mu.Lock()
 		c.writersBusy--
 		ck.writing = false
-		c.bumpLocked()
-		c.mu.Unlock()
+		c.bump()
 	}()
 	c.rec.CheckpointAccepted(ck.size)
 	c.lifecycle(id, trace.LCreated, "", "")
@@ -442,9 +421,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 			// fall back to a synchronous flush down the tier chain.
 			return c.syncFlush(ck, rep, start)
 		}
-		c.mu.Lock()
-		c.forgetLocked(ck)
-		c.mu.Unlock()
+		c.forget(ck)
 		c.rec.CheckpointRejected(ck.size)
 		if err == cachebuf.ErrClosed {
 			return ErrClosed
@@ -467,13 +444,11 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 
 	// Hand off to T_D2H and return control to the application. After a
 	// drain's notice the triage owns the version instead.
-	c.mu.Lock()
 	enq := c.drain == nil
 	if enq {
 		c.d2h.push(id)
 	}
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 	if enq {
 		c.lifecycle(id, trace.LFlushEnqueued, "", "d2h")
 	}
@@ -505,9 +480,7 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 			c.rec.Checkpoint(ck.size, c.clk.Now()-start)
 			return nil
 		case hostClosed:
-			c.mu.Lock()
-			c.forgetLocked(ck)
-			c.mu.Unlock()
+			c.forget(ck)
 			c.rec.CheckpointRejected(ck.size)
 			return ErrClosed
 		}
@@ -516,10 +489,8 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 	}
 
 	if err := c.flushDeep(ck, true, ck.att); err != nil {
-		c.mu.Lock()
-		c.forgetLocked(ck)
-		c.bumpLocked()
-		c.mu.Unlock()
+		c.forget(ck)
+		c.bump()
 		c.rec.CheckpointRejected(ck.size)
 		return fmt.Errorf("core: checkpoint %d: synchronous flush: %w", ck.id, err)
 	}
@@ -530,8 +501,6 @@ func (c *Client) syncFlush(ck *checkpoint, gpuRep *replica, start time.Duration)
 // RestoreSize returns the size of a previously written checkpoint
 // (VELOC_Recover_size).
 func (c *Client) RestoreSize(id ID) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ck, ok := c.ckpts[id]
 	if !ok {
 		return 0, ErrUnknownCheckpoint
@@ -543,22 +512,18 @@ func (c *Client) RestoreSize(id ID) (int64, error) {
 // intends to restore (§4.1.1). Hints may be enqueued at any time,
 // interleaved with checkpoints and restores, and cannot be revoked.
 func (c *Client) PrefetchEnqueue(id ID) {
-	c.mu.Lock()
 	pos := c.q.enqueue(id)
-	if ck := c.ckpts[id]; ck != nil && ck.hintLocked() == cachebuf.NoHint {
-		ck.setHintLocked(pos)
+	if ck := c.ckpts[id]; ck != nil && ck.hint() == cachebuf.NoHint {
+		ck.setHint(pos)
 	}
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 }
 
 // PrefetchStart activates the prefetcher; useful to avoid interference
 // with the flushes of a forward pass (Listing 1).
 func (c *Client) PrefetchStart() {
-	c.mu.Lock()
 	c.started = true
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 }
 
 // Restore reads back checkpoint id into the application's device buffer,
@@ -567,24 +532,19 @@ func (c *Client) PrefetchStart() {
 func (c *Client) Restore(id ID) (payload.Payload, error) {
 	start := c.clk.Now()
 
-	c.mu.Lock()
 	if c.killed {
-		c.mu.Unlock()
 		return nil, ErrKilled
 	}
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
 	ck, ok := c.ckpts[id]
 	if !ok {
-		c.mu.Unlock()
 		return nil, ErrUnknownCheckpoint
 	}
 	iter := c.restoreIter
 	c.restoreIter++
-	pfDist := c.prefetchDistanceLocked(id)
-	c.mu.Unlock()
+	pfDist := c.prefetchDistance(id)
 
 	att := newAttrib(metrics.CritRestore, int64(id), start)
 	if tr := c.p.Tracer; tr != nil {
@@ -613,13 +573,12 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	}
 
 	// Consumption: pop the hint, record deviation, mark consumed.
-	c.mu.Lock()
-	deviated := c.consumeHintLocked(ck)
+	deviated := c.consumeHint(ck)
 	ck.consumed = true
-	c.rescoreLocked(ck)
-	c.releaseStagedLocked(ck)
-	c.bumpLocked()
-	c.unlockWake() // a consumed, discardable replica is no longer kept
+	c.rescore(ck)
+	c.releaseStaged(ck)
+	c.bump()
+	c.sendWakes() // a consumed, discardable replica is no longer kept
 	if deviated {
 		c.rec.Deviation()
 	}
@@ -637,14 +596,12 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	return ck.pay, nil
 }
 
-// tryServeFromGPU claims the GPU replica (pinning it READ_COMPLETE under
-// the buffer lock so eviction cannot race), copies it to the application
+// tryServeFromGPU claims the GPU replica (pinning it READ_COMPLETE while
+// it is resident, so eviction cannot race), copies it to the application
 // buffer, and marks it CONSUMED. Returns served=false if the checkpoint
 // has no readable GPU replica.
 func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err error) {
-	c.mu.Lock()
 	rep := ck.replicas[TierGPU]
-	c.mu.Unlock()
 	if rep == nil {
 		return false, nil
 	}
@@ -667,12 +624,11 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 
 	// WRITE_COMPLETE/FLUSHED/CONSUMED → READ_COMPLETE pins the replica
 	// for the duration of the copy-out (Fig. 1).
-	claimed := false
-	claim := func() { claimed = c.claimForRead(ck, rep) }
-	if !c.gpuC.IfResident(cachebuf.ID(ck.id), claim) && c.gpuP != nil {
-		c.gpuP.IfResident(cachebuf.ID(ck.id), claim)
+	_, _, resident := c.gpuC.Contains(cachebuf.ID(ck.id))
+	if !resident && c.gpuP != nil {
+		_, _, resident = c.gpuP.Contains(cachebuf.ID(ck.id))
 	}
-	if !claimed {
+	if !resident || !c.claimForRead(ck, rep) {
 		return false, nil // evicted underneath us; promote instead
 	}
 	c.gpuC.Touch(cachebuf.ID(ck.id)) // recency signal for LRU ablation
@@ -682,10 +638,10 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 	return true, nil
 }
 
-// prefetchDistanceLocked implements the §5.4.4 metric: the number of
+// prefetchDistance implements the §5.4.4 metric: the number of
 // successor checkpoints (per the hint queue, beyond the one being
 // restored) already readable on the GPU cache at the moment of a read.
-func (c *Client) prefetchDistanceLocked(current ID) int {
+func (c *Client) prefetchDistance(current ID) int {
 	dist := 0
 	for i := 0; ; i++ {
 		id, ok := c.q.at(i)
@@ -707,10 +663,8 @@ func (c *Client) prefetchDistanceLocked(current ID) int {
 // WaitFlush blocks until the asynchronous flush chain has fully drained —
 // the "restore phase waits for checkpoint phase" scenario of §5.4.2.
 func (c *Client) WaitFlush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cond.WaitFor(c.flushSettled)
-	if c.flushBusyLocked() {
+	if c.flushBusy() {
 		switch {
 		case c.killed:
 			return ErrKilled
@@ -721,9 +675,9 @@ func (c *Client) WaitFlush() error {
 	return c.err
 }
 
-// flushBusyLocked reports whether the flush chain still holds work: a
+// flushBusy reports whether the flush chain still holds work: a
 // queued or running flush job, or a preemption drain's triage.
-func (c *Client) flushBusyLocked() bool {
+func (c *Client) flushBusy() bool {
 	return c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drain != nil && c.drain.active
 }
 

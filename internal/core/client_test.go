@@ -153,8 +153,6 @@ func TestWaitFlushDrainsChainToSSD(t *testing.T) {
 		if err := r.client.WaitFlush(); err != nil {
 			t.Fatal(err)
 		}
-		r.client.mu.Lock()
-		defer r.client.mu.Unlock()
 		for i := ID(0); i < 4; i++ {
 			ck := r.client.ckpts[i]
 			if !ck.dataOn(TierSSD) {
@@ -260,17 +258,13 @@ func TestPrefetchGatedUntilStart(t *testing.T) {
 		// Checkpoints 0..3 were evicted from the GPU (4MB cache);
 		// without PrefetchStart they must stay off the GPU.
 		clk.Sleep(time.Second)
-		r.client.mu.Lock()
 		early := r.client.ckpts[0].dataOn(TierGPU)
-		r.client.mu.Unlock()
 		if early {
 			t.Error("checkpoint 0 promoted to GPU before PrefetchStart")
 		}
 		r.client.PrefetchStart()
 		clk.Sleep(time.Second)
-		r.client.mu.Lock()
 		after := r.client.ckpts[0].dataOn(TierGPU)
-		r.client.mu.Unlock()
 		if !after {
 			t.Error("checkpoint 0 not prefetched after PrefetchStart")
 		}
@@ -298,14 +292,12 @@ func TestPrefetchedPinnedUntilConsumed(t *testing.T) {
 		}
 		r.client.PrefetchStart()
 		clk.Sleep(2 * time.Second) // prefetcher fills the 4MB GPU cache
-		r.client.mu.Lock()
 		pinned := 0
 		for i := ID(0); i < 8; i++ {
 			if r.client.ckpts[i].dataOn(TierGPU) && !r.client.ckpts[i].consumed {
 				pinned++
 			}
 		}
-		r.client.mu.Unlock()
 		if pinned == 0 {
 			t.Fatal("no prefetched checkpoints on the GPU; test premise broken")
 		}
@@ -377,9 +369,7 @@ func TestDiscardCancelsPendingFlushes(t *testing.T) {
 		if err := r.client.WaitFlush(); err != nil {
 			t.Fatal(err)
 		}
-		r.client.mu.Lock()
 		onSSD := r.client.ckpts[0].dataOn(TierSSD)
-		r.client.mu.Unlock()
 		if onSSD {
 			t.Error("discarded checkpoint was flushed to SSD anyway")
 		}
@@ -454,9 +444,7 @@ func TestPersistToPFSCreatesPFSReplica(t *testing.T) {
 		if err := r.client.WaitFlush(); err != nil {
 			t.Fatal(err)
 		}
-		r.client.mu.Lock()
 		onPFS := r.client.ckpts[0].dataOn(TierPFS)
-		r.client.mu.Unlock()
 		if !onPFS {
 			t.Error("checkpoint not persisted to PFS")
 		}

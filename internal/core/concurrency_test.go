@@ -149,13 +149,11 @@ func TestTwoClientsShareNodeLinks(t *testing.T) {
 		}
 		// Both clients' data must be fully flushed despite contention.
 		for _, cl := range []*Client{r.client, c2} {
-			cl.mu.Lock()
 			for id, ck := range cl.ckpts {
 				if !ck.dataOn(TierSSD) {
 					t.Errorf("checkpoint %d not on SSD", id)
 				}
 			}
-			cl.mu.Unlock()
 		}
 	})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"score/internal/metrics"
@@ -22,10 +21,10 @@ import (
 // attrib accumulates the telescoping decomposition of one interval in a
 // fixed array indexed by metrics.Comp, so neither marking nor finishing
 // allocates. The durable chain hands it from the application thread to the
-// T_D2H and T_H2F workers sequentially; the mutex covers the rare overlap
-// of a late best-effort mark with finish.
+// T_D2H and T_H2F workers sequentially. A best-effort leg may mark it after
+// finish; mark and finish never block, so the two never interleave, and
+// done turns the late mark into a no-op.
 type attrib struct {
-	mu      sync.Mutex
 	op      string // metrics.CritDurable or metrics.CritRestore
 	version int64
 	start   time.Duration
@@ -45,8 +44,6 @@ func (a *attrib) mark(now time.Duration, comp metrics.Comp) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.done {
 		return
 	}
@@ -60,8 +57,6 @@ func (a *attrib) mark(now time.Duration, comp metrics.Comp) {
 // between the last mark and now is the unattributed residue — zero on a
 // correctly instrumented path.
 func (a *attrib) finish(now time.Duration) metrics.Attribution {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.done = true
 	return metrics.Attribution{
 		Op:           a.op,

@@ -83,9 +83,9 @@ func (c *Client) deepOf(t Tier) *deepTier {
 	return nil
 }
 
-// firstHolderLocked returns the fastest deep tier holding a readable
-// copy of ck, or nil. Caller holds c.mu.
-func (c *Client) firstHolderLocked(ck *checkpoint) *deepTier {
+// firstHolder returns the fastest deep tier holding a readable
+// copy of ck, or nil.
+func (c *Client) firstHolder(ck *checkpoint) *deepTier {
 	for i := range c.deep {
 		if ck.dataOn(c.deep[i].tier) {
 			return &c.deep[i]
@@ -128,13 +128,11 @@ func (c *Client) readDeep(ck *checkpoint, att *attrib, toGPU bool) error {
 	fused := toGPU && c.p.ChunkSize > 0
 	var buf [len(deepKinds)]*deepTier
 	held := buf[:0]
-	c.mu.Lock()
 	for i := range c.deep {
 		if ck.dataOn(c.deep[i].tier) {
 			held = append(held, &c.deep[i])
 		}
 	}
-	c.mu.Unlock()
 
 	err := c.walkDeep(ck, att, held, fused)
 	if err == nil && toGPU && !fused {
@@ -214,8 +212,6 @@ func (c *Client) readLeg(ck *checkpoint, att *attrib, d *deepTier, fused bool) e
 // deepReplica returns ck's replica record on a deep tier, publishing a
 // fresh INIT one when none exists, and whether it already holds data.
 func (c *Client) deepReplica(ck *checkpoint, tier Tier) (rep *replica, hasData bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	rep = ck.replicas[tier]
 	if rep == nil {
 		// No rescore: the rule asks a deep record only whether it holds
@@ -253,10 +249,9 @@ func (c *Client) writeDeep(ck *checkpoint, fromGPU bool, d *deepTier, att *attri
 // so a Restore parked on it must re-read the table and take over. It is
 // the only place a record that can have waiters is dropped.
 func (c *Client) unlinkReplica(ck *checkpoint, tier Tier, rep *replica) {
-	c.mu.Lock()
 	if ck.replicas[tier] == rep {
-		c.setReplicaLocked(ck, tier, nil)
+		c.setReplica(ck, tier, nil)
 	}
-	c.unlockWake()
+	c.sendWakes()
 	rep.fsm.Abandon()
 }

@@ -132,8 +132,6 @@ func (m DrainManifest) String() string {
 
 // Draining reports whether a preemption drain has begun on this client.
 func (c *Client) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.drain != nil
 }
 
@@ -143,8 +141,8 @@ func (c *Client) Draining() bool {
 // pops is one of the triage's admitted flushes (runH2F).
 type drainRun struct {
 	deadline time.Duration
-	active   bool              // the triage is still running (WaitFlush waits); guarded by c.mu
-	outcomes map[ID]DrainEntry // the triage's decisions; guarded by c.mu
+	active   bool              // the triage is still running (WaitFlush waits)
+	outcomes map[ID]DrainEntry // the triage's decisions
 }
 
 // drainCandidate is one undecided version the triage planner considers.
@@ -159,20 +157,16 @@ type drainCandidate struct {
 // grace window and returns the manifest. It is sticky: once called, the
 // client rejects new checkpoints with ErrDraining for the rest of its
 // life (a preemption notice is not revoked). Restores remain allowed —
-// they serve from whatever tiers survive. Safe to call concurrently
-// with foreground traffic; a second call returns ErrDraining.
+// they serve from whatever tiers survive. It may run in a task of its
+// own alongside foreground traffic; a second call returns ErrDraining.
 func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 	grace = max(grace, 0)
-	c.mu.Lock()
 	switch {
 	case c.killed:
-		c.mu.Unlock()
 		return DrainManifest{}, ErrKilled
 	case c.closed:
-		c.mu.Unlock()
 		return DrainManifest{}, ErrClosed
 	case c.drain != nil:
-		c.mu.Unlock()
 		return DrainManifest{}, ErrDraining
 	}
 	start := c.clk.Now()
@@ -189,8 +183,7 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 	// and their versions are triaged (and charged against whatever budget
 	// remains) once they appear.
 	c.d2h.q, c.h2f.q = idFIFO{}, idFIFO{}
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 
 	c.rec.DrainStart()
 	c.lifecycle(-1, trace.LDrainStart, "", fmt.Sprintf("grace %v", grace))
@@ -209,19 +202,15 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 			// A worker still owns a job (e.g. blocked on host admission
 			// that a just-finished triage flush is about to free); wait
 			// for it to land and re-snapshot.
-			c.mu.Lock()
 			c.cond.Wait()
-			c.mu.Unlock()
 			continue
 		}
 		c.drainRound(cands)
 	}
 
-	c.mu.Lock()
 	finish := c.clk.Now()
 	d.active = false
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 
 	m := DrainManifest{Grace: grace, Started: start, Deadline: d.deadline, Finished: finish}
 	c.buildManifest(&m, d.outcomes)
@@ -241,8 +230,6 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 // oldest-durability-first order (ascending writtenAt, then version) and
 // reports whether any worker still owns a job.
 func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var cands []drainCandidate
 	for _, ck := range c.ckpts {
 		// A worker-owned version is off limits — unless the worker is
@@ -317,16 +304,12 @@ func (c *Client) drainRound(cands []drainCandidate) {
 		ck := cand.ck
 		// The triage owns this version's fate from here: a worker parked
 		// on it walks away when it wakes.
-		c.mu.Lock()
 		ck.drainClaimed = true
-		c.mu.Unlock()
 		switch {
 		case cand.discard:
 			c.accountFate(ck, fateDiscarded)
-			c.mu.Lock()
 			d.outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 				Outcome: DrainDiscarded, At: c.clk.Now()}
-			c.mu.Unlock()
 			continue
 		case cand.unservable:
 			c.drainAbandon(ck, "no readable replica to flush")
@@ -365,9 +348,7 @@ func (c *Client) drainRound(cands []drainCandidate) {
 	// or closed client's workers exit once their queue is empty, so a
 	// round that finds the rank gone has no one to run its flushes and
 	// fails them open itself.
-	c.mu.Lock()
 	if c.killed || c.closed {
-		c.mu.Unlock()
 		reason := c.liveErr().Error()
 		for _, cand := range admitted {
 			c.drainAbandon(cand.ck, reason)
@@ -379,7 +360,6 @@ func (c *Client) drainRound(cands []drainCandidate) {
 		c.h2f.push(cand.ck.id)
 	}
 	c.cond.WaitFor(c.h2fIdle)
-	c.mu.Unlock()
 }
 
 // drainFlush runs one admitted version on a T_H2F worker, landing it on
@@ -408,10 +388,8 @@ func (c *Client) drainFlush(ck *checkpoint) {
 	c.markFlushed(ck, TierHost)
 	c.rec.ObserveDuration(metrics.HistDrainFlush, c.clk.Now()-start)
 	c.rec.DrainFlushed(ck.size)
-	c.mu.Lock()
 	c.drain.outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
-		Outcome: DrainFlushed, Tier: c.firstHolderLocked(ck).label, At: c.clk.Now()}
-	c.mu.Unlock()
+		Outcome: DrainFlushed, Tier: c.firstHolder(ck).label, At: c.clk.Now()}
 }
 
 // drainAbandon fails one version open to ErrLost: the manifest carries
@@ -420,18 +398,14 @@ func (c *Client) drainFlush(ck *checkpoint) {
 // wedges on it.
 func (c *Client) drainAbandon(ck *checkpoint, reason string) {
 	src := TierGPU
-	c.mu.Lock()
 	if ck.dataOn(TierHost) {
 		src = TierHost
 	}
-	c.mu.Unlock()
 	c.abortFlush(ck, src, fmt.Errorf("%w: drain: %s", ErrLost, reason))
 	c.rec.DrainAbandoned(ck.size)
 	c.lifecycle(ck.id, trace.LDrainAbandoned, "", reason)
-	c.mu.Lock()
 	c.drain.outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
 		Outcome: DrainAbandoned, Reason: reason, At: c.clk.Now()}
-	c.mu.Unlock()
 }
 
 // buildManifest classifies every live version: triage outcomes are taken
@@ -439,7 +413,6 @@ func (c *Client) drainAbandon(ck *checkpoint, reason string) {
 // by a worker during the notice window, durable before the notice, or
 // swept by a racing kill) are classified from their replica state.
 func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
-	c.mu.Lock()
 	var entries []DrainEntry
 	for id, ck := range c.ckpts {
 		if _, recovered := ck.pay.(*storePayload); recovered {
@@ -450,7 +423,7 @@ func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
 			continue
 		}
 		e := DrainEntry{Version: int64(id), Size: ck.size, At: m.Finished}
-		switch d := c.firstHolderLocked(ck); {
+		switch d := c.firstHolder(ck); {
 		case d != nil:
 			e.Outcome, e.Tier = DrainAlreadyDurable, d.label
 		case ck.flushAborted:
@@ -464,7 +437,6 @@ func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
 		}
 		entries = append(entries, e)
 	}
-	c.mu.Unlock()
 	slices.SortFunc(entries, func(a, b DrainEntry) int { return cmp.Compare(a.Version, b.Version) })
 	for _, e := range entries {
 		switch e.Outcome {

@@ -77,9 +77,7 @@ func drainBacklog(t *testing.T, clk *simclock.Virtual) *testRig {
 	}
 	clk.Sleep(time.Millisecond) // T_D2H picks up the last write
 	c := r.client
-	c.mu.Lock()
 	d2h, h2f := c.d2h.busy, c.h2f.busy
-	c.mu.Unlock()
 	if d2h != 1 || h2f != 1 {
 		t.Fatalf("busy T_D2H %d, T_H2F %d at the notice; want a job in flight in each", d2h, h2f)
 	}

@@ -43,7 +43,6 @@ func TestPCIeOutageLeavesNoInflightReplica(t *testing.T) {
 			t.Fatalf("WaitFlush must drain despite the outage: %v", err)
 		}
 
-		r.client.mu.Lock()
 		ck := r.client.ckpts[0]
 		if !ck.flushAborted {
 			t.Error("flush not marked aborted after every route failed")
@@ -57,7 +56,6 @@ func TestPCIeOutageLeavesNoInflightReplica(t *testing.T) {
 				t.Errorf("tier %v replica stuck in-flight (%v)", Tier(tier), st)
 			}
 		}
-		r.client.mu.Unlock()
 
 		if _, host := r.client.Resident(); host != 0 {
 			t.Errorf("host cache holds %d residents; the rolled-back reservation leaked", host)
@@ -115,9 +113,7 @@ func TestTransientNVMeFailureRetriesThrough(t *testing.T) {
 		if tiers := r.client.DegradedTiers(); len(tiers) != 0 {
 			t.Errorf("transient failure degraded tiers %v", tiers)
 		}
-		r.client.mu.Lock()
 		rep := r.client.ckpts[0].replicas[TierSSD]
-		r.client.mu.Unlock()
 		if rep == nil || rep.fsm.State() != lifecycle.Flushed {
 			t.Error("SSD replica not FLUSHED after retried write")
 		}
@@ -179,11 +175,9 @@ func TestSSDOutageReroutesFlushToPFS(t *testing.T) {
 		if err := r.client.WaitFlush(); err != nil {
 			t.Fatalf("flush must reroute to PFS: %v", err)
 		}
-		r.client.mu.Lock()
 		ck := r.client.ckpts[0]
 		pfsRep := ck.replicas[TierPFS]
 		aborted := ck.flushAborted
-		r.client.mu.Unlock()
 		if aborted {
 			t.Error("flush aborted despite a healthy PFS route")
 		}

@@ -36,9 +36,9 @@ var (
 
 // flushPool is one flusher stage: its FIFO, its in-flight job count (so
 // WaitFlush can tell an empty queue from a drained one) and the cond its
-// idle workers park on. Fields are guarded by Client.mu. An idle worker's
+// idle workers park on. An idle worker's
 // predicate changes only when its queue grows (push signals one worker)
-// or when the client closes or dies (releaseFlushersLocked wakes all); a
+// or when the client closes or dies (releaseFlushers wakes all); a
 // drain's notice only empties the queues, and its triage then pushes its
 // admitted flushes onto the T_H2F queue like any other job.
 type flushPool struct {
@@ -47,23 +47,21 @@ type flushPool struct {
 	cond simclock.Cond
 }
 
-// push queues id and wakes one idle worker. Caller holds c.mu.
+// push queues id and wakes one idle worker.
 func (p *flushPool) push(id ID) {
 	p.q.push(id)
 	p.cond.Signal()
 }
 
-// releaseFlushersLocked wakes every idle flush worker of both pools so it
-// observes closed or killed. Caller holds c.mu.
-func (c *Client) releaseFlushersLocked() {
+// releaseFlushers wakes every idle flush worker of both pools so it
+// observes closed or killed.
+func (c *Client) releaseFlushers() {
 	c.d2h.cond.Broadcast()
 	c.h2f.cond.Broadcast()
 }
 
 // popFlushJob blocks for the next id queued on p; ok=false on close.
 func (c *Client) popFlushJob(p *flushPool) (ID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for p.q.len() == 0 {
 		if c.closed || c.killed {
 			return 0, false
@@ -83,15 +81,13 @@ func (c *Client) popFlushJob(p *flushPool) (ID, bool) {
 }
 
 func (c *Client) finishFlushJob(id ID, p *flushPool) {
-	c.mu.Lock()
 	p.busy--
 	// T_D2H queues a version for T_H2F before finishing its own job, so
 	// both stages can own it at once.
 	if c.inFlight[id]--; c.inFlight[id] == 0 {
 		delete(c.inFlight, id)
 	}
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 }
 
 // skipFlush implements §2 condition 5: "if a checkpoint was consumed and
@@ -101,15 +97,11 @@ func (c *Client) finishFlushJob(id ID, p *flushPool) {
 // nothing else would ever move the copy on, so the host cache would hold
 // its room for the rest of the run.
 func (c *Client) skipFlush(ck *checkpoint) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return ck.consumed && c.p.DiscardAfterRestore
 }
 
 func (c *Client) runD2H(id ID) {
-	c.mu.Lock()
 	ck := c.ckpts[id]
-	c.mu.Unlock()
 	if ck == nil {
 		return
 	}
@@ -133,15 +125,11 @@ func (c *Client) runD2H(id ID) {
 		// completes (§4.1.4). Publish the park: a preemption triage with a
 		// deadline shorter than the registration claims the job instead of
 		// waiting it out.
-		c.mu.Lock()
 		ck.hostWait = true
-		c.bumpLocked()
-		c.mu.Unlock()
+		c.bump()
 		c.waitHostReady()
-		c.mu.Lock()
 		ck.hostWait = false
 		claimed := ck.drainClaimed
-		c.mu.Unlock()
 		if claimed {
 			// The drain triage flushed or failed this version open while the
 			// worker slept; the decision is made.
@@ -193,14 +181,11 @@ const (
 // copy's on hostDied, and a reservation error other than too-large or
 // closed on hostBypassed; nil otherwise.
 func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
-	c.mu.Lock()
 	if ck.dataOn(TierHost) || ck.dataOn(TierSSD) {
-		c.mu.Unlock()
 		return hostLanded, nil
 	}
 	hostRep := c.newReplica(TierHost)
-	c.setReplicaLocked(ck, TierHost, hostRep)
-	c.mu.Unlock()
+	c.setReplica(ck, TierHost, hostRep)
 
 	if _, err := c.hstC.Reserve(c.hostKey(ck.id), ck.size); err != nil {
 		c.unlinkReplica(ck, TierHost, hostRep)
@@ -237,26 +222,22 @@ func (c *Client) landOnHost(ck *checkpoint, att *attrib) (hostLanding, error) {
 }
 
 func (c *Client) enqueueH2F(ck *checkpoint) {
-	c.mu.Lock()
 	// After a drain's notice the triage owns the version: a late D2H
 	// landing queues nothing, and the next round takes the host copy.
 	enq := !ck.enqueuedH2F && c.drain == nil
 	if enq {
 		ck.enqueuedH2F = true
 		c.h2f.push(ck.id)
-		c.bumpLocked()
+		c.bump()
 	}
-	c.mu.Unlock()
 	if enq {
 		c.lifecycle(ck.id, trace.LFlushEnqueued, "", "h2f")
 	}
 }
 
 func (c *Client) runH2F(id ID) {
-	c.mu.Lock()
 	ck := c.ckpts[id]
 	draining := c.drain != nil
-	c.mu.Unlock()
 	if ck == nil {
 		return
 	}
@@ -273,10 +254,8 @@ func (c *Client) runH2F(id ID) {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "flush",
 			spanName("flush", id, " host→ssd"), c.flowID(id)).End()
 	}
-	c.mu.Lock()
 	hostRep := ck.replicas[TierHost]
 	alreadyOnSSD := ck.dataOn(TierSSD)
-	c.mu.Unlock()
 	if alreadyOnSSD {
 		if hostRep != nil {
 			c.markFlushed(ck, TierHost)
@@ -503,14 +482,13 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 // recover, the checkpoint is lost and Restore reports ErrLost
 // definitively instead of hanging.
 func (c *Client) abortFlush(ck *checkpoint, srcTier Tier, err error) {
-	c.mu.Lock()
 	ck.flushAborted = true
 	if ck.flushErr == nil {
 		ck.flushErr = err
 	}
-	c.rescoreLocked(ck)
-	c.bumpLocked()
-	c.unlockWake()
+	c.rescore(ck)
+	c.bump()
+	c.sendWakes()
 	c.rec.FlushAbort()
 	c.accountFate(ck, fateLost)
 	c.markFlushed(ck, srcTier)
@@ -520,12 +498,10 @@ func (c *Client) abortFlush(ck *checkpoint, srcTier Tier, err error) {
 // reservation, whose gap wakes blocked reservations.
 func (c *Client) dropReplica(ck *checkpoint, tier Tier, rep *replica) {
 	c.unlinkReplica(ck, tier, rep)
-	c.mu.Lock()
 	if tier == TierHost {
-		c.releaseStagedLocked(ck)
+		c.releaseStaged(ck)
 	}
-	c.bumpLocked()
-	c.mu.Unlock()
+	c.bump()
 	switch tier {
 	case TierHost:
 		c.hstC.Release(c.hostKey(ck.id))
@@ -540,9 +516,7 @@ func (c *Client) dropReplica(ck *checkpoint, tier Tier, rep *replica) {
 // still in WRITE_COMPLETE (a restore may have claimed it to READ_COMPLETE
 // in the meantime, which is fine — the shortcut edge of Fig. 1).
 func (c *Client) markFlushed(ck *checkpoint, tier Tier) {
-	c.mu.Lock()
 	rep := ck.replicas[tier]
-	c.mu.Unlock()
 	if rep == nil {
 		return
 	}

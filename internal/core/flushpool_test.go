@@ -52,8 +52,6 @@ func TestFlushPoolDrainsAllCheckpoints(t *testing.T) {
 		if err := r.client.WaitFlush(); err != nil {
 			t.Fatal(err)
 		}
-		r.client.mu.Lock()
-		defer r.client.mu.Unlock()
 		for i := 0; i < n; i++ {
 			ck := r.client.ckpts[ID(i)]
 			rep := ck.replicas[TierSSD]
@@ -181,7 +179,6 @@ func TestFlushPoolAbortWithMultipleWorkers(t *testing.T) {
 		if err := r.client.WaitFlush(); err != nil {
 			t.Fatalf("WaitFlush must drain despite the outage: %v", err)
 		}
-		r.client.mu.Lock()
 		for i := 0; i < n; i++ {
 			ck := r.client.ckpts[ID(i)]
 			if !ck.flushAborted {
@@ -197,7 +194,6 @@ func TestFlushPoolAbortWithMultipleWorkers(t *testing.T) {
 				}
 			}
 		}
-		r.client.mu.Unlock()
 		for i := 0; i < n; i++ {
 			if _, err := r.client.Restore(ID(i)); err != nil {
 				t.Errorf("restore %d from surviving GPU copy: %v", i, err)
@@ -264,9 +260,7 @@ func TestFlushPushWakesOneWorkerOfItsPool(t *testing.T) {
 	withParkedFlushers(t, func(clk *simclock.Virtual, c *Client, d2h, h2f *wakeCountingCond) {
 		defer c.Close()
 		for i, pool := range []*flushPool{&c.d2h, &c.h2f} {
-			c.mu.Lock()
 			pool.push(ID(100 + i)) // no such version: the worker pops it and finishes at once
-			c.mu.Unlock()
 			clk.Sleep(time.Millisecond)
 			if want := []int{1, i}; d2h.woke != want[0] || h2f.woke != want[1] {
 				t.Errorf("after push %d: woke d2h %d, h2f %d; want %v", i, d2h.woke, h2f.woke, want)
@@ -344,12 +338,10 @@ func TestStageHandoffKeepsVersionWorkerOwned(t *testing.T) {
 	run(t, func(clk *simclock.Virtual) {
 		c := newRig(t, clk, nil).client
 		c.Close() // the pool's own workers exit; this test is the only popper
-		c.mu.Lock()
 		c.closed = false
 		c.ckpts[7] = &checkpoint{id: 7, size: MB}
 		c.d2h.push(7)
 		c.h2f.push(7)
-		c.mu.Unlock()
 		for _, pool := range []*flushPool{&c.d2h, &c.h2f} {
 			if id, ok := c.popFlushJob(pool); !ok || id != 7 {
 				t.Fatalf("popFlushJob = %d, %v", id, ok)

@@ -368,8 +368,6 @@ func checkFlush(t *testing.T, fc flushCase, hedge bool, want flushWant, partnerS
 
 // writingTier returns the tier whose record of version 0 is being written.
 func writingTier(t *testing.T, c *Client) Tier {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if ck := c.ckpts[0]; ck != nil {
 		for tier, rep := range ck.replicas {
 			if rep != nil && rep.fsm.State() == lifecycle.WriteInProgress {
@@ -385,11 +383,9 @@ func writingTier(t *testing.T, c *Client) Tier {
 // would, without a GPU stage of its own.
 func queueH2F(t *testing.T, c *Client, size int64) {
 	ck := &checkpoint{id: 0, size: size, pay: pay(size)}
-	c.mu.Lock()
 	rep := c.newReplica(TierHost)
 	c.ckpts[ck.id] = ck
-	c.setReplicaLocked(ck, TierHost, rep)
-	c.mu.Unlock()
+	c.setReplica(ck, TierHost, rep)
 	if _, err := c.hstC.Reserve(c.hostKey(ck.id), size); err != nil {
 		t.Fatal(err)
 	}

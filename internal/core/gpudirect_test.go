@@ -29,7 +29,6 @@ func TestGPUDirectBypassesHostCache(t *testing.T) {
 		if _, host := r.client.Resident(); host != 0 {
 			t.Errorf("host cache holds %d replicas under GPUDirect", host)
 		}
-		r.client.mu.Lock()
 		for i := ID(0); i < n; i++ {
 			ck := r.client.ckpts[i]
 			if ck.replicas[TierHost] != nil {
@@ -39,7 +38,6 @@ func TestGPUDirectBypassesHostCache(t *testing.T) {
 				t.Errorf("checkpoint %d not on SSD", i)
 			}
 		}
-		r.client.mu.Unlock()
 
 		r.client.PrefetchStart()
 		for i := ID(n - 1); i >= 0; i-- {

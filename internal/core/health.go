@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -47,7 +46,6 @@ type classHealth struct {
 // feeding it on every successful transfer cannot perturb scheduling —
 // the hedging-off configuration stays byte-identical to the seed.
 type tierHealth struct {
-	mu      sync.Mutex
 	classes map[string]*classHealth
 }
 
@@ -62,8 +60,6 @@ func (h *tierHealth) observe(class string, size int64, d time.Duration) {
 		return
 	}
 	perByte := float64(d) / float64(size)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	ch := h.classes[class]
 	if ch == nil {
 		ch = &classHealth{floor: perByte, ewma: 1}
@@ -99,7 +95,6 @@ func (h *tierHealth) observe(class string, size int64, d time.Duration) {
 // the EWMA has long since breached and quarantined the tier. The cap at
 // healthBreach bounds the damage even then.
 func (h *tierHealth) deadline(class string, size int64) time.Duration {
-	h.mu.Lock()
 	var d time.Duration
 	if ch := h.classes[class]; ch != nil && ch.n > 0 {
 		ratios := make([]float64, ch.n)
@@ -111,7 +106,6 @@ func (h *tierHealth) deadline(class string, size int64) time.Duration {
 		}
 		d = time.Duration(q * ch.floor * float64(size) * hedgeHeadroom)
 	}
-	h.mu.Unlock()
 	if d == 0 {
 		return 0
 	}
@@ -121,8 +115,6 @@ func (h *tierHealth) deadline(class string, size int64) time.Duration {
 // score returns the class's EWMA slowdown ratio (1.0 = nominal); 0 when
 // the class has no observations yet.
 func (h *tierHealth) score(class string) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	ch := h.classes[class]
 	if ch == nil {
 		return 0
@@ -133,8 +125,6 @@ func (h *tierHealth) score(class string) float64 {
 // breached reports whether the class's EWMA slowdown has crossed the
 // quarantine threshold (with enough samples to trust it).
 func (h *tierHealth) breached(class string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	ch := h.classes[class]
 	return ch != nil && ch.n >= healthMinSamples && ch.ewma >= healthBreach
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"score/internal/metrics"
@@ -23,7 +22,7 @@ import (
 // time and stores an immutable payload, so no leg can corrupt another's.
 
 // raceLeg is one leg of a race: its row, when and why it launched, and
-// how it ended (done and err are guarded by the race's lock).
+// how it ended.
 type raceLeg struct {
 	*deepTier
 	start  time.Duration
@@ -49,42 +48,34 @@ type raceDir struct {
 // to succeed, or the deepest leg's error once every leg has failed. The
 // winner's transfer window is charged to its component on att.
 func (c *Client) hedgeRace(ck *checkpoint, att *attrib, rows []*deepTier, dir raceDir) (*raceLeg, error) {
-	var mu sync.Mutex
-	cond := c.clk.NewCond(&mu)
+	cond := c.clk.NewCond(nil)
 	legs := make([]raceLeg, 0, len(rows)) // never regrown: leg tasks hold pointers into it
 	var winner *raceLeg
 	var decided, hedgedAny, fellBack bool
 	start := c.clk.Now()
 
-	// launch starts the next row's leg; the caller holds mu, open runs without.
+	// launch starts the next row's leg.
 	launch := func(hedged bool) {
 		legs = append(legs, raceLeg{deepTier: rows[len(legs)], start: c.clk.Now(), hedged: hedged})
 		l := &legs[len(legs)-1]
 		if dir.open != nil {
-			mu.Unlock()
 			dir.open(l)
-			mu.Lock()
 		}
 		c.hedgeWG.Add(1)
 		c.clk.Go(func() {
 			defer c.hedgeWG.Done()
 			err := dir.run(l)
-			mu.Lock()
 			l.done, l.err = true, err
 			if err == nil && !decided {
 				decided, winner = true, l
 			}
-			late := err == nil && winner != l
 			cond.Broadcast()
-			mu.Unlock()
-			if late {
+			if err == nil && winner != l {
 				dir.late(l)
 			}
 		})
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
 	launch(false)
 	for {
 		if winner != nil {

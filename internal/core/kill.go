@@ -31,8 +31,6 @@ func (c *Client) Kill() {
 
 // Killed reports whether the rank has been killed.
 func (c *Client) Killed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.killed
 }
 
@@ -42,18 +40,16 @@ func (c *Client) Killed() bool {
 // evictable, so a reservation parked on a window they lie in — its own
 // flusher's, or a co-located survivor's in a shared host pool — proceeds.
 func (c *Client) markKilled() bool {
-	c.mu.Lock()
 	if c.killed || c.closed {
-		c.mu.Unlock()
 		return false
 	}
 	c.killed = true
-	c.bumpLocked()
-	c.releaseFlushersLocked()
+	c.bump()
+	c.releaseFlushers()
 	for _, ck := range c.ckpts {
-		c.rescoreLocked(ck)
+		c.rescore(ck)
 	}
-	c.unlockWake()
+	c.sendWakes()
 	c.lifecycle(-1, trace.LKilled, "", "rank killed")
 	return true
 }
@@ -61,8 +57,6 @@ func (c *Client) markKilled() bool {
 // killGate returns ErrKilled once the rank is dead; flush routes call it
 // before committing a durable effect.
 func (c *Client) killGate() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.killed {
 		return ErrKilled
 	}
@@ -76,7 +70,6 @@ func (c *Client) killGate() error {
 func (c *Client) finishKill() {
 	c.Close()
 
-	c.mu.Lock()
 	var undecided []*checkpoint
 	for _, ck := range c.ckpts {
 		if ck.fateAccounted {
@@ -87,17 +80,15 @@ func (c *Client) finishKill() {
 		}
 		undecided = append(undecided, ck)
 	}
-	c.mu.Unlock()
 	// Deterministic sweep order (the map iteration above is not).
 	slices.SortFunc(undecided, func(a, b *checkpoint) int { return cmp.Compare(a.id, b.id) })
 	for _, ck := range undecided {
-		c.mu.Lock()
 		ck.flushAborted = true
 		if ck.flushErr == nil {
 			ck.flushErr = ErrKilled
 		}
-		c.rescoreLocked(ck)
-		c.unlockWake()
+		c.rescore(ck)
+		c.sendWakes()
 		c.accountFate(ck, fateLost)
 	}
 	c.rec.RankDeath()

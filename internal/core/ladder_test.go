@@ -145,7 +145,6 @@ func (lr *ladderRig) arm(tier Tier, outcome legOutcome) {
 // the given deep tiers, as recovery from the stores would.
 func (lr *ladderRig) holding(held []Tier) *checkpoint {
 	ck := &checkpoint{id: 7, size: MB, pay: pay(MB)}
-	lr.client.mu.Lock()
 	for _, t := range held {
 		rep := lr.client.newReplica(t)
 		for _, s := range []lifecycle.State{lifecycle.WriteInProgress, lifecycle.WriteComplete, lifecycle.Flushed} {
@@ -154,7 +153,6 @@ func (lr *ladderRig) holding(held []Tier) *checkpoint {
 		ck.replicas[t] = rep
 	}
 	lr.client.ckpts[ck.id] = ck
-	lr.client.mu.Unlock()
 	return ck
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"score/internal/metrics"
@@ -35,17 +34,13 @@ const (
 // excluded, keeping accepted == durable + discarded + lost at
 // quiescence.
 func (c *Client) accountFate(ck *checkpoint, fate ckptFate) {
-	c.mu.Lock()
 	if ck.fateAccounted {
-		c.mu.Unlock()
 		return
 	}
 	if _, recovered := ck.pay.(*storePayload); recovered {
-		c.mu.Unlock()
 		return
 	}
 	ck.fateAccounted = true
-	c.mu.Unlock()
 	switch fate {
 	case fateDurable:
 		// ConserveDurable before CritPath: the running invariant bounds
@@ -110,18 +105,16 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 	})
 	// One ScoreSummary pass over the GPU cache's fragments serves both
 	// score series of a tick: whichever probe is polled first at a
-	// simulated instant reads the cache, the other what it found. Keyed
-	// by the instant and locked, because a tick and the sampler's final
-	// sample can poll concurrently.
+	// simulated instant reads the cache, the other what it found. Keyed by
+	// the instant, because a tick and the sampler's final sample can poll
+	// at the same instant. They never interleave: probes do not block, so
+	// a poll runs from start to end in one task.
 	var scores struct {
-		sync.Mutex
 		at   time.Duration // instant of the pass held in p and s
 		p, s float64
 	}
 	scores.at = -1
 	scoreMeans := func() (p, sc float64) {
-		scores.Lock()
-		defer scores.Unlock()
 		if now := c.clk.Now(); scores.at != now {
 			scores.p, scores.s = c.gpuC.ScoreSummary()
 			scores.at = now
@@ -146,13 +139,9 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 		return float64(c.p.GPU.EnginesBusy())
 	})
 	s.Register(name("queue.d2h"), func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		return float64(c.d2h.q.len() + c.d2h.busy)
 	})
 	s.Register(name("queue.h2f"), func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		return float64(c.h2f.q.len() + c.h2f.busy)
 	})
 	// Tier health: how many tiers are currently out of rotation, and how
@@ -174,8 +163,6 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 		})
 	}
 	s.Register(name("drain.active"), func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		if c.drain != nil && c.drain.active {
 			return 1
 		}

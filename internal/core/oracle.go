@@ -11,8 +11,7 @@ import (
 // tierOracle is one cache tier's end of the eviction contract: it hands
 // the tier's buffer each placed checkpoint's entry (cachebuf.EntrySource)
 // and from then on answers nothing — the buffer reads the entry in place,
-// and the client rewrites it at every event that changes what it says. Its
-// methods run under the buffer's lock and take Client.mu, never the reverse.
+// and the client rewrites it at every event that changes what it says.
 type tierOracle struct {
 	c    *Client
 	tier Tier
@@ -21,8 +20,6 @@ type tierOracle struct {
 
 // Entry implements cachebuf.EntrySource.
 func (o *tierOracle) Entry(id cachebuf.ID) (*cachebuf.Entry, *cachebuf.Source) {
-	o.c.mu.Lock()
-	defer o.c.mu.Unlock()
 	if ck := o.c.ckpts[ID(id)]; ck != nil {
 		return &ck.entries[o.tier], &o.src
 	}
@@ -31,15 +28,13 @@ func (o *tierOracle) Entry(id cachebuf.ID) (*cachebuf.Entry, *cachebuf.Source) {
 
 // Evicted removes the replica record when the buffer discards it.
 func (o *tierOracle) Evicted(id cachebuf.ID) {
-	o.c.mu.Lock()
-	defer o.c.mu.Unlock()
 	if ck := o.c.ckpts[ID(id)]; ck != nil {
 		// No rescore: the buffer erased the fragment because its entry
 		// read evictable, which is how an unlinked record reads.
 		ck.replicas[o.tier] = nil
-		o.c.reopenStageLocked(ck)
+		o.c.reopenStage(ck)
 		if o.tier == TierHost {
-			o.c.releaseStagedLocked(ck)
+			o.c.releaseStaged(ck)
 		}
 		o.c.lifecycle(ck.id, trace.LEvicted, o.tier.String(), "")
 	}
@@ -56,7 +51,7 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 	return o.c.p.NVMe.Estimate(size)
 }
 
-// rescoreLocked is the eviction rule: it re-derives what each cache tier's
+// rescore is the eviction rule: it re-derives what each cache tier's
 // buffer may do with ck's fragment and publishes it to the entry the buffer
 // reads. A replica may be evicted when its life cycle allows it (FLUSHED or
 // CONSUMED, Fig. 1) and no data would be lost — a readable copy exists on
@@ -70,14 +65,13 @@ func (o *tierOracle) flushEstimate(size int64) time.Duration {
 // kept even when discardable: the copy waits for its flush to move it on,
 // so a flush skipped under §2 condition 5 ends FLUSHED too (skipFlush),
 // and a READ_COMPLETE source is pinned until the read that claimed it
-// consumes it (copyFromHost). Every event that
-// changes an input calls this in the critical section that makes the change
-// — a transition on any tier, a cache record linked or unlinked, consumption,
-// an aborted flush — so under c.mu the entries always equal the rule. It is
-// also the one place that decides a parked reservation may proceed: a
-// write that clears Pinned or Kept marks its tier in c.wake, and the
-// critical section's unlockWake sends it.
-func (c *Client) rescoreLocked(ck *checkpoint) {
+// consumes it (copyFromHost). Every event that changes an input calls this
+// before its task next blocks — a transition on any tier, a cache record
+// linked or unlinked, consumption, an aborted flush — so whenever another
+// task runs, the entries equal the rule. It is also the one place that
+// decides a parked reservation may proceed: a write that clears Pinned or
+// Kept marks its tier in c.wake, and the caller's sendWakes sends it.
+func (c *Client) rescore(ck *checkpoint) {
 	discardable := (ck.consumed && c.p.DiscardAfterRestore) || ck.flushAborted
 	for tier := TierGPU; tier <= TierHost; tier++ {
 		var flags cachebuf.Flags // no record, or a dead rank's: free to reclaim
@@ -108,14 +102,12 @@ func (c *Client) rescoreLocked(ck *checkpoint) {
 	}
 }
 
-// unlockWake releases c.mu, then wakes the reservations parked on each
-// cache tier a rescore under it unblocked. Every critical section that may
-// rescore ends here, except an IfResident claim's (claimForRead), which
-// runs under a buffer's lock.
-func (c *Client) unlockWake() {
+// sendWakes wakes the reservations parked on each cache tier a rescore
+// unblocked. Every change that may rescore ends here, except a read's
+// claim (claimForRead).
+func (c *Client) sendWakes() {
 	w := c.wake
 	c.wake = [TierHost + 1]bool{}
-	c.mu.Unlock()
 	if w[TierGPU] {
 		c.gpuC.Notify()
 		if c.gpuP != nil {
@@ -128,16 +120,13 @@ func (c *Client) unlockWake() {
 }
 
 // tryTransition moves rep, ck's record on some tier, along an edge of
-// Fig. 1 and rescores ck in the same critical section, reporting whether
-// the edge was legal; every life-cycle change goes through here,
-// mustTransition or claimForRead. The caller holds neither c.mu nor a
-// buffer's lock.
+// Fig. 1 and rescores ck, reporting whether the edge was legal; every
+// life-cycle change goes through here, mustTransition or claimForRead.
 func (c *Client) tryTransition(ck *checkpoint, rep *replica, to lifecycle.State) bool {
-	c.mu.Lock()
-	defer c.unlockWake()
+	defer c.sendWakes()
 	ok := rep.fsm.TryTo(to)
 	if ok {
-		c.rescoreLocked(ck)
+		c.rescore(ck)
 	}
 	return ok
 }
@@ -145,73 +134,71 @@ func (c *Client) tryTransition(ck *checkpoint, rep *replica, to lifecycle.State)
 // mustTransition is tryTransition where legality holds by construction:
 // an illegal edge panics.
 func (c *Client) mustTransition(ck *checkpoint, rep *replica, to lifecycle.State) {
-	c.mu.Lock()
-	defer c.unlockWake()
+	defer c.sendWakes()
 	rep.fsm.MustTo(to)
-	c.rescoreLocked(ck)
+	c.rescore(ck)
 	if to == lifecycle.WriteComplete && rep.tier > TierHost {
-		c.reopenStageLocked(ck) // a flush landed below the host tier
+		c.reopenStage(ck) // a flush landed below the host tier
 	}
 }
 
-// claimForRead pins rep READ_COMPLETE (unless it is there already) inside
-// an IfResident claim, so the pin is in the entry before the eviction
-// re-check that follows can read it, and reports whether rep is pinned (a
-// record mid-write is not claimable). The claim holds the buffer's lock,
-// so this sends no wake: only the NoPinning ablation can record one here,
+// claimForRead pins rep, resident in its cache, READ_COMPLETE (unless it
+// is there already) and reports whether rep is pinned (a record mid-write
+// is not claimable). Eviction does not block between its final
+// evictability check and the fragment's erasure, so a claim made while the
+// fragment is resident is in the entry before any eviction re-check reads
+// it. It sends no wake: only the NoPinning ablation can record one here,
 // and the claimer's own CONSUMED transition sends it.
 func (c *Client) claimForRead(ck *checkpoint, rep *replica) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if rep.fsm.State() == lifecycle.ReadComplete {
 		return true
 	}
 	ok := rep.fsm.TryTo(lifecycle.ReadComplete)
 	if ok {
-		c.rescoreLocked(ck)
+		c.rescore(ck)
 	}
 	return ok
 }
 
-// setReplicaLocked links rep as ck's record on tier (nil unlinks), rescored.
+// setReplica links rep as ck's record on tier (nil unlinks), rescored.
 // A fresh record only pins; an unlink can unblock, so it runs under
-// unlinkReplica's unlockWake.
-func (c *Client) setReplicaLocked(ck *checkpoint, tier Tier, rep *replica) {
+// unlinkReplica's sendWakes.
+func (c *Client) setReplica(ck *checkpoint, tier Tier, rep *replica) {
 	ck.replicas[tier] = rep
-	c.rescoreLocked(ck)
+	c.rescore(ck)
 }
 
-// hintLocked returns the queue position of ck's first pending hint, or
-// cachebuf.NoHint; setHintLocked publishes one on both tiers' entries.
-func (ck *checkpoint) hintLocked() int { return ck.entries[TierGPU].Hint() }
+// hint returns the queue position of ck's first pending hint, or
+// cachebuf.NoHint; setHint publishes one on both tiers' entries.
+func (ck *checkpoint) hint() int { return ck.entries[TierGPU].Hint() }
 
-func (ck *checkpoint) setHintLocked(pos int) {
+func (ck *checkpoint) setHint(pos int) {
 	for i := range ck.entries {
 		ck.entries[i].SetHint(pos)
 	}
 }
 
-// consumeHintLocked pops ck's first pending hint for a restore and keeps
+// consumeHint pops ck's first pending hint for a restore and keeps
 // the entries' positions true: a pop at the head shifts every distance
 // uniformly, which is one store to each tier's queue head; a deviating
 // restore cuts the hint out mid-queue, and every first hint behind the cut
 // moves down one position. ck's own entry then points at a later duplicate
-// hint (re-read schedules), or at none. Caller holds c.mu.
-func (c *Client) consumeHintLocked(ck *checkpoint) (deviated bool) {
+// hint (re-read schedules), or at none.
+func (c *Client) consumeHint(ck *checkpoint) (deviated bool) {
 	at, deviated := c.q.consume(ck.id)
 	if at < 0 {
 		return false
 	}
 	for i := at; deviated && i < len(c.q.hints); i++ {
-		if o := c.ckpts[c.q.hints[i]]; o != nil && o.hintLocked() == i+1 {
-			o.setHintLocked(i)
+		if o := c.ckpts[c.q.hints[i]]; o != nil && o.hint() == i+1 {
+			o.setHint(i)
 		}
 	}
 	// The entry leaves the head position before the head advances, and
 	// scans read the head first: no distance reads negative.
-	ck.setHintLocked(c.q.firstPending(ck.id))
+	ck.setHint(c.q.firstPending(ck.id))
 	for i := range c.oracles {
-		c.oracles[i].src.Head.Store(int64(c.q.head))
+		c.oracles[i].src.Head = int64(c.q.head)
 	}
 	return deviated
 }

@@ -30,7 +30,7 @@ func decodeEntry(e *cachebuf.Entry) entryWant {
 // ruleEntry restates the eviction rule the way the pull oracle spelled it —
 // Evictable's safety condition and the per-state case analysis of the
 // score, a linear scan of the pending hints for the position — from the
-// records alone. Caller holds c.mu.
+// records alone.
 func ruleEntry(c *Client, ck *checkpoint, tier Tier) entryWant {
 	w := entryWant{hint: cachebuf.NoHint}
 	for i := c.q.head; i < len(c.q.hints); i++ {
@@ -68,7 +68,7 @@ func ruleEntry(c *Client, ck *checkpoint, tier Tier) entryWant {
 
 // refStageTarget is the host stager's search without its cursor: a walk of
 // the pending hints from the queue head, each looked up in the checkpoint
-// table. Caller holds c.mu.
+// table.
 func refStageTarget(c *Client, freeHostBytes int64) *checkpoint {
 	budget := c.p.HostCacheSize / 2
 	if c.stagedBytes >= budget {
@@ -93,7 +93,7 @@ func refStageTarget(c *Client, freeHostBytes int64) *checkpoint {
 			!ck.durableBelow(TierHost) {
 			continue
 		}
-		if freeHostBytes < ck.size && i >= c.maxHostResidentDistanceLocked() {
+		if freeHostBytes < ck.size && i >= c.maxHostResidentDistance() {
 			return nil
 		}
 		return ck
@@ -107,10 +107,8 @@ func refStageTarget(c *Client, freeHostBytes int64) *checkpoint {
 // with the walk from the queue head, with and without room in the host
 // cache.
 func checkEntries(c *Client) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for tier := TierGPU; tier <= TierHost; tier++ {
-		if got := c.oracles[tier].src.Head.Load(); got != int64(c.q.head) {
+		if got := c.oracles[tier].src.Head; got != int64(c.q.head) {
 			return fmt.Errorf("%v tier: published queue head %d, the queue's is %d", tier, got, c.q.head)
 		}
 	}
@@ -129,7 +127,7 @@ func checkEntries(c *Client) error {
 		}
 	}
 	for _, free := range []int64{0, math.MaxInt64} {
-		if got, want := c.nextStageTargetLocked(free), refStageTarget(c, free); got != want {
+		if got, want := c.nextStageTarget(free), refStageTarget(c, free); got != want {
 			return fmt.Errorf("stager target %v from the cursor at %d, %v from the queue head (free %d)",
 				stageID(got), c.q.st-c.q.head, stageID(want), free)
 		}
@@ -210,18 +208,18 @@ func init() {
 // its fragments: the kill rescores them all evictable.
 //
 // Each of these fourteen mutations, tried one at a time, fails it: no
-// rescore in transition; none in setReplicaLocked; a plain assignment in
-// place of setReplicaLocked in Checkpoint, landOnHost, reserveForRead or
+// rescore in transition; none in setReplica; a plain assignment in
+// place of setReplica in Checkpoint, landOnHost, reserveForRead or
 // unlinkReplica; no rescore after `consumed = true`, in abortFlush or in
 // finishKill; no hint pick-up in Checkpoint or in PrefetchEnqueue; and in
-// consumeHintLocked no head store, no shift behind a mid-queue cut, no move
+// consumeHint no head store, no shift behind a mid-queue cut, no move
 // to the duplicate hint. The three links that do assign plainly —
 // deepReplica, recoverFromStore, Evicted — change nothing the rule reads,
 // and say why where they do it.
 //
 // The stager's cursor check fails under each of these ten: no reopen in
 // Evicted, where stagingHost is cleared, or where either promotion clears
-// promoting; no unlink of the slots in forgetLocked; in restoreQueue no cut
+// promoting; no unlink of the slots in forget; in restoreQueue no cut
 // of a consumed hint, no move-down behind a mid-queue cut, no floor at the
 // head after a head pop; no slot fill in the search. The trials rarely land
 // a flush below a record-less checkpoint, so mustTransition's reopen is
@@ -320,11 +318,9 @@ func entriesTrial(t *testing.T, seed int64) {
 				c.PrefetchEnqueue(id)
 			case x < 88 && next[k] > 0:
 				id := ID(rng.Intn(int(next[k])))
-				c.mu.Lock()
 				if head, ok := c.q.at(0); ok && head < next[k] && rng.Intn(2) == 0 {
 					id = head // in hint order
 				}
-				c.mu.Unlock()
 				what = fmt.Sprintf("client %d restore %d", k, id)
 				if _, err := c.Restore(id); err != nil && !errors.Is(err, ErrLost) &&
 					!errors.Is(err, ErrTierIO) && !errors.Is(err, ErrKilled) {
@@ -380,9 +376,7 @@ func TestStagerCursorFollowsASynchronousFlush(t *testing.T) {
 			if (err != nil) != dead {
 				t.Fatalf("every route below dead %v: Checkpoint = %v", dead, err)
 			}
-			c.mu.Lock()
 			passed := c.q.st > c.q.head
-			c.mu.Unlock()
 			if err := checkEntries(c); err != nil || passed {
 				t.Errorf("every route below dead %v: %v; the cursor stands past version 0: %v", dead, err, passed)
 			}
@@ -405,9 +399,7 @@ func TestBuffersAreHandedTheCheckpointsOwnEntries(t *testing.T) {
 			if err := c.Checkpoint(3, pay(MB)); err != nil {
 				t.Fatal(err)
 			}
-			c.mu.Lock()
 			ck := c.ckpts[3]
-			c.mu.Unlock()
 			for tier := TierGPU; tier <= TierHost; tier++ {
 				o := &c.oracles[tier]
 				if e, src := o.Entry(3); e != &ck.entries[tier] || src != &o.src {
@@ -515,9 +507,10 @@ func TestSamplingLeavesCacheStatsAlone(t *testing.T) {
 	}
 }
 
-// TestScansTakeNoRuntimeLock fills both caches past capacity and then holds
-// Client.mu across a scan of each: a scan that still took a runtime lock
-// would never return.
+// TestScansTakeNoRuntimeLock fills both caches past capacity and then
+// scans each from a plain goroutine, outside the clock's tasks, while the
+// root task waits: a scan reads its entries in place and never blocks, so
+// it returns without the clock.
 func TestScansTakeNoRuntimeLock(t *testing.T) {
 	run(t, func(clk *simclock.Virtual) {
 		r := newRig(t, clk, nil)
@@ -530,7 +523,6 @@ func TestScansTakeNoRuntimeLock(t *testing.T) {
 			}
 		}
 		scanned := make(chan struct{})
-		c.mu.Lock()
 		go func() {
 			c.gpuC.ScoreSummary()
 			c.hstC.ScoreSummary()
@@ -539,9 +531,8 @@ func TestScansTakeNoRuntimeLock(t *testing.T) {
 		select {
 		case <-scanned:
 		case <-time.After(10 * time.Second):
-			t.Error("a scan did not finish while the test held Client.mu")
+			t.Error("a scan did not finish outside the clock's tasks")
 		}
-		c.mu.Unlock()
 		if gpu, host := c.CacheStats(); gpu.Evictions == 0 || host.Evictions == 0 {
 			t.Errorf("the fill evicted %d and %d checkpoints; the test needs both caches full", gpu.Evictions, host.Evictions)
 		}

@@ -21,10 +21,8 @@ import (
 // WaitFor, so the clock resumes it only once it has work; its waits on a
 // hinted checkpoint's flags stay plain Waits.
 func (c *Client) prefetcher() {
-	c.mu.Lock()
 	for {
 		if c.closed {
-			c.mu.Unlock()
 			return
 		}
 		if !c.started {
@@ -61,15 +59,13 @@ func (c *Client) prefetcher() {
 		}
 		ck.promoting = true
 		c.pfSeen = c.events
-		c.mu.Unlock()
 
 		// The prefetcher's own time is hidden from the application by
 		// design — no attribution target.
 		promoted, err := c.promoteToGPU(ck, nil)
 
-		c.mu.Lock()
 		ck.promoting = false
-		c.reopenStageLocked(ck)
+		c.reopenStage(ck)
 		c.cond.Broadcast() // wake flag-waiters (restores of this ckpt)
 		if err != nil {
 			if errors.Is(err, ErrTierIO) || errors.Is(err, ErrLost) {
@@ -77,17 +73,15 @@ func (c *Client) prefetcher() {
 				// The on-demand restore retries with tier fallback and
 				// surfaces a definitive error if the data is truly gone.
 				c.q.advancePrefetch()
-				c.bumpLocked()
+				c.bump()
 				continue
 			}
-			c.mu.Unlock()
 			c.fail(fmt.Errorf("core: prefetch of %d: %w", id, err))
-			c.mu.Lock()
 			continue
 		}
 		if promoted {
 			c.q.advancePrefetch()
-			c.bumpLocked()
+			c.bump()
 			continue
 		}
 		// The GPU (or host) cache had no immediately evictable window:
@@ -111,7 +105,6 @@ func (c *Client) prefetcher() {
 // only for the copy and then consumes it. Returns done=true when the read
 // was fully served by the bypass.
 func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err error) {
-	c.mu.Lock()
 	for ck.promoting || ck.stagingHost || ck.writing {
 		// An in-flight promotion or SSD→host stage of this checkpoint
 		// will land its data shortly; duplicating the transfer (or
@@ -119,26 +112,19 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 		// it is already consuming; a write still in progress has
 		// unlinked its GPU record to flush synchronously.
 		if c.closed {
-			c.mu.Unlock()
 			return false, ErrClosed
 		}
 		c.cond.Wait()
 	}
-	c.mu.Unlock()
 	c.mark(att, metrics.PromoteWait)
-	c.mu.Lock()
 	if ck.dataOn(TierGPU) {
-		c.mu.Unlock()
 		return false, nil // promoted meanwhile; serve from GPU
 	}
 	ck.promoting = true
-	c.mu.Unlock()
 	defer func() {
-		c.mu.Lock()
 		ck.promoting = false
-		c.reopenStageLocked(ck)
+		c.reopenStage(ck)
 		c.cond.Broadcast()
-		c.mu.Unlock()
 	}()
 
 	promoted, err := c.promoteToGPU(ck, att)
@@ -151,10 +137,8 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 
 	// Bypass: no cacheable window available. Stream from the fastest
 	// tier that has the data directly into the application buffer.
-	c.mu.Lock()
 	onHost := ck.dataOn(TierHost)
 	onDeep := ck.durableBelow(TierHost)
-	c.mu.Unlock()
 	switch {
 	case onHost:
 		if err := c.copyFromHost(ck, att); err != nil {
@@ -190,8 +174,6 @@ func (c *Client) copyH2D(ck *checkpoint, att *attrib) error {
 
 // lostDetail annotates an ErrLost with the aborted-flush cause, if any.
 func (c *Client) lostDetail(ck *checkpoint) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if ck.flushAborted && ck.flushErr != nil {
 		return fmt.Sprintf(" (flush aborted: %v)", ck.flushErr)
 	}
@@ -220,10 +202,8 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 			spanName("promote", ck.id, " →gpu"), c.flowID(ck.id)).End()
 	}
 	// Stage 1: ensure the data is on the host tier.
-	c.mu.Lock()
 	onHost := ck.dataOn(TierHost)
 	onLower := ck.durableBelow(TierHost)
-	c.mu.Unlock()
 
 	if !onHost && c.p.GPUDirectStorage && onLower {
 		// Future-work mode: promote SSD → GPU directly. The NVMe read
@@ -235,10 +215,8 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 			// Data only on the GPU (or nowhere): if a GPU replica
 			// exists it is either readable or a write is landing —
 			// either way there is nothing to promote from below.
-			c.mu.Lock()
 			gpuRep := ck.replicas[TierGPU]
 			onGPU := ck.dataOn(TierGPU)
-			c.mu.Unlock()
 			if onGPU {
 				return true, nil
 			}
@@ -306,9 +284,7 @@ func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err 
 		c.dropReplica(ck, TierGPU, gpuRep)
 	} else {
 		c.mustTransition(ck, gpuRep, lifecycle.ReadComplete)
-		c.mu.Lock()
-		c.bumpLocked()
-		c.mu.Unlock()
+		c.bump()
 	}
 	return err == nil, err
 }
@@ -327,17 +303,14 @@ func (c *Client) reserveForRead(ck *checkpoint, tier Tier) (rep *replica, reserv
 	if tier == TierHost {
 		buf, key = c.hstC, c.hostKey(ck.id)
 	}
-	c.mu.Lock()
 	if rep = ck.replicas[tier]; rep != nil {
-		c.mu.Unlock()
 		if rep.hasData() {
 			return rep, false, nil
 		}
 		return nil, false, nil
 	}
 	rep = c.newReplica(tier)
-	c.setReplicaLocked(ck, tier, rep)
-	c.mu.Unlock()
+	c.setReplica(ck, tier, rep)
 
 	if _, err = buf.TryReserve(key, ck.size); err == nil {
 		return rep, true, nil
@@ -375,26 +348,19 @@ func (c *Client) stageDeepToHost(ck *checkpoint, att *attrib) (ok bool, err erro
 	return true, nil
 }
 
-// claimHostSource pins ck's host replica in READ_COMPLETE under the host
-// buffer's lock so eviction cannot take it while we copy from it. Returns
-// nil when the replica is not resident (e.g. the data also lives on the
-// SSD and the host copy was evicted mid-flight — the copy then proceeds
-// from DRAM semantics-wise; timing is unaffected since the transfer was
-// already charged).
+// claimHostSource pins ck's host replica in READ_COMPLETE while it is
+// resident, so eviction cannot take it while we copy from it. Returns nil
+// when the replica is mid-write or not resident (e.g. the data also lives
+// on the SSD and the host copy was evicted mid-flight — the copy then
+// proceeds from DRAM semantics-wise; timing is unaffected since the
+// transfer was already charged).
 func (c *Client) claimHostSource(ck *checkpoint) *replica {
-	c.mu.Lock()
 	rep := ck.replicas[TierHost]
-	c.mu.Unlock()
 	if rep == nil {
 		return nil
 	}
-	claim := func() {
-		if !c.claimForRead(ck, rep) {
-			rep = nil // not claimable (mid-write); treat as absent
-		}
+	if _, _, ok := c.hstC.Contains(c.hostKey(ck.id)); !ok || !c.claimForRead(ck, rep) {
+		return nil
 	}
-	if c.hstC.IfResident(c.hostKey(ck.id), claim) {
-		return rep
-	}
-	return nil
+	return rep
 }

@@ -10,17 +10,15 @@ import "score/internal/cachebuf"
 // Positions are indexes into hints: consuming at the head moves the head,
 // not the hints, so a pending hint's position changes only when a deviating
 // restore cuts out a hint in front of it. The eviction entries store these
-// positions (Client.consumeHintLocked keeps them true).
+// positions (Client.consumeHint keeps them true).
 //
 // The host stager's cursor st marks the end of the pending prefix
 // hints[head:st] in which no hint is a staging candidate
-// (Client.nextStageTargetLocked), and stBytes is what the prefix spans.
+// (Client.nextStageTarget), and stBytes is what the prefix spans.
 // The search fills each hint's slot in cks with its checkpoint record as it
 // first passes it, so every slot of the prefix is set, until the record is
 // dropped (unlink). Whatever can make a hinted checkpoint a candidate again
 // lowers the cursor to its position (reopen).
-//
-// All methods require external synchronization (the Client's mutex).
 type restoreQueue struct {
 	hints []ID
 	cks   []*checkpoint // parallel to hints: each one's record, nil until the stager passes it
@@ -150,8 +148,6 @@ func (q *restoreQueue) advancePrefetch() { q.pf++ }
 // re-slice never lets the garbage collector reclaim popped slots, so on
 // long runs the queue's footprint grows with the historical total
 // instead of the pending count.
-//
-// All methods require external synchronization (the Client's mutex).
 type idFIFO struct {
 	ids  []ID
 	head int

@@ -111,17 +111,13 @@ func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp metrics.Comp, lab
 
 // jitter spreads d over [0.5d, 1.5d) so concurrent retry loops decorrelate.
 func (c *Client) jitter(d time.Duration) time.Duration {
-	c.rndMu.Lock()
 	f := 0.5 + c.rnd.Float64()
-	c.rndMu.Unlock()
 	return time.Duration(float64(d) * f)
 }
 
 // liveErr reports why the client can no longer perform I/O: ErrKilled
 // after a rank kill, ErrClosed after an orderly Close, nil while alive.
 func (c *Client) liveErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.killed {
 		return ErrKilled
 	}
@@ -146,14 +142,12 @@ func isShutdownErr(err error) bool {
 // the tier was already degraded), so health-triggered quarantines can
 // account themselves exactly once.
 func (c *Client) degradeTier(t Tier) bool {
-	c.mu.Lock()
 	already := c.degraded[t]
 	c.degraded[t] = true
 	c.degradedAt[t] = c.clk.Now()
 	if !already {
-		c.bumpLocked()
+		c.bump()
 	}
-	c.mu.Unlock()
 	if already {
 		return false
 	}
@@ -167,8 +161,6 @@ func (c *Client) degradeTier(t Tier) bool {
 // was (last) marked: the caller's next operation probes it, healTier
 // clears the mark on success, and a failure re-arms the quarantine.
 func (c *Client) tierDegraded(t Tier) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.degraded[t] {
 		return false
 	}
@@ -190,13 +182,11 @@ func (c *Client) healTier(t Tier) {
 			return
 		}
 	}
-	c.mu.Lock()
 	healed := c.degraded[t]
 	if healed {
 		c.degraded[t] = false
-		c.bumpLocked()
+		c.bump()
 	}
-	c.mu.Unlock()
 	if !healed {
 		return
 	}
@@ -209,8 +199,6 @@ func (c *Client) healTier(t Tier) {
 // DegradedTiers is the client's health view: the tiers marked
 // persistently failed, in fast-to-slow order. Empty means healthy.
 func (c *Client) DegradedTiers() []Tier {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []Tier
 	for t := TierGPU; t <= TierPFS; t++ {
 		if c.degraded[t] {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"score/internal/cachebuf"
@@ -68,22 +67,17 @@ func (s *SharedHostCache) register(c *Client) int64 {
 
 // routerOracle demultiplexes the shared buffer's entry lookups and eviction
 // notices to the owning client's host-tier oracle by namespace. A key is
-// resolved once, at placement: a scan of the pool takes no client's lock.
+// resolved once, at placement: a scan of the pool asks no client.
 type routerOracle struct {
-	mu      sync.Mutex
 	clients []*tierOracle // indexed by namespace; append-only
 }
 
 func (r *routerOracle) register(o *tierOracle) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.clients = append(r.clients, o)
 	return int64(len(r.clients) - 1)
 }
 
 func (r *routerOracle) registered() []*tierOracle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.clients
 }
 

@@ -32,20 +32,16 @@ func (c *Client) hostStager() {
 		return
 	}
 	for {
-		// Free-space lookup must happen outside c.mu (buffer lock
-		// precedes client lock); the value is advisory only. Taking it
-		// before the lock keeps the closed check and the park below in
-		// one critical section, so Close's broadcast cannot fall between
-		// them and leave the stager asleep.
+		// The free-space value is advisory only. Nothing blocks between
+		// it, the closed check and the park below, so Close's broadcast
+		// cannot fall between them and leave the stager asleep.
 		free := c.hstC.FreeBytes()
-		c.mu.Lock()
 		if c.closed {
-			c.mu.Unlock()
 			return
 		}
 		var ck *checkpoint
 		if c.started {
-			ck = c.nextStageTargetLocked(free)
+			ck = c.nextStageTarget(free)
 		}
 		if ck == nil {
 			switch {
@@ -56,27 +52,23 @@ func (c *Client) hostStager() {
 			default:
 				c.cond.Wait()
 			}
-			c.mu.Unlock()
 			continue
 		}
 		ck.stagingHost = true
 		c.stSeen = c.events
-		c.mu.Unlock()
 
 		staged, err := c.stageHinted(ck)
 
-		c.mu.Lock()
 		ck.stagingHost = false
-		c.reopenStageLocked(ck)
+		c.reopenStage(ck)
 		if staged {
 			ck.stagedHost = true
 			c.stagedBytes += ck.size
-			c.bumpLocked()
+			c.bump()
 		} else {
 			c.cond.Broadcast() // wake flag-waiters only
 		}
 		if err != nil && !errors.Is(err, ErrTierIO) && !errors.Is(err, ErrLost) {
-			c.mu.Unlock()
 			c.fail(err)
 			continue
 		}
@@ -85,12 +77,11 @@ func (c *Client) hostStager() {
 			// data): wait for real progress before retrying.
 			c.cond.WaitFor(c.stProgressed)
 		}
-		c.mu.Unlock()
 	}
 }
 
-// nextStageTargetLocked searches the pending hints (within the byte
-// budget) for the first staging candidate (stageCandidateLocked) whose
+// nextStageTarget searches the pending hints (within the byte
+// budget) for the first staging candidate (stageCandidate) whose
 // staging would improve the host cache: either free space exists, or some
 // host-resident checkpoint is needed strictly later than the candidate (so
 // the eviction the staging forces trades a farther checkpoint for a nearer
@@ -99,7 +90,7 @@ func (c *Client) hostStager() {
 // tail — a strict loss. The search starts at the queue's stager cursor and
 // moves it past every hint it finds no candidate; it looks a hint's record
 // up once, the first time it reaches the hint.
-func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
+func (c *Client) nextStageTarget(freeHostBytes int64) *checkpoint {
 	budget := c.p.HostCacheSize / 2
 	if c.stagedBytes >= budget {
 		return nil
@@ -116,10 +107,10 @@ func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 		if q.stBytes+ck.size > budget {
 			return nil // deep enough; stay near the queue head
 		}
-		if !c.stageCandidateLocked(ck) {
+		if !c.stageCandidate(ck) {
 			continue
 		}
-		if freeHostBytes < ck.size && q.st-q.head >= c.maxHostResidentDistanceLocked() {
+		if freeHostBytes < ck.size && q.st-q.head >= c.maxHostResidentDistance() {
 			// No free room and every host resident is needed sooner
 			// than this candidate: staging would only hurt. Only this
 			// case scans the residents, at most once per call.
@@ -130,31 +121,31 @@ func (c *Client) nextStageTargetLocked(freeHostBytes int64) *checkpoint {
 	return nil
 }
 
-// stageCandidateLocked reports whether the stager may stage ck: unconsumed,
+// stageCandidate reports whether the stager may stage ck: unconsumed,
 // not being moved, and with its only data below the host tier.
-func (c *Client) stageCandidateLocked(ck *checkpoint) bool {
+func (c *Client) stageCandidate(ck *checkpoint) bool {
 	return !ck.consumed && !ck.stagingHost && !ck.promoting && !ck.dataOn(TierGPU) &&
 		ck.replicas[TierHost] == nil && // no copy, and no flush or promotion materializing one
 		ck.durableBelow(TierHost) // not still being flushed down; the flusher will land it
 }
 
-// reopenStageLocked lowers the stager cursor to ck's first pending hint if
+// reopenStage lowers the stager cursor to ck's first pending hint if
 // ck is a staging candidate now. Every change that can make a checkpoint a
 // candidate calls it: a GPU or host record evicted (tierOracle.Evicted), a
 // flush landing below the host tier (mustTransition), stagingHost or
 // promoting cleared. The others need no call: an unlinkReplica that can
 // leave a candidate runs under promoting or stagingHost, consumption is
 // for good, and an unwritten slot stops the search before the cursor.
-func (c *Client) reopenStageLocked(ck *checkpoint) {
-	if c.stageCandidateLocked(ck) {
-		c.q.reopen(ck.hintLocked())
+func (c *Client) reopenStage(ck *checkpoint) {
+	if c.stageCandidate(ck) {
+		c.q.reopen(ck.hint())
 	}
 }
 
-// maxHostResidentDistanceLocked returns the largest prefetch distance of
+// maxHostResidentDistance returns the largest prefetch distance of
 // any unpinned host-resident checkpoint (consumed checkpoints and
 // checkpoints without hints count as farthest).
-func (c *Client) maxHostResidentDistanceLocked() int {
+func (c *Client) maxHostResidentDistance() int {
 	far := -1
 	for _, ck := range c.ckpts {
 		rep := ck.replicas[TierHost]
@@ -167,7 +158,7 @@ func (c *Client) maxHostResidentDistanceLocked() int {
 		default:
 			continue // no data, or pinned by a read: not a victim
 		}
-		pos := ck.hintLocked()
+		pos := ck.hint()
 		if ck.consumed || pos == cachebuf.NoHint {
 			// Consumed residents are free wins for staging, and "no
 			// prefetching hint available" scores as farthest (§4.1.6).
@@ -189,9 +180,7 @@ func (c *Client) stageHinted(ck *checkpoint) (staged bool, err error) {
 			spanName("stage", ck.id, " ssd→host"), c.flowID(ck.id)).End()
 	}
 	c.waitHostReady()
-	c.mu.Lock()
 	taken := ck.replicas[TierHost] != nil
-	c.mu.Unlock()
 	if taken {
 		return false, nil
 	}

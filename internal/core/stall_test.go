@@ -121,7 +121,6 @@ func TestStalledFlushReroutesToPFS(t *testing.T) {
 					TierGPU: lifecycle.Flushed, TierHost: lifecycle.Flushed,
 					TierSSD: lifecycle.Flushed, TierPFS: tc.pfsState,
 				}
-				c.mu.Lock()
 				ck := c.ckpts[3]
 				for tier, st := range want {
 					got := lifecycle.Init
@@ -132,7 +131,6 @@ func TestStalledFlushReroutesToPFS(t *testing.T) {
 						t.Errorf("%v record ends %v, want %v", tier, got, st)
 					}
 				}
-				c.mu.Unlock()
 
 				var wantDegraded []Tier
 				if tc.ssdDegraded {

@@ -302,7 +302,6 @@ const replicaSlab = 32
 // a new one cut. A slot is never reused, so a record's pointer identifies
 // it for good: unlinkReplica's "is it still rep" test and a WaitFor parked
 // on an unlinked record's machine cannot mistake a later record for it.
-// Callers hold c.mu, or run in New before the client is published.
 func (c *Client) newReplica(tier Tier) *replica {
 	if len(c.slab) == cap(c.slab) {
 		c.slab = make([]replica, 0, replicaSlab)
@@ -331,7 +330,7 @@ type checkpoint struct {
 	replicas [TierPFS + 1]*replica // indexed by Tier; nil = no replica there
 
 	// entries are the eviction inputs the cache tiers' buffers read in place
-	// (oracle.go), rewritten under Client.mu whenever the rule's answer changes.
+	// (oracle.go), rewritten whenever the rule's answer changes.
 	entries [TierHost + 1]cachebuf.Entry
 
 	consumed    bool // restored at least once
@@ -353,7 +352,7 @@ type checkpoint struct {
 	// for pinned host registration to complete. A preemption triage may
 	// claim the job out from under the parked worker (drainClaimed) and
 	// decide the version itself — the worker checks the flag on wake and
-	// walks away. Both guarded by Client.mu. drainFromGPU: the triage
+	// walks away. drainFromGPU: the triage
 	// admitted the version with no host copy, so its flush charges PCIe.
 	hostWait     bool
 	drainClaimed bool
@@ -368,7 +367,7 @@ type checkpoint struct {
 
 	// fateAccounted: the checkpoint's bytes have been credited to exactly
 	// one conservation fate (durable, discarded, or lost) in the metrics
-	// recorder. Guarded by Client.mu.
+	// recorder.
 	fateAccounted bool
 }
 

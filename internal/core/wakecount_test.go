@@ -19,7 +19,7 @@ import (
 // at Close or when the chain drains, for any n: going from 8 to 16
 // checkpoints adds 52 resumptions, all of them the flush workers' and the
 // restores' own. A parked cache reservation is resumed only when an entry
-// write cleared what it waits on (unlockWake).
+// write cleared what it waits on (sendWakes).
 //
 // Before WaitFor each parked in a plain Wait loop that every bump resumed,
 // and the same run took 133 resumptions for n = 8 and 272 for n = 16.
@@ -56,7 +56,7 @@ func TestIdleDaemonsAreResumedOnce(t *testing.T) {
 
 // TestParkedReservationIgnoresWakesThatUnblockNothing: a writer parked on
 // a claimed GPU window waits for its entries to stop reading Kept, and
-// only the eviction rule writes them (rescoreLocked). Tier-health flips
+// only the eviction rule writes them (rescore). Tier-health flips
 // change no entry, so they must not resume it: each resume would record
 // one more eviction_wait observation and split the one stall it measures.
 func TestParkedReservationIgnoresWakesThatUnblockNothing(t *testing.T) {

@@ -82,10 +82,8 @@ func TestUnlinkedRecordReleasesItsWaiter(t *testing.T) {
 		if err := c.WaitFlush(); err != nil {
 			t.Fatal(err)
 		}
-		c.mu.Lock()
 		ck := c.ckpts[0]
 		if ck.replicas[TierGPU] != nil {
-			c.mu.Unlock()
 			t.Fatal("setup: version 0 still has a GPU record; the test needs it evicted")
 		}
 		// What a promotion does first: publish an INIT record, holding
@@ -93,7 +91,6 @@ func TestUnlinkedRecordReleasesItsWaiter(t *testing.T) {
 		rep := c.newReplica(TierGPU)
 		ck.replicas[TierGPU] = rep
 		ck.promoting = true
-		c.mu.Unlock()
 
 		restored := simclock.NewWaitGroup(clk)
 		restored.Add(1)
@@ -107,10 +104,8 @@ func TestUnlinkedRecordReleasesItsWaiter(t *testing.T) {
 
 		// The reservation failed: back out.
 		c.unlinkReplica(ck, TierGPU, rep)
-		c.mu.Lock()
 		ck.promoting = false
 		c.cond.Broadcast()
-		c.mu.Unlock()
 
 		restored.Wait()
 		if restoreErr != nil {
@@ -154,9 +149,7 @@ func TestSlabSlotsAreNeverReused(t *testing.T) {
 		}
 		c.unlinkReplica(ck, TierSSD, old)
 		clk.Sleep(1)
-		c.mu.Lock()
 		cur := ck.replicas[TierSSD]
-		c.mu.Unlock()
 		if cur != rep {
 			t.Fatal("unlinkReplica with the stale pointer dropped the new record")
 		}
@@ -211,10 +204,8 @@ func TestRestoreRacingSyncFlushWaits(t *testing.T) {
 				// The writer has published the version and is moving its
 				// bytes; no replica is readable yet.
 				clk.Sleep(time.Millisecond)
-				c.mu.Lock()
 				ck := c.ckpts[0]
 				racing := ck != nil && !ck.dataOn(TierGPU) && !ck.durableBelow(TierGPU)
-				c.mu.Unlock()
 				if !racing {
 					t.Fatal("setup: the synchronous flush is not in flight 1 ms into the Checkpoint")
 				}
@@ -230,9 +221,7 @@ func TestRestoreRacingSyncFlushWaits(t *testing.T) {
 				if ckptErr != nil {
 					t.Fatalf("checkpoint: %v", ckptErr)
 				}
-				c.mu.Lock()
 				landed := ck.dataOn(tc.landsOn)
-				c.mu.Unlock()
 				if !landed || c.Metrics().Snapshot().SyncFlushes != 1 {
 					t.Errorf("the version did not take the synchronous route onto the %v tier", tc.landsOn)
 				}
@@ -246,8 +235,6 @@ func TestRestoreRacingSyncFlushWaits(t *testing.T) {
 // flushes have drained, neither cache may hold its space back.
 func requireReclaimable(t *testing.T, c *Client) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for id, ck := range c.ckpts {
 		if !ck.consumed {
 			continue
@@ -289,13 +276,9 @@ func TestSkippedFlushReleasesItsHostCopy(t *testing.T) {
 		// T_D2H lands one copy every 10 ms; T_H2F needs 40 ms for each.
 		for landed := false; !landed; {
 			clk.Sleep(time.Millisecond)
-			c.mu.Lock()
 			landed = c.ckpts[n-1].dataOn(TierHost)
-			c.mu.Unlock()
 		}
-		c.mu.Lock()
 		queued := c.h2f.q.len()
-		c.mu.Unlock()
 		if queued != n-1 {
 			t.Fatalf("setup: %d host copies await T_H2F, want %d", queued, n-1)
 		}
@@ -341,18 +324,14 @@ func TestHostBypassConsumesItsSource(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c.mu.Lock()
 		evicted := c.ckpts[0].replicas[TierHost] == nil
-		c.mu.Unlock()
 		if !evicted {
 			t.Fatal("setup: version 0 is still in the host cache")
 		}
 		if _, err := c.Restore(0); err != nil {
 			t.Fatal(err)
 		}
-		c.mu.Lock()
 		bypassed := c.ckpts[0].replicas[TierGPU] == nil && c.ckpts[0].dataOn(TierHost)
-		c.mu.Unlock()
 		if !bypassed {
 			t.Fatal("setup: the restore of version 0 was not served by the bypass from a staged host copy")
 		}

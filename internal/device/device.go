@@ -7,7 +7,6 @@ package device
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"score/internal/fabric"
@@ -51,7 +50,6 @@ type GPU struct {
 	d2d  *fabric.Link
 	pcie *fabric.Link
 
-	mu        sync.Mutex
 	used      int64
 	allocIcpt fabric.TransferInterceptor
 
@@ -74,7 +72,7 @@ func NewGPU(clk simclock.Clock, id int, hbmCapacity int64, d2d, pcie *fabric.Lin
 	}
 	g := &GPU{clk: clk, id: id, hbm: hbmCapacity, costs: costs, d2d: d2d, pcie: pcie,
 		engines: DefaultCopyEngines}
-	g.engCond = clk.NewCond(&g.mu)
+	g.engCond = clk.NewCond(nil)
 	return g
 }
 
@@ -85,45 +83,35 @@ func (g *GPU) SetCopyEngines(n int) {
 	if n < 1 {
 		panic(fmt.Sprintf("device: GPU %d: copy engines must be >= 1, got %d", g.id, n))
 	}
-	g.mu.Lock()
 	g.engines = n
 	g.engCond.Broadcast()
-	g.mu.Unlock()
 }
 
 // CopyEngines returns the number of copy engines available to chunked
 // streams.
 func (g *GPU) CopyEngines() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.engines
 }
 
 // EnginesBusy returns the number of copy engines currently held by
 // streams — the observability sampler's occupancy probe.
 func (g *GPU) EnginesBusy() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.engBusy
 }
 
 func (g *GPU) acquireEngine() {
-	g.mu.Lock()
 	for g.engBusy >= g.engines {
 		g.engCond.Wait()
 	}
 	g.engBusy++
-	g.mu.Unlock()
 }
 
 func (g *GPU) releaseEngine() {
-	g.mu.Lock()
 	g.engBusy--
 	if g.engBusy < 0 {
 		panic(fmt.Sprintf("device: GPU %d: negative copy-engine usage", g.id))
 	}
 	g.engCond.Broadcast()
-	g.mu.Unlock()
 }
 
 // ID returns the GPU's index on its node.
@@ -141,8 +129,6 @@ func (g *GPU) ChargeDeviceAlloc(size int64) {
 
 // HBMUsed returns the currently allocated device memory in bytes.
 func (g *GPU) HBMUsed() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.used
 }
 
@@ -152,22 +138,17 @@ func (g *GPU) AllocDevice(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("device: GPU %d: negative allocation %d", g.id, size)
 	}
-	g.mu.Lock()
 	if g.used+size > g.hbm {
-		defer g.mu.Unlock()
 		return fmt.Errorf("device: GPU %d: out of memory: %d used + %d requested > %d HBM",
 			g.id, g.used, size, g.hbm)
 	}
 	g.used += size
-	g.mu.Unlock()
 	g.clk.Sleep(allocDuration(size, g.costs.DeviceBytesPerSec))
 	return nil
 }
 
 // FreeDevice releases size bytes of HBM.
 func (g *GPU) FreeDevice(size int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.used -= size
 	if g.used < 0 {
 		panic(fmt.Sprintf("device: GPU %d: negative HBM usage", g.id))
@@ -178,9 +159,7 @@ func (g *GPU) FreeDevice(size int64) {
 // host allocation. Allocation pressure slows registration (Delay and
 // BandwidthScale) but never fails it — a FaultDecision.Err is ignored.
 func (g *GPU) SetAllocInterceptor(f fabric.TransferInterceptor) {
-	g.mu.Lock()
 	g.allocIcpt = f
-	g.mu.Unlock()
 }
 
 // AllocPinnedHost charges the simulated time to allocate and register size
@@ -191,9 +170,7 @@ func (g *GPU) AllocPinnedHost(size int64) {
 	if size <= 0 {
 		return
 	}
-	g.mu.Lock()
 	icpt := g.allocIcpt
-	g.mu.Unlock()
 	rate := g.costs.PinnedHostBytesPerSec
 	if icpt != nil {
 		fd := icpt("host-alloc", size)

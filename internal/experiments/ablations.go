@@ -48,101 +48,67 @@ func (a AblationResult) Render(w io.Writer) error {
 //     shot, whose backward pass ends on an SSD-resident tail.
 func Ablations(run Run) (AblationResult, error) {
 	var out AblationResult
-
-	irregular := func(mutate func(*ShotConfig)) (ShotResult, error) {
-		cfg := ShotConfig{
-			Uniform: false, WaitForFlush: false, Order: rtm.Irregular,
-			Combo: Combo{Score, AllHints},
-		}
+	// Every variant is the Score client with all hints on one of two
+	// shots, changed by mutate (nil: unchanged).
+	shot := func(cfg ShotConfig, mutate func(*ShotConfig)) ShotConfig {
+		cfg.Combo = Combo{Score, AllHints}
 		run.Apply(&cfg)
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		return RunShot(cfg)
+		return cfg
 	}
-	add := func(principle, variant string, res ShotResult, err error) error {
+	irregular := func(mutate func(*ShotConfig)) ShotConfig {
+		return shot(ShotConfig{Uniform: false, WaitForFlush: false, Order: rtm.Irregular}, mutate)
+	}
+	tail := func(mutate func(*ShotConfig)) ShotConfig {
+		return shot(ShotConfig{Uniform: true, WaitForFlush: true, Order: rtm.Reverse}, mutate)
+	}
+
+	type variant struct {
+		principle, name string
+		cfg             ShotConfig
+	}
+	var variants []variant
+	// §4.2 eviction policy — every registered policy, on the full client.
+	for _, pol := range cachebuf.Policies() {
+		variants = append(variants, variant{"eviction policy (§4.2)", pol.String(),
+			irregular(func(c *ShotConfig) { c.EvictionPolicy = pol })})
+	}
+	variants = append(variants,
+		// §4.1.2 shared vs split cache.
+		variant{"shared cache (§4.1.2)", "shared", irregular(nil)},
+		variant{"shared cache (§4.1.2)", "split", irregular(func(c *ShotConfig) { c.SplitCache = true })},
+		// §4.1.3 pinning.
+		variant{"pinning (§4.1.3)", "unpinned", irregular(func(c *ShotConfig) { c.NoPinning = true })},
+		// §4.1.4 pre-allocation.
+		variant{"pre-allocation (§4.1.4)", "preallocated", irregular(func(c *ShotConfig) { c.UpfrontHostInit = true })},
+		variant{"pre-allocation (§4.1.4)", "on-demand", irregular(func(c *ShotConfig) { c.OnDemandAlloc = true })},
+		// §4.3.1 multi-tier T_PF (SSD-tail shot).
+		variant{"multi-tier T_PF (§4.3.1)", "staged", tail(nil)},
+		variant{"multi-tier T_PF (§4.3.1)", "serialized", tail(func(c *ShotConfig) { c.NoHostStager = true })},
+		// §4.3 chunked transfer pipelining, measured on the GPUDirect
+		// shot: there every flush (GPU→SSD) and every promotion
+		// (SSD→GPU) crosses two hops (PCIe + NVMe), so the chunk-level
+		// overlap is visible in both directions end to end.
+		variant{"transfer pipelining (§4.3)", "monolithic", tail(func(c *ShotConfig) { c.GPUDirect, c.ChunkSize = true, 0 })},
+		variant{"transfer pipelining (§4.3)", "chunked", tail(func(c *ShotConfig) {
+			c.GPUDirect, c.ChunkSize = true, run.UniformSize/8
+		})},
+	)
+	for _, v := range variants {
+		// Each shot's exports get a run of their own.
+		v.cfg.Label = fmt.Sprintf("ablation %s: %s", v.principle, v.name)
+		res, err := RunShot(v.cfg)
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", principle, variant, err)
+			return out, fmt.Errorf("%s/%s: %w", v.principle, v.name, err)
 		}
 		out.Rows = append(out.Rows, AblationRow{
-			Principle: principle, Variant: variant,
+			Principle: v.principle, Variant: v.name,
 			CkptBps: res.MeanCheckpointThroughput(),
 			RestBps: res.MeanRestoreThroughput(),
 			IOWait:  res.TotalIOWait(),
 		})
-		return nil
-	}
-
-	// §4.2 eviction policy — every registered policy, on the full client.
-	for _, pol := range cachebuf.Policies() {
-		pol := pol
-		res, err := irregular(func(c *ShotConfig) { c.EvictionPolicy = pol })
-		if err := add("eviction policy (§4.2)", pol.String(), res, err); err != nil {
-			return out, err
-		}
-	}
-	// §4.1.2 shared vs split cache.
-	res, err := irregular(nil)
-	if err := add("shared cache (§4.1.2)", "shared", res, err); err != nil {
-		return out, err
-	}
-	res, err = irregular(func(c *ShotConfig) { c.SplitCache = true })
-	if err := add("shared cache (§4.1.2)", "split", res, err); err != nil {
-		return out, err
-	}
-	// §4.1.3 pinning.
-	res, err = irregular(func(c *ShotConfig) { c.NoPinning = true })
-	if err := add("pinning (§4.1.3)", "unpinned", res, err); err != nil {
-		return out, err
-	}
-	// §4.1.4 pre-allocation.
-	res, err = irregular(func(c *ShotConfig) { c.UpfrontHostInit = true })
-	if err := add("pre-allocation (§4.1.4)", "preallocated", res, err); err != nil {
-		return out, err
-	}
-	res, err = irregular(func(c *ShotConfig) { c.OnDemandAlloc = true })
-	if err := add("pre-allocation (§4.1.4)", "on-demand", res, err); err != nil {
-		return out, err
-	}
-	// §4.3.1 multi-tier T_PF (SSD-tail shot).
-	tail := func(noStager bool) (ShotResult, error) {
-		cfg := ShotConfig{
-			Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-			Combo: Combo{Score, AllHints},
-		}
-		run.Apply(&cfg)
-		cfg.NoHostStager = noStager
-		return RunShot(cfg)
-	}
-	res, err = tail(false)
-	if err := add("multi-tier T_PF (§4.3.1)", "staged", res, err); err != nil {
-		return out, err
-	}
-	res, err = tail(true)
-	if err := add("multi-tier T_PF (§4.3.1)", "serialized", res, err); err != nil {
-		return out, err
-	}
-	// §4.3 chunked transfer pipelining, measured on the GPUDirect shot:
-	// there every flush (GPU→SSD) and every promotion (SSD→GPU) crosses
-	// two hops (PCIe + NVMe), so the chunk-level overlap is visible in
-	// both directions end to end.
-	pipelined := func(chunk int64) (ShotResult, error) {
-		cfg := ShotConfig{
-			Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-			Combo: Combo{Score, AllHints},
-		}
-		run.Apply(&cfg)
-		cfg.GPUDirect = true
-		cfg.ChunkSize = chunk
-		return RunShot(cfg)
-	}
-	res, err = pipelined(0)
-	if err := add("transfer pipelining (§4.3)", "monolithic", res, err); err != nil {
-		return out, err
-	}
-	res, err = pipelined(run.UniformSize / 8)
-	if err := add("transfer pipelining (§4.3)", "chunked", res, err); err != nil {
-		return out, err
 	}
 	return out, nil
 }

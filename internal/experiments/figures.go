@@ -93,19 +93,29 @@ func (f FigureResult) Render(w io.Writer) error {
 	return tab.Render(w)
 }
 
-// runCombos sweeps Table 1 combos × orders for one base config.
-func runCombos(base ShotConfig, combos []Combo, orders []rtm.Order) ([]Row, error) {
+// runCombos sweeps Table 1 combos × orders for one base config. param
+// names the value a figure sweeps, if any, in the rows and, with the combo
+// and the order, in each shot's label, so every shot of a figure has its
+// own.
+func runCombos(base ShotConfig, param string, combos []Combo, orders []rtm.Order) ([]Row, error) {
 	var rows []Row
 	for _, order := range orders {
 		for _, combo := range combos {
 			cfg := base
 			cfg.Order = order
 			cfg.Combo = combo
+			cfg.Label = fmt.Sprintf("%s (%s, %s", combo.Label(), restoreMode(cfg.WaitForFlush), order)
+			if param != "" {
+				cfg.Label += ", " + param
+			}
+			cfg.Label += ")"
 			res, err := RunShot(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", combo.Label(), order, err)
 			}
-			rows = append(rows, rowOf(res))
+			row := rowOf(res)
+			row.Param = param
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -155,7 +165,7 @@ func Fig6(run Run, uniform bool) (FigureResult, error) {
 func tableOne(run Run, uniform, wait bool, fig, title string) (FigureResult, error) {
 	base := ShotConfig{Uniform: uniform, WaitForFlush: wait}
 	run.Apply(&base)
-	rows, err := runCombos(base, Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
+	rows, err := runCombos(base, "", Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	variant := map[bool]string{true: "a (uniform)", false: "b (variable)"}[uniform]
 	return FigureResult{ID: "Fig. " + fig + variant, Title: title, Rows: rows}, err
 }
@@ -195,12 +205,9 @@ func Fig8a(run Run, intervals []time.Duration) (FigureResult, error) {
 	for _, iv := range intervals {
 		base := ShotConfig{Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
 		run.Apply(&base)
-		rows, err := runCombos(base, combos, []rtm.Order{rtm.Irregular})
+		rows, err := runCombos(base, iv.String(), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
-		}
-		for i := range rows {
-			rows[i].Param = iv.String()
 		}
 		out.Rows = append(out.Rows, rows...)
 	}
@@ -218,12 +225,9 @@ func Fig8b(run Run, caches []int64) (FigureResult, error) {
 		base := ShotConfig{Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
 		run.Apply(&base)
 		base.GPUCache = cache
-		rows, err := runCombos(base, combos, []rtm.Order{rtm.Irregular})
+		rows, err := runCombos(base, fmt.Sprintf("%dMiB", cache>>20), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
-		}
-		for i := range rows {
-			rows[i].Param = fmt.Sprintf("%dMiB", cache>>20)
 		}
 		out.Rows = append(out.Rows, rows...)
 	}
@@ -248,12 +252,11 @@ func Fig9(run Run, coupled bool, gpuCounts []int) (FigureResult, error) {
 			Nodes: nodes, GPUsPerNode: perNode, TightlyCoupled: coupled,
 		}
 		run.Apply(&base)
-		rows, err := runCombos(base, combos, []rtm.Order{rtm.Reverse})
+		rows, err := runCombos(base, fmt.Sprintf("%d GPUs", gpus), combos, []rtm.Order{rtm.Reverse})
 		if err != nil {
 			return out, err
 		}
 		for i := range rows {
-			rows[i].Param = fmt.Sprintf("%d GPUs", gpus)
 			rows[i].GPUs = gpus
 		}
 		out.Rows = append(out.Rows, rows...)

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"score/internal/adiossim"
@@ -323,17 +322,22 @@ type ShotResult struct {
 	SLO *slo.Report
 }
 
-// Label names the run for metric exports: the Table 1 combo plus the
-// phase-coupling mode.
+// Label names the run for metric exports: Config.Label when set, else
+// the Table 1 combo plus the phase-coupling mode.
 func (r ShotResult) Label() string {
 	if r.Config.Label != "" {
 		return r.Config.Label
 	}
-	mode := "immediate-restore"
-	if r.Config.WaitForFlush {
-		mode = "drained-restore"
+	return fmt.Sprintf("%s (%s)", r.Config.Combo.Label(), restoreMode(r.Config.WaitForFlush))
+}
+
+// restoreMode names a shot's phase coupling: whether its restore phase
+// waits for the flushes.
+func restoreMode(waitForFlush bool) string {
+	if waitForFlush {
+		return "drained-restore"
 	}
-	return fmt.Sprintf("%s (%s)", r.Config.Combo.Label(), mode)
+	return "immediate-restore"
 }
 
 // MergedSummary folds every rank's summary into one (histograms merge
@@ -587,23 +591,22 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 
 // newSLOEngine builds a shot's SLO engine on its clock. With a tracer,
 // alert transitions land in its ledger on the synthetic SLOLedgerRank:
-// they are run-scoped, not per-rank. The sink runs outside the engine
-// mutex and the virtual clock serializes its calls, so the transition
-// counter needs no lock, but it stays atomic so that the race detector
-// never has to reason about clock-edge ordering.
+// they are run-scoped, not per-rank. The sink runs on the tasks of the
+// shot's clock, one at a time, so the transition count is a plain int.
 func newSLOEngine(now func() time.Duration, objs []slo.Objective, tracer *trace.Tracer) (*slo.Engine, error) {
 	eng, err := slo.NewEngine(now, objs...)
 	if err != nil || tracer == nil {
 		return eng, err
 	}
 	fl := tracer.Flight()
-	var transitions atomic.Int64
+	var transitions int64
 	eng.SetAlertSink(func(a slo.Alert) {
 		kind := trace.LSLOResolved
 		if a.Fired() {
 			kind = trace.LSLOFired
 		}
-		fl.RecordAt(SLOLedgerRank, transitions.Add(1), kind, a.Class, a.Detail(), a.At)
+		transitions++
+		fl.RecordAt(SLOLedgerRank, transitions, kind, a.Class, a.Detail(), a.At)
 	})
 	return eng, nil
 }

@@ -21,8 +21,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"score/internal/simclock"
@@ -70,7 +68,6 @@ type Link struct {
 	bw      float64 // bytes per simulated second
 	latency time.Duration
 
-	mu sync.Mutex
 	// active is a binary min-heap on (remaining, seq): the top is the next
 	// completion. Settles subtract the same credit from every member, which
 	// preserves pairwise order — except among transfers clamped to zero,
@@ -81,14 +78,9 @@ type Link struct {
 	seq        uint64    // join tie-break for pacer election
 	free       *transfer // pooled transfer records with their events
 
-	interceptor atomic.Pointer[TransferInterceptor]
+	interceptor TransferInterceptor
 
-	// inFlight mirrors len(active), written under mu. Estimate reads it
-	// once per fragment on every eviction scan and score-summary tick,
-	// where taking mu instead cost observed_rtm 5-12 % of its wall time.
-	inFlight atomic.Int64
-
-	// Statistics, under mu.
+	// Statistics.
 	totalBytes     int64
 	totalTransfers int64
 	peakConcurrent int
@@ -144,7 +136,7 @@ func (l *Link) Bandwidth() float64 { return l.bw }
 // SetInterceptor installs (or, with nil, removes) the fault-injection
 // interceptor consulted by every subsequent transfer.
 func (l *Link) SetInterceptor(f TransferInterceptor) {
-	l.interceptor.Store(&f)
+	l.interceptor = f
 }
 
 // TryTransfer moves size bytes across the link, blocking the calling task
@@ -165,9 +157,7 @@ func (l *Link) TryTransfer(size int64) (time.Duration, error) {
 	if !t.done {
 		t.ev.Await()
 	}
-	l.mu.Lock()
-	err := l.finishLocked(t, ferr)
-	l.mu.Unlock()
+	err := l.finish(t, ferr)
 	return l.clk.Now() - start, err
 }
 
@@ -178,15 +168,13 @@ func (l *Link) TryTransfer(size int64) (time.Duration, error) {
 // once and arms it for the transfer's completion if it is the pacer. The
 // owner waits for the event to hand over unless t.done: a failure with
 // nothing to charge is immediate. The interceptor's error is returned for
-// finishLocked, which reports it if the transfer failed.
+// finish, which reports it if the transfer failed.
 func (l *Link) begin(size int64, hp *hop) (*transfer, error) {
 	var fd FaultDecision
-	if p := l.interceptor.Load(); p != nil && *p != nil {
-		fd = (*p)(l.name, size)
+	if l.interceptor != nil {
+		fd = l.interceptor(l.name, size)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t := l.getTransferLocked()
+	t := l.getTransfer()
 	t.size, t.delay, t.failed, t.hop = size, fd.Delay, fd.Err != nil, hp
 	t.remaining = float64(size)
 	if fd.BandwidthScale > 0 && fd.BandwidthScale < 1 {
@@ -202,7 +190,7 @@ func (l *Link) begin(size int64, hp *hop) (*transfer, error) {
 		t.ev.Arm(t.delay)
 		t.delay = 0
 	default:
-		if wait := l.joinLocked(t); !t.done {
+		if wait := l.join(t); !t.done {
 			t.ev.Arm(wait)
 		}
 	}
@@ -215,22 +203,19 @@ func (l *Link) begin(size int64, hp *hop) (*transfer, error) {
 // waits again; when it is, the owner takes over in this slot.
 func (t *transfer) Run() {
 	l := t.link
-	l.mu.Lock()
 	var wait time.Duration
 	switch {
 	case !t.joined && t.delay > 0:
 		wait, t.delay = t.delay, 0
 	case !t.joined:
-		wait = l.joinLocked(t)
+		wait = l.join(t)
 	case !t.done:
-		wait = l.paceLocked(t) // our own timer fired: our completion is the event
+		wait = l.pace(t) // our own timer fired: our completion is the event
 	}
 	if !t.done {
 		t.ev.Arm(wait)
-		l.mu.Unlock()
 		return
 	}
-	l.mu.Unlock()
 	if t.hop != nil {
 		t.hop.collect(t)
 	} else {
@@ -238,42 +223,41 @@ func (t *transfer) Run() {
 	}
 }
 
-// joinLocked makes t a member of the link, or fails it, for an owner or an
-// event that is running on its behalf; see electLocked, whose result it
+// join makes t a member of the link, or fails it, for an owner or an
+// event that is running on its behalf; see elect, whose result it
 // returns.
-func (l *Link) joinLocked(t *transfer) time.Duration {
+func (l *Link) join(t *transfer) time.Duration {
 	t.joined = true
 	if t.failed {
 		t.done = true
 		return -1
 	}
-	l.settleLocked()
+	l.settle()
 	t.seq = l.seq
 	l.seq++
 	l.heapPush(t)
-	l.inFlight.Store(int64(len(l.active)))
 	l.peakConcurrent = max(l.peakConcurrent, len(l.active))
 	l.totalBytes += t.size
 	l.totalTransfers++
 	// The settle above may have finished transfers due exactly now; they
 	// leave (and the share they stop consuming is released) before the
 	// new fair share is computed, as the broadcast chain used to arrange.
-	l.reapLocked(t)
-	return l.electLocked(t)
+	l.reap(t)
+	return l.elect(t)
 }
 
-// paceLocked is the step of a member whose own completion timer fired: it
+// pace is the step of a member whose own completion timer fired: it
 // settles, reaps (itself, normally) and elects the next pacer. It returns
 // how long t still waits when it is not yet done and is still the pacer.
-func (l *Link) paceLocked(t *transfer) time.Duration {
-	l.settleLocked()
-	l.reapLocked(t)
-	return l.electLocked(t)
+func (l *Link) pace(t *transfer) time.Duration {
+	l.settle()
+	l.reap(t)
+	return l.elect(t)
 }
 
-// finishLocked recycles a finished transfer's record and returns its
+// finish recycles a finished transfer's record and returns its
 // error: ferr, begin's interceptor error, when the transfer failed.
-func (l *Link) finishLocked(t *transfer, ferr error) error {
+func (l *Link) finish(t *transfer, ferr error) error {
 	var err error
 	if t.failed {
 		err = fmt.Errorf("fabric: link %q: %w", l.name, ferr)
@@ -284,7 +268,7 @@ func (l *Link) finishLocked(t *transfer, ferr error) error {
 	return err
 }
 
-func (l *Link) getTransferLocked() *transfer {
+func (l *Link) getTransfer() *transfer {
 	t := l.free
 	if t != nil {
 		l.free = t.next
@@ -339,11 +323,11 @@ func (l *Link) heapPopTop() {
 	}
 }
 
-// reapLocked removes every transfer whose payload is spent — necessarily a
+// reap removes every transfer whose payload is spent — necessarily a
 // prefix of the completion heap — and signals each one's event, which
 // hands over to its owner. self, whose event or owner is running, needs no
 // signal: it rechecks done next.
-func (l *Link) reapLocked(self *transfer) {
+func (l *Link) reap(self *transfer) {
 	for len(l.active) > 0 && l.active[0].remaining <= 0.5 { // sub-byte residue counts as done
 		t := l.active[0]
 		l.heapPopTop()
@@ -352,17 +336,16 @@ func (l *Link) reapLocked(self *transfer) {
 			t.ev.Signal()
 		}
 	}
-	l.inFlight.Store(int64(len(l.active)))
 }
 
-// electLocked re-reads the pacer — the completion-heap top — after a
+// elect re-reads the pacer — the completion-heap top — after a
 // membership change, which also changes the share. The pacer's timer is
 // due at its completion at the new share; a demoted pacer's timer is
 // cleared so it never fires a settle at a wrong instant. Both events are
 // parked, and Retime moves their timers without running them. self's event
-// (or owner) is running, not parked: electLocked returns how long self
+// (or owner) is running, not parked: elect returns how long self
 // waits for its own completion when it is the pacer, and -1 otherwise.
-func (l *Link) electLocked(self *transfer) time.Duration {
+func (l *Link) elect(self *transfer) time.Duration {
 	var best *transfer
 	if len(l.active) > 0 {
 		best = l.active[0]
@@ -395,7 +378,7 @@ func (l *Link) Estimate(size int64) time.Duration {
 
 // InFlight returns the number of transfers currently using the link.
 func (l *Link) InFlight() int {
-	return int(l.inFlight.Load())
+	return len(l.active)
 }
 
 // Stats reports cumulative transfer statistics.
@@ -420,11 +403,9 @@ type LinkStats struct {
 	Busy           time.Duration // includes the in-progress busy interval
 }
 
-// StatsSnapshot reads the link's statistics under its lock. The busy
+// StatsSnapshot reads the link's statistics. The busy
 // figure extends through now when the link is active.
 func (l *Link) StatsSnapshot() LinkStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	busy := l.busy
 	if len(l.active) > 0 {
 		busy += max(l.clk.Now()-l.lastSettle, 0)
@@ -438,11 +419,10 @@ func (l *Link) StatsSnapshot() LinkStats {
 	}
 }
 
-// settleLocked credits progress to every active transfer for the simulated
+// settle credits progress to every active transfer for the simulated
 // time elapsed since the last settlement, at the fair share that was in
-// effect over that interval. Must be called with l.mu held, and before
-// every membership change.
-func (l *Link) settleLocked() {
+// effect over that interval. It must run before every membership change.
+func (l *Link) settle() {
 	now := l.clk.Now()
 	elapsed := now - l.lastSettle
 	if elapsed <= 0 {

@@ -55,7 +55,6 @@ func (s PipelineStats) Overlap() time.Duration {
 type pipeline struct {
 	path Path
 
-	mu   sync.Mutex
 	cond simclock.Cond
 
 	// queues[h] holds the chunk sizes forwarded to hop h but not yet
@@ -82,9 +81,7 @@ type pipeline struct {
 	drained func() bool
 
 	// condClk remembers which clock cond and the hop events were built
-	// for, so a pooled pipeline reused under the same clock keeps them
-	// (the mutex cond wraps lives in this struct and is stable across
-	// reuses).
+	// for, so a pooled pipeline reused under the same clock keeps them.
 	condClk simclock.Clock
 }
 
@@ -134,7 +131,7 @@ func getPipeline(clk simclock.Clock, path Path, busy []time.Duration, bytes []in
 	ps.err = nil
 	ps.running = 0
 	if ps.condClk != clk {
-		ps.cond = clk.NewCond(&ps.mu)
+		ps.cond = clk.NewCond(nil)
 		ps.hops = ps.hops[:0]
 		ps.condClk = clk
 	}
@@ -235,9 +232,7 @@ func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 		if size-off < n {
 			n = size - off
 		}
-		ps.mu.Lock()
 		aborted := ps.err != nil
-		ps.mu.Unlock()
 		if aborted {
 			break
 		}
@@ -248,12 +243,10 @@ func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 		}
 	}
 
-	ps.mu.Lock()
 	ps.closed[1] = true
 	ps.cond.Broadcast()
 	ps.cond.WaitFor(ps.drained)
 	err := ps.err
-	ps.mu.Unlock()
 	putPipeline(ps)
 
 	st.Chunks = chunks
@@ -265,8 +258,6 @@ func (p Path) TryPipelined(size, chunkSize int64) (PipelineStats, error) {
 // forwards it downstream, and wakes the stages waiting on it. It reports
 // whether the hop carries on: false once the chunk failed.
 func (ps *pipeline) landed(h int, n int64, d time.Duration, err error) bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
 	ps.busy[h] += d
 	if err != nil {
 		if ps.err == nil {
@@ -289,21 +280,17 @@ func (ps *pipeline) landed(h int, n int64, d time.Duration, err error) bool {
 // pipeline error the hop exits without charging further transfers.
 func (hp *hop) Run() {
 	ps := hp.ps
-	ps.mu.Lock()
 	q := ps.queues[hp.h]
 	if ps.heads[hp.h] >= len(q) && !ps.closed[hp.h] && ps.err == nil {
 		hp.ev.ArmOn(ps.cond)
-		ps.mu.Unlock()
 		return
 	}
 	if ps.err != nil || ps.heads[hp.h] >= len(q) {
-		ps.mu.Unlock()
 		hp.exit()
 		return
 	}
 	n := q[ps.heads[hp.h]]
 	ps.heads[hp.h]++
-	ps.mu.Unlock()
 
 	l := ps.path[hp.h]
 	hp.t0 = l.clk.Now()
@@ -319,9 +306,7 @@ func (hp *hop) Run() {
 func (hp *hop) collect(t *transfer) {
 	l := hp.ps.path[hp.h]
 	n := t.size
-	l.mu.Lock()
-	err := l.finishLocked(t, hp.ferr)
-	l.mu.Unlock()
+	err := l.finish(t, hp.ferr)
 	hp.ferr = nil
 	if !hp.ps.landed(hp.h, n, l.clk.Now()-hp.t0, err) {
 		hp.exit()
@@ -334,11 +319,9 @@ func (hp *hop) collect(t *transfer) {
 // it; the last hop to exit releases the caller.
 func (hp *hop) exit() {
 	ps := hp.ps
-	ps.mu.Lock()
 	if hp.h+1 < len(ps.path) {
 		ps.closed[hp.h+1] = true
 	}
 	ps.running--
 	ps.cond.Broadcast()
-	ps.mu.Unlock()
 }

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"score/internal/simclock"
@@ -316,14 +315,14 @@ type rule struct {
 	fired int64 // times this rule fired
 }
 
-// Injector evaluates rules deterministically. Safe for concurrent use;
-// determinism additionally requires a deterministic operation order,
-// which the virtual clock provides.
+// Injector evaluates rules deterministically. The operations it watches
+// run as tasks of one clock, which runs one at a time, so it takes no
+// lock; determinism additionally requires a deterministic operation
+// order, which the virtual clock provides.
 type Injector struct {
 	clk  simclock.Clock
 	seed int64
 
-	mu       sync.Mutex
 	rng      *rand.Rand
 	rules    []*rule
 	kills    []KillSpec
@@ -349,8 +348,6 @@ func (in *Injector) Seed() int64 { return in.seed }
 
 // Add installs rules.
 func (in *Injector) Add(rules ...Rule) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, r := range rules {
 		rc := r
 		in.rules = append(in.rules, &rule{Rule: rc})
@@ -361,16 +358,12 @@ func (in *Injector) Add(rules ...Rule) {
 // them with KillAt when a client attaches the injector and arms a timer
 // on the virtual clock.
 func (in *Injector) AddKills(kills ...KillSpec) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.kills = append(in.kills, kills...)
 }
 
 // KillAt reports the earliest scheduled death of rank (node, gpu),
 // considering both rank kills and whole-node kills.
 func (in *Injector) KillAt(node, gpu int) (at time.Duration, ok bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, k := range in.kills {
 		if k.Node != node || (k.GPU != gpu && k.GPU != -1) {
 			continue
@@ -386,16 +379,12 @@ func (in *Injector) KillAt(node, gpu int) (at time.Duration, ok bool) {
 // reads them with PreemptAt when a client attaches the injector and arms
 // the drain and reclaim timers on the virtual clock.
 func (in *Injector) AddPreempts(preempts ...PreemptSpec) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.preempts = append(in.preempts, preempts...)
 }
 
 // PreemptAt reports the earliest scheduled preemption notice for rank
 // (node, gpu), considering both rank and whole-node notices.
 func (in *Injector) PreemptAt(node, gpu int) (at, grace time.Duration, ok bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, p := range in.preempts {
 		if p.Node != node || (p.GPU != gpu && p.GPU != -1) {
 			continue
@@ -413,8 +402,6 @@ func (in *Injector) PreemptAt(node, gpu int) (at, grace time.Duration, ok bool) 
 // per operation.
 func (in *Injector) Decide(site Site, id int64, size int64) Decision {
 	_ = size
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	now := in.clk.Now()
 	in.ops[site]++
 	var d Decision
@@ -479,8 +466,6 @@ func (in *Injector) Decide(site Site, id int64, size int64) Decision {
 // Injected returns the total number of operations that had at least one
 // fault injected.
 func (in *Injector) Injected() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	var t int64
 	for _, h := range in.hits {
 		t += h
@@ -490,14 +475,10 @@ func (in *Injector) Injected() int64 {
 
 // InjectedAt returns the number of faulted operations at site.
 func (in *Injector) InjectedAt(site Site) int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.hits[site]
 }
 
 // Ops returns the number of operations observed at site.
 func (in *Injector) Ops(site Site) int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	return in.ops[site]
 }

@@ -16,8 +16,6 @@ package lifecycle
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"score/internal/simclock"
 )
@@ -94,14 +92,14 @@ func Legal(from, to State) bool {
 // The zero value is usable once Init gives it a clock, so a machine can
 // live inside the record that owns it; NewMachine allocates one apart.
 //
-// State reads are lock-free (atomic): the eviction rule re-reads them all.
-// Most replicas are never waited on, so the cond is made by the first
+// Only the tasks of its clock use it; one runs at a time, so it takes no
+// lock, and the eviction rule's many State reads are plain loads. Most
+// replicas are never waited on, so the cond is made by the first
 // WaitFor that has to park, and To and Abandon wake only if it exists.
 type Machine struct {
-	mu        sync.Mutex
 	clk       simclock.Clock
 	cond      simclock.Cond // nil until a WaitFor parks
-	state     atomic.Int32
+	state     State
 	abandoned bool // no transition will ever come; WaitFor returns at once
 }
 
@@ -116,21 +114,18 @@ func NewMachine(clk simclock.Clock) *Machine {
 // once, before the machine is shared.
 func (m *Machine) Init(clk simclock.Clock) { m.clk = clk }
 
-// State returns the current state (lock-free).
-func (m *Machine) State() State { return State(m.state.Load()) }
+// State returns the current state.
+func (m *Machine) State() State { return m.state }
 
 // To performs the transition to state to, returning an error if the
 // transition is not an edge of Figure 1. Waiters are notified on success.
 func (m *Machine) To(to State) error {
-	m.mu.Lock()
-	from := State(m.state.Load())
+	from := m.state
 	if !Legal(from, to) {
-		m.mu.Unlock()
 		return fmt.Errorf("lifecycle: illegal transition %v → %v", from, to)
 	}
-	m.state.Store(int32(to))
-	m.wakeLocked()
-	m.mu.Unlock()
+	m.state = to
+	m.wake()
 	return nil
 }
 
@@ -138,13 +133,11 @@ func (m *Machine) To(to State) error {
 // the transition happened, and a refusal leaves the state and the waiters
 // alone and allocates nothing.
 func (m *Machine) TryTo(to State) bool {
-	m.mu.Lock()
-	ok := Legal(State(m.state.Load()), to)
+	ok := Legal(m.state, to)
 	if ok {
-		m.state.Store(int32(to))
-		m.wakeLocked()
+		m.state = to
+		m.wake()
 	}
-	m.mu.Unlock()
 	return ok
 }
 
@@ -160,15 +153,13 @@ func (m *Machine) MustTo(to State) {
 // returns that state — or until the machine is abandoned, returning the
 // state it stopped in, which is then none of those asked for.
 func (m *Machine) WaitFor(states ...State) State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
-		cur := State(m.state.Load())
+		cur := m.state
 		if m.abandoned || slices.Contains(states, cur) {
 			return cur
 		}
 		if m.cond == nil {
-			m.cond = m.clk.NewCond(&m.mu)
+			m.cond = m.clk.NewCond(nil)
 		}
 		m.cond.Wait()
 	}
@@ -178,15 +169,12 @@ func (m *Machine) WaitFor(states ...State) State {
 // record was dropped mid-flight — and releases every current and future
 // WaitFor, so no task stays parked on a machine nobody owns.
 func (m *Machine) Abandon() {
-	m.mu.Lock()
 	m.abandoned = true
-	m.wakeLocked()
-	m.mu.Unlock()
+	m.wake()
 }
 
-// wakeLocked releases the parked waiters, if any ever parked. Caller
-// holds m.mu.
-func (m *Machine) wakeLocked() {
+// wake releases the parked waiters, if any ever parked.
+func (m *Machine) wake() {
 	if m.cond != nil {
 		m.cond.Broadcast()
 	}

@@ -222,8 +222,6 @@ func TestTransitionClosureProperty(t *testing.T) {
 // after Abandon returns at once.
 func TestMachineMakesItsCondOnlyToPark(t *testing.T) {
 	hasCond := func(m *Machine) bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		return m.cond != nil
 	}
 

@@ -143,9 +143,7 @@ func (r *Recorder) CritPath(rec CritPathRecord) { r.Attribute(AttributionOf(rec)
 // Only its non-zero components are kept: a zero one is absent from the
 // record Snapshot builds.
 func (r *Recorder) Attribute(a Attribution) {
-	r.mu.Lock()
 	r.crit.add(&a)
-	r.mu.Unlock()
 }
 
 // critStore is a Recorder's one store of finished attributions: a header

@@ -41,7 +41,7 @@ func buildDefaultBounds() []time.Duration {
 
 // Histogram is a fixed-boundary latency histogram. Bucket i counts
 // observations d <= bounds[i]; the final bucket is the +Inf overflow.
-// It is not safe for concurrent use on its own — the Recorder guards it.
+// A Recorder owns each of its histograms.
 type Histogram struct {
 	bounds []time.Duration
 	counts []int64 // len(bounds)+1, last is +Inf
@@ -85,7 +85,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // view is h in the shape of a snapshot that shares h's counts: valid
-// only while the recorder's lock is held.
+// until the recorder's next observation.
 func (h *Histogram) view() HistogramSnapshot {
 	return HistogramSnapshot{Bounds: h.bounds, Counts: h.counts, Count: h.count, Sum: h.sum}
 }

@@ -27,18 +27,17 @@ func CheckInvariants(s Summary) error {
 }
 
 // CheckInvariants runs the package's CheckInvariants on r's books in
-// place, under r's lock: it copies nothing and reads the critical-path
-// store packed, so a caller that only checks does not pay for a Snapshot.
-func (r *Recorder) CheckInvariants() (err error) {
-	r.Read(func(s *Summary) { _, _, err = checkRunning(s, r.hists, &r.crit) })
+// place: it copies nothing and reads the critical-path store packed, so a
+// caller that only checks does not pay for a Snapshot.
+func (r *Recorder) CheckInvariants() error {
+	_, _, err := checkRunning(&r.s, r.hists, &r.crit)
 	return err
 }
 
 // CheckInvariantsQuiescent runs the package's CheckInvariantsQuiescent
 // on r's books in place, like CheckInvariants.
-func (r *Recorder) CheckInvariantsQuiescent() (err error) {
-	r.Read(func(s *Summary) { err = checkQuiescent(s, r.hists, &r.crit) })
-	return err
+func (r *Recorder) CheckInvariantsQuiescent() error {
+	return checkQuiescent(&r.s, r.hists, &r.crit)
 }
 
 // histView is a histogram as the invariants read it: a snapshot, or the

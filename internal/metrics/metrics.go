@@ -7,18 +7,14 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
-// Recorder accumulates measurements for one process (one GPU).
-// All methods are safe for concurrent use.
-//
-// One mutex guards everything. The virtual clock runs one task at a time,
-// so the application, flush workers, prefetcher and stager of a rank never
-// contend for it; the lock only has to be correct, not fast.
+// Recorder accumulates measurements for one process (one GPU). The
+// application, flush workers, prefetcher and stager of a rank share it;
+// they are tasks of one clock, which runs one at a time, so it takes no
+// lock. Read it from those tasks, or after the run.
 type Recorder struct {
-	mu sync.Mutex
 	// s holds every counter, series and per-tier map in its exported
 	// shape; its CritPaths and Histograms stay nil (see crit and hists).
 	s Summary
@@ -33,12 +29,6 @@ type Recorder struct {
 // ObserveDuration records one duration sample into the named
 // fixed-boundary histogram (see the Hist* constants).
 func (r *Recorder) ObserveDuration(name string, d time.Duration) {
-	r.mu.Lock()
-	r.observeLocked(name, d)
-	r.mu.Unlock()
-}
-
-func (r *Recorder) observeLocked(name string, d time.Duration) {
 	h := r.hists[name]
 	if h == nil {
 		if r.hists == nil {
@@ -48,13 +38,6 @@ func (r *Recorder) observeLocked(name string, d time.Duration) {
 		r.hists[name] = h
 	}
 	h.Observe(d)
-}
-
-// add adds v to the counter field points at, under the lock.
-func (r *Recorder) add(field *int64, v int64) {
-	r.mu.Lock()
-	*field += v
-	r.mu.Unlock()
 }
 
 // SeriesPoint is one restore operation's measurement.
@@ -76,30 +59,26 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Checkpoint records one checkpoint operation that moved bytes and blocked
 // the application for blocked.
 func (r *Recorder) Checkpoint(bytes int64, blocked time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.CheckpointBytes += bytes
 	r.s.CheckpointBlocked += blocked
 	r.s.CheckpointOps++
-	r.observeLocked(HistCheckpoint, blocked)
+	r.ObserveDuration(HistCheckpoint, blocked)
 }
 
 // CheckpointAccepted records bytes entering the flush pipeline. Paired
 // with exactly one of ConserveDurable, ConserveDiscarded, ConserveLost or
 // CheckpointRejected per checkpoint.
-func (r *Recorder) CheckpointAccepted(bytes int64) { r.add(&r.s.AcceptedBytes, bytes) }
+func (r *Recorder) CheckpointAccepted(bytes int64) { r.s.AcceptedBytes += bytes }
 
 // CheckpointRejected un-accounts a previously accepted checkpoint whose
 // admission ultimately failed (e.g. the synchronous-flush fallback could
 // not land it anywhere).
-func (r *Recorder) CheckpointRejected(bytes int64) { r.add(&r.s.AcceptedBytes, -bytes) }
+func (r *Recorder) CheckpointRejected(bytes int64) { r.s.AcceptedBytes += -bytes }
 
 // ConserveDurable records bytes whose flush chain reached a durable tier.
 // Called exactly once per durable checkpoint version, which is what lets
 // CheckInvariants demand one critical-path record per durable version.
 func (r *Recorder) ConserveDurable(bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.DurableBytes += bytes
 	r.s.DurableOps++
 }
@@ -107,25 +86,23 @@ func (r *Recorder) ConserveDurable(bytes int64) {
 // ConserveDiscarded records bytes whose flush was skipped because the
 // checkpoint was consumed first (§2 cond. 5) or its cached replica was
 // released before the chain ran.
-func (r *Recorder) ConserveDiscarded(bytes int64) { r.add(&r.s.DiscardedBytes, bytes) }
+func (r *Recorder) ConserveDiscarded(bytes int64) { r.s.DiscardedBytes += bytes }
 
 // ConserveLost records bytes whose flush chain was abandoned after
 // exhausting every durable route.
-func (r *Recorder) ConserveLost(bytes int64) { r.add(&r.s.LostBytes, bytes) }
+func (r *Recorder) ConserveLost(bytes int64) { r.s.LostBytes += bytes }
 
 // RetryBout records the outcome of one retried I/O sequence.
 func (r *Recorder) RetryBout(recovered bool) {
 	if recovered {
-		r.add(&r.s.RetryBoutsRecovered, 1)
+		r.s.RetryBoutsRecovered++
 	} else {
-		r.add(&r.s.RetryBoutsExhausted, 1)
+		r.s.RetryBoutsExhausted++
 	}
 }
 
 // Restore records one restore operation.
 func (r *Recorder) Restore(iter int, bytes int64, blocked time.Duration, prefetchDistance int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.RestoreBytes += bytes
 	r.s.RestoreBlocked += blocked
 	r.s.RestoreOps++
@@ -135,19 +112,17 @@ func (r *Recorder) Restore(iter int, bytes int64, blocked time.Duration, prefetc
 		Blocked:          blocked,
 		PrefetchDistance: prefetchDistance,
 	})
-	r.observeLocked(HistRestore, blocked)
+	r.ObserveDuration(HistRestore, blocked)
 }
 
 // EvictionWait accumulates time spent blocked on evictions.
 func (r *Recorder) EvictionWait(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.EvictionWait += d
-	r.observeLocked(HistEvictionWait, d)
+	r.ObserveDuration(HistEvictionWait, d)
 }
 
 // Deviation records a restore that was not the next hinted checkpoint.
-func (r *Recorder) Deviation() { r.add(&r.s.DeviationReads, 1) }
+func (r *Recorder) Deviation() { r.s.DeviationReads++ }
 
 // Retry records one retried I/O attempt against the named tier.
 func (r *Recorder) Retry(tier string) { r.countTier(&r.s.Retries, tier) }
@@ -161,8 +136,6 @@ func (r *Recorder) TierRecovery(tier string) { r.countTier(&r.s.TierRecoveries, 
 
 // countTier adds one to tier's entry of the per-tier map m points at.
 func (r *Recorder) countTier(m *map[string]int64, tier string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if *m == nil {
 		*m = map[string]int64{}
 	}
@@ -172,41 +145,35 @@ func (r *Recorder) countTier(m *map[string]int64, tier string) {
 // TierRecoveryCount returns the total healed degradations across tiers —
 // a cheap accessor for sampler probes (Snapshot copies every series).
 func (r *Recorder) TierRecoveryCount() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.s.TotalTierRecoveries()
 }
 
 // PartnerCopy records one replica staged on the partner node's SSD.
 func (r *Recorder) PartnerCopy(bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.PartnerCopies++
 	r.s.PartnerCopyBytes += bytes
 }
 
 // PartnerCopyFailure records a partner replication attempt that failed.
-func (r *Recorder) PartnerCopyFailure() { r.add(&r.s.PartnerCopyFailures, 1) }
+func (r *Recorder) PartnerCopyFailure() { r.s.PartnerCopyFailures++ }
 
 // RankDeath records this rank being killed by fault injection.
-func (r *Recorder) RankDeath() { r.add(&r.s.RankDeaths, 1) }
+func (r *Recorder) RankDeath() { r.s.RankDeaths++ }
 
 // DrainStart records a preemption notice initiating a deadline-bounded
 // drain.
-func (r *Recorder) DrainStart() { r.add(&r.s.Drains, 1) }
+func (r *Recorder) DrainStart() { r.s.Drains++ }
 
 // DrainDeadline records whether the drain's triage finished inside its
 // grace window. Called exactly once per drain.
 func (r *Recorder) DrainDeadline(met bool) {
 	if met {
-		r.add(&r.s.DrainDeadlineHits, 1)
+		r.s.DrainDeadlineHits++
 	}
 }
 
 // DrainFlushed records one version the drain triage made durable.
 func (r *Recorder) DrainFlushed(bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.DrainedVersions++
 	r.s.DrainedBytes += bytes
 }
@@ -214,65 +181,61 @@ func (r *Recorder) DrainFlushed(bytes int64) {
 // DrainAbandoned records one version the drain failed open to ErrLost
 // because it could not land inside the deadline budget.
 func (r *Recorder) DrainAbandoned(bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.DrainAbandonedVersions++
 	r.s.DrainAbandonedBytes += bytes
 }
 
 // MigrationStart records a live migration attempt to a successor node.
-func (r *Recorder) MigrationStart() { r.add(&r.s.Migrations, 1) }
+func (r *Recorder) MigrationStart() { r.s.Migrations++ }
 
 // MigrationCopy records one store version copied to the successor.
 func (r *Recorder) MigrationCopy(bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.MigratedVersions++
 	r.s.MigratedBytes += bytes
 }
 
 // MigrationFailure records a per-version migration copy that failed.
-func (r *Recorder) MigrationFailure() { r.add(&r.s.MigrationFailures, 1) }
+func (r *Recorder) MigrationFailure() { r.s.MigrationFailures++ }
 
 // HedgeLaunched records a hedge leg launched because the preferred
 // tier's read exceeded its adaptive deadline.
-func (r *Recorder) HedgeLaunched() { r.add(&r.s.HedgesLaunched, 1) }
+func (r *Recorder) HedgeLaunched() { r.s.HedgesLaunched++ }
 
 // HedgeWin records a read won by a hedge leg: the data was served from
 // the hedged (deeper) replica while the preferred tier was still busy.
-func (r *Recorder) HedgeWin() { r.add(&r.s.HedgeWins, 1) }
+func (r *Recorder) HedgeWin() { r.s.HedgeWins++ }
 
 // HedgeWasted records bytes moved by a race leg that lost: the transfer
 // completed but its result was discarded.
-func (r *Recorder) HedgeWasted(bytes int64) { r.add(&r.s.HedgeWastedBytes, bytes) }
+func (r *Recorder) HedgeWasted(bytes int64) { r.s.HedgeWastedBytes += bytes }
 
 // StallDetected records a background flush leg exceeding its adaptive
 // deadline without failing — the gray-stall signal.
-func (r *Recorder) StallDetected() { r.add(&r.s.StallsDetected, 1) }
+func (r *Recorder) StallDetected() { r.s.StallsDetected++ }
 
 // StallRerouted records a stalled flush successfully re-routed to an
 // alternate durable tier.
-func (r *Recorder) StallRerouted() { r.add(&r.s.StallsRerouted, 1) }
+func (r *Recorder) StallRerouted() { r.s.StallsRerouted++ }
 
 // HealthQuarantine records a tier quarantined because its EWMA latency
 // health score breached the gray-failure threshold.
-func (r *Recorder) HealthQuarantine() { r.add(&r.s.HealthQuarantines, 1) }
+func (r *Recorder) HealthQuarantine() { r.s.HealthQuarantines++ }
 
 // FallbackRead records a read served from a deeper tier after a faster
 // tier's replica failed or was missing.
-func (r *Recorder) FallbackRead() { r.add(&r.s.FallbackReads, 1) }
+func (r *Recorder) FallbackRead() { r.s.FallbackReads++ }
 
 // Repopulation records a replica re-staged into a faster tier after a
 // fallback read recovered the bytes.
-func (r *Recorder) Repopulation() { r.add(&r.s.Repopulations, 1) }
+func (r *Recorder) Repopulation() { r.s.Repopulations++ }
 
 // FlushAbort records a flush chain abandoned after exhausting every
 // durable route.
-func (r *Recorder) FlushAbort() { r.add(&r.s.FlushAborts, 1) }
+func (r *Recorder) FlushAbort() { r.s.FlushAborts++ }
 
 // SyncFlush records a checkpoint that bypassed the GPU cache via the
 // synchronous-flush fallback.
-func (r *Recorder) SyncFlush() { r.add(&r.s.SyncFlushes, 1) }
+func (r *Recorder) SyncFlush() { r.s.SyncFlushes++ }
 
 // Pipelined records one chunked multi-hop transfer stream: the bytes it
 // moved, its end-to-end elapsed time, and the summed busy time of its
@@ -281,8 +244,6 @@ func (r *Recorder) SyncFlush() { r.add(&r.s.SyncFlushes, 1) }
 // streams every hop must have moved exactly bytes, which CheckInvariants
 // verifies against the accumulated totals.
 func (r *Recorder) Pipelined(bytes int64, elapsed, hopBusy time.Duration, hopBytes []int64, complete bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.PipelinedStreams++
 	r.s.PipelinedBytes += bytes
 	r.s.PipelinedElapsed += elapsed
@@ -428,14 +389,12 @@ func (s Summary) TotalTierRecoveries() int64 {
 	return t
 }
 
-// Read calls fn with the recorder's own books under its lock: every
+// Read calls fn with the recorder's own books: every
 // counter, series and per-tier map in place, with CritPaths and
 // Histograms nil. Nothing is copied, so fn must not keep s or anything it
 // reaches, must not write through it, and must not call back into r.
 // Snapshot is the read for callers that keep what they read.
 func (r *Recorder) Read(fn func(s *Summary)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	fn(&r.s)
 }
 
@@ -444,8 +403,6 @@ func (r *Recorder) Read(fn func(s *Summary)) {
 // to it do not reach the recorder. It is the read for exporters and
 // Merge; a caller that only derives values from the books uses Read.
 func (r *Recorder) Snapshot() Summary {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.s
 	s.RestoreSeries = make([]SeriesPoint, len(r.s.RestoreSeries))
 	copy(s.RestoreSeries, r.s.RestoreSeries)

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"score/internal/simclock"
@@ -45,7 +44,8 @@ type block struct {
 // Stop must be called from tasks of its clock (Start launches a
 // clock-managed task), and Stop before the root task finishes, otherwise
 // the virtual clock would keep advancing on the sampler's timer alone.
-// One task runs at a time, so Stop's final sample never overlaps a tick.
+// Only the tasks of that clock use it; one runs at a time, so it takes no
+// lock, and Stop's final sample never overlaps a tick.
 //
 // Two windows read the store: Series each series' last capacity samples
 // (within the last capacity ticks) and EachCounter, once a trace export
@@ -56,7 +56,6 @@ type Sampler struct {
 	interval time.Duration
 	capacity int
 
-	mu      sync.Mutex
 	cond    simclock.Cond
 	probes  []probe
 	sorted  bool      // probes is in name order, equal names in registration order
@@ -89,24 +88,20 @@ func NewSampler(clk simclock.Clock, interval time.Duration, capacity int) *Sampl
 	if capacity <= 0 {
 		capacity = DefaultSeriesCapacity
 	}
-	s := &Sampler{clk: clk, interval: interval, capacity: capacity}
-	s.cond = clk.NewCond(&s.mu)
-	return s
+	return &Sampler{clk: clk, interval: interval, capacity: capacity, cond: clk.NewCond(nil)}
 }
 
 // Register adds a named gauge probe; probes may share a name, and then a
 // series. fn is called on the sampler task at every tick; it must not
 // block on simulated time nor register probes.
 func (s *Sampler) Register(name string, fn func() float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.probes = append(s.probes, probe{name: name, fn: fn, id: len(s.probes), from: math.MaxInt})
 	s.sorted = false
 }
 
-// sortLocked puts the probes in name order. The sort is stable and probes
+// sort puts the probes in name order. The sort is stable and probes
 // are only appended, so the ones a past tick polled keep its order.
-func (s *Sampler) sortLocked() {
+func (s *Sampler) sort() {
 	if !s.sorted {
 		slices.SortStableFunc(s.probes, func(a, b probe) int { return strings.Compare(a.name, b.name) })
 		s.sorted = true
@@ -116,19 +111,14 @@ func (s *Sampler) sortLocked() {
 // Start launches the sampling task on the clock. It may be called at most
 // once; Stop must be called before the simulation's root task returns.
 func (s *Sampler) Start() {
-	s.mu.Lock()
 	if s.running || s.stopped {
-		s.mu.Unlock()
 		return
 	}
 	s.running = true
-	s.mu.Unlock()
 	s.clk.Go(s.loop)
 }
 
 func (s *Sampler) loop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for !s.stopped {
 		// WaitTimeout rather than Sleep: Stop can interrupt the wait, so a
 		// stopped sampler never holds a pending timer that would keep the
@@ -137,25 +127,21 @@ func (s *Sampler) loop() {
 		if s.stopped {
 			return
 		}
-		s.sampleLocked()
+		s.sample()
 	}
 }
 
-// sampleLocked polls every probe once, in name order, and stores the
-// values as the next tick. Probes are caller code (one reads the counter
-// drops), so s.mu is released around them. The tick and Stop's final
-// sample both run on tasks, and one task runs at a time, so no two
-// samples overlap and s.vals needs no more protection than that.
-func (s *Sampler) sampleLocked() {
+// sample polls every probe once, in name order, and stores the values as
+// the next tick. Probes do not block, so a tick runs from start to end in
+// one task and never overlaps Stop's final sample.
+func (s *Sampler) sample() {
 	at := s.clk.Now()
-	s.sortLocked()
+	s.sort()
 	s.vals = slices.Grow(s.vals[:0], len(s.probes))[:len(s.probes)]
-	probes, vals := s.probes, s.vals
-	s.mu.Unlock()
-	for i, p := range probes {
+	vals := s.vals
+	for i, p := range s.probes {
 		vals[i] = p.fn()
 	}
-	s.mu.Lock()
 	b, i := s.n/tickBlockLen-s.base, s.n%tickBlockLen
 	if b == len(s.blocks) {
 		blk := block{at: make([]time.Duration, tickBlockLen), vals: make([][]float64, len(vals))}
@@ -180,26 +166,26 @@ func (s *Sampler) sampleLocked() {
 	blk.at[i] = at
 	s.n++
 	s.taken += int64(len(vals))
-	s.cutLocked()
+	s.cut()
 }
 
-// cutLocked moves the counter window up to the newest samples, counting
+// cut moves the counter window up to the newest samples, counting
 // what falls out, and frees the oldest blocks neither window reads.
-func (s *Sampler) cutLocked() {
+func (s *Sampler) cut() {
 	if excess := s.taken - s.from - int64(s.window); s.window > 0 && excess > 0 {
 		s.from += excess
 		s.dropped += excess
 	}
 	for len(s.blocks) > 1 && (s.base+1)*tickBlockLen <= s.n-s.capacity &&
-		(s.window == 0 || s.arrivalsLocked((s.base+1)*tickBlockLen) <= s.from) {
+		(s.window == 0 || s.arrivals((s.base+1)*tickBlockLen) <= s.from) {
 		s.blocks = slices.Delete(s.blocks, 0, 1)
 		s.base++
 	}
 }
 
-// arrivalsLocked returns the samples taken before tick t: every probe is
+// arrivals returns the samples taken before tick t: every probe is
 // polled at every tick from its first on.
-func (s *Sampler) arrivalsLocked(t int) (n int64) {
+func (s *Sampler) arrivals(t int) (n int64) {
 	for _, p := range s.probes {
 		n += int64(max(t-p.from, 0))
 	}
@@ -209,20 +195,18 @@ func (s *Sampler) arrivalsLocked(t int) (n int64) {
 // Stop halts the sampling task after taking one final sample, so the
 // series always reflect the end state. Safe to call multiple times.
 func (s *Sampler) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.stopped {
 		return
 	}
 	if s.running {
-		s.sampleLocked()
+		s.sample()
 	}
 	s.stopped = true
 	s.cond.Broadcast()
 }
 
-// tickLocked returns the block and index of stored tick t.
-func (s *Sampler) tickLocked(t int) (*block, int) {
+// tick returns the block and index of stored tick t.
+func (s *Sampler) tick(t int) (*block, int) {
 	return &s.blocks[t/tickBlockLen-s.base], t % tickBlockLen
 }
 
@@ -232,9 +216,7 @@ func (s *Sampler) Interval() time.Duration { return s.interval }
 // Series returns the sampled timelines, name → chronological samples:
 // each series' last capacity samples, a tick's in registration order.
 func (s *Sampler) Series() map[string][]Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sortLocked()
+	s.sort()
 	out := make(map[string][]Sample, len(s.probes))
 	start := max(s.n-s.capacity, s.base*tickBlockLen)
 	for i, j := 0, 0; i < len(s.probes); i = j {
@@ -242,7 +224,7 @@ func (s *Sampler) Series() map[string][]Sample {
 		}
 		pts := make([]Sample, 0, (s.n-start)*(j-i))
 		for t := start; t < s.n; t++ {
-			blk, x := s.tickLocked(t)
+			blk, x := s.tick(t)
 			for _, p := range s.probes[i:j] {
 				if p.from <= t {
 					pts = append(pts, Sample{At: blk.at[x], Value: blk.vals[p.id][x]})
@@ -258,19 +240,15 @@ func (s *Sampler) Series() map[string][]Sample {
 // by arrival (n ≥ 1), counting older ones as dropped; it implements
 // trace.CounterSource. The window starts at the first call.
 func (s *Sampler) SetCounterWindow(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.window == 0 {
 		s.from = s.taken
 	}
 	s.window = n
-	s.cutLocked()
+	s.cut()
 }
 
 // CounterDropped reports how many samples fell out of the counter window.
 func (s *Sampler) CounterDropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.dropped
 }
 
@@ -286,22 +264,20 @@ type counter struct {
 // sample at a tick's instant merges into it. Equal ids mean equal names
 // within one call. fn must not call the sampler.
 func (s *Sampler) EachCounter(fn func(id int, name string, at time.Duration, v float64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.window == 0 {
 		return
 	}
-	s.sortLocked()
+	s.sort()
 	distinct := true // no two probes share a name, so a lone tick is in order
 	for k := 1; k < len(s.probes); k++ {
 		distinct = distinct && s.probes[k].name != s.probes[k-1].name
 	}
 	// Start at the last tick that begins at or before the window.
 	first := s.base * tickBlockLen
-	t := max(first+sort.Search(s.n-first, func(k int) bool { return s.arrivalsLocked(first+k) > s.from })-1, first)
-	arrival := s.arrivalsLocked(t)
+	t := max(first+sort.Search(s.n-first, func(k int) bool { return s.arrivals(first+k) > s.from })-1, first)
+	arrival := s.arrivals(t)
 	for t < s.n {
-		blk, i := s.tickLocked(t)
+		blk, i := s.tick(t)
 		at, buf, ticks := blk.at[i], s.scratch[:0], 0
 		for ; t < s.n && blk.at[i] == at; ticks++ {
 			for k, p := range s.probes {
@@ -313,7 +289,7 @@ func (s *Sampler) EachCounter(fn func(id int, name string, at time.Duration, v f
 				}
 			}
 			if t++; t < s.n {
-				blk, i = s.tickLocked(t)
+				blk, i = s.tick(t)
 			}
 		}
 		if ticks > 1 || !distinct {

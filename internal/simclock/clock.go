@@ -12,12 +12,12 @@
 // simulation sound: any goroutine that participates in simulated time must
 // be started with Clock.Go, and any blocking wait that can only be resolved
 // by the progress of simulated time must go through a Cond obtained from
-// Clock.NewCond. Plain mutexes may still be used for short critical
-// sections that never block across simulated time; since one task runs at
-// a time they are never contended. A task that blocks on a raw channel, a
-// sync.WaitGroup, or a mutex another task holds across a simulated wait
-// keeps the one running slot from the task that would release it, and the
-// run stops.
+// Clock.NewCond. State that only the tasks of one clock touch needs no
+// lock: one task runs at a time, and it yields only where it blocks, so
+// the code between two blocking calls is a critical section already. A
+// task that blocks on a raw channel, a sync.WaitGroup, or a mutex another
+// task holds across a simulated wait keeps the one running slot from the
+// task that would release it, and the run stops.
 package simclock
 
 import (
@@ -45,7 +45,9 @@ type Clock interface {
 	// returns, after the tasks made ready before it.
 	Go(fn func())
 	// NewCond returns a condition variable bound to locker l whose Wait
-	// correctly suspends the calling task in simulated time.
+	// correctly suspends the calling task in simulated time. A nil l
+	// means no locker: the state the cond's waiters test is the clock's
+	// tasks' own, which needs none.
 	NewCond(l sync.Locker) Cond
 	// InitEvent binds e, an Event the caller embeds in its own record, to
 	// the clock and to r. The event starts unparked.
@@ -56,20 +58,22 @@ type Clock interface {
 // additional timed wait. On a Virtual clock Signal and Broadcast only make
 // waiters ready: they resume, in wait order, once the caller blocks.
 type Cond interface {
-	// Wait atomically unlocks the underlying locker and suspends the task
-	// until Signal or Broadcast wakes it. The locker is re-acquired before
-	// Wait returns. As with sync.Cond, callers must re-check their
+	// Wait atomically unlocks the underlying locker, if any, and suspends
+	// the task until Signal or Broadcast wakes it. The locker is
+	// re-acquired before Wait returns. As with sync.Cond, callers must re-check their
 	// condition in a loop.
 	Wait()
 	// WaitFor means exactly `for !pred() { Wait() }`: the same wake order,
 	// the same timestamps. It differs only in who runs the re-check. A
 	// woken WaitFor waiter keeps its place in the ready queue, and when it
-	// reaches the head the clock evaluates pred under the locker. While
+	// reaches the head the clock evaluates pred (under the locker, if
+	// any). While
 	// pred is false the task goes back to the tail of the cond's waiters
 	// without running, so it costs no coroutine switch and no EventCount.
-	// pred reads only state guarded by the locker, has no side effects, and
-	// calls no cachebuf.Buffer method: it runs on the clock's driver, not
-	// in the task. Build it once, not per wait. The caller holds the locker.
+	// pred reads only state the cond's waiters share, has no side effects,
+	// and calls no cachebuf.Buffer method: it runs on the clock's driver,
+	// not in the task. Build it once, not per wait. The caller holds the
+	// locker, if any.
 	WaitFor(pred func() bool)
 	// WaitTimeout behaves like Wait but gives up after d of simulated
 	// time. It reports true if the wait timed out (as opposed to being
@@ -82,25 +86,20 @@ type Cond interface {
 }
 
 // A WaitGroup is a clock-aware analogue of sync.WaitGroup: Wait suspends
-// the calling task in simulated time.
+// the calling task in simulated time. Only the tasks of its clock use it.
 type WaitGroup struct {
-	mu    sync.Mutex
 	cond  Cond
 	count int
 }
 
 // NewWaitGroup returns a WaitGroup bound to clk.
 func NewWaitGroup(clk Clock) *WaitGroup {
-	wg := &WaitGroup{}
-	wg.cond = clk.NewCond(&wg.mu)
-	return wg
+	return &WaitGroup{cond: clk.NewCond(nil)}
 }
 
 // Add adds delta (which may be negative) to the counter. The counter must
 // never go negative.
 func (wg *WaitGroup) Add(delta int) {
-	wg.mu.Lock()
-	defer wg.mu.Unlock()
 	wg.count += delta
 	if wg.count < 0 {
 		panic("simclock: negative WaitGroup counter")
@@ -115,8 +114,6 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait blocks until the counter reaches zero.
 func (wg *WaitGroup) Wait() {
-	wg.mu.Lock()
-	defer wg.mu.Unlock()
 	for wg.count != 0 {
 		wg.cond.Wait()
 	}
@@ -124,8 +121,8 @@ func (wg *WaitGroup) Wait() {
 
 // A Barrier is a reusable synchronization point for a fixed number of
 // parties, used by the tightly-coupled execution mode of the benchmarks.
+// Only the tasks of its clock use it.
 type Barrier struct {
-	mu      sync.Mutex
 	cond    Cond
 	parties int
 	arrived int
@@ -137,16 +134,12 @@ func NewBarrier(clk Clock, parties int) *Barrier {
 	if parties < 1 {
 		panic("simclock: barrier needs at least one party")
 	}
-	b := &Barrier{parties: parties}
-	b.cond = clk.NewCond(&b.mu)
-	return b
+	return &Barrier{cond: clk.NewCond(nil), parties: parties}
 }
 
 // Await blocks until all parties have called Await for the current phase,
 // then releases them all and resets for the next phase.
 func (b *Barrier) Await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	phase := b.phase
 	b.arrived++
 	if b.arrived == b.parties {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,36 +17,8 @@ import (
 // things that stall the one running task without a deadlock report
 // (DESIGN.md §14, "What the contract forbids"). make vet runs it.
 func TestModelCodeKeepsTheBatonContract(t *testing.T) {
-	root := filepath.Join("..", "..")
-	files, err := filepath.Glob(filepath.Join(root, "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{"cmd", "internal"} {
-		err = filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
-			switch {
-			case err != nil:
-				return err
-			case d.IsDir() && (d.Name() == "simclock" || d.Name() == "testdata"):
-				return filepath.SkipDir
-			case strings.HasSuffix(path, ".go"):
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	fset := token.NewFileSet()
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range parseModelFiles(t, fset, "simclock") {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var what string
 			switch n := n.(type) {
@@ -72,4 +45,78 @@ func TestModelCodeKeepsTheBatonContract(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// lockAllowed lists the non-test files, by path from the module root (a
+// directory covers its files), that may declare a sync.Mutex or
+// sync.RWMutex: types that real goroutines drive, or that callers outside
+// any task use.
+var lockAllowed = []string{
+	"internal/coord/",
+	"internal/ckptstore/",
+	"internal/metrics/registry.go",
+	"internal/simclock/virtual.go",
+}
+
+// TestModelCodeDeclaresNoMutex fails when a non-test file of the root
+// package, of cmd/ or of internal/ outside lockAllowed names sync.Mutex or
+// sync.RWMutex. State that only the tasks of one clock touch needs no lock:
+// the clock runs one task at a time and switches only where a task blocks
+// (DESIGN.md §14). make vet runs it.
+func TestModelCodeDeclaresNoMutex(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range parseModelFiles(t, fset) {
+		path := filepath.ToSlash(fset.Position(f.Pos()).Filename)
+		path = strings.TrimPrefix(path, "../../")
+		if slices.ContainsFunc(lockAllowed, func(a string) bool { return strings.HasPrefix(path, a) }) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+					t.Errorf("%s: sync.%s in model code: one task runs at a time, so clock-owned state needs no lock", fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// parseModelFiles parses the non-test files of the root package, of cmd/
+// and of internal/, skipping testdata and the directories named skip.
+func parseModelFiles(t *testing.T, fset *token.FileSet, skip ...string) []*ast.File {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	paths, err := filepath.Glob(filepath.Join(root, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"cmd", "internal"} {
+		err = filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && (d.Name() == "testdata" || slices.Contains(skip, d.Name())):
+				return filepath.SkipDir
+			case strings.HasSuffix(path, ".go"):
+				paths = append(paths, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
 }

@@ -78,7 +78,7 @@ func (e *Event) Arm(d time.Duration) {
 // ArmOn parks the event, untimed, at the tail of cd's waiters, as a task's
 // Wait on cd at this moment would: cd's Signal and Broadcast ready it in
 // wait order among the tasks parked there. cd must belong to the event's
-// clock; the caller holds cd's locker.
+// clock; the caller holds cd's locker, if it has one.
 func (e *Event) ArmOn(cd Cond) {
 	vc := cd.(*vcond)
 	c := e.clk

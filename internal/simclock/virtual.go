@@ -260,7 +260,8 @@ func (c *Virtual) Run(fn func()) {
 	<-done
 }
 
-// NewCond returns a virtual-time condition variable bound to l.
+// NewCond returns a virtual-time condition variable bound to l, or bound
+// to no locker when l is nil.
 func (c *Virtual) NewCond(l sync.Locker) Cond { return &vcond{clk: c, l: l} }
 
 // drive is the scheduler: it resumes one task, or runs one event, at a
@@ -368,21 +369,22 @@ func (c *Virtual) admitLocked(w *task) bool {
 }
 
 // recheckLocked evaluates the predicate of w, a WaitFor waiter the driver
-// popped, under its cond's locker; the lock order is locker before clock,
-// as in wait. When the predicate is false, w is filed at the cond's tail
-// exactly as the next Wait of a `for !pred() { Wait() }` loop would file
-// it, and is not resumed. w is c.cur, so a deadlock this completes is
+// popped, under its cond's locker if it has one. When the predicate is
+// false, w is filed at the cond's tail exactly as the next Wait of a
+// `for !pred() { Wait() }` loop would file it, and is not resumed. w is c.cur, so a deadlock this completes is
 // reported inside w.
 func (c *Virtual) recheckLocked(w *task) bool {
 	cd := w.on
 	c.mu.Unlock()
-	cd.l.Lock()
+	if cd.l != nil {
+		cd.l.Lock()
+		defer cd.l.Unlock() // released holding the clock mutex, as in wait
+	}
 	ok := w.pred()
 	c.mu.Lock()
 	if !ok {
 		cd.fileLocked(-1, w.pred)
 	}
-	cd.l.Unlock()
 	return ok
 }
 
@@ -465,24 +467,29 @@ func (cd *vcond) WaitFor(pred func() bool) {
 }
 
 // wait suspends the task; d < 0 means no timeout, and a non-nil pred makes
-// it a WaitFor wait. Returns true on timeout. Precondition: caller holds cd.l.
+// it a WaitFor wait. Returns true on timeout. Precondition: caller holds
+// cd.l, if the cond has a locker.
 func (cd *vcond) wait(d time.Duration, pred func() bool) bool {
 	c := cd.clk
 	c.mu.Lock()
 	w := cd.fileLocked(d, pred)
-	cd.l.Unlock()
+	if cd.l != nil {
+		cd.l.Unlock()
+	}
 	c.mu.Unlock()
 	w.yield(struct{}{})
-	cd.l.Lock()
+	if cd.l != nil {
+		cd.l.Lock()
+	}
 	if c.abortTask == w {
 		c.abortTask = nil
-		panic(c.abortMsg) // with cd.l held, so the caller's deferred Unlock works
+		panic(c.abortMsg) // with cd.l, if any, held, so the caller's deferred Unlock works
 	}
 	return w.timedOut
 }
 
 // fileLocked suspends the running task on cd and returns it. Caller holds
-// cd.l and the clock mutex.
+// cd.l, if any, and the clock mutex.
 func (cd *vcond) fileLocked(d time.Duration, pred func() bool) *task {
 	c := cd.clk
 	w := c.suspendLocked(true, d >= 0)

@@ -334,3 +334,30 @@ func TestSameInstantPingPongIsReportedAsALivelock(t *testing.T) {
 		}
 	}
 }
+
+// TestNilLockerCond: a cond made with NewCond(nil) has no locker to drop
+// and retake, and parks and wakes as a cond with one does: Wait on a
+// Broadcast, WaitFor once its predicate holds, WaitTimeout at its deadline.
+func TestNilLockerCond(t *testing.T) {
+	clk := NewVirtual()
+	cond := clk.NewCond(nil)
+	ready := false
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%v", what, clk.Now())) }
+	clk.Run(func() {
+		wg := NewWaitGroup(clk)
+		wg.Add(3)
+		clk.Go(func() { defer wg.Done(); cond.Wait(); note("wait") })
+		clk.Go(func() { defer wg.Done(); cond.WaitFor(func() bool { return ready }); note("waitfor") })
+		clk.Go(func() { defer wg.Done(); note(fmt.Sprint("timeout=", cond.WaitTimeout(time.Second))) })
+		clk.Sleep(2 * time.Second)
+		cond.Broadcast() // wakes Wait; WaitFor's predicate is still false
+		clk.Sleep(time.Second)
+		ready = true
+		cond.Broadcast()
+		wg.Wait()
+	})
+	if got, want := strings.Join(log, " "), "timeout=true@1s wait@2s waitfor@3s"; got != want {
+		t.Errorf("log %q, want %q", got, want)
+	}
+}

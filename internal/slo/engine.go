@@ -3,7 +3,6 @@ package slo
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"score/internal/metrics"
@@ -19,10 +18,11 @@ import (
 //
 // All methods are nil-safe no-ops on a nil engine, which is what makes
 // the disabled path free: callers hold a nil sink and pay one branch.
+// The observers feeding it are tasks of one clock, which runs one at a
+// time, so it takes no lock.
 type Engine struct {
 	now func() time.Duration
 
-	mu      sync.Mutex
 	objs    []*objState
 	pendAt  time.Duration
 	pendAny bool
@@ -117,14 +117,13 @@ func NewEngine(now func() time.Duration, objs ...Objective) (*Engine, error) {
 }
 
 // SetAlertSink registers fn to receive every fire/resolve transition,
-// in evaluation order, outside the engine lock. Nil-safe.
+// in evaluation order, once the observation that caused it is staged.
+// Nil-safe.
 func (e *Engine) SetAlertSink(fn func(Alert)) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.sink = fn
-	e.mu.Unlock()
 }
 
 // deepComps are the restore components that mean the GPU/host caches
@@ -149,8 +148,7 @@ func (e *Engine) ObserveAttribution(a metrics.Attribution) {
 		return
 	}
 	at := a.Start + a.Total
-	e.mu.Lock()
-	fired := e.advanceLocked(at)
+	fired := e.advance(at)
 	for _, st := range e.objs {
 		switch st.obj.Kind {
 		case KindRestoreLatency:
@@ -167,7 +165,6 @@ func (e *Engine) ObserveAttribution(a metrics.Attribution) {
 			}
 		}
 	}
-	e.mu.Unlock()
 	e.emit(fired)
 }
 
@@ -187,14 +184,12 @@ func (e *Engine) Observe(kind Kind, good bool, comps map[string]time.Duration) {
 	}
 	arr := metrics.CompsOf(comps)
 	at := e.now()
-	e.mu.Lock()
-	fired := e.advanceLocked(at)
+	fired := e.advance(at)
 	for _, st := range e.objs {
 		if st.obj.Kind == kind {
 			st.stage(good, &arr)
 		}
 	}
-	e.mu.Unlock()
 	e.emit(fired)
 }
 
@@ -204,13 +199,11 @@ func (e *Engine) Finalize() {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	var fired []Alert
 	if !e.done {
-		fired = e.flushLocked()
+		fired = e.flush()
 		e.done = true
 	}
-	e.mu.Unlock()
 	e.emit(fired)
 }
 
@@ -220,8 +213,6 @@ func (e *Engine) Report() Report {
 	if e == nil {
 		return Report{}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	rep := Report{Alerts: append([]Alert(nil), e.alerts...)}
 	for _, st := range e.objs {
 		r := ObjectiveResult{
@@ -282,10 +273,10 @@ func (st *objState) stageHit(comps *compDurations) {
 	}
 }
 
-// advanceLocked flushes the pending instant when at moves past it.
+// advance flushes the pending instant when at moves past it.
 // Timestamps are clamped to the pending instant so a same-or-earlier
 // arrival (records finalized out of order) can never rewind a window.
-func (e *Engine) advanceLocked(at time.Duration) []Alert {
+func (e *Engine) advance(at time.Duration) []Alert {
 	if !e.pendAny {
 		e.pendAt, e.pendAny = at, true
 		return nil
@@ -293,14 +284,14 @@ func (e *Engine) advanceLocked(at time.Duration) []Alert {
 	if at <= e.pendAt {
 		return nil
 	}
-	fired := e.flushLocked()
+	fired := e.flush()
 	e.pendAt = at
 	return fired
 }
 
-// flushLocked folds every objective's staged batch into its bucket ring
+// flush folds every objective's staged batch into its bucket ring
 // at the pending instant and evaluates all window pairs there.
-func (e *Engine) flushLocked() []Alert {
+func (e *Engine) flush() []Alert {
 	if !e.pendAny {
 		return nil
 	}
@@ -325,14 +316,14 @@ func (e *Engine) flushLocked() []Alert {
 			st.bad += st.pendBad
 			st.pendGood, st.pendBad, st.pendComps = 0, 0, compDurations{}
 		}
-		fired = append(fired, e.evaluateLocked(i, at)...)
+		fired = append(fired, e.evaluate(i, at)...)
 	}
 	return fired
 }
 
-// evaluateLocked runs objective i's window pairs at instant at and
+// evaluate runs objective i's window pairs at instant at and
 // returns any fire/resolve transitions.
-func (e *Engine) evaluateLocked(i int, at time.Duration) []Alert {
+func (e *Engine) evaluate(i int, at time.Duration) []Alert {
 	st := e.objs[i]
 	var out []Alert
 	for wi, w := range st.obj.Windows {
@@ -418,14 +409,12 @@ func budgetRemaining(st *objState) float64 {
 	return 1 - badFrac/(1-st.obj.Goal)
 }
 
-// emit delivers transitions to the sink outside the engine lock.
+// emit delivers transitions to the sink once the engine's state is updated.
 func (e *Engine) emit(alerts []Alert) {
 	if len(alerts) == 0 {
 		return
 	}
-	e.mu.Lock()
 	sink := e.sink
-	e.mu.Unlock()
 	if sink == nil {
 		return
 	}

@@ -82,14 +82,11 @@ func (s *chromeStream) flush() {
 // tracks above each GPU's span rows. A NaN or infinite counter value is
 // an error and nothing is written; a failed write ends the export with
 // that error. Spans and counter samples are written from where they are
-// stored, so the tracer and its counter source stay locked until the
-// export returns: w must not call back into either.
+// stored, so w must not call back into the tracer or its counter source.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	if t == nil {
 		t = &Tracer{} // an empty timeline
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var err error
 	counters := func(fn func(id int, name string, at time.Duration, v float64)) {
 		if t.counters != nil {
@@ -104,7 +101,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	order := t.orderLocked()
+	order := t.order()
 	event := func(i int) *Event { return t.events.at(int(order[i])) }
 	s := &chromeStream{w: w, buf: make([]byte, 0, exportBufLen)}
 	s.buf = append(s.buf, `{"traceEvents":[`...)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -99,13 +98,12 @@ const DefaultFlightCap = 2 * blockLen
 // FlightRecorder keeps a bounded per-rank ring of lifecycle events — a
 // flight recorder for the checkpoint pipeline. When a rank's ring
 // fills, the oldest entries are overwritten and counted as dropped.
-// Safe for concurrent use: one mutex guards every ring, and it is never
-// contended, because the virtual clock runs one task at a time.
+// The ranks recording into it are tasks of one clock, which runs one at a
+// time, so it takes no lock; read it from those tasks or after the run.
 type FlightRecorder struct {
 	now        func() time.Duration
 	capPerRank int
 
-	mu    sync.Mutex
 	ranks map[int]*blockRing[ledgerEntry]
 	tiers []string // tier labels by id: a handful, so found by scanning
 }
@@ -139,8 +137,6 @@ func (f *FlightRecorder) RecordAt(rank int, version int64, kind LifecycleKind, t
 	if f == nil {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	r := f.ranks[rank]
 	if r == nil {
 		r = &blockRing[ledgerEntry]{limit: f.capPerRank}
@@ -163,7 +159,6 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 		return nil
 	}
 	var out []LifecycleEvent
-	f.mu.Lock()
 	if r := f.ranks[rank]; r != nil {
 		out = make([]LifecycleEvent, r.n)
 		for i := range out {
@@ -171,7 +166,6 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 			out[i] = LifecycleEvent{Rank: rank, Version: e.version, Kind: LifecycleKind(e.kind), Tier: f.tiers[e.tier], Detail: e.detail, At: e.at}
 		}
 	}
-	f.mu.Unlock()
 	slices.SortFunc(out, func(a, b LifecycleEvent) int {
 		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Version, b.Version), cmp.Compare(a.Kind, b.Kind),
 			strings.Compare(a.Tier, b.Tier), strings.Compare(a.Detail, b.Detail))
@@ -191,12 +185,10 @@ func (f *FlightRecorder) Ranks() []int {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
 	out := make([]int, 0, len(f.ranks))
 	for r := range f.ranks {
 		out = append(out, r)
 	}
-	f.mu.Unlock()
 	slices.Sort(out)
 	return out
 }
@@ -207,8 +199,6 @@ func (f *FlightRecorder) Dropped(rank int) int64 {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if r := f.ranks[rank]; r != nil {
 		return r.dropped
 	}
@@ -220,8 +210,6 @@ func (f *FlightRecorder) TotalDropped() int64 {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var total int64
 	for _, r := range f.ranks {
 		total += r.dropped
@@ -236,8 +224,6 @@ func (t *Tracer) Flight() *FlightRecorder {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.flight == nil {
 		t.flight = NewFlightRecorder(t.now, DefaultFlightCap)
 	}

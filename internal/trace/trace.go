@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -129,14 +128,14 @@ func (r *blockRing[T]) setLimit(limit int) {
 	}
 }
 
-// Tracer collects events; safe for concurrent use. A nil *Tracer is a
-// valid no-op sink, so instrumented code needs no nil checks beyond the
-// method receivers. Retention is bounded: once a cap is reached the
+// Tracer collects events from the tasks of one clock, which runs one at a
+// time, so it takes no lock; read it from those tasks or after the run. A
+// nil *Tracer is a valid no-op sink, so instrumented code needs no nil
+// checks beyond the method receivers. Retention is bounded: once a cap is reached the
 // oldest entries are overwritten and Dropped reports how many were lost.
 type Tracer struct {
 	now func() time.Duration
 
-	mu         sync.Mutex
 	events     blockRing[Event]
 	counterCap int
 	counters   CounterSource // nil until SetCounterSource
@@ -161,8 +160,6 @@ func (t *Tracer) SetCounterSource(src CounterSource) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.counters = src
 	src.SetCounterWindow(t.counterCap)
 }
@@ -178,8 +175,6 @@ func (t *Tracer) SetCapacity(events, counters int) {
 	if events < 1 || counters < 1 {
 		panic("trace: capacities must be >= 1")
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.events.setLimit(events)
 	t.counterCap = counters
 	if t.counters != nil {
@@ -193,8 +188,6 @@ func (t *Tracer) Dropped() (events, counters int64) {
 	if t == nil {
 		return 0, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.counters != nil {
 		counters = t.counters.CounterDropped()
 	}
@@ -246,9 +239,7 @@ func (t *Tracer) RecordFlow(gpu int, track Track, category, name string, start, 
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.events.push(Event{Name: name, Category: category, GPU: gpu, Track: track, Start: start, Duration: duration, Flow: flow})
-	t.mu.Unlock()
 }
 
 // Len returns the number of recorded events. Nil-safe.
@@ -256,8 +247,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.events.n
 }
 
@@ -268,9 +257,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	order := t.orderLocked()
+	order := t.order()
 	out := make([]Event, len(order))
 	for i, at := range order {
 		out[i] = *t.events.at(int(at))
@@ -278,8 +265,8 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// orderLocked returns the spans' storage positions in Events order.
-func (t *Tracer) orderLocked() []int32 {
+// order returns the spans' storage positions in Events order.
+func (t *Tracer) order() []int32 {
 	order := make([]int32, t.events.n)
 	for i := range order {
 		order[i] = int32(i)

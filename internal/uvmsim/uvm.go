@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"score/internal/device"
@@ -144,7 +143,6 @@ type Client struct {
 	clk simclock.Clock
 	rec *metrics.Recorder
 
-	mu   sync.Mutex
 	cond simclock.Cond
 
 	ckpts       map[int64]*ckpt
@@ -173,7 +171,7 @@ func New(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{cfg: cfg, clk: cfg.Clock, rec: metrics.NewRecorder(), ckpts: map[int64]*ckpt{}}
-	c.cond = c.clk.NewCond(&c.mu)
+	c.cond = c.clk.NewCond(nil)
 	c.daemons = simclock.NewWaitGroup(c.clk)
 	if err := cfg.GPU.AllocDevice(cfg.DeviceCacheSize); err != nil {
 		return nil, fmt.Errorf("uvmsim: reserving managed device space: %w", err)
@@ -188,21 +186,16 @@ func New(cfg Config) (*Client, error) {
 
 // Close stops background workers.
 func (c *Client) Close() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
 	c.cond.Broadcast()
-	c.mu.Unlock()
 	c.daemons.Wait()
 }
 
 // Err returns the first asynchronous failure.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.err
 }
 
@@ -227,11 +220,9 @@ func (c *Client) migrate(size int64, pressured bool) error {
 // fail records the first asynchronous failure. It wakes nobody: no wait
 // loop reads c.err.
 func (c *Client) fail(err error) {
-	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	c.mu.Unlock()
 }
 
 // waitHostReady blocks until the host backing store is registered.
@@ -256,14 +247,11 @@ func (c *Client) faultCost(size int64) {
 // benchmark's thrash-avoidance window).
 func (c *Client) reserveDevice(need int64) (evicted bool, err error) {
 	for {
-		c.mu.Lock()
 		if c.cfg.DeviceCacheSize-c.devUsed >= need {
 			c.devUsed += need
-			c.mu.Unlock()
 			return evicted, nil
 		}
 		if c.closed {
-			c.mu.Unlock()
 			return evicted, ErrClosed
 		}
 		// LRU victim with device residency.
@@ -279,7 +267,6 @@ func (c *Client) reserveDevice(need int64) (evicted bool, err error) {
 		if victim == nil {
 			// Everything is pinned: wait for consumption.
 			c.cond.Wait()
-			c.mu.Unlock()
 			continue
 		}
 		evicted = true
@@ -289,7 +276,6 @@ func (c *Client) reserveDevice(need int64) (evicted bool, err error) {
 			c.hostUsed += victim.size
 			victim.onHost = true
 		}
-		c.mu.Unlock()
 
 		// Migrate-before-evict: the driver writes the pages back even
 		// when a host copy exists — the documented disadvantage vs
@@ -301,9 +287,7 @@ func (c *Client) reserveDevice(need int64) (evicted bool, err error) {
 		if err == nil {
 			c.spillHostIfNeeded()
 		}
-		c.mu.Lock()
 		c.cond.Broadcast()
-		c.mu.Unlock()
 		if err != nil {
 			return evicted, err
 		}
@@ -314,9 +298,7 @@ func (c *Client) reserveDevice(need int64) (evicted bool, err error) {
 // the oldest host-resident checkpoints to the SSD and dropping them.
 func (c *Client) spillHostIfNeeded() {
 	for {
-		c.mu.Lock()
 		if c.hostUsed <= c.cfg.HostCacheSize {
-			c.mu.Unlock()
 			return
 		}
 		var victim *ckpt
@@ -327,7 +309,6 @@ func (c *Client) spillHostIfNeeded() {
 			}
 		}
 		if victim == nil {
-			c.mu.Unlock()
 			return
 		}
 		toSSD := !victim.ssd && !(victim.consumed && c.cfg.DiscardAfterRestore)
@@ -336,14 +317,11 @@ func (c *Client) spillHostIfNeeded() {
 		if toSSD {
 			victim.ssd = true
 		}
-		c.mu.Unlock()
 		if toSSD {
 			if _, err := c.cfg.NVMe.TryTransfer(victim.size); err != nil {
 				// The spill never landed: un-mark the SSD copy and
 				// surface the failure rather than dropping it silently.
-				c.mu.Lock()
 				victim.ssd = false
-				c.mu.Unlock()
 				c.fail(err)
 				return
 			}
@@ -359,20 +337,16 @@ func (c *Client) spillHostIfNeeded() {
 // eviction takes it before; a write that fails leaves no record.
 func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	start := c.clk.Now()
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	if _, dup := c.ckpts[id]; dup {
-		c.mu.Unlock()
 		return ErrDuplicate
 	}
 	k := &ckpt{id: id, size: pay.Size(), pay: pay, lru: c.clk.Now()}
 	c.update(k, func() { k.inflight = true })
 	c.ckpts[id] = k
 	c.order = append(c.order, k)
-	c.mu.Unlock()
 
 	_, err := c.reserveDevice(k.size)
 	if err == nil {
@@ -380,7 +354,6 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 		c.cfg.GPU.CopyD2D(k.size) // snapshot into the managed buffer
 	}
 
-	c.mu.Lock()
 	c.update(k, func() { k.onDevice, k.inflight = err == nil, false })
 	if err == nil {
 		// cudaMemAdviseSetPreferredLocation(host): async writeback.
@@ -390,7 +363,6 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 		c.order = slices.DeleteFunc(c.order, func(o *ckpt) bool { return o == k })
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -403,10 +375,8 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 // SSD flush chain.
 func (c *Client) flusher() {
 	for {
-		c.mu.Lock()
 		for len(c.flushQ) == 0 {
 			if c.closed {
-				c.mu.Unlock()
 				return
 			}
 			if c.flushOn {
@@ -426,7 +396,6 @@ func (c *Client) flusher() {
 			k.onHost = true
 			c.hostUsed += k.size
 		}
-		c.mu.Unlock()
 		if skip {
 			continue
 		}
@@ -438,17 +407,13 @@ func (c *Client) flusher() {
 		}
 		c.spillHostIfNeeded()
 		// Flush host copy onward to the SSD for durability.
-		c.mu.Lock()
 		toSSD := !k.ssd && !(k.consumed && c.cfg.DiscardAfterRestore)
 		if toSSD {
 			k.ssd = true
 		}
-		c.mu.Unlock()
 		if toSSD {
 			if _, err := c.cfg.NVMe.TryTransfer(k.size); err != nil {
-				c.mu.Lock()
 				k.ssd = false
-				c.mu.Unlock()
 				c.fail(err)
 			}
 		}
@@ -458,28 +423,22 @@ func (c *Client) flusher() {
 // PrefetchEnqueue appends a restore-order hint (backing the
 // cudaMemPrefetchAsync calls).
 func (c *Client) PrefetchEnqueue(id int64) {
-	c.mu.Lock()
 	c.hints = append(c.hints, id)
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // PrefetchStart enables the prefetch thread.
 func (c *Client) PrefetchStart() {
-	c.mu.Lock()
 	c.pfStarted = true
 	c.cond.Broadcast()
-	c.mu.Unlock()
 }
 
 // prefetcher issues cudaMemPrefetchAsync for hinted checkpoints, bounded
 // by the device window: prefetched-but-unconsumed bytes never exceed the
 // device cache (§5.2.2's explicit thrash-avoidance accounting).
 func (c *Client) prefetcher() {
-	c.mu.Lock()
 	for {
 		if c.closed {
-			c.mu.Unlock()
 			return
 		}
 		var target *ckpt
@@ -499,7 +458,6 @@ func (c *Client) prefetcher() {
 		}
 		c.update(target, func() { target.prefetched, target.inflight = true, true })
 		target.lru = c.clk.Now()
-		c.mu.Unlock()
 		// cudaMemPrefetchAsync moves pages in bulk: no fault, no thrash.
 		if err := c.pullIn(target, false); err != nil {
 			if !errors.Is(err, ErrClosed) {
@@ -507,7 +465,6 @@ func (c *Client) prefetcher() {
 			}
 			return
 		}
-		c.mu.Lock()
 	}
 }
 
@@ -528,36 +485,30 @@ func (c *Client) pullIn(k *ckpt, fault bool) error {
 		}
 		err = c.migrate(k.size, fault && evicted)
 	}
-	c.mu.Lock()
 	c.update(k, func() { k.onDevice, k.inflight = err == nil, false })
 	if err != nil && reserved {
 		c.devUsed -= k.size
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
 	return err
 }
 
 // ensureHost pulls the checkpoint from the SSD into the host backing
 // store if needed.
 func (c *Client) ensureHost(k *ckpt) error {
-	c.mu.Lock()
 	needSSD := !k.onHost
 	if needSSD {
 		c.hostUsed += k.size
 		k.onHost = true
 	}
-	c.mu.Unlock()
 	if !needSSD {
 		return nil
 	}
 	c.waitHostReady()
 	if _, err := c.cfg.NVMe.TryTransfer(k.size); err != nil {
 		// The SSD read never completed: undo the host accounting.
-		c.mu.Lock()
 		c.hostUsed -= k.size
 		k.onHost = false
-		c.mu.Unlock()
 		return err
 	}
 	c.spillHostIfNeeded()
@@ -570,36 +521,30 @@ func (c *Client) ensureHost(k *ckpt) error {
 // evict (which it does by migrating).
 func (c *Client) Restore(id int64) (payload.Payload, error) {
 	start := c.clk.Now()
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, ErrClosed
 	}
 	k, ok := c.ckpts[id]
 	if !ok {
-		c.mu.Unlock()
 		return nil, ErrUnknownCheckpoint
 	}
 	iter := c.restoreIter
 	c.restoreIter++
-	pfDist := c.prefetchDistanceLocked(id)
+	pfDist := c.prefetchDistance(id)
 	// If a write or a prefetch is bringing this checkpoint in right now,
 	// wait for it rather than double-reserving device space.
 	for k.inflight {
 		if c.closed {
-			c.mu.Unlock()
 			return nil, ErrClosed
 		}
 		c.cond.Wait()
 	}
 	if c.ckpts[id] != k { // its write failed
-		c.mu.Unlock()
 		return nil, ErrUnknownCheckpoint
 	}
 	fault := !k.onDevice
 	c.update(k, func() { k.inflight = fault })
 	k.lru = c.clk.Now()
-	c.mu.Unlock()
 
 	if fault {
 		if err := c.pullIn(k, true); err != nil {
@@ -608,19 +553,17 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 	}
 	c.cfg.GPU.CopyD2D(k.size) // managed buffer → application buffer
 
-	c.mu.Lock()
 	c.update(k, func() { k.consumed, k.prefetched = true, false })
 	if c.hintHead < len(c.hints) && c.hints[c.hintHead] == id {
 		c.hintHead++
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
 
 	c.rec.Restore(iter, k.size, c.clk.Now()-start, pfDist)
 	return k.pay, nil
 }
 
-// update applies change to k's residency under c.mu and carries the
+// update applies change to k's residency and carries the
 // difference it makes to k's pinned bytes into pinnedBytes.
 func (c *Client) update(k *ckpt, change func()) {
 	before := k.pinned()
@@ -628,8 +571,8 @@ func (c *Client) update(k *ckpt, change func()) {
 	c.pinnedBytes += k.pinned() - before
 }
 
-// prefetchDistanceLocked mirrors the §5.4.4 metric for UVM.
-func (c *Client) prefetchDistanceLocked(current int64) int {
+// prefetchDistance mirrors the §5.4.4 metric for UVM.
+func (c *Client) prefetchDistance(current int64) int {
 	dist := 0
 	for i := c.hintHead; i < len(c.hints); i++ {
 		id := c.hints[i]
@@ -646,8 +589,6 @@ func (c *Client) prefetchDistanceLocked(current int64) int {
 
 // WaitFlush drains the writeback + SSD chain.
 func (c *Client) WaitFlush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for len(c.flushQ) > 0 || c.flushOn {
 		if c.closed {
 			return ErrClosed

@@ -225,8 +225,6 @@ func TestUVMNVMeOutageSurfaces(t *testing.T) {
 // reserved exactly once. It panics, because a drifted window or a double
 // reservation can wedge the shot: it stops there.
 func checkAccounting(c *Client, when string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var pinned, resident int64
 	inflight := false
 	for _, k := range c.ckpts {

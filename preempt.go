@@ -89,14 +89,10 @@ func (c *Client) Draining() bool { return c.inner.Draining() }
 // (faultinject.PreemptRank via WithFaultInjector). ok is false while no
 // drain has completed.
 func (c *Client) DrainManifest() (m DrainManifest, ok bool) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
 	return c.drainManifest, c.drainDone
 }
 
 func (c *Client) setDrainManifest(m DrainManifest) {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
 	c.drainManifest = m
 	c.drainDone = true
 }
