@@ -157,10 +157,13 @@ trace-smoke: observer-tax
 # observer-tax prints and gates the observers' host cost as the extra
 # allocations and bytes (DESIGN.md §10) of one small shot with tracing,
 # 10 ms sampling, SLOs and a trace export over the same shot plain, and
-# the nil-observer calls at zero allocations; then the runtime's own
-# budget, mallocs per checkpoint version (TestVersionBookkeepingAllocs).
+# their growth from 96 to 192 versions; the nil-observer calls and the
+# runtime's spans and ledger entries on full rings at zero allocations;
+# then the runtime's own budget, mallocs per checkpoint version
+# (TestVersionBookkeepingAllocs).
 observer-tax:
 	$(GO) test -count=1 -run 'TestObserverTaxBudget|TestNilObserversAllocateNothing' -v .
+	$(GO) test -count=1 -run 'TestRecordingAtTheRingLimitAllocatesNothing' -v ./internal/trace
 	$(GO) test -count=1 -run 'TestVersionBookkeepingAllocs' -v ./internal/core
 
 # slo-smoke exercises the SLO engine end to end (DESIGN.md §17): the

@@ -409,7 +409,7 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackApp, "checkpoint",
-			spanName("checkpoint", id, ""), c.flowID(id)).End()
+			"checkpoint", int64(id), c.flowID(id)).End()
 	}
 
 	// Reserve GPU cache space; Algorithm 1 picks and evicts the best
@@ -549,7 +549,7 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	att := newAttrib(metrics.CritRestore, int64(id), start)
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackApp, "restore",
-			spanName("restore", id, ""), c.flowID(id)).End()
+			"restore", int64(id), c.flowID(id)).End()
 	}
 
 	for {

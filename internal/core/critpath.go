@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"score/internal/metrics"
@@ -81,16 +80,6 @@ func (c *Client) mark(att *attrib, comp metrics.Comp) {
 // interleavings.
 func (c *Client) flowID(id ID) int64 {
 	return (int64(c.p.GPU.ID())+1)<<32 | (int64(id) + 1)
-}
-
-// spanName is the span name "<verb> <id><rest>" with the string its one
-// allocation: fmt.Sprintf also boxes a large id and draws a printer from
-// a pool that race-detector builds drain at random.
-func spanName(verb string, id ID, rest string) string {
-	var buf [64]byte
-	b := append(append(buf[:0], verb...), ' ')
-	b = strconv.AppendInt(b, int64(id), 10)
-	return string(append(b, rest...))
 }
 
 // lifecycle appends one entry to the tracer's per-rank flight recorder

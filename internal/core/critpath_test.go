@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -188,16 +187,4 @@ func versionMallocs(t *testing.T, mutate func(*Params)) float64 {
 		perVersion = float64(after.Mallocs-before.Mallocs) / n
 	})
 	return perVersion
-}
-
-// TestSpanNameMatchesSprintf: spanName builds the text fmt.Sprintf did.
-func TestSpanNameMatchesSprintf(t *testing.T) {
-	for _, id := range []ID{0, 7, 255, 256, 1 << 40, -3} {
-		if got, want := spanName("replicate", id, " → partner ssd"), fmt.Sprintf("replicate %d → partner ssd", id); got != want {
-			t.Errorf("spanName = %q, fmt.Sprintf %q", got, want)
-		}
-		if got, want := spanName("checkpoint", id, ""), fmt.Sprintf("checkpoint %d", id); got != want {
-			t.Errorf("spanName = %q, fmt.Sprintf %q", got, want)
-		}
-	}
 }

@@ -118,7 +118,7 @@ func (c *Client) runD2H(id ID) {
 	}()
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackD2H, "flush",
-			spanName("flush", id, " gpu→host"), c.flowID(id)).End()
+			"flush gpu→host", int64(id), c.flowID(id)).End()
 	}
 	if !c.p.GPUDirectStorage && !c.tierDegraded(TierHost) {
 		// The host tier only becomes usable once pinned registration
@@ -252,7 +252,7 @@ func (c *Client) runH2F(id ID) {
 	}
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "flush",
-			spanName("flush", id, " host→ssd"), c.flowID(id)).End()
+			"flush host→ssd", int64(id), c.flowID(id)).End()
 	}
 	hostRep := ck.replicas[TierHost]
 	alreadyOnSSD := ck.dataOn(TierSSD)
@@ -449,7 +449,7 @@ func (c *Client) routeToPartner(ck *checkpoint) {
 	}
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackH2F, "partner-copy",
-			spanName("replicate", ck.id, " → partner ssd"), c.flowID(ck.id)).End()
+			"replicate → partner ssd", int64(ck.id), c.flowID(ck.id)).End()
 	}
 	c.mustTransition(ck, rep, lifecycle.WriteInProgress)
 	xferStart := c.clk.Now()

@@ -199,7 +199,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err e
 	}()
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackPF, "prefetch",
-			spanName("promote", ck.id, " →gpu"), c.flowID(ck.id)).End()
+			"promote →gpu", int64(ck.id), c.flowID(ck.id)).End()
 	}
 	// Stage 1: ensure the data is on the host tier.
 	onHost := ck.dataOn(TierHost)

@@ -177,7 +177,7 @@ func (c *Client) maxHostResidentDistance() int {
 func (c *Client) stageHinted(ck *checkpoint) (staged bool, err error) {
 	if tr := c.p.Tracer; tr != nil {
 		defer tr.SpanFlow(c.p.GPU.ID(), trace.TrackStage, "prefetch",
-			spanName("stage", ck.id, " ssd→host"), c.flowID(ck.id)).End()
+			"stage ssd→host", int64(ck.id), c.flowID(ck.id)).End()
 	}
 	c.waitHostReady()
 	taken := ck.replicas[TierHost] != nil

@@ -36,27 +36,28 @@ type chromeStream struct {
 	buf    []byte
 	events int   // written so far; all but the first follow a comma
 	err    error // the first write error; nothing is written after it
+	quotes quoteCache
 }
 
-// begin opens one event with its leading fields: the separating comma,
-// name (written from quoted, its JSON string, when that is not nil), cat
-// (omitted when empty), ph and ts.
-func (s *chromeStream) begin(name string, quoted []byte, cat string, ph byte, ts time.Duration) {
+// next starts one event with the separating comma.
+func (s *chromeStream) next() {
 	if len(s.buf) >= exportFlushAt {
 		s.flush()
 	}
-	b := s.buf
 	if s.events > 0 {
-		b = append(b, ',')
+		s.buf = append(s.buf, ',')
 	}
 	s.events++
-	if b = append(b, `{"name":`...); quoted != nil {
-		b = append(b, quoted...)
-	} else {
-		b = appendJSONString(b, name)
-	}
+}
+
+// begin opens one event with its leading fields after the separating
+// comma: name (quoted, its JSON string), cat (omitted when empty), ph and
+// ts.
+func (s *chromeStream) begin(quoted []byte, cat string, ph byte, ts time.Duration) {
+	s.next()
+	b := append(append(s.buf, `{"name":`...), quoted...)
 	if cat != "" {
-		b = appendJSONString(append(b, `,"cat":`...), cat)
+		b = append(append(append(b, `,"cat":"`...), s.quotes.escaped(cat)...), '"')
 	}
 	b = append(b, `,"ph":"`...)
 	b = append(b, ph)
@@ -64,8 +65,46 @@ func (s *chromeStream) begin(name string, quoted []byte, cat string, ph byte, ts
 	s.buf = appendMicros(b, ts)
 }
 
+// appendName appends sp's name as a JSON string: its static name escaped
+// once per export, the version's digits, which need no escape, spliced
+// in after the first word. Escaping splits at that space, an ASCII byte,
+// so the escape of the whole is the escapes of the parts, and the first
+// space of the escape is the name's own: escapes write no space.
+func (s *chromeStream) appendName(b []byte, sp *span) []byte {
+	esc := s.quotes.escaped(sp.name)
+	if b = append(b, '"'); sp.versioned {
+		b = appendVersioned(b, esc, sp.version)
+	} else {
+		b = append(b, esc...)
+	}
+	return append(b, '"')
+}
+
+// quoteCache holds the JSON escapes of the strings an export wrote last,
+// so a span name or category, a handful of constants in practice, is
+// escaped once per export. A string's slot is chosen by its length and
+// end bytes; a constant found there compares equal by pointer at once.
+type quoteCache struct {
+	slots [64]struct {
+		s   string
+		esc []byte // s escaped, without the quotes
+	}
+}
+
+// escaped returns s escaped, valid until the next call.
+func (q *quoteCache) escaped(s string) []byte {
+	if s == "" {
+		return nil
+	}
+	slot := &q.slots[(len(s)*31+int(s[0])*7+int(s[len(s)-1]))%len(q.slots)]
+	if slot.s != s {
+		slot.s, slot.esc = s, appendJSONEscaped(slices.Grow(slot.esc[:0], len(s)), s)
+	}
+	return slot.esc
+}
+
 // row appends the process and thread row every event carries.
-func (s *chromeStream) row(pid, tid int) {
+func (s *chromeStream) row(pid int32, tid Track) {
 	b := strconv.AppendInt(append(s.buf, `,"pid":`...), int64(pid), 10)
 	s.buf = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
 }
@@ -102,59 +141,66 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 		return err
 	}
 	order := t.order()
-	event := func(i int) *Event { return t.events.at(int(order[i])) }
+	event := func(i int) *span { return t.events.at(int(order[i])) }
 	s := &chromeStream{w: w, buf: make([]byte, 0, exportBufLen)}
 	s.buf = append(s.buf, `{"traceEvents":[`...)
 	// Metadata: name each GPU (process) and task (thread) row.
-	seen := map[[2]int]bool{}
+	seen := map[[2]int32]bool{}
 	for i := range order {
 		e := event(i)
-		key := [2]int{e.GPU, int(e.Track)}
+		key := [2]int32{e.gpu, int32(e.track)}
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		s.begin("process_name", nil, "", 'M', 0)
-		s.row(e.GPU, int(e.Track))
-		s.buf = strconv.AppendInt(append(s.buf, `,"args":{"name":"GPU `...), int64(e.GPU), 10)
+		s.begin([]byte(`"process_name"`), "", 'M', 0)
+		s.row(e.gpu, e.track)
+		s.buf = strconv.AppendInt(append(s.buf, `,"args":{"name":"GPU `...), int64(e.gpu), 10)
 		s.buf = append(s.buf, `"}}`...)
-		s.begin("thread_name", nil, "", 'M', 0)
-		s.row(e.GPU, int(e.Track))
-		s.buf = appendJSONString(append(s.buf, `,"args":{"name":`...), e.Track.String())
+		s.begin([]byte(`"thread_name"`), "", 'M', 0)
+		s.row(e.gpu, e.track)
+		s.buf = appendJSONString(append(s.buf, `,"args":{"name":`...), e.track.String())
 		s.buf = append(s.buf, `}}`...)
 	}
+	linked := 0                   // spans in a flow chain
+	quoted := make([]byte, 0, 64) // a span's name as a JSON string
 	for i := range order {
 		if s.err != nil {
 			return s.err
 		}
 		e := event(i)
-		s.begin(e.Name, nil, e.Category, 'X', e.Start)
-		if e.Duration != 0 {
-			s.buf = appendMicros(append(s.buf, `,"dur":`...), e.Duration)
+		if e.flow != 0 {
+			linked++
 		}
-		s.row(e.GPU, int(e.Track))
-		if e.Flow != 0 {
-			s.buf = strconv.AppendInt(append(s.buf, `,"args":{"flow":`...), e.Flow, 10)
+		quoted = s.appendName(quoted[:0], e)
+		s.begin(quoted, e.category, 'X', e.start)
+		if e.duration != 0 {
+			s.buf = appendMicros(append(s.buf, `,"dur":`...), e.duration)
+		}
+		s.row(e.gpu, e.track)
+		if e.flow != 0 {
+			s.buf = strconv.AppendInt(append(s.buf, `,"args":{"flow":`...), e.flow, 10)
 			s.buf = append(s.buf, '}')
 		}
 		s.buf = append(s.buf, '}')
 	}
-	s.flows(len(order), event)
-	var quoted [][]byte // each counter name's JSON string, by id
+	s.flows(len(order), linked, event)
+	var heads [][]byte // each counter's event up to its ts value, by id
 	counters(func(id int, name string, at time.Duration, v float64) {
 		if s.err != nil {
 			return
 		}
-		if id >= len(quoted) {
-			quoted = slices.Grow(quoted, id+1-len(quoted))[:id+1]
+		if id >= len(heads) {
+			heads = slices.Grow(heads, id+1-len(heads))[:id+1]
 		}
-		if quoted[id] == nil {
-			quoted[id] = appendJSONString(nil, name)
+		if heads[id] == nil {
+			head := append(make([]byte, 0, len(name)+32), `{"name":`...)
+			heads[id] = append(appendJSONString(head, name), `,"ph":"C","ts":`...)
 		}
-		s.begin("", quoted[id], "", 'C', at)
-		s.row(0, 0)
-		s.buf = appendJSONFloat(append(s.buf, `,"args":{"value":`...), v)
-		s.buf = append(s.buf, `}}`...)
+		s.next()
+		b := appendMicros(append(s.buf, heads[id]...), at)
+		b = appendJSONFloat(append(b, `,"pid":0,"tid":0,"args":{"value":`...), v)
+		s.buf = append(b, `}}`...)
 	})
 	s.buf = append(s.buf, "]}\n"...)
 	s.flush()
@@ -166,22 +212,24 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 // "f" (binding point "e", the enclosing slice) terminates it. Perfetto
 // renders these as arrows joining one checkpoint version's spans across
 // tracks and GPUs. Chains are runs of an index over the n sorted spans,
-// event(i) the i-th, ordered by flow ID and then by position, so the
-// emission is as byte-deterministic as the span order itself.
-func (s *chromeStream) flows(n int, event func(i int) *Event) {
-	var linked []int32
+// event(i) the i-th and linkedN of them in a chain, ordered by flow ID
+// and then by position, so the emission is as byte-deterministic as the
+// span order itself.
+func (s *chromeStream) flows(n, linkedN int, event func(i int) *span) {
+	linked := make([]int32, 0, linkedN)
+	name := make([]byte, 0, 64) // the chain's name as a JSON string
 	for i := range n {
-		if event(i).Flow != 0 {
+		if event(i).flow != 0 {
 			linked = append(linked, int32(i))
 		}
 	}
 	slices.SortFunc(linked, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(event(int(a)).Flow, event(int(b)).Flow), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(event(int(a)).flow, event(int(b)).flow), cmp.Compare(a, b))
 	})
 	for len(linked) > 0 && s.err == nil {
 		first := event(int(linked[0]))
 		n := 1
-		for n < len(linked) && event(int(linked[n])).Flow == first.Flow {
+		for n < len(linked) && event(int(linked[n])).flow == first.flow {
 			n++
 		}
 		chain := linked[:n]
@@ -191,6 +239,7 @@ func (s *chromeStream) flows(n int, event func(i int) *Event) {
 		}
 		// All events in one chain must share name, cat, and id for the
 		// viewer to join them; the chain borrows its first span's name.
+		name = s.appendName(name[:0], first)
 		for i, at := range chain {
 			e := event(int(at))
 			ph, bp := byte('t'), ""
@@ -200,9 +249,9 @@ func (s *chromeStream) flows(n int, event func(i int) *Event) {
 			case n - 1:
 				ph, bp = 'f', `,"bp":"e"`
 			}
-			s.begin(first.Name, nil, "flow", ph, e.Start)
-			s.row(e.GPU, int(e.Track))
-			s.buf = strconv.AppendInt(append(s.buf, `,"id":"`...), first.Flow, 10)
+			s.begin(name, "flow", ph, e.start)
+			s.row(e.gpu, e.track)
+			s.buf = strconv.AppendInt(append(s.buf, `,"id":"`...), first.flow, 10)
 			s.buf = append(append(append(s.buf, '"'), bp...), '}')
 		}
 	}
@@ -227,8 +276,14 @@ func appendMicros(b []byte, d time.Duration) []byte {
 
 // appendJSONFloat appends a finite f the way encoding/json does: like
 // ES6 number-to-string, %f unless the exponent is below -6 or at least
-// 21, and then %e with the exponent unpadded.
+// 21, and then %e with the exponent unpadded. An integral f below 10^15
+// in magnitude, -0 aside, is an integer whose shortest round-trip digits
+// are its own, so strconv.AppendInt prints the same bytes, faster; most
+// sampled gauges (bytes, counts, depths) are such values.
 func appendJSONFloat(b []byte, f float64) []byte {
+	if f == math.Trunc(f) && math.Abs(f) < 1e15 && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -248,7 +303,11 @@ const hexDigits = "0123456789abcdef"
 // \b \f \n \r \t), <, > and & as \u00XX, U+2028 and U+2029 as \u202X,
 // and each byte of invalid UTF-8 as \ufffd.
 func appendJSONString(b []byte, src string) []byte {
-	b = append(b, '"')
+	return append(appendJSONEscaped(append(b, '"'), src), '"')
+}
+
+// appendJSONEscaped is appendJSONString without the quotes.
+func appendJSONEscaped(b []byte, src string) []byte {
 	start := 0
 	for i := 0; i < len(src); {
 		c := src[i]
@@ -290,5 +349,5 @@ func appendJSONString(b []byte, src string) []byte {
 		i++
 		start = i
 	}
-	return append(append(b, src[start:]...), '"')
+	return append(b, src[start:]...)
 }

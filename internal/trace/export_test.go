@@ -161,9 +161,11 @@ var trickyValues = []float64{
 // and many spans, duplicate entries, several GPUs and tracks, probes
 // sharing names and samples sharing instants.
 func randomTracer(rng *rand.Rand) *Tracer {
-	tr := New(func() time.Duration { return 0 })
+	var now time.Duration
+	tr := New(func() time.Duration { return now })
 	pick := func() string { return trickyStrings[rng.Intn(len(trickyStrings))] }
 	flows := []int64{0, 0, 0, 1, 2, 2, 2, 2, -5, 1<<32 | 7, math.MaxInt64}
+	versions := []int64{0, 3, 12, 100, -7, math.MinInt64}
 	for n := rng.Intn(40); n > 0; n-- {
 		start := time.Duration(rng.Int63n(int64(time.Second)))
 		if rng.Intn(4) == 0 {
@@ -173,8 +175,17 @@ func randomTracer(rng *rand.Rand) *Tracer {
 		if rng.Intn(3) > 0 {
 			dur = time.Duration(rng.Int63n(int64(time.Minute)))
 		}
-		tr.RecordFlow(rng.Intn(3), Track(rng.Intn(7)), pick(), pick(), start, dur, flows[rng.Intn(len(flows))])
+		gpu, track, cat, name, flow := rng.Intn(3), Track(rng.Intn(7)), pick(), pick(), flows[rng.Intn(len(flows))]
+		if rng.Intn(3) > 0 {
+			tr.RecordFlow(gpu, track, cat, name, start, dur, flow)
+			continue
+		}
+		now = start
+		span := tr.SpanFlow(gpu, track, cat, name, versions[rng.Intn(len(versions))], flow)
+		now = start + dur
+		span.End()
 	}
+	now = 0
 	runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
 		for n := rng.Intn(6); n > 0; n-- {
 			s.Register(pick(), func() float64 { return trickyValues[rng.Intn(len(trickyValues))] })
@@ -311,12 +322,23 @@ func TestWriteJSONStopsAtFirstWriteError(t *testing.T) {
 
 // TestWriteJSONAllocationsDoNotGrowWithEvents: the export allocates its
 // sorted index of the spans, its buffer, the row map and one quoted
-// string per counter name — not per event.
+// string per counter name — not per event. Every other span is
+// versioned and ties on start, GPU and track with the one before it, so
+// the sort formats its name to compare the two.
 func TestWriteJSONAllocationsDoNotGrowWithEvents(t *testing.T) {
 	allocs := func(n int) float64 {
-		tr := New(func() time.Duration { return 0 })
+		clk := &fakeClock{}
+		tr := New(clk.Now)
 		for i := 0; i < n; i++ {
-			tr.Record(i%8, Track(i%5), "flush", "flush 12 gpu→host", time.Duration(i)*time.Microsecond, time.Microsecond)
+			gpu, track, start := i/2%8, Track(i/2%5), time.Duration(i/2)*time.Microsecond
+			if i%2 == 0 {
+				tr.Record(gpu, track, "flush", "flush 12 gpu→host", start, time.Microsecond)
+				continue
+			}
+			clk.now = start
+			span := tr.SpanFlow(gpu, track, "flush", "flush <&>→ssd", int64(i), int64(i%50))
+			clk.now += time.Microsecond
+			span.End()
 		}
 		runSampled(tr, 0, func(s *metrics.Sampler, clk *simclock.Virtual) {
 			s.Register("node0.gpu3.cache.gpu.score_p_mean", func() float64 { return float64(clk.Now()) / 3 })
@@ -417,5 +439,85 @@ func TestWriteJSONCopiesNoSpans(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(exportBufLen+4*n+16<<10); got > limit {
 		t.Errorf("exporting %d spans allocated %d bytes, above the buffer and the index (%d)", n, got, limit)
+	}
+}
+
+// TestVersionedNamesMatchFormattedNames is the differential for spans
+// that store their version: versions 3, 12 and 100 on static names
+// (bare, with → and <&> after the first word, with invalid UTF-8 before
+// it) sharing one instant, GPU and track, beside an unversioned span,
+// export the bytes the reflective encoder writes for the same spans
+// named with fmt.Sprintf, and Events gives the same names in the same
+// order: "checkpoint 100" before "checkpoint 12" before "checkpoint 3".
+func TestVersionedNamesMatchFormattedNames(t *testing.T) {
+	type static struct{ cat, head, rest string }
+	names := []static{
+		{"checkpoint", "checkpoint", ""},
+		{"flush", "flush", " gpu→host"},
+		{"prefetch", "promote", " <&>→gpu"},
+		{"partner-copy", "replicate", " → partner ssd"},
+		{"odd", "trunc\xe2\x82", " <\xff>"},
+	}
+	clk := &fakeClock{now: 5 * time.Millisecond}
+	versioned, formatted := New(clk.Now), New(clk.Now)
+	for i, v := range []int64{3, 12, 100} {
+		for j, n := range names {
+			dur, flow := time.Duration(1+i+j)*time.Microsecond, int64(1+j%2)
+			span := versioned.SpanFlow(0, TrackApp, n.cat, n.head+n.rest, v, flow)
+			formatted.RecordFlow(0, TrackApp, n.cat, fmt.Sprintf("%s %d%s", n.head, v, n.rest), clk.now, dur, flow)
+			clk.now += dur
+			span.End()
+			clk.now -= dur
+		}
+	}
+	for _, tr := range []*Tracer{versioned, formatted} {
+		tr.Span(0, TrackApp, "checkpoint", "checkpoint 20")()
+		tr.Span(0, TrackApp, "flush", "flush 12 gpu→host")()
+	}
+	var got, want bytes.Buffer
+	if err := versioned.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSONReflect(formatted, nil, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("export of versioned spans differs from the formatted names':\n got  %s\n want %s", got.Bytes(), want.Bytes())
+	}
+	gotEv, wantEv := versioned.Events(), formatted.Events()
+	if len(gotEv) != len(wantEv) {
+		t.Fatalf("%d events, want %d", len(gotEv), len(wantEv))
+	}
+	for i := range gotEv {
+		if gotEv[i] != wantEv[i] {
+			t.Errorf("event %d = %+v, want %+v", i, gotEv[i], wantEv[i])
+		}
+	}
+	if gotEv[0].Name != "checkpoint 100" || gotEv[1].Name != "checkpoint 12" {
+		t.Errorf("order starts %q, %q; want checkpoint 100, then 12", gotEv[0].Name, gotEv[1].Name)
+	}
+}
+
+// TestAppendJSONFloatMatchesEncodingJSON is the differential for the
+// counter values, the integer form included: at its edges (-0 must stay
+// "-0", and 1e15 leaves the integer form), past 2^53 and in both
+// exponent forms the bytes are encoding/json's.
+func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
+	values := []float64{
+		math.Copysign(0, -1), 0, 1, -1, 1<<53 - 1, 1<<53 + 1, -(1<<53 - 1), 1e15 - 1, -(1e15 - 1), 1e15, 1e20, 1e21,
+		0.5, -0.5, 1e-7, 4096.25, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 10000; i++ {
+		values = append(values, float64(rng.Int63n(2e15)-1e15), math.Trunc(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(22)))))
+	}
+	for _, v := range values {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, v); !bytes.Equal(got, want) {
+			t.Errorf("appendJSONFloat(%v) = %s, encoding/json %s", v, got, want)
+		}
 	}
 }

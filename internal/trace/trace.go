@@ -7,16 +7,18 @@
 package trace
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
 
 // Track identifies the runtime task a span belongs to (rendered as a
 // thread row).
-type Track int
+type Track int8
 
 const (
 	TrackApp   Track = iota // the application thread (checkpoint/restore blocking)
@@ -54,6 +56,50 @@ type Event struct {
 	Start    time.Duration
 	Duration time.Duration
 	Flow     int64
+}
+
+// span is how the ring stores an Event: 72 bytes, the GPU and track
+// narrowed to pay for the version. A versioned span's name is formatted only when it
+// is read: the decimal version spliced in after the name's first word,
+// so "flush gpu→host" at version 12 reads "flush 12 gpu→host" and
+// recording it builds no string.
+type span struct {
+	name, category  string
+	start, duration time.Duration
+	flow, version   int64
+	gpu             int32
+	track           Track
+	versioned       bool
+}
+
+// appendName appends the span's name as Events and the export show it.
+func (s *span) appendName(b []byte) []byte {
+	if !s.versioned {
+		return append(b, s.name...)
+	}
+	return appendVersioned(b, s.name, s.version)
+}
+
+// appendVersioned appends name with the decimal version spliced in after
+// its first word, before the first space or at the end.
+func appendVersioned[S ~string | ~[]byte](b []byte, name S, version int64) []byte {
+	i := 0
+	for i < len(name) && name[i] != ' ' {
+		i++
+	}
+	b = strconv.AppendInt(append(append(b, name[:i]...), ' '), version, 10)
+	return append(b, name[i:]...)
+}
+
+// compareNames orders two spans as their names compare. Only a versioned
+// name is formatted, into a stack buffer (a name past 64 bytes spills to
+// the heap); the sort calls this only on a Start, GPU and Track tie.
+func compareNames(a, b *span) int {
+	if !a.versioned && !b.versioned {
+		return strings.Compare(a.name, b.name)
+	}
+	var ba, bb [64]byte
+	return bytes.Compare(a.appendName(ba[:0]), b.appendName(bb[:0]))
 }
 
 // CounterSource is the store the counter tracks are read from — the
@@ -136,7 +182,7 @@ func (r *blockRing[T]) setLimit(limit int) {
 type Tracer struct {
 	now func() time.Duration
 
-	events     blockRing[Event]
+	events     blockRing[span]
 	counterCap int
 	counters   CounterSource // nil until SetCounterSource
 
@@ -200,30 +246,35 @@ func (t *Tracer) Span(gpu int, track Track, category, name string) func() {
 	if t == nil {
 		return func() {}
 	}
-	return t.SpanFlow(gpu, track, category, name, 0).End
+	return OpenSpan{t, span{name: name, category: category, gpu: int32(gpu), track: track, start: t.now()}}.End
 }
 
 // OpenSpan is a span SpanFlow opened and End closes. It is a value, so
 // `defer tr.SpanFlow(...).End()` allocates nothing.
 type OpenSpan struct {
 	t *Tracer
-	e Event // all but Duration
+	s span // all but duration
 }
 
-// SpanFlow opens a span with a causal flow ID: once End closes it, the
-// span joins the flow chain identified by flow (0 means unlinked).
-// Nil-safe: a nil tracer's span ends without recording.
-func (t *Tracer) SpanFlow(gpu int, track Track, category, name string, flow int64) OpenSpan {
+// SpanFlow opens the span of one checkpoint version with a causal flow
+// ID: once End closes it, the span joins the flow chain identified by
+// flow (0 means unlinked). Its name is name with the decimal version
+// spliced in after the first word ("flush gpu→host" at 12 reads
+// "flush 12 gpu→host"), formatted only when the span is read, so name is
+// best a constant. Nil-safe: a nil tracer's span ends without recording.
+func (t *Tracer) SpanFlow(gpu int, track Track, category, name string, version, flow int64) OpenSpan {
 	if t == nil {
 		return OpenSpan{}
 	}
-	return OpenSpan{t, Event{Name: name, Category: category, GPU: gpu, Track: track, Start: t.now(), Flow: flow}}
+	return OpenSpan{t, span{name: name, category: category, gpu: int32(gpu), track: track, start: t.now(),
+		flow: flow, version: version, versioned: true}}
 }
 
 // End records the span, from SpanFlow's instant to now.
 func (s OpenSpan) End() {
 	if s.t != nil {
-		s.t.RecordFlow(s.e.GPU, s.e.Track, s.e.Category, s.e.Name, s.e.Start, s.t.now()-s.e.Start, s.e.Flow)
+		s.s.duration = s.t.now() - s.s.start
+		s.t.events.push(s.s)
 	}
 }
 
@@ -239,7 +290,7 @@ func (t *Tracer) RecordFlow(gpu int, track Track, category, name string, start, 
 	if t == nil {
 		return
 	}
-	t.events.push(Event{Name: name, Category: category, GPU: gpu, Track: track, Start: start, Duration: duration, Flow: flow})
+	t.events.push(span{name: name, category: category, gpu: int32(gpu), track: track, start: start, duration: duration, flow: flow})
 }
 
 // Len returns the number of recorded events. Nil-safe.
@@ -260,7 +311,12 @@ func (t *Tracer) Events() []Event {
 	order := t.order()
 	out := make([]Event, len(order))
 	for i, at := range order {
-		out[i] = *t.events.at(int(at))
+		s := t.events.at(int(at))
+		out[i] = Event{Name: s.name, Category: s.category, GPU: int(s.gpu), Track: s.track,
+			Start: s.start, Duration: s.duration, Flow: s.flow}
+		if s.versioned {
+			out[i].Name = string(s.appendName(nil))
+		}
 	}
 	return out
 }
@@ -273,11 +329,11 @@ func (t *Tracer) order() []int32 {
 	}
 	slices.SortFunc(order, func(i, j int32) int {
 		a, b := t.events.at(int(i)), t.events.at(int(j))
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		if c := cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.gpu, b.gpu), cmp.Compare(a.track, b.track)); c != 0 {
 			return c
 		}
-		return cmp.Or(cmp.Compare(a.GPU, b.GPU), cmp.Compare(a.Track, b.Track), strings.Compare(a.Name, b.Name),
-			strings.Compare(a.Category, b.Category), cmp.Compare(a.Duration, b.Duration), cmp.Compare(a.Flow, b.Flow))
+		return cmp.Or(compareNames(a, b), strings.Compare(a.category, b.category),
+			cmp.Compare(a.duration, b.duration), cmp.Compare(a.flow, b.flow))
 	})
 	return order
 }

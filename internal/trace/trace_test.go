@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 type fakeClock struct{ now time.Duration }
@@ -131,15 +132,56 @@ func TestNewRejectsNilClock(t *testing.T) {
 func TestDeferredSpanAllocatesNothing(t *testing.T) {
 	clk := &fakeClock{}
 	tr := New(clk.Now)
-	name := "flush 7 gpu→host"
 	op := func() {
-		defer tr.SpanFlow(2, TrackD2H, "flush", name, 9).End()
+		defer tr.SpanFlow(2, TrackD2H, "flush", "flush gpu→host", 7, 9).End()
 		clk.now += time.Microsecond
 	}
 	if n := testing.AllocsPerRun(1000, op); n != 0 {
 		t.Errorf("a deferred span allocates %.0f times, want 0", n)
 	}
-	if ev := tr.Events(); len(ev) != 1001 || ev[0].Duration != time.Microsecond || ev[0].Flow != 9 {
+	if ev := tr.Events(); len(ev) != 1001 || ev[0].Duration != time.Microsecond || ev[0].Flow != 9 || ev[0].Name != "flush 7 gpu→host" {
 		t.Errorf("recorded %d spans, first %+v", len(ev), ev[0])
+	}
+}
+
+// TestSpanIsNoLargerThanAnEvent: storing the version cost no bytes per
+// span; the GPU and track were narrowed to pay for it.
+func TestSpanIsNoLargerThanAnEvent(t *testing.T) {
+	if got := unsafe.Sizeof(span{}); got > 72 {
+		t.Errorf("a stored span is %d bytes, above the 72 of an Event", got)
+	}
+}
+
+// TestRecordingAtTheRingLimitAllocatesNothing: once the span ring is
+// full, every span the runtime records overwrites the oldest in place,
+// so a versioned span, closed at once or deferred, and a ledger entry
+// with static strings cost no allocation at all — the version is stored
+// as a number and formatted only on export.
+func TestRecordingAtTheRingLimitAllocatesNothing(t *testing.T) {
+	clk := &fakeClock{}
+	tr := New(clk.Now)
+	tr.SetCapacity(8, 8)
+	version := int64(1 << 40)
+	calls := map[string]func(){
+		"SpanFlow(...).End()": func() {
+			tr.SpanFlow(2, TrackH2F, "flush", "flush host→ssd", version, 9).End()
+		},
+		"deferred SpanFlow(...).End()": func() {
+			defer tr.SpanFlow(2, TrackApp, "checkpoint", "checkpoint", version, 9).End()
+			clk.now += time.Microsecond
+		},
+		"Lifecycle": func() { tr.Lifecycle(2, version, LDurable, "ssd", "") },
+	}
+	for i := 0; i < 2*DefaultFlightCap; i++ { // both rings at their limit
+		calls["SpanFlow(...).End()"]()
+		calls["Lifecycle"]()
+	}
+	for what, call := range calls {
+		if n := testing.AllocsPerRun(1000, call); n != 0 {
+			t.Errorf("%s allocates %.0f times per call on a full ring, want 0", what, n)
+		}
+	}
+	if events, _ := tr.Dropped(); events == 0 || tr.Len() != 8 || tr.Flight().Dropped(2) == 0 {
+		t.Fatalf("rings not at their limit: %d spans held, %d dropped", tr.Len(), events)
 	}
 }
