@@ -44,7 +44,9 @@ bench-check:
 # aim 2): non-test Go lines per package and in total outside bench/, the
 # programs (package main directories outside bench/), so a new program
 # fails loc-check until the inventory declares it, and the counts of
-# public With* options, core.Params fields, the exported fields of the
+# public With* options (non-test root files, so a test helper such as
+# export_test.go's is not one), core.Params and experiments.ShotConfig
+# fields, the exported fields of the
 # two baselines' Config structs (uvmsim, adiossim) and of the five
 # scenario configs behind the paper-extension tables (rank failure, live
 # migration, elastic restart, preemption, straggler), ckptbench flags,
@@ -62,8 +64,9 @@ loc:
 	done
 	@printf '%7d  non-test lines outside bench/\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs cat | wc -l)
 	@printf '%7d  programs (package main outside bench/)\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs grep -l '^package main$$' | xargs -r -n1 dirname | sort -u | wc -l)
-	@printf '%7d  With* options\n' $$(cat *.go | grep -c '^func With')
+	@printf '%7d  With* options\n' $$(find . -maxdepth 1 $(NONTEST) | xargs cat | grep -c '^func With')
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
+	@printf '%7d  experiments.ShotConfig fields\n' $$(awk '/^type ShotConfig struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/runner.go)
 	@printf '%7d  baseline Config fields\n' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/uvmsim/uvm.go internal/adiossim/adios.go)
 	@printf '%7d  scenario Config fields\n' $$(awk '/^type (RankFail|Migrate|Elastic|Preempt|Straggler)Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/rankfail.go internal/experiments/migrate.go internal/experiments/elastic.go internal/experiments/preempt.go internal/experiments/straggler.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)

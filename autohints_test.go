@@ -63,9 +63,11 @@ func TestAutoHintsDetectReversePattern(t *testing.T) {
 	if hints == 0 {
 		t.Fatal("predictor issued no hints on a pure reverse pattern")
 	}
-	if withBlocked >= withoutBlocked {
-		t.Errorf("auto-hinted restores blocked %v, unhinted %v: prediction should help",
-			withBlocked, withoutBlocked)
+	// README's auto-hints row: unhinted reverse restores block 5.39× as
+	// long as auto-hinted ones (34.07 ms vs 6.32 ms).
+	if ratio := float64(withoutBlocked) / float64(withBlocked); ratio < 5 {
+		t.Errorf("auto-hinted restores blocked %v, unhinted %v: %.2f× less, want ≥ 5×",
+			withBlocked, withoutBlocked, ratio)
 	}
 	t.Logf("auto-hints: %d hints predicted, blocked %v vs %v unhinted", hints, withBlocked, withoutBlocked)
 }

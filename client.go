@@ -22,7 +22,6 @@ type clientConfig struct {
 	hostCache     int64
 	discard       bool
 	persistPFS    bool
-	autoPrefetch  bool
 	asyncHostInit bool
 	storeDir      string
 	pfsStoreDir   string
@@ -64,12 +63,6 @@ func WithPersistToPFS() ClientOption {
 	return func(c *clientConfig) { c.persistPFS = true }
 }
 
-// WithAutoPrefetch starts prefetching as soon as hints arrive instead of
-// waiting for PrefetchStart.
-func WithAutoPrefetch() ClientOption {
-	return func(c *clientConfig) { c.autoPrefetch = true }
-}
-
 // WithAsyncHostInit overlaps the slow pinned host cache registration with
 // the start of the run (the paper's measured behavior) instead of paying
 // it during NewClient.
@@ -92,10 +85,7 @@ func WithGPUDirect() ClientOption {
 // Implies auto-started prefetching. Predictions are advisory: a wrong
 // guess costs bandwidth, never correctness.
 func WithAutoHints() ClientOption {
-	return func(c *clientConfig) {
-		c.autoHints = true
-		c.autoPrefetch = true
-	}
+	return func(c *clientConfig) { c.autoHints = true }
 }
 
 // WithStore makes the SSD tier durable at dir: checkpoints written with
@@ -194,7 +184,7 @@ func WithFaultInjector(inj *faultinject.Injector) ClientOption {
 type Client struct {
 	inner       *core.Client
 	dev         *device.GPU
-	clk         simclock.Clock
+	clk         *simclock.Virtual
 	predictor   *predict.Predictor // nil unless WithAutoHints
 	quarantined []int64            // versions scrubbed at open (WithScrubOnOpen)
 	node        int                // node index, for migration path construction

@@ -30,7 +30,7 @@ var (
 // Config parameterizes the BP5-like engine.
 type Config struct {
 	// Clock drives timing; required.
-	Clock simclock.Clock
+	Clock *simclock.Virtual
 	// GPU supplies the PCIe link for on-demand D2H/H2D copies; required.
 	GPU *device.GPU
 	// NVMe is the deferred-drain target; required.
@@ -84,7 +84,7 @@ type step struct {
 // Client is one process's ADIOS2-style engine.
 type Client struct {
 	cfg Config
-	clk simclock.Clock
+	clk *simclock.Virtual
 	rec *metrics.Recorder
 
 	cond simclock.Cond

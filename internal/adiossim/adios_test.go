@@ -13,7 +13,7 @@ import (
 
 const MB = 1 << 20
 
-func newADIOS(t *testing.T, clk simclock.Clock, mutate func(*Config)) *Client {
+func newADIOS(t *testing.T, clk *simclock.Virtual, mutate func(*Config)) *Client {
 	t.Helper()
 	cfg := fabric.NodeConfig{
 		GPUs: 2, D2DBandwidth: 1000 * MB, PCIeBandwidth: 100 * MB,

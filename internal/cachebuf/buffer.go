@@ -213,7 +213,7 @@ type Stats struct {
 
 // Buffer is one tier's pre-allocated contiguous cache region.
 type Buffer struct {
-	clk      simclock.Clock
+	clk      *simclock.Virtual
 	name     string
 	capacity int64
 	src      EntrySource
@@ -239,7 +239,7 @@ type Buffer struct {
 
 // New creates a buffer of the given capacity that polls oracle (non-nil)
 // for its checkpoints' eviction inputs.
-func New(clk simclock.Clock, name string, capacity int64, oracle Oracle) *Buffer {
+func New(clk *simclock.Virtual, name string, capacity int64, oracle Oracle) *Buffer {
 	if oracle == nil {
 		panic("cachebuf: nil oracle")
 	}
@@ -251,7 +251,7 @@ func New(clk simclock.Clock, name string, capacity int64, oracle Oracle) *Buffer
 
 // NewFromEntries creates a buffer of the given capacity whose checkpoints'
 // eviction inputs src keeps written; the buffer only reads them.
-func NewFromEntries(clk simclock.Clock, name string, capacity int64, src EntrySource) *Buffer {
+func NewFromEntries(clk *simclock.Virtual, name string, capacity int64, src EntrySource) *Buffer {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cachebuf: %s: capacity must be positive, got %d", name, capacity))
 	}

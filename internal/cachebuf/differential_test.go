@@ -155,15 +155,15 @@ func (o *fickleOracle) PrefetchDistance(id ID) int {
 // Every differential stream runs through both.
 var oracleKinds = []struct {
 	name  string
-	build func(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer
+	build func(clk *simclock.Virtual, name string, capacity int64, o *diffOracle) *Buffer
 }{
 	{"polled", polledBuffer},
-	{"entries", func(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer {
+	{"entries", func(clk *simclock.Virtual, name string, capacity int64, o *diffOracle) *Buffer {
 		return NewFromEntries(clk, name, capacity, newDiffEntries(o))
 	}},
 }
 
-func polledBuffer(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer {
+func polledBuffer(clk *simclock.Virtual, name string, capacity int64, o *diffOracle) *Buffer {
 	return New(clk, name, capacity, o)
 }
 
@@ -185,7 +185,7 @@ type lockstep struct {
 // newLockstep builds the pair; the production buffer sees the shared
 // tables through the feed build wires, the model reads them directly.
 func newLockstep(t *testing.T, clk *simclock.Virtual, pol Policy, capacity int64, idSpace int,
-	build func(simclock.Clock, string, int64, *diffOracle) *Buffer) *lockstep {
+	build func(*simclock.Virtual, string, int64, *diffOracle) *Buffer) *lockstep {
 	o := newDiffOracle(t)
 	b := build(clk, "diff-"+pol.String(), capacity, o)
 	if err := b.SetPolicy(pol); err != nil {
@@ -361,7 +361,7 @@ func TestScanAsksEachFragmentOnce(t *testing.T) {
 			runSim(t, func(clk *simclock.Virtual) {
 				var fickle *fickleOracle
 				ls := newLockstep(t, clk, pol, diffCapacity, diffIDSpace,
-					func(clk simclock.Clock, name string, capacity int64, o *diffOracle) *Buffer {
+					func(clk *simclock.Virtual, name string, capacity int64, o *diffOracle) *Buffer {
 						fickle = newFickleOracle(o)
 						return New(clk, name, capacity, fickle)
 					})

@@ -107,7 +107,7 @@ func TestMetamorphicScoreInsertOrderInvariance(t *testing.T) {
 // checkpoints always evictable, no pins) against a buffer of the given
 // capacity, read through feed, and returns the number of hits.
 func hitCount(t *testing.T, pol Policy, capacity int64, seed int64,
-	feed func(simclock.Clock, string, int64, *diffOracle) *Buffer) int {
+	feed func(*simclock.Virtual, string, int64, *diffOracle) *Buffer) int {
 	t.Helper()
 	const (
 		fragSize = 10

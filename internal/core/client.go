@@ -29,7 +29,7 @@ type Client struct {
 	p    Params
 	deep []deepTier  // the tiers below the host cache, fastest first (deep.go)
 	pcie fabric.Path // the GPU's PCIe link alone: a stream to or from the host cache
-	clk  simclock.Clock
+	clk  *simclock.Virtual
 	rec  *metrics.Recorder
 	gpuC *cachebuf.Buffer // device cache (write side when SplitCache)
 	gpuP *cachebuf.Buffer // prefetch-side device cache (SplitCache only)
@@ -194,8 +194,6 @@ func New(p Params) (*Client, error) {
 	}
 
 	c.recoverFromStore()
-
-	c.started = p.AutoStartPrefetch
 
 	// Flusher stage pools (T_D2H and T_H2F). The default is the seed's
 	// single worker per stage; with chunked streaming enabled the pools

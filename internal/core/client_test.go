@@ -54,7 +54,6 @@ func newRig(t *testing.T, clk *simclock.Virtual, mutate func(*Params)) *testRig 
 		GPUCacheSize:        4 * MB,
 		HostCacheSize:       16 * MB,
 		DiscardAfterRestore: false,
-		AutoStartPrefetch:   false,
 		AsyncHostInit:       false, // charge init upfront: deterministic tests
 	}
 	if mutate != nil {

@@ -39,8 +39,9 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, func(clk *simclock.Virtual) {
-				r := newRig(t, clk, func(p *Params) { p.AutoStartPrefetch = true })
+				r := newRig(t, clk, nil)
 				defer r.client.Close()
+				r.client.PrefetchStart()
 				for _, id := range tc.order {
 					r.client.PrefetchEnqueue(id)
 				}
@@ -183,7 +184,7 @@ func TestRestoreDuringActiveFlushBacklog(t *testing.T) {
 }
 
 // newSecondGPU builds a GPU on the given links for multi-client tests.
-func newSecondGPU(clk simclock.Clock, d2d, pcie *fabric.Link) *device.GPU {
+func newSecondGPU(clk *simclock.Virtual, d2d, pcie *fabric.Link) *device.GPU {
 	return device.NewGPU(clk, 1, 64*MB, d2d, pcie, device.AllocCosts{
 		DeviceBytesPerSec:     1000 * MB,
 		PinnedHostBytesPerSec: 400 * MB,

@@ -245,7 +245,7 @@ func entriesTrial(t *testing.T, seed int64) {
 		if roomy {
 			pool = 64 * MB // nothing ever waits for host room
 		}
-		shared := NewSharedHostCache(clk, "node0-sharedhost", pool)
+		shared := NewSharedHostCache(clk, "node0-sharedhost", pool, 8)
 		r, c2 := sharedRigOn(t, clk, shared, func(p *Params) {
 			p.DiscardAfterRestore, p.NoPinning = discard, thrash
 		})

@@ -13,7 +13,7 @@ import (
 // sharedRig builds two clients on one node sharing a host cache pool.
 func sharedRig(t *testing.T, clk *simclock.Virtual, poolSize int64) (*testRig, *Client, *SharedHostCache) {
 	t.Helper()
-	shared := NewSharedHostCache(clk, "node0-sharedhost", poolSize)
+	shared := NewSharedHostCache(clk, "node0-sharedhost", poolSize, 8)
 	r, c2 := sharedRigOn(t, clk, shared, nil)
 	return r, c2, shared
 }

@@ -109,7 +109,7 @@ type SLOSink interface {
 // Params configures a Client.
 type Params struct {
 	// Clock drives all timing; required.
-	Clock simclock.Clock
+	Clock *simclock.Virtual
 	// GPU is the simulated device this process owns; required.
 	GPU *device.GPU
 	// NVMe is the node-shared SSD link; required.
@@ -132,10 +132,6 @@ type Params struct {
 	DiscardAfterRestore bool
 	// PersistToPFS extends the flush chain beyond the node-local SSD.
 	PersistToPFS bool
-	// AutoStartPrefetch activates the prefetcher as soon as hints are
-	// available instead of waiting for PrefetchStart (the paper's
-	// VELOC_Prefetch_start is optional).
-	AutoStartPrefetch bool
 	// AsyncHostInit overlaps the expensive pinned host cache
 	// registration (§4.1.4: ~4 GB/s) with the start of the run; the
 	// host tier only becomes usable once registration completes. When

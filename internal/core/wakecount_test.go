@@ -30,7 +30,8 @@ func TestIdleDaemonsAreResumedOnce(t *testing.T) {
 	}{{8, 51}, {16, 103}} {
 		var got uint64
 		run(t, func(clk *simclock.Virtual) {
-			c := newRig(t, clk, func(p *Params) { p.AutoStartPrefetch = true }).client
+			c := newRig(t, clk, nil).client
+			c.PrefetchStart()
 			before := simclock.EventCount()
 			for i := 0; i < tc.n; i++ {
 				if err := c.Checkpoint(ID(i), pay(MB)); err != nil {

@@ -32,6 +32,10 @@ func DefaultAllocCosts() AllocCosts {
 	}
 }
 
+// A100HBM is the per-GPU device memory of the paper's testbed, an A100
+// with 40 GiB of HBM.
+const A100HBM = 40 * fabric.GB
+
 // DefaultCopyEngines is the number of DMA copy engines a GPU exposes to
 // the runtime's streams. An A100 has more physical engines, but the
 // paper's runtime drives one stream per direction pair, so two
@@ -42,7 +46,7 @@ const DefaultCopyEngines = 2
 // connect it to its own memory (D2D), to host memory (PCIe), and through
 // the host to storage.
 type GPU struct {
-	clk   simclock.Clock
+	clk   *simclock.Virtual
 	id    int
 	hbm   int64 // total HBM bytes
 	costs AllocCosts
@@ -63,7 +67,7 @@ type GPU struct {
 
 // NewGPU creates GPU id with hbmCapacity bytes of device memory attached
 // to the given fabric links.
-func NewGPU(clk simclock.Clock, id int, hbmCapacity int64, d2d, pcie *fabric.Link, costs AllocCosts) *GPU {
+func NewGPU(clk *simclock.Virtual, id int, hbmCapacity int64, d2d, pcie *fabric.Link, costs AllocCosts) *GPU {
 	if hbmCapacity <= 0 {
 		panic(fmt.Sprintf("device: GPU %d: HBM capacity must be positive", id))
 	}

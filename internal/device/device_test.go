@@ -8,7 +8,7 @@ import (
 	"score/internal/simclock"
 )
 
-func newTestGPU(clk simclock.Clock) *GPU {
+func newTestGPU(clk *simclock.Virtual) *GPU {
 	d2d := fabric.NewLink(clk, "d2d", 1000*fabric.GB, 0)
 	pcie := fabric.NewLink(clk, "pcie", 25*fabric.GB, 0)
 	return NewGPU(clk, 0, 40*fabric.GB, d2d, pcie, DefaultAllocCosts())

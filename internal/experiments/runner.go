@@ -158,8 +158,6 @@ type ShotConfig struct {
 	// used by drivers that run the same combo in several variants (the
 	// pipeline experiment's mono vs chunked cases).
 	Label string
-	// Seed controls trace generation and irregular orders.
-	Seed int64
 	// BWScale scales every link bandwidth (for reduced-scale runs whose
 	// data sizes shrink by the same factor, preserving the paper's
 	// bandwidth-to-working-set ratios). 0 or 1 means paper bandwidths.
@@ -171,10 +169,8 @@ type ShotConfig struct {
 	SharedHostPerNode bool
 	GPUDirect         bool
 	// ChunkSize enables chunked multi-hop transfer pipelining (§4.3);
-	// 0 keeps monolithic transfers. FlushStreams sizes the flusher
-	// worker pools (0 = automatic). Score only.
-	ChunkSize    int64
-	FlushStreams int
+	// 0 keeps monolithic transfers. Score only.
+	ChunkSize int64
 
 	// Ablation knobs (Score only).
 	SplitCache, NoPinning, OnDemandAlloc, NoHostStager bool
@@ -269,6 +265,10 @@ func (r Run) Apply(cfg *ShotConfig) {
 // synthetic rank outside the real range.
 const SLOLedgerRank = -1
 
+// orderSeed seeds the irregular restore orders; rank r draws its order
+// from orderSeed+r.
+const orderSeed = 2023
+
 // withDefaults fills the paper's defaults.
 func (c ShotConfig) withDefaults() ShotConfig {
 	if c.Nodes == 0 {
@@ -295,9 +295,6 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	}
 	if c.HostCache == 0 {
 		c.HostCache = 32 * fabric.GB
-	}
-	if c.Seed == 0 {
-		c.Seed = 2023
 	}
 	return c
 }
@@ -449,7 +446,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	if cfg.SharedHostPerNode && cfg.Combo.Approach == Score {
 		sharedPools = make([]*core.SharedHostCache, cfg.Nodes)
 		for n := range sharedPools {
-			sharedPools[n] = core.NewSharedHostCachePinnedBy(clk,
+			sharedPools[n] = core.NewSharedHostCache(clk,
 				fmt.Sprintf("node%d-sharedhost", n),
 				cfg.HostCache*int64(cfg.GPUsPerNode), cfg.GPUsPerNode)
 		}
@@ -477,7 +474,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		node := cluster.Nodes[rank/cfg.GPUsPerNode]
 		local := rank % cfg.GPUsPerNode
 		d2d, pcie := node.GPULinks(local)
-		gpu := device.NewGPU(clk, local, 40*fabric.GB, d2d, pcie, costs) // A100 HBM
+		gpu := device.NewGPU(clk, local, device.A100HBM, d2d, pcie, costs)
 
 		var pool *core.SharedHostCache
 		if sharedPools != nil {
@@ -497,7 +494,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 				return ShotResult{}, err
 			}
 		}
-		orders[rank] = cfg.Order.Sequence(cfg.Snapshots, cfg.Seed+int64(rank))
+		orders[rank] = cfg.Order.Sequence(cfg.Snapshots, orderSeed+int64(rank))
 	}
 
 	var sampler *metrics.Sampler
@@ -728,7 +725,7 @@ func registerLinkProbes(s *metrics.Sampler, cluster *fabric.Cluster) {
 	}
 }
 
-func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fabric.Node, pool *core.SharedHostCache,
+func buildRuntime(clk *simclock.Virtual, cfg ShotConfig, gpu *device.GPU, node *fabric.Node, pool *core.SharedHostCache,
 	tracer *trace.Tracer, eng *slo.Engine) (Runtime, error) {
 	switch cfg.Combo.Approach {
 	case ADIOS2:
@@ -755,7 +752,6 @@ func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fab
 			SharedHost:          pool,
 			GPUDirectStorage:    cfg.GPUDirect,
 			ChunkSize:           cfg.ChunkSize,
-			FlushStreams:        cfg.FlushStreams,
 			Tracer:              tracer,
 		}
 		if eng != nil {
@@ -775,7 +771,7 @@ func buildRuntime(clk simclock.Clock, cfg ShotConfig, gpu *device.GPU, node *fab
 // runRank executes the Listing 1 pattern for one process: enqueue hints
 // (per the hint budget), forward pass, optional flush drain, prefetch
 // start, backward pass.
-func runRank(clk simclock.Clock, cfg ShotConfig, rt Runtime, shot rtm.Shot, order []int, barrier *simclock.Barrier) error {
+func runRank(clk *simclock.Virtual, cfg ShotConfig, rt Runtime, shot rtm.Shot, order []int, barrier *simclock.Barrier) error {
 	n := cfg.Snapshots
 
 	if cfg.Combo.Hints == AllHints {

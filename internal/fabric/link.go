@@ -10,8 +10,8 @@
 // overlap on a shared link slow each other down exactly as they would on
 // real hardware.
 //
-// All timing flows through a simclock.Clock, so the fabric runs
-// deterministically under the virtual clock. The fabric starts no task of
+// All timing flows through the virtual clock (simclock.Virtual), so the
+// fabric runs deterministically. The fabric starts no task of
 // its own: a transfer's latency, its completion timer and its reaping are
 // the transfer record's simclock.Event, and a pipelined stream's
 // downstream hops are events too, so the caller's task is resumed only
@@ -63,7 +63,7 @@ type TransferInterceptor func(link string, size int64) FaultDecision
 // completion timer and the reaper's signal all run it, and its owner is
 // resumed once, when the transfer completes or fails.
 type Link struct {
-	clk     simclock.Clock
+	clk     *simclock.Virtual
 	name    string
 	bw      float64 // bytes per simulated second
 	latency time.Duration
@@ -114,7 +114,7 @@ type transfer struct {
 
 // NewLink creates a link named name with the given bandwidth in bytes per
 // simulated second and fixed per-transfer latency.
-func NewLink(clk simclock.Clock, name string, bandwidth float64, latency time.Duration) *Link {
+func NewLink(clk *simclock.Virtual, name string, bandwidth float64, latency time.Duration) *Link {
 	if bandwidth <= 0 {
 		panic(fmt.Sprintf("fabric: link %q: bandwidth must be positive, got %v", name, bandwidth))
 	}

@@ -82,7 +82,7 @@ type pipeline struct {
 
 	// condClk remembers which clock cond and the hop events were built
 	// for, so a pooled pipeline reused under the same clock keeps them.
-	condClk simclock.Clock
+	condClk *simclock.Virtual
 }
 
 // hop is downstream hop h of a pipeline. Its work runs where the hop's
@@ -109,7 +109,7 @@ var pipelinePool = sync.Pool{New: func() any {
 
 // getPipeline returns a reset pipeline for path whose busy/bytes
 // accumulators alias the caller's stats arrays.
-func getPipeline(clk simclock.Clock, path Path, busy []time.Duration, bytes []int64) *pipeline {
+func getPipeline(clk *simclock.Virtual, path Path, busy []time.Duration, bytes []int64) *pipeline {
 	ps := pipelinePool.Get().(*pipeline)
 	nHops := len(path)
 	ps.path = path

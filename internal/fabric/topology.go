@@ -91,7 +91,7 @@ type Cluster struct {
 
 // NewCluster builds a cluster of n nodes with the given per-node
 // configuration on clk.
-func NewCluster(clk simclock.Clock, n int, cfg NodeConfig) (*Cluster, error) {
+func NewCluster(clk *simclock.Virtual, n int, cfg NodeConfig) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fabric: cluster needs at least one node, got %d", n)
 	}

@@ -320,7 +320,7 @@ type rule struct {
 // lock; determinism additionally requires a deterministic operation
 // order, which the virtual clock provides.
 type Injector struct {
-	clk  simclock.Clock
+	clk  *simclock.Virtual
 	seed int64
 
 	rng      *rand.Rand
@@ -333,7 +333,7 @@ type Injector struct {
 
 // New creates an injector on clk whose probabilistic draws derive from
 // seed. Install rules with Add.
-func New(clk simclock.Clock, seed int64, rules ...Rule) *Injector {
+func New(clk *simclock.Virtual, seed int64, rules ...Rule) *Injector {
 	in := &Injector{
 		clk:  clk,
 		seed: seed,

@@ -97,14 +97,14 @@ func Legal(from, to State) bool {
 // replicas are never waited on, so the cond is made by the first
 // WaitFor that has to park, and To and Abandon wake only if it exists.
 type Machine struct {
-	clk       simclock.Clock
+	clk       *simclock.Virtual
 	cond      simclock.Cond // nil until a WaitFor parks
 	state     State
 	abandoned bool // no transition will ever come; WaitFor returns at once
 }
 
 // NewMachine returns a Machine in the Init state.
-func NewMachine(clk simclock.Clock) *Machine {
+func NewMachine(clk *simclock.Virtual) *Machine {
 	m := new(Machine)
 	m.Init(clk)
 	return m
@@ -112,7 +112,7 @@ func NewMachine(clk simclock.Clock) *Machine {
 
 // Init readies a zero Machine in the Init state, waiting on clk. Call it
 // once, before the machine is shared.
-func (m *Machine) Init(clk simclock.Clock) { m.clk = clk }
+func (m *Machine) Init(clk *simclock.Virtual) { m.clk = clk }
 
 // State returns the current state.
 func (m *Machine) State() State { return m.state }

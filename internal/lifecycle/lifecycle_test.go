@@ -336,7 +336,7 @@ func TestInitMachineMatchesNewMachine(t *testing.T) {
 		at      time.Duration
 		resumed uint64
 	}
-	park := func(newM func(simclock.Clock) *Machine, release func(*Machine)) outcome {
+	park := func(newM func(*simclock.Virtual) *Machine, release func(*Machine)) outcome {
 		var o outcome
 		clk := simclock.NewVirtual()
 		clk.Run(func() {
@@ -357,7 +357,7 @@ func TestInitMachineMatchesNewMachine(t *testing.T) {
 		})
 		return o
 	}
-	embedded := func(clk simclock.Clock) *Machine {
+	embedded := func(clk *simclock.Virtual) *Machine {
 		var rec struct {
 			tag int
 			fsm Machine

@@ -52,7 +52,7 @@ type block struct {
 // sets it, the last window samples by arrival (tick by tick, in name
 // order within a tick).
 type Sampler struct {
-	clk      simclock.Clock
+	clk      *simclock.Virtual
 	interval time.Duration
 	capacity int
 
@@ -81,7 +81,7 @@ type probe struct {
 
 // NewSampler returns a sampler on clk. Non-positive interval or capacity
 // select the defaults.
-func NewSampler(clk simclock.Clock, interval time.Duration, capacity int) *Sampler {
+func NewSampler(clk *simclock.Virtual, interval time.Duration, capacity int) *Sampler {
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}

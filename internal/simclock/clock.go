@@ -1,62 +1,35 @@
 // Package simclock provides the time substrate for the Score runtime and
 // its hardware simulators.
 //
-// Every component that sleeps, waits, or measures time does so through the
-// Clock interface, implemented by Virtual: a deterministic discrete-event
-// clock. Exactly one task runs at a time, in the order tasks became ready,
-// and simulated time advances instantly to the next pending timer whenever
-// every task is blocked. A full paper-scale experiment (hundreds of
-// gigabytes of simulated transfers) completes in milliseconds of wall time.
+// Every component that sleeps, waits, or measures time does so through
+// Virtual: a deterministic discrete-event clock. Exactly one task runs at
+// a time, in the order tasks became ready, and simulated time advances
+// instantly to the next pending timer whenever every task is blocked. A
+// full paper-scale experiment (hundreds of gigabytes of simulated
+// transfers) completes in milliseconds of wall time. Work that only reacts
+// to a timer or a signal and never blocks in between can be an Event
+// instead of a task: it is parked and readied like a task, and the clock
+// calls it where it would have resumed one, without a coroutine switch.
 //
 // The discipline required of clients is the one that makes discrete-event
 // simulation sound: any goroutine that participates in simulated time must
-// be started with Clock.Go, and any blocking wait that can only be resolved
-// by the progress of simulated time must go through a Cond obtained from
-// Clock.NewCond. State that only the tasks of one clock touch needs no
-// lock: one task runs at a time, and it yields only where it blocks, so
-// the code between two blocking calls is a critical section already. A
-// task that blocks on a raw channel, a sync.WaitGroup, or a mutex another
-// task holds across a simulated wait keeps the one running slot from the
-// task that would release it, and the run stops.
+// be started with Virtual.Go, and any blocking wait that can only be
+// resolved by the progress of simulated time must go through a Cond
+// obtained from Virtual.NewCond. State that only the tasks of one clock
+// touch needs no lock: one task runs at a time, and it yields only where
+// it blocks, so the code between two blocking calls is a critical section
+// already. A task that blocks on a raw channel, a sync.WaitGroup, or a
+// mutex another task holds across a simulated wait keeps the one running
+// slot from the task that would release it, and the run stops.
 package simclock
 
-import (
-	"sync"
-	"time"
-)
-
-// Clock abstracts the flow of time for the simulation.
-//
-// Now reports the current simulated time as an offset from the start of the
-// simulation. Sleep blocks the calling task for the given simulated
-// duration. Go starts fn as a task whose blocking is accounted for by the
-// clock. Work that only reacts to a timer or a signal and never blocks in
-// between can be an Event instead of a task: it is parked and readied like
-// a task, and the clock calls it where it would have resumed one, without a
-// coroutine switch.
-type Clock interface {
-	// Now returns the current simulated time.
-	Now() time.Duration
-	// Sleep blocks the calling task for d of simulated time.
-	// Non-positive durations yield without advancing time.
-	Sleep(d time.Duration)
-	// Go starts fn as a clock-managed task. On a Virtual clock fn does not
-	// run alongside its parent: it starts when the parent first blocks or
-	// returns, after the tasks made ready before it.
-	Go(fn func())
-	// NewCond returns a condition variable bound to locker l whose Wait
-	// correctly suspends the calling task in simulated time. A nil l
-	// means no locker: the state the cond's waiters test is the clock's
-	// tasks' own, which needs none.
-	NewCond(l sync.Locker) Cond
-	// InitEvent binds e, an Event the caller embeds in its own record, to
-	// the clock and to r. The event starts unparked.
-	InitEvent(e *Event, r Runner)
-}
+import "time"
 
 // Cond is a clock-aware condition variable. It mirrors sync.Cond with an
-// additional timed wait. On a Virtual clock Signal and Broadcast only make
-// waiters ready: they resume, in wait order, once the caller blocks.
+// additional timed wait. Signal and Broadcast only make waiters ready:
+// they resume, in wait order, once the caller blocks. Cond stays an
+// interface, unlike the clock, because a test substitutes a wake-counting
+// fake for a flush pool's cond.
 type Cond interface {
 	// Wait atomically unlocks the underlying locker, if any, and suspends
 	// the task until Signal or Broadcast wakes it. The locker is
@@ -93,7 +66,7 @@ type WaitGroup struct {
 }
 
 // NewWaitGroup returns a WaitGroup bound to clk.
-func NewWaitGroup(clk Clock) *WaitGroup {
+func NewWaitGroup(clk *Virtual) *WaitGroup {
 	return &WaitGroup{cond: clk.NewCond(nil)}
 }
 
@@ -130,7 +103,7 @@ type Barrier struct {
 }
 
 // NewBarrier returns a barrier for the given number of parties (>= 1).
-func NewBarrier(clk Clock, parties int) *Barrier {
+func NewBarrier(clk *Virtual, parties int) *Barrier {
 	if parties < 1 {
 		panic("simclock: barrier needs at least one party")
 	}

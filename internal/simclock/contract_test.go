@@ -40,7 +40,7 @@ func TestModelCodeKeepsTheBatonContract(t *testing.T) {
 				}
 			}
 			if what != "" {
-				t.Errorf("%s: %s in model code: tasks start with Clock.Go and block only through simclock", fset.Position(n.Pos()), what)
+				t.Errorf("%s: %s in model code: tasks start with Virtual.Go and block only through simclock", fset.Position(n.Pos()), what)
 			}
 			return true
 		})

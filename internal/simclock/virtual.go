@@ -208,7 +208,9 @@ func (c *Virtual) Sleep(d time.Duration) {
 	t.yield(struct{}{})
 }
 
-// Go starts fn as a clock-managed task, behind every task readied before it.
+// Go starts fn as a clock-managed task, behind every task readied before
+// it: fn does not run alongside its parent, it starts when the parent
+// first blocks or returns.
 func (c *Virtual) Go(fn func()) {
 	c.mu.Lock()
 	var t *task
@@ -260,8 +262,9 @@ func (c *Virtual) Run(fn func()) {
 	<-done
 }
 
-// NewCond returns a virtual-time condition variable bound to l, or bound
-// to no locker when l is nil.
+// NewCond returns a virtual-time condition variable bound to l. A nil l
+// means no locker: the state the cond's waiters test is the clock's
+// tasks' own, which needs none.
 func (c *Virtual) NewCond(l sync.Locker) Cond { return &vcond{clk: c, l: l} }
 
 // drive is the scheduler: it resumes one task, or runs one event, at a

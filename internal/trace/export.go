@@ -216,20 +216,23 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 // and then by position, so the emission is as byte-deterministic as the
 // span order itself.
 func (s *chromeStream) flows(n, linkedN int, event func(i int) *span) {
-	linked := make([]int32, 0, linkedN)
+	type link struct {
+		flow int64
+		at   int32 // the span's index in the sorted order
+	}
+	linked := make([]link, 0, linkedN)
 	name := make([]byte, 0, 64) // the chain's name as a JSON string
 	for i := range n {
-		if event(i).flow != 0 {
-			linked = append(linked, int32(i))
+		if f := event(i).flow; f != 0 {
+			linked = append(linked, link{f, int32(i)})
 		}
 	}
-	slices.SortFunc(linked, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(event(int(a)).flow, event(int(b)).flow), cmp.Compare(a, b))
+	slices.SortFunc(linked, func(a, b link) int {
+		return cmp.Or(cmp.Compare(a.flow, b.flow), cmp.Compare(a.at, b.at))
 	})
 	for len(linked) > 0 && s.err == nil {
-		first := event(int(linked[0]))
 		n := 1
-		for n < len(linked) && event(int(linked[n])).flow == first.flow {
+		for n < len(linked) && linked[n].flow == linked[0].flow {
 			n++
 		}
 		chain := linked[:n]
@@ -237,11 +240,12 @@ func (s *chromeStream) flows(n, linkedN int, event func(i int) *span) {
 		if n < 2 {
 			continue // an arrow needs two endpoints
 		}
+		first := event(int(chain[0].at))
 		// All events in one chain must share name, cat, and id for the
 		// viewer to join them; the chain borrows its first span's name.
 		name = s.appendName(name[:0], first)
-		for i, at := range chain {
-			e := event(int(at))
+		for i, l := range chain {
+			e := event(int(l.at))
 			ph, bp := byte('t'), ""
 			switch i {
 			case 0:

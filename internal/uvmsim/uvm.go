@@ -67,7 +67,7 @@ const (
 // Config parameterizes the UVM model.
 type Config struct {
 	// Clock drives timing; required.
-	Clock simclock.Clock
+	Clock *simclock.Virtual
 	// GPU supplies the D2D and PCIe links; required.
 	GPU *device.GPU
 	// NVMe is the node-shared SSD link; required.
@@ -140,7 +140,7 @@ func (k *ckpt) pinned() int64 {
 // Client is one process's UVM-based checkpointing runtime.
 type Client struct {
 	cfg Config
-	clk simclock.Clock
+	clk *simclock.Virtual
 	rec *metrics.Recorder
 
 	cond simclock.Cond

@@ -14,7 +14,7 @@ import (
 
 const MB = 1 << 20
 
-func newUVM(t *testing.T, clk simclock.Clock, mutate func(*Config)) *Client {
+func newUVM(t *testing.T, clk *simclock.Virtual, mutate func(*Config)) *Client {
 	t.Helper()
 	cfg := fabric.NodeConfig{
 		GPUs: 2, D2DBandwidth: 1000 * MB, PCIeBandwidth: 100 * MB,
@@ -244,7 +244,7 @@ func checkAccounting(c *Client, when string) {
 
 // watchAccounting runs checkAccounting every 10 µs of simulated time, for
 // up to a simulated minute, until stop is called.
-func watchAccounting(clk simclock.Clock, c *Client) (stop func()) {
+func watchAccounting(clk *simclock.Virtual, c *Client) (stop func()) {
 	done := false
 	clk.Go(func() {
 		for ; !done && clk.Now() < time.Minute; clk.Sleep(10 * time.Microsecond) {

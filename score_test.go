@@ -68,12 +68,12 @@ func TestVirtualCheckpoints(t *testing.T) {
 		c, err := sim.NewClient(0, 1,
 			score.WithGPUCache(64<<20),
 			score.WithHostCache(256<<20),
-			score.WithDiscardAfterRestore(),
-			score.WithAutoPrefetch())
+			score.WithDiscardAfterRestore())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		c.PrefetchStart()
 		for v := int64(0); v < 16; v++ {
 			if err := c.CheckpointVirtual(v, 16<<20); err != nil {
 				t.Fatal(err)
@@ -133,9 +133,6 @@ func TestMultiGPUContention(t *testing.T) {
 func TestSimOptionsValidation(t *testing.T) {
 	if _, err := score.NewSim(score.WithNodes(0)); err == nil {
 		t.Error("zero nodes accepted")
-	}
-	if _, err := score.NewSim(score.WithHBM(-1)); err == nil {
-		t.Error("negative HBM accepted")
 	}
 	sim, err := score.NewSim()
 	if err != nil {
@@ -215,6 +212,50 @@ func TestWithEvictionPolicy(t *testing.T) {
 			t.Error("unknown eviction policy name accepted")
 		}
 	})
+}
+
+// TestSharedHostCachePinnedByNodeGPUs: a node's shared pool is pinned in
+// parallel by its GPUs' processes, one chunk each. With two GPUs per node
+// each process registers half the pool at the pinned-host rate (4 GiB/s),
+// so no checkpoint lands on the host tier before pool/2 of registration.
+func TestSharedHostCachePinnedByNodeGPUs(t *testing.T) {
+	const (
+		gpus = 2
+		pool = 8 << 30
+		// pool/gpus at device.DefaultAllocCosts' 4 GiB/s pinned rate.
+		registration = time.Second
+	)
+	sim, err := score.NewSim(score.WithGPUsPerNode(gpus),
+		score.WithSharedHostCache(pool), score.WithSampling(10*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(func() {
+		c, err := sim.NewClient(0, 0, score.WithGPUCache(64<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.CheckpointVirtual(0, 16<<20); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	landed := false
+	for _, s := range sim.SampledSeries()["node0.gpu0.cache.host.used_bytes"] {
+		if s.Value > 0 {
+			landed = true
+			if s.At < registration {
+				t.Fatalf("host tier holds %v bytes at %v, before the %v registration of pool/%d",
+					s.Value, s.At, registration, gpus)
+			}
+		}
+	}
+	if !landed {
+		t.Fatal("the checkpoint never landed on the host tier")
+	}
 }
 
 // TestWithSharedHostCache runs two clients of one node over a shared host

@@ -65,7 +65,6 @@ type Sim struct {
 type simConfig struct {
 	nodes      int
 	node       fabric.NodeConfig
-	hbm        int64
 	tracing    bool
 	sample     time.Duration // gauge sampling cadence; 0 = off
 	sharedHost int64         // per-node shared host cache pool size; 0 = private
@@ -79,23 +78,6 @@ func WithNodes(n int) Option { return func(c *simConfig) { c.nodes = n } }
 
 // WithGPUsPerNode sets the GPU (process) count per node (default 8).
 func WithGPUsPerNode(n int) Option { return func(c *simConfig) { c.node.GPUs = n } }
-
-// WithHBM sets per-GPU device memory in bytes (default 40 GiB, A100).
-func WithHBM(bytes int64) Option { return func(c *simConfig) { c.hbm = bytes } }
-
-// WithNodeBandwidths overrides the interconnect model: d2d is the
-// device-local copy bandwidth, pcie the host link (shared by GPU pairs),
-// nvme the aggregate node SSD bandwidth, pfs the per-node parallel file
-// system share, all in bytes per simulated second.
-func WithNodeBandwidths(d2d, pcie, nvme, pfs float64) Option {
-	return func(c *simConfig) {
-		c.node.D2DBandwidth = d2d
-		c.node.PCIeBandwidth = pcie
-		c.node.NVMeDrives = 1
-		c.node.NVMePerDrive = nvme
-		c.node.PFSBandwidth = pfs
-	}
-}
 
 // WithSharedHostCache replaces every client's private pinned host cache
 // with one pool of the given size per node, shared by the node's clients
@@ -123,15 +105,12 @@ func WithSampling(interval time.Duration) Option {
 
 // NewSim builds a simulated cluster.
 func NewSim(opts ...Option) (*Sim, error) {
-	cfg := simConfig{nodes: 1, node: fabric.DGXA100(), hbm: 40 * fabric.GB}
+	cfg := simConfig{nodes: 1, node: fabric.DGXA100()}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.nodes < 1 {
 		return nil, errors.New("score: need at least one node")
-	}
-	if cfg.hbm <= 0 {
-		return nil, errors.New("score: HBM size must be positive")
 	}
 	clk := simclock.NewVirtual()
 	s := &Sim{cfg: cfg, clk: clk}
@@ -233,7 +212,7 @@ func linkInterceptor(inj *faultinject.Injector, site faultinject.Site) fabric.Tr
 // slows the operation down instead of failing it.
 type storeFaults struct {
 	inj         *faultinject.Injector
-	clk         simclock.Clock
+	clk         *simclock.Virtual
 	write, read faultinject.Site
 }
 
@@ -301,13 +280,13 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	}
 	n := s.cluster.Nodes[node]
 	d2d, pcie := n.GPULinks(gpu)
-	dev := device.NewGPU(s.clk, gpu, s.cfg.hbm, d2d, pcie, device.DefaultAllocCosts())
+	dev := device.NewGPU(s.clk, gpu, device.A100HBM, d2d, pcie, device.DefaultAllocCosts())
 	var sharedPool *core.SharedHostCache
 	if s.cfg.sharedHost > 0 {
 		sharedPool = s.shared[node]
 		if sharedPool == nil {
 			sharedPool = core.NewSharedHostCache(s.clk,
-				fmt.Sprintf("node%d-sharedhost", node), s.cfg.sharedHost)
+				fmt.Sprintf("node%d-sharedhost", node), s.cfg.sharedHost, s.cfg.node.GPUs)
 			s.shared[node] = sharedPool
 		}
 	}
@@ -386,7 +365,6 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		GPUEvictionPolicy:   evictPolicy,
 		DiscardAfterRestore: cc.discard,
 		PersistToPFS:        cc.persistPFS,
-		AutoStartPrefetch:   cc.autoPrefetch,
 		AsyncHostInit:       cc.asyncHostInit,
 		Store:               store,
 		PFSStore:            pfsStore,
@@ -410,6 +388,10 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	client, err := core.New(params)
 	if err != nil {
 		return nil, err
+	}
+	if cc.autoHints {
+		// Predicted hints arrive without a PrefetchStart call.
+		client.PrefetchStart()
 	}
 	if inj := cc.injector; inj != nil {
 		if at, ok := inj.KillAt(node, gpu); ok {
