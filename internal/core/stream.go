@@ -42,7 +42,7 @@ func (c *Client) observePipeline(id ID, up bool, label string, st fabric.Pipelin
 	if st.Chunks <= 1 {
 		return
 	}
-	c.rec.Pipelined(st.Bytes, st.Duration, st.HopBusySum(), st.HopBytes, streamErr == nil)
+	c.rec.Pipelined(st.Bytes, st.Duration, st.HopBusySum(), st.HopBytes[:st.Hops], streamErr == nil)
 	if c.p.Tracer != nil {
 		track, category, format := trace.TrackD2H, "flush", "flush %d gpu→%s [%d chunks, %v overlapped]"
 		if up {

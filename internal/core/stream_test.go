@@ -80,7 +80,7 @@ func TestPipelinedSpanNameFormats(t *testing.T) {
 		c := newRig(t, clk, func(p *Params) { p.Tracer = tr }).client
 		defer c.Close()
 		st := fabric.PipelineStats{Bytes: 4 * MB, Chunks: 4, Duration: 3 * time.Millisecond,
-			HopBusy: []time.Duration{2 * time.Millisecond, 2 * time.Millisecond}, HopBytes: []int64{4 * MB, 4 * MB}}
+			Hops: 2, HopBusy: [fabric.MaxHops]time.Duration{2 * time.Millisecond, 2 * time.Millisecond}, HopBytes: [fabric.MaxHops]int64{4 * MB, 4 * MB}}
 		c.observePipeline(5, false, "host", st, nil)
 		c.observePipeline(5, false, "ssd", st, nil)
 		c.observePipeline(5, true, "ssd", st, nil)

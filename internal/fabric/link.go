@@ -13,9 +13,9 @@
 // All timing flows through the virtual clock (simclock.Virtual), so the
 // fabric runs deterministically. The fabric starts no task of
 // its own: a transfer's latency, its completion timer and its reaping are
-// the transfer record's simclock.Event, and a pipelined stream's
-// downstream hops are events too, so the caller's task is resumed only
-// when its transfer, or its stream's chunk on the first hop, is done.
+// the transfer record's simclock.Event, and every hop of a pipelined
+// stream is an event too, so the caller's task is resumed once per
+// transfer and once per stream, when the whole of it is done.
 package fabric
 
 import (

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func TestPipelinedByteConservation(t *testing.T) {
 		}
 		if st.Overlap() <= 0 {
 			t.Errorf("pipelined stream reported no overlap (duration %v, hop busy %v)",
-				st.Duration, st.HopBusy)
+				st.Duration, st.HopBusy[:st.Hops])
 		}
 	})
 }
@@ -180,41 +181,90 @@ func TestPipelinedFaultAborts(t *testing.T) {
 }
 
 // TestStreamWakesOnlyItsCaller pins a stream's wake count: a K-chunk
-// stream resumes its caller K+1 times — once per chunk it feeds into hop
-// 0 and once when the last downstream hop exits — and resumes no other
-// task, however many hops it crosses and whatever their latency. The
-// downstream hops, the link latencies and the pacer timers are events.
+// stream resumes its caller exactly once — when the last hop exits — and
+// resumes no other task, however many chunks it cuts, however many hops
+// it crosses and whatever their latency. Every hop, the link latencies and
+// the pacer timers are events; K = 1 is the store-and-forward form, whose
+// hops hand the payload on from their transfers' events.
 func TestStreamWakesOnlyItsCaller(t *testing.T) {
+	const size = 10*GB/10 + 7
+	for _, k := range []int64{1, 11, 64} {
+		chunk := (size + k - 1) / k // K pieces, the last one shorter
+		for _, tc := range []struct {
+			name string
+			lat  time.Duration
+			hops int
+		}{
+			{"2 hops", 0, 2},
+			{"2 hops with latency", time.Microsecond, 2},
+			{"3 hops", 0, 3},
+			{"3 hops with latency", 2 * time.Microsecond, 3},
+		} {
+			t.Run(fmt.Sprintf("K=%d/%s", k, tc.name), func(t *testing.T) {
+				clk := simclock.NewVirtual()
+				var wakes uint64
+				var st PipelineStats
+				clk.Run(func() {
+					p := make(Path, tc.hops)
+					for h := range p {
+						p[h] = NewLink(clk, "hop", float64(1+h%2)*GB, tc.lat)
+					}
+					before := simclock.EventCount()
+					var err error
+					if st, err = p.TryPipelined(size, chunk); err != nil {
+						t.Fatal(err)
+					}
+					wakes = simclock.EventCount() - before // the caller's own resumptions and any other task's
+				})
+				if st.Chunks != int(k) || wakes != 1 {
+					t.Errorf("a %d-chunk stream cost %d wakes, want %d chunks and 1 wake", st.Chunks, wakes, k)
+				}
+				for h := 0; h < tc.hops; h++ {
+					if st.HopBytes[h] != size {
+						t.Errorf("hop %d carried %d bytes, want %d", h, st.HopBytes[h], size)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStreamAllocatesNothing: once its pooled record, its links' transfer
+// records and the clock's queues have grown, a TryPipelined call makes no
+// allocation — chunked or store-and-forward, over two hops or three.
+func TestStreamAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops records at random")
+	}
+	const size = 64 << 20
 	for _, tc := range []struct {
-		name string
-		lat  time.Duration
-		hops int
+		name       string
+		hops       int
+		chunk      int64
+		wantChunks int
 	}{
-		{"2 hops", 0, 2},
-		{"2 hops with latency", time.Microsecond, 2},
-		{"3 hops", 0, 3},
-		{"3 hops with latency", 2 * time.Microsecond, 3},
+		{"2 hops chunked", 2, size / 8, 8},
+		{"3 hops chunked", 3, size / 8, 8},
+		{"2 hops store and forward", 2, 0, 1},
+		{"3 hops store and forward", 3, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const size, chunk = 10*GB/10 + 7, GB / 10 // K = 11: 10 full chunks and a tail
 			clk := simclock.NewVirtual()
-			var wakes uint64
-			var st PipelineStats
 			clk.Run(func() {
 				p := make(Path, tc.hops)
 				for h := range p {
-					p[h] = NewLink(clk, "hop", float64(1+h%2)*GB, tc.lat)
+					p[h] = NewLink(clk, "hop", float64(1+h%2)*GB, time.Microsecond)
 				}
-				before := simclock.EventCount()
+				var st PipelineStats
 				var err error
-				if st, err = p.TryPipelined(size, chunk); err != nil {
-					t.Fatal(err)
+				allocs := testing.AllocsPerRun(50, func() { st, err = p.TryPipelined(size, tc.chunk) })
+				if err != nil || st.Chunks != tc.wantChunks {
+					t.Fatalf("stream: %d chunks, err %v; want %d chunks", st.Chunks, err, tc.wantChunks)
 				}
-				wakes = simclock.EventCount() - before
+				if allocs != 0 {
+					t.Errorf("a warmed TryPipelined made %v allocations, want 0", allocs)
+				}
 			})
-			if got, want := wakes, uint64(st.Chunks+1); st.Chunks != 11 || got != want {
-				t.Errorf("a %d-chunk stream cost %d wakes, want %d", st.Chunks, got, want)
-			}
 		})
 	}
 }

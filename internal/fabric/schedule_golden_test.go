@@ -136,7 +136,7 @@ func runSchedule(seed int64, opts ...simclock.VirtualOption) string {
 					order = append(order, i)
 					results[i] = append(results[i], fmt.Sprintf(
 						"op %d.%d path=%v size=%d chunk=%d start=%v end=%v dur=%v chunks=%d busy=%v bytes=%v err=%v",
-						i, round, op.path, op.size, op.chunk, begin, clk.Now(), st.Duration, st.Chunks, st.HopBusy, st.HopBytes, err))
+						i, round, op.path, op.size, op.chunk, begin, clk.Now(), st.Duration, st.Chunks, st.HopBusy[:st.Hops], st.HopBytes[:st.Hops], err))
 				}
 			})
 		}

@@ -94,11 +94,12 @@ func Legal(from, to State) bool {
 //
 // Only the tasks of its clock use it; one runs at a time, so it takes no
 // lock, and the eviction rule's many State reads are plain loads. Most
-// replicas are never waited on, so the cond is made by the first
-// WaitFor that has to park, and To and Abandon wake only if it exists.
+// replicas are never waited on, so the machine holds a cond only while a
+// WaitFor is parked, borrowed from the clock's spares (simclock.WaitList):
+// waiting costs no allocation, and the machine one pointer.
 type Machine struct {
 	clk       *simclock.Virtual
-	cond      simclock.Cond // nil until a WaitFor parks
+	waiters   simclock.WaitList
 	state     State
 	abandoned bool // no transition will ever come; WaitFor returns at once
 }
@@ -158,10 +159,7 @@ func (m *Machine) WaitFor(states ...State) State {
 		if m.abandoned || slices.Contains(states, cur) {
 			return cur
 		}
-		if m.cond == nil {
-			m.cond = m.clk.NewCond(nil)
-		}
-		m.cond.Wait()
+		m.waiters.Wait(m.clk)
 	}
 }
 
@@ -173,9 +171,5 @@ func (m *Machine) Abandon() {
 	m.wake()
 }
 
-// wake releases the parked waiters, if any ever parked.
-func (m *Machine) wake() {
-	if m.cond != nil {
-		m.cond.Broadcast()
-	}
-}
+// wake releases the parked waiters, if any.
+func (m *Machine) wake() { m.waiters.Broadcast() }

@@ -216,13 +216,13 @@ func TestTransitionClosureProperty(t *testing.T) {
 }
 
 // TestMachineMakesItsCondOnlyToPark: most replicas are never waited on,
-// so a Machine makes its cond on the first WaitFor that has to park.
-// Transitions and waits that need not park make none, a parked wait is
+// so a Machine holds a cond only while a WaitFor is parked on it.
+// Transitions and waits that need not park take none, a parked wait is
 // released by To and by Abandon on either timer structure, and a wait
 // after Abandon returns at once.
 func TestMachineMakesItsCondOnlyToPark(t *testing.T) {
 	hasCond := func(m *Machine) bool {
-		return m.cond != nil
+		return m.waiters.Waiting()
 	}
 
 	m := NewMachine(simclock.NewVirtual())
@@ -230,13 +230,13 @@ func TestMachineMakesItsCondOnlyToPark(t *testing.T) {
 		m.MustTo(s)
 	}
 	if got := m.WaitFor(Consumed); got != Consumed || hasCond(m) {
-		t.Errorf("unparked life cycle: WaitFor = %v, cond made = %v; want CONSUMED, false", got, hasCond(m))
+		t.Errorf("unparked life cycle: WaitFor = %v, cond held = %v; want CONSUMED, false", got, hasCond(m))
 	}
 
 	m = NewMachine(simclock.NewVirtual())
 	m.Abandon()
 	if got := m.WaitFor(Flushed); got != Init || hasCond(m) {
-		t.Errorf("WaitFor after Abandon = %v, cond made = %v; want INIT at once, false", got, hasCond(m))
+		t.Errorf("WaitFor after Abandon = %v, cond held = %v; want INIT at once, false", got, hasCond(m))
 	}
 
 	for _, clock := range []struct {
@@ -266,7 +266,7 @@ func TestMachineMakesItsCondOnlyToPark(t *testing.T) {
 				})
 				clk.Sleep(time.Second)
 				if !hasCond(m) {
-					t.Errorf("%s/%s: a parked WaitFor made no cond", clock.name, release.name)
+					t.Errorf("%s/%s: a parked WaitFor holds no cond", clock.name, release.name)
 				}
 				release.fn(m)
 				wg.Wait()

@@ -11,8 +11,9 @@ import (
 type Runner interface {
 	// Run is called on the clock's driver in the slot where the event
 	// was readied or its timer fired. It may signal conds, arm, signal
-	// and retime events, resume the task its own event holds, and take
-	// short locks, but it must not block: no Sleep and no Cond wait.
+	// and retime events, resume one task an event of its clock holds
+	// (its own or another's), and take short locks, but it must not
+	// block: no Sleep and no Cond wait.
 	// Simulated time stands still while it runs.
 	Run()
 }
@@ -33,8 +34,9 @@ type Runner interface {
 // A task can hand its waiting to an event: Await parks the task on the
 // event, and the event's Run decides, each time it runs, whether the task
 // goes on (Resume) — in that same slot, as if its own wait had ended
-// there — or stays parked while the event is armed again. The task costs
-// one resumption however many times the event ran for it.
+// there — or stays parked while the event is armed again. Another event's
+// Run may resume it too, in its own slot. The task costs one resumption
+// however many times the events ran for it.
 //
 // All methods are for tasks and for events' Run, and an event belongs to
 // the clock that bound it (InitEvent).
@@ -142,17 +144,19 @@ func (e *Event) Await() {
 	}
 }
 
-// Resume, called from the event's own Run, ends the Await of the task
-// parked on the event: the driver resumes it as soon as Run returns, in
-// the event's slot, ahead of everything ready, and counts it in
-// EventCount.
+// Resume ends the Await of the task parked on the event: the driver
+// resumes it as soon as the running event's Run returns, in that event's
+// slot, ahead of everything ready, and counts it in EventCount. It may be
+// called from the Run of any event of the clock, not only from e's own —
+// a record whose work another event carries on hands the task over where
+// that work ends — but at most once per run.
 func (e *Event) Resume() {
 	c := e.clk
 	c.mu.Lock()
 	t := e.parked
 	if t == nil || !c.inEvent || c.handoff != nil {
 		c.mu.Unlock()
-		panic("simclock: Resume outside the event's Run, or with no task awaiting it")
+		panic("simclock: Resume outside an event's Run, twice in one, or with no task awaiting it")
 	}
 	e.parked = nil
 	t.fired = true

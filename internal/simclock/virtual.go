@@ -73,7 +73,8 @@ type Virtual struct {
 	dead        bool   // deadlock reported; it is reported once
 	abortTask   *task  // resumed only to panic with abortMsg, a deadlock or livelock report already on stderr
 	abortMsg    string
-	spins       int // resumptions, WaitFor re-checks and event runs since time last advanced
+	spins       int      // resumptions, WaitFor re-checks and event runs since time last advanced
+	spares      []*vcond // conds WaitLists gave back, empty, for the next WaitList that parks a task
 }
 
 // A VirtualOption configures a Virtual clock at construction.
@@ -266,6 +267,55 @@ func (c *Virtual) Run(fn func()) {
 // means no locker: the state the cond's waiters test is the clock's
 // tasks' own, which needs none.
 func (c *Virtual) NewCond(l sync.Locker) Cond { return &vcond{clk: c, l: l} }
+
+// A WaitList is the wait queue of a record most instances of which are
+// never waited on. It holds a cond only while tasks wait on it: the first
+// Wait takes one from its clock's spares, and the Broadcast that wakes
+// every waiter gives it back, its backing array kept.
+// So a record pays one pointer for it, and once its clock has a spare,
+// waiting allocates nothing. Wait and Broadcast behave as on a Cond
+// without a locker, with the same wake order; the zero value is empty.
+type WaitList struct{ cd *vcond }
+
+// Wait parks the calling task, one of c's, at the tail of the list until
+// a Broadcast readies it.
+func (wl *WaitList) Wait(c *Virtual) {
+	if wl.cd == nil {
+		wl.cd = c.spareCond()
+	}
+	wl.cd.Wait()
+}
+
+// Broadcast readies every waiting task in wait order, as a Cond's would,
+// and gives the list's cond back to its clock.
+func (wl *WaitList) Broadcast() {
+	cd := wl.cd
+	if cd == nil {
+		return
+	}
+	wl.cd = nil
+	cd.Broadcast() // consumes every entry: the next append starts the array over
+	c := cd.clk
+	c.mu.Lock()
+	c.spares = append(c.spares, cd)
+	c.mu.Unlock()
+}
+
+// Waiting reports whether any task waits on the list.
+func (wl *WaitList) Waiting() bool { return wl.cd != nil }
+
+// spareCond returns a cond without a locker and without waiters: one a
+// WaitList gave back, else a new one.
+func (c *Virtual) spareCond() *vcond {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.spares); n > 0 {
+		cd := c.spares[n-1]
+		c.spares = c.spares[:n-1]
+		return cd
+	}
+	return &vcond{clk: c}
+}
 
 // drive is the scheduler: it resumes one task, or runs one event, at a
 // time until the clock quiesces (nothing ready, no timer), then stops the
