@@ -75,58 +75,37 @@ func TestReadyOrderIsTheOrderThingsHappen(t *testing.T) {
 	}
 }
 
-// within fails the test if f has not returned after a second of wall time.
-func within(t *testing.T, what string, f func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() { defer close(done); f() }()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatalf("%s did not finish within a second", what)
-	}
-}
-
-func TestNonTaskCallersStartTheDriver(t *testing.T) {
+// TestCallsBetweenRunsAreQueued: a Go, Signal or Broadcast made between
+// runs runs nothing; the next Run executes them in the order they were
+// made, ahead of its own task.
+func TestCallsBetweenRunsAreQueued(t *testing.T) {
 	clk := NewVirtual()
-	ran := make(chan struct{})
-	clk.Go(func() { close(ran) }) // no Run, no driver yet
-	within(t, "a task started by Go from the test goroutine", func() { <-ran })
-
-	// Park two tasks for good: the deadlock report (recovered by the root)
-	// leaves them parked and the driver gone.
-	var mu sync.Mutex
-	flag := 0
-	cond, other := clk.NewCond(&mu), clk.NewCond(&mu)
-	released := make(chan int, 2)
+	cond, other := clk.NewCond(nil), clk.NewCond(nil)
+	var trace []string
+	log := func(s string) { trace = append(trace, s) }
+	// Park three tasks for good: the deadlock report, recovered by the
+	// root, leaves them parked when Run returns.
 	clk.Run(func() {
 		defer func() { recover() }()
-		for i := 0; i < 2; i++ {
+		for _, name := range []string{"a", "b", "c"} {
 			clk.Go(func() {
-				mu.Lock()
-				for flag == 0 {
-					cond.Wait()
-				}
-				flag--
-				mu.Unlock()
-				released <- 1
+				cond.Wait()
+				log(name + " woke")
 			})
 		}
 		clk.Sleep(time.Millisecond)
-		mu.Lock()
-		defer mu.Unlock()
 		other.Wait()
 	})
-	mu.Lock()
-	flag = 1
-	cond.Signal()
-	mu.Unlock()
-	within(t, "a task signalled from the test goroutine", func() { <-released })
-	mu.Lock()
-	flag = 1
-	cond.Broadcast()
-	mu.Unlock()
-	within(t, "a task broadcast to from the test goroutine", func() { <-released })
+	clk.Go(func() { log("go") })
+	cond.Signal()    // a
+	cond.Broadcast() // b then c, in wait order
+	if len(trace) != 0 {
+		t.Fatalf("calls between runs ran %q before the next Run", trace)
+	}
+	clk.Run(func() { log("root") })
+	if want := []string{"go", "a woke", "b woke", "c woke", "root"}; !reflect.DeepEqual(trace, want) {
+		t.Errorf("the next Run ran %q, want %q", trace, want)
+	}
 }
 
 func TestNoGoroutineOutlivesItsClock(t *testing.T) {
@@ -146,39 +125,32 @@ func TestNoGoroutineOutlivesItsClock(t *testing.T) {
 			wg.Wait()
 		})
 	}
-	// Run returns when the root does; the driver then stops the idle
-	// coroutines and exits, a few microseconds later.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Run returns only after stopping the idle coroutines.
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after 50 clocks of 20 tasks, %d before", n, base)
 	}
 }
 
-func TestGoexitInTaskDoesNotStrandTheClock(t *testing.T) {
+// TestGoexitInTaskUnwindsRun: runtime.Goexit in a task, which is what
+// t.Fatal and t.Skip do, ends Run's caller as it would if the caller had
+// called it: the caller's deferred code runs and the line after Run does
+// not.
+func TestGoexitInTaskUnwindsRun(t *testing.T) {
 	clk := NewVirtual()
-	siblingDone := false
-	within(t, "Run", func() {
+	deferred, after := false, false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { deferred = true }()
 		clk.Run(func() {
-			wg := NewWaitGroup(clk)
-			wg.Add(2)
-			clk.Go(func() {
-				defer wg.Done()
-				clk.Sleep(time.Second)
-				runtime.Goexit() // what t.Fatal and t.Skip do
-			})
-			clk.Go(func() {
-				defer wg.Done()
-				clk.Sleep(2 * time.Second)
-				siblingDone = true
-			})
-			wg.Wait()
+			clk.Sleep(time.Second)
+			runtime.Goexit()
 		})
-	})
-	if !siblingDone || clk.Now() != 2*time.Second {
-		t.Errorf("sibling finished = %v at t=%v, want true at 2s", siblingDone, clk.Now())
+		after = true
+	}()
+	<-done
+	if !deferred || after || clk.Now() != time.Second {
+		t.Errorf("deferred = %v, after Run = %v at t=%v; want true, false at 1s", deferred, after, clk.Now())
 	}
 }
 
@@ -187,14 +159,10 @@ func explode() { panic("boom") }
 
 func TestTaskPanicKeepsItsStack(t *testing.T) {
 	clk := NewVirtual()
-	clk.mu.Lock()
-	clk.driving = true // the test drives, so it can catch what the driver re-raises
-	clk.mu.Unlock()
-	clk.Go(explode)
 	var got interface{}
 	func() {
 		defer func() { got = recover() }()
-		clk.drive()
+		clk.Run(explode)
 	}()
 	s, _ := got.(string)
 	if !strings.Contains(s, "boom") || !strings.Contains(s, "simclock.explode") {
@@ -222,25 +190,25 @@ func TestDeadlockPanicListsWaitSites(t *testing.T) {
 	never := NewWaitGroup(clk)
 	never.Add(1)
 	var caught interface{}
-	released := make(chan int, 4)
+	released := 0
 	clk.Run(func() {
 		defer func() { caught = recover() }()
 		for i := 0; i < 3; i++ {
-			clk.Go(func() { parkAtSiteA(&mu, cond); released <- 1 })
+			clk.Go(func() { parkAtSiteA(&mu, cond); released++ })
 		}
-		clk.Go(func() { viaSiteB(never); released <- 1 })
+		clk.Go(func() { viaSiteB(never); released++ })
 		clk.Sleep(time.Millisecond) // all four are parked when the root joins them
 		viaSiteB(never)
 	})
 	// The profile behind the table is process-wide: leave nothing parked
 	// for the next test (or the next -count) to find.
-	never.Done()
-	cond.Broadcast()
-	within(t, "releasing the parked tasks", func() {
-		for i := 0; i < 4; i++ {
-			<-released
-		}
+	clk.Run(func() {
+		never.Done()
+		cond.Broadcast()
 	})
+	if released != 4 {
+		t.Errorf("%d of the 4 parked tasks released", released)
+	}
 	msg, _ := caught.(string)
 	for _, want := range []string{
 		"deadlock: 5 task(s) blocked",
@@ -250,6 +218,38 @@ func TestDeadlockPanicListsWaitSites(t *testing.T) {
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("deadlock panic lacks %q:\n%s", want, msg)
+		}
+	}
+}
+
+// TestDeadlockAfterTheLastTaskReturnedPanicsOutOfRun: when the task the
+// driver resumed last completed a deadlock by returning, no parked task
+// can take the report, so it panics out of Run, where Run's caller can
+// recover it.
+func TestDeadlockAfterTheLastTaskReturnedPanicsOutOfRun(t *testing.T) {
+	clk := NewVirtual()
+	var mu sync.Mutex
+	cond := clk.NewCond(&mu)
+	released := false
+	var caught interface{}
+	func() {
+		defer func() { caught = recover() }()
+		clk.Run(func() {
+			clk.Go(func() { parkAtSiteA(&mu, cond); released = true })
+			clk.Sleep(time.Millisecond) // the child parks, then the root returns
+		})
+	}()
+	clk.Run(cond.Broadcast) // the profile behind the table is process-wide
+	if !released {
+		t.Error("the parked task was not released")
+	}
+	msg, _ := caught.(string)
+	for _, want := range []string{
+		"deadlock: 1 task(s) blocked",
+		"1 × score/internal/simclock.parkAtSiteA baton_test.go:",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("the panic out of Run lacks %q:\n%s", want, msg)
 		}
 	}
 }

@@ -11,6 +11,11 @@
 // instead of a task: it is parked and readied like a task, and the clock
 // calls it where it would have resumed one, without a coroutine switch.
 //
+// Virtual.Run drives the clock on its caller's goroutine until no task can
+// run. Only the clock's tasks touch it while Run runs; any caller may
+// touch it between runs, and what it queues there runs in the next Run.
+// One goroutine owns the clock at a time, so it takes no lock.
+//
 // The discipline required of clients is the one that makes discrete-event
 // simulation sound: any goroutine that participates in simulated time must
 // be started with Virtual.Go, and any blocking wait that can only be

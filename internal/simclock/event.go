@@ -9,11 +9,11 @@ import (
 
 // A Runner is the callback of an Event.
 type Runner interface {
-	// Run is called on the clock's driver in the slot where the event
-	// was readied or its timer fired. It may signal conds, arm, signal
-	// and retime events, resume one task an event of its clock holds
-	// (its own or another's), and take short locks, but it must not
-	// block: no Sleep and no Cond wait.
+	// Run is called by the clock's driver, not in a task, in the slot
+	// where the event was readied or its timer fired. It may signal
+	// conds, arm, signal and retime events, resume one task an event of
+	// its clock holds (its own or another's), and take short locks, but
+	// it must not block: no Sleep and no Cond wait.
 	// Simulated time stands still while it runs.
 	Run()
 }
@@ -53,28 +53,18 @@ func (c *Virtual) InitEvent(e *Event, r Runner) {
 	e.run, e.event, e.fired = r, true, true
 }
 
-// parkLocked suspends e under a fresh seq with its timer due d from now,
-// or none when d < 0, replacing a parking it still holds: its timer goes
-// stale and its cond entry stops being live.
-func (e *Event) parkLocked(d time.Duration) {
-	c := e.clk
+// Arm parks the event under a fresh seq: with d >= 0 its timer fires d of
+// simulated time from now, as a task's Sleep(d) or WaitTimeout(d) filed at
+// this moment would; with d < 0 only Signal or Retime can make it run.
+// Arming a parked event replaces its parking: its timer goes stale and its
+// cond entry stops being live.
+func (e *Event) Arm(d time.Duration) {
 	if e.fired {
-		c.armed++
+		e.clk.armed++
 		e.fired, e.timed = false, false
 	}
 	e.timedOut = false
-	c.retimeLocked(&e.waiter, d)
-}
-
-// Arm parks the event: with d >= 0 its timer fires d of simulated time
-// from now, as a task's Sleep(d) or WaitTimeout(d) filed at this moment
-// would; with d < 0 only Signal or Retime can make it run. Arming a parked
-// event replaces its parking.
-func (e *Event) Arm(d time.Duration) {
-	c := e.clk
-	c.mu.Lock()
-	e.parkLocked(d)
-	c.mu.Unlock()
+	e.clk.retime(&e.waiter, d)
 }
 
 // ArmOn parks the event, untimed, at the tail of cd's waiters, as a task's
@@ -83,26 +73,20 @@ func (e *Event) Arm(d time.Duration) {
 // clock; the caller holds cd's locker, if it has one.
 func (e *Event) ArmOn(cd Cond) {
 	vc := cd.(*vcond)
-	c := e.clk
-	if vc.clk != c {
+	if vc.clk != e.clk {
 		panic("simclock: ArmOn with a cond of another clock")
 	}
-	c.mu.Lock()
-	e.parkLocked(-1)
-	vc.appendLocked(&e.waiter)
-	c.mu.Unlock()
+	e.Arm(-1)
+	vc.add(&e.waiter)
 }
 
 // Signal readies a parked event at the tail of the ready queue, where a
 // cond's Signal would ready a task, and drops its timer. On an event that
 // is not parked it does nothing.
 func (e *Event) Signal() {
-	c := e.clk
-	c.mu.Lock()
 	if !e.fired {
-		c.wakeLocked(&e.waiter)
+		e.clk.wake(&e.waiter)
 	}
-	c.mu.Unlock()
 }
 
 // Retime moves a parked event's timer to d of simulated time from now, or
@@ -112,12 +96,9 @@ func (e *Event) Signal() {
 // move a deadline without a wakeup. On an event that is not parked it
 // does nothing. The fresh seq also takes an ArmOn event off its cond.
 func (e *Event) Retime(d time.Duration) {
-	c := e.clk
-	c.mu.Lock()
 	if !e.fired {
-		c.retimeLocked(&e.waiter, d)
+		e.clk.retime(&e.waiter, d)
 	}
-	c.mu.Unlock()
 }
 
 // Await parks the calling task on the event until the event's Run calls
@@ -128,15 +109,12 @@ func (e *Event) Retime(d time.Duration) {
 // completes is reported inside it.
 func (e *Event) Await() {
 	c := e.clk
-	c.mu.Lock()
 	if e.parked != nil {
-		c.mu.Unlock()
 		panic("simclock: Await on an event another task awaits")
 	}
-	t := c.suspendLocked(true, false)
+	t := c.suspend(true, false)
 	e.parked = t
 	c.condWaiters++
-	c.mu.Unlock()
 	t.yield(struct{}{})
 	if c.abortTask == t {
 		c.abortTask = nil
@@ -152,33 +130,27 @@ func (e *Event) Await() {
 // that work ends — but at most once per run.
 func (e *Event) Resume() {
 	c := e.clk
-	c.mu.Lock()
 	t := e.parked
 	if t == nil || !c.inEvent || c.handoff != nil {
-		c.mu.Unlock()
 		panic("simclock: Resume outside an event's Run, twice in one, or with no task awaiting it")
 	}
 	e.parked = nil
 	t.fired = true
 	c.condWaiters--
 	c.handoff = t
-	c.mu.Unlock()
 }
 
-// runEventLocked runs w, an event the driver popped, in its slot. It counts
+// runEvent runs w, an event the driver popped, in its slot. It counts
 // toward the livelock bound but not in EventCount. Events cannot receive a
 // livelock report, so one popped well past the bound, with no task picking
-// the report up, panics on the driver.
-func (c *Virtual) runEventLocked(w *waiter) {
+// the report up, panics out of Run.
+func (c *Virtual) runEvent(w *waiter) {
 	c.spins++
 	if c.spins > 2*livelockBound {
-		c.mu.Unlock()
 		panic(fmt.Sprintf("simclock: livelock: %d event runs, resumptions and re-checks at t=%v without time advancing%s",
 			c.spins, c.now, waitSites()))
 	}
 	c.inEvent = true
-	c.mu.Unlock()
 	w.run.Run()
-	c.mu.Lock()
 	c.inEvent = false
 }

@@ -107,9 +107,7 @@ func retimeQuietly(t *testing.T, clk *Virtual, e *Event, d time.Duration) {
 	t.Helper()
 	events := EventCount()
 	e.Retime(d)
-	clk.mu.Lock()
 	readied := len(clk.ready) - clk.readyHead
-	clk.mu.Unlock()
 	if got := EventCount() - events; got != 0 || readied != 0 {
 		t.Errorf("Retime(%v) counted %d and readied %d, want 0 and 0", d, got, readied)
 	}
@@ -133,10 +131,7 @@ func TestEventRetime(t *testing.T) {
 			clk.Sleep(5 * time.Millisecond)
 			e.Arm(time.Millisecond)
 			retimeQuietly(t, clk, e, -1)
-			clk.mu.Lock()
-			live := clk.timers.hasLive()
-			clk.mu.Unlock()
-			if live {
+			if clk.timers.hasLive() {
 				t.Error("Retime(-1) left the event's timer filed")
 			}
 			clk.Sleep(5 * time.Millisecond)

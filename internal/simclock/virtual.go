@@ -35,16 +35,16 @@ func EventCount() uint64 { return eventCount.Load() }
 const livelockBound = 1 << 24
 
 // Virtual is a deterministic discrete-event clock. Every task is a
-// coroutine and exactly one runs at a time: a driver resumes the head of a
-// FIFO ready queue and gets control back when that task blocks (Sleep, a
-// Cond wait) or returns. Go, Signal, Broadcast and timer expiry append to
-// the queue in the order they happen; simulated time stands still while
-// the queue is non-empty and jumps to the next pending timer when it is
-// empty, so equal inputs give equal schedules (DESIGN.md §14). When the
-// head is a WaitFor waiter, the driver checks its predicate first and files
-// it back on its cond, unresumed, while the predicate is false. When the
-// head is an Event, the driver calls its Run in that slot and resumes no
-// task.
+// coroutine and exactly one runs at a time: Run's caller is the driver,
+// resuming the head of a FIFO ready queue and getting control back when
+// that task blocks (Sleep, a Cond wait) or returns. Go, Signal, Broadcast
+// and timer expiry append to the queue in the order they happen; simulated
+// time stands still while the queue is non-empty and jumps to the next
+// pending timer when it is empty, so equal inputs give equal schedules
+// (DESIGN.md §14). When the head is a WaitFor waiter, the driver checks
+// its predicate first and files it back on its cond, unresumed, while the
+// predicate is false. When the head is an Event, the driver calls its Run
+// in that slot and resumes no task.
 //
 // A Virtual clock detects true deadlock: if every task is blocked in a
 // Cond wait or an Event's Await with no pending timer, nothing can ever
@@ -52,18 +52,18 @@ const livelockBound = 1 << 24
 // hanging. It also reports a livelock: livelockBound resumptions,
 // re-checks and event runs at one instant without time advancing. Either
 // report reaches stderr before the task it aborts unwinds.
+//
+// Only the clock's tasks touch it while Run runs, and any caller may touch
+// it between runs: a Go, Signal or Broadcast made between runs is queued,
+// and the next Run executes it in order. So one goroutine owns the clock
+// at a time, and its state needs no lock. Nothing checks this at run
+// time; go test -race does.
 type Virtual struct {
-	mu  sync.Mutex // guards everything below; tasks never contend, callers outside any task may
-	now time.Duration
-	// nowAtomic mirrors now for lock-free reads. Time only advances while
-	// every task is blocked, so no task can observe it mid-change: Now()
-	// from a running task is exact without the mutex.
-	nowAtomic   atomic.Int64
+	now         time.Duration
 	ready       []*waiter // FIFO from readyHead: tasks and events that run before time moves
 	readyHead   int
 	cur         *task   // the task the driver resumed last
-	idle        []*task // finished coroutines, reused by Go, stopped at quiescence
-	driving     bool    // a driver goroutine exists
+	idle        []*task // finished coroutines, reused by Go, stopped when Run returns
 	inEvent     bool    // the driver is inside an Event's Run
 	handoff     *task   // the task that Event's Run resumed, to run next in its slot
 	condWaiters int     // tasks suspended in a Cond wait or an Event's Await
@@ -130,11 +130,10 @@ type task struct {
 // Run resumes the task until it blocks or returns; only the driver calls it.
 func (t *task) Run() { t.next() }
 
-// suspendLocked files the running task as blocked and returns it; the
-// caller unlocks and yields. Only a task may block.
-func (c *Virtual) suspendLocked(inCond, timed bool) *task {
+// suspend files the running task as blocked and returns it; the caller
+// yields. Only a task may block.
+func (c *Virtual) suspend(inCond, timed bool) *task {
 	if c.inEvent {
-		c.mu.Unlock()
 		panic("simclock: an Event's Run blocked; only a task may Sleep or Wait")
 	}
 	t := c.cur
@@ -144,20 +143,20 @@ func (c *Virtual) suspendLocked(inCond, timed bool) *task {
 	return t
 }
 
-// wakeLocked readies w, a parked record a signal reached first: its timer,
-// if it has one, goes stale.
-func (c *Virtual) wakeLocked(w *waiter) {
+// wake readies w, a parked record a signal reached first: its timer, if
+// it has one, goes stale.
+func (c *Virtual) wake(w *waiter) {
 	if w.timed {
 		c.timers.markStale()
 	}
-	c.unparkLocked(w)
-	c.readyLocked(w)
+	c.unpark(w)
+	c.ready = append(c.ready, w)
 }
 
-// retimeLocked re-files the timer of w, a parked record, under a fresh
+// retime re-files the timer of w, a parked record, under a fresh
 // seq, d from now, or drops it when d < 0: the bookkeeping a wake followed
 // by a re-wait would do, with nothing readied and nothing counted.
-func (c *Virtual) retimeLocked(w *waiter, d time.Duration) {
+func (c *Virtual) retime(w *waiter, d time.Duration) {
 	if w.timed {
 		c.timers.markStale()
 	}
@@ -169,9 +168,9 @@ func (c *Virtual) retimeLocked(w *waiter, d time.Duration) {
 	}
 }
 
-// unparkLocked marks w woken, by its timer or a signal, and takes it off
-// the parked counts.
-func (c *Virtual) unparkLocked(w *waiter) {
+// unpark marks w woken, by its timer or a signal, and takes it off the
+// parked counts.
+func (c *Virtual) unpark(w *waiter) {
 	w.fired = true
 	if w.event {
 		c.armed--
@@ -180,21 +179,8 @@ func (c *Virtual) unparkLocked(w *waiter) {
 	}
 }
 
-// readyLocked queues w; a caller that is not a task may have to start the driver.
-func (c *Virtual) readyLocked(w *waiter) {
-	c.ready = append(c.ready, w)
-	if !c.driving {
-		c.driving = true
-		c.startDriver()
-	}
-}
-
-func (c *Virtual) startDriver() { go c.drive() }
-
 // Now returns the current simulated time.
-func (c *Virtual) Now() time.Duration {
-	return time.Duration(c.nowAtomic.Load())
-}
+func (c *Virtual) Now() time.Duration { return c.now }
 
 // Sleep suspends the calling task for d of simulated time. The calling
 // task must have been started via Go (or be inside Run).
@@ -202,18 +188,16 @@ func (c *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.mu.Lock()
-	t := c.suspendLocked(false, true)
+	t := c.suspend(false, true)
 	c.timers.push(&t.waiter, c.now+d, t.seq)
-	c.mu.Unlock()
 	t.yield(struct{}{})
 }
 
 // Go starts fn as a clock-managed task, behind every task readied before
 // it: fn does not run alongside its parent, it starts when the parent
-// first blocks or returns.
+// first blocks or returns. Called between runs, it queues fn for the next
+// Run.
 func (c *Virtual) Go(fn func()) {
-	c.mu.Lock()
 	var t *task
 	if n := len(c.idle); n > 0 {
 		t, c.idle = c.idle[n-1], c.idle[:n-1]
@@ -224,20 +208,17 @@ func (c *Virtual) Go(fn func()) {
 			t.yield = yield
 			for ok := true; ok; ok = yield(struct{}{}) {
 				t.execute()
-				c.mu.Lock()
 				c.idle = append(c.idle, t)
-				c.mu.Unlock()
 			}
 		})
 	}
 	t.fn = fn
-	c.readyLocked(&t.waiter)
-	c.mu.Unlock()
+	c.ready = append(c.ready, &t.waiter)
 }
 
 // execute runs the task's function. iter.Pull re-raises its panic or
-// runtime.Goexit (t.Fatal) in the driver: the driver's stack says nothing
-// about the task, so the task's own travels in the panic value.
+// runtime.Goexit (t.Fatal) in Run's caller: that stack says nothing about
+// the task, so the task's own travels in the panic value.
 func (t *task) execute() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -249,18 +230,22 @@ func (t *task) execute() {
 	fn()
 }
 
-// Run registers fn as the root task, executes it, and returns when it
-// completes. It is the usual entry point for a simulation:
+// Run starts fn as a task, behind whatever was queued between runs, and
+// drives the clock on the calling goroutine until it quiesces: nothing
+// ready and no timer pending. It then stops the idle coroutines and
+// returns, so every task has finished or is parked for good by a
+// deadlock report. It is the usual entry point for a simulation:
 //
 //	clk := simclock.NewVirtual()
 //	clk.Run(func() { ... all simulated work ... })
+//
+// A task's panic, deadlock report or runtime.Goexit unwinds out of Run
+// into its caller, so t.Fatal in a task ends a test as it would in the
+// test. A task must not call Run.
 func (c *Virtual) Run(fn func()) {
-	done := make(chan struct{})
-	c.Go(func() {
-		defer close(done)
-		fn()
-	})
-	<-done
+	defer c.stopIdle() // on a task's panic or Goexit too
+	c.Go(fn)
+	c.drive()
 }
 
 // NewCond returns a virtual-time condition variable bound to l. A nil l
@@ -295,10 +280,7 @@ func (wl *WaitList) Broadcast() {
 	}
 	wl.cd = nil
 	cd.Broadcast() // consumes every entry: the next append starts the array over
-	c := cd.clk
-	c.mu.Lock()
-	c.spares = append(c.spares, cd)
-	c.mu.Unlock()
+	cd.clk.spares = append(cd.clk.spares, cd)
 }
 
 // Waiting reports whether any task waits on the list.
@@ -307,8 +289,6 @@ func (wl *WaitList) Waiting() bool { return wl.cd != nil }
 // spareCond returns a cond without a locker and without waiters: one a
 // WaitList gave back, else a new one.
 func (c *Virtual) spareCond() *vcond {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if n := len(c.spares); n > 0 {
 		cd := c.spares[n-1]
 		c.spares = c.spares[:n-1]
@@ -318,48 +298,38 @@ func (c *Virtual) spareCond() *vcond {
 }
 
 // drive is the scheduler: it resumes one task, or runs one event, at a
-// time until the clock quiesces (nothing ready, no timer), then stops the
-// idle coroutines and exits, so a finished simulation leaves no goroutine
-// behind.
+// time until the clock quiesces (nothing ready, no timer).
 func (c *Virtual) drive() {
-	quiesced := false
-	defer func() {
-		if !quiesced { // unwound by a task's runtime.Goexit (or by its panic, which ends the process)
-			c.startDriver()
-		}
-	}()
-	c.mu.Lock()
-	for w := c.nextLocked(); w != nil; w = c.nextLocked() {
+	for w := c.next(); w != nil; w = c.next() {
 		if !w.event {
 			c.cur = w.run.(*task)
-		} else if c.runEventLocked(w); c.handoff != nil {
+		} else if c.runEvent(w); c.handoff != nil {
 			c.cur, c.handoff = c.handoff, nil // the event resumed its parked task in its slot
 		} else {
 			continue
 		}
-		if !c.admitLocked(c.cur) {
-			continue
+		if c.admit(c.cur) {
+			c.cur.Run()
 		}
-		c.mu.Unlock()
-		c.cur.Run()
-		c.mu.Lock()
 	}
-	c.driving = false
+}
+
+// stopIdle ends the finished coroutines, so a finished simulation leaves
+// no goroutine behind.
+func (c *Virtual) stopIdle() {
 	idle := c.idle
 	c.idle = nil
-	c.mu.Unlock()
-	quiesced = true
 	for _, t := range idle {
 		t.stop()
 	}
 }
 
-// nextLocked picks the task to resume or the event to run: the ready head,
+// next picks the task to resume or the event to run: the ready head,
 // else the one the earliest timer wakes (same-deadline timers one at a
 // time, in registration order), else nil: quiescence. In a deadlock the
 // task whose wait completed it is resumed to panic there, so its recover()
-// works.
-func (c *Virtual) nextLocked() *waiter {
+// works; when no such task is parked, the report panics out of Run.
+func (c *Virtual) next() *waiter {
 	if c.readyHead < len(c.ready) {
 		c.readyHead++
 		return c.ready[c.readyHead-1]
@@ -368,11 +338,10 @@ func (c *Virtual) nextLocked() *waiter {
 	if w, deadline, ok := c.timers.pop(); ok {
 		if deadline > c.now {
 			c.now = deadline
-			c.nowAtomic.Store(int64(deadline))
 			c.spins = 0
 		}
 		w.timedOut = true
-		c.unparkLocked(w)
+		c.unpark(w)
 		return w
 	}
 	if c.condWaiters == 0 || c.dead {
@@ -383,22 +352,21 @@ func (c *Virtual) nextLocked() *waiter {
 		"simclock: deadlock: %d task(s) blocked in Cond or Event waits and %d event(s) armed with no pending timers at t=%v%s",
 		c.condWaiters, c.armed, c.now, waitSites())
 	if c.cur == nil || !c.cur.inCond || c.cur.fired { // the task resumed last completed the deadlock by returning
-		c.mu.Unlock()
 		panic(msg)
 	}
 	c.abortTask, c.abortMsg = c.cur, msg
 	fmt.Fprintln(os.Stderr, msg)
-	c.unparkLocked(&c.cur.waiter)
+	c.unpark(&c.cur.waiter)
 	return &c.cur.waiter
 }
 
-// admitLocked decides whether the driver resumes w, the task it just
-// popped, and counts the resumption. A WaitFor waiter whose predicate is
-// still false is filed again instead (recheckLocked). Every resumption and
+// admit decides whether the driver resumes w, the task it just popped,
+// and counts the resumption. A WaitFor waiter whose predicate is still
+// false is filed again instead (recheck). Every resumption and
 // re-file counts toward livelockBound; past it, the next Cond waiter popped
 // is resumed only to panic with the wait-site table, and the count starts
 // over.
-func (c *Virtual) admitLocked(w *task) bool {
+func (c *Virtual) admit(w *task) bool {
 	if c.abortTask != w { // else a deadlock report
 		c.spins++
 		parked := w.fn == nil // not a task Go has just started
@@ -409,7 +377,7 @@ func (c *Virtual) admitLocked(w *task) bool {
 				c.spins, c.now, waitSites())
 			fmt.Fprintln(os.Stderr, c.abortMsg)
 			c.spins = 0
-		case w.pred != nil && !c.recheckLocked(w):
+		case w.pred != nil && !c.recheck(w):
 			return false
 		case parked:
 			eventCount.Add(1)
@@ -421,22 +389,20 @@ func (c *Virtual) admitLocked(w *task) bool {
 	return true
 }
 
-// recheckLocked evaluates the predicate of w, a WaitFor waiter the driver
+// recheck evaluates the predicate of w, a WaitFor waiter the driver
 // popped, under its cond's locker if it has one. When the predicate is
 // false, w is filed at the cond's tail exactly as the next Wait of a
-// `for !pred() { Wait() }` loop would file it, and is not resumed. w is c.cur, so a deadlock this completes is
-// reported inside w.
-func (c *Virtual) recheckLocked(w *task) bool {
+// `for !pred() { Wait() }` loop would file it, and is not resumed. w is
+// c.cur, so a deadlock this completes is reported inside w.
+func (c *Virtual) recheck(w *task) bool {
 	cd := w.on
-	c.mu.Unlock()
 	if cd.l != nil {
 		cd.l.Lock()
-		defer cd.l.Unlock() // released holding the clock mutex, as in wait
+		defer cd.l.Unlock()
 	}
 	ok := w.pred()
-	c.mu.Lock()
 	if !ok {
-		cd.fileLocked(-1, w.pred)
+		cd.file(-1, w.pred)
 	}
 	return ok
 }
@@ -511,10 +477,9 @@ func (cd *vcond) WaitTimeout(d time.Duration) bool {
 
 // WaitFor parks through wait, so a deadlock among WaitFor waiters is
 // reported inside one of them and waitSites finds their stacks. The driver
-// resumes the task only once pred holds; the loop re-checks anyway, for a
-// caller outside any task that changed the state in between.
+// resumes the task only once pred holds.
 func (cd *vcond) WaitFor(pred func() bool) {
-	for !pred() {
+	if !pred() {
 		cd.wait(-1, pred)
 	}
 }
@@ -524,12 +489,10 @@ func (cd *vcond) WaitFor(pred func() bool) {
 // cd.l, if the cond has a locker.
 func (cd *vcond) wait(d time.Duration, pred func() bool) bool {
 	c := cd.clk
-	c.mu.Lock()
-	w := cd.fileLocked(d, pred)
+	w := cd.file(d, pred)
 	if cd.l != nil {
 		cd.l.Unlock()
 	}
-	c.mu.Unlock()
 	w.yield(struct{}{})
 	if cd.l != nil {
 		cd.l.Lock()
@@ -541,15 +504,15 @@ func (cd *vcond) wait(d time.Duration, pred func() bool) bool {
 	return w.timedOut
 }
 
-// fileLocked suspends the running task on cd and returns it. Caller holds
-// cd.l, if any, and the clock mutex.
-func (cd *vcond) fileLocked(d time.Duration, pred func() bool) *task {
+// file suspends the running task on cd and returns it. Caller holds cd.l,
+// if any.
+func (cd *vcond) file(d time.Duration, pred func() bool) *task {
 	c := cd.clk
-	w := c.suspendLocked(true, d >= 0)
+	w := c.suspend(true, d >= 0)
 	if pred != nil {
 		w.pred, w.on = pred, cd
 	}
-	cd.appendLocked(&w.waiter)
+	cd.add(&w.waiter)
 	if d >= 0 {
 		c.timers.push(&w.waiter, c.now+d, w.seq)
 	}
@@ -557,10 +520,10 @@ func (cd *vcond) fileLocked(d time.Duration, pred func() bool) *task {
 	return w
 }
 
-// appendLocked files w, already suspended under its current seq, at the
-// tail of cd's waiters.
-func (cd *vcond) appendLocked(w *waiter) {
-	cd.dropDeadLocked()
+// add files w, already suspended under its current seq, at the tail of
+// cd's waiters.
+func (cd *vcond) add(w *waiter) {
+	cd.dropDead()
 	cd.waiters = append(cd.waiters, condEntry{w, w.seq})
 }
 
@@ -570,8 +533,6 @@ func (cd *vcond) appendLocked(w *waiter) {
 // predicate when it reaches the head of the ready queue. An event is
 // readied in its place too, and runs there.
 func (cd *vcond) wake(all bool) {
-	c := cd.clk
-	c.mu.Lock()
 	for cd.head < len(cd.waiters) {
 		e := cd.waiters[cd.head]
 		cd.waiters[cd.head] = condEntry{}
@@ -579,22 +540,21 @@ func (cd *vcond) wake(all bool) {
 		if !e.live() {
 			continue // already timed out, or waiting again elsewhere
 		}
-		c.wakeLocked(e.w)
+		cd.clk.wake(e.w)
 		if !all {
 			break
 		}
 	}
-	c.mu.Unlock()
 }
 
 func (cd *vcond) Signal()    { cd.wake(false) }
 func (cd *vcond) Broadcast() { cd.wake(true) }
 
-// dropDeadLocked discards the entries at the head of the queue that can
-// no longer be woken (timed out, or waiting again): only wake consumes
+// dropDead discards the entries at the head of the queue that can no
+// longer be woken (timed out, or waiting again): only wake consumes
 // entries, so a cond whose waiters time out instead would otherwise grow
-// by one entry per wait. Caller holds the clock mutex.
-func (cd *vcond) dropDeadLocked() {
+// by one entry per wait.
+func (cd *vcond) dropDead() {
 	for cd.head < len(cd.waiters) && !cd.waiters[cd.head].live() {
 		cd.waiters[cd.head] = condEntry{}
 		cd.head++

@@ -35,8 +35,7 @@ import (
 // pooled waiter may be recycled while stale entries for its previous
 // incarnations are still filed (a signaled or retimed WaitTimeout leaves
 // its timer behind, exactly as the old heap left fired entries); liveness is
-// therefore "e.w.seq == e.seq && !e.w.fired", checked under the clock
-// mutex. Stale entries are dropped whenever a drain or scan touches them;
+// therefore "e.w.seq == e.seq && !e.w.fired". Stale entries are dropped whenever a drain or scan touches them;
 // stale-only slots skipped by base (their bit lingers below the base
 // position) are reaped when a later revolution rescans them, which is
 // harmless: a cascade triggered by a stale-only slot advances base by at
@@ -61,10 +60,9 @@ type timerEntry struct {
 
 func (e *timerEntry) live() bool { return e.w.seq == e.seq && !e.w.fired }
 
-// timerQueue is the pending-timer store behind a Virtual clock. All
-// methods are called with the clock mutex held. The wheel is the default;
-// the heap in heapq.go is retained as the reference implementation for
-// differential tests (WithHeapTimers).
+// timerQueue is the pending-timer store behind a Virtual clock. The wheel
+// is the default; the heap in heapq.go is retained as the reference
+// implementation for differential tests (WithHeapTimers).
 type timerQueue interface {
 	// push files w under the given deadline and seq (already assigned).
 	push(w *waiter, deadline time.Duration, seq uint64)

@@ -147,14 +147,14 @@ func (s *Sim) WriteTrace(w io.Writer) error {
 // the bounded-retention drop counters.
 func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
 
-// Run executes fn as the root simulated task and returns when it (and the
-// simulated work it spawned and waited for) completes. All Sim and Client
-// calls must happen inside Run.
+// Run executes fn as the root simulated task and returns once every task
+// has finished: fn and every task it or the runtime started. All Sim and
+// Client calls must happen inside Run.
 func (s *Sim) Run(fn func()) {
 	if s.sampler != nil {
 		// The sampler task must start inside the run and stop before the
 		// root task returns, or its timer alone would keep the virtual
-		// clock advancing.
+		// clock advancing and Run from returning.
 		inner := fn
 		fn = func() {
 			s.sampler.Start()
