@@ -141,21 +141,25 @@ bench-evict:
 	$(GO) test -run TestEvictionMatrixSmoke -v .
 
 # trace-smoke exercises the observability layer end to end: the trace
-# determinism and flow-arrow golden tests, then the pipeline experiment
-# with Chrome-trace and score-critpath/v1 exports, then the preemption
-# sweep, a fault scenario, with those and the score-metrics/v1 export.
-# -fail-on-unattributed makes each run exit non-zero if any durable or
-# restore attribution record carries an unattributed latency gap
-# (DESIGN.md §12); the emitted trace-pipeline-*.json and critpath.json
-# are the CI artifacts.
+# determinism and flow-arrow golden tests, then the pipeline experiment's
+# run bundle (ckptbench -out: metrics, critical-path records, a Chrome
+# trace and a lifecycle ledger per shot) written twice and diffed, so any
+# byte that differs between two runs fails, then the preemption sweep's
+# bundle, a fault scenario. A run under -out exits non-zero if any
+# durable or restore attribution record carries an unattributed latency
+# gap (DESIGN.md §12); bundle/pipeline and bundle/preempt are the CI
+# artifacts.
 # It runs observer-tax first, so the job that guards the trace goldens
 # also prints what the observers cost.
 trace-smoke: observer-tax
 	$(GO) test -run 'TestTraceExportDeterministic|TestFlowArrowsMatchGolden' -v .
-	$(GO) run ./cmd/ckptbench -exp pipeline -scale small \
-		-trace-out trace.json -critpath-out critpath.json -fail-on-unattributed
-	$(GO) run ./cmd/ckptbench -exp preempt -scale small \
-		-trace-out trace.json -metrics-out metrics-preempt.json -critpath-out critpath-preempt.json -fail-on-unattributed
+	rm -rf bundle/pipeline bundle/pipeline-rerun bundle/preempt
+	mkdir -p bundle/pipeline bundle/pipeline-rerun bundle/preempt
+	$(GO) run ./cmd/ckptbench -exp pipeline -scale small -out bundle/pipeline
+	$(GO) run ./cmd/ckptbench -exp pipeline -scale small -out bundle/pipeline-rerun
+	diff -r bundle/pipeline bundle/pipeline-rerun
+	rm -rf bundle/pipeline-rerun
+	$(GO) run ./cmd/ckptbench -exp preempt -scale small -out bundle/preempt
 
 # observer-tax prints and gates the observers' host cost as the extra
 # allocations and bytes (DESIGN.md §10) of one small shot with tracing,
@@ -257,4 +261,4 @@ fuzz-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f critpath.json critpath-preempt.json metrics-preempt.json trace-pipeline-*.json trace-preempt-*.json
+	rm -rf bundle

@@ -11,6 +11,8 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -81,17 +83,13 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "", "experiment to run: "+strings.Join(scenarioNames(), ", ")+", or 'all'")
 	scaleName := fs.String("scale", "full", "workload scale: full (paper) or small (1/16)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	metricsOut := fs.String("metrics-out", "", "write the aggregated metrics registry (histograms, counters, sampled series) as score-metrics/v1 JSON to this file")
-	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -metrics-out and as counter tracks in -trace-out")
+	out := fs.String("out", "", "write the run bundle into this existing, empty directory: metrics.json (score-metrics/v1), critpath.json (score-critpath/v1), slo.json (score-slo/v1, under -slo or -fail-on-slo), and per shot trace-<label>.json (Chrome trace events, open in chrome://tracing or ui.perfetto.dev) and ledger-<label>.txt (every flight-recorder event); an unattributed latency gap in the exported records fails the run")
+	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -out's metrics.json and as counter tracks in its traces")
 	chunk := fs.Int64("chunk", 0, "stream multi-hop transfers in chunks of this many bytes, overlapping consecutive hops (0 = monolithic transfers)")
-	traceOut := fs.String("trace-out", "", "write each shot's timeline in Chrome trace-event format; the shot label is appended to the name (trace.json -> trace-<label>.json), open in chrome://tracing or ui.perfetto.dev")
-	critpathOut := fs.String("critpath-out", "", "write every shot's critical-path attribution records (score-critpath/v1 JSON) to this file")
-	failUnattributed := fs.Bool("fail-on-unattributed", false, "exit non-zero if any attribution record carries an unattributed latency gap (instrumentation missed a blocking point)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the experiment run(s) to this file (inspect with go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish")
 	benchTime := fs.Duration("benchtime", 0, "repeat the selected experiment(s) until this much wall time has elapsed — stabilizes -cpuprofile samples on fast configs (0 = run once)")
 	sloFlag := fs.Bool("slo", false, "evaluate each scenario's checked-in SLO objectives on the virtual clock (burn-rate alerting with critical-path attribution) and print the compliance table")
-	sloOut := fs.String("slo-out", "", "write the per-run SLO compliance reports (score-slo/v1 JSON) to this file; implies -slo")
 	failSLO := fs.Bool("fail-on-slo", false, "exit non-zero if any objective fired an alert or missed its goal; implies -slo")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `Usage: ckptbench -exp <name> [flags]
@@ -99,11 +97,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 Examples:
   ckptbench -exp fig5a                                        # one figure at paper scale
   ckptbench -exp all -scale small                             # everything, 1/16 scale
-  ckptbench -exp pipeline -scale small \
-      -trace-out trace.json -critpath-out critpath.json       # mono-vs-chunked transfer comparison with
+  ckptbench -exp pipeline -scale small -out bundle            # mono-vs-chunked transfer comparison with
                                                               # per-component latency attribution; writes
-                                                              # trace-pipeline-mono.json, trace-pipeline-chunked.json,
-                                                              # and the score-critpath/v1 breakdown JSON
+                                                              # the run bundle (see -out) into bundle/
   ckptbench -list                                             # enumerate experiments
 
 Flags:
@@ -154,8 +150,8 @@ Flags:
 	if *sample < 0 {
 		return usageErr("-sample must be non-negative (got %v)", *sample)
 	}
-	if *sample > 0 && *metricsOut == "" && *traceOut == "" {
-		return usageErr("-sample records series only with -metrics-out or -trace-out; add one or drop -sample")
+	if *sample > 0 && *out == "" {
+		return usageErr("-sample records series only with -out; add it or drop -sample")
 	}
 	if *chunk < 0 {
 		return usageErr("-chunk must be non-negative (got %d)", *chunk)
@@ -163,26 +159,22 @@ Flags:
 	if *benchTime < 0 {
 		return usageErr("-benchtime must be non-negative (got %v)", *benchTime)
 	}
-	// Output paths are validated before any experiment runs: discovering
-	// an unwritable directory after a long sweep would discard its data.
-	for _, out := range []struct{ flag, path string }{
-		{"-metrics-out", *metricsOut},
-		{"-trace-out", *traceOut},
-		{"-critpath-out", *critpathOut},
-		{"-cpuprofile", *cpuProfile},
-		{"-memprofile", *memProfile},
-		{"-slo-out", *sloOut},
+	// Output paths are checked before any run, so no sweep loses its data to
+	// a bad one; -out must be empty, so no earlier run's file joins the bundle.
+	for _, o := range []struct{ flag, path, dir string }{
+		{"-out", *out, *out},
+		{"-cpuprofile", *cpuProfile, filepath.Dir(*cpuProfile)},
+		{"-memprofile", *memProfile, filepath.Dir(*memProfile)},
 	} {
-		if out.path == "" {
-			continue
-		}
-		dir := filepath.Dir(out.path)
-		if info, err := os.Stat(dir); err != nil || !info.IsDir() {
-			return usageErr("%s %q: directory %q does not exist", out.flag, out.path, dir)
+		if info, err := os.Stat(o.dir); o.path != "" && (err != nil || !info.IsDir()) {
+			return usageErr("%s %q: directory %q does not exist", o.flag, o.path, o.dir)
 		}
 	}
+	if entries, _ := os.ReadDir(*out); len(entries) > 0 {
+		return usageErr("-out %q: directory is not empty; write the bundle into an empty one", *out)
+	}
 
-	sloOn := *sloFlag || *sloOut != "" || *failSLO
+	sloOn := *sloFlag || *failSLO
 	run := experiments.Run{SampleInterval: *sample, ChunkSize: *chunk, SLO: sloOn}
 	switch *scaleName {
 	case "full":
@@ -193,55 +185,46 @@ Flags:
 		return usageErr("unknown scale %q", *scaleName)
 	}
 
-	registry := metrics.NewRegistry()
+	// The bundle's collectors, emptied by each pass of the loop below. A
+	// trace or ledger that cannot be written fails its scenario's run.
+	var registry *metrics.Registry
 	var critRuns []report.CritPathRun
-	recordMetrics := *metricsOut != ""
-	collectCritPaths := *critpathOut != "" || *failUnattributed
-	if recordMetrics || collectCritPaths {
+	var sloRuns []report.SLORun
+	var shotErr error
+	if *out != "" {
 		run.OnShot = func(res experiments.ShotResult) {
 			merged := res.MergedSummary()
-			if recordMetrics {
-				registry.Record(res.Label(), merged)
-				if len(res.Series) > 0 {
-					registry.RecordSeries(res.Label(), res.Series)
+			registry.Record(res.Label(), merged)
+			if len(res.Series) > 0 {
+				registry.RecordSeries(res.Label(), res.Series)
+			}
+			// Merge has sorted the records; a run without any (a
+			// baseline approach) is written as [], not null.
+			critRuns = append(critRuns, report.CritPathRun{
+				Label: res.Label(), Records: append([]metrics.CritPathRecord{}, merged.CritPaths...),
+			})
+		}
+		run.OnTrace = func(label string, tr *trace.Tracer) {
+			tracePath, ledgerPath := shotPath(*out, "trace.json", label), shotPath(*out, "ledger.txt", label)
+			if err := writeShot(tracePath, ledgerPath, tr); err != nil {
+				shotErr = cmp.Or(shotErr, err)
+				return
+			}
+			if ev, cnt := tr.Dropped(); ev > 0 || cnt > 0 {
+				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans dropped at the retention cap, %d sampler counter samples outside its counter window)\n", tracePath, ev, cnt)
+				if cnt > 0 {
+					fmt.Fprintf(stderr, "ckptbench: warning: -sample %v keeps every counter sample of %s\n", keepAllCadence(*sample, cnt), tracePath)
 				}
 			}
-			if collectCritPaths {
-				// Merge has sorted the records; a run without any (a
-				// baseline approach) is written as [], not null.
-				critRuns = append(critRuns, report.CritPathRun{
-					Label: res.Label(), Records: append([]metrics.CritPathRecord{}, merged.CritPaths...),
-				})
+			if n := tr.Flight().TotalDropped(); n > 0 {
+				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d events dropped at the per-rank ring cap)\n", ledgerPath, n)
 			}
+			fmt.Fprintf(stdout, "wrote trace %s and ledger %s\n", tracePath, ledgerPath)
 		}
 	}
-	var sloRuns []report.SLORun
 	if sloOn {
 		run.OnSLO = func(label string, rep slo.Report) {
 			sloRuns = append(sloRuns, report.SLORun{Label: label, Report: rep})
-		}
-	}
-	// A trace that cannot be written fails the run once the scenario that
-	// produced it returns.
-	var traceErr error
-	var traces int
-	if *traceOut != "" {
-		run.OnTrace = func(label string, tr *trace.Tracer) {
-			path := tracePath(*traceOut, label)
-			if err := writeTrace(path, tr); err != nil {
-				if traceErr == nil {
-					traceErr = fmt.Errorf("writing %s: %w", path, err)
-				}
-				return
-			}
-			traces++
-			if ev, cnt := tr.Dropped(); ev > 0 || cnt > 0 {
-				fmt.Fprintf(stderr, "ckptbench: warning: %s is incomplete (%d spans dropped at the retention cap, %d sampler counter samples outside its counter window)\n", path, ev, cnt)
-				if cnt > 0 {
-					fmt.Fprintf(stderr, "ckptbench: warning: -sample %v keeps every counter sample of %s\n", keepAllCadence(*sample, cnt), path)
-				}
-			}
-			fmt.Fprintf(stdout, "wrote trace %s\n", path)
 		}
 	}
 	if *cpuProfile != "" {
@@ -261,12 +244,15 @@ Flags:
 	}
 	start := time.Now()
 	for {
+		// A -benchtime pass rewrites the traces and ledgers with the same
+		// bytes; the collectors restart, so the bundle is a one-pass one.
+		registry, critRuns, sloRuns = metrics.NewRegistry(), nil, nil
 		for _, sc := range selected {
 			scStart := time.Now()
 			err := sc.run(run, stdout)
 			fmt.Fprintf(stdout, "(%s completed in %v wall time)\n\n", sc.name, time.Since(scStart).Round(time.Millisecond))
 			if err == nil {
-				err = traceErr
+				err = shotErr
 			}
 			if err != nil {
 				return fail("%s: %v", sc.name, err)
@@ -276,16 +262,10 @@ Flags:
 			break
 		}
 	}
-	// The recorder files hold the shots handed to Run.OnShot and
-	// Run.OnTrace; an experiment that simulates no shot (table1, fig4,
-	// evict) would leave them empty, so none is written.
-	for _, rec := range []struct {
-		flag, path string
-		runs       int
-	}{{"-metrics-out", *metricsOut, registry.Len()}, {"-critpath-out", *critpathOut, len(critRuns)}, {"-trace-out", *traceOut, traces}} {
-		if rec.path != "" && rec.runs == 0 {
-			return fail("experiment %q simulated no shot, so %s has nothing to record; drop it or pick another experiment", *exp, rec.flag)
-		}
+	// An experiment that simulates no shot (table1, fig4, evict) would
+	// leave the bundle empty, so none is written.
+	if *out != "" && len(critRuns) == 0 {
+		return fail("experiment %q simulated no shot, so -out has nothing to record; drop it or pick another experiment", *exp)
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -303,17 +283,23 @@ Flags:
 		fmt.Fprintf(stdout, "wrote allocation profile %s\n", *memProfile)
 	}
 
-	if *metricsOut != "" {
-		if err := report.MetricsFile.WriteFile(*metricsOut, registry.Runs()); err != nil {
-			return fail("writing %s: %v", *metricsOut, err)
+	if *out != "" {
+		metricsPath, critpathPath := filepath.Join(*out, "metrics.json"), filepath.Join(*out, "critpath.json")
+		if err := report.MetricsFile.WriteFile(metricsPath, registry.Runs()); err != nil {
+			return fail("writing %s: %v", metricsPath, err)
 		}
-		fmt.Fprintf(stdout, "wrote metrics for %d run(s) to %s\n", registry.Len(), *metricsOut)
-	}
-	if *critpathOut != "" {
-		if err := report.CritPathFile.WriteFile(*critpathOut, critRuns); err != nil {
-			return fail("writing %s: %v", *critpathOut, err)
+		fmt.Fprintf(stdout, "wrote metrics for %d run(s) to %s\n", registry.Len(), metricsPath)
+		if err := report.CritPathFile.WriteFile(critpathPath, critRuns); err != nil {
+			return fail("writing %s: %v", critpathPath, err)
 		}
-		fmt.Fprintf(stdout, "wrote critical-path attribution for %d run(s) to %s\n", len(critRuns), *critpathOut)
+		fmt.Fprintf(stdout, "wrote critical-path attribution for %d run(s) to %s\n", len(critRuns), critpathPath)
+		// The per-rank invariants already fail a shot whose attribution
+		// leaves a gap; re-checking the export makes it the proof.
+		records, err := checkAttribution(critRuns)
+		if err != nil {
+			return fail("%v", err)
+		}
+		fmt.Fprintf(stdout, "attribution complete: 0 unattributed across %d records\n", records)
 	}
 	if sloOn {
 		if err := report.SLOTable(sloRuns).Render(stdout); err != nil {
@@ -324,11 +310,12 @@ Flags:
 				fmt.Fprintf(stderr, "ckptbench: warning: %s: %s\n", sr.Label, w)
 			}
 		}
-		if *sloOut != "" {
-			if err := report.SLOFile.WriteFile(*sloOut, sloRuns); err != nil {
-				return fail("writing %s: %v", *sloOut, err)
+		if *out != "" {
+			sloPath := filepath.Join(*out, "slo.json")
+			if err := report.SLOFile.WriteFile(sloPath, sloRuns); err != nil {
+				return fail("writing %s: %v", sloPath, err)
 			}
-			fmt.Fprintf(stdout, "wrote slo compliance for %d run(s) to %s\n", len(sloRuns), *sloOut)
+			fmt.Fprintf(stdout, "wrote slo compliance for %d run(s) to %s\n", len(sloRuns), sloPath)
 		}
 		if *failSLO {
 			var breached []string
@@ -343,27 +330,27 @@ Flags:
 			fmt.Fprintf(stdout, "slo compliance: %d run(s), no alerts fired, no goals missed\n", len(sloRuns))
 		}
 	}
-	if *failUnattributed {
-		// The per-rank metrics invariants already fail a shot whose
-		// attribution leaves a gap; this re-checks the aggregated export
-		// so the artifact itself is the proof.
-		var gap time.Duration
-		var records int
-		for _, cr := range critRuns {
-			records += len(cr.Records)
-			gap += metrics.Summary{CritPaths: cr.Records}.CritPathUnattributed()
-		}
-		if gap > 0 {
-			return fail("unattributed latency gap %v across %d attribution records", gap, records)
-		}
-		fmt.Fprintf(stdout, "attribution complete: 0 unattributed across %d records\n", records)
-	}
 	return 0
 }
 
-// tracePath derives the per-shot trace filename: base "trace.json" and
-// label "pipeline/mono" become "trace-pipeline-mono.json".
-func tracePath(base, label string) string {
+// checkAttribution counts the critical-path records of runs and fails if
+// any carries an unattributed latency gap: a blocking point the
+// instrumentation missed.
+func checkAttribution(runs []report.CritPathRun) (records int, err error) {
+	var gap time.Duration
+	for _, cr := range runs {
+		records += len(cr.Records)
+		gap += metrics.Summary{CritPaths: cr.Records}.CritPathUnattributed()
+	}
+	if gap > 0 {
+		err = fmt.Errorf("unattributed latency gap %v across %d attribution records", gap, records)
+	}
+	return records, err
+}
+
+// shotPath names one shot's file in the bundle directory dir: base
+// "trace.json" and label "pipeline/mono" become dir/trace-pipeline-mono.json.
+func shotPath(dir, base, label string) string {
 	slug := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
@@ -377,20 +364,37 @@ func tracePath(base, label string) string {
 	}
 	slug = strings.Trim(slug, "-")
 	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + "-" + slug + ext
+	return filepath.Join(dir, strings.TrimSuffix(base, ext)+"-"+slug+ext)
 }
 
-// writeTrace dumps one shot's Chrome trace to path.
-func writeTrace(path string, tr *trace.Tracer) error {
-	f, err := os.Create(path)
+// writeShot writes one shot's Chrome trace to tracePath and every event
+// its flight recorder retains to ledgerPath, ranks in Ranks order and each
+// rank's events in Ledger order, a line each: the rank (-1 for cluster-wide
+// events), the version, the simulated time to the microsecond and the
+// kind, then the tier in brackets and the detail when they are set.
+func writeShot(tracePath, ledgerPath string, tr *trace.Tracer) error {
+	f, err := os.Create(tracePath)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	if err := errors.Join(tr.WriteJSON(f), f.Close()); err != nil {
+		return fmt.Errorf("writing %s: %w", tracePath, err)
 	}
-	return f.Close()
+	var buf bytes.Buffer
+	fl := tr.Flight()
+	for _, rank := range fl.Ranks() {
+		for _, ev := range fl.Ledger(rank) {
+			fmt.Fprintf(&buf, "%d %d %v %s", ev.Rank, ev.Version, ev.At.Round(time.Microsecond), ev.Kind)
+			if ev.Tier != "" {
+				fmt.Fprintf(&buf, " [%s]", ev.Tier)
+			}
+			if ev.Detail != "" {
+				fmt.Fprintf(&buf, " %s", ev.Detail)
+			}
+			buf.WriteByte('\n')
+		}
+	}
+	return os.WriteFile(ledgerPath, buf.Bytes(), 0o644)
 }
 
 // keepAllCadence is the -sample interval that keeps every counter sample

@@ -94,17 +94,17 @@ func (f FigureResult) Render(w io.Writer) error {
 }
 
 // runCombos sweeps Table 1 combos × orders for one base config. param
-// names the value a figure sweeps, if any, in the rows and, with the combo
-// and the order, in each shot's label, so every shot of a figure has its
-// own.
-func runCombos(base ShotConfig, param string, combos []Combo, orders []rtm.Order) ([]Row, error) {
+// names the value a figure sweeps, if any, in the rows and, with the
+// figure's scenario name, the combo and the order, in each shot's label,
+// so every shot of every figure has its own.
+func runCombos(base ShotConfig, name, param string, combos []Combo, orders []rtm.Order) ([]Row, error) {
 	var rows []Row
 	for _, order := range orders {
 		for _, combo := range combos {
 			cfg := base
 			cfg.Order = order
 			cfg.Combo = combo
-			cfg.Label = fmt.Sprintf("%s (%s, %s", combo.Label(), restoreMode(cfg.WaitForFlush), order)
+			cfg.Label = fmt.Sprintf("%s/%s (%s, %s", name, combo.Label(), restoreMode(cfg.WaitForFlush), order)
 			if param != "" {
 				cfg.Label += ", " + param
 			}
@@ -165,8 +165,8 @@ func Fig6(run Run, uniform bool) (FigureResult, error) {
 func tableOne(run Run, uniform, wait bool, fig, title string) (FigureResult, error) {
 	base := ShotConfig{Uniform: uniform, WaitForFlush: wait}
 	run.Apply(&base)
-	rows, err := runCombos(base, "", Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	variant := map[bool]string{true: "a (uniform)", false: "b (variable)"}[uniform]
+	rows, err := runCombos(base, "fig"+fig+variant[:1], "", Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	return FigureResult{ID: "Fig. " + fig + variant, Title: title, Rows: rows}, err
 }
 
@@ -205,7 +205,7 @@ func Fig8a(run Run, intervals []time.Duration) (FigureResult, error) {
 	for _, iv := range intervals {
 		base := ShotConfig{Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
 		run.Apply(&base)
-		rows, err := runCombos(base, iv.String(), combos, []rtm.Order{rtm.Irregular})
+		rows, err := runCombos(base, "fig8a", iv.String(), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
 		}
@@ -225,7 +225,7 @@ func Fig8b(run Run, caches []int64) (FigureResult, error) {
 		base := ShotConfig{Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
 		run.Apply(&base)
 		base.GPUCache = cache
-		rows, err := runCombos(base, fmt.Sprintf("%dMiB", cache>>20), combos, []rtm.Order{rtm.Irregular})
+		rows, err := runCombos(base, "fig8b", fmt.Sprintf("%dMiB", cache>>20), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
 		}
@@ -252,7 +252,7 @@ func Fig9(run Run, coupled bool, gpuCounts []int) (FigureResult, error) {
 			Nodes: nodes, GPUsPerNode: perNode, TightlyCoupled: coupled,
 		}
 		run.Apply(&base)
-		rows, err := runCombos(base, fmt.Sprintf("%d GPUs", gpus), combos, []rtm.Order{rtm.Reverse})
+		rows, err := runCombos(base, "fig"+mode[:2], fmt.Sprintf("%d GPUs", gpus), combos, []rtm.Order{rtm.Reverse})
 		if err != nil {
 			return out, err
 		}

@@ -41,7 +41,7 @@ func TestRegistryRecordMerges(t *testing.T) {
 	}
 }
 
-// TestRegistryJSONExport: the runs a -metrics-out file carries survive a
+// TestRegistryJSONExport: the runs a metrics.json export carries survive a
 // JSON round trip with their label, summary, histograms and series, and
 // Runs is a snapshot later records do not reach.
 func TestRegistryJSONExport(t *testing.T) {

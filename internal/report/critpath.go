@@ -10,7 +10,7 @@ import (
 )
 
 // This file defines the critical-path attribution artifact: the
-// versioned JSON envelope ckptbench writes (-critpath-out) holding,
+// versioned JSON envelope ckptbench -out writes (critpath.json) holding,
 // per run, every CritPathRecord the instrumentation emitted, plus the
 // human-readable breakdown table rendered from it. The analyzer's
 // contract — components + unattributed telescope to each record's
@@ -26,8 +26,8 @@ type CritPathRun struct {
 	Records []metrics.CritPathRecord `json:"records"`
 }
 
-// CritPathFile is the score-critpath/v1 format ckptbench -critpath-out
-// writes. Runs are written in label order; records keep the (op,
+// CritPathFile is the score-critpath/v1 format ckptbench -out writes as
+// critpath.json. Runs are written in label order; records keep the (op,
 // version, start, total) order metrics.Merge gives them.
 var CritPathFile = Schema[CritPathRun]{Tag: "score-critpath/v1", Key: "runs",
 	Order: func(a, b CritPathRun) int { return strings.Compare(a.Label, b.Label) }}

@@ -8,12 +8,12 @@ import (
 
 // This file declares the machine-readable artifacts the benchmarks
 // emit besides critical paths and SLO reports: the metrics registry's
-// JSON export (ckptbench -metrics-out), the bench records (make
+// JSON export (metrics.json in a ckptbench -out bundle), the bench records (make
 // bench-smoke) and the simulator-speed records.
 
 // MetricsFile is the score-metrics/v1 format: the metrics registry's
-// runs (metrics.Registry.Runs), written by ckptbench -metrics-out and read
-// back by tools and tests.
+// runs (metrics.Registry.Runs), written by ckptbench -out as metrics.json
+// and read back by tools and tests.
 var MetricsFile = Schema[metrics.Export]{Tag: "score-metrics/v1", Key: "runs"}
 
 // SimSpeedRecord is one simulator-speed measurement: how fast the

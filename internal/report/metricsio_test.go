@@ -144,7 +144,7 @@ func envelopeBytes(t *testing.T, tag, key string, items any) []byte {
 	return append(data, '\n')
 }
 
-// TestMetricsExportRoundTrip: a -metrics-out file loads back with its
+// TestMetricsExportRoundTrip: a metrics.json export loads back with its
 // label, summary, histograms and series intact, and the loaded summary
 // still satisfies the recorder's invariants.
 func TestMetricsExportRoundTrip(t *testing.T) {
@@ -219,7 +219,7 @@ func TestLoadSimSpeedRejectsWrongSchema(t *testing.T) {
 	}
 }
 
-// TestMetricsFileMatchesRegistry: a -metrics-out file is the envelope
+// TestMetricsFileMatchesRegistry: a metrics.json export is the envelope
 // encoding/json writes for the registry's runs (envelopeBytes), so files
 // written before the shared codec still diff clean.
 func TestMetricsFileMatchesRegistry(t *testing.T) {

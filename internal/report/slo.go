@@ -10,7 +10,7 @@ import (
 )
 
 // This file defines the SLO compliance artifact: the versioned JSON
-// envelope ckptbench writes (-slo-out) holding, per run, the engine's
+// envelope ckptbench -out writes (slo.json) holding, per run, the engine's
 // end-of-run report — objective compliance, budget remaining, and the
 // alert fire/resolve history — plus the human-readable compliance table
 // rendered from it.
@@ -23,8 +23,8 @@ type SLORun struct {
 	Report slo.Report `json:"report"`
 }
 
-// SLOFile is the score-slo/v1 format ckptbench -slo-out writes, in label
-// order (objectives and alerts already carry the engine's deterministic
+// SLOFile is the score-slo/v1 format ckptbench -out writes as slo.json, in
+// label order (objectives and alerts already carry the engine's deterministic
 // evaluation order).
 var SLOFile = Schema[SLORun]{Tag: "score-slo/v1", Key: "runs", Order: bySLOLabel}
 

@@ -46,7 +46,7 @@ func sampleSLORuns() []SLORun {
 
 // TestSLORoundTrip: score-slo/v1 survives write → load byte-for-byte in
 // structure, with runs sorted by label on write and the file in the
-// encoding ckptbench -slo-out has always written.
+// encoding ckptbench has always written.
 func TestSLORoundTrip(t *testing.T) {
 	runs := sampleSLORuns()
 	back, data := writeLoad(t, SLOFile, runs)

@@ -173,12 +173,6 @@ func (f *FlightRecorder) Ledger(rank int) []LifecycleEvent {
 	return out
 }
 
-// VersionLedger returns rank's retained events for one version, in
-// Ledger order. Nil-safe.
-func (f *FlightRecorder) VersionLedger(rank int, version int64) []LifecycleEvent {
-	return slices.DeleteFunc(f.Ledger(rank), func(ev LifecycleEvent) bool { return ev.Version != version })
-}
-
 // Ranks lists the ranks with at least one retained event, ascending.
 // Nil-safe.
 func (f *FlightRecorder) Ranks() []int {
