@@ -9,7 +9,7 @@ verify: vet staticcheck build race bench-check loc-check
 
 # vet also gates the baton contract (DESIGN.md §14): no go statement,
 # channel or sync.WaitGroup in non-test model code outside internal/simclock,
-# and no sync.Mutex or RWMutex outside the few types real goroutines drive.
+# and nothing of package sync but Pool and Locker (no Mutex, RWMutex, Once or Cond).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }

@@ -39,12 +39,17 @@ type CommitTracker struct {
 // global commit is also ledgered as a cluster-wide lifecycle event
 // (rank -1, kind group-commit).
 func (s *Sim) NewCommitTracker(ranks int) (*CommitTracker, error) {
-	t, err := coord.New(ranks)
+	return s.wireTracker(coord.New(ranks))
+}
+
+// wireTracker wires a new tracker (or passes its constructor's error on)
+// to this simulation: the clock times its group-commit waits, the trace
+// ledger records each global commit, and the sampler polls its probes.
+func (s *Sim) wireTracker(t *coord.Tracker, err error) (*CommitTracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk := s.Clock()
-	t.SetNow(clk.Now)
+	t.SetNow(s.Clock().Now)
 	if s.tracer != nil {
 		tracer := s.tracer
 		t.SetCommitObserver(func(version int64, wait time.Duration) {
@@ -193,23 +198,7 @@ func NewReshard(from, to, epoch int) (*Reshard, error) {
 // wires it to this simulation's clock, sampler, and trace ledger like
 // NewCommitTracker does.
 func (s *Sim) NewCommitTrackerFrom(r *Reshard) (*CommitTracker, error) {
-	t, err := r.Tracker()
-	if err != nil {
-		return nil, err
-	}
-	clk := s.Clock()
-	t.SetNow(clk.Now)
-	if s.tracer != nil {
-		tracer := s.tracer
-		t.SetCommitObserver(func(version int64, wait time.Duration) {
-			tracer.Lifecycle(-1, version, trace.LGroupCommit, "",
-				fmt.Sprintf("wait %v", wait))
-		})
-	}
-	if s.sampler != nil {
-		t.RegisterProbes(s.sampler, "")
-	}
-	return &CommitTracker{inner: t}, nil
+	return s.wireTracker(r.Tracker())
 }
 
 // StoreVersions lists the checkpoint versions a durable store directory

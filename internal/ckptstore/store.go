@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 const (
@@ -52,8 +51,9 @@ var (
 )
 
 // A FaultHook lets a fault injector interpose on the durable paths.
-// Either method may be nil-receiver-free no-ops; hooks must be safe for
-// concurrent use.
+// Either method may be nil-receiver-free no-ops. A hook runs in the
+// calling task and may sleep on its clock; the store re-checks what a
+// sleep can change.
 type FaultHook interface {
 	// BeforeWrite runs before Put writes id's bytes; a non-nil error
 	// aborts the write (the disk is untouched).
@@ -64,36 +64,21 @@ type FaultHook interface {
 	OnRead(id int64, raw []byte) ([]byte, error)
 }
 
-// Store is a directory of checkpoint files with an in-memory index.
-// Methods are safe for concurrent use, including Scrub under active
-// writers: commit renames take scrubMu shared, a scrub pass takes it
-// exclusive, so a scrub never observes (or quarantines) a half-committed
-// file and never races a commit's rename with its quarantine rename.
+// Store is a directory of checkpoint files with an in-memory index. It
+// takes no lock: the tasks of one clock use it, one at a time, or its
+// owner does between runs. A task switch can happen only inside a fault
+// hook, so a scrub pass or a commit rename runs whole.
 type Store struct {
-	dir string
-
-	mu     sync.Mutex
+	dir    string
 	index  map[int64]int64 // id -> payload length
 	hook   FaultHook
 	tmpSeq int64 // unique temp-file names; two writers never share one
-
-	scrubMu sync.RWMutex
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook
 // on Put and Get. Scrub and Open bypass it: they report the disk's ground
 // truth.
-func (s *Store) SetFaultHook(h FaultHook) {
-	s.mu.Lock()
-	s.hook = h
-	s.mu.Unlock()
-}
-
-func (s *Store) faultHook() FaultHook {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hook
-}
+func (s *Store) SetFaultHook(h FaultHook) { s.hook = h }
 
 // Open creates (if needed) and indexes a store rooted at dir. Corrupt or
 // torn files are skipped and reported in the returned slice (they are
@@ -149,91 +134,53 @@ func encode(id int64, payload []byte) []byte {
 	return buf
 }
 
-// writeTemp writes buf to a fresh uniquely-named temp file for id. Each
-// writer gets its own temp name, so two concurrent writes of the same id
-// can never interleave into one torn temp file.
-func (s *Store) writeTemp(id int64, buf []byte) (string, error) {
-	s.mu.Lock()
+// commit writes id's checkpoint file through a fresh, uniquely named
+// temp file and a rename, then indexes it.
+func (s *Store) commit(id int64, payload []byte) error {
 	s.tmpSeq++
-	seq := s.tmpSeq
-	s.mu.Unlock()
-	tmp := fmt.Sprintf("%s.%d%s", s.path(id), seq, tempSuffix)
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return "", fmt.Errorf("ckptstore: writing %s: %w", tmp, err)
-	}
-	return tmp, nil
-}
-
-// writeAtomic commits buf as id's checkpoint file via temp file + rename.
-// The rename holds scrubMu shared so it cannot interleave with a scrub
-// pass's quarantine renames.
-func (s *Store) writeAtomic(id int64, buf []byte) error {
-	tmp, err := s.writeTemp(id, buf)
-	if err != nil {
-		return err
-	}
-	s.scrubMu.RLock()
-	defer s.scrubMu.RUnlock()
-	if err := os.Rename(tmp, s.path(id)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("ckptstore: committing %d: %w", id, err)
-	}
-	return nil
-}
-
-// Put durably stores payload under id. The write is atomic: a crash
-// leaves either the complete checkpoint or nothing. The commit re-checks
-// for a duplicate under the lock, so of two racing Puts of the same id
-// exactly one wins and the file always matches the indexed entry.
-func (s *Store) Put(id int64, payload []byte) error {
-	s.mu.Lock()
-	if _, dup := s.index[id]; dup {
-		s.mu.Unlock()
-		return ErrExists
-	}
-	s.mu.Unlock()
-
-	if h := s.faultHook(); h != nil {
-		if err := h.BeforeWrite(id, len(payload)); err != nil {
-			return fmt.Errorf("ckptstore: writing %d: %w", id, err)
-		}
-	}
-	tmp, err := s.writeTemp(id, encode(id, payload))
-	if err != nil {
-		return err
-	}
-	s.scrubMu.RLock()
-	defer s.scrubMu.RUnlock()
-	s.mu.Lock()
-	if _, dup := s.index[id]; dup {
-		s.mu.Unlock()
-		_ = os.Remove(tmp)
-		return ErrExists
+	tmp := fmt.Sprintf("%s.%d%s", s.path(id), s.tmpSeq, tempSuffix)
+	if err := os.WriteFile(tmp, encode(id, payload), 0o644); err != nil {
+		return fmt.Errorf("ckptstore: writing %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, s.path(id)); err != nil {
-		s.mu.Unlock()
 		_ = os.Remove(tmp)
 		return fmt.Errorf("ckptstore: committing %d: %w", id, err)
 	}
 	s.index[id] = int64(len(payload))
-	s.mu.Unlock()
 	return nil
+}
+
+// Put durably stores payload under id. The write is atomic: a crash
+// leaves either the complete checkpoint or nothing. The fault hook may
+// sleep, so Put re-checks for a duplicate after it: of two racing Puts of
+// the same id exactly one wins and the file always matches the indexed
+// entry.
+func (s *Store) Put(id int64, payload []byte) error {
+	if s.Has(id) {
+		return ErrExists
+	}
+	if s.hook != nil {
+		if err := s.hook.BeforeWrite(id, len(payload)); err != nil {
+			return fmt.Errorf("ckptstore: writing %d: %w", id, err)
+		}
+		if s.Has(id) {
+			return ErrExists
+		}
+	}
+	return s.commit(id, payload)
 }
 
 // Get reads and validates checkpoint id.
 func (s *Store) Get(id int64) ([]byte, error) {
-	s.mu.Lock()
-	_, ok := s.index[id]
-	s.mu.Unlock()
-	if !ok {
+	if !s.Has(id) {
 		return nil, ErrNotFound
 	}
 	buf, err := os.ReadFile(s.path(id))
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: reading %d: %w", id, err)
 	}
-	if h := s.faultHook(); h != nil {
-		buf, err = h.OnRead(id, buf)
+	if s.hook != nil {
+		buf, err = s.hook.OnRead(id, buf)
 		if err != nil {
 			return nil, fmt.Errorf("ckptstore: reading %d: %w", id, err)
 		}
@@ -250,16 +197,12 @@ func (s *Store) Get(id int64) ([]byte, error) {
 
 // Has reports whether a valid checkpoint id is indexed.
 func (s *Store) Has(id int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, ok := s.index[id]
 	return ok
 }
 
 // Size returns the stored payload length for id.
 func (s *Store) Size(id int64) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n, ok := s.index[id]
 	if !ok {
 		return 0, ErrNotFound
@@ -269,8 +212,6 @@ func (s *Store) Size(id int64) (int64, error) {
 
 // IDs returns the indexed checkpoint ids in ascending order.
 func (s *Store) IDs() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]int64, 0, len(s.index))
 	for id := range s.index {
 		out = append(out, id)
@@ -282,9 +223,7 @@ func (s *Store) IDs() []int64 {
 // Delete removes checkpoint id (used when discarding consumed history).
 // Deleting an absent id is not an error.
 func (s *Store) Delete(id int64) error {
-	s.mu.Lock()
 	delete(s.index, id)
-	s.mu.Unlock()
 	if err := os.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("ckptstore: deleting %d: %w", id, err)
 	}
@@ -293,8 +232,6 @@ func (s *Store) Delete(id int64) error {
 
 // TotalBytes returns the sum of indexed payload sizes.
 func (s *Store) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var t int64
 	for _, n := range s.index {
 		t += n
@@ -309,12 +246,10 @@ func (s *Store) TotalBytes() int64 {
 // checkpoints and files Open skipped as corrupt, so a scrub after reopen
 // leaves the directory clean. It returns the quarantined ids, ascending.
 // Scrub reads the disk directly, bypassing any fault hook, so it reports
-// ground truth even mid-chaos. The pass holds the scrub lock exclusively:
-// concurrent writers block at their commit rename until the pass ends, so
-// a healthy just-committed checkpoint is never mistaken for corruption.
+// ground truth even mid-chaos. The pass never yields, so no commit runs
+// inside it and a healthy just-committed checkpoint is never mistaken
+// for corruption.
 func (s *Store) Scrub() ([]int64, error) {
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: scrubbing %s: %w", s.dir, err)
@@ -347,9 +282,7 @@ func (s *Store) Scrub() ([]int64, error) {
 			continue
 		}
 		if id >= 0 {
-			s.mu.Lock()
 			delete(s.index, id)
-			s.mu.Unlock()
 			quarantined = append(quarantined, id)
 		}
 	}
@@ -363,15 +296,7 @@ func (s *Store) Scrub() ([]int64, error) {
 // re-verified the bytes against the checkpoint's checksum). The write is
 // atomic and bypasses the fault hook — repair must not be re-faulted by
 // the schedule that caused it.
-func (s *Store) Restage(id int64, payload []byte) error {
-	if err := s.writeAtomic(id, encode(id, payload)); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.index[id] = int64(len(payload))
-	s.mu.Unlock()
-	return nil
-}
+func (s *Store) Restage(id int64, payload []byte) error { return s.commit(id, payload) }
 
 // validateFile decodes and checks a checkpoint file, returning its id and
 // payload size.

@@ -3,10 +3,14 @@ package ckptstore
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"score/internal/simclock"
 )
 
 func openT(t *testing.T, dir string) (*Store, []error) {
@@ -367,13 +371,27 @@ func TestRestageBypassesFaultHook(t *testing.T) {
 	}
 }
 
+// sleepingHook is a write hook that sleeps a seeded virtual interval on
+// clk: the one place a Put yields to the clock's other tasks.
+func sleepingHook(clk *simclock.Virtual, seed int64) FaultHook {
+	rng := rand.New(rand.NewSource(seed))
+	return hookFuncs{beforeWrite: func(int64, int) error {
+		clk.Sleep(time.Duration(1+rng.Intn(50)) * time.Microsecond)
+		return nil
+	}}
+}
+
 // TestScrubUnderActiveWriters runs scrub passes concurrently with Put and
-// Restage traffic. A scrub must never quarantine a checkpoint that was
-// committed healthy — the historical race renamed a just-committed file
-// to .corrupt when its validation interleaved with the commit rename.
+// Restage traffic: writer tasks whose Puts sleep in the fault hook, and a
+// scrubber task between them. A scrub must never quarantine a checkpoint
+// that was committed healthy — the historical race renamed a
+// just-committed file to .corrupt when its validation interleaved with
+// the commit rename.
 func TestScrubUnderActiveWriters(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openT(t, dir)
+	clk := simclock.NewVirtual()
+	s.SetFaultHook(sleepingHook(clk, 1))
 
 	const writers = 4
 	const perWriter = 25
@@ -381,52 +399,46 @@ func TestScrubUnderActiveWriters(t *testing.T) {
 		return bytes.Repeat([]byte{byte(id)}, 64+int(id%7))
 	}
 
-	done := make(chan struct{})
-	errc := make(chan error, writers+1)
-	for w := 0; w < writers; w++ {
-		w := w
-		go func() {
-			for i := 0; i < perWriter; i++ {
-				id := int64(w*perWriter + i)
-				if err := s.Put(id, payload(id)); err != nil {
-					errc <- err
-					return
-				}
-				if i%5 == 0 {
-					if err := s.Restage(id, payload(id)); err != nil {
-						errc <- err
+	var errs []error
+	clk.Run(func() {
+		wg := simclock.NewWaitGroup(clk)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			clk.Go(func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					id := int64(w*perWriter + i)
+					if err := s.Put(id, payload(id)); err != nil {
+						errs = append(errs, err)
 						return
 					}
+					if i%5 == 0 {
+						if err := s.Restage(id, payload(id)); err != nil {
+							errs = append(errs, err)
+							return
+						}
+					}
 				}
-			}
-			errc <- nil
-		}()
-	}
-	go func() {
-		for {
-			select {
-			case <-done:
-				errc <- nil
-				return
-			default:
-			}
-			if q, err := s.Scrub(); err != nil {
-				errc <- err
-				return
-			} else if len(q) != 0 {
-				errc <- errors.New("scrub quarantined healthy checkpoints under active writers")
-				return
-			}
+			})
 		}
-	}()
-	for i := 0; i < writers; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(done)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+		done := false
+		clk.Go(func() {
+			for !done {
+				if q, err := s.Scrub(); err != nil {
+					errs = append(errs, err)
+					return
+				} else if len(q) != 0 {
+					errs = append(errs, errors.New("scrub quarantined healthy checkpoints under active writers"))
+					return
+				}
+				clk.Sleep(10 * time.Microsecond)
+			}
+		})
+		wg.Wait()
+		done = true
+	})
+	if len(errs) != 0 {
+		t.Fatal(errs[0])
 	}
 
 	// Every write survived on disk and validates, even across a reopen.
@@ -442,39 +454,36 @@ func TestScrubUnderActiveWriters(t *testing.T) {
 	}
 }
 
-// TestConcurrentPutSameID races writers of one id: exactly one wins, and
-// the surviving file matches the indexed winner's bytes.
+// TestConcurrentPutSameID races writers of one id, each a task whose Put
+// sleeps in the fault hook after its first duplicate check: exactly one
+// wins, and the surviving file matches the indexed winner's bytes.
 func TestConcurrentPutSameID(t *testing.T) {
 	s, _ := openT(t, t.TempDir())
+	clk := simclock.NewVirtual()
+	s.SetFaultHook(sleepingHook(clk, 2))
 	const racers = 8
-	wins := make(chan []byte, racers)
-	errc := make(chan error, racers)
-	for r := 0; r < racers; r++ {
-		data := bytes.Repeat([]byte{byte(r + 1)}, 32)
-		go func() {
-			err := s.Put(42, data)
-			if err == nil {
-				wins <- data
-			}
-			errc <- err
-		}()
-	}
-	var winners int
-	for r := 0; r < racers; r++ {
-		err := <-errc
-		switch {
-		case err == nil:
-			winners++
-		case errors.Is(err, ErrExists):
-		default:
+	var wins [][]byte
+	errs := make([]error, racers)
+	clk.Run(func() {
+		for r := 0; r < racers; r++ {
+			data := bytes.Repeat([]byte{byte(r + 1)}, 32)
+			clk.Go(func() {
+				errs[r] = s.Put(42, data)
+				if errs[r] == nil {
+					wins = append(wins, data)
+				}
+			})
+		}
+	})
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, ErrExists) {
 			t.Fatalf("racing Put: %v", err)
 		}
 	}
-	if winners != 1 {
-		t.Fatalf("racing Puts of one id: %d winners, want 1", winners)
+	if len(wins) != 1 {
+		t.Fatalf("racing Puts of one id: %d winners, want 1", len(wins))
 	}
-	want := <-wins
-	if got, err := s.Get(42); err != nil || !bytes.Equal(got, want) {
+	if got, err := s.Get(42); err != nil || !bytes.Equal(got, wins[0]) {
 		t.Fatalf("file does not match the winning Put: err=%v", err)
 	}
 }

@@ -19,23 +19,22 @@ package coord
 import (
 	"errors"
 	"sort"
-	"sync"
 	"time"
 
 	"score/internal/metrics"
 )
 
-// Tracker accumulates per-rank durability reports for one job. All
-// methods are safe for concurrent use. Versions must be non-negative
-// (the runtime enforces this for checkpoint ids).
+// Tracker accumulates per-rank durability reports for one job. It takes
+// no lock: the tasks of one clock use it, one at a time, or its owner
+// does between runs. Versions must be non-negative (the runtime enforces
+// this for checkpoint ids).
 type Tracker struct {
-	mu     sync.Mutex
 	ranks  int
-	epoch  int                        // membership epoch (bumped by elastic restart)
-	holds  map[int64]map[int]struct{} // version -> ranks holding a durable copy
-	high   int64                      // highest version any rank reported durable
-	any    bool                       // a durable report has been seen
-	dead   map[int]struct{}
+	epoch  int     // membership epoch (bumped by elastic restart)
+	holds  holdSet // version -> ranks holding a durable copy
+	high   int64   // highest version any rank reported durable
+	any    bool    // a durable report has been seen
+	dead   members
 	deaths int64
 
 	// Commit-wait attribution (optional; active once SetNow is called):
@@ -46,6 +45,67 @@ type Tracker struct {
 	firstAt     map[int64]time.Duration
 	committedAt map[int64]time.Duration
 	onCommit    func(version int64, wait time.Duration)
+}
+
+// holdSet maps a version to the members — ranks or old shards — that
+// hold it.
+type holdSet map[int64]members
+
+// members is a set of ranks or shards.
+type members map[int]struct{}
+
+// mark records that member m holds version v and returns v's holders.
+func (h holdSet) mark(m int, v int64) members {
+	set := h[v]
+	if set == nil {
+		set = members{}
+		h[v] = set
+	}
+	set[m] = struct{}{}
+	return set
+}
+
+// drop removes member m's claim on version v.
+func (h holdSet) drop(m int, v int64) {
+	if set := h[v]; set != nil {
+		delete(set, m)
+		if len(set) == 0 {
+			delete(h, v)
+		}
+	}
+}
+
+// complete lists, ascending, the versions all n members hold.
+func (h holdSet) complete(n int) []int64 {
+	var out []int64
+	for v, set := range h {
+		if len(set) == n {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// newest returns the newest version all n members hold; ok is false when
+// there is none.
+func (h holdSet) newest(n int) (version int64, ok bool) {
+	for v, set := range h {
+		if len(set) == n && (!ok || v > version) {
+			version, ok = v, true
+		}
+	}
+	return version, ok
+}
+
+// sorted lists the members, ascending.
+func (m members) sorted() []int {
+	out := make([]int, 0, len(m))
+	for r := range m {
+		out = append(out, r)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // New creates a tracker for a job of the given rank count, at membership
@@ -68,8 +128,8 @@ func NewAtEpoch(ranks, epoch int) (*Tracker, error) {
 	return &Tracker{
 		ranks:       ranks,
 		epoch:       epoch,
-		holds:       map[int64]map[int]struct{}{},
-		dead:        map[int]struct{}{},
+		holds:       holdSet{},
+		dead:        members{},
 		firstAt:     map[int64]time.Duration{},
 		committedAt: map[int64]time.Duration{},
 	}, nil
@@ -81,21 +141,13 @@ func (t *Tracker) Epoch() int { return t.epoch }
 // SetNow attaches a clock (typically simclock's Now) enabling
 // commit-wait attribution: per version, the time from the first rank's
 // durable report to global commit. Call before the run starts.
-func (t *Tracker) SetNow(now func() time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
-}
+func (t *Tracker) SetNow(now func() time.Duration) { t.now = now }
 
 // SetCommitObserver registers a callback fired once per version, at the
 // moment it first becomes globally committed, with the commit wait it
 // accumulated (zero unless SetNow was called). The observability layer
 // hooks the lifecycle ledger here. Call before the run starts.
-func (t *Tracker) SetCommitObserver(fn func(version int64, wait time.Duration)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onCommit = fn
-}
+func (t *Tracker) SetCommitObserver(fn func(version int64, wait time.Duration)) { t.onCommit = fn }
 
 // Ranks returns the job's rank count.
 func (t *Tracker) Ranks() int { return t.ranks }
@@ -104,20 +156,10 @@ func (t *Tracker) Ranks() int { return t.ranks }
 // range ranks and negative versions are ignored (defensive: reports come
 // from per-rank hooks).
 func (t *Tracker) MarkDurable(rank int, version int64) {
-	if version < 0 {
+	if version < 0 || rank < 0 || rank >= t.ranks {
 		return
 	}
-	t.mu.Lock()
-	if rank < 0 || rank >= t.ranks {
-		t.mu.Unlock()
-		return
-	}
-	set := t.holds[version]
-	if set == nil {
-		set = map[int]struct{}{}
-		t.holds[version] = set
-	}
-	set[rank] = struct{}{}
+	set := t.holds.mark(rank, version)
 	if !t.any || version > t.high {
 		t.high = version
 		t.any = true
@@ -127,48 +169,32 @@ func (t *Tracker) MarkDurable(rank int, version int64) {
 			t.firstAt[version] = t.now()
 		}
 	}
-	var notify func(int64, time.Duration)
-	var wait time.Duration
-	if len(set) == t.ranks {
-		if _, done := t.committedAt[version]; !done {
-			var at time.Duration
-			if t.now != nil {
-				at = t.now()
-			}
-			t.committedAt[version] = at
-			wait = at - t.firstAt[version]
-			notify = t.onCommit
-		}
+	if len(set) < t.ranks {
+		return
 	}
-	t.mu.Unlock()
-	if notify != nil {
-		// Outside the lock: the observer may re-enter the tracker or
-		// take other locks (e.g. the trace ledger's).
-		notify(version, wait)
+	if _, done := t.committedAt[version]; done {
+		return
+	}
+	var at time.Duration
+	if t.now != nil {
+		at = t.now()
+	}
+	t.committedAt[version] = at
+	if t.onCommit != nil {
+		t.onCommit(version, at-t.firstAt[version])
 	}
 }
 
 // MarkLost retracts rank's claim on version — the rank's flush chain for
 // it was aborted, or its copy died with the process before reaching a
 // durable tier. Retracting a claim that was never made is a no-op.
-func (t *Tracker) MarkLost(rank int, version int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if set := t.holds[version]; set != nil {
-		delete(set, rank)
-		if len(set) == 0 {
-			delete(t.holds, version)
-		}
-	}
-}
+func (t *Tracker) MarkLost(rank int, version int64) { t.holds.drop(rank, version) }
 
 // RankDead records that rank died. Its existing durable claims stand —
 // node-local checkpoint files outlive a process kill — and the restart
 // path decides what actually survived; use RetractRank when a whole
 // node's storage is known lost.
 func (t *Tracker) RankDead(rank int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if rank < 0 || rank >= t.ranks {
 		return
 	}
@@ -183,69 +209,25 @@ func (t *Tracker) RankDead(rank int) {
 // (partner replicas, tracked by the partner rank's restart-side
 // reports, are unaffected).
 func (t *Tracker) RetractRank(rank int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for v, set := range t.holds {
-		delete(set, rank)
-		if len(set) == 0 {
-			delete(t.holds, v)
-		}
+	for v := range t.holds {
+		t.holds.drop(rank, v)
 	}
 }
 
 // RankDeaths returns the number of distinct ranks reported dead.
-func (t *Tracker) RankDeaths() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.deaths
-}
+func (t *Tracker) RankDeaths() int64 { return t.deaths }
 
 // DeadRanks lists the ranks reported dead, ascending.
-func (t *Tracker) DeadRanks() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]int, 0, len(t.dead))
-	for r := range t.dead {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
+func (t *Tracker) DeadRanks() []int { return t.dead.sorted() }
 
 // CommittedVersions lists the globally committed versions — those every
 // rank holds durable — in ascending order.
-func (t *Tracker) CommittedVersions() []int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []int64
-	for v, set := range t.holds {
-		if len(set) == t.ranks {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (t *Tracker) CommittedVersions() []int64 { return t.holds.complete(t.ranks) }
 
 // LatestConsistent returns the newest globally committed version — the
 // version a cluster restart should restore from. ok is false when no
 // version has committed on every rank yet.
-func (t *Tracker) LatestConsistent() (version int64, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	found := false
-	var best int64
-	for v, set := range t.holds {
-		if len(set) != t.ranks {
-			continue
-		}
-		if !found || v > best {
-			best = v
-			found = true
-		}
-	}
-	return best, found
-}
+func (t *Tracker) LatestConsistent() (version int64, ok bool) { return t.holds.newest(t.ranks) }
 
 // CommitLag measures how far the cluster's committed frontier trails the
 // fastest rank: the highest version any rank reported durable minus the
@@ -256,8 +238,6 @@ func (t *Tracker) CommitLag() int64 {
 	if !ok {
 		latest = -1
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.any {
 		return 0
 	}
@@ -270,8 +250,6 @@ func (t *Tracker) CommitLag() int64 {
 // Committed versions stay in the map even if a later rank death retracts
 // claims — the wait is a historical measurement, not current state.
 func (t *Tracker) CommitWaits() map[int64]time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make(map[int64]time.Duration, len(t.committedAt))
 	for v, at := range t.committedAt {
 		out[v] = at - t.firstAt[v]
@@ -282,8 +260,6 @@ func (t *Tracker) CommitWaits() map[int64]time.Duration {
 // MeanCommitWait averages the group-commit waits over committed
 // versions; zero when nothing has committed (or SetNow was never set).
 func (t *Tracker) MeanCommitWait() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.committedAt) == 0 {
 		return 0
 	}

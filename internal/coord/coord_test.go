@@ -1,9 +1,11 @@
 package coord
 
 import (
-	"sync"
+	"math/rand"
 	"testing"
 	"time"
+
+	"score/internal/simclock"
 )
 
 func TestCommitRequiresEveryRank(t *testing.T) {
@@ -119,20 +121,24 @@ func TestDefensiveInputs(t *testing.T) {
 	}
 }
 
+// TestConcurrentReports has every rank report every version from its own
+// clock task, each sleeping a seeded virtual interval between reports, so
+// the ranks' reports interleave.
 func TestConcurrentReports(t *testing.T) {
 	const ranks, versions = 8, 32
 	tr, _ := New(ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for v := int64(0); v < versions; v++ {
-				tr.MarkDurable(r, v)
-			}
-		}(r)
-	}
-	wg.Wait()
+	rng := rand.New(rand.NewSource(1))
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		for r := 0; r < ranks; r++ {
+			clk.Go(func() {
+				for v := int64(0); v < versions; v++ {
+					tr.MarkDurable(r, v)
+					clk.Sleep(time.Duration(1+rng.Intn(50)) * time.Microsecond)
+				}
+			})
+		}
+	})
 	v, ok := tr.LatestConsistent()
 	if !ok || v != versions-1 {
 		t.Fatalf("LatestConsistent = (%d, %v), want (%d, true)", v, ok, versions-1)

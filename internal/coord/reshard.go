@@ -2,8 +2,8 @@ package coord
 
 import (
 	"errors"
+	"slices"
 	"sort"
-	"sync"
 )
 
 // Elastic restart: re-sharding checkpoint state from N ranks to M. The
@@ -22,13 +22,13 @@ import (
 
 // Reshard accumulates shard-durability reports during an elastic restart
 // and maps the old membership's N shards onto the new membership's M
-// ranks. All methods are safe for concurrent use.
+// ranks. Like Tracker it takes no lock: the tasks of one clock use it,
+// one at a time, or its owner does between runs.
 type Reshard struct {
-	mu        sync.Mutex
 	from, to  int
 	epoch     int
-	holds     map[int64]map[int]struct{} // version -> old shards holding it
-	retracted map[int]struct{}           // shards whose storage was lost mid-recipe
+	holds     holdSet // version -> old shards holding it
+	retracted members // shards whose storage was lost mid-recipe
 }
 
 // NewReshard starts an elastic-restart recipe re-sharding a job from
@@ -45,8 +45,8 @@ func NewReshard(from, to, epoch int) (*Reshard, error) {
 		from:      from,
 		to:        to,
 		epoch:     epoch,
-		holds:     map[int64]map[int]struct{}{},
-		retracted: map[int]struct{}{},
+		holds:     holdSet{},
+		retracted: members{},
 	}, nil
 }
 
@@ -65,21 +65,11 @@ func (r *Reshard) Epoch() int { return r.epoch }
 // retracted shard is allowed — that is exactly what a partner-copy
 // recovery does — and clears its retraction.
 func (r *Reshard) MarkShardDurable(shard int, version int64) {
-	if version < 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if shard < 0 || shard >= r.from {
+	if version < 0 || shard < 0 || shard >= r.from {
 		return
 	}
 	delete(r.retracted, shard)
-	set := r.holds[version]
-	if set == nil {
-		set = map[int]struct{}{}
-		r.holds[version] = set
-	}
-	set[shard] = struct{}{}
+	r.holds.mark(shard, version)
 }
 
 // RetractShard drops every claim old shard `shard` has made — its
@@ -87,69 +77,29 @@ func (r *Reshard) MarkShardDurable(shard int, version int64) {
 // frontier recomputes without it; versions only it completed fall out of
 // the committed set until a partner-copy recovery re-marks them.
 func (r *Reshard) RetractShard(shard int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if shard < 0 || shard >= r.from {
 		return
 	}
 	r.retracted[shard] = struct{}{}
-	for v, set := range r.holds {
-		delete(set, shard)
-		if len(set) == 0 {
-			delete(r.holds, v)
-		}
+	for v := range r.holds {
+		r.holds.drop(shard, v)
 	}
 }
 
 // RetractedShards lists the shards currently retracted (lost and not yet
 // recovered), ascending.
-func (r *Reshard) RetractedShards() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.retracted))
-	for s := range r.retracted {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
+func (r *Reshard) RetractedShards() []int { return r.retracted.sorted() }
 
 // Committed lists the versions every old shard holds — the versions the
 // new membership can restore completely — in ascending order. A version
 // missing any shard (including a retracted one) is not restorable: each
 // shard is a distinct slice of the job's state, so there is no quorum
 // shortcut.
-func (r *Reshard) Committed() []int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []int64
-	for v, set := range r.holds {
-		if len(set) == r.from {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (r *Reshard) Committed() []int64 { return r.holds.complete(r.from) }
 
 // Frontier returns the newest completely-held version — what the new
 // membership restores from. ok is false when no version is complete.
-func (r *Reshard) Frontier() (version int64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	found := false
-	var best int64
-	for v, set := range r.holds {
-		if len(set) != r.from {
-			continue
-		}
-		if !found || v > best {
-			best = v
-			found = true
-		}
-	}
-	return best, found
-}
+func (r *Reshard) Frontier() (version int64, ok bool) { return r.holds.newest(r.from) }
 
 // Owner maps an old shard to the new rank that adopts it: round-robin
 // shard % to, so N→M re-sharding balances within one shard everywhere.
@@ -186,55 +136,26 @@ func (r *Reshard) Tracker() (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
 	versions := make([]int64, 0, len(r.holds))
 	for v := range r.holds {
 		versions = append(versions, v)
 	}
 	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
-	type hold struct {
-		rank    int
-		version int64
-	}
-	var seeds []hold
 	for _, v := range versions {
 		set := r.holds[v]
-		complete := len(set) == r.from
 		for m := 0; m < r.to; m++ {
-			owned := r.shardsOfLocked(m)
-			if len(owned) == 0 {
-				if complete {
-					seeds = append(seeds, hold{m, v})
-				}
-				continue
+			// A rank that drew no shard holds what every shard holds.
+			holds := len(set) == r.from
+			if owned := r.ShardsOf(m); len(owned) > 0 {
+				holds = !slices.ContainsFunc(owned, func(s int) bool {
+					_, ok := set[s]
+					return !ok
+				})
 			}
-			all := true
-			for _, s := range owned {
-				if _, ok := set[s]; !ok {
-					all = false
-					break
-				}
-			}
-			if all {
-				seeds = append(seeds, hold{m, v})
+			if holds {
+				t.MarkDurable(m, v)
 			}
 		}
 	}
-	r.mu.Unlock()
-	// Seed outside r.mu: MarkDurable may fire the tracker's commit
-	// observer, which can re-enter arbitrary code.
-	for _, s := range seeds {
-		t.MarkDurable(s.rank, s.version)
-	}
 	return t, nil
-}
-
-// shardsOfLocked is ShardsOf without locking (callers hold r.mu; the
-// shard map is immutable after construction anyway).
-func (r *Reshard) shardsOfLocked(rank int) []int {
-	var out []int
-	for s := rank; s < r.from; s += r.to {
-		out = append(out, s)
-	}
-	return out
 }

@@ -3,10 +3,10 @@ package coord
 import (
 	"flag"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
+
+	"score/internal/simclock"
 )
 
 var (
@@ -148,10 +148,12 @@ func TestReshardTrackerSeeding(t *testing.T) {
 	}
 }
 
-// TestReshardConcurrentKillProperty is the seeded -race property sweep:
-// shards report durability from concurrent scan loops while a victim
+// TestReshardConcurrentKillProperty is the seeded property sweep:
+// shards report durability from concurrent scan tasks while a victim
 // shard is killed mid-recipe and later re-established from its partner
-// copy. Two properties hold at every concurrent sample:
+// copy. Every task sleeps a seeded virtual interval between operations,
+// so each trial interleaves them differently. Two properties hold at
+// every concurrent sample:
 //
 //  1. The frontier is monotone under marks: with no retraction in
 //     flight, a sampled frontier never decreases.
@@ -178,64 +180,63 @@ func TestReshardConcurrentKillProperty(t *testing.T) {
 		// journal[s] is the highest version shard s has reported, written
 		// BEFORE the mark reaches the tracker. -1 means none. Marks go in
 		// ascending order, so one high-water mark per shard is the journal.
-		journal := make([]atomic.Int64, from)
+		journal := make([]int64, from)
 		for s := range journal {
-			journal[s].Store(-1)
+			journal[s] = -1
 		}
 		mark := func(shard int, v int64) {
-			journal[shard].Store(v)
+			journal[shard] = v
 			r.MarkShardDurable(shard, v)
 		}
+		clk := simclock.NewVirtual()
+		pause := func() { clk.Sleep(time.Duration(1+rng.Intn(50)) * time.Microsecond) }
 
 		// Phase A — every shard scans concurrently up to half the versions.
 		half := versions / 2
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		var sampleErr atomic.Value
-		wg.Add(1)
-		go func() { // sampler: property 1 and 2
-			defer wg.Done()
-			last := int64(-1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if v, ok := r.Frontier(); ok {
-					if v < last {
-						sampleErr.Store("frontier moved backward under marks")
-						return
-					}
-					last = v
-				}
-				for _, v := range r.Committed() {
-					for s := 0; s < from; s++ {
-						if journal[s].Load() < v {
-							sampleErr.Store("committed version not reported by every shard")
+		var sampleErr string
+		clk.Run(func() {
+			markers := simclock.NewWaitGroup(clk)
+			sampler := simclock.NewWaitGroup(clk)
+			done := false
+			sampler.Add(1)
+			clk.Go(func() { // property 1 and 2
+				defer sampler.Done()
+				last := int64(-1)
+				for !done {
+					if v, ok := r.Frontier(); ok {
+						if v < last {
+							sampleErr = "frontier moved backward under marks"
 							return
 						}
+						last = v
 					}
+					for _, v := range r.Committed() {
+						for s := 0; s < from; s++ {
+							if journal[s] < v {
+								sampleErr = "committed version not reported by every shard"
+								return
+							}
+						}
+					}
+					pause()
 				}
-				runtime.Gosched()
+			})
+			for s := 0; s < from; s++ {
+				markers.Add(1)
+				clk.Go(func() {
+					defer markers.Done()
+					for v := int64(0); v < half; v++ {
+						mark(s, v)
+						pause()
+					}
+				})
 			}
-		}()
-		var markers sync.WaitGroup
-		for s := 0; s < from; s++ {
-			markers.Add(1)
-			go func(shard int) {
-				defer markers.Done()
-				for v := int64(0); v < half; v++ {
-					mark(shard, v)
-					runtime.Gosched()
-				}
-			}(s)
-		}
-		markers.Wait()
-		close(stop)
-		wg.Wait()
-		if msg := sampleErr.Load(); msg != nil {
-			t.Fatalf("trial %d (seed %d): %s", trial, *reshardSeed+int64(trial), msg)
+			markers.Wait()
+			done = true
+			sampler.Wait()
+		})
+		if sampleErr != "" {
+			t.Fatalf("trial %d (seed %d): %s", trial, *reshardSeed+int64(trial), sampleErr)
 		}
 		if v, ok := r.Frontier(); !ok || v != half-1 {
 			t.Fatalf("trial %d: phase A frontier = (%d, %v), want (%d, true)", trial, v, ok, half-1)
@@ -243,44 +244,38 @@ func TestReshardConcurrentKillProperty(t *testing.T) {
 
 		// Phase B — survivors keep scanning while the victim dies
 		// mid-recipe and its partner re-establishes it concurrently.
-		var wg2 sync.WaitGroup
-		for s := 0; s < from; s++ {
-			if s == victim {
-				continue
-			}
-			wg2.Add(1)
-			go func(shard int) {
-				defer wg2.Done()
-				for v := half; v < versions; v++ {
-					mark(shard, v)
-					runtime.Gosched()
+		clk.Run(func() {
+			for s := 0; s < from; s++ {
+				if s == victim {
+					continue
 				}
-			}(s)
-		}
-		wg2.Add(1)
-		go func() { // the kill and the partner recovery
-			defer wg2.Done()
-			r.RetractShard(victim)
-			runtime.Gosched()
-			for v := int64(0); v < versions; v++ {
-				mark(victim, v)
-				runtime.Gosched()
+				clk.Go(func() {
+					for v := half; v < versions; v++ {
+						mark(s, v)
+						pause()
+					}
+				})
 			}
-		}()
-		wg2.Add(1)
-		go func() { // concurrent reader exercising every query under -race
-			defer wg2.Done()
-			for i := 0; i < 50; i++ {
-				r.Frontier()
-				r.Committed()
-				r.RetractedShards()
-				for rank := 0; rank < to; rank++ {
-					r.ShardsOf(rank)
+			clk.Go(func() { // the kill and the partner recovery
+				r.RetractShard(victim)
+				pause()
+				for v := int64(0); v < versions; v++ {
+					mark(victim, v)
+					pause()
 				}
-				runtime.Gosched()
-			}
-		}()
-		wg2.Wait()
+			})
+			clk.Go(func() { // a concurrent reader exercising every query
+				for i := 0; i < 50; i++ {
+					r.Frontier()
+					r.Committed()
+					r.RetractedShards()
+					for rank := 0; rank < to; rank++ {
+						r.ShardsOf(rank)
+					}
+					pause()
+				}
+			})
+		})
 
 		// Convergence: recovery re-marked everything, so the recipe ends
 		// with the full frontier, no retraction, and a consistent tracker.

@@ -236,7 +236,7 @@ func (c *Client) recoverFromStore() {
 			ck := c.ckpts[ID(id)]
 			if ck == nil {
 				ck = &checkpoint{id: ID(id), size: size,
-					pay: &storePayload{deep: c.deep, rec: c.rec, id: id, size: size}}
+					pay: &storePayload{clk: c.clk, deep: c.deep, rec: c.rec, id: id, size: size}}
 				c.ckpts[ck.id] = ck
 			}
 			rep := c.newReplica(d.tier)
@@ -632,7 +632,9 @@ func (c *Client) tryServeFromGPU(ck *checkpoint, att *attrib) (served bool, err 
 	c.gpuC.Touch(cachebuf.ID(ck.id)) // recency signal for LRU ablation
 	c.p.GPU.CopyD2D(ck.size)         // GPU cache → application buffer
 	c.mark(att, metrics.CopyD2D)
-	c.mustTransition(ck, rep, lifecycle.Consumed)
+	// A second reader may have shared the claim during the copy-out and
+	// consumed the replica first.
+	c.tryTransition(ck, rep, lifecycle.Consumed)
 	return true, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -189,4 +190,76 @@ func newSecondGPU(clk *simclock.Virtual, d2d, pcie *fabric.Link) *device.GPU {
 		DeviceBytesPerSec:     1000 * MB,
 		PinnedHostBytesPerSec: 400 * MB,
 	})
+}
+
+// TestConcurrentRestoresOfOneVersion has two tasks restore the same
+// version at the same instant, once while it is GPU-resident from its
+// checkpoint and once after the prefetcher promoted it back
+// (READ_COMPLETE). The second reader's claim lands during the first's
+// copy-out and shares it; both must consume the replica without an
+// illegal CONSUMED → CONSUMED transition and return the bytes.
+func TestConcurrentRestoresOfOneVersion(t *testing.T) {
+	data := bytes.Repeat([]byte{0x5a}, 1*MB)
+	for _, tc := range []struct {
+		name     string
+		evictors ID // checkpoints written after version 0, pushing it off the GPU
+	}{
+		{"gpu-resident", 0},
+		{"prefetched", 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, func(clk *simclock.Virtual) {
+				r := newRig(t, clk, nil)
+				defer r.client.Close()
+				if err := r.client.Checkpoint(0, payload.NewReal(data)); err != nil {
+					t.Fatal(err)
+				}
+				for i := ID(1); i <= tc.evictors; i++ {
+					if err := r.client.Checkpoint(i, pay(1*MB)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.evictors > 0 {
+					if err := r.client.WaitFlush(); err != nil {
+						t.Fatal(err)
+					}
+					if r.client.ckpts[0].dataOn(TierGPU) {
+						t.Fatal("version 0 still on the GPU after the evicting checkpoints")
+					}
+					r.client.PrefetchEnqueue(0)
+					r.client.PrefetchStart()
+					for i := 0; !r.client.ckpts[0].dataOn(TierGPU); i++ {
+						if i == 1000 {
+							t.Fatal("version 0 not prefetched back to the GPU within 1 s")
+						}
+						clk.Sleep(time.Millisecond)
+					}
+				}
+				wg := simclock.NewWaitGroup(clk)
+				errs := make([]error, 2)
+				for i := range errs {
+					wg.Add(1)
+					clk.Go(func() {
+						defer wg.Done()
+						got, err := r.client.Restore(0)
+						switch {
+						case err != nil:
+							errs[i] = err
+						case !bytes.Equal(got.Bytes(), data):
+							errs[i] = errors.New("restored different bytes")
+						}
+					})
+				}
+				wg.Wait()
+				for i, err := range errs {
+					if err != nil {
+						t.Errorf("reader %d: %v", i, err)
+					}
+				}
+				if got := r.client.Metrics().Snapshot().RestoreOps; got != 2 {
+					t.Errorf("RestoreOps = %d, want 2", got)
+				}
+			})
+		})
+	}
 }

@@ -11,9 +11,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"score/internal/cachebuf"
@@ -390,52 +390,60 @@ func (ck *checkpoint) durableBelow(t Tier) bool {
 // (the store's CRC layer) and tier-aware: the local SSD store is
 // preferred, and a failed or corrupt read falls back down the deep-tier
 // table — partner SSD, then PFS — re-populating the local SSD copy on
-// success.
+// success. The stores are read once: a store read may sleep (a fault
+// hook's delay), and a task that asks for the bytes meanwhile parks on
+// waiters until the first load ends.
 type storePayload struct {
+	clk  *simclock.Virtual
 	deep []deepTier // the client's table; rows without a store are skipped
 	rec  *metrics.Recorder
 	id   int64
 	size int64
 
-	once sync.Once
-	data []byte
-	err  error
+	loaded, loading bool
+	waiters         simclock.WaitList
+	data            []byte
+	err             error
 }
 
 func (p *storePayload) load() {
-	p.once.Do(func() {
-		// The fallback ladder, fastest first. The first Get error is
-		// kept: it names the tier that *should* have served the read.
-		missErr := error(ckptstore.ErrNotFound)
-		firstErr := false
-		ssd := p.deep[0].store // may be nil: only deeper tiers durable
-		for i := range p.deep {
-			st := p.deep[i].store
-			if st == nil || !st.Has(p.id) {
-				continue
-			}
-			data, err := st.Get(p.id)
-			if err != nil {
-				if !firstErr {
-					missErr, firstErr = err, true
-				}
-				continue
-			}
-			p.data = data
-			if i > 0 && ssd != nil {
-				// The faster durable tier failed (or never had the
-				// bytes); the read is served from a deeper copy. Repair
-				// the faster tier so later reads and future restarts find
-				// the checkpoint locally again.
-				p.rec.FallbackRead()
-				if rerr := ssd.Restage(p.id, data); rerr == nil {
-					p.rec.Repopulation()
-				}
-			}
-			return
+	for p.loading {
+		p.waiters.Wait(p.clk)
+	}
+	if !p.loaded {
+		p.loading = true
+		p.data, p.err = p.read()
+		p.loaded, p.loading = true, false
+		p.waiters.Broadcast()
+	}
+}
+
+// read walks the fallback ladder, fastest first. The first Get error is
+// kept: it names the tier that *should* have served the read.
+func (p *storePayload) read() ([]byte, error) {
+	var firstErr error
+	ssd := p.deep[0].store // may be nil: only deeper tiers durable
+	for i := range p.deep {
+		st := p.deep[i].store
+		if st == nil || !st.Has(p.id) {
+			continue
 		}
-		p.err = missErr
-	})
+		data, err := st.Get(p.id)
+		if err != nil {
+			firstErr = cmp.Or(firstErr, err)
+			continue
+		}
+		if i > 0 && ssd != nil {
+			// A deeper copy served the read: repair the faster tier so
+			// later reads and future restarts find the checkpoint there.
+			p.rec.FallbackRead()
+			if rerr := ssd.Restage(p.id, data); rerr == nil {
+				p.rec.Repopulation()
+			}
+		}
+		return data, nil
+	}
+	return nil, cmp.Or(firstErr, ckptstore.ErrNotFound)
 }
 
 // Size implements payload.Payload.
@@ -454,9 +462,6 @@ func (p *storePayload) Checksum() uint64 {
 // caller's checksum verification will then fail loudly).
 func (p *storePayload) Bytes() []byte {
 	p.load()
-	if p.err != nil {
-		return nil
-	}
 	return p.data
 }
 

@@ -4,8 +4,6 @@
 // score-*/v1 format (report.MetricsFile).
 package metrics
 
-import "sync"
-
 // Export is one labeled run's observability snapshot.
 type Export struct {
 	Label   string              `json:"label"`
@@ -13,10 +11,10 @@ type Export struct {
 	Series  map[string][]Sample `json:"series,omitempty"`
 }
 
-// Registry accumulates labeled run summaries and series. Safe for
-// concurrent use.
+// Registry accumulates labeled run summaries and series. It takes no
+// lock: the tasks of one clock use it, one at a time, or its owner does
+// between runs.
 type Registry struct {
-	mu    sync.Mutex
 	runs  []Export
 	index map[string]int
 }
@@ -27,9 +25,7 @@ func NewRegistry() *Registry { return &Registry{index: map[string]int{}} }
 // Record merges s into the run registered under label (creating it on
 // first use), so repeated shots of the same scenario accumulate.
 func (r *Registry) Record(label string, s Summary) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := r.runLocked(label)
+	i := r.run(label)
 	r.runs[i].Summary = Merge(r.runs[i].Summary, s)
 }
 
@@ -39,9 +35,7 @@ func (r *Registry) RecordSeries(label string, series map[string][]Sample) {
 	if len(series) == 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := r.runLocked(label)
+	i := r.run(label)
 	if r.runs[i].Series == nil {
 		r.runs[i].Series = map[string][]Sample{}
 	}
@@ -50,7 +44,8 @@ func (r *Registry) RecordSeries(label string, series map[string][]Sample) {
 	}
 }
 
-func (r *Registry) runLocked(label string) int {
+// run returns the index of label's run, creating it on first use.
+func (r *Registry) run(label string) int {
 	if i, ok := r.index[label]; ok {
 		return i
 	}
@@ -62,15 +57,7 @@ func (r *Registry) runLocked(label string) int {
 // Runs snapshots the recorded runs in first-recorded order. The slice is
 // a copy; a later Record or RecordSeries does not change its length or
 // its entries' summaries.
-func (r *Registry) Runs() []Export {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append(make([]Export, 0, len(r.runs)), r.runs...)
-}
+func (r *Registry) Runs() []Export { return append(make([]Export, 0, len(r.runs)), r.runs...) }
 
 // Len reports the number of labeled runs recorded.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.runs)
-}
+func (r *Registry) Len() int { return len(r.runs) }

@@ -47,33 +47,25 @@ func TestModelCodeKeepsTheBatonContract(t *testing.T) {
 	}
 }
 
-// lockAllowed lists the non-test files, by path from the module root (a
-// directory covers its files), that may declare a sync.Mutex or
-// sync.RWMutex: types that real goroutines drive, or that callers outside
-// any task use.
-var lockAllowed = []string{
-	"internal/coord/",
-	"internal/ckptstore/",
-	"internal/metrics/registry.go",
-}
+// syncAllowed names what of package sync model code may use: Pool, which
+// no task holds across a switch (fabric's is shared across clocks), and
+// Locker, the interface NewCond takes. sync/atomic is another package.
+var syncAllowed = []string{"Pool", "Locker"}
 
 // TestModelCodeDeclaresNoMutex fails when a non-test file of the root
-// package, of cmd/ or of internal/ outside lockAllowed names sync.Mutex or
-// sync.RWMutex. State that only the tasks of one clock touch needs no lock:
-// the clock runs one task at a time and switches only where a task blocks
-// (DESIGN.md §14). The clock itself is covered too: Run's caller owns it
-// for the whole run. make vet runs it.
+// package, of cmd/ or of internal/ names anything of package sync outside
+// syncAllowed: a Mutex, RWMutex, Once or Cond. State that only the tasks
+// of one clock touch needs no lock: the clock runs one task at a time and
+// switches only where a task blocks (DESIGN.md §14). A task that blocks on
+// a real lock another task holds stalls the run without a deadlock
+// report. The clock itself is covered too: Run's caller owns it for the
+// whole run. make vet runs it.
 func TestModelCodeDeclaresNoMutex(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, f := range parseModelFiles(t, fset) {
-		path := filepath.ToSlash(fset.Position(f.Pos()).Filename)
-		path = strings.TrimPrefix(path, "../../")
-		if slices.ContainsFunc(lockAllowed, func(a string) bool { return strings.HasPrefix(path, a) }) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" && !slices.Contains(syncAllowed, sel.Sel.Name) {
 					t.Errorf("%s: sync.%s in model code: one task runs at a time, so clock-owned state needs no lock", fset.Position(n.Pos()), sel.Sel.Name)
 				}
 			}

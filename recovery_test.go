@@ -2,6 +2,7 @@ package score_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -160,5 +161,63 @@ func TestVirtualPayloadsNotPersisted(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if len(files) != 0 {
 		t.Errorf("virtual payloads persisted %d files", len(files))
+	}
+}
+
+// TestConcurrentRestartsOfARecoveredVersion has two tasks Restart the same
+// recovered version while every durable read is delayed 1 ms. The first
+// task's load sleeps inside the store read; the second, arriving during
+// that sleep, must park until the load ends rather than block its
+// coroutine, so the run neither hangs nor reads the store twice.
+func TestConcurrentRestartsOfARecoveredVersion(t *testing.T) {
+	dir := t.TempDir()
+	data := bytes.Repeat([]byte{0x3c}, 64*1024)
+	sim1, _ := score.NewSim()
+	sim1.Run(func() {
+		c, err := sim1.NewClient(0, 0, score.WithStore(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Checkpoint(1, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	sim2, _ := score.NewSim()
+	inj := sim2.NewFaultInjector(1, score.DelayOps(score.FaultStoreRead, time.Millisecond, 0, 0))
+	sim2.Run(func() {
+		c, err := sim2.NewClient(0, 0, score.WithStore(dir), score.WithFaultInjector(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wg := sim2.NewWaitGroup()
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			sim2.Clock().Go(func() {
+				defer wg.Done()
+				got, err := c.Restart(1)
+				switch {
+				case err != nil:
+					errs[i] = err
+				case !bytes.Equal(got, data):
+					errs[i] = errors.New("restored different bytes")
+				}
+			})
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("restart %d: %v", i, err)
+			}
+		}
+	})
+	if n := inj.Ops(score.FaultStoreRead); n != 1 {
+		t.Errorf("%d durable reads, want 1 (the second restart shares the first's load)", n)
 	}
 }
