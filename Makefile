@@ -147,19 +147,29 @@ bench-evict:
 # byte that differs between two runs fails, then the preemption sweep's
 # bundle, a fault scenario. A run under -out exits non-zero if any
 # durable or restore attribution record carries an unattributed latency
-# gap (DESIGN.md §12); bundle/pipeline and bundle/preempt are the CI
-# artifacts.
+# gap (DESIGN.md §12), and the target fails on any run that warns a
+# trace or ledger "is incomplete" (spans or ledger events dropped at a
+# ring cap); bundle/pipeline and bundle/preempt are the CI artifacts.
 # It runs observer-tax first, so the job that guards the trace goldens
 # also prints what the observers cost.
 trace-smoke: observer-tax
 	$(GO) test -run 'TestTraceExportDeterministic|TestFlowArrowsMatchGolden' -v .
 	rm -rf bundle/pipeline bundle/pipeline-rerun bundle/preempt
 	mkdir -p bundle/pipeline bundle/pipeline-rerun bundle/preempt
-	$(GO) run ./cmd/ckptbench -exp pipeline -scale small -out bundle/pipeline
-	$(GO) run ./cmd/ckptbench -exp pipeline -scale small -out bundle/pipeline-rerun
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/ckptbench" ./cmd/ckptbench && \
+	for run in "pipeline bundle/pipeline" "pipeline bundle/pipeline-rerun" "preempt bundle/preempt"; do \
+		set -- $$run; \
+		echo "ckptbench -exp $$1 -scale small -out $$2"; \
+		"$$dir/ckptbench" -exp $$1 -scale small -out $$2 2> "$$dir/err.txt"; x=$$?; \
+		cat "$$dir/err.txt" >&2; \
+		test $$x -eq 0 || exit $$x; \
+		if grep -q 'is incomplete' "$$dir/err.txt"; then \
+			echo "trace-smoke: ckptbench -exp $$1 wrote an incomplete trace or ledger into $$2"; exit 1; \
+		fi; \
+	done
 	diff -r bundle/pipeline bundle/pipeline-rerun
 	rm -rf bundle/pipeline-rerun
-	$(GO) run ./cmd/ckptbench -exp preempt -scale small -out bundle/preempt
 
 # observer-tax prints and gates the observers' host cost as the extra
 # allocations and bytes (DESIGN.md §10) of one small shot with tracing,

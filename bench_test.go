@@ -75,11 +75,9 @@ func BenchmarkTable1Approaches(b *testing.B) {
 		combo := combo
 		b.Run(combo.Label(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := experiments.ShotConfig{
-					Uniform: true, WaitForFlush: true, Order: rtm.Reverse, Combo: combo,
-				}
-				benchRun().Apply(&cfg)
-				res, err := experiments.RunShot(cfg)
+				res, err := experiments.RunShot(experiments.ShotConfig{
+					Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse, Combo: combo,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -188,10 +186,9 @@ func ablationShot(b *testing.B, mutate func(*experiments.ShotConfig)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.ShotConfig{
-			Uniform: false, WaitForFlush: false, Order: rtm.Irregular,
+			Run: benchRun(), Uniform: false, WaitForFlush: false, Order: rtm.Irregular,
 			Combo: experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 		}
-		benchRun().Apply(&cfg)
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -349,14 +346,15 @@ func BenchmarkExtensionSharedHostCache(b *testing.B) {
 // or one pool per node.
 func sharedHostShot(shared bool) (experiments.ShotResult, error) {
 	cfg := experiments.ShotConfig{
-		Uniform: false, WaitForFlush: true, Order: rtm.Reverse,
+		Run: benchRun(), Uniform: false, WaitForFlush: true, Order: rtm.Reverse,
 		Combo:             experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 		SharedHostPerNode: shared,
 	}
-	benchRun().Apply(&cfg)
 	// Widen the cross-rank shot-size disparity well past the private
 	// per-client capacity: this is the imbalance the shared pool exists
-	// to absorb.
+	// to absorb. The override starts from the scale's trace, which a
+	// zero Trace stands for.
+	cfg.Trace = cfg.TraceConfig()
 	cfg.Trace.MinAggregate = cfg.HostCache / 2
 	cfg.Trace.MaxAggregate = cfg.HostCache * 2
 	return experiments.RunShot(cfg)
@@ -396,13 +394,11 @@ func TestSharedHostCacheRow(t *testing.T) {
 func BenchmarkExtensionGPUDirect(b *testing.B) {
 	run := func(b *testing.B, direct bool) {
 		for i := 0; i < b.N; i++ {
-			cfg := experiments.ShotConfig{
-				Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
+			res, err := experiments.RunShot(experiments.ShotConfig{
+				Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 				Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 				GPUDirect: direct,
-			}
-			benchRun().Apply(&cfg)
-			res, err := experiments.RunShot(cfg)
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -423,11 +419,10 @@ func BenchmarkAblationChunkedPipeline(b *testing.B) {
 	run := func(b *testing.B, chunk int64) {
 		for i := 0; i < b.N; i++ {
 			cfg := experiments.ShotConfig{
-				Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
+				Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 				Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 				GPUDirect: true,
 			}
-			benchRun().Apply(&cfg)
 			cfg.ChunkSize = chunk
 			res, err := experiments.RunShot(cfg)
 			if err != nil {

@@ -85,7 +85,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiments and exit")
 	out := fs.String("out", "", "write the run bundle into this existing, empty directory: metrics.json (score-metrics/v1), critpath.json (score-critpath/v1), slo.json (score-slo/v1, under -slo or -fail-on-slo), and per shot trace-<label>.json (Chrome trace events, open in chrome://tracing or ui.perfetto.dev) and ledger-<label>.txt (every flight-recorder event); an unattributed latency gap in the exported records fails the run")
 	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -out's metrics.json and as counter tracks in its traces")
-	chunk := fs.Int64("chunk", 0, "stream multi-hop transfers in chunks of this many bytes, overlapping consecutive hops (0 = monolithic transfers)")
+	chunk := fs.Int64("chunk", 0, "stream every shot's multi-hop transfers, the fault scenarios' included, in chunks of this many bytes, overlapping consecutive hops (0 = monolithic; the pipeline experiment and the transfer-pipelining ablation rows set their own)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the experiment run(s) to this file (inspect with go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish")
 	benchTime := fs.Duration("benchtime", 0, "repeat the selected experiment(s) until this much wall time has elapsed — stabilizes -cpuprofile samples on fast configs (0 = run once)")
@@ -491,16 +491,7 @@ func runFig7(run experiments.Run, w io.Writer) error {
 // scale) before the reclaim lands? — with the deadline-hit rate and
 // drain throughput per window, plus one complete drain manifest.
 func runPreempt(run experiments.Run, w io.Writer) error {
-	cfg := experiments.PreemptConfig{}
-	if run.Bandwidth != 1 {
-		// 1/16-scale backlog with windows shrunk to match, preserving the
-		// full sweep's miss-to-hit gradient.
-		cfg.Size = 256 << 20
-		cfg.Windows = []time.Duration{
-			125 * time.Millisecond, 312 * time.Millisecond, 1 * time.Second, 2 * time.Second,
-		}
-	}
-	res, err := experiments.Preemption(run, cfg)
+	res, err := experiments.Preemption(run, experiments.PreemptConfig{})
 	if err != nil {
 		return err
 	}

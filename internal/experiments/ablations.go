@@ -51,8 +51,7 @@ func Ablations(run Run) (AblationResult, error) {
 	// Every variant is the Score client with all hints on one of two
 	// shots, changed by mutate (nil: unchanged).
 	shot := func(cfg ShotConfig, mutate func(*ShotConfig)) ShotConfig {
-		cfg.Combo = Combo{Score, AllHints}
-		run.Apply(&cfg)
+		cfg.Run, cfg.Combo = run, Combo{Score, AllHints}
 		if mutate != nil {
 			mutate(&cfg)
 		}

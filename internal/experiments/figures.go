@@ -50,8 +50,8 @@ func Small() Scale {
 	}
 }
 
-// traceConfig is the variable-size RTM trace generator at this scale.
-func (s Scale) traceConfig() rtm.TraceConfig {
+// TraceConfig is the variable-size RTM trace generator at this scale.
+func (s Scale) TraceConfig() rtm.TraceConfig {
 	cfg := rtm.DefaultTraceConfig()
 	cfg.Snapshots = s.Snapshots
 	cfg.MeanSize = s.Aggregate / int64(s.Snapshots)
@@ -135,7 +135,7 @@ func rowOf(res ShotResult) Row {
 // Fig4 regenerates the snapshot-size distribution of Figure 4: min, avg,
 // and max sizes per snapshot across shots ranks.
 func Fig4(scale Scale, shots int) ([]rtm.SnapshotStats, error) {
-	cfg := scale.traceConfig()
+	cfg := scale.TraceConfig()
 	var all []rtm.Shot
 	for rank := 0; rank < shots; rank++ {
 		s, err := rtm.GenerateShot(cfg, rank)
@@ -163,8 +163,7 @@ func Fig6(run Run, uniform bool) (FigureResult, error) {
 // tableOne runs every Table 1 combo in the three restore orders: figure
 // fig's a (uniform sizes) or b (variable sizes) variant.
 func tableOne(run Run, uniform, wait bool, fig, title string) (FigureResult, error) {
-	base := ShotConfig{Uniform: uniform, WaitForFlush: wait}
-	run.Apply(&base)
+	base := ShotConfig{Run: run, Uniform: uniform, WaitForFlush: wait}
 	variant := map[bool]string{true: "a (uniform)", false: "b (variable)"}[uniform]
 	rows, err := runCombos(base, "fig"+fig+variant[:1], "", Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	return FigureResult{ID: "Fig. " + fig + variant, Title: title, Rows: rows}, err
@@ -180,9 +179,8 @@ func Fig7(run Run) (FigureResult, error) {
 		Series: map[string][]metrics.SeriesPoint{},
 	}
 	for _, hints := range []HintMode{NoHints, SingleHint, AllHints} {
-		cfg := ShotConfig{Uniform: true, WaitForFlush: true,
+		cfg := ShotConfig{Run: run, Uniform: true, WaitForFlush: true,
 			Order: rtm.Sequential, Combo: Combo{Score, hints}}
-		run.Apply(&cfg)
 		res, err := RunShot(cfg)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", hints, err)
@@ -203,8 +201,7 @@ func Fig8a(run Run, intervals []time.Duration) (FigureResult, error) {
 	out := FigureResult{ID: "Fig. 8a", Title: "throughput vs compute interval (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
 	for _, iv := range intervals {
-		base := ShotConfig{Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
-		run.Apply(&base)
+		base := ShotConfig{Run: run, Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
 		rows, err := runCombos(base, "fig8a", iv.String(), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
@@ -222,8 +219,7 @@ func Fig8b(run Run, caches []int64) (FigureResult, error) {
 	out := FigureResult{ID: "Fig. 8b", Title: "throughput vs GPU cache size (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
 	for _, cache := range caches {
-		base := ShotConfig{Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
-		run.Apply(&base)
+		base := ShotConfig{Run: run, Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
 		base.GPUCache = cache
 		rows, err := runCombos(base, "fig8b", fmt.Sprintf("%dMiB", cache>>20), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
@@ -248,10 +244,9 @@ func Fig9(run Run, coupled bool, gpuCounts []int) (FigureResult, error) {
 		nodes := (gpus + 7) / 8
 		perNode := gpus / nodes
 		base := ShotConfig{
-			Uniform: false, WaitForFlush: false, Order: rtm.Reverse,
+			Run: run, Uniform: false, WaitForFlush: false, Order: rtm.Reverse,
 			Nodes: nodes, GPUsPerNode: perNode, TightlyCoupled: coupled,
 		}
-		run.Apply(&base)
 		rows, err := runCombos(base, "fig"+mode[:2], fmt.Sprintf("%d GPUs", gpus), combos, []rtm.Order{rtm.Reverse})
 		if err != nil {
 			return out, err

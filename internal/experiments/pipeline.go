@@ -19,28 +19,12 @@ import (
 // components of every record telescope exactly to its total (asserted
 // per rank by the metrics invariants before the result is returned).
 
-// PipelineCase is one compared transfer configuration.
-type PipelineCase struct {
-	// Name identifies the case ("pipeline/mono" or "pipeline/chunked").
-	Name string
-	// ChunkSize is the streaming granularity (0 = monolithic).
-	ChunkSize int64
-	// Result is the full shot outcome, per-rank summaries included.
-	Result ShotResult
-}
-
-// Merged is the cross-rank summary (attribution records included).
-func (c PipelineCase) Merged() metrics.Summary { return c.Result.MergedSummary() }
-
-// CritPathRun packages the case's attribution records under its name
-// for the score-critpath/v1 export.
-func (c PipelineCase) CritPathRun() report.CritPathRun {
-	return report.CritPathRun{Label: c.Name, Records: c.Merged().CritPaths}
-}
-
 // PipelineResult is the rendered experiment.
 type PipelineResult struct {
-	Cases []PipelineCase
+	// Cases holds one shot per compared transfer configuration, labelled
+	// "pipeline/mono" and "pipeline/chunked"; each one's Config.ChunkSize
+	// is its streaming granularity (0 = monolithic).
+	Cases []ShotResult
 }
 
 // Pipeline runs the drained-restore Score shot (all hints, uniform
@@ -49,36 +33,34 @@ type PipelineResult struct {
 // size, matching the bench-smoke pipelining configuration.
 func Pipeline(run Run) (PipelineResult, error) {
 	base := ShotConfig{
+		Run:          run,
 		GPUsPerNode:  4,
 		Uniform:      true,
 		Order:        rtm.Reverse,
 		WaitForFlush: true,
 		Combo:        Combo{Score, AllHints},
 	}
-	run.Apply(&base)
-
-	cases := []PipelineCase{
-		{Name: "pipeline/mono"}, // ChunkSize 0: monolithic
-		{Name: "pipeline/chunked", ChunkSize: run.UniformSize / 16},
-	}
-	for i := range cases {
+	var out PipelineResult
+	for _, c := range []struct {
+		label string
+		chunk int64
+	}{{"pipeline/mono", 0}, {"pipeline/chunked", run.UniformSize / 16}} {
 		cfg := base
-		cfg.ChunkSize = cases[i].ChunkSize
-		cfg.Label = cases[i].Name
+		cfg.ChunkSize, cfg.Label = c.chunk, c.label
 		res, err := RunShot(cfg)
 		if err != nil {
-			return PipelineResult{}, fmt.Errorf("%s: %w", cases[i].Name, err)
+			return PipelineResult{}, fmt.Errorf("%s: %w", c.label, err)
 		}
-		cases[i].Result = res
+		out.Cases = append(out.Cases, res)
 	}
-	return PipelineResult{Cases: cases}, nil
+	return out, nil
 }
 
 // CritPathRuns lists every case's attribution records for export.
 func (r PipelineResult) CritPathRuns() []report.CritPathRun {
 	out := make([]report.CritPathRun, 0, len(r.Cases))
 	for _, c := range r.Cases {
-		out = append(out, c.CritPathRun())
+		out = append(out, report.CritPathRun{Label: c.Label(), Records: c.MergedSummary().CritPaths})
 	}
 	return out
 }
@@ -89,16 +71,16 @@ func (r PipelineResult) Render(w io.Writer) error {
 	tab := report.NewTable("Pipeline — monolithic vs chunked transfers (drained restore)",
 		"configuration", "gpus", "ckpt", "restore", "io-wait", "mean time-to-durable")
 	for _, c := range r.Cases {
-		sum := c.Merged()
+		sum := c.MergedSummary()
 		count, total, _ := sum.CritPathBreakdown(metrics.CritDurable)
 		mean := time.Duration(0)
 		if count > 0 {
 			mean = total / time.Duration(count)
 		}
-		tab.AddRow(c.Name, len(c.Result.PerRank),
-			metrics.FormatBytesPerSec(c.Result.MeanCheckpointThroughput()),
-			metrics.FormatBytesPerSec(c.Result.MeanRestoreThroughput()),
-			c.Result.TotalIOWait().Round(time.Millisecond).String(),
+		tab.AddRow(c.Label(), len(c.PerRank),
+			metrics.FormatBytesPerSec(c.MeanCheckpointThroughput()),
+			metrics.FormatBytesPerSec(c.MeanRestoreThroughput()),
+			c.TotalIOWait().Round(time.Millisecond).String(),
 			mean.Round(time.Microsecond).String())
 	}
 	if err := tab.Render(w); err != nil {

@@ -29,23 +29,23 @@ func TestPipelineAttributesEveryDurableAndRestore(t *testing.T) {
 		t.Fatalf("Pipeline returned %d cases, want 2", len(res.Cases))
 	}
 	for _, c := range res.Cases {
-		sum := c.Merged()
+		sum := c.MergedSummary()
 		// Every durable version and every restore carries a complete
 		// decomposition (the per-rank invariants already asserted the
 		// counts and the zero unattributed gap; re-check the merged view).
 		durCount, durTotal, _ := sum.CritPathBreakdown(metrics.CritDurable)
 		if durCount != sum.DurableOps {
-			t.Errorf("%s: %d durable attributions for %d durable versions", c.Name, durCount, sum.DurableOps)
+			t.Errorf("%s: %d durable attributions for %d durable versions", c.Label(), durCount, sum.DurableOps)
 		}
 		restCount, _, _ := sum.CritPathBreakdown(metrics.CritRestore)
 		if restCount != sum.RestoreOps {
-			t.Errorf("%s: %d restore attributions for %d restores", c.Name, restCount, sum.RestoreOps)
+			t.Errorf("%s: %d restore attributions for %d restores", c.Label(), restCount, sum.RestoreOps)
 		}
 		if durCount == 0 || durTotal == 0 {
-			t.Errorf("%s: no durable attribution recorded", c.Name)
+			t.Errorf("%s: no durable attribution recorded", c.Label())
 		}
 		if gap := sum.CritPathUnattributed(); gap != 0 {
-			t.Errorf("%s: unattributed latency gap %v", c.Name, gap)
+			t.Errorf("%s: unattributed latency gap %v", c.Label(), gap)
 		}
 		for _, rec := range sum.CritPaths {
 			var compSum time.Duration
@@ -54,7 +54,7 @@ func TestPipelineAttributesEveryDurableAndRestore(t *testing.T) {
 			}
 			if compSum+rec.Unattributed != rec.Total {
 				t.Fatalf("%s: %s v%d components %v != total %v",
-					c.Name, rec.Op, rec.Version, compSum, rec.Total)
+					c.Label(), rec.Op, rec.Version, compSum, rec.Total)
 			}
 		}
 	}
@@ -62,7 +62,7 @@ func TestPipelineAttributesEveryDurableAndRestore(t *testing.T) {
 	// The chunked case folds the PCIe and SSD legs into one overlapped
 	// stream; the monolithic case must show them as separate serialized
 	// components.
-	_, _, monoComps := res.Cases[0].Merged().CritPathBreakdown(metrics.CritDurable)
+	_, _, monoComps := res.Cases[0].MergedSummary().CritPathBreakdown(metrics.CritDurable)
 	if monoComps[metrics.CompXferPCIe] == 0 || monoComps[metrics.CompXferSSD] == 0 {
 		t.Errorf("mono case missing serialized transfer components: %v", monoComps)
 	}

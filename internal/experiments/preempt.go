@@ -25,38 +25,42 @@ type PreemptConfig struct {
 	// Checkpoints is the backlog depth (versions written before or while
 	// the notice lands; default 12).
 	Checkpoints int
-	// Size is the per-version payload size in bytes (default 4 GiB).
+	// Size is the per-version payload size in bytes (default 4 GiB;
+	// 256 MiB at a reduced Scale).
 	Size int64
 	// Interval is the compute time between writes (default 10 ms) — the
 	// backlog builds because writes outpace the flush chain.
 	Interval time.Duration
 	// Windows are the grace windows to sweep (default 2 s, 5 s, 15 s,
-	// 30 s).
+	// 30 s; 125 ms, 312 ms, 1 s, 2 s at a reduced Scale).
 	Windows []time.Duration
 	// Runs is the number of seeded runs per window; each run varies when
 	// in the write phase the notice lands (default 3).
 	Runs int
-	// Objectives, when non-empty, attaches a sweep-level SLO engine: each
-	// run contributes one DeadlineMet observation on a synthetic
-	// one-second-per-run timeline (the runs live on separate virtual
-	// clocks, so the sweep index is the only shared time axis). Left nil
-	// under a Run with SLO set, the checked-in drain-hit-ratio objective
-	// applies.
-	Objectives []slo.Objective
 }
 
-func (c PreemptConfig) withDefaults() PreemptConfig {
+// withDefaults fills the paper-scale sweep or, at a reduced scale, a
+// 1/16-size backlog with windows shrunk to match, which keeps the full
+// sweep's miss-to-hit gradient.
+func (c PreemptConfig) withDefaults(s Scale) PreemptConfig {
+	reduced := s.Bandwidth > 0 && s.Bandwidth != 1
 	if c.Checkpoints == 0 {
 		c.Checkpoints = 12
 	}
 	if c.Size == 0 {
 		c.Size = 4 << 30
+		if reduced {
+			c.Size = 256 << 20
+		}
 	}
 	if c.Interval == 0 {
 		c.Interval = 10 * time.Millisecond
 	}
 	if len(c.Windows) == 0 {
 		c.Windows = []time.Duration{2 * time.Second, 5 * time.Second, 15 * time.Second, 30 * time.Second}
+		if reduced {
+			c.Windows = []time.Duration{125 * time.Millisecond, 312 * time.Millisecond, 1 * time.Second, 2 * time.Second}
+		}
 	}
 	if c.Runs == 0 {
 		c.Runs = 3
@@ -106,7 +110,7 @@ type PreemptResult struct {
 	// SampleManifest is the first run's full manifest — the artifact the
 	// scheduler (and EXPERIMENTS.md) shows per version.
 	SampleManifest score.DrainManifest
-	// SLO holds the sweep-level compliance report when Objectives was set
+	// SLO holds the sweep-level compliance report when the Run set SLO
 	// (nil otherwise).
 	SLO *slo.Report
 }
@@ -114,21 +118,20 @@ type PreemptResult struct {
 // Preemption runs the sweep. Deterministic: the same config reproduces
 // identical cells and manifests.
 func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Objectives == nil && run.SLO {
-		cfg.Objectives = slo.PreemptObjectives()
-	}
+	cfg = cfg.withDefaults(run.Scale)
 	res := PreemptResult{Config: cfg}
-	// The sweep-level drain objective watches the DeadlineMet stream
-	// across every (window, run) pair on a synthetic timeline advancing
-	// one second per run — tight grace windows early in the sweep burn
-	// budget, generous ones later pay it back.
+	// Under SLO, the checked-in sweep-level drain objective watches the
+	// DeadlineMet stream: each (window, run) pair contributes one
+	// observation on a synthetic timeline advancing one second per run
+	// (the runs live on separate virtual clocks, so the sweep index is
+	// the only shared time axis) — tight grace windows early in the
+	// sweep burn budget, generous ones later pay it back.
 	var eng *slo.Engine
 	var step int64
-	if len(cfg.Objectives) > 0 {
+	if run.SLO {
 		e, err := slo.NewEngine(func() time.Duration {
 			return time.Duration(step) * time.Second
-		}, cfg.Objectives...)
+		}, slo.PreemptObjectives()...)
 		if err != nil {
 			return res, err
 		}

@@ -121,18 +121,23 @@ func (s scoreRuntime) Restore(id int64) (payload.Payload, error) {
 }
 func (s scoreRuntime) PrefetchEnqueue(id int64) { s.Client.PrefetchEnqueue(core.ID(id)) }
 
-// ShotConfig describes one benchmark run (§5.3).
+// ShotConfig describes one benchmark run (§5.3): the Run it belongs to,
+// whose scale and options it reads as its own fields, plus the shot's
+// workload and runtime. A driver that varies a Run field per shot (a
+// cache size, a chunk size) assigns the promoted field.
 type ShotConfig struct {
+	Run
+
 	// Nodes and GPUsPerNode give the process count (§5.1: up to 4 nodes
 	// × 8 GPUs).
 	Nodes, GPUsPerNode int
 
-	// Snapshots per shot and their sizes: Uniform uses UniformSize for
-	// every snapshot; otherwise Trace generates variable sizes.
-	Snapshots   int
-	Uniform     bool
-	UniformSize int64
-	Trace       rtm.TraceConfig
+	// Uniform gives every snapshot the scale's UniformSize; otherwise
+	// Trace generates variable sizes.
+	Uniform bool
+	// Trace overrides the scale's variable-size generator (zero: the
+	// scale's, Scale.TraceConfig).
+	Trace rtm.TraceConfig
 
 	// Order is the backward-pass restore order.
 	Order rtm.Order
@@ -147,30 +152,18 @@ type ShotConfig struct {
 	// iteration (Fig. 9a).
 	TightlyCoupled bool
 
-	// GPUCache and HostCache are the per-process cache reservations
-	// (§5.3.4 defaults: 4 GiB and 32 GiB).
-	GPUCache, HostCache int64
-
 	// Combo selects the runtime and hint budget.
 	Combo Combo
-	// Label, when set, overrides the auto-generated result label
-	// (combo + phase-coupling mode) in metric and attribution exports —
-	// used by drivers that run the same combo in several variants (the
-	// pipeline experiment's mono vs chunked cases).
+	// Label names the shot in metric and attribution exports and in its
+	// trace and ledger files; every driver sets one. Left empty, it is
+	// the combo plus the phase-coupling mode.
 	Label string
-	// BWScale scales every link bandwidth (for reduced-scale runs whose
-	// data sizes shrink by the same factor, preserving the paper's
-	// bandwidth-to-working-set ratios). 0 or 1 means paper bandwidths.
-	BWScale float64
 
 	// Extension knobs (Score only): the paper's future-work items.
 	// SharedHostPerNode pools the host caches of a node's clients;
 	// GPUDirect bypasses the host tier entirely.
 	SharedHostPerNode bool
 	GPUDirect         bool
-	// ChunkSize enables chunked multi-hop transfer pipelining (§4.3);
-	// 0 keeps monolithic transfers. Score only.
-	ChunkSize int64
 
 	// Ablation knobs (Score only).
 	SplitCache, NoPinning, OnDemandAlloc, NoHostStager bool
@@ -180,21 +173,6 @@ type ShotConfig struct {
 	// its pure form, used by the allocation ablation.
 	UpfrontHostInit bool
 	EvictionPolicy  cachebuf.Policy
-
-	// SampleInterval, when positive, runs a virtual-clock sampler over
-	// the shot that records cache occupancy, score means, flush queue
-	// depths and copy-engine occupancy per Score rank, plus in-flight
-	// count and cumulative busy time per fabric link, every interval.
-	// The series land in ShotResult.Series.
-	SampleInterval time.Duration
-
-	// Objectives, when non-empty, attaches an SLO engine evaluating them
-	// over the shot on its virtual clock (Score combos only — the
-	// baselines have no critical-path cursor to attribute from).
-	Objectives []slo.Objective
-
-	// Observers are the callbacks the shot reports through (see Run).
-	Observers
 }
 
 // Observers are the callbacks through which whoever owns a run collects
@@ -224,40 +202,23 @@ func (o Observers) reportSLO(label string, rep slo.Report) {
 // Run is everything one invocation (a ckptbench command line, a test, a
 // benchmark) asks of the scenarios it runs: the workload scale plus the
 // options that apply to every shot alike. It is a plain value — drivers
-// take it as a parameter and Apply copies it into each ShotConfig — so
-// runs with different options can execute at the same time.
+// take it as a parameter and every ShotConfig embeds it — so runs with
+// different options can execute at the same time.
 type Run struct {
+	// Scale sizes every shot; a zero Scale runs as Full().
 	Scale
 	// SampleInterval, when positive, samples every shot's gauges at this
-	// simulated interval (ShotConfig.SampleInterval, or a scenario Sim's
-	// WithSampling).
+	// simulated interval: the sampled series of a RunShot shot, a
+	// scenario Sim's WithSampling.
 	SampleInterval time.Duration
 	// ChunkSize, when positive, streams every shot's multi-hop transfers
-	// in chunks of this many bytes (ShotConfig.ChunkSize); drivers that
-	// compare chunk sizes override it per shot.
+	// in chunks of this many bytes (a scenario client's WithChunkSize);
+	// drivers that compare chunk sizes override it per shot.
 	ChunkSize int64
-	// SLO makes every scenario evaluate its checked-in default objective
-	// set (internal/slo defaults.go).
+	// SLO makes every shot and scenario evaluate its checked-in default
+	// objective set (internal/slo defaults.go).
 	SLO bool
 	Observers
-}
-
-// Apply maps the run onto a ShotConfig: the scale's sizes, caches and
-// bandwidths, then the per-run options. Fields a driver sets afterwards
-// override it.
-func (r Run) Apply(cfg *ShotConfig) {
-	cfg.Snapshots = r.Snapshots
-	cfg.UniformSize = r.UniformSize
-	cfg.GPUCache = r.GPUCache
-	cfg.HostCache = r.HostCache
-	cfg.BWScale = r.Bandwidth
-	cfg.Trace = r.traceConfig()
-	cfg.SampleInterval = r.SampleInterval
-	cfg.ChunkSize = r.ChunkSize
-	if r.SLO {
-		cfg.Objectives = slo.ShotObjectives()
-	}
-	cfg.Observers = r.Observers
 }
 
 // SLOLedgerRank is the flight-recorder rank SLO alert transitions are
@@ -277,24 +238,14 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	if c.GPUsPerNode == 0 {
 		c.GPUsPerNode = 8
 	}
-	if c.Snapshots == 0 {
-		c.Snapshots = 384
+	if c.Scale == (Scale{}) {
+		c.Scale = Full()
 	}
-	if c.UniformSize == 0 {
-		c.UniformSize = 128 << 20
+	if c.Trace == (rtm.TraceConfig{}) {
+		c.Trace = c.TraceConfig()
 	}
-	if c.Trace.Snapshots == 0 {
-		c.Trace = rtm.DefaultTraceConfig()
-	}
-	c.Trace.Snapshots = c.Snapshots
 	if c.Interval == 0 {
 		c.Interval = 10 * time.Millisecond
-	}
-	if c.GPUCache == 0 {
-		c.GPUCache = 4 * fabric.GB
-	}
-	if c.HostCache == 0 {
-		c.HostCache = 32 * fabric.GB
 	}
 	return c
 }
@@ -414,8 +365,8 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	// objectives would report zero events, so skip it there rather than
 	// emit vacuous compliance rows.
 	var sloEng *slo.Engine
-	if len(cfg.Objectives) > 0 && cfg.Combo.Approach == Score {
-		eng, err := newSLOEngine(clk.Now, cfg.Objectives, tracer)
+	if cfg.SLO && cfg.Combo.Approach == Score {
+		eng, err := newSLOEngine(clk.Now, slo.ShotObjectives(), tracer)
 		if err != nil {
 			return ShotResult{}, err
 		}
@@ -427,7 +378,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	hw := fabric.DGXA100()
 	hw.GPUs = cfg.GPUsPerNode
 	costs := device.DefaultAllocCosts()
-	if s := cfg.BWScale; s > 0 && s != 1 {
+	if s := cfg.Bandwidth; s > 0 && s != 1 {
 		hw.D2DBandwidth *= s
 		hw.PCIeBandwidth *= s
 		hw.NVMePerDrive *= s
@@ -472,9 +423,10 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	orders := make([][]int, ranks)
 	for rank := 0; rank < ranks; rank++ {
 		node := cluster.Nodes[rank/cfg.GPUsPerNode]
-		local := rank % cfg.GPUsPerNode
-		d2d, pcie := node.GPULinks(local)
-		gpu := device.NewGPU(clk, local, device.A100HBM, d2d, pcie, costs)
+		// The device ID is the job rank, not the node-local index: the
+		// tracer keys spans, ledger rows and flow IDs by it.
+		d2d, pcie := node.GPULinks(rank % cfg.GPUsPerNode)
+		gpu := device.NewGPU(clk, rank, device.A100HBM, d2d, pcie, costs)
 
 		var pool *core.SharedHostCache
 		if sharedPools != nil {

@@ -26,12 +26,10 @@ func tiny() Run {
 }
 
 func tinyShot(combo Combo, order rtm.Order, wait bool, uniform bool) ShotConfig {
-	cfg := ShotConfig{
-		GPUsPerNode: 2, Uniform: uniform, WaitForFlush: wait,
+	return ShotConfig{
+		Run: tiny(), GPUsPerNode: 2, Uniform: uniform, WaitForFlush: wait,
 		Order: order, Combo: combo, Interval: 2 * time.Millisecond,
 	}
-	tiny().Apply(&cfg)
-	return cfg
 }
 
 func TestRunShotAllCombosComplete(t *testing.T) {
@@ -192,12 +190,10 @@ func TestConcurrentShotsKeepTheirRun(t *testing.T) {
 
 	// The no-hints Score combo: its numbers repeat exactly between runs.
 	shot := func(run Run, label string) (ShotResult, error) {
-		cfg := ShotConfig{
-			GPUsPerNode: 2, Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
+		return RunShot(ShotConfig{
+			Run: run, GPUsPerNode: 2, Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 			Combo: Combo{Score, NoHints}, Interval: 2 * time.Millisecond, Label: label,
-		}
-		run.Apply(&cfg)
-		return RunShot(cfg)
+		})
 	}
 	var sawAlone, sawFull, sawBare watched
 	aloneFull, err := shot(sawAlone.watch(full, true), "full")
@@ -240,5 +236,59 @@ func TestConcurrentShotsKeepTheirRun(t *testing.T) {
 	}
 	if concBare.SLO != nil || concBare.Series != nil {
 		t.Error("bare shot picked up the other run's SLO or sampling")
+	}
+}
+
+// TestMultiNodeTraceKeysByJobRank: the tracer keys ledger rows, spans and
+// flow IDs by a process's GPU ID, which is its job rank. A node-local
+// index would merge the processes of different nodes that share one.
+func TestMultiNodeTraceKeysByJobRank(t *testing.T) {
+	run := tiny()
+	var tr *trace.Tracer
+	run.OnTrace = func(_ string, got *trace.Tracer) { tr = got }
+	cfg := tinyShot(Combo{Score, AllHints}, rtm.Reverse, true, true)
+	cfg.Run, cfg.Nodes = run, 2
+	if _, err := RunShot(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ranks := cfg.Nodes * cfg.GPUsPerNode
+	if ev, _ := tr.Dropped(); ev > 0 || tr.Flight().TotalDropped() > 0 {
+		t.Fatalf("trace dropped %d spans and %d ledger events", ev, tr.Flight().TotalDropped())
+	}
+	if got := tr.Flight().Ranks(); len(got) != ranks {
+		t.Errorf("ledger ranks %v, want %d (2 nodes × %d GPUs)", got, ranks, cfg.GPUsPerNode)
+	}
+	// Every rank checkpoints every snapshot, one flow per version.
+	owner := map[int64]int{}
+	for _, ev := range tr.Events() {
+		if ev.Flow == 0 {
+			continue
+		}
+		if g, ok := owner[ev.Flow]; ok && g != ev.GPU {
+			t.Fatalf("flow %#x spans GPU rows %d and %d", ev.Flow, g, ev.GPU)
+		}
+		owner[ev.Flow] = ev.GPU
+	}
+	if want := ranks * cfg.Snapshots; len(owner) != want {
+		t.Errorf("%d distinct flow IDs, want %d (%d ranks × %d versions)", len(owner), want, ranks, cfg.Snapshots)
+	}
+}
+
+// TestRunChunkSizeReachesScenarioShots: a Run's ChunkSize streams a
+// scenario's multi-hop transfers as it does a RunShot shot's.
+func TestRunChunkSizeReachesScenarioShots(t *testing.T) {
+	cfg := smallPreempt()
+	run := Run{ChunkSize: cfg.Size / 4}
+	var shots int
+	var streams int64
+	run.OnShot = func(r ShotResult) {
+		shots++
+		streams += r.MergedSummary().PipelinedStreams
+	}
+	if _, err := Preemption(run, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if shots == 0 || streams == 0 {
+		t.Errorf("%d shots under Run{ChunkSize: %d} streamed %d pipelined transfers, want some", shots, run.ChunkSize, streams)
 	}
 }

@@ -10,11 +10,12 @@ import (
 
 // simShot is one score.Sim phase of a scenario, run through the same
 // lifecycle as a runShot shot: the Sim records what the Run's observers
-// ask for, every client it hands out has its metrics invariants asserted
-// when it is closed, and the phase ends with endShot under its own label.
+// ask for, every client it hands out streams in the Run's chunks and has
+// its metrics invariants asserted when it is closed, and the phase ends
+// with endShot under its own label.
 type simShot struct {
 	*score.Sim
-	obs       Observers
+	cfg       Run // the Run the phase belongs to
 	eng       *slo.Engine
 	quiescent bool
 	open      []*score.Client
@@ -22,9 +23,9 @@ type simShot struct {
 }
 
 // newSimShot builds the phase's Sim from opts plus the Run's observers:
-// tracing when OnTrace is set, gauge sampling at run.SampleInterval, and
-// an SLO engine over objs (none when objs is empty) attached to every
-// client.
+// tracing when OnTrace is set, gauge sampling at run.SampleInterval, and,
+// when run.SLO is set, an SLO engine over objs, the scenario's checked-in
+// set (none when objs is empty), attached to every client.
 func newSimShot(run Run, label string, objs []slo.Objective, opts ...score.Option) (*simShot, error) {
 	if run.OnTrace != nil {
 		opts = append(opts, score.WithTracing())
@@ -33,8 +34,8 @@ func newSimShot(run Run, label string, objs []slo.Objective, opts ...score.Optio
 	if err != nil {
 		return nil, err
 	}
-	s := &simShot{Sim: sim, obs: run.Observers, res: ShotResult{Config: ShotConfig{Label: label}}}
-	if len(objs) > 0 {
+	s := &simShot{Sim: sim, cfg: run, res: ShotResult{Config: ShotConfig{Label: label}}}
+	if run.SLO && len(objs) > 0 {
 		if s.eng, err = newSLOEngine(sim.Clock().Now, objs, sim.Tracer()); err != nil {
 			return nil, err
 		}
@@ -42,8 +43,10 @@ func newSimShot(run Run, label string, objs []slo.Objective, opts ...score.Optio
 	return s, nil
 }
 
-// client opens a client on the phase's Sim. Call inside run.
+// client opens a client on the phase's Sim, streaming in the Run's
+// chunks. Call inside run.
 func (s *simShot) client(node, gpu int, opts ...score.ClientOption) (*score.Client, error) {
+	opts = append(opts, score.WithChunkSize(s.cfg.ChunkSize))
 	if s.eng != nil {
 		opts = append(opts, score.WithSLO(s.eng))
 	}
@@ -102,7 +105,7 @@ func (s *simShot) run(quiescent bool, fn func() error) (ShotResult, error) {
 	})
 	if err == nil {
 		s.res.Duration, s.res.Series = s.Clock().Now(), s.SampledSeries()
-		err = s.obs.endShot(&s.res, s.eng, s.Tracer())
+		err = s.cfg.endShot(&s.res, s.eng, s.Tracer())
 	}
 	if err != nil {
 		return s.res, fmt.Errorf("%s: %w", s.res.Label(), err)

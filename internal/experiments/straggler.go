@@ -35,10 +35,6 @@ type StragglerConfig struct {
 	// restore phase. Severity 1 is the healthy control (default
 	// {1, 5, 20}).
 	Severities []float64
-	// Objectives, when non-empty, attaches an SLO engine per cell. Left
-	// nil under a Run with SLO set, the checked-in straggler restore-tail
-	// objective set applies.
-	Objectives []slo.Objective
 }
 
 func (c StragglerConfig) withDefaults() StragglerConfig {
@@ -76,9 +72,9 @@ type StragglerCell struct {
 	HedgesLaunched, HedgeWins, HedgeWastedBytes int64
 	StallsDetected, StallsRerouted              int64
 	HealthQuarantines                           int64
-	// SLO holds the cell's compliance report when the sweep ran with
-	// objectives (nil otherwise). The degraded cells are where the
-	// restore-tail objective fires; the healthy control must stay clean.
+	// SLO holds the cell's compliance report when the Run set SLO (nil
+	// otherwise). The degraded cells are where the restore-tail
+	// objective fires; the healthy control must stay clean.
 	SLO *slo.Report
 }
 
@@ -113,9 +109,6 @@ func (r StragglerResult) Cell(severity float64, hedged bool) (StragglerCell, boo
 // identical cells.
 func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Objectives == nil && run.SLO {
-		cfg.Objectives = slo.StragglerObjectives()
-	}
 	res := StragglerResult{Config: cfg}
 	for _, sev := range cfg.Severities {
 		for _, hedged := range []bool{false, true} {
@@ -136,7 +129,7 @@ func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
 // (severity, hedging) run.
 func stragglerRun(run Run, cfg StragglerConfig, severity float64, hedged bool) (StragglerCell, error) {
 	cell := StragglerCell{Severity: severity, Hedged: hedged}
-	sim, err := newSimShot(run, "straggler/"+cell.Label(), cfg.Objectives,
+	sim, err := newSimShot(run, "straggler/"+cell.Label(), slo.StragglerObjectives(),
 		score.WithNodes(1), score.WithGPUsPerNode(1))
 	if err != nil {
 		return cell, err

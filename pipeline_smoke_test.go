@@ -21,11 +21,10 @@ import (
 func TestChunkedPipelineSmoke(t *testing.T) {
 	shot := func(chunk int64) (experiments.ShotResult, uint64) {
 		cfg := experiments.ShotConfig{
-			Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
+			Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 			Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 			GPUDirect: true,
 		}
-		benchRun().Apply(&cfg)
 		cfg.ChunkSize = chunk
 		before := simclock.EventCount()
 		res, err := experiments.RunShot(cfg)

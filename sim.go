@@ -263,7 +263,7 @@ func openStore(dir string, scrub bool) (*ckptstore.Store, []int64, error) {
 }
 
 // NewClient creates the Score runtime for the process pinned to the given
-// node and GPU. Call inside Run.
+// node and GPU, its traces keyed by job rank node×GPUs+gpu. Call inside Run.
 func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	if node < 0 || node >= s.cfg.nodes {
 		return nil, fmt.Errorf("score: node %d out of range [0,%d)", node, s.cfg.nodes)
@@ -280,7 +280,7 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	}
 	n := s.cluster.Nodes[node]
 	d2d, pcie := n.GPULinks(gpu)
-	dev := device.NewGPU(s.clk, gpu, device.A100HBM, d2d, pcie, device.DefaultAllocCosts())
+	dev := device.NewGPU(s.clk, node*s.cfg.node.GPUs+gpu, device.A100HBM, d2d, pcie, device.DefaultAllocCosts())
 	var sharedPool *core.SharedHostCache
 	if s.cfg.sharedHost > 0 {
 		sharedPool = s.shared[node]

@@ -113,12 +113,11 @@ func BenchmarkSimSpeedPipelineShot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := experiments.ShotConfig{
-			Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
+			Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
 			Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
 			GPUDirect: true,
 		}
-		benchRun().Apply(&cfg)
-		cfg.ChunkSize = benchRun().UniformSize / 8
+		cfg.ChunkSize = cfg.UniformSize / 8
 		if _, err := experiments.RunShot(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -6,24 +6,23 @@ import (
 	"time"
 
 	"score/internal/experiments"
-	"score/internal/slo"
 )
 
 // TestSLOSmoke is the `make slo-smoke` observability gate: the straggler
-// sweep run under the checked-in restore-tail objective must produce the
-// end-to-end alert story — the healthy control fires nothing and keeps
-// its full error budget, while the 20× gray straggler fires the
-// restore-p99 burn-rate alert with the transfer component (the degraded
-// link) dominating the attribution.
+// sweep run under SLO, the path ckptbench -slo takes, so under its
+// checked-in restore-tail objective, must produce the end-to-end alert
+// story — the healthy control fires nothing and keeps its full error
+// budget, while the 20× gray straggler fires the restore-p99 burn-rate
+// alert with the transfer component (the degraded link) dominating the
+// attribution.
 func TestSLOSmoke(t *testing.T) {
 	cfg := experiments.StragglerConfig{
 		Checkpoints: 12,
 		Size:        32 << 20,
 		Interval:    2 * time.Millisecond,
 		Severities:  []float64{1, 20},
-		Objectives:  slo.StragglerObjectives(),
 	}
-	res, err := experiments.Straggler(experiments.Run{}, cfg)
+	res, err := experiments.Straggler(experiments.Run{SLO: true}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

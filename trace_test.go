@@ -3,6 +3,7 @@ package score_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,36 @@ func TestSimTracingProducesChromeTrace(t *testing.T) {
 	if !haveCkpt || !haveRestore || !haveFlush {
 		t.Errorf("trace missing span kinds: ckpt=%v restore=%v flush=%v",
 			haveCkpt, haveRestore, haveFlush)
+	}
+}
+
+// TestSimTracesKeyByJobRank: a multi-node Sim's clients trace under their
+// job ranks, so processes on two nodes that share a GPU index keep
+// ledgers of their own.
+func TestSimTracesKeyByJobRank(t *testing.T) {
+	sim, err := score.NewSim(score.WithTracing(), score.WithNodes(2), score.WithGPUsPerNode(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(func() {
+		for node := 0; node < 2; node++ {
+			for gpu := 0; gpu < 2; gpu++ {
+				c, err := sim.NewClient(node, gpu, score.WithGPUCache(16<<20), score.WithHostCache(64<<20))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.CheckpointVirtual(0, 4<<20); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.WaitFlush(); err != nil {
+					t.Fatal(err)
+				}
+				c.Close()
+			}
+		}
+	})
+	if got, want := sim.Tracer().Flight().Ranks(), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ledger ranks %v, want %v (node × 2 + GPU)", got, want)
 	}
 }
 
