@@ -47,9 +47,9 @@ bench-check:
 # public With* options (non-test root files, so a test helper such as
 # export_test.go's is not one), core.Params and experiments.ShotConfig
 # fields, the exported fields of the
-# two baselines' Config structs (uvmsim, adiossim) and of the five
-# scenario configs behind the paper-extension tables (rank failure, live
-# migration, elastic restart, preemption, straggler), ckptbench flags,
+# two baselines' Config structs (uvmsim, adiossim) and of the three
+# store-backed scenario configs (rank failure, live migration, elastic
+# restart; the preemption and straggler sweeps take none), ckptbench flags,
 # registered eviction policies, cond-wake call sites (Broadcast and
 # Signal in non-test internal/ code outside internal/simclock), cache-wake
 # call sites (.Notify() in non-test internal/ code outside internal/cachebuf
@@ -68,7 +68,7 @@ loc:
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
 	@printf '%7d  experiments.ShotConfig fields\n' $$(awk '/^type ShotConfig struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/runner.go)
 	@printf '%7d  baseline Config fields\n' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/uvmsim/uvm.go internal/adiossim/adios.go)
-	@printf '%7d  scenario Config fields\n' $$(awk '/^type (RankFail|Migrate|Elastic|Preempt|Straggler)Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/rankfail.go internal/experiments/migrate.go internal/experiments/elastic.go internal/experiments/preempt.go internal/experiments/straggler.go)
+	@printf '%7d  scenario Config fields\n' $$(awk '/^type (RankFail|Migrate|Elastic)Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/rankfail.go internal/experiments/migrate.go internal/experiments/elastic.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
@@ -121,7 +121,8 @@ bench:
 
 # bench-smoke runs the chunked-vs-monolithic transfer-pipelining ablation
 # once and fails if chunked regresses below the monolithic baseline
-# (DESIGN.md §9), then the preemption-drain and straggler gates. It also
+# (DESIGN.md §9), then the preemption-drain and straggler gates, which
+# run the sweeps ckptbench -exp preempt and -exp straggler print. It also
 # gates the simulator engine itself (DESIGN.md §14): measured in a
 # process of its own, the 10k-rank sweep must retire at least 0.9x the
 # heap reference's events/sec on the default wheel and allocate no more

@@ -91,7 +91,7 @@ func BenchmarkTable1Approaches(b *testing.B) {
 // BenchmarkFig4TraceGen regenerates the snapshot-size distribution.
 func BenchmarkFig4TraceGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		stats, err := experiments.Fig4(benchRun().Scale, 32)
+		stats, err := experiments.Fig4(benchRun().Scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,32 +148,29 @@ func BenchmarkFig7PrefetchDistance(b *testing.B) {
 }
 
 func BenchmarkFig8aComputeInterval(b *testing.B) {
-	intervals := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig8a(benchRun(), intervals)
+		fig, err := experiments.Fig8a(benchRun())
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig8bGPUCache(b *testing.B) {
-	s := benchRun()
-	caches := []int64{s.GPUCache / 2, s.GPUCache, s.GPUCache * 2}
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig8b(s, caches)
+		fig, err := experiments.Fig8b(benchRun())
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig9aTightlyCoupled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig9(benchRun(), true, []int{8, 16})
+		fig, err := experiments.Fig9(benchRun(), true)
 		reportRows(b, fig, err)
 	}
 }
 
 func BenchmarkFig9bEmbarrassinglyParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig9(benchRun(), false, []int{8, 16})
+		fig, err := experiments.Fig9(benchRun(), false)
 		reportRows(b, fig, err)
 	}
 }

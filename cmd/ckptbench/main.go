@@ -49,10 +49,10 @@ var scenarios = []scenario{
 	{"fig6a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
 	{"fig6b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
 	{"fig7", runFig7},
-	{"fig8a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r, nil))(w) }},
-	{"fig8b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r, nil))(w) }},
-	{"fig9a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true, nil))(w) }},
-	{"fig9b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false, nil))(w) }},
+	{"fig8a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r))(w) }},
+	{"fig8b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r))(w) }},
+	{"fig9a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true))(w) }},
+	{"fig9b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false))(w) }},
 	{"ablations", func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
 	{"evict", func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
 	{"rankfail", runRankFail},
@@ -429,7 +429,7 @@ func runTable1(_ experiments.Run, w io.Writer) error {
 }
 
 func runFig4(run experiments.Run, w io.Writer) error {
-	stats, err := experiments.Fig4(run.Scale, 32)
+	stats, err := experiments.Fig4(run.Scale)
 	if err != nil {
 		return err
 	}
@@ -491,11 +491,11 @@ func runFig7(run experiments.Run, w io.Writer) error {
 // scale) before the reclaim lands? — with the deadline-hit rate and
 // drain throughput per window, plus one complete drain manifest.
 func runPreempt(run experiments.Run, w io.Writer) error {
-	res, err := experiments.Preemption(run, experiments.PreemptConfig{})
+	res, err := experiments.Preemption(run)
 	if err != nil {
 		return err
 	}
-	backlog := float64(int64(res.Config.Checkpoints)*res.Config.Size) / 1e9
+	backlog := float64(res.Backlog) / 1e9
 	tab := report.NewTable(
 		fmt.Sprintf("Preemption drain — %.0f GB backlog, oldest-durability-first triage", backlog),
 		"grace window", "runs", "deadline hits", "hit rate", "durable", "abandoned", "discarded", "GB/s of grace")
@@ -531,11 +531,11 @@ func runPreempt(run experiments.Run, w io.Writer) error {
 // severity (hedge wins racing the PFS replica, or a health quarantine
 // routing around the straggler entirely).
 func runStraggler(run experiments.Run, w io.Writer) error {
-	res, err := experiments.Straggler(run, experiments.StragglerConfig{})
+	res, err := experiments.Straggler(run)
 	if err != nil {
 		return err
 	}
-	backlog := float64(int64(res.Config.Checkpoints)*res.Config.Size) / 1e9
+	backlog := float64(res.Backlog) / 1e9
 	tab := report.NewTable(
 		fmt.Sprintf("Straggler restores — %.1f GB over a silently degraded NVMe link, SSD→PFS hedge ladder", backlog),
 		"severity", "mode", "restores", "p50", "p99", "max", "hedges (wins)", "wasted", "stalls (rerouted)", "quarantines")

@@ -36,7 +36,7 @@ type Config struct {
 	// NVMe is the deferred-drain target; required.
 	NVMe *fabric.Link
 	// HostBufferSize bounds the BP5 host buffer; when full, Put blocks
-	// on the drain (the paper grants every approach 32 GiB).
+	// on the drain (the paper grants every approach 32 GiB). Required.
 	HostBufferSize int64
 }
 
@@ -44,13 +44,6 @@ type Config struct {
 // marshals into pageable (unpinned) host buffers, which reach only a
 // fraction of the pinned-copy peak and additionally pay serialization.
 const pageableEfficiency = 0.25
-
-func (c Config) withDefaults() Config {
-	if c.HostBufferSize == 0 {
-		c.HostBufferSize = 32 * fabric.GB
-	}
-	return c
-}
 
 func (c Config) validate() error {
 	switch {
@@ -102,7 +95,6 @@ type Client struct {
 
 // New creates and starts an ADIOS2-style client.
 func New(cfg Config) (*Client, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

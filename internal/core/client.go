@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"time"
 
 	"score/internal/cachebuf"
@@ -135,10 +136,10 @@ func New(p Params) (*Client, error) {
 		// Ablation of §4.1.2: separate half-size regions for flushing
 		// and prefetching instead of one shared cache.
 		half := p.GPUCacheSize / 2
-		c.gpuC = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-writecache", p.GPU.ID()), half, gpuOracle)
-		c.gpuP = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-readcache", p.GPU.ID()), half, gpuOracle)
+		c.gpuC = cachebuf.NewFromEntries(c.clk, cacheName(p.GPU.ID(), "writecache"), half, gpuOracle)
+		c.gpuP = cachebuf.NewFromEntries(c.clk, cacheName(p.GPU.ID(), "readcache"), half, gpuOracle)
 	} else {
-		c.gpuC = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-cache", p.GPU.ID()),
+		c.gpuC = cachebuf.NewFromEntries(c.clk, cacheName(p.GPU.ID(), "cache"),
 			p.GPUCacheSize, gpuOracle)
 	}
 	// validate() already rejected unknown policies, so these cannot fail;
@@ -165,7 +166,7 @@ func New(p Params) (*Client, error) {
 		p.HostCacheSize = p.SharedHost.Capacity()
 		c.p.HostCacheSize = p.HostCacheSize
 	} else {
-		c.hstC = cachebuf.NewFromEntries(c.clk, fmt.Sprintf("gpu%d-hostcache", p.GPU.ID()),
+		c.hstC = cachebuf.NewFromEntries(c.clk, cacheName(p.GPU.ID(), "hostcache"),
 			p.HostCacheSize, &c.oracles[TierHost])
 		c.hstC.SetWaitObserver(c.rec.EvictionWait)
 	}
@@ -215,6 +216,15 @@ func New(p Params) (*Client, error) {
 	c.clk.Go(func() { defer c.daemons.Done(); c.prefetcher() })
 	c.clk.Go(func() { defer c.daemons.Done(); c.hostStager() })
 	return c, nil
+}
+
+// cacheName is a client cache's name, "gpu<id>-<kind>", which cachebuf's
+// errors and panics print. It is built in one allocation: fmt would box
+// a GPU ID above 255 as well.
+func cacheName(gpu int, kind string) string {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], "gpu"...), int64(gpu), 10)
+	return string(append(append(b, '-'), kind...))
 }
 
 // recoverFromStore rebuilds the checkpoint table from the durable

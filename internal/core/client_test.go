@@ -569,3 +569,16 @@ func TestMetricsThroughputAccounting(t *testing.T) {
 		}
 	})
 }
+
+// TestCacheNameAllocatesOnce: a cache name costs one allocation, the
+// string itself, also for a job rank above 255, whose GPU ID fmt would
+// box as well.
+func TestCacheNameAllocatesOnce(t *testing.T) {
+	var name string
+	if n := testing.AllocsPerRun(100, func() { name = cacheName(511, "hostcache") }); n != 1 {
+		t.Errorf("cacheName allocates %v times, want 1", n)
+	}
+	if name != "gpu511-hostcache" {
+		t.Errorf("cacheName(511, %q) = %q, want gpu511-hostcache", "hostcache", name)
+	}
+}

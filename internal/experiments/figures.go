@@ -133,11 +133,11 @@ func rowOf(res ShotResult) Row {
 }
 
 // Fig4 regenerates the snapshot-size distribution of Figure 4: min, avg,
-// and max sizes per snapshot across shots ranks.
-func Fig4(scale Scale, shots int) ([]rtm.SnapshotStats, error) {
+// and max sizes per snapshot across 32 ranks' shots.
+func Fig4(scale Scale) ([]rtm.SnapshotStats, error) {
 	cfg := scale.TraceConfig()
 	var all []rtm.Shot
-	for rank := 0; rank < shots; rank++ {
+	for rank := 0; rank < 32; rank++ {
 		s, err := rtm.GenerateShot(cfg, rank)
 		if err != nil {
 			return nil, err
@@ -191,16 +191,12 @@ func Fig7(run Run) (FigureResult, error) {
 	return out, nil
 }
 
-// Fig8a regenerates Figure 8a: I/O throughput versus compute interval
-// (irregular order, variable sizes).
-func Fig8a(run Run, intervals []time.Duration) (FigureResult, error) {
-	if len(intervals) == 0 {
-		intervals = []time.Duration{10 * time.Millisecond, 15 * time.Millisecond,
-			20 * time.Millisecond, 25 * time.Millisecond, 30 * time.Millisecond}
-	}
+// Fig8a regenerates Figure 8a: I/O throughput versus compute interval,
+// 10 ms to 30 ms in 5 ms steps (irregular order, variable sizes).
+func Fig8a(run Run) (FigureResult, error) {
 	out := FigureResult{ID: "Fig. 8a", Title: "throughput vs compute interval (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
-	for _, iv := range intervals {
+	for iv := 10 * time.Millisecond; iv <= 30*time.Millisecond; iv += 5 * time.Millisecond {
 		base := ShotConfig{Run: run, Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
 		rows, err := runCombos(base, "fig8a", iv.String(), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
@@ -211,14 +207,12 @@ func Fig8a(run Run, intervals []time.Duration) (FigureResult, error) {
 	return out, nil
 }
 
-// Fig8b regenerates Figure 8b: I/O throughput versus GPU cache size.
-func Fig8b(run Run, caches []int64) (FigureResult, error) {
-	if len(caches) == 0 {
-		caches = []int64{run.GPUCache / 2, run.GPUCache, run.GPUCache * 2, run.GPUCache * 4}
-	}
+// Fig8b regenerates Figure 8b: I/O throughput versus GPU cache size, at
+// half, once, twice and four times the Run's GPU cache.
+func Fig8b(run Run) (FigureResult, error) {
 	out := FigureResult{ID: "Fig. 8b", Title: "throughput vs GPU cache size (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
-	for _, cache := range caches {
+	for _, cache := range []int64{run.GPUCache / 2, run.GPUCache, run.GPUCache * 2, run.GPUCache * 4} {
 		base := ShotConfig{Run: run, Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
 		base.GPUCache = cache
 		rows, err := runCombos(base, "fig8b", fmt.Sprintf("%dMiB", cache>>20), combos, []rtm.Order{rtm.Irregular})
@@ -230,17 +224,14 @@ func Fig8b(run Run, caches []int64) (FigureResult, error) {
 	return out, nil
 }
 
-// Fig9 regenerates Figure 9: scalability over GPU counts, tightly coupled
-// (barrier every iteration) or embarrassingly parallel.
-func Fig9(run Run, coupled bool, gpuCounts []int) (FigureResult, error) {
-	if len(gpuCounts) == 0 {
-		gpuCounts = []int{8, 16, 24, 32}
-	}
+// Fig9 regenerates Figure 9: scalability over 8, 16, 24 and 32 GPUs,
+// tightly coupled (barrier every iteration) or embarrassingly parallel.
+func Fig9(run Run, coupled bool) (FigureResult, error) {
 	mode := map[bool]string{true: "9a (tightly coupled)", false: "9b (embarrassingly parallel)"}[coupled]
 	out := FigureResult{ID: "Fig. " + mode, Title: "scalability over GPU count (variable sizes)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints},
 		{UVM, SingleHint}, {Score, SingleHint}, {UVM, AllHints}, {Score, AllHints}}
-	for _, gpus := range gpuCounts {
+	for gpus := 8; gpus <= 32; gpus += 8 {
 		nodes := (gpus + 7) / 8
 		perNode := gpus / nodes
 		base := ShotConfig{

@@ -6,8 +6,8 @@
 // with a complete drain manifest (durable vs. explicitly abandoned —
 // never a flush left in flight past the deadline), and the cells report
 // the deadline-hit rate and drain throughput per window. The paper-scale
-// default asks the ISSUE's calibration question: 12 × 4 GiB = 48 GiB of
-// backlog against windows from 2 s to 30 s on DGX-A100 bandwidths.
+// sweep asks the calibration question: 12 × 4 GiB = 48 GiB of backlog
+// against windows from 2 s to 30 s on DGX-A100 bandwidths.
 package experiments
 
 import (
@@ -20,52 +20,24 @@ import (
 	"score/internal/slo"
 )
 
-// PreemptConfig parameterizes one preemption-drain sweep.
-type PreemptConfig struct {
-	// Checkpoints is the backlog depth (versions written before or while
-	// the notice lands; default 12).
-	Checkpoints int
-	// Size is the per-version payload size in bytes (default 4 GiB;
-	// 256 MiB at a reduced Scale).
-	Size int64
-	// Interval is the compute time between writes (default 10 ms) — the
-	// backlog builds because writes outpace the flush chain.
-	Interval time.Duration
-	// Windows are the grace windows to sweep (default 2 s, 5 s, 15 s,
-	// 30 s; 125 ms, 312 ms, 1 s, 2 s at a reduced Scale).
-	Windows []time.Duration
-	// Runs is the number of seeded runs per window; each run varies when
-	// in the write phase the notice lands (default 3).
-	Runs int
-}
+// The shipped sweep: 12 versions written 10 ms apart, faster than the
+// flush chain drains them, so a backlog builds; 3 seeded runs per grace
+// window, each landing the notice at a different point of the writes.
+const (
+	preemptVersions = 12
+	preemptInterval = 10 * time.Millisecond
+	preemptRuns     = 3
+)
 
-// withDefaults fills the paper-scale sweep or, at a reduced scale, a
-// 1/16-size backlog with windows shrunk to match, which keeps the full
+// preemptSweep is the version size and the grace windows at scale s: the
+// paper-scale 4 GiB versions against 2 s to 30 s or, at a reduced scale,
+// a 1/16-size backlog with windows shrunk to match, which keeps the full
 // sweep's miss-to-hit gradient.
-func (c PreemptConfig) withDefaults(s Scale) PreemptConfig {
-	reduced := s.Bandwidth > 0 && s.Bandwidth != 1
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 12
+func preemptSweep(s Scale) (int64, []time.Duration) {
+	if s.Bandwidth > 0 && s.Bandwidth != 1 {
+		return 256 << 20, []time.Duration{125 * time.Millisecond, 312 * time.Millisecond, 1 * time.Second, 2 * time.Second}
 	}
-	if c.Size == 0 {
-		c.Size = 4 << 30
-		if reduced {
-			c.Size = 256 << 20
-		}
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if len(c.Windows) == 0 {
-		c.Windows = []time.Duration{2 * time.Second, 5 * time.Second, 15 * time.Second, 30 * time.Second}
-		if reduced {
-			c.Windows = []time.Duration{125 * time.Millisecond, 312 * time.Millisecond, 1 * time.Second, 2 * time.Second}
-		}
-	}
-	if c.Runs == 0 {
-		c.Runs = 3
-	}
-	return c
+	return 4 << 30, []time.Duration{2 * time.Second, 5 * time.Second, 15 * time.Second, 30 * time.Second}
 }
 
 // PreemptCell aggregates the runs of one grace window.
@@ -104,7 +76,8 @@ func (c PreemptCell) DrainThroughput() float64 {
 
 // PreemptResult reports one sweep.
 type PreemptResult struct {
-	Config PreemptConfig
+	// Backlog is the bytes each run writes: every version of the sweep.
+	Backlog int64
 	// Cells holds one row per grace window, in sweep order.
 	Cells []PreemptCell
 	// SampleManifest is the first run's full manifest — the artifact the
@@ -115,11 +88,11 @@ type PreemptResult struct {
 	SLO *slo.Report
 }
 
-// Preemption runs the sweep. Deterministic: the same config reproduces
-// identical cells and manifests.
-func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
-	cfg = cfg.withDefaults(run.Scale)
-	res := PreemptResult{Config: cfg}
+// Preemption runs the sweep at the Run's scale. Deterministic: the same
+// Run reproduces identical cells and manifests.
+func Preemption(run Run) (PreemptResult, error) {
+	size, windows := preemptSweep(run.Scale)
+	res := PreemptResult{Backlog: preemptVersions * size}
 	// Under SLO, the checked-in sweep-level drain objective watches the
 	// DeadlineMet stream: each (window, run) pair contributes one
 	// observation on a synthetic timeline advancing one second per run
@@ -137,10 +110,10 @@ func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
 		}
 		eng = e
 	}
-	for _, w := range cfg.Windows {
+	for _, w := range windows {
 		cell := PreemptCell{Window: w}
-		for r := 0; r < cfg.Runs; r++ {
-			m, err := preemptRun(run, cfg, w, r)
+		for r := 0; r < preemptRuns; r++ {
+			m, err := preemptRun(run, size, w, r)
 			if err != nil {
 				return res, err
 			}
@@ -185,9 +158,9 @@ func Preemption(run Run, cfg PreemptConfig) (PreemptResult, error) {
 }
 
 // preemptRun executes one seeded run as the shot "preempt/<grace>/run<r>":
-// build the backlog, let the injector-scheduled notice land mid-phase,
-// and return the manifest the drain timer retained.
-func preemptRun(run Run, cfg PreemptConfig, grace time.Duration, r int) (score.DrainManifest, error) {
+// build the backlog of size-byte versions, let the injector-scheduled
+// notice land mid-phase, and return the manifest the drain timer retained.
+func preemptRun(run Run, size int64, grace time.Duration, r int) (score.DrainManifest, error) {
 	sim, err := newSimShot(run, fmt.Sprintf("preempt/%v/run%d", grace, r), nil,
 		score.WithNodes(1), score.WithGPUsPerNode(1))
 	if err != nil {
@@ -198,12 +171,9 @@ func preemptRun(run Run, cfg PreemptConfig, grace time.Duration, r int) (score.D
 	// shallow backlog, the last run's the full one. Each write costs the
 	// compute interval plus the D2D snapshot copy, so the phase estimate
 	// must include both or late notices land mid-backlog.
-	d2d := time.Duration(float64(cfg.Size) / fabric.DGXA100().D2DBandwidth * float64(time.Second))
-	writePhase := time.Duration(cfg.Checkpoints) * (cfg.Interval + d2d)
-	noticeAt := time.Duration(float64(writePhase) * float64(r+1) / float64(cfg.Runs))
-	if noticeAt <= 0 {
-		noticeAt = cfg.Interval / 2
-	}
+	d2d := time.Duration(float64(size) / fabric.DGXA100().D2DBandwidth * float64(time.Second))
+	writePhase := preemptVersions * (preemptInterval + d2d)
+	noticeAt := time.Duration(float64(writePhase) * float64(r+1) / preemptRuns)
 	inj.AddPreempts(score.PreemptRank(0, 0, noticeAt, grace))
 
 	var m score.DrainManifest
@@ -212,7 +182,7 @@ func preemptRun(run Run, cfg PreemptConfig, grace time.Duration, r int) (score.D
 	// tier is capped at 36 GiB — inside the A100's 40 GiB HBM — so the
 	// paper-scale 48 GiB backlog spreads across the ladder the way a real
 	// job's would.
-	hostCache := int64(cfg.Checkpoints+2) * cfg.Size
+	hostCache := (preemptVersions + 2) * size
 	gpuCache := min(hostCache, 36<<30)
 	_, err = sim.run(false, func() error {
 		cl, err := sim.client(0, 0,
@@ -226,11 +196,11 @@ func preemptRun(run Run, cfg PreemptConfig, grace time.Duration, r int) (score.D
 		if err != nil {
 			return err
 		}
-		for v := int64(0); v < int64(cfg.Checkpoints); v++ {
-			if err := cl.CheckpointVirtual(v, cfg.Size); err != nil {
+		for v := int64(0); v < preemptVersions; v++ {
+			if err := cl.CheckpointVirtual(v, size); err != nil {
 				break // the notice (or the reclaim) landed: stop writing
 			}
-			cl.Compute(cfg.Interval)
+			cl.Compute(preemptInterval)
 		}
 		// Sleep past the reclaim so the drain timer has certainly finished;
 		// the slack also covers a deadline-missing drain's tail.

@@ -3,35 +3,20 @@ package experiments
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"score"
 )
-
-// smallPreempt is a reduced-scale sweep: 6 × 4 MiB of backlog against a
-// window too small to drain everything and one comfortably large. The
-// bandwidth-to-backlog ratio preserves the full sweep's shape (partial
-// triage at the short window, full drain at the long one) at test cost.
-func smallPreempt() PreemptConfig {
-	return PreemptConfig{
-		Checkpoints: 6,
-		Size:        4 << 20,
-		Interval:    time.Millisecond,
-		Windows:     []time.Duration{500 * time.Microsecond, 250 * time.Millisecond},
-		Runs:        2,
-	}
-}
 
 // TestPreemptionManifestContract is the acceptance check: every run ends
 // with a complete manifest — each live version either durable, discarded,
 // or explicitly abandoned, with abandonments carrying a reason.
 func TestPreemptionManifestContract(t *testing.T) {
-	res, err := Preemption(Run{}, smallPreempt())
+	res, err := Preemption(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(res.Cells))
+	if len(res.Cells) != 4 {
+		t.Fatalf("cells = %d, want 4", len(res.Cells))
 	}
 	if res.SampleManifest.Entries == nil {
 		t.Fatal("no sample manifest retained")
@@ -40,8 +25,8 @@ func TestPreemptionManifestContract(t *testing.T) {
 		t.Fatalf("sample manifest incomplete: %s", res.SampleManifest)
 	}
 	for _, cell := range res.Cells {
-		if cell.Runs != 2 {
-			t.Errorf("window %v ran %d times, want 2", cell.Window, cell.Runs)
+		if cell.Runs != 3 {
+			t.Errorf("window %v ran %d times, want 3", cell.Window, cell.Runs)
 		}
 		total := cell.DurableBytes + cell.AbandonedBytes + cell.DiscardedBytes
 		if total == 0 {
@@ -54,11 +39,11 @@ func TestPreemptionManifestContract(t *testing.T) {
 // generous one drains — the deadline budget is real, and fail-open means
 // the abandoned bytes are explicit, not stuck.
 func TestPreemptionWindowLadder(t *testing.T) {
-	res, err := Preemption(Run{}, smallPreempt())
+	res, err := Preemption(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, wide := res.Cells[0], res.Cells[1]
+	tight, wide := res.Cells[0], res.Cells[len(res.Cells)-1]
 	if tight.AbandonedBytes == 0 {
 		t.Errorf("tight window %v abandoned nothing — the deadline budget never engaged", tight.Window)
 	}
@@ -75,14 +60,14 @@ func TestPreemptionWindowLadder(t *testing.T) {
 	}
 }
 
-// TestPreemptionDeterministic: the same config replays the identical
+// TestPreemptionDeterministic: the same Run replays the identical
 // sweep, manifest entries included.
 func TestPreemptionDeterministic(t *testing.T) {
-	a, err := Preemption(Run{}, smallPreempt())
+	a, err := Preemption(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Preemption(Run{}, smallPreempt())
+	b, err := Preemption(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +79,7 @@ func TestPreemptionDeterministic(t *testing.T) {
 // TestPreemptionThroughputReported: the headline metric (GB drained per
 // grace second) is populated for a window that drained anything.
 func TestPreemptionThroughputReported(t *testing.T) {
-	res, err := Preemption(Run{}, smallPreempt())
+	res, err := Preemption(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,15 +277,15 @@ func TestMultiNodeTraceKeysByJobRank(t *testing.T) {
 // TestRunChunkSizeReachesScenarioShots: a Run's ChunkSize streams a
 // scenario's multi-hop transfers as it does a RunShot shot's.
 func TestRunChunkSizeReachesScenarioShots(t *testing.T) {
-	cfg := smallPreempt()
-	run := Run{ChunkSize: cfg.Size / 4}
+	// A quarter of the paper-scale sweep's 4 GiB version.
+	run := Run{ChunkSize: 1 << 30}
 	var shots int
 	var streams int64
 	run.OnShot = func(r ShotResult) {
 		shots++
 		streams += r.MergedSummary().PipelinedStreams
 	}
-	if _, err := Preemption(run, cfg); err != nil {
+	if _, err := Preemption(run); err != nil {
 		t.Fatal(err)
 	}
 	if shots == 0 || streams == 0 {

@@ -20,38 +20,13 @@ import (
 	"score/internal/slo"
 )
 
-// StragglerConfig parameterizes one straggler sweep.
-type StragglerConfig struct {
-	// Checkpoints is the number of versions written and restored
-	// (default 16).
-	Checkpoints int
-	// Size is the per-version payload size in bytes (default 64 MiB).
-	Size int64
-	// Interval is the compute time between writes and between restores
-	// (default 5 ms).
-	Interval time.Duration
-	// Severities are the NVMe slowdown factors to sweep: a severity s
-	// degrades the link to 1/s of nominal bandwidth for the whole
-	// restore phase. Severity 1 is the healthy control (default
-	// {1, 5, 20}).
-	Severities []float64
-}
-
-func (c StragglerConfig) withDefaults() StragglerConfig {
-	if c.Checkpoints == 0 {
-		c.Checkpoints = 16
-	}
-	if c.Size == 0 {
-		c.Size = 64 << 20
-	}
-	if c.Interval == 0 {
-		c.Interval = 5 * time.Millisecond
-	}
-	if len(c.Severities) == 0 {
-		c.Severities = []float64{1, 5, 20}
-	}
-	return c
-}
+// The shipped sweep: 16 versions of 64 MiB written and restored 5 ms
+// apart, under each NVMe slowdown severity of Straggler.
+const (
+	stragglerVersions = 16
+	stragglerSize     = 64 << 20
+	stragglerInterval = 5 * time.Millisecond
+)
 
 // StragglerCell is one (severity, hedging) run's restore-tail
 // measurements.
@@ -90,8 +65,9 @@ func (c StragglerCell) Label() string {
 // StragglerResult reports one sweep: cells in severity order, unhedged
 // before hedged within each severity.
 type StragglerResult struct {
-	Config StragglerConfig
-	Cells  []StragglerCell
+	// Backlog is the bytes each cell writes and restores.
+	Backlog int64
+	Cells   []StragglerCell
 }
 
 // Cell returns the cell for (severity, hedged), or false when the sweep
@@ -105,14 +81,15 @@ func (r StragglerResult) Cell(severity float64, hedged bool) (StragglerCell, boo
 	return StragglerCell{}, false
 }
 
-// Straggler runs the sweep. Deterministic: the same config reproduces
-// identical cells.
-func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
-	cfg = cfg.withDefaults()
-	res := StragglerResult{Config: cfg}
-	for _, sev := range cfg.Severities {
+// Straggler runs the sweep over NVMe slowdown severities 1, 5 and 20: a
+// severity s degrades the link to 1/s of nominal bandwidth for the whole
+// restore phase, and severity 1 is the healthy control. Deterministic:
+// the same Run reproduces identical cells.
+func Straggler(run Run) (StragglerResult, error) {
+	res := StragglerResult{Backlog: stragglerVersions * stragglerSize}
+	for _, sev := range []float64{1, 5, 20} {
 		for _, hedged := range []bool{false, true} {
-			cell, err := stragglerRun(run, cfg, sev, hedged)
+			cell, err := stragglerRun(run, sev, hedged)
 			if err != nil {
 				return res, err
 			}
@@ -127,7 +104,7 @@ func Straggler(run Run, cfg StragglerConfig) (StragglerResult, error) {
 // link, restore newest-first, and report the blocking-time quantiles.
 // The cell's SLO engine rides its own virtual clock: compliance is per
 // (severity, hedging) run.
-func stragglerRun(run Run, cfg StragglerConfig, severity float64, hedged bool) (StragglerCell, error) {
+func stragglerRun(run Run, severity float64, hedged bool) (StragglerCell, error) {
 	cell := StragglerCell{Severity: severity, Hedged: hedged}
 	sim, err := newSimShot(run, "straggler/"+cell.Label(), slo.StragglerObjectives(),
 		score.WithNodes(1), score.WithGPUsPerNode(1))
@@ -142,8 +119,8 @@ func stragglerRun(run Run, cfg StragglerConfig, severity float64, hedged bool) (
 			// Both cache tiers hold only a few versions, so most restores
 			// must read from the durable ladder — the path the straggler
 			// sits on.
-			score.WithGPUCache(4 * cfg.Size),
-			score.WithHostCache(4 * cfg.Size),
+			score.WithGPUCache(4 * stragglerSize),
+			score.WithHostCache(4 * stragglerSize),
 			score.WithAsyncHostInit(),
 			score.WithFlushStreams(2),
 			// PFS persistence gives every version the deeper replica the
@@ -162,11 +139,11 @@ func stragglerRun(run Run, cfg StragglerConfig, severity float64, hedged bool) (
 		// Healthy write phase: every version lands on SSD and PFS at
 		// nominal speed, seeding the per-class latency floors the
 		// adaptive hedge deadlines derive from.
-		for v := int64(0); v < int64(cfg.Checkpoints); v++ {
-			if err := cl.CheckpointVirtual(v, cfg.Size); err != nil {
+		for v := int64(0); v < stragglerVersions; v++ {
+			if err := cl.CheckpointVirtual(v, stragglerSize); err != nil {
 				return fmt.Errorf("checkpoint %d: %w", v, err)
 			}
-			cl.Compute(cfg.Interval)
+			cl.Compute(stragglerInterval)
 		}
 		if err := cl.WaitFlush(); err != nil {
 			return fmt.Errorf("wait flush: %w", err)
@@ -183,16 +160,16 @@ func stragglerRun(run Run, cfg StragglerConfig, severity float64, hedged bool) (
 		// Backward pass: restore newest-first, timing each Restart call
 		// on the virtual clock. The small caches force most reads onto
 		// the degraded ladder.
-		durs := make([]time.Duration, 0, cfg.Checkpoints)
-		for v := int64(cfg.Checkpoints) - 1; v >= 0; v-- {
+		durs := make([]time.Duration, 0, stragglerVersions)
+		for v := int64(stragglerVersions) - 1; v >= 0; v-- {
 			t0 := sim.Clock().Now()
 			if _, err := cl.Restart(v); err != nil {
 				return fmt.Errorf("restart %d: %w", v, err)
 			}
 			durs = append(durs, sim.Clock().Now()-t0)
 			cell.Restores++
-			cell.RestoredBytes += cfg.Size
-			cl.Compute(cfg.Interval)
+			cell.RestoredBytes += stragglerSize
+			cl.Compute(stragglerInterval)
 		}
 
 		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })

@@ -3,36 +3,21 @@ package experiments
 import (
 	"reflect"
 	"testing"
-	"time"
 )
-
-// smallStraggler is a reduced-scale sweep: 12 × 32 MiB with the healthy
-// control and the severe straggler. Small enough for test cost, large
-// enough that the deep reads dominate restore blocking and the hedge
-// contrast is unambiguous.
-func smallStraggler() StragglerConfig {
-	return StragglerConfig{
-		Checkpoints: 12,
-		Size:        32 << 20,
-		Interval:    2 * time.Millisecond,
-		Severities:  []float64{1, 20},
-	}
-}
 
 // TestStragglerCellsShape: the sweep runs every (severity, hedging)
 // pair, in order, with every restore accounted.
 func TestStragglerCellsShape(t *testing.T) {
-	cfg := smallStraggler()
-	res, err := Straggler(Run{}, cfg)
+	res, err := Straggler(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 2*len(cfg.Severities) {
-		t.Fatalf("cells = %d, want %d", len(res.Cells), 2*len(cfg.Severities))
+	if len(res.Cells) != 6 {
+		t.Fatalf("cells = %d, want 6 (3 severities × 2 modes)", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		if c.Restores != cfg.Checkpoints {
-			t.Errorf("%s: restored %d/%d", c.Label(), c.Restores, cfg.Checkpoints)
+		if c.Restores != 16 {
+			t.Errorf("%s: restored %d/16", c.Label(), c.Restores)
 		}
 		if c.P99 < c.P50 || c.Max < c.P99 {
 			t.Errorf("%s: quantiles disordered: p50=%v p99=%v max=%v", c.Label(), c.P50, c.P99, c.Max)
@@ -50,7 +35,7 @@ func TestStragglerCellsShape(t *testing.T) {
 // nothing — the first leg always wins before any deadline could engage,
 // so both modes measure identical restore tails.
 func TestStragglerHealthyControl(t *testing.T) {
-	res, err := Straggler(Run{}, smallStraggler())
+	res, err := Straggler(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +57,7 @@ func TestStragglerHealthyControl(t *testing.T) {
 // most half the unhedged P99, and the improvement came from hedge wins
 // (or an outright quarantine routing around the straggler).
 func TestStragglerHedgeBoundsTail(t *testing.T) {
-	res, err := Straggler(Run{}, smallStraggler())
+	res, err := Straggler(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +74,14 @@ func TestStragglerHedgeBoundsTail(t *testing.T) {
 	}
 }
 
-// TestStragglerDeterministic: the same config replays the identical
+// TestStragglerDeterministic: the same Run replays the identical
 // sweep, counters and quantiles included.
 func TestStragglerDeterministic(t *testing.T) {
-	a, err := Straggler(Run{}, smallStraggler())
+	a, err := Straggler(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Straggler(Run{}, smallStraggler())
+	b, err := Straggler(Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

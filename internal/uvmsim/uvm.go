@@ -74,7 +74,8 @@ type Config struct {
 	NVMe *fabric.Link
 
 	// DeviceCacheSize is the managed-memory share of HBM the benchmark
-	// grants UVM (the paper uses the same 4 GiB as Score's GPU cache).
+	// grants UVM (the paper uses the same 4 GiB as Score's GPU cache);
+	// required, like HostCacheSize.
 	DeviceCacheSize int64
 	// HostCacheSize bounds the host-side backing store (32 GiB in the
 	// paper); overflow spills to the SSD. Its registration (HostCacheSize
@@ -86,16 +87,6 @@ type Config struct {
 	// DiscardAfterRestore mirrors the Score option: consumed
 	// checkpoints need not be flushed to the SSD.
 	DiscardAfterRestore bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.DeviceCacheSize == 0 {
-		c.DeviceCacheSize = 4 * fabric.GB
-	}
-	if c.HostCacheSize == 0 {
-		c.HostCacheSize = 32 * fabric.GB
-	}
-	return c
 }
 
 func (c Config) validate() error {
@@ -166,7 +157,6 @@ type Client struct {
 
 // New creates and starts a UVM client.
 func New(cfg Config) (*Client, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package score_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"score/internal/experiments"
 )
@@ -16,13 +15,7 @@ import (
 // alert with the transfer component (the degraded link) dominating the
 // attribution.
 func TestSLOSmoke(t *testing.T) {
-	cfg := experiments.StragglerConfig{
-		Checkpoints: 12,
-		Size:        32 << 20,
-		Interval:    2 * time.Millisecond,
-		Severities:  []float64{1, 20},
-	}
-	res, err := experiments.Straggler(experiments.Run{SLO: true}, cfg)
+	res, err := experiments.Straggler(experiments.Run{SLO: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,33 +2,41 @@ package score_test
 
 import (
 	"testing"
-	"time"
 
 	"score/internal/experiments"
 )
 
-// TestStragglerSmoke is the `make bench-smoke` gray-failure gate: a
-// small severity sweep whose acceptance bound — at 20× slowdown on the
-// SSD path, hedged P99 restore blocking at most 0.5× the unhedged P99 —
-// must hold, and whose healthy control must show hedging is free.
+// TestStragglerSmoke is the `make bench-smoke` gray-failure gate: the
+// severity sweep ckptbench -exp straggler prints, whose acceptance
+// bound — at 20× slowdown on the SSD path, hedged P99 restore blocking
+// at most 0.5× the unhedged P99 — must hold, whose hedging must never
+// worsen the tail at any severity, and whose healthy control must show
+// hedging is free.
 func TestStragglerSmoke(t *testing.T) {
-	cfg := experiments.StragglerConfig{
-		Checkpoints: 12,
-		Size:        32 << 20,
-		Interval:    2 * time.Millisecond,
-		Severities:  []float64{1, 5, 20},
-	}
-	res, err := experiments.Straggler(experiments.Run{}, cfg)
+	res, err := experiments.Straggler(experiments.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 2*len(cfg.Severities) {
-		t.Fatalf("sweep returned %d cells for %d severities", len(res.Cells), len(cfg.Severities))
+	if len(res.Cells) != 6 {
+		t.Fatalf("sweep returned %d cells for 3 severities", len(res.Cells))
 	}
 	for _, c := range res.Cells {
 		t.Logf("%-16s p50 %-12v p99 %-12v max %-12v hedges %d wins %d wasted %d MB stalls %d/%d quarantines %d",
 			c.Label(), c.P50, c.P99, c.Max, c.HedgesLaunched, c.HedgeWins,
 			c.HedgeWastedBytes>>20, c.StallsDetected, c.StallsRerouted, c.HealthQuarantines)
+	}
+
+	// Hedging never worsens the tail: at every severity, the 5× regime
+	// included, the hedged P99 is at most the unhedged one.
+	for _, sev := range []float64{1, 5, 20} {
+		un, ok1 := res.Cell(sev, false)
+		he, ok2 := res.Cell(sev, true)
+		if !ok1 || !ok2 {
+			t.Fatalf("severity-%g cells missing", sev)
+		}
+		if he.P99 > un.P99 {
+			t.Errorf("severity-%g hedged p99 %v > unhedged p99 %v — hedging worsened the tail", sev, he.P99, un.P99)
+		}
 	}
 
 	// Healthy control: hedging enabled but never needed must not move the
