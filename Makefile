@@ -54,9 +54,11 @@ bench-check:
 # Signal in non-test internal/ code outside internal/simclock), cache-wake
 # call sites (.Notify() in non-test internal/ code outside internal/cachebuf
 # and internal/simclock: the runtime's wakes of parked cache reservations)
-# and task spawns (.Go( call sites in non-test code outside bench/ and
+# task spawns (.Go( call sites in non-test code outside bench/ and
 # internal/simclock), so a change that turns tasks into events shows,
-# and DESIGN.md's line count.
+# zero-default fills (withDefaults methods in non-test code outside
+# bench/, which give a zero field a value it does not say), so bringing
+# one back is a declared change, and DESIGN.md's line count.
 NONTEST = -name '*.go' -not -name '*_test.go'
 loc:
 	@for d in $$(find . $(NONTEST) -not -path './bench/*' -exec dirname {} \; | sort -u); do \
@@ -73,6 +75,7 @@ loc:
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
 	@printf '%7d  cache-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/cachebuf/*' -not -path 'internal/simclock/*' | xargs grep -h '\.Notify()' | wc -l)
+	@printf '%7d  zero-default fills (withDefaults methods)\n' $$(find . $(NONTEST) -not -path './bench/*' | xargs grep -h '^func (.*) withDefaults(' | wc -l)
 	@printf '%7d  task spawns (.Go call sites)\n' $$(find . $(NONTEST) -not -path './bench/*' -not -path './internal/simclock/*' | xargs grep -h '\.Go(' | wc -l)
 	@printf '%7d  DESIGN.md lines\n' $$(wc -l < DESIGN.md)
 

@@ -75,9 +75,9 @@ func BenchmarkTable1Approaches(b *testing.B) {
 		combo := combo
 		b.Run(combo.Label(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunShot(experiments.ShotConfig{
-					Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse, Combo: combo,
-				})
+				cfg := benchRun().Shot()
+				cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.Combo = true, true, rtm.Reverse, combo
+				res, err := experiments.RunShot(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,10 +182,8 @@ func BenchmarkFig9bEmbarrassinglyParallel(b *testing.B) {
 func ablationShot(b *testing.B, mutate func(*experiments.ShotConfig)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.ShotConfig{
-			Run: benchRun(), Uniform: false, WaitForFlush: false, Order: rtm.Irregular,
-			Combo: experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
-		}
+		cfg := benchRun().Shot()
+		cfg.Order, cfg.Combo = rtm.Irregular, experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -342,16 +340,12 @@ func BenchmarkExtensionSharedHostCache(b *testing.B) {
 // variable-size workload at the benchRun scale, with private host caches
 // or one pool per node.
 func sharedHostShot(shared bool) (experiments.ShotResult, error) {
-	cfg := experiments.ShotConfig{
-		Run: benchRun(), Uniform: false, WaitForFlush: true, Order: rtm.Reverse,
-		Combo:             experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
-		SharedHostPerNode: shared,
-	}
+	cfg := benchRun().Shot()
+	cfg.WaitForFlush, cfg.Order, cfg.SharedHostPerNode = true, rtm.Reverse, shared
+	cfg.Combo = experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}
 	// Widen the cross-rank shot-size disparity well past the private
 	// per-client capacity: this is the imbalance the shared pool exists
-	// to absorb. The override starts from the scale's trace, which a
-	// zero Trace stands for.
-	cfg.Trace = cfg.TraceConfig()
+	// to absorb.
 	cfg.Trace.MinAggregate = cfg.HostCache / 2
 	cfg.Trace.MaxAggregate = cfg.HostCache * 2
 	return experiments.RunShot(cfg)
@@ -384,6 +378,16 @@ func TestSharedHostCacheRow(t *testing.T) {
 	}
 }
 
+// directShot is the Score shot with all hints at the benchRun scale,
+// uniform sizes restored in reverse after a drain, staged through the
+// host or GPUDirect, its transfers whole (chunk 0) or in chunks.
+func directShot(direct bool, chunk int64) experiments.ShotConfig {
+	cfg := benchRun().Shot()
+	cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.GPUDirect = true, true, rtm.Reverse, direct
+	cfg.Combo, cfg.ChunkSize = experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}, chunk
+	return cfg
+}
+
 // BenchmarkExtensionGPUDirect compares host-staged flushing/prefetching
 // against direct GPU↔SSD transfers (the GPUDirect-storage future-work
 // item): direct transfers skip the host copy but forfeit the host tier's
@@ -391,11 +395,7 @@ func TestSharedHostCacheRow(t *testing.T) {
 func BenchmarkExtensionGPUDirect(b *testing.B) {
 	run := func(b *testing.B, direct bool) {
 		for i := 0; i < b.N; i++ {
-			res, err := experiments.RunShot(experiments.ShotConfig{
-				Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-				Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
-				GPUDirect: direct,
-			})
+			res, err := experiments.RunShot(directShot(direct, 0))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -415,13 +415,7 @@ func BenchmarkExtensionGPUDirect(b *testing.B) {
 func BenchmarkAblationChunkedPipeline(b *testing.B) {
 	run := func(b *testing.B, chunk int64) {
 		for i := 0; i < b.N; i++ {
-			cfg := experiments.ShotConfig{
-				Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-				Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
-				GPUDirect: true,
-			}
-			cfg.ChunkSize = chunk
-			res, err := experiments.RunShot(cfg)
+			res, err := experiments.RunShot(directShot(true, chunk))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,13 +39,14 @@ type clientConfig struct {
 	slo           *slo.Engine
 }
 
-// WithGPUCache sets the device cache reservation (default 4 GiB, the
-// paper's 10% of an A100).
+// WithGPUCache sets the device cache reservation, which must be positive
+// (default 4 GiB, the paper's 10% of an A100).
 func WithGPUCache(bytes int64) ClientOption {
 	return func(c *clientConfig) { c.gpuCache = bytes }
 }
 
-// WithHostCache sets the pinned host cache reservation (default 32 GiB).
+// WithHostCache sets the pinned host cache reservation, which must be
+// positive (default 32 GiB).
 func WithHostCache(bytes int64) ClientOption {
 	return func(c *clientConfig) { c.hostCache = bytes }
 }

@@ -50,15 +50,14 @@ func (s *Sim) wireTracker(t *coord.Tracker, err error) (*CommitTracker, error) {
 		return nil, err
 	}
 	t.SetNow(s.Clock().Now)
-	if s.tracer != nil {
-		tracer := s.tracer
+	if tracer := s.tb.Tracer; tracer != nil {
 		t.SetCommitObserver(func(version int64, wait time.Duration) {
 			tracer.Lifecycle(-1, version, trace.LGroupCommit, "",
 				fmt.Sprintf("wait %v", wait))
 		})
 	}
-	if s.sampler != nil {
-		t.RegisterProbes(s.sampler, "")
+	if s.tb.Sampler != nil {
+		t.RegisterProbes(s.tb.Sampler, "")
 	}
 	return &CommitTracker{inner: t}, nil
 }

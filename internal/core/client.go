@@ -93,7 +93,7 @@ type Client struct {
 // New creates and starts a Client. The caller must Close it to stop the
 // background flusher and prefetcher tasks.
 func New(p Params) (*Client, error) {
-	p = p.withDefaults()
+	p.Retry = p.Retry.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

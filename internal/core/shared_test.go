@@ -34,7 +34,7 @@ func sharedRigOn(t *testing.T, clk *simclock.Virtual, shared *SharedHostCache, m
 	})
 	p2 := Params{
 		Clock: clk, GPU: dev2, NVMe: r.cluster.Nodes[0].NVMe, PFS: r.cluster.PFS,
-		GPUCacheSize: 4 * MB, SharedHost: shared,
+		GPUCacheSize: 4 * MB, HostCacheSize: 16 * MB, SharedHost: shared,
 	}
 	if mutate != nil {
 		mutate(&p2)

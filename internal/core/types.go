@@ -118,11 +118,11 @@ type Params struct {
 	// when PersistToPFS is set, optional otherwise.
 	PFS *fabric.Link
 
-	// GPUCacheSize is the device cache reservation in bytes (paper
-	// default: 4 GiB, 10% of an A100).
+	// GPUCacheSize is the device cache reservation in bytes, positive
+	// (the paper's: 4 GiB, 10% of an A100).
 	GPUCacheSize int64
-	// HostCacheSize is the pinned host cache reservation in bytes
-	// (paper default: 32 GiB per process).
+	// HostCacheSize is the pinned host cache reservation in bytes,
+	// positive (the paper's: 32 GiB per process).
 	HostCacheSize int64
 
 	// DiscardAfterRestore makes consumed checkpoints discardable:
@@ -242,18 +242,6 @@ type Params struct {
 	// together. Reads traverse the path in reverse.
 	PartnerStore *ckptstore.Store
 	PartnerPath  fabric.Path
-}
-
-// withDefaults fills unset sizes with the paper's §5.3.4 configuration.
-func (p Params) withDefaults() Params {
-	if p.GPUCacheSize == 0 {
-		p.GPUCacheSize = 4 * fabric.GB
-	}
-	if p.HostCacheSize == 0 {
-		p.HostCacheSize = 32 * fabric.GB
-	}
-	p.Retry = p.Retry.withDefaults()
-	return p
 }
 
 func (p Params) validate() error {

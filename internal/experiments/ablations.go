@@ -49,20 +49,19 @@ func (a AblationResult) Render(w io.Writer) error {
 func Ablations(run Run) (AblationResult, error) {
 	var out AblationResult
 	// Every variant is the Score client with all hints on one of two
-	// shots, changed by mutate (nil: unchanged).
-	shot := func(cfg ShotConfig, mutate func(*ShotConfig)) ShotConfig {
-		cfg.Run, cfg.Combo = run, Combo{Score, AllHints}
+	// shots, changed by mutate (nil: unchanged): the irregular shot has
+	// variable sizes and restores at once, the tail shot uniform sizes
+	// restored after a drain.
+	shot := func(uniform bool, order rtm.Order, mutate func(*ShotConfig)) ShotConfig {
+		cfg := run.Shot()
+		cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.Combo = uniform, uniform, order, Combo{Score, AllHints}
 		if mutate != nil {
 			mutate(&cfg)
 		}
 		return cfg
 	}
-	irregular := func(mutate func(*ShotConfig)) ShotConfig {
-		return shot(ShotConfig{Uniform: false, WaitForFlush: false, Order: rtm.Irregular}, mutate)
-	}
-	tail := func(mutate func(*ShotConfig)) ShotConfig {
-		return shot(ShotConfig{Uniform: true, WaitForFlush: true, Order: rtm.Reverse}, mutate)
-	}
+	irregular := func(mutate func(*ShotConfig)) ShotConfig { return shot(false, rtm.Irregular, mutate) }
+	tail := func(mutate func(*ShotConfig)) ShotConfig { return shot(true, rtm.Reverse, mutate) }
 
 	type variant struct {
 		principle, name string

@@ -23,22 +23,12 @@ const elasticCheckpoints = 4
 
 // ElasticConfig parameterizes one elastic-restart scenario.
 type ElasticConfig struct {
-	// FromRanks is the old membership size (default 4); ToRanks the new
-	// one (default 2 — a shrink; set larger than FromRanks to grow).
+	// FromRanks is the old membership size; ToRanks the new one (smaller
+	// to shrink, larger to grow).
 	FromRanks, ToRanks int
 	// StoreRoot backs every shard's durable store (the rankfail layout:
 	// <root>/node<i>/local/rank<r>).
 	StoreRoot string
-}
-
-func (c ElasticConfig) withDefaults() ElasticConfig {
-	if c.FromRanks == 0 {
-		c.FromRanks = 4
-	}
-	if c.ToRanks == 0 {
-		c.ToRanks = 2
-	}
-	return c
 }
 
 // ElasticResult reports one scenario run.
@@ -63,7 +53,6 @@ type ElasticResult struct {
 // "elastic/<from>-to-<to>/old" and ".../new". Deterministic: the same
 // config (and StoreRoot contents) produces the identical result.
 func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.StoreRoot == "" {
 		return ElasticResult{}, errors.New("experiments: ElasticConfig.StoreRoot required")
 	}

@@ -269,6 +269,9 @@ func replayTrace(run Run, tr evictTrace, pol cachebuf.Policy) (EvictCell, error)
 
 // EvictionMatrix runs every registered policy against the kv trace.
 func EvictionMatrix(run Run) (EvictResult, error) {
+	if err := run.Scale.check(); err != nil {
+		return EvictResult{}, err
+	}
 	// The trace size follows the scale's snapshot count.
 	tr := kvTrace(run.Snapshots*6, 1)
 	var out EvictResult

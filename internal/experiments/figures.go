@@ -13,7 +13,8 @@ import (
 
 // Scale shrinks an experiment below paper scale so tests and benchmarks
 // finish quickly while preserving every mechanism (evictions, flush
-// waits, fragmentation). Full() is the paper's configuration.
+// waits, fragmentation). Full() is the paper's configuration. No field
+// has a default: every one must be positive.
 type Scale struct {
 	Snapshots   int
 	UniformSize int64
@@ -50,11 +51,24 @@ func Small() Scale {
 	}
 }
 
-// TraceConfig is the variable-size RTM trace generator at this scale.
+// check is the one test of a complete scale, run wherever a driver first
+// reads one: a shot's entry point, or a driver that runs no shot.
+func (s Scale) check() error {
+	if s.Snapshots <= 0 || s.UniformSize <= 0 || s.GPUCache <= 0 || s.HostCache <= 0 ||
+		s.Aggregate <= 0 || s.Bandwidth <= 0 {
+		return fmt.Errorf("experiments: incomplete Scale %+v: every field must be positive (start from Full() or Small())", s)
+	}
+	return nil
+}
+
+// TraceConfig is the variable-size RTM trace generator at this scale; an
+// incomplete scale's is as incomplete, and check rejects both.
 func (s Scale) TraceConfig() rtm.TraceConfig {
 	cfg := rtm.DefaultTraceConfig()
 	cfg.Snapshots = s.Snapshots
-	cfg.MeanSize = s.Aggregate / int64(s.Snapshots)
+	if s.Snapshots > 0 {
+		cfg.MeanSize = s.Aggregate / int64(s.Snapshots)
+	}
 	cfg.MinAggregate = s.Aggregate * 38 / 48
 	cfg.MaxAggregate = s.Aggregate * 50 / 48
 	return cfg
@@ -135,6 +149,9 @@ func rowOf(res ShotResult) Row {
 // Fig4 regenerates the snapshot-size distribution of Figure 4: min, avg,
 // and max sizes per snapshot across 32 ranks' shots.
 func Fig4(scale Scale) ([]rtm.SnapshotStats, error) {
+	if err := scale.check(); err != nil {
+		return nil, err
+	}
 	cfg := scale.TraceConfig()
 	var all []rtm.Shot
 	for rank := 0; rank < 32; rank++ {
@@ -163,7 +180,8 @@ func Fig6(run Run, uniform bool) (FigureResult, error) {
 // tableOne runs every Table 1 combo in the three restore orders: figure
 // fig's a (uniform sizes) or b (variable sizes) variant.
 func tableOne(run Run, uniform, wait bool, fig, title string) (FigureResult, error) {
-	base := ShotConfig{Run: run, Uniform: uniform, WaitForFlush: wait}
+	base := run.Shot()
+	base.Uniform, base.WaitForFlush = uniform, wait
 	variant := map[bool]string{true: "a (uniform)", false: "b (variable)"}[uniform]
 	rows, err := runCombos(base, "fig"+fig+variant[:1], "", Table1(), []rtm.Order{rtm.Sequential, rtm.Reverse, rtm.Irregular})
 	return FigureResult{ID: "Fig. " + fig + variant, Title: title, Rows: rows}, err
@@ -179,8 +197,8 @@ func Fig7(run Run) (FigureResult, error) {
 		Series: map[string][]metrics.SeriesPoint{},
 	}
 	for _, hints := range []HintMode{NoHints, SingleHint, AllHints} {
-		cfg := ShotConfig{Run: run, Uniform: true, WaitForFlush: true,
-			Order: rtm.Sequential, Combo: Combo{Score, hints}}
+		cfg := run.Shot()
+		cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.Combo = true, true, rtm.Sequential, Combo{Score, hints}
 		res, err := RunShot(cfg)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", hints, err)
@@ -197,7 +215,8 @@ func Fig8a(run Run) (FigureResult, error) {
 	out := FigureResult{ID: "Fig. 8a", Title: "throughput vs compute interval (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
 	for iv := 10 * time.Millisecond; iv <= 30*time.Millisecond; iv += 5 * time.Millisecond {
-		base := ShotConfig{Run: run, Uniform: false, WaitForFlush: false, Interval: iv, Order: rtm.Irregular}
+		base := run.Shot()
+		base.Interval, base.Order = iv, rtm.Irregular
 		rows, err := runCombos(base, "fig8a", iv.String(), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
@@ -213,8 +232,8 @@ func Fig8b(run Run) (FigureResult, error) {
 	out := FigureResult{ID: "Fig. 8b", Title: "throughput vs GPU cache size (irregular, variable)"}
 	combos := []Combo{{ADIOS2, NoHints}, {UVM, NoHints}, {Score, NoHints}, {UVM, AllHints}, {Score, AllHints}}
 	for _, cache := range []int64{run.GPUCache / 2, run.GPUCache, run.GPUCache * 2, run.GPUCache * 4} {
-		base := ShotConfig{Run: run, Uniform: false, WaitForFlush: false, Order: rtm.Irregular}
-		base.GPUCache = cache
+		base := run.Shot()
+		base.Order, base.GPUCache = rtm.Irregular, cache
 		rows, err := runCombos(base, "fig8b", fmt.Sprintf("%dMiB", cache>>20), combos, []rtm.Order{rtm.Irregular})
 		if err != nil {
 			return out, err
@@ -234,10 +253,8 @@ func Fig9(run Run, coupled bool) (FigureResult, error) {
 	for gpus := 8; gpus <= 32; gpus += 8 {
 		nodes := (gpus + 7) / 8
 		perNode := gpus / nodes
-		base := ShotConfig{
-			Run: run, Uniform: false, WaitForFlush: false, Order: rtm.Reverse,
-			Nodes: nodes, GPUsPerNode: perNode, TightlyCoupled: coupled,
-		}
+		base := run.Shot()
+		base.Order, base.Nodes, base.GPUsPerNode, base.TightlyCoupled = rtm.Reverse, nodes, perNode, coupled
 		rows, err := runCombos(base, "fig"+mode[:2], fmt.Sprintf("%d GPUs", gpus), combos, []rtm.Order{rtm.Reverse})
 		if err != nil {
 			return out, err

@@ -13,7 +13,7 @@ import (
 // incremental sync, after which the successor restores every version
 // byte-identically.
 func TestMigrationBitExactCutover(t *testing.T) {
-	res, err := Migration(Run{}, MigrateConfig{StoreRoot: t.TempDir()})
+	res, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMigrationBitExactCutover(t *testing.T) {
 // fault site retries under the client's policy and the cutover still
 // validates bit-exactly.
 func TestMigrationSurvivesInjectedFault(t *testing.T) {
-	res, err := Migration(Run{}, MigrateConfig{StoreRoot: t.TempDir(), InjectFault: true})
+	res, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir(), InjectFault: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestMigrationSurvivesInjectedFault(t *testing.T) {
 // TestMigrationDeterministic: same config and fresh store roots replay
 // the identical reports.
 func TestMigrationDeterministic(t *testing.T) {
-	a, err := Migration(Run{}, MigrateConfig{StoreRoot: t.TempDir()})
+	a, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Migration(Run{}, MigrateConfig{StoreRoot: t.TempDir()})
+	b, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMigrationDeterministic(t *testing.T) {
 
 // TestMigrationRequiresStoreRoot: the config contract is explicit.
 func TestMigrationRequiresStoreRoot(t *testing.T) {
-	if _, err := Migration(Run{}, MigrateConfig{}); err == nil {
+	if _, err := Migration(Run{Scale: Full()}, MigrateConfig{}); err == nil {
 		t.Fatal("want error without StoreRoot")
 	}
 }

@@ -32,14 +32,8 @@ type PipelineResult struct {
 // critical-path attributions. The chunk size is 1/16 of the snapshot
 // size, matching the bench-smoke pipelining configuration.
 func Pipeline(run Run) (PipelineResult, error) {
-	base := ShotConfig{
-		Run:          run,
-		GPUsPerNode:  4,
-		Uniform:      true,
-		Order:        rtm.Reverse,
-		WaitForFlush: true,
-		Combo:        Combo{Score, AllHints},
-	}
+	base := run.Shot()
+	base.GPUsPerNode, base.Uniform, base.Order, base.WaitForFlush, base.Combo = 4, true, rtm.Reverse, true, Combo{Score, AllHints}
 	var out PipelineResult
 	for _, c := range []struct {
 		label string

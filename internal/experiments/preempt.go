@@ -34,7 +34,7 @@ const (
 // a 1/16-size backlog with windows shrunk to match, which keeps the full
 // sweep's miss-to-hit gradient.
 func preemptSweep(s Scale) (int64, []time.Duration) {
-	if s.Bandwidth > 0 && s.Bandwidth != 1 {
+	if s.Bandwidth != 1 {
 		return 256 << 20, []time.Duration{125 * time.Millisecond, 312 * time.Millisecond, 1 * time.Second, 2 * time.Second}
 	}
 	return 4 << 30, []time.Duration{2 * time.Second, 5 * time.Second, 15 * time.Second, 30 * time.Second}

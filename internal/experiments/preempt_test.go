@@ -11,7 +11,7 @@ import (
 // with a complete manifest — each live version either durable, discarded,
 // or explicitly abandoned, with abandonments carrying a reason.
 func TestPreemptionManifestContract(t *testing.T) {
-	res, err := Preemption(Run{})
+	res, err := Preemption(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPreemptionManifestContract(t *testing.T) {
 // generous one drains — the deadline budget is real, and fail-open means
 // the abandoned bytes are explicit, not stuck.
 func TestPreemptionWindowLadder(t *testing.T) {
-	res, err := Preemption(Run{})
+	res, err := Preemption(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestPreemptionWindowLadder(t *testing.T) {
 // TestPreemptionDeterministic: the same Run replays the identical
 // sweep, manifest entries included.
 func TestPreemptionDeterministic(t *testing.T) {
-	a, err := Preemption(Run{})
+	a, err := Preemption(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Preemption(Run{})
+	b, err := Preemption(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPreemptionDeterministic(t *testing.T) {
 // TestPreemptionThroughputReported: the headline metric (GB drained per
 // grace second) is populated for a window that drained anything.
 func TestPreemptionThroughputReported(t *testing.T) {
-	res, err := Preemption(Run{})
+	res, err := Preemption(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // restores the newest globally committed version bit-exactly on every
 // rank because the dead ranks' checkpoints survive on the partner node.
 func TestRankFailureWithPartnerCopyRecovers(t *testing.T) {
-	res, err := RankFailure(Run{}, RankFailConfig{StoreRoot: t.TempDir(), PartnerCopy: true})
+	res, err := RankFailure(Run{Scale: Full()}, RankFailConfig{StoreRoot: t.TempDir(), PartnerCopy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRankFailureWithPartnerCopyRecovers(t *testing.T) {
 // replication must be reported unrecoverable — never wrong bytes, never a
 // fabricated restart point.
 func TestRankFailureWithoutPartnerCopyIsUnrecoverable(t *testing.T) {
-	res, err := RankFailure(Run{}, RankFailConfig{StoreRoot: t.TempDir(), PartnerCopy: false})
+	res, err := RankFailure(Run{Scale: Full()}, RankFailConfig{StoreRoot: t.TempDir(), PartnerCopy: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRankFailureDeterministic(t *testing.T) {
 	var prev RankFailResult
 	for i := 0; i < 2; i++ {
 		cfg.StoreRoot = t.TempDir()
-		res, err := RankFailure(Run{}, cfg)
+		res, err := RankFailure(Run{Scale: Full()}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRankFailureDeterministic(t *testing.T) {
 // local store survives the crash (process death, not disk death), so the
 // job recovers even without partner copies.
 func TestRankFailureSingleRankKill(t *testing.T) {
-	res, err := RankFailure(Run{}, RankFailConfig{
+	res, err := RankFailure(Run{Scale: Full()}, RankFailConfig{
 		StoreRoot:    t.TempDir(),
 		KillRankOnly: true,
 		PartnerCopy:  false,

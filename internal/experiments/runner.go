@@ -14,13 +14,13 @@ import (
 	"score/internal/adiossim"
 	"score/internal/cachebuf"
 	"score/internal/core"
-	"score/internal/device"
 	"score/internal/fabric"
 	"score/internal/metrics"
 	"score/internal/payload"
 	"score/internal/rtm"
 	"score/internal/simclock"
 	"score/internal/slo"
+	"score/internal/testbed"
 	"score/internal/trace"
 	"score/internal/uvmsim"
 )
@@ -123,8 +123,10 @@ func (s scoreRuntime) PrefetchEnqueue(id int64) { s.Client.PrefetchEnqueue(core.
 
 // ShotConfig describes one benchmark run (§5.3): the Run it belongs to,
 // whose scale and options it reads as its own fields, plus the shot's
-// workload and runtime. A driver that varies a Run field per shot (a
-// cache size, a chunk size) assigns the promoted field.
+// workload and runtime. Every field means what it says, zero included;
+// Run.Shot gives the paper's shape to start from. A driver that varies a
+// Run field per shot (a cache size, a chunk size) assigns the promoted
+// field.
 type ShotConfig struct {
 	Run
 
@@ -135,14 +137,13 @@ type ShotConfig struct {
 	// Uniform gives every snapshot the scale's UniformSize; otherwise
 	// Trace generates variable sizes.
 	Uniform bool
-	// Trace overrides the scale's variable-size generator (zero: the
-	// scale's, Scale.TraceConfig).
+	// Trace generates the variable sizes.
 	Trace rtm.TraceConfig
 
 	// Order is the backward-pass restore order.
 	Order rtm.Order
 	// Interval is the compute time between consecutive checkpoints and
-	// between consecutive restores (paper default: 10 ms).
+	// between consecutive restores (the paper's: 10 ms).
 	Interval time.Duration
 	// WaitForFlush inserts a full flush drain between the forward and
 	// backward passes (Fig. 5) instead of restoring immediately
@@ -205,7 +206,8 @@ func (o Observers) reportSLO(label string, rep slo.Report) {
 // take it as a parameter and every ShotConfig embeds it — so runs with
 // different options can execute at the same time.
 type Run struct {
-	// Scale sizes every shot; a zero Scale runs as Full().
+	// Scale sizes every shot: Full() or Small(), or one derived from
+	// them. A driver given an incomplete Scale returns an error naming it.
 	Scale
 	// SampleInterval, when positive, samples every shot's gauges at this
 	// simulated interval: the sampled series of a RunShot shot, a
@@ -230,24 +232,11 @@ const SLOLedgerRank = -1
 // from orderSeed+r.
 const orderSeed = 2023
 
-// withDefaults fills the paper's defaults.
-func (c ShotConfig) withDefaults() ShotConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 1
-	}
-	if c.GPUsPerNode == 0 {
-		c.GPUsPerNode = 8
-	}
-	if c.Scale == (Scale{}) {
-		c.Scale = Full()
-	}
-	if c.Trace == (rtm.TraceConfig{}) {
-		c.Trace = c.TraceConfig()
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	return c
+// Shot is the paper's shot at this run (§5.3): one DGX A100 node of 8
+// GPUs, 10 ms of compute between checkpoints and between restores, and
+// the scale's variable-size trace. Drivers set the workload and runtime.
+func (r Run) Shot() ShotConfig {
+	return ShotConfig{Run: r, Nodes: 1, GPUsPerNode: 8, Interval: 10 * time.Millisecond, Trace: r.TraceConfig()}
 }
 
 // RankResult is one process's measurements.
@@ -305,33 +294,27 @@ func (r ShotResult) MergedSummary() metrics.Summary {
 // restores all hit the cache divides by near-zero blocking and dominates
 // the average, so the figures report the aggregate ratio.
 func (r ShotResult) MeanCheckpointThroughput() float64 {
-	var bytes int64
-	var blocked time.Duration
-	for _, rr := range r.PerRank {
-		bytes += rr.Summary.CheckpointBytes
-		blocked += rr.Summary.CheckpointBlocked
-	}
-	return ratio(bytes, blocked)
+	return r.meanRate(func(s metrics.Summary) (int64, time.Duration) { return s.CheckpointBytes, s.CheckpointBlocked })
 }
 
 // MeanRestoreThroughput is the per-GPU read throughput (aggregate ratio;
 // see MeanCheckpointThroughput).
 func (r ShotResult) MeanRestoreThroughput() float64 {
+	return r.meanRate(func(s metrics.Summary) (int64, time.Duration) { return s.RestoreBytes, s.RestoreBlocked })
+}
+
+// meanRate is the aggregate ratio of the bytes and blocking time part
+// reads from each rank's summary; bytes moved with no blocking at all
+// count as moved in one nanosecond.
+func (r ShotResult) meanRate(part func(metrics.Summary) (int64, time.Duration)) float64 {
 	var bytes int64
 	var blocked time.Duration
 	for _, rr := range r.PerRank {
-		bytes += rr.Summary.RestoreBytes
-		blocked += rr.Summary.RestoreBlocked
+		b, d := part(rr.Summary)
+		bytes, blocked = bytes+b, blocked+d
 	}
-	return ratio(bytes, blocked)
-}
-
-func ratio(bytes int64, blocked time.Duration) float64 {
 	if blocked <= 0 {
-		if bytes > 0 {
-			return float64(bytes) * 1e9
-		}
-		return 0
+		return float64(bytes) * 1e9
 	}
 	return float64(bytes) / blocked.Seconds()
 }
@@ -347,7 +330,9 @@ func (r ShotResult) TotalIOWait() time.Duration {
 
 // RunShot executes one full shot benchmark on a fresh virtual clock.
 func RunShot(cfg ShotConfig) (ShotResult, error) {
-	cfg = cfg.withDefaults()
+	if err := cfg.Scale.check(); err != nil {
+		return ShotResult{}, err
+	}
 	clk := simclock.NewVirtual()
 	var res ShotResult
 	var err error
@@ -356,57 +341,24 @@ func RunShot(cfg ShotConfig) (ShotResult, error) {
 }
 
 func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
-	var tracer *trace.Tracer
-	if cfg.OnTrace != nil {
-		tracer = trace.New(clk.Now)
+	// Every node is a DGX A100, its links and allocation rates scaled by
+	// the run's bandwidth multiplier.
+	tb, err := testbed.New(clk, cfg.Nodes, cfg.GPUsPerNode, cfg.Bandwidth, cfg.OnTrace != nil, cfg.SampleInterval)
+	if err != nil {
+		return ShotResult{}, err
 	}
+	defer tb.Close()
 	// The SLO engine rides the shot clock and only Score runtimes feed it
 	// (the baselines have no critical-path cursor): a baseline combo with
 	// objectives would report zero events, so skip it there rather than
 	// emit vacuous compliance rows.
 	var sloEng *slo.Engine
 	if cfg.SLO && cfg.Combo.Approach == Score {
-		eng, err := newSLOEngine(clk.Now, slo.ShotObjectives(), tracer)
-		if err != nil {
+		if sloEng, err = newSLOEngine(clk.Now, slo.ShotObjectives(), tb.Tracer); err != nil {
 			return ShotResult{}, err
 		}
-		sloEng = eng
-	}
-	// Every node is a DGX A100. Reduced-scale runs scale its links and the
-	// allocation rates alike, so they keep the paper's cost ratios (e.g.
-	// pinned allocation slower than the transfers it enables, §4.1.4).
-	hw := fabric.DGXA100()
-	hw.GPUs = cfg.GPUsPerNode
-	costs := device.DefaultAllocCosts()
-	if s := cfg.Bandwidth; s > 0 && s != 1 {
-		hw.D2DBandwidth *= s
-		hw.PCIeBandwidth *= s
-		hw.NVMePerDrive *= s
-		hw.PFSBandwidth *= s
-		hw.NICBandwidth *= s
-		costs.DeviceBytesPerSec *= s
-		costs.PinnedHostBytesPerSec *= s
-	}
-	cluster, err := fabric.NewCluster(clk, cfg.Nodes, hw)
-	if err != nil {
-		return ShotResult{}, err
 	}
 	ranks := cfg.Nodes * cfg.GPUsPerNode
-
-	var sharedPools []*core.SharedHostCache
-	if cfg.SharedHostPerNode && cfg.Combo.Approach == Score {
-		sharedPools = make([]*core.SharedHostCache, cfg.Nodes)
-		for n := range sharedPools {
-			sharedPools[n] = core.NewSharedHostCache(clk,
-				fmt.Sprintf("node%d-sharedhost", n),
-				cfg.HostCache*int64(cfg.GPUsPerNode), cfg.GPUsPerNode)
-		}
-		defer func() {
-			for _, p := range sharedPools {
-				p.Close()
-			}
-		}()
-	}
 
 	// Build one runtime per rank. Every constructed runtime is closed on
 	// every exit path: a leaked runtime leaves parked daemon tasks that
@@ -422,22 +374,14 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	shots := make([]rtm.Shot, ranks)
 	orders := make([][]int, ranks)
 	for rank := 0; rank < ranks; rank++ {
-		node := cluster.Nodes[rank/cfg.GPUsPerNode]
-		// The device ID is the job rank, not the node-local index: the
-		// tracer keys spans, ledger rows and flow IDs by it.
-		d2d, pcie := node.GPULinks(rank % cfg.GPUsPerNode)
-		gpu := device.NewGPU(clk, rank, device.A100HBM, d2d, pcie, costs)
-
-		var pool *core.SharedHostCache
-		if sharedPools != nil {
-			pool = sharedPools[rank/cfg.GPUsPerNode]
-		}
-		rt, err := buildRuntime(clk, cfg, gpu, node, pool, tracer, sloEng)
+		rt, err := buildRuntime(clk, cfg, tb, rank, sloEng)
 		if err != nil {
 			return ShotResult{}, err
 		}
 		rts[rank] = rt
-
+		if sc, ok := rt.(scoreRuntime); ok && tb.Sampler != nil {
+			sc.Client.RegisterProbes(tb.Sampler, testbed.Probes(rank/cfg.GPUsPerNode, rank%cfg.GPUsPerNode))
+		}
 		if cfg.Uniform {
 			shots[rank] = rtm.UniformShot(rank, cfg.Snapshots, cfg.UniformSize)
 		} else {
@@ -449,36 +393,8 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		orders[rank] = cfg.Order.Sequence(cfg.Snapshots, orderSeed+int64(rank))
 	}
 
-	var sampler *metrics.Sampler
-	if cfg.SampleInterval > 0 {
-		sampler = metrics.NewSampler(clk, cfg.SampleInterval, 0)
-		for rank, rt := range rts {
-			if sc, ok := rt.(scoreRuntime); ok {
-				sc.Client.RegisterProbes(sampler, fmt.Sprintf("rank%d", rank))
-			}
-		}
-		registerLinkProbes(sampler, cluster)
-		if tracer != nil {
-			tracer.SetCounterSource(sampler)
-			// Surface the tracer's bounded-buffer drop counters in the
-			// sampled series: a non-zero value means the span ring or
-			// the sampler's counter window wrapped and the exported
-			// timeline (or flight-recorder ledger) is incomplete — raise
-			// the capacity rather than trust it.
-			sampler.Register("trace.events_dropped", func() float64 {
-				ev, _ := tracer.Dropped()
-				return float64(ev)
-			})
-			sampler.Register("trace.counters_dropped", func() float64 {
-				_, cnt := tracer.Dropped()
-				return float64(cnt)
-			})
-			if fl := tracer.Flight(); fl != nil {
-				sampler.Register("trace.ledger_dropped", func() float64 {
-					return float64(fl.TotalDropped())
-				})
-			}
-		}
+	if sampler := tb.Sampler; sampler != nil {
+		registerLinkProbes(sampler, tb.Cluster)
 		sampler.Start()
 		defer sampler.Stop()
 	}
@@ -491,7 +407,6 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	errs := make([]error, ranks)
 	wg := simclock.NewWaitGroup(clk)
 	for rank := 0; rank < ranks; rank++ {
-		rank := rank
 		wg.Add(1)
 		clk.Go(func() {
 			defer wg.Done()
@@ -528,11 +443,11 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 		}
 		res.PerRank = append(res.PerRank, RankResult{Rank: rank, Summary: sum})
 	}
-	if sampler != nil {
+	if sampler := tb.Sampler; sampler != nil {
 		sampler.Stop()
 		res.Series = sampler.Series()
 	}
-	if err := cfg.endShot(&res, sloEng, tracer); err != nil {
+	if err := cfg.endShot(&res, sloEng, tb.Tracer); err != nil {
 		return res, fmt.Errorf("%s: %w", res.Label(), err)
 	}
 	return res, nil
@@ -677,8 +592,10 @@ func registerLinkProbes(s *metrics.Sampler, cluster *fabric.Cluster) {
 	}
 }
 
-func buildRuntime(clk *simclock.Virtual, cfg ShotConfig, gpu *device.GPU, node *fabric.Node, pool *core.SharedHostCache,
-	tracer *trace.Tracer, eng *slo.Engine) (Runtime, error) {
+// buildRuntime builds rank's runtime on its GPU and node of tb.
+func buildRuntime(clk *simclock.Virtual, cfg ShotConfig, tb *testbed.Testbed, rank int, eng *slo.Engine) (Runtime, error) {
+	n := rank / cfg.GPUsPerNode
+	gpu, node := tb.GPU(n, rank%cfg.GPUsPerNode), tb.Cluster.Nodes[n]
 	switch cfg.Combo.Approach {
 	case ADIOS2:
 		return adiossim.New(adiossim.Config{
@@ -701,10 +618,12 @@ func buildRuntime(clk *simclock.Virtual, cfg ShotConfig, gpu *device.GPU, node *
 			OnDemandAlloc:       cfg.OnDemandAlloc,
 			NoHostStager:        cfg.NoHostStager,
 			GPUEvictionPolicy:   cfg.EvictionPolicy,
-			SharedHost:          pool,
 			GPUDirectStorage:    cfg.GPUDirect,
 			ChunkSize:           cfg.ChunkSize,
-			Tracer:              tracer,
+			Tracer:              tb.Tracer,
+		}
+		if cfg.SharedHostPerNode {
+			params.SharedHost = tb.SharedHost(n, cfg.HostCache*int64(cfg.GPUsPerNode))
 		}
 		if eng != nil {
 			// Assigned only when non-nil so the interface stays nil (not

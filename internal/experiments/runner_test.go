@@ -26,10 +26,10 @@ func tiny() Run {
 }
 
 func tinyShot(combo Combo, order rtm.Order, wait bool, uniform bool) ShotConfig {
-	return ShotConfig{
-		Run: tiny(), GPUsPerNode: 2, Uniform: uniform, WaitForFlush: wait,
-		Order: order, Combo: combo, Interval: 2 * time.Millisecond,
-	}
+	cfg := tiny().Shot()
+	cfg.GPUsPerNode, cfg.Uniform, cfg.WaitForFlush = 2, uniform, wait
+	cfg.Order, cfg.Combo, cfg.Interval = order, combo, 2*time.Millisecond
+	return cfg
 }
 
 func TestRunShotAllCombosComplete(t *testing.T) {
@@ -190,10 +190,9 @@ func TestConcurrentShotsKeepTheirRun(t *testing.T) {
 
 	// The no-hints Score combo: its numbers repeat exactly between runs.
 	shot := func(run Run, label string) (ShotResult, error) {
-		return RunShot(ShotConfig{
-			Run: run, GPUsPerNode: 2, Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-			Combo: Combo{Score, NoHints}, Interval: 2 * time.Millisecond, Label: label,
-		})
+		cfg := tinyShot(Combo{Score, NoHints}, rtm.Reverse, true, true)
+		cfg.Run, cfg.Label = run, label
+		return RunShot(cfg)
 	}
 	var sawAlone, sawFull, sawBare watched
 	aloneFull, err := shot(sawAlone.watch(full, true), "full")
@@ -278,7 +277,7 @@ func TestMultiNodeTraceKeysByJobRank(t *testing.T) {
 // scenario's multi-hop transfers as it does a RunShot shot's.
 func TestRunChunkSizeReachesScenarioShots(t *testing.T) {
 	// A quarter of the paper-scale sweep's 4 GiB version.
-	run := Run{ChunkSize: 1 << 30}
+	run := Run{Scale: Full(), ChunkSize: 1 << 30}
 	var shots int
 	var streams int64
 	run.OnShot = func(r ShotResult) {
@@ -290,5 +289,41 @@ func TestRunChunkSizeReachesScenarioShots(t *testing.T) {
 	}
 	if shots == 0 || streams == 0 {
 		t.Errorf("%d shots under Run{ChunkSize: %d} streamed %d pipelined transfers, want some", shots, run.ChunkSize, streams)
+	}
+}
+
+// TestEveryDriverRejectsAnIncompleteRun: nothing fills in a zero Scale,
+// so every driver handed Run{} returns an error that names it, rather
+// than sweeping zero-byte caches, running its chunked case whole, or
+// dividing by a zero snapshot count.
+func TestEveryDriverRejectsAnIncompleteRun(t *testing.T) {
+	var run Run
+	drivers := []struct {
+		name  string
+		drive func() error
+	}{
+		{"Fig4", func() error { _, err := Fig4(run.Scale); return err }},
+		{"Fig5", func() error { _, err := Fig5(run, true); return err }},
+		{"Fig6", func() error { _, err := Fig6(run, false); return err }},
+		{"Fig7", func() error { _, err := Fig7(run); return err }},
+		{"Fig8a", func() error { _, err := Fig8a(run); return err }},
+		{"Fig8b", func() error { _, err := Fig8b(run); return err }},
+		{"Fig9", func() error { _, err := Fig9(run, true); return err }},
+		{"Ablations", func() error { _, err := Ablations(run); return err }},
+		{"Pipeline", func() error { _, err := Pipeline(run); return err }},
+		{"EvictionMatrix", func() error { _, err := EvictionMatrix(run); return err }},
+		{"Preemption", func() error { _, err := Preemption(run); return err }},
+		{"Straggler", func() error { _, err := Straggler(run); return err }},
+		{"RankFailure", func() error { _, err := RankFailure(run, RankFailConfig{StoreRoot: t.TempDir()}); return err }},
+		{"Migration", func() error { _, err := Migration(run, MigrateConfig{StoreRoot: t.TempDir()}); return err }},
+		{"Elastic", func() error {
+			_, err := Elastic(run, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
+			return err
+		}},
+	}
+	for _, d := range drivers {
+		if err := d.drive(); err == nil || !strings.Contains(err.Error(), "Scale") {
+			t.Errorf("%s(Run{}) = %v, want an error naming Scale", d.name, err)
+		}
 	}
 }

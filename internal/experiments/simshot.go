@@ -27,6 +27,9 @@ type simShot struct {
 // when run.SLO is set, an SLO engine over objs, the scenario's checked-in
 // set (none when objs is empty), attached to every client.
 func newSimShot(run Run, label string, objs []slo.Objective, opts ...score.Option) (*simShot, error) {
+	if err := run.Scale.check(); err != nil {
+		return nil, err
+	}
 	if run.OnTrace != nil {
 		opts = append(opts, score.WithTracing())
 	}

@@ -8,7 +8,7 @@ import (
 // TestStragglerCellsShape: the sweep runs every (severity, hedging)
 // pair, in order, with every restore accounted.
 func TestStragglerCellsShape(t *testing.T) {
-	res, err := Straggler(Run{})
+	res, err := Straggler(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestStragglerCellsShape(t *testing.T) {
 // nothing — the first leg always wins before any deadline could engage,
 // so both modes measure identical restore tails.
 func TestStragglerHealthyControl(t *testing.T) {
-	res, err := Straggler(Run{})
+	res, err := Straggler(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestStragglerHealthyControl(t *testing.T) {
 // most half the unhedged P99, and the improvement came from hedge wins
 // (or an outright quarantine routing around the straggler).
 func TestStragglerHedgeBoundsTail(t *testing.T) {
-	res, err := Straggler(Run{})
+	res, err := Straggler(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestStragglerHedgeBoundsTail(t *testing.T) {
 // TestStragglerDeterministic: the same Run replays the identical
 // sweep, counters and quantiles included.
 func TestStragglerDeterministic(t *testing.T) {
-	a, err := Straggler(Run{})
+	a, err := Straggler(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Straggler(Run{})
+	b, err := Straggler(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}

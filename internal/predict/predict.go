@@ -17,7 +17,7 @@
 // extrapolation costs performance, never correctness.
 package predict
 
-import "fmt"
+import "errors"
 
 // Hinter is the sink for predictions — satisfied by the Score runtime's
 // PrefetchEnqueue.
@@ -31,34 +31,18 @@ type HinterFunc func(int64)
 // PrefetchEnqueue implements Hinter.
 func (f HinterFunc) PrefetchEnqueue(v int64) { f(v) }
 
-// Config tunes the predictor.
-type Config struct {
-	// Confidence is how many consecutive observations must fit the
-	// candidate stride before predictions are emitted (default 3).
-	Confidence int
-	// Lookahead is how many hints are emitted ahead of the newest
-	// observation once confident (default 8).
-	Lookahead int
-	// MinVersion and MaxVersion clamp predictions to the known version
-	// range; predictions outside are suppressed. MaxVersion <= 0 means
-	// unbounded above.
-	MinVersion, MaxVersion int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Confidence == 0 {
-		c.Confidence = 3
-	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 8
-	}
-	return c
-}
+const (
+	// confidence is how many consecutive observations must fit the
+	// candidate stride before predictions are emitted.
+	confidence = 3
+	// lookahead is how many hints are emitted ahead of the newest
+	// observation once confident.
+	lookahead = 8
+)
 
 // Predictor observes restores and emits extrapolated hints.
 // Not safe for concurrent use; drive it from the restore thread.
 type Predictor struct {
-	cfg    Config
 	sink   Hinter
 	last   int64
 	stride int64
@@ -71,15 +55,11 @@ type Predictor struct {
 }
 
 // New creates a predictor that feeds sink.
-func New(sink Hinter, cfg Config) (*Predictor, error) {
+func New(sink Hinter) (*Predictor, error) {
 	if sink == nil {
-		return nil, fmt.Errorf("predict: nil hinter")
+		return nil, errors.New("predict: nil hinter")
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Confidence < 1 || cfg.Lookahead < 1 {
-		return nil, fmt.Errorf("predict: Confidence and Lookahead must be >= 1")
-	}
-	return &Predictor{cfg: cfg, sink: sink}, nil
+	return &Predictor{sink: sink}, nil
 }
 
 // Observe records that the application just restored version v and emits
@@ -103,19 +83,19 @@ func (p *Predictor) Observe(v int64) {
 		p.streak = 1
 		p.armed = false
 	}
-	if p.streak+1 < p.cfg.Confidence { // +1: the first pair counted once
+	if p.streak+1 < confidence { // +1: the first pair counted once
 		return
 	}
 	if !p.armed {
 		p.armed = true
 		p.ahead = v
 	}
-	// Keep the hint horizon Lookahead versions ahead of the newest
+	// Keep the hint horizon lookahead versions ahead of the newest
 	// observation.
-	target := v + int64(p.cfg.Lookahead)*p.stride
+	target := v + lookahead*p.stride
 	for p.ahead != target {
 		next := p.ahead + p.stride
-		if !p.inRange(next) {
+		if next < 0 { // versions start at 0
 			break
 		}
 		p.sink.PrefetchEnqueue(next)
@@ -124,19 +104,9 @@ func (p *Predictor) Observe(v int64) {
 	}
 }
 
-func (p *Predictor) inRange(v int64) bool {
-	if v < p.cfg.MinVersion {
-		return false
-	}
-	if p.cfg.MaxVersion > 0 && v > p.cfg.MaxVersion {
-		return false
-	}
-	return true
-}
-
 // Stride returns the currently believed stride (0 if no pattern yet).
 func (p *Predictor) Stride() int64 {
-	if p.streak+1 < p.cfg.Confidence {
+	if p.streak+1 < confidence {
 		return 0
 	}
 	return p.stride

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -9,20 +10,35 @@ type recorder struct{ hints []int64 }
 
 func (r *recorder) PrefetchEnqueue(v int64) { r.hints = append(r.hints, v) }
 
-func newT(t *testing.T, cfg Config) (*Predictor, *recorder) {
+func newT(t *testing.T) (*Predictor, *recorder) {
 	t.Helper()
 	r := &recorder{}
-	p, err := New(r, cfg)
+	p, err := New(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p, r
 }
 
+// observe feeds vs to p in order.
+func observe(p *Predictor, vs ...int64) {
+	for _, v := range vs {
+		p.Observe(v)
+	}
+}
+
+// run returns the versions from first stepping by stride, n of them.
+func run(first, stride int64, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = first + int64(i)*stride
+	}
+	return out
+}
+
 func TestNoHintsBeforeConfidence(t *testing.T) {
-	p, r := newT(t, Config{Confidence: 3, Lookahead: 4})
-	p.Observe(10)
-	p.Observe(11) // streak 1
+	p, r := newT(t)
+	observe(p, run(10, 1, confidence-1)...)
 	if len(r.hints) != 0 {
 		t.Fatalf("hints before confidence: %v", r.hints)
 	}
@@ -32,23 +48,15 @@ func TestNoHintsBeforeConfidence(t *testing.T) {
 }
 
 func TestSequentialPattern(t *testing.T) {
-	p, r := newT(t, Config{Confidence: 3, Lookahead: 4})
-	p.Observe(0)
-	p.Observe(1)
-	p.Observe(2) // confident now: hints 3..6
-	want := []int64{3, 4, 5, 6}
-	if len(r.hints) != len(want) {
+	p, r := newT(t)
+	observe(p, run(0, 1, confidence)...) // confident now: the horizon fills
+	if want := run(confidence, 1, lookahead); !slices.Equal(r.hints, want) {
 		t.Fatalf("hints = %v, want %v", r.hints, want)
 	}
-	for i := range want {
-		if r.hints[i] != want[i] {
-			t.Fatalf("hints = %v, want %v", r.hints, want)
-		}
-	}
 	// The next observation slides the horizon by one.
-	p.Observe(3)
-	if got := r.hints[len(r.hints)-1]; got != 7 {
-		t.Errorf("horizon hint = %d, want 7", got)
+	p.Observe(confidence)
+	if got, want := r.hints[len(r.hints)-1], int64(confidence+lookahead); got != want {
+		t.Errorf("horizon hint = %d, want %d", got, want)
 	}
 	if p.Stride() != 1 {
 		t.Errorf("stride = %d, want 1", p.Stride())
@@ -56,15 +64,11 @@ func TestSequentialPattern(t *testing.T) {
 }
 
 func TestReversePattern(t *testing.T) {
-	p, r := newT(t, Config{Confidence: 3, Lookahead: 3, MinVersion: 0})
-	p.Observe(9)
-	p.Observe(8)
-	p.Observe(7)
-	want := []int64{6, 5, 4}
-	for i := range want {
-		if r.hints[i] != want[i] {
-			t.Fatalf("hints = %v, want %v", r.hints, want)
-		}
+	const top = 40
+	p, r := newT(t)
+	observe(p, run(top, -1, confidence)...)
+	if want := run(top-confidence, -1, lookahead); !slices.Equal(r.hints, want) {
+		t.Fatalf("hints = %v, want %v", r.hints, want)
 	}
 	if p.Stride() != -1 {
 		t.Errorf("stride = %d", p.Stride())
@@ -72,109 +76,88 @@ func TestReversePattern(t *testing.T) {
 }
 
 func TestStridedPattern(t *testing.T) {
-	p, r := newT(t, Config{Confidence: 2, Lookahead: 2})
-	p.Observe(0)
-	p.Observe(4)
-	if len(r.hints) != 2 || r.hints[0] != 8 || r.hints[1] != 12 {
-		t.Fatalf("strided hints = %v, want [8 12]", r.hints)
+	p, r := newT(t)
+	observe(p, run(0, 4, confidence)...)
+	if want := run(4*confidence, 4, lookahead); !slices.Equal(r.hints, want) {
+		t.Fatalf("strided hints = %v, want %v", r.hints, want)
 	}
 }
 
 func TestPatternBreakResetsConfidence(t *testing.T) {
-	// Confidence 3 = three consecutive observations must fit one stride.
-	p, r := newT(t, Config{Confidence: 3, Lookahead: 2})
-	p.Observe(0)
-	p.Observe(1)
-	p.Observe(2)
+	p, r := newT(t)
+	observe(p, run(0, 1, confidence)...)
 	n := len(r.hints)
 	if n == 0 {
 		t.Fatal("no hints after a confident run")
 	}
-	p.Observe(10) // break: two-observation run (2, 10) is not confident
-	if len(r.hints) != n {
-		t.Error("hints emitted on a pattern break")
+	// A break starts a new run at 100: every observation of it short of
+	// confidence emits nothing, the one that reaches it re-arms.
+	for i, v := range run(100, 1, confidence) {
+		p.Observe(v)
+		if armed := i == confidence-1; armed != (len(r.hints) > n) {
+			t.Fatalf("after %d observations of the new run: %d new hints", i+1, len(r.hints)-n)
+		}
 	}
-	p.Observe(11) // still only (10, 11): not confident for 3
-	if len(r.hints) != n {
-		t.Error("hints emitted before the new pattern reached confidence")
-	}
-	p.Observe(12) // (10, 11, 12): confident again
-	if len(r.hints) == n {
-		t.Error("no hints after re-establishing a pattern")
+	if got, want := r.hints[n], int64(100+confidence); got != want {
+		t.Errorf("re-armed horizon starts at %d, want %d", got, want)
 	}
 	if p.Stride() != 1 {
 		t.Errorf("stride = %d", p.Stride())
 	}
 }
 
-func TestRangeClamping(t *testing.T) {
-	p, r := newT(t, Config{Confidence: 2, Lookahead: 10, MinVersion: 0, MaxVersion: 5})
-	p.Observe(2)
-	p.Observe(3)
-	for _, h := range r.hints {
-		if h < 0 || h > 5 {
-			t.Errorf("hint %d outside [0,5]", h)
-		}
+func TestClampAtZero(t *testing.T) {
+	// A reverse run ending at confidence-1 reaches version 0 one hint in;
+	// nothing below it is predicted.
+	p, r := newT(t)
+	observe(p, run(confidence, -1, confidence)...)
+	if want := []int64{0}; !slices.Equal(r.hints, want) {
+		t.Errorf("clamped hints = %v, want %v", r.hints, want)
 	}
-	if len(r.hints) != 2 { // 4, 5 only
-		t.Errorf("hints = %v, want [4 5]", r.hints)
-	}
-	// Reverse at the low boundary.
-	p2, r2 := newT(t, Config{Confidence: 2, Lookahead: 10, MinVersion: 0, MaxVersion: 5})
-	p2.Observe(2)
-	p2.Observe(1)
-	if len(r2.hints) != 1 || r2.hints[0] != 0 {
-		t.Errorf("reverse clamped hints = %v, want [0]", r2.hints)
+	// A run that reaches 0 itself has nothing left to predict.
+	p2, r2 := newT(t)
+	observe(p2, run(confidence-1, -1, confidence)...)
+	if len(r2.hints) != 0 {
+		t.Errorf("hints below version 0: %v", r2.hints)
 	}
 }
 
 func TestRereadsIgnored(t *testing.T) {
-	p, r := newT(t, Config{Confidence: 2, Lookahead: 2})
+	p, r := newT(t)
 	p.Observe(1)
 	p.Observe(1) // stride 0: ignore
-	p.Observe(2)
-	p.Observe(3)
+	observe(p, run(2, 1, confidence-1)...)
 	if len(r.hints) == 0 {
 		t.Error("re-read broke pattern detection permanently")
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("nil hinter accepted")
-	}
-	if _, err := New(&recorder{}, Config{Confidence: -1}); err == nil {
-		t.Error("negative confidence accepted")
 	}
 }
 
 func TestHinterFunc(t *testing.T) {
 	var got []int64
-	p, _ := New(HinterFunc(func(v int64) { got = append(got, v) }), Config{Confidence: 2, Lookahead: 1})
-	p.Observe(5)
-	p.Observe(6)
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("HinterFunc hints = %v", got)
+	p, _ := New(HinterFunc(func(v int64) { got = append(got, v) }))
+	observe(p, run(5, 1, confidence)...)
+	if want := run(5+confidence, 1, lookahead); !slices.Equal(got, want) {
+		t.Errorf("HinterFunc hints = %v, want %v", got, want)
 	}
 }
 
 func TestNoDuplicateHintsProperty(t *testing.T) {
 	// Property: for any monotone run observed, the predictor never
-	// emits the same version twice and never emits an observed version.
+	// emits the same version twice.
 	f := func(start int64, up bool, steps uint8) bool {
 		r := &recorder{}
-		p, _ := New(r, Config{Confidence: 2, Lookahead: 4})
+		p, _ := New(r)
 		stride := int64(1)
 		if !up {
 			stride = -1
 		}
-		v := start % 1000
-		observed := map[int64]bool{}
-		for i := 0; i < int(steps%50)+2; i++ {
-			p.Observe(v)
-			observed[v] = true
-			v += stride
-		}
+		observe(p, run(start%1000, stride, int(steps%50)+2)...)
 		seen := map[int64]bool{}
 		for _, h := range r.hints {
 			if seen[h] {

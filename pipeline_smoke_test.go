@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"score/internal/experiments"
-	"score/internal/rtm"
 	"score/internal/simclock"
 )
 
@@ -20,14 +19,8 @@ import (
 // once per hop.
 func TestChunkedPipelineSmoke(t *testing.T) {
 	shot := func(chunk int64) (experiments.ShotResult, uint64) {
-		cfg := experiments.ShotConfig{
-			Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-			Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
-			GPUDirect: true,
-		}
-		cfg.ChunkSize = chunk
 		before := simclock.EventCount()
-		res, err := experiments.RunShot(cfg)
+		res, err := experiments.RunShot(directShot(true, chunk))
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}

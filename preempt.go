@@ -120,8 +120,8 @@ func (s *Sim) MigrateRank(c *Client, toNode int, destDir string) (MigrationRepor
 	if err != nil {
 		return MigrationReport{}, err
 	}
-	from := s.cluster.Nodes[c.node]
-	to := s.cluster.Nodes[toNode]
+	from := s.tb.Cluster.Nodes[c.node]
+	to := s.tb.Cluster.Nodes[toNode]
 	var hook func(id, size int64) error
 	if inj := c.inj; inj != nil {
 		hook = func(id, size int64) error {

@@ -12,7 +12,7 @@ import (
 // than narrower ones, the widest window always lands everything, and
 // every manifest is complete.
 func TestPreemptDrainSmoke(t *testing.T) {
-	res, err := experiments.Preemption(experiments.Run{})
+	res, err := experiments.Preemption(experiments.Run{Scale: experiments.Full()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,10 +151,29 @@ func TestSimOptionsValidation(t *testing.T) {
 	})
 }
 
+// TestZeroCacheSizeIsAnError: a cache size is used as given, so a zero
+// one fails NewClient rather than running at the paper's 4 GiB or 32 GiB.
+func TestZeroCacheSizeIsAnError(t *testing.T) {
+	sim, err := score.NewSim(score.WithGPUsPerNode(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(func() {
+		for name, opt := range map[string]score.ClientOption{
+			"WithGPUCache(0)": score.WithGPUCache(0), "WithHostCache(0)": score.WithHostCache(0),
+		} {
+			if c, err := sim.NewClient(0, 0, opt); err == nil {
+				c.Close()
+				t.Errorf("NewClient accepted %s", name)
+			}
+		}
+	})
+}
+
 func TestCustomBandwidths(t *testing.T) {
 	sim, err := score.NewSim(
 		score.WithGPUsPerNode(1),
-		score.WithNodeBandwidths(1<<34, 1<<32, 1<<31, 1<<30),
+		score.WithBandwidth(1.0/64),
 	)
 	if err != nil {
 		t.Fatal(err)

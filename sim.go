@@ -10,12 +10,12 @@ import (
 	"score/internal/cachebuf"
 	"score/internal/ckptstore"
 	"score/internal/core"
-	"score/internal/device"
 	"score/internal/fabric"
 	"score/internal/faultinject"
 	"score/internal/metrics"
 	"score/internal/predict"
 	"score/internal/simclock"
+	"score/internal/testbed"
 	"score/internal/trace"
 )
 
@@ -54,20 +54,17 @@ func (w *WaitGroup) Wait() { w.inner.Wait() }
 // a parallel file system. All Score clients of a Sim contend on its
 // links exactly as co-located processes would.
 type Sim struct {
-	clk     *simclock.Virtual
-	cluster *fabric.Cluster
-	cfg     simConfig
-	tracer  *trace.Tracer
-	sampler *metrics.Sampler
-	shared  map[int]*core.SharedHostCache // per-node pools (lazily built)
+	clk *simclock.Virtual
+	tb  *testbed.Testbed
+	cfg simConfig
 }
 
 type simConfig struct {
-	nodes      int
-	node       fabric.NodeConfig
-	tracing    bool
-	sample     time.Duration // gauge sampling cadence; 0 = off
-	sharedHost int64         // per-node shared host cache pool size; 0 = private
+	nodes, gpus int
+	bandwidth   float64 // link and allocation rate multiplier (tests only)
+	tracing     bool
+	sample      time.Duration // gauge sampling cadence; 0 = off
+	sharedHost  int64         // per-node shared host cache pool size; 0 = private
 }
 
 // Option configures a Sim.
@@ -77,7 +74,7 @@ type Option func(*simConfig)
 func WithNodes(n int) Option { return func(c *simConfig) { c.nodes = n } }
 
 // WithGPUsPerNode sets the GPU (process) count per node (default 8).
-func WithGPUsPerNode(n int) Option { return func(c *simConfig) { c.node.GPUs = n } }
+func WithGPUsPerNode(n int) Option { return func(c *simConfig) { c.gpus = n } }
 
 // WithSharedHostCache replaces every client's private pinned host cache
 // with one pool of the given size per node, shared by the node's clients
@@ -105,60 +102,50 @@ func WithSampling(interval time.Duration) Option {
 
 // NewSim builds a simulated cluster.
 func NewSim(opts ...Option) (*Sim, error) {
-	cfg := simConfig{nodes: 1, node: fabric.DGXA100()}
+	cfg := simConfig{nodes: 1, gpus: 8, bandwidth: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.nodes < 1 {
 		return nil, errors.New("score: need at least one node")
 	}
-	clk := simclock.NewVirtual()
-	s := &Sim{cfg: cfg, clk: clk}
-	cluster, err := fabric.NewCluster(clk, cfg.nodes, cfg.node)
-	if err != nil {
-		return nil, err
-	}
-	s.cluster = cluster
-	if cfg.tracing {
-		s.tracer = trace.New(clk.Now)
-	}
-	if cfg.sample > 0 {
-		s.sampler = metrics.NewSampler(clk, cfg.sample, 0)
-		s.tracer.SetCounterSource(s.sampler)
-	}
 	if cfg.sharedHost < 0 {
 		return nil, errors.New("score: shared host cache size must be positive")
 	}
-	s.shared = map[int]*core.SharedHostCache{}
-	return s, nil
+	clk := simclock.NewVirtual()
+	tb, err := testbed.New(clk, cfg.nodes, cfg.gpus, cfg.bandwidth, cfg.tracing, cfg.sample)
+	if err != nil {
+		return nil, err
+	}
+	return &Sim{clk: clk, tb: tb, cfg: cfg}, nil
 }
 
 // WriteTrace exports the recorded timeline (WithTracing) in the Chrome
 // trace-event format.
 func (s *Sim) WriteTrace(w io.Writer) error {
-	if s.tracer == nil {
+	if s.tb.Tracer == nil {
 		return errors.New("score: tracing not enabled (use WithTracing)")
 	}
-	return s.tracer.WriteJSON(w)
+	return s.tb.Tracer.WriteJSON(w)
 }
 
 // Tracer returns the runtime tracer (nil unless WithTracing was given):
 // the handle for the lifecycle flight recorder (Tracer().Flight()) and
 // the bounded-retention drop counters.
-func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
+func (s *Sim) Tracer() *trace.Tracer { return s.tb.Tracer }
 
 // Run executes fn as the root simulated task and returns once every task
 // has finished: fn and every task it or the runtime started. All Sim and
 // Client calls must happen inside Run.
 func (s *Sim) Run(fn func()) {
-	if s.sampler != nil {
+	if sampler := s.tb.Sampler; sampler != nil {
 		// The sampler task must start inside the run and stop before the
 		// root task returns, or its timer alone would keep the virtual
 		// clock advancing and Run from returning.
 		inner := fn
 		fn = func() {
-			s.sampler.Start()
-			defer s.sampler.Stop()
+			sampler.Start()
+			defer sampler.Stop()
 			inner()
 		}
 	}
@@ -168,10 +155,10 @@ func (s *Sim) Run(fn func()) {
 // SampledSeries returns the gauge timelines recorded under WithSampling,
 // name → chronological samples. Call after Run.
 func (s *Sim) SampledSeries() map[string][]metrics.Sample {
-	if s.sampler == nil {
+	if s.tb.Sampler == nil {
 		return nil
 	}
-	return s.sampler.Series()
+	return s.tb.Sampler.Series()
 }
 
 // Clock returns the simulation's time source.
@@ -187,7 +174,7 @@ func (s *Sim) NewWaitGroup() *WaitGroup {
 func (s *Sim) Nodes() int { return s.cfg.nodes }
 
 // GPUsPerNode returns the per-node GPU count.
-func (s *Sim) GPUsPerNode() int { return s.cfg.node.GPUs }
+func (s *Sim) GPUsPerNode() int { return s.cfg.gpus }
 
 // NewFaultInjector builds a deterministic, seedable fault injector on the
 // simulation's clock. Attach it to clients with WithFaultInjector; the
@@ -268,8 +255,8 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	if node < 0 || node >= s.cfg.nodes {
 		return nil, fmt.Errorf("score: node %d out of range [0,%d)", node, s.cfg.nodes)
 	}
-	if gpu < 0 || gpu >= s.cfg.node.GPUs {
-		return nil, fmt.Errorf("score: GPU %d out of range [0,%d)", gpu, s.cfg.node.GPUs)
+	if gpu < 0 || gpu >= s.cfg.gpus {
+		return nil, fmt.Errorf("score: GPU %d out of range [0,%d)", gpu, s.cfg.gpus)
 	}
 	cc := clientConfig{
 		gpuCache:  4 * fabric.GB,
@@ -278,17 +265,11 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 	for _, o := range opts {
 		o(&cc)
 	}
-	n := s.cluster.Nodes[node]
-	d2d, pcie := n.GPULinks(gpu)
-	dev := device.NewGPU(s.clk, node*s.cfg.node.GPUs+gpu, device.A100HBM, d2d, pcie, device.DefaultAllocCosts())
+	n := s.tb.Cluster.Nodes[node]
+	dev := s.tb.GPU(node, gpu)
 	var sharedPool *core.SharedHostCache
 	if s.cfg.sharedHost > 0 {
-		sharedPool = s.shared[node]
-		if sharedPool == nil {
-			sharedPool = core.NewSharedHostCache(s.clk,
-				fmt.Sprintf("node%d-sharedhost", node), s.cfg.sharedHost, s.cfg.node.GPUs)
-			s.shared[node] = sharedPool
-		}
+		sharedPool = s.tb.SharedHost(node, s.cfg.sharedHost)
 	}
 	var store, pfsStore, partnerStore *ckptstore.Store
 	var partnerPath fabric.Path
@@ -319,13 +300,14 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		partnerStore, quarantined = st, append(quarantined, q...)
 		// Replication crosses both nodes' NICs onto the partner's NVMe;
 		// reads traverse the same path reversed.
-		partner := s.cluster.Nodes[pn]
+		partner := s.tb.Cluster.Nodes[pn]
 		partnerPath = fabric.Path{n.NIC, partner.NIC, partner.NVMe}
 	}
 	sort.Slice(quarantined, func(i, j int) bool { return quarantined[i] < quarantined[j] })
 	var faultSeed int64
 	if inj := cc.injector; inj != nil {
 		faultSeed = inj.Seed()
+		_, pcie := n.GPULinks(gpu)
 		pcie.SetInterceptor(linkInterceptor(inj, faultinject.SitePCIe))
 		// NVMe and PFS are node-shared links: the interceptor affects
 		// every client on the node (see WithFaultInjector).
@@ -369,7 +351,7 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		Store:               store,
 		PFSStore:            pfsStore,
 		FaultSeed:           faultSeed,
-		Tracer:              s.tracer,
+		Tracer:              s.tb.Tracer,
 		SharedHost:          sharedPool,
 		GPUDirectStorage:    cc.gpuDirect,
 		ChunkSize:           cc.chunkSize,
@@ -407,8 +389,8 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 			})
 		}
 	}
-	if s.sampler != nil {
-		client.RegisterProbes(s.sampler, fmt.Sprintf("node%d.gpu%d", node, gpu))
+	if s.tb.Sampler != nil {
+		client.RegisterProbes(s.tb.Sampler, testbed.Probes(node, gpu))
 	}
 	out := &Client{inner: client, dev: dev, clk: s.clk, quarantined: quarantined,
 		node: node, inj: cc.injector}
@@ -438,10 +420,7 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		}
 	}
 	if cc.autoHints {
-		p, err := predict.New(
-			predict.HinterFunc(func(v int64) { client.PrefetchEnqueue(core.ID(v)) }),
-			predict.Config{MinVersion: 0},
-		)
+		p, err := predict.New(predict.HinterFunc(func(v int64) { client.PrefetchEnqueue(core.ID(v)) }))
 		if err != nil {
 			return nil, err
 		}

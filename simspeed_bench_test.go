@@ -26,7 +26,6 @@ import (
 
 	"score/internal/experiments"
 	"score/internal/fabric"
-	"score/internal/rtm"
 	"score/internal/simclock"
 )
 
@@ -112,13 +111,7 @@ func BenchmarkSimSpeedPipelineShot(b *testing.B) {
 	startWake := simclock.EventCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.ShotConfig{
-			Run: benchRun(), Uniform: true, WaitForFlush: true, Order: rtm.Reverse,
-			Combo:     experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints},
-			GPUDirect: true,
-		}
-		cfg.ChunkSize = cfg.UniformSize / 8
-		if _, err := experiments.RunShot(cfg); err != nil {
+		if _, err := experiments.RunShot(directShot(true, benchRun().UniformSize/8)); err != nil {
 			b.Fatal(err)
 		}
 	}

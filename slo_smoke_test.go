@@ -15,7 +15,7 @@ import (
 // alert with the transfer component (the degraded link) dominating the
 // attribution.
 func TestSLOSmoke(t *testing.T) {
-	res, err := experiments.Straggler(experiments.Run{SLO: true})
+	res, err := experiments.Straggler(experiments.Run{Scale: experiments.Full(), SLO: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // worsen the tail at any severity, and whose healthy control must show
 // hedging is free.
 func TestStragglerSmoke(t *testing.T) {
-	res, err := experiments.Straggler(experiments.Run{})
+	res, err := experiments.Straggler(experiments.Run{Scale: experiments.Full()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,8 @@ func processCPU(t *testing.T) time.Duration {
 }
 
 func reverseShot(t *testing.T, n int) {
-	const ranks, size, gb = 8, 8 << 20, 1 << 30
-	sim, err := score.NewSim(score.WithNodeBandwidths(1000*gb/16, 25*gb/16, 16*gb/16, 10*gb/16))
+	const ranks, size = 8, 8 << 20
+	sim, err := score.NewSim(score.WithBandwidth(1.0 / 16))
 	if err != nil {
 		t.Fatal(err)
 	}
