@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race bench-check loc loc-check chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check loc loc-check profile-shares chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
 
 # verify is the pre-merge gate: static checks, a full build, the
 # race-enabled test suite (which includes a short chaos soak), the
@@ -47,9 +47,7 @@ bench-check:
 # public With* options (non-test root files, so a test helper such as
 # export_test.go's is not one), core.Params and experiments.ShotConfig
 # fields, the exported fields of the
-# two baselines' Config structs (uvmsim, adiossim) and of the three
-# store-backed scenario configs (rank failure, live migration, elastic
-# restart; the preemption and straggler sweeps take none), ckptbench flags,
+# two baselines' Config structs (uvmsim, adiossim), ckptbench flags,
 # registered eviction policies, cond-wake call sites (Broadcast and
 # Signal in non-test internal/ code outside internal/simclock), cache-wake
 # call sites (.Notify() in non-test internal/ code outside internal/cachebuf
@@ -70,7 +68,6 @@ loc:
 	@printf '%7d  core.Params fields\n' $$(awk '/^type Params struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/core/types.go)
 	@printf '%7d  experiments.ShotConfig fields\n' $$(awk '/^type ShotConfig struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/runner.go)
 	@printf '%7d  baseline Config fields\n' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/uvmsim/uvm.go internal/adiossim/adios.go)
-	@printf '%7d  scenario Config fields\n' $$(awk '/^type (RankFail|Migrate|Elastic)Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n++} END{print n}' internal/experiments/rankfail.go internal/experiments/migrate.go internal/experiments/elastic.go)
 	@printf '%7d  ckptbench flags\n' $$(grep -c ':= fs\.[A-Z][A-Za-z0-9]*("' cmd/ckptbench/main.go)
 	@printf '%7d  registered eviction policies\n' $$(grep -c '^	Policy[A-Za-z0-9]*: *"' internal/cachebuf/policy.go)
 	@printf '%7d  cond-wake call sites\n' $$(find internal $(NONTEST) -not -path 'internal/simclock/*' | xargs grep -hE '\.(Broadcast|Signal)\(\)' | wc -l)
@@ -92,6 +89,27 @@ loc-check:
 		!($$0 in want) { print "loc-check: testdata/inventory.txt has no count for" $$0; bad = 1; next } \
 		n > want[$$0] { print "loc-check:" $$0 ": " n ", above the committed " want[$$0]; bad = 1 } \
 		END { if (bad) exit 1; print "loc-check: no count above testdata/inventory.txt" }' testdata/inventory.txt -
+
+# profile-shares profiles one experiment at paper scale for 8 s of wall
+# time (make profile-shares EXP=fig5a) and prints its row of ROADMAP's
+# profile table: per column, the share of CPU samples with a function the
+# column's pattern matches on the stack (go tool pprof -top -focus).
+EXP ?= fig9a
+PROFILE_COLUMNS = 'uvmsim=internal/uvmsim' 'cachebuf=internal/cachebuf' \
+	'Score scan=cachebuf\.\(\*Buffer\)\.(snapshot|score)$$|SelectWindow' 'fabric=internal/fabric' \
+	'metrics=internal/metrics' 'sync.(*Mutex)=sync\.\(\*Mutex\)' \
+	'mallocgc + GC mark=runtime\.(mallocgc|gcBgMarkWorker)$$' 'coroutine switch=runtime\.mcall$$'
+profile-shares:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/ckptbench" ./cmd/ckptbench && \
+	"$$dir/ckptbench" -exp $(EXP) -scale full -benchtime 8s -cpuprofile "$$dir/cpu.pprof" > /dev/null || exit 2; \
+	head="|"; row="| $(EXP)"; \
+	for col in $(PROFILE_COLUMNS); do \
+		share=$$($(GO) tool pprof -top -nodefraction=0 -focus="$${col#*=}" "$$dir/ckptbench" "$$dir/cpu.pprof" 2>/dev/null | \
+			awk '/^Showing nodes accounting for/ { printf "%.1f %%", $$6 }'); \
+		head="$$head | $${col%%=*}"; row="$$row | $${share:-0.0 %}"; \
+	done; \
+	echo "$$head |"; echo "$$row |"
 
 # chaos replays a longer campaign of seeded fault schedules against the
 # checkpoint pipeline (see chaos_test.go and DESIGN.md §8).

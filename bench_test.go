@@ -14,6 +14,7 @@
 package score_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -77,6 +78,7 @@ func BenchmarkTable1Approaches(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchRun().Shot()
 				cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.Combo = true, true, rtm.Reverse, combo
+				cfg.Label = "table1/" + combo.Label()
 				res, err := experiments.RunShot(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -91,7 +93,7 @@ func BenchmarkTable1Approaches(b *testing.B) {
 // BenchmarkFig4TraceGen regenerates the snapshot-size distribution.
 func BenchmarkFig4TraceGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		stats, err := experiments.Fig4(benchRun().Scale)
+		stats, err := experiments.Fig4(benchRun())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,6 +186,7 @@ func ablationShot(b *testing.B, mutate func(*experiments.ShotConfig)) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchRun().Shot()
 		cfg.Order, cfg.Combo = rtm.Irregular, experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}
+		cfg.Label = "ablation/" + b.Name()
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -342,7 +345,7 @@ func BenchmarkExtensionSharedHostCache(b *testing.B) {
 func sharedHostShot(shared bool) (experiments.ShotResult, error) {
 	cfg := benchRun().Shot()
 	cfg.WaitForFlush, cfg.Order, cfg.SharedHostPerNode = true, rtm.Reverse, shared
-	cfg.Combo = experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}
+	cfg.Combo, cfg.Label = experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}, fmt.Sprintf("shared-host-%t", shared)
 	// Widen the cross-rank shot-size disparity well past the private
 	// per-client capacity: this is the imbalance the shared pool exists
 	// to absorb.
@@ -385,6 +388,7 @@ func directShot(direct bool, chunk int64) experiments.ShotConfig {
 	cfg := benchRun().Shot()
 	cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.GPUDirect = true, true, rtm.Reverse, direct
 	cfg.Combo, cfg.ChunkSize = experiments.Combo{Approach: experiments.Score, Hints: experiments.AllHints}, chunk
+	cfg.Label = fmt.Sprintf("direct-%t/chunk-%d", direct, chunk)
 	return cfg
 }
 

@@ -206,3 +206,105 @@ func TestDegradedTierHealsAfterFaultWindow(t *testing.T) {
 		t.Errorf("v1 not persisted to the healed SSD store (%v, %v)", files, err)
 	}
 }
+
+// TestRankFailureSingleRankKill kills one GPU's process mid-flush, not
+// its node: the rank's local store survives the crash (process death, not
+// disk death), so a restart of all four ranks of a 2-node job recovers
+// the newest version every store holds, bit-exactly, without partner
+// copies.
+func TestRankFailureSingleRankKill(t *testing.T) {
+	const nodes, gpus, versions = 2, 2, 6
+	const interval = 10 * time.Millisecond
+	payload := func(rank int, v int64) []byte {
+		return bytes.Repeat([]byte{byte(0x10*rank + int(v) + 1)}, 1<<20)
+	}
+	dirs := make([]string, nodes*gpus)
+	for r := range dirs {
+		dirs[r] = t.TempDir()
+	}
+	// clients opens one client per rank of sim, rank = node*gpus + gpu,
+	// each on its rank's store with small caches and extra options.
+	clients := func(sim *score.Sim, extra func(rank int) []score.ClientOption) []*score.Client {
+		var out []*score.Client
+		for rank := range dirs {
+			opts := append([]score.ClientOption{score.WithGPUCache(16 << 20), score.WithHostCache(16 << 20),
+				score.WithStore(dirs[rank])}, extra(rank)...)
+			cl, err := sim.NewClient(rank/gpus, rank%gpus, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, cl)
+		}
+		return out
+	}
+
+	// Phase one: rank 0 (node 0, GPU 0) dies 2.5 compute intervals in.
+	sim, err := score.NewSim(score.WithNodes(nodes), score.WithGPUsPerNode(gpus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, err := sim.NewCommitTracker(len(dirs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := sim.NewFaultInjector(2023)
+	inj.AddKills(score.KillRank(0, 0, interval*5/2))
+	sim.Run(func() {
+		cls := clients(sim, func(rank int) []score.ClientOption {
+			return []score.ClientOption{score.WithAsyncHostInit(),
+				score.WithCommitTracker(tracker, rank), score.WithFaultInjector(inj)}
+		})
+		wg := sim.NewWaitGroup()
+		for rank, cl := range cls {
+			wg.Add(1)
+			sim.Clock().Go(func() {
+				defer wg.Done()
+				defer cl.Close()
+				for v := int64(0); v < versions; v++ {
+					if err := cl.Checkpoint(v, payload(rank, v)); err != nil {
+						return // killed mid-run
+					}
+					cl.Compute(interval)
+				}
+				_ = cl.WaitFlush() // ErrKilled when death raced the drain
+			})
+		}
+		wg.Wait()
+	})
+	if n := tracker.RankDeaths(); n != 1 {
+		t.Fatalf("rank deaths = %d, want one", n)
+	}
+
+	// Phase two: restart every rank on its surviving store and restore
+	// the newest version all of them hold.
+	sim2, err := score.NewSim(score.WithNodes(nodes), score.WithGPUsPerNode(gpus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restart, err := sim2.NewCommitTracker(len(dirs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim2.Run(func() {
+		cls := clients(sim2, func(int) []score.ClientOption { return nil })
+		for rank, cl := range cls {
+			defer cl.Close()
+			for _, v := range cl.RecoveredVersions() {
+				restart.MarkDurable(rank, v)
+			}
+		}
+		latest, ok := restart.LatestConsistent()
+		if !ok {
+			t.Fatal("single-rank kill with surviving stores left no consistent version")
+		}
+		for rank, cl := range cls {
+			got, err := cl.Restart(latest)
+			if err != nil {
+				t.Fatalf("rank %d restart of v%d: %v", rank, latest, err)
+			}
+			if !bytes.Equal(got, payload(rank, latest)) {
+				t.Errorf("rank %d restored v%d with wrong bytes", rank, latest)
+			}
+		}
+	})
+}

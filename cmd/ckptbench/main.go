@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"score"
 	"score/internal/experiments"
 	"score/internal/metrics"
 	"score/internal/report"
@@ -32,42 +31,12 @@ import (
 	"score/internal/trace"
 )
 
-// scenario is one -exp value: a name and the function that runs it under
-// the invocation's Run and prints its rows.
-type scenario struct {
-	name string
-	run  func(experiments.Run, io.Writer) error
-}
-
-// scenarios is the one ordered table that -exp, -exp all, -list, the flag
-// help and the unknown-name error are derived from.
-var scenarios = []scenario{
-	{"table1", runTable1},
-	{"fig4", runFig4},
-	{"fig5a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, true))(w) }},
-	{"fig5b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig5(r, false))(w) }},
-	{"fig6a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, true))(w) }},
-	{"fig6b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig6(r, false))(w) }},
-	{"fig7", runFig7},
-	{"fig8a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8a(r))(w) }},
-	{"fig8b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig8b(r))(w) }},
-	{"fig9a", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, true))(w) }},
-	{"fig9b", func(r experiments.Run, w io.Writer) error { return render(experiments.Fig9(r, false))(w) }},
-	{"ablations", func(r experiments.Run, w io.Writer) error { return render(experiments.Ablations(r))(w) }},
-	{"evict", func(r experiments.Run, w io.Writer) error { return render(experiments.EvictionMatrix(r))(w) }},
-	{"rankfail", runRankFail},
-	{"pipeline", func(r experiments.Run, w io.Writer) error { return render(experiments.Pipeline(r))(w) }},
-	{"preempt", runPreempt},
-	{"migrate", runMigrate},
-	{"elastic", runElastic},
-	{"straggler", runStraggler},
-}
-
-// scenarioNames lists the table's names in order.
-func scenarioNames() []string {
-	names := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		names[i] = sc.name
+// experimentNames lists experiments.Experiments' names in order: the
+// values of -exp besides "all".
+func experimentNames() []string {
+	var names []string
+	for _, e := range experiments.Experiments() {
+		names = append(names, e.Name)
 	}
 	return names
 }
@@ -80,7 +49,7 @@ func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 func cli(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ckptbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "", "experiment to run: "+strings.Join(scenarioNames(), ", ")+", or 'all'")
+	exp := fs.String("exp", "", "experiment to run: "+strings.Join(experimentNames(), ", ")+", or 'all'")
 	scaleName := fs.String("scale", "full", "workload scale: full (paper) or small (1/16)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	out := fs.String("out", "", "write the run bundle into this existing, empty directory: metrics.json (score-metrics/v1), critpath.json (score-critpath/v1), slo.json (score-slo/v1, under -slo or -fail-on-slo), and per shot trace-<label>.json (Chrome trace events, open in chrome://tracing or ui.perfetto.dev) and ledger-<label>.txt (every flight-recorder event); an unattributed latency gap in the exported records fails the run")
@@ -114,7 +83,7 @@ Flags:
 	}
 
 	if *list {
-		for _, name := range scenarioNames() {
+		for _, name := range experimentNames() {
 			fmt.Fprintln(stdout, name)
 		}
 		return 0
@@ -131,20 +100,20 @@ Flags:
 		fs.Usage()
 		return 2
 	}
-	var selected []scenario
+	var selected []experiments.Experiment
 	switch *exp {
 	case "":
 		return usageErr("-exp required (use -list to enumerate)")
 	case "all":
-		selected = scenarios
+		selected = experiments.Experiments()
 	default:
-		for _, sc := range scenarios {
-			if sc.name == *exp {
-				selected = []scenario{sc}
+		for _, e := range experiments.Experiments() {
+			if e.Name == *exp {
+				selected = []experiments.Experiment{e}
 			}
 		}
 		if selected == nil {
-			return usageErr("unknown experiment %q (registered: %s, all)", *exp, strings.Join(scenarioNames(), ", "))
+			return usageErr("unknown experiment %q (registered: %s, all)", *exp, strings.Join(experimentNames(), ", "))
 		}
 	}
 	if *sample < 0 {
@@ -247,15 +216,18 @@ Flags:
 		// A -benchtime pass rewrites the traces and ledgers with the same
 		// bytes; the collectors restart, so the bundle is a one-pass one.
 		registry, critRuns, sloRuns = metrics.NewRegistry(), nil, nil
-		for _, sc := range selected {
-			scStart := time.Now()
-			err := sc.run(run, stdout)
-			fmt.Fprintf(stdout, "(%s completed in %v wall time)\n\n", sc.name, time.Since(scStart).Round(time.Millisecond))
+		for _, e := range selected {
+			eStart := time.Now()
+			res, err := e.Run(run)
+			if err == nil {
+				err = res.Render(stdout)
+			}
+			fmt.Fprintf(stdout, "(%s completed in %v wall time)\n\n", e.Name, time.Since(eStart).Round(time.Millisecond))
 			if err == nil {
 				err = shotErr
 			}
 			if err != nil {
-				return fail("%s: %v", sc.name, err)
+				return fail("%s: %v", e.Name, err)
 			}
 		}
 		if *benchTime <= 0 || time.Since(start) >= *benchTime {
@@ -404,248 +376,3 @@ func writeShot(tracePath, ledgerPath string, tr *trace.Tracer) error {
 func keepAllCadence(every time.Duration, dropped int64) time.Duration {
 	return every * time.Duration((dropped+2*trace.DefaultCounterCap-1)/trace.DefaultCounterCap)
 }
-
-// render prints a driver's result, or passes the driver's error through.
-// It returns a function of the writer so that a driver call can be spread
-// into its arguments: render(experiments.Fig5(r, true))(w).
-func render[T interface{ Render(io.Writer) error }](res T, err error) func(io.Writer) error {
-	return func(w io.Writer) error {
-		if err != nil {
-			return err
-		}
-		return res.Render(w)
-	}
-}
-
-func runTable1(_ experiments.Run, w io.Writer) error {
-	tab := report.NewTable("Table 1 — Compared approaches", "notation", "prefetch hints")
-	for _, c := range experiments.Table1() {
-		hints := map[experiments.HintMode]string{
-			experiments.NoHints: "0", experiments.SingleHint: "1", experiments.AllHints: "All",
-		}[c.Hints]
-		tab.AddRow(c.Label(), hints)
-	}
-	return tab.Render(w)
-}
-
-func runFig4(run experiments.Run, w io.Writer) error {
-	stats, err := experiments.Fig4(run.Scale)
-	if err != nil {
-		return err
-	}
-	tab := report.NewTable("Fig. 4 — Size distribution of 32 RTM snapshots",
-		"snapshot", "min", "avg", "max")
-	step := max(len(stats)/24, 1)
-	var avgs []float64
-	for i, st := range stats {
-		avgs = append(avgs, float64(st.Avg))
-		if i%step == 0 {
-			tab.AddRow(st.Snapshot, sizeMB(st.Min), sizeMB(st.Avg), sizeMB(st.Max))
-		}
-	}
-	if err := tab.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "avg-size curve: %s\n", report.Sparkline(avgs))
-	return nil
-}
-
-// runFig7 prints the figure's rows, then the per-timestep restore rate
-// and prefetch distance curves (downsampled) for each hint budget.
-func runFig7(run experiments.Run, w io.Writer) error {
-	fig, err := experiments.Fig7(run)
-	if err != nil {
-		return err
-	}
-	if err := fig.Render(w); err != nil {
-		return err
-	}
-	for _, hints := range []string{"No hints", "Single hint", "All hints"} {
-		series := fig.Series[hints]
-		if len(series) == 0 {
-			continue
-		}
-		tab := report.NewTable(fmt.Sprintf("Fig. 7 series — %s (Score)", hints),
-			"iteration", "restore rate", "next prefetches completed")
-		step := max(len(series)/16, 1)
-		var rates, dists []float64
-		for i, p := range series {
-			rate := float64(p.Bytes) / max(p.Blocked.Seconds(), 1e-9)
-			rates = append(rates, rate)
-			dists = append(dists, float64(p.PrefetchDistance))
-			if i%step == 0 {
-				tab.AddRow(p.Iteration, metrics.FormatBytesPerSec(rate), p.PrefetchDistance)
-			}
-		}
-		if err := tab.Render(w); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "restore-rate curve:     %s\n", report.Sparkline(rates))
-		fmt.Fprintf(w, "prefetch-distance curve: %s\n\n", report.Sparkline(dists))
-	}
-	return nil
-}
-
-// runPreempt sweeps the preemption grace window and answers the paper's
-// operational question — can the ladder drain the backlog (48 GB at full
-// scale) before the reclaim lands? — with the deadline-hit rate and
-// drain throughput per window, plus one complete drain manifest.
-func runPreempt(run experiments.Run, w io.Writer) error {
-	res, err := experiments.Preemption(run)
-	if err != nil {
-		return err
-	}
-	backlog := float64(res.Backlog) / 1e9
-	tab := report.NewTable(
-		fmt.Sprintf("Preemption drain — %.0f GB backlog, oldest-durability-first triage", backlog),
-		"grace window", "runs", "deadline hits", "hit rate", "durable", "abandoned", "discarded", "GB/s of grace")
-	for _, cell := range res.Cells {
-		tab.AddRow(
-			cell.Window, cell.Runs,
-			fmt.Sprintf("%d/%d", cell.DeadlineHits, cell.Runs),
-			fmt.Sprintf("%.0f%%", 100*cell.HitRate()),
-			sizeMB(cell.DurableBytes),
-			sizeMB(cell.AbandonedBytes),
-			sizeMB(cell.DiscardedBytes),
-			fmt.Sprintf("%.2f", cell.DrainThroughput()),
-		)
-	}
-	if err := tab.Render(w); err != nil {
-		return err
-	}
-	m := res.SampleManifest
-	fmt.Fprintf(w, "sample drain manifest (window %v): %s\n", m.Grace, m)
-	for _, e := range m.Entries {
-		detail := e.Tier
-		if e.Outcome == score.DrainAbandoned {
-			detail = e.Reason
-		}
-		fmt.Fprintf(w, "  v%-3d %-10s %-16s %-24s t=%v\n", e.Version, sizeMB(e.Size), e.Outcome, detail, e.At)
-	}
-	return nil
-}
-
-// runStraggler sweeps NVMe slowdown severity with hedged restores off
-// and on and prints the restore-tail contrast: the gray-failure
-// machinery's value is the gap between the two P99 columns at high
-// severity (hedge wins racing the PFS replica, or a health quarantine
-// routing around the straggler entirely).
-func runStraggler(run experiments.Run, w io.Writer) error {
-	res, err := experiments.Straggler(run)
-	if err != nil {
-		return err
-	}
-	backlog := float64(res.Backlog) / 1e9
-	tab := report.NewTable(
-		fmt.Sprintf("Straggler restores — %.1f GB over a silently degraded NVMe link, SSD→PFS hedge ladder", backlog),
-		"severity", "mode", "restores", "p50", "p99", "max", "hedges (wins)", "wasted", "stalls (rerouted)", "quarantines")
-	for _, c := range res.Cells {
-		mode := "unhedged"
-		if c.Hedged {
-			mode = "hedged"
-		}
-		tab.AddRow(
-			fmt.Sprintf("%g×", c.Severity), mode, c.Restores,
-			c.P50, c.P99, c.Max,
-			fmt.Sprintf("%d (%d)", c.HedgesLaunched, c.HedgeWins),
-			sizeMB(c.HedgeWastedBytes),
-			fmt.Sprintf("%d (%d)", c.StallsDetected, c.StallsRerouted),
-			c.HealthQuarantines,
-		)
-	}
-	return tab.Render(w)
-}
-
-// inTempStore runs a store-backed scenario on a fresh temporary store
-// root and removes the root afterwards.
-func inTempStore[R any](scenario func(root string) (R, error)) (R, error) {
-	root, err := os.MkdirTemp("", "ckptbench-store-*")
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	defer os.RemoveAll(root)
-	return scenario(root)
-}
-
-// runMigrate runs the live-migration scenario twice — clean and with an
-// injected copy fault — and prints the cutover outcomes side by side.
-func runMigrate(run experiments.Run, w io.Writer) error {
-	tab := report.NewTable("Live migration — SSD tier to successor node, racing foreground traffic",
-		"copy fault", "versions", "live rounds", "final validated", "migrated", "faults fired", "restored", "bit-exact")
-	for _, inject := range []bool{false, true} {
-		res, err := inTempStore(func(root string) (experiments.MigrateResult, error) {
-			return experiments.Migration(run, experiments.MigrateConfig{StoreRoot: root, InjectFault: inject})
-		})
-		if err != nil {
-			return err
-		}
-		tab.AddRow(
-			map[bool]string{false: "off", true: "injected"}[inject],
-			res.Versions,
-			res.Live.Rounds,
-			map[bool]string{false: "NO", true: "yes"}[res.Final.Validated],
-			sizeMB(res.MigratedBytes),
-			res.InjectedFaults,
-			fmt.Sprintf("%d/%d", res.RestoredVersions, res.Versions),
-			map[bool]string{false: "NO", true: "yes"}[res.Recoverable],
-		)
-	}
-	return tab.Render(w)
-}
-
-// runElastic re-shards checkpoint state across membership changes in both
-// directions and prints the recomputed frontier and restore outcomes.
-func runElastic(run experiments.Run, w io.Writer) error {
-	tab := report.NewTable("Elastic restart — re-shard N ranks onto M at a new membership epoch",
-		"transition", "epoch", "committed", "frontier", "tracker consistent", "shards restored", "recoverable")
-	for _, tr := range []struct{ from, to int }{{4, 2}, {2, 3}} {
-		res, err := inTempStore(func(root string) (experiments.ElasticResult, error) {
-			return experiments.Elastic(run, experiments.ElasticConfig{StoreRoot: root, FromRanks: tr.from, ToRanks: tr.to})
-		})
-		if err != nil {
-			return err
-		}
-		tab.AddRow(
-			fmt.Sprintf("%d -> %d ranks", res.FromRanks, res.ToRanks),
-			res.Epoch,
-			res.Committed,
-			fmt.Sprintf("v%d", res.Frontier),
-			map[bool]string{false: "NO", true: "yes"}[res.TrackerConsistent],
-			fmt.Sprintf("%d/%d", res.RestoredShards, res.FromRanks),
-			map[bool]string{false: "NO", true: "yes"}[res.Recoverable],
-		)
-	}
-	return tab.Render(w)
-}
-
-// runRankFail runs the cluster failure scenario twice — with and without
-// partner-copy replication — and prints the recovery outcomes side by
-// side: a full-node kill mid-flush is survivable only with replication.
-func runRankFail(run experiments.Run, w io.Writer) error {
-	tab := report.NewTable("Rank failure — node kill mid-flush, restart from LatestConsistent()",
-		"partner copy", "ranks killed", "commit lag", "partner bytes", "recoverable", "restored version", "ranks restored")
-	for _, partner := range []bool{false, true} {
-		res, err := inTempStore(func(root string) (experiments.RankFailResult, error) {
-			return experiments.RankFailure(run, experiments.RankFailConfig{StoreRoot: root, PartnerCopy: partner})
-		})
-		if err != nil {
-			return err
-		}
-		restored := "—"
-		if res.Recoverable {
-			restored = fmt.Sprintf("v%d", res.LatestConsistent)
-		}
-		tab.AddRow(
-			map[bool]string{false: "off", true: "on"}[partner],
-			len(res.Killed), res.CommitLag,
-			sizeMB(res.PartnerCopyBytes),
-			map[bool]string{false: "NO", true: "yes"}[res.Recoverable],
-			restored,
-			fmt.Sprintf("%d/%d", res.RestoredRanks, res.Ranks),
-		)
-	}
-	return tab.Render(w)
-}
-
-func sizeMB(b int64) string { return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20)) }

@@ -19,9 +19,9 @@ import (
 
 func TestScenarioNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, name := range scenarioNames() {
+	for _, name := range experimentNames() {
 		if name == "" || name == "all" || seen[name] {
-			t.Errorf("scenario name %q is empty, reserved or duplicated", name)
+			t.Errorf("experiment name %q is empty, reserved or duplicated", name)
 		}
 		seen[name] = true
 	}
@@ -32,7 +32,7 @@ func TestListPrintsTheTableInOrder(t *testing.T) {
 	if code := cli([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errOut.String())
 	}
-	if got, want := out.String(), strings.Join(scenarioNames(), "\n")+"\n"; got != want {
+	if got, want := out.String(), strings.Join(experimentNames(), "\n")+"\n"; got != want {
 		t.Errorf("-list printed\n%s\nwant\n%s", got, want)
 	}
 }
@@ -42,7 +42,7 @@ func TestUnknownExperimentIsAUsageError(t *testing.T) {
 	if code := cli([]string{"-exp", "nope"}, io.Discard, &errOut); code != 2 {
 		t.Errorf("-exp nope exited %d, want 2", code)
 	}
-	want := `unknown experiment "nope" (registered: ` + strings.Join(scenarioNames(), ", ") + ", all)"
+	want := `unknown experiment "nope" (registered: ` + strings.Join(experimentNames(), ", ") + ", all)"
 	if !strings.Contains(errOut.String(), want) {
 		t.Errorf("-exp nope printed\n%s\nwant a line containing\n%s", errOut.String(), want)
 	}
@@ -52,20 +52,20 @@ func TestUnknownExperimentIsAUsageError(t *testing.T) {
 // hands its shots to Run.OnShot and Run.OnTrace.
 var shotless = map[string]bool{"table1": true, "fig4": true, "evict": true}
 
-// TestEveryScenarioRunsAtSmallScale runs the whole table the way
-// `-exp all -scale small` does, except concurrently: every scenario gets
-// its own Run value and writer, so nothing but the label table below is
-// shared between them. Every scenario but the shotless ones hands
+// TestEveryScenarioRunsAtSmallScale runs the whole experiments table the
+// way `-exp all -scale small` does, except concurrently: every experiment
+// gets its own Run value and writer, so nothing but the label table below
+// is shared between them. Every experiment but the shotless ones hands
 // Run.OnShot at least one shot, each with a result per rank, and
 // Run.OnTrace as many tracers. Every shot of the table carries a label of
 // its own, since the metrics registry merges runs that share one and -out
 // names each shot's files by its label.
 func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
 	var mu sync.Mutex
-	owner := map[string]string{} // shot label -> the scenario that used it first
-	for _, sc := range scenarios {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
+	owner := map[string]string{} // shot label -> the experiment that used it first
+	for _, e := range experiments.Experiments() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			var out bytes.Buffer
 			var shots, traces int
@@ -79,18 +79,22 @@ func TestEveryScenarioRunsAtSmallScale(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				if prev, ok := owner[res.Label()]; ok {
-					t.Errorf("shot label %q is used by %s and again by %s", res.Label(), prev, sc.name)
+					t.Errorf("shot label %q is used by %s and again by %s", res.Label(), prev, e.Name)
 				}
-				owner[res.Label()] = sc.name
+				owner[res.Label()] = e.Name
 			}
-			if err := sc.run(run, &out); err != nil {
+			res, err := e.Run(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Render(&out); err != nil {
 				t.Fatal(err)
 			}
 			if out.Len() == 0 {
-				t.Error("scenario printed nothing")
+				t.Error("experiment printed nothing")
 			}
-			if got := shots > 0; got == shotless[sc.name] || traces != shots {
-				t.Errorf("%d shots reached Run.OnShot and %d tracers Run.OnTrace; want shots = %v, one tracer each", shots, traces, !shotless[sc.name])
+			if got := shots > 0; got == shotless[e.Name] || traces != shots {
+				t.Errorf("%d shots reached Run.OnShot and %d tracers Run.OnTrace; want shots = %v, one tracer each", shots, traces, !shotless[e.Name])
 			}
 		})
 	}

@@ -34,7 +34,7 @@ func sharedRigOn(t *testing.T, clk *simclock.Virtual, shared *SharedHostCache, m
 	})
 	p2 := Params{
 		Clock: clk, GPU: dev2, NVMe: r.cluster.Nodes[0].NVMe, PFS: r.cluster.PFS,
-		GPUCacheSize: 4 * MB, HostCacheSize: 16 * MB, SharedHost: shared,
+		GPUCacheSize: 4 * MB, SharedHost: shared,
 	}
 	if mutate != nil {
 		mutate(&p2)
@@ -83,6 +83,31 @@ func TestSharedHostCacheNamespacesClients(t *testing.T) {
 		}
 		if !bytes.Equal(outA.Bytes(), dataA) || !bytes.Equal(outB.Bytes(), dataB) {
 			t.Error("shared-cache namespacing mixed up the clients' data")
+		}
+	})
+}
+
+// TestSharedHostNeedsNoHostCacheSize: a client on a shared pool takes
+// its host tier from the pool, so it is built without a HostCacheSize of
+// its own and its checkpoints still land in the pool.
+func TestSharedHostNeedsNoHostCacheSize(t *testing.T) {
+	run(t, func(clk *simclock.Virtual) {
+		shared := NewSharedHostCache(clk, "node0-sharedhost", 16*MB, 8)
+		defer shared.Close()
+		r, c2 := sharedRigOn(t, clk, shared, func(p *Params) { p.HostCacheSize = 0 })
+		defer c2.Close()
+		defer r.client.Close()
+
+		for _, c := range []*Client{r.client, c2} {
+			if err := c.Checkpoint(0, payload.NewReal(bytes.Repeat([]byte{0xCC}, 4096))); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WaitFlush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if shared.Resident() != 2 {
+			t.Errorf("shared pool holds %d replicas, want 2 (one per client)", shared.Resident())
 		}
 	})
 }

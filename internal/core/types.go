@@ -256,7 +256,7 @@ func (p Params) validate() error {
 		return errors.New("core: Params.PFS required when PersistToPFS is set")
 	case p.PFSStore != nil && p.PFS == nil:
 		return errors.New("core: Params.PFS required when PFSStore is set")
-	case p.GPUCacheSize <= 0 || p.HostCacheSize <= 0:
+	case p.GPUCacheSize <= 0 || (p.HostCacheSize <= 0 && p.SharedHost == nil):
 		return errors.New("core: cache sizes must be positive")
 	case p.ChunkSize < 0:
 		return errors.New("core: Params.ChunkSize must be non-negative")

@@ -12,27 +12,19 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"io"
 
 	"score"
+	"score/internal/report"
 )
 
 // elasticCheckpoints is the number of versions each old rank writes.
 const elasticCheckpoints = 4
 
-// ElasticConfig parameterizes one elastic-restart scenario.
-type ElasticConfig struct {
-	// FromRanks is the old membership size; ToRanks the new one (smaller
-	// to shrink, larger to grow).
-	FromRanks, ToRanks int
-	// StoreRoot backs every shard's durable store (the rankfail layout:
-	// <root>/node<i>/local/rank<r>).
-	StoreRoot string
-}
-
-// ElasticResult reports one scenario run.
-type ElasticResult struct {
+// ElasticRow is one membership transition's run of the elastic-restart
+// scenario.
+type ElasticRow struct {
 	// FromRanks → ToRanks at Epoch is the membership transition.
 	FromRanks, ToRanks, Epoch int
 	// Committed counts versions every old shard holds; Frontier is the
@@ -49,47 +41,66 @@ type ElasticResult struct {
 	Recoverable    bool
 }
 
-// Elastic runs the scenario, its two memberships as the shots
-// "elastic/<from>-to-<to>/old" and ".../new". Deterministic: the same
-// config (and StoreRoot contents) produces the identical result.
-func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
-	if cfg.StoreRoot == "" {
-		return ElasticResult{}, errors.New("experiments: ElasticConfig.StoreRoot required")
-	}
-	res := ElasticResult{FromRanks: cfg.FromRanks, ToRanks: cfg.ToRanks, Epoch: 1, Frontier: -1}
-	shardDir := func(shard int) string {
-		return RankFailConfig{StoreRoot: cfg.StoreRoot}.localDir(0, shard)
-	}
+// ElasticResult holds one row per transition: 4 → 2 ranks, then 2 → 3.
+type ElasticResult struct{ Rows []ElasticRow }
 
-	label := fmt.Sprintf("elastic/%d-to-%d", cfg.FromRanks, cfg.ToRanks)
+// Render prints each transition's recomputed frontier and restore
+// outcome.
+func (r ElasticResult) Render(w io.Writer) error {
+	tab := report.NewTable("Elastic restart — re-shard N ranks onto M at a new membership epoch",
+		"transition", "epoch", "committed", "frontier", "tracker consistent", "shards restored", "recoverable")
+	for _, row := range r.Rows {
+		tab.AddRow(
+			fmt.Sprintf("%d -> %d ranks", row.FromRanks, row.ToRanks),
+			row.Epoch,
+			row.Committed,
+			fmt.Sprintf("v%d", row.Frontier),
+			yesNo(row.TrackerConsistent),
+			fmt.Sprintf("%d/%d", row.RestoredShards, row.FromRanks),
+			yesNo(row.Recoverable),
+		)
+	}
+	return tab.Render(w)
+}
+
+// Elastic re-shards in both directions, shrinking 4 ranks onto 2, then
+// growing 2 onto 3, each transition's two memberships as the shots
+// "elastic/<from>-to-<to>/old" and ".../new". Deterministic: the same Run
+// produces the identical result.
+func Elastic(run Run) (ElasticResult, error) {
+	rows, err := storeSweep(run, [][2]int{{4, 2}, {2, 3}}, elasticRun)
+	return ElasticResult{Rows: rows}, err
+}
+
+// elasticRun runs the transition from ranks[0] to ranks[1] on the store
+// root root, old shard s's store at <root>/node0/local/rank<s>.
+func elasticRun(run Run, root string, ranks [2]int) (ElasticRow, error) {
+	from, to := ranks[0], ranks[1]
+	res := ElasticRow{FromRanks: from, ToRanks: to, Epoch: 1, Frontier: -1}
+	shardDir := func(shard int) string { return storeDir(root, 0, "local", shard) }
+
+	label := fmt.Sprintf("elastic/%d-to-%d", from, to)
 
 	// Phase one: the old membership writes to a group-committed frontier
 	// and shuts down cleanly.
-	sim, err := newSimShot(run, label+"/old", nil, score.WithNodes(1), score.WithGPUsPerNode(cfg.FromRanks))
+	sim, err := newSimShot(run, label+"/old", nil, score.WithNodes(1), score.WithGPUsPerNode(from))
 	if err != nil {
 		return res, err
 	}
-	tracker, err := sim.NewCommitTracker(cfg.FromRanks)
+	tracker, err := sim.NewCommitTracker(from)
 	if err != nil {
 		return res, err
 	}
 	var runErr error
 	_, err = sim.run(true, func() error {
 		clients, err := sim.clients(func(_, rank int) []score.ClientOption {
-			return []score.ClientOption{
-				score.WithGPUCache(16 * storeSize),
-				score.WithHostCache(16 * storeSize),
-				score.WithAsyncHostInit(),
-				score.WithStore(shardDir(rank)),
-				score.WithCommitTracker(tracker, rank),
-			}
+			return storeOptions(shardDir(rank), score.WithAsyncHostInit(), score.WithCommitTracker(tracker, rank))
 		})
 		if err != nil {
 			return err
 		}
 		wg := sim.NewWaitGroup()
 		for rank, cl := range clients {
-			rank, cl := rank, cl
 			wg.Add(1)
 			sim.Clock().Go(func() {
 				defer wg.Done()
@@ -114,11 +125,11 @@ func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
 
 	// Phase two: the restart recipe. Scan each shard's store — ground
 	// truth, not the old tracker's view — into the reshard ledger.
-	reshard, err := score.NewReshard(cfg.FromRanks, cfg.ToRanks, res.Epoch)
+	reshard, err := score.NewReshard(from, to, res.Epoch)
 	if err != nil {
 		return res, err
 	}
-	for shard := 0; shard < cfg.FromRanks; shard++ {
+	for shard := 0; shard < from; shard++ {
 		versions, err := score.StoreVersions(shardDir(shard))
 		if err != nil {
 			return res, fmt.Errorf("experiments: scanning shard %d: %w", shard, err)
@@ -136,7 +147,7 @@ func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
 
 	// The new membership: seed its tracker from the reshard and restore
 	// every adopted shard at the frontier.
-	sim2, err := newSimShot(run, label+"/new", nil, score.WithNodes(1), score.WithGPUsPerNode(cfg.ToRanks))
+	sim2, err := newSimShot(run, label+"/new", nil, score.WithNodes(1), score.WithGPUsPerNode(to))
 	if err != nil {
 		return res, err
 	}
@@ -148,12 +159,9 @@ func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
 		res.TrackerConsistent = true
 	}
 	_, err = sim2.run(true, func() error {
-		for rank := 0; rank < cfg.ToRanks; rank++ {
+		for rank := 0; rank < to; rank++ {
 			for _, shard := range reshard.ShardsOf(rank) {
-				cl, err := sim2.client(0, rank,
-					score.WithGPUCache(16*storeSize),
-					score.WithHostCache(16*storeSize),
-					score.WithStore(shardDir(shard)))
+				cl, err := sim2.client(0, rank, storeOptions(shardDir(shard))...)
 				if err != nil {
 					return err
 				}
@@ -172,6 +180,6 @@ func Elastic(run Run, cfg ElasticConfig) (ElasticResult, error) {
 		}
 		return nil
 	})
-	res.Recoverable = err == nil && res.RestoredShards == cfg.FromRanks
+	res.Recoverable = err == nil && res.RestoredShards == from
 	return res, err
 }

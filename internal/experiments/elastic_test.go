@@ -9,10 +9,7 @@ import (
 // 4 ranks' state re-sharded onto 2, every shard restored bit-exactly at
 // the recomputed frontier, tracker seeded consistently at the new epoch.
 func TestElasticShrink(t *testing.T) {
-	res, err := Elastic(Run{Scale: Full()}, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := elasticRow(t, 4, 2)
 	if !res.Recoverable || res.RestoredShards != res.FromRanks {
 		t.Fatalf("restored %d/%d shards: %+v", res.RestoredShards, res.FromRanks, res)
 	}
@@ -30,10 +27,7 @@ func TestElasticShrink(t *testing.T) {
 // TestElasticGrow: the M > N direction — new ranks without a shard stay
 // frontier-consistent, and every old shard still restores.
 func TestElasticGrow(t *testing.T) {
-	res, err := Elastic(Run{Scale: Full()}, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 2, ToRanks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := elasticRow(t, 2, 3)
 	if !res.Recoverable || res.RestoredShards != 2 {
 		t.Fatalf("restored %d/2 shards: %+v", res.RestoredShards, res)
 	}
@@ -42,13 +36,13 @@ func TestElasticGrow(t *testing.T) {
 	}
 }
 
-// TestElasticDeterministic: same config, fresh roots, identical result.
+// TestElasticDeterministic: the same Run, fresh roots, identical rows.
 func TestElasticDeterministic(t *testing.T) {
-	a, err := Elastic(Run{Scale: Full()}, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
+	a, err := Elastic(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Elastic(Run{Scale: Full()}, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
+	b, err := Elastic(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +51,19 @@ func TestElasticDeterministic(t *testing.T) {
 	}
 }
 
-// TestElasticRequiresStoreRoot: the config contract is explicit.
-func TestElasticRequiresStoreRoot(t *testing.T) {
-	if _, err := Elastic(Run{Scale: Full()}, ElasticConfig{}); err == nil {
-		t.Fatal("want error without StoreRoot")
+// elasticRow runs the paper-scale Elastic sweep and returns the row of
+// the from → to transition.
+func elasticRow(t *testing.T, from, to int) ElasticRow {
+	t.Helper()
+	res, err := Elastic(Run{Scale: Full()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, row := range res.Rows {
+		if row.FromRanks == from && row.ToRanks == to {
+			return row
+		}
+	}
+	t.Fatalf("no %d -> %d row in %+v", from, to, res)
+	return ElasticRow{}
 }

@@ -90,11 +90,13 @@ type FigureResult struct {
 	ID    string
 	Title string
 	Rows  []Row
-	// Series carries per-iteration data for Fig. 7.
+	// Series carries Fig. 7's per-iteration data, keyed by hint budget.
 	Series map[string][]metrics.SeriesPoint
 }
 
-// Render prints the figure as a table.
+// Render prints the figure as a table, then, when it has Series, each
+// hint budget's per-iteration restore rate and prefetch distance
+// (downsampled) and their curves.
 func (f FigureResult) Render(w io.Writer) error {
 	tab := report.NewTable(fmt.Sprintf("%s — %s", f.ID, f.Title),
 		"configuration", "order", "gpus", "param", "ckpt", "restore", "io-wait")
@@ -104,7 +106,33 @@ func (f FigureResult) Render(w io.Writer) error {
 			metrics.FormatBytesPerSec(r.RestBps),
 			r.IOWait.Round(time.Millisecond).String())
 	}
-	return tab.Render(w)
+	if err := tab.Render(w); err != nil {
+		return err
+	}
+	for _, hints := range []HintMode{NoHints, SingleHint, AllHints} {
+		series := f.Series[hints.String()]
+		if len(series) == 0 {
+			continue
+		}
+		tab := report.NewTable(fmt.Sprintf("%s series — %s (Score)", f.ID, hints),
+			"iteration", "restore rate", "next prefetches completed")
+		step := max(len(series)/16, 1)
+		var rates, dists []float64
+		for i, p := range series {
+			rate := float64(p.Bytes) / max(p.Blocked.Seconds(), 1e-9)
+			rates = append(rates, rate)
+			dists = append(dists, float64(p.PrefetchDistance))
+			if i%step == 0 {
+				tab.AddRow(p.Iteration, metrics.FormatBytesPerSec(rate), p.PrefetchDistance)
+			}
+		}
+		if err := tab.Render(w); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "restore-rate curve:     %s\n", report.Sparkline(rates))
+		fmt.Fprintf(w, "prefetch-distance curve: %s\n\n", report.Sparkline(dists))
+	}
+	return nil
 }
 
 // runCombos sweeps Table 1 combos × orders for one base config. param
@@ -146,13 +174,36 @@ func rowOf(res ShotResult) Row {
 	}
 }
 
+// Fig4Result is Figure 4's size distribution, one entry per snapshot.
+type Fig4Result []rtm.SnapshotStats
+
+// Render prints every few snapshots' sizes, 24 rows or so, then the curve
+// of every snapshot's average.
+func (stats Fig4Result) Render(w io.Writer) error {
+	tab := report.NewTable("Fig. 4 — Size distribution of 32 RTM snapshots",
+		"snapshot", "min", "avg", "max")
+	step := max(len(stats)/24, 1)
+	var avgs []float64
+	for i, st := range stats {
+		avgs = append(avgs, float64(st.Avg))
+		if i%step == 0 {
+			tab.AddRow(st.Snapshot, sizeMB(st.Min), sizeMB(st.Avg), sizeMB(st.Max))
+		}
+	}
+	if err := tab.Render(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "avg-size curve: %s\n", report.Sparkline(avgs))
+	return nil
+}
+
 // Fig4 regenerates the snapshot-size distribution of Figure 4: min, avg,
 // and max sizes per snapshot across 32 ranks' shots.
-func Fig4(scale Scale) ([]rtm.SnapshotStats, error) {
-	if err := scale.check(); err != nil {
+func Fig4(run Run) (Fig4Result, error) {
+	if err := run.Scale.check(); err != nil {
 		return nil, err
 	}
-	cfg := scale.TraceConfig()
+	cfg := run.TraceConfig()
 	var all []rtm.Shot
 	for rank := 0; rank < 32; rank++ {
 		s, err := rtm.GenerateShot(cfg, rank)
@@ -199,6 +250,7 @@ func Fig7(run Run) (FigureResult, error) {
 	for _, hints := range []HintMode{NoHints, SingleHint, AllHints} {
 		cfg := run.Shot()
 		cfg.Uniform, cfg.WaitForFlush, cfg.Order, cfg.Combo = true, true, rtm.Sequential, Combo{Score, hints}
+		cfg.Label = "fig7/" + hints.String()
 		res, err := RunShot(cfg)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", hints, err)

@@ -14,27 +14,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
+	"io"
 
 	"score"
+	"score/internal/report"
 )
 
 // The migrating rank writes migrateCheckpoints versions before the
 // migration starts and migrateExtra more while the live pass runs.
 const migrateCheckpoints, migrateExtra = 6, 2
 
-// MigrateConfig parameterizes one live-migration scenario.
-type MigrateConfig struct {
-	// InjectFault fails an early per-version migration copy through the
-	// migrate fault site, exercising the retry path.
+// MigrateRow is one variant's run of the live-migration scenario.
+type MigrateRow struct {
+	// InjectFault is the variant: an early per-version migration copy
+	// failed through the migrate fault site, exercising the retry path.
 	InjectFault bool
-	// StoreRoot backs the source and successor stores:
-	// <root>/node0/local/rank0 and <root>/node1/migrated/rank0.
-	StoreRoot string
-}
-
-// MigrateResult reports one scenario run.
-type MigrateResult struct {
 	// Versions is the total the rank wrote: migrateCheckpoints + migrateExtra.
 	Versions int
 	// Live is the report of the migration racing foreground traffic;
@@ -51,25 +45,44 @@ type MigrateResult struct {
 	Recoverable      bool
 }
 
-func (c MigrateConfig) srcDir() string {
-	return filepath.Join(c.StoreRoot, "node0", "local", "rank0")
-}
+// MigrateResult holds one row per variant: copy fault off, then injected.
+type MigrateResult struct{ Rows []MigrateRow }
 
-func (c MigrateConfig) dstDir() string {
-	return filepath.Join(c.StoreRoot, "node1", "migrated", "rank0")
-}
-
-// Migration runs the scenario, its two phases as the shots
-// "migrate/fault-<bool>/live" and ".../successor".
-// Deterministic: the same config (and StoreRoot contents) produces the
-// identical result.
-func Migration(run Run, cfg MigrateConfig) (MigrateResult, error) {
-	if cfg.StoreRoot == "" {
-		return MigrateResult{}, errors.New("experiments: MigrateConfig.StoreRoot required")
+// Render prints the cutover outcomes side by side.
+func (r MigrateResult) Render(w io.Writer) error {
+	tab := report.NewTable("Live migration — SSD tier to successor node, racing foreground traffic",
+		"copy fault", "versions", "live rounds", "final validated", "migrated", "faults fired", "restored", "bit-exact")
+	for _, row := range r.Rows {
+		tab.AddRow(
+			map[bool]string{false: "off", true: "injected"}[row.InjectFault],
+			row.Versions,
+			row.Live.Rounds,
+			yesNo(row.Final.Validated),
+			sizeMB(row.MigratedBytes),
+			row.InjectedFaults,
+			fmt.Sprintf("%d/%d", row.RestoredVersions, row.Versions),
+			yesNo(row.Recoverable),
+		)
 	}
+	return tab.Render(w)
+}
+
+// Migration runs the scenario without a copy fault, then with one, each
+// variant's two phases as the shots "migrate/fault-<bool>/live" and
+// ".../successor". Deterministic: the same Run produces the identical
+// result.
+func Migration(run Run) (MigrateResult, error) {
+	rows, err := storeSweep(run, []bool{false, true}, migrateRun)
+	return MigrateResult{Rows: rows}, err
+}
+
+// migrateRun runs one variant on the store root root.
+func migrateRun(run Run, root string, injectFault bool) (MigrateRow, error) {
 	const total = migrateCheckpoints + migrateExtra
-	res := MigrateResult{Versions: total}
-	label := fmt.Sprintf("migrate/fault-%t", cfg.InjectFault)
+	res := MigrateRow{InjectFault: injectFault, Versions: total}
+	// The migrating rank's store and its successor on the destination node.
+	src, dst := storeDir(root, 0, "local", 0), storeDir(root, 1, "migrated", 0)
+	label := fmt.Sprintf("migrate/fault-%t", injectFault)
 
 	// Phase one: write the base set, then race the live migration against
 	// the writer's tail and a foreground restore stream.
@@ -78,18 +91,13 @@ func Migration(run Run, cfg MigrateConfig) (MigrateResult, error) {
 		return res, err
 	}
 	var rules []score.FaultRule
-	if cfg.InjectFault {
+	if injectFault {
 		rules = append(rules, score.FailNth(score.FaultMigrate, 2))
 	}
 	inj := sim.NewFaultInjector(scenarioSeed, rules...)
 
 	_, err = sim.run(true, func() error {
-		cl, err := sim.client(0, 0,
-			score.WithGPUCache(16*storeSize),
-			score.WithHostCache(16*storeSize),
-			score.WithAsyncHostInit(),
-			score.WithStore(cfg.srcDir()),
-			score.WithFaultInjector(inj))
+		cl, err := sim.client(0, 0, storeOptions(src, score.WithAsyncHostInit(), score.WithFaultInjector(inj))...)
 		if err != nil {
 			return err
 		}
@@ -112,7 +120,7 @@ func Migration(run Run, cfg MigrateConfig) (MigrateResult, error) {
 		wg.Add(1)
 		sim.Clock().Go(func() {
 			defer wg.Done()
-			res.Live, liveErr = sim.MigrateRank(cl, 1, cfg.dstDir())
+			res.Live, liveErr = sim.MigrateRank(cl, 1, dst)
 		})
 		wg.Add(1)
 		sim.Clock().Go(func() {
@@ -145,7 +153,7 @@ func Migration(run Run, cfg MigrateConfig) (MigrateResult, error) {
 		}
 		// Final sync on the quiesced store: incremental (only versions the
 		// live pass missed move) and must validate.
-		if res.Final, err = sim.MigrateRank(cl, 1, cfg.dstDir()); err != nil {
+		if res.Final, err = sim.MigrateRank(cl, 1, dst); err != nil {
 			return err
 		}
 		res.MigratedBytes = res.Live.Bytes + res.Final.Bytes
@@ -169,10 +177,7 @@ func Migration(run Run, cfg MigrateConfig) (MigrateResult, error) {
 		return res, err
 	}
 	_, err = sim2.run(true, func() error {
-		cl, err := sim2.client(1, 0,
-			score.WithGPUCache(16*storeSize),
-			score.WithHostCache(16*storeSize),
-			score.WithStore(cfg.dstDir()))
+		cl, err := sim2.client(1, 0, storeOptions(dst)...)
 		if err != nil {
 			return err
 		}

@@ -13,10 +13,7 @@ import (
 // incremental sync, after which the successor restores every version
 // byte-identically.
 func TestMigrationBitExactCutover(t *testing.T) {
-	res, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := migrateRow(t, false)
 	if !res.Recoverable || res.RestoredVersions != res.Versions {
 		t.Fatalf("successor restored %d/%d versions: %+v", res.RestoredVersions, res.Versions, res)
 	}
@@ -36,10 +33,7 @@ func TestMigrationBitExactCutover(t *testing.T) {
 // fault site retries under the client's policy and the cutover still
 // validates bit-exactly.
 func TestMigrationSurvivesInjectedFault(t *testing.T) {
-	res, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir(), InjectFault: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := migrateRow(t, true)
 	if res.InjectedFaults == 0 {
 		t.Fatal("fault schedule never fired; the migrate site is not wired")
 	}
@@ -48,14 +42,14 @@ func TestMigrationSurvivesInjectedFault(t *testing.T) {
 	}
 }
 
-// TestMigrationDeterministic: same config and fresh store roots replay
-// the identical reports.
+// TestMigrationDeterministic: the same Run, on fresh store roots,
+// replays the identical rows.
 func TestMigrationDeterministic(t *testing.T) {
-	a, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir()})
+	a, err := Migration(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Migration(Run{Scale: Full()}, MigrateConfig{StoreRoot: t.TempDir()})
+	b, err := Migration(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +58,28 @@ func TestMigrationDeterministic(t *testing.T) {
 	}
 }
 
-// TestMigrationRequiresStoreRoot: the config contract is explicit.
-func TestMigrationRequiresStoreRoot(t *testing.T) {
-	if _, err := Migration(Run{Scale: Full()}, MigrateConfig{}); err == nil {
-		t.Fatal("want error without StoreRoot")
+// migrateRow runs the paper-scale Migration sweep and returns the row of
+// the variant with the copy fault injected or not.
+func migrateRow(t *testing.T, injectFault bool) MigrateRow {
+	t.Helper()
+	res, err := Migration(Run{Scale: Full()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, row := range res.Rows {
+		if row.InjectFault == injectFault {
+			return row
+		}
+	}
+	t.Fatalf("no row with InjectFault %v in %+v", injectFault, res)
+	return MigrateRow{}
 }
 
 // TestMigrationIncompleteIsDefinitive: a persistent outage on the
 // migrate site must surface ErrMigrationIncomplete (or the underlying
 // injected failure) — never a silently divergent successor.
 func TestMigrationIncompleteIsDefinitive(t *testing.T) {
-	cfg := MigrateConfig{StoreRoot: t.TempDir()}
+	root := t.TempDir()
 	sim, err := score.NewSim(score.WithNodes(2), score.WithGPUsPerNode(1))
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +92,7 @@ func TestMigrationIncompleteIsDefinitive(t *testing.T) {
 			score.WithGPUCache(16*storeSize),
 			score.WithHostCache(16*storeSize),
 			score.WithAsyncHostInit(),
-			score.WithStore(cfg.srcDir()),
+			score.WithStore(storeDir(root, 0, "local", 0)),
 			score.WithFaultInjector(inj))
 		if err != nil {
 			t.Error(err)
@@ -105,7 +109,7 @@ func TestMigrationIncompleteIsDefinitive(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		_, migErr = sim.MigrateRank(cl, 1, cfg.dstDir())
+		_, migErr = sim.MigrateRank(cl, 1, storeDir(root, 1, "migrated", 0))
 	})
 	if migErr == nil {
 		t.Fatal("migration under a persistent outage reported success")

@@ -13,10 +13,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"score"
 	"score/internal/fabric"
+	"score/internal/report"
 	"score/internal/slo"
 )
 
@@ -86,6 +88,41 @@ type PreemptResult struct {
 	// SLO holds the sweep-level compliance report when the Run set SLO
 	// (nil otherwise).
 	SLO *slo.Report
+}
+
+// Render prints one row per grace window, answering the paper's
+// operational question — can the ladder drain the backlog (48 GB at full
+// scale) before the reclaim lands? — with the deadline-hit rate and drain
+// throughput, then the sample run's complete drain manifest.
+func (res PreemptResult) Render(w io.Writer) error {
+	backlog := float64(res.Backlog) / 1e9
+	tab := report.NewTable(
+		fmt.Sprintf("Preemption drain — %.0f GB backlog, oldest-durability-first triage", backlog),
+		"grace window", "runs", "deadline hits", "hit rate", "durable", "abandoned", "discarded", "GB/s of grace")
+	for _, cell := range res.Cells {
+		tab.AddRow(
+			cell.Window, cell.Runs,
+			fmt.Sprintf("%d/%d", cell.DeadlineHits, cell.Runs),
+			fmt.Sprintf("%.0f%%", 100*cell.HitRate()),
+			sizeMB(cell.DurableBytes),
+			sizeMB(cell.AbandonedBytes),
+			sizeMB(cell.DiscardedBytes),
+			fmt.Sprintf("%.2f", cell.DrainThroughput()),
+		)
+	}
+	if err := tab.Render(w); err != nil {
+		return err
+	}
+	m := res.SampleManifest
+	fmt.Fprintf(w, "sample drain manifest (window %v): %s\n", m.Grace, m)
+	for _, e := range m.Entries {
+		detail := e.Tier
+		if e.Outcome == score.DrainAbandoned {
+			detail = e.Reason
+		}
+		fmt.Fprintf(w, "  v%-3d %-10s %-16s %-24s t=%v\n", e.Version, sizeMB(e.Size), e.Outcome, detail, e.At)
+	}
+	return nil
 }
 
 // Preemption runs the sweep at the Run's scale. Deterministic: the same

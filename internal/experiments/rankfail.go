@@ -13,11 +13,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"score"
+	"score/internal/report"
 )
 
 // The rank-failure job: rankFailNodes nodes of rankFailGPUsPerNode GPUs
@@ -42,23 +44,11 @@ const (
 	scenarioSeed  = 2023
 )
 
-// RankFailConfig parameterizes one rank-failure scenario.
-type RankFailConfig struct {
-	// KillRankOnly kills a single rank (GPU 0 of killNode) instead of
-	// the whole node: a process crash, not a node loss, so the node's
-	// SSD contents survive the failure.
-	KillRankOnly bool
-	// PartnerCopy enables partner-copy replication; without it a node
-	// kill must be reported unrecoverable.
+// RankFailRow is one variant's run of the rank-failure scenario.
+type RankFailRow struct {
+	// PartnerCopy is the variant: partner-copy replication on or off.
+	// Without it a node kill must be reported unrecoverable.
 	PartnerCopy bool
-	// StoreRoot is the directory backing every rank's durable stores:
-	// <root>/node<i>/local/rank<r> and <root>/node<i>/partner/rank<r>.
-	// Node death is modeled by deleting <root>/node<killNode>.
-	StoreRoot string
-}
-
-// RankFailResult reports one scenario run.
-type RankFailResult struct {
 	// Ranks is the job size; Killed lists the ranks that died, ascending.
 	Ranks  int
 	Killed []int
@@ -76,6 +66,73 @@ type RankFailResult struct {
 	// RestoredRanks counts ranks that restored LatestConsistent
 	// bit-exactly after the restart (equals Ranks when Recoverable).
 	RestoredRanks int
+}
+
+// RankFailResult holds one row per variant: partner copy off, then on.
+type RankFailResult struct{ Rows []RankFailRow }
+
+// Render prints the recovery outcomes side by side: a full-node kill
+// mid-flush is survivable only with replication.
+func (r RankFailResult) Render(w io.Writer) error {
+	tab := report.NewTable("Rank failure — node kill mid-flush, restart from LatestConsistent()",
+		"partner copy", "ranks killed", "commit lag", "partner bytes", "recoverable", "restored version", "ranks restored")
+	for _, row := range r.Rows {
+		restored := "—"
+		if row.Recoverable {
+			restored = fmt.Sprintf("v%d", row.LatestConsistent)
+		}
+		tab.AddRow(
+			map[bool]string{false: "off", true: "on"}[row.PartnerCopy],
+			len(row.Killed), row.CommitLag,
+			sizeMB(row.PartnerCopyBytes),
+			yesNo(row.Recoverable),
+			restored,
+			fmt.Sprintf("%d/%d", row.RestoredRanks, row.Ranks),
+		)
+	}
+	return tab.Render(w)
+}
+
+// yesNo prints a scenario's pass/fail column.
+func yesNo(ok bool) string { return map[bool]string{false: "NO", true: "yes"}[ok] }
+
+// storeDir is the durable store of rank on node under a scenario's store
+// root: <root>/node<node>/<kind>/rank<rank>. Every store a node hosts
+// lives under its node directory, so deleting that directory is the
+// node's disk dying.
+func storeDir(root string, node int, kind string, rank int) string {
+	return filepath.Join(root, fmt.Sprintf("node%d", node), kind, fmt.Sprintf("rank%d", rank))
+}
+
+// storeSweep runs a store-backed scenario once per variant, in order,
+// each on a scratch store root made with os.MkdirTemp and removed once
+// the variant is done, and returns one row per variant. An incomplete
+// Scale is refused before any root is made.
+func storeSweep[V, R any](run Run, variants []V, scenario func(run Run, root string, v V) (R, error)) ([]R, error) {
+	if err := run.Scale.check(); err != nil {
+		return nil, err
+	}
+	rows := make([]R, 0, len(variants))
+	for _, v := range variants {
+		root, err := os.MkdirTemp("", "score-store-*")
+		if err != nil {
+			return rows, err
+		}
+		row, err := scenario(run, root, v)
+		if err := errors.Join(err, os.RemoveAll(root)); err != nil {
+			return rows, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// storeOptions are a store-backed scenario client's options, extra
+// included: small caches over the durable store in dir.
+func storeOptions(dir string, extra ...score.ClientOption) []score.ClientOption {
+	return append([]score.ClientOption{
+		score.WithGPUCache(16 * storeSize), score.WithHostCache(16 * storeSize), score.WithStore(dir),
+	}, extra...)
 }
 
 // rankPayload deterministically generates rank/version-unique bytes, so
@@ -97,51 +154,34 @@ func rankPayload(rank int, version int64) []byte {
 	return buf
 }
 
-func (c RankFailConfig) localDir(node, rank int) string {
-	return filepath.Join(c.StoreRoot, fmt.Sprintf("node%d", node), "local", fmt.Sprintf("rank%d", rank))
+// RankFailure runs the scenario without partner copies, then with them,
+// each variant's two phases as the shots
+// "rankfail/partner-<bool>/rank-kill-false/run" and ".../restart" (the
+// whole node dies, not one rank). Deterministic: the same Run produces
+// the identical result.
+func RankFailure(run Run) (RankFailResult, error) {
+	rows, err := storeSweep(run, []bool{false, true}, rankFailRun)
+	return RankFailResult{Rows: rows}, err
 }
 
-// partnerDir is where rank r (on node) replicates to: the partner node's
-// SSD. It lives under the partner's node directory so a kill of that
-// node destroys the replicas it hosts.
-func (c RankFailConfig) partnerDir(node, rank int) string {
-	p := (node + 1) % rankFailNodes
-	return filepath.Join(c.StoreRoot, fmt.Sprintf("node%d", p), "partner", fmt.Sprintf("rank%d", rank))
-}
-
-// options are rank's client options in either phase, extra included:
-// small caches over its local store, and its partner copy when on.
-func (c RankFailConfig) options(node, rank int, extra ...score.ClientOption) []score.ClientOption {
-	opts := append([]score.ClientOption{
-		score.WithGPUCache(16 * storeSize),
-		score.WithHostCache(16 * storeSize),
-		score.WithStore(c.localDir(node, rank)),
-	}, extra...)
-	if c.PartnerCopy {
-		opts = append(opts, score.WithPartnerCopy(c.partnerDir(node, rank)))
-	}
-	return opts
-}
-
-// RankFailure runs the scenario, its two phases as the shots
-// "rankfail/partner-<bool>/rank-kill-<bool>/run" and ".../restart".
-// Deterministic: the same config (and StoreRoot contents) produces the
-// identical result.
-func RankFailure(run Run, cfg RankFailConfig) (RankFailResult, error) {
-	if cfg.StoreRoot == "" {
-		return RankFailResult{}, errors.New("experiments: RankFailConfig.StoreRoot required")
-	}
+// rankFailRun runs one variant on the store root root.
+func rankFailRun(run Run, root string, partner bool) (RankFailRow, error) {
 	ranks := rankFailNodes * rankFailGPUsPerNode
-	res := RankFailResult{Ranks: ranks, LatestConsistent: -1}
-	if cfg.KillRankOnly {
-		res.Killed = []int{killNode * rankFailGPUsPerNode}
-	} else {
-		for g := 0; g < rankFailGPUsPerNode; g++ {
-			res.Killed = append(res.Killed, killNode*rankFailGPUsPerNode+g)
-		}
+	res := RankFailRow{PartnerCopy: partner, Ranks: ranks, LatestConsistent: -1}
+	for g := 0; g < rankFailGPUsPerNode; g++ {
+		res.Killed = append(res.Killed, killNode*rankFailGPUsPerNode+g)
 	}
-
-	label := fmt.Sprintf("rankfail/partner-%t/rank-kill-%t", cfg.PartnerCopy, cfg.KillRankOnly)
+	// options are rank's client options in either phase, extra included:
+	// its local store and, with partner, its replica on the next node's
+	// SSD.
+	options := func(node, rank int, extra ...score.ClientOption) []score.ClientOption {
+		opts := storeOptions(storeDir(root, node, "local", rank), extra...)
+		if partner {
+			opts = append(opts, score.WithPartnerCopy(storeDir(root, (node+1)%rankFailNodes, "partner", rank)))
+		}
+		return opts
+	}
+	label := fmt.Sprintf("rankfail/partner-%t/rank-kill-false", partner)
 
 	// Phase one: run the job under the kill schedule.
 	sim, err := newSimShot(run, label+"/run", nil,
@@ -154,16 +194,12 @@ func RankFailure(run Run, cfg RankFailConfig) (RankFailResult, error) {
 		return res, err
 	}
 	inj := sim.NewFaultInjector(scenarioSeed)
-	if cfg.KillRankOnly {
-		inj.AddKills(score.KillRank(killNode, 0, killAt))
-	} else {
-		inj.AddKills(score.KillNode(killNode, killAt))
-	}
+	inj.AddKills(score.KillNode(killNode, killAt))
 
 	// The killed ranks never drain.
 	_, err = sim.run(false, func() error {
 		clients, err := sim.clients(func(node, rank int) []score.ClientOption {
-			return cfg.options(node, rank,
+			return options(node, rank,
 				// Async host registration keeps setup near zero virtual
 				// time, so killAt lands mid-job rather than during
 				// construction (a 32 GiB pinned registration alone costs
@@ -177,7 +213,6 @@ func RankFailure(run Run, cfg RankFailConfig) (RankFailResult, error) {
 		}
 		wg := sim.NewWaitGroup()
 		for rank, cl := range clients {
-			rank, cl := rank, cl
 			wg.Add(1)
 			sim.Clock().Go(func() {
 				defer wg.Done()
@@ -205,12 +240,9 @@ func RankFailure(run Run, cfg RankFailConfig) (RankFailResult, error) {
 	res.CommitLag = tracker.CommitLag()
 
 	// A whole-node death takes its SSD contents with it — local stores
-	// and any partner replicas it hosted. A single-rank (process) crash
-	// leaves the disk intact.
-	if !cfg.KillRankOnly {
-		if err := os.RemoveAll(filepath.Join(cfg.StoreRoot, fmt.Sprintf("node%d", killNode))); err != nil {
-			return res, err
-		}
+	// and any partner replicas it hosted.
+	if err := os.RemoveAll(filepath.Join(root, fmt.Sprintf("node%d", killNode))); err != nil {
+		return res, err
 	}
 
 	// Phase two: restart every rank and recompute the consistent frontier
@@ -227,7 +259,7 @@ func RankFailure(run Run, cfg RankFailConfig) (RankFailResult, error) {
 	}
 	_, err = sim2.run(true, func() error {
 		clients, err := sim2.clients(func(node, rank int) []score.ClientOption {
-			return cfg.options(node, rank)
+			return options(node, rank)
 		})
 		if err != nil {
 			return err

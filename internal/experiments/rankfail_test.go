@@ -10,10 +10,7 @@ import (
 // restores the newest globally committed version bit-exactly on every
 // rank because the dead ranks' checkpoints survive on the partner node.
 func TestRankFailureWithPartnerCopyRecovers(t *testing.T) {
-	res, err := RankFailure(Run{Scale: Full()}, RankFailConfig{StoreRoot: t.TempDir(), PartnerCopy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rankFailRow(t, true)
 	if !res.Recoverable {
 		t.Fatalf("node kill with partner copy not recoverable: %+v", res)
 	}
@@ -40,10 +37,7 @@ func TestRankFailureWithPartnerCopyRecovers(t *testing.T) {
 // replication must be reported unrecoverable — never wrong bytes, never a
 // fabricated restart point.
 func TestRankFailureWithoutPartnerCopyIsUnrecoverable(t *testing.T) {
-	res, err := RankFailure(Run{Scale: Full()}, RankFailConfig{StoreRoot: t.TempDir(), PartnerCopy: false})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := rankFailRow(t, false)
 	if res.Recoverable || res.RestoredRanks != 0 {
 		t.Fatalf("node kill without partner copy reported recoverable: %+v", res)
 	}
@@ -55,41 +49,36 @@ func TestRankFailureWithoutPartnerCopyIsUnrecoverable(t *testing.T) {
 	}
 }
 
-// TestRankFailureDeterministic: the same config reproduces the identical
-// result under a kill that races in-flight flushes (killAt lands
-// mid-flush of an early version).
+// TestRankFailureDeterministic: the same Run reproduces the identical
+// rows under a kill that races in-flight flushes (killAt lands mid-flush
+// of an early version).
 func TestRankFailureDeterministic(t *testing.T) {
-	cfg := RankFailConfig{PartnerCopy: true}
-	var prev RankFailResult
-	for i := 0; i < 2; i++ {
-		cfg.StoreRoot = t.TempDir()
-		res, err := RankFailure(Run{Scale: Full()}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && !reflect.DeepEqual(prev, res) {
-			t.Fatalf("non-deterministic scenario:\nrun1: %+v\nrun2: %+v", prev, res)
-		}
-		prev = res
-	}
-}
-
-// TestRankFailureSingleRankKill kills one GPU, not a node: the rank's
-// local store survives the crash (process death, not disk death), so the
-// job recovers even without partner copies.
-func TestRankFailureSingleRankKill(t *testing.T) {
-	res, err := RankFailure(Run{Scale: Full()}, RankFailConfig{
-		StoreRoot:    t.TempDir(),
-		KillRankOnly: true,
-		PartnerCopy:  false,
-	})
+	a, err := RankFailure(Run{Scale: Full()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RankDeaths != 1 || len(res.Killed) != 1 {
-		t.Fatalf("rank deaths = %d killed = %v, want one", res.RankDeaths, res.Killed)
+	b, err := RankFailure(Run{Scale: Full()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.Recoverable {
-		t.Fatalf("single-rank kill with surviving SSD not recoverable: %+v", res)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("non-deterministic scenario:\nrun1: %+v\nrun2: %+v", a, b)
 	}
+}
+
+// rankFailRow runs the paper-scale RankFailure sweep and returns the row
+// of the variant with partner copies on or off.
+func rankFailRow(t *testing.T, partner bool) RankFailRow {
+	t.Helper()
+	res, err := RankFailure(Run{Scale: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row.PartnerCopy == partner {
+			return row
+		}
+	}
+	t.Fatalf("no row with PartnerCopy %v in %+v", partner, res)
+	return RankFailRow{}
 }

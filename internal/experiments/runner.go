@@ -8,7 +8,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"score/internal/adiossim"
@@ -17,6 +19,7 @@ import (
 	"score/internal/fabric"
 	"score/internal/metrics"
 	"score/internal/payload"
+	"score/internal/report"
 	"score/internal/rtm"
 	"score/internal/simclock"
 	"score/internal/slo"
@@ -84,9 +87,12 @@ type Combo struct {
 // Label renders the Table 1 row name.
 func (c Combo) Label() string { return fmt.Sprintf("%s, %s", c.Hints, c.Approach) }
 
+// Combos is a list of Table 1 rows.
+type Combos []Combo
+
 // Table1 returns the seven compared configurations of Table 1.
-func Table1() []Combo {
-	return []Combo{
+func Table1() Combos {
+	return Combos{
 		{ADIOS2, NoHints},
 		{UVM, NoHints},
 		{Score, NoHints},
@@ -95,6 +101,15 @@ func Table1() []Combo {
 		{UVM, AllHints},
 		{Score, AllHints},
 	}
+}
+
+// Render prints the combos as Table 1: each one's notation and hint budget.
+func (cs Combos) Render(w io.Writer) error {
+	tab := report.NewTable("Table 1 — Compared approaches", "notation", "prefetch hints")
+	for _, c := range cs {
+		tab.AddRow(c.Label(), map[HintMode]string{NoHints: "0", SingleHint: "1", AllHints: "All"}[c.Hints])
+	}
+	return tab.Render(w)
 }
 
 // Runtime is the contract the shot driver needs; all three approaches
@@ -156,8 +171,7 @@ type ShotConfig struct {
 	// Combo selects the runtime and hint budget.
 	Combo Combo
 	// Label names the shot in metric and attribution exports and in its
-	// trace and ledger files; every driver sets one. Left empty, it is
-	// the combo plus the phase-coupling mode.
+	// trace and ledger files. RunShot refuses an empty one.
 	Label string
 
 	// Extension knobs (Score only): the paper's future-work items.
@@ -259,14 +273,8 @@ type ShotResult struct {
 	SLO *slo.Report
 }
 
-// Label names the run for metric exports: Config.Label when set, else
-// the Table 1 combo plus the phase-coupling mode.
-func (r ShotResult) Label() string {
-	if r.Config.Label != "" {
-		return r.Config.Label
-	}
-	return fmt.Sprintf("%s (%s)", r.Config.Combo.Label(), restoreMode(r.Config.WaitForFlush))
-}
+// Label names the run for metric exports: its Config's Label.
+func (r ShotResult) Label() string { return r.Config.Label }
 
 // restoreMode names a shot's phase coupling: whether its restore phase
 // waits for the flushes.
@@ -332,6 +340,9 @@ func (r ShotResult) TotalIOWait() time.Duration {
 func RunShot(cfg ShotConfig) (ShotResult, error) {
 	if err := cfg.Scale.check(); err != nil {
 		return ShotResult{}, err
+	}
+	if cfg.Label == "" {
+		return ShotResult{}, errors.New("experiments: empty ShotConfig.Label: every shot needs a label of its own")
 	}
 	clk := simclock.NewVirtual()
 	var res ShotResult

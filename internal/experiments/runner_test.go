@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -29,7 +32,18 @@ func tinyShot(combo Combo, order rtm.Order, wait bool, uniform bool) ShotConfig 
 	cfg := tiny().Shot()
 	cfg.GPUsPerNode, cfg.Uniform, cfg.WaitForFlush = 2, uniform, wait
 	cfg.Order, cfg.Combo, cfg.Interval = order, combo, 2*time.Millisecond
+	cfg.Label = fmt.Sprintf("tiny/%s/%s", combo.Label(), order)
 	return cfg
+}
+
+// TestRunShotRequiresALabel: no label is filled in for a shot, so one
+// without a label is an error that names the field.
+func TestRunShotRequiresALabel(t *testing.T) {
+	cfg := tinyShot(Combo{Score, AllHints}, rtm.Reverse, true, true)
+	cfg.Label = ""
+	if _, err := RunShot(cfg); err == nil || !strings.Contains(err.Error(), "Label") {
+		t.Errorf("RunShot without a label = %v, want an error naming Label", err)
+	}
 }
 
 func TestRunShotAllCombosComplete(t *testing.T) {
@@ -293,37 +307,49 @@ func TestRunChunkSizeReachesScenarioShots(t *testing.T) {
 }
 
 // TestEveryDriverRejectsAnIncompleteRun: nothing fills in a zero Scale,
-// so every driver handed Run{} returns an error that names it, rather
+// so every experiment handed Run{} returns an error that names it, rather
 // than sweeping zero-byte caches, running its chunked case whole, or
-// dividing by a zero snapshot count.
+// dividing by a zero snapshot count. Table 1 is the list of compared
+// approaches and reads nothing of the Run.
 func TestEveryDriverRejectsAnIncompleteRun(t *testing.T) {
-	var run Run
-	drivers := []struct {
-		name  string
-		drive func() error
-	}{
-		{"Fig4", func() error { _, err := Fig4(run.Scale); return err }},
-		{"Fig5", func() error { _, err := Fig5(run, true); return err }},
-		{"Fig6", func() error { _, err := Fig6(run, false); return err }},
-		{"Fig7", func() error { _, err := Fig7(run); return err }},
-		{"Fig8a", func() error { _, err := Fig8a(run); return err }},
-		{"Fig8b", func() error { _, err := Fig8b(run); return err }},
-		{"Fig9", func() error { _, err := Fig9(run, true); return err }},
-		{"Ablations", func() error { _, err := Ablations(run); return err }},
-		{"Pipeline", func() error { _, err := Pipeline(run); return err }},
-		{"EvictionMatrix", func() error { _, err := EvictionMatrix(run); return err }},
-		{"Preemption", func() error { _, err := Preemption(run); return err }},
-		{"Straggler", func() error { _, err := Straggler(run); return err }},
-		{"RankFailure", func() error { _, err := RankFailure(run, RankFailConfig{StoreRoot: t.TempDir()}); return err }},
-		{"Migration", func() error { _, err := Migration(run, MigrateConfig{StoreRoot: t.TempDir()}); return err }},
-		{"Elastic", func() error {
-			_, err := Elastic(run, ElasticConfig{StoreRoot: t.TempDir(), FromRanks: 4, ToRanks: 2})
-			return err
-		}},
+	for _, e := range Experiments() {
+		if e.Name == "table1" {
+			continue
+		}
+		if _, err := e.Run(Run{}); err == nil || !strings.Contains(err.Error(), "Scale") {
+			t.Errorf("%s(Run{}) = %v, want an error naming Scale", e.Name, err)
+		}
 	}
-	for _, d := range drivers {
-		if err := d.drive(); err == nil || !strings.Contains(err.Error(), "Scale") {
-			t.Errorf("%s(Run{}) = %v, want an error naming Scale", d.name, err)
+}
+
+// TestStoreScenariosLeaveNoStore: the store-backed scenarios run each
+// variant on a scratch store under TMPDIR, which holds exactly that one
+// store while a phase ends, and leave TMPDIR empty once they return. An
+// incomplete Scale is refused before any store is made: with a TMPDIR no
+// store can be made in, the error still names the Scale.
+func TestStoreScenariosLeaveNoStore(t *testing.T) {
+	tmp := t.TempDir()
+	stored := map[string]bool{"rankfail": true, "migrate": true, "elastic": true}
+	for _, e := range Experiments() {
+		if !stored[e.Name] {
+			continue
+		}
+		t.Setenv("TMPDIR", tmp)
+		run := Run{Scale: Small()}
+		run.OnShot = func(res ShotResult) {
+			if entries, _ := os.ReadDir(tmp); len(entries) != 1 {
+				t.Errorf("%s: TMPDIR holds %d entries as %s ends, want its one scratch store", e.Name, len(entries), res.Label())
+			}
+		}
+		if _, err := e.Run(run); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if entries, _ := os.ReadDir(tmp); len(entries) > 0 {
+			t.Errorf("%s left %d entries in TMPDIR", e.Name, len(entries))
+		}
+		t.Setenv("TMPDIR", filepath.Join(tmp, "missing"))
+		if _, err := e.Run(Run{}); err == nil || !strings.Contains(err.Error(), "Scale") {
+			t.Errorf("%s(Run{}) with no TMPDIR = %v, want an error naming Scale", e.Name, err)
 		}
 	}
 }

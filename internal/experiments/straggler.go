@@ -13,10 +13,12 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
 	"score"
+	"score/internal/report"
 	"score/internal/slo"
 )
 
@@ -54,12 +56,14 @@ type StragglerCell struct {
 }
 
 // Label names the cell as in the table.
-func (c StragglerCell) Label() string {
-	mode := "unhedged"
+func (c StragglerCell) Label() string { return fmt.Sprintf("sev-%g-%s", c.Severity, c.mode()) }
+
+// mode names the cell's hedging.
+func (c StragglerCell) mode() string {
 	if c.Hedged {
-		mode = "hedged"
+		return "hedged"
 	}
-	return fmt.Sprintf("sev-%g-%s", c.Severity, mode)
+	return "unhedged"
 }
 
 // StragglerResult reports one sweep: cells in severity order, unhedged
@@ -79,6 +83,28 @@ func (r StragglerResult) Cell(severity float64, hedged bool) (StragglerCell, boo
 		}
 	}
 	return StragglerCell{}, false
+}
+
+// Render prints the restore-tail contrast, one row per cell: the
+// gray-failure machinery's value is the gap between the two P99 columns
+// at high severity (hedge wins racing the PFS replica, or a health
+// quarantine routing around the straggler entirely).
+func (r StragglerResult) Render(w io.Writer) error {
+	backlog := float64(r.Backlog) / 1e9
+	tab := report.NewTable(
+		fmt.Sprintf("Straggler restores — %.1f GB over a silently degraded NVMe link, SSD→PFS hedge ladder", backlog),
+		"severity", "mode", "restores", "p50", "p99", "max", "hedges (wins)", "wasted", "stalls (rerouted)", "quarantines")
+	for _, c := range r.Cells {
+		tab.AddRow(
+			fmt.Sprintf("%g×", c.Severity), c.mode(), c.Restores,
+			c.P50, c.P99, c.Max,
+			fmt.Sprintf("%d (%d)", c.HedgesLaunched, c.HedgeWins),
+			sizeMB(c.HedgeWastedBytes),
+			fmt.Sprintf("%d (%d)", c.StallsDetected, c.StallsRerouted),
+			c.HealthQuarantines,
+		)
+	}
+	return tab.Render(w)
 }
 
 // Straggler runs the sweep over NVMe slowdown severities 1, 5 and 20: a
