@@ -224,7 +224,7 @@ func (c *Client) Restart(version int64) ([]byte, error) {
 		// Recovered payloads load lazily from the durable stores; a nil
 		// result may be a load failure rather than a virtual checkpoint.
 		// Surface it as a definitive error instead of (nil, nil).
-		if lp, ok := pay.(interface{ LoadErr() error }); ok {
+		if lp, ok := pay.Source().(interface{ LoadErr() error }); ok {
 			if err := lp.LoadErr(); err != nil {
 				return nil, fmt.Errorf("score: restart %d: %w", version, err)
 			}

@@ -56,7 +56,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	sample := fs.Duration("sample", 0, "sample tier/link gauges at this simulated interval during every shot (e.g. 100us); series land in -out's metrics.json and as counter tracks in its traces")
 	chunk := fs.Int64("chunk", 0, "stream every shot's multi-hop transfers, the fault scenarios' included, in chunks of this many bytes, overlapping consecutive hops (0 = monolithic; the pipeline experiment and the transfer-pipelining ablation rows set their own)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the experiment run(s) to this file (inspect with go tool pprof)")
-	memProfile := fs.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish")
+	memProfile := fs.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish; it records every allocation (runtime.MemProfileRate = 1), so object counts are exact and the run is slower")
 	benchTime := fs.Duration("benchtime", 0, "repeat the selected experiment(s) until this much wall time has elapsed — stabilizes -cpuprofile samples on fast configs (0 = run once)")
 	sloFlag := fs.Bool("slo", false, "evaluate each scenario's checked-in SLO objectives on the virtual clock (burn-rate alerting with critical-path attribution) and print the compliance table")
 	failSLO := fs.Bool("fail-on-slo", false, "exit non-zero if any objective fired an alert or missed its goal; implies -slo")
@@ -210,6 +210,9 @@ Flags:
 			f.Close()
 			fmt.Fprintf(stdout, "wrote CPU profile %s\n", *cpuProfile)
 		}()
+	}
+	if *memProfile != "" {
+		runtime.MemProfileRate = 1 // sample every allocation, before the first run makes any
 	}
 	start := time.Now()
 	for {

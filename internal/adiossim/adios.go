@@ -18,6 +18,7 @@ import (
 	"score/internal/metrics"
 	"score/internal/payload"
 	"score/internal/simclock"
+	"score/internal/slab"
 )
 
 // Errors mirroring the core runtime's.
@@ -82,12 +83,14 @@ type Client struct {
 
 	cond simclock.Cond
 
-	steps    map[int64]*step
-	hostUsed int64
-	drainQ   []*step
-	draining bool
-	closed   bool
-	err      error // first asynchronous drain failure
+	steps     map[int64]*step
+	records   slab.Slab[step] // every step's record is cut from it
+	hostUsed  int64
+	drainQ    []*step // pending from drainHead on, in FIFO order
+	drainHead int
+	draining  bool
+	closed    bool
+	err       error // first asynchronous drain failure
 
 	restoreIter int
 	daemons     *simclock.WaitGroup
@@ -136,7 +139,8 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	if _, dup := c.steps[id]; dup {
 		return ErrDuplicate
 	}
-	s := &step{id: id, size: pay.Size(), pay: pay}
+	s := c.records.New()
+	*s = step{id: id, size: pay.Size(), pay: pay}
 	c.steps[id] = s
 	// Wait for host buffer space (drain backpressure).
 	for c.hostUsed+s.size > c.cfg.HostBufferSize {
@@ -168,7 +172,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 // order (BP5 deferred I/O).
 func (c *Client) drainer() {
 	for {
-		for len(c.drainQ) == 0 {
+		for c.drainHead == len(c.drainQ) {
 			if c.closed {
 				return
 			}
@@ -181,8 +185,7 @@ func (c *Client) drainer() {
 			}
 			c.cond.Wait()
 		}
-		s := c.drainQ[0]
-		c.drainQ = c.drainQ[1:]
+		s := c.popDrain()
 		c.draining = true
 
 		_, err := c.cfg.NVMe.TryTransfer(s.size)
@@ -202,17 +205,32 @@ func (c *Client) drainer() {
 	}
 }
 
+// popDrain takes the oldest pending step off drainQ. Once the drained
+// prefix is at least half the slice, the pending tail slides down to the
+// front, so the queue keeps reusing one backing array instead of
+// regrowing it behind a dead head.
+func (c *Client) popDrain() *step {
+	s := c.drainQ[c.drainHead]
+	c.drainHead++
+	if c.drainHead*2 >= len(c.drainQ) {
+		n := copy(c.drainQ, c.drainQ[c.drainHead:])
+		c.drainQ = c.drainQ[:n]
+		c.drainHead = 0
+	}
+	return s
+}
+
 // Restore is BP5 Get: from the host buffer if the step has not drained
 // yet, otherwise a synchronous NVMe read, then an H2D copy. No caching,
 // no prefetching.
 func (c *Client) Restore(id int64) (payload.Payload, error) {
 	start := c.clk.Now()
 	if c.closed {
-		return nil, ErrClosed
+		return payload.Payload{}, ErrClosed
 	}
 	s, ok := c.steps[id]
 	if !ok {
-		return nil, ErrUnknownCheckpoint
+		return payload.Payload{}, ErrUnknownCheckpoint
 	}
 	iter := c.restoreIter
 	c.restoreIter++
@@ -220,11 +238,11 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 
 	if !buffered {
 		if _, err := c.cfg.NVMe.TryTransfer(s.size); err != nil { // NVMe → host staging
-			return nil, err
+			return payload.Payload{}, err
 		}
 	}
 	if err := c.pcieCopy(s.size); err != nil { // pageable host → device
-		return nil, err
+		return payload.Payload{}, err
 	}
 
 	c.rec.Restore(iter, s.size, c.clk.Now()-start, 0)
@@ -249,7 +267,7 @@ func (c *Client) PrefetchStart() {}
 
 // WaitFlush drains the deferred-I/O queue.
 func (c *Client) WaitFlush() error {
-	for len(c.drainQ) > 0 || c.draining {
+	for c.drainHead < len(c.drainQ) || c.draining {
 		if c.closed {
 			return ErrClosed
 		}

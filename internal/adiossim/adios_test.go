@@ -105,6 +105,41 @@ func TestADIOSBackpressureWhenBufferFull(t *testing.T) {
 	})
 }
 
+func TestADIOSDrainsInWriteOrder(t *testing.T) {
+	// BP5 deferred I/O drains FIFO: at any moment the steps still in the
+	// host buffer are the newest ones, a contiguous suffix of the writes.
+	// An NVMe drive far slower than the PCIe copy keeps several steps
+	// pending at once.
+	clk := simclock.NewVirtual()
+	clk.Run(func() {
+		slow, err := fabric.NewCluster(clk, 1, fabric.NodeConfig{
+			GPUs: 1, D2DBandwidth: 1000 * MB, PCIeBandwidth: 100 * MB,
+			GPUsPerPCIe: 1, NVMeDrives: 1, NVMePerDrive: MB, PFSBandwidth: MB,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newADIOS(t, clk, func(cfg *Config) { cfg.NVMe = slow.Nodes[0].NVMe })
+		defer c.Close()
+		for i := int64(0); i < 48; i++ {
+			if err := c.Checkpoint(i, payload.NewVirtual(MB)); err != nil {
+				t.Fatalf("checkpoint %d: %v", i, err)
+			}
+			for j := int64(1); j <= i; j++ {
+				if c.steps[j-1].buffered && !c.steps[j].buffered {
+					t.Fatalf("after step %d: step %d drained before step %d", i, j, j-1)
+				}
+			}
+		}
+		if err := c.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+		if c.drainHead != len(c.drainQ) {
+			t.Errorf("%d steps pending after WaitFlush", len(c.drainQ)-c.drainHead)
+		}
+	})
+}
+
 func TestADIOSRestoreFromNVMeIsSlow(t *testing.T) {
 	clk := simclock.NewVirtual()
 	clk.Run(func() {

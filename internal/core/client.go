@@ -13,6 +13,7 @@ import (
 	"score/internal/metrics"
 	"score/internal/payload"
 	"score/internal/simclock"
+	"score/internal/slab"
 	"score/internal/trace"
 )
 
@@ -38,15 +39,16 @@ type Client struct {
 
 	cond simclock.Cond
 
-	ckpts   map[ID]*checkpoint
-	slab    []replica // newReplica cuts records from it
-	q       restoreQueue
-	oracles [TierHost + 1]tierOracle // the cache tiers' eviction-entry sources
-	wake    [TierHost + 1]bool       // cache tiers a rescore unblocked; sendWakes sends them
-	started bool                     // prefetcher activated
-	closed  bool
-	killed  bool  // the rank died (fault injection); implies closed soon
-	err     error // first asynchronous failure
+	ckpts    map[ID]*checkpoint
+	records  slab.Slab[checkpoint] // every version's record is cut from it
+	replicas slab.Slab[replica]    // newReplica cuts records from it
+	q        restoreQueue
+	oracles  [TierHost + 1]tierOracle // the cache tiers' eviction-entry sources
+	wake     [TierHost + 1]bool       // cache tiers a rescore unblocked; sendWakes sends them
+	started  bool                     // prefetcher activated
+	closed   bool
+	killed   bool  // the rank died (fault injection); implies closed soon
+	err      error // first asynchronous failure
 
 	d2h, h2f flushPool  // the T_D2H and T_H2F stages
 	inFlight map[ID]int // flush workers that currently own each version
@@ -245,8 +247,9 @@ func (c *Client) recoverFromStore() {
 			}
 			ck := c.ckpts[ID(id)]
 			if ck == nil {
-				ck = &checkpoint{id: ID(id), size: size,
-					pay: &storePayload{clk: c.clk, deep: c.deep, rec: c.rec, id: id, size: size}}
+				ck = c.records.New()
+				*ck = checkpoint{id: ID(id), size: size, pay: payload.FromSource(size,
+					&storePayload{clk: c.clk, deep: c.deep, rec: c.rec, id: id})}
 				c.ckpts[ck.id] = ck
 			}
 			rep := c.newReplica(d.tier)
@@ -267,7 +270,7 @@ var newClientHook func(c *Client)
 func (c *Client) Recovered() []ID {
 	var out []ID
 	for id, ck := range c.ckpts {
-		if _, ok := ck.pay.(*storePayload); ok {
+		if ck.recovered() {
 			out = append(out, id)
 		}
 	}
@@ -393,7 +396,8 @@ func (c *Client) Checkpoint(id ID, pay payload.Payload) error {
 		return ErrDuplicateCheckpoint
 	}
 	c.writersBusy++
-	ck := &checkpoint{
+	ck := c.records.New()
+	*ck = checkpoint{
 		id:        id,
 		size:      pay.Size(),
 		pay:       pay,
@@ -541,14 +545,14 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	start := c.clk.Now()
 
 	if c.killed {
-		return nil, ErrKilled
+		return payload.Payload{}, ErrKilled
 	}
 	if c.closed {
-		return nil, ErrClosed
+		return payload.Payload{}, ErrClosed
 	}
 	ck, ok := c.ckpts[id]
 	if !ok {
-		return nil, ErrUnknownCheckpoint
+		return payload.Payload{}, ErrUnknownCheckpoint
 	}
 	iter := c.restoreIter
 	c.restoreIter++
@@ -563,7 +567,7 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 	for {
 		served, err := c.tryServeFromGPU(ck, att)
 		if err != nil {
-			return nil, err
+			return payload.Payload{}, err
 		}
 		if served {
 			break
@@ -573,7 +577,7 @@ func (c *Client) Restore(id ID) (payload.Payload, error) {
 		// deadlock, they just pay a penalty, §4.1.1).
 		done, err := c.promoteOrBypass(ck, att)
 		if err != nil {
-			return nil, err
+			return payload.Payload{}, err
 		}
 		if done {
 			break

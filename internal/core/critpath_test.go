@@ -110,23 +110,26 @@ func TestAttribAndRecordAllocateNothing(t *testing.T) {
 }
 
 // versionAllocCeiling is the committed budget of TestVersionBookkeepingAllocs:
-// the measured 3.8 mallocs per version (go1.24, linux/amd64) plus 8%.
-// A mutex in each attribution, whose Lock took its address and so moved
-// the restore path's attribution to the heap, cost 4.8. Its three replica
+// the measured 1.9 mallocs per version (go1.24, linux/amd64) plus 8%.
+// A checkpoint record allocated on its own and a virtual payload boxed in
+// an interface cost 3.8. A mutex in each attribution, whose Lock took its
+// address and so moved the restore path's attribution to the heap, cost
+// 4.8 before that. Its three replica
 // records (GPU, host, SSD), one malloc each before they were cut from a
 // per-client slab, and its two critical-path records' Components maps,
-// two mallocs each before finish returned a fixed array, cost 11.6. A machine allocated apart from its record, an
-// attribution allocated apart from its checkpoint and refused
-// transitions that format errors cost 17.6 before that; the map cursor
-// and a cond per machine cost 24.7 on top of a separate machine.
-const versionAllocCeiling = 4.1
+// two mallocs each before finish returned a fixed array, cost 11.6. A
+// machine allocated apart from its record, an attribution allocated apart
+// from its checkpoint and refused transitions that format errors cost
+// 17.6 before that; the map cursor and a cond per machine cost 24.7 on
+// top of a separate machine.
+const versionAllocCeiling = 2.1
 
 // chunkedVersionAllocCeiling is the same budget with ChunkSize set: the
-// measured 8.0 plus 8%. The attribution's mutex cost 9.0; the same
-// replica records and record maps cost 15.8; a stream path composed per
-// stream and span names formatted with no tracer to read them cost 23.8
-// before that.
-const chunkedVersionAllocCeiling = 8.6
+// measured 2.2 plus 8%. The checkpoint record and the payload box cost
+// 4.2; the attribution's mutex cost 9.0; the same replica records and
+// record maps cost 15.8; a stream path composed per stream and span names
+// formatted with no tracer to read them cost 23.8 before that.
+const chunkedVersionAllocCeiling = 2.4
 
 // TestVersionBookkeepingAllocs budgets what one checkpoint version costs
 // the heap: one rank writes 64 virtual versions, waits for the flush

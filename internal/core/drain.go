@@ -238,7 +238,7 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 		if ck.fateAccounted || ck.drainClaimed || (c.inFlight[ck.id] > 0 && !ck.hostWait) {
 			continue
 		}
-		if _, recovered := ck.pay.(*storePayload); recovered {
+		if ck.recovered() {
 			continue
 		}
 		cand := drainCandidate{ck: ck}
@@ -415,7 +415,7 @@ func (c *Client) drainAbandon(ck *checkpoint, reason string) {
 func (c *Client) buildManifest(m *DrainManifest, outcomes map[ID]DrainEntry) {
 	var entries []DrainEntry
 	for id, ck := range c.ckpts {
-		if _, recovered := ck.pay.(*storePayload); recovered {
+		if ck.recovered() {
 			continue
 		}
 		if e, ok := outcomes[id]; ok {

@@ -75,7 +75,7 @@ func (c *Client) finishKill() {
 		if ck.fateAccounted {
 			continue
 		}
-		if _, recovered := ck.pay.(*storePayload); recovered {
+		if ck.recovered() {
 			continue // recovered checkpoints carry no conservation debt
 		}
 		undecided = append(undecided, ck)

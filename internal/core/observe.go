@@ -37,7 +37,7 @@ func (c *Client) accountFate(ck *checkpoint, fate ckptFate) {
 	if ck.fateAccounted {
 		return
 	}
-	if _, recovered := ck.pay.(*storePayload); recovered {
+	if ck.recovered() {
 		return
 	}
 	ck.fateAccounted = true

@@ -278,20 +278,13 @@ type replica struct {
 	fsm  lifecycle.Machine
 }
 
-// replicaSlab is how many replica records one allocation holds.
-const replicaSlab = 32
-
-// newReplica returns a fresh INIT record for tier, the next slot of the
-// client's current slab; a full slab is left to the records it holds and
-// a new one cut. A slot is never reused, so a record's pointer identifies
+// newReplica returns a fresh INIT record for tier, cut from the client's
+// replica slab. A slot is never reused, so a record's pointer identifies
 // it for good: unlinkReplica's "is it still rep" test and a WaitFor parked
 // on an unlinked record's machine cannot mistake a later record for it.
 func (c *Client) newReplica(tier Tier) *replica {
-	if len(c.slab) == cap(c.slab) {
-		c.slab = make([]replica, 0, replicaSlab)
-	}
-	c.slab = append(c.slab, replica{tier: tier})
-	rep := &c.slab[len(c.slab)-1]
+	rep := c.replicas.New()
+	rep.tier = tier
 	rep.fsm.Init(c.clk)
 	return rep
 }
@@ -342,23 +335,30 @@ type checkpoint struct {
 	drainClaimed bool
 	drainFromGPU bool
 
+	// fateAccounted: the checkpoint's bytes have been credited to exactly
+	// one conservation fate (durable, discarded, or lost) in the metrics
+	// recorder.
+	fateAccounted bool
+
 	// flushAborted: every durable route failed; the cache replica was
 	// released from pinning (fail-open) and the checkpoint may be lost
 	// if it is evicted before being restored. Restore then reports
 	// ErrLost definitively instead of hanging the cache.
 	flushAborted bool
 	flushErr     error // the failure that aborted the flush (diagnostics)
-
-	// fateAccounted: the checkpoint's bytes have been credited to exactly
-	// one conservation fate (durable, discarded, or lost) in the metrics
-	// recorder.
-	fateAccounted bool
 }
 
 // dataOn reports whether the checkpoint has a readable replica on tier.
 func (ck *checkpoint) dataOn(tier Tier) bool {
 	r := ck.replicas[tier]
 	return r != nil && r.hasData()
+}
+
+// recovered reports whether the record was rebuilt from a durable store
+// at construction rather than written by this client.
+func (ck *checkpoint) recovered() bool {
+	_, ok := ck.pay.Source().(*storePayload)
+	return ok
 }
 
 // durableBelow reports whether a readable copy exists on any tier slower
@@ -373,12 +373,12 @@ func (ck *checkpoint) durableBelow(t Tier) bool {
 	return false
 }
 
-// storePayload is a lazily loaded payload backed by the durable stores,
-// used for checkpoints recovered after a restart. The load is verified
-// (the store's CRC layer) and tier-aware: the local SSD store is
-// preferred, and a failed or corrupt read falls back down the deep-tier
-// table — partner SSD, then PFS — re-populating the local SSD copy on
-// success. The stores are read once: a store read may sleep (a fault
+// storePayload is the lazily loaded byte source of a payload backed by
+// the durable stores, used for checkpoints recovered after a restart.
+// The load is verified (the store's CRC layer) and tier-aware: the local
+// SSD store is preferred, and a failed or corrupt read falls back down
+// the deep-tier table — partner SSD, then PFS — re-populating the local
+// SSD copy on success. The stores are read once: a store read may sleep (a fault
 // hook's delay), and a task that asks for the bytes meanwhile parks on
 // waiters until the first load ends.
 type storePayload struct {
@@ -386,7 +386,6 @@ type storePayload struct {
 	deep []deepTier // the client's table; rows without a store are skipped
 	rec  *metrics.Recorder
 	id   int64
-	size int64
 
 	loaded, loading bool
 	waiters         simclock.WaitList
@@ -434,10 +433,7 @@ func (p *storePayload) read() ([]byte, error) {
 	return nil, cmp.Or(firstErr, ckptstore.ErrNotFound)
 }
 
-// Size implements payload.Payload.
-func (p *storePayload) Size() int64 { return p.size }
-
-// Checksum implements payload.Payload.
+// Checksum implements payload.Source.
 func (p *storePayload) Checksum() uint64 {
 	p.load()
 	if p.err != nil {
@@ -446,7 +442,7 @@ func (p *storePayload) Checksum() uint64 {
 	return payload.NewReal(p.data).Checksum()
 }
 
-// Bytes implements payload.Payload; nil if every durable read failed (the
+// Bytes implements payload.Source; nil if every durable read failed (the
 // caller's checksum verification will then fail loudly).
 func (p *storePayload) Bytes() []byte {
 	p.load()

@@ -155,9 +155,8 @@ func rankPayload(rank int, version int64) []byte {
 }
 
 // RankFailure runs the scenario without partner copies, then with them,
-// each variant's two phases as the shots
-// "rankfail/partner-<bool>/rank-kill-false/run" and ".../restart" (the
-// whole node dies, not one rank). Deterministic: the same Run produces
+// each variant's two phases as the shots "rankfail/partner-<bool>/run"
+// and ".../restart" (the whole node dies, not one rank). Deterministic: the same Run produces
 // the identical result.
 func RankFailure(run Run) (RankFailResult, error) {
 	rows, err := storeSweep(run, []bool{false, true}, rankFailRun)
@@ -181,7 +180,7 @@ func rankFailRun(run Run, root string, partner bool) (RankFailRow, error) {
 		}
 		return opts
 	}
-	label := fmt.Sprintf("rankfail/partner-%t/rank-kill-false", partner)
+	label := fmt.Sprintf("rankfail/partner-%t", partner)
 
 	// Phase one: run the job under the kill schedule.
 	sim, err := newSimShot(run, label+"/run", nil,

@@ -10,38 +10,60 @@ import (
 	"hash/fnv"
 )
 
-// Payload is the content of one checkpoint. Payloads are immutable once
-// written (paper §1, "Limitations of the Proposed Approach").
-type Payload interface {
-	// Size returns the payload size in bytes.
-	Size() int64
-	// Checksum returns a content checksum; virtual payloads return a
-	// deterministic function of their size.
-	Checksum() uint64
-	// Bytes returns the underlying data, or nil for virtual payloads.
-	Bytes() []byte
+// Payload is the content of one checkpoint: a size and, for a payload
+// that carries bytes, the Source they come from. It is a small value, so
+// a virtual payload passed by value or through an interface call
+// allocates nothing. Payloads are immutable once written (paper §1,
+// "Limitations of the Proposed Approach"). The zero Payload is a virtual
+// payload of 0 bytes.
+type Payload struct {
+	n   int64
+	src Source // nil for a virtual payload
 }
 
-// Virtual is a size-only payload used in large-scale benchmarks where
-// materializing tens of gigabytes is neither possible nor useful.
-type Virtual struct{ N int64 }
+// Source supplies the bytes of a byte-backed payload.
+type Source interface {
+	// Bytes returns the data, or nil if it could not be read.
+	Bytes() []byte
+	// Checksum returns the data's content checksum.
+	Checksum() uint64
+}
 
-// NewVirtual returns a virtual payload of n bytes (n must be >= 0).
-func NewVirtual(n int64) Virtual {
+// NewVirtual returns a size-only payload of n bytes (n must be >= 0),
+// for large-scale benchmarks where materializing tens of gigabytes is
+// neither possible nor useful.
+func NewVirtual(n int64) Payload {
 	if n < 0 {
 		panic(fmt.Sprintf("payload: negative size %d", n))
 	}
-	return Virtual{N: n}
+	return Payload{n: n}
 }
 
-// Size implements Payload.
-func (v Virtual) Size() int64 { return v.N }
+// NewReal wraps data (not copied) and precomputes its checksum.
+func NewReal(data []byte) Payload {
+	h := fnv.New64a()
+	h.Write(data)
+	return Payload{n: int64(len(data)), src: &bytesSource{data: data, sum: h.Sum64()}}
+}
 
-// Checksum implements Payload with a deterministic size-derived value.
-func (v Virtual) Checksum() uint64 {
+// FromSource returns an n-byte payload whose bytes src supplies.
+func FromSource(n int64, src Source) Payload { return Payload{n: n, src: src} }
+
+// Size returns the payload size in bytes.
+func (p Payload) Size() int64 { return p.n }
+
+// Source returns the payload's byte source, or nil for a virtual payload.
+func (p Payload) Source() Source { return p.src }
+
+// Checksum returns the source's content checksum; a virtual payload's is
+// a deterministic function of its size.
+func (p Payload) Checksum() uint64 {
+	if p.src != nil {
+		return p.src.Checksum()
+	}
 	h := fnv.New64a()
 	var buf [8]byte
-	n := uint64(v.N)
+	n := uint64(p.n)
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(n >> (8 * i))
 	}
@@ -49,30 +71,23 @@ func (v Virtual) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// Bytes implements Payload; virtual payloads carry no data.
-func (v Virtual) Bytes() []byte { return nil }
+// Bytes returns the underlying data, or nil for a virtual payload.
+// Callers must not mutate the returned slice.
+func (p Payload) Bytes() []byte {
+	if p.src == nil {
+		return nil
+	}
+	return p.src.Bytes()
+}
 
-// Real is a byte-backed payload.
-type Real struct {
+// bytesSource is an in-memory Source.
+type bytesSource struct {
 	data []byte
 	sum  uint64
 }
 
-// NewReal wraps data (not copied) and precomputes its checksum.
-func NewReal(data []byte) *Real {
-	h := fnv.New64a()
-	h.Write(data)
-	return &Real{data: data, sum: h.Sum64()}
-}
-
-// Size implements Payload.
-func (r *Real) Size() int64 { return int64(len(r.data)) }
-
-// Checksum implements Payload.
-func (r *Real) Checksum() uint64 { return r.sum }
-
-// Bytes implements Payload. Callers must not mutate the returned slice.
-func (r *Real) Bytes() []byte { return r.data }
+func (b *bytesSource) Bytes() []byte    { return b.data }
+func (b *bytesSource) Checksum() uint64 { return b.sum }
 
 // Verify recomputes the checksum of got and compares it with want's,
 // returning a descriptive error on mismatch. It is used by restores of

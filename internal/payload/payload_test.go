@@ -64,3 +64,34 @@ func TestChecksumDetectsAnySingleBitFlipProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// writer stands for a runtime's Checkpoint method called through an
+// interface, as the shot runner calls every runtime's.
+type writer interface {
+	Checkpoint(id int64, p Payload) error
+}
+
+type sizeTotal struct{ bytes int64 }
+
+func (s *sizeTotal) Checkpoint(_ int64, p Payload) error {
+	s.bytes += p.Size()
+	return nil
+}
+
+var (
+	runtimeUnderTest writer = &sizeTotal{}
+	snapshotSize            = int64(96 << 20)
+)
+
+func TestVirtualPayloadThroughAnInterfaceAllocatesNothing(t *testing.T) {
+	id := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		id++
+		if err := runtimeUnderTest.Checkpoint(id, NewVirtual(snapshotSize+id)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a virtual payload passed through an interface call allocates %v times, want 0", allocs)
+	}
+}

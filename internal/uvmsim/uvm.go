@@ -37,6 +37,7 @@ import (
 	"score/internal/metrics"
 	"score/internal/payload"
 	"score/internal/simclock"
+	"score/internal/slab"
 )
 
 // Errors mirroring the core runtime's.
@@ -137,7 +138,8 @@ type Client struct {
 	cond simclock.Cond
 
 	ckpts       map[int64]*ckpt
-	order       []*ckpt // creation order (for LRU scans)
+	records     slab.Slab[ckpt] // every checkpoint's record is cut from it
+	order       []*ckpt         // creation order (for LRU scans)
 	devUsed     int64
 	hostUsed    int64
 	pinnedBytes int64 // the sum of pinned() over ckpts, kept by update
@@ -333,7 +335,8 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	if _, dup := c.ckpts[id]; dup {
 		return ErrDuplicate
 	}
-	k := &ckpt{id: id, size: pay.Size(), pay: pay, lru: c.clk.Now()}
+	k := c.records.New()
+	*k = ckpt{id: id, size: pay.Size(), pay: pay, lru: c.clk.Now()}
 	c.update(k, func() { k.inflight = true })
 	c.ckpts[id] = k
 	c.order = append(c.order, k)
@@ -512,11 +515,11 @@ func (c *Client) ensureHost(k *ckpt) error {
 func (c *Client) Restore(id int64) (payload.Payload, error) {
 	start := c.clk.Now()
 	if c.closed {
-		return nil, ErrClosed
+		return payload.Payload{}, ErrClosed
 	}
 	k, ok := c.ckpts[id]
 	if !ok {
-		return nil, ErrUnknownCheckpoint
+		return payload.Payload{}, ErrUnknownCheckpoint
 	}
 	iter := c.restoreIter
 	c.restoreIter++
@@ -525,12 +528,12 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 	// wait for it rather than double-reserving device space.
 	for k.inflight {
 		if c.closed {
-			return nil, ErrClosed
+			return payload.Payload{}, ErrClosed
 		}
 		c.cond.Wait()
 	}
 	if c.ckpts[id] != k { // its write failed
-		return nil, ErrUnknownCheckpoint
+		return payload.Payload{}, ErrUnknownCheckpoint
 	}
 	fault := !k.onDevice
 	c.update(k, func() { k.inflight = fault })
@@ -538,7 +541,7 @@ func (c *Client) Restore(id int64) (payload.Payload, error) {
 
 	if fault {
 		if err := c.pullIn(k, true); err != nil {
-			return nil, err
+			return payload.Payload{}, err
 		}
 	}
 	c.cfg.GPU.CopyD2D(k.size) // managed buffer → application buffer
