@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet staticcheck race bench-check loc loc-check profile-shares chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
+.PHONY: verify build test vet staticcheck race bench-check loc loc-check profile-shares alloc-sites chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke observer-tax slo-smoke results results-check transcript-drift clean
 
 # verify is the pre-merge gate: static checks, a full build, the
 # race-enabled test suite (which includes a short chaos soak), the
@@ -198,12 +198,23 @@ trace-smoke: observer-tax
 # 10 ms sampling, SLOs and a trace export over the same shot plain, and
 # their growth from 96 to 192 versions; the nil-observer calls and the
 # runtime's spans and ledger entries on full rings at zero allocations;
-# then the runtime's own budget, mallocs per checkpoint version
-# (TestVersionBookkeepingAllocs).
+# then the runtime's own budgets, mallocs per checkpoint version
+# (TestVersionBookkeepingAllocs) and per rank (TestRankFootprintAllocs).
 observer-tax:
 	$(GO) test -count=1 -run 'TestObserverTaxBudget|TestNilObserversAllocateNothing' -v .
 	$(GO) test -count=1 -run 'TestRecordingAtTheRingLimitAllocatesNothing' -v ./internal/trace
 	$(GO) test -count=1 -run 'TestVersionBookkeepingAllocs' -v ./internal/core
+	$(GO) test -count=1 -run 'TestRankFootprintAllocs' -v .
+
+# alloc-sites runs TestRankFootprintAllocs with every allocation recorded
+# and prints its allocation sites by object count. The profile covers the
+# test's two shots, a warm-up and the measured one, of 16 ranks each:
+# a count divided by 32 is objects per rank per shot.
+alloc-sites:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test -count=1 -run '^TestRankFootprintAllocs$$' -memprofilerate=1 \
+		-memprofile "$$dir/mem.pprof" -o "$$dir/score.test" . > /dev/null || exit 2; \
+	$(GO) tool pprof -sample_index=alloc_objects -top "$$dir/score.test" "$$dir/mem.pprof"
 
 # slo-smoke exercises the SLO engine end to end (DESIGN.md §17): the
 # alert-ledger determinism goldens and the straggler alert story
@@ -285,7 +296,7 @@ transcript-drift:
 # seed corpus; go test accepts one -fuzz pattern per invocation.
 FUZZTIME ?= 20s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzIDFIFO -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime $(FUZZTIME) ./internal/slab
 	$(GO) test -run '^$$' -fuzz FuzzCacheEviction -fuzztime $(FUZZTIME) ./internal/cachebuf
 	$(GO) test -run '^$$' -fuzz FuzzEvictionPolicy -fuzztime $(FUZZTIME) ./internal/cachebuf
 	$(GO) test -run '^$$' -fuzz FuzzChromeString -fuzztime $(FUZZTIME) ./internal/trace

@@ -83,14 +83,13 @@ type Client struct {
 
 	cond simclock.Cond
 
-	steps     map[int64]*step
-	records   slab.Slab[step] // every step's record is cut from it
-	hostUsed  int64
-	drainQ    []*step // pending from drainHead on, in FIFO order
-	drainHead int
-	draining  bool
-	closed    bool
-	err       error // first asynchronous drain failure
+	steps    map[int64]*step
+	records  slab.Slab[step] // every step's record is cut from it
+	hostUsed int64
+	drainQ   slab.Queue[*step] // buffered steps not yet drained, in FIFO order
+	draining bool
+	closed   bool
+	err      error // first asynchronous drain failure
 
 	restoreIter int
 	daemons     *simclock.WaitGroup
@@ -101,7 +100,7 @@ func New(cfg Config) (*Client, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, clk: cfg.Clock, rec: metrics.NewRecorder(), steps: map[int64]*step{}}
+	c := &Client{cfg: cfg, clk: cfg.Clock, rec: metrics.NewRecorder(), steps: make(map[int64]*step, slab.Block)}
 	c.cond = c.clk.NewCond(nil)
 	c.daemons = simclock.NewWaitGroup(c.clk)
 	c.daemons.Add(1)
@@ -161,7 +160,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 		return err
 	}
 
-	c.drainQ = append(c.drainQ, s)
+	c.drainQ.Push(s)
 	c.cond.Broadcast()
 
 	c.rec.Checkpoint(s.size, c.clk.Now()-start)
@@ -172,7 +171,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 // order (BP5 deferred I/O).
 func (c *Client) drainer() {
 	for {
-		for c.drainHead == len(c.drainQ) {
+		for c.drainQ.Len() == 0 {
 			if c.closed {
 				return
 			}
@@ -185,7 +184,7 @@ func (c *Client) drainer() {
 			}
 			c.cond.Wait()
 		}
-		s := c.popDrain()
+		s, _ := c.drainQ.Pop()
 		c.draining = true
 
 		_, err := c.cfg.NVMe.TryTransfer(s.size)
@@ -203,21 +202,6 @@ func (c *Client) drainer() {
 			c.cond.Broadcast() // room for a Checkpoint parked on backpressure
 		}
 	}
-}
-
-// popDrain takes the oldest pending step off drainQ. Once the drained
-// prefix is at least half the slice, the pending tail slides down to the
-// front, so the queue keeps reusing one backing array instead of
-// regrowing it behind a dead head.
-func (c *Client) popDrain() *step {
-	s := c.drainQ[c.drainHead]
-	c.drainHead++
-	if c.drainHead*2 >= len(c.drainQ) {
-		n := copy(c.drainQ, c.drainQ[c.drainHead:])
-		c.drainQ = c.drainQ[:n]
-		c.drainHead = 0
-	}
-	return s
 }
 
 // Restore is BP5 Get: from the host buffer if the step has not drained
@@ -267,7 +251,7 @@ func (c *Client) PrefetchStart() {}
 
 // WaitFlush drains the deferred-I/O queue.
 func (c *Client) WaitFlush() error {
-	for c.drainHead < len(c.drainQ) || c.draining {
+	for c.drainQ.Len() > 0 || c.draining {
 		if c.closed {
 			return ErrClosed
 		}

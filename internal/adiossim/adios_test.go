@@ -134,8 +134,8 @@ func TestADIOSDrainsInWriteOrder(t *testing.T) {
 		if err := c.WaitFlush(); err != nil {
 			t.Fatal(err)
 		}
-		if c.drainHead != len(c.drainQ) {
-			t.Errorf("%d steps pending after WaitFlush", len(c.drainQ)-c.drainHead)
+		if n := c.drainQ.Len(); n != 0 {
+			t.Errorf("%d steps pending after WaitFlush", n)
 		}
 	})
 }

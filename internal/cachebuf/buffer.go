@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"score/internal/simclock"
+	"score/internal/slab"
 )
 
 // ID identifies a checkpoint (unique per buffer). Negative values are
@@ -260,10 +261,10 @@ func NewFromEntries(clk *simclock.Virtual, name string, capacity int64, src Entr
 		name:     name,
 		capacity: capacity,
 		src:      src,
-		frags:    []frag{{id: gapID, off: 0, size: capacity}},
+		frags:    append(slab.Make[frag](), frag{id: gapID, off: 0, size: capacity}),
 		free:     capacity,
 		gaps:     []gapKey{{capacity, 0}},
-		resident: make(map[ID]int64),
+		resident: make(map[ID]int64, slab.Block),
 	}
 	b.cond = clk.NewCond(nil)
 	ep, err := PolicyScore.NewPolicy()

@@ -79,17 +79,14 @@ type Client struct {
 	degraded   [TierPFS + 1]bool          // tiers marked persistently failed
 	degradedAt [TierPFS + 1]time.Duration // when each mark was (last) set
 
-	rnd *rand.Rand // retry jitter; seeded for deterministic replays
+	rnd *rand.Rand // retry jitter; seeded by its first use (jitter), for deterministic replays
 
 	daemons *simclock.WaitGroup
 	// hedgeWG tracks every leg of a deadline race (hedge.go), in either
 	// direction, including legs still in flight after their race was
-	// decided; Close joins it so no leg outlives the client.
+	// decided; Close joins it so no leg outlives the client. The first
+	// leg builds it.
 	hedgeWG *simclock.WaitGroup
-	// health estimates per-link-class latency quantiles and EWMA
-	// slowdown scores, driving adaptive hedge/stall deadlines and
-	// quarantine-on-breach.
-	health *tierHealth
 }
 
 // New creates and starts a Client. The caller must Close it to stop the
@@ -101,13 +98,12 @@ func New(p Params) (*Client, error) {
 	}
 	c := &Client{
 		p:        p,
-		deep:     deepTiers(p),
-		pcie:     fabric.Path{p.GPU.PCIeLink()},
 		clk:      p.Clock,
 		rec:      metrics.NewRecorder(),
-		ckpts:    make(map[ID]*checkpoint),
+		ckpts:    make(map[ID]*checkpoint, slab.Block),
 		inFlight: make(map[ID]int),
 	}
+	c.deep, c.pcie = deepTiers(p)
 	c.cond = c.clk.NewCond(nil)
 	c.startedOrClosed = func() bool { return c.started || c.closed }
 	c.hintPastCursor = func() bool { return c.closed || c.q.prefetchPending() }
@@ -117,13 +113,10 @@ func New(p Params) (*Client, error) {
 	c.flushSettled = func() bool {
 		return !c.flushBusy() || c.killed || c.closed || c.err != nil
 	}
-	c.h2fIdle = func() bool { return c.h2f.q.len() == 0 && c.h2f.busy == 0 }
+	c.h2fIdle = func() bool { return c.h2f.q.Len() == 0 && c.h2f.busy == 0 }
 	c.d2h.cond = c.clk.NewCond(nil)
 	c.h2f.cond = c.clk.NewCond(nil)
 	c.daemons = simclock.NewWaitGroup(c.clk)
-	c.hedgeWG = simclock.NewWaitGroup(c.clk)
-	c.health = newTierHealth()
-	c.rnd = rand.New(rand.NewSource(p.FaultSeed*0x9E3779B9 + int64(p.GPU.ID()) + 1))
 
 	// Pre-allocate the contiguous device cache (§4.1.4). The HBM
 	// allocation itself is fast (~1 TB/s).
@@ -156,10 +149,12 @@ func New(p Params) (*Client, error) {
 	}
 	// Per-stall eviction-wait observations feed the latency histogram.
 	// Only buffers owned by this client get an observer: a shared host
-	// pool serves several clients and cannot attribute its stalls.
-	c.gpuC.SetWaitObserver(c.rec.EvictionWait)
+	// pool serves several clients and cannot attribute its stalls. One
+	// method value serves them all.
+	evictionWait := c.rec.EvictionWait
+	c.gpuC.SetWaitObserver(evictionWait)
 	if c.gpuP != nil {
-		c.gpuP.SetWaitObserver(c.rec.EvictionWait)
+		c.gpuP.SetWaitObserver(evictionWait)
 	}
 	c.hostNS = -1
 	if p.SharedHost != nil {
@@ -170,7 +165,7 @@ func New(p Params) (*Client, error) {
 	} else {
 		c.hstC = cachebuf.NewFromEntries(c.clk, cacheName(p.GPU.ID(), "hostcache"),
 			p.HostCacheSize, &c.oracles[TierHost])
-		c.hstC.SetWaitObserver(c.rec.EvictionWait)
+		c.hstC.SetWaitObserver(evictionWait)
 	}
 	if newClientHook != nil {
 		newClientHook(c)
@@ -340,7 +335,9 @@ func (c *Client) Close() {
 	// read, a stalled SSD write or a reroute that lands second) finish on
 	// their own in bounded virtual time; join them so nothing references
 	// the client after Close returns.
-	c.hedgeWG.Wait()
+	if c.hedgeWG != nil {
+		c.hedgeWG.Wait()
+	}
 }
 
 // prefetchBuf returns the buffer promotions land in.
@@ -692,7 +689,7 @@ func (c *Client) WaitFlush() error {
 // flushBusy reports whether the flush chain still holds work: a
 // queued or running flush job, or a preemption drain's triage.
 func (c *Client) flushBusy() bool {
-	return c.d2h.q.len() > 0 || c.h2f.q.len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drain != nil && c.drain.active
+	return c.d2h.q.Len() > 0 || c.h2f.q.Len() > 0 || c.d2h.busy > 0 || c.h2f.busy > 0 || c.drain != nil && c.drain.active
 }
 
 // Resident reports how many checkpoints are currently cached on each tier

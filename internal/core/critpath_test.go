@@ -110,11 +110,14 @@ func TestAttribAndRecordAllocateNothing(t *testing.T) {
 }
 
 // versionAllocCeiling is the committed budget of TestVersionBookkeepingAllocs:
-// the measured 1.9 mallocs per version (go1.24, linux/amd64) plus 8%.
-// A checkpoint record allocated on its own and a virtual payload boxed in
-// an interface cost 3.8. A mutex in each attribution, whose Lock took its
-// address and so moved the restore path's attribution to the heap, cost
-// 4.8 before that. Its three replica
+// the measured 1.0 mallocs per version (go1.24, linux/amd64) plus 8%.
+// Per-version containers that grew from one element (the records map,
+// the hint and flush queues, the caches' fragment lists and maps, the
+// restore series and the critical-path store's first blocks) cost 1.9
+// before each started at a block. A checkpoint record allocated on its
+// own and a virtual payload boxed in an interface cost 3.8. A mutex in
+// each attribution, whose Lock took its address and so moved the restore
+// path's attribution to the heap, cost 4.8 before that. Its three replica
 // records (GPU, host, SSD), one malloc each before they were cut from a
 // per-client slab, and its two critical-path records' Components maps,
 // two mallocs each before finish returned a fixed array, cost 11.6. A
@@ -122,14 +125,15 @@ func TestAttribAndRecordAllocateNothing(t *testing.T) {
 // from its checkpoint and refused transitions that format errors cost
 // 17.6 before that; the map cursor and a cond per machine cost 24.7 on
 // top of a separate machine.
-const versionAllocCeiling = 2.1
+const versionAllocCeiling = 1.1
 
 // chunkedVersionAllocCeiling is the same budget with ChunkSize set: the
-// measured 2.2 plus 8%. The checkpoint record and the payload box cost
-// 4.2; the attribution's mutex cost 9.0; the same replica records and
-// record maps cost 15.8; a stream path composed per stream and span names
-// formatted with no tracer to read them cost 23.8 before that.
-const chunkedVersionAllocCeiling = 2.4
+// measured 1.3 plus 8%. Containers that grew from one element
+// cost 2.2; the checkpoint record and the payload box cost 4.2; the
+// attribution's mutex cost 9.0; the same replica records and record maps
+// cost 15.8; a stream path composed per stream and span names formatted
+// with no tracer to read them cost 23.8 before that.
+const chunkedVersionAllocCeiling = 1.4
 
 // TestVersionBookkeepingAllocs budgets what one checkpoint version costs
 // the heap: one rank writes 64 virtual versions, waits for the flush

@@ -45,6 +45,9 @@ type deepTier struct {
 	up    fabric.Path      // read, then PCIe onto the GPU: a fused read's stream
 	down  fabric.Path      // PCIe off the GPU, then write: a fused write's stream
 	store *ckptstore.Store // durable bytes; nil when the tier is simulated only
+	// health is the tier's link-class estimator (health.go); nil until
+	// its first observation.
+	health *classHealth
 }
 
 // deepTiers builds a client's table in deepKinds order. The local SSD
@@ -52,24 +55,35 @@ type deepTier struct {
 // reverse: partner NVMe → partner NIC → local NIC) and the PFS only with
 // a PFS link that can keep what the SSD keeps: beside an SSD store, a
 // storeless PFS is no tier — a restarted process could not read it back.
-func deepTiers(p Params) []deepTier {
-	pcie := p.GPU.PCIeLink()
-	row := func(k int, read, write fabric.Path, store *ckptstore.Store) deepTier {
-		return deepTier{&deepKinds[k], read, write,
-			append(slices.Clip(read), pcie), append(fabric.Path{pcie}, write...), store}
+// It also returns the GPU's PCIe link as a path of its own (Client.pcie).
+func deepTiers(p Params) (deep []deepTier, pcie fabric.Path) {
+	// Every path the client composes is cut, capacity clipped, from one
+	// backing array sized for all three rows: the one-link PCIe, SSD and
+	// PFS paths, the reversed partner path, and each row's up and down path.
+	links := make([]*fabric.Link, 0, 13+3*len(p.PartnerPath))
+	cut := func(parts ...fabric.Path) fabric.Path {
+		n := len(links)
+		for _, part := range parts {
+			links = append(links, part...)
+		}
+		return links[n:len(links):len(links)]
 	}
-	single := []*fabric.Link{p.NVMe, p.PFS} // one backing array for both one-link paths
-	ssd, pfs := fabric.Path(single[:1]), fabric.Path(single[1:])
-	deep := append(make([]deepTier, 0, len(deepKinds)), row(0, ssd, ssd, p.Store))
+	pcie = cut(fabric.Path{p.GPU.PCIeLink()})
+	row := func(k int, read, write fabric.Path, store *ckptstore.Store) deepTier {
+		return deepTier{deepKind: &deepKinds[k], read: read, write: write,
+			up: cut(read, pcie), down: cut(pcie, write), store: store}
+	}
+	ssd, pfs := cut(fabric.Path{p.NVMe}), cut(fabric.Path{p.PFS})
+	deep = append(make([]deepTier, 0, len(deepKinds)), row(0, ssd, ssd, p.Store))
 	if len(p.PartnerPath) > 0 {
-		rev := slices.Clone(p.PartnerPath)
+		rev := cut(p.PartnerPath)
 		slices.Reverse(rev)
 		deep = append(deep, row(1, rev, p.PartnerPath, p.PartnerStore))
 	}
 	if p.PFS != nil && (p.PFSStore != nil || p.Store == nil) {
 		deep = append(deep, row(2, pfs, pfs, p.PFSStore))
 	}
-	return deep
+	return deep, pcie
 }
 
 // deepOf returns t's row, or nil when t is a cache tier or is not

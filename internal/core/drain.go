@@ -9,6 +9,7 @@ import (
 
 	"score/internal/fabric"
 	"score/internal/metrics"
+	"score/internal/slab"
 	"score/internal/trace"
 )
 
@@ -182,7 +183,7 @@ func (c *Client) Drain(grace time.Duration) (DrainManifest, error) {
 	// gate land mid-drain instead: the round loop's busy flag covers them,
 	// and their versions are triaged (and charged against whatever budget
 	// remains) once they appear.
-	c.d2h.q, c.h2f.q = idFIFO{}, idFIFO{}
+	c.d2h.q, c.h2f.q = slab.Queue[ID]{}, slab.Queue[ID]{}
 	c.bump()
 
 	c.rec.DrainStart()

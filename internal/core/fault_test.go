@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"score/internal/device"
 	"score/internal/fabric"
 	"score/internal/lifecycle"
 	"score/internal/payload"
@@ -113,9 +116,49 @@ func TestTransientNVMeFailureRetriesThrough(t *testing.T) {
 		if tiers := r.client.DegradedTiers(); len(tiers) != 0 {
 			t.Errorf("transient failure degraded tiers %v", tiers)
 		}
+		if r.client.rnd == nil {
+			t.Error("a client that retried has no jitter generator")
+		}
 		rep := r.client.ckpts[0].replicas[TierSSD]
 		if rep == nil || rep.fsm.State() != lifecycle.Flushed {
 			t.Error("SSD replica not FLUSHED after retried write")
+		}
+	})
+}
+
+// TestRetryJitterIsSeededOnFirstUse: a client builds its retry-jitter
+// generator at its first jitter call, from its fault seed and GPU alone.
+// A client that never retries never builds one, and two clients with
+// equal seeds on the same GPU draw the sequence that a generator seeded
+// at construction from the same seed would draw. The rigs run on GPU 1,
+// so a seed that left the GPU out would draw another sequence.
+func TestRetryJitterIsSeededOnFirstUse(t *testing.T) {
+	run(t, func(clk *simclock.Virtual) {
+		seeded := func(p *Params) {
+			p.FaultSeed = 7
+			p.GPU = device.NewGPU(clk, 1, 64*MB, p.GPU.PCIeLink(), p.GPU.PCIeLink(), p.GPU.Costs())
+		}
+		a, b := newRig(t, clk, seeded).client, newRig(t, clk, seeded).client
+		defer a.Close()
+		defer b.Close()
+		if err := a.Checkpoint(0, pay(MB)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Restore(0); err != nil {
+			t.Fatal(err)
+		}
+		if a.rnd != nil || b.rnd != nil {
+			t.Fatal("a client that never retried built its jitter generator")
+		}
+		ref := rand.New(rand.NewSource(7*0x9E3779B9 + 1 + 1)) // fault seed 7 on GPU 1
+		for i := 0; i < 16; i++ {
+			want := time.Duration(float64(time.Second) * (0.5 + ref.Float64()))
+			if ja, jb := a.jitter(time.Second), b.jitter(time.Second); ja != want || jb != want {
+				t.Fatalf("draw %d: jitters %v and %v, want %v for both", i, ja, jb, want)
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"score/internal/lifecycle"
 	"score/internal/metrics"
 	"score/internal/simclock"
+	"score/internal/slab"
 	"score/internal/trace"
 )
 
@@ -42,14 +43,14 @@ var (
 // drain's notice only empties the queues, and its triage then pushes its
 // admitted flushes onto the T_H2F queue like any other job.
 type flushPool struct {
-	q    idFIFO
+	q    slab.Queue[ID]
 	busy int
 	cond simclock.Cond
 }
 
 // push queues id and wakes one idle worker.
 func (p *flushPool) push(id ID) {
-	p.q.push(id)
+	p.q.Push(id)
 	p.cond.Signal()
 }
 
@@ -62,7 +63,7 @@ func (c *Client) releaseFlushers() {
 
 // popFlushJob blocks for the next id queued on p; ok=false on close.
 func (c *Client) popFlushJob(p *flushPool) (ID, bool) {
-	for p.q.len() == 0 {
+	for p.q.Len() == 0 {
 		if c.closed || c.killed {
 			return 0, false
 		}
@@ -74,7 +75,7 @@ func (c *Client) popFlushJob(p *flushPool) (ID, bool) {
 		// first gate: the triage's round waits for them.
 		return 0, false
 	}
-	id, _ := p.q.pop()
+	id, _ := p.q.Pop()
 	p.busy++
 	c.inFlight[id]++
 	return id, true

@@ -33,7 +33,13 @@ const (
 	hedgeDelayFloor = time.Millisecond
 )
 
-// classHealth tracks one link class ("ssd", "partner", "pfs").
+// classHealth tracks one link class ("ssd", "partner", "pfs"): each deep
+// tier row holds its own (deepTier.health), built by its first
+// observation, so a class never observed costs nothing; a nil class has
+// no observations. Observations are pure state updates (no clock
+// interaction), so feeding it on every successful transfer cannot
+// perturb scheduling — the hedging-off configuration stays
+// byte-identical to the seed.
 type classHealth struct {
 	floor   float64 // best observed ns-per-byte — the nominal link speed
 	ring    [healthRing]float64
@@ -41,29 +47,17 @@ type classHealth struct {
 	ewma    float64 // EWMA of the slowdown ratio; 1.0 = nominal
 }
 
-// tierHealth is the client-wide estimator, one classHealth per link
-// class. Observations are pure state updates (no clock interaction), so
-// feeding it on every successful transfer cannot perturb scheduling —
-// the hedging-off configuration stays byte-identical to the seed.
-type tierHealth struct {
-	classes map[string]*classHealth
-}
-
-func newTierHealth() *tierHealth {
-	return &tierHealth{classes: map[string]*classHealth{}}
-}
-
 // observe folds one successful transfer of size bytes taking d into the
-// class estimate.
-func (h *tierHealth) observe(class string, size int64, d time.Duration) {
+// estimate of t's class, building the class on the first.
+func (t *deepTier) observe(size int64, d time.Duration) {
 	if size <= 0 || d <= 0 {
 		return
 	}
 	perByte := float64(d) / float64(size)
-	ch := h.classes[class]
+	ch := t.health
 	if ch == nil {
 		ch = &classHealth{floor: perByte, ewma: 1}
-		h.classes[class] = ch
+		t.health = ch
 	}
 	if perByte < ch.floor {
 		ch.floor = perByte
@@ -94,9 +88,9 @@ func (h *tierHealth) observe(class string, size int64, d time.Duration) {
 // stays honest until more than half the window is sick, by which point
 // the EWMA has long since breached and quarantined the tier. The cap at
 // healthBreach bounds the damage even then.
-func (h *tierHealth) deadline(class string, size int64) time.Duration {
+func (ch *classHealth) deadline(size int64) time.Duration {
 	var d time.Duration
-	if ch := h.classes[class]; ch != nil && ch.n > 0 {
+	if ch != nil && ch.n > 0 {
 		ratios := make([]float64, ch.n)
 		copy(ratios, ch.ring[:ch.n])
 		sort.Float64s(ratios)
@@ -114,8 +108,7 @@ func (h *tierHealth) deadline(class string, size int64) time.Duration {
 
 // score returns the class's EWMA slowdown ratio (1.0 = nominal); 0 when
 // the class has no observations yet.
-func (h *tierHealth) score(class string) float64 {
-	ch := h.classes[class]
+func (ch *classHealth) score() float64 {
 	if ch == nil {
 		return 0
 	}
@@ -124,8 +117,7 @@ func (h *tierHealth) score(class string) float64 {
 
 // breached reports whether the class's EWMA slowdown has crossed the
 // quarantine threshold (with enough samples to trust it).
-func (h *tierHealth) breached(class string) bool {
-	ch := h.classes[class]
+func (ch *classHealth) breached() bool {
 	return ch != nil && ch.n >= healthMinSamples && ch.ewma >= healthBreach
 }
 
@@ -137,8 +129,8 @@ func (h *tierHealth) breached(class string) bool {
 // (tierDegraded probation + healTier) applies unchanged. Pure observation
 // when hedging is off.
 func (c *Client) observeHealth(d *deepTier, size int64, dur time.Duration) {
-	c.health.observe(d.label, size, dur)
-	if !c.p.Hedge || !c.health.breached(d.label) {
+	d.observe(size, dur)
+	if !c.p.Hedge || !d.health.breached() {
 		return
 	}
 	if c.degradeTier(d.tier) {

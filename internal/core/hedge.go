@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"score/internal/metrics"
+	"score/internal/simclock"
 	"score/internal/trace"
 )
 
@@ -60,6 +61,9 @@ func (c *Client) hedgeRace(ck *checkpoint, att *attrib, rows []*deepTier, dir ra
 		l := &legs[len(legs)-1]
 		if dir.open != nil {
 			dir.open(l)
+		}
+		if c.hedgeWG == nil {
+			c.hedgeWG = simclock.NewWaitGroup(c.clk)
 		}
 		c.hedgeWG.Add(1)
 		c.clk.Go(func() {
@@ -130,7 +134,7 @@ func (c *Client) hedgeRace(ck *checkpoint, att *attrib, rows []*deepTier, dir ra
 			// deepest launched leg's adaptive deadline, then launch the
 			// next one.
 			deep := &legs[len(legs)-1]
-			d := c.health.deadline(deep.label, ck.size)
+			d := deep.health.deadline(ck.size)
 			if d == 0 {
 				// No calibration for this link class yet — no deadline to
 				// arm. Wait for the leg to resolve; a failure still falls

@@ -139,10 +139,10 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 		return float64(c.p.GPU.EnginesBusy())
 	})
 	s.Register(name("queue.d2h"), func() float64 {
-		return float64(c.d2h.q.len() + c.d2h.busy)
+		return float64(c.d2h.q.Len() + c.d2h.busy)
 	})
 	s.Register(name("queue.h2f"), func() float64 {
-		return float64(c.h2f.q.len() + c.h2f.busy)
+		return float64(c.h2f.q.Len() + c.h2f.busy)
 	})
 	// Tier health: how many tiers are currently out of rotation, and how
 	// many degradations a probe has healed — sampled so dashboards see
@@ -157,10 +157,8 @@ func (c *Client) RegisterProbes(s *metrics.Sampler, prefix string) {
 	// deep link class (1.0 = nominal, 0 = no samples yet). Sampled so
 	// dashboards see the degradation building before a quarantine trips.
 	for i := range c.deep {
-		class := c.deep[i].label
-		s.Register(name("health."+class), func() float64 {
-			return c.health.score(class)
-		})
+		d := &c.deep[i]
+		s.Register(name("health."+d.label), func() float64 { return d.health.score() })
 	}
 	s.Register(name("drain.active"), func() float64 {
 		if c.drain != nil && c.drain.active {

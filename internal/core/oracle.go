@@ -190,7 +190,7 @@ func (c *Client) consumeHint(ck *checkpoint) (deviated bool) {
 		return false
 	}
 	for i := at; deviated && i < len(c.q.hints); i++ {
-		if o := c.ckpts[c.q.hints[i]]; o != nil && o.hint() == i+1 {
+		if o := c.ckpts[c.q.hints[i].id]; o != nil && o.hint() == i+1 {
 			o.setHint(i)
 		}
 	}

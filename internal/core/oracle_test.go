@@ -34,7 +34,7 @@ func decodeEntry(e *cachebuf.Entry) entryWant {
 func ruleEntry(c *Client, ck *checkpoint, tier Tier) entryWant {
 	w := entryWant{hint: cachebuf.NoHint}
 	for i := c.q.head; i < len(c.q.hints); i++ {
-		if c.q.hints[i] == ck.id {
+		if c.q.hints[i].id == ck.id {
 			w.hint = i
 			break
 		}
@@ -121,9 +121,9 @@ func checkEntries(c *Client) error {
 		}
 	}
 	for i := c.q.head; i < len(c.q.hints); i++ {
-		if ck := c.q.cks[i]; ck != c.ckpts[c.q.hints[i]] && (ck != nil || i < c.q.st) {
+		if ck := c.q.hints[i].ck; ck != c.ckpts[c.q.hints[i].id] && (ck != nil || i < c.q.st) {
 			return fmt.Errorf("hint slot %d holds %p, the record of version %d is %p (stager cursor at %d)",
-				i, ck, c.q.hints[i], c.ckpts[c.q.hints[i]], c.q.st)
+				i, ck, c.q.hints[i].id, c.ckpts[c.q.hints[i].id], c.q.st)
 		}
 	}
 	for _, free := range []int64{0, math.MaxInt64} {

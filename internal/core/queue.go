@@ -1,6 +1,9 @@
 package core
 
-import "score/internal/cachebuf"
+import (
+	"score/internal/cachebuf"
+	"score/internal/slab"
+)
 
 // restoreQueue is the per-process restore-order queue of §4.1.1: the
 // application (or higher-level middleware) enqueues hints about future
@@ -15,24 +18,32 @@ import "score/internal/cachebuf"
 // The host stager's cursor st marks the end of the pending prefix
 // hints[head:st] in which no hint is a staging candidate
 // (Client.nextStageTarget), and stBytes is what the prefix spans.
-// The search fills each hint's slot in cks with its checkpoint record as it
-// first passes it, so every slot of the prefix is set, until the record is
+// The search fills each hint's ck with its checkpoint record as it first
+// passes it, so every record of the prefix is set, until the record is
 // dropped (unlink). Whatever can make a hinted checkpoint a candidate again
 // lowers the cursor to its position (reopen).
 type restoreQueue struct {
-	hints []ID
-	cks   []*checkpoint // parallel to hints: each one's record, nil until the stager passes it
-	head  int           // hints[:head] have been consumed
-	pf    int           // next index the prefetcher should work on (>= head)
+	hints []hint
+	head  int // hints[:head] have been consumed
+	pf    int // next index the prefetcher should work on (>= head)
 
 	st      int   // head <= st; hints[head:st] hold no staging candidate
 	stBytes int64 // the bytes of hints[head:st]
 }
 
-// enqueue appends a hint, its slot unset, and returns its position.
+// hint is one enqueued restore and the record the stager found for it.
+type hint struct {
+	id ID
+	ck *checkpoint // nil until the stager passes it
+}
+
+// enqueue appends a hint, its record unset, and returns its position. The
+// first one makes room for a block of hints.
 func (q *restoreQueue) enqueue(id ID) int {
-	q.hints = append(q.hints, id)
-	q.cks = append(q.cks, nil)
+	if q.hints == nil {
+		q.hints = slab.Make[hint]()
+	}
+	q.hints = append(q.hints, hint{id: id})
 	return len(q.hints) - 1
 }
 
@@ -40,9 +51,9 @@ func (q *restoreQueue) enqueue(id ID) int {
 // below them first: a walk stops at an unwritten slot.
 func (q *restoreQueue) unlink(ck *checkpoint) {
 	for i := q.head; i < len(q.hints); i++ {
-		if q.cks[i] == ck {
+		if q.hints[i].ck == ck {
 			q.reopen(i)
-			q.cks[i] = nil
+			q.hints[i].ck = nil
 		}
 	}
 }
@@ -54,13 +65,13 @@ func (q *restoreQueue) reopen(pos int) {
 		return // cachebuf.NoHint
 	}
 	for ; q.st > pos; q.st-- {
-		q.stBytes -= q.cks[q.st-1].size
+		q.stBytes -= q.hints[q.st-1].ck.size
 	}
 }
 
 // cover extends the stager cursor over the hint at st, no candidate.
 func (q *restoreQueue) cover() {
-	q.stBytes += q.cks[q.st].size
+	q.stBytes += q.hints[q.st].ck.size
 	q.st++
 }
 
@@ -68,7 +79,7 @@ func (q *restoreQueue) cover() {
 // there is consumed.
 func (q *restoreQueue) cut(at int) {
 	if at < q.st {
-		q.stBytes -= q.cks[at].size
+		q.stBytes -= q.hints[at].ck.size
 		if at > q.head {
 			q.st-- // the hints behind the cut move down one
 		}
@@ -82,7 +93,7 @@ func (q *restoreQueue) pending() int { return len(q.hints) - q.head }
 func (q *restoreQueue) at(i int) (ID, bool) {
 	idx := q.head + i
 	if idx < len(q.hints) {
-		return q.hints[idx], true
+		return q.hints[idx].id, true
 	}
 	return 0, false
 }
@@ -91,7 +102,7 @@ func (q *restoreQueue) at(i int) (ID, bool) {
 // cachebuf.NoHint: a linear scan, once per Checkpoint and per Restore.
 func (q *restoreQueue) firstPending(id ID) int {
 	for i := q.head; i < len(q.hints); i++ {
-		if q.hints[i] == id {
+		if q.hints[i].id == id {
 			return i
 		}
 	}
@@ -118,7 +129,6 @@ func (q *restoreQueue) consume(id ID) (at int, deviated bool) {
 		return at, false
 	}
 	q.hints = append(q.hints[:at], q.hints[at+1:]...)
-	q.cks = append(q.cks[:at], q.cks[at+1:]...)
 	if q.pf > at {
 		q.pf--
 	}
@@ -131,7 +141,7 @@ func (q *restoreQueue) nextPrefetch() (ID, bool) {
 		q.pf = q.head
 	}
 	if q.pf < len(q.hints) {
-		return q.hints[q.pf], true
+		return q.hints[q.pf].id, true
 	}
 	return 0, false
 }
@@ -142,36 +152,3 @@ func (q *restoreQueue) prefetchPending() bool { return max(q.pf, q.head) < len(q
 
 // advancePrefetch moves past the current prefetch target.
 func (q *restoreQueue) advancePrefetch() { q.pf++ }
-
-// idFIFO is the flush queues' FIFO. Popping advances a head cursor and
-// periodically compacts the backing array — the naive `q = q[1:]`
-// re-slice never lets the garbage collector reclaim popped slots, so on
-// long runs the queue's footprint grows with the historical total
-// instead of the pending count.
-type idFIFO struct {
-	ids  []ID
-	head int
-}
-
-// push appends id to the tail.
-func (f *idFIFO) push(id ID) { f.ids = append(f.ids, id) }
-
-// pop removes and returns the head; ok=false when empty.
-func (f *idFIFO) pop() (id ID, ok bool) {
-	if f.head >= len(f.ids) {
-		return 0, false
-	}
-	id = f.ids[f.head]
-	f.head++
-	if f.head > 32 && f.head*2 >= len(f.ids) {
-		// The dead prefix dominates: slide the pending tail down so the
-		// old backing array (and the IDs it pins) can be collected.
-		n := copy(f.ids, f.ids[f.head:])
-		f.ids = f.ids[:n]
-		f.head = 0
-	}
-	return id, true
-}
-
-// len returns the number of pending ids.
-func (f *idFIFO) len() int { return len(f.ids) - f.head }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"score/internal/metrics"
@@ -110,7 +111,13 @@ func (c *Client) retryIOAttr(ck *checkpoint, att *attrib, comp metrics.Comp, lab
 }
 
 // jitter spreads d over [0.5d, 1.5d) so concurrent retry loops decorrelate.
+// The first call seeds the client's generator from its fault seed and GPU,
+// so a client that never retries never builds one, and equal seeds on one
+// GPU draw equal sequences.
 func (c *Client) jitter(d time.Duration) time.Duration {
+	if c.rnd == nil {
+		c.rnd = rand.New(rand.NewSource(c.p.FaultSeed*0x9E3779B9 + int64(c.p.GPU.ID()) + 1))
+	}
 	f := 0.5 + c.rnd.Float64()
 	return time.Duration(float64(d) * f)
 }
@@ -178,7 +185,7 @@ func (c *Client) tierDegraded(t Tier) bool {
 // recovers — succeeding is necessary but not sufficient to rejoin.
 func (c *Client) healTier(t Tier) {
 	if c.p.Hedge {
-		if d := c.deepOf(t); d != nil && c.health.breached(d.label) {
+		if d := c.deepOf(t); d != nil && d.health.breached() {
 			return
 		}
 	}

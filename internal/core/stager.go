@@ -97,12 +97,12 @@ func (c *Client) nextStageTarget(freeHostBytes int64) *checkpoint {
 	}
 	q := &c.q
 	for ; q.st < len(q.hints); q.cover() {
-		ck := q.cks[q.st]
+		ck := q.hints[q.st].ck
 		if ck == nil {
-			if ck = c.ckpts[q.hints[q.st]]; ck == nil {
+			if ck = c.ckpts[q.hints[q.st].id]; ck == nil {
 				return nil // not written yet; later hints cannot help
 			}
-			q.cks[q.st] = ck
+			q.hints[q.st].ck = ck
 		}
 		if q.stBytes+ck.size > budget {
 			return nil // deep enough; stay near the queue head

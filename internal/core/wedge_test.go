@@ -278,7 +278,7 @@ func TestSkippedFlushReleasesItsHostCopy(t *testing.T) {
 			clk.Sleep(time.Millisecond)
 			landed = c.ckpts[n-1].dataOn(TierHost)
 		}
-		queued := c.h2f.q.len()
+		queued := c.h2f.q.Len()
 		if queued != n-1 {
 			t.Fatalf("setup: %d host copies await T_H2F, want %d", queued, n-1)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"score/internal/slab"
 )
 
 // Critical-path operations: what end-to-end latency a CritPathRecord
@@ -167,7 +169,11 @@ type critHead struct {
 	n                          int
 }
 
-const critBlockMin, critBlockMax = 16, 1024
+const critBlockMin, critBlockMax = slab.Block, 1024
+
+// critBlockList is the first room of a store's list of blocks, so a
+// rank's few dozen records and their charges do not regrow it.
+const critBlockList = 4
 
 // A charge is one uint64: the component index in the top 8 bits, the
 // nanoseconds in the low 56 as two's complement, so that a negative
@@ -193,7 +199,9 @@ type blocks[T any] [][]T
 func (b *blocks[T]) room(k int) *[]T {
 	n := len(*b)
 	size := critBlockMin
-	if n > 0 {
+	if n == 0 {
+		*b = make(blocks[T], 0, critBlockList)
+	} else {
 		last := &(*b)[n-1]
 		if cap(*last)-len(*last) >= k {
 			return last

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -25,34 +26,30 @@ const (
 // histogram: a 1-2-5 decade ladder from 1µs to 100s. Fixed boundaries make
 // histograms from different ranks (and different runs) mergeable bucket by
 // bucket, which Merge and the registry rely on.
-var defaultBounds = buildDefaultBounds()
-
-func buildDefaultBounds() []time.Duration {
-	var out []time.Duration
-	for base := time.Microsecond; base <= 10*time.Second; base *= 1000 {
-		for _, mul := range []time.Duration{1, 2, 5, 10, 20, 50, 100, 200, 500} {
-			if b := base * mul; b <= 100*time.Second {
-				out = append(out, b)
-			}
-		}
-	}
-	return out
+var defaultBounds = [...]time.Duration{
+	1 * time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond,
+	10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
+	100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
+	1 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond,
+	1 * time.Second, 2 * time.Second, 5 * time.Second,
+	10 * time.Second, 20 * time.Second, 50 * time.Second,
+	100 * time.Second,
 }
 
-// Histogram is a fixed-boundary latency histogram. Bucket i counts
-// observations d <= bounds[i]; the final bucket is the +Inf overflow.
-// A Recorder owns each of its histograms.
+// Histogram is a fixed-boundary latency histogram over defaultBounds.
+// Bucket i counts observations d <= defaultBounds[i]; the final bucket is
+// the +Inf overflow. The counts are held inline, so a histogram is one
+// object. A Recorder owns each of its histograms.
 type Histogram struct {
-	bounds []time.Duration
-	counts []int64 // len(bounds)+1, last is +Inf
+	counts [len(defaultBounds) + 1]int64 // last is +Inf
 	count  int64
 	sum    time.Duration
 }
 
 // NewHistogram returns an empty histogram over the shared default bounds.
-func NewHistogram() *Histogram {
-	return &Histogram{bounds: defaultBounds, counts: make([]int64, len(defaultBounds)+1)}
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe adds one duration (negative values clamp to zero).
 func (h *Histogram) Observe(d time.Duration) {
@@ -65,10 +62,10 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 func (h *Histogram) bucket(d time.Duration) int {
-	lo, hi := 0, len(h.bounds)
+	lo, hi := 0, len(defaultBounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if d <= h.bounds[mid] {
+		if d <= defaultBounds[mid] {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -79,15 +76,13 @@ func (h *Histogram) bucket(d time.Duration) int {
 
 // Snapshot returns an immutable copy.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	counts := make([]int64, len(h.counts))
-	copy(counts, h.counts)
-	return HistogramSnapshot{Bounds: h.bounds, Counts: counts, Count: h.count, Sum: h.sum}
+	return HistogramSnapshot{Bounds: defaultBounds[:], Counts: slices.Clone(h.counts[:]), Count: h.count, Sum: h.sum}
 }
 
 // view is h in the shape of a snapshot that shares h's counts: valid
 // until the recorder's next observation.
 func (h *Histogram) view() HistogramSnapshot {
-	return HistogramSnapshot{Bounds: h.bounds, Counts: h.counts, Count: h.count, Sum: h.sum}
+	return HistogramSnapshot{Bounds: defaultBounds[:], Counts: h.counts[:], Count: h.count, Sum: h.sum}
 }
 
 // HistogramSnapshot is the exported, JSON-serialisable form of a Histogram.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistogramBoundsLadder(t *testing.T) {
-	b := defaultBounds
+	b := defaultBounds[:]
 	if len(b) == 0 {
 		t.Fatal("no default bounds")
 	}

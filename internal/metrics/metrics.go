@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"score/internal/slab"
 )
 
 // Recorder accumulates measurements for one process (one GPU). The
@@ -106,6 +108,9 @@ func (r *Recorder) Restore(iter int, bytes int64, blocked time.Duration, prefetc
 	r.s.RestoreBytes += bytes
 	r.s.RestoreBlocked += blocked
 	r.s.RestoreOps++
+	if r.s.RestoreSeries == nil {
+		r.s.RestoreSeries = slab.Make[SeriesPoint]()
+	}
 	r.s.RestoreSeries = append(r.s.RestoreSeries, SeriesPoint{
 		Iteration:        iter,
 		Bytes:            bytes,

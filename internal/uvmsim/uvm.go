@@ -149,7 +149,7 @@ type Client struct {
 	closed      bool
 	err         error
 
-	flushQ  []*ckpt
+	flushQ  slab.Queue[*ckpt] // writebacks not yet started, in FIFO order
 	flushOn bool
 
 	restoreIter int
@@ -162,7 +162,8 @@ func New(cfg Config) (*Client, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, clk: cfg.Clock, rec: metrics.NewRecorder(), ckpts: map[int64]*ckpt{}}
+	c := &Client{cfg: cfg, clk: cfg.Clock, rec: metrics.NewRecorder(),
+		ckpts: make(map[int64]*ckpt, slab.Block), order: slab.Make[*ckpt]()}
 	c.cond = c.clk.NewCond(nil)
 	c.daemons = simclock.NewWaitGroup(c.clk)
 	if err := cfg.GPU.AllocDevice(cfg.DeviceCacheSize); err != nil {
@@ -350,7 +351,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 	c.update(k, func() { k.onDevice, k.inflight = err == nil, false })
 	if err == nil {
 		// cudaMemAdviseSetPreferredLocation(host): async writeback.
-		c.flushQ = append(c.flushQ, k)
+		c.flushQ.Push(k)
 	} else {
 		delete(c.ckpts, id)
 		c.order = slices.DeleteFunc(c.order, func(o *ckpt) bool { return o == k })
@@ -368,7 +369,7 @@ func (c *Client) Checkpoint(id int64, pay payload.Payload) error {
 // SSD flush chain.
 func (c *Client) flusher() {
 	for {
-		for len(c.flushQ) == 0 {
+		for c.flushQ.Len() == 0 {
 			if c.closed {
 				return
 			}
@@ -381,8 +382,7 @@ func (c *Client) flusher() {
 			}
 			c.cond.Wait()
 		}
-		k := c.flushQ[0]
-		c.flushQ = c.flushQ[1:]
+		k, _ := c.flushQ.Pop()
 		c.flushOn = true
 		skip := k.consumed && c.cfg.DiscardAfterRestore
 		if !skip && !k.onHost {
@@ -582,7 +582,7 @@ func (c *Client) prefetchDistance(current int64) int {
 
 // WaitFlush drains the writeback + SSD chain.
 func (c *Client) WaitFlush() error {
-	for len(c.flushQ) > 0 || c.flushOn {
+	for c.flushQ.Len() > 0 || c.flushOn {
 		if c.closed {
 			return ErrClosed
 		}
